@@ -10,7 +10,7 @@
 //! * `low_card` — 64 groups: per-worker tables are tiny and partial
 //!   aggregation collapses the shipment to a handful of state rows.
 //!
-//! ## The projected speedup (basis `projected`)
+//! ## The projected speedup
 //!
 //! Exchange-partitioned aggregation is a three-stage pipeline — route
 //! (serialized feeder hashing rows to partitions), per-partition
@@ -24,14 +24,14 @@
 //! D1 = routing pass (RowBatch::partition_by_hash over the input)
 //! B1 = Σ per-partition serial aggregation time (the divisible work)
 //! G1 = output gather/concat
-//! projected_time(N) = max(D1, G1, B1 / N)      (N > 1)
-//! speedup(N)        = min(Ts / projected_time(N), N)
-//! speedup(1)        = Ts / T1                  (measured wall, no model)
+//! projected_time(N)    = max(D1, G1, B1 / N)      (N > 1)
+//! projected_speedup(N) = min(Ts / projected_time(N), N)
 //! ```
 //!
 //! Every component is its minimum across reps (noise floor), mirroring
-//! `parallel.rs`; real Exchange wall numbers ride along as `wall_*` and
-//! gate only between same-shape hosts.
+//! `parallel.rs` (as there, the 1-worker point is plain measurement and
+//! carries no projection); real Exchange wall numbers ride along as
+//! `wall_*` and gate only between comparable hosts.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -41,37 +41,29 @@ use csq_exec::{collect, AggSpec, BoxOp, Exchange, HashAggregate, ParallelOpts, R
 use csq_expr::{AggFunc, PhysExpr};
 use csq_ship::PartialAggSpec;
 
-use crate::throughput::{field_num, field_str};
+use crate::cli::BenchCli;
+use crate::gate::{Bound, Entry, Gate, Metric};
 
-/// One measured (workload, variant, worker count) point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AggregateEntry {
-    /// "full" or "quick".
-    pub mode: String,
-    /// "high_card" or "low_card".
-    pub workload: String,
-    /// "parallel" (exchange-partitioned) or "shipped_partial"
-    /// (partial → wire codec → final).
-    pub variant: String,
-    /// Input rows.
-    pub rows: usize,
-    /// Groups produced.
-    pub groups: usize,
-    /// Worker threads (1 for shipped_partial).
-    pub workers: usize,
-    /// Hardware threads of the measuring host (context for `wall_*`).
-    pub host_cpus: usize,
-    /// Serial single-phase aggregation throughput.
-    pub serial_rows_per_sec: f64,
-    /// This variant's wall-clock throughput.
-    pub wall_rows_per_sec: f64,
-    /// `wall_rows_per_sec / serial_rows_per_sec`.
-    pub wall_speedup: f64,
-    /// The gated speedup number; see module docs for `basis`.
-    pub speedup: f64,
-    /// "projected" (parallel) or "wall" (shipped_partial).
-    pub basis: String,
-}
+/// The results file and gate of this bench: the parallel bench's two-tier
+/// gate over `<workload>/<variant>/workers=<n>` points.
+pub const GATE: Gate = Gate {
+    name: "aggregate",
+    note: "reference = serial single-phase HashAggregate rows/sec; projected_speedup is the \
+           hardware-normalized pipeline model min(T_serial / max(D1, G1, B1/N), N) from measured \
+           components: D1 = serialized hash-routing pass, B1 = summed per-partition aggregation \
+           (divides across workers, disjoint group keys), G1 = output gather, each its minimum \
+           across reps (noise floor); wall_* are raw wall clock on host_cpus hardware threads; \
+           shipped_partial is the partial->wire-codec->final split",
+    tolerance: 0.25,
+    multi_core: true,
+    metrics: &[
+        Metric::ratio("projected_speedup"),
+        Metric::absolute("wall_rows_per_sec", Bound::Min),
+    ],
+};
+
+/// The `aggregate` binary.
+pub const CLI: BenchCli = BenchCli { gate: &GATE, run };
 
 const REPS: usize = 5;
 
@@ -135,11 +127,7 @@ struct Workload {
 }
 
 /// Run every workload at full scale (1M rows) or quick scale (÷10).
-pub fn run_all(quick: bool) -> Vec<AggregateEntry> {
-    let mode = if quick { "quick" } else { "full" };
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+pub fn run(quick: bool) -> Vec<Entry> {
     let worker_counts: &[usize] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
     let scale = if quick { 10 } else { 1 };
     let rows_n = 1_000_000 / scale;
@@ -169,8 +157,7 @@ pub fn run_all(quick: bool) -> Vec<AggregateEntry> {
         let mut serial_secs = f64::INFINITY;
         let mut exchange_walls = vec![f64::INFINITY; worker_counts.len()];
         let mut shipped_secs = f64::INFINITY;
-        let (mut t1, mut d1, mut b1, mut g1) =
-            (f64::INFINITY, f64::INFINITY, f64::INFINITY, f64::INFINITY);
+        let (mut d1, mut b1, mut g1) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
         for _ in 0..REPS {
             let dcl = data.clone();
             let sref = &schema;
@@ -202,9 +189,6 @@ pub fn run_all(quick: bool) -> Vec<AggregateEntry> {
                     w.name
                 );
                 exchange_walls[i] = exchange_walls[i].min(wall);
-                if workers == 1 {
-                    t1 = t1.min(wall);
-                }
             }
 
             let (d, b, g, n) = decompose(&schema, data.clone(), max_parts);
@@ -227,245 +211,88 @@ pub fn run_all(quick: bool) -> Vec<AggregateEntry> {
                 "    [debug] {}: Ts={:.1}ms T1={:.1}ms D1={:.1}ms B1={:.1}ms G1={:.1}ms",
                 w.name,
                 serial_secs * 1e3,
-                t1 * 1e3,
+                exchange_walls[0] * 1e3,
                 d1 * 1e3,
                 b1 * 1e3,
                 g1 * 1e3,
             );
         }
 
+        let point = |variant: &str, workers: usize, wall: f64| {
+            Entry::new(
+                quick,
+                format!("{}/{variant}/workers={workers}", w.name),
+                w.rows as f64 / serial_secs,
+            )
+            .with("rows", w.rows as f64)
+            .with("groups", expected_groups as f64)
+            .with("wall_rows_per_sec", w.rows as f64 / wall)
+            .with("wall_speedup", serial_secs / wall)
+        };
         for (i, &workers) in worker_counts.iter().enumerate() {
-            let wall = exchange_walls[i];
-            let projected = if workers == 1 {
-                serial_secs / t1
+            let e = point("parallel", workers, exchange_walls[i]);
+            out.push(if workers == 1 {
+                e
             } else {
                 let bottleneck = d1.max(g1).max(b1 / workers as f64).max(1e-12);
-                (serial_secs / bottleneck).min(workers as f64)
-            };
-            out.push(AggregateEntry {
-                mode: mode.to_string(),
-                workload: w.name.to_string(),
-                variant: "parallel".to_string(),
-                rows: w.rows,
-                groups: expected_groups,
-                workers,
-                host_cpus,
-                serial_rows_per_sec: w.rows as f64 / serial_secs,
-                wall_rows_per_sec: w.rows as f64 / wall,
-                wall_speedup: serial_secs / wall,
-                speedup: projected,
-                basis: "projected".to_string(),
+                let projected = (serial_secs / bottleneck).min(workers as f64);
+                e.with("projected_speedup", projected)
             });
         }
-        out.push(AggregateEntry {
-            mode: mode.to_string(),
-            workload: w.name.to_string(),
-            variant: "shipped_partial".to_string(),
-            rows: w.rows,
-            groups: expected_groups,
-            workers: 1,
-            host_cpus,
-            serial_rows_per_sec: w.rows as f64 / serial_secs,
-            wall_rows_per_sec: w.rows as f64 / shipped_secs,
-            wall_speedup: serial_secs / shipped_secs,
-            speedup: serial_secs / shipped_secs,
-            basis: "wall".to_string(),
-        });
+        out.push(point("shipped_partial", 1, shipped_secs));
     }
     out
-}
-
-// ---- results file -----------------------------------------------------------
-
-/// Render the results document (one entry per line, as in the other bench
-/// files, so the parser and diffs stay trivial).
-pub fn render_document(entries: &[AggregateEntry]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"csq_aggregate\",\n  \"schema_version\": 1,\n");
-    out.push_str("  \"unit\": \"rows_per_sec\",\n");
-    out.push_str(
-        "  \"note\": \"speedup with basis=projected is the hardware-normalized pipeline model \
-         min(T_serial / max(D1, G1, B1/N), N) from measured components: D1 = serialized \
-         hash-routing pass, B1 = summed per-partition aggregation (divides across workers, \
-         disjoint group keys), G1 = output gather, each its minimum across reps (noise floor); \
-         speedup at workers=1 and all wall_* fields are raw wall clock on host_cpus hardware \
-         threads; shipped_partial is the partial->wire-codec->final split, gated on wall only \
-         between same-shape hosts\",\n",
-    );
-    out.push_str("  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let sep = if i + 1 == entries.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"workload\": \"{}\", \"variant\": \"{}\", \"rows\": {}, \
-             \"groups\": {}, \"workers\": {}, \"host_cpus\": {}, \
-             \"serial_rows_per_sec\": {:.0}, \"wall_rows_per_sec\": {:.0}, \
-             \"wall_speedup\": {:.2}, \"speedup\": {:.2}, \"basis\": \"{}\"}}{}\n",
-            e.mode,
-            e.workload,
-            e.variant,
-            e.rows,
-            e.groups,
-            e.workers,
-            e.host_cpus,
-            e.serial_rows_per_sec,
-            e.wall_rows_per_sec,
-            e.wall_speedup,
-            e.speedup,
-            e.basis,
-            sep
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Parse the entries out of a results document written by
-/// [`render_document`] (line-oriented; not a general JSON parser).
-pub fn parse_entries(text: &str) -> Vec<AggregateEntry> {
-    text.lines()
-        .filter_map(|line| {
-            Some(AggregateEntry {
-                mode: field_str(line, "mode")?,
-                workload: field_str(line, "workload")?,
-                variant: field_str(line, "variant")?,
-                rows: field_num(line, "rows")? as usize,
-                groups: field_num(line, "groups")? as usize,
-                workers: field_num(line, "workers")? as usize,
-                host_cpus: field_num(line, "host_cpus")? as usize,
-                serial_rows_per_sec: field_num(line, "serial_rows_per_sec")?,
-                wall_rows_per_sec: field_num(line, "wall_rows_per_sec")?,
-                wall_speedup: field_num(line, "wall_speedup")?,
-                speedup: field_num(line, "speedup")?,
-                basis: field_str(line, "basis")?,
-            })
-        })
-        .collect()
-}
-
-/// Compare a fresh run against the committed baseline, mirroring the
-/// parallel bench's two-tier gate: projected speedups gate on any hardware
-/// (they are within-process cost ratios); absolute wall numbers gate only
-/// when the hardware is demonstrably comparable (same `host_cpus` and every
-/// workload's serial engine within `tolerance` of its baseline).
-pub fn check_regressions(
-    current: &[AggregateEntry],
-    baseline: &[AggregateEntry],
-    tolerance: f64,
-) -> Vec<String> {
-    let baseline_of = |c: &AggregateEntry| {
-        baseline.iter().find(|b| {
-            b.mode == c.mode
-                && b.workload == c.workload
-                && b.variant == c.variant
-                && b.workers == c.workers
-        })
-    };
-    let comparable_hw = current.iter().all(|c| match baseline_of(c) {
-        Some(b) => {
-            c.host_cpus == b.host_cpus
-                && (c.serial_rows_per_sec - b.serial_rows_per_sec).abs()
-                    <= b.serial_rows_per_sec * tolerance
-        }
-        None => true,
-    });
-    let mut failures = Vec::new();
-    for c in current {
-        let Some(b) = baseline_of(c) else {
-            continue;
-        };
-        let projected_gate = c.basis == "projected" && b.basis == "projected" && c.workers > 1;
-        if projected_gate && c.speedup < b.speedup * (1.0 - tolerance) {
-            failures.push(format!(
-                "{} {} ({}, {} workers): projected speedup {:.2}x fell more than {}% below \
-                 baseline {:.2}x",
-                c.workload,
-                c.variant,
-                c.mode,
-                c.workers,
-                c.speedup,
-                (tolerance * 100.0) as u64,
-                b.speedup,
-            ));
-            continue;
-        }
-        let floor = b.wall_rows_per_sec * (1.0 - tolerance);
-        if comparable_hw && c.wall_rows_per_sec < floor {
-            failures.push(format!(
-                "{} {} ({}, {} workers): {:.0} rows/s < {:.0} ({}% below baseline {:.0} on \
-                 comparable hardware)",
-                c.workload,
-                c.variant,
-                c.mode,
-                c.workers,
-                c.wall_rows_per_sec,
-                floor,
-                (tolerance * 100.0) as u64,
-                b.wall_rows_per_sec,
-            ));
-        }
-    }
-    failures
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn entry(workload: &str, variant: &str, workers: usize, speedup: f64) -> AggregateEntry {
-        AggregateEntry {
-            mode: "quick".into(),
-            workload: workload.into(),
-            variant: variant.into(),
-            rows: 100_000,
-            groups: 10_000,
-            workers,
-            host_cpus: 4,
-            serial_rows_per_sec: 1_000_000.0,
-            wall_rows_per_sec: 1_000_000.0 * speedup,
-            wall_speedup: speedup,
-            speedup,
-            basis: if variant == "parallel" {
-                "projected".into()
-            } else {
-                "wall".into()
-            },
-        }
+    use crate::gate::tests::{entry, set};
+    use crate::gate::{check_regressions, parse_entries, render_document};
+
+    fn baseline() -> Vec<Entry> {
+        let wall = |speedup: f64| ("wall_rows_per_sec", 1_000_000.0 * speedup);
+        vec![
+            entry(
+                "high_card/parallel/workers=4",
+                1_000_000.0,
+                &[wall(2.5), ("projected_speedup", 2.5)],
+            ),
+            entry(
+                "low_card/shipped_partial/workers=1",
+                1_000_000.0,
+                &[wall(0.8)],
+            ),
+        ]
     }
 
     #[test]
     fn json_roundtrip() {
-        let entries = vec![
-            entry("high_card", "parallel", 4, 2.5),
-            entry("low_card", "shipped_partial", 1, 0.8),
-        ];
-        let doc = render_document(&entries);
-        let parsed = parse_entries(&doc);
-        assert_eq!(parsed, entries);
+        let parsed = parse_entries(&render_document(&GATE, &baseline())).unwrap();
+        assert_eq!(parsed, baseline());
     }
 
     #[test]
     fn projected_gate_fires_and_wall_gate_needs_comparable_hw() {
-        let baseline = vec![
-            entry("high_card", "parallel", 4, 2.5),
-            entry("low_card", "shipped_partial", 1, 0.8),
-        ];
-        assert!(check_regressions(&baseline, &baseline, 0.25).is_empty());
+        let baseline = baseline();
+        assert!(check_regressions(&GATE, &baseline, &baseline).is_empty());
         let mut bad = baseline.clone();
-        bad[0].speedup = 1.0;
-        let fails = check_regressions(&bad, &baseline, 0.25);
+        set(&mut bad[0], "projected_speedup", |_| 1.0);
+        let fails = check_regressions(&GATE, &bad, &baseline);
         assert_eq!(fails.len(), 1);
-        assert!(fails[0].contains("projected speedup"));
+        assert!(fails[0].contains("projected_speedup"));
         // Wall drop on a different-shaped host is not flagged.
         let mut other = baseline.clone();
         for e in &mut other {
             e.host_cpus = 1;
-            e.wall_rows_per_sec *= 0.4;
+            set(e, "wall_rows_per_sec", |v| v * 0.4);
         }
-        assert!(check_regressions(&other, &baseline, 0.25).is_empty());
+        assert!(check_regressions(&GATE, &other, &baseline).is_empty());
         // Wall drop on the same host shape is flagged.
         let mut real = baseline.clone();
-        real[1].wall_rows_per_sec *= 0.5;
-        assert_eq!(check_regressions(&real, &baseline, 0.25).len(), 1);
+        set(&mut real[1], "wall_rows_per_sec", |v| v * 0.5);
+        assert_eq!(check_regressions(&GATE, &real, &baseline).len(), 1);
     }
 
     #[test]

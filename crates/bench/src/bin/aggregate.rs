@@ -1,59 +1,8 @@
 //! Grouped-aggregation benchmark: serial vs. exchange-partitioned vs.
-//! shipped partial/final aggregation, writing `results/BENCH_aggregate.json`.
-//!
-//! ```text
-//! cargo run --release -p csq-bench --bin aggregate -- [OPTIONS]
-//!
-//!   --quick          ~10× smaller inputs (the CI smoke mode)
-//!   --out PATH       results file to write   [default: results/BENCH_aggregate.json]
-//!   --check PATH     compare against a committed baseline and exit non-zero
-//!                    on a regression (projected-speedup gate everywhere;
-//!                    absolute wall gate only on comparable hardware)
-//!   --merge          keep the other mode's entries already in --out
-//! ```
+//! shipped partial/final aggregation, writing
+//! `results/BENCH_aggregate.json`. Options (`--quick`, `--out`, `--check`,
+//! `--merge`): see `csq_bench::cli`.
 
-use std::process::ExitCode;
-
-use csq_bench::aggregate::{
-    check_regressions, parse_entries, render_document, run_all, AggregateEntry,
-};
-use csq_bench::cli::{self, BenchCli};
-
-fn print(e: &AggregateEntry) {
-    eprintln!(
-        "  {:<10} {:<15} {:>9} rows {:>8} groups   {} worker(s)   serial {:>11.0} rows/s   \
-         wall {:>11.0} rows/s ({:>5.2}x)   speedup {:>5.2}x [{}]",
-        e.workload,
-        e.variant,
-        e.rows,
-        e.groups,
-        e.workers,
-        e.serial_rows_per_sec,
-        e.wall_rows_per_sec,
-        e.wall_speedup,
-        e.speedup,
-        e.basis,
-    );
-}
-
-fn main() -> ExitCode {
-    cli::run(BenchCli {
-        name: "aggregate",
-        default_out: "results/BENCH_aggregate.json",
-        tolerance: 0.25,
-        run: run_all,
-        print,
-        mode_of: |e| &e.mode,
-        cmp: |a, b| {
-            (&a.mode, &a.workload, &a.variant, a.workers).cmp(&(
-                &b.mode,
-                &b.workload,
-                &b.variant,
-                b.workers,
-            ))
-        },
-        parse: parse_entries,
-        render: render_document,
-        check: check_regressions,
-    })
+fn main() -> std::process::ExitCode {
+    csq_bench::cli::run(csq_bench::aggregate::CLI)
 }

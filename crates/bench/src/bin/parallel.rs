@@ -1,50 +1,8 @@
-//! Parallel-engine benchmark: serial batch engine vs. the morsel-driven
-//! engine at several worker counts, writing `results/BENCH_parallel.json`.
-//!
-//! ```text
-//! cargo run --release -p csq-bench --bin parallel -- [OPTIONS]
-//!
-//!   --quick          ~10× smaller inputs (the CI smoke mode)
-//!   --out PATH       results file to write   [default: results/BENCH_parallel.json]
-//!   --check PATH     compare against a committed baseline and exit non-zero
-//!                    on a regression (projected-speedup gate everywhere;
-//!                    absolute wall gate only on comparable hardware)
-//!   --merge          keep the other mode's entries already in --out
-//! ```
+//! Parallel-engine benchmark: the serial batch engine vs. the morsel-driven
+//! parallel engine at 1/2/4/8 workers, writing
+//! `results/BENCH_parallel.json`. Options (`--quick`, `--out`, `--check`,
+//! `--merge`): see `csq_bench::cli`.
 
-use std::process::ExitCode;
-
-use csq_bench::cli::{self, BenchCli};
-use csq_bench::parallel::{
-    check_regressions, parse_entries, render_document, run_all, ParallelEntry,
-};
-
-fn print(e: &ParallelEntry) {
-    eprintln!(
-        "  {:<22} {:>9} rows   {} worker(s)   serial {:>12.0} rows/s   wall {:>12.0} rows/s \
-         ({:>5.2}x)   speedup {:>5.2}x [{}]",
-        e.pipeline,
-        e.rows,
-        e.workers,
-        e.serial_rows_per_sec,
-        e.wall_rows_per_sec,
-        e.wall_speedup,
-        e.speedup,
-        e.basis,
-    );
-}
-
-fn main() -> ExitCode {
-    cli::run(BenchCli {
-        name: "parallel",
-        default_out: "results/BENCH_parallel.json",
-        tolerance: 0.25,
-        run: run_all,
-        print,
-        mode_of: |e| &e.mode,
-        cmp: |a, b| (&a.mode, &a.pipeline, a.workers).cmp(&(&b.mode, &b.pipeline, b.workers)),
-        parse: parse_entries,
-        render: render_document,
-        check: check_regressions,
-    })
+fn main() -> std::process::ExitCode {
+    csq_bench::cli::run(csq_bench::parallel::CLI)
 }

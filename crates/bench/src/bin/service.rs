@@ -1,60 +1,8 @@
 //! Concurrent query-service load benchmark: closed-loop clients over real
-//! loopback TCP sockets, writing `results/BENCH_service.json`.
-//!
-//! ```text
-//! cargo run --release -p csq-bench --bin service -- [OPTIONS]
-//!
-//!   --quick          smaller table + fewer queries (the CI smoke mode)
-//!   --out PATH       results file to write   [default: results/BENCH_service.json]
-//!   --check PATH     compare against a committed baseline and exit non-zero
-//!                    when throughput (relative or absolute) or p99 latency
-//!                    regressed beyond tolerance — see
-//!                    `csq_bench::service::check_regressions` for the
-//!                    machine-comparability rules
-//!   --merge          keep the other mode's entries already in --out
-//! ```
+//! loopback TCP sockets, writing
+//! `results/BENCH_service.json`. Options (`--quick`, `--out`, `--check`,
+//! `--merge`): see `csq_bench::cli`.
 
-use std::process::ExitCode;
-
-use csq_bench::cli::{self, BenchCli};
-use csq_bench::service::{
-    check_regressions, parse_entries, render_document, run_all, ServiceEntry,
-};
-
-fn print(e: &ServiceEntry) {
-    eprintln!(
-        "  {:<10} {:>3} clients +{:>4} idle  {:>8.1} qps  p50 {:>8.0}µs  p95 {:>8.0}µs  \
-         p99 {:>8.0}µs  (in-proc {:>8.1} qps, rel {:.3})",
-        e.pipeline,
-        e.clients,
-        e.idle_conns,
-        e.qps,
-        e.p50_us,
-        e.p95_us,
-        e.p99_us,
-        e.inproc_qps,
-        e.rel
-    );
-}
-
-fn main() -> ExitCode {
-    cli::run(BenchCli {
-        name: "service",
-        default_out: "results/BENCH_service.json",
-        tolerance: 0.25,
-        run: run_all,
-        print,
-        mode_of: |e| &e.mode,
-        cmp: |a, b| {
-            (&a.mode, &a.pipeline, a.clients, a.idle_conns).cmp(&(
-                &b.mode,
-                &b.pipeline,
-                b.clients,
-                b.idle_conns,
-            ))
-        },
-        parse: parse_entries,
-        render: render_document,
-        check: check_regressions,
-    })
+fn main() -> std::process::ExitCode {
+    csq_bench::cli::run(csq_bench::service::CLI)
 }

@@ -1,45 +1,8 @@
-//! Scale-out benchmark for the sharded coordinator: 1/2/4 TCP shard
-//! services behind a `Coordinator`, writing `results/BENCH_sharded.json`.
-//!
-//! ```text
-//! cargo run --release -p csq-bench --bin sharded -- [OPTIONS]
-//!
-//!   --quick          smaller table + fewer statements (the CI smoke mode)
-//!   --out PATH       results file to write   [default: results/BENCH_sharded.json]
-//!   --check PATH     compare against a committed baseline and exit non-zero
-//!                    when throughput (relative or absolute) or median
-//!                    latency regressed beyond tolerance — see
-//!                    `csq_bench::sharded::check_regressions` for the
-//!                    machine-comparability rules
-//!   --merge          keep the other mode's entries already in --out
-//! ```
+//! Sharded scale-out benchmark: the same statements through a coordinator
+//! over 1/2/4 loopback TCP shard services, writing
+//! `results/BENCH_sharded.json`. Options (`--quick`, `--out`, `--check`,
+//! `--merge`): see `csq_bench::cli`.
 
-use std::process::ExitCode;
-
-use csq_bench::cli::{self, BenchCli};
-use csq_bench::sharded::{
-    check_regressions, parse_entries, render_document, run_all, ShardedEntry,
-};
-
-fn print(e: &ShardedEntry) {
-    eprintln!(
-        "  {:<8} {:>2} shards  {:>8.1} qps  p50 {:>8.0}µs  p99 {:>8.0}µs  \
-         (single-node {:>8.1} qps, rel {:.3})",
-        e.pipeline, e.shards, e.qps, e.p50_us, e.p99_us, e.single_qps, e.rel
-    );
-}
-
-fn main() -> ExitCode {
-    cli::run(BenchCli {
-        name: "sharded",
-        default_out: "results/BENCH_sharded.json",
-        tolerance: 0.25,
-        run: run_all,
-        print,
-        mode_of: |e| &e.mode,
-        cmp: |a, b| (&a.mode, &a.pipeline, a.shards).cmp(&(&b.mode, &b.pipeline, b.shards)),
-        parse: parse_entries,
-        render: render_document,
-        check: check_regressions,
-    })
+fn main() -> std::process::ExitCode {
+    csq_bench::cli::run(csq_bench::sharded::CLI)
 }

@@ -1,53 +1,8 @@
-//! Columnar-storage benchmark: zone-map-pruned selective scan vs full scan,
-//! and budgeted (spilling) vs in-memory aggregation, writing
-//! `results/BENCH_storage.json`.
-//!
-//! ```text
-//! cargo run --release -p csq-bench --bin storage -- [OPTIONS]
-//!
-//!   --quick          ~10× smaller inputs (the CI smoke mode)
-//!   --out PATH       results file to write   [default: results/BENCH_storage.json]
-//!   --check PATH     compare against a committed baseline and exit non-zero
-//!                    on a regression (wall-ratio gate everywhere, plus the
-//!                    1.5x pruned-scan acceptance floor; absolute wall gate
-//!                    only on comparable hardware)
-//!   --merge          keep the other mode's entries already in --out
-//! ```
+//! Columnar storage benchmark: zone-map-pruned vs. full selective scan, and
+//! budgeted (spilling) vs. in-memory aggregation, writing
+//! `results/BENCH_storage.json`. Options (`--quick`, `--out`, `--check`,
+//! `--merge`): see `csq_bench::cli`.
 
-use std::process::ExitCode;
-
-use csq_bench::cli::{self, BenchCli};
-use csq_bench::storage::{
-    check_regressions, parse_entries, render_document, run_all, StorageEntry,
-};
-
-fn print(e: &StorageEntry) {
-    eprintln!(
-        "  {:<16} {:<13} {:>9} rows   {:>4}/{:<4} segs pruned   {:>2} spills   \
-         {:>12.0} rows/s   ratio {:>5.2}x [{}]",
-        e.workload,
-        e.variant,
-        e.rows,
-        e.segments_pruned,
-        e.segments_total,
-        e.spills,
-        e.rows_per_sec,
-        e.speedup,
-        e.basis,
-    );
-}
-
-fn main() -> ExitCode {
-    cli::run(BenchCli {
-        name: "storage",
-        default_out: "results/BENCH_storage.json",
-        tolerance: 0.25,
-        run: run_all,
-        print,
-        mode_of: |e| &e.mode,
-        cmp: |a, b| (&a.mode, &a.workload, &a.variant).cmp(&(&b.mode, &b.workload, &b.variant)),
-        parse: parse_entries,
-        render: render_document,
-        check: check_regressions,
-    })
+fn main() -> std::process::ExitCode {
+    csq_bench::cli::run(csq_bench::storage::CLI)
 }

@@ -1,47 +1,8 @@
 //! Local-engine throughput benchmark: batch engine vs. the pre-vectorization
-//! row-at-a-time reference engine, writing `results/BENCH_throughput.json`.
-//!
-//! ```text
-//! cargo run --release -p csq-bench --bin throughput -- [OPTIONS]
-//!
-//!   --quick          ~10× smaller inputs (the CI smoke mode)
-//!   --out PATH       results file to write   [default: results/BENCH_throughput.json]
-//!   --check PATH     compare against a committed baseline and exit non-zero
-//!                    when any same-mode pipeline's batch rows/sec regressed
-//!                    by more than 20%
-//!   --merge          keep the other mode's entries already in --out
-//! ```
+//! row-at-a-time reference engine, writing
+//! `results/BENCH_throughput.json`. Options (`--quick`, `--out`, `--check`,
+//! `--merge`): see `csq_bench::cli`.
 
-use std::process::ExitCode;
-
-use csq_bench::cli::{self, BenchCli};
-use csq_bench::throughput::{
-    check_regressions, parse_entries, render_document, run_all, to_entries, JsonEntry,
-};
-
-fn run(quick: bool) -> Vec<JsonEntry> {
-    let mode = if quick { "quick" } else { "full" };
-    to_entries(mode, &run_all(quick))
-}
-
-fn print(e: &JsonEntry) {
-    eprintln!(
-        "  {:<22} {:>9} rows   row {:>12.0} rows/s   batch {:>12.0} rows/s   {:>5.2}x",
-        e.pipeline, e.rows, e.row_rows_per_sec, e.batch_rows_per_sec, e.speedup
-    );
-}
-
-fn main() -> ExitCode {
-    cli::run(BenchCli {
-        name: "throughput",
-        default_out: "results/BENCH_throughput.json",
-        tolerance: 0.20,
-        run,
-        print,
-        mode_of: |e| &e.mode,
-        cmp: |a, b| (&a.mode, &a.pipeline).cmp(&(&b.mode, &b.pipeline)),
-        parse: parse_entries,
-        render: render_document,
-        check: check_regressions,
-    })
+fn main() -> std::process::ExitCode {
+    csq_bench::cli::run(csq_bench::throughput::CLI)
 }

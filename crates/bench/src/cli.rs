@@ -1,40 +1,37 @@
-//! Shared CLI harness for the regression-gated benchmark binaries
-//! (`throughput`, `parallel`): argument parsing, the `--check` baseline
-//! comparison, and the `--merge`-aware results write, parameterized over
-//! the entry type so the two results formats cannot drift apart.
+//! Shared CLI harness for the six regression-gated benchmark binaries
+//! (`throughput`, `parallel`, `aggregate`, `storage`, `service`, `sharded`):
+//! argument parsing, the `--check` baseline comparison, and the
+//! `--merge`-aware results write, all over the one [`crate::gate`] schema.
+//!
+//! ```text
+//! cargo run --release -p csq-bench --bin <bench> -- [OPTIONS]
+//!
+//!   --quick          smaller inputs (the CI smoke mode)
+//!   --out PATH       results file to write   [default: results/BENCH_<bench>.json]
+//!   --check PATH     compare against a committed baseline and exit non-zero
+//!                    on a regression (the rule: DESIGN.md §6 "Bench gates")
+//!   --merge          keep the other mode's entries already in --out
+//! ```
 
 use std::process::ExitCode;
 
-/// Everything entry-type-specific a bench binary plugs into [`run`].
-pub struct BenchCli<E> {
-    /// Binary name for usage output.
-    pub name: &'static str,
-    /// Default `--out` path (the committed baseline).
-    pub default_out: &'static str,
-    /// Regression tolerance passed to `check`.
-    pub tolerance: f64,
+use crate::gate::{check_regressions, num, parse_entries, render_document, Entry, Gate};
+
+/// A gated bench: its gate table and its workload.
+pub struct BenchCli {
+    /// Results-file identity and gated metrics.
+    pub gate: &'static Gate,
     /// Run the workload (quick or full mode).
-    pub run: fn(quick: bool) -> Vec<E>,
-    /// Print one measured entry to stderr.
-    pub print: fn(&E),
-    /// The entry's mode ("quick"/"full"), for `--merge` filtering.
-    pub mode_of: fn(&E) -> &str,
-    /// Stable sort for the written document.
-    pub cmp: fn(&E, &E) -> std::cmp::Ordering,
-    /// Parse entries out of a results document.
-    pub parse: fn(&str) -> Vec<E>,
-    /// Render entries as a results document.
-    pub render: fn(&[E]) -> String,
-    /// Compare a run against a baseline; returns human-readable failures.
-    pub check: fn(&[E], &[E], f64) -> Vec<String>,
+    pub run: fn(quick: bool) -> Vec<Entry>,
 }
 
 /// Parse argv, run the bench, check the baseline, write the results file.
-pub fn run<E>(cli: BenchCli<E>) -> ExitCode {
+pub fn run(cli: BenchCli) -> ExitCode {
+    let name = cli.gate.name;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
     let mut merge = false;
-    let mut out_path = cli.default_out.to_string();
+    let mut out_path = format!("results/BENCH_{name}.json");
     let mut check_path: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -43,60 +40,52 @@ pub fn run<E>(cli: BenchCli<E>) -> ExitCode {
             "--merge" => merge = true,
             "--out" => match it.next() {
                 Some(p) => out_path = p.clone(),
-                None => return usage(cli.name, "--out needs a path"),
+                None => return usage(name, "--out needs a path"),
             },
             "--check" => match it.next() {
                 Some(p) => check_path = Some(p.clone()),
-                None => return usage(cli.name, "--check needs a path"),
+                None => return usage(name, "--check needs a path"),
             },
-            other => return usage(cli.name, &format!("unknown argument '{other}'")),
+            other => return usage(name, &format!("unknown argument '{other}'")),
         }
     }
 
     let mode = if quick { "quick" } else { "full" };
-    eprintln!("running {} pipelines ({mode} mode)...", cli.name);
+    eprintln!("running {name} pipelines ({mode} mode)...");
     let current = (cli.run)(quick);
     for e in &current {
-        (cli.print)(e);
+        let values: Vec<String> = e
+            .values
+            .iter()
+            .map(|(n, v)| format!("{n}={}", num(*v)))
+            .collect();
+        eprintln!(
+            "  {:<36} reference {:>10}  {}",
+            e.id,
+            num(e.reference),
+            values.join(" ")
+        );
     }
 
     let mut status = ExitCode::SUCCESS;
     if let Some(path) = check_path {
-        match std::fs::read_to_string(&path) {
-            Ok(text) => {
-                let baseline = (cli.parse)(&text);
-                // A malformed (or wrong-file) baseline parses to zero
-                // entries, and zero entries can never flag a regression —
-                // that must read as a broken gate, not a green one. Same
-                // for a baseline that has entries but none for this mode.
-                if baseline.is_empty() {
-                    eprintln!(
-                        "REGRESSION CHECK FAILED: baseline {path} contains no parseable \
-                         entries (malformed or not a {} results file)",
-                        cli.name
-                    );
-                    status = ExitCode::FAILURE;
-                } else if !baseline.iter().any(|e| (cli.mode_of)(e) == mode) {
-                    eprintln!(
-                        "REGRESSION CHECK FAILED: baseline {path} has no '{mode}'-mode \
-                         entries to compare against (regenerate it with {})",
-                        if quick { "--quick --merge" } else { "--merge" }
-                    );
-                    status = ExitCode::FAILURE;
+        let baseline = std::fs::read_to_string(&path)
+            .map_err(|e| format!("cannot read baseline {path}: {e}"))
+            .and_then(|text| parse_entries(&text).map_err(|e| format!("baseline {path}: {e}")));
+        match baseline {
+            Ok(baseline) => {
+                let failures = check_regressions(cli.gate, &current, &baseline);
+                if failures.is_empty() {
+                    eprintln!("regression check vs {path}: ok");
                 } else {
-                    let failures = (cli.check)(&current, &baseline, cli.tolerance);
-                    if failures.is_empty() {
-                        eprintln!("regression check vs {path}: ok");
-                    } else {
-                        for f in &failures {
-                            eprintln!("REGRESSION: {f}");
-                        }
-                        status = ExitCode::FAILURE;
+                    for f in &failures {
+                        eprintln!("REGRESSION: {f}");
                     }
+                    status = ExitCode::FAILURE;
                 }
             }
             Err(e) => {
-                eprintln!("REGRESSION CHECK FAILED: cannot read baseline {path}: {e}");
+                eprintln!("REGRESSION CHECK FAILED: {e}");
                 status = ExitCode::FAILURE;
             }
         }
@@ -105,20 +94,22 @@ pub fn run<E>(cli: BenchCli<E>) -> ExitCode {
     let mut entries = Vec::new();
     if merge {
         if let Ok(text) = std::fs::read_to_string(&out_path) {
-            entries.extend(
-                (cli.parse)(&text)
-                    .into_iter()
-                    .filter(|e| (cli.mode_of)(e) != mode),
-            );
+            match parse_entries(&text) {
+                Ok(old) => entries.extend(old.into_iter().filter(|e| e.mode != mode)),
+                Err(e) => {
+                    eprintln!("cannot --merge into {out_path}: {e}");
+                    return ExitCode::FAILURE;
+                }
+            }
         }
     }
     entries.extend(current);
-    entries.sort_by(cli.cmp);
-    let doc = (cli.render)(&entries);
+    // Stable: within a mode, entries keep the bench's own run order.
+    entries.sort_by(|a, b| a.mode.cmp(&b.mode));
     if let Some(dir) = std::path::Path::new(&out_path).parent() {
         let _ = std::fs::create_dir_all(dir);
     }
-    if let Err(e) = std::fs::write(&out_path, &doc) {
+    if let Err(e) = std::fs::write(&out_path, render_document(cli.gate, &entries)) {
         eprintln!("cannot write {out_path}: {e}");
         return ExitCode::FAILURE;
     }

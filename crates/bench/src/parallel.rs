@@ -10,10 +10,9 @@
 //! ## Two speedup numbers, one honest file
 //!
 //! * `wall_speedup` — measured wall-clock, truthful for **this host**. It
-//!   is physically capped by the host's core count: on a 1-CPU container
-//!   (where the committed baseline was produced — see `host_cpus` in the
-//!   file) it hovers near 1× whatever the engine does.
-//! * `speedup` (basis `projected`, stage pipelines only) — the
+//!   is physically capped by the host's core count (`host_cpus` in the
+//!   file): on a 1-CPU host it hovers near 1× whatever the engine does.
+//! * `projected_speedup` (stage pipelines, multi-worker points only) — the
 //!   hardware-normalized scalability the regression gate tracks, in the
 //!   same spirit as the repo's virtual-time network model (DESIGN.md §5):
 //!   real code, measured costs, modeled resource. From the 1-worker run we
@@ -29,21 +28,21 @@
 //!   enough cores the stages overlap, so the steady-state cost is the
 //!   bottleneck stage: the same modeling idiom as the paper's
 //!   `max(downlink, uplink)` bandwidth bottleneck (§3.2). The 1-worker
-//!   point is reported as measured:
+//!   point is the engine-overhead measurement itself (`T_serial / T1` is
+//!   its `wall_speedup`), so it carries no projection:
 //!
 //!   ```text
-//!   projected_time(N) = max(D1, G1, B1 / N)   (N > 1)
-//!   speedup(N)        = min(T_serial / projected_time(N), N)
-//!   speedup(1)        = T_serial / T1         (measured, no model)
+//!   projected_time(N)    = max(D1, G1, B1 / N)   (N > 1)
+//!   projected_speedup(N) = min(T_serial / projected_time(N), N)
 //!   ```
 //!
 //!   Because it is a ratio of costs measured in one process, it transfers
 //!   across hosts the way the throughput bench's batch-over-row speedup
 //!   does, and it regresses when coordinator overhead grows or stage work
 //!   stops dividing — exactly the failures a parallel engine can have on
-//!   any machine. Exchange pipelines carry basis `wall` instead (their
-//!   work happens inside per-partition operators, not instrumentable
-//!   stages), gated only between same-shape hosts.
+//!   any machine. Exchange pipelines carry no projection (their work
+//!   happens inside per-partition operators, not instrumentable stages);
+//!   their wall rows/sec gates only between comparable hosts.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -56,35 +55,58 @@ use csq_exec::{
     ParallelPipeline, ProjectStageFactory, RowsOp, StageFactory,
 };
 
+use crate::cli::BenchCli;
+use crate::gate::{Bound, Entry, Gate, Metric};
 use crate::throughput::{
-    build_rows, build_schema, distinct_batch_engine, dup_rows, dup_schema, field_num, field_str,
-    filter_pred, join_batch_engine, probe_rows, probe_schema, project_exprs, quotes_rows,
-    quotes_schema, sfp_batch_engine, udf_batch_engine, udf_rows, udf_task, vm_runtime,
+    build_rows, build_schema, distinct_batch_engine, dup_rows, dup_schema, filter_pred,
+    join_batch_engine, probe_rows, probe_schema, project_exprs, quotes_rows, quotes_schema,
+    sfp_batch_engine, udf_batch_engine, udf_rows, udf_task, vm_runtime,
 };
 
-/// One measured (pipeline, worker count) point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParallelEntry {
-    /// "full" or "quick".
-    pub mode: String,
-    /// Pipeline name (stable key for the regression gate).
-    pub pipeline: String,
-    /// Input rows.
-    pub rows: usize,
-    /// Worker threads of the parallel engine run.
-    pub workers: usize,
-    /// Hardware threads of the measuring host (context for `wall_*`).
-    pub host_cpus: usize,
-    /// Serial batch engine throughput.
-    pub serial_rows_per_sec: f64,
-    /// Parallel engine wall-clock throughput at `workers`.
-    pub wall_rows_per_sec: f64,
-    /// `wall_rows_per_sec / serial_rows_per_sec`.
-    pub wall_speedup: f64,
-    /// The gated speedup number; see module docs for `basis`.
-    pub speedup: f64,
-    /// "projected" (stage pipelines) or "wall" (exchange pipelines).
-    pub basis: String,
+/// The results file and gate of this bench. Only multi-worker stage points
+/// carry `projected_speedup`; `wall_speedup` is reported, not gated.
+pub const GATE: Gate = Gate {
+    name: "parallel",
+    note: "reference = the serial batch engine's rows/sec; projected_speedup is the \
+           hardware-normalized pipeline model min(T_serial / max(D1, T1-B1-D1, B1/N), N) from \
+           the measured 1-worker run: wall T1, worker stage-busy B1, serialized-dispenser D1, \
+           gather remainder G=T1-B1-D1, each component its minimum across reps (noise floor) \
+           - the max(...) bottleneck idiom of the paper's cost model; wall_* are raw wall \
+           clock on host_cpus hardware threads",
+    tolerance: 0.25,
+    multi_core: true,
+    metrics: &[
+        Metric::ratio("projected_speedup"),
+        Metric::absolute("wall_rows_per_sec", Bound::Min),
+    ],
+};
+
+/// The `parallel` binary.
+pub const CLI: BenchCli = BenchCli { gate: &GATE, run };
+
+/// One (pipeline, worker count) point: wall numbers, plus the projection
+/// where there is one.
+fn entry(
+    quick: bool,
+    pipeline: &str,
+    rows: usize,
+    workers: usize,
+    serial_secs: f64,
+    wall: f64,
+    projected: Option<f64>,
+) -> Entry {
+    let e = Entry::new(
+        quick,
+        format!("{pipeline}/workers={workers}"),
+        rows as f64 / serial_secs,
+    )
+    .with("rows", rows as f64)
+    .with("wall_rows_per_sec", rows as f64 / wall)
+    .with("wall_speedup", serial_secs / wall);
+    match projected {
+        Some(p) => e.with("projected_speedup", p),
+        None => e,
+    }
 }
 
 const REPS: usize = 5;
@@ -171,10 +193,9 @@ struct StageWorkload {
     serial_secs: f64,
     /// (workers, best wall secs)
     runs: Vec<(usize, f64)>,
-    /// Per-component noise floors of the 1-worker reps: wall, stage busy,
+    /// Per-component noise floors of the 1-worker reps: stage busy,
     /// dispense, and the gather remainder — each the minimum across reps,
     /// so one host hiccup cannot inflate a model component.
-    t1: f64,
     b1: f64,
     d1: f64,
     g1: f64,
@@ -201,8 +222,7 @@ where
     // long-lived main thread is measurably slower than fresh threads.
     let mut serial_secs = f64::INFINITY;
     let mut best_walls = vec![f64::INFINITY; worker_counts.len()];
-    let (mut t1, mut b1, mut d1, mut g1) =
-        (f64::INFINITY, f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    let (mut b1, mut d1, mut g1) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     for _ in 0..REPS {
         let d = data.clone();
         let start = Instant::now();
@@ -226,7 +246,6 @@ where
             if w == 1 {
                 let busy_secs = busy.load(Ordering::Relaxed) as f64 / 1e9;
                 let dispense_secs = p.dispense_secs();
-                t1 = t1.min(wall);
                 b1 = b1.min(busy_secs);
                 d1 = d1.min(dispense_secs);
                 g1 = g1.min((wall - busy_secs - dispense_secs).max(0.0));
@@ -239,21 +258,19 @@ where
         rows,
         serial_secs,
         runs,
-        t1,
         b1,
         d1,
         g1,
     }
 }
 
-fn stage_entries(mode: &str, host_cpus: usize, w: StageWorkload) -> Vec<ParallelEntry> {
-    let (t1, b1, d1, g1) = (w.t1, w.b1, w.d1, w.g1);
+fn stage_entries(quick: bool, w: StageWorkload) -> Vec<Entry> {
+    let (b1, d1, g1) = (w.b1, w.d1, w.g1);
     if std::env::var("CSQ_BENCH_DEBUG").is_ok() {
         eprintln!(
-            "    [debug] {}: Ts={:.1}ms T1={:.1}ms B1={:.1}ms D1={:.1}ms G={:.1}ms",
+            "    [debug] {}: Ts={:.1}ms B1={:.1}ms D1={:.1}ms G={:.1}ms",
             w.pipeline,
             w.serial_secs * 1e3,
-            t1 * 1e3,
             b1 * 1e3,
             d1 * 1e3,
             g1 * 1e3,
@@ -262,58 +279,29 @@ fn stage_entries(mode: &str, host_cpus: usize, w: StageWorkload) -> Vec<Parallel
     w.runs
         .iter()
         .map(|&(n, wall)| {
-            let projected = if n == 1 {
-                w.serial_secs / t1
-            } else {
+            let projected = (n > 1).then(|| {
                 let bottleneck = d1.max(g1).max(b1 / n as f64).max(1e-12);
                 (w.serial_secs / bottleneck).min(n as f64)
-            };
-            ParallelEntry {
-                mode: mode.to_string(),
-                pipeline: w.pipeline.to_string(),
-                rows: w.rows,
-                workers: n,
-                host_cpus,
-                serial_rows_per_sec: w.rows as f64 / w.serial_secs,
-                wall_rows_per_sec: w.rows as f64 / wall,
-                wall_speedup: w.serial_secs / wall,
-                speedup: projected,
-                basis: "projected".to_string(),
-            }
+            });
+            entry(quick, w.pipeline, w.rows, n, w.serial_secs, wall, projected)
         })
         .collect()
 }
 
 fn exchange_entries(
-    mode: &str,
-    host_cpus: usize,
+    quick: bool,
     pipeline: &str,
     rows: usize,
     serial_secs: f64,
     runs: &[(usize, f64)],
-) -> Vec<ParallelEntry> {
+) -> Vec<Entry> {
     runs.iter()
-        .map(|&(n, wall)| ParallelEntry {
-            mode: mode.to_string(),
-            pipeline: pipeline.to_string(),
-            rows,
-            workers: n,
-            host_cpus,
-            serial_rows_per_sec: rows as f64 / serial_secs,
-            wall_rows_per_sec: rows as f64 / wall,
-            wall_speedup: serial_secs / wall,
-            speedup: serial_secs / wall,
-            basis: "wall".to_string(),
-        })
+        .map(|&(n, wall)| entry(quick, pipeline, rows, n, serial_secs, wall, None))
         .collect()
 }
 
 /// Run every pipeline at full scale (1M-row scan) or quick scale (÷10).
-pub fn run_all(quick: bool) -> Vec<ParallelEntry> {
-    let mode = if quick { "quick" } else { "full" };
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+pub fn run(quick: bool) -> Vec<Entry> {
     let worker_counts: &[usize] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
     let scale = if quick { 10 } else { 1 };
     let mut out = Vec::new();
@@ -341,7 +329,7 @@ pub fn run_all(quick: bool) -> Vec<ParallelEntry> {
                 ]
             },
         );
-        out.extend(stage_entries(mode, host_cpus, w));
+        out.extend(stage_entries(quick, w));
     }
 
     // VM UDF application: per-worker forked TaskExecutors.
@@ -378,7 +366,7 @@ pub fn run_all(quick: bool) -> Vec<ParallelEntry> {
                 })]
             },
         );
-        out.extend(stage_entries(mode, host_cpus, w));
+        out.extend(stage_entries(quick, w));
     }
 
     // Partitioned distinct through the exchange.
@@ -397,8 +385,7 @@ pub fn run_all(quick: bool) -> Vec<ParallelEntry> {
             },
         );
         out.extend(exchange_entries(
-            mode,
-            host_cpus,
+            quick,
             "distinct",
             rows_n,
             serial_secs,
@@ -424,8 +411,7 @@ pub fn run_all(quick: bool) -> Vec<ParallelEntry> {
             },
         );
         out.extend(exchange_entries(
-            mode,
-            host_cpus,
+            quick,
             "hash_join",
             rows_n,
             serial_secs,
@@ -436,199 +422,70 @@ pub fn run_all(quick: bool) -> Vec<ParallelEntry> {
     out
 }
 
-// ---- results file -----------------------------------------------------------
-
-/// Render the results document (one entry per line, as in the throughput
-/// bench, so the parser and diffs stay trivial).
-pub fn render_document(entries: &[ParallelEntry]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"csq_parallel\",\n  \"schema_version\": 1,\n");
-    out.push_str("  \"unit\": \"rows_per_sec\",\n");
-    out.push_str(
-        "  \"note\": \"speedup with basis=projected is the hardware-normalized pipeline model \
-         min(T_serial / max(D1, T1-B1-D1, B1/N), N) from the measured 1-worker run: wall T1, \
-         worker stage-busy B1, serialized-dispenser D1, gather remainder G=T1-B1-D1, each \
-         component its minimum across reps (noise floor) — the max(...) bottleneck idiom of \
-         the paper's cost model; speedup at workers=1 and all wall_* fields are raw wall clock \
-         on host_cpus hardware threads\",\n",
-    );
-    out.push_str("  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let sep = if i + 1 == entries.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"pipeline\": \"{}\", \"rows\": {}, \"workers\": {}, \
-             \"host_cpus\": {}, \"serial_rows_per_sec\": {:.0}, \"wall_rows_per_sec\": {:.0}, \
-             \"wall_speedup\": {:.2}, \"speedup\": {:.2}, \"basis\": \"{}\"}}{}\n",
-            e.mode,
-            e.pipeline,
-            e.rows,
-            e.workers,
-            e.host_cpus,
-            e.serial_rows_per_sec,
-            e.wall_rows_per_sec,
-            e.wall_speedup,
-            e.speedup,
-            e.basis,
-            sep
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Parse the entries out of a results document written by
-/// [`render_document`] (line-oriented; not a general JSON parser).
-pub fn parse_entries(text: &str) -> Vec<ParallelEntry> {
-    text.lines()
-        .filter_map(|line| {
-            Some(ParallelEntry {
-                mode: field_str(line, "mode")?,
-                pipeline: field_str(line, "pipeline")?,
-                rows: field_num(line, "rows")? as usize,
-                workers: field_num(line, "workers")? as usize,
-                host_cpus: field_num(line, "host_cpus")? as usize,
-                serial_rows_per_sec: field_num(line, "serial_rows_per_sec")?,
-                wall_rows_per_sec: field_num(line, "wall_rows_per_sec")?,
-                wall_speedup: field_num(line, "wall_speedup")?,
-                speedup: field_num(line, "speedup")?,
-                basis: field_str(line, "basis")?,
-            })
-        })
-        .collect()
-}
-
-/// Compare a fresh run against the committed baseline.
-///
-/// * `basis = projected` entries gate on the projected speedup, which is a
-///   within-process cost ratio and transfers across hosts (like the
-///   throughput bench's batch-over-row gate). Only multi-worker points
-///   gate — the 1-worker projection is the engine-overhead measurement
-///   itself.
-/// * `basis = wall` entries (and everyone's absolute `wall_rows_per_sec`)
-///   gate only when the hardware is demonstrably comparable: same
-///   `host_cpus` **and** every pipeline's serial engine within `tolerance`
-///   of its baseline — the run-wide guard, so a runner that slows down
-///   mid-run disarms absolute checks instead of hard-failing (mirrors
-///   `throughput::check_regressions`).
-pub fn check_regressions(
-    current: &[ParallelEntry],
-    baseline: &[ParallelEntry],
-    tolerance: f64,
-) -> Vec<String> {
-    let baseline_of = |c: &ParallelEntry| {
-        baseline
-            .iter()
-            .find(|b| b.mode == c.mode && b.pipeline == c.pipeline && b.workers == c.workers)
-    };
-    let comparable_hw = current.iter().all(|c| match baseline_of(c) {
-        Some(b) => {
-            c.host_cpus == b.host_cpus
-                && (c.serial_rows_per_sec - b.serial_rows_per_sec).abs()
-                    <= b.serial_rows_per_sec * tolerance
-        }
-        None => true,
-    });
-    let mut failures = Vec::new();
-    for c in current {
-        let Some(b) = baseline_of(c) else {
-            continue;
-        };
-        let projected_gate = c.basis == "projected" && b.basis == "projected" && c.workers > 1;
-        if projected_gate && c.speedup < b.speedup * (1.0 - tolerance) {
-            failures.push(format!(
-                "{} ({}, {} workers): projected speedup {:.2}x fell more than {}% below \
-                 baseline {:.2}x",
-                c.pipeline,
-                c.mode,
-                c.workers,
-                c.speedup,
-                (tolerance * 100.0) as u64,
-                b.speedup,
-            ));
-            continue;
-        }
-        let floor = b.wall_rows_per_sec * (1.0 - tolerance);
-        if comparable_hw && c.wall_rows_per_sec < floor {
-            failures.push(format!(
-                "{} ({}, {} workers): parallel engine {:.0} rows/s < {:.0} ({}% below \
-                 baseline {:.0} on comparable hardware)",
-                c.pipeline,
-                c.mode,
-                c.workers,
-                c.wall_rows_per_sec,
-                floor,
-                (tolerance * 100.0) as u64,
-                b.wall_rows_per_sec,
-            ));
-        }
-    }
-    failures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn entry(pipeline: &str, workers: usize, speedup: f64, basis: &str) -> ParallelEntry {
-        ParallelEntry {
-            mode: "quick".into(),
-            pipeline: pipeline.into(),
-            rows: 100_000,
+    use crate::gate::tests::set;
+    use crate::gate::{check_regressions, parse_entries, render_document};
+
+    /// A 1M rows/s-serial point at `speedup`; `projected` marks a stage
+    /// pipeline (whose projection equals the wall speedup here).
+    fn point(pipeline: &str, workers: usize, speedup: f64, projected: bool) -> Entry {
+        let mut e = entry(
+            true,
+            pipeline,
+            100_000,
             workers,
-            host_cpus: 4,
-            serial_rows_per_sec: 1_000_000.0,
-            wall_rows_per_sec: 1_000_000.0 * speedup,
-            wall_speedup: speedup,
-            speedup,
-            basis: basis.into(),
-        }
+            0.1,
+            0.1 / speedup,
+            projected.then_some(speedup),
+        );
+        e.host_cpus = 4;
+        e
     }
 
     #[test]
     fn json_roundtrip() {
         let entries = vec![
-            entry("scan_filter_project", 4, 2.8, "projected"),
-            entry("distinct", 2, 1.4, "wall"),
+            point("scan_filter_project", 4, 2.5, true),
+            point("distinct", 2, 1.25, false),
         ];
-        let doc = render_document(&entries);
-        let parsed = parse_entries(&doc);
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].pipeline, "scan_filter_project");
-        assert_eq!(parsed[0].workers, 4);
-        assert_eq!(parsed[0].basis, "projected");
-        assert!((parsed[0].speedup - 2.8).abs() < 1e-9);
-        assert_eq!(parsed[1].basis, "wall");
+        let parsed = parse_entries(&render_document(&GATE, &entries)).unwrap();
+        assert_eq!(parsed, entries);
+        assert_eq!(parsed[0].id, "scan_filter_project/workers=4");
+        assert_eq!(parsed[0].get("projected_speedup"), Some(2.5));
+        assert_eq!(parsed[1].get("projected_speedup"), None);
     }
 
     #[test]
     fn projected_gate_fires_and_wall_gate_needs_comparable_hw() {
         let baseline = vec![
-            entry("scan_filter_project", 4, 2.8, "projected"),
-            entry("distinct", 4, 1.5, "wall"),
+            point("scan_filter_project", 4, 2.8, true),
+            point("distinct", 4, 1.5, false),
         ];
         // Identical run: clean.
-        assert!(check_regressions(&baseline, &baseline, 0.2).is_empty());
+        assert!(check_regressions(&GATE, &baseline, &baseline).is_empty());
         // Projected speedup collapse: flagged on any hardware.
         let mut bad = baseline.clone();
-        bad[0].speedup = 1.1;
-        let fails = check_regressions(&bad, &baseline, 0.2);
+        set(&mut bad[0], "projected_speedup", |_| 1.1);
+        let fails = check_regressions(&GATE, &bad, &baseline);
         assert_eq!(fails.len(), 1);
-        assert!(fails[0].contains("projected speedup"));
+        assert!(fails[0].contains("projected_speedup"));
         // Wall drop on a different-shaped host: not flagged.
         let mut other_host = baseline.clone();
         for e in &mut other_host {
             e.host_cpus = 1;
-            e.wall_rows_per_sec *= 0.4;
-            e.wall_speedup *= 0.4;
+            set(e, "wall_rows_per_sec", |v| v * 0.4);
+            set(e, "wall_speedup", |v| v * 0.4);
         }
-        other_host[0].speedup = 2.7; // projection stays
-        other_host[1].speedup *= 0.4;
-        assert!(check_regressions(&other_host, &baseline, 0.2).is_empty());
+        set(&mut other_host[0], "projected_speedup", |_| 2.7); // projection stays
+        assert!(check_regressions(&GATE, &other_host, &baseline).is_empty());
         // Wall drop on the same host shape with serial engines matching:
         // flagged.
         let mut real = baseline.clone();
-        real[1].wall_rows_per_sec *= 0.5;
-        assert_eq!(check_regressions(&real, &baseline, 0.2).len(), 1);
+        set(&mut real[1], "wall_rows_per_sec", |v| v * 0.5);
+        assert_eq!(check_regressions(&GATE, &real, &baseline).len(), 1);
     }
 
     /// Diagnostic, not a gate: interleaved serial vs 1-worker-parallel

@@ -17,12 +17,12 @@
 //! concurrency over constant execution resources.
 //!
 //! Machine normalization follows the other benches: every run also
-//! measures `inproc_qps`, the same prepared statement executed serially
-//! in-process (no sockets, no sessions). `rel = qps / inproc_qps` is the
-//! service's efficiency against the raw engine *on this host*; the
-//! regression gate compares `rel` only between same-`host_cpus` runs, and
-//! absolute qps / p99 only when every pipeline's in-process engine confirms
-//! comparable hardware.
+//! measures the entry's `reference`, the same prepared statement executed
+//! serially in-process (no sockets, no sessions). `rel = qps / reference`
+//! is the service's efficiency against the raw engine *on this host*; the
+//! regression gate ([`GATE`]) compares `rel` only between same-`host_cpus`
+//! runs, and absolute qps / latency only when every pipeline's in-process
+//! engine confirms comparable hardware.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -33,7 +33,8 @@ use csq_common::{DataType, Value};
 use csq_core::{service, Database, NetworkSpec, ServiceConfig};
 use csq_storage::TableBuilder;
 
-use crate::throughput::{field_num, field_str};
+use crate::cli::BenchCli;
+use crate::gate::{Bound, Entry, Gate, Metric, Scope};
 
 /// Active client counts in the concurrency sweep (zero idle connections).
 pub const CLIENT_COUNTS: [usize; 5] = [1, 4, 16, 64, 256];
@@ -67,34 +68,36 @@ fn standard_levels(quick: bool) -> Vec<Level> {
     levels
 }
 
-/// One measured (pipeline, client-count, idle-count) level.
-#[derive(Debug, Clone)]
-pub struct ServiceEntry {
-    /// "quick" or "full".
-    pub mode: String,
-    /// Workload name ("filter" / "aggregate").
-    pub pipeline: String,
-    /// Concurrent closed-loop clients.
-    pub clients: usize,
-    /// Idle connections parked on the server during the level.
-    pub idle_conns: usize,
-    /// Total queries completed in the level.
-    pub queries: usize,
-    /// Completed queries per second across the level.
-    pub qps: f64,
-    /// Median per-query latency, µs.
-    pub p50_us: f64,
-    /// 95th percentile latency, µs.
-    pub p95_us: f64,
-    /// 99th percentile latency, µs.
-    pub p99_us: f64,
-    /// Serial in-process prepared-execution rate (no sockets), queries/sec.
-    pub inproc_qps: f64,
-    /// `qps / inproc_qps` — socket+session efficiency on this host.
-    pub rel: f64,
-    /// Hardware threads on the measuring host.
-    pub host_cpus: usize,
-}
+/// The results file and gate of this bench, over
+/// `<pipeline>/clients=<n>/idle=<n>` levels.
+pub const GATE: Gate = Gate {
+    name: "service",
+    note: "closed-loop load over real loopback TCP: N clients, each its own connection + \
+           prepared statement, against a fixed hardware-sized worker pool; idle extra \
+           connections park in the session scheduler during the level. latency percentiles \
+           include queueing for a worker. reference = the same prepared plan executed serially \
+           in-process (queries/sec) and rel = qps/reference",
+    tolerance: 0.25,
+    multi_core: true,
+    metrics: &[
+        // The service-vs-in-process ratio depends on how many cores the
+        // sessions can actually use.
+        Metric {
+            scope: Scope::SameCpus,
+            ..Metric::ratio("rel")
+        },
+        Metric::absolute("qps", Bound::Min),
+        // p50 is the stable location statistic; tails over a few hundred
+        // closed-loop samples swing 2x between runs on the *same* host, so
+        // the p99 gate is a blow-up detector (lock convoys, stalls), not a
+        // drift detector.
+        Metric::absolute("p50_us", Bound::MaxTol(2.0)),
+        Metric::absolute("p99_us", Bound::MaxTimes(3.0)),
+    ],
+};
+
+/// The `service` binary.
+pub const CLI: BenchCli = BenchCli { gate: &GATE, run };
 
 struct Workload {
     name: &'static str,
@@ -130,7 +133,7 @@ fn build_db(rows: usize) -> Arc<Database> {
     Arc::new(db)
 }
 
-fn percentile(sorted_us: &[f64], p: f64) -> f64 {
+pub(crate) fn percentile(sorted_us: &[f64], p: f64) -> f64 {
     if sorted_us.is_empty() {
         return 0.0;
     }
@@ -232,31 +235,28 @@ fn run_level(
 /// Run the whole sweep. Quick mode shrinks the table, per-client
 /// iteration counts, and the idle-connection crowd (the CI smoke
 /// configuration).
-pub fn run_all(quick: bool) -> Vec<ServiceEntry> {
+pub fn run(quick: bool) -> Vec<Entry> {
     if quick {
-        run_sweep("quick", 4_000, 512, 20, &standard_levels(true))
+        run_sweep(true, 4_000, 512, 20, &standard_levels(true))
     } else {
-        run_sweep("full", 20_000, 768, 60, &standard_levels(false))
+        run_sweep(false, 20_000, 768, 60, &standard_levels(false))
     }
 }
 
 fn run_sweep(
-    mode: &str,
+    quick: bool,
     rows: usize,
     total_per_level: usize,
     inproc_iters: usize,
     levels: &[Level],
-) -> Vec<ServiceEntry> {
+) -> Vec<Entry> {
     let db = build_db(rows);
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     // A fixed, hardware-sized execution pool at every level: sessions park
     // in the connection scheduler while idle (DESIGN.md §12), so worker
     // count bounds execution concurrency, not connection count. Holding it
     // constant makes the sweep measure scheduling under rising offered
     // load instead of re-provisioning the server per level.
-    let workers = host_cpus.clamp(2, 8);
+    let workers = crate::gate::host_cpus().clamp(2, 8);
 
     let mut out = Vec::new();
     for w in &WORKLOADS {
@@ -283,291 +283,104 @@ fn run_sweep(
             let (elapsed, latencies) = run_level(addr, w.sql, clients, per_client);
             drop(idle_conns);
             handle.shutdown();
-            let queries = latencies.len();
-            out.push(ServiceEntry {
-                mode: mode.to_string(),
-                pipeline: w.name.to_string(),
-                clients,
-                idle_conns: idle,
-                queries,
-                qps: queries as f64 / elapsed.as_secs_f64(),
-                p50_us: percentile(&latencies, 0.50),
-                p95_us: percentile(&latencies, 0.95),
-                p99_us: percentile(&latencies, 0.99),
-                inproc_qps: inproc,
-                rel: (queries as f64 / elapsed.as_secs_f64()) / inproc,
-                host_cpus,
-            });
+            let qps = latencies.len() as f64 / elapsed.as_secs_f64();
+            out.push(
+                Entry::new(
+                    quick,
+                    format!("{}/clients={clients}/idle={idle}", w.name),
+                    inproc,
+                )
+                .with("queries", latencies.len() as f64)
+                .with("qps", qps)
+                .with("p50_us", percentile(&latencies, 0.50))
+                .with("p95_us", percentile(&latencies, 0.95))
+                .with("p99_us", percentile(&latencies, 0.99))
+                .with("rel", qps / inproc),
+            );
         }
     }
     out
-}
-
-// ---- results file -----------------------------------------------------------
-
-/// Render the results document (one entry per line, like the other
-/// benches, so the parser and diffs stay trivial).
-pub fn render_document(entries: &[ServiceEntry]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"csq_service\",\n  \"schema_version\": 1,\n");
-    out.push_str("  \"unit\": \"queries_per_sec\",\n");
-    out.push_str(
-        "  \"note\": \"closed-loop load over real loopback TCP: N clients, each its own \
-         connection + prepared statement, against a fixed hardware-sized worker pool; \
-         idle_conns extra connections park in the session scheduler during the level. \
-         latency percentiles include queueing for a worker. inproc_qps is the same prepared \
-         plan executed serially in-process and rel = qps/inproc_qps; the gate compares rel \
-         only between same-host_cpus runs, and absolute qps / median latency / 3x-p99-blow-up \
-         only when every pipeline's inproc_qps confirms comparable hardware\",\n",
-    );
-    out.push_str("  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let sep = if i + 1 == entries.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"pipeline\": \"{}\", \"clients\": {}, \"idle_conns\": {}, \
-             \"queries\": {}, \"qps\": {:.1}, \"p50_us\": {:.0}, \"p95_us\": {:.0}, \
-             \"p99_us\": {:.0}, \"inproc_qps\": {:.1}, \"rel\": {:.3}, \"host_cpus\": {}}}{}\n",
-            e.mode,
-            e.pipeline,
-            e.clients,
-            e.idle_conns,
-            e.queries,
-            e.qps,
-            e.p50_us,
-            e.p95_us,
-            e.p99_us,
-            e.inproc_qps,
-            e.rel,
-            e.host_cpus,
-            sep
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Parse the entries out of a results document written by
-/// [`render_document`] (line-oriented; not a general JSON parser).
-/// Baselines written before the idle-connection level default
-/// `idle_conns` to 0 — which is what those runs measured.
-pub fn parse_entries(text: &str) -> Vec<ServiceEntry> {
-    text.lines()
-        .filter_map(|line| {
-            Some(ServiceEntry {
-                mode: field_str(line, "mode")?,
-                pipeline: field_str(line, "pipeline")?,
-                clients: field_num(line, "clients")? as usize,
-                idle_conns: field_num(line, "idle_conns").unwrap_or(0.0) as usize,
-                queries: field_num(line, "queries")? as usize,
-                qps: field_num(line, "qps")?,
-                p50_us: field_num(line, "p50_us")?,
-                p95_us: field_num(line, "p95_us")?,
-                p99_us: field_num(line, "p99_us")?,
-                inproc_qps: field_num(line, "inproc_qps")?,
-                rel: field_num(line, "rel")?,
-                host_cpus: field_num(line, "host_cpus")? as usize,
-            })
-        })
-        .collect()
-}
-
-/// Compare a fresh run against the committed baseline. Gates per
-/// same-(mode, pipeline, clients, idle_conns) entry:
-///
-/// * **rel** (machine-normalized): gated only between runs with equal
-///   `host_cpus` — the service-vs-in-process ratio depends on how many
-///   cores the sessions can actually use. Fails below `(1 - tol)`.
-/// * **absolute qps** and **p99 latency**: gated only under comparable
-///   hardware — equal `host_cpus` *and* every pipeline's `inproc_qps`
-///   within `tol` of baseline (the in-process engine is the untouched
-///   reference; any drift disarms the absolute gates run-wide). qps fails
-///   below `(1 - tol)`; latency gates on the **median** above
-///   `(1 + 2·tol)` (p50 is the stable location statistic) and on **p99**
-///   only above `3×` baseline — tails over a few hundred closed-loop
-///   samples swing 2× between runs on the *same* host, so the p99 gate is
-///   a blow-up detector (lock convoys, stalls), not a drift detector.
-pub fn check_regressions(
-    current: &[ServiceEntry],
-    baseline: &[ServiceEntry],
-    tolerance: f64,
-) -> Vec<String> {
-    let baseline_of = |c: &ServiceEntry| {
-        baseline.iter().find(|b| {
-            b.mode == c.mode
-                && b.pipeline == c.pipeline
-                && b.clients == c.clients
-                && b.idle_conns == c.idle_conns
-        })
-    };
-    let comparable_hw = current.iter().all(|c| match baseline_of(c) {
-        Some(b) => {
-            b.host_cpus == c.host_cpus
-                && (c.inproc_qps - b.inproc_qps).abs() <= b.inproc_qps * tolerance
-        }
-        None => true,
-    });
-    let mut failures = Vec::new();
-    for c in current {
-        let Some(b) = baseline_of(c) else {
-            continue;
-        };
-        if b.host_cpus == c.host_cpus && c.rel < b.rel * (1.0 - tolerance) {
-            failures.push(format!(
-                "{} ({}x{} clients, {} idle): service/in-process ratio {:.3} fell more than \
-                 {}% below baseline {:.3} on same-shape hardware ({} cpus)",
-                c.pipeline,
-                c.mode,
-                c.clients,
-                c.idle_conns,
-                c.rel,
-                (tolerance * 100.0) as u64,
-                b.rel,
-                c.host_cpus,
-            ));
-            continue;
-        }
-        if !comparable_hw {
-            continue;
-        }
-        if c.qps < b.qps * (1.0 - tolerance) {
-            failures.push(format!(
-                "{} ({}x{} clients, {} idle): throughput {:.1} qps < {:.1} ({}% below baseline \
-                 {:.1}, hardware comparable)",
-                c.pipeline,
-                c.mode,
-                c.clients,
-                c.idle_conns,
-                c.qps,
-                b.qps * (1.0 - tolerance),
-                (tolerance * 100.0) as u64,
-                b.qps,
-            ));
-        } else if c.p50_us > b.p50_us * (1.0 + 2.0 * tolerance) {
-            failures.push(format!(
-                "{} ({}x{} clients, {} idle): median latency {:.0}µs > {:.0}µs ({}% above \
-                 baseline {:.0}µs, hardware comparable)",
-                c.pipeline,
-                c.mode,
-                c.clients,
-                c.idle_conns,
-                c.p50_us,
-                b.p50_us * (1.0 + 2.0 * tolerance),
-                (2.0 * tolerance * 100.0) as u64,
-                b.p50_us,
-            ));
-        } else if c.p99_us > b.p99_us * 3.0 {
-            failures.push(format!(
-                "{} ({}x{} clients, {} idle): p99 latency {:.0}µs blew past 3x baseline {:.0}µs \
-                 (hardware comparable)",
-                c.pipeline, c.mode, c.clients, c.idle_conns, c.p99_us, b.p99_us,
-            ));
-        }
-    }
-    failures
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn entry(pipeline: &str, clients: usize, qps: f64, p99: f64, inproc: f64) -> ServiceEntry {
-        ServiceEntry {
-            mode: "quick".into(),
-            pipeline: pipeline.into(),
-            clients,
-            idle_conns: 0,
-            queries: 100,
-            qps,
-            p50_us: p99 / 3.0,
-            p95_us: p99 / 1.5,
-            p99_us: p99,
-            inproc_qps: inproc,
-            rel: qps / inproc,
-            host_cpus: 4,
-        }
+    use crate::gate::tests::set;
+    use crate::gate::{check_regressions, parse_entries, render_document};
+
+    fn entry(id: &str, qps: f64, p99: f64, inproc: f64) -> Entry {
+        let values = [
+            ("qps", qps),
+            ("p50_us", p99 / 3.0),
+            ("p99_us", p99),
+            ("rel", qps / inproc),
+        ];
+        crate::gate::tests::entry(id, inproc, &values)
     }
 
     #[test]
     fn document_roundtrips() {
-        let mut entries = vec![
-            entry("filter", 1, 900.0, 1500.0, 1000.0),
-            entry("aggregate", 64, 400.0, 9000.0, 600.0),
+        let entries = vec![
+            entry("filter/clients=1/idle=0", 900.0, 1500.0, 1000.0),
+            entry("aggregate/clients=16/idle=1000", 400.0, 9000.0, 800.0),
         ];
-        entries[1].idle_conns = 1000;
-        let doc = render_document(&entries);
-        let parsed = parse_entries(&doc);
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].pipeline, "filter");
-        assert_eq!(parsed[1].clients, 64);
-        assert_eq!(parsed[1].idle_conns, 1000);
-        assert!((parsed[0].qps - 900.0).abs() < 0.2);
-        assert!((parsed[1].rel - 400.0 / 600.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn parse_defaults_idle_conns_for_old_baselines() {
-        // Entry lines written before the idle-connection level carry no
-        // idle_conns field; those runs had zero idle connections, so the
-        // parser must default to 0 (and keep matching new zero-idle runs).
-        let old = "    {\"mode\": \"full\", \"pipeline\": \"filter\", \"clients\": 64, \
-                   \"queries\": 768, \"qps\": 351.2, \"p50_us\": 100029, \"p95_us\": 420513, \
-                   \"p99_us\": 743346, \"inproc_qps\": 828.3, \"rel\": 0.424, \"host_cpus\": 1}";
-        let parsed = parse_entries(old);
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].idle_conns, 0);
-        assert_eq!(parsed[0].clients, 64);
+        let parsed = parse_entries(&render_document(&GATE, &entries)).unwrap();
+        assert_eq!(parsed, entries);
     }
 
     #[test]
     fn gate_matches_entries_by_idle_conns_too() {
-        let baseline = vec![entry("filter", 16, 1000.0, 2000.0, 1000.0)];
-        let mut current = vec![entry("filter", 16, 400.0, 2000.0, 1000.0)];
-        // Same clients but a different idle crowd: a new level with no
-        // baseline counterpart — never gated.
-        current[0].idle_conns = 1000;
-        assert!(check_regressions(&current, &baseline, 0.25).is_empty());
+        let baseline = vec![entry("filter/clients=16/idle=0", 1000.0, 2000.0, 1000.0)];
+        // Same clients but a different idle crowd is a different level: it
+        // has no baseline, and the baseline's level went unmeasured.
+        let current = vec![entry("filter/clients=16/idle=1000", 400.0, 2000.0, 1000.0)];
+        let failures = check_regressions(&GATE, &current, &baseline);
+        assert_eq!(failures.len(), 2, "{failures:?}");
+        assert!(failures.iter().all(|f| !f.contains("rel")), "{failures:?}");
         // Identical level shape: the rel regression is caught.
-        current[0].idle_conns = 0;
-        let failures = check_regressions(&current, &baseline, 0.25);
+        let current = vec![entry("filter/clients=16/idle=0", 400.0, 2000.0, 1000.0)];
+        let failures = check_regressions(&GATE, &current, &baseline);
         assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("ratio"), "{failures:?}");
+        assert!(failures[0].contains("rel"), "{failures:?}");
     }
 
     #[test]
     fn gate_catches_rel_regression_on_same_hardware() {
-        let baseline = vec![entry("filter", 4, 1000.0, 2000.0, 1000.0)];
-        let mut current = vec![entry("filter", 4, 600.0, 2000.0, 1000.0)];
-        let failures = check_regressions(&current, &baseline, 0.25);
+        let baseline = vec![entry("filter/clients=4/idle=0", 1000.0, 2000.0, 1000.0)];
+        let mut current = vec![entry("filter/clients=4/idle=0", 600.0, 2000.0, 1000.0)];
+        let failures = check_regressions(&GATE, &current, &baseline);
         assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("ratio"), "{failures:?}");
+        assert!(failures[0].contains("rel"), "{failures:?}");
         // Different host shape: the rel gate (and absolute gates) disarm.
         current[0].host_cpus = 32;
-        assert!(check_regressions(&current, &baseline, 0.25).is_empty());
+        assert!(check_regressions(&GATE, &current, &baseline).is_empty());
     }
 
     #[test]
     fn gate_catches_latency_blowups_only_on_comparable_hardware() {
-        // Median drift beyond 50% trips the p50 gate.
-        let baseline = vec![entry("filter", 16, 1000.0, 2000.0, 1000.0)];
-        let mut current = vec![entry("filter", 16, 1000.0, 2000.0, 1000.0)];
-        current[0].p50_us = baseline[0].p50_us * 1.6;
-        let failures = check_regressions(&current, &baseline, 0.25);
+        let level = || vec![entry("filter/clients=16/idle=0", 1000.0, 2000.0, 1000.0)];
+        let baseline = level();
+        // Median drift beyond 1 + 2·tol = 50% trips the p50 gate.
+        let mut current = level();
+        set(&mut current[0], "p50_us", |v| v * 1.6);
+        let failures = check_regressions(&GATE, &current, &baseline);
         assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("median"), "{failures:?}");
+        assert!(failures[0].contains("p50_us"), "{failures:?}");
 
         // A pure tail blow-up (stable median) trips only past 3x.
-        let mut current = vec![entry("filter", 16, 1000.0, 2000.0, 1000.0)];
-        current[0].p99_us = 5_000.0; // 2.5x: tolerated tail noise
-        assert!(check_regressions(&current, &baseline, 0.25).is_empty());
-        current[0].p99_us = 7_000.0; // 3.5x: genuine blow-up
-        let failures = check_regressions(&current, &baseline, 0.25);
+        let mut current = level();
+        set(&mut current[0], "p99_us", |_| 5_000.0); // 2.5x: tolerated tail noise
+        assert!(check_regressions(&GATE, &current, &baseline).is_empty());
+        set(&mut current[0], "p99_us", |_| 7_000.0); // 3.5x: genuine blow-up
+        let failures = check_regressions(&GATE, &current, &baseline);
         assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("p99"), "{failures:?}");
+        assert!(failures[0].contains("p99_us"), "{failures:?}");
 
         // A slower in-process engine disarms the absolute gates.
-        current[0].inproc_qps = 500.0;
-        current[0].rel = 1000.0 / 500.0;
-        assert!(check_regressions(&current, &baseline, 0.25).is_empty());
+        current[0].reference = 500.0;
+        set(&mut current[0], "rel", |_| 1000.0 / 500.0);
+        assert!(check_regressions(&GATE, &current, &baseline).is_empty());
     }
 
     #[test]
@@ -585,13 +398,14 @@ mod tests {
                 idle_conns: 8,
             },
         ];
-        let entries = run_sweep("quick", 200, 16, 3, &levels);
+        let entries = run_sweep(true, 200, 16, 3, &levels);
         assert_eq!(entries.len(), 2 * levels.len());
         for e in &entries {
-            assert!(e.queries > 0);
-            assert!(e.qps > 0.0 && e.inproc_qps > 0.0);
-            assert!(e.p50_us <= e.p95_us && e.p95_us <= e.p99_us);
+            let v = |name: &str| e.get(name).unwrap();
+            assert!(v("queries") > 0.0);
+            assert!(v("qps") > 0.0 && e.reference > 0.0);
+            assert!(v("p50_us") <= v("p95_us") && v("p95_us") <= v("p99_us"));
         }
-        assert_eq!(entries[1].idle_conns, 8);
+        assert_eq!(entries[1].id, "filter/clients=2/idle=8");
     }
 }

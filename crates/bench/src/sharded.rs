@@ -14,48 +14,50 @@
 //!   are added).
 //!
 //! Machine normalization follows the other benches: every run also
-//! measures `single_qps`, the same statement executed against a single
-//! in-process engine holding the whole table (no sockets, no coordinator).
-//! `rel = qps / single_qps` is the coordinator's efficiency against the
-//! raw engine *on this host*; the regression gate compares `rel` only
-//! between same-`host_cpus` runs, and absolute qps only when every
-//! pipeline's single-node engine confirms comparable hardware.
+//! measures the entry's `reference`, the same statement executed against a
+//! single in-process engine holding the whole table (no sockets, no
+//! coordinator). `rel = qps / reference` is the coordinator's efficiency
+//! against the raw engine *on this host*; the regression gate ([`GATE`])
+//! compares `rel` only between same-`host_cpus` runs, and absolute qps /
+//! median latency only when every pipeline's single-node engine confirms
+//! comparable hardware.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use csq_core::{service, Coordinator, CoordinatorConfig, Database, NetworkSpec, ServiceConfig};
 
-use crate::throughput::{field_num, field_str};
+use crate::cli::BenchCli;
+use crate::gate::{Bound, Entry, Gate, Metric, Scope};
+use crate::service::percentile;
 
 /// The scale-out ladder.
 pub const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
-/// One measured (pipeline, shard-count) point.
-#[derive(Debug, Clone)]
-pub struct ShardedEntry {
-    /// "quick" or "full".
-    pub mode: String,
-    /// Workload name ("agg" / "filter" / "pinned").
-    pub pipeline: String,
-    /// Shards behind the coordinator.
-    pub shards: usize,
-    /// Statements completed in the level.
-    pub queries: usize,
-    /// Completed statements per second.
-    pub qps: f64,
-    /// Median per-statement latency, µs.
-    pub p50_us: f64,
-    /// 99th percentile latency, µs.
-    pub p99_us: f64,
-    /// Serial single-engine rate for the same statement (whole table in
-    /// one in-process `Database`), statements/sec.
-    pub single_qps: f64,
-    /// `qps / single_qps` — coordinator efficiency on this host.
-    pub rel: f64,
-    /// Hardware threads on the measuring host.
-    pub host_cpus: usize,
-}
+/// The results file and gate of this bench, over `<pipeline>/shards=<n>`
+/// points. No p99 gate: the per-level sample counts are too small for
+/// stable tails.
+pub const GATE: Gate = Gate {
+    name: "sharded",
+    note: "closed-loop statements through a coordinator over 1/2/4 loopback TCP shard services \
+           holding one hash-partitioned table: agg = per-shard partial aggregation merged at \
+           the coordinator, filter = pushdown to every shard, pinned = pushdown pruned to the \
+           shard-key bucket. reference = the same statement against one in-process engine \
+           holding the whole table (statements/sec) and rel = qps/reference",
+    tolerance: 0.25,
+    multi_core: true,
+    metrics: &[
+        Metric {
+            scope: Scope::SameCpus,
+            ..Metric::ratio("rel")
+        },
+        Metric::absolute("qps", Bound::Min),
+        Metric::absolute("p50_us", Bound::MaxTol(2.0)),
+    ],
+};
+
+/// The `sharded` binary.
+pub const CLI: BenchCli = BenchCli { gate: &GATE, run };
 
 struct Workload {
     name: &'static str,
@@ -101,14 +103,6 @@ fn insert_statements(rows: usize) -> Vec<String> {
         .collect()
 }
 
-fn percentile(sorted_us: &[f64], p: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_us.len() as f64 - 1.0) * p).round() as usize;
-    sorted_us[idx.min(sorted_us.len() - 1)]
-}
-
 /// Serial single-engine baseline: the whole table in one in-process
 /// `Database`, the statement executed back-to-back.
 fn single_qps(inserts: &[String], sql: &str, iters: usize) -> f64 {
@@ -129,19 +123,16 @@ fn single_qps(inserts: &[String], sql: &str, iters: usize) -> f64 {
 
 /// Run the whole sweep. Quick mode shrinks the table and the iteration
 /// counts (the CI smoke configuration).
-pub fn run_all(quick: bool) -> Vec<ShardedEntry> {
+pub fn run(quick: bool) -> Vec<Entry> {
     if quick {
-        run_sweep("quick", 2_000, 60, 30)
+        run_sweep(true, 2_000, 60, 30)
     } else {
-        run_sweep("full", 20_000, 200, 80)
+        run_sweep(false, 20_000, 200, 80)
     }
 }
 
-fn run_sweep(mode: &str, rows: usize, iters: usize, single_iters: usize) -> Vec<ShardedEntry> {
+fn run_sweep(quick: bool, rows: usize, iters: usize, single_iters: usize) -> Vec<Entry> {
     let inserts = insert_statements(rows);
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let singles: Vec<f64> = WORKLOADS
         .iter()
         .map(|w| single_qps(&inserts, w.sql, single_iters))
@@ -189,18 +180,14 @@ fn run_sweep(mode: &str, rows: usize, iters: usize, single_iters: usize) -> Vec<
             let elapsed = started.elapsed();
             latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
             let qps = iters as f64 / elapsed.as_secs_f64();
-            out.push(ShardedEntry {
-                mode: mode.to_string(),
-                pipeline: w.name.to_string(),
-                shards,
-                queries: iters,
-                qps,
-                p50_us: percentile(&latencies, 0.50),
-                p99_us: percentile(&latencies, 0.99),
-                single_qps: *single,
-                rel: qps / single,
-                host_cpus,
-            });
+            out.push(
+                Entry::new(quick, format!("{}/shards={shards}", w.name), *single)
+                    .with("queries", iters as f64)
+                    .with("qps", qps)
+                    .with("p50_us", percentile(&latencies, 0.50))
+                    .with("p99_us", percentile(&latencies, 0.99))
+                    .with("rel", qps / single),
+            );
         }
 
         drop(coord);
@@ -211,212 +198,59 @@ fn run_sweep(mode: &str, rows: usize, iters: usize, single_iters: usize) -> Vec<
     out
 }
 
-// ---- results file -----------------------------------------------------------
-
-/// Render the results document (one entry per line, like the other
-/// benches, so the parser and diffs stay trivial).
-pub fn render_document(entries: &[ShardedEntry]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"csq_sharded\",\n  \"schema_version\": 1,\n");
-    out.push_str("  \"unit\": \"queries_per_sec\",\n");
-    out.push_str(
-        "  \"note\": \"closed-loop statements through a coordinator over 1/2/4 loopback TCP \
-         shard services holding one hash-partitioned table: agg = per-shard partial \
-         aggregation merged at the coordinator, filter = pushdown to every shard, pinned = \
-         pushdown pruned to the shard-key bucket. single_qps is the same statement against \
-         one in-process engine holding the whole table and rel = qps/single_qps; the gate \
-         compares rel only between same-host_cpus runs, and absolute qps / median latency \
-         only when every pipeline's single_qps confirms comparable hardware\",\n",
-    );
-    out.push_str("  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let sep = if i + 1 == entries.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"pipeline\": \"{}\", \"shards\": {}, \"queries\": {}, \
-             \"qps\": {:.1}, \"p50_us\": {:.0}, \"p99_us\": {:.0}, \"single_qps\": {:.1}, \
-             \"rel\": {:.3}, \"host_cpus\": {}}}{}\n",
-            e.mode,
-            e.pipeline,
-            e.shards,
-            e.queries,
-            e.qps,
-            e.p50_us,
-            e.p99_us,
-            e.single_qps,
-            e.rel,
-            e.host_cpus,
-            sep
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Parse the entries out of a results document written by
-/// [`render_document`] (line-oriented; not a general JSON parser).
-pub fn parse_entries(text: &str) -> Vec<ShardedEntry> {
-    text.lines()
-        .filter_map(|line| {
-            Some(ShardedEntry {
-                mode: field_str(line, "mode")?,
-                pipeline: field_str(line, "pipeline")?,
-                shards: field_num(line, "shards")? as usize,
-                queries: field_num(line, "queries")? as usize,
-                qps: field_num(line, "qps")?,
-                p50_us: field_num(line, "p50_us")?,
-                p99_us: field_num(line, "p99_us")?,
-                single_qps: field_num(line, "single_qps")?,
-                rel: field_num(line, "rel")?,
-                host_cpus: field_num(line, "host_cpus")? as usize,
-            })
-        })
-        .collect()
-}
-
-/// Compare a fresh run against the committed baseline. Gates per
-/// same-(mode, pipeline, shards) entry:
-///
-/// * **rel** (machine-normalized): gated only between runs with equal
-///   `host_cpus`; fails below `(1 - tol)` of baseline.
-/// * **absolute qps** and **median latency**: gated only under comparable
-///   hardware — equal `host_cpus` *and* every pipeline's `single_qps`
-///   within `tol` of baseline (the single-node engine is the untouched
-///   reference; drift disarms the absolute gates run-wide). qps fails
-///   below `(1 - tol)`; p50 fails above `(1 + 2·tol)` — no p99 gate, the
-///   per-level sample counts are too small for stable tails.
-pub fn check_regressions(
-    current: &[ShardedEntry],
-    baseline: &[ShardedEntry],
-    tolerance: f64,
-) -> Vec<String> {
-    let baseline_of = |c: &ShardedEntry| {
-        baseline
-            .iter()
-            .find(|b| b.mode == c.mode && b.pipeline == c.pipeline && b.shards == c.shards)
-    };
-    let comparable_hw = current.iter().all(|c| match baseline_of(c) {
-        Some(b) => {
-            b.host_cpus == c.host_cpus
-                && (c.single_qps - b.single_qps).abs() <= b.single_qps * tolerance
-        }
-        None => true,
-    });
-    let mut failures = Vec::new();
-    for c in current {
-        let Some(b) = baseline_of(c) else {
-            continue;
-        };
-        if b.host_cpus == c.host_cpus && c.rel < b.rel * (1.0 - tolerance) {
-            failures.push(format!(
-                "{} ({}x{} shards): coordinator/single-node ratio {:.3} fell more than {}% \
-                 below baseline {:.3} on same-shape hardware ({} cpus)",
-                c.pipeline,
-                c.mode,
-                c.shards,
-                c.rel,
-                (tolerance * 100.0) as u64,
-                b.rel,
-                c.host_cpus,
-            ));
-            continue;
-        }
-        if !comparable_hw {
-            continue;
-        }
-        if c.qps < b.qps * (1.0 - tolerance) {
-            failures.push(format!(
-                "{} ({}x{} shards): throughput {:.1} qps < {:.1} ({}% below baseline {:.1}, \
-                 hardware comparable)",
-                c.pipeline,
-                c.mode,
-                c.shards,
-                c.qps,
-                b.qps * (1.0 - tolerance),
-                (tolerance * 100.0) as u64,
-                b.qps,
-            ));
-        } else if c.p50_us > b.p50_us * (1.0 + 2.0 * tolerance) {
-            failures.push(format!(
-                "{} ({}x{} shards): median latency {:.0}µs > {:.0}µs ({}% above baseline \
-                 {:.0}µs, hardware comparable)",
-                c.pipeline,
-                c.mode,
-                c.shards,
-                c.p50_us,
-                b.p50_us * (1.0 + 2.0 * tolerance),
-                (2.0 * tolerance * 100.0) as u64,
-                b.p50_us,
-            ));
-        }
-    }
-    failures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn entry(pipeline: &str, shards: usize, qps: f64, single: f64) -> ShardedEntry {
-        ShardedEntry {
-            mode: "quick".into(),
-            pipeline: pipeline.into(),
-            shards,
-            queries: 60,
-            qps,
-            p50_us: 1e6 / qps,
-            p99_us: 3e6 / qps,
-            single_qps: single,
-            rel: qps / single,
-            host_cpus: 4,
-        }
+    use crate::gate::{check_regressions, parse_entries, render_document};
+
+    fn entry(id: &str, qps: f64, single: f64) -> Entry {
+        let values = [("qps", qps), ("p50_us", 1e6 / qps), ("rel", qps / single)];
+        crate::gate::tests::entry(id, single, &values)
     }
 
     #[test]
     fn document_roundtrips() {
         let entries = vec![
-            entry("agg", 1, 400.0, 900.0),
-            entry("pinned", 4, 1500.0, 2000.0),
+            entry("agg/shards=1", 400.0, 800.0),
+            entry("pinned/shards=4", 1600.0, 2000.0),
         ];
-        let doc = render_document(&entries);
-        let parsed = parse_entries(&doc);
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].pipeline, "agg");
-        assert_eq!(parsed[1].shards, 4);
-        assert!((parsed[0].qps - 400.0).abs() < 0.2);
-        assert!((parsed[1].rel - 1500.0 / 2000.0).abs() < 1e-3);
+        let parsed = parse_entries(&render_document(&GATE, &entries)).unwrap();
+        assert_eq!(parsed, entries);
     }
 
     #[test]
     fn gate_catches_rel_regression_on_same_hardware() {
-        let baseline = vec![entry("agg", 2, 1000.0, 1000.0)];
-        let mut current = vec![entry("agg", 2, 600.0, 1000.0)];
-        let failures = check_regressions(&current, &baseline, 0.25);
+        let baseline = vec![entry("agg/shards=2", 1000.0, 1000.0)];
+        let mut current = vec![entry("agg/shards=2", 600.0, 1000.0)];
+        let failures = check_regressions(&GATE, &current, &baseline);
         assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("ratio"), "{failures:?}");
+        assert!(failures[0].contains("rel"), "{failures:?}");
         // Different host shape: every gate disarms.
         current[0].host_cpus = 32;
-        assert!(check_regressions(&current, &baseline, 0.25).is_empty());
+        assert!(check_regressions(&GATE, &current, &baseline).is_empty());
     }
 
     #[test]
     fn absolute_gates_disarm_when_single_node_drifts() {
-        let baseline = vec![entry("filter", 2, 1000.0, 1000.0)];
+        let baseline = vec![entry("filter/shards=2", 1000.0, 1000.0)];
         // Same rel, but the whole host is slower: single-node drifted, so
         // the absolute qps gate must not fire.
-        let current = vec![entry("filter", 2, 500.0, 500.0)];
-        assert!(check_regressions(&current, &baseline, 0.25).is_empty());
+        let current = vec![entry("filter/shards=2", 500.0, 500.0)];
+        assert!(check_regressions(&GATE, &current, &baseline).is_empty());
     }
 
     #[test]
     fn tiny_sweep_runs_end_to_end() {
         // Tiny smoke of the real harness (debug builds run this in the
         // tier-1 suite, so the workload is minimal): invariants only.
-        let entries = run_sweep("quick", 150, 4, 3);
+        let entries = run_sweep(true, 150, 4, 3);
         assert_eq!(entries.len(), SHARD_COUNTS.len() * WORKLOADS.len());
         for e in &entries {
-            assert!(e.queries > 0);
-            assert!(e.qps > 0.0 && e.single_qps > 0.0);
-            assert!(e.p50_us <= e.p99_us);
+            let v = |name: &str| e.get(name).unwrap();
+            assert!(v("queries") > 0.0);
+            assert!(v("qps") > 0.0 && e.reference > 0.0);
+            assert!(v("p50_us") <= v("p99_us"));
         }
     }
 }

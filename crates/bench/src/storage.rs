@@ -8,9 +8,9 @@
 //!   range predicate: the `pruned` variant compiles the predicate to a
 //!   [`FilterSpec`] so the scan skips whole segments by zone map; the
 //!   `full_scan` variant runs the identical plan with pruning disabled.
-//!   The gated number is the within-process wall ratio (basis
-//!   `wall_ratio`), hardware-normalized by construction, with a hard
-//!   acceptance floor of 1.5x.
+//!   The gated number is the within-process wall ratio (`speedup`),
+//!   hardware-normalized by construction, with a hard acceptance floor of
+//!   1.5x.
 //! * `aggregate_spill` — high-cardinality grouped aggregation once with an
 //!   unlimited [`MemoryTracker`] and once under a budget ~1/4 of its
 //!   working set, forcing partition spills through the temp-file path.
@@ -19,7 +19,7 @@
 //!   slower, just not regress).
 //!
 //! Wall rows/sec gates only between comparable hosts, probed by each
-//! workload's reference variant (`base_rows_per_sec`), mirroring the other
+//! workload's reference variant (the entry's `reference`), like the other
 //! benches.
 
 use std::sync::Arc;
@@ -31,34 +31,42 @@ use csq_exec::{collect, AggSpec, HashAggregate, MemoryTracker};
 use csq_expr::{AggFunc, BinaryOp, PhysExpr};
 use csq_storage::{FilterSpec, Table};
 
-use crate::throughput::{field_num, field_str};
+use crate::cli::BenchCli;
+use crate::gate::{Bound, Entry, Gate, Metric};
 
-/// One measured (workload, variant) point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StorageEntry {
-    /// "full" or "quick".
-    pub mode: String,
-    /// "selective_scan" or "aggregate_spill".
-    pub workload: String,
-    /// "full_scan"/"pruned" or "in_memory"/"forced_spill".
-    pub variant: String,
-    /// Input rows.
-    pub rows: usize,
-    /// Sealed segments in the scanned table (0 for spill entries).
-    pub segments_total: usize,
-    /// Segments the pruned variant skipped (0 elsewhere).
-    pub segments_pruned: usize,
-    /// Spill events recorded by the budgeted variant (0 elsewhere).
-    pub spills: usize,
-    /// The workload's reference variant throughput (hardware probe).
-    pub base_rows_per_sec: f64,
-    /// This variant's throughput.
-    pub rows_per_sec: f64,
-    /// `base` wall time over this variant's wall time (>1 = faster than
-    /// the reference; the pruned gate reads this).
-    pub speedup: f64,
-    /// Always "wall_ratio": both sides measured in one process.
-    pub basis: String,
+/// Acceptance floor for the pruned selective scan (ROADMAP PR 8).
+pub const PRUNED_SPEEDUP_FLOOR: f64 = 1.5;
+
+/// The results file and gate of this bench, over `<workload>/<variant>`
+/// points: every wall ratio gates against its baseline (forced_spill has no
+/// floor — spilling may be slower, it may not regress), the pruned scan's
+/// also against the hard floor.
+pub const GATE: Gate = Gate {
+    name: "storage",
+    note: "reference = rows/sec of the workload's reference variant (full_scan / in_memory); \
+           speedup = the within-process wall ratio against it, so it is hardware-normalized; \
+           the pruned selective scan must also clear a hard 1.5x floor",
+    tolerance: 0.25,
+    multi_core: false,
+    metrics: &[
+        Metric {
+            floor: Some(("selective_scan/pruned", PRUNED_SPEEDUP_FLOOR)),
+            ..Metric::ratio("speedup")
+        },
+        Metric::absolute("rows_per_sec", Bound::Min),
+    ],
+};
+
+/// The `storage` binary.
+pub const CLI: BenchCli = BenchCli { gate: &GATE, run };
+
+/// One (workload, variant) point measured in `secs` against the workload's
+/// reference variant's `base_secs`.
+fn entry(quick: bool, id: &str, rows: usize, base_secs: f64, secs: f64) -> Entry {
+    Entry::new(quick, id, rows as f64 / base_secs)
+        .with("rows", rows as f64)
+        .with("rows_per_sec", rows as f64 / secs)
+        .with("speedup", base_secs / secs)
 }
 
 const REPS: usize = 5;
@@ -107,7 +115,7 @@ fn timed_scan(table: &Arc<Table>, pred: &PhysExpr, spec: Option<&FilterSpec>) ->
     (secs, pruned)
 }
 
-fn selective_scan(mode: &str, rows: usize) -> Vec<StorageEntry> {
+fn selective_scan(quick: bool, rows: usize) -> Vec<Entry> {
     let table = scan_table(rows);
     // Keep the top ~10% of the key range.
     let pred = gt_pred(0, (rows as i64 * 9) / 10);
@@ -123,24 +131,21 @@ fn selective_scan(mode: &str, rows: usize) -> Vec<StorageEntry> {
         pruned_count = skipped;
     }
 
-    let stats = table.prune_stats(Some(&spec));
-    let base = rows as f64 / full_secs;
-    let entry = |variant: &str, secs: f64, skipped: usize| StorageEntry {
-        mode: mode.to_string(),
-        workload: "selective_scan".into(),
-        variant: variant.into(),
-        rows,
-        segments_total: stats.segments_total,
-        segments_pruned: skipped,
-        spills: 0,
-        base_rows_per_sec: base,
-        rows_per_sec: rows as f64 / secs,
-        speedup: full_secs / secs,
-        basis: "wall_ratio".into(),
+    let segments = table.prune_stats(Some(&spec)).segments_total as f64;
+    let scan = |variant: &str, secs: f64, skipped: usize| {
+        entry(
+            quick,
+            &format!("selective_scan/{variant}"),
+            rows,
+            full_secs,
+            secs,
+        )
+        .with("segments_total", segments)
+        .with("segments_pruned", skipped as f64)
     };
     vec![
-        entry("full_scan", full_secs, 0),
-        entry("pruned", pruned_secs, pruned_count),
+        scan("full_scan", full_secs, 0),
+        scan("pruned", pruned_secs, pruned_count),
     ]
 }
 
@@ -178,7 +183,7 @@ fn timed_aggregate(
     (start.elapsed().as_secs_f64(), out.len(), agg.spill_events())
 }
 
-fn aggregate_spill(mode: &str, rows: usize) -> Vec<StorageEntry> {
+fn aggregate_spill(quick: bool, rows: usize) -> Vec<Entry> {
     let schema = Schema::new(vec![
         Field::new("k", DataType::Str),
         Field::new("v", DataType::Int),
@@ -203,229 +208,84 @@ fn aggregate_spill(mode: &str, rows: usize) -> Vec<StorageEntry> {
     }
     assert!(expected_groups > 0);
 
-    let base = rows as f64 / mem_secs;
-    let entry = |variant: &str, secs: f64, ev: usize| StorageEntry {
-        mode: mode.to_string(),
-        workload: "aggregate_spill".into(),
-        variant: variant.into(),
-        rows,
-        segments_total: 0,
-        segments_pruned: 0,
-        spills: ev,
-        base_rows_per_sec: base,
-        rows_per_sec: rows as f64 / secs,
-        speedup: mem_secs / secs,
-        basis: "wall_ratio".into(),
+    let agg = |variant: &str, secs: f64, ev: usize| {
+        entry(
+            quick,
+            &format!("aggregate_spill/{variant}"),
+            rows,
+            mem_secs,
+            secs,
+        )
+        .with("spills", ev as f64)
     };
     vec![
-        entry("in_memory", mem_secs, 0),
-        entry("forced_spill", spill_secs, spills),
+        agg("in_memory", mem_secs, 0),
+        agg("forced_spill", spill_secs, spills),
     ]
 }
 
 /// Run both workloads.
-pub fn run_all(quick: bool) -> Vec<StorageEntry> {
-    let mode = if quick { "quick" } else { "full" };
+pub fn run(quick: bool) -> Vec<Entry> {
     let scale = if quick { 10 } else { 1 };
-    let mut out = selective_scan(mode, 1_000_000 / scale);
-    out.extend(aggregate_spill(mode, 200_000 / scale));
+    let mut out = selective_scan(quick, 1_000_000 / scale);
+    out.extend(aggregate_spill(quick, 200_000 / scale));
     out
-}
-
-/// Acceptance floor for the pruned selective scan (ROADMAP PR 8).
-pub const PRUNED_SPEEDUP_FLOOR: f64 = 1.5;
-
-pub fn render_document(entries: &[StorageEntry]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"csq_storage\",\n  \"schema_version\": 1,\n");
-    out.push_str("  \"unit\": \"rows_per_sec\",\n");
-    out.push_str(
-        "  \"note\": \"speedup is the within-process wall ratio against the workload's \
-         reference variant (full_scan / in_memory), so it is hardware-normalized; the pruned \
-         selective scan gates against a hard 1.5x floor plus its baseline, forced_spill gates \
-         against its baseline only (degrading beats OOMing); absolute rows_per_sec gates only \
-         between hosts whose base_rows_per_sec agree within tolerance\",\n",
-    );
-    out.push_str("  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let sep = if i + 1 == entries.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"workload\": \"{}\", \"variant\": \"{}\", \"rows\": {}, \
-             \"segments_total\": {}, \"segments_pruned\": {}, \"spills\": {}, \
-             \"base_rows_per_sec\": {:.0}, \"rows_per_sec\": {:.0}, \"speedup\": {:.2}, \
-             \"basis\": \"{}\"}}{}\n",
-            e.mode,
-            e.workload,
-            e.variant,
-            e.rows,
-            e.segments_total,
-            e.segments_pruned,
-            e.spills,
-            e.base_rows_per_sec,
-            e.rows_per_sec,
-            e.speedup,
-            e.basis,
-            sep
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Parse the entries out of a results document written by
-/// [`render_document`] (line-oriented; not a general JSON parser).
-pub fn parse_entries(text: &str) -> Vec<StorageEntry> {
-    text.lines()
-        .filter_map(|line| {
-            Some(StorageEntry {
-                mode: field_str(line, "mode")?,
-                workload: field_str(line, "workload")?,
-                variant: field_str(line, "variant")?,
-                rows: field_num(line, "rows")? as usize,
-                segments_total: field_num(line, "segments_total")? as usize,
-                segments_pruned: field_num(line, "segments_pruned")? as usize,
-                spills: field_num(line, "spills")? as usize,
-                base_rows_per_sec: field_num(line, "base_rows_per_sec")?,
-                rows_per_sec: field_num(line, "rows_per_sec")?,
-                speedup: field_num(line, "speedup")?,
-                basis: field_str(line, "basis")?,
-            })
-        })
-        .collect()
-}
-
-/// Compare a fresh run against the committed baseline: the pruned scan's
-/// wall ratio must clear both the hard acceptance floor and its baseline
-/// within `tolerance`; every other ratio gates against its baseline; raw
-/// rows/sec gates only on comparable hardware (every workload's reference
-/// variant within `tolerance` of its baseline).
-pub fn check_regressions(
-    current: &[StorageEntry],
-    baseline: &[StorageEntry],
-    tolerance: f64,
-) -> Vec<String> {
-    let baseline_of = |c: &StorageEntry| {
-        baseline
-            .iter()
-            .find(|b| b.mode == c.mode && b.workload == c.workload && b.variant == c.variant)
-    };
-    let comparable_hw = current.iter().all(|c| match baseline_of(c) {
-        Some(b) => {
-            (c.base_rows_per_sec - b.base_rows_per_sec).abs() <= b.base_rows_per_sec * tolerance
-        }
-        None => true,
-    });
-    let mut failures = Vec::new();
-    for c in current {
-        if c.variant == "pruned" && c.speedup < PRUNED_SPEEDUP_FLOOR {
-            failures.push(format!(
-                "selective_scan pruned ({}): wall ratio {:.2}x is below the {:.1}x \
-                 acceptance floor",
-                c.mode, c.speedup, PRUNED_SPEEDUP_FLOOR,
-            ));
-            continue;
-        }
-        let Some(b) = baseline_of(c) else {
-            continue;
-        };
-        if c.speedup < b.speedup * (1.0 - tolerance) {
-            failures.push(format!(
-                "{} {} ({}): wall ratio {:.2}x fell more than {}% below baseline {:.2}x",
-                c.workload,
-                c.variant,
-                c.mode,
-                c.speedup,
-                (tolerance * 100.0) as u64,
-                b.speedup,
-            ));
-            continue;
-        }
-        let floor = b.rows_per_sec * (1.0 - tolerance);
-        if comparable_hw && c.rows_per_sec < floor {
-            failures.push(format!(
-                "{} {} ({}): {:.0} rows/s < {:.0} ({}% below baseline {:.0} on comparable \
-                 hardware)",
-                c.workload,
-                c.variant,
-                c.mode,
-                c.rows_per_sec,
-                floor,
-                (tolerance * 100.0) as u64,
-                b.rows_per_sec,
-            ));
-        }
-    }
-    failures
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn entry(workload: &str, variant: &str, speedup: f64) -> StorageEntry {
-        StorageEntry {
-            mode: "quick".into(),
-            workload: workload.into(),
-            variant: variant.into(),
-            rows: 1000,
-            segments_total: 10,
-            segments_pruned: 8,
-            spills: 0,
-            base_rows_per_sec: 1_000_000.0,
-            rows_per_sec: 1_000_000.0 * speedup,
-            speedup,
-            basis: "wall_ratio".into(),
-        }
+    use crate::gate::{check_regressions, parse_entries, render_document};
+
+    /// A 1000-row point at `speedup` over a 1M rows/s reference variant.
+    fn point(id: &str, speedup: f64) -> Entry {
+        entry(true, id, 1000, 1e-3, 1e-3 / speedup)
     }
 
     #[test]
     fn document_roundtrips() {
         let entries = vec![
-            entry("selective_scan", "full_scan", 1.0),
-            entry("selective_scan", "pruned", 3.2),
-            entry("aggregate_spill", "in_memory", 1.0),
-            entry("aggregate_spill", "forced_spill", 0.4),
+            point("selective_scan/pruned", 3.2).with("segments_pruned", 8.0),
+            point("aggregate_spill/forced_spill", 0.4).with("spills", 3.0),
         ];
-        let doc = render_document(&entries);
-        assert_eq!(parse_entries(&doc), entries);
+        let parsed = parse_entries(&render_document(&GATE, &entries)).unwrap();
+        assert_eq!(parsed.len(), 2);
+        assert_eq!(parsed[0].id, "selective_scan/pruned");
+        assert!((parsed[0].get("speedup").unwrap() - 3.2).abs() < 1e-3);
+        assert_eq!(parsed[1].get("spills"), Some(3.0));
     }
 
     #[test]
     fn pruned_floor_fails_even_with_matching_baseline() {
-        let slow = vec![entry("selective_scan", "pruned", 1.2)];
+        let slow = vec![point("selective_scan/pruned", 1.2)];
         // Baseline agrees, but the acceptance floor still fires.
-        let failures = check_regressions(&slow, &slow, 0.25);
+        let failures = check_regressions(&GATE, &slow, &slow);
         assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("acceptance floor"), "{failures:?}");
+        assert!(failures[0].contains("1.5 floor"), "{failures:?}");
     }
 
     #[test]
     fn ratio_regression_fails_against_baseline() {
-        let base = vec![entry("aggregate_spill", "forced_spill", 0.5)];
-        let bad = vec![entry("aggregate_spill", "forced_spill", 0.2)];
-        let failures = check_regressions(&bad, &base, 0.25);
+        let base = vec![point("aggregate_spill/forced_spill", 0.5)];
+        let bad = vec![point("aggregate_spill/forced_spill", 0.2)];
+        let failures = check_regressions(&GATE, &bad, &base);
         assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(check_regressions(&base, &base, 0.25).is_empty());
+        assert!(check_regressions(&GATE, &base, &base).is_empty());
     }
 
     #[test]
     fn quick_run_clears_the_floor_and_spills() {
-        let entries = run_all(true);
+        let entries = run(true);
         assert_eq!(entries.len(), 4);
-        let pruned = entries
-            .iter()
-            .find(|e| e.variant == "pruned")
-            .expect("pruned entry");
+        let find = |id: &str| entries.iter().find(|e| e.id == id).expect(id);
+        let pruned = find("selective_scan/pruned");
+        let ratio = pruned.get("speedup").unwrap();
         assert!(
-            pruned.speedup >= PRUNED_SPEEDUP_FLOOR,
-            "pruned scan ratio {:.2}x under the floor",
-            pruned.speedup
+            ratio >= PRUNED_SPEEDUP_FLOOR,
+            "pruned scan ratio {ratio:.2}x under the floor"
         );
-        assert!(pruned.segments_pruned > 0);
-        let spill = entries
-            .iter()
-            .find(|e| e.variant == "forced_spill")
-            .expect("spill entry");
-        assert!(spill.spills > 0);
+        assert!(pruned.get("segments_pruned").unwrap() > 0.0);
+        assert!(find("aggregate_spill/forced_spill").get("spills").unwrap() > 0.0);
     }
 }

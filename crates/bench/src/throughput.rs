@@ -19,29 +19,32 @@ use csq_common::{DataType, Field, Result, Row, Schema, Value, DEFAULT_BATCH_SIZE
 use csq_exec::{collect, Distinct, Filter, HashJoin, Project, RowsOp};
 use csq_expr::{BinaryOp, PhysExpr};
 
-/// One measured pipeline: rows/sec through each engine.
-#[derive(Debug, Clone)]
-pub struct PipelineResult {
-    /// Pipeline name (stable key for the regression gate).
-    pub pipeline: String,
-    /// Input rows driven through the pipeline.
-    pub rows: usize,
-    /// Row-at-a-time reference engine throughput.
-    pub row_rows_per_sec: f64,
-    /// Batch engine throughput.
-    pub batch_rows_per_sec: f64,
-}
+use crate::cli::BenchCli;
+use crate::gate::{Bound, Entry, Gate, Metric};
 
-impl PipelineResult {
-    /// Batch over row speedup factor.
-    pub fn speedup(&self) -> f64 {
-        if self.row_rows_per_sec > 0.0 {
-            self.batch_rows_per_sec / self.row_rows_per_sec
-        } else {
-            0.0
-        }
-    }
-}
+/// The results file and gate of this bench: the batch-over-row speedup
+/// gates on any host, batch rows/sec only on comparable hardware.
+pub const GATE: Gate = Gate {
+    name: "throughput",
+    note: "reference = the pre-vectorization row engine's rows/sec on the same data; \
+           speedup = batch_rows_per_sec / reference, gated where the baseline is >= 1.5x",
+    tolerance: 0.20,
+    multi_core: false,
+    metrics: &[
+        // Near-1x pipelines (join, VM UDF) have almost no headroom between
+        // "baseline" and "no speedup at all", and the ratio wobbles with
+        // the host's allocator/cache behavior — gate the ratio only where
+        // the vectorization win is big enough for a 20% drop to be signal.
+        Metric {
+            min_baseline: 1.5,
+            ..Metric::ratio("speedup")
+        },
+        Metric::absolute("batch_rows_per_sec", Bound::Min),
+    ],
+};
+
+/// The `throughput` binary.
+pub const CLI: BenchCli = BenchCli { gate: &GATE, run };
 
 // ---- the pre-vectorization reference engine --------------------------------
 
@@ -548,12 +551,18 @@ where
 }
 
 /// Run every pipeline at full scale (1M-row scan) or quick scale (÷10).
-pub fn run_all(quick: bool) -> Vec<PipelineResult> {
+pub fn run(quick: bool) -> Vec<Entry> {
     let scale = if quick { 10 } else { 1 };
     let sfp_n = 1_000_000 / scale;
     let distinct_n = 1_000_000 / scale;
     let join_n = 500_000 / scale;
     let udf_n = 200_000 / scale;
+    let entry = |pipeline: &str, rows: usize, row: f64, batch: f64| {
+        Entry::new(quick, pipeline, row)
+            .with("rows", rows as f64)
+            .with("batch_rows_per_sec", batch)
+            .with("speedup", batch / row)
+    };
     let mut out = Vec::new();
 
     {
@@ -561,12 +570,7 @@ pub fn run_all(quick: bool) -> Vec<PipelineResult> {
         let data = quotes_rows(sfp_n);
         let row = measure(sfp_n, || data.clone(), |d| sfp_row_engine(&schema, d));
         let batch = measure(sfp_n, || data.clone(), |d| sfp_batch_engine(&schema, d));
-        out.push(PipelineResult {
-            pipeline: "scan_filter_project".into(),
-            rows: sfp_n,
-            row_rows_per_sec: row,
-            batch_rows_per_sec: batch,
-        });
+        out.push(entry("scan_filter_project", sfp_n, row, batch));
     }
     {
         let schema = dup_schema();
@@ -581,12 +585,7 @@ pub fn run_all(quick: bool) -> Vec<PipelineResult> {
             || data.clone(),
             |d| distinct_batch_engine(&schema, d),
         );
-        out.push(PipelineResult {
-            pipeline: "distinct".into(),
-            rows: distinct_n,
-            row_rows_per_sec: row,
-            batch_rows_per_sec: batch,
-        });
+        out.push(entry("distinct", distinct_n, row, batch));
     }
     {
         let probe = probe_rows(join_n);
@@ -594,194 +593,22 @@ pub fn run_all(quick: bool) -> Vec<PipelineResult> {
         let prep = || (probe.clone(), build.clone());
         let row = measure(join_n, prep, |(p, b)| join_row_engine(p, b));
         let batch = measure(join_n, prep, |(p, b)| join_batch_engine(p, b));
-        out.push(PipelineResult {
-            pipeline: "hash_join".into(),
-            rows: join_n,
-            row_rows_per_sec: row,
-            batch_rows_per_sec: batch,
-        });
+        out.push(entry("hash_join", join_n, row, batch));
     }
     {
         let rt = vm_runtime();
         let data = udf_rows(udf_n);
         let row = measure(udf_n, || data.clone(), |d| udf_row_engine(&rt, d));
         let batch = measure(udf_n, || data.clone(), |d| udf_batch_engine(&rt, d));
-        out.push(PipelineResult {
-            pipeline: "vm_udf".into(),
-            rows: udf_n,
-            row_rows_per_sec: row,
-            batch_rows_per_sec: batch,
-        });
+        out.push(entry("vm_udf", udf_n, row, batch));
     }
     out
-}
-
-// ---- results file ----------------------------------------------------------
-
-/// One line of `results/BENCH_throughput.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JsonEntry {
-    /// "full" or "quick".
-    pub mode: String,
-    /// Pipeline name.
-    pub pipeline: String,
-    /// Input rows.
-    pub rows: usize,
-    /// Reference engine rows/sec.
-    pub row_rows_per_sec: f64,
-    /// Batch engine rows/sec.
-    pub batch_rows_per_sec: f64,
-    /// batch / row.
-    pub speedup: f64,
-}
-
-/// Convert measured results into entries for `mode`.
-pub fn to_entries(mode: &str, results: &[PipelineResult]) -> Vec<JsonEntry> {
-    results
-        .iter()
-        .map(|r| JsonEntry {
-            mode: mode.to_string(),
-            pipeline: r.pipeline.clone(),
-            rows: r.rows,
-            row_rows_per_sec: r.row_rows_per_sec,
-            batch_rows_per_sec: r.batch_rows_per_sec,
-            speedup: r.speedup(),
-        })
-        .collect()
-}
-
-/// Render the results document. Every entry is one line so the parser (and
-/// diffs) stay trivial.
-pub fn render_document(entries: &[JsonEntry]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"csq_throughput\",\n  \"schema_version\": 1,\n");
-    out.push_str("  \"unit\": \"rows_per_sec\",\n  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let sep = if i + 1 == entries.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"pipeline\": \"{}\", \"rows\": {}, \
-             \"row_engine_rows_per_sec\": {:.0}, \"batch_engine_rows_per_sec\": {:.0}, \
-             \"speedup\": {:.2}}}{}\n",
-            e.mode, e.pipeline, e.rows, e.row_rows_per_sec, e.batch_rows_per_sec, e.speedup, sep
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-pub(crate) fn field_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
-}
-
-pub(crate) fn field_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Parse the entries out of a results document written by
-/// [`render_document`] (line-oriented; not a general JSON parser).
-pub fn parse_entries(text: &str) -> Vec<JsonEntry> {
-    text.lines()
-        .filter_map(|line| {
-            Some(JsonEntry {
-                mode: field_str(line, "mode")?,
-                pipeline: field_str(line, "pipeline")?,
-                rows: field_num(line, "rows")? as usize,
-                row_rows_per_sec: field_num(line, "row_engine_rows_per_sec")?,
-                batch_rows_per_sec: field_num(line, "batch_engine_rows_per_sec")?,
-                speedup: field_num(line, "speedup")?,
-            })
-        })
-        .collect()
-}
-
-/// Compare a fresh run against a committed baseline. A pipeline regresses
-/// when either
-///
-/// * its batch-over-row **speedup** fell below `(1 - tolerance)` of the
-///   same-mode baseline speedup (machine-invariant: both engines ran on
-///   the same hardware in the same process), or
-/// * its batch rows/sec fell below `(1 - tolerance)` of baseline *and* the
-///   hardware is demonstrably comparable to the baseline machine.
-///
-/// "Comparable hardware" is a **run-wide** judgement: *every* measured
-/// pipeline's row-engine throughput must sit within `tolerance` of its
-/// baseline. The row engine is untouched reference code, so any pipeline's
-/// row number drifting is evidence the runner differs — including a CI
-/// machine that slows down *mid-run* (noisy neighbor, thermal throttling):
-/// a slowdown after pipeline k still shows up in pipeline k+1's row
-/// measurement and disarms the absolute gate for the whole run, instead of
-/// hard-failing whichever pipeline happened to straddle the slowdown. The
-/// speedup gate, being a within-process ratio, stays armed regardless.
-///
-/// Returns human-readable failures.
-pub fn check_regressions(
-    current: &[JsonEntry],
-    baseline: &[JsonEntry],
-    tolerance: f64,
-) -> Vec<String> {
-    let baseline_of = |c: &JsonEntry| {
-        baseline
-            .iter()
-            .find(|b| b.mode == c.mode && b.pipeline == c.pipeline)
-    };
-    // Run-wide comparable-hardware guard over every pipeline's row engine.
-    let comparable_hw = current.iter().all(|c| match baseline_of(c) {
-        Some(b) => {
-            (c.row_rows_per_sec - b.row_rows_per_sec).abs() <= b.row_rows_per_sec * tolerance
-        }
-        None => true,
-    });
-    let mut failures = Vec::new();
-    for c in current {
-        let Some(b) = baseline_of(c) else {
-            continue;
-        };
-        // Near-1x pipelines (join, VM UDF) have almost no headroom between
-        // "baseline" and "no speedup at all", and the ratio wobbles with
-        // the host's allocator/cache behavior — gate the ratio only where
-        // the vectorization win is big enough for a 20% drop to be signal.
-        let speedup_gated = b.speedup >= 1.5;
-        if speedup_gated && c.speedup < b.speedup * (1.0 - tolerance) {
-            failures.push(format!(
-                "{} ({}): speedup {:.2}x fell more than {}% below baseline {:.2}x",
-                c.pipeline,
-                c.mode,
-                c.speedup,
-                (tolerance * 100.0) as u64,
-                b.speedup,
-            ));
-            continue;
-        }
-        let floor = b.batch_rows_per_sec * (1.0 - tolerance);
-        if comparable_hw && c.batch_rows_per_sec < floor {
-            failures.push(format!(
-                "{} ({}): batch engine {:.0} rows/s < {:.0} ({}% below baseline {:.0}, \
-                 every pipeline's row engine within {}% of baseline so hardware is comparable)",
-                c.pipeline,
-                c.mode,
-                c.batch_rows_per_sec,
-                floor,
-                (tolerance * 100.0) as u64,
-                b.batch_rows_per_sec,
-                (tolerance * 100.0) as u64,
-            ));
-        }
-    }
-    failures
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{check_regressions, parse_entries, render_document};
 
     #[test]
     fn row_and_batch_pipelines_agree_on_counts() {
@@ -824,68 +651,36 @@ mod tests {
         }
     }
 
+    /// (reference row rows/sec, batch rows/sec) → an entry of this bench.
+    fn entry(pipeline: &str, row: f64, batch: f64) -> Entry {
+        let values = [("batch_rows_per_sec", batch), ("speedup", batch / row)];
+        crate::gate::tests::entry(pipeline, row, &values)
+    }
+
     #[test]
     fn json_roundtrip_and_regression_check() {
-        let entries = vec![
-            JsonEntry {
-                mode: "quick".into(),
-                pipeline: "scan_filter_project".into(),
-                rows: 100_000,
-                row_rows_per_sec: 1_000_000.0,
-                batch_rows_per_sec: 4_000_000.0,
-                speedup: 4.0,
-            },
-            JsonEntry {
-                mode: "full".into(),
-                pipeline: "scan_filter_project".into(),
-                rows: 1_000_000,
-                row_rows_per_sec: 1_100_000.0,
-                batch_rows_per_sec: 4_400_000.0,
-                speedup: 4.0,
-            },
-        ];
-        let doc = render_document(&entries);
-        let parsed = parse_entries(&doc);
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].mode, "quick");
-        assert_eq!(parsed[1].rows, 1_000_000);
-        assert!((parsed[0].batch_rows_per_sec - 4_000_000.0).abs() < 1.0);
+        let entries = vec![entry("scan_filter_project", 1_000_000.0, 4_000_000.0)];
+        let doc = render_document(&GATE, &entries);
+        let parsed = parse_entries(&doc).unwrap();
+        assert_eq!(parsed, entries);
 
         // Same numbers: no regression.
-        assert!(check_regressions(&parsed, &entries, 0.2).is_empty());
+        assert!(check_regressions(&GATE, &parsed, &entries).is_empty());
         // 30% batch drop on same hardware (row engine unchanged): flagged.
-        let mut slower = parsed.clone();
-        slower[0].batch_rows_per_sec *= 0.7;
-        slower[0].speedup *= 0.7;
-        let fails = check_regressions(&slower, &entries, 0.2);
+        let slower = vec![entry("scan_filter_project", 1_000_000.0, 2_800_000.0)];
+        let fails = check_regressions(&GATE, &slower, &entries);
         assert_eq!(fails.len(), 1);
         assert!(fails[0].contains("scan_filter_project"));
         // A uniformly slower machine (both engines halved, speedup intact)
         // is not a regression.
-        let mut slow_hw = parsed.clone();
-        for e in &mut slow_hw {
-            e.row_rows_per_sec *= 0.5;
-            e.batch_rows_per_sec *= 0.5;
-        }
-        assert!(check_regressions(&slow_hw, &entries, 0.2).is_empty());
-        // Entries missing from the baseline are skipped, not failed.
-        let mut extra = parsed.clone();
-        extra[0].pipeline = "brand_new".into();
-        assert!(check_regressions(&extra, &entries, 0.2).len() <= 1);
+        let slow_hw = vec![entry("scan_filter_project", 500_000.0, 2_000_000.0)];
+        assert!(check_regressions(&GATE, &slow_hw, &entries).is_empty());
     }
 
     #[test]
     fn mid_run_hardware_slowdown_disarms_the_absolute_gate_run_wide() {
         // Two near-1x pipelines (speedup gate disarmed below 1.5x), as on
         // the vm_udf/hash_join entries.
-        let entry = |pipeline: &str, row: f64, batch: f64| JsonEntry {
-            mode: "quick".into(),
-            pipeline: pipeline.into(),
-            rows: 10_000,
-            row_rows_per_sec: row,
-            batch_rows_per_sec: batch,
-            speedup: batch / row,
-        };
         let baseline = vec![
             entry("first", 1_000_000.0, 1_300_000.0),
             entry("second", 2_000_000.0, 2_600_000.0),
@@ -899,15 +694,15 @@ mod tests {
             entry("first", 1_000_000.0, 910_000.0),
             entry("second", 1_000_000.0, 1_300_000.0),
         ];
-        assert!(check_regressions(&mid_run_slowdown, &baseline, 0.2).is_empty());
+        assert!(check_regressions(&GATE, &mid_run_slowdown, &baseline).is_empty());
         // Same batch drop with every row engine matching baseline: the
         // hardware is comparable, so the drop is real and flagged.
         let real_regression = vec![
             entry("first", 1_000_000.0, 910_000.0),
             entry("second", 2_000_000.0, 2_600_000.0),
         ];
-        let fails = check_regressions(&real_regression, &baseline, 0.2);
+        let fails = check_regressions(&GATE, &real_regression, &baseline);
         assert_eq!(fails.len(), 1);
-        assert!(fails[0].contains("first"));
+        assert!(fails[0].contains("first") && fails[0].contains("batch_rows_per_sec"));
     }
 }

@@ -64,8 +64,7 @@ pub struct SessionTicket {
 /// * `retry` — automatic retry policy. On a [`ConnectionPool`] each attempt
 ///   checks out a fresh connection; on a bare [`ServiceConn`] attempts
 ///   replay on the same session and stop early if the transport broke.
-///   When both this and the policy's own legacy `deadline` field are set,
-///   `QueryOptions::deadline` wins.
+///   `deadline` is the budget across all attempts, backoff waits included.
 ///
 /// `QueryOptions::default()` means: no deadline, no retry — identical to
 /// the plain [`ServiceConn::query`].
@@ -103,16 +102,6 @@ impl QueryOptions {
             Some(d) => (d.as_millis() as u64).max(1),
             None => 0,
         }
-    }
-
-    /// The retry policy with the options-level deadline folded in (the
-    /// options' deadline wins over the policy's legacy field).
-    fn merged_policy(&self) -> Option<RetryPolicy> {
-        self.retry.as_ref().map(|p| {
-            let mut p = p.clone();
-            p.deadline = self.deadline.or(p.deadline);
-            p
-        })
     }
 }
 
@@ -304,8 +293,6 @@ impl ServiceConn {
 
     /// Execute one SQL statement under `opts`, collecting the full result.
     ///
-    /// This is the primary entrypoint; [`query`](Self::query) and
-    /// [`query_deadline`](Self::query_deadline) are thin wrappers over it.
     /// With `opts.retry` set, failed attempts replay **on this same
     /// session** when the error is retryable, no result rows were received
     /// (a replay must not double-observe a partial stream), and the
@@ -313,17 +300,40 @@ impl ServiceConn {
     /// immediately, since this method cannot re-dial (use
     /// [`ConnectionPool::query_with`] for that).
     pub fn query_with(&mut self, sql: &str, opts: &QueryOptions) -> Result<RemoteResult> {
-        let Some(policy) = opts.merged_policy() else {
-            return self.raw_query(sql, opts.deadline_ms());
+        self.run_with(opts, |deadline_ms| QueryRequest::Query {
+            sql: sql.into(),
+            deadline_ms,
+        })
+    }
+
+    /// [`query_with`](Self::query_with) without options: no deadline, one
+    /// attempt.
+    pub fn query(&mut self, sql: &str) -> Result<RemoteResult> {
+        self.query_with(sql, &QueryOptions::default())
+    }
+
+    /// Issue one statement under `opts`: `request` builds the wire request
+    /// for an attempt's millisecond deadline (0 = none), and the result
+    /// stream is read under the same budget. Without `opts.retry` this is a
+    /// single attempt.
+    fn run_with(
+        &mut self,
+        opts: &QueryOptions,
+        request: impl Fn(u64) -> QueryRequest,
+    ) -> Result<RemoteResult> {
+        let Some(policy) = &opts.retry else {
+            return self.attempt(&request(opts.deadline_ms()), opts.deadline_ms());
         };
-        let deadline = policy.deadline.map(Deadline::from_timeout);
+        let deadline = opts.deadline.map(Deadline::from_timeout);
         let attempts = policy.max_attempts.max(1);
         for attempt in 0..attempts {
+            // Each attempt gets what is left of the overall budget (clamped
+            // up to 1ms so "almost spent" still reads as a bound).
             let deadline_ms = match &deadline {
                 Some(dl) => (dl.remaining().as_millis() as u64).max(1),
                 None => 0,
             };
-            match self.raw_query(sql, deadline_ms) {
+            match self.attempt(&request(deadline_ms), deadline_ms) {
                 Ok(result) => return Ok(result),
                 Err(e) => {
                     let retryable = self.last_error_retryable().unwrap_or_else(|| e.retryable());
@@ -342,25 +352,9 @@ impl ServiceConn {
         unreachable!("retry loop always returns on its last attempt")
     }
 
-    /// Execute one SQL statement, collecting the full result.
-    pub fn query(&mut self, sql: &str) -> Result<RemoteResult> {
-        self.raw_query(sql, 0)
-    }
-
-    /// Execute one SQL statement under a deadline of `deadline_ms`
-    /// milliseconds (0 = none). Wrapper over [`query_with`](Self::query_with)
-    /// semantics; see [`QueryOptions::deadline`] for how the deadline is
-    /// enforced on both sides.
-    pub fn query_deadline(&mut self, sql: &str, deadline_ms: u64) -> Result<RemoteResult> {
-        self.raw_query(sql, deadline_ms)
-    }
-
-    /// One query attempt on the wire under a millisecond deadline (0 = none).
-    fn raw_query(&mut self, sql: &str, deadline_ms: u64) -> Result<RemoteResult> {
-        self.send(&QueryRequest::Query {
-            sql: sql.into(),
-            deadline_ms,
-        })?;
+    /// One attempt on the wire under a millisecond deadline (0 = none).
+    fn attempt(&mut self, req: &QueryRequest, deadline_ms: u64) -> Result<RemoteResult> {
+        self.send(req)?;
         self.read_result_within(deadline_ms)
     }
 
@@ -424,58 +418,16 @@ impl ServiceConn {
         stmt: StatementHandle,
         opts: &QueryOptions,
     ) -> Result<RemoteResult> {
-        let Some(policy) = opts.merged_policy() else {
-            return self.raw_execute(stmt, opts.deadline_ms());
-        };
-        let deadline = policy.deadline.map(Deadline::from_timeout);
-        let attempts = policy.max_attempts.max(1);
-        for attempt in 0..attempts {
-            let deadline_ms = match &deadline {
-                Some(dl) => (dl.remaining().as_millis() as u64).max(1),
-                None => 0,
-            };
-            match self.raw_execute(stmt, deadline_ms) {
-                Ok(result) => return Ok(result),
-                Err(e) => {
-                    let retryable = self.last_error_retryable().unwrap_or_else(|| e.retryable());
-                    let replay_safe = self.last_rows_received == 0;
-                    let give_up = self.broken
-                        || !retryable
-                        || !replay_safe
-                        || attempt + 1 == attempts
-                        || !policy.backoff.sleep(attempt, deadline.as_ref());
-                    if give_up {
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        unreachable!("retry loop always returns on its last attempt")
-    }
-
-    /// Execute a prepared statement.
-    pub fn execute(&mut self, stmt: StatementHandle) -> Result<RemoteResult> {
-        self.raw_execute(stmt, 0)
-    }
-
-    /// Execute a prepared statement under a deadline of `deadline_ms`
-    /// milliseconds (0 = none). Wrapper over
-    /// [`execute_with`](Self::execute_with) semantics.
-    pub fn execute_deadline(
-        &mut self,
-        stmt: StatementHandle,
-        deadline_ms: u64,
-    ) -> Result<RemoteResult> {
-        self.raw_execute(stmt, deadline_ms)
-    }
-
-    /// One execute attempt on the wire under a millisecond deadline (0 = none).
-    fn raw_execute(&mut self, stmt: StatementHandle, deadline_ms: u64) -> Result<RemoteResult> {
-        self.send(&QueryRequest::Execute {
+        self.run_with(opts, |deadline_ms| QueryRequest::Execute {
             stmt: stmt.id,
             deadline_ms,
-        })?;
-        self.read_result_within(deadline_ms)
+        })
+    }
+
+    /// [`execute_with`](Self::execute_with) without options: no deadline,
+    /// one attempt.
+    pub fn execute(&mut self, stmt: StatementHandle) -> Result<RemoteResult> {
+        self.execute_with(stmt, &QueryOptions::default())
     }
 
     /// Fetch this session's out-of-band cancellation credentials. Hand the
@@ -544,20 +496,15 @@ impl ServiceConn {
 /// [`ConnectionPool::get_within`].
 pub const DEFAULT_CHECKOUT_WAIT: Duration = Duration::from_secs(30);
 
-/// Retry policy for [`ConnectionPool::query_with_retry`]: how many attempts,
-/// how to wait between them, and the overall wall-clock budget.
+/// Retry policy for [`QueryOptions::retry`]: how many attempts and how to
+/// wait between them. The overall wall-clock budget is
+/// [`QueryOptions::deadline`].
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Total attempts, including the first (min 1).
     pub max_attempts: u32,
     /// Seeded backoff schedule between attempts.
     pub backoff: Backoff,
-    /// Overall budget across *all* attempts (checkout, wire time, and
-    /// backoff waits). Also forwarded to the server as each attempt's
-    /// query deadline, so a straggler attempt is killed server-side
-    /// rather than dragging past the client's own budget. `None` = no
-    /// deadline.
-    pub deadline: Option<Duration>,
 }
 
 impl Default for RetryPolicy {
@@ -565,7 +512,6 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_attempts: 4,
             backoff: Backoff::default(),
-            deadline: None,
         }
     }
 }
@@ -660,16 +606,7 @@ impl ConnectionPool {
 
     /// Execute `sql` under `opts`: checkout, deadline, and (when
     /// `opts.retry` is set) automatic retry with a fresh checkout per
-    /// attempt. The primary pool entrypoint;
-    /// [`query_with_retry`](Self::query_with_retry) is a thin wrapper.
-    pub fn query_with(&self, sql: &str, opts: &QueryOptions) -> Result<RemoteResult> {
-        match opts.merged_policy() {
-            Some(policy) => self.query_retry_core(sql, &policy),
-            None => self.get()?.query_deadline(sql, opts.deadline_ms()),
-        }
-    }
-
-    /// Execute `sql` with automatic retry under `policy`.
+    /// attempt.
     ///
     /// An attempt is retried only when **all** of these hold:
     /// * the failure is retryable — the server's explicit wire verdict
@@ -680,14 +617,15 @@ impl ConnectionPool {
     /// * attempts and wall-clock budget remain, and the next backoff wait
     ///   fits inside the remaining budget.
     ///
-    /// The remaining budget is also forwarded as each attempt's server-side
-    /// query deadline, so no attempt outlives the caller's patience.
-    pub fn query_with_retry(&self, sql: &str, policy: &RetryPolicy) -> Result<RemoteResult> {
-        self.query_retry_core(sql, policy)
-    }
-
-    fn query_retry_core(&self, sql: &str, policy: &RetryPolicy) -> Result<RemoteResult> {
-        let deadline = policy.deadline.map(Deadline::from_timeout);
+    /// The remaining budget (checkout, wire time and backoff waits all
+    /// count against `opts.deadline`) is also forwarded as each attempt's
+    /// server-side query deadline, so no attempt outlives the caller's
+    /// patience.
+    pub fn query_with(&self, sql: &str, opts: &QueryOptions) -> Result<RemoteResult> {
+        let Some(policy) = &opts.retry else {
+            return self.get()?.query_with(sql, opts);
+        };
+        let deadline = opts.deadline.map(Deadline::from_timeout);
         let attempts = policy.max_attempts.max(1);
         let mut last_err: Option<CsqError> = None;
         for attempt in 0..attempts {
@@ -715,13 +653,12 @@ impl ConnectionPool {
                     continue;
                 }
             };
-            // Forward the remaining budget as the server-side deadline
-            // (clamped up to 1ms so "almost spent" still reads as a bound).
-            let deadline_ms = match &deadline {
-                Some(dl) => (dl.remaining().as_millis() as u64).max(1),
-                None => 0,
+            // Forward the remaining budget as the server-side deadline.
+            let attempt_opts = QueryOptions {
+                deadline: deadline.as_ref().map(Deadline::remaining),
+                retry: None,
             };
-            match conn.query_deadline(sql, deadline_ms) {
+            match conn.query_with(sql, &attempt_opts) {
                 Ok(result) => return Ok(result),
                 Err(e) => {
                     let retryable = conn.last_error_retryable().unwrap_or_else(|| e.retryable());

@@ -32,11 +32,10 @@
 //! unit.
 //!
 //! **Admission vs. work bounds.** `max_sessions` caps connections;
-//! [`ServiceConfig::max_queued_statements`] caps the statements waiting
-//! for a worker, and [`ServiceConfig::shed_queue_depth`] sheds early under
-//! load — both answered with a *survivable*, retryable `limit` error (the
-//! session stays open; the client backs off and retries on the same
-//! connection).
+//! [`ServiceConfig::shed_queue_depth`] caps the statements waiting for a
+//! worker — a statement past it is answered with a *survivable*, retryable
+//! `limit` error (the session stays open; the client backs off and retries
+//! on the same connection).
 //!
 //! **Error isolation.** A session can die three ways — malformed frame,
 //! mid-stream disconnect, or a query that fails (or panics) — and none of
@@ -114,20 +113,16 @@ pub struct ServiceConfig {
     pub write_timeout: Duration,
     /// Rows per streamed result chunk.
     pub chunk_rows: usize,
-    /// Load-shedding knob: when at least this many statements are already
-    /// *waiting* for a worker (and every worker is busy), a newly arrived
-    /// statement is refused with a **survivable, retryable** `limit` error
-    /// — the session stays open and a well-behaved client backs off and
-    /// retries on the same connection while the queue drains. Default:
-    /// `usize::MAX` (never shed).
+    /// The one load-shedding knob, the *work* analog of `max_sessions`:
+    /// when every worker is busy and at least this many statements are
+    /// already *waiting* for one, a newly arrived statement is refused with
+    /// a **survivable, retryable** `limit` error — the session stays open
+    /// and a well-behaved client backs off and retries on the same
+    /// connection while the queue drains. `0` never queues (a statement
+    /// either gets a free worker or is shed). Default: `usize::MAX` (never
+    /// shed; each session has at most one statement in flight, so the
+    /// queue is still bounded by `max_sessions`).
     pub shed_queue_depth: usize,
-    /// Hard cap on statements waiting for a worker, the *work* analog of
-    /// `max_sessions`: beyond it every new statement is refused with the
-    /// same survivable `limit` error regardless of `shed_queue_depth`.
-    /// Since each session has at most one statement in flight, the queue
-    /// is already bounded by `max_sessions`; this knob tightens it.
-    /// Default: `usize::MAX` (bounded by `max_sessions` only).
-    pub max_queued_statements: usize,
 }
 
 impl ServiceConfig {
@@ -166,11 +161,6 @@ impl ServiceConfig {
                 self.shed_queue_depth, self.max_sessions
             ));
         }
-        if self.max_queued_statements == 0 {
-            return fail(
-                "max_queued_statements must be at least 1 (0 sheds every statement)".into(),
-            );
-        }
         if self.chunk_rows == 0 {
             return fail("chunk_rows must be at least 1".into());
         }
@@ -199,7 +189,6 @@ impl Default for ServiceConfig {
             write_timeout: Duration::from_secs(10),
             chunk_rows: DEFAULT_BATCH_SIZE,
             shed_queue_depth: usize::MAX,
-            max_queued_statements: usize::MAX,
         }
     }
 }
@@ -250,16 +239,11 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Queue-depth load-shedding threshold (statements arriving while this
-    /// many are already waiting get a survivable, retryable `limit` error).
+    /// Load-shedding threshold (statements arriving while every worker is
+    /// busy and this many already wait get a survivable, retryable `limit`
+    /// error; `0` never queues).
     pub fn shed_queue_depth(mut self, depth: usize) -> Self {
         self.config.shed_queue_depth = depth;
-        self
-    }
-
-    /// Hard cap on statements waiting for a worker.
-    pub fn max_queued_statements(mut self, n: usize) -> Self {
-        self.config.max_queued_statements = n;
         self
     }
 
@@ -955,11 +939,7 @@ fn dispatch(
 ) -> Option<Session> {
     let queued = ctx.sched.queued_statements.load(Ordering::SeqCst);
     let executing = ctx.sched.executing_statements.load(Ordering::SeqCst);
-    let over_work_cap = queued >= ctx.config.max_queued_statements;
-    let over_shed = ctx.config.shed_queue_depth != usize::MAX
-        && executing >= ctx.config.workers
-        && queued >= ctx.config.shed_queue_depth;
-    if over_work_cap || over_shed {
+    if executing >= ctx.config.workers && queued >= ctx.config.shed_queue_depth {
         // Shed *this statement*, not the connection: a survivable
         // retryable `limit` answer tells the client to back off and retry
         // on the same session once pressure clears. Answered from here —
@@ -1196,7 +1176,6 @@ mod config_tests {
             ServiceConfig::builder()
                 .shed_queue_depth(100)
                 .max_sessions(64),
-            ServiceConfig::builder().max_queued_statements(0),
             ServiceConfig::builder().chunk_rows(0),
             ServiceConfig::builder().max_frame(0),
             ServiceConfig::builder().idle_timeout(Duration::ZERO),
@@ -1217,7 +1196,6 @@ mod config_tests {
             .workers(2)
             .max_sessions(8)
             .shed_queue_depth(4)
-            .max_queued_statements(6)
             .chunk_rows(128)
             .max_frame(1 << 20)
             .idle_timeout(Duration::from_millis(50))
@@ -1227,7 +1205,6 @@ mod config_tests {
         assert_eq!(c.workers, 2);
         assert_eq!(c.max_sessions, 8);
         assert_eq!(c.shed_queue_depth, 4);
-        assert_eq!(c.max_queued_statements, 6);
         assert_eq!(c.chunk_rows, 128);
         assert_eq!(c.max_frame, 1 << 20);
         assert_eq!(c.idle_timeout, Duration::from_millis(50));

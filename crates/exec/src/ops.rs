@@ -183,37 +183,13 @@ macro_rules! batch_operator {
 }
 pub(crate) use batch_operator;
 
-/// Scan of a table snapshot, with fields qualified by the FROM alias.
-pub struct MemScan {
-    schema: Arc<Schema>,
-    rows: std::vec::IntoIter<Row>,
-    carry: RowCarry,
-}
-
-impl MemScan {
-    /// Snapshot `table` and qualify its columns with `alias`.
-    pub fn new(table: &Arc<Table>, alias: &str) -> MemScan {
-        MemScan {
-            schema: Arc::new(table.schema().qualify(alias)),
-            rows: table.snapshot().into_iter(),
-            carry: RowCarry::default(),
-        }
-    }
-
-    fn produce(&mut self) -> Result<Option<RowBatch>> {
-        produce_chunk(&mut self.rows, &self.schema)
-    }
-}
-
-batch_operator!(MemScan, hint: |s: &MemScan| Some(s.rows.len()));
-
 /// Batch-native scan over a table's columnar segments with zone-map pruning
 /// (DESIGN.md §11): the compiled [`FilterSpec`] — the pushable prefix of the
 /// filter above this scan — skips whole segments before any column data is
 /// touched. The filter operator above remains authoritative for row-level
 /// semantics; pruning only removes segments it would have rejected
-/// wholesale. [`MemScan`] stays as the row-vector oracle this scan is
-/// differentially tested against.
+/// wholesale. The row-vector oracle this scan is differentially tested
+/// against is [`RowsOp`] over `Table::snapshot()`.
 pub struct ColumnarScan {
     schema: Arc<Schema>,
     scan: TableScan,
@@ -874,7 +850,7 @@ mod tests {
                 .build()
                 .unwrap(),
         );
-        let mut scan = MemScan::new(&t, "T1");
+        let mut scan = ColumnarScan::new(&t, "T1", None).unwrap();
         assert_eq!(scan.schema().field(0).qualifier.as_deref(), Some("T1"));
         assert_eq!(scan.size_hint(), Some(2));
         assert_eq!(collect(&mut scan).unwrap().len(), 2);

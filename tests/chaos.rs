@@ -113,7 +113,6 @@ fn seeded_fault_schedules_yield_rows_or_typed_errors_and_recover() {
                                     Duration::from_millis(50),
                                     seed ^ k as u64,
                                 ),
-                                deadline: None,
                             });
                         for (i, sql) in queries.iter().enumerate() {
                             match pool.query_with(sql, &opts) {
@@ -150,7 +149,6 @@ fn seeded_fault_schedules_yield_rows_or_typed_errors_and_recover() {
                         Duration::from_millis(50),
                         seed,
                     ),
-                    deadline: None,
                 });
             let result = pool
                 .query_with(&queries[0], &relaxed)
@@ -376,7 +374,6 @@ fn retry_with_backoff_rides_out_transient_faults() {
                 .with_retry(RetryPolicy {
                     max_attempts: 6,
                     backoff: Backoff::new(Duration::from_millis(2), Duration::from_millis(30), 11),
-                    deadline: None,
                 }),
         )
         .expect("the third connection is healthy; retries must reach it");

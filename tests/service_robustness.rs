@@ -58,7 +58,11 @@ const FILTER_SQL: &str = "SELECT R.Id FROM R R WHERE R.Id > 10";
 
 /// Retry a connect+query until the server has capacity again (admission
 /// rejections surface as `limit` errors).
-fn query_with_retry(addr: SocketAddr, sql: &str, deadline: Duration) -> csq_client::RemoteResult {
+fn query_until_admitted(
+    addr: SocketAddr,
+    sql: &str,
+    deadline: Duration,
+) -> csq_client::RemoteResult {
     let start = Instant::now();
     loop {
         let attempt = ServiceConn::connect(addr).and_then(|mut c| {
@@ -117,7 +121,7 @@ fn udf_query_over_sockets_matches_in_process_engine() {
     let db = demo_db(60);
     let handle = start(&db, small_config());
     let sql = "SELECT R.Id, Enrich(R.Obj) FROM R R WHERE R.Id < 20";
-    let served = query_with_retry(handle.local_addr(), sql, Duration::from_secs(10));
+    let served = query_until_admitted(handle.local_addr(), sql, Duration::from_secs(10));
     let local = db.execute(sql).unwrap();
     assert_eq!(served.rows, local.rows);
     assert!(!served.rows.is_empty());
@@ -169,7 +173,7 @@ fn garbage_frame_gets_codec_error_and_other_sessions_continue() {
     assert!(fatal, "protocol faults close the session");
 
     // The process and other sessions are unaffected.
-    let ok = query_with_retry(handle.local_addr(), COUNT_SQL, Duration::from_secs(10));
+    let ok = query_until_admitted(handle.local_addr(), COUNT_SQL, Duration::from_secs(10));
     assert_eq!(ok.rows[0].value(0), &Value::Int(30));
     assert!(handle.stats().protocol_errors.load(Ordering::Relaxed) >= 1);
     handle.shutdown();
@@ -186,7 +190,7 @@ fn truncated_frame_only_kills_its_own_session() {
         raw.write_all(&[1, 2, 3]).unwrap();
         // Die mid-frame.
     }
-    let ok = query_with_retry(handle.local_addr(), COUNT_SQL, Duration::from_secs(10));
+    let ok = query_until_admitted(handle.local_addr(), COUNT_SQL, Duration::from_secs(10));
     assert_eq!(ok.rows[0].value(0), &Value::Int(30));
     handle.shutdown();
 }
@@ -223,7 +227,7 @@ fn oversized_frame_is_refused_before_allocation() {
     assert!(fatal, "oversized frames close the session");
     assert!(message.contains("exceeds"), "{message}");
 
-    let ok = query_with_retry(handle.local_addr(), COUNT_SQL, Duration::from_secs(10));
+    let ok = query_until_admitted(handle.local_addr(), COUNT_SQL, Duration::from_secs(10));
     assert_eq!(ok.rows[0].value(0), &Value::Int(30));
     handle.shutdown();
 }
@@ -257,7 +261,7 @@ fn client_disconnect_mid_result_stream_is_isolated() {
         drop(conn);
     }
 
-    let ok = query_with_retry(handle.local_addr(), COUNT_SQL, Duration::from_secs(10));
+    let ok = query_until_admitted(handle.local_addr(), COUNT_SQL, Duration::from_secs(10));
     assert_eq!(ok.rows[0].value(0), &Value::Int(5_000));
     handle.shutdown();
 }
@@ -301,7 +305,7 @@ fn admission_bound_rejects_with_limit_error_and_recovers() {
     // Freeing a session restores capacity.
     held1.close();
     held2.close();
-    let ok = query_with_retry(handle.local_addr(), COUNT_SQL, Duration::from_secs(10));
+    let ok = query_until_admitted(handle.local_addr(), COUNT_SQL, Duration::from_secs(10));
     assert_eq!(ok.rows[0].value(0), &Value::Int(20));
     handle.shutdown();
 }
@@ -410,7 +414,7 @@ fn slowloris_partial_frame_cannot_pin_a_worker() {
 
     // The stalled session never blocks anyone: the lone worker keeps
     // serving other clients while the stall clock runs.
-    let ok = query_with_retry(handle.local_addr(), COUNT_SQL, Duration::from_secs(10));
+    let ok = query_until_admitted(handle.local_addr(), COUNT_SQL, Duration::from_secs(10));
     assert_eq!(ok.rows[0].value(0), &Value::Int(25));
     // The scheduler cuts the stalled session off (asynchronously to the
     // query above, so wait for the counter rather than asserting it).
@@ -472,7 +476,7 @@ fn client_that_stops_reading_cannot_pin_a_worker() {
         )
         .unwrap();
 
-    let ok = query_with_retry(
+    let ok = query_until_admitted(
         handle.local_addr(),
         "SELECT count(*) FROM R R",
         Duration::from_secs(15),
@@ -601,7 +605,7 @@ fn connection_storm_soak() {
     }
     assert!(total_ok > 0, "the storm must land some queries");
     // The server is still healthy after the storm.
-    let after = query_with_retry(addr, COUNT_SQL, Duration::from_secs(10));
+    let after = query_until_admitted(addr, COUNT_SQL, Duration::from_secs(10));
     assert_eq!(after.rows[0].value(0), &Value::Int(200));
     assert!(handle.stats().queries_ok.load(Ordering::Relaxed) >= total_ok);
     handle.shutdown();
@@ -664,7 +668,7 @@ fn thousand_idle_connections_park_flat_and_shut_down_promptly() {
     // Still fully serviceable through the parked crowd, and traffic does
     // not inflate the parked-session memory bill.
     for _ in 0..25 {
-        let ok = query_with_retry(addr, COUNT_SQL, Duration::from_secs(10));
+        let ok = query_until_admitted(addr, COUNT_SQL, Duration::from_secs(10));
         assert_eq!(ok.rows[0].value(0), &Value::Int(50));
     }
     let parked = sched.parked_sessions.load(Ordering::Relaxed);

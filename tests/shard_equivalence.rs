@@ -333,7 +333,6 @@ fn killed_shard_fails_typed_and_replace_restores_service() {
             .with_retry(RetryPolicy {
                 max_attempts: 2,
                 backoff: Backoff::new(Duration::from_millis(1), Duration::from_millis(4), 42),
-                deadline: Some(Duration::from_secs(5)),
             }),
         ..CoordinatorConfig::default()
     };
