@@ -1,5 +1,6 @@
 //! A file with zero violations: errors are returned, unsafe is justified,
-//! sync goes through the vendored shims, capacities are guarded.
+//! sync goes through the vendored shims, capacities are guarded, plan-time
+//! statistics read the table profile.
 
 use parking_lot::Mutex;
 
@@ -23,4 +24,10 @@ pub fn retry_wait(backoff: &Backoff, attempt: u32) -> bool {
     // Deadline-aware waiting through the sanctioned helper, not a bare
     // thread::sleep (which no-bare-sleep would flag).
     backoff.sleep(attempt, None)
+}
+
+pub fn planned_rows(table: &Table) -> usize {
+    // Plan-time numbers come from the running profile, not from a
+    // `.snapshot()` row vector (which plan-no-snapshot would flag).
+    table.profile().rows
 }

@@ -22,6 +22,8 @@ pub struct Config {
     pub service_paths: Vec<String>,
     /// Path prefixes where the wire-capacity rule applies.
     pub codec_paths: Vec<String>,
+    /// Path prefixes where the plan-no-snapshot rule applies.
+    pub plan_paths: Vec<String>,
     /// Path prefixes excluded from the walk entirely (e.g. fixtures).
     pub exclude: Vec<String>,
     pub allow: Vec<AllowEntry>,
@@ -82,6 +84,7 @@ impl Config {
                     match key {
                         "service" => cfg.service_paths = list,
                         "codec" => cfg.codec_paths = list,
+                        "plan" => cfg.plan_paths = list,
                         "exclude" => cfg.exclude = list,
                         _ => return Err(format!("line {lineno}: unknown [paths] key `{key}`")),
                     }
@@ -220,6 +223,7 @@ mod tests {
 [paths]
 service = ["crates/net/src", "crates/core/src"]  # prefixes
 codec = ["crates/common/src/codec.rs"]
+plan = ["crates/opt/src"]
 exclude = [
     "crates/analyze/fixtures",
 ]
@@ -234,6 +238,7 @@ reason = "Deref on a pool guard; invariant holds until Drop"
         .expect("config must parse");
         assert_eq!(cfg.service_paths.len(), 2);
         assert_eq!(cfg.codec_paths, vec!["crates/common/src/codec.rs"]);
+        assert_eq!(cfg.plan_paths, vec!["crates/opt/src"]);
         assert_eq!(cfg.exclude, vec!["crates/analyze/fixtures"]);
         assert_eq!(cfg.allow.len(), 1);
         assert_eq!(cfg.allow[0].rule, "no-panic-path");

@@ -26,6 +26,8 @@ pub struct Scope {
     pub service: bool,
     /// `wire-capacity` applies (codec / frame-decode code).
     pub codec: bool,
+    /// `plan-no-snapshot` applies (planning-path code).
+    pub plan: bool,
     /// `no-raw-sync` applies (all production code outside `vendor/` — the
     /// shims themselves are the one place raw `std::sync` belongs).
     pub sync: bool,
@@ -64,10 +66,10 @@ pub fn check_file(path: &str, src: &str, lexed: &LexOut, scope: Scope) -> Vec<Vi
         // Rule: no-panic-path. `.unwrap(` / `.expect(` / `panic!(` etc. in
         // service-path production code. `#[cfg(test)]` and `#[test]` blocks
         // are exempt — tests may assert by panicking.
+        let called_as_method =
+            i > 0 && toks[i - 1].is_punct('.') && toks.get(i + 1).is_some_and(|n| n.is_punct('('));
+
         if scope.service && !exempt[i] {
-            let called_as_method = i > 0
-                && toks[i - 1].is_punct('.')
-                && toks.get(i + 1).is_some_and(|n| n.is_punct('('));
             if called_as_method && PANIC_METHODS.contains(&id) {
                 out.push(Violation {
                     rule: "no-panic-path",
@@ -89,6 +91,22 @@ pub fn check_file(path: &str, src: &str, lexed: &LexOut, scope: Scope) -> Vec<Vi
                     excerpt: excerpt(t.line),
                 });
             }
+        }
+
+        // Rule: plan-no-snapshot. `.snapshot()` on the planning path
+        // materializes a whole table as row vectors, which makes every
+        // plan-cache miss O(table size); plan-time numbers come from
+        // `Table::profile`. Tests may snapshot to build an oracle.
+        if scope.plan && !exempt[i] && called_as_method && id == "snapshot" {
+            out.push(Violation {
+                rule: "plan-no-snapshot",
+                path: path.to_string(),
+                line: t.line,
+                message: ".snapshot() on the planning path rebuilds the whole table per plan; \
+                          read Table::profile() (O(width)) instead"
+                    .to_string(),
+                excerpt: excerpt(t.line),
+            });
         }
 
         // Rule: no-bare-sleep. `thread::sleep` (or `std::thread::sleep`, or
@@ -401,12 +419,21 @@ mod tests {
     const SERVICE: Scope = Scope {
         service: true,
         codec: false,
+        plan: false,
         sync: true,
         sleep: true,
     };
     const CODEC: Scope = Scope {
         service: false,
         codec: true,
+        plan: false,
+        sync: false,
+        sleep: false,
+    };
+    const PLAN: Scope = Scope {
+        service: false,
+        codec: false,
+        plan: true,
         sync: false,
         sleep: false,
     };
@@ -534,6 +561,21 @@ mod tests {
     fn sleep_in_tests_is_exempt() {
         let src = "#[cfg(test)]\nmod tests {\n fn t() { std::thread::sleep(D); }\n}";
         assert!(run(src, SERVICE).is_empty());
+    }
+
+    #[test]
+    fn snapshot_call_on_the_planning_path_is_flagged() {
+        let src = "fn stats(t: &Table) -> usize { t.snapshot().len() }\n\
+                   fn fine(t: &Table) { let snapshot = t.profile(); snapshot_of(t); }\n\
+                   #[cfg(test)]\nmod tests {\n fn oracle(t: &Table) { t.snapshot(); }\n}";
+        let v = run(src, PLAN);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "plan-no-snapshot");
+        assert_eq!(v[0].line, 1);
+        assert!(
+            run(src, SERVICE).is_empty(),
+            "only the plan group is scoped"
+        );
     }
 
     #[test]

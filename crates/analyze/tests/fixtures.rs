@@ -32,6 +32,8 @@ fn bad_tree_reports_every_seeded_violation() {
     assert_eq!(count("no-bare-sleep"), 1, "{:#?}", report.violations);
     // codec.rs seeds: inline shape + bound shape (guarded/clamped stay clean).
     assert_eq!(count("wire-capacity"), 2, "{:#?}", report.violations);
+    // plan.rs seeds: one `.snapshot()` call (the profile read stays clean).
+    assert_eq!(count("plan-no-snapshot"), 1, "{:#?}", report.violations);
 }
 
 #[test]

@@ -196,7 +196,7 @@ fn fig11_ctx(net: NetworkSpec, result_bytes: f64, selectivity: f64) -> OptContex
             rows: 100.0,
             row_bytes: 2025.0,
             col_bytes: vec![25.0, 1000.0, 1000.0],
-            segments: Vec::new(),
+            segments: Default::default(),
         },
     );
     ctx.add_table(
@@ -210,7 +210,7 @@ fn fig11_ctx(net: NetworkSpec, result_bytes: f64, selectivity: f64) -> OptContex
             rows: 1000.0,
             row_bytes: 59.0,
             col_bytes: vec![25.0, 25.0, 9.0],
-            segments: Vec::new(),
+            segments: Default::default(),
         },
     );
     ctx.add_udf(

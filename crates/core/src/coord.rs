@@ -152,7 +152,7 @@ impl TableShadow {
             rows: self.rows as f64,
             row_bytes: self.row_byte_sum / n,
             col_bytes: self.col_byte_sums.iter().map(|b| b / n).collect(),
-            segments: Vec::new(),
+            segments: Default::default(),
         }
     }
 }

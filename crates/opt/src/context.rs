@@ -6,6 +6,7 @@
 //! result size (`R`), and expected selectivity when used as a predicate.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use csq_common::{CsqError, DataType, Result, Schema};
 use csq_net::NetworkSpec;
@@ -24,8 +25,9 @@ pub struct TableStats {
     pub col_bytes: Vec<f64>,
     /// Zone-map profile of the table's sealed segments (empty for synthetic
     /// stats): lets scan costing estimate how many segments a pushed filter
-    /// prunes without touching the table.
-    pub segments: Vec<csq_storage::SegmentZones>,
+    /// prunes without touching the table. Shared with the table's own
+    /// profile, so taking statistics copies no zone map.
+    pub segments: Arc<Vec<csq_storage::SegmentZones>>,
 }
 
 impl TableStats {
@@ -41,8 +43,7 @@ impl TableStats {
             .filter(|s| !spec.prunes_zones(s))
             .map(|s| s.rows)
             .sum();
-        let tail = (self.rows - profiled as f64).max(0.0);
-        surviving as f64 + tail
+        surviving as f64 + (self.rows - profiled as f64)
     }
 
     /// Fraction of the record occupied by the given columns.
@@ -238,28 +239,24 @@ impl OptContext {
     }
 }
 
-/// Compute [`TableStats`] from an actual in-memory table.
+/// [`TableStats`] of an actual in-memory table: a conversion of the
+/// table's running [`csq_storage::TableProfile`], O(width) whatever the
+/// table's size. The sums are integers, so the averages are exactly what a
+/// walk over every row would produce.
 pub fn stats_from_table(table: &csq_storage::Table) -> TableStats {
-    let rows = table.snapshot();
-    let n = rows.len().max(1) as f64;
-    let width = table.schema().len();
-    let mut col_bytes = vec![0.0; width];
-    let mut total = 0.0;
-    for r in &rows {
-        for (i, v) in r.values().iter().enumerate() {
-            col_bytes[i] += v.wire_size() as f64;
-        }
-        total += r.wire_size() as f64;
-    }
-    for c in col_bytes.iter_mut() {
-        *c /= n;
-    }
+    let profile = table.profile();
+    let n = profile.rows.max(1) as f64;
+    let total: u64 = profile.col_wire_bytes.iter().sum();
     TableStats {
         schema: table.schema().clone(),
-        rows: rows.len() as f64,
-        row_bytes: total / n,
-        col_bytes,
-        segments: table.zone_profile(),
+        rows: profile.rows as f64,
+        row_bytes: total as f64 / n,
+        col_bytes: profile
+            .col_wire_bytes
+            .iter()
+            .map(|&b| b as f64 / n)
+            .collect(),
+        segments: profile.segments,
     }
 }
 
@@ -282,8 +279,10 @@ mod tests {
             .unwrap();
         let s = stats_from_table(&t);
         assert_eq!(s.rows, 1.0);
-        assert!((s.row_bytes - 110.0).abs() < 1e-9);
+        assert_eq!(s.row_bytes, 110.0);
+        assert_eq!(s.col_bytes, vec![10.0, 100.0]);
         assert!((s.fraction(&[1]) - 100.0 / 110.0).abs() < 1e-9);
+        assert!(s.segments.is_empty());
     }
 
     #[test]

@@ -675,7 +675,7 @@ mod tests {
                 rows: 100.0,
                 row_bytes: 1000.0,
                 col_bytes: vec![20.0, 480.0, 482.0, 9.0, 9.0],
-                segments: Vec::new(),
+                segments: Default::default(),
             },
         );
         ctx.add_table(
@@ -689,7 +689,7 @@ mod tests {
                 rows: 500.0,
                 row_bytes: 49.0,
                 col_bytes: vec![20.0, 20.0, 9.0],
-                segments: Vec::new(),
+                segments: Default::default(),
             },
         );
         ctx.add_udf(

@@ -48,7 +48,7 @@ mod tests {
                 rows: 100.0,
                 row_bytes: 1020.0,
                 col_bytes: vec![20.0, 1000.0],
-                segments: Vec::new(),
+                segments: Default::default(),
             },
         );
         ctx.add_udf(

@@ -10,9 +10,11 @@
 //! pruned/scanned split for EXPLAIN.
 //!
 //! The legacy row-vector view survives as [`Table::snapshot`], which
-//! reconstructs the inserted rows exactly — it backs the optimizer's
-//! statistics, the simulated backend, and the differential oracle that holds
-//! the columnar scan honest.
+//! reconstructs the inserted rows exactly — it backs the simulated backend
+//! and the differential oracles that hold the columnar scan and the table
+//! profile honest. Nothing on the planning path calls it: the optimizer's
+//! statistics come from the [`TableProfile`] each table maintains as rows
+//! arrive ([`Table::profile`], O(width) under one read lock).
 //!
 //! Tables are snapshot-scanned: a scan observes the segments and tail
 //! present when it started, never a torn state, which keeps the threaded
@@ -31,16 +33,29 @@ use parking_lot::RwLock;
 
 use csq_common::{CsqError, DataType, Field, Result, Row, Schema, Value};
 
-#[derive(Debug, Default)]
+/// A table's running statistics: everything the optimizer derives its
+/// `TableStats` from, maintained by the writers (an insert adds exactly its
+/// rows' contribution, a seal appends one zone entry) instead of recomputed
+/// over the relation per plan.
+#[derive(Debug, Clone, Default)]
+pub struct TableProfile {
+    /// Rows in the table (sealed + tail).
+    pub rows: usize,
+    /// Sum of [`Value::wire_size`] over every row, per column (schema order).
+    pub col_wire_bytes: Vec<u64>,
+    /// Zone maps of the sealed segments, in seal order; tail rows have none.
+    /// Shared: readers get the same list, and a seal copies it only while a
+    /// reader still holds the previous one.
+    pub segments: Arc<Vec<SegmentZones>>,
+}
+
+#[derive(Debug)]
 struct TableInner {
     sealed: Vec<Arc<Segment>>,
     tail: Vec<Row>,
-}
-
-impl TableInner {
-    fn len(&self) -> usize {
-        self.sealed.iter().map(|s| s.len()).sum::<usize>() + self.tail.len()
-    }
+    /// Describes exactly the rows in `sealed` + `tail`: every mutation
+    /// updates it under the same write lock.
+    profile: TableProfile,
 }
 
 /// A named, typed relation stored as sealed columnar segments plus a
@@ -93,12 +108,20 @@ impl Table {
             }
         }
         let shared_schema = Arc::new(schema.clone());
+        let width = schema.len();
         Ok(Table {
             name,
             schema,
             shared_schema,
             segment_rows,
-            inner: RwLock::new(TableInner::default()),
+            inner: RwLock::new(TableInner {
+                sealed: Vec::new(),
+                tail: Vec::new(),
+                profile: TableProfile {
+                    col_wire_bytes: vec![0; width],
+                    ..TableProfile::default()
+                },
+            }),
         })
     }
 
@@ -120,31 +143,58 @@ impl Table {
 
     /// Insert a row, checking arity and types (NULL fits any column).
     pub fn insert(&self, row: Row) -> Result<()> {
-        self.typecheck(&row)?;
+        let bytes = self.measure(std::slice::from_ref(&row))?;
         let mut inner = self.inner.write();
         inner.tail.push(row);
-        self.seal_full_tail(&mut inner);
+        self.appended(&mut inner, 1, &bytes);
         Ok(())
     }
 
     /// Insert many rows; all-or-nothing on type errors.
     pub fn insert_all(&self, rows: Vec<Row>) -> Result<()> {
-        for r in &rows {
-            self.typecheck(r)?;
-        }
+        let bytes = self.measure(&rows)?;
+        let n = rows.len();
         let mut inner = self.inner.write();
         inner.tail.extend(rows);
-        self.seal_full_tail(&mut inner);
+        self.appended(&mut inner, n, &bytes);
         Ok(())
     }
 
-    fn seal_full_tail(&self, inner: &mut TableInner) {
+    /// Typecheck `rows` and return their per-column wire-byte sums — the
+    /// batch's whole contribution to the profile, computed before the write
+    /// lock is taken, so a rejected batch changes nothing.
+    fn measure(&self, rows: &[Row]) -> Result<Vec<u64>> {
+        let mut bytes = vec![0u64; self.schema.len()];
+        for r in rows {
+            self.typecheck(r)?;
+            for (b, v) in bytes.iter_mut().zip(r.values()) {
+                *b += v.wire_size() as u64;
+            }
+        }
+        Ok(bytes)
+    }
+
+    /// Account for `n` rows just pushed onto the tail, then seal every full
+    /// segment's worth of it.
+    fn appended(&self, inner: &mut TableInner, n: usize, bytes: &[u64]) {
+        inner.profile.rows += n;
+        for (sum, b) in inner.profile.col_wire_bytes.iter_mut().zip(bytes) {
+            *sum += b;
+        }
         while inner.tail.len() >= self.segment_rows {
             let rest = inner.tail.split_off(self.segment_rows);
-            let seg = Segment::seal(&self.schema, &inner.tail);
-            inner.tail = rest;
-            inner.sealed.push(Arc::new(seg));
+            let full = std::mem::replace(&mut inner.tail, rest);
+            self.seal(inner, &full);
         }
+    }
+
+    fn seal(&self, inner: &mut TableInner, rows: &[Row]) {
+        let seg = Segment::seal(&self.schema, rows);
+        Arc::make_mut(&mut inner.profile.segments).push(SegmentZones {
+            rows: seg.len(),
+            zones: seg.zones(),
+        });
+        inner.sealed.push(Arc::new(seg));
     }
 
     /// Seal the unsealed tail into a (possibly short) segment, so zone maps
@@ -154,8 +204,7 @@ impl Table {
         let mut inner = self.inner.write();
         if !inner.tail.is_empty() {
             let rows = std::mem::take(&mut inner.tail);
-            let seg = Segment::seal(&self.schema, &rows);
-            inner.sealed.push(Arc::new(seg));
+            self.seal(&mut inner, &rows);
         }
     }
 
@@ -187,7 +236,7 @@ impl Table {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.inner.read().len()
+        self.inner.read().profile.rows
     }
 
     /// True when the table has no rows.
@@ -205,7 +254,7 @@ impl Table {
     /// is the row-vector oracle path: the columnar scan must agree with it.
     pub fn snapshot(&self) -> Vec<Row> {
         let inner = self.inner.read();
-        let mut out = Vec::with_capacity(inner.len());
+        let mut out = Vec::with_capacity(inner.profile.rows);
         for seg in &inner.sealed {
             seg.materialize_into(0..seg.len(), &mut out);
         }
@@ -261,45 +310,11 @@ impl Table {
         }
     }
 
-    /// Zone-map profile of every sealed segment (for optimizer statistics).
-    pub fn zone_profile(&self) -> Vec<SegmentZones> {
-        let inner = self.inner.read();
-        inner
-            .sealed
-            .iter()
-            .map(|s| SegmentZones {
-                rows: s.len(),
-                zones: s.zones(),
-            })
-            .collect()
-    }
-
-    /// Average wire size of a row, in bytes — the paper's `I` for this table.
-    /// Returns 0.0 for an empty table. Sealed segments answer from their
-    /// byte accounting; only the tail is walked.
-    pub fn avg_row_wire_size(&self) -> f64 {
-        let inner = self.inner.read();
-        let n = inner.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let sealed: u64 = inner.sealed.iter().map(|s| s.wire_bytes()).sum();
-        let tail: u64 = inner.tail.iter().map(|r| r.wire_size() as u64).sum();
-        (sealed + tail) as f64 / n as f64
-    }
-
-    /// Fraction of distinct values in the given columns — the paper's `D`
-    /// for a UDF whose argument columns are `cols`. Returns 1.0 when empty.
-    pub fn distinct_fraction(&self, cols: &[usize]) -> f64 {
-        let rows = self.snapshot();
-        if rows.is_empty() {
-            return 1.0;
-        }
-        let mut set = std::collections::HashSet::new();
-        for r in rows.iter() {
-            set.insert(r.project(cols));
-        }
-        set.len() as f64 / rows.len() as f64
+    /// The table's statistics profile, read under one lock acquisition:
+    /// row count, byte sums and zone list all describe the same instant.
+    /// O(width) — the zone list is shared, not copied.
+    pub fn profile(&self) -> TableProfile {
+        self.inner.read().profile.clone()
     }
 }
 
@@ -479,30 +494,46 @@ mod tests {
     }
 
     #[test]
-    fn avg_row_wire_size() {
+    fn profile_sums_wire_bytes_per_column() {
         let t = TableBuilder::new("t")
             .column("x", DataType::Blob)
-            .row(vec![Value::Blob(Blob::synthetic(95, 1))])
-            .row(vec![Value::Blob(Blob::synthetic(195, 2))])
+            .column("n", DataType::Int)
+            .row(vec![Value::Blob(Blob::synthetic(95, 1)), Value::Int(1)])
+            .row(vec![Value::Blob(Blob::synthetic(195, 2)), Value::Null])
             .build()
             .unwrap();
-        // Blob wire size = 5 + len → 100 and 200.
-        assert!((t.avg_row_wire_size() - 150.0).abs() < 1e-9);
+        // Blob wire size = 5 + len → 100 and 200; INT is 9, NULL is 1.
+        let p = t.profile();
+        assert_eq!(p.rows, 2);
+        assert_eq!(p.col_wire_bytes, vec![300, 10]);
+        assert!(p.segments.is_empty(), "nothing sealed yet");
     }
 
     #[test]
-    fn distinct_fraction_counts_argument_duplicates() {
-        let t = TableBuilder::new("t")
-            .column("arg", DataType::Int)
-            .column("other", DataType::Int)
-            .row(vec![Value::Int(1), Value::Int(10)])
-            .row(vec![Value::Int(1), Value::Int(20)])
-            .row(vec![Value::Int(2), Value::Int(30)])
-            .row(vec![Value::Int(2), Value::Int(40)])
-            .build()
-            .unwrap();
-        assert!((t.distinct_fraction(&[0]) - 0.5).abs() < 1e-9);
-        assert!((t.distinct_fraction(&[0, 1]) - 1.0).abs() < 1e-9);
+    fn profile_follows_inserts_and_seals_and_ignores_rejected_batches() {
+        let t = seg_table(20, 3); // 8 rows/segment → 2 sealed + 4 tail
+        let before = t.profile();
+        assert_eq!(before.rows, 20);
+        assert_eq!(before.segments.len(), 2);
+        assert!(before.segments.iter().all(|s| s.rows == 8));
+
+        let bad = vec![
+            Row::new(vec![Value::Int(1), Value::Int(1)]),
+            Row::new(vec![Value::from("x"), Value::Int(1)]),
+        ];
+        assert_eq!(t.insert_all(bad).unwrap_err().kind(), "type");
+        let after = t.profile();
+        assert_eq!(after.rows, before.rows);
+        assert_eq!(after.col_wire_bytes, before.col_wire_bytes);
+        assert!(Arc::ptr_eq(&after.segments, &before.segments));
+
+        t.seal_tail();
+        let sealed = t.profile();
+        assert_eq!(sealed.rows, 20, "sealing moves rows, it adds none");
+        assert_eq!(sealed.col_wire_bytes, before.col_wire_bytes);
+        assert_eq!(sealed.segments.len(), 3);
+        assert_eq!(sealed.segments[2].rows, 4);
+        assert_eq!(before.segments.len(), 2, "a held profile is a snapshot");
     }
 
     #[test]

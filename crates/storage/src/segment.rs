@@ -149,21 +149,17 @@ enum ColData {
     Values(Vec<Value>),
 }
 
-/// One sealed column: its lane plus the zone map and wire-byte accounting.
+/// One sealed column: its lane plus the zone map.
 #[derive(Debug)]
 pub struct ColumnSeg {
     data: ColData,
     zone: ZoneMap,
-    /// Sum of `Value::wire_size` over the column (feeds table statistics
-    /// without re-materializing rows).
-    wire_bytes: u64,
 }
 
 impl ColumnSeg {
     fn build(rows: &[Row], col: usize) -> ColumnSeg {
         let n = rows.len();
         let zone = ZoneMap::build(rows.iter().map(|r| r.value(col).clone()), n);
-        let wire_bytes: u64 = rows.iter().map(|r| r.value(col).wire_size() as u64).sum();
 
         // Classify: a lane is only usable when *every* non-null value is of
         // that exact variant, so reconstruction is lossless.
@@ -239,11 +235,7 @@ impl ColumnSeg {
             ColData::Values(rows.iter().map(|r| r.value(col).clone()).collect())
         };
 
-        ColumnSeg {
-            data,
-            zone,
-            wire_bytes,
-        }
+        ColumnSeg { data, zone }
     }
 
     /// The exact value at row `i` (reconstructed from the lane).
@@ -302,7 +294,6 @@ impl ColumnSeg {
 pub struct Segment {
     rows: usize,
     cols: Vec<ColumnSeg>,
-    wire_bytes: u64,
 }
 
 impl Segment {
@@ -311,11 +302,9 @@ impl Segment {
         let cols: Vec<ColumnSeg> = (0..schema.len())
             .map(|c| ColumnSeg::build(rows, c))
             .collect();
-        let wire_bytes = cols.iter().map(|c| c.wire_bytes).sum();
         Segment {
             rows: rows.len(),
             cols,
-            wire_bytes,
         }
     }
 
@@ -335,12 +324,6 @@ impl Segment {
         &self.cols
     }
 
-    /// Sum of row wire sizes (feeds `avg_row_wire_size` without
-    /// re-materializing rows).
-    pub fn wire_bytes(&self) -> u64 {
-        self.wire_bytes
-    }
-
     /// Reconstruct row `i` exactly as inserted.
     pub fn row(&self, i: usize) -> Row {
         Row::new(self.cols.iter().map(|c| c.value(i)).collect())
@@ -353,15 +336,15 @@ impl Segment {
         }
     }
 
-    /// Per-column zone maps (cloned — cheap, values are refcounted), for
-    /// optimizer statistics.
+    /// Per-column zone maps (cloned — cheap, values are refcounted): the
+    /// table copies them into its profile once, when the segment is sealed.
     pub fn zones(&self) -> Vec<ZoneMap> {
         self.cols.iter().map(|c| c.zone.clone()).collect()
     }
 }
 
 /// Zone-map profile of one sealed segment, exported to the optimizer via
-/// table statistics (so costing can estimate pruning without holding the
+/// the table profile (so costing can estimate pruning without holding the
 /// table lock at plan time).
 #[derive(Debug, Clone)]
 pub struct SegmentZones {

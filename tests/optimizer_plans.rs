@@ -29,7 +29,7 @@ fn fig11_ctx(net: NetworkSpec) -> OptContext {
             rows: 100.0,
             row_bytes: 2025.0,
             col_bytes: vec![25.0, 1000.0, 1000.0],
-            segments: Vec::new(),
+            segments: Default::default(),
         },
     );
     ctx.add_table(
@@ -43,7 +43,7 @@ fn fig11_ctx(net: NetworkSpec) -> OptContext {
             rows: 1000.0,
             row_bytes: 59.0,
             col_bytes: vec![25.0, 25.0, 9.0],
-            segments: Vec::new(),
+            segments: Default::default(),
         },
     );
     ctx
@@ -327,7 +327,7 @@ fn metrics_ctx(net: NetworkSpec, key_distinct: f64, dop: usize) -> OptContext {
             rows: 1000.0,
             row_bytes: 18.0,
             col_bytes: vec![9.0, 9.0],
-            segments: Vec::new(),
+            segments: Default::default(),
         },
     );
     ctx.set_col_distinct("Metrics", "k", key_distinct);
@@ -591,4 +591,55 @@ fn unsharded_context_never_scatters() {
     let explain = plan.root.explain(&g);
     assert!(!explain.contains("Scatter"), "{explain}");
     assert!(!explain.contains("Gather"), "{explain}");
+}
+
+// ---- plan-time statistics are live -----------------------------------------
+
+/// The optimizer's statistics come from each table's running profile, not
+/// from a memo: rows added through SQL *or* behind the database's back
+/// (through a held `Arc<Table>`, which bumps no plan epoch) show up in the
+/// very next EXPLAIN — estimated rows, sealed-segment count and tail rows.
+#[test]
+fn explain_statistics_follow_every_insert() {
+    use csq::prelude::*;
+    use csq_storage::Table;
+
+    let db = Database::new(NetworkSpec::lan());
+    let schema = Schema::new(vec![
+        Field::new("K", DataType::Int),
+        Field::new("V", DataType::Int),
+    ]);
+    let held = db
+        .catalog()
+        .register(Table::with_segment_rows("M", schema, 8).unwrap())
+        .unwrap();
+    let rows = |keys: std::ops::Range<i64>| -> Vec<Row> {
+        keys.map(|k| Row::new(vec![Value::Int(k), Value::Int(k * 2)]))
+            .collect()
+    };
+    let all = "SELECT M.K, M.V FROM M M";
+    let high = "SELECT M.K FROM M M WHERE M.K >= 100";
+
+    held.insert_all(rows(0..20)).unwrap();
+    let e = db.explain(all).unwrap();
+    assert!(e.contains("est. 20.0 rows"), "{e}");
+    assert!(e.contains("segments: 0 pruned / 2, 4 tail rows"), "{e}");
+
+    db.execute("INSERT INTO M VALUES (100, 1), (101, 2), (102, 3)")
+        .unwrap();
+    let e = db.explain(all).unwrap();
+    assert!(e.contains("est. 23.0 rows"), "{e}");
+    assert!(e.contains("segments: 0 pruned / 2, 7 tail rows"), "{e}");
+
+    held.insert_all(rows(103..108)).unwrap();
+    let e = db.explain(all).unwrap();
+    assert!(e.contains("est. 28.0 rows"), "{e}");
+    assert!(e.contains("segments: 0 pruned / 3, 4 tail rows"), "{e}");
+    let e = db.explain(high).unwrap();
+    assert!(e.contains("segments: 2 pruned / 3, 4 tail rows"), "{e}");
+
+    held.seal_tail();
+    let e = db.explain(high).unwrap();
+    assert!(e.contains("segments: 2 pruned / 4"), "{e}");
+    assert!(!e.contains("tail rows"), "{e}");
 }

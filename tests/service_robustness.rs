@@ -310,6 +310,46 @@ fn admission_bound_rejects_with_limit_error_and_recovers() {
     handle.shutdown();
 }
 
+/// Statistics are live, not memoized: every ad-hoc INSERT makes the pinned
+/// plan stale, the re-plan reads the table's current profile, and the
+/// prepared SELECT returns the rows inserted since — there is no cached
+/// statistics object whose invalidation could be forgotten.
+#[test]
+fn prepared_select_sees_rows_from_interleaved_adhoc_inserts() {
+    let db = demo_db(40);
+    let handle = start(&db, small_config());
+    let mut reader = ServiceConn::connect(handle.local_addr()).unwrap();
+    let mut writer = ServiceConn::connect(handle.local_addr()).unwrap();
+
+    let (stmt, _) = reader
+        .prepare("SELECT R.Id FROM R R WHERE R.Id >= 1000")
+        .unwrap();
+    assert!(reader.execute(stmt).unwrap().rows.is_empty());
+
+    for round in 1..=3usize {
+        let id = 1000 + round;
+        writer
+            .query(&format!("INSERT INTO R VALUES ({id}, 0, NULL)"))
+            .unwrap();
+        let stale_before = db.plan_cache_stats().stale_replans;
+        let got = reader.execute(stmt).unwrap();
+        assert!(
+            !got.plan_cache_hit,
+            "round {round}: an INSERT stales the plan"
+        );
+        assert_eq!(db.plan_cache_stats().stale_replans, stale_before + 1);
+        assert_eq!(got.rows.len(), round, "round {round}: new rows are visible");
+        let explain = db.explain("SELECT R.Id FROM R R").unwrap();
+        let est = format!("est. {}.0 rows", 40 + round);
+        assert!(explain.contains(&est), "round {round}: {explain}");
+    }
+    assert!(reader.execute(stmt).unwrap().plan_cache_hit);
+
+    reader.close();
+    writer.close();
+    handle.shutdown();
+}
+
 #[test]
 fn plan_cache_invalidated_on_udf_reregistration() {
     let db = demo_db(40);

@@ -13,6 +13,11 @@
 //!   batch) must produce the same row multisets as the unbudgeted in-memory
 //!   operators.
 //!
+//! * The table's running profile ([`Table::profile`], what
+//!   [`stats_from_table`] converts) must equal — bit for bit — the
+//!   statistics a walk over the row-vector snapshot produces, after every
+//!   insert, rejected batch and seal, and under a concurrent writer.
+//!
 //! Failing seeds persist under `proptest-regressions/` via the vendored
 //! proptest shim and replay on every `cargo test`.
 
@@ -20,11 +25,12 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use csq_common::{DataType, Field, Row, Schema, Value};
+use csq_common::{Blob, DataType, Field, Row, Schema, Value};
 use csq_exec::ops::{ColumnarScan, Filter, RowsOp};
 use csq_exec::{collect, AggSpec, HashAggregate, HashJoin, MemoryTracker};
 use csq_expr::{AggFunc, BinaryOp, PhysExpr};
-use csq_storage::{FilterSpec, Table};
+use csq_opt::context::{stats_from_table, TableStats};
+use csq_storage::{FilterSpec, Segment, Table};
 
 fn col(i: usize) -> PhysExpr {
     PhysExpr::Column(i)
@@ -140,6 +146,90 @@ fn assert_scan_equivalent(rows: &[Row], segment_rows: usize, pred: &PhysExpr) {
     }
 }
 
+/// `scan_schema` plus a BLOB column: the statistics differential wants
+/// variable-width values in more than one lane.
+fn profile_schema() -> Schema {
+    let mut fields = scan_schema().fields().to_vec();
+    fields.push(Field::new("q", DataType::Blob));
+    Schema::new(fields)
+}
+
+fn arb_profile_row() -> impl Strategy<Value = Row> {
+    let blob = prop_oneof![
+        (0usize..40).prop_map(|n| Value::Blob(Blob::synthetic(n, n as u64))),
+        (0usize..40).prop_map(|n| Value::Blob(Blob::synthetic(n, n as u64))),
+        Just(Value::Null),
+    ];
+    (arb_scan_row(), blob).prop_map(|(r, q)| r.with_value(q))
+}
+
+/// One mutation of the table under the statistics differential.
+#[derive(Debug, Clone)]
+enum ProfileStep {
+    Insert(Row),
+    InsertAll(Vec<Row>),
+    /// A batch whose row at the given position (modulo length) is replaced
+    /// by one the typecheck refuses; `insert_all` must reject all of it.
+    Rejected(Vec<Row>, usize, bool),
+    SealTail,
+}
+
+fn arb_profile_step() -> impl Strategy<Value = ProfileStep> {
+    let batch = || prop::collection::vec(arb_profile_row(), 1..20);
+    prop_oneof![
+        arb_profile_row().prop_map(ProfileStep::Insert),
+        arb_profile_row().prop_map(ProfileStep::Insert),
+        batch().prop_map(ProfileStep::InsertAll),
+        batch().prop_map(ProfileStep::InsertAll),
+        (batch(), 0usize..20, any::<bool>())
+            .prop_map(|(rows, at, short)| ProfileStep::Rejected(rows, at, short)),
+        Just(ProfileStep::SealTail),
+    ]
+}
+
+/// The statistics pass as it was before the table kept a profile: walk the
+/// row-vector snapshot and sum wire sizes value by value. Kept here as the
+/// oracle `stats_from_table` must equal exactly.
+fn stats_by_walking(rows: &[Row], width: usize) -> (f64, f64, Vec<f64>) {
+    let n = rows.len().max(1) as f64;
+    let mut col_bytes = vec![0.0; width];
+    let mut total = 0.0;
+    for r in rows {
+        for (i, v) in r.values().iter().enumerate() {
+            col_bytes[i] += v.wire_size() as f64;
+        }
+        total += r.wire_size() as f64;
+    }
+    for c in col_bytes.iter_mut() {
+        *c /= n;
+    }
+    (rows.len() as f64, total / n, col_bytes)
+}
+
+/// `stats` against the snapshot oracle, and its zone list against segments
+/// sealed afresh from the snapshot at the boundaries in `sealed_lens` (the
+/// test's own model of the sealing policy).
+fn assert_stats_match_oracle(table: &Table, stats: &TableStats, sealed_lens: &[usize]) {
+    let snapshot = table.snapshot();
+    let (rows, row_bytes, col_bytes) = stats_by_walking(&snapshot, table.schema().len());
+    assert_eq!(stats.rows, rows);
+    assert_eq!(stats.row_bytes, row_bytes);
+    assert_eq!(stats.col_bytes, col_bytes);
+
+    assert_eq!(table.segment_count(), sealed_lens.len());
+    assert_eq!(stats.segments.len(), sealed_lens.len());
+    let mut start = 0;
+    for (zones, &len) in stats.segments.iter().zip(sealed_lens) {
+        let resealed = Segment::seal(table.schema(), &snapshot[start..start + len]);
+        assert_eq!(zones.rows, len);
+        assert_eq!(
+            format!("{:?}", zones.zones),
+            format!("{:?}", resealed.zones())
+        );
+        start += len;
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -150,6 +240,62 @@ proptest! {
         conjuncts in prop::collection::vec(arb_conjunct(), 1..4),
     ) {
         assert_scan_equivalent(&rows, segment_rows, &and_chain(conjuncts));
+    }
+
+    #[test]
+    fn table_profile_matches_snapshot_oracle(
+        steps in prop::collection::vec(arb_profile_step(), 1..40),
+        segment_rows in prop_oneof![Just(1usize), Just(3), Just(7), Just(16)],
+    ) {
+        let table = Table::with_segment_rows("t", profile_schema(), segment_rows).unwrap();
+        let mut sealed_lens: Vec<usize> = Vec::new();
+        let mut tail = 0usize;
+        for step in steps {
+            let added = match step {
+                ProfileStep::Insert(row) => {
+                    table.insert(row).unwrap();
+                    1
+                }
+                ProfileStep::InsertAll(rows) => {
+                    let n = rows.len();
+                    table.insert_all(rows).unwrap();
+                    n
+                }
+                ProfileStep::Rejected(mut rows, at, short) => {
+                    let at = at % rows.len();
+                    rows[at] = if short {
+                        Row::new(vec![Value::Int(1)])
+                    } else {
+                        // STR in the INT column.
+                        let mut values = rows[at].values().to_vec();
+                        values[0] = Value::from("not an int");
+                        Row::new(values)
+                    };
+                    let before = stats_from_table(&table);
+                    prop_assert_eq!(table.insert_all(rows).unwrap_err().kind(), "type");
+                    let after = stats_from_table(&table);
+                    prop_assert_eq!(after.rows, before.rows);
+                    prop_assert_eq!(after.row_bytes, before.row_bytes);
+                    prop_assert_eq!(&after.col_bytes, &before.col_bytes);
+                    prop_assert!(Arc::ptr_eq(&after.segments, &before.segments));
+                    0
+                }
+                ProfileStep::SealTail => {
+                    table.seal_tail();
+                    if tail > 0 {
+                        sealed_lens.push(tail);
+                        tail = 0;
+                    }
+                    0
+                }
+            };
+            tail += added;
+            while tail >= segment_rows {
+                sealed_lens.push(segment_rows);
+                tail -= segment_rows;
+            }
+            assert_stats_match_oracle(&table, &stats_from_table(&table), &sealed_lens);
+        }
     }
 
     #[test]
@@ -269,6 +415,73 @@ mod pinned {
             let got = collect(&mut Filter::new(Box::new(scan), pred.clone())).unwrap();
             assert_eq!(got.len(), expect_rows);
         }
+    }
+
+    /// Statistics are read under one lock acquisition, so a reader racing a
+    /// writer never sees a zone list from one instant and a row count from
+    /// another (the pre-profile pass locked twice, and a seal in between
+    /// gave it more profiled rows than rows).
+    #[test]
+    fn statistics_read_is_never_torn_by_a_concurrent_inserter() {
+        const SEGMENT_ROWS: usize = 8;
+        const ROWS: usize = 20_000;
+        let schema = Schema::new(vec![
+            Field::new("a", DataType::Int),
+            Field::new("b", DataType::Int),
+        ]);
+        let table = Table::with_segment_rows("t", schema, SEGMENT_ROWS).unwrap();
+        let start = std::sync::Barrier::new(2);
+        let done = std::sync::atomic::AtomicBool::new(false);
+
+        let check = |s: &TableStats| {
+            let profiled: usize = s.segments.iter().map(|z| z.rows).sum();
+            let rows = s.rows as usize;
+            assert!(profiled <= rows, "{profiled} profiled rows of {rows}");
+            assert!(
+                rows - profiled < SEGMENT_ROWS,
+                "tail of {}",
+                rows - profiled
+            );
+            assert!(s.segments.iter().all(|z| z.rows == SEGMENT_ROWS));
+            // Every value is a 9-byte INT, so byte sums taken at the same
+            // instant as the row count average to exactly 9 per column.
+            if rows > 0 {
+                assert_eq!(s.col_bytes, vec![9.0, 9.0]);
+                assert_eq!(s.row_bytes, 18.0);
+            }
+            let col_total: f64 = s.col_bytes.iter().map(|c| (c * s.rows).round()).sum();
+            assert_eq!(col_total, (s.row_bytes * s.rows).round());
+        };
+
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for i in 0..ROWS as i64 {
+                    let row = Row::new(vec![Value::Int(i), Value::Int(-i)]);
+                    if i % 5 == 0 {
+                        table.insert_all(vec![row.clone(), row]).unwrap();
+                    } else {
+                        table.insert(row).unwrap();
+                    }
+                }
+                done.store(true, std::sync::atomic::Ordering::SeqCst);
+            });
+            start.wait();
+            while !done.load(std::sync::atomic::Ordering::SeqCst) {
+                check(&stats_from_table(&table));
+            }
+        });
+
+        let last = stats_from_table(&table);
+        check(&last);
+        assert_eq!(last.rows as usize, ROWS + ROWS / 5);
+        table.seal_tail();
+        let sealed = stats_from_table(&table);
+        let profiled: usize = sealed.segments.iter().map(|z| z.rows).sum();
+        assert_eq!(
+            profiled, sealed.rows as usize,
+            "seal_tail profiles every row"
+        );
     }
 
     /// The acceptance workload: an aggregation whose state exceeds a 64 MiB
