@@ -38,8 +38,29 @@ fn emit_text(name: &str, text: &str) {
     }
 }
 
+/// Every name `main` dispatches on; anything else is a usage error.
+const KNOWN: &[&str] = &[
+    "all",
+    "fig2",
+    "fig6",
+    "fig8",
+    "fig9",
+    "fig10",
+    "cost-validation",
+    "fig12",
+    "fig13",
+    "ablations",
+    "ablate-duplicates",
+    "ablate-receiver",
+    "ablate-asymmetry",
+];
+
 fn main() {
     let which: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(bad) = which.iter().find(|w| !KNOWN.contains(&w.as_str())) {
+        eprintln!("unknown figure `{bad}`; known: {}", KNOWN.join(" "));
+        std::process::exit(2);
+    }
     let want = |name: &str| which.is_empty() || which.iter().any(|w| w == name || w == "all");
 
     if want("fig2") {

@@ -21,42 +21,21 @@ pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
 /// A chunk of rows with a shared schema.
 ///
-/// Batches produced by well-behaved operators are never empty, and hold at
-/// most their construction capacity except where an operator's output
+/// A batch is a complete unit of work, built once from its rows. Batches
+/// produced by well-behaved operators are never empty and usually hold at
+/// most [`DEFAULT_BATCH_SIZE`] rows, except where an operator's output
 /// naturally exceeds it (join fan-out); consumers must not assume an exact
 /// size.
 #[derive(Debug, Clone)]
 pub struct RowBatch {
     schema: Arc<Schema>,
     rows: Vec<Row>,
-    capacity: usize,
 }
 
 impl RowBatch {
-    /// An empty batch with the default capacity.
-    pub fn new(schema: Arc<Schema>) -> RowBatch {
-        RowBatch::with_capacity(schema, DEFAULT_BATCH_SIZE)
-    }
-
-    /// An empty batch that preallocates for `capacity` rows.
-    pub fn with_capacity(schema: Arc<Schema>, capacity: usize) -> RowBatch {
-        RowBatch {
-            schema,
-            rows: Vec::with_capacity(capacity),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Wrap already-materialized rows (no copy). The batch is at capacity:
-    /// wrapped batches are complete units of work, not accumulators
-    /// (callers that want to keep pushing use [`RowBatch::with_capacity`]).
+    /// Wrap already-materialized rows (no copy).
     pub fn from_rows(schema: Arc<Schema>, rows: Vec<Row>) -> RowBatch {
-        let capacity = rows.len().max(1);
-        RowBatch {
-            schema,
-            rows,
-            capacity,
-        }
+        RowBatch { schema, rows }
     }
 
     /// The shared schema.
@@ -82,23 +61,6 @@ impl RowBatch {
         self.rows.is_empty()
     }
 
-    /// True when the batch reached its capacity.
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        self.rows.len() >= self.capacity
-    }
-
-    /// The target capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Append a row.
-    #[inline]
-    pub fn push(&mut self, row: Row) {
-        self.rows.push(row);
-    }
-
     /// Consume into the underlying rows.
     #[inline]
     pub fn into_rows(self) -> Vec<Row> {
@@ -122,11 +84,7 @@ impl RowBatch {
     /// deep-copies payloads).
     pub fn project(&self, indices: &[usize], schema: Arc<Schema>) -> RowBatch {
         let rows = self.rows.iter().map(|r| r.project(indices)).collect();
-        RowBatch {
-            schema,
-            rows,
-            capacity: self.capacity,
-        }
+        RowBatch { schema, rows }
     }
 
     /// Total wire size of all rows (sum of [`Row::wire_size`]).
@@ -204,22 +162,10 @@ mod tests {
     }
 
     #[test]
-    fn push_until_full() {
-        let mut b = RowBatch::with_capacity(schema(), 2);
-        assert!(b.is_empty() && !b.is_full());
-        b.push(Row::new(vec![Value::Int(1), Value::Int(10)]));
-        assert!(!b.is_full());
-        b.push(Row::new(vec![Value::Int(2), Value::Int(20)]));
-        assert!(b.is_full());
-        assert_eq!(b.len(), 2);
-    }
-
-    #[test]
     fn from_rows_wraps_without_copy() {
         let rows = vec![Row::new(vec![Value::Int(1), Value::Int(2)])];
         let b = RowBatch::from_rows(schema(), rows.clone());
         assert_eq!(b.rows(), &rows[..]);
-        assert!(b.is_full(), "wrapped batches are complete units");
         assert_eq!(b.into_rows(), rows);
     }
 
@@ -261,7 +207,9 @@ mod tests {
         // Within-limit batches come back whole; empty batches vanish.
         let b = RowBatch::from_rows(schema(), rows);
         assert_eq!(b.split_morsels(100).len(), 1);
-        assert!(RowBatch::new(schema()).split_morsels(4).is_empty());
+        assert!(RowBatch::from_rows(schema(), Vec::new())
+            .split_morsels(4)
+            .is_empty());
     }
 
     #[test]

@@ -732,14 +732,7 @@ impl Coordinator {
         let out_schema = agg.schema().clone();
         let mut out_rows = collect(&mut agg)?;
         if let Some(h) = &spec.having {
-            let pred = bind(h, &out_schema)?;
-            let mut kept = Vec::with_capacity(out_rows.len());
-            for r in out_rows {
-                if pred.eval_predicate(&r)? {
-                    kept.push(r);
-                }
-            }
-            out_rows = kept;
+            out_rows = crate::lower::keep_where(&bind(h, &out_schema)?, out_rows)?;
         }
         crate::lower::project_output(graph, &out_schema, out_rows)
     }

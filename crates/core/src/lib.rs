@@ -40,7 +40,7 @@ pub use coord::{CoordStats, Coordinator, CoordinatorConfig};
 pub use lower::SimSummary;
 pub use plancache::{PlanCache, PlanCacheStats, PlannedQuery};
 pub use result::QueryResult;
-pub use service::{ServiceConfig, ServiceConfigBuilder, ServiceHandle, ServiceStats};
+pub use service::{ServiceConfig, ServiceHandle, ServiceStats};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

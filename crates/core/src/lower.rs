@@ -167,19 +167,24 @@ fn apply_aggregate(
             ))
         }
     };
-    match &spec.having {
-        Some(h) => {
-            let pred = bind(h, &out_schema)?;
-            let mut kept = Vec::with_capacity(out_rows.len());
-            for r in out_rows {
-                if pred.eval_predicate(&r)? {
-                    kept.push(r);
-                }
-            }
-            Ok((out_schema, kept))
+    let out_rows = match &spec.having {
+        Some(h) => keep_where(&bind(h, &out_schema)?, out_rows)?,
+        None => out_rows,
+    };
+    Ok((out_schema, out_rows))
+}
+
+/// Keep, in order, the rows on which `pred` holds. Evaluates the general
+/// [`PhysExpr`] — this is the oracle for `csq_exec::Filter`'s compiled
+/// predicate paths, so it must not go through them.
+pub(crate) fn keep_where(pred: &PhysExpr, rows: Vec<Row>) -> Result<Vec<Row>> {
+    let mut kept = Vec::with_capacity(rows.len());
+    for r in rows {
+        if pred.eval_predicate(&r)? {
+            kept.push(r);
         }
-        None => Ok((out_schema, out_rows)),
     }
+    Ok(kept)
 }
 
 /// Build a scan leaf: a columnar [`ColumnarScan`] over the unit's table,
@@ -435,18 +440,11 @@ fn run_simulated(
             ..
         } => {
             let (schema, rows) = run_simulated(db, graph, input, summary)?;
-            match bind_preds(graph, preds, &schema)? {
-                Some(pred) => {
-                    let mut kept = Vec::with_capacity(rows.len());
-                    for r in rows {
-                        if pred.eval_predicate(&r)? {
-                            kept.push(r);
-                        }
-                    }
-                    Ok((schema, kept))
-                }
-                None => Ok((schema, rows)),
-            }
+            let rows = match bind_preds(graph, preds, &schema)? {
+                Some(pred) => keep_where(&pred, rows)?,
+                None => rows,
+            };
+            Ok((schema, rows))
         }
         PlanNode::ReturnToServer { input } => run_simulated(db, graph, input, summary),
         PlanNode::Scatter { .. } | PlanNode::Gather { .. } => Err(CsqError::Plan(

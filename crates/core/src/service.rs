@@ -126,17 +126,9 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Start building a config from the defaults; [`ServiceConfigBuilder::build`]
-    /// validates coherence before handing the config back.
-    pub fn builder() -> ServiceConfigBuilder {
-        ServiceConfigBuilder {
-            config: ServiceConfig::default(),
-        }
-    }
-
     /// Reject incoherent settings with a typed `config` error. Called by
-    /// [`start`]/[`start_on`] on every config (struct-literal ones too), so
-    /// a bad config fails at startup instead of misbehaving under load.
+    /// [`start`]/[`start_on`] on every config, so a bad config fails at
+    /// startup instead of misbehaving under load.
     pub fn validate(&self) -> Result<()> {
         let fail = |m: String| Err(CsqError::Config(m));
         if self.workers == 0 {
@@ -190,68 +182,6 @@ impl Default for ServiceConfig {
             chunk_rows: DEFAULT_BATCH_SIZE,
             shed_queue_depth: usize::MAX,
         }
-    }
-}
-
-/// Builder for [`ServiceConfig`] whose [`build`](Self::build) validates the
-/// result, so incoherent settings surface as a typed `config` error at
-/// construction rather than odd behavior at runtime.
-#[derive(Debug, Clone)]
-pub struct ServiceConfigBuilder {
-    config: ServiceConfig,
-}
-
-impl ServiceConfigBuilder {
-    /// Statement worker threads (execution concurrency; connections do not
-    /// pin workers — see [`ServiceConfig::workers`]).
-    pub fn workers(mut self, n: usize) -> Self {
-        self.config.workers = n;
-        self
-    }
-
-    /// Cap on concurrently admitted connections.
-    pub fn max_sessions(mut self, n: usize) -> Self {
-        self.config.max_sessions = n;
-        self
-    }
-
-    /// Slowloris stall budget for mid-frame reads.
-    pub fn idle_timeout(mut self, d: Duration) -> Self {
-        self.config.idle_timeout = d;
-        self
-    }
-
-    /// Per-frame payload cap for incoming requests.
-    pub fn max_frame(mut self, bytes: usize) -> Self {
-        self.config.max_frame = bytes;
-        self
-    }
-
-    /// Write stall budget for unresponsive result readers.
-    pub fn write_timeout(mut self, d: Duration) -> Self {
-        self.config.write_timeout = d;
-        self
-    }
-
-    /// Rows per streamed result chunk.
-    pub fn chunk_rows(mut self, n: usize) -> Self {
-        self.config.chunk_rows = n;
-        self
-    }
-
-    /// Load-shedding threshold (statements arriving while every worker is
-    /// busy and this many already wait get a survivable, retryable `limit`
-    /// error; `0` never queues).
-    pub fn shed_queue_depth(mut self, depth: usize) -> Self {
-        self.config.shed_queue_depth = depth;
-        self
-    }
-
-    /// Validate and produce the config (typed `config` error on
-    /// incoherent settings — see [`ServiceConfig::validate`]).
-    pub fn build(self) -> Result<ServiceConfig> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -1164,58 +1094,57 @@ fn answer_execution(
 mod config_tests {
     use super::*;
 
-    /// Every invalid builder the validation suite exercises; shared by the
+    /// Every invalid config the validation suite exercises; shared by the
     /// kind check and the message-hygiene check.
-    fn invalid_builders() -> Vec<ServiceConfigBuilder> {
+    fn invalid_configs() -> Vec<ServiceConfig> {
+        let d = ServiceConfig::default;
         vec![
-            ServiceConfig::builder().workers(0),
-            ServiceConfig::builder().max_sessions(0),
+            ServiceConfig { workers: 0, ..d() },
+            ServiceConfig {
+                max_sessions: 0,
+                ..d()
+            },
             // More workers than the session cap: extra workers are dead weight.
-            ServiceConfig::builder().workers(8).max_sessions(4),
+            ServiceConfig {
+                workers: 8,
+                max_sessions: 4,
+                ..d()
+            },
             // Shed threshold past the possible queue depth can never fire.
-            ServiceConfig::builder()
-                .shed_queue_depth(100)
-                .max_sessions(64),
-            ServiceConfig::builder().chunk_rows(0),
-            ServiceConfig::builder().max_frame(0),
-            ServiceConfig::builder().idle_timeout(Duration::ZERO),
-            ServiceConfig::builder().write_timeout(Duration::ZERO),
+            ServiceConfig {
+                shed_queue_depth: 100,
+                max_sessions: 64,
+                ..d()
+            },
+            ServiceConfig {
+                chunk_rows: 0,
+                ..d()
+            },
+            ServiceConfig {
+                max_frame: 0,
+                ..d()
+            },
+            ServiceConfig {
+                idle_timeout: Duration::ZERO,
+                ..d()
+            },
+            ServiceConfig {
+                write_timeout: Duration::ZERO,
+                ..d()
+            },
         ]
     }
 
     #[test]
     fn default_config_is_valid() {
         assert!(ServiceConfig::default().validate().is_ok());
-        let built = ServiceConfig::builder().build().unwrap();
-        assert_eq!(built.workers, ServiceConfig::default().workers);
-    }
-
-    #[test]
-    fn builder_roundtrips_settings() {
-        let c = ServiceConfig::builder()
-            .workers(2)
-            .max_sessions(8)
-            .shed_queue_depth(4)
-            .chunk_rows(128)
-            .max_frame(1 << 20)
-            .idle_timeout(Duration::from_millis(50))
-            .write_timeout(Duration::from_secs(5))
-            .build()
-            .unwrap();
-        assert_eq!(c.workers, 2);
-        assert_eq!(c.max_sessions, 8);
-        assert_eq!(c.shed_queue_depth, 4);
-        assert_eq!(c.chunk_rows, 128);
-        assert_eq!(c.max_frame, 1 << 20);
-        assert_eq!(c.idle_timeout, Duration::from_millis(50));
-        assert_eq!(c.write_timeout, Duration::from_secs(5));
     }
 
     #[test]
     fn incoherent_configs_rejected_with_config_kind() {
-        for b in invalid_builders() {
-            let err = b.clone().build().unwrap_err();
-            assert_eq!(err.kind(), "config", "builder {b:?} gave {err}");
+        for c in invalid_configs() {
+            let err = c.validate().unwrap_err();
+            assert_eq!(err.kind(), "config", "config {c:?} gave {err}");
         }
     }
 
@@ -1223,12 +1152,12 @@ mod config_tests {
     fn config_error_messages_contain_no_doubled_whitespace() {
         // Regression guard: a broken string continuation once shipped a
         // validation message with an 18-space run in the middle.
-        for b in invalid_builders() {
-            let err = b.clone().build().unwrap_err();
+        for c in invalid_configs() {
+            let err = c.validate().unwrap_err();
             let msg = err.message().to_string();
             assert!(
                 !msg.contains("  ") && !msg.contains('\n') && !msg.contains('\t'),
-                "config message for {b:?} has doubled/raw whitespace: {msg:?}"
+                "config message for {c:?} has doubled/raw whitespace: {msg:?}"
             );
         }
     }
@@ -1236,12 +1165,13 @@ mod config_tests {
     #[test]
     fn shed_sentinel_means_never_shed_and_stays_valid() {
         // usize::MAX is "shedding disabled", not a threshold above the cap.
-        assert!(ServiceConfig::builder()
-            .shed_queue_depth(usize::MAX)
-            .max_sessions(4)
-            .workers(2)
-            .build()
-            .is_ok());
+        let c = ServiceConfig {
+            shed_queue_depth: usize::MAX,
+            max_sessions: 4,
+            workers: 2,
+            ..ServiceConfig::default()
+        };
+        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -38,7 +38,7 @@ use std::sync::Arc;
 use csq_common::{CsqError, DataType, Field, Result, Row, RowBatch, Schema, Value};
 use csq_expr::{physical::eval_binary, AggFunc, BinaryOp, PhysExpr};
 
-use crate::ops::{batch_operator, compare_values, RowCarry};
+use crate::ops::{batch_operator, compare_values};
 use crate::spill::{MemoryTracker, SpillFile, ENTRY_OVERHEAD, SPILL_PARTITIONS};
 use crate::{BoxOp, Operator};
 
@@ -273,7 +273,6 @@ pub struct HashAggregate {
     mode: Mode,
     schema: Arc<Schema>,
     groups: Option<std::vec::IntoIter<Row>>,
-    carry: RowCarry,
     /// Byte budget shared with other operators; `None` = never spill.
     memory: Option<Arc<MemoryTracker>>,
     /// Approximate bytes currently registered with the tracker.
@@ -316,7 +315,6 @@ impl HashAggregate {
             mode: Mode::Single,
             schema,
             groups: None,
-            carry: RowCarry::default(),
             memory: None,
             tracked: 0,
             spilled: Vec::new(),
@@ -334,7 +332,6 @@ impl HashAggregate {
             mode: Mode::Partial,
             schema,
             groups: None,
-            carry: RowCarry::default(),
             memory: None,
             tracked: 0,
             spilled: Vec::new(),
@@ -376,7 +373,6 @@ impl HashAggregate {
             mode: Mode::Final,
             schema: Arc::new(Schema::new(fields)),
             groups: None,
-            carry: RowCarry::default(),
             memory: None,
             tracked: 0,
             spilled: Vec::new(),
@@ -641,6 +637,7 @@ batch_operator!(HashAggregate, hint: |s: &HashAggregate| {
 mod tests {
     use super::*;
     use crate::ops::{collect, RowsOp, Sort};
+    use csq_common::DEFAULT_BATCH_SIZE;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -812,14 +809,19 @@ mod tests {
 
     #[test]
     fn size_hint_reports_remaining_groups() {
+        // Two groups more than one output batch holds.
+        let groups = DEFAULT_BATCH_SIZE as i64 + 2;
+        let data = (0..groups)
+            .map(|k| Row::new(vec![Value::Int(k), Value::Int(1), Value::Null]))
+            .collect();
         let mut agg = HashAggregate::new(
-            Box::new(RowsOp::new(schema(), rows())),
+            Box::new(RowsOp::new(schema(), data)),
             vec![0],
             vec![AggSpec::new(AggFunc::Count, None, "cnt")],
         );
         assert_eq!(agg.size_hint(), None, "unknown before the build");
-        let first = agg.next().unwrap().unwrap();
-        assert_eq!(first.value(0), &Value::Int(1));
+        let first = agg.next_batch().unwrap().unwrap();
+        assert_eq!(first.len(), DEFAULT_BATCH_SIZE);
         assert_eq!(agg.size_hint(), Some(2));
     }
 

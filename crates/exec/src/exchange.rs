@@ -29,7 +29,7 @@ use csq_common::{CsqError, Result, Row, RowBatch, Schema};
 
 use crate::aggregate::{AggSpec, HashAggregate};
 use crate::join::HashJoin;
-use crate::ops::{batch_operator, collect, Distinct, Operator, RowCarry};
+use crate::ops::{batch_operator, collect, Distinct, Operator};
 use crate::parallel::ParallelOpts;
 use crate::pool::WorkerPool;
 use crate::BoxOp;
@@ -44,7 +44,6 @@ pub type PartitionBuilder = Box<dyn FnOnce(BoxOp) -> Result<BoxOp> + Send>;
 struct InboxOp {
     schema: Arc<Schema>,
     rx: Receiver<Vec<Row>>,
-    carry: RowCarry,
 }
 
 impl InboxOp {
@@ -73,7 +72,6 @@ pub struct Exchange {
     parts: usize,
     failed: bool,
     schema: Arc<Schema>,
-    carry: RowCarry,
     feeder: Option<JoinHandle<()>>,
     _pool: WorkerPool,
 }
@@ -113,11 +111,7 @@ impl Exchange {
             let out_tx = out_tx.clone();
             let done = done_parts.clone();
             pool.spawn(move || {
-                let inbox: BoxOp = Box::new(InboxOp {
-                    schema,
-                    rx,
-                    carry: RowCarry::default(),
-                });
+                let inbox: BoxOp = Box::new(InboxOp { schema, rx });
                 let mut op = match builder(inbox) {
                     Ok(op) => op,
                     Err(e) => {
@@ -200,7 +194,6 @@ impl Exchange {
             parts,
             failed: false,
             schema: out_schema,
-            carry: RowCarry::default(),
             feeder: Some(feeder),
             _pool: pool,
         }

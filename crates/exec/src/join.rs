@@ -17,7 +17,7 @@ use std::sync::Arc;
 use csq_common::{Result, Row, RowBatch, Schema, DEFAULT_BATCH_SIZE};
 use csq_expr::PhysExpr;
 
-use crate::ops::{batch_operator, collect, compare_on_keys, Operator, RowCarry};
+use crate::ops::{batch_operator, collect, compare_on_keys, Operator};
 use crate::spill::{
     partition_rows, MemoryTracker, SpillFile, SpillReader, ENTRY_OVERHEAD, SPILL_PARTITIONS,
 };
@@ -68,7 +68,6 @@ pub struct HashJoin {
     right_key: Vec<usize>,
     schema: Arc<Schema>,
     table: Option<HashMap<Row, Vec<Row>>>,
-    carry: RowCarry,
     /// Byte budget shared with other operators; `None` = never spill.
     memory: Option<Arc<MemoryTracker>>,
     /// Approximate bytes registered for the in-memory build table.
@@ -102,7 +101,6 @@ impl HashJoin {
             right_key,
             schema,
             table: None,
-            carry: RowCarry::default(),
             memory: None,
             tracked: 0,
             grace: None,
@@ -315,7 +313,6 @@ pub struct MergeJoin {
     r_next: Option<Row>,
     started: bool,
     pending: Vec<Row>,
-    carry: RowCarry,
 }
 
 impl MergeJoin {
@@ -339,7 +336,6 @@ impl MergeJoin {
             r_next: None,
             started: false,
             pending: Vec::new(),
-            carry: RowCarry::default(),
         }
     }
 
@@ -431,7 +427,6 @@ pub struct NestedLoopJoin {
     current_left: Option<Row>,
     right_pos: usize,
     started: bool,
-    carry: RowCarry,
 }
 
 impl NestedLoopJoin {
@@ -452,7 +447,6 @@ impl NestedLoopJoin {
             current_left: None,
             right_pos: 0,
             started: false,
-            carry: RowCarry::default(),
         }
     }
 

@@ -5,9 +5,9 @@
 //! [`Operator::next_batch`] — dynamic dispatch, predicate setup, and buffer
 //! allocation are paid once per ~1024 rows instead of once per row (the
 //! local-engine analogue of the paper's batching-beats-per-tuple thesis).
-//! [`Operator::next`] remains as a row-at-a-time compatibility adapter, so
-//! inherently row-oriented operators (the threaded shipping receivers in
-//! `csq-ship`) compose into the same plans. See DESIGN.md §2.
+//! `next_batch` is the only way to drive an operator; the threaded shipping
+//! receivers in `csq-ship` implement the same contract and compose into the
+//! same plans. See DESIGN.md §2.
 //!
 //! Serial operators provided here: scan, filter, project, sort, distinct,
 //! hash join, merge join, nested-loop join, limit, and in-memory row

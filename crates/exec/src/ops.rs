@@ -1,53 +1,29 @@
 //! Core operators: sources, filter, project, sort, distinct, limit.
 //!
-//! Since the vectorized-engine rework, every operator here is *batch
-//! native*: it implements [`Operator::next_batch`] by processing a whole
-//! [`RowBatch`] at a time (amortizing dynamic dispatch and allocation), and
-//! the row-at-a-time [`Operator::next`] is a thin compatibility adapter that
-//! hands out rows from an internal carry buffer. See DESIGN.md §2.
+//! Every operator here is *batch native*: [`Operator::next_batch`] — the
+//! only way to drive an operator — processes a whole [`RowBatch`] at a time,
+//! amortizing dynamic dispatch and allocation. See DESIGN.md §2.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
 
 use csq_common::{CsqError, Field, Result, Row, RowBatch, Schema, Value, DEFAULT_BATCH_SIZE};
 use csq_expr::{BinaryOp, PhysExpr};
-use csq_storage::{FilterSpec, ScanSource, ScanStats, Table, TableScan};
+use csq_storage::{FilterSpec, ScanStats, Table, TableScan};
 
-/// A pull operator. The engine-facing interface is [`Operator::next_batch`];
-/// `next` exists so row-at-a-time callers (and operators that are inherently
-/// row-oriented, like the threaded shipping receivers) keep working.
+/// A pull operator: [`Operator::next_batch`] is the one way to drive it.
 pub trait Operator {
     /// Output schema.
     fn schema(&self) -> &Schema;
 
-    /// Produce the next row, or `None` when exhausted.
-    fn next(&mut self) -> Result<Option<Row>>;
-
     /// Produce the next batch of rows, or `None` when exhausted. Returned
-    /// batches are never empty. The default adapter accumulates up to
-    /// [`DEFAULT_BATCH_SIZE`] rows via [`Operator::next`]; batch-native
-    /// operators override it.
-    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
-        let mut rows = Vec::new();
-        while rows.len() < DEFAULT_BATCH_SIZE {
-            match self.next()? {
-                Some(r) => rows.push(r),
-                None => break,
-            }
-        }
-        if rows.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(RowBatch::from_rows(
-            Arc::new(self.schema().clone()),
-            rows,
-        )))
-    }
+    /// batches are never empty.
+    fn next_batch(&mut self) -> Result<Option<RowBatch>>;
 
     /// An upper bound on the rows this operator still expects to produce,
     /// when cheaply known (exact for sources and count-preserving
-    /// operators). Used by [`collect`] and batch accumulators as a
-    /// capacity hint; `None` when nothing useful is known.
+    /// operators). Used by [`collect`] as a capacity hint; `None` when
+    /// nothing useful is known.
     fn size_hint(&self) -> Option<usize> {
         None
     }
@@ -93,13 +69,6 @@ impl Operator for CancelCheck {
         self.inner.schema()
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        if self.token.should_stop() {
-            self.token.check()?;
-        }
-        self.inner.next()
-    }
-
     fn next_batch(&mut self) -> Result<Option<RowBatch>> {
         self.token.check()?;
         self.inner.next_batch()
@@ -110,41 +79,9 @@ impl Operator for CancelCheck {
     }
 }
 
-/// Carry buffer behind the row-compat [`Operator::next`] of batch-native
-/// operators: holds the remainder of the last produced batch.
-#[derive(Default)]
-pub(crate) struct RowCarry {
-    rows: std::vec::IntoIter<Row>,
-}
-
-impl RowCarry {
-    pub(crate) fn pop(&mut self) -> Option<Row> {
-        self.rows.next()
-    }
-
-    pub(crate) fn refill(&mut self, batch: RowBatch) {
-        self.rows = batch.into_rows().into_iter();
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Hand the buffered remainder back out as a batch (used when a caller
-    /// mixes `next` and `next_batch`).
-    pub(crate) fn drain(&mut self, schema: &Arc<Schema>) -> Option<RowBatch> {
-        if self.rows.len() == 0 {
-            return None;
-        }
-        let rest: Vec<Row> = std::mem::take(&mut self.rows).collect();
-        Some(RowBatch::from_rows(schema.clone(), rest))
-    }
-}
-
-/// Implements [`Operator`] for a batch-native operator type with fields
-/// `schema: Arc<Schema>` and `carry: RowCarry` and an inherent method
-/// `fn produce(&mut self) -> Result<Option<RowBatch>>` that never returns
-/// an empty batch.
+/// Implements [`Operator`] for a type with a field `schema: Arc<Schema>`
+/// and an inherent method `fn produce(&mut self) -> Result<Option<RowBatch>>`
+/// that never returns an empty batch.
 macro_rules! batch_operator {
     ($ty:ty) => {
         batch_operator!($ty, hint: |_s: &$ty| None);
@@ -155,28 +92,13 @@ macro_rules! batch_operator {
                 &self.schema
             }
 
-            fn next(&mut self) -> Result<Option<Row>> {
-                loop {
-                    if let Some(r) = self.carry.pop() {
-                        return Ok(Some(r));
-                    }
-                    match self.produce()? {
-                        Some(b) => self.carry.refill(b),
-                        None => return Ok(None),
-                    }
-                }
-            }
-
             fn next_batch(&mut self) -> Result<Option<RowBatch>> {
-                if let Some(b) = self.carry.drain(&self.schema) {
-                    return Ok(Some(b));
-                }
                 self.produce()
             }
 
             fn size_hint(&self) -> Option<usize> {
                 #[allow(clippy::redundant_closure_call)]
-                ($hint)(self).map(|n: usize| n + self.carry.len())
+                ($hint)(self)
             }
         }
     };
@@ -191,20 +113,15 @@ pub(crate) use batch_operator;
 /// wholesale. The row-vector oracle this scan is differentially tested
 /// against is [`RowsOp`] over `Table::snapshot()`.
 pub struct ColumnarScan {
-    schema: Arc<Schema>,
     scan: TableScan,
-    carry: RowCarry,
 }
 
 impl ColumnarScan {
     /// Open a pruning scan over `table`, columns qualified with `alias`.
     pub fn new(table: &Arc<Table>, alias: &str, spec: Option<&FilterSpec>) -> Result<ColumnarScan> {
         let schema = Arc::new(table.schema().qualify(alias));
-        let scan = table.scan_as(schema.clone(), spec)?;
         Ok(ColumnarScan {
-            schema,
-            scan,
-            carry: RowCarry::default(),
+            scan: table.scan_as(schema, spec)?,
         })
     }
 
@@ -212,13 +129,21 @@ impl ColumnarScan {
     pub fn scan_stats(&self) -> ScanStats {
         self.scan.stats()
     }
-
-    fn produce(&mut self) -> Result<Option<RowBatch>> {
-        Ok(self.scan.next_batch())
-    }
 }
 
-batch_operator!(ColumnarScan, hint: |s: &ColumnarScan| Some(s.scan.remaining_rows()));
+impl Operator for ColumnarScan {
+    fn schema(&self) -> &Schema {
+        self.scan.schema()
+    }
+
+    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
+        Ok(self.scan.next_batch())
+    }
+
+    fn size_hint(&self) -> Option<usize> {
+        Some(self.scan.remaining_rows())
+    }
+}
 
 /// Move up to one batch worth of rows out of a materialized iterator.
 pub(crate) fn produce_chunk(
@@ -238,7 +163,6 @@ pub(crate) fn produce_chunk(
 pub struct RowsOp {
     schema: Arc<Schema>,
     rows: std::vec::IntoIter<Row>,
-    carry: RowCarry,
 }
 
 impl RowsOp {
@@ -247,7 +171,6 @@ impl RowsOp {
         RowsOp {
             schema: Arc::new(schema),
             rows: rows.into_iter(),
-            carry: RowCarry::default(),
         }
     }
 
@@ -371,7 +294,6 @@ pub struct Filter {
     predicate: PhysExpr,
     path: PredPath,
     schema: Arc<Schema>,
-    carry: RowCarry,
 }
 
 impl Filter {
@@ -384,7 +306,6 @@ impl Filter {
             predicate,
             path,
             schema,
-            carry: RowCarry::default(),
         }
     }
 
@@ -507,7 +428,6 @@ pub struct Project {
     exprs: Vec<PhysExpr>,
     path: ProjPath,
     schema: Arc<Schema>,
-    carry: RowCarry,
 }
 
 impl Project {
@@ -520,7 +440,6 @@ impl Project {
             exprs,
             path,
             schema: Arc::new(Schema::new(fields)),
-            carry: RowCarry::default(),
         }
     }
 
@@ -628,7 +547,6 @@ pub struct Sort {
     key: Vec<usize>,
     schema: Arc<Schema>,
     sorted: Option<std::vec::IntoIter<Row>>,
-    carry: RowCarry,
 }
 
 impl Sort {
@@ -640,7 +558,6 @@ impl Sort {
             key,
             schema,
             sorted: None,
-            carry: RowCarry::default(),
         }
     }
 
@@ -727,7 +644,6 @@ pub struct Distinct {
     key: Option<Vec<usize>>,
     seen: std::collections::HashSet<Row>,
     schema: Arc<Schema>,
-    carry: RowCarry,
 }
 
 impl Distinct {
@@ -739,7 +655,6 @@ impl Distinct {
             key: None,
             seen: Default::default(),
             schema,
-            carry: RowCarry::default(),
         }
     }
 
@@ -751,7 +666,6 @@ impl Distinct {
             key: Some(key),
             seen: Default::default(),
             schema,
-            carry: RowCarry::default(),
         }
     }
 
@@ -786,7 +700,6 @@ pub struct Limit {
     input: Box<dyn Operator + Send>,
     remaining: usize,
     schema: Arc<Schema>,
-    carry: RowCarry,
 }
 
 impl Limit {
@@ -797,7 +710,6 @@ impl Limit {
             input,
             remaining: n,
             schema,
-            carry: RowCarry::default(),
         }
     }
 
@@ -1049,22 +961,7 @@ mod tests {
         let mut l = Limit::new(Box::new(RowsOp::new(schema, rows)), 2);
         assert_eq!(l.size_hint(), Some(2));
         assert_eq!(collect(&mut l).unwrap().len(), 2);
-        assert!(l.next().unwrap().is_none());
-    }
-
-    #[test]
-    fn row_and_batch_pulls_can_interleave() {
-        let (schema, rows) = int_rows(&[(1, 1), (2, 2), (3, 3), (4, 4)]);
-        let mut op = RowsOp::new(schema, rows);
-        // One row via the compat adapter...
-        assert_eq!(op.next().unwrap().unwrap().value(0), &Value::Int(1));
-        // ...then the rest as a batch (drained from the carry + source).
-        let mut rest = Vec::new();
-        while let Some(b) = op.next_batch().unwrap() {
-            rest.extend(b.into_rows());
-        }
-        assert_eq!(rest.len(), 3);
-        assert_eq!(rest[0].value(0), &Value::Int(2));
+        assert!(l.next_batch().unwrap().is_none());
     }
 
     #[test]

@@ -30,12 +30,10 @@ use std::time::Duration;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use csq_common::{CancelToken, CsqError, Field, Result, Row, RowBatch, Schema, DEFAULT_BATCH_SIZE};
+use csq_common::{CancelToken, CsqError, Field, Result, RowBatch, Schema, DEFAULT_BATCH_SIZE};
 use csq_expr::PhysExpr;
 
-use crate::ops::{
-    batch_operator, filter_rows, project_rows, Operator, PredPath, ProjPath, RowCarry,
-};
+use crate::ops::{batch_operator, filter_rows, project_rows, Operator, PredPath, ProjPath};
 use crate::pool::WorkerPool;
 use crate::BoxOp;
 
@@ -482,7 +480,6 @@ pub struct ParallelPipeline {
     failed: bool,
     hint: Option<usize>,
     schema: Arc<Schema>,
-    carry: RowCarry,
     _pool: WorkerPool,
 }
 
@@ -538,7 +535,6 @@ impl ParallelPipeline {
             failed: false,
             hint,
             schema,
-            carry: RowCarry::default(),
             _pool: pool,
         })
     }
@@ -633,7 +629,7 @@ batch_operator!(ParallelPipeline, hint: |s: &ParallelPipeline| s.hint);
 mod tests {
     use super::*;
     use crate::ops::{collect, RowsOp};
-    use csq_common::{DataType, Value};
+    use csq_common::{DataType, Row, Value};
     use csq_expr::BinaryOp;
 
     fn schema() -> Schema {

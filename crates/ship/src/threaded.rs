@@ -14,7 +14,7 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
-use csq_common::{CsqError, Result, Row, RowBatch, Schema};
+use csq_common::{CsqError, Result, Row, RowBatch, Schema, DEFAULT_BATCH_SIZE};
 use csq_exec::{Operator, Sort, WorkerPool};
 use csq_net::{Endpoint, NetReceiver, NetSender};
 
@@ -172,7 +172,7 @@ impl<T> WireRelay<T> {
 /// The semi-join operator (Figure 3): sender thread + bounded buffer +
 /// receiver pulling matched rows.
 pub struct ThreadedSemiJoin {
-    schema: Schema,
+    schema: Arc<Schema>,
     buffer_rx: Receiver<Pending>,
     net_rx: NetReceiver,
     cache: ResultCache,
@@ -190,7 +190,7 @@ impl ThreadedSemiJoin {
         endpoint: Endpoint,
     ) -> Result<ThreadedSemiJoin> {
         let input_schema = input.schema().clone();
-        let schema = spec.output_schema(&input_schema);
+        let schema = Arc::new(spec.output_schema(&input_schema));
         let task = spec.client_task(&input_schema)?;
         let (net_tx, net_rx) = endpoint.split();
         let (buffer_tx, buffer_rx) = bounded(spec.concurrency);
@@ -243,6 +243,23 @@ impl ThreadedSemiJoin {
         }
     }
 
+    /// Pair one buffered record with its UDF result: the next row of the
+    /// response stream for a fresh argument, the cached one for a duplicate.
+    fn pair(&mut self, row: Row, key: Arc<Row>, fresh: bool) -> Result<Row> {
+        if fresh {
+            let result = self.next_result()?;
+            self.cache.insert(key.clone(), result);
+        }
+        let result = self.cache.get(key.as_ref()).ok_or_else(|| {
+            CsqError::Exec(
+                "semi-join receiver: missing cached result for duplicate \
+                 argument (sender/receiver protocol violation)"
+                    .into(),
+            )
+        })?;
+        Ok(row.join(result))
+    }
+
     fn join_sender(&mut self) {
         if let Some(h) = self.sender.take() {
             let _ = h.join();
@@ -255,42 +272,38 @@ impl Operator for ThreadedSemiJoin {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
+    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
         if self.failed {
             return Ok(None);
         }
-        match self.buffer_rx.recv() {
-            Err(_) => {
-                // Sender finished and the buffer drained.
-                self.join_sender();
-                Ok(None)
-            }
-            Ok(Pending::Err(e)) => {
-                self.failed = true;
-                self.join_sender();
-                Err(e)
-            }
-            Ok(Pending::Rec { row, key, fresh }) => {
-                if fresh {
-                    let result = match self.next_result() {
-                        Ok(r) => r,
-                        Err(e) => {
-                            self.failed = true;
-                            return Err(e);
-                        }
-                    };
-                    self.cache.insert(key.clone(), result);
+        let mut rows = Vec::new();
+        while rows.len() < DEFAULT_BATCH_SIZE {
+            let joined = match self.buffer_rx.recv() {
+                Err(_) => {
+                    // Sender finished and the buffer drained.
+                    self.join_sender();
+                    break;
                 }
-                let result = self.cache.get(key.as_ref()).cloned().ok_or_else(|| {
-                    CsqError::Exec(
-                        "semi-join receiver: missing cached result for duplicate \
-                         argument (sender/receiver protocol violation)"
-                            .into(),
-                    )
-                })?;
-                Ok(Some(row.join(&result)))
+                Ok(Pending::Err(e)) => {
+                    self.join_sender();
+                    Err(e)
+                }
+                Ok(Pending::Rec { row, key, fresh }) => self.pair(row, key, fresh),
+            };
+            match joined {
+                Ok(row) => rows.push(row),
+                Err(e) => {
+                    // Latch: the partial batch is discarded and every later
+                    // pull reports end of stream.
+                    self.failed = true;
+                    return Err(e);
+                }
             }
         }
+        if rows.is_empty() {
+            return Ok(None);
+        }
+        Ok(Some(RowBatch::from_rows(self.schema.clone(), rows)))
     }
 }
 
@@ -429,7 +442,6 @@ pub struct ThreadedClientJoin {
     schema: Arc<Schema>,
     tickets_rx: Receiver<Result<()>>,
     net_rx: NetReceiver,
-    current: VecDeque<Row>,
     sender: Option<JoinHandle<()>>,
     failed: bool,
 }
@@ -463,7 +475,6 @@ impl ThreadedClientJoin {
             schema,
             tickets_rx,
             net_rx,
-            current: VecDeque::new(),
             sender: Some(sender),
             failed: false,
         })
@@ -474,46 +485,17 @@ impl ThreadedClientJoin {
             let _ = h.join();
         }
     }
-}
 
-impl ThreadedClientJoin {
-    /// Pull the next returned-row chunk into `current`. `Ok(false)` means
-    /// the stream ended cleanly.
-    fn fill_current(&mut self) -> Result<bool> {
-        loop {
-            match self.tickets_rx.recv() {
-                Err(_) => {
-                    self.join_sender();
-                    return Ok(false);
-                }
-                Ok(Err(e)) => {
-                    self.failed = true;
-                    self.join_sender();
-                    return Err(e);
-                }
-                Ok(Ok(())) => {
-                    let Some(buf) = self.net_rx.recv() else {
-                        self.failed = true;
-                        return Err(CsqError::Net("client closed connection mid-query".into()));
-                    };
-                    // Zero-copy: payloads stay views of the message buffer.
-                    let buf = Arc::new(buf);
-                    match Response::decode_shared(&buf)? {
-                        Response::Batch(rows) => {
-                            if rows.is_empty() {
-                                // Fully filtered chunk; wait for the next.
-                                continue;
-                            }
-                            self.current.extend(rows);
-                            return Ok(true);
-                        }
-                        Response::Error(msg) => {
-                            self.failed = true;
-                            return Err(CsqError::Client(format!("client-site failure: {msg}")));
-                        }
-                    }
-                }
-            }
+    /// Receive and decode the response chunk a ticket announced.
+    fn recv_chunk(&mut self) -> Result<Vec<Row>> {
+        let Some(buf) = self.net_rx.recv() else {
+            return Err(CsqError::Net("client closed connection mid-query".into()));
+        };
+        // Zero-copy: payloads stay views of the message buffer.
+        let buf = Arc::new(buf);
+        match Response::decode_shared(&buf)? {
+            Response::Batch(rows) => Ok(rows),
+            Response::Error(msg) => Err(CsqError::Client(format!("client-site failure: {msg}"))),
         }
     }
 }
@@ -523,31 +505,35 @@ impl Operator for ThreadedClientJoin {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        if self.failed {
-            return Ok(None);
-        }
-        loop {
-            if let Some(row) = self.current.pop_front() {
-                return Ok(Some(row));
-            }
-            if !self.fill_current()? {
-                return Ok(None);
-            }
-        }
-    }
-
+    /// One decoded response chunk is one batch.
     fn next_batch(&mut self) -> Result<Option<RowBatch>> {
         if self.failed {
             return Ok(None);
         }
-        if self.current.is_empty() && !self.fill_current()? {
-            return Ok(None);
+        loop {
+            let chunk = match self.tickets_rx.recv() {
+                Err(_) => {
+                    self.join_sender();
+                    return Ok(None);
+                }
+                Ok(Err(e)) => {
+                    self.join_sender();
+                    Err(e)
+                }
+                Ok(Ok(())) => self.recv_chunk(),
+            };
+            match chunk {
+                // Fully filtered chunk; wait for the next.
+                Ok(rows) if rows.is_empty() => continue,
+                Ok(rows) => return Ok(Some(RowBatch::from_rows(self.schema.clone(), rows))),
+                Err(e) => {
+                    // Latch: a later pull must not take the next ticket and
+                    // hand out the rows after the failed chunk.
+                    self.failed = true;
+                    return Err(e);
+                }
+            }
         }
-        // Hand the whole buffered chunk out as one batch (the schema Arc
-        // is shared, not re-cloned per batch).
-        let rows: Vec<Row> = self.current.drain(..).collect();
-        Ok(Some(RowBatch::from_rows(self.schema.clone(), rows)))
     }
 }
 
@@ -619,7 +605,7 @@ fn client_join_sender(
 /// the "established approach" does), full latency exposed on every call.
 pub struct NaiveRemoteUdf {
     input: Box<dyn Operator + Send>,
-    schema: Schema,
+    schema: Arc<Schema>,
     arg_cols: Vec<usize>,
     net_tx: NetSender,
     net_rx: NetReceiver,
@@ -640,7 +626,7 @@ impl NaiveRemoteUdf {
     ) -> Result<NaiveRemoteUdf> {
         let spec = SemiJoinSpec::new(udfs, 1);
         let input_schema = input.schema().clone();
-        let schema = spec.output_schema(&input_schema);
+        let schema = Arc::new(spec.output_schema(&input_schema));
         let task = spec.client_task(&input_schema)?;
         let arg_cols = spec.arg_union(input_schema.len());
         let (net_tx, net_rx) = endpoint.split();
@@ -657,6 +643,29 @@ impl NaiveRemoteUdf {
             finished: false,
         })
     }
+
+    /// One blocking round trip for one argument tuple — the whole point of
+    /// §2.1's critique.
+    fn call(&mut self, key: &Row) -> Result<Row> {
+        self.net_tx
+            .send(Request::encode_batch(std::iter::once(key)))?;
+        let Some(buf) = self.net_rx.recv() else {
+            return Err(CsqError::Net("client closed connection".into()));
+        };
+        let buf = Arc::new(buf);
+        match Response::decode_shared(&buf)? {
+            Response::Batch(rows) => {
+                let n = rows.len();
+                match (rows.into_iter().next(), n) {
+                    (Some(result), 1) => Ok(result),
+                    _ => Err(CsqError::Exec(format!(
+                        "naive execution expected 1 result, got {n}"
+                    ))),
+                }
+            }
+            Response::Error(msg) => Err(CsqError::Client(format!("client-site failure: {msg}"))),
+        }
+    }
 }
 
 impl Operator for NaiveRemoteUdf {
@@ -664,7 +673,9 @@ impl Operator for NaiveRemoteUdf {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
+    /// Maps one input batch to one output batch, still paying one round
+    /// trip per (uncached) row inside it.
+    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
         if self.finished {
             return Ok(None);
         }
@@ -673,48 +684,26 @@ impl Operator for NaiveRemoteUdf {
                 .send(Request::Install(self.task.clone()).encode())?;
             self.installed = true;
         }
-        match self.input.next()? {
-            None => {
-                self.finished = true;
-                let _ = self.net_tx.send(Request::Finish.encode());
-                Ok(None)
+        let Some(batch) = self.input.next_batch()? else {
+            self.finished = true;
+            let _ = self.net_tx.send(Request::Finish.encode());
+            return Ok(None);
+        };
+        let mut out = Vec::with_capacity(batch.len());
+        for row in batch.into_rows() {
+            let key = row.project(&self.arg_cols);
+            // Only ever populated when `use_cache` is set.
+            if let Some(result) = self.cache.get(&key) {
+                out.push(row.join(result));
+                continue;
             }
-            Some(row) => {
-                let key = row.project(&self.arg_cols);
-                if self.use_cache {
-                    if let Some(result) = self.cache.get(&key) {
-                        return Ok(Some(row.join(result)));
-                    }
-                }
-                // Blocking round trip — the whole point of §2.1's critique.
-                self.net_tx
-                    .send(Request::encode_batch(std::iter::once(&key)))?;
-                let Some(buf) = self.net_rx.recv() else {
-                    return Err(CsqError::Net("client closed connection".into()));
-                };
-                let buf = Arc::new(buf);
-                let result = match Response::decode_shared(&buf)? {
-                    Response::Batch(mut rows) => {
-                        if rows.len() != 1 {
-                            return Err(CsqError::Exec(format!(
-                                "naive execution expected 1 result, got {}",
-                                rows.len()
-                            )));
-                        }
-                        rows.pop().ok_or_else(|| {
-                            CsqError::Exec("naive execution returned an empty batch".into())
-                        })?
-                    }
-                    Response::Error(msg) => {
-                        return Err(CsqError::Client(format!("client-site failure: {msg}")))
-                    }
-                };
-                if self.use_cache {
-                    self.cache.insert(key, result.clone());
-                }
-                Ok(Some(row.join(&result)))
+            let result = self.call(&key)?;
+            out.push(row.join(&result));
+            if self.use_cache {
+                self.cache.insert(key, result);
             }
         }
+        Ok(Some(RowBatch::from_rows(self.schema.clone(), out)))
     }
 }
 
@@ -1072,17 +1061,55 @@ mod tests {
 
     #[test]
     fn early_drop_of_receiver_shuts_pipeline_down() {
-        // LIMIT-style early termination: dropping the operator must not hang.
+        // LIMIT-style early termination: dropping the operator with most of
+        // its input still unsent must not hang.
         let (server, client, _) = in_memory_duplex();
         let handle = spawn_client(runtime(), client).unwrap();
-        let input = Box::new(RowsOp::new(input_schema(), rows(50, 50)));
+        let n = 3 * DEFAULT_BATCH_SIZE;
+        let input = Box::new(RowsOp::new(input_schema(), rows(n, n)));
         let mut op =
             ThreadedSemiJoin::new(input, SemiJoinSpec::new(vec![analyze_app()], 2), server)
                 .unwrap();
-        let first = op.next().unwrap().unwrap();
-        assert_eq!(first.value(0), &Value::Int(0));
+        let first = op.next_batch().unwrap().unwrap();
+        assert_eq!(first.len(), DEFAULT_BATCH_SIZE);
+        assert_eq!(first.rows()[0].value(0), &Value::Int(0));
         drop(op);
         let _ = handle.join().unwrap();
+    }
+
+    #[test]
+    fn client_join_latches_after_codec_error() {
+        // A hand-rolled client answers the first two record batches with a
+        // malformed frame and a well-formed one: the pull that decodes the
+        // garbage fails typed, and no later pull may take the next ticket
+        // and hand out the rows behind the corrupt chunk.
+        let (server, client, _) = in_memory_duplex();
+        let fake = std::thread::spawn(move || {
+            let mut batches = 0;
+            while let Some(buf) = client.recv() {
+                if !matches!(Request::decode(&buf), Ok(Request::Batch(_))) {
+                    continue;
+                }
+                batches += 1;
+                let reply = match batches {
+                    1 => vec![0xff, 0xff, 0xff],
+                    _ => Response::Batch(rows(1, 1)).encode(),
+                };
+                if client.send(reply).is_err() {
+                    break;
+                }
+            }
+        });
+        let mut spec = ClientJoinSpec::new(vec![analyze_app()]);
+        spec.batch_size = 4;
+        let input = Box::new(RowsOp::new(input_schema(), rows(12, 12)));
+        let mut op = ThreadedClientJoin::new(input, spec, server).unwrap();
+        assert_eq!(op.next_batch().unwrap_err().kind(), "codec");
+        for _ in 0..3 {
+            assert!(op.next_batch().unwrap().is_none());
+        }
+        drop(op);
+        fake.join().unwrap();
     }
 
     #[test]

@@ -23,7 +23,7 @@
 mod scan;
 mod segment;
 
-pub use scan::{CmpOp, ColPred, FilterSpec, ScanSource, ScanStats, TableScan};
+pub use scan::{CmpOp, ColPred, FilterSpec, ScanStats, TableScan};
 pub use segment::{ColumnSeg, NullBitmap, Segment, SegmentZones, ZoneMap, DEFAULT_SEGMENT_ROWS};
 
 use std::collections::HashMap;

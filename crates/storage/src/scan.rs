@@ -270,17 +270,6 @@ impl ScanStats {
     }
 }
 
-/// Anything that yields row batches with pruning statistics — the storage
-/// side of a scan leaf. [`TableScan`] is the canonical implementation.
-pub trait ScanSource: Send {
-    /// Output schema of the batches.
-    fn schema(&self) -> &Arc<Schema>;
-    /// Next batch, or `None` when exhausted.
-    fn next_batch(&mut self) -> Option<RowBatch>;
-    /// Pruning accounting (stable from construction).
-    fn stats(&self) -> ScanStats;
-}
-
 /// A snapshot scan over a table's sealed segments plus its unsealed tail.
 ///
 /// Construction captures the segment list and tail under the table lock
@@ -337,14 +326,14 @@ impl TableScan {
             .sum();
         seg_rows.saturating_sub(self.offset) + (self.tail.len() - self.tail_offset)
     }
-}
 
-impl ScanSource for TableScan {
-    fn schema(&self) -> &Arc<Schema> {
+    /// Output schema of the batches.
+    pub fn schema(&self) -> &Arc<Schema> {
         &self.schema
     }
 
-    fn next_batch(&mut self) -> Option<RowBatch> {
+    /// Next batch, or `None` when exhausted.
+    pub fn next_batch(&mut self) -> Option<RowBatch> {
         while self.seg < self.segments.len() {
             let seg = &self.segments[self.seg];
             if self.offset >= seg.len() {
@@ -367,7 +356,8 @@ impl ScanSource for TableScan {
         None
     }
 
-    fn stats(&self) -> ScanStats {
+    /// Pruning accounting (stable from construction).
+    pub fn stats(&self) -> ScanStats {
         self.stats
     }
 }

@@ -28,7 +28,5 @@ pub mod prelude {
     pub use csq_core::{ConnectionPool, QueryOptions, RetryPolicy, ServiceConn};
     pub use csq_core::{CoordStats, Coordinator, CoordinatorConfig};
     pub use csq_core::{CsqError, DataType, NetworkSpec, Result, Row, Schema, Value};
-    pub use csq_core::{
-        Database, QueryResult, ServiceConfig, ServiceConfigBuilder, ServiceHandle, ServiceStats,
-    };
+    pub use csq_core::{Database, QueryResult, ServiceConfig, ServiceHandle, ServiceStats};
 }
