@@ -188,14 +188,16 @@ pub(crate) fn keep_where(pred: &PhysExpr, rows: Vec<Row>) -> Result<Vec<Row>> {
 }
 
 /// Build a scan leaf: a columnar [`ColumnarScan`] over the unit's table,
-/// with the prunable prefix of `preds` compiled to a [`FilterSpec`] so zone
-/// maps can skip whole segments, wrapped in the per-leaf cancellation
-/// checkpoint.
+/// with the pushable prefix of `preds` compiled to a [`FilterSpec`] so the
+/// scan skips segments by zone map and decodes only rows the spec does not
+/// reject, wrapped in the per-leaf cancellation checkpoint. With `narrow`
+/// the scan decodes only the columns the plan reads from this unit.
 fn scan_leaf(
     db: &Database,
     graph: &QueryGraph,
     unit: usize,
-    preds: Option<(&[usize], &QueryGraph)>,
+    preds: Option<&[usize]>,
+    narrow: bool,
     token: &CancelToken,
 ) -> Result<Box<dyn Operator + Send>> {
     let Unit::Rel { alias, table, .. } = &graph.units[unit] else {
@@ -203,19 +205,33 @@ fn scan_leaf(
     };
     let t = db.catalog().get(table)?;
     let spec = match preds {
-        Some((ps, g)) => {
+        Some(ps) => {
             let schema = t.schema().qualify(alias);
-            bind_preds(g, ps, &schema)?.and_then(|p| FilterSpec::from_phys(&p))
+            bind_preds(graph, ps, &schema)?.and_then(|p| FilterSpec::from_phys(&p))
         }
         None => None,
+    };
+    let scan = if narrow {
+        // Everything above binds by name against its child's schema, and all
+        // of it is in the graph: the pre-aggregation output, every predicate
+        // (the filter above re-reads the pushed ones) and every UDF argument.
+        // A name the table lacks is left for that binding to report.
+        let mut cols: Vec<usize> = graph
+            .needed_columns(0, 0)
+            .iter()
+            .filter(|c| graph.owner_of(c) == Some(unit))
+            .filter_map(|c| t.schema().index_of(None, &c.name).ok())
+            .collect();
+        cols.sort_unstable();
+        cols.dedup();
+        ColumnarScan::with_columns(&t, alias, &cols, spec.as_ref())?
+    } else {
+        ColumnarScan::new(&t, alias, spec.as_ref())?
     };
     // The scan is where a long plan spends its pull loop, so the
     // cancellation checkpoint lives right above every leaf: each batch
     // boundary observes the token.
-    Ok(Box::new(CancelCheck::new(
-        Box::new(ColumnarScan::new(&t, alias, spec.as_ref())?),
-        token.clone(),
-    )))
+    Ok(Box::new(CancelCheck::new(Box::new(scan), token.clone())))
 }
 
 fn udf_application(graph: &QueryGraph, unit: usize, schema: &Schema) -> Result<UdfApplication> {
@@ -231,36 +247,40 @@ fn udf_application(graph: &QueryGraph, unit: usize, schema: &Schema) -> Result<U
 
 // ---- threaded backend ------------------------------------------------------
 
+/// `narrow` is true until the walk descends through an `ApplyUdf`: the
+/// client-site join ships its whole input record (and the simulated backend
+/// reads whole snapshots), so the scans feeding one keep every column.
 fn build_threaded(
     db: &Database,
     graph: &QueryGraph,
     node: &PlanNode,
+    narrow: bool,
     token: &CancelToken,
 ) -> Result<Box<dyn Operator + Send>> {
     match node {
-        PlanNode::Scan { unit } => scan_leaf(db, graph, *unit, None, token),
+        PlanNode::Scan { unit } => scan_leaf(db, graph, *unit, None, narrow, token),
         PlanNode::Join { left, right } => {
-            let l = build_threaded(db, graph, left, token)?;
-            let r = build_threaded(db, graph, right, token)?;
+            let l = build_threaded(db, graph, left, narrow, token)?;
+            let r = build_threaded(db, graph, right, narrow, token)?;
             Ok(Box::new(NestedLoopJoin::new(l, r, None)))
         }
         PlanNode::Filter { input, preds } => {
-            // A filter directly over a scan pushes its prunable prefix down
-            // as a FilterSpec: whole segments disproved by zone maps are
-            // skipped before any row is materialized. The full predicate is
-            // still applied above — the spec only rules segments out.
+            // A filter directly over a scan pushes its pushable prefix down
+            // as a FilterSpec: segments disproved by zone maps are skipped
+            // and rows the spec rejects are never materialized. The full
+            // predicate is still applied above — the spec only rules out.
             if let PlanNode::Scan { unit } = input.as_ref() {
-                let child = scan_leaf(db, graph, *unit, Some((preds, graph)), token)?;
+                let child = scan_leaf(db, graph, *unit, Some(preds), narrow, token)?;
                 let pred = bind_preds(graph, preds, child.schema())?
                     .ok_or_else(|| CsqError::Plan("empty filter".into()))?;
                 return Ok(Box::new(Filter::new(child, pred)));
             }
-            let child = build_threaded(db, graph, input, token)?;
+            let child = build_threaded(db, graph, input, narrow, token)?;
             let pred = bind_preds(graph, preds, child.schema())?
                 .ok_or_else(|| CsqError::Plan("empty filter".into()))?;
             Ok(Box::new(Filter::new(child, pred)))
         }
-        PlanNode::ReturnToServer { input } => build_threaded(db, graph, input, token),
+        PlanNode::ReturnToServer { input } => build_threaded(db, graph, input, narrow, token),
         // Scatter/gather belong to the coordinator (csq_core::coord), which
         // never lowers them — it generates per-shard SQL instead.
         PlanNode::Scatter { .. } | PlanNode::Gather { .. } => Err(CsqError::Plan(
@@ -269,7 +289,7 @@ fn build_threaded(
         PlanNode::Aggregate {
             input, placement, ..
         } => {
-            let child = build_threaded(db, graph, input, token)?;
+            let child = build_threaded(db, graph, input, narrow, token)?;
             let spec = graph
                 .aggregate
                 .as_ref()
@@ -310,9 +330,9 @@ fn build_threaded(
             let child = if let (PlanNode::Scan { unit }, false) =
                 (input.as_ref(), pushed_preds.is_empty())
             {
-                scan_leaf(db, graph, *unit, Some((pushed_preds, graph)), token)?
+                scan_leaf(db, graph, *unit, Some(pushed_preds), narrow, token)?
             } else {
-                build_threaded(db, graph, input, token)?
+                build_threaded(db, graph, input, narrow, token)?
             };
             match bind_preds(graph, pushed_preds, child.schema())? {
                 Some(pred) => Ok(Box::new(Filter::new(child, pred))),
@@ -324,7 +344,7 @@ fn build_threaded(
             unit,
             strategy,
         } => {
-            let child = build_threaded(db, graph, input, token)?;
+            let child = build_threaded(db, graph, input, false, token)?;
             let schema = child.schema().clone();
             let app = udf_application(graph, *unit, &schema)?;
             let (server_end, client_end, _stats) = in_memory_duplex();
@@ -395,7 +415,7 @@ pub fn execute_threaded_with(
     plan: &csq_opt::OptimizedPlan,
     token: &CancelToken,
 ) -> Result<QueryResult> {
-    let op = build_threaded(db, graph, &plan.root, token)?;
+    let op = build_threaded(db, graph, &plan.root, true, token)?;
     // A second checkpoint above the root catches plans whose leaves run
     // inside feeder threads (exchange, shipping operators).
     let mut op = CancelCheck::new(op, token.clone());
@@ -520,4 +540,81 @@ pub fn execute_simulated(
     summary.down_bytes += down.bytes_sent();
     summary.down_messages += 1;
     Ok((result, summary))
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use csq_client::synthetic::RatingUdf;
+    use csq_common::{Blob, DataType, Value};
+    use csq_net::NetworkSpec;
+    use csq_opt::UdfMeta;
+    use csq_storage::TableBuilder;
+
+    use super::*;
+
+    fn stock_db(net: NetworkSpec) -> Database {
+        let db = Database::new(net);
+        let mut b = TableBuilder::new("StockQuotes")
+            .column("Name", DataType::Str)
+            .column("Change", DataType::Float)
+            .column("Close", DataType::Float)
+            .column("Quotes", DataType::Blob)
+            .column("Report", DataType::Blob);
+        for i in 0..2_000u64 {
+            b = b.row(vec![
+                Value::from(format!("company{i}")),
+                Value::Float((i % 40) as f64),
+                Value::Float(100.0),
+                Value::Blob(Blob::synthetic(1_000, i % 500)),
+                Value::Blob(Blob::synthetic(200, 1_000 + i)),
+            ]);
+        }
+        db.catalog().register(b.build().unwrap()).unwrap();
+        db.register_udf(Arc::new(RatingUdf::new("ClientAnalysis", 1000)))
+            .unwrap();
+        db
+    }
+
+    /// Columns the lowered operator tree of `sql` produces (before the final
+    /// projection onto the SELECT list).
+    fn lowered_width(db: &Database, sql: &str) -> usize {
+        let (graph, plan) = db.optimize(sql).unwrap();
+        let op = build_threaded(db, &graph, &plan.root, true, &CancelToken::new()).unwrap();
+        op.schema().len()
+    }
+
+    /// A plain scan decodes only what the plan reads. A scan under an
+    /// `ApplyUdf` decodes everything, under either strategy: the client-site
+    /// join ships the record it is given, so narrowing it would change what
+    /// crosses the link (and what the paper's figures measure).
+    #[test]
+    fn scans_are_narrowed_except_under_an_apply_udf() {
+        let semi = stock_db(NetworkSpec::modem_28_8());
+        let join = stock_db(NetworkSpec::cable_asymmetric());
+        join.advertise_udf(
+            UdfMeta::client("ClientAnalysis", vec![DataType::Blob], DataType::Int)
+                .with_result_bytes(20_000.0)
+                .with_selectivity(0.01),
+        );
+        for (db, select, marker) in [
+            (&semi, "S.Name", "[semi-join"),
+            (&join, "S.Name, S.Quotes", "[client-site join"),
+        ] {
+            let udf_sql = format!(
+                "SELECT {select} FROM StockQuotes S \
+                 WHERE S.Change / S.Close > 0.2 AND ClientAnalysis(S.Quotes) > 500"
+            );
+            let plan = db.explain(&udf_sql).unwrap();
+            assert!(plan.contains(marker), "{plan}");
+            // All five columns plus the UDF result, though `Report` is unread.
+            assert_eq!(lowered_width(db, &udf_sql), 6, "{marker}");
+            assert_eq!(
+                lowered_width(db, "SELECT S.Name FROM StockQuotes S WHERE S.Close > 1"),
+                2
+            );
+            assert_eq!(lowered_width(db, "SELECT count(*) FROM StockQuotes S"), 1);
+        }
+    }
 }

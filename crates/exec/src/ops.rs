@@ -105,27 +105,44 @@ macro_rules! batch_operator {
 }
 pub(crate) use batch_operator;
 
-/// Batch-native scan over a table's columnar segments with zone-map pruning
-/// (DESIGN.md §11): the compiled [`FilterSpec`] — the pushable prefix of the
-/// filter above this scan — skips whole segments before any column data is
-/// touched. The filter operator above remains authoritative for row-level
-/// semantics; pruning only removes segments it would have rejected
-/// wholesale. The row-vector oracle this scan is differentially tested
+/// Batch-native scan over a table's columnar segments and insert tail with
+/// the filter's pushable prefix — a compiled [`FilterSpec`] — pushed into it
+/// (DESIGN.md §11): zone maps skip whole segments before any column data is
+/// touched, the surviving segments' typed lanes and the tail are tested row
+/// by row, and only rows the spec does not provably reject are decoded, and
+/// only the columns asked for. The filter operator above remains
+/// authoritative for row-level semantics: the scan removes nothing it would
+/// not have mapped to FALSE/UNKNOWN, and never a row it would have raised an
+/// error on. The row-vector oracle this scan is differentially tested
 /// against is [`RowsOp`] over `Table::snapshot()`.
 pub struct ColumnarScan {
     scan: TableScan,
 }
 
 impl ColumnarScan {
-    /// Open a pruning scan over `table`, columns qualified with `alias`.
+    /// Open a scan of every column of `table`, qualified with `alias`.
     pub fn new(table: &Arc<Table>, alias: &str, spec: Option<&FilterSpec>) -> Result<ColumnarScan> {
-        let schema = Arc::new(table.schema().qualify(alias));
         Ok(ColumnarScan {
-            scan: table.scan_as(schema, spec)?,
+            scan: table.scan_as(alias, None, spec)?,
         })
     }
 
-    /// Pruning accounting (segments pruned/scanned, tail rows).
+    /// Open a scan that decodes only the table ordinals `cols` (strictly
+    /// increasing; its schema is the table's projected onto them). `spec`
+    /// ordinals stay table ordinals and need not be among `cols`.
+    pub fn with_columns(
+        table: &Arc<Table>,
+        alias: &str,
+        cols: &[usize],
+        spec: Option<&FilterSpec>,
+    ) -> Result<ColumnarScan> {
+        Ok(ColumnarScan {
+            scan: table.scan_as(alias, Some(cols), spec)?,
+        })
+    }
+
+    /// Scan accounting: segments pruned/scanned, tail rows, rows filtered so
+    /// far.
     pub fn scan_stats(&self) -> ScanStats {
         self.scan.stats()
     }

@@ -4,10 +4,13 @@
 //! row-oriented tail buffer, and every [`Table::segment_rows`] rows the tail
 //! is sealed into an immutable [`Segment`] — typed column lanes with null
 //! bitmaps, dictionary-encoded strings, and per-column min/max [`ZoneMap`]s.
-//! Scans go through [`Table::scan`], which takes a compiled [`FilterSpec`]
-//! and prunes whole segments against the zone maps before touching any
-//! column data (DESIGN.md §11); [`ScanStats`] reports the
-//! pruned/scanned split for EXPLAIN.
+//! Scans go through [`Table::scan_as`], which takes a compiled [`FilterSpec`]
+//! and a column list: whole segments are pruned against the zone maps before
+//! any column data is touched, the spec is then evaluated on the surviving
+//! segments' lanes and on the tail, and only the rows it leaves — and only
+//! the listed columns — are decoded into rows (DESIGN.md §11);
+//! [`ScanStats`] reports the pruned/scanned split for EXPLAIN and the rows
+//! filtered.
 //!
 //! The legacy row-vector view survives as [`Table::snapshot`], which
 //! reconstructs the inserted rows exactly — it backs the simulated backend
@@ -64,7 +67,6 @@ struct TableInner {
 pub struct Table {
     name: String,
     schema: Schema,
-    shared_schema: Arc<Schema>,
     segment_rows: usize,
     inner: RwLock<TableInner>,
 }
@@ -107,12 +109,10 @@ impl Table {
                 )));
             }
         }
-        let shared_schema = Arc::new(schema.clone());
         let width = schema.len();
         Ok(Table {
             name,
             schema,
-            shared_schema,
             segment_rows,
             inner: RwLock::new(TableInner {
                 sealed: Vec::new(),
@@ -256,43 +256,58 @@ impl Table {
         let inner = self.inner.read();
         let mut out = Vec::with_capacity(inner.profile.rows);
         for seg in &inner.sealed {
-            seg.materialize_into(0..seg.len(), &mut out);
+            out.extend((0..seg.len()).map(|i| seg.row(i)));
         }
         out.extend(inner.tail.iter().cloned());
         out
     }
 
-    /// A pruning scan over the current segments: segments whose zone maps
-    /// disprove `spec` are skipped before any column data is touched. The
-    /// batches carry `schema` (the caller qualifies it with the scan alias);
-    /// its width must match the table's.
-    pub fn scan_as(&self, schema: Arc<Schema>, spec: Option<&FilterSpec>) -> Result<TableScan> {
-        if schema.len() != self.schema.len() {
-            return Err(CsqError::Exec(format!(
-                "table '{}': scan schema width {} != table width {}",
-                self.name,
-                schema.len(),
-                self.schema.len()
-            )));
+    /// A filtering scan over the current segments and tail, its columns
+    /// qualified with `alias`: segments whose zone maps disprove `spec` are
+    /// skipped before any column data is touched, and within the rest — and
+    /// the tail — only rows `spec` does not provably reject are decoded
+    /// (see the `scan` module docs for the rule). `cols` narrows the output
+    /// to those table ordinals (strictly increasing; `None` = every column);
+    /// `spec` ordinals are table ordinals either way.
+    ///
+    /// The tail is filtered *before* it is cloned, under the read lock: a
+    /// selective scan copies the few rows it keeps and holds the lock for
+    /// less than a whole-tail clone would.
+    pub fn scan_as(
+        &self,
+        alias: &str,
+        cols: Option<&[usize]>,
+        spec: Option<&FilterSpec>,
+    ) -> Result<TableScan> {
+        let width = self.schema.len();
+        if let Some(c) = cols {
+            if !c.windows(2).all(|w| w[0] < w[1]) || c.last().is_some_and(|&l| l >= width) {
+                return Err(CsqError::Exec(format!(
+                    "table '{}': scan columns {c:?} must be strictly increasing ordinals below {width}",
+                    self.name
+                )));
+            }
         }
-        let inner = self.inner.read();
+        let (sealed, tail, tail_rows) = {
+            let inner = self.inner.read();
+            (
+                inner.sealed.clone(),
+                scan::clone_tail(&inner.tail, cols, spec),
+                inner.tail.len(),
+            )
+        };
+        let (schema, cols) = match cols {
+            Some(c) => (self.schema.project(c), c.to_vec()),
+            None => (self.schema.clone(), (0..width).collect()),
+        };
         Ok(TableScan::new(
-            schema,
-            inner.sealed.clone(),
-            inner.tail.clone(),
+            Arc::new(schema.qualify(alias)),
+            cols,
+            sealed,
+            tail,
+            tail_rows,
             spec,
         ))
-    }
-
-    /// [`scan_as`](Self::scan_as) with the table's own (unqualified) schema.
-    pub fn scan(&self, spec: Option<&FilterSpec>) -> TableScan {
-        let inner = self.inner.read();
-        TableScan::new(
-            self.shared_schema.clone(),
-            inner.sealed.clone(),
-            inner.tail.clone(),
-            spec,
-        )
     }
 
     /// Evaluate `spec` against the current zone maps without scanning: the
@@ -307,6 +322,7 @@ impl Table {
             segments_total: inner.sealed.len(),
             segments_pruned: pruned,
             tail_rows: inner.tail.len(),
+            rows_filtered: 0,
         }
     }
 
@@ -318,12 +334,19 @@ impl Table {
     }
 }
 
-/// Convenience builder used by tests and workload generators.
+/// Convenience builder used by tests and workload generators. Declare the
+/// columns (and any segment size) first, then the rows: the table is created
+/// when the first segment's worth of rows has arrived and takes each further
+/// segment as it fills, so a bulk load stages one segment of rows, not the
+/// whole table beside its own sealed copy.
 pub struct TableBuilder {
     name: String,
     fields: Vec<Field>,
+    /// Rows not yet handed to `table`; fewer than `segment_rows`.
     rows: Vec<Row>,
     segment_rows: usize,
+    /// The table once rows have been flushed into it, or why that failed.
+    table: Option<Result<Table>>,
 }
 
 impl TableBuilder {
@@ -334,6 +357,7 @@ impl TableBuilder {
             fields: Vec::new(),
             rows: Vec::new(),
             segment_rows: DEFAULT_SEGMENT_ROWS,
+            table: None,
         }
     }
 
@@ -346,6 +370,9 @@ impl TableBuilder {
     /// Add a row of values.
     pub fn row(mut self, values: Vec<Value>) -> TableBuilder {
         self.rows.push(Row::new(values));
+        if self.rows.len() >= self.segment_rows {
+            self.flush();
+        }
         self
     }
 
@@ -356,11 +383,34 @@ impl TableBuilder {
         self
     }
 
+    /// Move the staged rows into the table, creating it first if need be;
+    /// the first error sticks.
+    fn flush(&mut self) {
+        let table = self.table.get_or_insert_with(|| {
+            Table::with_segment_rows(
+                self.name.clone(),
+                Schema::new(self.fields.clone()),
+                self.segment_rows,
+            )
+        });
+        if let Ok(t) = table {
+            if let Err(e) = t.insert_all(std::mem::take(&mut self.rows)) {
+                *table = Err(e);
+            }
+        }
+    }
+
     /// Build the table, inserting all rows.
-    pub fn build(self) -> Result<Table> {
-        let t = Table::with_segment_rows(self.name, Schema::new(self.fields), self.segment_rows)?;
-        t.insert_all(self.rows)?;
-        Ok(t)
+    pub fn build(mut self) -> Result<Table> {
+        self.flush();
+        let table = self.table.expect("flush creates the table")?;
+        if table.schema().len() != self.fields.len() {
+            return Err(CsqError::Catalog(format!(
+                "table '{}': columns must be declared before rows",
+                self.name
+            )));
+        }
+        Ok(table)
     }
 }
 
@@ -494,6 +544,27 @@ mod tests {
     }
 
     #[test]
+    fn builder_loads_segment_by_segment_and_reports_the_first_error() {
+        let ints = |n: i64| {
+            let b = TableBuilder::new("t")
+                .column("a", DataType::Int)
+                .segment_rows(4);
+            (0..n).fold(b, |b, i| b.row(vec![Value::Int(i)]))
+        };
+        let t = ints(10).build().unwrap();
+        assert_eq!((t.len(), t.segment_count()), (10, 2));
+        let expect: Vec<Row> = (0..10).map(|i| Row::new(vec![Value::Int(i)])).collect();
+        assert_eq!(t.snapshot(), expect);
+
+        // A bad row surfaces at build(), whichever flush carried it.
+        let bad = ints(6).row(vec![Value::from("x")]).row(vec![Value::Int(7)]);
+        assert_eq!(bad.build().unwrap_err().kind(), "type");
+        // So does a column declared after rows already reached the table.
+        let late = ints(4).column("b", DataType::Int);
+        assert_eq!(late.build().unwrap_err().kind(), "catalog");
+    }
+
+    #[test]
     fn profile_sums_wire_bytes_per_column() {
         let t = TableBuilder::new("t")
             .column("x", DataType::Blob)
@@ -581,6 +652,28 @@ mod tests {
         }
     }
 
+    /// Drain a full-width scan: its rows and its final accounting.
+    fn drain(t: &Table, spec: Option<&FilterSpec>) -> (Vec<Row>, ScanStats) {
+        drain_scan(t.scan_as("t", None, spec).unwrap())
+    }
+
+    fn drain_scan(mut scan: TableScan) -> (Vec<Row>, ScanStats) {
+        let mut rows = Vec::new();
+        while let Some(b) = scan.next_batch() {
+            assert!(!b.is_empty(), "batches are never empty");
+            rows.extend(b.into_rows());
+        }
+        (rows, scan.stats())
+    }
+
+    /// `rows` is an in-order subsequence of `of`; returns the omitted rows.
+    fn omitted<'a>(rows: &[Row], of: &'a [Row]) -> Vec<&'a Row> {
+        let mut kept = rows.iter().peekable();
+        let out: Vec<&Row> = of.iter().filter(|r| kept.next_if_eq(r).is_none()).collect();
+        assert!(kept.peek().is_none(), "scan rows are not a subsequence");
+        out
+    }
+
     #[test]
     fn inserts_seal_segments_and_snapshot_reconstructs() {
         let t = seg_table(20, 3);
@@ -605,14 +698,11 @@ mod tests {
         assert_eq!(stats.segments_total, 4);
         assert_eq!(stats.segments_pruned, 3);
         // The scan returns exactly the surviving segment's rows.
-        let mut scan = t.scan(Some(&spec));
-        let mut rows = Vec::new();
-        while let Some(b) = scan.next_batch() {
-            rows.extend(b.into_rows());
-        }
+        let (rows, stats) = drain(&t, Some(&spec));
         assert_eq!(rows.len(), 8);
         assert_eq!(rows[0].value(0), &Value::Int(24));
-        assert_eq!(scan.stats().segments_pruned, 3);
+        assert_eq!(stats.segments_pruned, 3);
+        assert_eq!(stats.rows_filtered, 0);
     }
 
     #[test]
@@ -620,21 +710,83 @@ mod tests {
         let t = seg_table(40, 3);
         t.seal_tail();
         let spec = pred(0, CmpOp::LtEq, Value::Int(10));
-        let mut scan = t.scan(Some(&spec));
-        let mut scanned = Vec::new();
-        while let Some(b) = scan.next_batch() {
-            scanned.extend(b.into_rows());
+        let (scanned, stats) = drain(&t, Some(&spec));
+        // The scan may over-deliver (it drops only what it can prove) but
+        // never under-delivers or reorders: what it omits fails the pred.
+        let snapshot = t.snapshot();
+        for r in omitted(&scanned, &snapshot) {
+            assert!(matches!(r.value(0), Value::Int(v) if *v > 10), "lost {r:?}");
         }
-        // The scan may over-deliver (pruning is conservative) but never
-        // under-deliver: every oracle row satisfying the pred must be there.
-        let oracle: Vec<Row> = t
-            .snapshot()
-            .into_iter()
-            .filter(|r| matches!(r.value(0), Value::Int(v) if *v <= 10))
-            .collect();
-        for r in &oracle {
-            assert!(scanned.iter().any(|s| s == r), "missing row {r:?}");
+        // Segments 16.. are pruned; 8..16 is not, and rows 11..16 are
+        // filtered out of it lane-side.
+        assert_eq!(stats.segments_pruned, 3);
+        assert_eq!(stats.rows_filtered, 5);
+        assert_eq!(scanned.len(), 11);
+    }
+
+    #[test]
+    fn unprunable_segments_are_filtered_on_the_lanes() {
+        // The svc_scan shape: a value column that is a bijection of the row
+        // ordinal reduced mod 100, so every segment spans 0..100 and no zone
+        // map prunes, while exactly 10 % of the rows pass `val > 89`.
+        const ROWS: usize = 40_000;
+        let t = Table::new(
+            "T",
+            Schema::new(vec![
+                Field::new("id", DataType::Int),
+                Field::new("sym", DataType::Str),
+                Field::new("val", DataType::Int),
+            ]),
+        )
+        .unwrap();
+        // 7919 is coprime to 40 000: i -> i * 7919 mod ROWS is a bijection.
+        t.insert_all(
+            (0..ROWS)
+                .map(|i| {
+                    Row::new(vec![
+                        Value::Int(i as i64),
+                        Value::from(format!("S{}", i % 13)),
+                        Value::Int(((i * 7919) % ROWS % 100) as i64),
+                    ])
+                })
+                .collect(),
+        )
+        .unwrap();
+        assert!(t.segment_count() > 0 && t.len() > t.segment_count() * DEFAULT_SEGMENT_ROWS);
+        let spec = pred(2, CmpOp::Gt, Value::Int(89));
+        let (rows, stats) = drain(&t, Some(&spec));
+        assert_eq!(stats.segments_pruned, 0);
+        assert_eq!(rows.len(), 4_000);
+        assert_eq!(stats.rows_filtered, 36_000);
+        assert!(rows
+            .iter()
+            .all(|r| matches!(r.value(2), Value::Int(v) if *v > 89)));
+
+        // Narrowed to `id`: same rows, one column, spec column not decoded.
+        let scan = t.scan_as("T", Some(&[0]), Some(&spec)).unwrap();
+        assert_eq!(scan.schema().len(), 1);
+        let (ids, _) = drain_scan(scan);
+        let expect: Vec<Row> = rows.iter().map(|r| r.project(&[0])).collect();
+        assert_eq!(ids, expect);
+    }
+
+    #[test]
+    fn scan_columns_must_be_increasing_table_ordinals() {
+        let t = seg_table(4, 0);
+        for bad in [&[1, 0][..], &[0, 0], &[2]] {
+            assert_eq!(
+                t.scan_as("t", Some(bad), None).err().unwrap().kind(),
+                "exec"
+            );
         }
+        let scan = t.scan_as("t", Some(&[]), None).unwrap();
+        assert!(scan.schema().is_empty());
+        let (rows, _) = drain_scan(scan);
+        assert_eq!(
+            rows,
+            vec![Row::new(vec![]); 4],
+            "zero-width rows still count"
+        );
     }
 
     #[test]
@@ -703,19 +855,61 @@ mod tests {
     }
 
     #[test]
+    fn int_lanes_narrow_to_the_segment_range_and_stay_exact() {
+        // One segment per range; each holds its two extremes, a NULL and 0.
+        let ranges = [
+            (i64::from(i8::MIN), i64::from(i8::MAX), 1),
+            (i64::from(i8::MIN) - 1, 0, 2),
+            (0, i64::from(i16::MAX) + 1, 4),
+            (i64::from(i32::MIN), i64::from(i32::MAX), 4),
+            (i64::from(i32::MIN) - 1, 0, 8),
+            (i64::MIN, i64::MAX, 8),
+        ];
+        let t = Table::with_segment_rows("w", Schema::new(vec![Field::new("a", DataType::Int)]), 4)
+            .unwrap();
+        for (lo, hi, _) in ranges {
+            for v in [Value::Int(lo), Value::Null, Value::Int(hi), Value::Int(0)] {
+                t.insert(Row::new(vec![v])).unwrap();
+            }
+        }
+        {
+            let inner = t.inner.read();
+            for (seg, (lo, hi, width)) in inner.sealed.iter().zip(ranges) {
+                assert_eq!(seg.columns()[0].int_width(), Some(width), "{lo}..={hi}");
+            }
+        }
+        // Reconstruction and the lane filter are exact at every width.
+        let snapshot = t.snapshot();
+        assert_eq!(snapshot[0].value(0), &Value::Int(-128));
+        assert_eq!(snapshot[22].value(0), &Value::Int(i64::MAX));
+        for lit in [-129, -1, 0, 127, 32_768, i64::from(i32::MAX), i64::MAX - 1] {
+            let (rows, _) = drain(&t, Some(&pred(0, CmpOp::Gt, Value::Int(lit))));
+            let expect: Vec<Row> = snapshot
+                .iter()
+                .filter(|r| matches!(r.value(0), Value::Int(v) if *v > lit))
+                .cloned()
+                .collect();
+            assert_eq!(rows, expect, "a > {lit}");
+        }
+    }
+
+    #[test]
     fn tail_is_always_scanned() {
         let t = seg_table(10, 0); // 8 sealed + 2 tail
         assert_eq!(t.segment_count(), 1);
-        let spec = pred(0, CmpOp::Gt, Value::Int(100));
-        let mut scan = t.scan(Some(&spec));
-        let stats = scan.stats();
+        // No zone map covers the tail, so it is never pruned — it is examined
+        // row by row, and only the rows the spec does not reject are cloned.
+        let (rows, stats) = drain(&t, Some(&pred(0, CmpOp::Gt, Value::Int(100))));
         assert_eq!(stats.segments_pruned, 1);
         assert_eq!(stats.tail_rows, 2);
-        let mut rows = Vec::new();
-        while let Some(b) = scan.next_batch() {
-            rows.extend(b.into_rows());
-        }
-        assert_eq!(rows.len(), 2, "tail rows survive; the filter decides");
+        assert_eq!(stats.rows_filtered, 2);
+        assert!(rows.is_empty());
+        let (rows, stats) = drain(&t, Some(&pred(0, CmpOp::Gt, Value::Int(8))));
+        assert_eq!((stats.tail_rows, stats.rows_filtered), (2, 1));
+        assert_eq!(rows, vec![Row::new(vec![Value::Int(9), Value::Int(0)])]);
+        // A comparison that raises keeps the row for the filter to raise on.
+        let (rows, stats) = drain(&t, Some(&pred(0, CmpOp::Gt, Value::from("x"))));
+        assert_eq!((rows.len(), stats.rows_filtered), (10, 0));
     }
 
     #[test]

@@ -1,14 +1,18 @@
-//! Compiled filter specs, zone-map pruning, and the segment scan.
+//! Compiled filter specs, zone-map pruning, and the late-materializing
+//! segment scan.
 //!
 //! A [`FilterSpec`] is the storage-facing compilation of a WHERE clause: the
 //! longest prefix of the predicate's AND-conjunction whose conjuncts are
 //! `column <cmp> literal`. The scan evaluates the spec against each sealed
 //! segment's [`ZoneMap`]s and skips segments that provably contribute no
-//! rows — *before* touching any column data. Pruning never replaces the
-//! filter operator above the scan; it only removes segments the filter would
-//! have rejected wholesale, so the engine's predicate semantics (three-valued
-//! logic, left-to-right short-circuit, typed comparison errors) remain
-//! authoritative.
+//! rows — *before* touching any column data — and then against the typed
+//! lanes of the segments that remain (and, row by row, against the unsealed
+//! tail before it is cloned), so that a [`Row`] is only ever built for a row
+//! the spec does not provably reject, and only from the columns the scan was
+//! asked for. The scan never replaces the filter operator above it; it
+//! removes segments *and rows* the filter provably rejects, so the engine's
+//! predicate semantics (three-valued logic, left-to-right short-circuit,
+//! typed comparison errors) remain authoritative.
 //!
 //! ## Why pruning is conservative about errors
 //!
@@ -26,13 +30,29 @@
 //!   literal, or a range disproof over a column that also has NULLs), the
 //!   spec covers the *entire* predicate, and *no* conjunct can error in this
 //!   segment — every row then evaluates to FALSE or UNKNOWN and is filtered.
+//!
+//! ## The same rule, one row at a time
+//!
+//! Within an unpruned segment the conjuncts are walked in order up to the
+//! first one the zone maps cannot prove error-free *for this segment*; only
+//! that prefix is evaluated on the lanes. A row is dropped when a prefix
+//! conjunct is definitely FALSE — the filter would short-circuit there,
+//! having met no error on the way — and, when the prefix is the whole of a
+//! `complete` spec, also when it comes out UNKNOWN. Under an incomplete spec,
+//! or past an opaque conjunct, an UNKNOWN row still has conjuncts to meet
+//! that may raise, so it is kept. A dropped row is therefore always one the
+//! filter maps to `Ok(false)`, never to `Err`, and the first row the filter
+//! raises on is the same row with or without the scan's help. The tail has
+//! no zone maps, so there each comparison is simply made, and one that
+//! raises keeps the row.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use csq_common::{Row, RowBatch, Schema, Value, DEFAULT_BATCH_SIZE};
 use csq_expr::{BinaryOp, PhysExpr};
 
-use crate::segment::{Segment, ZoneMap};
+use crate::segment::{LaneTest, Segment, ZoneMap};
 
 /// Comparison operator in a pushed-down conjunct.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,6 +89,19 @@ impl CmpOp {
             CmpOp::GtEq => CmpOp::LtEq,
         }
     }
+
+    /// Whether `column <op> literal` holds when the column value orders as
+    /// `o` against the literal.
+    pub(crate) fn accepts(self, o: Ordering) -> bool {
+        match self {
+            CmpOp::Eq => o == Ordering::Equal,
+            CmpOp::NotEq => o != Ordering::Equal,
+            CmpOp::Lt => o == Ordering::Less,
+            CmpOp::LtEq => o != Ordering::Greater,
+            CmpOp::Gt => o == Ordering::Greater,
+            CmpOp::GtEq => o != Ordering::Less,
+        }
+    }
 }
 
 /// One pushed conjunct: `column <op> literal` with the column resolved to
@@ -90,7 +123,7 @@ pub struct FilterSpec {
     pub preds: Vec<ColPred>,
     /// True when the conjuncts cover the *whole* predicate (nothing beyond
     /// them is evaluated by the filter). Required for the
-    /// disproof-with-unknowns pruning rule.
+    /// disproof-with-unknowns pruning rule and for dropping UNKNOWN rows.
     pub complete: bool,
 }
 
@@ -131,7 +164,7 @@ fn classify(zone: &ZoneMap, pred: &ColPred) -> PredClass {
         (Ok(Some(a)), Ok(Some(b))) => (a, b),
         _ => return PredClass::Opaque,
     };
-    use std::cmp::Ordering::*;
+    use Ordering::*;
     let disproved = match pred.op {
         // lit < min or lit > max.
         CmpOp::Eq => cmin == Greater || cmax == Less,
@@ -184,26 +217,32 @@ impl FilterSpec {
     /// *and* skipping it cannot change observable behavior (see module docs
     /// for the error-conservatism argument).
     pub fn prunes(&self, seg: &Segment) -> bool {
-        let cols = seg.columns();
-        self.prunes_by(|c| cols.get(c).map(|col| col.zone()))
+        self.disproved(&self.classes(seg))
     }
 
     /// Zone-only variant of [`prunes`](Self::prunes) for optimizer
     /// statistics, which carry [`SegmentZones`](crate::SegmentZones) profiles instead of live
     /// segments.
     pub fn prunes_zones(&self, zones: &crate::SegmentZones) -> bool {
-        self.prunes_by(|c| zones.zones.get(c))
+        self.disproved(&self.classes_by(|c| zones.zones.get(c)))
     }
 
-    fn prunes_by<'a>(&self, zone_of: impl Fn(usize) -> Option<&'a ZoneMap>) -> bool {
-        let classes: Vec<PredClass> = self
-            .preds
+    fn classes(&self, seg: &Segment) -> Vec<PredClass> {
+        let cols = seg.columns();
+        self.classes_by(|c| cols.get(c).map(|col| col.zone()))
+    }
+
+    fn classes_by<'a>(&self, zone_of: impl Fn(usize) -> Option<&'a ZoneMap>) -> Vec<PredClass> {
+        self.preds
             .iter()
             .map(|p| match zone_of(p.col) {
                 Some(z) => classify(z, p),
                 None => PredClass::Opaque,
             })
-            .collect();
+            .collect()
+    }
+
+    fn disproved(&self, classes: &[PredClass]) -> bool {
         for (i, class) in classes.iter().enumerate() {
             match class {
                 PredClass::Opaque => return false,
@@ -219,6 +258,41 @@ impl FilterSpec {
         }
         false
     }
+
+    /// The row rule on one row (the unsealed tail has no zone maps to prove a
+    /// conjunct error-free, so each comparison is simply made): true when the
+    /// filter above is certain to map `row` to `Ok(false)` — a definite FALSE
+    /// reached before any error, or no FALSE and no error but an UNKNOWN
+    /// under a `complete` spec. A comparison that errors keeps the row, so
+    /// the filter raises it.
+    fn rejects(&self, row: &Row) -> bool {
+        let mut unknown = false;
+        for p in &self.preds {
+            match row.values().get(p.col).map(|v| v.sql_cmp(&p.lit)) {
+                Some(Ok(Some(o))) if !p.op.accepts(o) => return true,
+                Some(Ok(Some(_))) => {}
+                Some(Ok(None)) => unknown = true,
+                Some(Err(_)) | None => return false,
+            }
+        }
+        unknown && self.complete
+    }
+}
+
+/// Clone out of `tail` the rows `spec` does not [reject](FilterSpec::rejects),
+/// projected onto `cols` when given.
+pub(crate) fn clone_tail(
+    tail: &[Row],
+    cols: Option<&[usize]>,
+    spec: Option<&FilterSpec>,
+) -> Vec<Row> {
+    tail.iter()
+        .filter(|r| !spec.is_some_and(|s| s.rejects(r)))
+        .map(|r| match cols {
+            Some(c) => r.project(c),
+            None => r.clone(),
+        })
+        .collect()
 }
 
 fn flatten_and<'a>(e: &'a PhysExpr, out: &mut Vec<&'a PhysExpr>) {
@@ -251,16 +325,21 @@ fn as_col_pred(e: &PhysExpr) -> Option<ColPred> {
     }
 }
 
-/// Pruning accounting for one scan (also computable at plan time for
-/// EXPLAIN, without touching column data).
+/// Pruning and filtering accounting for one scan (the segment and tail
+/// counts are also computable at plan time for EXPLAIN, without touching
+/// column data).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Sealed segments in the table at scan start.
     pub segments_total: usize,
     /// Segments skipped via zone maps.
     pub segments_pruned: usize,
-    /// Rows in the unsealed tail (always scanned; no zone maps yet).
+    /// Rows in the unsealed tail (always examined; no zone maps yet).
     pub tail_rows: usize,
+    /// Rows examined so far — in unpruned segments or the tail — and not
+    /// emitted because the pushed conjuncts reject them. A running count:
+    /// the tail's share is known at open, a segment's once it is scanned.
+    pub rows_filtered: usize,
 }
 
 impl ScanStats {
@@ -270,50 +349,99 @@ impl ScanStats {
     }
 }
 
+/// One unpruned segment with the spec's error-free prefix compiled against
+/// its lanes.
+struct SegScan {
+    seg: Arc<Segment>,
+    /// `(column, test)` for each conjunct before the first the zone maps
+    /// cannot prove error-free in this segment, in evaluation order.
+    tests: Vec<(usize, LaneTest)>,
+    /// False when the tests are the whole of a `complete` spec: only then is
+    /// a row whose conjuncts come out UNKNOWN certain to be filtered.
+    keep_unknown: bool,
+}
+
+impl SegScan {
+    /// `None` when the zone maps prune the segment.
+    fn plan(seg: Arc<Segment>, spec: Option<&FilterSpec>) -> Option<SegScan> {
+        let (mut tests, mut keep_unknown) = (Vec::new(), true);
+        if let Some(spec) = spec {
+            let classes = spec.classes(&seg);
+            if spec.disproved(&classes) {
+                return None;
+            }
+            let clean = classes
+                .iter()
+                .position(|c| *c == PredClass::Opaque)
+                .unwrap_or(classes.len());
+            tests.extend(
+                spec.preds[..clean]
+                    .iter()
+                    .map(|p| (p.col, seg.columns()[p.col].lane_test(p))),
+            );
+            keep_unknown = !(spec.complete && clean == spec.preds.len());
+        }
+        Some(SegScan {
+            seg,
+            tests,
+            keep_unknown,
+        })
+    }
+}
+
 /// A snapshot scan over a table's sealed segments plus its unsealed tail.
 ///
-/// Construction captures the segment list and tail under the table lock
-/// (consistent snapshot) and evaluates the filter spec against each
-/// segment's zone maps; iteration then materializes only surviving segments,
-/// in batches of at most [`DEFAULT_BATCH_SIZE`] rows.
+/// [`Table::scan_as`](crate::Table::scan_as) captures the segment list and
+/// the surviving tail rows under the table lock (consistent snapshot);
+/// construction evaluates the filter spec against each segment's zone maps,
+/// and iteration evaluates it against the lanes of each surviving segment,
+/// one window of at most [`DEFAULT_BATCH_SIZE`] rows at a time, decoding
+/// only the selected rows and only the scan's columns. A window with no
+/// survivor produces no batch.
 pub struct TableScan {
     schema: Arc<Schema>,
-    segments: Vec<Arc<Segment>>,
-    tail: Vec<Row>,
+    /// Table ordinals decoded into each row, in output order.
+    cols: Vec<usize>,
+    segments: Vec<SegScan>,
+    tail: std::vec::IntoIter<Row>,
     stats: ScanStats,
     seg: usize,
     offset: usize,
-    tail_offset: usize,
+    /// Scratch selection vector: segment row ordinals of the current window.
+    sel: Vec<usize>,
 }
 
 impl TableScan {
+    /// `tail` holds the `tail_rows` examined tail rows that survived
+    /// [`clone_tail`] under the same `spec` and `cols`.
     pub(crate) fn new(
         schema: Arc<Schema>,
-        all_segments: Vec<Arc<Segment>>,
+        cols: Vec<usize>,
+        sealed: Vec<Arc<Segment>>,
         tail: Vec<Row>,
+        tail_rows: usize,
         spec: Option<&FilterSpec>,
     ) -> TableScan {
-        let total = all_segments.len();
-        let segments: Vec<Arc<Segment>> = match spec {
-            Some(s) => all_segments
-                .into_iter()
-                .filter(|seg| !s.prunes(seg))
-                .collect(),
-            None => all_segments,
-        };
+        let total = sealed.len();
+        let segments: Vec<SegScan> = sealed
+            .into_iter()
+            .filter_map(|seg| SegScan::plan(seg, spec))
+            .collect();
         let stats = ScanStats {
             segments_total: total,
             segments_pruned: total - segments.len(),
-            tail_rows: tail.len(),
+            tail_rows,
+            rows_filtered: tail_rows - tail.len(),
         };
         TableScan {
             schema,
+            cols,
             segments,
-            tail,
+            tail: tail.into_iter(),
             stats,
             seg: 0,
             offset: 0,
-            tail_offset: 0,
+            sel: Vec::new(),
         }
     }
 
@@ -322,9 +450,9 @@ impl TableScan {
     pub fn remaining_rows(&self) -> usize {
         let seg_rows: usize = self.segments[self.seg.min(self.segments.len())..]
             .iter()
-            .map(|s| s.len())
+            .map(|s| s.seg.len())
             .sum();
-        seg_rows.saturating_sub(self.offset) + (self.tail.len() - self.tail_offset)
+        seg_rows.saturating_sub(self.offset) + self.tail.len()
     }
 
     /// Output schema of the batches.
@@ -334,29 +462,34 @@ impl TableScan {
 
     /// Next batch, or `None` when exhausted.
     pub fn next_batch(&mut self) -> Option<RowBatch> {
-        while self.seg < self.segments.len() {
-            let seg = &self.segments[self.seg];
-            if self.offset >= seg.len() {
+        while let Some(s) = self.segments.get(self.seg) {
+            if self.offset >= s.seg.len() {
                 self.seg += 1;
                 self.offset = 0;
                 continue;
             }
-            let end = (self.offset + DEFAULT_BATCH_SIZE).min(seg.len());
-            let mut rows = Vec::with_capacity(end - self.offset);
-            seg.materialize_into(self.offset..end, &mut rows);
-            self.offset = end;
+            let window = self.offset..(self.offset + DEFAULT_BATCH_SIZE).min(s.seg.len());
+            self.offset = window.end;
+            self.sel.clear();
+            self.sel.extend(window.clone());
+            for (col, test) in &s.tests {
+                s.seg.columns()[*col].retain(test, s.keep_unknown, &mut self.sel);
+            }
+            self.stats.rows_filtered += window.len() - self.sel.len();
+            if self.sel.is_empty() {
+                continue;
+            }
+            let rows = s.seg.materialize(&self.cols, &self.sel);
             return Some(RowBatch::from_rows(self.schema.clone(), rows));
         }
-        if self.tail_offset < self.tail.len() {
-            let end = (self.tail_offset + DEFAULT_BATCH_SIZE).min(self.tail.len());
-            let rows = self.tail[self.tail_offset..end].to_vec();
-            self.tail_offset = end;
-            return Some(RowBatch::from_rows(self.schema.clone(), rows));
+        if self.tail.len() == 0 {
+            return None;
         }
-        None
+        let rows: Vec<Row> = self.tail.by_ref().take(DEFAULT_BATCH_SIZE).collect();
+        Some(RowBatch::from_rows(self.schema.clone(), rows))
     }
 
-    /// Pruning accounting (stable from construction).
+    /// Pruning accounting, and the rows filtered so far.
     pub fn stats(&self) -> ScanStats {
         self.stats
     }

@@ -5,10 +5,13 @@
 //! accumulate in the table's row-oriented tail; once the tail reaches the
 //! table's segment size it is *sealed* into a segment: each column is
 //! classified into the narrowest lane that represents its non-null values
-//! exactly (`i64`, `f64`, `bool`, a string dictionary, or a fallback lane of
+//! exactly (integers at the narrowest of 1/2/4/8 bytes that holds the
+//! segment's range, `f64`, `bool`, a string dictionary, or a fallback lane of
 //! raw [`Value`]s), nulls move into a per-column bitmap, and a [`ZoneMap`]
 //! records the min/max over non-null values so scans can skip the whole
-//! segment when a filter disproves it (see the `scan` module).
+//! segment when a filter disproves it (see the `scan` module). A pushed
+//! conjunct the zone map cannot disprove is tested on the lane itself
+//! ([`ColumnSeg::retain`]), so only the rows it leaves are ever decoded.
 //!
 //! Sealing is lossless by construction: `Segment::row` reconstructs exactly
 //! the values that were inserted (an `INT 7` stored in a FLOAT column comes
@@ -18,6 +21,8 @@
 use std::cmp::Ordering;
 
 use csq_common::{Row, Schema, Str, Value};
+
+use crate::scan::{CmpOp, ColPred};
 
 /// Default number of rows per sealed segment.
 pub const DEFAULT_SEGMENT_ROWS: usize = 4096;
@@ -129,12 +134,63 @@ impl ZoneMap {
     }
 }
 
+/// Evaluate `$body` with `$v` bound to the lane's vector, whatever its width:
+/// the width is matched once, outside any loop in `$body`.
+macro_rules! each_width {
+    ($lane:expr, $v:ident => $body:expr) => {
+        match $lane {
+            IntLane::I8($v) => $body,
+            IntLane::I16($v) => $body,
+            IntLane::I32($v) => $body,
+            IntLane::I64($v) => $body,
+        }
+    };
+}
+
+/// Widen a lane element of any width.
+#[inline]
+fn wide(v: impl Into<i64>) -> i64 {
+    v.into()
+}
+
+/// INT values at the narrowest width that holds every value of the segment:
+/// a key column costs four bytes a row instead of eight, a small code one.
+#[derive(Debug)]
+enum IntLane {
+    I8(Vec<i8>),
+    I16(Vec<i16>),
+    I32(Vec<i32>),
+    I64(Vec<i64>),
+}
+
+impl IntLane {
+    fn pack(values: Vec<i64>) -> IntLane {
+        fn narrow<T: TryFrom<i64>>(values: &[i64]) -> Option<Vec<T>> {
+            values.iter().map(|&v| T::try_from(v).ok()).collect()
+        }
+        if let Some(v) = narrow(&values) {
+            IntLane::I8(v)
+        } else if let Some(v) = narrow(&values) {
+            IntLane::I16(v)
+        } else if let Some(v) = narrow(&values) {
+            IntLane::I32(v)
+        } else {
+            IntLane::I64(values)
+        }
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> i64 {
+        each_width!(self, v => wide(v[i]))
+    }
+}
+
 /// Column storage lane: the narrowest representation that keeps the
 /// original values reconstructible bit-for-bit.
 #[derive(Debug)]
 enum ColData {
     /// All non-null values are INT.
-    Int { values: Vec<i64>, nulls: NullBitmap },
+    Int { values: IntLane, nulls: NullBitmap },
     /// All non-null values are FLOAT.
     Float { values: Vec<f64>, nulls: NullBitmap },
     /// All non-null values are BOOL.
@@ -187,7 +243,10 @@ impl ColumnSeg {
                     }
                 }
             }
-            ColData::Int { values, nulls }
+            ColData::Int {
+                values: IntLane::pack(values),
+                nulls,
+            }
         } else if non_null == floats && floats > 0 {
             let mut values = Vec::with_capacity(n);
             let mut nulls = NullBitmap::new(n);
@@ -245,7 +304,7 @@ impl ColumnSeg {
                 if nulls.get(i) {
                     Value::Null
                 } else {
-                    Value::Int(values[i])
+                    Value::Int(values.get(i))
                 }
             }
             ColData::Float { values, nulls } => {
@@ -283,9 +342,115 @@ impl ColumnSeg {
         }
     }
 
+    /// Bytes per value, when this is an INT lane (the narrowest of 1, 2, 4
+    /// and 8 that holds the segment's values).
+    pub fn int_width(&self) -> Option<usize> {
+        match &self.data {
+            ColData::Int { values, .. } => Some(match values {
+                IntLane::I8(_) => 1,
+                IntLane::I16(_) => 2,
+                IntLane::I32(_) => 4,
+                IntLane::I64(_) => 8,
+            }),
+            _ => None,
+        }
+    }
+
     /// NULL rows in this column.
     pub fn null_count(&self) -> usize {
         self.zone.null_count
+    }
+}
+
+/// One pushed conjunct compiled against one sealed column: the literal
+/// resolved to the lane's own type (for a dictionary lane, to one verdict per
+/// dictionary entry), so [`ColumnSeg::retain`] tests raw lane values without
+/// building a [`Value`] per row.
+#[derive(Debug)]
+pub(crate) struct LaneTest {
+    op: CmpOp,
+    lit: LaneLit,
+}
+
+#[derive(Debug)]
+enum LaneLit {
+    Int(i64),
+    Float(f64),
+    Bool(bool),
+    /// `accept[code]` for a dictionary lane, the literal compared once per
+    /// entry.
+    Dict(Vec<bool>),
+    /// A NULL literal: UNKNOWN on every row.
+    Null,
+    /// Compared row by row through [`Value::sql_cmp`].
+    Value(Value),
+}
+
+impl ColumnSeg {
+    /// Compile `pred` (whose column this is) for [`retain`](Self::retain).
+    pub(crate) fn lane_test(&self, pred: &ColPred) -> LaneTest {
+        let lit = match (&self.data, &pred.lit) {
+            (_, Value::Null) => LaneLit::Null,
+            (ColData::StrDict { dict, .. }, Value::Str(s)) => {
+                LaneLit::Dict(dict.iter().map(|d| pred.op.accepts(d.cmp(s))).collect())
+            }
+            (ColData::Values(_), v) => LaneLit::Value(v.clone()),
+            // Mixed INT/FLOAT comparisons widen to f64, as `sql_cmp` does.
+            (ColData::Float { .. }, Value::Int(i)) => LaneLit::Float(*i as f64),
+            (_, Value::Int(i)) => LaneLit::Int(*i),
+            (_, Value::Float(f)) => LaneLit::Float(*f),
+            (_, Value::Bool(b)) => LaneLit::Bool(*b),
+            (_, v) => LaneLit::Value(v.clone()),
+        };
+        LaneTest { op: pred.op, lit }
+    }
+
+    /// Drop from `sel` (row ordinals of this segment) every row on which the
+    /// conjunct is definitely FALSE, and — unless `keep_unknown` — every row
+    /// on which it is UNKNOWN (a NULL value or literal, a NaN ordering). The
+    /// caller only compiles conjuncts the zone map proved error-free for this
+    /// segment, so the lane and the literal are always comparable; a pairing
+    /// that is not leaves `sel` alone.
+    pub(crate) fn retain(&self, test: &LaneTest, keep_unknown: bool, sel: &mut Vec<usize>) {
+        let op = test.op;
+        let tri = |ord: Option<Ordering>| ord.map_or(keep_unknown, |o| op.accepts(o));
+        // A typed lane: NULL rows are UNKNOWN, row `i` of the rest orders as
+        // `cmp(i)`.
+        fn lane(
+            sel: &mut Vec<usize>,
+            nulls: &NullBitmap,
+            tri: impl Fn(Option<Ordering>) -> bool,
+            cmp: impl Fn(usize) -> Option<Ordering>,
+        ) {
+            sel.retain(|&i| tri((!nulls.get(i)).then(|| cmp(i)).flatten()))
+        }
+        match (&self.data, &test.lit) {
+            (_, LaneLit::Null) => sel.retain(|_| keep_unknown),
+            (ColData::Int { values, nulls }, LaneLit::Int(b)) => each_width!(values, v => {
+                lane(sel, nulls, tri, |i| Some(wide(v[i]).cmp(b)))
+            }),
+            (ColData::Int { values, nulls }, LaneLit::Float(b)) => each_width!(values, v => {
+                lane(sel, nulls, tri, |i| (wide(v[i]) as f64).partial_cmp(b))
+            }),
+            (ColData::Float { values, nulls }, LaneLit::Float(b)) => {
+                lane(sel, nulls, tri, |i| values[i].partial_cmp(b))
+            }
+            (ColData::Bool { values, nulls }, LaneLit::Bool(b)) => {
+                lane(sel, nulls, tri, |i| Some(values[i].cmp(b)))
+            }
+            (ColData::StrDict { codes, .. }, LaneLit::Dict(accept)) => {
+                sel.retain(|&i| match codes[i] {
+                    u32::MAX => keep_unknown,
+                    c => accept[c as usize],
+                })
+            }
+            // An `Err` cannot happen on a conjunct proved error-free; keeping
+            // the row leaves it to the filter.
+            (ColData::Values(values), LaneLit::Value(lit)) => {
+                sel.retain(|&i| values[i].sql_cmp(lit).map_or(true, tri))
+            }
+            _ => {}
+        }
     }
 }
 
@@ -329,11 +494,12 @@ impl Segment {
         Row::new(self.cols.iter().map(|c| c.value(i)).collect())
     }
 
-    /// Append reconstructed rows `range` into `out`.
-    pub fn materialize_into(&self, range: std::ops::Range<usize>, out: &mut Vec<Row>) {
-        for i in range {
-            out.push(self.row(i));
-        }
+    /// Reconstruct, for each row ordinal in `rows`, the columns `cols` (table
+    /// ordinals, in output order) exactly as inserted.
+    pub fn materialize(&self, cols: &[usize], rows: &[usize]) -> Vec<Row> {
+        rows.iter()
+            .map(|&i| Row::new(cols.iter().map(|&c| self.cols[c].value(i)).collect()))
+            .collect()
     }
 
     /// Per-column zone maps (cloned — cheap, values are refcounted): the

@@ -8,6 +8,12 @@
 //!   row-vector [`Table::snapshot`] returns — including all-NULL columns,
 //!   constant columns, NULL literals, and predicates on unordered (mixed
 //!   lane) columns.
+//! * The scan's own row filtering and column pruning are held to four
+//!   properties: what the scan *alone* omits, the general evaluator maps to
+//!   `Ok(false)` (never to an error); the filter above it raises the same
+//!   error as over the snapshot; a narrowed scan is the full scan projected;
+//!   and end to end, narrowed plans answer what the snapshot-reading
+//!   simulated backend answers while scans under an `ApplyUdf` stay whole.
 //! * [`HashAggregate`] and [`HashJoin`] under a deliberately tiny
 //!   [`MemoryTracker`] budget (forcing partition spills on nearly every
 //!   batch) must produce the same row multisets as the unbudgeted in-memory
@@ -31,6 +37,8 @@ use csq_exec::{collect, AggSpec, HashAggregate, HashJoin, MemoryTracker};
 use csq_expr::{AggFunc, BinaryOp, PhysExpr};
 use csq_opt::context::{stats_from_table, TableStats};
 use csq_storage::{FilterSpec, Segment, Table};
+
+use csq::prelude::{Database, NetworkSpec};
 
 fn col(i: usize) -> PhysExpr {
     PhysExpr::Column(i)
@@ -146,6 +154,139 @@ fn assert_scan_equivalent(rows: &[Row], segment_rows: usize, pred: &PhysExpr) {
     }
 }
 
+/// Rows for the scan-filter properties: [`arb_profile_row`] (NULLs, a stray
+/// `Int` forcing the FLOAT column onto the `Values` lane, strings, blobs)
+/// with the occasional NaN, which no zone map orders.
+fn arb_filter_row() -> impl Strategy<Value = Row> {
+    (arb_profile_row(), 0usize..12).prop_map(|(r, k)| {
+        if k > 0 {
+            return r;
+        }
+        let mut values = r.into_values();
+        values[1] = Value::Float(f64::NAN);
+        Row::new(values)
+    })
+}
+
+/// One pushable conjunct over [`profile_schema`]: mostly a literal of the
+/// column's own type (so multi-conjunct specs are often error-free and the
+/// lane kernels do the work), sometimes NULL, NaN, a numeric literal on any
+/// column, or the next column's type — the conjunct that raises.
+fn arb_filter_conjunct() -> impl Strategy<Value = PhysExpr> {
+    let cmp = prop_oneof![
+        Just(BinaryOp::Eq),
+        Just(BinaryOp::NotEq),
+        Just(BinaryOp::Lt),
+        Just(BinaryOp::LtEq),
+        Just(BinaryOp::Gt),
+        Just(BinaryOp::GtEq),
+    ];
+    (
+        (0usize..5, cmp, 0usize..12),
+        (-20i64..20, -8i64..8, 0usize..4),
+        (any::<bool>(), 0usize..40),
+    )
+        .prop_map(|((c, op, pick), (i, f, s), (b, q))| {
+            let typed = [
+                Value::Int(i),
+                Value::Float(f as f64 * 0.5),
+                Value::from(["a", "bb", "ccc", "dd"][s]),
+                Value::Bool(b),
+                Value::Blob(Blob::synthetic(q, q as u64)),
+            ];
+            let v = match pick {
+                0 => Value::Null,
+                1 => Value::Float(f64::NAN),
+                2 => typed[(c + 1) % 5].clone(),
+                3 => Value::Int(i),
+                _ => typed[c].clone(),
+            };
+            bin(col(c), op, lit(v))
+        })
+}
+
+/// A conjunct [`FilterSpec::from_phys`] cannot push, so a spec compiled from
+/// a chain holding one is incomplete: arithmetic on the INT column (never
+/// raises) or on the STR column (raises on every non-NULL string).
+fn arb_residual() -> impl Strategy<Value = PhysExpr> {
+    (0usize..2).prop_map(|k| {
+        let plus_one = bin(col([0, 2][k]), BinaryOp::Add, lit(Value::Int(1)));
+        bin(plus_one, BinaryOp::Gt, lit(Value::Int(0)))
+    })
+}
+
+/// A predicate for the scan-filter properties: 1–3 pushable conjuncts and,
+/// when `residual` is given, an unpushable one spliced in at `at` (modulo
+/// the length; at the end the spec is the whole pushable prefix but
+/// incomplete, in the middle it stops short, at the front there is no spec).
+fn filter_predicate(
+    mut conjuncts: Vec<PhysExpr>,
+    residual: Option<PhysExpr>,
+    at: usize,
+) -> PhysExpr {
+    if let Some(r) = residual {
+        conjuncts.insert(at % (conjuncts.len() + 1), r);
+    }
+    and_chain(conjuncts)
+}
+
+/// A [`profile_schema`] table of `rows`, the tail sealed too when asked.
+fn filter_table(rows: &[Row], segment_rows: usize, seal_tail: bool) -> Arc<Table> {
+    let t = Table::with_segment_rows("t", profile_schema(), segment_rows).unwrap();
+    t.insert_all(rows.to_vec()).unwrap();
+    if seal_tail {
+        t.seal_tail();
+    }
+    Arc::new(t)
+}
+
+/// Drop soundness: the rows of the spec'd scan *alone* are an in-order
+/// subsequence of the snapshot, and the general evaluator maps every omitted
+/// row to `Ok(false)` — never to an error.
+fn assert_scan_drops_only_rejected_rows(table: &Arc<Table>, pred: &PhysExpr) {
+    let spec = FilterSpec::from_phys(pred);
+    let mut scan = ColumnarScan::new(table, "t", spec.as_ref()).unwrap();
+    let scanned = collect(&mut scan).unwrap();
+    let snapshot = table.snapshot();
+    let mut kept = scanned.iter().peekable();
+    for row in &snapshot {
+        if kept.next_if_eq(&row).is_some() {
+            continue;
+        }
+        let verdict = pred.eval_predicate(row);
+        assert!(
+            matches!(verdict, Ok(false)),
+            "scan dropped {row}, which the filter maps to {verdict:?}"
+        );
+    }
+    assert!(kept.next().is_none(), "scan rows are not a subsequence");
+    let stats = scan.scan_stats();
+    assert!(
+        stats.rows_filtered <= snapshot.len() - scanned.len(),
+        "filtered rows were examined rows"
+    );
+}
+
+/// Error preservation: the filter over the spec'd scan and the filter over
+/// the snapshot agree on the rows, or on the error — kind *and* message, so
+/// the row that raises it is the same.
+fn assert_filter_outcome_preserved(table: &Arc<Table>, pred: &PhysExpr) {
+    let spec = FilterSpec::from_phys(pred);
+    let scan = ColumnarScan::new(table, "t", spec.as_ref()).unwrap();
+    let columnar = collect(&mut Filter::new(Box::new(scan), pred.clone()));
+    let oracle_src = RowsOp::new(profile_schema().qualify("t"), table.snapshot());
+    let oracle = collect(&mut Filter::new(Box::new(oracle_src), pred.clone()));
+    match (columnar, oracle) {
+        (Ok(c), Ok(o)) => assert_eq!(c, o, "filtered scan diverged from snapshot oracle"),
+        (Err(c), Err(o)) => assert_eq!(
+            (c.kind(), c.to_string()),
+            (o.kind(), o.to_string()),
+            "the scan changed which row raises"
+        ),
+        (c, o) => panic!("one path errored, the other did not: {c:?} vs {o:?}"),
+    }
+}
+
 /// `scan_schema` plus a BLOB column: the statistics differential wants
 /// variable-width values in more than one lane.
 fn profile_schema() -> Schema {
@@ -240,6 +381,58 @@ proptest! {
         conjuncts in prop::collection::vec(arb_conjunct(), 1..4),
     ) {
         assert_scan_equivalent(&rows, segment_rows, &and_chain(conjuncts));
+    }
+
+    #[test]
+    fn scan_alone_drops_only_rows_the_filter_rejects(
+        rows in prop::collection::vec(arb_filter_row(), 0..120),
+        segment_rows in prop_oneof![Just(1usize), Just(3), Just(7), Just(16)],
+        seal_tail in any::<bool>(),
+        conjuncts in prop::collection::vec(arb_filter_conjunct(), 1..4),
+        residual in (any::<bool>(), arb_residual(), 0usize..4),
+    ) {
+        let (incomplete, residual, at) = residual;
+        let pred = filter_predicate(conjuncts, incomplete.then_some(residual), at);
+        assert_scan_drops_only_rejected_rows(&filter_table(&rows, segment_rows, seal_tail), &pred);
+    }
+
+    #[test]
+    fn filter_over_scan_raises_what_the_row_oracle_raises(
+        rows in prop::collection::vec(arb_filter_row(), 0..120),
+        segment_rows in prop_oneof![Just(1usize), Just(3), Just(7), Just(16)],
+        seal_tail in any::<bool>(),
+        conjuncts in prop::collection::vec(arb_filter_conjunct(), 1..4),
+        residual in (any::<bool>(), arb_residual(), 0usize..4),
+    ) {
+        let (incomplete, residual, at) = residual;
+        let pred = filter_predicate(conjuncts, incomplete.then_some(residual), at);
+        assert_filter_outcome_preserved(&filter_table(&rows, segment_rows, seal_tail), &pred);
+    }
+
+    #[test]
+    fn narrowed_scan_is_the_full_scan_projected(
+        rows in prop::collection::vec(arb_filter_row(), 0..120),
+        segment_rows in prop_oneof![Just(1usize), Just(3), Just(7), Just(16)],
+        seal_tail in any::<bool>(),
+        keep in prop::collection::vec(any::<bool>(), 5..6),
+        conjuncts in prop::collection::vec(arb_filter_conjunct(), 0..3),
+    ) {
+        let table = filter_table(&rows, segment_rows, seal_tail);
+        // Any increasing ordinal list, the empty one included; the spec's
+        // columns are in it or not as the draw falls.
+        let cols: Vec<usize> = (0..5).filter(|&c| keep[c]).collect();
+        let spec = (!conjuncts.is_empty())
+            .then(|| FilterSpec::from_phys(&and_chain(conjuncts)))
+            .flatten();
+        let mut full = ColumnarScan::new(&table, "t", spec.as_ref()).unwrap();
+        let mut narrow = ColumnarScan::with_columns(&table, "t", &cols, spec.as_ref()).unwrap();
+        {
+            use csq_exec::Operator;
+            prop_assert_eq!(narrow.schema(), &full.schema().project(&cols));
+        }
+        let expect: Vec<Row> = collect(&mut full).unwrap().iter().map(|r| r.project(&cols)).collect();
+        prop_assert_eq!(collect(&mut narrow).unwrap(), expect);
+        prop_assert_eq!(narrow.scan_stats(), full.scan_stats());
     }
 
     #[test]
@@ -365,6 +558,11 @@ proptest! {
 mod pinned {
     use super::*;
 
+    fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
+        rows.sort_by_key(|r| format!("{r}"));
+        rows
+    }
+
     #[test]
     fn all_null_column_prunes_comparisons_but_survives_not_null_filters() {
         let rows: Vec<Row> = (0..64)
@@ -416,6 +614,286 @@ mod pinned {
             assert_eq!(got.len(), expect_rows);
         }
     }
+
+    /// An erroring conjunct after a selective one: the scan drops the rows
+    /// the selective conjunct rejects — the filter would never have reached
+    /// the erroring one on them — and the filter above still raises on the
+    /// first row that gets past it. The FLOAT column holds `Float`s up to
+    /// that row and an `Int` in it, so the message names the row.
+    #[test]
+    fn erroring_conjunct_after_a_selective_one_raises_on_the_same_row() {
+        let rows: Vec<Row> = (0..40)
+            .map(|i| {
+                let f = if i == 31 {
+                    Value::Int(3)
+                } else {
+                    Value::Float(i as f64)
+                };
+                Row::new(vec![
+                    Value::Int(i),
+                    f,
+                    Value::from("s"),
+                    Value::Null,
+                    Value::Null,
+                ])
+            })
+            .collect();
+        let pred = and_chain(vec![
+            bin(col(0), BinaryOp::Gt, lit(Value::Int(30))),
+            bin(col(1), BinaryOp::Gt, lit(Value::from("a"))),
+        ]);
+        for (segment_rows, seal_tail) in [(64, false), (64, true), (7, false), (7, true)] {
+            let table = filter_table(&rows, segment_rows, seal_tail);
+            assert_scan_drops_only_rejected_rows(&table, &pred);
+            assert_filter_outcome_preserved(&table, &pred);
+
+            let spec = FilterSpec::from_phys(&pred).unwrap();
+            let mut scan = ColumnarScan::new(&table, "t", Some(&spec)).unwrap();
+            let alone = collect(&mut scan).unwrap();
+            assert_eq!(alone, rows[31..].to_vec(), "only `i > 30` rows are decoded");
+            let stats = scan.scan_stats();
+            assert_eq!(
+                stats.rows_filtered + stats.segments_pruned * segment_rows,
+                31
+            );
+
+            let err = collect(&mut Filter::new(
+                Box::new(scan_of(&table, &spec)),
+                pred.clone(),
+            ))
+            .unwrap_err();
+            assert_eq!(err.kind(), "type");
+            assert!(err.to_string().contains("Int"), "row 31 raises: {err}");
+        }
+
+        fn scan_of(table: &Arc<Table>, spec: &FilterSpec) -> ColumnarScan {
+            ColumnarScan::new(table, "t", Some(spec)).unwrap()
+        }
+    }
+
+    /// The tail is filtered under the read lock, before it is cloned: a scan
+    /// racing an inserter sees the matches among the first `n` rows for some
+    /// `n` — each once, none skipped — whether they sat in a sealed segment
+    /// or in the tail at that instant.
+    #[test]
+    fn tail_filter_under_a_concurrent_inserter_neither_misses_nor_repeats_a_match() {
+        const SEGMENT_ROWS: usize = 64;
+        const ROWS: i64 = 20_000;
+        let schema = Schema::new(vec![
+            Field::new("a", DataType::Int),
+            Field::new("b", DataType::Int),
+        ]);
+        let table = Arc::new(Table::with_segment_rows("t", schema, SEGMENT_ROWS).unwrap());
+        let start = std::sync::Barrier::new(2);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        // `b = 3` keeps every tenth row; every segment spans b in 0..10, so
+        // no zone map prunes and every row is examined.
+        let spec = FilterSpec::from_phys(&bin(col(1), BinaryOp::Eq, lit(Value::Int(3)))).unwrap();
+
+        // Returns how many rows the scan's snapshot held.
+        let check = || {
+            let mut scan = ColumnarScan::new(&table, "t", Some(&spec)).unwrap();
+            let matches = collect(&mut scan).unwrap();
+            let stats = scan.scan_stats();
+            assert_eq!(stats.segments_pruned, 0);
+            assert!(stats.tail_rows < SEGMENT_ROWS);
+            let seen = matches.len() + stats.rows_filtered;
+            assert_eq!(seen, stats.segments_total * SEGMENT_ROWS + stats.tail_rows);
+            let expect: Vec<Row> = (0..seen as i64)
+                .filter(|a| a % 10 == 3)
+                .map(|a| Row::new(vec![Value::Int(a), Value::Int(3)]))
+                .collect();
+            assert_eq!(matches, expect, "matches among the first {seen} rows");
+            seen
+        };
+
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                let mut a = 0;
+                while a < ROWS {
+                    let row = |a: i64| Row::new(vec![Value::Int(a), Value::Int(a % 10)]);
+                    if a % 7 == 0 {
+                        table
+                            .insert_all(vec![row(a), row(a + 1), row(a + 2)])
+                            .unwrap();
+                        a += 3;
+                    } else {
+                        table.insert(row(a)).unwrap();
+                        a += 1;
+                    }
+                }
+                done.store(true, std::sync::atomic::Ordering::SeqCst);
+            });
+            start.wait();
+            let mut last = 0;
+            while !done.load(std::sync::atomic::Ordering::SeqCst) {
+                let seen = check();
+                assert!(seen >= last, "a later scan sees no fewer rows");
+                last = seen;
+            }
+        });
+        assert_eq!(check(), table.len());
+    }
+
+    /// End to end through lowering: plans whose scans are narrowed to the
+    /// columns they read (none at all for `count(*)`, different ones for the
+    /// two aliases of a self-join, the predicate's column though it is not
+    /// selected) answer what the simulated backend — whole snapshots, the
+    /// general evaluator — answers.
+    #[test]
+    fn narrowed_plans_answer_what_the_snapshot_backend_answers() {
+        let db = Database::new(NetworkSpec::lan());
+        let t = Table::with_segment_rows(
+            "T",
+            Schema::new(vec![
+                Field::new("Id", DataType::Int),
+                Field::new("Grp", DataType::Int),
+                Field::new("Sym", DataType::Str),
+                Field::new("Val", DataType::Int),
+            ]),
+            16,
+        )
+        .unwrap();
+        t.insert_all(
+            (0..200i64)
+                .map(|i| {
+                    Row::new(vec![
+                        Value::Int(i),
+                        Value::Int(i % 8),
+                        Value::from(format!("S{}", i % 5)),
+                        if i % 11 == 0 {
+                            Value::Null
+                        } else {
+                            Value::Int((i * 37) % 100)
+                        },
+                    ])
+                })
+                .collect(),
+        )
+        .unwrap();
+        let t = db.catalog().register(t).unwrap();
+        assert!(
+            t.segment_count() > 0 && t.len() > t.segment_count() * 16,
+            "sealed + tail"
+        );
+
+        for (sql, width, rows) in [
+            ("SELECT count(*) FROM T", 1, Some(1)),
+            ("SELECT count(*) FROM T WHERE T.Val > 89", 1, Some(1)),
+            (
+                "SELECT A.Id, B.Sym FROM T A, T B WHERE A.Id = B.Grp AND A.Val > 40",
+                2,
+                None,
+            ),
+            ("SELECT T.Id FROM T WHERE T.Val > 50", 1, None),
+            ("SELECT T.Grp, sum(T.Val) FROM T GROUP BY T.Grp", 2, Some(8)),
+            (
+                "SELECT * FROM T WHERE T.Val > 50 AND T.Sym <> 'S1'",
+                4,
+                None,
+            ),
+            ("SELECT * FROM T", 4, Some(200)),
+        ] {
+            let threaded = db.execute(sql).unwrap();
+            let (simulated, _) = db.execute_simulated(sql).unwrap();
+            assert_eq!(threaded.schema, simulated.schema, "{sql}");
+            assert_eq!(threaded.schema.len(), width, "{sql}");
+            assert!(!threaded.rows.is_empty(), "{sql}");
+            if let Some(n) = rows {
+                assert_eq!(threaded.rows.len(), n, "{sql}");
+            }
+            assert_eq!(sorted(threaded.rows), sorted(simulated.rows), "{sql}");
+        }
+        let count = db.execute("SELECT count(*) FROM T").unwrap();
+        assert_eq!(count.rows[0].value(0), &Value::Int(200));
+    }
+
+    /// The paper's two shipping strategies over a scan: rows agree with the
+    /// simulated backend, and what the simulated link carries is what it
+    /// carried before scans filtered rows or pruned columns (the byte counts
+    /// are the parent commit's) — the scans under an `ApplyUdf` are not
+    /// narrowed, so the client-site join still ships the whole record. The
+    /// threaded side of that is pinned where its operator tree can be seen,
+    /// in `csq_core`'s `lower` tests.
+    #[test]
+    fn shipping_plans_move_the_bytes_they_moved_before() {
+        use csq_client::synthetic::RatingUdf;
+        use csq_opt::context::UdfMeta;
+
+        let semijoin = "SELECT S.Name, S.Report FROM StockQuotes S \
+                        WHERE S.Change / S.Close > 0.2 AND ClientAnalysis(S.Quotes) > 500";
+        let clientjoin = "SELECT S.Name, S.Quotes FROM StockQuotes S \
+                          WHERE S.Change / S.Close > 0.2 AND ClientAnalysis(S.Quotes) > 500";
+        let stock_db = |net: NetworkSpec| {
+            let db = Database::new(net);
+            let t = Table::with_segment_rows(
+                "StockQuotes",
+                Schema::new(vec![
+                    Field::new("Name", DataType::Str),
+                    Field::new("Change", DataType::Float),
+                    Field::new("Close", DataType::Float),
+                    Field::new("Quotes", DataType::Blob),
+                    Field::new("Report", DataType::Blob),
+                ]),
+                32,
+            )
+            .unwrap();
+            t.insert_all(
+                (0..2_000u64)
+                    .map(|i| {
+                        Row::new(vec![
+                            Value::from(format!("company{i}")),
+                            Value::Float((i % 40) as f64),
+                            Value::Float(100.0),
+                            Value::Blob(Blob::synthetic(1_000, i % 500)),
+                            Value::Blob(Blob::synthetic(200, 1_000 + i)),
+                        ])
+                    })
+                    .collect(),
+            )
+            .unwrap();
+            // 2 000 rows: below that the optimizer keeps the semi-join even
+            // on the asymmetric link.
+            db.catalog().register(t).unwrap();
+            db.register_udf(Arc::new(RatingUdf::new("ClientAnalysis", 1000)))
+                .unwrap();
+            db
+        };
+        let semi_db = stock_db(NetworkSpec::modem_28_8());
+        let join_db = stock_db(NetworkSpec::cable_asymmetric());
+        join_db.advertise_udf(
+            UdfMeta::client("ClientAnalysis", vec![DataType::Blob], DataType::Int)
+                .with_result_bytes(20_000.0)
+                .with_selectivity(0.01),
+        );
+
+        for (db, sql, marker, down, up) in [
+            (&semi_db, semijoin, "[semi-join", SEMIJOIN_DOWN, SEMIJOIN_UP),
+            (
+                &join_db,
+                clientjoin,
+                "[client-site join",
+                CLIENTJOIN_DOWN,
+                CLIENTJOIN_UP,
+            ),
+        ] {
+            let plan = db.explain(sql).unwrap();
+            assert!(plan.contains(marker), "{plan}");
+            let threaded = db.execute(sql).unwrap();
+            let (simulated, sim) = db.execute_simulated(sql).unwrap();
+            assert!(!threaded.rows.is_empty());
+            assert_eq!(sorted(threaded.rows), sorted(simulated.rows), "{sql}");
+            assert_eq!((sim.down_bytes, sim.up_bytes), (down, up), "{marker}");
+        }
+    }
+
+    /// Simulated link bytes of the two shipping queries above, recorded at
+    /// the parent commit.
+    const SEMIJOIN_DOWN: u64 = 591_684;
+    const SEMIJOIN_UP: u64 = 8_550;
+    const CLIENTJOIN_DOWN: u64 = 1_691_880;
+    const CLIENTJOIN_UP: u64 = 620_412;
 
     /// Statistics are read under one lock acquisition, so a reader racing a
     /// writer never sees a zone list from one instant and a row count from
