@@ -1,6 +1,6 @@
 //! A file with zero violations: errors are returned, unsafe is justified,
 //! sync goes through the vendored shims, capacities are guarded, plan-time
-//! statistics read the table profile.
+//! statistics read the table profile, settings arrive as parameters.
 
 use parking_lot::Mutex;
 
@@ -30,4 +30,13 @@ pub fn planned_rows(table: &Table) -> usize {
     // Plan-time numbers come from the running profile, not from a
     // `.snapshot()` row vector (which plan-no-snapshot would flag).
     table.profile().rows
+}
+
+pub fn worker_count(requested: usize) -> usize {
+    // The caller passes the count, or the host is measured; nothing is read
+    // from the environment (which no-env-knob would flag).
+    match requested {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    }
 }

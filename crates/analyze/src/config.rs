@@ -24,6 +24,8 @@ pub struct Config {
     pub codec_paths: Vec<String>,
     /// Path prefixes where the plan-no-snapshot rule applies.
     pub plan_paths: Vec<String>,
+    /// Path prefixes where the no-env-knob rule applies.
+    pub engine_paths: Vec<String>,
     /// Path prefixes excluded from the walk entirely (e.g. fixtures).
     pub exclude: Vec<String>,
     pub allow: Vec<AllowEntry>,
@@ -85,6 +87,7 @@ impl Config {
                         "service" => cfg.service_paths = list,
                         "codec" => cfg.codec_paths = list,
                         "plan" => cfg.plan_paths = list,
+                        "engine" => cfg.engine_paths = list,
                         "exclude" => cfg.exclude = list,
                         _ => return Err(format!("line {lineno}: unknown [paths] key `{key}`")),
                     }
@@ -224,6 +227,7 @@ mod tests {
 service = ["crates/net/src", "crates/core/src"]  # prefixes
 codec = ["crates/common/src/codec.rs"]
 plan = ["crates/opt/src"]
+engine = ["crates/exec/src", "src"]
 exclude = [
     "crates/analyze/fixtures",
 ]
@@ -239,6 +243,7 @@ reason = "Deref on a pool guard; invariant holds until Drop"
         assert_eq!(cfg.service_paths.len(), 2);
         assert_eq!(cfg.codec_paths, vec!["crates/common/src/codec.rs"]);
         assert_eq!(cfg.plan_paths, vec!["crates/opt/src"]);
+        assert_eq!(cfg.engine_paths, vec!["crates/exec/src", "src"]);
         assert_eq!(cfg.exclude, vec!["crates/analyze/fixtures"]);
         assert_eq!(cfg.allow.len(), 1);
         assert_eq!(cfg.allow[0].rule, "no-panic-path");

@@ -80,6 +80,7 @@ pub fn run(root: &Path, cfg: &Config) -> io::Result<Report> {
             service,
             codec: cfg.codec_paths.iter().any(|p| path_matches(&rel, p)) && !is_test_path(&rel),
             plan: cfg.plan_paths.iter().any(|p| path_matches(&rel, p)) && !is_test_path(&rel),
+            engine: cfg.engine_paths.iter().any(|p| path_matches(&rel, p)) && !is_test_path(&rel),
             sync: !rel.starts_with("vendor/") && !is_test_path(&rel),
             sleep: service && rel != SANCTIONED_SLEEP,
         };

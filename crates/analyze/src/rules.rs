@@ -28,6 +28,8 @@ pub struct Scope {
     pub codec: bool,
     /// `plan-no-snapshot` applies (planning-path code).
     pub plan: bool,
+    /// `no-env-knob` applies (library code of the engine crates).
+    pub engine: bool,
     /// `no-raw-sync` applies (all production code outside `vendor/` — the
     /// shims themselves are the one place raw `std::sync` belongs).
     pub sync: bool,
@@ -68,6 +70,13 @@ pub fn check_file(path: &str, src: &str, lexed: &LexOut, scope: Scope) -> Vec<Vi
         // are exempt — tests may assert by panicking.
         let called_as_method =
             i > 0 && toks[i - 1].is_punct('.') && toks.get(i + 1).is_some_and(|n| n.is_punct('('));
+        // `<module>::<id>`, in a call or a `use`.
+        let via_path = |module: &str| {
+            i >= 3
+                && toks[i - 1].is_punct(':')
+                && toks[i - 2].is_punct(':')
+                && toks[i - 3].ident() == Some(module)
+        };
 
         if scope.service && !exempt[i] {
             if called_as_method && PANIC_METHODS.contains(&id) {
@@ -114,23 +123,35 @@ pub fn check_file(path: &str, src: &str, lexed: &LexOut, scope: Scope) -> Vec<Vi
         // for a hard-coded interval: it ignores deadlines, shutdown flags,
         // and cancellation. Waits belong on the deadline-aware choke points
         // (`Backoff::sleep`, `recv_timeout`, the connection idle timeout).
-        if scope.sleep && !exempt[i] && id == "sleep" {
-            let via_thread_path = i >= 3
-                && toks[i - 1].is_punct(':')
-                && toks[i - 2].is_punct(':')
-                && toks[i - 3].ident() == Some("thread");
-            if via_thread_path {
-                out.push(Violation {
-                    rule: "no-bare-sleep",
-                    path: path.to_string(),
-                    line: t.line,
-                    message: "bare thread::sleep on a service path pins a worker for a fixed \
-                              interval, ignoring deadlines and cancellation; wait through \
-                              Backoff::sleep / recv_timeout / an idle timeout instead"
-                        .to_string(),
-                    excerpt: excerpt(t.line),
-                });
-            }
+        if scope.sleep && !exempt[i] && id == "sleep" && via_path("thread") {
+            out.push(Violation {
+                rule: "no-bare-sleep",
+                path: path.to_string(),
+                line: t.line,
+                message: "bare thread::sleep on a service path pins a worker for a fixed \
+                          interval, ignoring deadlines and cancellation; wait through \
+                          Backoff::sleep / recv_timeout / an idle timeout instead"
+                    .to_string(),
+                excerpt: excerpt(t.line),
+            });
+        }
+
+        // Rule: no-env-knob. `env::var` / `env::var_os` in engine library
+        // code is a setting no signature shows and no test matrix covers; a
+        // caller that wants a value passes it. A program's environment is
+        // its own interface, so binaries and the bench harness are outside
+        // the group.
+        if scope.engine && !exempt[i] && (id == "var" || id == "var_os") && via_path("env") {
+            out.push(Violation {
+                rule: "no-env-knob",
+                path: path.to_string(),
+                line: t.line,
+                message: format!(
+                    "env::{id} in engine library code is a knob no caller can see; take the \
+                     value as a parameter (or measure it) instead"
+                ),
+                excerpt: excerpt(t.line),
+            });
         }
 
         // Rule: safety-comment. Every `unsafe` keyword needs a `// SAFETY:`
@@ -420,6 +441,7 @@ mod tests {
         service: true,
         codec: false,
         plan: false,
+        engine: false,
         sync: true,
         sleep: true,
     };
@@ -427,6 +449,7 @@ mod tests {
         service: false,
         codec: true,
         plan: false,
+        engine: false,
         sync: false,
         sleep: false,
     };
@@ -434,6 +457,15 @@ mod tests {
         service: false,
         codec: false,
         plan: true,
+        engine: false,
+        sync: false,
+        sleep: false,
+    };
+    const ENGINE: Scope = Scope {
+        service: false,
+        codec: false,
+        plan: false,
+        engine: true,
         sync: false,
         sleep: false,
     };
@@ -575,6 +607,22 @@ mod tests {
         assert!(
             run(src, SERVICE).is_empty(),
             "only the plan group is scoped"
+        );
+    }
+
+    #[test]
+    fn env_reads_in_engine_code_are_flagged() {
+        let src = "fn workers() -> usize { std::env::var(\"W\").map_or(1, parse) }\n\
+                   fn home() -> bool { env::var_os(\"HOME\").is_some() }\n\
+                   fn fine(env: &Env) { env.var(\"x\"); std::env::args(); let var = 1; }\n\
+                   #[cfg(test)]\nmod tests {\n fn t() { std::env::var(\"TMP\"); }\n}";
+        let v = run(src, ENGINE);
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v.iter().all(|v| v.rule == "no-env-knob"));
+        assert_eq!((v[0].line, v[1].line), (1, 2));
+        assert!(
+            run(src, SERVICE).is_empty(),
+            "only the engine group is scoped"
         );
     }
 

@@ -34,6 +34,8 @@ fn bad_tree_reports_every_seeded_violation() {
     assert_eq!(count("wire-capacity"), 2, "{:#?}", report.violations);
     // plan.rs seeds: one `.snapshot()` call (the profile read stays clean).
     assert_eq!(count("plan-no-snapshot"), 1, "{:#?}", report.violations);
+    // engine.rs seeds: one `env::var` read (the parameter stays clean).
+    assert_eq!(count("no-env-knob"), 1, "{:#?}", report.violations);
 }
 
 #[test]

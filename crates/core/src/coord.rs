@@ -27,9 +27,9 @@
 //!   - **gather-and-execute** — joins, client-site UDF queries, and
 //!     aggregates the optimizer kept client-only fetch each base table's
 //!     shard partitions (with single-table predicates pushed down) into a
-//!     scratch single-node [`Database`] that runs the original statement —
-//!     the coordinator's morsel engine does the cross-shard repartitioning
-//!     with its ordinary exchange operators.
+//!     scratch single-node [`Database`] that runs the original statement
+//!     through its ordinary lowering (a join is a nested loop under a
+//!     filter); nothing is repartitioned across shards.
 //!
 //! **Failure semantics.** Every per-shard statement goes through the §10
 //! retry machinery ([`ConnectionPool::query_with`] under the configured
@@ -74,9 +74,6 @@ pub struct CoordinatorConfig {
     /// Network description between the coordinator and the shards — feeds
     /// the cost model's gather-traffic estimates.
     pub net: NetworkSpec,
-    /// Degree of parallelism of each shard's engine (discounts per-shard
-    /// work in the enumerator's shard-set costing).
-    pub dop: usize,
     /// Connections pooled per shard.
     pub pool_size: usize,
     /// Per-shard statement options: the deadline/retry policy every
@@ -90,7 +87,6 @@ impl Default for CoordinatorConfig {
     fn default() -> CoordinatorConfig {
         CoordinatorConfig {
             net: NetworkSpec::lan(),
-            dop: 1,
             pool_size: 2,
             shard_options: QueryOptions::new(),
         }
@@ -532,9 +528,7 @@ impl Coordinator {
     /// metadata, and the coordinator↔shard network.
     fn opt_context(&self) -> OptContext {
         let shards = self.shards.read().len();
-        let mut ctx = OptContext::new(self.config.net.clone())
-            .with_dop(self.config.dop)
-            .with_shards(shards);
+        let mut ctx = OptContext::new(self.config.net.clone()).with_shards(shards);
         for shadow in self.tables.read().values() {
             ctx.add_table(&shadow.name, shadow.stats());
             ctx.set_shard_key(&shadow.name, &shadow.schema.field(shadow.shard_col).name);

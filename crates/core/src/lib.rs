@@ -81,8 +81,9 @@ pub struct Database {
     /// it so a stale plan can never be served.
     plan_epoch: AtomicU64,
     plan_cache: PlanCache,
-    /// Byte budget for stateful operators (hash aggregation, hash join):
-    /// crossing it makes them spill to temp files instead of growing.
+    /// Byte budget for stateful operators; lowering attaches it to
+    /// `HashAggregate` only. Crossing it makes the aggregate spill to temp
+    /// files instead of growing.
     /// Defaults to unlimited; see [`set_memory_budget`](Self::set_memory_budget).
     memory: RwLock<Arc<MemoryTracker>>,
 }

@@ -268,20 +268,6 @@ pub fn optimal_concurrency(
     (total / service).ceil().max(1.0) as usize
 }
 
-/// Amdahl's-law speedup of the local engine at degree-of-parallelism `dop`
-/// with parallelizable fraction `f`: `1 / ((1 − f) + f / dop)`.
-///
-/// Plan costing uses this to discount server-side per-tuple work when the
-/// morsel-driven engine (DESIGN.md §4) runs a plan with `dop` workers: the
-/// paper treats server cost as negligible, so this only sharpens the
-/// tie-breaker between network-equal plans, but it keeps the knob honest —
-/// doubling workers never halves cost (the serial fraction stays).
-pub fn parallel_scale(dop: usize, parallel_fraction: f64) -> f64 {
-    let dop = dop.max(1) as f64;
-    let f = parallel_fraction.clamp(0.0, 1.0);
-    1.0 / ((1.0 - f) + f / dop)
-}
-
 // ---- grouped-aggregation placement (DESIGN.md §7) --------------------------
 
 /// Where a grouped aggregation's partial phase runs relative to the
@@ -730,22 +716,6 @@ mod tests {
         assert!((i - 200.0).abs() < 1e-9);
         assert!((a - 0.5).abs() < 1e-9);
         assert!((d - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn parallel_scale_follows_amdahl() {
-        assert_eq!(parallel_scale(1, 0.9), 1.0);
-        assert_eq!(parallel_scale(0, 0.9), 1.0, "dop clamps to 1");
-        // Monotone in dop, bounded by the serial fraction.
-        let s2 = parallel_scale(2, 0.9);
-        let s4 = parallel_scale(4, 0.9);
-        let s1024 = parallel_scale(1024, 0.9);
-        assert!(1.0 < s2 && s2 < s4 && s4 < s1024);
-        assert!(s1024 < 10.0, "cap is 1/(1-f) = 10");
-        // Fully parallel work scales linearly.
-        assert!((parallel_scale(8, 1.0) - 8.0).abs() < 1e-12);
-        // Fully serial work does not scale.
-        assert_eq!(parallel_scale(8, 0.0), 1.0);
     }
 
     #[test]

@@ -41,7 +41,7 @@ use crate::BoxOp;
 #[derive(Debug, Clone)]
 pub struct ParallelOpts {
     /// Worker threads. `0` means [`WorkerPool::default_workers`] (the
-    /// `CSQ_WORKERS` env var, else the host's available parallelism).
+    /// host's available parallelism).
     pub workers: usize,
     /// Rows per morsel (`0` → [`DEFAULT_BATCH_SIZE`]).
     pub morsel_rows: usize,

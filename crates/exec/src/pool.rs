@@ -52,18 +52,9 @@ impl WorkerPool {
         }
     }
 
-    /// The configured degree of parallelism — the worker-count knob. Reads
-    /// `CSQ_WORKERS` when set (≥ 1), otherwise the host's available
-    /// parallelism.
+    /// The worker count used when a caller does not pass one: the host's
+    /// available parallelism.
     pub fn default_workers() -> usize {
-        if let Some(n) = std::env::var("CSQ_WORKERS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            if n >= 1 {
-                return n;
-            }
-        }
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)

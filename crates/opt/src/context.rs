@@ -115,10 +115,6 @@ pub struct OptContext {
     /// tie-breaker so plans with fewer server operators win among
     /// network-equal plans. The paper assumes server cost is negligible.
     pub server_tuple_cost: f64,
-    /// Degree of parallelism of the morsel-driven execution engine
-    /// (DESIGN.md §4): per-tuple server cost is discounted by
-    /// [`csq_cost::parallel_scale`] at this worker count. 1 = serial.
-    pub dop: usize,
     /// Shard count of a coordinator context (DESIGN.md §13): `0` means this
     /// context describes a single-node engine (the default — plans are never
     /// wrapped in Scatter/Gather); `n ≥ 1` means tables are hash-partitioned
@@ -140,7 +136,6 @@ impl OptContext {
             col_distincts: HashMap::new(),
             net,
             server_tuple_cost: 0.01,
-            dop: 1,
             shards: 0,
             shard_keys: HashMap::new(),
         }
@@ -199,12 +194,6 @@ impl OptContext {
                 .map(|t| t.rows.sqrt().max(1.0))
                 .unwrap_or(1.0),
         }
-    }
-
-    /// Builder-style: set the engine's degree of parallelism (≥ 1).
-    pub fn with_dop(mut self, dop: usize) -> OptContext {
-        self.dop = dop.max(1);
-        self
     }
 
     /// Register a table's statistics.

@@ -22,11 +22,6 @@ use crate::context::OptContext;
 use crate::plan::{PlanNode, UdfStrategy};
 use crate::query::{QueryGraph, Unit};
 
-/// Parallelizable fraction of server-side operator work assumed by the
-/// costing discount for [`OptContext::dop`] (scan/filter/project/join run
-/// on workers; dispatch and gather stay serial).
-const ENGINE_PARALLEL_FRACTION: f64 = 0.9;
-
 /// The optimizer's output.
 #[derive(Debug, Clone)]
 pub struct OptimizedPlan {
@@ -84,12 +79,7 @@ impl<'a> Ctx<'a> {
     }
 
     fn server_cost(&self, rows: f64) -> f64 {
-        // The morsel-driven engine runs server-side operators with
-        // `opt.dop` workers; per-tuple cost shrinks by Amdahl's law with
-        // the engine's measured ~90% parallelizable fraction (DESIGN.md
-        // §4). At dop = 1 this divides by exactly 1.0.
         rows * self.opt.server_tuple_cost * 1e-6
-            / csq_cost::parallel_scale(self.opt.dop, ENGINE_PARALLEL_FRACTION)
     }
 
     /// Column display names referenced by an expression.
@@ -662,10 +652,10 @@ fn finalize(ctx: &Ctx<'_>, s: &State) -> Option<State> {
         //   and aggregate at the client (serial per-tuple work).
         // * server-partial — the server reduces rows to groups first and
         //   ships decomposed state (`groups × state bytes`); the partial
-        //   pass runs on the morsel-driven engine, so its per-tuple cost is
-        //   discounted by `dop` like every server-side operator. Only legal
-        //   when every aggregation input is server-resident and no residual
-        //   predicate remains to be evaluated at the client pre-grouping.
+        //   pass costs the server's per-tuple rate like every server-side
+        //   operator. Only legal when every aggregation input is
+        //   server-resident and no residual predicate remains to be
+        //   evaluated at the client pre-grouping.
         let key_cols: BTreeSet<String> = spec.group_by.iter().map(|c| c.to_string()).collect();
         let mut state_bytes = ctx.bytes_of(&key_cols);
         for call in &spec.calls {
@@ -717,10 +707,9 @@ fn finalize(ctx: &Ctx<'_>, s: &State) -> Option<State> {
                 base: params,
                 shards: ctx.opt.shards.max(1),
             };
-            // Per-shard partial work runs concurrently across shards, each
-            // on its own dop-discounted engine, so the CPU term covers one
-            // shard's slice; the coordinator then merges every gathered
-            // per-shard group state.
+            // Per-shard partial work runs concurrently across shards, so
+            // the CPU term covers one shard's slice; the coordinator then
+            // merges every gathered per-shard group state.
             let shard_total = ctx.net_cost(sp.gather_bytes(), 0.0)
                 + ctx.server_cost(params.rows / sp.shards as f64)
                 + sp.shards as f64 * sp.per_shard_groups() * tuple_secs;

@@ -11,8 +11,7 @@
 //!   merge+finalize phase.
 //! * Everything else (joins, UDFs) gathers each base relation's shard
 //!   partitions separately and runs the remaining operators at the
-//!   coordinator, whose morsel engine repartitions with its `Exchange`
-//!   operators.
+//!   coordinator, through a single-node database's ordinary lowering.
 //!
 //! Shard pruning: when a conjunct pins a table's hash-partitioning column
 //! to a literal (`key = lit`), only the shard owning that hash bucket is

@@ -6,7 +6,7 @@
 //! with the strategy-specific knobs, and know how to derive the operator's
 //! output schema and the [`ClientTask`] shipped to the client.
 
-use csq_common::{Field, Result, Row, Schema};
+use csq_common::{Field, Result, Schema};
 use csq_expr::PhysExpr;
 
 use csq_client::{ClientTask, TaskMode, UdfStep};
@@ -44,6 +44,19 @@ pub fn extended_schema(input: &Schema, udfs: &[UdfApplication]) -> Schema {
     s
 }
 
+/// Argument ordinals of `udfs` that live in the input (`< input_width`),
+/// ascending and deduplicated.
+fn arg_union(udfs: &[UdfApplication], input_width: usize) -> Vec<usize> {
+    let mut cols: Vec<usize> = udfs
+        .iter()
+        .flat_map(|u| u.arg_cols.iter().copied())
+        .filter(|&c| c < input_width)
+        .collect();
+    cols.sort_unstable();
+    cols.dedup();
+    cols
+}
+
 /// Semi-join strategy parameters (§2.3.1, §3.1.1–§3.1.2).
 #[derive(Debug, Clone)]
 pub struct SemiJoinSpec {
@@ -61,11 +74,6 @@ pub struct SemiJoinSpec {
     /// Use client-side memoization too (normally pointless for semi-joins —
     /// the server already deduplicates — but exposed for ablations).
     pub client_cache: bool,
-    /// Degree of parallelism for the threaded sender's wire encoding:
-    /// above 1, argument batches are serialized on a worker pool (in wire
-    /// order) while the sender stages the next batch. Bytes and message
-    /// boundaries are identical to the serial path. 1 = encode inline.
-    pub dop: usize,
 }
 
 impl SemiJoinSpec {
@@ -78,7 +86,6 @@ impl SemiJoinSpec {
             batch_size: 1,
             sorted: false,
             client_cache: false,
-            dop: 1,
         }
     }
 
@@ -88,15 +95,7 @@ impl SemiJoinSpec {
     /// for grouped semi-joins). References to earlier UDF results (ordinals
     /// `>= input_width`) are excluded: those never cross the downlink.
     pub fn arg_union(&self, input_width: usize) -> Vec<usize> {
-        let mut cols: Vec<usize> = self
-            .udfs
-            .iter()
-            .flat_map(|u| u.arg_cols.iter().copied())
-            .filter(|&c| c < input_width)
-            .collect();
-        cols.sort_unstable();
-        cols.dedup();
-        cols
+        arg_union(&self.udfs, input_width)
     }
 
     /// Output schema: input columns followed by each result column.
@@ -167,9 +166,6 @@ pub struct ClientJoinSpec {
     pub sort_on_args: bool,
     /// Client-side memoization of UDF results per argument tuple.
     pub client_cache: bool,
-    /// Degree of parallelism for the threaded sender's wire encoding (see
-    /// [`SemiJoinSpec::dop`]). 1 = encode inline.
-    pub dop: usize,
 }
 
 impl ClientJoinSpec {
@@ -183,22 +179,13 @@ impl ClientJoinSpec {
             batch_size: 1,
             sort_on_args: false,
             client_cache: true,
-            dop: 1,
         }
     }
 
     /// Argument-column union within the input (used for optional input
     /// sorting); references to earlier UDF results are excluded.
     pub fn arg_union(&self, input_width: usize) -> Vec<usize> {
-        let mut cols: Vec<usize> = self
-            .udfs
-            .iter()
-            .flat_map(|u| u.arg_cols.iter().copied())
-            .filter(|&c| c < input_width)
-            .collect();
-        cols.sort_unstable();
-        cols.dedup();
-        cols
+        arg_union(&self.udfs, input_width)
     }
 
     /// Output schema: the returned projection of the extended schema.
@@ -234,11 +221,6 @@ impl ClientJoinSpec {
         task.validate()?;
         Ok(task)
     }
-}
-
-/// Project a row onto argument columns (helper shared by backends).
-pub fn arg_key(row: &Row, arg_cols: &[usize]) -> Row {
-    row.project(arg_cols)
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use std::thread::JoinHandle;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
 use csq_common::{CsqError, Result, Row, RowBatch, Schema, DEFAULT_BATCH_SIZE};
-use csq_exec::{Operator, Sort, WorkerPool};
+use csq_exec::{Operator, Sort};
 use csq_net::{Endpoint, NetReceiver, NetSender};
 
 use csq_client::{Request, Response};
@@ -67,105 +67,17 @@ impl ResultCache {
     }
 }
 
-/// In-order wire relay with optional parallel encoding — how the threaded
-/// senders pull from the parallel engine's [`WorkerPool`]. `submit` takes a
-/// message-encoding closure plus a payload that must become visible only
-/// *after* the message is on the wire (semi-join records headed for the
-/// bounded buffer, client-join tickets); with `dop > 1` encoding runs on
-/// pool workers while the sender stages further input, and messages still
-/// hit the network in submission order, so byte and message accounting is
-/// identical to the serial path. All sends report `false` on a closed
-/// endpoint so callers can stop quietly, exactly like the serial senders.
-struct WireRelay<T> {
-    net_tx: NetSender,
-    pool: Option<WorkerPool>,
-    inflight: VecDeque<(Receiver<Vec<u8>>, T)>,
-}
-
-impl<T> WireRelay<T> {
-    fn new(net_tx: NetSender, dop: usize) -> WireRelay<T> {
-        WireRelay {
-            net_tx,
-            pool: (dop > 1).then(|| WorkerPool::new(dop)),
-            inflight: VecDeque::new(),
-        }
-    }
-
-    /// Send a pre-encoded control message (install/finish), after draining
-    /// any queued data messages so wire order is preserved.
-    fn send_control<F>(&mut self, msg: Vec<u8>, deliver: &mut F) -> bool
-    where
-        F: FnMut(T) -> bool,
-    {
-        self.finish(deliver) && self.net_tx.send(msg).is_ok()
-    }
-
-    /// Queue (or, serially, immediately perform) encode → net send →
-    /// deliver(payload) for one message.
-    fn submit<E, F>(&mut self, encode: E, payload: T, deliver: &mut F) -> bool
-    where
-        E: FnOnce() -> Vec<u8> + Send + 'static,
-        F: FnMut(T) -> bool,
-    {
-        let Some(depth) = self.pool.as_ref().map(WorkerPool::worker_count) else {
-            if self.net_tx.send(encode()).is_err() {
-                return false;
-            }
-            return deliver(payload);
-        };
-        // Keep at most one queued job per worker; forwarding the oldest
-        // first preserves wire order.
-        while self.inflight.len() >= depth {
-            if !self.forward_one(deliver) {
-                return false;
-            }
-        }
-        let (tx, rx) = bounded(1);
-        // Re-borrow after forward_one released the &mut borrow; the pool
-        // cannot have vanished (depth proved it exists), but a false return
-        // simply abandons the stream like any other sender failure.
-        let Some(pool) = self.pool.as_ref() else {
-            return false;
-        };
-        pool.spawn(move || {
-            let _ = tx.send(encode());
-        });
-        self.inflight.push_back((rx, payload));
-        true
-    }
-
-    fn forward_one<F>(&mut self, deliver: &mut F) -> bool
-    where
-        F: FnMut(T) -> bool,
-    {
-        let Some((rx, payload)) = self.inflight.pop_front() else {
-            return true;
-        };
-        let Ok(msg) = rx.recv() else {
-            return false; // encode worker lost (panic) — abandon the stream
-        };
-        if self.net_tx.send(msg).is_err() {
-            return false;
-        }
-        deliver(payload)
-    }
-
-    /// Drain every queued message (no-op when `inflight` is empty).
-    fn finish<F>(&mut self, deliver: &mut F) -> bool
-    where
-        F: FnMut(T) -> bool,
-    {
-        while !self.inflight.is_empty() {
-            if !self.forward_one(deliver) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// True when no queued message is awaiting its wire slot.
-    fn is_drained(&self) -> bool {
-        self.inflight.is_empty()
+/// Receive one response message and decode it to its rows; `closed` is the
+/// caller's wording for a peer that hung up first.
+fn recv_rows(net_rx: &NetReceiver, closed: &str) -> Result<Vec<Row>> {
+    let Some(buf) = net_rx.recv() else {
+        return Err(CsqError::Net(closed.into()));
+    };
+    // Zero-copy: result payloads stay views of the message buffer.
+    let buf = Arc::new(buf);
+    match Response::decode_shared(&buf)? {
+        Response::Batch(rows) => Ok(rows),
+        Response::Error(msg) => Err(CsqError::Client(format!("client-site failure: {msg}"))),
     }
 }
 
@@ -202,13 +114,10 @@ impl ThreadedSemiJoin {
         let arg_cols = spec.arg_union(input_schema.len());
         let batch_size = spec.batch_size.max(1);
         let sorted = spec.sorted;
-        let dop = spec.dop.max(1);
         let sender = std::thread::Builder::new()
             .name("csq-sj-sender".into())
             .spawn(move || {
-                semijoin_sender(
-                    input, task, arg_cols, batch_size, sorted, dop, net_tx, buffer_tx,
-                )
+                semijoin_sender(input, task, arg_cols, batch_size, sorted, net_tx, buffer_tx)
             })
             .map_err(|e| CsqError::Exec(format!("failed to spawn semi-join sender: {e}")))?;
         Ok(ThreadedSemiJoin {
@@ -227,19 +136,10 @@ impl ThreadedSemiJoin {
             if let Some(r) = self.results_fifo.pop_front() {
                 return Ok(r);
             }
-            let Some(buf) = self.net_rx.recv() else {
-                return Err(CsqError::Net(
-                    "client closed connection before all results arrived".into(),
-                ));
-            };
-            // Zero-copy: result payloads stay views of the message buffer.
-            let buf = Arc::new(buf);
-            match Response::decode_shared(&buf)? {
-                Response::Batch(rows) => self.results_fifo.extend(rows),
-                Response::Error(msg) => {
-                    return Err(CsqError::Client(format!("client-site failure: {msg}")))
-                }
-            }
+            self.results_fifo.extend(recv_rows(
+                &self.net_rx,
+                "client closed connection before all results arrived",
+            )?);
         }
     }
 
@@ -307,51 +207,26 @@ impl Operator for ThreadedSemiJoin {
     }
 }
 
-/// Sender-thread body for the semi-join. Consumes the input operator one
-/// [`RowBatch`] at a time (the sorted mode wraps it in a `Sort`, which
-/// itself streams batches out of its materialized buffer); argument keys
-/// are `Arc`-shared between the dedup set, the wire batch, and the buffer
-/// records, so the hot loop never clones a row. Wire messages go through a
-/// [`WireRelay`]: with `dop > 1` encoding overlaps input staging, and each
-/// span's records enter the bounded buffer only after its message is on
-/// the wire, preserving the sender/receiver pairing protocol.
-#[allow(clippy::too_many_arguments)]
+/// Sender-thread body for the semi-join — the loop of Figure 3: dedup,
+/// stage the open span, send its message, push its records into the bounded
+/// buffer. Consumes the input operator one [`RowBatch`] at a time (the
+/// sorted mode wraps it in a `Sort`, which itself streams batches out of its
+/// materialized buffer); argument keys are `Arc`-shared between the dedup
+/// set, the wire batch, and the buffer records, so the hot loop never clones
+/// a row. A span's records enter the buffer only after its message is on
+/// the wire — the sender/receiver pairing protocol.
 fn semijoin_sender(
     input: Box<dyn Operator + Send>,
     task: csq_client::ClientTask,
     arg_cols: Vec<usize>,
     batch_size: usize,
     sorted: bool,
-    dop: usize,
     net_tx: NetSender,
     buffer_tx: Sender<Pending>,
 ) {
-    let mut relay: WireRelay<Vec<Pending>> = WireRelay::new(net_tx, dop);
-    let buffer = buffer_tx.clone();
-    let mut deliver = move |recs: Vec<Pending>| {
-        for rec in recs {
-            if buffer.send(rec).is_err() {
-                return false; // receiver dropped (e.g. LIMIT) — stop.
-            }
-        }
-        true
-    };
-    // Duplicates of *already-shipped* arguments that only wait for wire
-    // order (messages still queued in the relay); always safe to deliver
-    // once the relay drains, even on failure. Records of the current
-    // unsent span live in `batch_records` instead and die with it on
-    // failure — exactly the serial sender's error prefix.
-    let mut deferred: Vec<Pending> = Vec::new();
-    macro_rules! fail {
-        ($e:expr) => {{
-            let _ = relay.finish(&mut deliver) && deliver(std::mem::take(&mut deferred));
-            let _ = buffer_tx.send(Pending::Err($e));
-            return;
-        }};
-    }
-
-    if !relay.send_control(Request::Install(task).encode(), &mut deliver) {
-        fail!(CsqError::Net("client unreachable".into()));
+    if net_tx.send(Request::Install(task).encode()).is_err() {
+        let _ = buffer_tx.send(Pending::Err(CsqError::Net("client unreachable".into())));
+        return;
     }
 
     // Sort when requested (makes argument duplicates adjacent).
@@ -363,14 +238,28 @@ fn semijoin_sender(
 
     let mut seen: HashSet<Arc<Row>> = HashSet::new();
     let mut prev_key: Option<Arc<Row>> = None;
+    // The open span: fresh arguments not yet sent, and every record since
+    // the first of them.
     let mut batch_args: Vec<Arc<Row>> = Vec::with_capacity(batch_size);
     let mut batch_records: Vec<Pending> = Vec::new();
+    // Send the open span's message, then release its records. False when
+    // the client or the receiver (e.g. under a LIMIT) is gone: stop quietly.
+    let ship_span = |args: &mut Vec<Arc<Row>>, records: &mut Vec<Pending>| {
+        let msg = Request::encode_batch(args.iter().map(|a| a.as_ref()));
+        args.clear();
+        net_tx.send(msg).is_ok() && records.drain(..).all(|rec| buffer_tx.send(rec).is_ok())
+    };
 
     loop {
         let batch = match source.next_batch() {
             Ok(Some(b)) => b,
             Ok(None) => break,
-            Err(e) => fail!(e),
+            Err(e) => {
+                // The unsent span dies with the input; the error follows
+                // exactly what was delivered.
+                let _ = buffer_tx.send(Pending::Err(e));
+                return;
+            }
         };
         for row in batch.into_rows() {
             let key = Arc::new(row.project(&arg_cols));
@@ -387,51 +276,23 @@ fn semijoin_sender(
                 batch_args.push(key.clone());
             }
             let rec = Pending::Rec { row, key, fresh };
-            if fresh || !batch_args.is_empty() {
-                // Part of the current unsent span: must wait for its flush.
+            // A record in the open span waits for the span's message. With
+            // no span open it repeats an already-shipped argument and goes
+            // straight to the buffer: its result is in flight or cached.
+            if !batch_args.is_empty() {
                 batch_records.push(rec);
-            } else if !relay.is_drained() {
-                // Duplicate of a shipped argument, but earlier messages are
-                // still queued: hold it so buffer order matches wire order.
-                deferred.push(rec);
-            } else {
-                // Duplicate of an already-shipped argument: goes straight to
-                // the buffer (its result is already in flight or cached).
-                if buffer_tx.send(rec).is_err() {
-                    return;
-                }
+            } else if buffer_tx.send(rec).is_err() {
+                return;
             }
-            if batch_args.len() >= batch_size {
-                let args = std::mem::take(&mut batch_args);
-                // Deferred duplicates all precede this span in input order.
-                let mut recs = std::mem::take(&mut deferred);
-                recs.append(&mut batch_records);
-                let encode = move || Request::encode_batch(args.iter().map(|a| a.as_ref()));
-                if !relay.submit(encode, recs, &mut deliver) {
-                    return; // receiver/client gone; stop quietly.
-                }
+            if batch_args.len() >= batch_size && !ship_span(&mut batch_args, &mut batch_records) {
+                return;
             }
         }
     }
-    if !batch_args.is_empty() {
-        let args = std::mem::take(&mut batch_args);
-        let mut recs = std::mem::take(&mut deferred);
-        recs.append(&mut batch_records);
-        let encode = move || Request::encode_batch(args.iter().map(|a| a.as_ref()));
-        if !relay.submit(encode, recs, &mut deliver) {
-            return;
-        }
-    }
-    if !relay.finish(&mut deliver) {
+    if !batch_args.is_empty() && !ship_span(&mut batch_args, &mut batch_records) {
         return;
     }
-    // Trailing duplicates whose span had no message of its own.
-    for rec in deferred.drain(..) {
-        if buffer_tx.send(rec).is_err() {
-            return;
-        }
-    }
-    let _ = relay.send_control(Request::Finish.encode(), &mut deliver);
+    let _ = net_tx.send(Request::Finish.encode());
     // Dropping buffer_tx closes the buffer; the receiver then terminates.
 }
 
@@ -464,11 +325,10 @@ impl ThreadedClientJoin {
         } else {
             None
         };
-        let dop = spec.dop.max(1);
         let sender = std::thread::Builder::new()
             .name("csq-csj-sender".into())
             .spawn(move || {
-                client_join_sender(input, task, batch_size, sort_cols, dop, net_tx, tickets_tx)
+                client_join_sender(input, task, batch_size, sort_cols, net_tx, tickets_tx)
             })
             .map_err(|e| CsqError::Exec(format!("failed to spawn client-join sender: {e}")))?;
         Ok(ThreadedClientJoin {
@@ -483,19 +343,6 @@ impl ThreadedClientJoin {
     fn join_sender(&mut self) {
         if let Some(h) = self.sender.take() {
             let _ = h.join();
-        }
-    }
-
-    /// Receive and decode the response chunk a ticket announced.
-    fn recv_chunk(&mut self) -> Result<Vec<Row>> {
-        let Some(buf) = self.net_rx.recv() else {
-            return Err(CsqError::Net("client closed connection mid-query".into()));
-        };
-        // Zero-copy: payloads stay views of the message buffer.
-        let buf = Arc::new(buf);
-        match Response::decode_shared(&buf)? {
-            Response::Batch(rows) => Ok(rows),
-            Response::Error(msg) => Err(CsqError::Client(format!("client-site failure: {msg}"))),
         }
     }
 }
@@ -520,7 +367,8 @@ impl Operator for ThreadedClientJoin {
                     self.join_sender();
                     Err(e)
                 }
-                Ok(Ok(())) => self.recv_chunk(),
+                // The response chunk this ticket announced.
+                Ok(Ok(())) => recv_rows(&self.net_rx, "client closed connection mid-query"),
             };
             match chunk {
                 // Fully filtered chunk; wait for the next.
@@ -540,23 +388,17 @@ impl Operator for ThreadedClientJoin {
 /// Sender-thread body for the client-site join: consumes operator batches
 /// directly and re-chunks them into `batch_size`-row wire messages (so byte
 /// and message accounting is independent of the engine's batch capacity).
-/// Messages go through a [`WireRelay`] — with `dop > 1` encoding overlaps
-/// input staging, and each message's ticket is issued only once it is on
-/// the wire.
+/// Chunk, send, ticket: a message's ticket is issued only once it is on the
+/// wire.
 fn client_join_sender(
     input: Box<dyn Operator + Send>,
     task: csq_client::ClientTask,
     batch_size: usize,
     sort_cols: Option<Vec<usize>>,
-    dop: usize,
     net_tx: NetSender,
     tickets_tx: Sender<Result<()>>,
 ) {
-    let mut relay: WireRelay<()> = WireRelay::new(net_tx, dop);
-    let tickets = tickets_tx.clone();
-    let mut deliver = move |_: ()| tickets.send(Ok(())).is_ok();
-
-    if !relay.send_control(Request::Install(task).encode(), &mut deliver) {
+    if net_tx.send(Request::Install(task).encode()).is_err() {
         let _ = tickets_tx.send(Err(CsqError::Net("client unreachable".into())));
         return;
     }
@@ -566,37 +408,35 @@ fn client_join_sender(
         input
     };
 
-    let batch_size = batch_size.max(1);
+    // False when the client or the receiver is gone: stop quietly.
+    let ship_chunk = |rows: &mut Vec<Row>| {
+        let msg = Request::encode_batch(rows.iter());
+        rows.clear();
+        net_tx.send(msg).is_ok() && tickets_tx.send(Ok(())).is_ok()
+    };
     let mut pending: Vec<Row> = Vec::with_capacity(batch_size);
     loop {
         let batch = match source.next_batch() {
             Ok(Some(b)) => b,
             Ok(None) => break,
             Err(e) => {
-                // Tickets for already-shipped messages first, then the
-                // error, so the receiver consumes exactly what was sent.
-                let _ = relay.finish(&mut deliver);
+                // Queued behind the tickets of the messages already sent, so
+                // the receiver consumes exactly what was shipped.
                 let _ = tickets_tx.send(Err(e));
                 return;
             }
         };
         for row in batch.into_rows() {
             pending.push(row);
-            if pending.len() >= batch_size {
-                let rows = std::mem::take(&mut pending);
-                if !relay.submit(move || Request::encode_batch(rows.iter()), (), &mut deliver) {
-                    return;
-                }
+            if pending.len() >= batch_size && !ship_chunk(&mut pending) {
+                return;
             }
         }
     }
-    if !pending.is_empty() {
-        let rows = std::mem::take(&mut pending);
-        if !relay.submit(move || Request::encode_batch(rows.iter()), (), &mut deliver) {
-            return;
-        }
+    if !pending.is_empty() && !ship_chunk(&mut pending) {
+        return;
     }
-    let _ = relay.send_control(Request::Finish.encode(), &mut deliver);
+    let _ = net_tx.send(Request::Finish.encode());
 }
 
 /// The naive strategy of §2.1: treat the client-site UDF like a server-site
@@ -649,21 +489,13 @@ impl NaiveRemoteUdf {
     fn call(&mut self, key: &Row) -> Result<Row> {
         self.net_tx
             .send(Request::encode_batch(std::iter::once(key)))?;
-        let Some(buf) = self.net_rx.recv() else {
-            return Err(CsqError::Net("client closed connection".into()));
-        };
-        let buf = Arc::new(buf);
-        match Response::decode_shared(&buf)? {
-            Response::Batch(rows) => {
-                let n = rows.len();
-                match (rows.into_iter().next(), n) {
-                    (Some(result), 1) => Ok(result),
-                    _ => Err(CsqError::Exec(format!(
-                        "naive execution expected 1 result, got {n}"
-                    ))),
-                }
-            }
-            Response::Error(msg) => Err(CsqError::Client(format!("client-site failure: {msg}"))),
+        let rows = recv_rows(&self.net_rx, "client closed connection")?;
+        let n = rows.len();
+        match (rows.into_iter().next(), n) {
+            (Some(result), 1) => Ok(result),
+            _ => Err(CsqError::Exec(format!(
+                "naive execution expected 1 result, got {n}"
+            ))),
         }
     }
 }
@@ -826,59 +658,106 @@ mod tests {
         assert_eq!(out.len(), 10);
     }
 
+    /// Replays its rows, then fails where a healthy input would end.
+    struct FailsAtEnd(RowsOp);
+
+    impl Operator for FailsAtEnd {
+        fn schema(&self) -> &Schema {
+            self.0.schema()
+        }
+
+        fn next_batch(&mut self) -> Result<Option<RowBatch>> {
+            match self.0.next_batch()? {
+                Some(batch) => Ok(Some(batch)),
+                None => Err(CsqError::Type("input broke".into())),
+            }
+        }
+    }
+
     #[test]
-    fn semijoin_parallel_encoding_is_wire_identical() {
-        // dop > 1 must change neither the rows, the message count, nor the
-        // bytes — only who serializes them.
-        let data = rows(40, 8);
-        let (serial_rows, serial_stats) = {
+    fn sender_error_follows_exactly_the_delivered_prefix() {
+        // The semi-join receiver discards a partial output batch when it
+        // latches, so the delivered prefix is a whole number of them; the
+        // last `batch_size - 1` rows open a span (or chunk) the failing
+        // input never lets fill, and they die with it.
+        let delivered = 3 * DEFAULT_BATCH_SIZE;
+        type Input = Box<dyn Operator + Send>;
+        let check = |batch_size: usize, make: &dyn Fn(Input, Endpoint) -> Box<dyn Operator>| {
+            let n = delivered + batch_size - 1;
             let rt = runtime();
             let (server, client, stats) = in_memory_duplex();
-            let handle = spawn_client(rt, client).unwrap();
-            let mut spec = SemiJoinSpec::new(vec![analyze_app()], 6);
+            let handle = spawn_client(rt.clone(), client).unwrap();
+            let input = Box::new(FailsAtEnd(RowsOp::new(input_schema(), rows(n, n))));
+            let mut op = make(input, server);
+            let mut out = Vec::new();
+            let err = loop {
+                match op.next_batch() {
+                    Ok(Some(batch)) => out.extend(batch.into_rows()),
+                    Ok(None) => panic!("the input error was swallowed"),
+                    Err(e) => break e,
+                }
+            };
+            assert_eq!(err.kind(), "type");
+            for _ in 0..3 {
+                assert!(op.next_batch().unwrap().is_none());
+            }
+            assert_eq!(out.len(), delivered);
+            for (i, r) in out.iter().enumerate() {
+                assert_eq!(r.value(0), &Value::Int(i as i64), "input order preserved");
+            }
+            drop(op);
+            let _ = handle.join().unwrap();
+            // Install plus one message per full span: neither the open span
+            // nor Finish was ever sent.
+            assert_eq!(stats.down_messages(), (1 + delivered / batch_size) as u64);
+            assert_eq!(rt.invocations(), delivered as u64);
+        };
+        for batch_size in [1, 3] {
+            for concurrency in [1, 4] {
+                check(batch_size, &|input, server| {
+                    let mut spec = SemiJoinSpec::new(vec![analyze_app()], concurrency);
+                    spec.batch_size = batch_size;
+                    Box::new(ThreadedSemiJoin::new(input, spec, server).unwrap())
+                });
+            }
+            // One ticket per shipped message is honoured before the error
+            // ticket.
+            check(batch_size, &|input, server| {
+                let mut spec = ClientJoinSpec::new(vec![analyze_app()]);
+                spec.batch_size = batch_size;
+                Box::new(ThreadedClientJoin::new(input, spec, server).unwrap())
+            });
+        }
+    }
+
+    #[test]
+    fn duplicates_after_the_last_message_still_arrive() {
+        // Six distinct arguments fill two messages exactly; the rows after
+        // them repeat shipped arguments with no span open, so they reach the
+        // buffer without a message of their own.
+        let run = |data: Vec<Row>| {
+            let (server, client, stats) = in_memory_duplex();
+            let handle = spawn_client(runtime(), client).unwrap();
+            let mut spec = SemiJoinSpec::new(vec![analyze_app()], 2);
             spec.batch_size = 3;
-            let input = Box::new(RowsOp::new(input_schema(), data.clone()));
+            let input = Box::new(RowsOp::new(input_schema(), data));
             let mut op = ThreadedSemiJoin::new(input, spec, server).unwrap();
             let out = collect(&mut op).unwrap();
             drop(op);
             let _ = handle.join().unwrap();
-            (out, stats)
+            (out, stats.down_messages())
         };
-        let rt = runtime();
-        let (server, client, stats) = in_memory_duplex();
-        let handle = spawn_client(rt, client).unwrap();
-        let mut spec = SemiJoinSpec::new(vec![analyze_app()], 6);
-        spec.batch_size = 3;
-        spec.dop = 3;
-        let input = Box::new(RowsOp::new(input_schema(), data));
-        let mut op = ThreadedSemiJoin::new(input, spec, server).unwrap();
-        let out = collect(&mut op).unwrap();
-        drop(op);
-        let _ = handle.join().unwrap();
-        assert_eq!(out, serial_rows);
-        assert_eq!(stats.down_messages(), serial_stats.down_messages());
-        assert_eq!(stats.down_bytes(), serial_stats.down_bytes());
-        assert_eq!(stats.up_bytes(), serial_stats.up_bytes());
-    }
-
-    #[test]
-    fn client_join_parallel_encoding_matches_serial() {
-        let data = rows(50, 50);
-        let run = |dop: usize| {
-            let rt = runtime();
-            let (server, client, stats) = in_memory_duplex();
-            let handle = spawn_client(rt, client).unwrap();
-            let mut spec = ClientJoinSpec::new(vec![analyze_app()]);
-            spec.batch_size = 4;
-            spec.dop = dop;
-            let input = Box::new(RowsOp::new(input_schema(), data.clone()));
-            let mut op = ThreadedClientJoin::new(input, spec, server).unwrap();
-            let out = collect(&mut op).unwrap();
-            drop(op);
-            let _ = handle.join().unwrap();
-            (out, stats.down_messages(), stats.down_bytes())
-        };
-        assert_eq!(run(1), run(4));
+        let (head, head_messages) = run(rows(6, 6));
+        let (all, all_messages) = run(rows(10, 6));
+        assert_eq!(all.len(), 10);
+        assert_eq!(all[..6], head[..]);
+        for (i, r) in all.iter().enumerate().skip(6) {
+            assert_eq!(r.value(0), &Value::Int(i as i64));
+            assert_eq!(r.value(2), all[i % 6].value(2), "duplicates share results");
+        }
+        // install + 2 argument messages + finish, with or without the tail.
+        assert_eq!(head_messages, 4);
+        assert_eq!(all_messages, head_messages);
     }
 
     #[test]

@@ -315,8 +315,8 @@ fn explain_is_stable_and_readable() {
 
 /// A plain metrics table for the aggregation-placement scenarios: 9-byte
 /// int key + 9-byte int value, 1000 rows.
-fn metrics_ctx(net: NetworkSpec, key_distinct: f64, dop: usize) -> OptContext {
-    let mut ctx = OptContext::new(net).with_dop(dop);
+fn metrics_ctx(net: NetworkSpec, key_distinct: f64) -> OptContext {
+    let mut ctx = OptContext::new(net);
     ctx.add_table(
         "Metrics",
         TableStats {
@@ -353,26 +353,22 @@ fn aggregation_placement_flips_at_the_shipping_breakeven() {
     // The modeled break-even reduction factor is therefore 18/27 = 2/3 —
     // below it (few groups) the server-side partial phase ships less and
     // must win; above it the state overhead loses to shipping raw rows.
-    // The flip must hold at dop 1 and dop 4 (the engine discount shrinks
-    // server work but bytes decide the break-even).
-    for dop in [1usize, 4] {
-        for (distinct, expect) in [
-            (10.0, csq_opt::AggPlacement::ServerPartial),
-            (300.0, csq_opt::AggPlacement::ServerPartial),
-            (600.0, csq_opt::AggPlacement::ServerPartial),
-            (700.0, csq_opt::AggPlacement::ClientOnly),
-            (1000.0, csq_opt::AggPlacement::ClientOnly),
-        ] {
-            let ctx = metrics_ctx(NetworkSpec::modem_28_8(), distinct, dop);
-            let g = csq_opt::query::extract(&select(AVG_BY_K), &ctx).unwrap();
-            let plan = optimize(&g, &ctx).unwrap();
-            assert_eq!(
-                placement_of(&plan),
-                expect,
-                "dop={dop}, distinct={distinct}\n{}",
-                plan.root.explain(&g)
-            );
-        }
+    for (distinct, expect) in [
+        (10.0, csq_opt::AggPlacement::ServerPartial),
+        (300.0, csq_opt::AggPlacement::ServerPartial),
+        (600.0, csq_opt::AggPlacement::ServerPartial),
+        (700.0, csq_opt::AggPlacement::ClientOnly),
+        (1000.0, csq_opt::AggPlacement::ClientOnly),
+    ] {
+        let ctx = metrics_ctx(NetworkSpec::modem_28_8(), distinct);
+        let g = csq_opt::query::extract(&select(AVG_BY_K), &ctx).unwrap();
+        let plan = optimize(&g, &ctx).unwrap();
+        assert_eq!(
+            placement_of(&plan),
+            expect,
+            "distinct={distinct}\n{}",
+            plan.root.explain(&g)
+        );
     }
 }
 
@@ -381,7 +377,7 @@ fn aggregation_placement_explains_and_costs_monotonically() {
     // Golden plan shape at high reduction: server-partial, with the group
     // keys and calls rendered, and a cheaper estimate than the forced
     // client-only shape at the same statistics.
-    let ctx = metrics_ctx(NetworkSpec::modem_28_8(), 10.0, 1);
+    let ctx = metrics_ctx(NetworkSpec::modem_28_8(), 10.0);
     let g = csq_opt::query::extract(&select(AVG_BY_K), &ctx).unwrap();
     let plan = optimize(&g, &ctx).unwrap();
     let explain = plan.root.explain(&g);
@@ -393,7 +389,7 @@ fn aggregation_placement_explains_and_costs_monotonically() {
     // More groups must never make the plan cheaper.
     let mut last = plan.cost_seconds;
     for distinct in [50.0, 200.0, 600.0, 1000.0] {
-        let ctx = metrics_ctx(NetworkSpec::modem_28_8(), distinct, 1);
+        let ctx = metrics_ctx(NetworkSpec::modem_28_8(), distinct);
         let g = csq_opt::query::extract(&select(AVG_BY_K), &ctx).unwrap();
         let cost = optimize(&g, &ctx).unwrap().cost_seconds;
         assert!(
@@ -413,7 +409,7 @@ fn count_star_breakeven_uses_key_bytes_only() {
         (400.0, csq_opt::AggPlacement::ServerPartial),
         (600.0, csq_opt::AggPlacement::ClientOnly),
     ] {
-        let ctx = metrics_ctx(NetworkSpec::modem_28_8(), distinct, 1);
+        let ctx = metrics_ctx(NetworkSpec::modem_28_8(), distinct);
         let g = csq_opt::query::extract(&select(sql), &ctx).unwrap();
         let plan = optimize(&g, &ctx).unwrap();
         assert_eq!(
@@ -427,7 +423,7 @@ fn count_star_breakeven_uses_key_bytes_only() {
 
 #[test]
 fn having_shrinks_the_estimated_output() {
-    let ctx = metrics_ctx(NetworkSpec::modem_28_8(), 100.0, 1);
+    let ctx = metrics_ctx(NetworkSpec::modem_28_8(), 100.0);
     let with_having = {
         let g = csq_opt::query::extract(
             &select("SELECT M.k FROM Metrics M GROUP BY M.k HAVING COUNT(*) > 3"),
@@ -446,33 +442,29 @@ fn having_shrinks_the_estimated_output() {
 }
 
 #[test]
-fn dop_discounts_server_cost_without_changing_the_plan() {
-    // The degree-of-parallelism knob tells costing that server-side
-    // per-tuple work runs on the morsel-driven engine's workers. Network
-    // transfer dominates every plan here, so the *chosen* plan must not
-    // change — but the estimate must shrink monotonically, and never below
-    // the Amdahl bound (some work stays serial).
-    let make = |dop: usize| {
-        let mut ctx = fig11_ctx(NetworkSpec::modem_28_8()).with_dop(dop);
-        ctx.add_udf(
-            UdfMeta::client("ClientAnalysis", vec![DataType::Blob], DataType::Int)
-                .with_result_bytes(9.0)
-                .with_selectivity(0.001),
-        );
-        let g = csq_opt::query::extract(&select(FIG11), &ctx).unwrap();
-        let plan = optimize(&g, &ctx).unwrap();
-        (plan.root.explain(&g), plan.cost_seconds)
-    };
-    let (serial_plan, serial_cost) = make(1);
-    let (dop4_plan, dop4_cost) = make(4);
-    let (dop16_plan, dop16_cost) = make(16);
-    assert_eq!(serial_plan, dop4_plan);
-    assert_eq!(serial_plan, dop16_plan);
-    assert!(dop4_cost < serial_cost);
-    assert!(dop16_cost < dop4_cost);
-    // Server cost is a tie-breaker, not the bottleneck: the discount must
-    // stay a small fraction of the total.
-    assert!(dop16_cost > serial_cost * 0.5);
+fn costs_are_the_recorded_ones() {
+    // Estimates are pure arithmetic over the statistics, so they repeat to
+    // the bit. A cost-model change that moves one re-records it on purpose;
+    // a refactor that claims to move nothing must leave all three alone.
+    let mut ctx = fig11_ctx(NetworkSpec::modem_28_8());
+    ctx.add_udf(
+        UdfMeta::client("ClientAnalysis", vec![DataType::Blob], DataType::Int)
+            .with_result_bytes(9.0)
+            .with_selectivity(0.001),
+    );
+    let g = csq_opt::query::extract(&select(FIG11), &ctx).unwrap();
+    let fig11 = optimize(&g, &ctx).unwrap().cost_seconds;
+    assert_eq!(fig11.to_bits(), 0x403b_c777_9909_b23d, "{fig11:?}");
+
+    for (distinct, bits) in [
+        (10.0, 0x3fb3_3484_6c0a_eb15_u64),
+        (1000.0, 0x4014_0005_3e2d_6238),
+    ] {
+        let ctx = metrics_ctx(NetworkSpec::modem_28_8(), distinct);
+        let g = csq_opt::query::extract(&select(AVG_BY_K), &ctx).unwrap();
+        let cost = optimize(&g, &ctx).unwrap().cost_seconds;
+        assert_eq!(cost.to_bits(), bits, "distinct={distinct}: {cost:?}");
+    }
 }
 
 // ---- sharded (N-site) placement, DESIGN.md §13 -----------------------------
