@@ -62,11 +62,8 @@ pub fn host_cpus() -> usize {
 /// On which hosts a metric is compared with its baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Scope {
-    /// A within-process ratio that does not depend on the core count.
+    /// A ratio of two numbers measured in one process.
     AnyHost,
-    /// A within-process ratio that depends on how many cores the measured
-    /// side can use: compared only between equal-`host_cpus` runs.
-    SameCpus,
     /// An absolute number: compared only on comparable hardware.
     ComparableHw,
 }
@@ -291,7 +288,6 @@ pub fn check_regressions(gate: &Gate, current: &[Entry], baseline: &[Entry]) -> 
             };
             let (armed, scope) = match m.scope {
                 Scope::AnyHost => (true, ""),
-                Scope::SameCpus => (same_cpus(c, b), ", same host_cpus"),
                 Scope::ComparableHw => (comparable_hw, ", hardware comparable"),
             };
             let (limit, how) = match m.bound {

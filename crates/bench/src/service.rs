@@ -19,10 +19,13 @@
 //! Machine normalization follows the other benches: every run also
 //! measures the entry's `reference`, the same prepared statement executed
 //! serially in-process (no sockets, no sessions). `rel = qps / reference`
-//! is the service's efficiency against the raw engine *on this host*; the
-//! regression gate ([`GATE`]) compares `rel` only between same-`host_cpus`
-//! runs, and absolute qps / latency only when every pipeline's in-process
-//! engine confirms comparable hardware.
+//! is the service's efficiency against the raw engine *on this host* — a
+//! recorded, printed value, not a gated one: it falls whenever the engine
+//! under the service gets faster, which is not the service regressing. The
+//! regression gate ([`GATE`]) compares absolute qps / latency, and only
+//! when every pipeline's in-process engine confirms comparable hardware —
+//! so an engine speed-up disarms it until the baseline is re-recorded
+//! instead of failing it (DESIGN.md §6 "Bench gates").
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -34,7 +37,7 @@ use csq_core::{service, Database, NetworkSpec, ServiceConfig};
 use csq_storage::TableBuilder;
 
 use crate::cli::BenchCli;
-use crate::gate::{Bound, Entry, Gate, Metric, Scope};
+use crate::gate::{Bound, Entry, Gate, Metric};
 
 /// Active client counts in the concurrency sweep (zero idle connections).
 pub const CLIENT_COUNTS: [usize; 5] = [1, 4, 16, 64, 256];
@@ -80,12 +83,6 @@ pub const GATE: Gate = Gate {
     tolerance: 0.25,
     multi_core: true,
     metrics: &[
-        // The service-vs-in-process ratio depends on how many cores the
-        // sessions can actually use.
-        Metric {
-            scope: Scope::SameCpus,
-            ..Metric::ratio("rel")
-        },
         Metric::absolute("qps", Bound::Min),
         // p50 is the stable location statistic; tails over a few hundred
         // closed-loop samples swing 2x between runs on the *same* host, so
@@ -337,23 +334,33 @@ mod tests {
         let current = vec![entry("filter/clients=16/idle=1000", 400.0, 2000.0, 1000.0)];
         let failures = check_regressions(&GATE, &current, &baseline);
         assert_eq!(failures.len(), 2, "{failures:?}");
-        assert!(failures.iter().all(|f| !f.contains("rel")), "{failures:?}");
-        // Identical level shape: the rel regression is caught.
+        assert!(failures.iter().all(|f| !f.contains("qps")), "{failures:?}");
+        // Identical level shape: the qps regression is caught.
         let current = vec![entry("filter/clients=16/idle=0", 400.0, 2000.0, 1000.0)];
         let failures = check_regressions(&GATE, &current, &baseline);
         assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("rel"), "{failures:?}");
+        assert!(failures[0].contains("qps"), "{failures:?}");
     }
 
     #[test]
-    fn gate_catches_rel_regression_on_same_hardware() {
+    fn gate_catches_qps_regression_on_same_hardware() {
         let baseline = vec![entry("filter/clients=4/idle=0", 1000.0, 2000.0, 1000.0)];
         let mut current = vec![entry("filter/clients=4/idle=0", 600.0, 2000.0, 1000.0)];
         let failures = check_regressions(&GATE, &current, &baseline);
         assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("rel"), "{failures:?}");
-        // Different host shape: the rel gate (and absolute gates) disarm.
+        assert!(failures[0].contains("qps"), "{failures:?}");
+        // Different host shape: the gates disarm.
         current[0].host_cpus = 32;
+        assert!(check_regressions(&GATE, &current, &baseline).is_empty());
+    }
+
+    #[test]
+    fn a_faster_engine_under_the_same_service_disarms_the_gate() {
+        // The in-process reference got 5x faster and the service did not
+        // move: `rel` falls to a fifth, which is recorded, not a regression.
+        let baseline = vec![entry("aggregate/clients=4/idle=0", 1000.0, 2000.0, 1000.0)];
+        let current = vec![entry("aggregate/clients=4/idle=0", 1000.0, 2000.0, 5000.0)];
+        assert!(current[0].get("rel").unwrap() < 0.25 * baseline[0].get("rel").unwrap());
         assert!(check_regressions(&GATE, &current, &baseline).is_empty());
     }
 

@@ -17,10 +17,11 @@
 //! measures the entry's `reference`, the same statement executed against a
 //! single in-process engine holding the whole table (no sockets, no
 //! coordinator). `rel = qps / reference` is the coordinator's efficiency
-//! against the raw engine *on this host*; the regression gate ([`GATE`])
-//! compares `rel` only between same-`host_cpus` runs, and absolute qps /
-//! median latency only when every pipeline's single-node engine confirms
-//! comparable hardware.
+//! against the raw engine *on this host* — recorded and printed, not gated
+//! (a faster engine lowers it with the coordinator unchanged); the
+//! regression gate ([`GATE`]) compares absolute qps / median latency, and
+//! only when every pipeline's single-node engine confirms comparable
+//! hardware (DESIGN.md §6 "Bench gates").
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -28,7 +29,7 @@ use std::time::{Duration, Instant};
 use csq_core::{service, Coordinator, CoordinatorConfig, Database, NetworkSpec, ServiceConfig};
 
 use crate::cli::BenchCli;
-use crate::gate::{Bound, Entry, Gate, Metric, Scope};
+use crate::gate::{Bound, Entry, Gate, Metric};
 use crate::service::percentile;
 
 /// The scale-out ladder.
@@ -47,10 +48,6 @@ pub const GATE: Gate = Gate {
     tolerance: 0.25,
     multi_core: true,
     metrics: &[
-        Metric {
-            scope: Scope::SameCpus,
-            ..Metric::ratio("rel")
-        },
         Metric::absolute("qps", Bound::Min),
         Metric::absolute("p50_us", Bound::MaxTol(2.0)),
     ],
@@ -220,14 +217,23 @@ mod tests {
     }
 
     #[test]
-    fn gate_catches_rel_regression_on_same_hardware() {
+    fn gate_catches_qps_regression_on_same_hardware() {
         let baseline = vec![entry("agg/shards=2", 1000.0, 1000.0)];
         let mut current = vec![entry("agg/shards=2", 600.0, 1000.0)];
         let failures = check_regressions(&GATE, &current, &baseline);
         assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("rel"), "{failures:?}");
+        assert!(failures[0].contains("qps"), "{failures:?}");
         // Different host shape: every gate disarms.
         current[0].host_cpus = 32;
+        assert!(check_regressions(&GATE, &current, &baseline).is_empty());
+    }
+
+    #[test]
+    fn a_faster_engine_under_the_same_coordinator_disarms_the_gate() {
+        // The single-node reference got 5x faster, the coordinator did not
+        // move: `rel` falls to a fifth — recorded, not a regression.
+        let baseline = vec![entry("agg/shards=2", 1000.0, 1000.0)];
+        let current = vec![entry("agg/shards=2", 1000.0, 5000.0)];
         assert!(check_regressions(&GATE, &current, &baseline).is_empty());
     }
 

@@ -1,7 +1,7 @@
 //! Columnar storage workloads: zone-map pruning and operator spilling,
 //! writing `results/BENCH_storage.json`.
 //!
-//! Two workloads bracket the storage layer's performance claims
+//! Three workloads bracket the storage layer's performance claims
 //! (DESIGN.md §11):
 //!
 //! * `selective_scan` — a clustered integer key scanned with a ~10%-match
@@ -14,6 +14,12 @@
 //!   column instead: every segment spans its whole range, zone maps prune
 //!   nothing, and the spec-over-no-spec ratio is the lane filter alone
 //!   (rows the spec rejects are never decoded).
+//! * `scan_aggregate` — a low-cardinality INT key grouped with `count(*)`
+//!   and `sum` over the sealed table: the `lanes` variant aggregates the
+//!   [`ColumnarScan`]'s lane batches (no row is built), the `rows` variant
+//!   the same rows handed over as a [`RowsOp`] of the snapshot. The ratio is
+//!   what building a `Vec<Value>` per row, and grouping and accumulating a
+//!   `Value` at a time, cost (DESIGN.md §2, §7).
 //! * `aggregate_spill` — high-cardinality grouped aggregation once with an
 //!   unlimited [`MemoryTracker`] and once under a budget ~1/4 of its
 //!   working set, forcing partition spills through the temp-file path.
@@ -47,7 +53,7 @@ pub const PRUNED_SPEEDUP_FLOOR: f64 = 1.5;
 pub const GATE: Gate = Gate {
     name: "storage",
     note: "reference = rows/sec of the workload's reference variant (full_scan / the unprunable \
-           predicate with no spec / in_memory); speedup = the within-process wall ratio against it, so it is hardware-normalized; \
+           predicate with no spec / the aggregate over rows / in_memory); speedup = the within-process wall ratio against it, so it is hardware-normalized; \
            the pruned selective scan must also clear a hard 1.5x floor",
     tolerance: 0.25,
     multi_core: false,
@@ -161,6 +167,59 @@ fn selective_scan(quick: bool, rows: usize) -> Vec<Entry> {
     ]
 }
 
+/// Wall seconds of `GROUP BY` the first column of `input` with `count(*)`
+/// and `sum` of the second, which must come to `groups` groups.
+fn timed_grouping(input: csq_exec::BoxOp, groups: usize) -> f64 {
+    let mut agg = HashAggregate::new(
+        input,
+        vec![0],
+        vec![
+            AggSpec::new(AggFunc::Count, None, "n"),
+            AggSpec::new(AggFunc::Sum, Some(PhysExpr::Column(1)), "s"),
+        ],
+    );
+    let start = Instant::now();
+    let out = collect(&mut agg).expect("aggregate");
+    let secs = start.elapsed().as_secs_f64();
+    assert_eq!(out.len(), groups);
+    secs
+}
+
+/// The aggregate over the sealed table's lanes against the same aggregate
+/// over the same rows as rows, interleaved best-of-[`REPS`].
+fn scan_aggregate(quick: bool, rows: usize) -> Vec<Entry> {
+    const GROUPS: usize = 64;
+    let schema = Schema::new(vec![
+        Field::new("g", DataType::Int),
+        Field::new("v", DataType::Int),
+    ]);
+    let t = Table::new("bench_agg", schema.clone()).expect("table");
+    t.insert_all(
+        (0..rows)
+            .map(|i| {
+                Row::new(vec![
+                    Value::Int((i % GROUPS) as i64),
+                    Value::Int((i % 997) as i64),
+                ])
+            })
+            .collect(),
+    )
+    .expect("insert");
+    t.seal_tail();
+    let table = Arc::new(t);
+    let (mut row_secs, mut lane_secs) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..REPS {
+        let as_rows = RowsOp::new(schema.qualify("b"), table.snapshot());
+        row_secs = row_secs.min(timed_grouping(Box::new(as_rows), GROUPS));
+        let scan = ColumnarScan::new(&table, "b", None).expect("scan");
+        lane_secs = lane_secs.min(timed_grouping(Box::new(scan), GROUPS));
+    }
+    vec![
+        entry(quick, "scan_aggregate/rows", rows, row_secs, row_secs),
+        entry(quick, "scan_aggregate/lanes", rows, row_secs, lane_secs),
+    ]
+}
+
 fn spill_rows(rows: usize) -> Vec<Row> {
     (0..rows)
         .map(|i| {
@@ -236,10 +295,11 @@ fn aggregate_spill(quick: bool, rows: usize) -> Vec<Entry> {
     ]
 }
 
-/// Run both workloads.
+/// Run the three workloads.
 pub fn run(quick: bool) -> Vec<Entry> {
     let scale = if quick { 10 } else { 1 };
     let mut out = selective_scan(quick, 1_000_000 / scale);
+    out.extend(scan_aggregate(quick, 1_000_000 / scale));
     out.extend(aggregate_spill(quick, 200_000 / scale));
     out
 }
@@ -289,7 +349,7 @@ mod tests {
     #[test]
     fn quick_run_clears_the_floor_and_spills() {
         let entries = run(true);
-        assert_eq!(entries.len(), 5);
+        assert_eq!(entries.len(), 7);
         let find = |id: &str| entries.iter().find(|e| e.id == id).expect(id);
         let pruned = find("selective_scan/pruned");
         let ratio = pruned.get("speedup").unwrap();
@@ -303,6 +363,10 @@ mod tests {
         assert!(
             unprunable.get("speedup").unwrap() > 1.0,
             "filtering on the lanes must beat decoding every row"
+        );
+        assert!(
+            find("scan_aggregate/lanes").get("speedup").unwrap() > 1.0,
+            "aggregating the lanes must beat building a row per input row"
         );
         assert!(find("aggregate_spill/forced_spill").get("spills").unwrap() > 0.0);
     }

@@ -7,10 +7,21 @@
 //! batches from their children ([`next_batch`]), amortizing dynamic dispatch
 //! and allocation over ~a thousand rows instead of paying them per row.
 //!
+//! A batch holds its rows in one of two representations. Most operators
+//! produce `Vec<Row>`. The scan of a sealed segment produces the segment's
+//! typed [`Lane`]s (shared, not copied) plus the [`Selection`] of the rows
+//! the batch covers; such a batch answers [`len`](RowBatch::len) from the
+//! selection, hands an operator that works a column at a time its
+//! [`lanes`](RowBatch::lanes), and builds its rows — exactly the values that
+//! were inserted — the first time [`rows`](RowBatch::rows),
+//! [`into_rows`](RowBatch::into_rows) or [`into_parts`](RowBatch::into_parts)
+//! asks for them. Which operators ask is DESIGN.md §2.
+//!
 //! [`next_batch`]: ../../csq_exec/trait.Operator.html#method.next_batch
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use crate::lane::{Lane, Selection};
 use crate::row::Row;
 use crate::schema::Schema;
 
@@ -21,21 +32,63 @@ pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
 /// A chunk of rows with a shared schema.
 ///
-/// A batch is a complete unit of work, built once from its rows. Batches
-/// produced by well-behaved operators are never empty and usually hold at
-/// most [`DEFAULT_BATCH_SIZE`] rows, except where an operator's output
-/// naturally exceeds it (join fan-out); consumers must not assume an exact
-/// size.
+/// A batch is a complete unit of work, built once from its rows or its
+/// lanes. Batches produced by well-behaved operators are never empty and
+/// usually hold at most [`DEFAULT_BATCH_SIZE`] rows, except where an
+/// operator's output naturally exceeds it (join fan-out); consumers must not
+/// assume an exact size.
 #[derive(Debug, Clone)]
 pub struct RowBatch {
     schema: Arc<Schema>,
-    rows: Vec<Row>,
+    repr: Repr,
+}
+
+#[derive(Debug, Clone)]
+enum Repr {
+    Rows(Vec<Row>),
+    /// One lane per schema column, the rows `sel` names, and those rows once
+    /// something has asked for them.
+    Lanes {
+        lanes: Vec<Arc<Lane>>,
+        sel: Selection,
+        rows: OnceLock<Vec<Row>>,
+    },
+}
+
+/// Build the rows `sel` names out of `lanes`, one value per lane.
+fn materialize(lanes: &[Arc<Lane>], sel: &Selection) -> Vec<Row> {
+    let mut rows = Vec::with_capacity(sel.len());
+    sel.for_each(sel.len(), |_, i| {
+        rows.push(Row::new(lanes.iter().map(|l| l.value(i)).collect()));
+    });
+    rows
 }
 
 impl RowBatch {
     /// Wrap already-materialized rows (no copy).
     pub fn from_rows(schema: Arc<Schema>, rows: Vec<Row>) -> RowBatch {
-        RowBatch { schema, rows }
+        RowBatch {
+            schema,
+            repr: Repr::Rows(rows),
+        }
+    }
+
+    /// The rows `sel` names of `lanes` (one per `schema` column, each long
+    /// enough for every ordinal in `sel`), shared rather than decoded.
+    pub fn from_lanes(schema: Arc<Schema>, lanes: Vec<Arc<Lane>>, sel: Selection) -> RowBatch {
+        debug_assert_eq!(lanes.len(), schema.len());
+        debug_assert!(
+            sel.is_empty() || lanes.iter().all(|l| sel.ordinal(sel.len() - 1) < l.len()),
+            "selection past the end of a lane"
+        );
+        RowBatch {
+            schema,
+            repr: Repr::Lanes {
+                lanes,
+                sel,
+                rows: OnceLock::new(),
+            },
+        }
     }
 
     /// The shared schema.
@@ -43,53 +96,85 @@ impl RowBatch {
         &self.schema
     }
 
-    /// Rows in the batch.
+    /// The lanes and selection of a lane-backed batch; `None` for a batch of
+    /// rows. Reading them builds nothing.
+    pub fn lanes(&self) -> Option<(&[Arc<Lane>], &Selection)> {
+        match &self.repr {
+            Repr::Rows(_) => None,
+            Repr::Lanes { lanes, sel, .. } => Some((lanes, sel)),
+        }
+    }
+
+    /// True once the batch holds its rows as rows: always for a batch made
+    /// [`from_rows`](Self::from_rows), for a lane-backed one only after
+    /// something asked for them. A probe for tests — what an operator left
+    /// unbuilt — not something to branch on.
+    pub fn is_materialized(&self) -> bool {
+        match &self.repr {
+            Repr::Rows(_) => true,
+            Repr::Lanes { rows, .. } => rows.get().is_some(),
+        }
+    }
+
+    /// Rows in the batch (built on first use for a lane-backed batch).
     #[inline]
     pub fn rows(&self) -> &[Row] {
-        &self.rows
+        match &self.repr {
+            Repr::Rows(rows) => rows,
+            Repr::Lanes { lanes, sel, rows } => rows.get_or_init(|| materialize(lanes, sel)),
+        }
     }
 
     /// Number of rows.
     #[inline]
     pub fn len(&self) -> usize {
-        self.rows.len()
+        match &self.repr {
+            Repr::Rows(rows) => rows.len(),
+            Repr::Lanes { sel, .. } => sel.len(),
+        }
     }
 
     /// True when the batch holds no rows.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
     }
 
     /// Consume into the underlying rows.
     #[inline]
     pub fn into_rows(self) -> Vec<Row> {
-        self.rows
+        self.into_parts().1
     }
 
     /// Consume into `(schema, rows)` — lets an operator filter or transform
     /// the rows in place and rebuild a batch around the same `Arc<Schema>`.
     #[inline]
     pub fn into_parts(self) -> (Arc<Schema>, Vec<Row>) {
-        (self.schema, self.rows)
+        let rows = match self.repr {
+            Repr::Rows(rows) => rows,
+            Repr::Lanes { lanes, sel, rows } => rows
+                .into_inner()
+                .unwrap_or_else(|| materialize(&lanes, &sel)),
+        };
+        (self.schema, rows)
     }
 
     /// Iterate over the rows.
     pub fn iter(&self) -> std::slice::Iter<'_, Row> {
-        self.rows.iter()
+        self.rows().iter()
     }
 
     /// Cheap column projection: each output row picks `indices` from the
     /// corresponding input row (values are refcounted views, so this never
     /// deep-copies payloads).
     pub fn project(&self, indices: &[usize], schema: Arc<Schema>) -> RowBatch {
-        let rows = self.rows.iter().map(|r| r.project(indices)).collect();
-        RowBatch { schema, rows }
+        let rows = self.iter().map(|r| r.project(indices)).collect();
+        RowBatch::from_rows(schema, rows)
     }
 
     /// Total wire size of all rows (sum of [`Row::wire_size`]).
     pub fn wire_size(&self) -> usize {
-        self.rows.iter().map(Row::wire_size).sum()
+        self.iter().map(Row::wire_size).sum()
     }
 
     /// Split into morsels of at most `morsel_rows` rows each (the unit the
@@ -97,8 +182,8 @@ impl RowBatch {
     /// returned batches. A batch already within the limit comes back whole.
     pub fn split_morsels(self, morsel_rows: usize) -> Vec<RowBatch> {
         let morsel_rows = morsel_rows.max(1);
-        if self.rows.len() <= morsel_rows {
-            return if self.rows.is_empty() {
+        if self.len() <= morsel_rows {
+            return if self.is_empty() {
                 Vec::new()
             } else {
                 vec![self]
@@ -124,7 +209,7 @@ impl RowBatch {
     pub fn partition_by_hash(self, key: Option<&[usize]>, parts: usize) -> Vec<Vec<Row>> {
         let parts = parts.max(1);
         let mut buckets: Vec<Vec<Row>> = (0..parts).map(|_| Vec::new()).collect();
-        for row in self.rows {
+        for row in self {
             let p = row.partition_of(key, parts);
             buckets[p].push(row);
         }
@@ -144,7 +229,7 @@ impl IntoIterator for RowBatch {
     type Item = Row;
     type IntoIter = std::vec::IntoIter<Row>;
     fn into_iter(self) -> Self::IntoIter {
-        self.rows.into_iter()
+        self.into_rows().into_iter()
     }
 }
 
@@ -167,6 +252,70 @@ mod tests {
         let b = RowBatch::from_rows(schema(), rows.clone());
         assert_eq!(b.rows(), &rows[..]);
         assert_eq!(b.into_rows(), rows);
+    }
+
+    /// Two lanes of five rows (`a` = 0..5 with a NULL at 2, `b` = 10·a).
+    fn lanes() -> (Vec<Arc<Lane>>, Vec<Row>) {
+        let rows: Vec<Row> = (0..5)
+            .map(|i| {
+                let a = if i == 2 { Value::Null } else { Value::Int(i) };
+                Row::new(vec![a, Value::Int(10 * i)])
+            })
+            .collect();
+        let lanes = (0..2).map(|c| Arc::new(Lane::build(&rows, c))).collect();
+        (lanes, rows)
+    }
+
+    #[test]
+    fn lane_batch_counts_from_its_selection_and_builds_rows_on_first_use() {
+        let (lanes, rows) = lanes();
+        for (sel, expect) in [
+            (Selection::Window(1..4), rows[1..4].to_vec()),
+            (
+                Selection::Rows(vec![0, 2, 4]),
+                vec![rows[0].clone(), rows[2].clone(), rows[4].clone()],
+            ),
+        ] {
+            let b = RowBatch::from_lanes(schema(), lanes.clone(), sel);
+            assert_eq!(b.len(), 3);
+            assert!(b.lanes().is_some() && !b.is_materialized());
+            assert_eq!(b.clone().into_rows(), expect);
+            assert!(!b.is_materialized(), "a clone's rows are its own");
+            assert_eq!(
+                b.wire_size(),
+                expect.iter().map(Row::wire_size).sum::<usize>()
+            );
+            assert!(b.is_materialized());
+            assert_eq!(b.rows(), &expect[..]);
+            assert_eq!(b.into_parts().1, expect, "built once, then moved out");
+        }
+        // No columns: the rows are empty, but there are as many as selected.
+        let b = RowBatch::from_lanes(
+            Arc::new(Schema::new(vec![])),
+            Vec::new(),
+            Selection::Window(0..4),
+        );
+        assert_eq!((b.len(), b.is_empty()), (4, false));
+        assert_eq!(b.into_rows(), vec![Row::new(vec![]); 4]);
+        assert!(RowBatch::from_rows(schema(), Vec::new()).lanes().is_none());
+    }
+
+    #[test]
+    fn lane_batch_splits_and_partitions_like_its_rows() {
+        let (lanes, rows) = lanes();
+        let lane_batch = || RowBatch::from_lanes(schema(), lanes.clone(), Selection::Window(0..5));
+        let whole = lane_batch().split_morsels(8);
+        assert!(whole.len() == 1 && !whole[0].is_materialized());
+        let rejoined: Vec<Row> = lane_batch()
+            .split_morsels(2)
+            .into_iter()
+            .flat_map(RowBatch::into_rows)
+            .collect();
+        assert_eq!(rejoined, rows);
+        assert_eq!(
+            lane_batch().partition_by_hash(Some(&[0]), 3),
+            RowBatch::from_rows(schema(), rows).partition_by_hash(Some(&[0]), 3)
+        );
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! [`Value`]s (including opaque [`Blob`] "data objects" as used in the paper's
 //! experiments and refcounted [`Str`] strings), [`Schema`]s with qualified
 //! column names, [`Row`]s, [`RowBatch`] chunks (the unit of the vectorized
-//! execution engine), error types, and a compact binary [`codec`] — with
+//! execution engine: rows, or typed column [`Lane`]s plus a [`Selection`]),
+//! error types, and a compact binary [`codec`] — with
 //! zero-copy decoding — whose encoded sizes are the *byte accounting* used
 //! by the network simulator and the cost model.
 //!
@@ -16,6 +17,7 @@ pub mod batch;
 pub mod cancel;
 pub mod codec;
 pub mod error;
+pub mod lane;
 pub mod row;
 pub mod schema;
 pub mod value;
@@ -23,6 +25,7 @@ pub mod value;
 pub use batch::{RowBatch, DEFAULT_BATCH_SIZE};
 pub use cancel::{CancelToken, Deadline};
 pub use error::{CsqError, Result};
+pub use lane::{IntLane, Lane, NullBitmap, Selection};
 pub use row::Row;
 pub use schema::{Field, Schema};
 pub use value::{Blob, DataType, Str, Value};

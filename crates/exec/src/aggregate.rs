@@ -1,10 +1,22 @@
 //! Vectorized grouped aggregation (DESIGN.md §7).
 //!
 //! [`HashAggregate`] is the batch-native GROUP BY operator: it drains its
-//! input batch-wise into an insertion-ordered hash table (sized from the
+//! input batch-wise into an insertion-ordered group table (sized from the
 //! input's [`crate::Operator::size_hint`]), accumulating one
-//! `AggState` vector per group, then re-emits finished groups
+//! `AggState` per call per group, then re-emits finished groups
 //! in first-occurrence order.
+//!
+//! There is one group table and two ways to read a batch into it, chosen by
+//! the batch's own representation. A lane-backed batch (what the scan emits
+//! for a sealed segment) is grouped on its key lanes and each call whose
+//! argument is a plain column is accumulated on that column's lane — typed
+//! kernels where the lane's type makes the per-row [`Value`] unnecessary,
+//! `Lane::value` into the one `AggState::update_value` for every other
+//! pairing — so the batch's rows are never built. A row batch is grouped on
+//! its rows, without a key `Row` per input row. Group keys compare by
+//! `Value` equality either way, and calls run a batch at a time under the
+//! rule that keeps the row loop's error: first failing row, then first
+//! failing call.
 //!
 //! Aggregation is *decomposable*: every function's state splits into a
 //! partial phase (`update` over raw rows, shippable as plain value columns)
@@ -32,10 +44,14 @@
 //! range with a private single-phase instance, and the gather side merges —
 //! the same multiset of groups as the serial operator.
 
-use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 use std::sync::Arc;
 
-use csq_common::{CsqError, DataType, Field, Result, Row, RowBatch, Schema, Value};
+use csq_common::lane::wide;
+use csq_common::{
+    each_width, CsqError, DataType, Field, IntLane, Lane, Result, Row, RowBatch, Schema, Selection,
+    Value,
+};
 use csq_expr::{physical::eval_binary, AggFunc, BinaryOp, PhysExpr};
 
 use crate::ops::{batch_operator, compare_values};
@@ -127,6 +143,34 @@ fn numeric_add(acc: &mut Value, v: &Value) -> Result<()> {
         *acc = eval_binary(BinaryOp::Add, acc, v)?;
     }
     Ok(())
+}
+
+/// [`numeric_add`] of an INT read off a typed lane: the `Int + Int` case is
+/// the checked add `eval_binary` makes, anything else goes through it.
+#[inline]
+fn add_int(acc: &mut Value, x: i64) -> Result<()> {
+    match acc {
+        Value::Int(a) => {
+            *a = a
+                .checked_add(x)
+                .ok_or_else(|| CsqError::Exec("integer overflow".into()))?;
+            Ok(())
+        }
+        _ => numeric_add(acc, &Value::Int(x)),
+    }
+}
+
+/// [`numeric_add`] of a FLOAT read off a typed lane: `Float + Float` in
+/// place (the same `a + b`, so sums stay bit-identical), the rest through it.
+#[inline]
+fn add_float(acc: &mut Value, x: f64) -> Result<()> {
+    match acc {
+        Value::Float(a) => {
+            *a += x;
+            Ok(())
+        }
+        _ => numeric_add(acc, &Value::Float(x)),
+    }
 }
 
 impl AggState {
@@ -253,6 +297,473 @@ enum Mode {
     Final,
 }
 
+/// One way to read the group key of each row of a batch: out of the rows,
+/// or out of the key columns' lanes. [`GroupTable::resolve`] is written once
+/// against this.
+trait KeySource {
+    /// Rows in the batch.
+    fn len(&self) -> usize;
+    /// Hash of row `p`'s key, each cell hashed as the [`Value`] it is.
+    fn hash(&self, hasher: &RandomState, p: usize) -> u64;
+    /// Whether row `p`'s key equals `key`, by `Value` equality.
+    fn eq(&self, p: usize, key: &[Value]) -> bool;
+    /// Append row `p`'s key.
+    fn push_key(&self, p: usize, out: &mut Vec<Value>);
+    /// When every key of the batch is one of a few codes known up front (a
+    /// one-byte INT, a BOOL, a dictionary code), how many: rows with equal
+    /// codes have equal keys, so the table is probed once a code, not once a
+    /// row. 0 when the keys have no such codes.
+    fn codes(&self) -> usize {
+        0
+    }
+    /// Call `f(p, code)` for each row `p` in order, `code` below
+    /// [`codes`](Self::codes).
+    fn for_each_code(&self, _f: impl FnMut(usize, usize)) {
+        unreachable!("a key source without codes")
+    }
+}
+
+/// Fold one cell's hash into a row's running key hash (order-sensitive, so
+/// `(a, b)` and `(b, a)` differ).
+#[inline]
+fn fold_hash(acc: u64, cell: u64) -> u64 {
+    acc.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31) ^ cell
+}
+
+/// Keys read from materialized rows at `cols`.
+struct RowKeys<'a> {
+    rows: &'a [Row],
+    cols: &'a [usize],
+}
+
+impl KeySource for RowKeys<'_> {
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn hash(&self, hasher: &RandomState, p: usize) -> u64 {
+        let row = &self.rows[p];
+        self.cols
+            .iter()
+            .fold(0, |h, &c| fold_hash(h, hasher.hash_one(row.value(c))))
+    }
+
+    fn eq(&self, p: usize, key: &[Value]) -> bool {
+        let row = &self.rows[p];
+        self.cols.iter().zip(key).all(|(&c, k)| row.value(c) == k)
+    }
+
+    fn push_key(&self, p: usize, out: &mut Vec<Value>) {
+        out.extend(self.cols.iter().map(|&c| self.rows[p].value(c).clone()));
+    }
+}
+
+/// Keys read from the key columns' lanes under the batch's selection; no
+/// row is built, and a `Value` only for the key of a group's first row.
+struct LaneKeys<'a> {
+    lanes: Vec<&'a Lane>,
+    sel: &'a Selection,
+}
+
+impl KeySource for LaneKeys<'_> {
+    fn len(&self) -> usize {
+        self.sel.len()
+    }
+
+    fn hash(&self, hasher: &RandomState, p: usize) -> u64 {
+        let i = self.sel.ordinal(p);
+        self.lanes.iter().fold(0, |h, lane| {
+            let cell = match lane {
+                _ if lane.is_null(i) => hasher.hash_one(Value::Null),
+                Lane::Int { values, .. } => hasher.hash_one(Value::Int(values.get(i))),
+                Lane::Float { values, .. } => hasher.hash_one(Value::Float(values[i])),
+                Lane::Bool { values, .. } => hasher.hash_one(Value::Bool(values[i])),
+                Lane::StrDict { .. } => hasher.hash_one(lane.value(i)),
+                Lane::Values(values) => hasher.hash_one(&values[i]),
+            };
+            fold_hash(h, cell)
+        })
+    }
+
+    fn eq(&self, p: usize, key: &[Value]) -> bool {
+        let i = self.sel.ordinal(p);
+        self.lanes.iter().zip(key).all(|(l, k)| l.eq_value(i, k))
+    }
+
+    fn push_key(&self, p: usize, out: &mut Vec<Value>) {
+        let i = self.sel.ordinal(p);
+        out.extend(self.lanes.iter().map(|l| l.value(i)));
+    }
+
+    /// One code per non-NULL value of the lane's small domain, and a last
+    /// one for NULL.
+    fn codes(&self) -> usize {
+        match self.lanes[..] {
+            [Lane::Int {
+                values: IntLane::I8(_),
+                ..
+            }] => 257,
+            [Lane::Bool { .. }] => 3,
+            [Lane::StrDict { dict, .. }] => dict.len() + 1,
+            _ => 0,
+        }
+    }
+
+    fn for_each_code(&self, mut f: impl FnMut(usize, usize)) {
+        let (n, null) = (self.sel.len(), self.codes() - 1);
+        match self.lanes[0] {
+            Lane::Int {
+                values: IntLane::I8(v),
+                nulls,
+            } => self.sel.for_each(n, |p, i| match nulls.get(i) {
+                true => f(p, null),
+                false => f(p, v[i] as u8 as usize),
+            }),
+            Lane::Bool { values, nulls } => self.sel.for_each(n, |p, i| match nulls.get(i) {
+                true => f(p, null),
+                false => f(p, values[i] as usize),
+            }),
+            Lane::StrDict { codes, .. } => self
+                .sel
+                .for_each(n, |p, i| f(p, (codes[i] as usize).min(null))),
+            _ => unreachable!("a lane without codes"),
+        }
+    }
+}
+
+/// The accumulator of one call in each row's group: the column of the state
+/// matrix a per-call kernel writes.
+struct CallStates<'a> {
+    states: &'a mut [AggState],
+    gids: &'a [u32],
+    stride: usize,
+    call: usize,
+}
+
+impl CallStates<'_> {
+    #[inline]
+    fn at(&mut self, p: usize) -> &mut AggState {
+        &mut self.states[self.gids[p] as usize * self.stride + self.call]
+    }
+}
+
+/// Call `f(p, row)` for each row until one fails; the error comes back with
+/// the position of the row that raised it.
+fn each_row(
+    rows: &[Row],
+    mut f: impl FnMut(usize, &Row) -> Result<()>,
+) -> std::result::Result<(), (usize, CsqError)> {
+    rows.iter()
+        .enumerate()
+        .try_for_each(|(p, row)| f(p, row).map_err(|e| (p, e)))
+}
+
+/// The insertion-ordered group table: group ids are handed out in
+/// first-occurrence order of each key, keys and accumulator states live in
+/// flat vectors indexed by group id, and an open-addressing index (linear
+/// probing over `slots`, at most half full) finds a key's group from its
+/// hash without building a key row. Keys hash through std's randomly seeded
+/// SipHash — they are table data, so the index keeps the collision
+/// resistance `HashMap` has.
+///
+/// The table also carries what it has registered with the operator's
+/// [`MemoryTracker`], and releases it when cleared or dropped — so a build
+/// that ends in an error gives its bytes back like one that finishes.
+struct GroupTable {
+    key_len: usize,
+    funcs: Vec<AggFunc>,
+    /// Tracked bytes a group costs beyond its key's wire size.
+    group_overhead: usize,
+    hasher: RandomState,
+    /// Group id + 1 per occupied slot, 0 for an empty one; a power of two.
+    slots: Vec<u32>,
+    /// Key hash per group (probe shortcut, and the rehash input).
+    hashes: Vec<u64>,
+    /// `key_len` values per group.
+    keys: Vec<Value>,
+    /// One state per call per group.
+    states: Vec<AggState>,
+    memory: Option<Arc<MemoryTracker>>,
+    /// Approximate bytes currently registered with `memory`.
+    tracked: usize,
+    /// Per-batch scratch: the group id of each row, and of each key code.
+    gids: Vec<u32>,
+    code_groups: Vec<u32>,
+}
+
+impl GroupTable {
+    /// `hint` seeds the capacity; it bounds input *rows*, an upper bound on
+    /// groups that can overshoot wildly for low-cardinality keys, so it is
+    /// capped and growth amortizes past it.
+    fn new(
+        key_len: usize,
+        aggs: &[AggSpec],
+        memory: Option<Arc<MemoryTracker>>,
+        hint: usize,
+    ) -> GroupTable {
+        let hint = hint.min(1024);
+        let state_width: usize = aggs.iter().map(AggSpec::state_width).sum();
+        GroupTable {
+            key_len,
+            funcs: aggs.iter().map(|a| a.func).collect(),
+            group_overhead: state_width * 16 + ENTRY_OVERHEAD,
+            hasher: RandomState::new(),
+            slots: vec![0; (hint * 2).next_power_of_two().max(16)],
+            hashes: Vec::with_capacity(hint),
+            keys: Vec::with_capacity(hint * key_len),
+            states: Vec::with_capacity(hint * aggs.len()),
+            memory,
+            tracked: 0,
+            gids: Vec::new(),
+            code_groups: Vec::new(),
+        }
+    }
+
+    /// Groups in the table.
+    fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    /// Append a group with the key `push_key` writes; returns its id.
+    fn push_group(&mut self, hash: u64, push_key: impl FnOnce(&mut Vec<Value>)) -> u32 {
+        let g = self.hashes.len();
+        assert!(g < u32::MAX as usize, "group ids are 32 bits");
+        self.hashes.push(hash);
+        push_key(&mut self.keys);
+        let key_bytes: usize = self.keys[g * self.key_len..]
+            .iter()
+            .map(Value::wire_size)
+            .sum();
+        self.states
+            .extend(self.funcs.iter().map(|&f| AggState::init(f)));
+        let added = key_bytes + self.group_overhead;
+        if let Some(t) = &self.memory {
+            self.tracked += added;
+            t.grow(added);
+        }
+        g as u32
+    }
+
+    /// Double the index and re-seat every group by its stored hash.
+    fn grow_index(&mut self) {
+        let mask = self.slots.len() * 2 - 1;
+        self.slots = vec![0; mask + 1];
+        for (g, &h) in self.hashes.iter().enumerate() {
+            let mut s = h as usize & mask;
+            while self.slots[s] != 0 {
+                s = (s + 1) & mask;
+            }
+            self.slots[s] = g as u32 + 1;
+        }
+    }
+
+    /// The group of row `p` of `keys`, added (so ids follow first occurrence,
+    /// callers asking in row order) if its key was not seen before.
+    fn group_of(&mut self, keys: &impl KeySource, p: usize) -> u32 {
+        let h = keys.hash(&self.hasher, p);
+        let mask = self.slots.len() - 1;
+        let mut s = h as usize & mask;
+        loop {
+            match self.slots[s] {
+                0 => {
+                    let g = self.push_group(h, |out| keys.push_key(p, out));
+                    self.slots[s] = g + 1;
+                    if self.len() * 2 > self.slots.len() {
+                        self.grow_index();
+                    }
+                    return g;
+                }
+                slot => {
+                    let g = slot as usize - 1;
+                    if self.hashes[g] == h
+                        && keys.eq(p, &self.keys[g * self.key_len..][..self.key_len])
+                    {
+                        return slot - 1;
+                    }
+                    s = (s + 1) & mask;
+                }
+            }
+        }
+    }
+
+    /// Fill `self.gids` with the group of each row of `keys`.
+    fn resolve(&mut self, keys: &impl KeySource) {
+        let mut gids = std::mem::take(&mut self.gids);
+        gids.clear();
+        if self.key_len == 0 {
+            // A global aggregate: every row is in the one group.
+            if self.len() == 0 {
+                self.push_group(0, |_| {});
+            }
+            gids.resize(keys.len(), 0);
+        } else if keys.codes() > 0 {
+            // Group id + 1 of each code met so far in this batch.
+            let mut seen = std::mem::take(&mut self.code_groups);
+            seen.clear();
+            seen.resize(keys.codes(), 0);
+            keys.for_each_code(|p, code| {
+                if seen[code] == 0 {
+                    seen[code] = self.group_of(keys, p) + 1;
+                }
+                gids.push(seen[code] - 1);
+            });
+            self.code_groups = seen;
+        } else {
+            gids.extend((0..keys.len()).map(|p| self.group_of(keys, p)));
+        }
+        self.gids = gids;
+    }
+
+    /// Group `batch`'s rows by `key` — read from its lanes when it has them,
+    /// from its rows otherwise.
+    fn resolve_batch(&mut self, key: &[usize], batch: &RowBatch) {
+        match batch.lanes() {
+            Some((lanes, sel)) => self.resolve(&LaneKeys {
+                lanes: key.iter().map(|&k| &*lanes[k]).collect(),
+                sel,
+            }),
+            None => self.resolve(&RowKeys {
+                rows: batch.rows(),
+                cols: key,
+            }),
+        }
+    }
+
+    /// Accumulate a batch of raw input (the single and partial phases): its
+    /// rows are grouped, then each call runs over the whole batch — on the
+    /// argument's lane when the argument is a plain column of a lane-backed
+    /// batch, over the batch's rows otherwise.
+    ///
+    /// A row loop would stop at the first failing row, and within it at the
+    /// first failing call; so each call runs only up to the earliest row an
+    /// earlier call failed on, and an error there (a strictly earlier row)
+    /// replaces the one held.
+    fn update(&mut self, key: &[usize], aggs: &[AggSpec], batch: &RowBatch) -> Result<()> {
+        self.resolve_batch(key, batch);
+        let mut limit = batch.len();
+        let mut first = None;
+        for (a, spec) in aggs.iter().enumerate() {
+            if let Err((p, e)) = self.update_call(a, spec, batch, limit) {
+                (limit, first) = (p, Some(e));
+            }
+        }
+        first.map_or(Ok(()), Err)
+    }
+
+    /// Run call `a` over the first `limit` rows of `batch`; an error comes
+    /// back with the position of the row that raised it.
+    fn update_call(
+        &mut self,
+        a: usize,
+        spec: &AggSpec,
+        batch: &RowBatch,
+        limit: usize,
+    ) -> std::result::Result<(), (usize, CsqError)> {
+        let func = spec.func;
+        let mut col = CallStates {
+            states: &mut self.states,
+            gids: &self.gids,
+            stride: self.funcs.len(),
+            call: a,
+        };
+        match (&spec.arg, batch.lanes()) {
+            (None, _) => {
+                (0..limit).try_for_each(|p| col.at(p).update_value(func, None).map_err(|e| (p, e)))
+            }
+            (Some(PhysExpr::Column(c)), Some((lanes, sel))) if *c < lanes.len() => {
+                match &*lanes[*c] {
+                    Lane::Int { values, nulls } => each_width!(values, v => {
+                        sel.try_for_each(limit, |p, i| match nulls.get(i) {
+                            true => Ok(()),
+                            false => col.at(p).update_int(func, wide(v[i])),
+                        })
+                    }),
+                    Lane::Float { values, nulls } => {
+                        sel.try_for_each(limit, |p, i| match nulls.get(i) {
+                            true => Ok(()),
+                            false => col.at(p).update_float(func, values[i]),
+                        })
+                    }
+                    lane => sel.try_for_each(limit, |p, i| {
+                        col.at(p).update_value(func, Some(&lane.value(i)))
+                    }),
+                }
+            }
+            (Some(arg @ PhysExpr::Column(c)), None) => {
+                each_row(&batch.rows()[..limit], |p, row| {
+                    match row.values().get(*c) {
+                        Some(v) => col.at(p).update_value(func, Some(v)),
+                        // Out of range: the evaluator words the error.
+                        None => arg.eval(row).map(drop),
+                    }
+                })
+            }
+            (Some(e), _) => each_row(&batch.rows()[..limit], |p, row| {
+                let v = e.eval(row)?;
+                col.at(p).update_value(func, Some(&v))
+            }),
+        }
+    }
+
+    /// Merge a batch of partial-state rows (the final phase, and the
+    /// read-back of a spill partition): key columns first, then each call's
+    /// state columns.
+    fn merge(&mut self, aggs: &[AggSpec], rows: &[Row]) -> Result<()> {
+        let key: Vec<usize> = (0..self.key_len).collect();
+        self.resolve(&RowKeys { rows, cols: &key });
+        let n = self.funcs.len();
+        for (row, &g) in rows.iter().zip(&self.gids) {
+            let vals = row.values();
+            let mut at = self.key_len;
+            for (spec, st) in aggs.iter().zip(&mut self.states[g as usize * n..][..n]) {
+                let w = spec.state_width();
+                st.merge(&vals[at..at + w])?;
+                at += w;
+            }
+        }
+        Ok(())
+    }
+
+    /// Empty the table into one row per group, in group-id order: the key,
+    /// then each call's partial state (`emit_state`) or finished value. The
+    /// registered bytes go back to the tracker.
+    fn drain_rows(&mut self, emit_state: bool) -> Result<Vec<Row>> {
+        let (key_len, n) = (self.key_len, self.funcs.len());
+        let mut out = Vec::with_capacity(self.len());
+        let mut keys = std::mem::take(&mut self.keys).into_iter();
+        let mut states = std::mem::take(&mut self.states).into_iter();
+        for _ in 0..self.len() {
+            let mut vals: Vec<Value> = Vec::with_capacity(key_len + 2 * n);
+            vals.extend(keys.by_ref().take(key_len));
+            for st in states.by_ref().take(n) {
+                if emit_state {
+                    st.emit_state(&mut vals);
+                } else {
+                    vals.push(st.finish()?);
+                }
+            }
+            out.push(Row::new(vals));
+        }
+        self.hashes.clear();
+        self.slots.fill(0);
+        self.release();
+        Ok(out)
+    }
+
+    fn release(&mut self) {
+        if let Some(t) = &self.memory {
+            t.shrink(self.tracked);
+        }
+        self.tracked = 0;
+    }
+}
+
+impl Drop for GroupTable {
+    fn drop(&mut self) {
+        self.release();
+    }
+}
+
 /// The vectorized GROUP BY operator; see the module docs.
 ///
 /// With a [`MemoryTracker`] attached (via
@@ -264,7 +775,9 @@ enum Mode {
 /// the working set). Results are identical to the in-memory path except for
 /// group *order*, which becomes partition-major instead of global
 /// first-occurrence (GROUP BY output order is unspecified; an explicit
-/// ORDER BY above is unaffected).
+/// ORDER BY above is unaffected). Whatever the build registered with the
+/// tracker is released when its table goes — at the end of the build,
+/// however it ends.
 pub struct HashAggregate {
     input: Option<BoxOp>,
     /// Group-key column ordinals in the input.
@@ -275,8 +788,6 @@ pub struct HashAggregate {
     groups: Option<std::vec::IntoIter<Row>>,
     /// Byte budget shared with other operators; `None` = never spill.
     memory: Option<Arc<MemoryTracker>>,
-    /// Approximate bytes currently registered with the tracker.
-    tracked: usize,
     /// Spill partitions, created on first overflow.
     spilled: Vec<SpillFile>,
     /// Times the build flushed its table to disk.
@@ -305,38 +816,36 @@ pub fn aggregate_state_schema(input: &Schema, key: &[usize], aggs: &[AggSpec]) -
 }
 
 impl HashAggregate {
-    /// Single-phase aggregation: raw rows in, finished groups out.
-    pub fn new(input: BoxOp, key: Vec<usize>, aggs: Vec<AggSpec>) -> HashAggregate {
-        let schema = Arc::new(aggregate_output_schema(input.schema(), &key, &aggs));
+    fn with(
+        input: BoxOp,
+        key: Vec<usize>,
+        aggs: Vec<AggSpec>,
+        mode: Mode,
+        schema: Schema,
+    ) -> HashAggregate {
         HashAggregate {
             input: Some(input),
             key,
             aggs,
-            mode: Mode::Single,
-            schema,
+            mode,
+            schema: Arc::new(schema),
             groups: None,
             memory: None,
-            tracked: 0,
             spilled: Vec::new(),
             spill_events: 0,
         }
     }
 
+    /// Single-phase aggregation: raw rows in, finished groups out.
+    pub fn new(input: BoxOp, key: Vec<usize>, aggs: Vec<AggSpec>) -> HashAggregate {
+        let schema = aggregate_output_schema(input.schema(), &key, &aggs);
+        HashAggregate::with(input, key, aggs, Mode::Single, schema)
+    }
+
     /// Partial phase: raw rows in, partial-state rows out.
     pub fn partial(input: BoxOp, key: Vec<usize>, aggs: Vec<AggSpec>) -> HashAggregate {
-        let schema = Arc::new(aggregate_state_schema(input.schema(), &key, &aggs));
-        HashAggregate {
-            input: Some(input),
-            key,
-            aggs,
-            mode: Mode::Partial,
-            schema,
-            groups: None,
-            memory: None,
-            tracked: 0,
-            spilled: Vec::new(),
-            spill_events: 0,
-        }
+        let schema = aggregate_state_schema(input.schema(), &key, &aggs);
+        HashAggregate::with(input, key, aggs, Mode::Partial, schema)
     }
 
     /// Final phase: partial-state rows (key columns first, then each call's
@@ -366,18 +875,14 @@ impl HashAggregate {
             fields.push(Field::new(a.name.clone(), dtype));
             at += a.state_width();
         }
-        Ok(HashAggregate {
-            input: Some(input),
-            key: (0..key_len).collect(),
+        let key = (0..key_len).collect();
+        Ok(HashAggregate::with(
+            input,
+            key,
             aggs,
-            mode: Mode::Final,
-            schema: Arc::new(Schema::new(fields)),
-            groups: None,
-            memory: None,
-            tracked: 0,
-            spilled: Vec::new(),
-            spill_events: 0,
-        })
+            Mode::Final,
+            Schema::new(fields),
+        ))
     }
 
     /// Attach a shared memory budget: the build spills to temp files instead
@@ -393,144 +898,66 @@ impl HashAggregate {
         self.spill_events
     }
 
+    /// Accumulate one input batch into `table`, per the operator's mode.
+    fn absorb(&self, table: &mut GroupTable, batch: &RowBatch) -> Result<()> {
+        match self.mode {
+            Mode::Single | Mode::Partial => table.update(&self.key, &self.aggs, batch),
+            Mode::Final => table.merge(&self.aggs, batch.rows()),
+        }
+    }
+
     /// Drain the input and build the group table (insertion-ordered so the
     /// output is deterministic: first-occurrence order of each key).
     fn build(&mut self) -> Result<Vec<Row>> {
         let mut input = self.input.take().expect("aggregate input consumed twice");
-        // The hint bounds input *rows*, an upper bound on groups that can
-        // overshoot wildly for low-cardinality keys — seed both containers
-        // with a bounded capacity and let growth amortize past it.
-        let hint = input.size_hint().unwrap_or(0).min(1024);
-        let mut index: HashMap<Row, usize> = HashMap::with_capacity(hint);
-        let mut groups: Vec<(Row, Vec<AggState>)> = Vec::with_capacity(hint);
-        let key_len = self.key.len();
-        let state_width: usize = self.aggs.iter().map(AggSpec::state_width).sum();
+        let hint = input.size_hint().unwrap_or(0);
+        let mut table = GroupTable::new(self.key.len(), &self.aggs, self.memory.clone(), hint);
         while let Some(batch) = input.next_batch()? {
-            let mut added = 0usize;
-            for row in batch.rows() {
-                let key = row.project(&self.key);
-                let gi = match index.get(&key) {
-                    Some(&i) => i,
-                    None => {
-                        let i = groups.len();
-                        added += key.wire_size() + state_width * 16 + ENTRY_OVERHEAD;
-                        groups.push((
-                            key.clone(),
-                            self.aggs.iter().map(|a| AggState::init(a.func)).collect(),
-                        ));
-                        index.insert(key, i);
-                        i
-                    }
-                };
-                let states = &mut groups[gi].1;
-                match self.mode {
-                    Mode::Single | Mode::Partial => {
-                        for (spec, st) in self.aggs.iter().zip(states.iter_mut()) {
-                            match &spec.arg {
-                                Some(e) => {
-                                    let v = e.eval(row)?;
-                                    st.update_value(spec.func, Some(&v))?;
-                                }
-                                None => st.update_value(spec.func, None)?,
-                            }
-                        }
-                    }
-                    Mode::Final => {
-                        let vals = row.values();
-                        let mut at = key_len;
-                        for (spec, st) in self.aggs.iter().zip(states.iter_mut()) {
-                            let w = spec.state_width();
-                            st.merge(&vals[at..at + w])?;
-                            at += w;
-                        }
-                    }
-                }
-            }
+            self.absorb(&mut table, &batch)?;
+            // Budget check at batch granularity: flush the table as
+            // partial-state rows, hash-partitioned by key, and continue
+            // with an empty table.
             if let Some(t) = self.memory.clone() {
-                self.tracked += added;
-                t.grow(added);
-                // Budget check at batch granularity: flush the table as
-                // partial-state rows, hash-partitioned by key, and continue
-                // with an empty table.
-                if t.over_budget() && !groups.is_empty() {
-                    self.spill_groups(&mut index, &mut groups)?;
+                if t.over_budget() && table.len() > 0 {
+                    self.spill_groups(&mut table)?;
                     t.record_spill();
                 }
             }
         }
         if !self.spilled.is_empty() {
-            self.spill_groups(&mut index, &mut groups)?;
-            self.release_tracked();
+            self.spill_groups(&mut table)?;
             return self.merge_spilled();
         }
-        self.release_tracked();
         // A global aggregate (no GROUP BY) over zero rows still produces one
         // group: COUNT(*) = 0, SUM/MIN/MAX/AVG = NULL.
-        if groups.is_empty() && self.key.is_empty() {
-            groups.push((
-                Row::new(vec![]),
-                self.aggs.iter().map(|a| AggState::init(a.func)).collect(),
-            ));
+        if table.len() == 0 && self.key.is_empty() {
+            table.push_group(0, |_| {});
         }
-        let emit_state = self.mode == Mode::Partial;
-        let mut out = Vec::with_capacity(groups.len());
-        for (key, states) in groups {
-            let mut vals = key.into_values();
-            vals.reserve(self.aggs.iter().map(AggSpec::state_width).sum());
-            for st in states {
-                if emit_state {
-                    st.emit_state(&mut vals);
-                } else {
-                    vals.push(st.finish()?);
-                }
-            }
-            out.push(Row::new(vals));
-        }
-        Ok(out)
-    }
-
-    fn release_tracked(&mut self) {
-        if let Some(t) = &self.memory {
-            t.shrink(self.tracked);
-        }
-        self.tracked = 0;
+        table.drain_rows(self.mode == Mode::Partial)
     }
 
     /// Flush the current group table to the spill partitions as
     /// partial-state rows (creating the partitions on first use) and clear
     /// it, releasing its registered bytes.
-    fn spill_groups(
-        &mut self,
-        index: &mut HashMap<Row, usize>,
-        groups: &mut Vec<(Row, Vec<AggState>)>,
-    ) -> Result<()> {
+    fn spill_groups(&mut self, table: &mut GroupTable) -> Result<()> {
         if self.spilled.is_empty() {
             self.spilled = (0..SPILL_PARTITIONS)
                 .map(|_| SpillFile::create())
                 .collect::<Result<_>>()?;
         }
-        if groups.is_empty() {
+        if table.len() == 0 {
             return Ok(());
         }
         self.spill_events += 1;
         let key_cols: Vec<usize> = (0..self.key.len()).collect();
-        let state_width: usize = self.aggs.iter().map(AggSpec::state_width).sum();
         let mut chunks: Vec<Vec<Row>> = vec![Vec::new(); self.spilled.len()];
-        for (key, states) in groups.drain(..) {
-            let mut vals = key.into_values();
-            vals.reserve(state_width);
-            for st in states {
-                st.emit_state(&mut vals);
-            }
-            let row = Row::new(vals);
+        for row in table.drain_rows(true)? {
             let p = row.partition_of(Some(&key_cols), self.spilled.len());
             chunks[p].push(row);
         }
-        index.clear();
         for (part, chunk) in self.spilled.iter_mut().zip(&chunks) {
             part.write_rows(chunk)?;
         }
-        self.release_tracked();
         Ok(())
     }
 
@@ -539,49 +966,14 @@ impl HashAggregate {
     /// the operator's mode.
     fn merge_spilled(&mut self) -> Result<Vec<Row>> {
         let parts = std::mem::take(&mut self.spilled);
-        let key_len = self.key.len();
-        let key_cols: Vec<usize> = (0..key_len).collect();
-        let emit_state = self.mode == Mode::Partial;
         let mut out = Vec::new();
         for part in parts {
             let mut reader = part.into_reader()?;
-            let mut index: HashMap<Row, usize> = HashMap::new();
-            let mut groups: Vec<(Row, Vec<AggState>)> = Vec::new();
+            let mut table = GroupTable::new(self.key.len(), &self.aggs, None, 0);
             while let Some(frame) = reader.next_frame()? {
-                for row in frame {
-                    let key = row.project(&key_cols);
-                    let gi = match index.get(&key) {
-                        Some(&i) => i,
-                        None => {
-                            let i = groups.len();
-                            groups.push((
-                                key.clone(),
-                                self.aggs.iter().map(|a| AggState::init(a.func)).collect(),
-                            ));
-                            index.insert(key, i);
-                            i
-                        }
-                    };
-                    let vals = row.values();
-                    let mut at = key_len;
-                    for (spec, st) in self.aggs.iter().zip(groups[gi].1.iter_mut()) {
-                        let w = spec.state_width();
-                        st.merge(&vals[at..at + w])?;
-                        at += w;
-                    }
-                }
+                table.merge(&self.aggs, &frame)?;
             }
-            for (key, states) in groups {
-                let mut vals = key.into_values();
-                for st in states {
-                    if emit_state {
-                        st.emit_state(&mut vals);
-                    } else {
-                        vals.push(st.finish()?);
-                    }
-                }
-                out.push(Row::new(vals));
-            }
+            out.extend(table.drain_rows(self.mode == Mode::Partial)?);
         }
         Ok(out)
     }
@@ -627,6 +1019,45 @@ impl AggState {
             _ => self.update(v),
         }
     }
+
+    /// [`update_value`](Self::update_value) of a non-NULL INT read off a
+    /// typed lane, without the `Value`: `Int` against an `Int` accumulator is
+    /// decided here, every other pairing by `update_value`.
+    #[inline]
+    fn update_int(&mut self, func: AggFunc, x: i64) -> Result<()> {
+        match self {
+            AggState::Count(n) => *n += 1,
+            AggState::Sum(acc) => add_int(acc, x)?,
+            AggState::Avg { sum, n } => {
+                add_int(sum, x)?;
+                *n += 1;
+            }
+            AggState::Min(Value::Int(a)) => *a = (*a).min(x),
+            AggState::Max(Value::Int(a)) => *a = (*a).max(x),
+            AggState::Min(_) | AggState::Max(_) => {
+                return self.update_value(func, Some(&Value::Int(x)))
+            }
+        }
+        Ok(())
+    }
+
+    /// The FLOAT sibling of [`update_int`](Self::update_int); MIN/MAX go
+    /// through `update_value`, which owns the NaN error.
+    #[inline]
+    fn update_float(&mut self, func: AggFunc, x: f64) -> Result<()> {
+        match self {
+            AggState::Count(n) => *n += 1,
+            AggState::Sum(acc) => add_float(acc, x)?,
+            AggState::Avg { sum, n } => {
+                add_float(sum, x)?;
+                *n += 1;
+            }
+            AggState::Min(_) | AggState::Max(_) => {
+                return self.update_value(func, Some(&Value::Float(x)))
+            }
+        }
+        Ok(())
+    }
 }
 
 batch_operator!(HashAggregate, hint: |s: &HashAggregate| {
@@ -636,8 +1067,9 @@ batch_operator!(HashAggregate, hint: |s: &HashAggregate| {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{collect, RowsOp, Sort};
-    use csq_common::DEFAULT_BATCH_SIZE;
+    use crate::ops::{collect, CancelCheck, ColumnarScan, Filter, RowsOp, Sort};
+    use csq_common::{CancelToken, DEFAULT_BATCH_SIZE};
+    use csq_storage::Table;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -926,5 +1358,174 @@ mod tests {
         );
         let out = collect(&mut agg).unwrap();
         assert_eq!(out[0], Row::new(vec![Value::from("a"), Value::from("bb")]));
+    }
+
+    /// Hands out `rows` a batch at a time and then, instead of ending, does
+    /// what `after` says: raise, or trip a token a `CancelCheck` above reads.
+    struct Interrupted {
+        schema: Arc<Schema>,
+        batches: std::vec::IntoIter<Vec<Row>>,
+        after: Box<dyn FnMut() -> Result<()> + Send>,
+    }
+
+    impl Operator for Interrupted {
+        fn schema(&self) -> &Schema {
+            &self.schema
+        }
+
+        fn next_batch(&mut self) -> Result<Option<RowBatch>> {
+            match self.batches.next() {
+                Some(rows) => Ok(Some(RowBatch::from_rows(self.schema.clone(), rows))),
+                None => (self.after)().map(|()| {
+                    // Cancelled, not failed: one more batch for the check
+                    // above to refuse.
+                    Some(RowBatch::from_rows(self.schema.clone(), rows()))
+                }),
+            }
+        }
+    }
+
+    #[test]
+    fn a_build_that_fails_or_is_cancelled_returns_its_tracked_bytes() {
+        let three_batches = |after: Box<dyn FnMut() -> Result<()> + Send>| Interrupted {
+            schema: Arc::new(schema()),
+            batches: vec![rows(), rows(), rows()].into_iter(),
+            after,
+        };
+        let tracker = MemoryTracker::unlimited();
+
+        let failing = three_batches(Box::new(|| Err(CsqError::Exec("source failed".into()))));
+        let mut agg =
+            HashAggregate::new(Box::new(failing), vec![0], specs()).with_memory(tracker.clone());
+        assert_eq!(
+            collect(&mut agg).unwrap_err().to_string(),
+            "exec error: source failed"
+        );
+        assert_eq!(tracker.used(), 0, "a failed build keeps nothing registered");
+
+        let token = CancelToken::new();
+        let trip = token.clone();
+        let cancelled = three_batches(Box::new(move || {
+            trip.cancel();
+            Ok(())
+        }));
+        let checked = CancelCheck::new(Box::new(cancelled), token);
+        let mut agg =
+            HashAggregate::new(Box::new(checked), vec![0], specs()).with_memory(tracker.clone());
+        assert_eq!(collect(&mut agg).unwrap_err().kind(), "cancelled");
+        assert_eq!(
+            tracker.used(),
+            0,
+            "a cancelled build keeps nothing registered"
+        );
+
+        // While a build is under way its groups are registered.
+        let mut table = GroupTable::new(1, &specs(), Some(tracker.clone()), 0);
+        let batch = RowBatch::from_rows(Arc::new(schema()), rows());
+        table.update(&[0], &specs(), &batch).unwrap();
+        assert!(tracker.used() > 0);
+        drop(table);
+        assert_eq!(tracker.used(), 0);
+    }
+
+    /// 40 rows sealed 16 to a segment (so two sealed segments and a tail of
+    /// 8): `k` cycles 0..5 with a NULL, `v` has NULLs, `f` is FLOAT.
+    fn sealed_table() -> Arc<Table> {
+        let t = Table::with_segment_rows("t", schema(), 16).unwrap();
+        t.insert_all(
+            (0..40i64)
+                .map(|i| {
+                    Row::new(vec![
+                        if i % 6 == 5 {
+                            Value::Null
+                        } else {
+                            Value::Int(i % 6)
+                        },
+                        if i % 7 == 0 {
+                            Value::Null
+                        } else {
+                            Value::Int(i)
+                        },
+                        Value::Float(i as f64 * 0.5),
+                    ])
+                })
+                .collect(),
+        )
+        .unwrap();
+        Arc::new(t)
+    }
+
+    #[test]
+    fn lane_batches_are_aggregated_without_building_their_rows() {
+        let table = sealed_table();
+        let expect = {
+            let rows = RowsOp::new(schema().qualify("t"), table.snapshot());
+            collect(&mut HashAggregate::new(Box::new(rows), vec![0], specs())).unwrap()
+        };
+
+        // The operator's own build loop, batch by batch, so each batch can be
+        // looked at after the table has read it.
+        let mut scan = ColumnarScan::new(&table, "t", None).unwrap();
+        let mut groups = GroupTable::new(1, &specs(), None, 0);
+        let (mut lane_batches, mut row_batches) = (0, 0);
+        while let Some(batch) = scan.next_batch().unwrap() {
+            let from_lanes = batch.lanes().is_some();
+            groups.update(&[0], &specs(), &batch).unwrap();
+            assert_eq!(batch.is_materialized(), !from_lanes);
+            *(if from_lanes {
+                &mut lane_batches
+            } else {
+                &mut row_batches
+            }) += 1;
+        }
+        assert_eq!(
+            (lane_batches, row_batches),
+            (2, 1),
+            "two segments, one tail"
+        );
+        assert_eq!(groups.drain_rows(false).unwrap(), expect);
+
+        // The operator agrees, group order included; and an argument that is
+        // a real expression reads rows, as before.
+        let scan = ColumnarScan::new(&table, "t", None).unwrap();
+        let got = collect(&mut HashAggregate::new(Box::new(scan), vec![0], specs())).unwrap();
+        assert_eq!(got, expect);
+        let doubled = PhysExpr::Binary {
+            left: Box::new(PhysExpr::Column(1)),
+            op: BinaryOp::Add,
+            right: Box::new(PhysExpr::Column(1)),
+        };
+        let expr_specs = vec![AggSpec::new(AggFunc::Sum, Some(doubled), "s2")];
+        let mut scan = ColumnarScan::new(&table, "t", None).unwrap();
+        let batch = scan.next_batch().unwrap().unwrap();
+        let mut groups = GroupTable::new(1, &expr_specs, None, 0);
+        groups.update(&[0], &expr_specs, &batch).unwrap();
+        assert!(batch.is_materialized());
+    }
+
+    #[test]
+    fn a_filter_above_the_scan_builds_exactly_its_survivors() {
+        let table = sealed_table();
+        let pred = PhysExpr::Binary {
+            left: Box::new(PhysExpr::Column(1)),
+            op: BinaryOp::Gt,
+            right: Box::new(PhysExpr::Literal(Value::Int(30))),
+        };
+        let spec = csq_storage::FilterSpec::from_phys(&pred).unwrap();
+        let mut scan = ColumnarScan::new(&table, "t", Some(&spec)).unwrap();
+        let batch = scan.next_batch().unwrap().unwrap();
+        // Row 31 is the one row of the second segment (16..32) with `v > 30`.
+        assert_eq!(batch.len(), 1);
+        assert!(!batch.is_materialized());
+        assert_eq!(batch.rows(), &table.snapshot()[31..32]);
+        assert!(batch.is_materialized());
+        let scan = ColumnarScan::new(&table, "t", Some(&spec)).unwrap();
+        let kept = collect(&mut Filter::new(Box::new(scan), pred)).unwrap();
+        let expect: Vec<Row> = table.snapshot()[31..]
+            .iter()
+            .filter(|r| !r.value(1).is_null())
+            .cloned()
+            .collect();
+        assert_eq!(kept, expect);
     }
 }

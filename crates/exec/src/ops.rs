@@ -109,12 +109,14 @@ pub(crate) use batch_operator;
 /// the filter's pushable prefix — a compiled [`FilterSpec`] — pushed into it
 /// (DESIGN.md §11): zone maps skip whole segments before any column data is
 /// touched, the surviving segments' typed lanes and the tail are tested row
-/// by row, and only rows the spec does not provably reject are decoded, and
-/// only the columns asked for. The filter operator above remains
-/// authoritative for row-level semantics: the scan removes nothing it would
-/// not have mapped to FALSE/UNKNOWN, and never a row it would have raised an
-/// error on. The row-vector oracle this scan is differentially tested
-/// against is [`RowsOp`] over `Table::snapshot()`.
+/// by row, and what comes out of a sealed segment is a lane-backed batch —
+/// the lanes of the columns asked for, shared, plus the selection of rows
+/// the spec does not provably reject — whose rows are built only if an
+/// operator above asks for them (DESIGN.md §2). The filter operator above
+/// remains authoritative for row-level semantics: the scan removes nothing
+/// it would not have mapped to FALSE/UNKNOWN, and never a row it would have
+/// raised an error on. The row-vector oracle this scan is differentially
+/// tested against is [`RowsOp`] over `Table::snapshot()`.
 pub struct ColumnarScan {
     scan: TableScan,
 }
@@ -127,7 +129,7 @@ impl ColumnarScan {
         })
     }
 
-    /// Open a scan that decodes only the table ordinals `cols` (strictly
+    /// Open a scan that emits only the table ordinals `cols` (strictly
     /// increasing; its schema is the table's projected onto them). `spec`
     /// ordinals stay table ordinals and need not be among `cols`.
     pub fn with_columns(

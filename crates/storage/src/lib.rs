@@ -2,15 +2,16 @@
 //!
 //! Tables are stored as **columnar segments**: inserts land in a
 //! row-oriented tail buffer, and every [`Table::segment_rows`] rows the tail
-//! is sealed into an immutable [`Segment`] — typed column lanes with null
-//! bitmaps, dictionary-encoded strings, and per-column min/max [`ZoneMap`]s.
-//! Scans go through [`Table::scan_as`], which takes a compiled [`FilterSpec`]
-//! and a column list: whole segments are pruned against the zone maps before
-//! any column data is touched, the spec is then evaluated on the surviving
-//! segments' lanes and on the tail, and only the rows it leaves — and only
-//! the listed columns — are decoded into rows (DESIGN.md §11);
-//! [`ScanStats`] reports the pruned/scanned split for EXPLAIN and the rows
-//! filtered.
+//! is sealed into an immutable [`Segment`] — typed column lanes
+//! ([`csq_common::Lane`]) with null bitmaps, dictionary-encoded strings, and
+//! per-column min/max [`ZoneMap`]s. Scans go through [`Table::scan_as`],
+//! which takes a compiled [`FilterSpec`] and a column list: whole segments
+//! are pruned against the zone maps before any column data is touched, the
+//! spec is then evaluated on the surviving segments' lanes and on the tail,
+//! and what a segment emits is the listed columns' lanes, shared, plus the
+//! selection of rows the spec leaves — rows are built from them only by an
+//! operator that reads rows (DESIGN.md §2, §11); [`ScanStats`] reports the
+//! pruned/scanned split for EXPLAIN and the rows filtered.
 //!
 //! The legacy row-vector view survives as [`Table::snapshot`], which
 //! reconstructs the inserted rows exactly — it backs the simulated backend
@@ -27,7 +28,7 @@ mod scan;
 mod segment;
 
 pub use scan::{CmpOp, ColPred, FilterSpec, ScanStats, TableScan};
-pub use segment::{ColumnSeg, NullBitmap, Segment, SegmentZones, ZoneMap, DEFAULT_SEGMENT_ROWS};
+pub use segment::{ColumnSeg, Segment, SegmentZones, ZoneMap, DEFAULT_SEGMENT_ROWS};
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -1,5 +1,5 @@
-//! Compiled filter specs, zone-map pruning, and the late-materializing
-//! segment scan.
+//! Compiled filter specs, zone-map pruning, and the segment scan that
+//! selects rows without decoding them.
 //!
 //! A [`FilterSpec`] is the storage-facing compilation of a WHERE clause: the
 //! longest prefix of the predicate's AND-conjunction whose conjuncts are
@@ -7,9 +7,12 @@
 //! segment's [`ZoneMap`]s and skips segments that provably contribute no
 //! rows — *before* touching any column data — and then against the typed
 //! lanes of the segments that remain (and, row by row, against the unsealed
-//! tail before it is cloned), so that a [`Row`] is only ever built for a row
-//! the spec does not provably reject, and only from the columns the scan was
-//! asked for. The scan never replaces the filter operator above it; it
+//! tail before it is cloned). What a sealed segment contributes to the
+//! output is a lane-backed [`RowBatch`]: the `Arc`-shared lanes of the
+//! columns the scan was asked for plus the selection of rows the spec does
+//! not provably reject — the scan itself builds no [`Row`]; the batch does,
+//! for exactly those rows and columns, if an operator above asks it for rows
+//! (DESIGN.md §2). The scan never replaces the filter operator above it; it
 //! removes segments *and rows* the filter provably rejects, so the engine's
 //! predicate semantics (three-valued logic, left-to-right short-circuit,
 //! typed comparison errors) remain authoritative.
@@ -49,7 +52,7 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use csq_common::{Row, RowBatch, Schema, Value, DEFAULT_BATCH_SIZE};
+use csq_common::{Row, RowBatch, Schema, Selection, Value, DEFAULT_BATCH_SIZE};
 use csq_expr::{BinaryOp, PhysExpr};
 
 use crate::segment::{LaneTest, Segment, ZoneMap};
@@ -395,20 +398,19 @@ impl SegScan {
 /// the surviving tail rows under the table lock (consistent snapshot);
 /// construction evaluates the filter spec against each segment's zone maps,
 /// and iteration evaluates it against the lanes of each surviving segment,
-/// one window of at most [`DEFAULT_BATCH_SIZE`] rows at a time, decoding
-/// only the selected rows and only the scan's columns. A window with no
-/// survivor produces no batch.
+/// one window of at most [`DEFAULT_BATCH_SIZE`] rows at a time, emitting the
+/// scan's columns as shared lanes plus the window's selection (the window
+/// itself when every row survives). A window with no survivor produces no
+/// batch. The tail's rows follow, as row batches.
 pub struct TableScan {
     schema: Arc<Schema>,
-    /// Table ordinals decoded into each row, in output order.
+    /// Table ordinals of the output columns, in output order.
     cols: Vec<usize>,
     segments: Vec<SegScan>,
     tail: std::vec::IntoIter<Row>,
     stats: ScanStats,
     seg: usize,
     offset: usize,
-    /// Scratch selection vector: segment row ordinals of the current window.
-    sel: Vec<usize>,
 }
 
 impl TableScan {
@@ -441,7 +443,6 @@ impl TableScan {
             stats,
             seg: 0,
             offset: 0,
-            sel: Vec::new(),
         }
     }
 
@@ -470,17 +471,26 @@ impl TableScan {
             }
             let window = self.offset..(self.offset + DEFAULT_BATCH_SIZE).min(s.seg.len());
             self.offset = window.end;
-            self.sel.clear();
-            self.sel.extend(window.clone());
-            for (col, test) in &s.tests {
-                s.seg.columns()[*col].retain(test, s.keep_unknown, &mut self.sel);
-            }
-            self.stats.rows_filtered += window.len() - self.sel.len();
-            if self.sel.is_empty() {
-                continue;
-            }
-            let rows = s.seg.materialize(&self.cols, &self.sel);
-            return Some(RowBatch::from_rows(self.schema.clone(), rows));
+            let sel = if s.tests.is_empty() {
+                Selection::Window(window)
+            } else {
+                let mut sel: Vec<usize> = window.clone().collect();
+                for (col, test) in &s.tests {
+                    s.seg.columns()[*col].retain(test, s.keep_unknown, &mut sel);
+                }
+                self.stats.rows_filtered += window.len() - sel.len();
+                match sel.len() {
+                    0 => continue,
+                    n if n == window.len() => Selection::Window(window),
+                    _ => Selection::Rows(sel),
+                }
+            };
+            let lanes = self
+                .cols
+                .iter()
+                .map(|&c| s.seg.columns()[c].lane().clone())
+                .collect();
+            return Some(RowBatch::from_lanes(self.schema.clone(), lanes, sel));
         }
         if self.tail.len() == 0 {
             return None;

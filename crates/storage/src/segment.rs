@@ -3,15 +3,20 @@
 //!
 //! A [`Segment`] is an immutable horizontal slice of a table. Inserts
 //! accumulate in the table's row-oriented tail; once the tail reaches the
-//! table's segment size it is *sealed* into a segment: each column is
-//! classified into the narrowest lane that represents its non-null values
-//! exactly (integers at the narrowest of 1/2/4/8 bytes that holds the
+//! table's segment size it is *sealed* into a segment: each column becomes a
+//! [`Lane`] — the narrowest representation of its non-null values that is
+//! exact (integers at the narrowest of 1/2/4/8 bytes that holds the
 //! segment's range, `f64`, `bool`, a string dictionary, or a fallback lane of
-//! raw [`Value`]s), nulls move into a per-column bitmap, and a [`ZoneMap`]
+//! raw [`Value`]s; the lane types live in `csq-common`, beside the batch that
+//! carries them), nulls move into a per-column bitmap, and a [`ZoneMap`]
 //! records the min/max over non-null values so scans can skip the whole
 //! segment when a filter disproves it (see the `scan` module). A pushed
 //! conjunct the zone map cannot disprove is tested on the lane itself
-//! ([`ColumnSeg::retain`]), so only the rows it leaves are ever decoded.
+//! ([`ColumnSeg::retain`]), so only the rows it leaves are ever selected.
+//!
+//! A column holds its lane behind an `Arc`: the scan hands the lanes of the
+//! columns it was asked for to the batch it emits, and nothing is decoded
+//! until an operator asks that batch for rows.
 //!
 //! Sealing is lossless by construction: `Segment::row` reconstructs exactly
 //! the values that were inserted (an `INT 7` stored in a FLOAT column comes
@@ -19,50 +24,15 @@
 //! snapshot path serve as a differential oracle for the columnar scan.
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
-use csq_common::{Row, Schema, Str, Value};
+use csq_common::lane::wide;
+use csq_common::{each_width, Lane, NullBitmap, Row, Schema, Value};
 
 use crate::scan::{CmpOp, ColPred};
 
 /// Default number of rows per sealed segment.
 pub const DEFAULT_SEGMENT_ROWS: usize = 4096;
-
-/// Fixed-width null bitmap (one bit per row in the segment).
-#[derive(Debug, Clone)]
-pub struct NullBitmap {
-    words: Vec<u64>,
-    ones: usize,
-}
-
-impl NullBitmap {
-    /// An all-zero bitmap covering `len` rows.
-    pub fn new(len: usize) -> NullBitmap {
-        NullBitmap {
-            words: vec![0; len.div_ceil(64)],
-            ones: 0,
-        }
-    }
-
-    /// Mark row `i` as NULL.
-    pub fn set(&mut self, i: usize) {
-        let (w, b) = (i / 64, i % 64);
-        if self.words[w] & (1 << b) == 0 {
-            self.words[w] |= 1 << b;
-            self.ones += 1;
-        }
-    }
-
-    /// True when row `i` is NULL.
-    pub fn get(&self, i: usize) -> bool {
-        let (w, b) = (i / 64, i % 64);
-        self.words.get(w).is_some_and(|word| word & (1 << b) != 0)
-    }
-
-    /// Number of NULL rows.
-    pub fn count_ones(&self) -> usize {
-        self.ones
-    }
-}
 
 /// Per-column min/max statistics over one segment, used for pruning.
 ///
@@ -134,199 +104,29 @@ impl ZoneMap {
     }
 }
 
-/// Evaluate `$body` with `$v` bound to the lane's vector, whatever its width:
-/// the width is matched once, outside any loop in `$body`.
-macro_rules! each_width {
-    ($lane:expr, $v:ident => $body:expr) => {
-        match $lane {
-            IntLane::I8($v) => $body,
-            IntLane::I16($v) => $body,
-            IntLane::I32($v) => $body,
-            IntLane::I64($v) => $body,
-        }
-    };
-}
-
-/// Widen a lane element of any width.
-#[inline]
-fn wide(v: impl Into<i64>) -> i64 {
-    v.into()
-}
-
-/// INT values at the narrowest width that holds every value of the segment:
-/// a key column costs four bytes a row instead of eight, a small code one.
-#[derive(Debug)]
-enum IntLane {
-    I8(Vec<i8>),
-    I16(Vec<i16>),
-    I32(Vec<i32>),
-    I64(Vec<i64>),
-}
-
-impl IntLane {
-    fn pack(values: Vec<i64>) -> IntLane {
-        fn narrow<T: TryFrom<i64>>(values: &[i64]) -> Option<Vec<T>> {
-            values.iter().map(|&v| T::try_from(v).ok()).collect()
-        }
-        if let Some(v) = narrow(&values) {
-            IntLane::I8(v)
-        } else if let Some(v) = narrow(&values) {
-            IntLane::I16(v)
-        } else if let Some(v) = narrow(&values) {
-            IntLane::I32(v)
-        } else {
-            IntLane::I64(values)
-        }
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> i64 {
-        each_width!(self, v => wide(v[i]))
-    }
-}
-
-/// Column storage lane: the narrowest representation that keeps the
-/// original values reconstructible bit-for-bit.
-#[derive(Debug)]
-enum ColData {
-    /// All non-null values are INT.
-    Int { values: IntLane, nulls: NullBitmap },
-    /// All non-null values are FLOAT.
-    Float { values: Vec<f64>, nulls: NullBitmap },
-    /// All non-null values are BOOL.
-    Bool {
-        values: Vec<bool>,
-        nulls: NullBitmap,
-    },
-    /// All non-null values are STR: dictionary-encoded, `u32::MAX` = NULL.
-    StrDict { dict: Vec<Str>, codes: Vec<u32> },
-    /// Mixed or non-encodable values (e.g. INT widened into a FLOAT column,
-    /// BLOBs): stored as-is. Nulls live inline as `Value::Null`.
-    Values(Vec<Value>),
-}
-
 /// One sealed column: its lane plus the zone map.
 #[derive(Debug)]
 pub struct ColumnSeg {
-    data: ColData,
+    lane: Arc<Lane>,
     zone: ZoneMap,
 }
 
 impl ColumnSeg {
     fn build(rows: &[Row], col: usize) -> ColumnSeg {
-        let n = rows.len();
-        let zone = ZoneMap::build(rows.iter().map(|r| r.value(col).clone()), n);
-
-        // Classify: a lane is only usable when *every* non-null value is of
-        // that exact variant, so reconstruction is lossless.
-        let (mut ints, mut floats, mut bools, mut strs, mut others) = (0, 0, 0, 0, 0);
-        for r in rows {
-            match r.value(col) {
-                Value::Null => {}
-                Value::Int(_) => ints += 1,
-                Value::Float(_) => floats += 1,
-                Value::Bool(_) => bools += 1,
-                Value::Str(_) => strs += 1,
-                _ => others += 1,
-            }
+        ColumnSeg {
+            lane: Arc::new(Lane::build(rows, col)),
+            zone: ZoneMap::build(rows.iter().map(|r| r.value(col).clone()), rows.len()),
         }
-        let non_null = ints + floats + bools + strs + others;
-        let data = if non_null == ints && ints > 0 {
-            let mut values = Vec::with_capacity(n);
-            let mut nulls = NullBitmap::new(n);
-            for (i, r) in rows.iter().enumerate() {
-                match r.value(col) {
-                    Value::Int(v) => values.push(*v),
-                    _ => {
-                        nulls.set(i);
-                        values.push(0);
-                    }
-                }
-            }
-            ColData::Int {
-                values: IntLane::pack(values),
-                nulls,
-            }
-        } else if non_null == floats && floats > 0 {
-            let mut values = Vec::with_capacity(n);
-            let mut nulls = NullBitmap::new(n);
-            for (i, r) in rows.iter().enumerate() {
-                match r.value(col) {
-                    Value::Float(v) => values.push(*v),
-                    _ => {
-                        nulls.set(i);
-                        values.push(0.0);
-                    }
-                }
-            }
-            ColData::Float { values, nulls }
-        } else if non_null == bools && bools > 0 {
-            let mut values = Vec::with_capacity(n);
-            let mut nulls = NullBitmap::new(n);
-            for (i, r) in rows.iter().enumerate() {
-                match r.value(col) {
-                    Value::Bool(v) => values.push(*v),
-                    _ => {
-                        nulls.set(i);
-                        values.push(false);
-                    }
-                }
-            }
-            ColData::Bool { values, nulls }
-        } else if non_null == strs && strs > 0 {
-            let mut dict: Vec<Str> = Vec::new();
-            let mut index: std::collections::HashMap<Str, u32> = std::collections::HashMap::new();
-            let mut codes = Vec::with_capacity(n);
-            for r in rows {
-                match r.value(col) {
-                    Value::Str(s) => {
-                        let code = *index.entry(s.clone()).or_insert_with(|| {
-                            dict.push(s.clone());
-                            (dict.len() - 1) as u32
-                        });
-                        codes.push(code);
-                    }
-                    _ => codes.push(u32::MAX),
-                }
-            }
-            ColData::StrDict { dict, codes }
-        } else {
-            ColData::Values(rows.iter().map(|r| r.value(col).clone()).collect())
-        };
+    }
 
-        ColumnSeg { data, zone }
+    /// The column's lane, shared with every batch scanned out of it.
+    pub fn lane(&self) -> &Arc<Lane> {
+        &self.lane
     }
 
     /// The exact value at row `i` (reconstructed from the lane).
     pub fn value(&self, i: usize) -> Value {
-        match &self.data {
-            ColData::Int { values, nulls } => {
-                if nulls.get(i) {
-                    Value::Null
-                } else {
-                    Value::Int(values.get(i))
-                }
-            }
-            ColData::Float { values, nulls } => {
-                if nulls.get(i) {
-                    Value::Null
-                } else {
-                    Value::Float(values[i])
-                }
-            }
-            ColData::Bool { values, nulls } => {
-                if nulls.get(i) {
-                    Value::Null
-                } else {
-                    Value::Bool(values[i])
-                }
-            }
-            ColData::StrDict { dict, codes } => match codes[i] {
-                u32::MAX => Value::Null,
-                c => Value::Str(dict[c as usize].clone()),
-            },
-            ColData::Values(values) => values[i].clone(),
-        }
+        self.lane.value(i)
     }
 
     /// The column's zone map.
@@ -336,8 +136,8 @@ impl ColumnSeg {
 
     /// Distinct dictionary entries, when dictionary-encoded.
     pub fn dict_len(&self) -> Option<usize> {
-        match &self.data {
-            ColData::StrDict { dict, .. } => Some(dict.len()),
+        match &*self.lane {
+            Lane::StrDict { dict, .. } => Some(dict.len()),
             _ => None,
         }
     }
@@ -345,13 +145,8 @@ impl ColumnSeg {
     /// Bytes per value, when this is an INT lane (the narrowest of 1, 2, 4
     /// and 8 that holds the segment's values).
     pub fn int_width(&self) -> Option<usize> {
-        match &self.data {
-            ColData::Int { values, .. } => Some(match values {
-                IntLane::I8(_) => 1,
-                IntLane::I16(_) => 2,
-                IntLane::I32(_) => 4,
-                IntLane::I64(_) => 8,
-            }),
+        match &*self.lane {
+            Lane::Int { values, .. } => Some(values.width()),
             _ => None,
         }
     }
@@ -389,14 +184,14 @@ enum LaneLit {
 impl ColumnSeg {
     /// Compile `pred` (whose column this is) for [`retain`](Self::retain).
     pub(crate) fn lane_test(&self, pred: &ColPred) -> LaneTest {
-        let lit = match (&self.data, &pred.lit) {
+        let lit = match (&*self.lane, &pred.lit) {
             (_, Value::Null) => LaneLit::Null,
-            (ColData::StrDict { dict, .. }, Value::Str(s)) => {
+            (Lane::StrDict { dict, .. }, Value::Str(s)) => {
                 LaneLit::Dict(dict.iter().map(|d| pred.op.accepts(d.cmp(s))).collect())
             }
-            (ColData::Values(_), v) => LaneLit::Value(v.clone()),
+            (Lane::Values(_), v) => LaneLit::Value(v.clone()),
             // Mixed INT/FLOAT comparisons widen to f64, as `sql_cmp` does.
-            (ColData::Float { .. }, Value::Int(i)) => LaneLit::Float(*i as f64),
+            (Lane::Float { .. }, Value::Int(i)) => LaneLit::Float(*i as f64),
             (_, Value::Int(i)) => LaneLit::Int(*i),
             (_, Value::Float(f)) => LaneLit::Float(*f),
             (_, Value::Bool(b)) => LaneLit::Bool(*b),
@@ -424,21 +219,21 @@ impl ColumnSeg {
         ) {
             sel.retain(|&i| tri((!nulls.get(i)).then(|| cmp(i)).flatten()))
         }
-        match (&self.data, &test.lit) {
+        match (&*self.lane, &test.lit) {
             (_, LaneLit::Null) => sel.retain(|_| keep_unknown),
-            (ColData::Int { values, nulls }, LaneLit::Int(b)) => each_width!(values, v => {
+            (Lane::Int { values, nulls }, LaneLit::Int(b)) => each_width!(values, v => {
                 lane(sel, nulls, tri, |i| Some(wide(v[i]).cmp(b)))
             }),
-            (ColData::Int { values, nulls }, LaneLit::Float(b)) => each_width!(values, v => {
+            (Lane::Int { values, nulls }, LaneLit::Float(b)) => each_width!(values, v => {
                 lane(sel, nulls, tri, |i| (wide(v[i]) as f64).partial_cmp(b))
             }),
-            (ColData::Float { values, nulls }, LaneLit::Float(b)) => {
+            (Lane::Float { values, nulls }, LaneLit::Float(b)) => {
                 lane(sel, nulls, tri, |i| values[i].partial_cmp(b))
             }
-            (ColData::Bool { values, nulls }, LaneLit::Bool(b)) => {
+            (Lane::Bool { values, nulls }, LaneLit::Bool(b)) => {
                 lane(sel, nulls, tri, |i| Some(values[i].cmp(b)))
             }
-            (ColData::StrDict { codes, .. }, LaneLit::Dict(accept)) => {
+            (Lane::StrDict { codes, .. }, LaneLit::Dict(accept)) => {
                 sel.retain(|&i| match codes[i] {
                     u32::MAX => keep_unknown,
                     c => accept[c as usize],
@@ -446,7 +241,7 @@ impl ColumnSeg {
             }
             // An `Err` cannot happen on a conjunct proved error-free; keeping
             // the row leaves it to the filter.
-            (ColData::Values(values), LaneLit::Value(lit)) => {
+            (Lane::Values(values), LaneLit::Value(lit)) => {
                 sel.retain(|&i| values[i].sql_cmp(lit).map_or(true, tri))
             }
             _ => {}
@@ -492,14 +287,6 @@ impl Segment {
     /// Reconstruct row `i` exactly as inserted.
     pub fn row(&self, i: usize) -> Row {
         Row::new(self.cols.iter().map(|c| c.value(i)).collect())
-    }
-
-    /// Reconstruct, for each row ordinal in `rows`, the columns `cols` (table
-    /// ordinals, in output order) exactly as inserted.
-    pub fn materialize(&self, cols: &[usize], rows: &[usize]) -> Vec<Row> {
-        rows.iter()
-            .map(|&i| Row::new(cols.iter().map(|&c| self.cols[c].value(i)).collect()))
-            .collect()
     }
 
     /// Per-column zone maps (cloned — cheap, values are refcounted): the

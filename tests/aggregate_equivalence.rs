@@ -5,9 +5,13 @@
 //! * a naive row-at-a-time reference aggregator (independent fold logic,
 //!   written here),
 //! * the serial [`HashAggregate`],
-//! * the partitioned [`Exchange::hash_aggregate`] at 1/2/4/8 workers, and
+//! * the partitioned [`Exchange::hash_aggregate`] at 1/2/4/8 workers,
 //! * the decomposed partial/final split shipped through the wire codec
-//!   ([`PartialAggSpec`]), with the input cut into 1 or 3 partial sources.
+//!   ([`PartialAggSpec`]), with the input cut into 1 or 3 partial sources, and
+//! * the lane path: the rows loaded into a [`Table`] at 1/3/7/16 rows a
+//!   segment (tail sealed or not) and aggregated straight off the
+//!   [`ColumnarScan`]'s lane batches, single-phase and partial→final — held
+//!   to the reference like the rest, and to the serial run's group *order*.
 //!
 //! Results compare as row multisets; failures compare as error *kinds*
 //! (NaN-bearing MIN/MAX groups are exec errors, non-numeric SUM arguments
@@ -17,10 +21,16 @@
 
 use proptest::prelude::*;
 
+use std::sync::Arc;
+
 use csq_common::{CsqError, DataType, Field, Result, Row, Schema, Value};
-use csq_exec::{collect, AggSpec, BoxOp, Exchange, HashAggregate, ParallelOpts, RowsOp};
+use csq_exec::{
+    collect, AggSpec, BoxOp, ColumnarScan, Exchange, HashAggregate, MemoryTracker, ParallelOpts,
+    RowsOp,
+};
 use csq_expr::{AggFunc, PhysExpr};
 use csq_ship::PartialAggSpec;
+use csq_storage::Table;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -299,6 +309,103 @@ fn run_shipped(
     collect(&mut fin)
 }
 
+/// How [`run_scanned`] aggregates the scan.
+#[derive(Debug, Clone, Copy)]
+enum Phases {
+    Single,
+    PartialThenFinal,
+}
+
+/// Segment sizes the lane path is run at: every row its own segment, and
+/// sizes that leave a ragged last segment or tail.
+const SEGMENT_ROWS: [usize; 4] = [1, 3, 7, 16];
+
+/// `rows` (of `schema`) in a table sealing every `segment_rows`; what is left
+/// over stays in the row-oriented tail unless `seal_tail`.
+fn scanned_table(schema: Schema, rows: &[Row], segment_rows: usize, seal_tail: bool) -> Arc<Table> {
+    let t = Table::with_segment_rows("t", schema, segment_rows).unwrap();
+    t.insert_all(rows.to_vec()).unwrap();
+    if seal_tail {
+        t.seal_tail();
+    }
+    Arc::new(t)
+}
+
+/// Aggregate the lane batches of a scan of `cols` of `table` (key and
+/// argument ordinals are positions in `cols`).
+fn aggregate_scan(
+    table: &Arc<Table>,
+    cols: &[usize],
+    key: Vec<usize>,
+    specs: Vec<AggSpec>,
+    phases: Phases,
+    memory: Option<Arc<MemoryTracker>>,
+) -> Result<Vec<Row>> {
+    let scan: BoxOp = Box::new(ColumnarScan::with_columns(table, "t", cols, None)?);
+    let budgeted = |agg: HashAggregate| match &memory {
+        Some(t) => agg.with_memory(t.clone()),
+        None => agg,
+    };
+    match phases {
+        Phases::Single => collect(&mut budgeted(HashAggregate::new(scan, key, specs))),
+        Phases::PartialThenFinal => {
+            let key_len = key.len();
+            let partial = budgeted(HashAggregate::partial(scan, key, specs.clone()));
+            collect(&mut HashAggregate::finalize(
+                Box::new(partial),
+                key_len,
+                specs,
+            )?)
+        }
+    }
+}
+
+/// The lane engine: `rows` through a table and its columnar scan.
+fn run_scanned(
+    rows: &[Row],
+    key: Vec<usize>,
+    specs: Vec<AggSpec>,
+    segment_rows: usize,
+    seal_tail: bool,
+    phases: Phases,
+) -> Result<Vec<Row>> {
+    let table = scanned_table(base_schema(), rows, segment_rows, seal_tail);
+    let cols: Vec<usize> = (0..base_schema().len()).collect();
+    aggregate_scan(&table, &cols, key, specs, phases, None)
+}
+
+/// Every shape of the lane engine against the reference (multiset and error
+/// kind) and against the serial run over the same rows as rows (order too).
+fn assert_scanned_agrees(
+    rows: &[Row],
+    key: &[usize],
+    specs: &[AggSpec],
+    reference: &Result<Vec<Row>>,
+    serial: &Result<Vec<Row>>,
+) {
+    for segment_rows in SEGMENT_ROWS {
+        for seal_tail in [false, true] {
+            for phases in [Phases::Single, Phases::PartialThenFinal] {
+                let label = format!(
+                    "scanned {phases:?} at {segment_rows}/segment, tail sealed: {seal_tail}"
+                );
+                let scanned = run_scanned(
+                    rows,
+                    key.to_vec(),
+                    specs.to_vec(),
+                    segment_rows,
+                    seal_tail,
+                    phases,
+                );
+                assert_agree(&label, reference, &scanned);
+                if let (Ok(a), Ok(b)) = (serial, &scanned) {
+                    assert_eq!(a, b, "{label}: group order");
+                }
+            }
+        }
+    }
+}
+
 fn sorted_display(rows: &[Row]) -> Vec<String> {
     let mut out: Vec<String> = rows.iter().map(|r| format!("{r}")).collect();
     out.sort();
@@ -361,6 +468,344 @@ fn sum_over_strings_is_a_type_error_on_every_engine() {
             "chunks = {chunks}"
         );
     }
+    for phases in [Phases::Single, Phases::PartialThenFinal] {
+        let scanned = run_scanned(&rows, key.clone(), specs_of(&calls), 7, true, phases);
+        assert_eq!(scanned.unwrap_err().kind(), "type", "{phases:?}");
+    }
+}
+
+/// Inputs the strategies reach rarely or never, each run through the lane
+/// engine in every shape and pinned to the answer — or the error text — the
+/// row loop gives (the literals are the parent commit's).
+mod pinned {
+    use super::*;
+
+    fn call(func: AggFunc, arg: usize) -> CallSpec {
+        CallSpec {
+            func,
+            arg: Some(arg),
+        }
+    }
+
+    /// A base-schema row: `k1`, `v`, `f` given, the rest NULL.
+    fn row(k1: Value, v: Value, f: Value) -> Row {
+        Row::new(vec![k1, Value::Null, v, f, Value::Null])
+    }
+
+    /// `rows` grouped by `key` through the serial engine and every shape of
+    /// the lane engine, all of which must agree with the reference; returns
+    /// the serial outcome.
+    fn every_engine(rows: &[Row], key: &[usize], calls: &[CallSpec]) -> Result<Vec<Row>> {
+        let reference = naive_reference(rows, key, calls);
+        let serial = run_serial(rows.to_vec(), key.to_vec(), specs_of(calls));
+        assert_agree("serial vs naive", &reference, &serial);
+        assert_scanned_agrees(rows, key, &specs_of(calls), &reference, &serial);
+        serial
+    }
+
+    /// The error text of every single-phase run over one sealed segment
+    /// holding all of `rows` — the lane engine's and the row engine's.
+    fn error_texts(rows: &[Row], calls: &[CallSpec]) -> Vec<String> {
+        let scanned = run_scanned(rows, vec![0], specs_of(calls), 16, true, Phases::Single);
+        let serial = run_serial(rows.to_vec(), vec![0], specs_of(calls));
+        vec![
+            scanned.unwrap_err().to_string(),
+            serial.unwrap_err().to_string(),
+        ]
+    }
+
+    const OVERFLOW: &str = "exec error: integer overflow";
+    const INCOMPARABLE: &str = "exec error: incomparable values in sort key";
+
+    #[test]
+    fn int_lane_sum_overflow_raises_the_row_loops_error() {
+        let rows = vec![
+            row(Value::Int(1), Value::Int(i64::MAX), Value::Null),
+            row(Value::Int(2), Value::Int(5), Value::Null),
+            row(Value::Int(1), Value::Int(1), Value::Null),
+        ];
+        for func in [AggFunc::Sum, AggFunc::Avg] {
+            assert_eq!(error_texts(&rows, &[call(func, 2)]), [OVERFLOW, OVERFLOW]);
+            assert_eq!(
+                every_engine(&rows, &[0], &[call(func, 2)])
+                    .unwrap_err()
+                    .kind(),
+                "exec"
+            );
+        }
+    }
+
+    #[test]
+    fn the_first_failing_row_then_the_first_failing_call_names_the_error() {
+        // One group, one batch. `sum(v)` overflows on the row holding the 1
+        // after the MAX, `max(f)` fails on the NaN row (it is not the first).
+        let rows_failing_at = |overflow_at: usize, nan_at: usize| -> Vec<Row> {
+            (0..8)
+                .map(|i| {
+                    let v = match i {
+                        0 => i64::MAX,
+                        _ if i == overflow_at => 1,
+                        _ => 0,
+                    };
+                    let f = if i == nan_at { f64::NAN } else { i as f64 };
+                    row(Value::Int(7), Value::Int(v), Value::Float(f))
+                })
+                .collect()
+        };
+        let sum_then_max = [call(AggFunc::Sum, 2), call(AggFunc::Max, 3)];
+        let max_then_sum = [call(AggFunc::Max, 3), call(AggFunc::Sum, 2)];
+        // The later call fails on the earlier row: the row decides.
+        let rows = rows_failing_at(5, 3);
+        assert_eq!(
+            error_texts(&rows, &sum_then_max),
+            [INCOMPARABLE, INCOMPARABLE]
+        );
+        assert_eq!(
+            error_texts(&rows, &max_then_sum),
+            [INCOMPARABLE, INCOMPARABLE]
+        );
+        let rows = rows_failing_at(3, 5);
+        assert_eq!(error_texts(&rows, &sum_then_max), [OVERFLOW, OVERFLOW]);
+        assert_eq!(error_texts(&rows, &max_then_sum), [OVERFLOW, OVERFLOW]);
+        // Both fail on the same row: the call decides.
+        let rows = rows_failing_at(4, 4);
+        assert_eq!(error_texts(&rows, &sum_then_max), [OVERFLOW, OVERFLOW]);
+        assert_eq!(
+            error_texts(&rows, &max_then_sum),
+            [INCOMPARABLE, INCOMPARABLE]
+        );
+    }
+
+    #[test]
+    fn all_null_and_part_null_lanes_skip_their_nulls() {
+        // `v` is NULL throughout (a lane of raw NULLs), `k2` in some rows (an
+        // INT lane with a bitmap); group 2 sees only NULLs of either.
+        let rows: Vec<Row> = (0..12i64)
+            .map(|i| {
+                let k2 = if i % 3 == 2 {
+                    Value::Null
+                } else {
+                    Value::Int(i)
+                };
+                Row::new(vec![
+                    Value::Int(i % 3),
+                    k2,
+                    Value::Null,
+                    Value::Null,
+                    Value::Null,
+                ])
+            })
+            .collect();
+        let calls: Vec<CallSpec> = [2, 1]
+            .into_iter()
+            .flat_map(|c| {
+                [
+                    call(AggFunc::Count, c),
+                    call(AggFunc::Sum, c),
+                    call(AggFunc::Avg, c),
+                ]
+            })
+            .collect();
+        let out = every_engine(&rows, &[0], &calls).unwrap();
+        let nulls = [Value::Int(0), Value::Null, Value::Null];
+        assert_eq!(out[0].values()[1..4], nulls);
+        assert_eq!(
+            out[0].values()[4..],
+            [Value::Int(4), Value::Int(18), Value::Float(4.5)]
+        );
+        assert_eq!(out[2].values()[1..4], nulls);
+        assert_eq!(out[2].values()[4..], nulls);
+    }
+
+    #[test]
+    fn ints_in_a_float_column_sum_to_the_mix_the_row_loop_gives() {
+        // FLOAT column `f` holding INTs: all-INT segments are INT lanes,
+        // mixed ones raw values; a group's sum is INT until its first FLOAT.
+        let rows = vec![
+            row(Value::Int(1), Value::Null, Value::Int(1)),
+            row(Value::Int(2), Value::Null, Value::Int(1)),
+            row(Value::Int(1), Value::Null, Value::Int(2)),
+            row(Value::Int(2), Value::Null, Value::Float(0.5)),
+            row(Value::Int(2), Value::Null, Value::Int(2)),
+            row(Value::Int(3), Value::Null, Value::Float(0.25)),
+        ];
+        let out = every_engine(
+            &rows,
+            &[0],
+            &[
+                call(AggFunc::Sum, 3),
+                call(AggFunc::Avg, 3),
+                call(AggFunc::Min, 3),
+            ],
+        )
+        .unwrap();
+        let expect = [
+            [
+                Value::Int(1),
+                Value::Int(3),
+                Value::Float(1.5),
+                Value::Int(1),
+            ],
+            [
+                Value::Int(2),
+                Value::Float(3.5),
+                Value::Float(3.5 / 3.0),
+                Value::Float(0.5),
+            ],
+            [
+                Value::Int(3),
+                Value::Float(0.25),
+                Value::Float(0.25),
+                Value::Float(0.25),
+            ],
+        ];
+        for (got, want) in out.iter().zip(&expect) {
+            assert_eq!(got.values(), want);
+        }
+    }
+
+    #[test]
+    fn null_signed_zero_and_nan_keys_group_by_value_equality() {
+        let keys = [
+            Value::Float(-0.0),
+            Value::Null,
+            Value::Float(f64::NAN),
+            Value::Float(0.0),
+            Value::Float(f64::NAN),
+            Value::Null,
+            Value::Float(0.0),
+        ];
+        let rows: Vec<Row> = keys
+            .iter()
+            .map(|k| row(Value::Null, Value::Int(1), k.clone()))
+            .collect();
+        let out = every_engine(
+            &rows,
+            &[3],
+            &[CallSpec {
+                func: AggFunc::Count,
+                arg: None,
+            }],
+        )
+        .unwrap();
+        let groups: Vec<(u64, i64)> = out
+            .iter()
+            .map(|r| {
+                let bits = match r.value(0) {
+                    Value::Float(f) => f.to_bits(),
+                    Value::Null => 1,
+                    other => panic!("key {other:?}"),
+                };
+                (bits, r.value(1).as_i64().unwrap())
+            })
+            .collect();
+        assert_eq!(
+            groups,
+            vec![
+                ((-0.0f64).to_bits(), 1),
+                (1, 2),
+                (f64::NAN.to_bits(), 2),
+                (0.0f64.to_bits(), 2)
+            ]
+        );
+        // An INT key and the FLOAT equal to it are two groups.
+        let rows = vec![
+            row(Value::Null, Value::Null, Value::Int(1)),
+            row(Value::Null, Value::Null, Value::Float(1.0)),
+            row(Value::Null, Value::Null, Value::Int(1)),
+        ];
+        let out = every_engine(
+            &rows,
+            &[3],
+            &[CallSpec {
+                func: AggFunc::Count,
+                arg: None,
+            }],
+        )
+        .unwrap();
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[0].values(), [Value::Int(1), Value::Int(2)]);
+    }
+
+    #[test]
+    fn float_max_over_a_nan_is_the_same_typed_error() {
+        let rows = vec![
+            row(Value::Int(1), Value::Null, Value::Float(1.0)),
+            row(Value::Int(1), Value::Null, Value::Float(f64::NAN)),
+        ];
+        for func in [AggFunc::Max, AggFunc::Min] {
+            assert_eq!(
+                error_texts(&rows, &[call(func, 3)]),
+                [INCOMPARABLE, INCOMPARABLE]
+            );
+            assert_eq!(
+                every_engine(&rows, &[0], &[call(func, 3)])
+                    .unwrap_err()
+                    .kind(),
+                "exec"
+            );
+        }
+        // A lone NaN is never compared.
+        assert!(every_engine(&rows[1..], &[0], &[call(AggFunc::Max, 3)]).is_ok());
+    }
+
+    #[test]
+    fn count_star_over_a_scan_of_no_columns() {
+        let rows: Vec<Row> = (0..40)
+            .map(|i| row(Value::Int(i), Value::Null, Value::Null))
+            .collect();
+        let count = || vec![AggSpec::new(AggFunc::Count, None, "n")];
+        for (segment_rows, seal_tail) in [(16, false), (16, true), (64, false)] {
+            let table = scanned_table(base_schema(), &rows, segment_rows, seal_tail);
+            for phases in [Phases::Single, Phases::PartialThenFinal] {
+                let out = aggregate_scan(&table, &[], vec![], count(), phases, None).unwrap();
+                assert_eq!(out, vec![Row::new(vec![Value::Int(40)])]);
+            }
+        }
+        let empty = scanned_table(base_schema(), &[], 16, true);
+        let out = aggregate_scan(&empty, &[], vec![], count(), Phases::Single, None).unwrap();
+        assert_eq!(out, vec![Row::new(vec![Value::Int(0)])]);
+    }
+
+    #[test]
+    fn a_zero_budget_spills_lane_input_to_the_same_groups() {
+        let rows: Vec<Row> = (0..200i64)
+            .map(|i| {
+                let v = if i % 9 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(i)
+                };
+                row(Value::Int(i % 23), v, Value::Float((i % 4) as f64 * 0.25))
+            })
+            .collect();
+        let calls = [
+            CallSpec {
+                func: AggFunc::Count,
+                arg: None,
+            },
+            call(AggFunc::Sum, 2),
+            call(AggFunc::Avg, 3),
+            call(AggFunc::Min, 2),
+        ];
+        let reference = naive_reference(&rows, &[0], &calls);
+        let table = scanned_table(base_schema(), &rows, 16, false);
+        let cols: Vec<usize> = (0..5).collect();
+        for phases in [Phases::Single, Phases::PartialThenFinal] {
+            let tracker = MemoryTracker::new(0);
+            let spilled = aggregate_scan(
+                &table,
+                &cols,
+                vec![0],
+                specs_of(&calls),
+                phases,
+                Some(tracker.clone()),
+            );
+            assert_agree(&format!("spilled {phases:?}"), &reference, &spilled);
+            assert!(tracker.spill_count() > 0, "budget 0 must force a spill");
+            assert_eq!(tracker.used(), 0);
+        }
+    }
 }
 
 proptest! {
@@ -373,8 +818,9 @@ proptest! {
         calls in prop::collection::vec(arb_call(), 1..4),
     ) {
         let reference = naive_reference(&rows, &key, &calls);
-        let serial = run_serial(rows, key, specs_of(&calls));
+        let serial = run_serial(rows.clone(), key.clone(), specs_of(&calls));
         assert_agree("serial vs naive", &reference, &serial);
+        assert_scanned_agrees(&rows, &key, &specs_of(&calls), &reference, &serial);
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //!    ill-typed — so operator state that spans batches (`Limit`'s countdown,
 //!    `Distinct`'s seen set, `Sort`'s re-chunking) is pinned. The one
 //!    boundary-dependent outcome is an error beyond a satisfied `Limit`.
+//!    Each chunking is also fed as lane-backed batches (the chunk's columns
+//!    as typed lanes plus a selection, what a scan emits), which the
+//!    pipeline must not be able to tell from the same rows as rows.
 //! 2. Random semi-join / client-join workloads ship byte-for-byte the same
 //!    traffic through the threaded engine (batched senders, zero-copy
 //!    receive) and the virtual-time simulator.
@@ -17,7 +20,7 @@ use proptest::prelude::*;
 
 use csq_client::synthetic::ObjectUdf;
 use csq_client::{spawn_client, ClientRuntime};
-use csq_common::{DataType, Field, Result, Row, RowBatch, Schema, Value};
+use csq_common::{DataType, Field, Lane, Result, Row, RowBatch, Schema, Selection, Value};
 use csq_exec::{BoxOp, Distinct, Filter, Limit, Operator, Project, RowsOp, Sort};
 use csq_expr::{BinaryOp, PhysExpr};
 use csq_net::{in_memory_duplex, NetworkSpec};
@@ -132,11 +135,15 @@ fn arb_stage() -> impl Strategy<Value = StageSpec> {
 }
 
 /// Source that hands its rows out `chunk` at a time — the batch boundaries
-/// the pipeline above it must be insensitive to.
+/// the pipeline above it must be insensitive to — as rows, or with `lanes`
+/// as lane-backed batches: each chunk's columns built into lanes, under a
+/// window selection and a selection vector in turn.
 struct ChunkedRows {
     schema: Arc<Schema>,
     rows: std::vec::IntoIter<Row>,
     chunk: usize,
+    lanes: bool,
+    batches: usize,
 }
 
 impl Operator for ChunkedRows {
@@ -146,17 +153,33 @@ impl Operator for ChunkedRows {
 
     fn next_batch(&mut self) -> Result<Option<RowBatch>> {
         let rows: Vec<Row> = self.rows.by_ref().take(self.chunk).collect();
-        Ok((!rows.is_empty()).then(|| RowBatch::from_rows(self.schema.clone(), rows)))
+        if rows.is_empty() {
+            return Ok(None);
+        }
+        if !self.lanes {
+            return Ok(Some(RowBatch::from_rows(self.schema.clone(), rows)));
+        }
+        self.batches += 1;
+        let lanes = (0..self.schema.len())
+            .map(|c| Arc::new(Lane::build(&rows, c)))
+            .collect();
+        let sel = match self.batches % 2 {
+            0 => Selection::Window(0..rows.len()),
+            _ => Selection::Rows((0..rows.len()).collect()),
+        };
+        Ok(Some(RowBatch::from_lanes(self.schema.clone(), lanes, sel)))
     }
 }
 
 /// Build the pipeline described by `stages` over a fresh copy of the data,
-/// fed `chunk` rows per batch.
-fn build_pipeline(stages: &[StageSpec], rows: Vec<Row>, chunk: usize) -> BoxOp {
+/// fed `chunk` rows per batch (lane-backed batches with `lanes`).
+fn build_pipeline(stages: &[StageSpec], rows: Vec<Row>, chunk: usize, lanes: bool) -> BoxOp {
     let mut op: BoxOp = Box::new(ChunkedRows {
         schema: Arc::new(base_schema()),
         rows: rows.into_iter(),
         chunk,
+        lanes,
+        batches: 0,
     });
     for s in stages {
         let w = op.schema().len().max(1);
@@ -242,20 +265,28 @@ proptest! {
     ) {
         // One row per batch is the laziest run: every operator sees the
         // shortest input prefix that answers the pull.
-        let lazy = run_batches(build_pipeline(&stages, rows.clone(), 1));
+        let lazy = run_batches(build_pipeline(&stages, rows.clone(), 1, false));
         let has_limit = stages.iter().any(|s| matches!(s, StageSpec::Limit { .. }));
-        for chunk in [3, 17, rows.len().max(1)] {
-            let chunked = run_batches(build_pipeline(&stages, rows.clone(), chunk));
+        let all = rows.len().max(1);
+        let as_rows = [3, 17, all].map(|chunk| (chunk, false));
+        let as_lanes = [1, 3, 17, all].map(|chunk| (chunk, true));
+        for (chunk, lanes) in as_rows.into_iter().chain(as_lanes) {
+            let chunked = run_batches(build_pipeline(&stages, rows.clone(), chunk, lanes));
             match (&lazy, chunked) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(a, &b, "chunk={}", chunk),
+                (Ok(a), Ok(b)) => prop_assert_eq!(a, &b, "chunk={} lanes={}", chunk, lanes),
                 // Ill-typed pipelines (e.g. sorting mixed Int/Str columns)
                 // must fail identically under every chunking.
-                (Err(a), Err(b)) => prop_assert_eq!(a.kind(), b.kind(), "chunk={}", chunk),
+                (Err(a), Err(b)) => {
+                    prop_assert_eq!(a.kind(), b.kind(), "chunk={} lanes={}", chunk, lanes)
+                }
                 // A satisfied `Limit` stops pulling, so a wider batch may
                 // evaluate (and fail on) a row the lazy run never reached —
                 // the only boundary-dependent outcome, and only this way round.
                 (Ok(_), Err(_)) if has_limit => {}
-                (a, b) => prop_assert!(false, "chunk={chunk} disagrees: lazy={a:?} chunked={b:?}"),
+                (a, b) => prop_assert!(
+                    false,
+                    "chunk={chunk} lanes={lanes} disagrees: lazy={a:?} chunked={b:?}"
+                ),
             }
         }
     }

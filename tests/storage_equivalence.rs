@@ -14,6 +14,9 @@
 //!   error as over the snapshot; a narrowed scan is the full scan projected;
 //!   and end to end, narrowed plans answer what the snapshot-reading
 //!   simulated backend answers while scans under an `ApplyUdf` stay whole.
+//! * A lane-backed batch — what the scan emits for a sealed segment — builds,
+//!   for any column list and any selection, exactly the projected
+//!   [`Segment::row`]s, and counts them without building them.
 //! * [`HashAggregate`] and [`HashJoin`] under a deliberately tiny
 //!   [`MemoryTracker`] budget (forcing partition spills on nearly every
 //!   batch) must produce the same row multisets as the unbudgeted in-memory
@@ -31,7 +34,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use csq_common::{Blob, DataType, Field, Row, Schema, Value};
+use csq_common::{Blob, DataType, Field, Row, RowBatch, Schema, Selection, Value};
 use csq_exec::ops::{ColumnarScan, Filter, RowsOp};
 use csq_exec::{collect, AggSpec, HashAggregate, HashJoin, MemoryTracker};
 use csq_expr::{AggFunc, BinaryOp, PhysExpr};
@@ -433,6 +436,35 @@ proptest! {
         let expect: Vec<Row> = collect(&mut full).unwrap().iter().map(|r| r.project(&cols)).collect();
         prop_assert_eq!(collect(&mut narrow).unwrap(), expect);
         prop_assert_eq!(narrow.scan_stats(), full.scan_stats());
+    }
+
+    #[test]
+    fn lane_batch_rows_are_the_segment_rows(
+        rows in prop::collection::vec(arb_filter_row(), 1..120),
+        keep in prop::collection::vec(any::<bool>(), 5..6),
+        picks in prop::collection::vec(any::<bool>(), 120..121),
+        window in (0usize..120, 0usize..120),
+    ) {
+        let seg = Segment::seal(&profile_schema(), &rows);
+        // Any increasing column list, the empty one included.
+        let cols: Vec<usize> = (0..5).filter(|&c| keep[c]).collect();
+        let schema = Arc::new(profile_schema().project(&cols));
+        let lanes = || cols.iter().map(|&c| seg.columns()[c].lane().clone()).collect();
+        let (lo, hi) = (window.0.min(window.1) % rows.len(), window.0.max(window.1) % (rows.len() + 1));
+        let ordinals: Vec<usize> = (0..rows.len()).filter(|&i| picks[i]).collect();
+        for (sel, selected) in [
+            (Selection::Window(lo..hi.max(lo)), (lo..hi.max(lo)).collect::<Vec<_>>()),
+            (Selection::Rows(ordinals.clone()), ordinals),
+        ] {
+            let expect: Vec<Row> = selected.iter().map(|&i| seg.row(i).project(&cols)).collect();
+            let batch = RowBatch::from_lanes(schema.clone(), lanes(), sel);
+            prop_assert_eq!(batch.len(), expect.len());
+            prop_assert_eq!(batch.is_empty(), expect.is_empty());
+            prop_assert!(!batch.is_materialized(), "counting builds nothing");
+            prop_assert_eq!(batch.clone().into_rows(), expect.clone());
+            prop_assert_eq!(batch.rows(), &expect[..]);
+            prop_assert_eq!(batch.into_parts().1, expect);
+        }
     }
 
     #[test]
