@@ -1,6 +1,5 @@
-//! Grouped-aggregation benchmark: serial vs. exchange-partitioned vs.
-//! shipped partial/final aggregation, writing
-//! `results/BENCH_aggregate.json`. Options (`--quick`, `--out`, `--check`,
+//! Grouped-aggregation benchmark: serial vs. shipped partial/final
+//! aggregation, writing `results/BENCH_aggregate.json`. Options (`--quick`, `--out`, `--check`,
 //! `--merge`): see `csq_bench::cli`.
 
 fn main() -> std::process::ExitCode {

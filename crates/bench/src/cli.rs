@@ -1,5 +1,5 @@
-//! Shared CLI harness for the six regression-gated benchmark binaries
-//! (`throughput`, `parallel`, `aggregate`, `storage`, `service`, `sharded`):
+//! Shared CLI harness for the five regression-gated benchmark binaries
+//! (`throughput`, `aggregate`, `storage`, `service`, `sharded`):
 //! argument parsing, the `--check` baseline comparison, and the
 //! `--merge`-aware results write, all over the one [`crate::gate`] schema.
 //!

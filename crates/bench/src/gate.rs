@@ -1,5 +1,5 @@
 //! The one results schema and the one regression gate shared by every
-//! gated bench (`throughput`, `parallel`, `aggregate`, `storage`,
+//! gated bench (`throughput`, `aggregate`, `storage`,
 //! `service`, `sharded`); DESIGN.md §6 "Bench gates" is the prose version.
 //!
 //! A bench run is a list of [`Entry`]s. Each carries the host's core count

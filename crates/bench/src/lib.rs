@@ -13,7 +13,6 @@ pub mod aggregate;
 pub mod cli;
 pub mod figures;
 pub mod gate;
-pub mod parallel;
 pub mod service;
 pub mod sharded;
 pub mod storage;

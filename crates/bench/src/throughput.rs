@@ -3,20 +3,20 @@
 //!
 //! The `rowref` module is a faithful replica of the executor as it existed
 //! before the batch rework (per-row virtual dispatch, per-row projection
-//! allocation, clone-per-row distinct, uncapacitied collect) so that
+//! allocation, uncapacitied collect) so that
 //! `results/BENCH_throughput.json` records a true before-vs-after
 //! trajectory on the same data and expressions. Pipelines cover the
-//! scan→filter→project hot path, hash-based distinct, hash join, and the
-//! client-site VM UDF loop.
+//! scan→filter→project hot path, hash join, and the client-site VM UDF
+//! loop.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use csq_client::service::TaskExecutor;
 use csq_client::{ClientRuntime, ClientTask, TaskMode, UdfStep};
 use csq_common::{DataType, Field, Result, Row, Schema, Value, DEFAULT_BATCH_SIZE};
-use csq_exec::{collect, Distinct, Filter, HashJoin, Project, RowsOp};
+use csq_exec::{collect, Filter, HashJoin, Project, RowsOp};
 use csq_expr::{BinaryOp, PhysExpr};
 
 use crate::cli::BenchCli;
@@ -55,7 +55,7 @@ mod rowref {
 
     /// Clone a value with the *seed* cost model: before this PR,
     /// `Value::Str` held a plain `String`, so every clone on the
-    /// project/distinct/join paths deep-copied the payload (`Blob` was
+    /// project/join paths deep-copied the payload (`Blob` was
     /// already refcounted). The reference engine reproduces that cost;
     /// the batch engine's refcounted `Str` is part of the measured change.
     pub fn seed_clone(v: &Value) -> Value {
@@ -169,37 +169,6 @@ mod rowref {
                     Ok(Some(Row::new(values)))
                 }
             }
-        }
-    }
-
-    pub struct RefDistinct {
-        input: Box<dyn RowOp>,
-        seen: HashSet<Row>,
-    }
-
-    impl RefDistinct {
-        pub fn all(input: Box<dyn RowOp>) -> RefDistinct {
-            RefDistinct {
-                input,
-                seen: Default::default(),
-            }
-        }
-    }
-
-    impl RowOp for RefDistinct {
-        fn schema(&self) -> &Schema {
-            self.input.schema()
-        }
-        fn next(&mut self) -> Result<Option<Row>> {
-            while let Some(row) = self.input.next()? {
-                // Pre-change behavior: clone every row into the seen set
-                // (deep-copying strings, as the seed's `Row::clone` did).
-                let k = Row::new(row.values().iter().map(seed_clone).collect());
-                if self.seen.insert(k) {
-                    return Ok(Some(row));
-                }
-            }
-            Ok(None)
         }
     }
 
@@ -324,7 +293,7 @@ pub fn quotes_rows(n: usize) -> Vec<Row> {
 
 // ---- pipelines -------------------------------------------------------------
 
-pub(crate) fn filter_pred() -> PhysExpr {
+fn filter_pred() -> PhysExpr {
     // Range scan predicate: price > 25 AND price < 58.33 — selectivity
     // ≈ 1/3, the system's default selectivity assumption (see
     // `ScalarUdf::selectivity_hint`).
@@ -345,7 +314,7 @@ pub(crate) fn filter_pred() -> PhysExpr {
     }
 }
 
-pub(crate) fn project_exprs() -> Vec<(PhysExpr, Field)> {
+fn project_exprs() -> Vec<(PhysExpr, Field)> {
     // Ordered column subset: the common SELECT shape, and the one the batch
     // engine projects in place.
     vec![
@@ -361,59 +330,23 @@ fn sfp_row_engine(schema: &Schema, data: Vec<Row>) -> Vec<Row> {
     rowref::ref_collect(&mut projected).expect("row sfp")
 }
 
-pub(crate) fn sfp_batch_engine(schema: &Schema, data: Vec<Row>) -> Vec<Row> {
+fn sfp_batch_engine(schema: &Schema, data: Vec<Row>) -> Vec<Row> {
     let scan = Box::new(RowsOp::new(schema.clone(), data));
     let filtered = Box::new(Filter::new(scan, filter_pred()));
     let mut projected = Project::new(filtered, project_exprs());
     collect(&mut projected).expect("batch sfp")
 }
 
-/// Rows with exactly `n / 256` distinct full-row values.
-pub fn dup_rows(n: usize) -> Vec<Row> {
-    let syms = symbols();
-    let distinct = (n / 256).max(1);
-    (0..n)
-        .map(|i| {
-            let j = i % distinct;
-            Row::new(vec![
-                syms[j % SYMBOLS].clone(),
-                Value::Int(j as i64),
-                Value::Int((j * 7) as i64),
-            ])
-        })
-        .collect()
-}
-
-pub(crate) fn dup_schema() -> Schema {
-    Schema::new(vec![
-        Field::new("sym", DataType::Str),
-        Field::new("a", DataType::Int),
-        Field::new("b", DataType::Int),
-    ])
-}
-
-fn distinct_row_engine(schema: &Schema, data: Vec<Row>) -> Vec<Row> {
-    let scan = Box::new(rowref::RefRows::new(schema.clone(), data));
-    let mut d = rowref::RefDistinct::all(scan);
-    rowref::ref_collect(&mut d).expect("row distinct")
-}
-
-pub(crate) fn distinct_batch_engine(schema: &Schema, data: Vec<Row>) -> Vec<Row> {
-    let scan = Box::new(RowsOp::new(schema.clone(), data));
-    let mut d = Distinct::all(scan);
-    collect(&mut d).expect("batch distinct")
-}
-
 const JOIN_BUILD: usize = 10_000;
 
-pub(crate) fn probe_schema() -> Schema {
+fn probe_schema() -> Schema {
     Schema::new(vec![
         Field::new("id", DataType::Int),
         Field::new("k", DataType::Int),
     ])
 }
 
-pub(crate) fn build_schema() -> Schema {
+fn build_schema() -> Schema {
     Schema::new(vec![
         Field::new("k", DataType::Int),
         Field::new("name", DataType::Str),
@@ -447,7 +380,7 @@ fn join_row_engine(probe: Vec<Row>, build: Vec<Row>) -> Vec<Row> {
     rowref::ref_collect(&mut j).expect("row join")
 }
 
-pub(crate) fn join_batch_engine(probe: Vec<Row>, build: Vec<Row>) -> Vec<Row> {
+fn join_batch_engine(probe: Vec<Row>, build: Vec<Row>) -> Vec<Row> {
     let l = Box::new(RowsOp::new(probe_schema(), probe));
     let r = Box::new(RowsOp::new(build_schema(), build));
     let mut j = HashJoin::new(l, r, vec![1], vec![0]);
@@ -481,7 +414,7 @@ pub fn udf_rows(n: usize) -> Vec<Row> {
         .collect()
 }
 
-pub(crate) fn udf_task() -> ClientTask {
+fn udf_task() -> ClientTask {
     ClientTask {
         mode: TaskMode::ClientJoin,
         input_width: 2,
@@ -508,7 +441,7 @@ fn udf_row_engine(rt: &Arc<ClientRuntime>, rows: Vec<Row>) -> Vec<Row> {
     out
 }
 
-pub(crate) fn udf_batch_engine(rt: &Arc<ClientRuntime>, rows: Vec<Row>) -> Vec<Row> {
+fn udf_batch_engine(rt: &Arc<ClientRuntime>, rows: Vec<Row>) -> Vec<Row> {
     let mut ex = TaskExecutor::new(rt.clone(), udf_task()).expect("executor");
     let mut out = Vec::with_capacity(rows.len());
     let mut it = rows.into_iter();
@@ -554,7 +487,6 @@ where
 pub fn run(quick: bool) -> Vec<Entry> {
     let scale = if quick { 10 } else { 1 };
     let sfp_n = 1_000_000 / scale;
-    let distinct_n = 1_000_000 / scale;
     let join_n = 500_000 / scale;
     let udf_n = 200_000 / scale;
     let entry = |pipeline: &str, rows: usize, row: f64, batch: f64| {
@@ -571,21 +503,6 @@ pub fn run(quick: bool) -> Vec<Entry> {
         let row = measure(sfp_n, || data.clone(), |d| sfp_row_engine(&schema, d));
         let batch = measure(sfp_n, || data.clone(), |d| sfp_batch_engine(&schema, d));
         out.push(entry("scan_filter_project", sfp_n, row, batch));
-    }
-    {
-        let schema = dup_schema();
-        let data = dup_rows(distinct_n);
-        let row = measure(
-            distinct_n,
-            || data.clone(),
-            |d| distinct_row_engine(&schema, d),
-        );
-        let batch = measure(
-            distinct_n,
-            || data.clone(),
-            |d| distinct_batch_engine(&schema, d),
-        );
-        out.push(entry("distinct", distinct_n, row, batch));
     }
     {
         let probe = probe_rows(join_n);
@@ -617,12 +534,6 @@ mod tests {
         assert_eq!(
             sfp_row_engine(&schema, data.clone()),
             sfp_batch_engine(&schema, data)
-        );
-        let schema = dup_schema();
-        let data = dup_rows(5_000);
-        assert_eq!(
-            distinct_row_engine(&schema, data.clone()),
-            distinct_batch_engine(&schema, data)
         );
         let probe = probe_rows(20_000);
         let build = build_rows();

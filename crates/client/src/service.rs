@@ -48,23 +48,6 @@ impl TaskExecutor {
         &self.task
     }
 
-    /// A fresh executor over the same runtime and task: empty memo caches,
-    /// zero CPU accounting. This is how the morsel-driven parallel engine
-    /// runs UDF-VM stages — each worker forks its own executor (executors
-    /// are single-threaded by design; the shared [`ClientRuntime`] keeps
-    /// global invocation/cache accounting). With `dedup_cache` tasks, forks
-    /// memoize per worker, so cross-worker duplicate arguments may invoke
-    /// once per worker instead of once overall — a throughput/accounting
-    /// trade the caller opts into by parallelizing.
-    pub fn fork(&self) -> TaskExecutor {
-        TaskExecutor {
-            runtime: self.runtime.clone(),
-            task: self.task.clone(),
-            caches: self.task.steps.iter().map(|_| HashMap::new()).collect(),
-            cpu_us: 0,
-        }
-    }
-
     /// Simulated client CPU time consumed so far, µs.
     pub fn cpu_us(&self) -> u64 {
         self.cpu_us
@@ -359,23 +342,6 @@ mod tests {
             assert_eq!(r.len(), 2);
             assert_eq!(r.value(1), &Value::Bool(true));
         }
-    }
-
-    #[test]
-    fn fork_shares_runtime_but_not_caches() {
-        let rt = runtime();
-        let mut task = sj_task();
-        task.dedup_cache = true;
-        let mut a = TaskExecutor::new(rt.clone(), task).unwrap();
-        let dup = Row::new(vec![Value::Blob(Blob::synthetic(50, 9))]);
-        a.process(vec![dup.clone()]).unwrap();
-        let mut b = a.fork();
-        assert_eq!(b.cpu_us(), 0, "fork starts with fresh accounting");
-        // The fork's cache is empty: the duplicate argument invokes again
-        // (2 total on the shared runtime), not served from `a`'s memo.
-        b.process(vec![dup]).unwrap();
-        assert_eq!(rt.invocations(), 2);
-        assert_eq!(rt.cache_hits(), 0);
     }
 
     #[test]

@@ -176,45 +176,6 @@ impl RowBatch {
     pub fn wire_size(&self) -> usize {
         self.iter().map(Row::wire_size).sum()
     }
-
-    /// Split into morsels of at most `morsel_rows` rows each (the unit the
-    /// parallel engine hands to workers), preserving row order across the
-    /// returned batches. A batch already within the limit comes back whole.
-    pub fn split_morsels(self, morsel_rows: usize) -> Vec<RowBatch> {
-        let morsel_rows = morsel_rows.max(1);
-        if self.len() <= morsel_rows {
-            return if self.is_empty() {
-                Vec::new()
-            } else {
-                vec![self]
-            };
-        }
-        let (schema, rows) = self.into_parts();
-        let mut out = Vec::with_capacity(rows.len().div_ceil(morsel_rows));
-        let mut rows = rows.into_iter();
-        loop {
-            let chunk: Vec<Row> = rows.by_ref().take(morsel_rows).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            out.push(RowBatch::from_rows(schema.clone(), chunk));
-        }
-        out
-    }
-
-    /// Hash-partition the rows into `parts` buckets by the values at `key`
-    /// (whole-row hashing when `key` is `None`), preserving relative row
-    /// order within each bucket — the invariant partitioned operators rely
-    /// on (e.g. first-occurrence-wins distinct). See [`Row::key_hash`].
-    pub fn partition_by_hash(self, key: Option<&[usize]>, parts: usize) -> Vec<Vec<Row>> {
-        let parts = parts.max(1);
-        let mut buckets: Vec<Vec<Row>> = (0..parts).map(|_| Vec::new()).collect();
-        for row in self {
-            let p = row.partition_of(key, parts);
-            buckets[p].push(row);
-        }
-        buckets
-    }
 }
 
 impl<'a> IntoIterator for &'a RowBatch {
@@ -301,24 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_batch_splits_and_partitions_like_its_rows() {
-        let (lanes, rows) = lanes();
-        let lane_batch = || RowBatch::from_lanes(schema(), lanes.clone(), Selection::Window(0..5));
-        let whole = lane_batch().split_morsels(8);
-        assert!(whole.len() == 1 && !whole[0].is_materialized());
-        let rejoined: Vec<Row> = lane_batch()
-            .split_morsels(2)
-            .into_iter()
-            .flat_map(RowBatch::into_rows)
-            .collect();
-        assert_eq!(rejoined, rows);
-        assert_eq!(
-            lane_batch().partition_by_hash(Some(&[0]), 3),
-            RowBatch::from_rows(schema(), rows).partition_by_hash(Some(&[0]), 3)
-        );
-    }
-
-    #[test]
     fn project_picks_columns() {
         let s = schema();
         let b = RowBatch::from_rows(
@@ -338,51 +281,5 @@ mod tests {
     fn wire_size_sums_rows() {
         let b = RowBatch::from_rows(schema(), vec![Row::new(vec![Value::Int(1), Value::Int(2)])]);
         assert_eq!(b.wire_size(), 18);
-    }
-
-    #[test]
-    fn split_morsels_chunks_in_order() {
-        let rows: Vec<Row> = (0..10)
-            .map(|i| Row::new(vec![Value::Int(i), Value::Int(i)]))
-            .collect();
-        let b = RowBatch::from_rows(schema(), rows.clone());
-        let morsels = b.split_morsels(4);
-        assert_eq!(
-            morsels.iter().map(RowBatch::len).collect::<Vec<_>>(),
-            vec![4, 4, 2]
-        );
-        let rejoined: Vec<Row> = morsels.into_iter().flat_map(RowBatch::into_rows).collect();
-        assert_eq!(rejoined, rows);
-        // Within-limit batches come back whole; empty batches vanish.
-        let b = RowBatch::from_rows(schema(), rows);
-        assert_eq!(b.split_morsels(100).len(), 1);
-        assert!(RowBatch::from_rows(schema(), Vec::new())
-            .split_morsels(4)
-            .is_empty());
-    }
-
-    #[test]
-    fn partition_by_hash_keeps_bucket_order_and_covers_all_rows() {
-        let rows: Vec<Row> = (0..50)
-            .map(|i| Row::new(vec![Value::Int(i % 7), Value::Int(i)]))
-            .collect();
-        let b = RowBatch::from_rows(schema(), rows.clone());
-        let buckets = b.partition_by_hash(Some(&[0]), 4);
-        assert_eq!(buckets.len(), 4);
-        assert_eq!(buckets.iter().map(Vec::len).sum::<usize>(), 50);
-        for bucket in &buckets {
-            // Relative input order preserved within a bucket (column 1 is
-            // the input sequence number).
-            for w in bucket.windows(2) {
-                assert!(w[0].value(1).as_i64().unwrap() < w[1].value(1).as_i64().unwrap());
-            }
-        }
-        // A key never straddles buckets: every row with key k sits in the
-        // bucket partition_of says it should.
-        for (p, bucket) in buckets.iter().enumerate() {
-            for r in bucket {
-                assert_eq!(r.partition_of(Some(&[0]), 4), p);
-            }
-        }
     }
 }

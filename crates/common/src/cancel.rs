@@ -1,12 +1,12 @@
 //! Cooperative cancellation and deadlines.
 //!
 //! A [`CancelToken`] is the one object a query's whole execution shares:
-//! the session thread that parses the request, the morsel workers, the
-//! exchange feeders, and the client-site UDF VM all hold clones of the same
-//! token and poll [`CancelToken::check`] at batch / fuel-checkpoint
-//! granularity. Cancellation is *cooperative*: nothing is interrupted
-//! mid-instruction, but every loop that can run for more than a batch's
-//! worth of work observes the flag within one iteration.
+//! the session thread that parses the request, the operator tree's
+//! `CancelCheck` checkpoints, and the client-site UDF VM all hold clones of
+//! the same token and poll [`CancelToken::check`] at batch /
+//! fuel-checkpoint granularity. Cancellation is *cooperative*: nothing is
+//! interrupted mid-instruction, but every loop that can run for more than a
+//! batch's worth of work observes the flag within one iteration.
 //!
 //! Two things fire a token: an explicit [`CancelToken::cancel`] (the
 //! `CancelQuery` wire message, or a local kill) and an attached

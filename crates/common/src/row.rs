@@ -114,10 +114,10 @@ impl Row {
 
     /// Hash of the values at `key` (or the whole row when `key` is `None`),
     /// consistent within a process run — the partitioning function of the
-    /// parallel exchange operators. Build and probe sides of a partitioned
-    /// join must use the *same* function so equal keys land in the same
-    /// partition; equality-by-content of `Value` guarantees equal keys hash
-    /// equal regardless of backing buffers.
+    /// spill partitions and of the coordinator's shard routing. Build and
+    /// probe sides of a Grace join must use the *same* function so equal
+    /// keys land in the same partition; equality-by-content of `Value`
+    /// guarantees equal keys hash equal regardless of backing buffers.
     pub fn key_hash(&self, key: Option<&[usize]>) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();

@@ -417,7 +417,7 @@ pub fn execute_threaded_with(
 ) -> Result<QueryResult> {
     let op = build_threaded(db, graph, &plan.root, true, token)?;
     // A second checkpoint above the root catches plans whose leaves run
-    // inside feeder threads (exchange, shipping operators).
+    // inside feeder threads (the shipping operators).
     let mut op = CancelCheck::new(op, token.clone());
     let rows = collect(&mut op)?;
     let schema = op.schema().clone();

@@ -30,19 +30,13 @@
 //!   (group key columns followed by each call's state columns; AVG carries
 //!   two: running sum and count).
 //! * [`HashAggregate::finalize`] — partial-state rows in (from any number
-//!   of partial sources, e.g. one per worker or one per site), finished
+//!   of partial sources, e.g. one per shard or one per site), finished
 //!   values out.
 //!
 //! MIN/MAX accumulate through [`crate::ops::compare_values`] — the same
 //! key-validation primitive `Sort` uses — so a NaN-bearing group is an exec
 //! *error* here, exactly like `ORDER BY` over a NaN-bearing column, never a
 //! comparator panic.
-//!
-//! Parallel grouped aggregation runs through
-//! [`Exchange::hash_aggregate`](crate::Exchange::hash_aggregate): rows
-//! hash-partition on the group key, each worker aggregates a disjoint key
-//! range with a private single-phase instance, and the gather side merges —
-//! the same multiset of groups as the serial operator.
 
 use std::hash::{BuildHasher, RandomState};
 use std::sync::Arc;
@@ -777,15 +771,17 @@ impl Drop for GroupTable {
 /// first-occurrence (GROUP BY output order is unspecified; an explicit
 /// ORDER BY above is unaffected). Whatever the build registered with the
 /// tracker is released when its table goes — at the end of the build,
-/// however it ends.
+/// however it ends; a build that fails is returned once and leaves the
+/// operator exhausted.
 pub struct HashAggregate {
+    /// `Some` until the first pull takes it to build `groups`.
     input: Option<BoxOp>,
     /// Group-key column ordinals in the input.
     key: Vec<usize>,
     aggs: Vec<AggSpec>,
     mode: Mode,
     schema: Arc<Schema>,
-    groups: Option<std::vec::IntoIter<Row>>,
+    groups: std::vec::IntoIter<Row>,
     /// Byte budget shared with other operators; `None` = never spill.
     memory: Option<Arc<MemoryTracker>>,
     /// Spill partitions, created on first overflow.
@@ -829,7 +825,7 @@ impl HashAggregate {
             aggs,
             mode,
             schema: Arc::new(schema),
-            groups: None,
+            groups: Vec::new().into_iter(),
             memory: None,
             spilled: Vec::new(),
             spill_events: 0,
@@ -908,8 +904,7 @@ impl HashAggregate {
 
     /// Drain the input and build the group table (insertion-ordered so the
     /// output is deterministic: first-occurrence order of each key).
-    fn build(&mut self) -> Result<Vec<Row>> {
-        let mut input = self.input.take().expect("aggregate input consumed twice");
+    fn build(&mut self, mut input: BoxOp) -> Result<Vec<Row>> {
         let hint = input.size_hint().unwrap_or(0);
         let mut table = GroupTable::new(self.key.len(), &self.aggs, self.memory.clone(), hint);
         while let Some(batch) = input.next_batch()? {
@@ -979,11 +974,10 @@ impl HashAggregate {
     }
 
     fn produce(&mut self) -> Result<Option<RowBatch>> {
-        if self.groups.is_none() {
-            let rows = self.build()?;
-            self.groups = Some(rows.into_iter());
+        if let Some(input) = self.input.take() {
+            self.groups = self.build(input)?.into_iter();
         }
-        crate::ops::produce_chunk(self.groups.as_mut().unwrap(), &self.schema)
+        crate::ops::produce_chunk(&mut self.groups, &self.schema)
     }
 }
 
@@ -1061,12 +1055,13 @@ impl AggState {
 }
 
 batch_operator!(HashAggregate, hint: |s: &HashAggregate| {
-    s.groups.as_ref().map(|g| g.len())
+    s.input.is_none().then(|| s.groups.len())
 });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::testing::assert_latched;
     use crate::ops::{collect, CancelCheck, ColumnarScan, Filter, RowsOp, Sort};
     use csq_common::{CancelToken, DEFAULT_BATCH_SIZE};
     use csq_storage::Table;
@@ -1426,6 +1421,23 @@ mod tests {
         assert!(tracker.used() > 0);
         drop(table);
         assert_eq!(tracker.used(), 0);
+    }
+
+    #[test]
+    fn aggregate_is_exhausted_after_a_failed_build() {
+        let failing = Interrupted {
+            schema: Arc::new(schema()),
+            batches: vec![rows(), rows()].into_iter(),
+            after: Box::new(|| Err(CsqError::Exec("source failed".into()))),
+        };
+        let mut agg = HashAggregate::new(Box::new(failing), vec![0], specs());
+        assert_latched(&mut agg, "exec");
+        assert_eq!(agg.size_hint(), Some(0));
+        // An accumulator failing (SUM over a string) ends it the same way.
+        let s = Schema::new(vec![Field::new("s", DataType::Str)]);
+        let scan = Box::new(RowsOp::new(s, vec![Row::new(vec![Value::from("x")])]));
+        let sum_s = AggSpec::new(AggFunc::Sum, Some(PhysExpr::Column(0)), "s");
+        assert_latched(&mut HashAggregate::new(scan, vec![], vec![sum_s]), "type");
     }
 
     /// 40 rows sealed 16 to a segment (so two sealed segments and a tail of

@@ -1,13 +1,12 @@
-//! Join operators: hash, merge, and nested-loop.
+//! Join operators: hash and nested-loop.
 //!
 //! The paper models UDF application as an equi-join with a virtual,
-//! index-only UDF table (§2.2); the receiver side of a semi-join performs a
-//! real join between the buffered records and the returned results — a merge
-//! join when the sender sorts on the argument columns (§2.3.1), a hash join
-//! otherwise. These operators are also what the optimizer uses for ordinary
-//! table joins.
+//! index-only UDF table (§2.2); the shipping receivers in `csq-ship` do that
+//! join themselves. These are the operators for ordinary table joins:
+//! lowering builds every SQL join as a [`NestedLoopJoin`] cross product under
+//! a `Filter`; [`HashJoin`] is built by no statement yet (ROADMAP 1(a)).
 //!
-//! All three are batch-native: inputs are pulled a [`RowBatch`] at a time
+//! Both are batch-native: inputs are pulled a [`RowBatch`] at a time
 //! and outputs are emitted in batches (a batch may exceed the default
 //! capacity when one input row fans out to many matches).
 
@@ -17,14 +16,14 @@ use std::sync::Arc;
 use csq_common::{Result, Row, RowBatch, Schema, DEFAULT_BATCH_SIZE};
 use csq_expr::PhysExpr;
 
-use crate::ops::{batch_operator, collect, compare_on_keys, Operator};
+use crate::ops::{batch_operator, collect, Operator};
 use crate::spill::{
     partition_rows, MemoryTracker, SpillFile, SpillReader, ENTRY_OVERHEAD, SPILL_PARTITIONS,
 };
 
 /// Pulls batches from a child operator and hands rows out one at a time —
-/// the input-side adapter for operators whose algorithm is inherently
-/// row-sequential (merge join's group detection, nested-loop's outer loop).
+/// the input-side adapter for an algorithm that is inherently
+/// row-sequential (nested-loop's outer loop).
 struct BatchCursor {
     op: Box<dyn Operator + Send>,
     buf: std::vec::IntoIter<Row>,
@@ -238,7 +237,16 @@ impl HashJoin {
 
     fn produce(&mut self) -> Result<Option<RowBatch>> {
         if self.table.is_none() && self.grace.is_none() {
-            self.build()?;
+            if let Err(e) = self.build() {
+                // Returned once; a Grace state with no partition left makes
+                // every later pull `Ok(None)` without touching either input.
+                self.release_tracked();
+                self.grace = Some(GraceJoin {
+                    parts: Vec::new().into_iter(),
+                    current: None,
+                });
+                return Err(e);
+            }
         }
         if self.grace.is_some() {
             return self.grace_step();
@@ -273,7 +281,7 @@ impl HashJoin {
 impl Drop for HashJoin {
     fn drop(&mut self) {
         // Release build-table bytes if the probe never ran to completion
-        // (e.g. a LIMIT above cut the pipeline short).
+        // (the consumer stopped pulling).
         self.release_tracked();
     }
 }
@@ -281,8 +289,8 @@ impl Drop for HashJoin {
 batch_operator!(HashJoin);
 
 /// Accumulate up to [`DEFAULT_BATCH_SIZE`] rows from a row-producing step
-/// into one batch — the output-side adapter shared by the row-sequential
-/// join algorithms.
+/// into one batch — the output-side adapter of the row-sequential
+/// nested-loop join.
 fn accumulate_batch(
     schema: Arc<Schema>,
     mut step: impl FnMut() -> Result<Option<Row>>,
@@ -299,122 +307,6 @@ fn accumulate_batch(
     }
     Ok(Some(RowBatch::from_rows(schema, out)))
 }
-
-/// Merge join over inputs already sorted ascending on their key columns.
-/// Produces the cross product of each matching key group.
-pub struct MergeJoin {
-    left: BatchCursor,
-    right: BatchCursor,
-    left_key: Vec<usize>,
-    right_key: Vec<usize>,
-    schema: Arc<Schema>,
-    l_row: Option<Row>,
-    r_group: Vec<Row>,
-    r_next: Option<Row>,
-    started: bool,
-    pending: Vec<Row>,
-}
-
-impl MergeJoin {
-    /// Join sorted inputs on equality of the key columns.
-    pub fn new(
-        left: Box<dyn Operator + Send>,
-        right: Box<dyn Operator + Send>,
-        left_key: Vec<usize>,
-        right_key: Vec<usize>,
-    ) -> MergeJoin {
-        assert_eq!(left_key.len(), right_key.len());
-        let schema = Arc::new(left.schema().join(right.schema()));
-        MergeJoin {
-            left: BatchCursor::new(left),
-            right: BatchCursor::new(right),
-            left_key,
-            right_key,
-            schema,
-            l_row: None,
-            r_group: Vec::new(),
-            r_next: None,
-            started: false,
-            pending: Vec::new(),
-        }
-    }
-
-    /// Load the next group of right rows sharing one key; `false` when the
-    /// right side is exhausted.
-    fn advance_right_group(&mut self) -> Result<bool> {
-        self.r_group.clear();
-        let first = match self.r_next.take() {
-            Some(r) => r,
-            None => match self.right.next_row()? {
-                Some(r) => r,
-                None => return Ok(false),
-            },
-        };
-        self.r_group.push(first);
-        while let Some(r) = self.right.next_row()? {
-            // Group membership by in-place key equality (Null groups with
-            // Null, like the former projected-key comparison).
-            let same = {
-                let head = &self.r_group[0];
-                self.right_key.iter().all(|&k| r.value(k) == head.value(k))
-            };
-            if same {
-                self.r_group.push(r);
-            } else {
-                self.r_next = Some(r);
-                break;
-            }
-        }
-        Ok(true)
-    }
-
-    fn row_step(&mut self) -> Result<Option<Row>> {
-        use std::cmp::Ordering;
-        if !self.started {
-            self.started = true;
-            self.l_row = self.left.next_row()?;
-            self.advance_right_group()?;
-        }
-        loop {
-            if let Some(m) = self.pending.pop() {
-                return Ok(Some(m));
-            }
-            let Some(l) = self.l_row.as_ref() else {
-                return Ok(None);
-            };
-            if self.r_group.is_empty() {
-                return Ok(None);
-            }
-            // Keys are compared in place — no per-row key projection.
-            let l_null = self.left_key.iter().any(|&k| l.value(k).is_null());
-            let mixed = compare_on_keys(l, &self.left_key, &self.r_group[0], &self.right_key)?;
-            match mixed {
-                Ordering::Less => {
-                    self.l_row = self.left.next_row()?;
-                }
-                Ordering::Greater => {
-                    if !self.advance_right_group()? {
-                        return Ok(None);
-                    }
-                }
-                Ordering::Equal if l_null => {
-                    self.l_row = self.left.next_row()?;
-                }
-                Ordering::Equal => {
-                    self.pending = self.r_group.iter().rev().map(|r| l.join(r)).collect();
-                    self.l_row = self.left.next_row()?;
-                }
-            }
-        }
-    }
-
-    fn produce(&mut self) -> Result<Option<RowBatch>> {
-        let schema = self.schema.clone();
-        accumulate_batch(schema, || self.row_step())
-    }
-}
-
-batch_operator!(MergeJoin);
 
 /// Nested-loop join with an arbitrary bound predicate over the concatenated
 /// row. The right input is materialized.
@@ -488,7 +380,8 @@ batch_operator!(NestedLoopJoin);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{RowsOp, Sort};
+    use crate::ops::testing::{assert_latched, FailsAfter};
+    use crate::ops::RowsOp;
     use csq_common::{DataType, Field, Value};
     use csq_expr::{bind, Expr};
 
@@ -538,49 +431,6 @@ mod tests {
         // equality would match them, so the probe-side skip is required.
         let out = collect(&mut j).unwrap();
         assert_eq!(out.len(), 1);
-    }
-
-    #[test]
-    fn merge_join_equals_hash_join() {
-        let (ls, lr) = side("l", &[(5, "a"), (1, "b"), (3, "c"), (3, "d")]);
-        let (rs, rr) = side("r", &[(3, "x"), (5, "y"), (3, "z"), (2, "w")]);
-
-        let mut hash = HashJoin::new(
-            Box::new(RowsOp::new(ls.clone(), lr.clone())),
-            Box::new(RowsOp::new(rs.clone(), rr.clone())),
-            vec![0],
-            vec![0],
-        );
-        let mut expected = collect(&mut hash).unwrap();
-
-        let sorted_l = Sort::new(Box::new(RowsOp::new(ls, lr)), vec![0]);
-        let sorted_r = Sort::new(Box::new(RowsOp::new(rs, rr)), vec![0]);
-        let mut merge = MergeJoin::new(Box::new(sorted_l), Box::new(sorted_r), vec![0], vec![0]);
-        let mut got = collect(&mut merge).unwrap();
-
-        expected.sort_by(|a, b| format!("{a}").cmp(&format!("{b}")));
-        got.sort_by(|a, b| format!("{a}").cmp(&format!("{b}")));
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn merge_join_empty_sides() {
-        let (ls, lr) = side("l", &[(1, "a")]);
-        let (rs, _) = side("r", &[]);
-        let mut j = MergeJoin::new(
-            Box::new(RowsOp::new(ls.clone(), lr.clone())),
-            Box::new(RowsOp::new(rs.clone(), vec![])),
-            vec![0],
-            vec![0],
-        );
-        assert!(collect(&mut j).unwrap().is_empty());
-        let mut j = MergeJoin::new(
-            Box::new(RowsOp::new(ls, vec![])),
-            Box::new(RowsOp::new(rs, vec![])),
-            vec![0],
-            vec![0],
-        );
-        assert!(collect(&mut j).unwrap().is_empty());
     }
 
     #[test]
@@ -661,6 +511,38 @@ mod tests {
         expected.sort_by_key(|r| format!("{r}"));
         got.sort_by_key(|r| format!("{r}"));
         assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn hash_join_is_exhausted_after_a_failed_build() {
+        let (ls, lr) = side("l", &[(1, "a"), (2, "b")]);
+        let (rs, rr) = side("r", &[(1, "x"), (2, "y")]);
+        let failing = |schema: &Schema, rows: &[Row]| FailsAfter {
+            schema: Arc::new(schema.clone()),
+            batches: vec![rows.to_vec(), rows.to_vec()].into_iter(),
+        };
+        // The build side fails while its table is still in memory.
+        let tracker = MemoryTracker::new(1 << 20);
+        let mut j = HashJoin::new(
+            Box::new(RowsOp::new(ls.clone(), lr.clone())),
+            Box::new(failing(&rs, &rr)),
+            vec![0],
+            vec![0],
+        )
+        .with_memory(tracker.clone());
+        assert_latched(&mut j, "exec");
+        assert_eq!(tracker.used(), 0, "the lost table's bytes are released");
+        // The build spills, and the probe side fails while being partitioned.
+        let tracker = MemoryTracker::new(0);
+        let mut j = HashJoin::new(
+            Box::new(failing(&ls, &lr)),
+            Box::new(RowsOp::new(rs, rr)),
+            vec![0],
+            vec![0],
+        )
+        .with_memory(tracker.clone());
+        assert_latched(&mut j, "exec");
+        assert_eq!((j.spill_events(), tracker.used()), (1, 0));
     }
 
     #[test]

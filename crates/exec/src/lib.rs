@@ -1,4 +1,4 @@
-//! # csq-exec — the vectorized, morsel-parallel batch execution engine
+//! # csq-exec — the vectorized batch execution engine
 //!
 //! Operators follow the Volcano pull model (§2.1 of the paper shows the
 //! pseudo-code), but pull a whole [`csq_common::RowBatch`] per call via
@@ -9,35 +9,23 @@
 //! receivers in `csq-ship` implement the same contract and compose into the
 //! same plans. See DESIGN.md §2.
 //!
-//! Serial operators provided here: scan, filter, project, sort, distinct,
-//! hash join, merge join, nested-loop join, limit, and in-memory row
-//! sources.
-//!
-//! On top of them sits the morsel-driven parallel layer (DESIGN.md §4): a
-//! [`WorkerPool`] plus [`ParallelPipeline`] run filter/project/UDF stages
-//! over source morsels with order-preserving gather, and [`Exchange`]
-//! hash-partitions the input so key-based operators (hash join, distinct,
-//! and other aggregation-style operators) run one private instance per
-//! worker and merge at the sink.
+//! Operators provided here: scan, filter, project, sort, hash join,
+//! nested-loop join, grouped aggregation, the cancellation checkpoint and
+//! in-memory row sources — what `csq_core::lower` and `csq-ship` build
+//! (`HashJoin` is the one no statement reaches yet). [`MemoryTracker`] is
+//! the byte budget the blocking operators spill under, and [`WorkerPool`]
+//! is the thread pool the query service schedules sessions on.
 
 pub mod aggregate;
-pub mod exchange;
 pub mod join;
 pub mod ops;
-pub mod parallel;
 pub mod pool;
 pub mod spill;
 
 pub use aggregate::{aggregate_output_schema, aggregate_state_schema, AggSpec, HashAggregate};
-pub use exchange::{Exchange, PartitionBuilder};
-pub use join::{HashJoin, MergeJoin, NestedLoopJoin};
+pub use join::{HashJoin, NestedLoopJoin};
 pub use ops::{
-    collect, compare_values, CancelCheck, ColumnarScan, Distinct, Filter, Limit, Operator, Project,
-    RowsOp, Sort,
-};
-pub use parallel::{
-    BatchStage, ClosureFactory, FilterStageFactory, ParallelOpts, ParallelPipeline,
-    ProjectStageFactory, StageFactory,
+    collect, compare_values, CancelCheck, ColumnarScan, Filter, Operator, Project, RowsOp, Sort,
 };
 pub use pool::WorkerPool;
 pub use spill::MemoryTracker;

@@ -1,4 +1,4 @@
-//! Core operators: sources, filter, project, sort, distinct, limit.
+//! Core operators: sources, filter, project, sort.
 //!
 //! Every operator here is *batch native*: [`Operator::next_batch`] — the
 //! only way to drive an operator — processes a whole [`RowBatch`] at a time,
@@ -212,7 +212,7 @@ enum CmpLit {
 /// One compiled `column <cmp> literal` comparison of the batch filter's
 /// fast path.
 #[derive(Clone)]
-pub(crate) struct CmpSpec {
+struct CmpSpec {
     col: usize,
     op: BinaryOp,
     kind: CmpLit,
@@ -255,10 +255,7 @@ impl CmpSpec {
 
 /// Specialized predicate forms the batch filter recognizes to skip the
 /// expression-tree walk (and its per-row `Value` clones) on the hot path.
-/// Cloneable so the parallel engine can hand each worker its own compiled
-/// copy without re-analyzing the predicate per worker.
-#[derive(Clone)]
-pub(crate) enum PredPath {
+enum PredPath {
     /// A conjunction of `column <cmp> literal` comparisons (a single
     /// comparison is a one-element conjunction), evaluated left to right
     /// with short-circuiting — exactly the general evaluator's order.
@@ -268,7 +265,7 @@ pub(crate) enum PredPath {
 }
 
 impl PredPath {
-    pub(crate) fn analyze(pred: &PhysExpr) -> PredPath {
+    fn analyze(pred: &PhysExpr) -> PredPath {
         fn flatten(e: &PhysExpr, out: &mut Vec<CmpSpec>) -> bool {
             match e {
                 PhysExpr::Binary { left, op, right } if *op == BinaryOp::And => {
@@ -342,18 +339,13 @@ impl Filter {
     }
 }
 
-/// The batch filter kernel, shared by the serial [`Filter`] operator and the
-/// parallel engine's per-worker filter stage: compacts `rows` in place (kept
-/// rows are moved, never cloned).
+/// The batch filter kernel: compacts `rows` in place (kept rows are moved,
+/// never cloned).
 ///
 /// SQL AND over three-valued conjuncts, evaluated in the same order as the
 /// expression tree: a definite false short-circuits; unknown does not (later
 /// conjuncts may still error, and `unknown AND false` is false).
-pub(crate) fn filter_rows(
-    path: &PredPath,
-    predicate: &PhysExpr,
-    rows: &mut Vec<Row>,
-) -> Result<()> {
+fn filter_rows(path: &PredPath, predicate: &PhysExpr, rows: &mut Vec<Row>) -> Result<()> {
     let mut err = None;
     // Hoist the predicate-path dispatch out of the per-row loop.
     match path {
@@ -398,10 +390,8 @@ pub(crate) fn filter_rows(
 // preallocation ceiling for `collect`.
 batch_operator!(Filter, hint: |s: &Filter| s.input.size_hint());
 
-/// How the batch projection computes its output rows. Cloneable so the
-/// parallel engine can hand each worker its own compiled copy.
-#[derive(Clone)]
-pub(crate) enum ProjPath {
+/// How the batch projection computes its output rows.
+enum ProjPath {
     /// Strictly increasing bare columns: each row is projected *in place*,
     /// reusing its own allocation — no clone, no per-row `Vec`.
     InPlace(Vec<usize>),
@@ -413,7 +403,7 @@ pub(crate) enum ProjPath {
 }
 
 impl ProjPath {
-    pub(crate) fn analyze(exprs: &[PhysExpr]) -> ProjPath {
+    fn analyze(exprs: &[PhysExpr]) -> ProjPath {
         let cols: Option<Vec<usize>> = exprs
             .iter()
             .map(|e| match e {
@@ -471,15 +461,9 @@ impl Project {
     }
 }
 
-/// The batch projection kernel, shared by the serial [`Project`] operator
-/// and the parallel engine's per-worker project stage. Pure-column
-/// projections move (or retitle in place) the values of the consumed rows
-/// instead of cloning them.
-pub(crate) fn project_rows(
-    path: &ProjPath,
-    exprs: &[PhysExpr],
-    mut rows: Vec<Row>,
-) -> Result<Vec<Row>> {
+/// The batch projection kernel. Pure-column projections move (or retitle in
+/// place) the values of the consumed rows instead of cloning them.
+fn project_rows(path: &ProjPath, exprs: &[PhysExpr], mut rows: Vec<Row>) -> Result<Vec<Row>> {
     match path {
         ProjPath::InPlace(cols) => {
             for row in &mut rows {
@@ -524,16 +508,8 @@ batch_operator!(Project, hint: |s: &Project| s.input.size_hint());
 /// Compare two rows on the given key columns with SQL ordering; NULLs sort
 /// first, cross-type comparisons are exec errors surfaced at sort time.
 pub fn compare_on(a: &Row, b: &Row, key: &[usize]) -> Result<Ordering> {
-    compare_on_keys(a, key, b, key)
-}
-
-/// Like [`compare_on`] but with separate key-column lists per side (the
-/// merge join compares left rows against right rows without materializing
-/// projected key rows).
-pub fn compare_on_keys(a: &Row, a_key: &[usize], b: &Row, b_key: &[usize]) -> Result<Ordering> {
-    debug_assert_eq!(a_key.len(), b_key.len());
-    for (&ka, &kb) in a_key.iter().zip(b_key) {
-        let ord = compare_values(a.value(ka), b.value(kb))?;
+    for &k in key {
+        let ord = compare_values(a.value(k), b.value(k))?;
         if ord != Ordering::Equal {
             return Ok(ord);
         }
@@ -560,12 +536,14 @@ pub fn compare_values(va: &Value, vb: &Value) -> Result<Ordering> {
 
 /// Materializing sort on key columns (ascending). The input is drained
 /// batch-wise into one buffer (sized from the input's hint), sorted once,
-/// and re-emitted in batches.
+/// and re-emitted in batches. A drain or comparison that fails is returned
+/// once and leaves the operator exhausted.
 pub struct Sort {
+    /// `Some` until the first pull takes it to build `sorted`.
     input: Option<Box<dyn Operator + Send>>,
     key: Vec<usize>,
     schema: Arc<Schema>,
-    sorted: Option<std::vec::IntoIter<Row>>,
+    sorted: std::vec::IntoIter<Row>,
 }
 
 impl Sort {
@@ -576,18 +554,17 @@ impl Sort {
             input: Some(input),
             key,
             schema,
-            sorted: None,
+            sorted: Vec::new().into_iter(),
         }
     }
 
     fn produce(&mut self) -> Result<Option<RowBatch>> {
-        if self.sorted.is_none() {
-            let mut input = self.input.take().expect("sort input consumed twice");
+        if let Some(mut input) = self.input.take() {
             let mut rows = collect(input.as_mut())?;
             sort_rows_fallible(&mut rows, &self.key)?;
-            self.sorted = Some(rows.into_iter());
+            self.sorted = rows.into_iter();
         }
-        produce_chunk(self.sorted.as_mut().unwrap(), &self.schema)
+        produce_chunk(&mut self.sorted, &self.schema)
     }
 }
 
@@ -647,113 +624,48 @@ fn sort_rows_fallible(rows: &mut [Row], key: &[usize]) -> Result<()> {
 }
 
 batch_operator!(Sort, hint: |s: &Sort| {
-    match &s.sorted {
-        Some(it) => Some(it.len()),
-        None => s.input.as_ref().and_then(|i| i.size_hint()),
+    match &s.input {
+        Some(input) => input.size_hint(),
+        None => Some(s.sorted.len()),
     }
 });
 
-/// Hash-based duplicate elimination on the given key columns (or the whole
-/// row when `key` is `None`). This is the paper's "Step 0: eliminate
-/// duplicates" of the semi-join pipeline. Batch-native; duplicate rows are
-/// dropped without cloning anything (only first occurrences enter the seen
-/// set).
-pub struct Distinct {
-    input: Box<dyn Operator + Send>,
-    key: Option<Vec<usize>>,
-    seen: std::collections::HashSet<Row>,
-    schema: Arc<Schema>,
-}
+/// What the blocking operators' latch tests share.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
 
-impl Distinct {
-    /// Distinct on all columns.
-    pub fn all(input: Box<dyn Operator + Send>) -> Distinct {
-        let schema = Arc::new(input.schema().clone());
-        Distinct {
-            input,
-            key: None,
-            seen: Default::default(),
-            schema,
-        }
+    /// Hands out `batches`, then fails every further pull.
+    pub(crate) struct FailsAfter {
+        pub(crate) schema: Arc<Schema>,
+        pub(crate) batches: std::vec::IntoIter<Vec<Row>>,
     }
 
-    /// Distinct on a subset of columns (first occurrence wins).
-    pub fn on(input: Box<dyn Operator + Send>, key: Vec<usize>) -> Distinct {
-        let schema = Arc::new(input.schema().clone());
-        Distinct {
-            input,
-            key: Some(key),
-            seen: Default::default(),
-            schema,
+    impl Operator for FailsAfter {
+        fn schema(&self) -> &Schema {
+            &self.schema
         }
-    }
 
-    fn produce(&mut self) -> Result<Option<RowBatch>> {
-        loop {
-            let Some(batch) = self.input.next_batch()? else {
-                return Ok(None);
-            };
-            let (schema, mut rows) = batch.into_parts();
-            rows.retain(|row| match &self.key {
-                Some(key) => self.seen.insert(row.project(key)),
-                None => {
-                    if self.seen.contains(row) {
-                        false
-                    } else {
-                        self.seen.insert(row.clone());
-                        true
-                    }
-                }
-            });
-            if !rows.is_empty() {
-                return Ok(Some(RowBatch::from_rows(schema, rows)));
+        fn next_batch(&mut self) -> Result<Option<RowBatch>> {
+            match self.batches.next() {
+                Some(rows) => Ok(Some(RowBatch::from_rows(self.schema.clone(), rows))),
+                None => Err(CsqError::Exec("source failed".into())),
             }
         }
     }
-}
 
-batch_operator!(Distinct, hint: |s: &Distinct| s.input.size_hint());
-
-/// Stop after `n` rows.
-pub struct Limit {
-    input: Box<dyn Operator + Send>,
-    remaining: usize,
-    schema: Arc<Schema>,
-}
-
-impl Limit {
-    /// Pass through at most `n` rows.
-    pub fn new(input: Box<dyn Operator + Send>, n: usize) -> Limit {
-        let schema = Arc::new(input.schema().clone());
-        Limit {
-            input,
-            remaining: n,
-            schema,
+    /// After a failed first pull the operator is exhausted, not poisoned.
+    pub(crate) fn assert_latched(op: &mut dyn Operator, kind: &str) {
+        assert_eq!(op.next_batch().unwrap_err().kind(), kind);
+        for _ in 0..3 {
+            assert!(op.next_batch().unwrap().is_none());
         }
     }
-
-    fn produce(&mut self) -> Result<Option<RowBatch>> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        let Some(batch) = self.input.next_batch()? else {
-            return Ok(None);
-        };
-        let (schema, mut rows) = batch.into_parts();
-        if rows.len() > self.remaining {
-            rows.truncate(self.remaining);
-        }
-        self.remaining -= rows.len();
-        Ok(Some(RowBatch::from_rows(schema, rows)))
-    }
 }
-
-batch_operator!(Limit, hint: |s: &Limit| {
-    s.input.size_hint().map(|n| n.min(s.remaining))
-});
 
 #[cfg(test)]
 mod tests {
+    use super::testing::{assert_latched, FailsAfter};
     use super::*;
     use csq_common::{DataType, Value};
     use csq_expr::{bind, Expr};
@@ -929,6 +841,24 @@ mod tests {
     }
 
     #[test]
+    fn sort_is_exhausted_after_a_failed_build() {
+        let (schema, rows) = int_rows(&[(2, 0), (1, 0)]);
+        let failing = FailsAfter {
+            schema: Arc::new(schema.clone()),
+            batches: vec![rows.clone(), rows].into_iter(),
+        };
+        assert_latched(&mut Sort::new(Box::new(failing), vec![0]), "exec");
+        // The comparator failing (Int vs Str) ends it the same way.
+        let rows = vec![
+            Row::new(vec![Value::Int(1), Value::Int(0)]),
+            Row::new(vec![Value::from("x"), Value::Int(0)]),
+        ];
+        let mut s = Sort::new(Box::new(RowsOp::new(schema, rows)), vec![0]);
+        assert_latched(&mut s, "type");
+        assert_eq!(s.size_hint(), Some(0));
+    }
+
+    #[test]
     fn sort_handles_large_inputs_stably() {
         // Exercise several merge levels of the fallible sort.
         let schema = Schema::new(vec![
@@ -960,27 +890,6 @@ mod tests {
         assert_eq!(r.project_in_place(&[1, 0]).unwrap_err().kind(), "exec");
         let mut r = Row::new(vec![Value::Int(1), Value::Int(2)]);
         assert_eq!(r.project_in_place(&[0, 0]).unwrap_err().kind(), "exec");
-    }
-
-    #[test]
-    fn distinct_on_key_keeps_first() {
-        let (schema, rows) = int_rows(&[(1, 10), (1, 20), (2, 30), (2, 30)]);
-        let mut d = Distinct::on(Box::new(RowsOp::new(schema.clone(), rows.clone())), vec![0]);
-        let out = collect(&mut d).unwrap();
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].value(1), &Value::Int(10));
-
-        let mut d = Distinct::all(Box::new(RowsOp::new(schema, rows)));
-        assert_eq!(collect(&mut d).unwrap().len(), 3);
-    }
-
-    #[test]
-    fn limit_truncates() {
-        let (schema, rows) = int_rows(&[(1, 1), (2, 2), (3, 3)]);
-        let mut l = Limit::new(Box::new(RowsOp::new(schema, rows)), 2);
-        assert_eq!(l.size_hint(), Some(2));
-        assert_eq!(collect(&mut l).unwrap().len(), 2);
-        assert!(l.next_batch().unwrap().is_none());
     }
 
     #[test]

@@ -1,19 +1,18 @@
-//! The worker pool behind the morsel-driven parallel engine (DESIGN.md §4).
+//! The worker pool the query service schedules client sessions on
+//! (DESIGN.md §4, §8, §12).
 //!
 //! A [`WorkerPool`] owns a fixed set of OS threads fed by one shared
 //! (vendored crossbeam) channel of boxed jobs: every clone of the receiver
 //! pops each job exactly once, so submission order is dispatch order and
 //! idle workers self-schedule. Dropping the pool closes the job channel,
-//! lets workers drain what is already queued, and joins them — operators
-//! that own a pool therefore never leak threads, even on early drop
-//! (e.g. a `Limit` abandoning its input mid-stream).
+//! lets workers drain what is already queued, and joins them — an owner
+//! therefore never leaks threads, even on early drop.
 //!
 //! Workers survive panicking jobs: each job runs under `catch_unwind`, so a
 //! poisoned job costs only itself, never pool capacity. That matters for
 //! long-lived pools — the query service schedules whole client sessions as
 //! jobs, and one session blowing up must not shrink the server for every
-//! session after it. (Panic *reporting* stays the submitter's problem, as
-//! before: gather sides detect a lost result channel.)
+//! session after it. (Panic *reporting* stays the submitter's problem.)
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread::JoinHandle;
@@ -52,19 +51,6 @@ impl WorkerPool {
         }
     }
 
-    /// The worker count used when a caller does not pass one: the host's
-    /// available parallelism.
-    pub fn default_workers() -> usize {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-
-    /// Number of worker threads.
-    pub fn worker_count(&self) -> usize {
-        self.handles.len()
-    }
-
     /// Submit a job. Jobs run in submission order across the pool (each on
     /// whichever worker frees up first).
     pub fn spawn<F>(&self, job: F)
@@ -78,25 +64,6 @@ impl WorkerPool {
             .send(Box::new(job));
         assert!(sent.is_ok(), "worker pool has no live workers");
     }
-
-    /// Submit a job that carries a [`CancelToken`](csq_common::CancelToken): if the token has
-    /// already tripped by the time a worker dequeues it, the job is
-    /// dropped unrun. This is how a queued-but-not-started unit of work
-    /// (a shed session, a timed-out pipeline stage) avoids consuming a
-    /// worker after its outcome stopped mattering; jobs that did start
-    /// observe the same token at their own checkpoints.
-    pub fn spawn_cancellable<F>(&self, token: &csq_common::CancelToken, job: F)
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        let token = token.clone();
-        self.spawn(move || {
-            if token.should_stop() {
-                return;
-            }
-            job()
-        });
-    }
 }
 
 impl Drop for WorkerPool {
@@ -105,8 +72,7 @@ impl Drop for WorkerPool {
         // the jobs already queued.
         self.tx.take();
         for h in self.handles.drain(..) {
-            // A panicked worker already reported via its job's channel (or
-            // is detected by the gather side); don't double-panic here.
+            // Jobs run under `catch_unwind`; don't double-panic here.
             let _ = h.join();
         }
     }
@@ -121,7 +87,6 @@ mod tests {
     #[test]
     fn runs_all_jobs_across_workers() {
         let pool = WorkerPool::new(4);
-        assert_eq!(pool.worker_count(), 4);
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..100 {
             let c = counter.clone();
@@ -136,7 +101,6 @@ mod tests {
     #[test]
     fn zero_workers_clamps_to_one() {
         let pool = WorkerPool::new(0);
-        assert_eq!(pool.worker_count(), 1);
         let done = Arc::new(AtomicUsize::new(0));
         let d = done.clone();
         pool.spawn(move || {
@@ -144,29 +108,6 @@ mod tests {
         });
         drop(pool);
         assert_eq!(done.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn cancellable_jobs_skip_once_token_trips() {
-        use csq_common::CancelToken;
-        let pool = WorkerPool::new(1);
-        let ran = Arc::new(AtomicUsize::new(0));
-        let token = CancelToken::new();
-        let r = ran.clone();
-        pool.spawn_cancellable(&token, move || {
-            r.fetch_add(1, Ordering::Relaxed);
-        });
-        // Cancel, then queue another job under the same token: the first
-        // may or may not have started, but the second must never run.
-        // Use a pre-tripped token for determinism.
-        let tripped = CancelToken::new();
-        tripped.cancel();
-        let r = ran.clone();
-        pool.spawn_cancellable(&tripped, move || {
-            r.fetch_add(100, Ordering::Relaxed);
-        });
-        drop(pool);
-        assert_eq!(ran.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! * a naive row-at-a-time reference aggregator (independent fold logic,
 //!   written here),
 //! * the serial [`HashAggregate`],
-//! * the partitioned [`Exchange::hash_aggregate`] at 1/2/4/8 workers,
 //! * the decomposed partial/final split shipped through the wire codec
 //!   ([`PartialAggSpec`]), with the input cut into 1 or 3 partial sources, and
 //! * the lane path: the rows loaded into a [`Table`] at 1/3/7/16 rows a
@@ -24,15 +23,10 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 use csq_common::{CsqError, DataType, Field, Result, Row, Schema, Value};
-use csq_exec::{
-    collect, AggSpec, BoxOp, ColumnarScan, Exchange, HashAggregate, MemoryTracker, ParallelOpts,
-    RowsOp,
-};
+use csq_exec::{collect, AggSpec, BoxOp, ColumnarScan, HashAggregate, MemoryTracker, RowsOp};
 use csq_expr::{AggFunc, PhysExpr};
 use csq_ship::PartialAggSpec;
 use csq_storage::Table;
-
-const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn base_schema() -> Schema {
     Schema::new(vec![
@@ -108,7 +102,7 @@ fn arb_call() -> impl Strategy<Value = CallSpec> {
         // SUM/AVG stay on numeric columns here so the only generatable
         // failure kind is "exec" (NaN in a MIN/MAX group): when a case can
         // contain two *different* error kinds, which one surfaces first
-        // depends on evaluation order (per-row, per-group, per-partition)
+        // depends on evaluation order (per-row, per-group, per-chunk)
         // and is legitimately engine-specific. The type-error path has its
         // own deterministic cross-engine test below.
     ]
@@ -259,24 +253,6 @@ fn naive_fold(func: AggFunc, vals: &[Option<Value>]) -> Result<Value> {
 fn run_serial(rows: Vec<Row>, key: Vec<usize>, specs: Vec<AggSpec>) -> Result<Vec<Row>> {
     let scan: BoxOp = Box::new(RowsOp::new(base_schema(), rows));
     let mut agg = HashAggregate::new(scan, key, specs);
-    collect(&mut agg)
-}
-
-fn run_parallel(
-    rows: Vec<Row>,
-    key: Vec<usize>,
-    specs: Vec<AggSpec>,
-    workers: usize,
-    morsel: usize,
-) -> Result<Vec<Row>> {
-    let scan: BoxOp = Box::new(RowsOp::new(base_schema(), rows));
-    let opts = ParallelOpts {
-        workers,
-        morsel_rows: morsel,
-        ordered: false,
-        ..ParallelOpts::default()
-    };
-    let mut agg = Exchange::hash_aggregate(scan, key, specs, &opts);
     collect(&mut agg)
 }
 
@@ -450,15 +426,6 @@ fn sum_over_strings_is_a_type_error_on_every_engine() {
             .kind(),
         "type"
     );
-    for workers in WORKER_COUNTS {
-        assert_eq!(
-            run_parallel(rows.clone(), key.clone(), specs_of(&calls), workers, 7)
-                .unwrap_err()
-                .kind(),
-            "type",
-            "workers = {workers}"
-        );
-    }
     for chunks in [1usize, 3] {
         assert_eq!(
             run_shipped(rows.clone(), key.clone(), specs_of(&calls), chunks)
@@ -821,20 +788,6 @@ proptest! {
         let serial = run_serial(rows.clone(), key.clone(), specs_of(&calls));
         assert_agree("serial vs naive", &reference, &serial);
         assert_scanned_agrees(&rows, &key, &specs_of(&calls), &reference, &serial);
-    }
-
-    #[test]
-    fn partitioned_aggregate_matches_naive_at_every_worker_count(
-        rows in prop::collection::vec(arb_row(), 0..160),
-        key in arb_key(),
-        calls in prop::collection::vec(arb_call(), 1..4),
-        morsel in 1usize..40,
-    ) {
-        let reference = naive_reference(&rows, &key, &calls);
-        for workers in WORKER_COUNTS {
-            let par = run_parallel(rows.clone(), key.clone(), specs_of(&calls), workers, morsel);
-            assert_agree(&format!("parallel x{workers} vs naive"), &reference, &par);
-        }
     }
 
     #[test]

@@ -3,14 +3,17 @@
 //!
 //! 1. Random operator pipelines are insensitive to batch boundaries: the
 //!    same rows fed in chunks of 1, 3, 17 or all at once produce identical
-//!    results — including identical error kinds when a pipeline is
-//!    ill-typed — so operator state that spans batches (`Limit`'s countdown,
-//!    `Distinct`'s seen set, `Sort`'s re-chunking) is pinned. The one
-//!    boundary-dependent outcome is an error beyond a satisfied `Limit`.
+//!    results — and identical error kinds when a pipeline is ill-typed,
+//!    under every chunking — so operator state that spans batches (`Sort`'s
+//!    re-chunking, `Filter`'s empty-batch skipping) is pinned.
 //!    Each chunking is also fed as lane-backed batches (the chunk's columns
 //!    as typed lanes plus a selection, what a scan emits), which the
 //!    pipeline must not be able to tell from the same rows as rows.
-//! 2. Random semi-join / client-join workloads ship byte-for-byte the same
+//! 2. `HashJoin` — in memory and through its Grace fallback — returns the
+//!    rows of the cross product under an equality `Filter`, which is what
+//!    lowering builds for every SQL join today (ROADMAP 1(a)); one pinned
+//!    case writes down where the two differ.
+//! 3. Random semi-join / client-join workloads ship byte-for-byte the same
 //!    traffic through the threaded engine (batched senders, zero-copy
 //!    receive) and the virtual-time simulator.
 
@@ -21,7 +24,10 @@ use proptest::prelude::*;
 use csq_client::synthetic::ObjectUdf;
 use csq_client::{spawn_client, ClientRuntime};
 use csq_common::{DataType, Field, Lane, Result, Row, RowBatch, Schema, Selection, Value};
-use csq_exec::{BoxOp, Distinct, Filter, Limit, Operator, Project, RowsOp, Sort};
+use csq_exec::{
+    collect, BoxOp, Filter, HashJoin, MemoryTracker, NestedLoopJoin, Operator, Project, RowsOp,
+    Sort,
+};
 use csq_expr::{BinaryOp, PhysExpr};
 use csq_net::{in_memory_duplex, NetworkSpec};
 use csq_ship::{
@@ -51,15 +57,8 @@ enum StageSpec {
         cols: Vec<u8>,
         add_sum: bool,
     },
-    Distinct {
-        on_key: bool,
-        col: u8,
-    },
     Sort {
         col: u8,
-    },
-    Limit {
-        n: u8,
     },
 }
 
@@ -128,9 +127,7 @@ fn arb_stage() -> impl Strategy<Value = StageSpec> {
         }),
         (prop::collection::vec(any::<u8>(), 1..4), any::<bool>())
             .prop_map(|(cols, add_sum)| StageSpec::Project { cols, add_sum }),
-        (any::<bool>(), any::<u8>()).prop_map(|(on_key, col)| StageSpec::Distinct { on_key, col }),
         any::<u8>().prop_map(|col| StageSpec::Sort { col }),
-        any::<u8>().prop_map(|n| StageSpec::Limit { n }),
     ]
 }
 
@@ -171,16 +168,29 @@ impl Operator for ChunkedRows {
     }
 }
 
-/// Build the pipeline described by `stages` over a fresh copy of the data,
-/// fed `chunk` rows per batch (lane-backed batches with `lanes`).
-fn build_pipeline(stages: &[StageSpec], rows: Vec<Row>, chunk: usize, lanes: bool) -> BoxOp {
-    let mut op: BoxOp = Box::new(ChunkedRows {
-        schema: Arc::new(base_schema()),
+fn chunked(schema: Schema, rows: Vec<Row>, chunk: usize, lanes: bool) -> BoxOp {
+    Box::new(ChunkedRows {
+        schema: Arc::new(schema),
         rows: rows.into_iter(),
         chunk,
         lanes,
         batches: 0,
-    });
+    })
+}
+
+/// Every chunking the properties feed a source in: (rows per batch,
+/// lane-backed). First comes one row per batch as rows, the laziest run.
+fn chunkings(all: usize) -> impl Iterator<Item = (usize, bool)> {
+    let all = all.max(1);
+    let as_rows = [1, 3, 17, all].map(|chunk| (chunk, false));
+    let as_lanes = [1, 3, 17, all].map(|chunk| (chunk, true));
+    as_rows.into_iter().chain(as_lanes)
+}
+
+/// Build the pipeline described by `stages` over a fresh copy of the data,
+/// fed `chunk` rows per batch (lane-backed batches with `lanes`).
+fn build_pipeline(stages: &[StageSpec], rows: Vec<Row>, chunk: usize, lanes: bool) -> BoxOp {
+    let mut op = chunked(base_schema(), rows, chunk, lanes);
     for s in stages {
         let w = op.schema().len().max(1);
         op = match s {
@@ -231,15 +241,7 @@ fn build_pipeline(stages: &[StageSpec], rows: Vec<Row>, chunk: usize, lanes: boo
                 }
                 Box::new(Project::new(op, exprs))
             }
-            StageSpec::Distinct { on_key, col } => {
-                if *on_key {
-                    Box::new(Distinct::on(op, vec![*col as usize % w]))
-                } else {
-                    Box::new(Distinct::all(op))
-                }
-            }
             StageSpec::Sort { col } => Box::new(Sort::new(op, vec![*col as usize % w])),
-            StageSpec::Limit { n } => Box::new(Limit::new(op, *n as usize)),
         };
     }
     op
@@ -266,11 +268,7 @@ proptest! {
         // One row per batch is the laziest run: every operator sees the
         // shortest input prefix that answers the pull.
         let lazy = run_batches(build_pipeline(&stages, rows.clone(), 1, false));
-        let has_limit = stages.iter().any(|s| matches!(s, StageSpec::Limit { .. }));
-        let all = rows.len().max(1);
-        let as_rows = [3, 17, all].map(|chunk| (chunk, false));
-        let as_lanes = [1, 3, 17, all].map(|chunk| (chunk, true));
-        for (chunk, lanes) in as_rows.into_iter().chain(as_lanes) {
+        for (chunk, lanes) in chunkings(rows.len()).skip(1) {
             let chunked = run_batches(build_pipeline(&stages, rows.clone(), chunk, lanes));
             match (&lazy, chunked) {
                 (Ok(a), Ok(b)) => prop_assert_eq!(a, &b, "chunk={} lanes={}", chunk, lanes),
@@ -279,10 +277,6 @@ proptest! {
                 (Err(a), Err(b)) => {
                     prop_assert_eq!(a.kind(), b.kind(), "chunk={} lanes={}", chunk, lanes)
                 }
-                // A satisfied `Limit` stops pulling, so a wider batch may
-                // evaluate (and fail on) a row the lazy run never reached —
-                // the only boundary-dependent outcome, and only this way round.
-                (Ok(_), Err(_)) if has_limit => {}
                 (a, b) => prop_assert!(
                     false,
                     "chunk={chunk} lanes={lanes} disagrees: lazy={a:?} chunked={b:?}"
@@ -290,6 +284,138 @@ proptest! {
             }
         }
     }
+}
+
+// ---- hash join vs the cross product under a filter --------------------------
+
+/// One join side: two key columns (INT, STR — the same types on both
+/// sides) and a payload that tells duplicates of a key apart.
+fn side_schema(side: &str) -> Schema {
+    Schema::new(vec![
+        Field::new(format!("{side}k0"), DataType::Int),
+        Field::new(format!("{side}k1"), DataType::Str),
+        Field::new(format!("{side}v"), DataType::Int),
+    ])
+}
+
+/// Small key domains, so both sides repeat keys; NULLs in either column.
+fn arb_side() -> impl Strategy<Value = Vec<Row>> {
+    let row = (
+        prop_oneof![
+            (0i64..4).prop_map(Value::Int),
+            (0i64..4).prop_map(Value::Int),
+            Just(Value::Null)
+        ],
+        prop_oneof![
+            Just(Value::from("a")),
+            Just(Value::from("b")),
+            Just(Value::Null)
+        ],
+    );
+    prop::collection::vec(row, 0..40).prop_map(|keys| {
+        keys.into_iter()
+            .enumerate()
+            .map(|(i, (k0, k1))| Row::new(vec![k0, k1, Value::Int(i as i64)]))
+            .collect()
+    })
+}
+
+/// What `csq_core::lower` builds for a join today: the cross product, with
+/// the key equalities as the `Filter` above it.
+fn filtered_cross_product(
+    (ls, l): (Schema, Vec<Row>),
+    (rs, r): (Schema, Vec<Row>),
+    key: &[usize],
+) -> Result<Vec<Row>> {
+    let width = ls.len();
+    let pred = key
+        .iter()
+        .map(|&k| PhysExpr::Binary {
+            left: Box::new(PhysExpr::Column(k)),
+            op: BinaryOp::Eq,
+            right: Box::new(PhysExpr::Column(width + k)),
+        })
+        .reduce(|acc, eq| PhysExpr::Binary {
+            left: Box::new(acc),
+            op: BinaryOp::And,
+            right: Box::new(eq),
+        })
+        .expect("at least one key column");
+    let cross = NestedLoopJoin::new(
+        Box::new(RowsOp::new(ls, l)),
+        Box::new(RowsOp::new(rs, r)),
+        None,
+    );
+    collect(&mut Filter::new(Box::new(cross), pred))
+}
+
+fn as_multiset(rows: Vec<Row>) -> Vec<String> {
+    let mut out: Vec<String> = rows.iter().map(Row::to_string).collect();
+    out.sort();
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn hash_join_matches_the_filtered_cross_product(
+        l in arb_side(),
+        r in arb_side(),
+        two_keys in any::<bool>(),
+    ) {
+        let key: Vec<usize> = if two_keys { vec![0, 1] } else { vec![0] };
+        let (ls, rs) = (side_schema("l"), side_schema("r"));
+        let expected = as_multiset(
+            filtered_cross_product((ls.clone(), l.clone()), (rs.clone(), r.clone()), &key)
+                .unwrap(),
+        );
+        for (chunk, lanes) in chunkings(l.len().max(r.len())) {
+            let join = || {
+                HashJoin::new(
+                    chunked(ls.clone(), l.clone(), chunk, lanes),
+                    chunked(rs.clone(), r.clone(), chunk, lanes),
+                    key.clone(),
+                    key.clone(),
+                )
+            };
+            let in_memory = run_batches(Box::new(join())).unwrap();
+            prop_assert_eq!(&as_multiset(in_memory), &expected, "chunk={} lanes={}", chunk, lanes);
+            // No budget at all: the build side spills at its first batch and
+            // the join runs partition-wise (Grace).
+            let tracker = MemoryTracker::new(0);
+            let mut grace = join().with_memory(tracker.clone());
+            let spilled = collect(&mut grace).unwrap();
+            prop_assert_eq!(grace.spill_events(), usize::from(!r.is_empty()));
+            prop_assert_eq!(&as_multiset(spilled), &expected, "grace chunk={} lanes={}", chunk, lanes);
+            prop_assert_eq!(tracker.used(), 0);
+        }
+    }
+}
+
+/// Pinned, for ROADMAP 1(a): the two joins disagree on an `Int 1` /
+/// `Float 1.0` key pair. `HashJoin` matches keys by `Value` equality, under
+/// which values of different types are never equal; the filter compares by
+/// `sql_cmp`, which widens the INT. Neither operator is changed to agree —
+/// whoever lowers an equi-join onto `HashJoin` inherits this difference.
+#[test]
+fn int_and_float_keys_match_under_the_filter_but_not_in_the_hash_join() {
+    let ls = Schema::new(vec![Field::new("lk", DataType::Int)]);
+    let rs = Schema::new(vec![Field::new("rk", DataType::Float)]);
+    let l = vec![Row::new(vec![Value::Int(1)])];
+    let r = vec![Row::new(vec![Value::Float(1.0)])];
+    let filtered = filtered_cross_product((ls.clone(), l.clone()), (rs.clone(), r.clone()), &[0]);
+    assert_eq!(
+        filtered.unwrap(),
+        vec![Row::new(vec![Value::Int(1), Value::Float(1.0)])]
+    );
+    let mut hashed = HashJoin::new(
+        Box::new(RowsOp::new(ls, l)),
+        Box::new(RowsOp::new(rs, r)),
+        vec![0],
+        vec![0],
+    );
+    assert_eq!(collect(&mut hashed).unwrap(), Vec::<Row>::new());
 }
 
 // ---- shipped-byte accounting: threaded vs simulated ------------------------

@@ -539,7 +539,7 @@ fn pinned_shard_key_prunes_the_scatter() {
 fn sharded_join_gathers_each_relation() {
     // A join is not pushable per shard (rows co-located by different keys):
     // each relation's partitions gather separately and the coordinator
-    // joins, repartitioning with its local Exchange operators.
+    // joins them in its scratch single-node `Database`.
     let ctx = sharded_ctx(4);
     let g = csq_opt::query::extract(
         &select(
