@@ -267,7 +267,7 @@ impl Database {
                 let graph = csq_opt::query::extract(&sel, &ctx)?;
                 let plan = csq_opt::optimize(&graph, &ctx)?;
                 let mut notes = std::collections::HashMap::new();
-                self.scan_notes(&graph, &plan.root, None, &mut notes);
+                self.scan_notes(&graph, &plan.root, &[], &mut notes);
                 Ok(format!(
                     "{}cost: {:.6}s (est. {:.1} rows, {} states explored)\n",
                     plan.root.explain_annotated(&graph, &notes),
@@ -281,14 +281,14 @@ impl Database {
     }
 
     /// Walk a plan and annotate each scan leaf with the segment counts the
-    /// columnar engine would prune/scan, using the same filter-spec
-    /// compilation as lowering (`preds` carries the predicate set of a
-    /// Filter/Final node sitting directly on the scan).
+    /// columnar engine would prune/scan, using lowering's own filter-spec
+    /// compilation, [`lower::scan_spec`] (`preds` carries the predicate set
+    /// of a Filter/Final node sitting directly on the scan, else none).
     fn scan_notes(
         &self,
         graph: &csq_opt::QueryGraph,
         node: &csq_opt::PlanNode,
-        preds: Option<&[usize]>,
+        preds: &[usize],
         notes: &mut std::collections::HashMap<usize, String>,
     ) {
         use csq_opt::PlanNode;
@@ -300,13 +300,7 @@ impl Database {
                 let Ok(t) = self.catalog.get(table) else {
                     return;
                 };
-                let spec = preds.and_then(|ps| {
-                    let schema = t.schema().qualify(alias);
-                    lower::bind_preds(graph, ps, &schema)
-                        .ok()
-                        .flatten()
-                        .and_then(|p| csq_storage::FilterSpec::from_phys(&p))
-                });
+                let spec = lower::scan_spec(graph, &t, alias, preds).ok().flatten();
                 let stats = t.prune_stats(spec.as_ref());
                 let mut note = format!(
                     "segments: {} pruned / {}",
@@ -317,27 +311,24 @@ impl Database {
                 }
                 notes.insert(*unit, note);
             }
-            PlanNode::Filter { input, preds } => {
-                self.scan_notes(graph, input, Some(preds), notes);
-            }
-            PlanNode::Final {
+            PlanNode::Filter { input, preds }
+            | PlanNode::Final {
                 input,
-                pushed_preds,
+                pushed_preds: preds,
                 ..
             } => {
-                let ps = (!pushed_preds.is_empty()).then_some(pushed_preds.as_slice());
-                self.scan_notes(graph, input, ps, notes);
+                self.scan_notes(graph, input, preds, notes);
             }
             PlanNode::Join { left, right } => {
-                self.scan_notes(graph, left, None, notes);
-                self.scan_notes(graph, right, None, notes);
+                self.scan_notes(graph, left, &[], notes);
+                self.scan_notes(graph, right, &[], notes);
             }
             PlanNode::ApplyUdf { input, .. }
             | PlanNode::ReturnToServer { input }
             | PlanNode::Aggregate { input, .. }
             | PlanNode::Scatter { input, .. }
             | PlanNode::Gather { input, .. } => {
-                self.scan_notes(graph, input, None, notes);
+                self.scan_notes(graph, input, &[], notes);
             }
         }
     }

@@ -30,7 +30,7 @@ use csq_ship::{
     simulate_client_join, simulate_semijoin, ClientJoinSpec, PartialAggSpec, SemiJoinSpec,
     UdfApplication,
 };
-use csq_storage::FilterSpec;
+use csq_storage::{FilterSpec, Table};
 
 use crate::result::QueryResult;
 use crate::Database;
@@ -98,11 +98,7 @@ fn resolve_args(graph: &QueryGraph, unit: usize, schema: &Schema) -> Result<Vec<
 }
 
 /// Bind the conjunction of predicate indices against a schema.
-pub(crate) fn bind_preds(
-    graph: &QueryGraph,
-    preds: &[usize],
-    schema: &Schema,
-) -> Result<Option<PhysExpr>> {
+fn bind_preds(graph: &QueryGraph, preds: &[usize], schema: &Schema) -> Result<Option<PhysExpr>> {
     let exprs: Vec<_> = preds
         .iter()
         .map(|&p| graph.predicates[p].expr.clone())
@@ -187,6 +183,20 @@ pub(crate) fn keep_where(pred: &PhysExpr, rows: Vec<Row>) -> Result<Vec<Row>> {
     Ok(kept)
 }
 
+/// The [`FilterSpec`] a scan of `table` as `alias` is opened with when `preds`
+/// (possibly none) sit directly above it: their conjunction bound against
+/// the qualified table schema, its pushable prefix compiled. Lowering opens
+/// its scans with this and EXPLAIN counts pruned segments with it.
+pub(crate) fn scan_spec(
+    graph: &QueryGraph,
+    table: &Table,
+    alias: &str,
+    preds: &[usize],
+) -> Result<Option<FilterSpec>> {
+    let pred = bind_preds(graph, preds, &table.schema().qualify(alias))?;
+    Ok(pred.and_then(|p| FilterSpec::from_phys(&p)))
+}
+
 /// Build a scan leaf: a columnar [`ColumnarScan`] over the unit's table,
 /// with the pushable prefix of `preds` compiled to a [`FilterSpec`] so the
 /// scan skips segments by zone map and decodes only rows the spec does not
@@ -196,7 +206,7 @@ fn scan_leaf(
     db: &Database,
     graph: &QueryGraph,
     unit: usize,
-    preds: Option<&[usize]>,
+    preds: &[usize],
     narrow: bool,
     token: &CancelToken,
 ) -> Result<Box<dyn Operator + Send>> {
@@ -204,13 +214,7 @@ fn scan_leaf(
         return Err(CsqError::Plan("scan of non-relation unit".into()));
     };
     let t = db.catalog().get(table)?;
-    let spec = match preds {
-        Some(ps) => {
-            let schema = t.schema().qualify(alias);
-            bind_preds(graph, ps, &schema)?.and_then(|p| FilterSpec::from_phys(&p))
-        }
-        None => None,
-    };
+    let spec = scan_spec(graph, &t, alias, preds)?;
     let scan = if narrow {
         // Everything above binds by name against its child's schema, and all
         // of it is in the graph: the pre-aggregation output, every predicate
@@ -247,6 +251,29 @@ fn udf_application(graph: &QueryGraph, unit: usize, schema: &Schema) -> Result<U
 
 // ---- threaded backend ------------------------------------------------------
 
+/// `input` under the conjunction of `preds` (just `input` when there are
+/// none). Predicates landing directly on a scan also push their pushable
+/// prefix down as a [`FilterSpec`]: segments disproved by zone maps are
+/// skipped and rows the spec rejects are never materialized. The full
+/// predicate is still applied above — the spec only rules out.
+fn filtered(
+    db: &Database,
+    graph: &QueryGraph,
+    input: &PlanNode,
+    preds: &[usize],
+    narrow: bool,
+    token: &CancelToken,
+) -> Result<Box<dyn Operator + Send>> {
+    let child = match input {
+        PlanNode::Scan { unit } => scan_leaf(db, graph, *unit, preds, narrow, token)?,
+        _ => build_threaded(db, graph, input, narrow, token)?,
+    };
+    Ok(match bind_preds(graph, preds, child.schema())? {
+        Some(pred) => Box::new(Filter::new(child, pred)),
+        None => child,
+    })
+}
+
 /// `narrow` is true until the walk descends through an `ApplyUdf`: the
 /// client-site join ships its whole input record (and the simulated backend
 /// reads whole snapshots), so the scans feeding one keep every column.
@@ -258,27 +285,17 @@ fn build_threaded(
     token: &CancelToken,
 ) -> Result<Box<dyn Operator + Send>> {
     match node {
-        PlanNode::Scan { unit } => scan_leaf(db, graph, *unit, None, narrow, token),
+        PlanNode::Scan { unit } => scan_leaf(db, graph, *unit, &[], narrow, token),
         PlanNode::Join { left, right } => {
             let l = build_threaded(db, graph, left, narrow, token)?;
             let r = build_threaded(db, graph, right, narrow, token)?;
             Ok(Box::new(NestedLoopJoin::new(l, r, None)))
         }
         PlanNode::Filter { input, preds } => {
-            // A filter directly over a scan pushes its pushable prefix down
-            // as a FilterSpec: segments disproved by zone maps are skipped
-            // and rows the spec rejects are never materialized. The full
-            // predicate is still applied above — the spec only rules out.
-            if let PlanNode::Scan { unit } = input.as_ref() {
-                let child = scan_leaf(db, graph, *unit, Some(preds), narrow, token)?;
-                let pred = bind_preds(graph, preds, child.schema())?
-                    .ok_or_else(|| CsqError::Plan("empty filter".into()))?;
-                return Ok(Box::new(Filter::new(child, pred)));
+            if preds.is_empty() {
+                return Err(CsqError::Plan("empty filter".into()));
             }
-            let child = build_threaded(db, graph, input, narrow, token)?;
-            let pred = bind_preds(graph, preds, child.schema())?
-                .ok_or_else(|| CsqError::Plan("empty filter".into()))?;
-            Ok(Box::new(Filter::new(child, pred)))
+            filtered(db, graph, input, preds, narrow, token)
         }
         PlanNode::ReturnToServer { input } => build_threaded(db, graph, input, narrow, token),
         // Scatter/gather belong to the coordinator (csq_core::coord), which
@@ -325,20 +342,7 @@ fn build_threaded(
             input,
             pushed_preds,
             ..
-        } => {
-            // Like Filter: predicates landing directly on a scan also prune.
-            let child = if let (PlanNode::Scan { unit }, false) =
-                (input.as_ref(), pushed_preds.is_empty())
-            {
-                scan_leaf(db, graph, *unit, Some(pushed_preds), narrow, token)?
-            } else {
-                build_threaded(db, graph, input, narrow, token)?
-            };
-            match bind_preds(graph, pushed_preds, child.schema())? {
-                Some(pred) => Ok(Box::new(Filter::new(child, pred))),
-                None => Ok(child),
-            }
-        }
+        } => filtered(db, graph, input, pushed_preds, narrow, token),
         PlanNode::ApplyUdf {
             input,
             unit,

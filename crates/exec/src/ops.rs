@@ -8,7 +8,7 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 
 use csq_common::{CsqError, Field, Result, Row, RowBatch, Schema, Value, DEFAULT_BATCH_SIZE};
-use csq_expr::{BinaryOp, PhysExpr};
+use csq_expr::PhysExpr;
 use csq_storage::{FilterSpec, ScanStats, Table, TableScan};
 
 /// A pull operator: [`Operator::next_batch`] is the one way to drive it.
@@ -112,11 +112,13 @@ pub(crate) use batch_operator;
 /// by row, and what comes out of a sealed segment is a lane-backed batch —
 /// the lanes of the columns asked for, shared, plus the selection of rows
 /// the spec does not provably reject — whose rows are built only if an
-/// operator above asks for them (DESIGN.md §2). The filter operator above
-/// remains authoritative for row-level semantics: the scan removes nothing
-/// it would not have mapped to FALSE/UNKNOWN, and never a row it would have
-/// raised an error on. The row-vector oracle this scan is differentially
-/// tested against is [`RowsOp`] over `Table::snapshot()`.
+/// operator above asks for them (DESIGN.md §2). The [`Filter`] above —
+/// which decides the same compiled conjuncts with the same row rule,
+/// [`FilterSpec::eval`] — remains authoritative for row-level semantics: the
+/// scan removes nothing it would not have mapped to FALSE/UNKNOWN, and never
+/// a row it would have raised an error on. The oracle this scan is
+/// differentially tested against is the general evaluator over
+/// `Table::snapshot()`.
 pub struct ColumnarScan {
     scan: TableScan,
 }
@@ -200,115 +202,23 @@ impl RowsOp {
 
 batch_operator!(RowsOp, hint: |s: &RowsOp| Some(s.rows.len()));
 
-/// Pre-resolved literal of a compiled comparison: the typed lanes avoid
-/// re-matching the literal's `Value` discriminant on every row.
-#[derive(Clone)]
-enum CmpLit {
-    Float(f64),
-    Int(i64),
-    Other,
-}
-
-/// One compiled `column <cmp> literal` comparison of the batch filter's
-/// fast path.
-#[derive(Clone)]
-struct CmpSpec {
-    col: usize,
-    op: BinaryOp,
-    kind: CmpLit,
-    lit: Value,
-}
-
-impl CmpSpec {
-    fn new(col: usize, op: BinaryOp, lit: Value) -> CmpSpec {
-        let kind = match &lit {
-            Value::Float(f) => CmpLit::Float(*f),
-            Value::Int(i) => CmpLit::Int(*i),
-            _ => CmpLit::Other,
-        };
-        CmpSpec { col, op, kind, lit }
-    }
-
-    /// SQL three-valued comparison: `None` is unknown (NULL operand or NaN
-    /// ordering); type errors surface exactly like the general evaluator.
-    #[inline]
-    fn tristate(&self, row: &Row) -> Result<Option<bool>> {
-        let v = row.values().get(self.col).ok_or_else(|| {
-            CsqError::Exec(format!(
-                "column ordinal {} out of bounds for row of width {}",
-                self.col,
-                row.len()
-            ))
-        })?;
-        // Typed fast lanes for the common scan predicates; everything else
-        // (including cross-type and error cases) falls back to sql_cmp,
-        // whose NULL/widening/error semantics are authoritative.
-        let ord = match (&self.kind, v) {
-            (CmpLit::Float(b), Value::Float(a)) => a.partial_cmp(b),
-            (CmpLit::Float(b), Value::Int(a)) => (*a as f64).partial_cmp(b),
-            (CmpLit::Int(b), Value::Int(a)) => Some(a.cmp(b)),
-            _ => v.sql_cmp(&self.lit)?,
-        };
-        Ok(ord.map(|o| ordering_matches(self.op, o)))
-    }
-}
-
-/// Specialized predicate forms the batch filter recognizes to skip the
-/// expression-tree walk (and its per-row `Value` clones) on the hot path.
-enum PredPath {
-    /// A conjunction of `column <cmp> literal` comparisons (a single
-    /// comparison is a one-element conjunction), evaluated left to right
-    /// with short-circuiting — exactly the general evaluator's order.
-    Conjunction(Vec<CmpSpec>),
-    /// Anything else: full expression evaluation.
-    General,
-}
-
-impl PredPath {
-    fn analyze(pred: &PhysExpr) -> PredPath {
-        fn flatten(e: &PhysExpr, out: &mut Vec<CmpSpec>) -> bool {
-            match e {
-                PhysExpr::Binary { left, op, right } if *op == BinaryOp::And => {
-                    flatten(left, out) && flatten(right, out)
-                }
-                PhysExpr::Binary { left, op, right } if op.is_comparison() => {
-                    if let (PhysExpr::Column(col), PhysExpr::Literal(lit)) = (&**left, &**right) {
-                        out.push(CmpSpec::new(*col, *op, lit.clone()));
-                        true
-                    } else {
-                        false
-                    }
-                }
-                _ => false,
-            }
-        }
-        let mut specs = Vec::new();
-        if flatten(pred, &mut specs) && !specs.is_empty() {
-            PredPath::Conjunction(specs)
-        } else {
-            PredPath::General
-        }
-    }
-}
-
-fn ordering_matches(op: BinaryOp, o: Ordering) -> bool {
-    match op {
-        BinaryOp::Eq => o == Ordering::Equal,
-        BinaryOp::NotEq => o != Ordering::Equal,
-        BinaryOp::Lt => o == Ordering::Less,
-        BinaryOp::LtEq => o != Ordering::Greater,
-        BinaryOp::Gt => o == Ordering::Greater,
-        BinaryOp::GtEq => o != Ordering::Less,
-        _ => unreachable!("ordering_matches on non-comparison"),
-    }
-}
-
 /// Filter rows by a bound predicate. Batch-native: each input batch is
 /// compacted in place (kept rows are moved, never cloned).
+///
+/// The predicate is split once, by the compiler the scan uses
+/// ([`FilterSpec::split`]): the leading `column <cmp> literal` conjuncts — in
+/// either orientation, a single comparison included — are decided by the
+/// storage layer's row rule ([`FilterSpec::eval`], no expression-tree walk
+/// and no per-row `Value` clone), and whatever follows them by the general
+/// evaluator. Together that is the general evaluator's answer on every row:
+/// same rows, same error on the same row.
 pub struct Filter {
     input: Box<dyn Operator + Send>,
     predicate: PhysExpr,
-    path: PredPath,
+    /// `predicate`'s compiled prefix.
+    spec: Option<FilterSpec>,
+    /// `predicate`'s conjuncts after the prefix.
+    residual: Option<PhysExpr>,
     schema: Arc<Schema>,
 }
 
@@ -316,13 +226,40 @@ impl Filter {
     /// Wrap `input` with `predicate`.
     pub fn new(input: Box<dyn Operator + Send>, predicate: PhysExpr) -> Filter {
         let schema = Arc::new(input.schema().clone());
-        let path = PredPath::analyze(&predicate);
+        let (spec, residual) = FilterSpec::split(&predicate);
         Filter {
             input,
             predicate,
-            path,
+            spec,
+            residual,
             schema,
         }
+    }
+
+    /// SQL AND over three-valued conjuncts, in the expression tree's order:
+    /// a definite FALSE in the prefix short-circuits; an UNKNOWN does not (the
+    /// residual may still raise), and the row is kept only when both halves
+    /// hold.
+    fn keeps(&self, row: &Row) -> Result<bool> {
+        let prefix = match &self.spec {
+            Some(spec) => match spec.eval(row) {
+                Ok(verdict) => verdict,
+                // A compiled conjunct raised, so the row fails the query; the
+                // general evaluator words the error. A compiled conjunct is
+                // always `column <cmp> literal`, and a comparison error names
+                // its operands in the order the predicate wrote them.
+                Err(_) => return self.predicate.eval_predicate(row),
+            },
+            None => Some(true),
+        };
+        if prefix == Some(false) {
+            return Ok(false);
+        }
+        let rest = match &self.residual {
+            Some(residual) => residual.eval_predicate(row)?,
+            None => true,
+        };
+        Ok(rest && prefix == Some(true))
     }
 
     fn produce(&mut self) -> Result<Option<RowBatch>> {
@@ -331,58 +268,21 @@ impl Filter {
                 return Ok(None);
             };
             let (schema, mut rows) = batch.into_parts();
-            filter_rows(&self.path, &self.predicate, &mut rows)?;
+            let mut err = None;
+            rows.retain(|r| {
+                err.is_none()
+                    && self.keeps(r).unwrap_or_else(|e| {
+                        err = Some(e);
+                        false
+                    })
+            });
+            if let Some(e) = err {
+                return Err(e);
+            }
             if !rows.is_empty() {
                 return Ok(Some(RowBatch::from_rows(schema, rows)));
             }
         }
-    }
-}
-
-/// The batch filter kernel: compacts `rows` in place (kept rows are moved,
-/// never cloned).
-///
-/// SQL AND over three-valued conjuncts, evaluated in the same order as the
-/// expression tree: a definite false short-circuits; unknown does not (later
-/// conjuncts may still error, and `unknown AND false` is false).
-fn filter_rows(path: &PredPath, predicate: &PhysExpr, rows: &mut Vec<Row>) -> Result<()> {
-    let mut err = None;
-    // Hoist the predicate-path dispatch out of the per-row loop.
-    match path {
-        PredPath::Conjunction(specs) => rows.retain(|r| {
-            if err.is_some() {
-                return false;
-            }
-            let mut unknown = false;
-            for spec in specs {
-                match spec.tristate(r) {
-                    Ok(Some(false)) => return false,
-                    Ok(Some(true)) => {}
-                    Ok(None) => unknown = true,
-                    Err(e) => {
-                        err = Some(e);
-                        return false;
-                    }
-                }
-            }
-            !unknown
-        }),
-        PredPath::General => rows.retain(|r| {
-            if err.is_some() {
-                return false;
-            }
-            match predicate.eval_predicate(r) {
-                Ok(b) => b,
-                Err(e) => {
-                    err = Some(e);
-                    false
-                }
-            }
-        }),
-    }
-    match err {
-        Some(e) => Err(e),
-        None => Ok(()),
     }
 }
 
@@ -719,34 +619,66 @@ mod tests {
 
     #[test]
     fn filter_fast_path_matches_general_eval() {
-        // Same predicate written as col-cmp-lit (fast path) and wrapped so
-        // it falls back to general evaluation; both must agree, including
-        // NULL handling.
-        let schema = Schema::new(vec![Field::new("a", DataType::Int)]);
+        // Every predicate here has a compiled prefix (`col <cmp> lit` in
+        // either orientation, alone, chained, or before a residual); the
+        // filter must answer what `eval_predicate` answers row by row — rows
+        // or the first error, kind and message — including NULL and NaN
+        // operands, a cross-type literal and an ordinal the rows lack.
+        let schema = Schema::new(vec![
+            Field::new("a", DataType::Int),
+            Field::new("f", DataType::Float),
+        ]);
         let rows: Vec<Row> = [
-            Value::Int(1),
-            Value::Null,
-            Value::Int(5),
-            Value::Int(3),
-            Value::Int(-2),
+            (Value::Int(1), Value::Float(0.5)),
+            (Value::Null, Value::Float(f64::NAN)),
+            (Value::Int(5), Value::Int(4)),
+            (Value::Int(3), Value::Null),
+            (Value::Int(-2), Value::Float(9.0)),
         ]
         .into_iter()
-        .map(|v| Row::new(vec![v]))
+        .map(|(a, f)| Row::new(vec![a, f]))
         .collect();
-        let fast = bind(
-            &Expr::binary(Expr::col_bare("a"), csq_expr::BinaryOp::Gt, Expr::lit(2i64)),
-            &schema,
-        )
-        .unwrap();
-        // `lit < col` is not recognized by the fast path.
-        let general = bind(
-            &Expr::binary(Expr::lit(2i64), csq_expr::BinaryOp::Lt, Expr::col_bare("a")),
-            &schema,
-        )
-        .unwrap();
-        let mut f1 = Filter::new(Box::new(RowsOp::new(schema.clone(), rows.clone())), fast);
-        let mut f2 = Filter::new(Box::new(RowsOp::new(schema, rows)), general);
-        assert_eq!(collect(&mut f1).unwrap(), collect(&mut f2).unwrap());
+        let cmp = |left, op, right| PhysExpr::Binary {
+            left: Box::new(left),
+            op,
+            right: Box::new(right),
+        };
+        let (col, lit) = (PhysExpr::Column, PhysExpr::Literal);
+        use csq_expr::BinaryOp::*;
+        let a_gt_2 = cmp(col(0), Gt, lit(Value::Int(2)));
+        let residual = cmp(cmp(col(0), Add, col(1)), Lt, lit(Value::Int(9)));
+        for pred in [
+            a_gt_2.clone(),
+            cmp(lit(Value::Int(2)), Lt, col(0)),
+            cmp(lit(Value::Float(1.0)), GtEq, col(1)),
+            cmp(col(0), NotEq, lit(Value::Null)),
+            cmp(col(1), LtEq, lit(Value::Float(f64::NAN))),
+            cmp(col(0), Eq, lit(Value::from("x"))),
+            cmp(lit(Value::from("x")), Eq, col(0)),
+            cmp(col(2), Eq, lit(Value::Int(1))),
+            cmp(a_gt_2.clone(), And, cmp(col(1), Lt, lit(Value::Int(5)))),
+            cmp(a_gt_2.clone(), And, cmp(col(0), Lt, lit(Value::from("x")))),
+            cmp(a_gt_2.clone(), And, residual.clone()),
+            cmp(cmp(col(1), Gt, lit(Value::Int(0))), And, residual.clone()),
+            cmp(cmp(col(2), Gt, lit(Value::Int(0))), And, residual),
+        ] {
+            let oracle: Result<Vec<Row>> = rows
+                .iter()
+                .filter_map(|r| match pred.eval_predicate(r) {
+                    Ok(keep) => keep.then(|| Ok(r.clone())),
+                    Err(e) => Some(Err(e)),
+                })
+                .collect();
+            let source = RowsOp::new(schema.clone(), rows.clone());
+            let filtered = collect(&mut Filter::new(Box::new(source), pred.clone()));
+            match (filtered, oracle) {
+                (Ok(f), Ok(o)) => assert_eq!(f, o, "{pred:?}"),
+                (Err(f), Err(o)) => {
+                    assert_eq!((f.kind(), f.to_string()), (o.kind(), o.to_string()))
+                }
+                (f, o) => panic!("{pred:?}: {f:?} vs {o:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Logical (unbound) expressions.
 
 use csq_common::Value;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// A column reference `[qualifier.]name`.
@@ -68,6 +69,24 @@ impl BinaryOp {
                 | BinaryOp::Gt
                 | BinaryOp::GtEq
         )
+    }
+
+    /// Whether this comparison holds when its left operand orders as `o`
+    /// against its right: the workspace's one copy of the comparison truth
+    /// table (`eval_binary` here, the compiled conjuncts of `csq-storage`).
+    /// Only comparison operators ([`is_comparison`](Self::is_comparison)) have
+    /// a row in it.
+    #[inline]
+    pub fn accepts(self, o: Ordering) -> bool {
+        match self {
+            BinaryOp::Eq => o == Ordering::Equal,
+            BinaryOp::NotEq => o != Ordering::Equal,
+            BinaryOp::Lt => o == Ordering::Less,
+            BinaryOp::LtEq => o != Ordering::Greater,
+            BinaryOp::Gt => o == Ordering::Greater,
+            BinaryOp::GtEq => o != Ordering::Less,
+            _ => unreachable!("{self:?} is not a comparison"),
+        }
     }
 
     /// True for `AND` / `OR`.

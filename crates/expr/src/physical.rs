@@ -166,23 +166,7 @@ fn eval_logical(op: BinaryOp, left: &PhysExpr, right: &PhysExpr, row: &Row) -> R
 pub fn eval_binary(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
     if op.is_comparison() {
         let ord = l.sql_cmp(r)?;
-        let out = match ord {
-            None => Value::Null,
-            Some(o) => {
-                use std::cmp::Ordering::*;
-                let b = match op {
-                    BinaryOp::Eq => o == Equal,
-                    BinaryOp::NotEq => o != Equal,
-                    BinaryOp::Lt => o == Less,
-                    BinaryOp::LtEq => o != Greater,
-                    BinaryOp::Gt => o == Greater,
-                    BinaryOp::GtEq => o != Less,
-                    _ => unreachable!(),
-                };
-                Value::Bool(b)
-            }
-        };
-        return Ok(out);
+        return Ok(ord.map_or(Value::Null, |o| Value::Bool(op.accepts(o))));
     }
     // Arithmetic.
     if l.is_null() || r.is_null() {

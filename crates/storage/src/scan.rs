@@ -48,11 +48,21 @@
 //! raises on is the same row with or without the scan's help. The tail has
 //! no zone maps, so there each comparison is simply made, and one that
 //! raises keeps the row.
+//!
+//! This module is the workspace's one predicate compiler. What a pushable
+//! conjunct is, is decided once ([`FilterSpec::split`]); how one is decided
+//! on a value, twice — [`FilterSpec::eval`] on a row, a `LaneTest` on a
+//! sealed column's lane, both over the same [`ColPred`] and the one
+//! comparison truth table ([`BinaryOp::accepts`]). The tail's rule is a
+//! reading of `eval` (it rules out what `eval` makes FALSE, and UNKNOWN
+//! under a `complete` spec); `csq_exec::Filter` is `eval`'s other caller,
+//! deciding the same prefix for keeps and handing the conjuncts after it to
+//! the general evaluator.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use csq_common::{Row, RowBatch, Schema, Selection, Value, DEFAULT_BATCH_SIZE};
+use csq_common::{CsqError, Result, Row, RowBatch, Schema, Selection, Value, DEFAULT_BATCH_SIZE};
 use csq_expr::{BinaryOp, PhysExpr};
 
 use crate::segment::{LaneTest, Segment, ZoneMap};
@@ -69,16 +79,25 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
+    /// The expression engine's spelling of this comparison; its
+    /// [`accepts`](BinaryOp::accepts) is the comparison truth table.
+    #[inline]
+    pub(crate) fn binary(self) -> BinaryOp {
+        match self {
+            CmpOp::Eq => BinaryOp::Eq,
+            CmpOp::NotEq => BinaryOp::NotEq,
+            CmpOp::Lt => BinaryOp::Lt,
+            CmpOp::LtEq => BinaryOp::LtEq,
+            CmpOp::Gt => BinaryOp::Gt,
+            CmpOp::GtEq => BinaryOp::GtEq,
+        }
+    }
+
     fn from_binary(op: BinaryOp) -> Option<CmpOp> {
-        Some(match op {
-            BinaryOp::Eq => CmpOp::Eq,
-            BinaryOp::NotEq => CmpOp::NotEq,
-            BinaryOp::Lt => CmpOp::Lt,
-            BinaryOp::LtEq => CmpOp::LtEq,
-            BinaryOp::Gt => CmpOp::Gt,
-            BinaryOp::GtEq => CmpOp::GtEq,
-            _ => return None,
-        })
+        use CmpOp::*;
+        [Eq, NotEq, Lt, LtEq, Gt, GtEq]
+            .into_iter()
+            .find(|c| c.binary() == op)
     }
 
     /// Mirror the comparison (for `literal <cmp> column` conjuncts).
@@ -90,19 +109,6 @@ impl CmpOp {
             CmpOp::LtEq => CmpOp::GtEq,
             CmpOp::Gt => CmpOp::Lt,
             CmpOp::GtEq => CmpOp::LtEq,
-        }
-    }
-
-    /// Whether `column <op> literal` holds when the column value orders as
-    /// `o` against the literal.
-    pub(crate) fn accepts(self, o: Ordering) -> bool {
-        match self {
-            CmpOp::Eq => o == Ordering::Equal,
-            CmpOp::NotEq => o != Ordering::Equal,
-            CmpOp::Lt => o == Ordering::Less,
-            CmpOp::LtEq => o != Ordering::Greater,
-            CmpOp::Gt => o == Ordering::Greater,
-            CmpOp::GtEq => o != Ordering::Less,
         }
     }
 }
@@ -117,6 +123,24 @@ pub struct ColPred {
     pub op: CmpOp,
     /// Literal right-hand side.
     pub lit: Value,
+}
+
+impl ColPred {
+    /// The conjunct decided on one value of its column, three-valued: `None`
+    /// is UNKNOWN (a NULL operand, a NaN ordering). The numeric pairings every
+    /// scan predicate in practice has are compared in place; everything else
+    /// — cross-type pairs and their typed errors included — is
+    /// [`Value::sql_cmp`]'s to decide.
+    #[inline]
+    fn test(&self, v: &Value) -> Result<Option<bool>> {
+        let ord = match (v, &self.lit) {
+            (Value::Float(a), Value::Float(b)) => a.partial_cmp(b),
+            (Value::Int(a), Value::Float(b)) => (*a as f64).partial_cmp(b),
+            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
+            _ => v.sql_cmp(&self.lit)?,
+        };
+        Ok(ord.map(|o| self.op.binary().accepts(o)))
+    }
 }
 
 /// A compiled conjunction of pushed-down conjuncts.
@@ -194,26 +218,33 @@ fn classify(zone: &ZoneMap, pred: &ColPred) -> PredClass {
 impl FilterSpec {
     /// Compile the pushable prefix of a bound predicate: flatten the
     /// top-level AND chain and take the longest prefix of
-    /// `column <cmp> literal` conjuncts (in evaluation order). Returns
-    /// `None` when not even the first conjunct is pushable.
+    /// `column <cmp> literal` conjuncts, in either orientation (in evaluation
+    /// order). Returns `None` when not even the first conjunct is pushable.
     pub fn from_phys(pred: &PhysExpr) -> Option<FilterSpec> {
+        FilterSpec::split(pred).0
+    }
+
+    /// [`from_phys`](Self::from_phys) plus what it leaves: the conjuncts
+    /// after the pushable prefix, re-joined in evaluation order. Evaluating
+    /// the spec with [`eval`](Self::eval) and then the residual is evaluating
+    /// `pred`.
+    pub fn split(pred: &PhysExpr) -> (Option<FilterSpec>, Option<PhysExpr>) {
         let mut conjuncts = Vec::new();
         flatten_and(pred, &mut conjuncts);
-        let mut preds = Vec::new();
-        let mut complete = true;
-        for c in &conjuncts {
-            match as_col_pred(c) {
-                Some(p) => preds.push(p),
-                None => {
-                    complete = false;
-                    break;
-                }
-            }
-        }
-        if preds.is_empty() {
-            return None;
-        }
-        Some(FilterSpec { preds, complete })
+        let preds: Vec<ColPred> = conjuncts.iter().map_while(|c| as_col_pred(c)).collect();
+        let residual = conjuncts[preds.len()..]
+            .iter()
+            .map(|&c| c.clone())
+            .reduce(|left, right| PhysExpr::Binary {
+                left: Box::new(left),
+                op: BinaryOp::And,
+                right: Box::new(right),
+            });
+        let spec = (!preds.is_empty()).then_some(FilterSpec {
+            preds,
+            complete: residual.is_none(),
+        });
+        (spec, residual)
     }
 
     /// True when the spec proves the segment contributes no output rows
@@ -262,23 +293,41 @@ impl FilterSpec {
         false
     }
 
-    /// The row rule on one row (the unsealed tail has no zone maps to prove a
-    /// conjunct error-free, so each comparison is simply made): true when the
-    /// filter above is certain to map `row` to `Ok(false)` — a definite FALSE
-    /// reached before any error, or no FALSE and no error but an UNKNOWN
-    /// under a `complete` spec. A comparison that errors keeps the row, so
-    /// the filter raises it.
-    fn rejects(&self, row: &Row) -> bool {
-        let mut unknown = false;
+    /// The row rule: the conjuncts on one row, as the general evaluator
+    /// decides their conjunction — three-valued AND, left to right, stopping
+    /// at the first definite FALSE, a comparison error (or an ordinal the row
+    /// does not have) raised if it is met before one.
+    #[inline]
+    pub fn eval(&self, row: &Row) -> Result<Option<bool>> {
+        let mut verdict = Some(true);
         for p in &self.preds {
-            match row.values().get(p.col).map(|v| v.sql_cmp(&p.lit)) {
-                Some(Ok(Some(o))) if !p.op.accepts(o) => return true,
-                Some(Ok(Some(_))) => {}
-                Some(Ok(None)) => unknown = true,
-                Some(Err(_)) | None => return false,
+            let v = row.values().get(p.col).ok_or_else(|| {
+                CsqError::Exec(format!(
+                    "column ordinal {} out of bounds for row of width {}",
+                    p.col,
+                    row.len()
+                ))
+            })?;
+            match p.test(v)? {
+                Some(false) => return Ok(Some(false)),
+                Some(true) => {}
+                None => verdict = None,
             }
         }
-        unknown && self.complete
+        Ok(verdict)
+    }
+
+    /// The row rule on a row of the unsealed tail (no zone maps there to
+    /// prove a conjunct error-free, so each comparison is simply made): true
+    /// when the filter above is certain to map `row` to `Ok(false)` — a
+    /// definite FALSE reached before any error, or an UNKNOWN under a
+    /// `complete` spec. A row that raises is kept, so the filter raises it.
+    fn rejects(&self, row: &Row) -> bool {
+        match self.eval(row) {
+            Ok(Some(false)) => true,
+            Ok(None) => self.complete,
+            Ok(Some(true)) | Err(_) => false,
+        }
     }
 }
 

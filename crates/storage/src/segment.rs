@@ -28,8 +28,9 @@ use std::sync::Arc;
 
 use csq_common::lane::wide;
 use csq_common::{each_width, Lane, NullBitmap, Row, Schema, Value};
+use csq_expr::BinaryOp;
 
-use crate::scan::{CmpOp, ColPred};
+use crate::scan::ColPred;
 
 /// Default number of rows per sealed segment.
 pub const DEFAULT_SEGMENT_ROWS: usize = 4096;
@@ -163,7 +164,7 @@ impl ColumnSeg {
 /// building a [`Value`] per row.
 #[derive(Debug)]
 pub(crate) struct LaneTest {
-    op: CmpOp,
+    op: BinaryOp,
     lit: LaneLit,
 }
 
@@ -184,10 +185,11 @@ enum LaneLit {
 impl ColumnSeg {
     /// Compile `pred` (whose column this is) for [`retain`](Self::retain).
     pub(crate) fn lane_test(&self, pred: &ColPred) -> LaneTest {
+        let op = pred.op.binary();
         let lit = match (&*self.lane, &pred.lit) {
             (_, Value::Null) => LaneLit::Null,
             (Lane::StrDict { dict, .. }, Value::Str(s)) => {
-                LaneLit::Dict(dict.iter().map(|d| pred.op.accepts(d.cmp(s))).collect())
+                LaneLit::Dict(dict.iter().map(|d| op.accepts(d.cmp(s))).collect())
             }
             (Lane::Values(_), v) => LaneLit::Value(v.clone()),
             // Mixed INT/FLOAT comparisons widen to f64, as `sql_cmp` does.
@@ -197,7 +199,7 @@ impl ColumnSeg {
             (_, Value::Bool(b)) => LaneLit::Bool(*b),
             (_, v) => LaneLit::Value(v.clone()),
         };
-        LaneTest { op: pred.op, lit }
+        LaneTest { op, lit }
     }
 
     /// Drop from `sel` (row ordinals of this segment) every row on which the

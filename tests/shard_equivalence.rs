@@ -316,6 +316,23 @@ fn explain_shows_scatter_gather_and_pruning() {
     cluster.stop();
 }
 
+/// `route_insert` evaluates an INSERT's value expressions and re-renders the
+/// routed rows as SQL the shards re-parse. `i64::MIN` has no literal the
+/// lexer reads (`-9223372036854775808` is a minus sign and a magnitude no i64
+/// holds), so the renderer must spell it as an expression: what one server
+/// stores, the cluster stores.
+#[test]
+fn routed_insert_stores_i64_min() {
+    let inserts = ["INSERT INTO T VALUES (1, 0, -9223372036854775807 - 1, 'min')".to_string()];
+    let reference = reference_db(&inserts);
+    let cluster = Cluster::start(2, "Id", &inserts);
+    let sql = "SELECT T.Val FROM T T WHERE T.Id = 1";
+    let stored = cluster.coord.execute(sql).expect("sharded SELECT").rows;
+    assert_eq!(stored, reference.execute(sql).expect("SELECT").rows);
+    assert_eq!(stored[0].value(0), &Value::Int(i64::MIN));
+    cluster.stop();
+}
+
 #[test]
 fn killed_shard_fails_typed_and_replace_restores_service() {
     let inserts = insert_statements(&fixture_rows());

@@ -4,10 +4,13 @@
 //! prunes and never spills.
 //!
 //! * Pruned columnar scans ([`ColumnarScan`] compiled from a [`FilterSpec`])
-//!   must return exactly what a row-at-a-time [`Filter`] over the table's
-//!   row-vector [`Table::snapshot`] returns — including all-NULL columns,
+//!   under a [`Filter`] must return exactly what the general evaluator
+//!   ([`PhysExpr::eval_predicate`], row at a time over the table's
+//!   row-vector [`Table::snapshot`]) returns — including all-NULL columns,
 //!   constant columns, NULL literals, and predicates on unordered (mixed
-//!   lane) columns.
+//!   lane) columns. The oracle side runs none of the compiled predicate
+//!   code: [`Filter`] and the scan's tail share one row rule
+//!   ([`FilterSpec::eval`]), so a filter on both sides would hide its bugs.
 //! * The scan's own row filtering and column pruning are held to four
 //!   properties: what the scan *alone* omits, the general evaluator maps to
 //!   `Ok(false)` (never to an error); the filter above it raises the same
@@ -100,17 +103,41 @@ fn arb_scan_row() -> impl Strategy<Value = Row> {
         .prop_map(|(a, b, c, d)| Row::new(vec![a, b, c, d]))
 }
 
-/// One pushable conjunct: `column <cmp> literal`, sometimes with a NULL or
-/// cross-type literal to exercise the opaque/unknown classifications.
-fn arb_conjunct() -> impl Strategy<Value = PhysExpr> {
-    let cmp = prop_oneof![
-        Just(BinaryOp::Eq),
-        Just(BinaryOp::NotEq),
-        Just(BinaryOp::Lt),
-        Just(BinaryOp::LtEq),
-        Just(BinaryOp::Gt),
-        Just(BinaryOp::GtEq),
+/// A comparison operator and whether to write the conjunct literal-first.
+/// One draw of twelve whose residue mod six picks the operator, so a
+/// committed seed compares what it compared when there were six.
+fn arb_cmp() -> impl Strategy<Value = (BinaryOp, bool)> {
+    const OPS: [BinaryOp; 6] = [
+        BinaryOp::Eq,
+        BinaryOp::NotEq,
+        BinaryOp::Lt,
+        BinaryOp::LtEq,
+        BinaryOp::Gt,
+        BinaryOp::GtEq,
     ];
+    (0usize..12).prop_map(|k| (OPS[k % 6], k >= 6))
+}
+
+/// `column <op> literal`, or the same comparison written literal-first
+/// (`literal <mirrored op> column`): both orientations are pushable.
+fn comparison(c: usize, (op, literal_first): (BinaryOp, bool), v: Value) -> PhysExpr {
+    if !literal_first {
+        return bin(col(c), op, lit(v));
+    }
+    let mirrored = match op {
+        BinaryOp::Lt => BinaryOp::Gt,
+        BinaryOp::LtEq => BinaryOp::GtEq,
+        BinaryOp::Gt => BinaryOp::Lt,
+        BinaryOp::GtEq => BinaryOp::LtEq,
+        symmetric => symmetric,
+    };
+    bin(lit(v), mirrored, col(c))
+}
+
+/// One pushable conjunct: `column <cmp> literal` in either orientation,
+/// sometimes with a NULL or cross-type literal to exercise the
+/// opaque/unknown classifications.
+fn arb_conjunct() -> impl Strategy<Value = PhysExpr> {
     let literal = prop_oneof![
         (-20i64..20).prop_map(Value::Int),
         (-20i64..20).prop_map(Value::Int),
@@ -119,7 +146,7 @@ fn arb_conjunct() -> impl Strategy<Value = PhysExpr> {
         (0usize..4).prop_map(|k| Value::from(["a", "bb", "ccc", "dd"][k])),
         Just(Value::Null),
     ];
-    (0usize..4, cmp, literal).prop_map(|(c, op, v)| bin(col(c), op, lit(v)))
+    (0usize..4, arb_cmp(), literal).prop_map(|(c, cmp, v)| comparison(c, cmp, v))
 }
 
 fn and_chain(mut conjuncts: Vec<PhysExpr>) -> PhysExpr {
@@ -136,10 +163,22 @@ fn build_table(rows: &[Row], segment_rows: usize) -> Arc<Table> {
     Arc::new(t)
 }
 
-/// The differential: pruned columnar scan + residual filter versus a
-/// row-at-a-time filter over the row-vector snapshot. Errors must agree in
-/// kind (cross-type comparisons are type errors on both paths); successes
-/// must agree on the exact row sequence, not just the multiset.
+/// The oracle: the rows of `table`'s snapshot on which the general evaluator
+/// holds `pred`, or the first error it raises.
+fn snapshot_oracle(table: &Table, pred: &PhysExpr) -> csq_common::Result<Vec<Row>> {
+    let mut kept = Vec::new();
+    for row in table.snapshot() {
+        if pred.eval_predicate(&row)? {
+            kept.push(row);
+        }
+    }
+    Ok(kept)
+}
+
+/// The differential: pruned columnar scan + filter versus the general
+/// evaluator over the row-vector snapshot. Errors must agree in kind
+/// (cross-type comparisons are type errors on both paths); successes must
+/// agree on the exact row sequence, not just the multiset.
 fn assert_scan_equivalent(rows: &[Row], segment_rows: usize, pred: &PhysExpr) {
     let table = build_table(rows, segment_rows);
     let spec = FilterSpec::from_phys(pred);
@@ -147,10 +186,7 @@ fn assert_scan_equivalent(rows: &[Row], segment_rows: usize, pred: &PhysExpr) {
     let scan = ColumnarScan::new(&table, "t", spec.as_ref()).unwrap();
     let columnar = collect(&mut Filter::new(Box::new(scan), pred.clone()));
 
-    let oracle_src = RowsOp::new(scan_schema().qualify("t"), table.snapshot());
-    let oracle = collect(&mut Filter::new(Box::new(oracle_src), pred.clone()));
-
-    match (columnar, oracle) {
+    match (columnar, snapshot_oracle(&table, pred)) {
         (Ok(c), Ok(o)) => assert_eq!(c, o, "pruned scan diverged from snapshot oracle"),
         (Err(c), Err(o)) => assert_eq!(c.kind(), o.kind(), "error kinds diverged"),
         (c, o) => panic!("one path errored, the other did not: {c:?} vs {o:?}"),
@@ -171,25 +207,18 @@ fn arb_filter_row() -> impl Strategy<Value = Row> {
     })
 }
 
-/// One pushable conjunct over [`profile_schema`]: mostly a literal of the
-/// column's own type (so multi-conjunct specs are often error-free and the
-/// lane kernels do the work), sometimes NULL, NaN, a numeric literal on any
-/// column, or the next column's type — the conjunct that raises.
+/// One pushable conjunct over [`profile_schema`], in either orientation:
+/// mostly a literal of the column's own type (so multi-conjunct specs are
+/// often error-free and the lane kernels do the work), sometimes NULL, NaN, a
+/// numeric literal on any column, or the next column's type — the conjunct
+/// that raises.
 fn arb_filter_conjunct() -> impl Strategy<Value = PhysExpr> {
-    let cmp = prop_oneof![
-        Just(BinaryOp::Eq),
-        Just(BinaryOp::NotEq),
-        Just(BinaryOp::Lt),
-        Just(BinaryOp::LtEq),
-        Just(BinaryOp::Gt),
-        Just(BinaryOp::GtEq),
-    ];
     (
-        (0usize..5, cmp, 0usize..12),
+        (0usize..5, arb_cmp(), 0usize..12),
         (-20i64..20, -8i64..8, 0usize..4),
         (any::<bool>(), 0usize..40),
     )
-        .prop_map(|((c, op, pick), (i, f, s), (b, q))| {
+        .prop_map(|((c, cmp, pick), (i, f, s), (b, q))| {
             let typed = [
                 Value::Int(i),
                 Value::Float(f as f64 * 0.5),
@@ -204,7 +233,7 @@ fn arb_filter_conjunct() -> impl Strategy<Value = PhysExpr> {
                 3 => Value::Int(i),
                 _ => typed[c].clone(),
             };
-            bin(col(c), op, lit(v))
+            comparison(c, cmp, v)
         })
 }
 
@@ -222,6 +251,9 @@ fn arb_residual() -> impl Strategy<Value = PhysExpr> {
 /// when `residual` is given, an unpushable one spliced in at `at` (modulo
 /// the length; at the end the spec is the whole pushable prefix but
 /// incomplete, in the middle it stops short, at the front there is no spec).
+/// [`Filter`] splits at the same place: the conjuncts before the splice run
+/// on its compiled path, the splice and everything after it on the general
+/// evaluator.
 fn filter_predicate(
     mut conjuncts: Vec<PhysExpr>,
     residual: Option<PhysExpr>,
@@ -270,16 +302,14 @@ fn assert_scan_drops_only_rejected_rows(table: &Arc<Table>, pred: &PhysExpr) {
     );
 }
 
-/// Error preservation: the filter over the spec'd scan and the filter over
-/// the snapshot agree on the rows, or on the error — kind *and* message, so
-/// the row that raises it is the same.
+/// Error preservation: the filter over the spec'd scan and the general
+/// evaluator over the snapshot agree on the rows, or on the error — kind
+/// *and* message, so the row that raises it is the same.
 fn assert_filter_outcome_preserved(table: &Arc<Table>, pred: &PhysExpr) {
     let spec = FilterSpec::from_phys(pred);
     let scan = ColumnarScan::new(table, "t", spec.as_ref()).unwrap();
     let columnar = collect(&mut Filter::new(Box::new(scan), pred.clone()));
-    let oracle_src = RowsOp::new(profile_schema().qualify("t"), table.snapshot());
-    let oracle = collect(&mut Filter::new(Box::new(oracle_src), pred.clone()));
-    match (columnar, oracle) {
+    match (columnar, snapshot_oracle(table, pred)) {
         (Ok(c), Ok(o)) => assert_eq!(c, o, "filtered scan diverged from snapshot oracle"),
         (Err(c), Err(o)) => assert_eq!(
             (c.kind(), c.to_string()),
