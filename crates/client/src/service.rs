@@ -14,31 +14,55 @@ use csq_common::{CancelToken, CsqError, Result, Row, Value};
 use csq_net::Endpoint;
 
 use crate::protocol::{ClientTask, Request, Response};
-use crate::runtime::ClientRuntime;
+use crate::runtime::{ClientRuntime, UdfCost};
 
 /// Executes one installed [`ClientTask`] row batch by row batch.
 pub struct TaskExecutor {
     runtime: Arc<ClientRuntime>,
     task: ClientTask,
-    /// Per-step memo caches keyed by argument tuple (\[HN97]-style).
-    caches: Vec<HashMap<Row, Value>>,
+    /// One per task step, resolved at installation.
+    steps: Vec<Step>,
+    /// The task's `return_cols` as row ordinals.
+    return_idx: Option<Vec<usize>>,
     /// Total simulated CPU µs consumed by UDF invocations (cache hits are
     /// free). Used by the virtual-time executors.
     cpu_us: u64,
 }
 
+/// What [`TaskExecutor::process`] needs of one [`crate::protocol::UdfStep`].
+struct Step {
+    /// The step's argument columns as row ordinals.
+    arg_idx: Vec<usize>,
+    /// Cost model of the UDF registered under the step's name.
+    cost: UdfCost,
+    /// Memo cache keyed by argument tuple (\[HN97]-style).
+    cache: HashMap<Row, Value>,
+}
+
 impl TaskExecutor {
-    /// Validate the task and check every referenced UDF exists.
+    /// Validate the task and resolve every referenced UDF.
     pub fn new(runtime: Arc<ClientRuntime>, task: ClientTask) -> Result<TaskExecutor> {
         task.validate()?;
-        for s in &task.steps {
-            runtime.get(&s.udf)?;
-        }
-        let caches = task.steps.iter().map(|_| HashMap::new()).collect();
+        let steps = task
+            .steps
+            .iter()
+            .map(|s| {
+                Ok(Step {
+                    arg_idx: s.arg_cols.iter().map(|&c| c as usize).collect(),
+                    cost: runtime.get(&s.udf)?.cost(),
+                    cache: HashMap::new(),
+                })
+            })
+            .collect::<Result<_>>()?;
+        let return_idx = task
+            .return_cols
+            .as_ref()
+            .map(|cols| cols.iter().map(|&c| c as usize).collect());
         Ok(TaskExecutor {
             runtime,
             task,
-            caches,
+            steps,
+            return_idx,
             cpu_us: 0,
         })
     }
@@ -84,11 +108,8 @@ impl TaskExecutor {
             }
         }
         let mut extended = rows;
-        let steps = self.task.steps.clone();
         let dedup = self.task.dedup_cache;
-        for (i, step) in steps.iter().enumerate() {
-            let arg_idx: Vec<usize> = step.arg_cols.iter().map(|&c| c as usize).collect();
-            let cost = self.runtime.get(&step.udf)?.cost();
+        for (step, task_step) in self.steps.iter_mut().zip(&self.task.steps) {
             let mut slots: Vec<Slot> = Vec::with_capacity(extended.len());
             let mut to_invoke: Vec<Row> = Vec::new();
             // First-occurrence index of each argument tuple in `to_invoke`
@@ -97,9 +118,9 @@ impl TaskExecutor {
             // occurrence had populated the cache.
             let mut pending: HashMap<Row, usize> = HashMap::new();
             for row in &extended {
-                let args = row.project(&arg_idx);
+                let args = row.project(&step.arg_idx);
                 if dedup {
-                    if let Some(v) = self.caches[i].get(&args) {
+                    if let Some(v) = step.cache.get(&args) {
                         self.runtime.record_cache_hit();
                         slots.push(Slot::Ready(v.clone()));
                     } else if let Some(&n) = pending.get(&args) {
@@ -117,17 +138,17 @@ impl TaskExecutor {
                 }
             }
             for args in &to_invoke {
-                self.cpu_us += cost.invocation_us(args.wire_size());
+                self.cpu_us += step.cost.invocation_us(args.wire_size());
             }
             let invoked = if to_invoke.is_empty() {
                 Vec::new()
             } else {
                 let arg_refs: Vec<&[Value]> = to_invoke.iter().map(|r| r.values()).collect();
-                self.runtime.invoke_batch(&step.udf, &arg_refs)?
+                self.runtime.invoke_batch(&task_step.udf, &arg_refs)?
             };
             if dedup {
                 for (args, v) in to_invoke.iter().zip(invoked.iter()) {
-                    self.caches[i].insert(args.clone(), v.clone());
+                    step.cache.insert(args.clone(), v.clone());
                 }
             }
             for (row, slot) in extended.iter_mut().zip(slots) {
@@ -138,11 +159,6 @@ impl TaskExecutor {
                 row.push_value(v);
             }
         }
-        let return_idx: Option<Vec<usize>> = self
-            .task
-            .return_cols
-            .as_ref()
-            .map(|cols| cols.iter().map(|&c| c as usize).collect());
         let mut out = Vec::with_capacity(extended.len());
         for row in extended {
             if let Some(pred) = &self.task.predicate {
@@ -150,7 +166,7 @@ impl TaskExecutor {
                     continue;
                 }
             }
-            let returned = match &return_idx {
+            let returned = match &self.return_idx {
                 Some(idx) => row.project(idx),
                 None => row,
             };

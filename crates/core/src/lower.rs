@@ -25,7 +25,7 @@ use csq_exec::{
 };
 use csq_expr::{analysis, bind, PhysExpr};
 use csq_net::in_memory_duplex;
-use csq_opt::{AggPlacement, AggregateSpec, PlanNode, QueryGraph, UdfStrategy, Unit};
+use csq_opt::{AggPlacement, AggregateSpec, PlanNode, QueryGraph, ShipParams, UdfStrategy, Unit};
 use csq_ship::{
     simulate_client_join, simulate_semijoin, ClientJoinSpec, PartialAggSpec, SemiJoinSpec,
     UdfApplication,
@@ -34,11 +34,6 @@ use csq_storage::{FilterSpec, Table};
 
 use crate::result::QueryResult;
 use crate::Database;
-
-/// Default pipeline concurrency factor for the threaded engine (the
-/// simulated engine sweeps this; for the unthrottled correctness path any
-/// reasonable value works).
-const DEFAULT_CONCURRENCY: usize = 16;
 
 /// Aggregated virtual-time accounting for one query.
 #[derive(Debug, Clone, Default)]
@@ -249,6 +244,40 @@ fn udf_application(graph: &QueryGraph, unit: usize, schema: &Schema) -> Result<U
     ))
 }
 
+/// What an `ApplyUdf` node ships with, for either backend.
+enum ShipSpec {
+    SemiJoin(SemiJoinSpec),
+    ClientJoin(ClientJoinSpec),
+}
+
+/// The shipping spec of an `ApplyUdf` node over a child of `schema`: the
+/// node's strategy, run at the tuples-per-message and concurrency factor the
+/// optimizer stored on it. Both backends build their specs here, so they
+/// ship the same messages.
+fn ship_spec(
+    graph: &QueryGraph,
+    unit: usize,
+    strategy: &UdfStrategy,
+    ship: ShipParams,
+    schema: &Schema,
+) -> Result<ShipSpec> {
+    let app = udf_application(graph, unit, schema)?;
+    Ok(match strategy {
+        UdfStrategy::SemiJoin { .. } => {
+            let mut spec = SemiJoinSpec::new(vec![app], ship.concurrency);
+            spec.batch_size = ship.tuples_per_message;
+            ShipSpec::SemiJoin(spec)
+        }
+        UdfStrategy::ClientJoin { pushed_preds, .. } => {
+            let extended = schema.with_field(result_field(graph, unit));
+            let mut spec = ClientJoinSpec::new(vec![app]);
+            spec.batch_size = ship.tuples_per_message;
+            spec.pushed_predicate = bind_preds(graph, pushed_preds, &extended)?;
+            ShipSpec::ClientJoin(spec)
+        }
+    })
+}
+
 // ---- threaded backend ------------------------------------------------------
 
 /// `input` under the conjunction of `preds` (just `input` when there are
@@ -347,32 +376,24 @@ fn build_threaded(
             input,
             unit,
             strategy,
+            ship,
         } => {
             let child = build_threaded(db, graph, input, false, token)?;
-            let schema = child.schema().clone();
-            let app = udf_application(graph, *unit, &schema)?;
+            let spec = ship_spec(graph, *unit, strategy, *ship, child.schema())?;
             let (server_end, client_end, _stats) = in_memory_duplex();
             // Client thread per client-site operator; detached — it exits
             // when the operator closes the connection *or* the query's
             // cancel token trips (checked at every received batch).
             let _client =
                 spawn_client_with_token(db.client_runtime().clone(), client_end, token.clone())?;
-            match strategy {
-                UdfStrategy::SemiJoin { .. } => {
-                    let spec = SemiJoinSpec::new(vec![app], DEFAULT_CONCURRENCY);
-                    Ok(Box::new(csq_ship::ThreadedSemiJoin::new(
-                        child, spec, server_end,
-                    )?))
+            Ok(match spec {
+                ShipSpec::SemiJoin(spec) => {
+                    Box::new(csq_ship::ThreadedSemiJoin::new(child, spec, server_end)?)
                 }
-                UdfStrategy::ClientJoin { pushed_preds, .. } => {
-                    let extended = schema.with_field(result_field(graph, *unit));
-                    let mut spec = ClientJoinSpec::new(vec![app]);
-                    spec.pushed_predicate = bind_preds(graph, pushed_preds, &extended)?;
-                    Ok(Box::new(csq_ship::ThreadedClientJoin::new(
-                        child, spec, server_end,
-                    )?))
+                ShipSpec::ClientJoin(spec) => {
+                    Box::new(csq_ship::ThreadedClientJoin::new(child, spec, server_end)?)
                 }
-            }
+            })
         }
     }
 }
@@ -492,33 +513,22 @@ fn run_simulated(
             input,
             unit,
             strategy,
+            ship,
         } => {
             let (schema, rows) = run_simulated(db, graph, input, summary)?;
-            let app = udf_application(graph, *unit, &schema)?;
-            let net = db.network();
-            match strategy {
-                UdfStrategy::SemiJoin { .. } => {
-                    let spec = SemiJoinSpec::new(vec![app], DEFAULT_CONCURRENCY);
-                    let run =
-                        simulate_semijoin(&schema, rows, &spec, db.client_runtime().clone(), &net)?;
-                    summary.absorb(&run);
-                    Ok((schema.with_field(result_field(graph, *unit)), run.rows))
-                }
-                UdfStrategy::ClientJoin { pushed_preds, .. } => {
-                    let extended = schema.with_field(result_field(graph, *unit));
-                    let mut spec = ClientJoinSpec::new(vec![app]);
-                    spec.pushed_predicate = bind_preds(graph, pushed_preds, &extended)?;
-                    let run = simulate_client_join(
-                        &schema,
-                        rows,
-                        &spec,
-                        db.client_runtime().clone(),
-                        &net,
-                    )?;
-                    summary.absorb(&run);
-                    Ok((extended, run.rows))
-                }
-            }
+            let (net, runtime) = (db.network(), db.client_runtime().clone());
+            let (out_schema, run) = match ship_spec(graph, *unit, strategy, *ship, &schema)? {
+                ShipSpec::SemiJoin(spec) => (
+                    spec.output_schema(&schema),
+                    simulate_semijoin(&schema, rows, &spec, runtime, &net)?,
+                ),
+                ShipSpec::ClientJoin(spec) => (
+                    spec.output_schema(&schema),
+                    simulate_client_join(&schema, rows, &spec, runtime, &net)?,
+                ),
+            };
+            summary.absorb(&run);
+            Ok((out_schema, run.rows))
         }
     }
 }

@@ -268,6 +268,72 @@ pub fn optimal_concurrency(
     (total / service).ceil().max(1.0) as usize
 }
 
+/// The shipping parameters of one client-site UDF application: chosen by
+/// the optimizer, carried on the plan's `ApplyUdf` node and read by both
+/// lowerings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShipParams {
+    /// Tuples (distinct arguments, or whole records) per network message.
+    pub tuples_per_message: usize,
+    /// Pipeline concurrency factor `K` (§3.1.2): input tuples between the
+    /// semi-join's sender and receiver.
+    pub concurrency: usize,
+}
+
+/// Bytes one shipping message may carry, in either direction.
+const MESSAGE_BUDGET_BYTES: f64 = 65_536.0;
+
+/// Share of the estimated transfer time that filling the pipeline with
+/// multi-tuple messages may add.
+const PIPELINE_FILL_SHARE: f64 = 0.05;
+
+/// Choose tuples-per-message `m` and the concurrency factor `K` for a
+/// stream of `rows` input tuples of which the fraction `d` is shipped (the
+/// distinct-argument fraction for the semi-join, 1 for the client-site
+/// join). `down_bytes`, `up_bytes` and `client_us` are per shipped tuple.
+///
+/// `m` is as many tuples as fit a 64 KiB message, capped so the pipeline
+/// still overlaps: a message occupies one stage at a time, so `m`-tuple
+/// messages add `(m − 1)` tuples' worth of the non-bottleneck stages to the
+/// one-tuple pipeline, and that may cost at most a twentieth of the
+/// estimated transfer. `K` is [`optimal_concurrency`] taken over those
+/// messages — how many of them the pipeline holds — in input tuples, and at
+/// least two spans: a span wider than `K` serialises one round trip per
+/// message.
+pub fn shipping_params(
+    net: &NetworkSpec,
+    down_bytes: f64,
+    up_bytes: f64,
+    client_us: f64,
+    rows: f64,
+    d: f64,
+) -> ShipParams {
+    let d = if d > 0.0 { d.min(1.0) } else { 1.0 };
+    let shipped = (rows * d).max(1.0);
+    let down_t = down_bytes / net.down_bandwidth * 1e6;
+    let up_t = up_bytes * net.uplink_inflation / net.up_bandwidth * 1e6;
+    let service = down_t.max(up_t).max(client_us);
+    let off_bottleneck = down_t + up_t + client_us - service;
+    let fill = if off_bottleneck > 0.0 {
+        1.0 + PIPELINE_FILL_SHARE * (shipped * service + net.rtt() as f64) / off_bottleneck
+    } else {
+        f64::INFINITY
+    };
+    let fits = MESSAGE_BUDGET_BYTES / down_bytes.max(up_bytes).max(1.0);
+    let m = fits.min(fill).min(shipped).floor().max(1.0);
+    let in_flight = optimal_concurrency(
+        net,
+        (m * down_bytes).ceil() as usize,
+        (m * up_bytes).ceil() as usize,
+        (m * client_us).ceil() as u64,
+    );
+    let span = (m / d).ceil() as usize;
+    ShipParams {
+        tuples_per_message: m as usize,
+        concurrency: in_flight.max(2) * span,
+    }
+}
+
 // ---- grouped-aggregation placement (DESIGN.md §7) --------------------------
 
 /// Where a grouped aggregation's partial phase runs relative to the

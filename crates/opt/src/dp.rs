@@ -82,6 +82,16 @@ impl<'a> Ctx<'a> {
         rows * self.opt.server_tuple_cost * 1e-6
     }
 
+    /// Shipping parameters of one UDF application over `rows` input tuples
+    /// of which the fraction `d` crosses the downlink, `down`/`up` bytes per
+    /// shipped tuple. Both lowerings execute the leave-on-client and
+    /// merged-with-final variants as their plain counterparts, so the bytes
+    /// are those of the plain strategy; no client cost is advertised
+    /// ([`crate::UdfMeta`]), so the client is not the bottleneck (§3.2).
+    fn ship_params(&self, down: f64, up: f64, rows: f64, d: f64) -> csq_cost::ShipParams {
+        csq_cost::shipping_params(&self.opt.net, down, up, 0.0, rows, d)
+    }
+
     /// Column display names referenced by an expression.
     fn cols_of_expr(&self, e: &csq_expr::Expr) -> BTreeSet<String> {
         analysis::columns_referenced(e)
@@ -468,6 +478,7 @@ fn apply_udf_semijoin(
         input: Box::new(s2.plan),
         unit,
         strategy: UdfStrategy::SemiJoin { leave_on_client },
+        ship: ctx.ship_params(arg_bytes, meta.result_bytes, s.rows, d),
     };
     greedy_apply(ctx, &mut s2);
     Some(s2)
@@ -567,6 +578,12 @@ fn apply_udf_client_join(
     } else {
         rows_after * ctx.bytes_of(&needed_after)
     };
+    let ship = ctx.ship_params(
+        ctx.bytes_of(&shipped),
+        sel * ctx.bytes_of(&needed_after),
+        s.rows,
+        1.0,
+    );
 
     let mut s2 = s.clone();
     s2.mask = new_mask;
@@ -586,6 +603,7 @@ fn apply_udf_client_join(
             pushed_preds: pushed,
             merged_with_final,
         },
+        ship,
     };
     greedy_apply(ctx, &mut s2);
     Some(s2)

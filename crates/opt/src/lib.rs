@@ -29,7 +29,7 @@ pub mod rank;
 pub mod shard;
 
 pub use context::{OptContext, TableStats, UdfMeta};
-pub use csq_cost::AggPlacement;
+pub use csq_cost::{AggPlacement, ShipParams};
 pub use dp::{optimize, OptimizedPlan};
 pub use plan::{GatherMode, PlanNode, UdfStrategy};
 pub use query::{AggCall, AggregateSpec, QueryGraph, Unit};

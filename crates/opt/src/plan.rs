@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use csq_cost::AggPlacement;
+use csq_cost::{AggPlacement, ShipParams};
 
 use crate::query::QueryGraph;
 
@@ -73,6 +73,9 @@ pub enum PlanNode {
         /// Unit index of the UDF.
         unit: usize,
         strategy: UdfStrategy,
+        /// Tuples per message and concurrency factor both lowerings ship
+        /// with ([`csq_cost::shipping_params`]).
+        ship: ShipParams,
     },
     /// Server-site selection of the given predicate indices.
     Filter {
@@ -173,6 +176,7 @@ impl PlanNode {
                 input,
                 unit,
                 strategy,
+                ship,
             } => {
                 let how = match strategy {
                     UdfStrategy::SemiJoin {
@@ -196,8 +200,10 @@ impl PlanNode {
                     }
                 };
                 out.push_str(&format!(
-                    "{pad}ApplyUdf {} [{how}]\n",
-                    graph.units[*unit].label()
+                    "{pad}ApplyUdf {} [{how}, {}/msg, K={}]\n",
+                    graph.units[*unit].label(),
+                    ship.tuples_per_message,
+                    ship.concurrency
                 ));
                 input.fmt(graph, notes, depth + 1, out);
             }

@@ -159,10 +159,12 @@ fn wrap_scans(node: PlanNode, graph: &QueryGraph, opt: &OptContext) -> PlanNode 
             input,
             unit,
             strategy,
+            ship,
         } => PlanNode::ApplyUdf {
             input: Box::new(wrap_scans(*input, graph, opt)),
             unit,
             strategy,
+            ship,
         },
         PlanNode::Filter { input, preds } => PlanNode::Filter {
             input: Box::new(wrap_scans(*input, graph, opt)),

@@ -10,7 +10,7 @@
 //! | client-site join (Fig. 4) | [`ThreadedClientJoin`] | [`simulate_client_join`] |
 //!
 //! The threaded backend runs a real sender thread and receiver (the calling
-//! thread) around a bounded buffer whose capacity is the paper's **pipeline
+//! thread) around a bounded buffer sized by the paper's **pipeline
 //! concurrency factor**, talking to a real client thread over a
 //! [`csq_net::Endpoint`]. The virtual-time backend executes the *same*
 //! client code ([`csq_client::service::TaskExecutor`]) and the *same* wire
@@ -23,10 +23,8 @@ pub mod partial;
 pub mod sim;
 pub mod spec;
 pub mod threaded;
-pub mod tuning;
 
 pub use partial::PartialAggSpec;
 pub use sim::{simulate_client_join, simulate_naive, simulate_semijoin, SimRun};
 pub use spec::{ClientJoinSpec, SemiJoinSpec, UdfApplication};
 pub use threaded::{NaiveRemoteUdf, ThreadedClientJoin, ThreadedSemiJoin};
-pub use tuning::ConcurrencyTuner;

@@ -63,7 +63,8 @@ pub struct SemiJoinSpec {
     /// The UDF applications shipped together (shared-argument grouping).
     pub udfs: Vec<UdfApplication>,
     /// Pipeline concurrency factor: max tuples between sender and receiver
-    /// (the bounded buffer size). 1 ≈ tuple-at-a-time.
+    /// (the bounded buffer holds ⌈`concurrency` / `batch_size`⌉ spans).
+    /// 1 ≈ tuple-at-a-time.
     pub concurrency: usize,
     /// Distinct argument tuples per network message.
     pub batch_size: usize,

@@ -2,13 +2,14 @@
 //!
 //! The architecture is Figure 3/4 of the paper: a *sender* thread pulls
 //! input rows, ships argument (or whole-record) batches to the client, and —
-//! for the semi-join — enqueues the full records onto a **bounded buffer**
-//! whose capacity is the pipeline concurrency factor. The *receiver* is the
-//! operator itself (the calling thread): it dequeues records, pairs them
-//! with results arriving from the client, and emits joined rows. The client
-//! runs in its own thread (see [`csq_client::spawn_client`]).
+//! for the semi-join — enqueues the full records, one message's span per
+//! hand-off, onto a **bounded buffer** that holds the pipeline concurrency
+//! factor's worth of spans. The *receiver* is the operator itself (the
+//! calling thread): it dequeues records, pairs them with results arriving
+//! from the client, and emits joined rows. The client runs in its own thread
+//! (see [`csq_client::spawn_client`]).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -22,49 +23,13 @@ use csq_client::{Request, Response};
 
 use crate::spec::{ClientJoinSpec, SemiJoinSpec, UdfApplication};
 
-/// Sender → receiver buffer entries. Keys are `Arc`-shared: the same
-/// projected argument tuple is referenced by the buffer entry, the dedup
-/// set, and the outgoing batch without ever cloning the row.
-enum Pending {
-    /// A record waiting for (or reusing) a UDF result.
-    Rec {
-        row: Row,
-        key: Arc<Row>,
-        /// True when this record's argument tuple was newly shipped — its
-        /// result is the next one in the response stream.
-        fresh: bool,
-    },
-    /// The sender failed (input error or network error).
-    Err(CsqError),
-}
-
-/// Result cache at the receiver: hash cache for unsorted input (one entry
-/// per distinct argument), last-value cache for sorted input (duplicates are
-/// adjacent, so O(1) memory — the "merge-join" receiver of §2.3.1).
-enum ResultCache {
-    Hash(HashMap<Arc<Row>, Row>),
-    Last(Option<(Arc<Row>, Row)>),
-}
-
-impl ResultCache {
-    fn insert(&mut self, key: Arc<Row>, result: Row) {
-        match self {
-            ResultCache::Hash(m) => {
-                m.insert(key, result);
-            }
-            ResultCache::Last(slot) => *slot = Some((key, result)),
-        }
-    }
-
-    fn get(&self, key: &Row) -> Option<&Row> {
-        match self {
-            ResultCache::Hash(m) => m.get(key),
-            ResultCache::Last(slot) => match slot {
-                Some((k, r)) if k.as_ref() == key => Some(r),
-                _ => None,
-            },
-        }
-    }
+/// A record in the sender → receiver buffer.
+struct Rec {
+    row: Row,
+    /// Shipping ordinal of the record's argument tuple: the sender numbers
+    /// distinct arguments in the order it ships them, which is the order
+    /// their results come back in.
+    arg: usize,
 }
 
 /// Receive one response message and decode it to its rows; `closed` is the
@@ -85,9 +50,20 @@ fn recv_rows(net_rx: &NetReceiver, closed: &str) -> Result<Vec<Row>> {
 /// receiver pulling matched rows.
 pub struct ThreadedSemiJoin {
     schema: Arc<Schema>,
-    buffer_rx: Receiver<Pending>,
+    /// One item per hand-off: the records of a shipped span, or the
+    /// sender's failure (input error or network error).
+    buffer_rx: Receiver<Result<Vec<Rec>>>,
+    /// The span being paired.
+    span: std::vec::IntoIter<Rec>,
     net_rx: NetReceiver,
-    cache: ResultCache,
+    /// Results by shipping ordinal, from `received - results.len()` up:
+    /// every one for unsorted input, the latest for sorted input
+    /// (duplicates are adjacent, so O(1) memory — the "merge-join" receiver
+    /// of §2.3.1).
+    results: Vec<Row>,
+    /// Results taken off the response stream so far.
+    received: usize,
+    sorted: bool,
     results_fifo: VecDeque<Row>,
     sender: Option<JoinHandle<()>>,
     failed: bool,
@@ -105,14 +81,11 @@ impl ThreadedSemiJoin {
         let schema = Arc::new(spec.output_schema(&input_schema));
         let task = spec.client_task(&input_schema)?;
         let (net_tx, net_rx) = endpoint.split();
-        let (buffer_tx, buffer_rx) = bounded(spec.concurrency);
-        let cache = if spec.sorted {
-            ResultCache::Last(None)
-        } else {
-            ResultCache::Hash(HashMap::new())
-        };
         let arg_cols = spec.arg_union(input_schema.len());
         let batch_size = spec.batch_size.max(1);
+        // K is in tuples and a hand-off is a span of `batch_size` shipped
+        // arguments, so the buffer holds ⌈K/m⌉ of them.
+        let (buffer_tx, buffer_rx) = bounded(spec.concurrency.div_ceil(batch_size));
         let sorted = spec.sorted;
         let sender = std::thread::Builder::new()
             .name("csq-sj-sender".into())
@@ -123,8 +96,11 @@ impl ThreadedSemiJoin {
         Ok(ThreadedSemiJoin {
             schema,
             buffer_rx,
+            span: Vec::new().into_iter(),
             net_rx,
-            cache,
+            results: Vec::new(),
+            received: 0,
+            sorted,
             results_fifo: VecDeque::new(),
             sender: Some(sender),
             failed: false,
@@ -144,20 +120,45 @@ impl ThreadedSemiJoin {
     }
 
     /// Pair one buffered record with its UDF result: the next row of the
-    /// response stream for a fresh argument, the cached one for a duplicate.
-    fn pair(&mut self, row: Row, key: Arc<Row>, fresh: bool) -> Result<Row> {
-        if fresh {
+    /// response stream for a newly shipped argument, the kept one for a
+    /// duplicate.
+    fn pair(&mut self, rec: Rec) -> Result<Row> {
+        if rec.arg == self.received {
             let result = self.next_result()?;
-            self.cache.insert(key.clone(), result);
+            if self.sorted {
+                self.results.clear();
+            }
+            self.results.push(result);
+            self.received += 1;
         }
-        let result = self.cache.get(key.as_ref()).ok_or_else(|| {
-            CsqError::Exec(
-                "semi-join receiver: missing cached result for duplicate \
-                 argument (sender/receiver protocol violation)"
-                    .into(),
-            )
-        })?;
-        Ok(row.join(result))
+        let first = self.received - self.results.len();
+        let result = rec
+            .arg
+            .checked_sub(first)
+            .and_then(|i| self.results.get(i))
+            .ok_or_else(|| {
+                CsqError::Exec(
+                    "semi-join receiver: no result received for a record's \
+                     argument (sender/receiver protocol violation)"
+                        .into(),
+                )
+            })?;
+        Ok(rec.row.join(result))
+    }
+
+    /// The next buffered record: from the span in hand, else from the next
+    /// hand-off. `None` once the sender has finished and the buffer drained.
+    fn next_rec(&mut self) -> Option<Result<Rec>> {
+        loop {
+            if let Some(rec) = self.span.next() {
+                return Some(Ok(rec));
+            }
+            match self.buffer_rx.recv() {
+                Ok(Ok(span)) => self.span = span.into_iter(),
+                Ok(Err(e)) => return Some(Err(e)),
+                Err(_) => return None,
+            }
+        }
     }
 
     fn join_sender(&mut self) {
@@ -178,17 +179,16 @@ impl Operator for ThreadedSemiJoin {
         }
         let mut rows = Vec::new();
         while rows.len() < DEFAULT_BATCH_SIZE {
-            let joined = match self.buffer_rx.recv() {
-                Err(_) => {
-                    // Sender finished and the buffer drained.
+            let joined = match self.next_rec() {
+                None => {
                     self.join_sender();
                     break;
                 }
-                Ok(Pending::Err(e)) => {
+                Some(Err(e)) => {
                     self.join_sender();
                     Err(e)
                 }
-                Ok(Pending::Rec { row, key, fresh }) => self.pair(row, key, fresh),
+                Some(Ok(rec)) => self.pair(rec),
             };
             match joined {
                 Ok(row) => rows.push(row),
@@ -208,13 +208,14 @@ impl Operator for ThreadedSemiJoin {
 }
 
 /// Sender-thread body for the semi-join — the loop of Figure 3: dedup,
-/// stage the open span, send its message, push its records into the bounded
-/// buffer. Consumes the input operator one [`RowBatch`] at a time (the
-/// sorted mode wraps it in a `Sort`, which itself streams batches out of its
-/// materialized buffer); argument keys are `Arc`-shared between the dedup
-/// set, the wire batch, and the buffer records, so the hot loop never clones
-/// a row. A span's records enter the buffer only after its message is on
-/// the wire — the sender/receiver pairing protocol.
+/// stage the record, send the open span's message, hand the staged records
+/// to the bounded buffer. Consumes the input operator one [`RowBatch`] at a
+/// time (the sorted mode wraps it in a `Sort`, which itself streams batches
+/// out of its materialized buffer). A distinct argument is hashed once, when
+/// it is numbered; the receiver finds its result by that number. Records
+/// enter the buffer only after every argument they refer to is on the wire
+/// — the sender/receiver pairing protocol — and one hand-off carries all of
+/// a message's records.
 fn semijoin_sender(
     input: Box<dyn Operator + Send>,
     task: csq_client::ClientTask,
@@ -222,10 +223,10 @@ fn semijoin_sender(
     batch_size: usize,
     sorted: bool,
     net_tx: NetSender,
-    buffer_tx: Sender<Pending>,
+    buffer_tx: Sender<Result<Vec<Rec>>>,
 ) {
     if net_tx.send(Request::Install(task).encode()).is_err() {
-        let _ = buffer_tx.send(Pending::Err(CsqError::Net("client unreachable".into())));
+        let _ = buffer_tx.send(Err(CsqError::Net("client unreachable".into())));
         return;
     }
 
@@ -236,18 +237,23 @@ fn semijoin_sender(
         input
     };
 
-    let mut seen: HashSet<Arc<Row>> = HashSet::new();
+    // Shipping ordinals of the arguments seen (unsorted input), or the
+    // latest argument (sorted input: a duplicate is adjacent).
+    let mut seen: HashMap<Arc<Row>, usize> = HashMap::new();
     let mut prev_key: Option<Arc<Row>> = None;
-    // The open span: fresh arguments not yet sent, and every record since
-    // the first of them.
+    // Arguments numbered so far.
+    let mut shipped = 0usize;
+    // The open span's arguments, not yet sent, and the records staged since
+    // the last hand-off.
     let mut batch_args: Vec<Arc<Row>> = Vec::with_capacity(batch_size);
-    let mut batch_records: Vec<Pending> = Vec::new();
-    // Send the open span's message, then release its records. False when
-    // the client or the receiver (e.g. under a LIMIT) is gone: stop quietly.
-    let ship_span = |args: &mut Vec<Arc<Row>>, records: &mut Vec<Pending>| {
+    let mut staged: Vec<Rec> = Vec::new();
+    // Send the open span's message, then release the staged records. False
+    // when the client or the receiver (e.g. under a LIMIT) is gone: stop
+    // quietly.
+    let ship_span = |args: &mut Vec<Arc<Row>>, staged: &mut Vec<Rec>| {
         let msg = Request::encode_batch(args.iter().map(|a| a.as_ref()));
         args.clear();
-        net_tx.send(msg).is_ok() && records.drain(..).all(|rec| buffer_tx.send(rec).is_ok())
+        net_tx.send(msg).is_ok() && buffer_tx.send(Ok(std::mem::take(staged))).is_ok()
     };
 
     loop {
@@ -255,41 +261,41 @@ fn semijoin_sender(
             Ok(Some(b)) => b,
             Ok(None) => break,
             Err(e) => {
-                // The unsent span dies with the input; the error follows
+                // What is staged dies with the input; the error follows
                 // exactly what was delivered.
-                let _ = buffer_tx.send(Pending::Err(e));
+                let _ = buffer_tx.send(Err(e));
                 return;
             }
         };
         for row in batch.into_rows() {
             let key = Arc::new(row.project(&arg_cols));
-            let fresh = if sorted {
-                let is_new = prev_key.as_deref() != Some(key.as_ref());
-                if is_new {
-                    prev_key = Some(key.clone());
-                }
-                is_new
+            let arg = if !sorted {
+                *seen.entry(key.clone()).or_insert(shipped)
+            } else if prev_key.as_ref() == Some(&key) {
+                shipped - 1
             } else {
-                seen.insert(key.clone())
+                prev_key = Some(key.clone());
+                shipped
             };
-            if fresh {
-                batch_args.push(key.clone());
+            if arg == shipped {
+                shipped += 1;
+                batch_args.push(key);
             }
-            let rec = Pending::Rec { row, key, fresh };
-            // A record in the open span waits for the span's message. With
-            // no span open it repeats an already-shipped argument and goes
-            // straight to the buffer: its result is in flight or cached.
-            if !batch_args.is_empty() {
-                batch_records.push(rec);
-            } else if buffer_tx.send(rec).is_err() {
-                return;
-            }
-            if batch_args.len() >= batch_size && !ship_span(&mut batch_args, &mut batch_records) {
+            staged.push(Rec { row, arg });
+            if batch_args.len() >= batch_size && !ship_span(&mut batch_args, &mut staged) {
                 return;
             }
         }
+        // With no span open, what is staged repeats shipped arguments: its
+        // results are in flight or kept, so it need not wait for a message.
+        if batch_args.is_empty()
+            && !staged.is_empty()
+            && buffer_tx.send(Ok(std::mem::take(&mut staged))).is_err()
+        {
+            return;
+        }
     }
-    if !batch_args.is_empty() && !ship_span(&mut batch_args, &mut batch_records) {
+    if !batch_args.is_empty() && !ship_span(&mut batch_args, &mut staged) {
         return;
     }
     let _ = net_tx.send(Request::Finish.encode());
@@ -941,54 +947,69 @@ mod tests {
     #[test]
     fn early_drop_of_receiver_shuts_pipeline_down() {
         // LIMIT-style early termination: dropping the operator with most of
-        // its input still unsent must not hang.
-        let (server, client, _) = in_memory_duplex();
-        let handle = spawn_client(runtime(), client).unwrap();
-        let n = 3 * DEFAULT_BATCH_SIZE;
-        let input = Box::new(RowsOp::new(input_schema(), rows(n, n)));
-        let mut op =
-            ThreadedSemiJoin::new(input, SemiJoinSpec::new(vec![analyze_app()], 2), server)
-                .unwrap();
-        let first = op.next_batch().unwrap().unwrap();
-        assert_eq!(first.len(), DEFAULT_BATCH_SIZE);
-        assert_eq!(first.rows()[0].value(0), &Value::Int(0));
-        drop(op);
-        let _ = handle.join().unwrap();
+        // its input still unsent must not hang. The buffer holds one hand-off
+        // (K = 2 tuples at 1 or 8 per message), so the sender is blocked on a
+        // record, or on a whole span, when the receiver goes away.
+        for batch_size in [1, 8] {
+            let (server, client, _) = in_memory_duplex();
+            let handle = spawn_client(runtime(), client).unwrap();
+            let n = 3 * DEFAULT_BATCH_SIZE;
+            let input = Box::new(RowsOp::new(input_schema(), rows(n, n)));
+            let mut spec = SemiJoinSpec::new(vec![analyze_app()], 2);
+            spec.batch_size = batch_size;
+            let mut op = ThreadedSemiJoin::new(input, spec, server).unwrap();
+            let first = op.next_batch().unwrap().unwrap();
+            assert_eq!(first.len(), DEFAULT_BATCH_SIZE);
+            assert_eq!(first.rows()[0].value(0), &Value::Int(0));
+            drop(op);
+            let _ = handle.join().unwrap();
+        }
     }
 
     #[test]
     fn client_join_latches_after_codec_error() {
-        // A hand-rolled client answers the first two record batches with a
-        // malformed frame and a well-formed one: the pull that decodes the
-        // garbage fails typed, and no later pull may take the next ticket
-        // and hand out the rows behind the corrupt chunk.
-        let (server, client, _) = in_memory_duplex();
-        let fake = std::thread::spawn(move || {
-            let mut batches = 0;
-            while let Some(buf) = client.recv() {
-                if !matches!(Request::decode(&buf), Ok(Request::Batch(_))) {
-                    continue;
+        // A hand-rolled client answers the first two four-tuple batches with
+        // a malformed frame and a well-formed one: the pull that decodes the
+        // garbage fails typed, and no later pull may take the next ticket (or
+        // span) and hand out the rows behind the corrupt chunk.
+        type Input = Box<dyn Operator + Send>;
+        let check = |make: &dyn Fn(Input, Endpoint) -> Box<dyn Operator>| {
+            let (server, client, _) = in_memory_duplex();
+            let fake = std::thread::spawn(move || {
+                let mut batches = 0;
+                while let Some(buf) = client.recv() {
+                    if !matches!(Request::decode(&buf), Ok(Request::Batch(_))) {
+                        continue;
+                    }
+                    batches += 1;
+                    let reply = match batches {
+                        1 => vec![0xff, 0xff, 0xff],
+                        _ => Response::Batch(rows(4, 4)).encode(),
+                    };
+                    if client.send(reply).is_err() {
+                        break;
+                    }
                 }
-                batches += 1;
-                let reply = match batches {
-                    1 => vec![0xff, 0xff, 0xff],
-                    _ => Response::Batch(rows(1, 1)).encode(),
-                };
-                if client.send(reply).is_err() {
-                    break;
-                }
+            });
+            let input = Box::new(RowsOp::new(input_schema(), rows(12, 12)));
+            let mut op = make(input, server);
+            assert_eq!(op.next_batch().unwrap_err().kind(), "codec");
+            for _ in 0..3 {
+                assert!(op.next_batch().unwrap().is_none());
             }
+            drop(op);
+            fake.join().unwrap();
+        };
+        check(&|input, server| {
+            let mut spec = ClientJoinSpec::new(vec![analyze_app()]);
+            spec.batch_size = 4;
+            Box::new(ThreadedClientJoin::new(input, spec, server).unwrap())
         });
-        let mut spec = ClientJoinSpec::new(vec![analyze_app()]);
-        spec.batch_size = 4;
-        let input = Box::new(RowsOp::new(input_schema(), rows(12, 12)));
-        let mut op = ThreadedClientJoin::new(input, spec, server).unwrap();
-        assert_eq!(op.next_batch().unwrap_err().kind(), "codec");
-        for _ in 0..3 {
-            assert!(op.next_batch().unwrap().is_none());
-        }
-        drop(op);
-        fake.join().unwrap();
+        check(&|input, server| {
+            let mut spec = SemiJoinSpec::new(vec![analyze_app()], 8);
+            spec.batch_size = 4;
+            Box::new(ThreadedSemiJoin::new(input, spec, server).unwrap())
+        });
     }
 
     #[test]

@@ -63,15 +63,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &net,
     )?;
 
-    // Semi-join with a properly sized pipeline (§2.3.1).
-    let k = csq_cost::optimal_concurrency(&net, 1005, 2005, 0);
-    let sj = simulate_semijoin(
-        &schema,
-        rows.clone(),
-        &SemiJoinSpec::new(vec![screen.clone(), analyze.clone()], k),
-        runtime(),
-        &net,
-    )?;
+    // Semi-join with the messages and pipeline the optimizer would plan
+    // (§2.3.1, §3.1.2): 1 005-byte arguments down, 2 005-byte reports up.
+    let ship = csq_cost::shipping_params(&net, 1005.0, 2005.0, 0.0, rows.len() as f64, 1.0);
+    let mut sj_spec = SemiJoinSpec::new(vec![screen.clone(), analyze.clone()], ship.concurrency);
+    sj_spec.batch_size = ship.tuples_per_message;
+    let sj = simulate_semijoin(&schema, rows.clone(), &sj_spec, runtime(), &net)?;
 
     // Client-site join with the screen pushed down (§2.3.2): only survivors'
     // names + reports return.
@@ -90,7 +87,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for (name, run, rows_out) in [
         ("naive tuple-at-a-time", &naive, naive.rows.len()),
-        (&format!("semi-join (K={k})"), &sj, sj.rows.len()),
+        (
+            &format!("semi-join ({}/msg)", ship.tuples_per_message),
+            &sj,
+            sj.rows.len(),
+        ),
         ("client-site join", &csj, csj.rows.len()),
     ] {
         println!(

@@ -69,38 +69,66 @@ fn threaded_sj(spec: SemiJoinSpec, data: Vec<Row>) -> (Vec<Row>, u64, u64, u64, 
 
 #[test]
 fn semijoin_bytes_match_between_backends() {
-    for (n, distinct, batch) in [(30, 30, 1), (30, 5, 1), (24, 24, 4), (25, 7, 3)] {
+    // (rows, distinct arguments, tuples per message, K). The last four ship
+    // messages wider than the bounded buffer (K < m: it holds one span), and
+    // the last two follow their five arguments with a run of 55 duplicates —
+    // longer than any span — that reaches the buffer with no message of its
+    // own.
+    for (n, distinct, batch, k) in [
+        (30, 30, 1, 6),
+        (30, 5, 1, 6),
+        (24, 24, 4, 6),
+        (25, 7, 3, 6),
+        (40, 40, 8, 4),
+        (40, 40, 8, 1),
+        (60, 5, 8, 4),
+        (60, 5, 2, 1),
+    ] {
         let data = rows(n, distinct, 120);
-        let mut spec = SemiJoinSpec::new(vec![analyze()], 6);
+        let mut spec = SemiJoinSpec::new(vec![analyze()], k);
         spec.batch_size = batch;
         let (t_rows, t_down, t_up, t_dm, t_um) = threaded_sj(spec.clone(), data.clone());
         let sim =
             simulate_semijoin(&schema(), data, &spec, runtime(), &NetworkSpec::lan()).unwrap();
-        assert_eq!(t_rows, sim.rows, "rows (n={n}, d={distinct}, b={batch})");
-        assert_eq!(t_down, sim.down_bytes, "down bytes");
-        assert_eq!(t_up, sim.up_bytes, "up bytes");
-        assert_eq!(t_dm, sim.down_messages, "down msgs");
-        assert_eq!(t_um, sim.up_messages, "up msgs");
+        let what = format!("n={n}, d={distinct}, b={batch}, k={k}");
+        assert_eq!(t_rows, sim.rows, "rows ({what})");
+        assert_eq!(t_down, sim.down_bytes, "down bytes ({what})");
+        assert_eq!(t_up, sim.up_bytes, "up bytes ({what})");
+        assert_eq!(t_dm, sim.down_messages, "down msgs ({what})");
+        assert_eq!(t_um, sim.up_messages, "up msgs ({what})");
+        // Install, one message per `batch` distinct arguments, finish.
+        assert_eq!(t_dm, 2 + distinct.div_ceil(batch) as u64, "{what}");
     }
 }
 
 #[test]
 fn semijoin_sorted_bytes_match() {
-    let data = rows(40, 8, 100);
-    let mut spec = SemiJoinSpec::new(vec![analyze()], 5);
-    spec.sorted = true;
-    let (t_rows, t_down, t_up, _, _) = threaded_sj(spec.clone(), data.clone());
-    let sim = simulate_semijoin(&schema(), data, &spec, runtime(), &NetworkSpec::lan()).unwrap();
-    assert_eq!(t_rows, sim.rows);
-    assert_eq!(t_down, sim.down_bytes);
-    assert_eq!(t_up, sim.up_bytes);
+    // Sorted input makes every argument a run of adjacent duplicates (5, 5
+    // and 10 records here); with 8 per message a span is several runs and
+    // wider than the buffer.
+    for (distinct, batch, k) in [(8, 1, 5), (8, 8, 4), (4, 8, 1)] {
+        let data = rows(40, distinct, 100);
+        let mut spec = SemiJoinSpec::new(vec![analyze()], k);
+        spec.batch_size = batch;
+        spec.sorted = true;
+        let (t_rows, t_down, t_up, t_dm, t_um) = threaded_sj(spec.clone(), data.clone());
+        let sim =
+            simulate_semijoin(&schema(), data, &spec, runtime(), &NetworkSpec::lan()).unwrap();
+        let what = format!("d={distinct}, b={batch}, k={k}");
+        assert_eq!(t_rows, sim.rows, "{what}");
+        assert_eq!(t_down, sim.down_bytes, "{what}");
+        assert_eq!(t_up, sim.up_bytes, "{what}");
+        assert_eq!(t_dm, sim.down_messages, "{what}");
+        assert_eq!(t_um, sim.up_messages, "{what}");
+    }
 }
 
 #[test]
 fn client_join_bytes_match_between_backends() {
     let keep = UdfApplication::new("Keep", vec![1], Field::new("keep", DataType::Bool));
-    for batch in [1usize, 4] {
-        let data = rows(32, 32, 90);
+    // The last ships runs of duplicate arguments in chunks that end mid-run.
+    for (distinct, batch) in [(32, 1), (32, 4), (32, 8), (3, 5)] {
+        let data = rows(32, distinct, 90);
         let mut spec = ClientJoinSpec::new(vec![keep.clone()]);
         spec.batch_size = batch;
         spec.pushed_predicate = Some(PhysExpr::Binary {
@@ -120,11 +148,13 @@ fn client_join_bytes_match_between_backends() {
 
         let sim =
             simulate_client_join(&schema(), data, &spec, runtime(), &NetworkSpec::lan()).unwrap();
-        assert_eq!(t_rows, sim.rows, "batch={batch}");
-        assert_eq!(stats.down_bytes(), sim.down_bytes);
-        assert_eq!(stats.up_bytes(), sim.up_bytes);
-        assert_eq!(stats.down_messages(), sim.down_messages);
-        assert_eq!(stats.up_messages(), sim.up_messages);
+        let what = format!("d={distinct}, b={batch}");
+        assert_eq!(t_rows, sim.rows, "{what}");
+        assert_eq!(stats.down_bytes(), sim.down_bytes, "{what}");
+        assert_eq!(stats.up_bytes(), sim.up_bytes, "{what}");
+        assert_eq!(stats.down_messages(), sim.down_messages, "{what}");
+        assert_eq!(stats.up_messages(), sim.up_messages, "{what}");
+        assert_eq!(stats.up_messages(), 32u64.div_ceil(batch as u64), "{what}");
     }
 }
 

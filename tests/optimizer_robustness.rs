@@ -1,6 +1,5 @@
 //! Optimizer + engine robustness beyond the paper's example queries:
-//! pure-relational queries, three-way joins, cross-relation UDF arguments,
-//! and adaptive concurrency tuning on simulated observations.
+//! pure-relational queries, three-way joins and cross-relation UDF arguments.
 
 use std::sync::Arc;
 
@@ -8,7 +7,6 @@ use csq_client::synthetic::ObjectUdf;
 use csq_common::{Blob, DataType, Value};
 use csq_core::Database;
 use csq_net::NetworkSpec;
-use csq_ship::ConcurrencyTuner;
 use csq_storage::TableBuilder;
 
 fn three_table_db() -> Database {
@@ -126,30 +124,4 @@ fn ambiguous_unqualified_column_is_rejected() {
         .execute("SELECT tag FROM B B, C C WHERE B.tag = C.tag")
         .unwrap_err();
     assert!(matches!(err.kind(), "plan" | "catalog"), "{err}");
-}
-
-#[test]
-fn tuner_converges_on_simulated_observations() {
-    // Drive the adaptive tuner with per-message observations derived from
-    // the network spec, as the threaded engine would; it should land near
-    // the analytic optimum.
-    let net = NetworkSpec::cable_asymmetric();
-    let arg_bytes = 1000usize;
-    let result_bytes = 500usize;
-    let analytic = csq_cost::optimal_concurrency(&net, arg_bytes, result_bytes, 0);
-
-    let down_tx = (arg_bytes as f64 / net.down_bandwidth * 1e6) as u64;
-    let up_tx = (result_bytes as f64 / net.up_bandwidth * 1e6) as u64;
-    let service = down_tx.max(up_tx);
-    let total = down_tx + net.down_latency + up_tx + net.up_latency;
-
-    let mut tuner = ConcurrencyTuner::default();
-    for _ in 0..32 {
-        tuner.observe(service, total);
-    }
-    let k = tuner.recommend();
-    assert!(
-        (k as f64 / analytic as f64 - 1.0).abs() < 0.34,
-        "tuner {k} vs analytic {analytic}"
-    );
 }

@@ -229,3 +229,107 @@ proptest! {
         });
     }
 }
+
+/// ROADMAP 4(a)'s acceptance, and what replaced the online tuner as the
+/// check on §3.1.2: over random links, tuple and result sizes, client costs
+/// and duplicate ratios, the shipping parameters the plan would carry
+/// (`csq_cost::shipping_params`) run within 10 % of the best point of a
+/// small `(m, K)` grid in the simulator, never lose more than one message's
+/// transit to the one-tuple pipeline at the analytic K, and change no row.
+#[test]
+fn chosen_shipping_parameters_hold_up_in_the_simulator() {
+    use csq_client::UdfCost;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    let mut rng = StdRng::seed_from_u64(0x5eed_0024);
+    let log_uniform = |rng: &mut StdRng, lo: f64, hi: f64| rng.gen_range(lo.ln()..hi.ln()).exp();
+    let schema = Schema::new(vec![
+        Field::new("id", DataType::Int),
+        Field::new("arg", DataType::Blob),
+    ]);
+    let app = UdfApplication::new("F", vec![1], Field::new("r", DataType::Blob));
+
+    for case in 0..64 {
+        let down_bandwidth = log_uniform(&mut rng, 1e3, 1e7);
+        let asymmetry = log_uniform(&mut rng, 1.0, 100.0);
+        let latency = match rng.gen_range(0..4u32) {
+            0 => 0,
+            _ => rng.gen_range(0..=1_000_000u64),
+        };
+        let net = NetworkSpec::asymmetric(down_bandwidth, asymmetry, latency);
+        let arg_size = log_uniform(&mut rng, 8.0, 4_000.0) as usize;
+        let result_size = log_uniform(&mut rng, 8.0, 4_000.0) as usize;
+        let client_us = match rng.gen_range(0..3u32) {
+            0 => 0.0,
+            _ => log_uniform(&mut rng, 10.0, 100_000.0).floor(),
+        };
+        let n = rng.gen_range(40..400usize);
+        let distinct = ((n as f64 * rng.gen_range(0.05..1.0)) as usize).max(1);
+        let rows: Vec<Row> = (0..n)
+            .map(|i| {
+                Row::new(vec![
+                    Value::Int(i as i64),
+                    Value::Blob(Blob::synthetic(arg_size, (i * distinct / n) as u64)),
+                ])
+            })
+            .collect();
+        let run = |m: usize, k: usize| {
+            let rt = ClientRuntime::new();
+            rt.register(Arc::new(ObjectUdf::sized("F", result_size).with_cost(
+                UdfCost {
+                    fixed_us: client_us,
+                    per_byte_us: 0.0,
+                },
+            )))
+            .unwrap();
+            let mut spec = SemiJoinSpec::new(vec![app.clone()], k);
+            spec.batch_size = m;
+            simulate_semijoin(&schema, rows.clone(), &spec, Arc::new(rt), &net).unwrap()
+        };
+
+        // One blob on each link per shipped tuple.
+        let (down_bytes, up_bytes) = (5 + arg_size, 5 + result_size);
+        let analytic = csq_cost::optimal_concurrency(&net, down_bytes, up_bytes, client_us as u64);
+        let plan = csq_cost::shipping_params(
+            &net,
+            down_bytes as f64,
+            up_bytes as f64,
+            client_us,
+            n as f64,
+            distinct as f64 / n as f64,
+        );
+        let what = format!(
+            "case {case}: {net:?}, arg {arg_size} B, result {result_size} B, \
+             client {client_us} µs, {distinct}/{n} distinct, plan {plan:?}, analytic K {analytic}"
+        );
+
+        let chosen = run(plan.tuples_per_message, plan.concurrency);
+        let one_tuple = run(1, analytic);
+        assert_eq!(chosen.rows, one_tuple.rows, "{what}");
+        let mut best = u64::MAX;
+        for m in [1, 4, 16, 64, 256] {
+            for scale in [1, 2, 8] {
+                let point = run(m, scale * analytic);
+                assert_eq!(point.rows, chosen.rows, "m={m}, K={scale}x; {what}");
+                best = best.min(point.elapsed_us);
+            }
+        }
+        assert!(
+            chosen.elapsed_us as f64 <= best as f64 * 1.10,
+            "chosen {} µs vs best grid point {best} µs; {what}",
+            chosen.elapsed_us
+        );
+
+        let m = plan.tuples_per_message;
+        let transit = net.make_downlink().tx_time(5 + m * down_bytes)
+            + net.make_uplink().tx_time(5 + m * up_bytes)
+            + m as u64 * client_us as u64
+            + net.rtt();
+        assert!(
+            chosen.elapsed_us <= one_tuple.elapsed_us + transit,
+            "chosen {} µs vs one-tuple {} µs + one message's transit {transit} µs; {what}",
+            chosen.elapsed_us,
+            one_tuple.elapsed_us
+        );
+    }
+}

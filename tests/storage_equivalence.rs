@@ -872,12 +872,12 @@ mod pinned {
     }
 
     /// The paper's two shipping strategies over a scan: rows agree with the
-    /// simulated backend, and what the simulated link carries is what it
-    /// carried before scans filtered rows or pruned columns (the byte counts
-    /// are the parent commit's) — the scans under an `ApplyUdf` are not
-    /// narrowed, so the client-site join still ships the whole record. The
-    /// threaded side of that is pinned where its operator tree can be seen,
-    /// in `csq_core`'s `lower` tests.
+    /// simulated backend, and the payload the simulated link carries is what
+    /// it carried before scans filtered rows or pruned columns, and before
+    /// the plan chose how many tuples share a message — the scans under an
+    /// `ApplyUdf` are not narrowed, so the client-site join still ships the
+    /// whole record. The threaded side of that is pinned where its operator
+    /// tree can be seen, in `csq_core`'s `lower` tests.
     #[test]
     fn shipping_plans_move_the_bytes_they_moved_before() {
         use csq_client::synthetic::RatingUdf;
@@ -930,14 +930,14 @@ mod pinned {
                 .with_selectivity(0.01),
         );
 
-        for (db, sql, marker, down, up) in [
-            (&semi_db, semijoin, "[semi-join", SEMIJOIN_DOWN, SEMIJOIN_UP),
+        for (db, sql, marker, before, now) in [
+            (&semi_db, semijoin, "[semi-join", SEMIJOIN_BEFORE, SEMIJOIN),
             (
                 &join_db,
                 clientjoin,
                 "[client-site join",
-                CLIENTJOIN_DOWN,
-                CLIENTJOIN_UP,
+                CLIENTJOIN_BEFORE,
+                CLIENTJOIN,
             ),
         ] {
             let plan = db.explain(sql).unwrap();
@@ -946,16 +946,73 @@ mod pinned {
             let (simulated, sim) = db.execute_simulated(sql).unwrap();
             assert!(!threaded.rows.is_empty());
             assert_eq!(sorted(threaded.rows), sorted(simulated.rows), "{sql}");
-            assert_eq!((sim.down_bytes, sim.up_bytes), (down, up), "{marker}");
+            let ran = Shipped {
+                down_bytes: sim.down_bytes,
+                up_bytes: sim.up_bytes,
+                down_messages: sim.down_messages,
+                up_messages: sim.up_messages,
+            };
+            // Payload bytes do not move: a link carries fewer bytes than at
+            // one tuple per message by exactly the headers of the messages
+            // it no longer sends.
+            assert_eq!(
+                before.down_bytes - ran.down_bytes,
+                BATCH_HEADER_BYTES * (before.down_messages - ran.down_messages),
+                "{marker}: {ran:?}"
+            );
+            assert_eq!(
+                before.up_bytes - ran.up_bytes,
+                BATCH_HEADER_BYTES * (before.up_messages - ran.up_messages),
+                "{marker}: {ran:?}"
+            );
+            assert_eq!(ran, now, "{marker}");
         }
     }
 
-    /// Simulated link bytes of the two shipping queries above, recorded at
-    /// the parent commit.
-    const SEMIJOIN_DOWN: u64 = 591_684;
-    const SEMIJOIN_UP: u64 = 8_550;
-    const CLIENTJOIN_DOWN: u64 = 1_691_880;
-    const CLIENTJOIN_UP: u64 = 620_412;
+    /// What the simulated links carried for one shipping query.
+    #[derive(Debug, PartialEq)]
+    struct Shipped {
+        down_bytes: u64,
+        up_bytes: u64,
+        down_messages: u64,
+        up_messages: u64,
+    }
+
+    /// A batch message is a tag byte and a 4-byte row count ahead of its rows.
+    const BATCH_HEADER_BYTES: u64 = 5;
+
+    /// The two shipping queries above at one tuple per message — the bytes are
+    /// the constants committed before the plan chose tuples-per-message. 950
+    /// rows pass the server predicate and carry 475 distinct `Quotes`: the
+    /// semi-join sent one message per distinct argument and the client-site
+    /// join one per record, each answered by one; install, finish and the
+    /// final delivery are the other three on the downlink.
+    const SEMIJOIN_BEFORE: Shipped = Shipped {
+        down_bytes: 591_684,
+        up_bytes: 8_550,
+        down_messages: 475 + 3,
+        up_messages: 475,
+    };
+    const CLIENTJOIN_BEFORE: Shipped = Shipped {
+        down_bytes: 1_691_880,
+        up_bytes: 620_412,
+        down_messages: 950 + 3,
+        up_messages: 950,
+    };
+
+    /// The same at the plan's parameters.
+    const SEMIJOIN: Shipped = Shipped {
+        down_bytes: 589_349,
+        up_bytes: 6_215,
+        down_messages: 8 + 3,
+        up_messages: 8,
+    };
+    const CLIENTJOIN: Shipped = Shipped {
+        down_bytes: 1_687_265,
+        up_bytes: 615_797,
+        down_messages: 27 + 3,
+        up_messages: 27,
+    };
 
     /// Statistics are read under one lock acquisition, so a reader racing a
     /// writer never sees a zone list from one instant and a row count from
