@@ -105,14 +105,14 @@ macro_rules! batch_operator {
 }
 pub(crate) use batch_operator;
 
-/// Batch-native scan over a table's columnar segments and insert tail with
-/// the filter's pushable prefix — a compiled [`FilterSpec`] — pushed into it
-/// (DESIGN.md §11): zone maps skip whole segments before any column data is
-/// touched, the surviving segments' typed lanes and the tail are tested row
-/// by row, and what comes out of a sealed segment is a lane-backed batch —
-/// the lanes of the columns asked for, shared, plus the selection of rows
-/// the spec does not provably reject — whose rows are built only if an
-/// operator above asks for them (DESIGN.md §2). The [`Filter`] above —
+/// Batch-native scan over a table's columnar segments and its tail's runs
+/// with the filter's pushable prefix — a compiled [`FilterSpec`] — pushed
+/// into it (DESIGN.md §11): zone maps skip whole segments and runs before
+/// any column data is touched, the survivors' typed lanes are tested row by
+/// row, and what comes out is a lane-backed batch — the lanes of the
+/// columns asked for, shared, plus the selection of rows the spec does not
+/// provably reject — whose rows are built only if an operator above asks
+/// for them (DESIGN.md §2). The [`Filter`] above —
 /// which decides the same compiled conjuncts with the same row rule,
 /// [`FilterSpec::eval`] — remains authoritative for row-level semantics: the
 /// scan removes nothing it would not have mapped to FALSE/UNKNOWN, and never

@@ -1,17 +1,19 @@
 //! # csq-storage — columnar segment storage and the server catalog
 //!
-//! Tables are stored as **columnar segments**: inserts land in a
-//! row-oriented tail buffer, and every [`Table::segment_rows`] rows the tail
-//! is sealed into an immutable [`Segment`] — typed column lanes
-//! ([`csq_common::Lane`]) with null bitmaps, dictionary-encoded strings, and
-//! per-column min/max [`ZoneMap`]s. Scans go through [`Table::scan_as`],
-//! which takes a compiled [`FilterSpec`] and a column list: whole segments
-//! are pruned against the zone maps before any column data is touched, the
-//! spec is then evaluated on the surviving segments' lanes and on the tail,
-//! and what a segment emits is the listed columns' lanes, shared, plus the
-//! selection of rows the spec leaves — rows are built from them only by an
-//! operator that reads rows (DESIGN.md §2, §11); [`ScanStats`] reports the
-//! pruned/scanned split for EXPLAIN and the rows filtered.
+//! Tables are stored as **columnar segments**: every [`Table::segment_rows`]
+//! inserted rows are sealed into an immutable [`Segment`] — typed column
+//! lanes ([`csq_common::Lane`]) with null bitmaps, dictionary-encoded
+//! strings, and per-column min/max [`ZoneMap`]s. The rows after the last
+//! full segment, the *tail*, are short segments too (*runs*) once a scan
+//! has read them: the first scan after an insert seals the new rows into a
+//! run. Scans go through [`Table::scan_as`], which takes a compiled
+//! [`FilterSpec`] and a column list: whole segments and runs are pruned
+//! against the zone maps before any column data is touched, the spec is
+//! then evaluated on the survivors' lanes, and what each emits is the
+//! listed columns' lanes, shared, plus the selection of rows the spec
+//! leaves — rows are built from them only by an operator that reads rows
+//! (DESIGN.md §2, §11); [`ScanStats`] reports the pruned/scanned split for
+//! EXPLAIN and the rows filtered.
 //!
 //! The legacy row-vector view survives as [`Table::snapshot`], which
 //! reconstructs the inserted rows exactly — it backs the simulated backend
@@ -20,7 +22,7 @@
 //! statistics come from the [`TableProfile`] each table maintains as rows
 //! arrive ([`Table::profile`], O(width) under one read lock).
 //!
-//! Tables are snapshot-scanned: a scan observes the segments and tail
+//! Tables are snapshot-scanned: a scan observes the segments and runs
 //! present when it started, never a torn state, which keeps the threaded
 //! shipping strategies race-free without operator-level locking.
 
@@ -43,27 +45,61 @@ use csq_common::{CsqError, DataType, Field, Result, Row, Schema, Value};
 /// over the relation per plan.
 #[derive(Debug, Clone, Default)]
 pub struct TableProfile {
-    /// Rows in the table (sealed + tail).
+    /// Rows in the table (full segments + tail).
     pub rows: usize,
     /// Sum of [`Value::wire_size`] over every row, per column (schema order).
     pub col_wire_bytes: Vec<u64>,
-    /// Zone maps of the sealed segments, in seal order; tail rows have none.
+    /// Zone maps of the sealed segments, in seal order; the tail's runs are
+    /// not profiled, so scans never change a table's statistics.
     /// Shared: readers get the same list, and a seal copies it only while a
     /// reader still holds the previous one.
     pub segments: Arc<Vec<SegmentZones>>,
 }
 
+/// Every row is in exactly one of `sealed`, `runs` and `pending`, and the
+/// three in that order are the rows in insertion order.
 #[derive(Debug)]
 struct TableInner {
+    /// Full segments of `segment_rows` rows, plus any short one
+    /// [`Table::seal_tail`] cut; oldest first.
     sealed: Vec<Arc<Segment>>,
-    tail: Vec<Row>,
-    /// Describes exactly the rows in `sealed` + `tail`: every mutation
-    /// updates it under the same write lock.
+    /// The tail rows scans have sealed, oldest first: each run is more than
+    /// twice as long as the next, so there are at most
+    /// ⌈log₂ segment_rows⌉ + 1 of them.
+    runs: Vec<Arc<Segment>>,
+    /// Rows inserted since the last scan. With `runs`, fewer than
+    /// `segment_rows`.
+    pending: Vec<Row>,
+    /// Describes exactly the rows in `sealed`, `runs` and `pending`: every
+    /// mutation updates it under the same write lock.
     profile: TableProfile,
 }
 
-/// A named, typed relation stored as sealed columnar segments plus a
-/// row-oriented insert tail.
+impl TableInner {
+    /// Rows after the sealed segments.
+    fn tail_rows(&self) -> usize {
+        self.runs.iter().map(|r| r.len()).sum::<usize>() + self.pending.len()
+    }
+
+    /// Remove from the tail the runs from `first` on and `pending`, and
+    /// return their rows in insertion order (the runs' rebuilt).
+    fn take_tail(&mut self, first: usize) -> Vec<Row> {
+        let pending = std::mem::take(&mut self.pending);
+        if first == self.runs.len() {
+            return pending;
+        }
+        let len = self.runs[first..].iter().map(|r| r.len()).sum::<usize>() + pending.len();
+        let mut rows = Vec::with_capacity(len);
+        for run in self.runs.drain(first..) {
+            rows.extend(run.rows());
+        }
+        rows.extend(pending);
+        rows
+    }
+}
+
+/// A named, typed relation stored as sealed columnar segments plus a tail
+/// of rows that scans seal into short runs.
 #[derive(Debug)]
 pub struct Table {
     name: String,
@@ -117,7 +153,8 @@ impl Table {
             segment_rows,
             inner: RwLock::new(TableInner {
                 sealed: Vec::new(),
-                tail: Vec::new(),
+                runs: Vec::new(),
+                pending: Vec::new(),
                 profile: TableProfile {
                     col_wire_bytes: vec![0; width],
                     ..TableProfile::default()
@@ -146,7 +183,7 @@ impl Table {
     pub fn insert(&self, row: Row) -> Result<()> {
         let bytes = self.measure(std::slice::from_ref(&row))?;
         let mut inner = self.inner.write();
-        inner.tail.push(row);
+        inner.pending.push(row);
         self.appended(&mut inner, 1, &bytes);
         Ok(())
     }
@@ -156,7 +193,7 @@ impl Table {
         let bytes = self.measure(&rows)?;
         let n = rows.len();
         let mut inner = self.inner.write();
-        inner.tail.extend(rows);
+        inner.pending.extend(rows);
         self.appended(&mut inner, n, &bytes);
         Ok(())
     }
@@ -175,17 +212,22 @@ impl Table {
         Ok(bytes)
     }
 
-    /// Account for `n` rows just pushed onto the tail, then seal every full
-    /// segment's worth of it.
+    /// Account for `n` rows just pushed onto `pending`, then seal every full
+    /// segment's worth of the tail — its runs and `pending`, in insertion
+    /// order — keeping the rest as `pending`. Where segments begin does not
+    /// depend on when scans sealed runs.
     fn appended(&self, inner: &mut TableInner, n: usize, bytes: &[u64]) {
         inner.profile.rows += n;
         for (sum, b) in inner.profile.col_wire_bytes.iter_mut().zip(bytes) {
             *sum += b;
         }
-        while inner.tail.len() >= self.segment_rows {
-            let rest = inner.tail.split_off(self.segment_rows);
-            let full = std::mem::replace(&mut inner.tail, rest);
-            self.seal(inner, &full);
+        if inner.tail_rows() < self.segment_rows {
+            return;
+        }
+        let mut rows = inner.take_tail(0);
+        inner.pending = rows.split_off(rows.len() - rows.len() % self.segment_rows);
+        for segment in rows.chunks(self.segment_rows) {
+            self.seal(inner, segment);
         }
     }
 
@@ -198,15 +240,36 @@ impl Table {
         inner.sealed.push(Arc::new(seg));
     }
 
-    /// Seal the unsealed tail into a (possibly short) segment, so zone maps
-    /// cover every row. Benches and tests call this after bulk loads;
-    /// regular operation seals automatically at `segment_rows`.
+    /// Seal the tail — its runs and the rows after them — into one (possibly
+    /// short) segment, so the profile's zone maps cover every row. Benches
+    /// and tests call this after bulk loads; regular operation seals a full
+    /// segment automatically at `segment_rows`.
     pub fn seal_tail(&self) {
         let mut inner = self.inner.write();
-        if !inner.tail.is_empty() {
-            let rows = std::mem::take(&mut inner.tail);
+        if inner.tail_rows() > 0 {
+            let rows = inner.take_tail(0);
             self.seal(&mut inner, &rows);
         }
+    }
+
+    /// Seal `pending` into a new run, merged with the newest runs while the
+    /// older of the last two would be at most twice the newer: run lengths
+    /// then more than double from newest to oldest, and a row is re-sealed
+    /// only into a run at least half as long again as the one it leaves —
+    /// O(log segment_rows) times before a full segment takes it.
+    fn seal_pending(&self, inner: &mut TableInner) {
+        if inner.pending.is_empty() {
+            return;
+        }
+        let (mut first, mut len) = (inner.runs.len(), inner.pending.len());
+        while first > 0 && inner.runs[first - 1].len() <= 2 * len {
+            first -= 1;
+            len += inner.runs[first].len();
+        }
+        let rows = inner.take_tail(first);
+        inner
+            .runs
+            .push(Arc::new(Segment::seal(&self.schema, &rows)));
     }
 
     fn typecheck(&self, row: &Row) -> Result<()> {
@@ -256,24 +319,27 @@ impl Table {
     pub fn snapshot(&self) -> Vec<Row> {
         let inner = self.inner.read();
         let mut out = Vec::with_capacity(inner.profile.rows);
-        for seg in &inner.sealed {
-            out.extend((0..seg.len()).map(|i| seg.row(i)));
+        for seg in inner.sealed.iter().chain(&inner.runs) {
+            out.extend(seg.rows());
         }
-        out.extend(inner.tail.iter().cloned());
+        out.extend(inner.pending.iter().cloned());
         out
     }
 
     /// A filtering scan over the current segments and tail, its columns
     /// qualified with `alias`: segments whose zone maps disprove `spec` are
-    /// skipped before any column data is touched, and within the rest — and
-    /// the tail — only rows `spec` does not provably reject are decoded
-    /// (see the `scan` module docs for the rule). `cols` narrows the output
-    /// to those table ordinals (strictly increasing; `None` = every column);
-    /// `spec` ordinals are table ordinals either way.
+    /// skipped before any column data is touched, and within the rest only
+    /// rows `spec` does not provably reject are selected (see the `scan`
+    /// module docs for the rule). `cols` narrows the output to those table
+    /// ordinals (strictly increasing; `None` = every column); `spec`
+    /// ordinals are table ordinals either way.
     ///
-    /// The tail is filtered *before* it is cloned, under the read lock: a
-    /// selective scan copies the few rows it keeps and holds the lock for
-    /// less than a whole-tail clone would.
+    /// The tail is read as runs, like any segment. When rows were inserted
+    /// since the last scan, this one takes the write lock once to seal them
+    /// into a run (merging the newest runs; see `seal_pending`), so rows are
+    /// sealed once per insert rather than copied once per scan; otherwise it
+    /// holds only the read lock, for as long as it takes to clone the two
+    /// segment lists.
     pub fn scan_as(
         &self,
         alias: &str,
@@ -289,14 +355,18 @@ impl Table {
                 )));
             }
         }
-        let (sealed, tail, tail_rows) = {
+        let capture = |inner: &TableInner| (inner.sealed.clone(), inner.runs.clone());
+        let captured = {
             let inner = self.inner.read();
-            (
-                inner.sealed.clone(),
-                scan::clone_tail(&inner.tail, cols, spec),
-                inner.tail.len(),
-            )
+            inner.pending.is_empty().then(|| capture(&inner))
         };
+        let (sealed, runs) = captured.unwrap_or_else(|| {
+            // Another scan may have sealed `pending` since: then this is a
+            // no-op.
+            let mut inner = self.inner.write();
+            self.seal_pending(&mut inner);
+            capture(&inner)
+        });
         let (schema, cols) = match cols {
             Some(c) => (self.schema.project(c), c.to_vec()),
             None => (self.schema.clone(), (0..width).collect()),
@@ -305,8 +375,7 @@ impl Table {
             Arc::new(schema.qualify(alias)),
             cols,
             sealed,
-            tail,
-            tail_rows,
+            runs,
             spec,
         ))
     }
@@ -322,7 +391,7 @@ impl Table {
         ScanStats {
             segments_total: inner.sealed.len(),
             segments_pruned: pruned,
-            tail_rows: inner.tail.len(),
+            tail_rows: inner.tail_rows(),
             rows_filtered: 0,
         }
     }
@@ -895,22 +964,102 @@ mod tests {
     }
 
     #[test]
-    fn tail_is_always_scanned() {
+    fn the_tail_is_pruned_by_its_runs_zone_maps() {
         let t = seg_table(10, 0); // 8 sealed + 2 tail
         assert_eq!(t.segment_count(), 1);
-        // No zone map covers the tail, so it is never pruned — it is examined
-        // row by row, and only the rows the spec does not reject are cloned.
+        // The first scan seals the two tail rows (a = 8, 9) into one run with
+        // its own zone map. `a > 100` prunes the segment and the run; the
+        // run's rows are tail rows the scan filtered without reading them.
         let (rows, stats) = drain(&t, Some(&pred(0, CmpOp::Gt, Value::Int(100))));
         assert_eq!(stats.segments_pruned, 1);
         assert_eq!(stats.tail_rows, 2);
         assert_eq!(stats.rows_filtered, 2);
         assert!(rows.is_empty());
+        // `a > 8` cannot prune the run (its max is 9); its lane test drops
+        // a = 8.
         let (rows, stats) = drain(&t, Some(&pred(0, CmpOp::Gt, Value::Int(8))));
         assert_eq!((stats.tail_rows, stats.rows_filtered), (2, 1));
         assert_eq!(rows, vec![Row::new(vec![Value::Int(9), Value::Int(0)])]);
         // A comparison that raises keeps the row for the filter to raise on.
         let (rows, stats) = drain(&t, Some(&pred(0, CmpOp::Gt, Value::from("x"))));
         assert_eq!((rows.len(), stats.rows_filtered), (10, 0));
+        assert_eq!(t.segment_count(), 1, "runs are not segments");
+    }
+
+    /// What `inner` holds, checked against the rows inserted so far: the
+    /// three parts partition them in order, the runs respect the merge rule
+    /// and its bound, and every sealed segment is a full one.
+    fn assert_tail_shape(t: &Table, inserted: &[Row]) {
+        let inner = t.inner.read();
+        let seg = t.segment_rows();
+        let mut rows: Vec<Row> = Vec::new();
+        for s in inner.sealed.iter().chain(&inner.runs) {
+            rows.extend(s.rows());
+        }
+        rows.extend(inner.pending.iter().cloned());
+        assert_eq!(
+            rows, inserted,
+            "sealed, runs and pending partition the rows"
+        );
+        assert_eq!(inner.profile.rows, inserted.len());
+        assert!(inner.sealed.iter().all(|s| s.len() == seg));
+        assert_eq!(inner.sealed.len(), inserted.len() / seg);
+        assert!(inner.tail_rows() < seg);
+        let bound = seg.next_power_of_two().trailing_zeros() as usize + 1;
+        assert!(inner.runs.len() <= bound, "{} runs", inner.runs.len());
+        for pair in inner.runs.windows(2) {
+            assert!(pair[0].len() > 2 * pair[1].len(), "merge rule");
+        }
+    }
+
+    #[test]
+    fn scans_seal_the_tail_into_few_runs_and_segment_boundaries_stay_put() {
+        // A fixed xorshift stream: batch sizes 1..=300 and, between them,
+        // zero to two scans.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for seg in [1, 2, 3, 16, 64] {
+            let schema = Schema::new(vec![
+                Field::new("a", DataType::Int),
+                Field::new("s", DataType::Str),
+            ]);
+            let t = Table::with_segment_rows("t", schema.clone(), seg).unwrap();
+            let twin = Table::with_segment_rows("twin", schema, seg).unwrap();
+            let mut inserted: Vec<Row> = Vec::new();
+            for _ in 0..120 {
+                let cap = if next(4) == 0 { 300 } else { 8 };
+                let n = 1 + next(cap) as usize;
+                let start = inserted.len() as i64;
+                let batch: Vec<Row> = (start..start + n as i64)
+                    .map(|i| Row::new(vec![Value::Int(i), Value::from(format!("s{}", i % 5))]))
+                    .collect();
+                inserted.extend(batch.iter().cloned());
+                if n == 1 {
+                    t.insert(batch[0].clone()).unwrap();
+                } else {
+                    t.insert_all(batch.clone()).unwrap();
+                }
+                twin.insert_all(batch).unwrap();
+                for _ in 0..next(3) {
+                    let (rows, stats) = drain(&t, None);
+                    assert_eq!(rows, inserted);
+                    assert_eq!(stats.tail_rows, inserted.len() % seg);
+                    assert!(t.inner.read().pending.is_empty(), "a scan seals pending");
+                    assert_tail_shape(&t, &inserted);
+                }
+                assert_tail_shape(&t, &inserted);
+                assert_eq!(
+                    format!("{:?}", t.profile()),
+                    format!("{:?}", twin.profile()),
+                    "scans do not change the profile"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! `column <cmp> literal`. The scan evaluates the spec against each sealed
 //! segment's [`ZoneMap`]s and skips segments that provably contribute no
 //! rows — *before* touching any column data — and then against the typed
-//! lanes of the segments that remain (and, row by row, against the unsealed
-//! tail before it is cloned). What a sealed segment contributes to the
+//! lanes of the segments that remain. The table's tail is read the same
+//! way: opening a scan seals the rows inserted since the last one into a
+//! short segment, a *run*, so the scan reads full segments and runs and
+//! nothing else. What a segment contributes to the
 //! output is a lane-backed [`RowBatch`]: the `Arc`-shared lanes of the
 //! columns the scan was asked for plus the selection of rows the spec does
 //! not provably reject — the scan itself builds no [`Row`]; the batch does,
@@ -45,19 +47,16 @@
 //! or past an opaque conjunct, an UNKNOWN row still has conjuncts to meet
 //! that may raise, so it is kept. A dropped row is therefore always one the
 //! filter maps to `Ok(false)`, never to `Err`, and the first row the filter
-//! raises on is the same row with or without the scan's help. The tail has
-//! no zone maps, so there each comparison is simply made, and one that
-//! raises keeps the row.
+//! raises on is the same row with or without the scan's help. A run has its
+//! own zone maps, so a tail row meets the same rule as any other.
 //!
 //! This module is the workspace's one predicate compiler. What a pushable
 //! conjunct is, is decided once ([`FilterSpec::split`]); how one is decided
 //! on a value, twice — [`FilterSpec::eval`] on a row, a `LaneTest` on a
 //! sealed column's lane, both over the same [`ColPred`] and the one
-//! comparison truth table ([`BinaryOp::accepts`]). The tail's rule is a
-//! reading of `eval` (it rules out what `eval` makes FALSE, and UNKNOWN
-//! under a `complete` spec); `csq_exec::Filter` is `eval`'s other caller,
-//! deciding the same prefix for keeps and handing the conjuncts after it to
-//! the general evaluator.
+//! comparison truth table ([`BinaryOp::accepts`]). The scan reads only
+//! lanes; `csq_exec::Filter` is `eval`'s caller, deciding the same prefix
+//! for keeps and handing the conjuncts after it to the general evaluator.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -316,35 +315,6 @@ impl FilterSpec {
         }
         Ok(verdict)
     }
-
-    /// The row rule on a row of the unsealed tail (no zone maps there to
-    /// prove a conjunct error-free, so each comparison is simply made): true
-    /// when the filter above is certain to map `row` to `Ok(false)` — a
-    /// definite FALSE reached before any error, or an UNKNOWN under a
-    /// `complete` spec. A row that raises is kept, so the filter raises it.
-    fn rejects(&self, row: &Row) -> bool {
-        match self.eval(row) {
-            Ok(Some(false)) => true,
-            Ok(None) => self.complete,
-            Ok(Some(true)) | Err(_) => false,
-        }
-    }
-}
-
-/// Clone out of `tail` the rows `spec` does not [reject](FilterSpec::rejects),
-/// projected onto `cols` when given.
-pub(crate) fn clone_tail(
-    tail: &[Row],
-    cols: Option<&[usize]>,
-    spec: Option<&FilterSpec>,
-) -> Vec<Row> {
-    tail.iter()
-        .filter(|r| !spec.is_some_and(|s| s.rejects(r)))
-        .map(|r| match cols {
-            Some(c) => r.project(c),
-            None => r.clone(),
-        })
-        .collect()
 }
 
 fn flatten_and<'a>(e: &'a PhysExpr, out: &mut Vec<&'a PhysExpr>) {
@@ -382,15 +352,17 @@ fn as_col_pred(e: &PhysExpr) -> Option<ColPred> {
 /// column data).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
-    /// Sealed segments in the table at scan start.
+    /// Full segments in the table at scan start (the tail's runs are not
+    /// counted here).
     pub segments_total: usize,
-    /// Segments skipped via zone maps.
+    /// Full segments skipped via zone maps.
     pub segments_pruned: usize,
-    /// Rows in the unsealed tail (always examined; no zone maps yet).
+    /// Rows in the table's tail: fewer than a segment's worth, read as runs.
     pub tail_rows: usize,
-    /// Rows examined so far — in unpruned segments or the tail — and not
-    /// emitted because the pushed conjuncts reject them. A running count:
-    /// the tail's share is known at open, a segment's once it is scanned.
+    /// Tail rows in runs the zone maps skipped, plus rows examined so far —
+    /// in unpruned segments or runs — and not emitted because the pushed
+    /// conjuncts reject them. A running count: the pruned runs' share is
+    /// known at open, a scanned segment's once it is scanned.
     pub rows_filtered: usize,
 }
 
@@ -441,68 +413,70 @@ impl SegScan {
     }
 }
 
-/// A snapshot scan over a table's sealed segments plus its unsealed tail.
+/// A snapshot scan over a table's full segments and then its tail's runs.
 ///
-/// [`Table::scan_as`](crate::Table::scan_as) captures the segment list and
-/// the surviving tail rows under the table lock (consistent snapshot);
-/// construction evaluates the filter spec against each segment's zone maps,
-/// and iteration evaluates it against the lanes of each surviving segment,
-/// one window of at most [`DEFAULT_BATCH_SIZE`] rows at a time, emitting the
-/// scan's columns as shared lanes plus the window's selection (the window
-/// itself when every row survives). A window with no survivor produces no
-/// batch. The tail's rows follow, as row batches.
+/// [`Table::scan_as`](crate::Table::scan_as) captures both segment lists
+/// under the table lock (consistent snapshot); construction evaluates the
+/// filter spec against each one's zone maps, and iteration evaluates it
+/// against the lanes of each survivor, one window of at most
+/// [`DEFAULT_BATCH_SIZE`] rows at a time, emitting the scan's columns as
+/// shared lanes plus the window's selection (the window itself when every
+/// row survives). A window with no survivor produces no batch.
 pub struct TableScan {
     schema: Arc<Schema>,
     /// Table ordinals of the output columns, in output order.
     cols: Vec<usize>,
     segments: Vec<SegScan>,
-    tail: std::vec::IntoIter<Row>,
     stats: ScanStats,
     seg: usize,
     offset: usize,
 }
 
 impl TableScan {
-    /// `tail` holds the `tail_rows` examined tail rows that survived
-    /// [`clone_tail`] under the same `spec` and `cols`.
+    /// `sealed` are the table's full segments, `runs` its tail, both oldest
+    /// first.
     pub(crate) fn new(
         schema: Arc<Schema>,
         cols: Vec<usize>,
         sealed: Vec<Arc<Segment>>,
-        tail: Vec<Row>,
-        tail_rows: usize,
+        runs: Vec<Arc<Segment>>,
         spec: Option<&FilterSpec>,
     ) -> TableScan {
+        let plan = |segs: Vec<Arc<Segment>>| {
+            segs.into_iter()
+                .filter_map(|seg| SegScan::plan(seg, spec))
+                .collect::<Vec<_>>()
+        };
         let total = sealed.len();
-        let segments: Vec<SegScan> = sealed
-            .into_iter()
-            .filter_map(|seg| SegScan::plan(seg, spec))
-            .collect();
+        let tail_rows = runs.iter().map(|r| r.len()).sum();
+        let mut segments = plan(sealed);
+        let scanned = segments.len();
+        segments.extend(plan(runs));
+        let kept_tail: usize = segments[scanned..].iter().map(|s| s.seg.len()).sum();
         let stats = ScanStats {
             segments_total: total,
-            segments_pruned: total - segments.len(),
+            segments_pruned: total - scanned,
             tail_rows,
-            rows_filtered: tail_rows - tail.len(),
+            rows_filtered: tail_rows - kept_tail,
         };
         TableScan {
             schema,
             cols,
             segments,
-            tail: tail.into_iter(),
             stats,
             seg: 0,
             offset: 0,
         }
     }
 
-    /// Upper bound on rows this scan has yet to produce (remaining
-    /// surviving-segment rows + remaining tail rows).
+    /// Upper bound on rows this scan has yet to produce (the rows left in
+    /// the surviving segments and runs).
     pub fn remaining_rows(&self) -> usize {
         let seg_rows: usize = self.segments[self.seg.min(self.segments.len())..]
             .iter()
             .map(|s| s.seg.len())
             .sum();
-        seg_rows.saturating_sub(self.offset) + self.tail.len()
+        seg_rows.saturating_sub(self.offset)
     }
 
     /// Output schema of the batches.
@@ -541,11 +515,7 @@ impl TableScan {
                 .collect();
             return Some(RowBatch::from_lanes(self.schema.clone(), lanes, sel));
         }
-        if self.tail.len() == 0 {
-            return None;
-        }
-        let rows: Vec<Row> = self.tail.by_ref().take(DEFAULT_BATCH_SIZE).collect();
-        Some(RowBatch::from_rows(self.schema.clone(), rows))
+        None
     }
 
     /// Pruning accounting, and the rows filtered so far.

@@ -2,8 +2,10 @@
 //! encoding, and per-column min/max zone maps.
 //!
 //! A [`Segment`] is an immutable horizontal slice of a table. Inserts
-//! accumulate in the table's row-oriented tail; once the tail reaches the
-//! table's segment size it is *sealed* into a segment: each column becomes a
+//! accumulate as rows until a scan reads them, which seals them into a short
+//! segment (a *run*); once a table's runs and newer rows reach its segment
+//! size they are sealed into a full segment. Sealing is the same either
+//! way: each column becomes a
 //! [`Lane`] — the narrowest representation of its non-null values that is
 //! exact (integers at the narrowest of 1/2/4/8 bytes that holds the
 //! segment's range, `f64`, `bool`, a string dictionary, or a fallback lane of
@@ -61,46 +63,94 @@ impl ZoneMap {
         self.null_count == self.rows
     }
 
-    fn build(values: impl Iterator<Item = Value>, rows: usize) -> ZoneMap {
-        let mut bounds: Option<(Value, Value)> = None;
-        let mut null_count = 0usize;
-        let mut unordered = false;
+    /// The zone map of `lane`, read from its typed values: an INT, FLOAT or
+    /// BOOL array through its null bitmap, a dictionary through its entries
+    /// (each distinct string once), and only the `Values` fallback value by
+    /// value through [`Value::sql_cmp`]. Every lane compares its values as
+    /// `sql_cmp` would, so the map is the one a walk over the rows builds.
+    fn of(lane: &Lane) -> ZoneMap {
+        let rows = lane.len();
+        let present = |nulls| (0..rows).filter(move |&i| !NullBitmap::get(nulls, i));
+        match lane {
+            Lane::Int { values, nulls } => each_width!(values, v => ZoneMap::walk(
+                rows,
+                nulls.count_ones(),
+                present(nulls).map(|i| wide(v[i])),
+                |a, b| Some(a.cmp(&b)),
+                Value::Int,
+            )),
+            Lane::Float { values, nulls } => ZoneMap::walk(
+                rows,
+                nulls.count_ones(),
+                present(nulls).map(|i| values[i]),
+                |a, b| a.partial_cmp(&b),
+                Value::Float,
+            ),
+            Lane::Bool { values, nulls } => ZoneMap::walk(
+                rows,
+                nulls.count_ones(),
+                present(nulls).map(|i| values[i]),
+                |a, b| Some(a.cmp(&b)),
+                Value::Bool,
+            ),
+            Lane::StrDict { dict, codes } => ZoneMap::walk(
+                rows,
+                codes.iter().filter(|&&c| c == u32::MAX).count(),
+                dict.iter(),
+                |a, b| Some(a.cmp(b)),
+                |s| Value::Str(s.clone()),
+            ),
+            Lane::Values(values) => ZoneMap::walk(
+                rows,
+                values.iter().filter(|v| v.is_null()).count(),
+                values.iter().filter(|v| !v.is_null()),
+                |a, b| a.sql_cmp(b).ok().flatten(),
+                Value::clone,
+            ),
+        }
+    }
+
+    /// Min and max of the non-null `values`, in walk order: a bound moves
+    /// only to a value strictly beyond it (of `-0.0` and `0.0`, the first
+    /// seen stays), and a pair `cmp` cannot order — NaN, a cross-type pair —
+    /// leaves the column unordered.
+    fn walk<T: Copy>(
+        rows: usize,
+        null_count: usize,
+        values: impl Iterator<Item = T>,
+        cmp: impl Fn(T, T) -> Option<Ordering>,
+        value: impl Fn(T) -> Value,
+    ) -> ZoneMap {
+        let mut bounds: Option<(T, T)> = None;
         for v in values {
-            if v.is_null() {
-                null_count += 1;
+            let Some((min, max)) = &mut bounds else {
+                bounds = Some((v, v));
                 continue;
-            }
-            if unordered {
-                continue;
-            }
-            match &mut bounds {
-                None => bounds = Some((v.clone(), v)),
-                Some((min, max)) => {
-                    match v.sql_cmp(min) {
-                        Ok(Some(Ordering::Less)) => *min = v.clone(),
-                        Ok(Some(_)) => {}
-                        // NaN or a cross-type value: no total order, no map.
-                        Ok(None) | Err(_) => {
-                            unordered = true;
-                            continue;
-                        }
+            };
+            match (cmp(v, *min), cmp(v, *max)) {
+                (Some(lo), Some(hi)) => {
+                    if lo == Ordering::Less {
+                        *min = v;
                     }
-                    match v.sql_cmp(max) {
-                        Ok(Some(Ordering::Greater)) => *max = v,
-                        Ok(Some(_)) => {}
-                        Ok(None) | Err(_) => unordered = true,
+                    if hi == Ordering::Greater {
+                        *max = v;
+                    }
+                }
+                _ => {
+                    return ZoneMap {
+                        bounds: None,
+                        null_count,
+                        rows,
+                        unordered: true,
                     }
                 }
             }
         }
-        if unordered {
-            bounds = None;
-        }
         ZoneMap {
-            bounds,
+            bounds: bounds.map(|(min, max)| (value(min), value(max))),
             null_count,
             rows,
-            unordered,
+            unordered: false,
         }
     }
 }
@@ -114,9 +164,10 @@ pub struct ColumnSeg {
 
 impl ColumnSeg {
     fn build(rows: &[Row], col: usize) -> ColumnSeg {
+        let lane = Lane::build(rows, col);
         ColumnSeg {
-            lane: Arc::new(Lane::build(rows, col)),
-            zone: ZoneMap::build(rows.iter().map(|r| r.value(col).clone()), rows.len()),
+            zone: ZoneMap::of(&lane),
+            lane: Arc::new(lane),
         }
     }
 
@@ -275,8 +326,8 @@ impl Segment {
         self.rows
     }
 
-    /// True when the segment has no rows (sealing is only invoked on
-    /// non-empty tails, so this is `false` in practice).
+    /// True when the segment has no rows (a table only seals non-empty row
+    /// sets, so this is `false` in practice).
     pub fn is_empty(&self) -> bool {
         self.rows == 0
     }
@@ -291,8 +342,14 @@ impl Segment {
         Row::new(self.cols.iter().map(|c| c.value(i)).collect())
     }
 
+    /// Every row, in order, reconstructed exactly as inserted.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = Row> + '_ {
+        (0..self.rows).map(|i| self.row(i))
+    }
+
     /// Per-column zone maps (cloned — cheap, values are refcounted): the
-    /// table copies them into its profile once, when the segment is sealed.
+    /// table copies a full segment's into its profile once, when it seals
+    /// it.
     pub fn zones(&self) -> Vec<ZoneMap> {
         self.cols.iter().map(|c| c.zone.clone()).collect()
     }

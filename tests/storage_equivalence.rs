@@ -9,8 +9,13 @@
 //!   row-vector [`Table::snapshot`]) returns — including all-NULL columns,
 //!   constant columns, NULL literals, and predicates on unordered (mixed
 //!   lane) columns. The oracle side runs none of the compiled predicate
-//!   code: [`Filter`] and the scan's tail share one row rule
-//!   ([`FilterSpec::eval`]), so a filter on both sides would hide its bugs.
+//!   code: [`Filter`] runs its row rule ([`FilterSpec::eval`]), so a filter
+//!   on both sides would hide its bugs.
+//! * The table's tail — rows a scan seals into short runs, merged as more
+//!   arrive — holds the same rows in the same order through any interleaving
+//!   of inserts and scans, and scanning it changes no statistic: the
+//!   profile equals a never-scanned twin's. A segment's zone maps, now read
+//!   off its lanes, equal the value-by-value walk they replaced.
 //! * The scan's own row filtering and column pruning are held to four
 //!   properties: what the scan *alone* omits, the general evaluator maps to
 //!   `Ok(false)` (never to an error); the filter above it raises the same
@@ -42,7 +47,7 @@ use csq_exec::ops::{ColumnarScan, Filter, RowsOp};
 use csq_exec::{collect, AggSpec, HashAggregate, HashJoin, MemoryTracker};
 use csq_expr::{AggFunc, BinaryOp, PhysExpr};
 use csq_opt::context::{stats_from_table, TableStats};
-use csq_storage::{FilterSpec, Segment, Table};
+use csq_storage::{FilterSpec, Segment, Table, ZoneMap};
 
 use csq::prelude::{Database, NetworkSpec};
 
@@ -404,6 +409,106 @@ fn assert_stats_match_oracle(table: &Table, stats: &TableStats, sealed_lens: &[u
     }
 }
 
+/// [`arb_filter_row`] with the FLOAT column sometimes `-0.0` or `0.0`, which
+/// compare equal but are different values: whichever a zone map keeps as a
+/// bound, the walk kept.
+fn arb_tail_row() -> impl Strategy<Value = Row> {
+    (arb_filter_row(), 0usize..8).prop_map(|(r, k)| {
+        let zero = match k {
+            0 => -0.0,
+            1 => 0.0,
+            _ => return r,
+        };
+        let mut values = r.into_values();
+        values[1] = Value::Float(zero);
+        Row::new(values)
+    })
+}
+
+/// One step of the tail-run property.
+#[derive(Debug, Clone)]
+enum TailStep {
+    /// One row goes in through `insert`, more through `insert_all`.
+    Insert(Vec<Row>),
+    /// A scan under this predicate (and then the checks).
+    Scan(PhysExpr),
+}
+
+fn arb_tail_step() -> impl Strategy<Value = TailStep> {
+    let predicate = (
+        prop::collection::vec(arb_filter_conjunct(), 1..4),
+        (any::<bool>(), arb_residual(), 0usize..4),
+    )
+        .prop_map(|(conjuncts, (incomplete, residual, at))| {
+            filter_predicate(conjuncts, incomplete.then_some(residual), at)
+        });
+    prop_oneof![
+        prop::collection::vec(arb_tail_row(), 1..301).prop_map(TailStep::Insert),
+        prop::collection::vec(arb_tail_row(), 1..4).prop_map(TailStep::Insert),
+        predicate.prop_map(TailStep::Scan),
+    ]
+}
+
+/// The zone map as sealing built it before it read the lanes: every value
+/// of the column cloned and held against the bounds through
+/// [`Value::sql_cmp`]. Kept here as the oracle the lane-read maps must
+/// equal.
+fn zone_by_walking(rows: &[Row], col: usize) -> ZoneMap {
+    use std::cmp::Ordering;
+    let mut bounds: Option<(Value, Value)> = None;
+    let mut null_count = 0usize;
+    let mut unordered = false;
+    for v in rows.iter().map(|r| r.value(col).clone()) {
+        if v.is_null() {
+            null_count += 1;
+            continue;
+        }
+        if unordered {
+            continue;
+        }
+        match &mut bounds {
+            None => bounds = Some((v.clone(), v)),
+            Some((min, max)) => {
+                match v.sql_cmp(min) {
+                    Ok(Some(Ordering::Less)) => *min = v.clone(),
+                    Ok(Some(_)) => {}
+                    Ok(None) | Err(_) => {
+                        unordered = true;
+                        continue;
+                    }
+                }
+                match v.sql_cmp(max) {
+                    Ok(Some(Ordering::Greater)) => *max = v,
+                    Ok(Some(_)) => {}
+                    Ok(None) | Err(_) => unordered = true,
+                }
+            }
+        }
+    }
+    if unordered {
+        bounds = None;
+    }
+    ZoneMap {
+        bounds,
+        null_count,
+        rows: rows.len(),
+        unordered,
+    }
+}
+
+/// Every zone map of `rows` sealed as one segment equals the walk's, `Debug`
+/// for `Debug` — so `-0.0` and `0.0` are told apart, and NaN bounds too.
+fn assert_zones_match_walk(schema: &Schema, rows: &[Row]) {
+    let zones = Segment::seal(schema, rows).zones();
+    for (col, zone) in zones.iter().enumerate() {
+        assert_eq!(
+            format!("{zone:?}"),
+            format!("{:?}", zone_by_walking(rows, col)),
+            "column {col} of {rows:?}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -554,6 +659,33 @@ proptest! {
     }
 
     #[test]
+    fn zone_maps_read_off_the_lanes_equal_the_value_walk(
+        rows in prop::collection::vec(arb_tail_row(), 1..120),
+        // Per column: leave it, or make it all NULL. And whether the FLOAT
+        // column keeps its stray INTs (a `Values` lane) or not (a FLOAT one).
+        blank in prop::collection::vec(0usize..6, 5..6),
+        pure_float in any::<bool>(),
+    ) {
+        let rows: Vec<Row> = rows
+            .into_iter()
+            .map(|r| {
+                let mut values = r.into_values();
+                for (c, v) in values.iter_mut().enumerate() {
+                    if blank[c] == 0 {
+                        *v = Value::Null;
+                    } else if c == 1 && pure_float {
+                        if let Value::Int(i) = v {
+                            *v = Value::Float(*i as f64);
+                        }
+                    }
+                }
+                Row::new(values)
+            })
+            .collect();
+        assert_zones_match_walk(&profile_schema(), &rows);
+    }
+
+    #[test]
     fn spilling_aggregate_matches_in_memory_aggregate(
         rows in prop::collection::vec(arb_scan_row(), 0..200),
     ) {
@@ -616,6 +748,58 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // Inserts (one row, or a batch of up to 300) interleaved with scans
+    // under random specs — complete, incomplete, with NULL, NaN and
+    // cross-type literals — at two segment sizes: every scan seals what was
+    // inserted since the last one into the tail's runs, and after each the
+    // rows, their order, the errors and the statistics are the table's.
+    #[test]
+    fn tail_runs_hold_the_inserted_rows_through_any_interleaving_of_scans(
+        steps in prop::collection::vec(arb_tail_step(), 1..16),
+        segment_rows in prop_oneof![Just(16usize), Just(64)],
+    ) {
+        let table = Arc::new(Table::with_segment_rows("t", profile_schema(), segment_rows).unwrap());
+        let twin = Table::with_segment_rows("twin", profile_schema(), segment_rows).unwrap();
+        for step in steps {
+            match step {
+                TailStep::Insert(rows) => {
+                    if let [row] = &rows[..] {
+                        table.insert(row.clone()).unwrap();
+                    } else {
+                        table.insert_all(rows.clone()).unwrap();
+                    }
+                    twin.insert_all(rows).unwrap();
+                }
+                TailStep::Scan(pred) => {
+                    // The spec'd scan comes first, so it is the one that
+                    // seals: every row it saw was read once, as a full
+                    // segment's, a pruned run's, or a scanned run's.
+                    let spec = FilterSpec::from_phys(&pred);
+                    let mut scan = ColumnarScan::new(&table, "t", spec.as_ref()).unwrap();
+                    let emitted = collect(&mut scan).unwrap().len();
+                    let s = scan.scan_stats();
+                    prop_assert_eq!(s.segments_total * segment_rows + s.tail_rows, table.len());
+                    prop_assert_eq!(
+                        emitted + s.rows_filtered + s.segments_pruned * segment_rows,
+                        table.len()
+                    );
+                    assert_scan_drops_only_rejected_rows(&table, &pred);
+                    assert_filter_outcome_preserved(&table, &pred);
+                    let mut all = ColumnarScan::new(&table, "t", None).unwrap();
+                    prop_assert_eq!(collect(&mut all).unwrap(), table.snapshot());
+                    prop_assert_eq!(all.scan_stats().rows_filtered, 0);
+                }
+            }
+            prop_assert_eq!(table.snapshot(), twin.snapshot());
+            prop_assert_eq!(format!("{:?}", table.profile()), format!("{:?}", twin.profile()));
+            prop_assert_eq!(table.prune_stats(None), twin.prune_stats(None));
+        }
+    }
+}
+
 /// Deterministic edge cases the strategies only hit probabilistically.
 mod pinned {
     use super::*;
@@ -623,6 +807,39 @@ mod pinned {
     fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
         rows.sort_by_key(|r| format!("{r}"));
         rows
+    }
+
+    /// The FLOAT cases a zone map can get wrong, each against the walk: the
+    /// first of `-0.0`/`0.0` is the bound, NaN beside another value leaves
+    /// the column unordered (a lone NaN is its own bound, as it was), and an
+    /// all-NULL column has no bounds but is not unordered.
+    #[test]
+    fn zone_maps_of_float_lanes_keep_the_walks_edge_cases() {
+        let schema = Schema::new(vec![Field::new("f", DataType::Float)]);
+        let (nan, f) = (Value::Float(f64::NAN), Value::Float);
+        for column in [
+            vec![f(-0.0), f(0.0), f(-0.0)],
+            vec![f(0.0), f(-0.0)],
+            vec![f(1.0), nan.clone(), f(2.0)],
+            vec![nan.clone(), f(1.0)],
+            vec![nan.clone(), Value::Null],
+            vec![Value::Null, Value::Null],
+            vec![Value::Int(0), f(-0.0), f(0.0)],
+            vec![Value::Int(1), f(2.0), nan.clone()],
+        ] {
+            let rows: Vec<Row> = column.into_iter().map(|v| Row::new(vec![v])).collect();
+            assert_zones_match_walk(&schema, &rows);
+        }
+        let zone = |column: Vec<Value>| {
+            let rows: Vec<Row> = column.into_iter().map(|v| Row::new(vec![v])).collect();
+            Segment::seal(&schema, &rows).zones().remove(0)
+        };
+        let z = zone(vec![f(-0.0), f(0.0)]);
+        assert_eq!(z.bounds, Some((f(-0.0), f(-0.0))));
+        let z = zone(vec![f(1.0), nan.clone()]);
+        assert!(z.unordered && z.bounds.is_none());
+        let z = zone(vec![Value::Null, Value::Null]);
+        assert!(!z.unordered && z.bounds.is_none() && z.all_null());
     }
 
     #[test]
@@ -733,10 +950,11 @@ mod pinned {
         }
     }
 
-    /// The tail is filtered under the read lock, before it is cloned: a scan
-    /// racing an inserter sees the matches among the first `n` rows for some
-    /// `n` — each once, none skipped — whether they sat in a sealed segment
-    /// or in the tail at that instant.
+    /// A scan racing an inserter sees the matches among the first `n` rows
+    /// for some `n` — each once, none skipped — whether they sat in a full
+    /// segment, in a run, or had just been sealed into one; and two scans
+    /// racing each other, where one's seal rewrites the runs the other may
+    /// be about to read, each see such a prefix.
     #[test]
     fn tail_filter_under_a_concurrent_inserter_neither_misses_nor_repeats_a_match() {
         const SEGMENT_ROWS: usize = 64;
@@ -746,10 +964,11 @@ mod pinned {
             Field::new("b", DataType::Int),
         ]);
         let table = Arc::new(Table::with_segment_rows("t", schema, SEGMENT_ROWS).unwrap());
-        let start = std::sync::Barrier::new(2);
+        let start = std::sync::Barrier::new(3);
         let done = std::sync::atomic::AtomicBool::new(false);
-        // `b = 3` keeps every tenth row; every segment spans b in 0..10, so
-        // no zone map prunes and every row is examined.
+        // `b = 3` keeps every tenth row; every full segment spans b in 0..10,
+        // so no full segment is pruned (a short run may be: its rows count
+        // as filtered) and every row is accounted for.
         let spec = FilterSpec::from_phys(&bin(col(1), BinaryOp::Eq, lit(Value::Int(3)))).unwrap();
 
         // Returns how many rows the scan's snapshot held.
@@ -787,13 +1006,17 @@ mod pinned {
                 }
                 done.store(true, std::sync::atomic::Ordering::SeqCst);
             });
-            start.wait();
-            let mut last = 0;
-            while !done.load(std::sync::atomic::Ordering::SeqCst) {
-                let seen = check();
-                assert!(seen >= last, "a later scan sees no fewer rows");
-                last = seen;
-            }
+            let scanner = || {
+                start.wait();
+                let mut last = 0;
+                while !done.load(std::sync::atomic::Ordering::SeqCst) {
+                    let seen = check();
+                    assert!(seen >= last, "a later scan sees no fewer rows");
+                    last = seen;
+                }
+            };
+            scope.spawn(scanner);
+            scanner();
         });
         assert_eq!(check(), table.len());
     }
