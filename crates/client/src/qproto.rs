@@ -10,13 +10,14 @@
 //! comparable to errors from the in-process engine (the differential suite
 //! relies on this).
 //!
-//! Results are *streamed* in bounded chunks rather than sent as one
-//! message: a client that disconnects mid-result costs the server only the
-//! chunk in flight, and the per-frame length cap in the transport stays
-//! effective no matter how large a result set is.
+//! Results travel in bounded chunks rather than as one message, so the
+//! per-frame length cap in the transport stays effective no matter how
+//! large a result set is. The server encodes every chunk of a result before
+//! it sends the header ([`QueryResponse::encode_rows_frames`]), so a
+//! statement that fails answers with one `Error` and never a partial result.
 
 use csq_common::codec::Decoder;
-use csq_common::{CsqError, Result, Row};
+use csq_common::{CsqError, Result, Row, RowBatch};
 
 use crate::protocol::{put_bool, put_str, put_u32, take_bool, take_str};
 
@@ -323,12 +324,43 @@ impl QueryResponse {
 
     /// Encode a `Rows` chunk directly from borrowed rows — byte-identical
     /// to `QueryResponse::Rows(rows.to_vec()).encode()` without cloning
-    /// first; this is the server's result-streaming hot path.
+    /// first.
     pub fn encode_rows_chunk(rows: &[Row]) -> Vec<u8> {
         let mut out = Vec::new();
         out.push(RESP_ROWS);
         csq_common::codec::encode_rows(rows, &mut out);
         out
+    }
+
+    /// The `Rows` frames of a result held as batches: `chunk_rows` rows a
+    /// frame (at least one), a frame spanning batch boundaries where it must.
+    /// Byte for byte what [`encode_rows_chunk`](Self::encode_rows_chunk)
+    /// makes of the batches' rows chunked the same way, but a lane-backed
+    /// batch is written from its lanes and never builds a row; this is how
+    /// the server encodes results.
+    pub fn encode_rows_frames(batches: &[RowBatch], chunk_rows: usize) -> Vec<Vec<u8>> {
+        let chunk_rows = chunk_rows.max(1);
+        let total: usize = batches.iter().map(RowBatch::len).sum();
+        let mut frames = Vec::with_capacity(total.div_ceil(chunk_rows));
+        let (mut batch, mut pos, mut left) = (0, 0, total);
+        while left > 0 {
+            let n = left.min(chunk_rows);
+            let mut out = vec![RESP_ROWS];
+            put_u32(&mut out, n as u32);
+            let mut need = n;
+            while need > 0 {
+                let Some(b) = batches.get(batch) else { break };
+                let take = need.min(b.len() - pos);
+                csq_common::codec::encode_batch_rows(b, pos..pos + take, &mut out);
+                (pos, need) = (pos + take, need - take);
+                if pos == b.len() {
+                    (batch, pos) = (batch + 1, 0);
+                }
+            }
+            frames.push(out);
+            left -= n;
+        }
+        frames
     }
 
     fn decode_with(d: &mut Decoder<'_>) -> Result<QueryResponse> {

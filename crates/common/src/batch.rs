@@ -164,14 +164,6 @@ impl RowBatch {
         self.rows().iter()
     }
 
-    /// Cheap column projection: each output row picks `indices` from the
-    /// corresponding input row (values are refcounted views, so this never
-    /// deep-copies payloads).
-    pub fn project(&self, indices: &[usize], schema: Arc<Schema>) -> RowBatch {
-        let rows = self.iter().map(|r| r.project(indices)).collect();
-        RowBatch::from_rows(schema, rows)
-    }
-
     /// Total wire size of all rows (sum of [`Row::wire_size`]).
     pub fn wire_size(&self) -> usize {
         self.iter().map(Row::wire_size).sum()
@@ -259,22 +251,6 @@ mod tests {
         assert_eq!((b.len(), b.is_empty()), (4, false));
         assert_eq!(b.into_rows(), vec![Row::new(vec![]); 4]);
         assert!(RowBatch::from_rows(schema(), Vec::new()).lanes().is_none());
-    }
-
-    #[test]
-    fn project_picks_columns() {
-        let s = schema();
-        let b = RowBatch::from_rows(
-            s.clone(),
-            vec![
-                Row::new(vec![Value::Int(1), Value::Int(10)]),
-                Row::new(vec![Value::Int(2), Value::Int(20)]),
-            ],
-        );
-        let out_schema = Arc::new(Schema::new(vec![Field::new("b", DataType::Int)]));
-        let p = b.project(&[1], out_schema);
-        assert_eq!(p.rows()[0], Row::new(vec![Value::Int(10)]));
-        assert_eq!(p.rows()[1], Row::new(vec![Value::Int(20)]));
     }
 
     #[test]

@@ -25,9 +25,12 @@
 //! invariants. [`Decoder::new`] keeps the old copying behavior for callers
 //! that only have a borrowed `&[u8]`.
 
+use std::ops::Range;
 use std::sync::Arc;
 
+use crate::batch::RowBatch;
 use crate::error::{CsqError, Result};
+use crate::lane::Lane;
 use crate::row::Row;
 use crate::value::{Blob, Str, Value};
 
@@ -248,6 +251,59 @@ where
     out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
     for r in rows {
         encode_row(r, out);
+    }
+}
+
+/// Append the rows at `positions` of `batch`, each exactly as
+/// [`encode_row`] writes it, without building a row of a lane-backed batch:
+/// each value is written from its lane (a dictionary string from its entry).
+pub fn encode_batch_rows(batch: &RowBatch, positions: Range<usize>, out: &mut Vec<u8>) {
+    let Some((lanes, sel)) = batch.lanes() else {
+        for r in &batch.rows()[positions] {
+            encode_row(r, out);
+        }
+        return;
+    };
+    let width = (lanes.len() as u32).to_le_bytes();
+    out.reserve(positions.len() * (width.len() + 9 * lanes.len()));
+    for p in positions {
+        let i = sel.ordinal(p);
+        out.extend_from_slice(&width);
+        for lane in lanes {
+            encode_lane_value(lane, i, out);
+        }
+    }
+}
+
+/// Append the encoding of `lane.value(i)`.
+fn encode_lane_value(lane: &Lane, i: usize, out: &mut Vec<u8>) {
+    match lane {
+        Lane::Int { nulls, .. } | Lane::Float { nulls, .. } | Lane::Bool { nulls, .. }
+            if nulls.get(i) =>
+        {
+            out.push(TAG_NULL)
+        }
+        Lane::Int { values, .. } => {
+            out.push(TAG_INT);
+            out.extend_from_slice(&values.get(i).to_le_bytes());
+        }
+        Lane::Float { values, .. } => {
+            out.push(TAG_FLOAT);
+            out.extend_from_slice(&values[i].to_bits().to_le_bytes());
+        }
+        Lane::Bool { values, .. } => {
+            out.push(TAG_BOOL);
+            out.push(u8::from(values[i]));
+        }
+        Lane::StrDict { dict, codes } => match dict.get(codes[i] as usize) {
+            Some(s) => {
+                out.push(TAG_STR);
+                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+                out.extend_from_slice(s.as_bytes());
+            }
+            None => out.push(TAG_NULL),
+        },
+        Lane::Values(values) => encode_value(&values[i], out),
     }
 }
 

@@ -43,13 +43,14 @@
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
 use csq_client::{ConnectionPool, QueryOptions, RemoteResult, ScalarUdf};
-use csq_common::{CsqError, DataType, Field, Result, Row, Schema, Value};
+use csq_common::{CsqError, DataType, Field, Result, Row, RowBatch, Schema, Value};
 use csq_exec::{collect, AggSpec, HashAggregate, Operator, RowsOp};
 use csq_expr::{bind, ColumnRef, Expr, UnaryOp};
 use csq_net::NetworkSpec;
@@ -728,7 +729,8 @@ impl Coordinator {
         if let Some(h) = &spec.having {
             out_rows = crate::lower::keep_where(&bind(h, &out_schema)?, out_rows)?;
         }
-        crate::lower::project_output(graph, &out_schema, out_rows)
+        let merged = RowBatch::from_rows(Arc::new(out_schema.clone()), out_rows);
+        Ok(crate::lower::project_output(graph, &out_schema, vec![merged])?.into_result())
     }
 
     fn run_gather_exec(&self, fetches: &[Fetch], sql: &str) -> Result<QueryResult> {
@@ -765,26 +767,35 @@ impl Coordinator {
     }
 
     /// Run one statement per `(shard, sql)` job concurrently, each under
-    /// the configured per-shard [`QueryOptions`] (§10 deadline + retry).
+    /// the configured per-shard [`QueryOptions`] (§10 deadline + retry):
+    /// the last job on the calling thread, every other on a scoped thread of
+    /// its own — so a statement pinned to one shard spawns nothing.
     /// Every job runs to completion before any error is returned — a
     /// failed shard cannot leave the others' sessions mid-stream — and the
     /// first failure (lowest shard index) is surfaced with its typed kind
-    /// preserved, tagged with the shard it came from.
+    /// preserved, tagged with the shard it came from. A job that panics,
+    /// on its own thread or the caller's, is reported as that shard's
+    /// failure.
     fn scatter(&self, shards: &[ShardSlot], jobs: &[(usize, String)]) -> Result<Vec<RemoteResult>> {
         CoordStats::add(&self.stats.shard_statements, jobs.len() as u64);
         let opts = &self.config.shard_options;
+        let run = |(i, sql): &(usize, String)| shards[*i].pool.query_with(sql, opts);
         let outcomes: Vec<Result<RemoteResult>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = jobs
+            let (inline, spawned) = match jobs.split_last() {
+                Some((last, rest)) => (Some(last), rest),
+                None => (None, jobs),
+            };
+            let handles: Vec<_> = spawned
                 .iter()
-                .map(|(i, sql)| {
-                    let slot = &shards[*i];
-                    scope.spawn(move || slot.pool.query_with(sql, opts))
-                })
+                .map(|job| scope.spawn(move || run(job)))
                 .collect();
+            let inline = inline.map(|job| catch_unwind(AssertUnwindSafe(|| run(job))));
             handles
                 .into_iter()
+                .map(|h| h.join())
+                .chain(inline)
                 .zip(jobs)
-                .map(|(h, (i, _))| match h.join() {
+                .map(|(outcome, (i, _))| match outcome {
                     Ok(r) => r.map_err(|e| {
                         // Preserve the typed kind (and with it the client's
                         // retryable classification); tag the shard.

@@ -40,6 +40,7 @@ pub use coord::{CoordStats, Coordinator, CoordinatorConfig};
 pub use lower::SimSummary;
 pub use plancache::{PlanCache, PlanCacheStats, PlannedQuery};
 pub use result::QueryResult;
+use result::ResultBatches;
 pub use service::{ServiceConfig, ServiceHandle, ServiceStats};
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -364,7 +365,8 @@ impl Database {
                 let ctx = self.opt_context();
                 let graph = csq_opt::query::extract(&sel, &ctx)?;
                 let plan = csq_opt::optimize(&graph, &ctx)?;
-                lower::execute_threaded(self, &graph, &plan)
+                let out = lower::execute_threaded(self, &graph, &plan, &CancelToken::new())?;
+                Ok(out.into_result())
             }
             other => {
                 // CREATE/INSERT share the text path; rebuild minimal SQL is
@@ -470,14 +472,25 @@ impl Database {
         planned: &Arc<PlannedQuery>,
         token: &CancelToken,
     ) -> Result<(QueryResult, Arc<PlannedQuery>, bool)> {
+        let (out, fresh, reused) = self.execute_planned_batches(planned, token)?;
+        Ok((out.into_result(), fresh, reused))
+    }
+
+    /// [`execute_planned_with`](Self::execute_planned_with), the result left
+    /// as the executor's output batches.
+    pub(crate) fn execute_planned_batches(
+        &self,
+        planned: &Arc<PlannedQuery>,
+        token: &CancelToken,
+    ) -> Result<(ResultBatches, Arc<PlannedQuery>, bool)> {
         if planned.epoch == self.plan_epoch() {
-            let result = lower::execute_threaded_with(self, &planned.graph, &planned.plan, token)?;
-            return Ok((result, planned.clone(), true));
+            let out = lower::execute_threaded(self, &planned.graph, &planned.plan, token)?;
+            return Ok((out, planned.clone(), true));
         }
         self.plan_cache.record_stale_replan();
         let (fresh, cache_hit) = self.prepare(&planned.sql)?;
-        let result = lower::execute_threaded_with(self, &fresh.graph, &fresh.plan, token)?;
-        Ok((result, fresh, cache_hit))
+        let out = lower::execute_threaded(self, &fresh.graph, &fresh.plan, token)?;
+        Ok((out, fresh, cache_hit))
     }
 
     /// Execute one statement, planning SELECTs through the plan cache (the
@@ -494,19 +507,38 @@ impl Database {
         sql: &str,
         token: &CancelToken,
     ) -> Result<(QueryResult, bool)> {
+        let (out, cache_hit) = self.execute_cached_batches(sql, token)?;
+        Ok((out.into_result(), cache_hit))
+    }
+
+    /// [`execute_cached_with`](Self::execute_cached_with), the result left
+    /// as the executor's output batches.
+    pub(crate) fn execute_cached_batches(
+        &self,
+        sql: &str,
+        token: &CancelToken,
+    ) -> Result<(ResultBatches, bool)> {
         let epoch = self.plan_epoch();
         if let Some(planned) = self.plan_cache.lookup(epoch, sql) {
-            let result = lower::execute_threaded_with(self, &planned.graph, &planned.plan, token)?;
-            return Ok((result, true));
+            let out = lower::execute_threaded(self, &planned.graph, &planned.plan, token)?;
+            return Ok((out, true));
         }
         match parse_statement(sql)? {
             Statement::Select(sel) => {
                 let planned = self.plan_select(sql, &sel, epoch)?;
-                let result =
-                    lower::execute_threaded_with(self, &planned.graph, &planned.plan, token)?;
-                Ok((result, false))
+                let out = lower::execute_threaded(self, &planned.graph, &planned.plan, token)?;
+                Ok((out, false))
             }
-            other => Ok((self.execute_nontext(other)?, false)),
+            other => {
+                // DDL and DML answer with a count, never with rows.
+                let done = self.execute_nontext(other)?;
+                let out = ResultBatches {
+                    schema: done.schema,
+                    batches: Vec::new(),
+                    affected: done.affected,
+                };
+                Ok((out, false))
+            }
         }
     }
 

@@ -4,7 +4,9 @@
 //!
 //! * **Threaded** ([`execute_threaded`]): each `ApplyUdf` node gets its own
 //!   in-memory duplex and client thread; joins/filters run as iterator
-//!   operators; the final projection is evaluated on the caller's thread.
+//!   operators; the tree is drained on the caller's thread and the final
+//!   projection applied to its batches there, and the result stays batches
+//!   ([`ResultBatches`]) — rows are built by whoever receives them.
 //! * **Simulated** ([`execute_simulated`]): operators materialize rows
 //!   bottom-up; each `ApplyUdf` runs the virtual-time executor and its
 //!   timing/bytes accumulate into a [`SimSummary`] (phases are sequential —
@@ -17,11 +19,13 @@
 //! as their plain counterparts and the savings show up in the optimizer's
 //! estimates and the cost-model benches.
 
+use std::sync::Arc;
+
 use csq_client::spawn_client_with_token;
-use csq_common::{codec, CancelToken, CsqError, Field, Result, Row, Schema};
+use csq_common::{codec, CancelToken, CsqError, Field, Result, Row, RowBatch, Schema};
 use csq_exec::{
     collect, AggSpec, CancelCheck, ColumnarScan, Filter, HashAggregate, NestedLoopJoin, Operator,
-    RowsOp,
+    Projection, RowsOp,
 };
 use csq_expr::{analysis, bind, PhysExpr};
 use csq_net::in_memory_duplex;
@@ -32,7 +36,7 @@ use csq_ship::{
 };
 use csq_storage::{FilterSpec, Table};
 
-use crate::result::QueryResult;
+use crate::result::{QueryResult, ResultBatches};
 use crate::Database;
 
 /// Aggregated virtual-time accounting for one query.
@@ -398,14 +402,17 @@ fn build_threaded(
     }
 }
 
-/// Project the final operator output onto the query's SELECT list, using
-/// the vectorized `Project` operator (pure-column outputs move values out
-/// of the intermediate rows instead of cloning them).
+/// Project the final operator output — `batches` of `schema` — onto the
+/// query's SELECT list, one batch at a time with a [`Projection`]: a
+/// lane-backed batch of plain columns stays lanes (the picked lanes, under
+/// the same selection), anything else is projected row by row. The SELECT
+/// list is bound only here, after the tree has drained, so an error the
+/// tree raises wins over one the projection would.
 pub(crate) fn project_output(
     graph: &QueryGraph,
     schema: &Schema,
-    rows: Vec<Row>,
-) -> Result<QueryResult> {
+    batches: Vec<RowBatch>,
+) -> Result<ResultBatches> {
     let out = graph.final_output();
     let mut exprs = Vec::with_capacity(out.len());
     for (e, name) in out {
@@ -413,42 +420,41 @@ pub(crate) fn project_output(
         let dtype = pe.infer_type(schema).unwrap_or(csq_common::DataType::Str);
         exprs.push((pe, Field::new(name.clone(), dtype)));
     }
-    let mut project = csq_exec::Project::new(Box::new(RowsOp::new(schema.clone(), rows)), exprs);
-    let out_rows = collect(&mut project)?;
-    Ok(QueryResult {
-        schema: project.schema().clone(),
-        rows: out_rows,
+    let projection = Projection::new(exprs);
+    let batches = batches
+        .into_iter()
+        .map(|b| projection.apply(b))
+        .collect::<Result<_>>()?;
+    Ok(ResultBatches {
+        schema: projection.schema().as_ref().clone(),
+        batches,
         affected: 0,
     })
 }
 
-/// Execute an optimized SELECT on the threaded engine.
-pub fn execute_threaded(
-    db: &Database,
-    graph: &QueryGraph,
-    plan: &csq_opt::OptimizedPlan,
-) -> Result<QueryResult> {
-    execute_threaded_with(db, graph, plan, &CancelToken::new())
-}
-
 /// Execute an optimized SELECT on the threaded engine under a cancellation
 /// token (deadline expiry or an explicit `cancel()` surfaces as a typed
-/// `timeout`/`cancelled` error at the next operator batch boundary).
-pub fn execute_threaded_with(
+/// `timeout`/`cancelled` error at the next operator batch boundary): build
+/// the operator tree, drain it, then project its batches onto the SELECT
+/// list. The one way the threaded backend runs a plan.
+pub(crate) fn execute_threaded(
     db: &Database,
     graph: &QueryGraph,
     plan: &csq_opt::OptimizedPlan,
     token: &CancelToken,
-) -> Result<QueryResult> {
+) -> Result<ResultBatches> {
     let op = build_threaded(db, graph, &plan.root, true, token)?;
     // A second checkpoint above the root catches plans whose leaves run
     // inside feeder threads (the shipping operators).
     let mut op = CancelCheck::new(op, token.clone());
-    let rows = collect(&mut op)?;
+    let mut batches = Vec::new();
+    while let Some(batch) = op.next_batch()? {
+        batches.push(batch);
+    }
     let schema = op.schema().clone();
     drop(op);
     token.check()?;
-    project_output(graph, &schema, rows)
+    project_output(graph, &schema, batches)
 }
 
 // ---- simulated backend -----------------------------------------------------
@@ -541,7 +547,8 @@ pub fn execute_simulated(
 ) -> Result<(QueryResult, SimSummary)> {
     let mut summary = SimSummary::default();
     let (schema, rows) = run_simulated(db, graph, &plan.root, &mut summary)?;
-    let result = project_output(graph, &schema, rows)?;
+    let batch = RowBatch::from_rows(Arc::new(schema.clone()), rows);
+    let result = project_output(graph, &schema, vec![batch])?.into_result();
     // Final delivery: ship the projected output to the client over the
     // downlink (the plain Final operator; merged-final savings are an
     // optimizer-estimate concern, see module docs).
@@ -597,6 +604,37 @@ mod tests {
         let (graph, plan) = db.optimize(sql).unwrap();
         let op = build_threaded(db, &graph, &plan.root, true, &CancelToken::new()).unwrap();
         op.schema().len()
+    }
+
+    /// A filter and a projection of plain columns over a sealed table leave
+    /// the result as the scan's lanes: every output batch is lane-backed and
+    /// unbuilt, and its rows are the ones the caller of `execute` gets.
+    #[test]
+    fn filtered_plain_columns_leave_the_executor_as_lanes() {
+        let db = Database::new(NetworkSpec::lan());
+        let mut b = TableBuilder::new("T")
+            .column("Id", DataType::Int)
+            .column("Sym", DataType::Str)
+            .column("Val", DataType::Int);
+        for i in 0..10_000i64 {
+            b = b.row(vec![
+                Value::Int(i),
+                Value::from(format!("SYM{:03}", i * 7 % 500)),
+                Value::Int(i * 37 % 100),
+            ]);
+        }
+        let t = b.build().unwrap();
+        t.seal_tail();
+        db.catalog().register(t).unwrap();
+        let sql = "SELECT T.Id, T.Sym, T.Val FROM T T WHERE T.Val > 89";
+        let (graph, plan) = db.optimize(sql).unwrap();
+        let out = execute_threaded(&db, &graph, &plan, &CancelToken::new()).unwrap();
+        assert!(!out.batches.is_empty());
+        for batch in &out.batches {
+            assert!(batch.lanes().is_some() && !batch.is_materialized());
+        }
+        assert_eq!(out.len(), 1_000);
+        assert_eq!(out.into_result().rows, db.execute(sql).unwrap().rows);
     }
 
     /// A plain scan decodes only what the plan reads. A scan under an

@@ -1,6 +1,6 @@
 //! Query results.
 
-use csq_common::{Row, Schema};
+use csq_common::{Row, RowBatch, Schema};
 
 /// Rows plus their schema, as returned to the API caller.
 #[derive(Debug, Clone)]
@@ -52,5 +52,36 @@ impl QueryResult {
             out.push('\n');
         }
         out
+    }
+}
+
+/// A statement's result as the executor leaves it: the batches the final
+/// projection emitted, a lane-backed one with its rows still unbuilt. The
+/// service encodes its frames from these; [`into_result`](Self::into_result)
+/// builds the rows for an in-process caller.
+#[derive(Debug)]
+pub(crate) struct ResultBatches {
+    pub(crate) schema: Schema,
+    pub(crate) batches: Vec<RowBatch>,
+    pub(crate) affected: usize,
+}
+
+impl ResultBatches {
+    /// Rows in the result.
+    pub(crate) fn len(&self) -> usize {
+        self.batches.iter().map(RowBatch::len).sum()
+    }
+
+    /// The rows, in order.
+    pub(crate) fn into_result(self) -> QueryResult {
+        let mut rows = Vec::with_capacity(self.len());
+        for batch in self.batches {
+            rows.extend(batch.into_rows());
+        }
+        QueryResult {
+            schema: self.schema,
+            rows,
+            affected: self.affected,
+        }
     }
 }

@@ -19,9 +19,11 @@
 //!   rotating order, so one chatty client cannot starve the rest.
 //! * The **workers** (the pool, sized by [`ServiceConfig::workers`])
 //!   execute one statement at a time: plan through the database's
-//!   [`PlanCache`](crate::PlanCache), stream results in bounded chunks over the session's
-//!   connection (flipped to blocking mode for the write), then hand the
-//!   session back to the scheduler and pick up the next job.
+//!   [`PlanCache`](crate::PlanCache), encode the result's bounded chunks
+//!   straight from the executor's output batches — encoded in full, then
+//!   sent over the session's connection (flipped to blocking mode for the
+//!   write) — then hand the session back to the scheduler and pick up the
+//!   next job.
 //!
 //! A session therefore moves `Reading → Queued → Executing → Writing →
 //! Reading`: the scheduler owns it while Reading, the pool queue while
@@ -68,7 +70,8 @@ use csq_net::{NetStats, FRAME_HEADER_BYTES};
 use parking_lot::Mutex;
 
 use crate::plancache::PlannedQuery;
-use crate::{Database, QueryResult};
+use crate::result::ResultBatches;
+use crate::Database;
 
 /// Cap on prepared statements pinned by one session — each pins a full
 /// planned query, so an unbounded map would let a single admitted client
@@ -111,7 +114,7 @@ pub struct ServiceConfig {
     /// fails the session's sends after this long instead of pinning a
     /// worker forever (the write-side slowloris guard).
     pub write_timeout: Duration,
-    /// Rows per streamed result chunk.
+    /// Rows per `Rows` frame of a result.
     pub chunk_rows: usize,
     /// The one load-shedding knob, the *work* analog of `max_sessions`:
     /// when every worker is busy and at least this many statements are
@@ -928,7 +931,7 @@ fn run_statement(ctx: SchedCtx, mut session: Session, req: QueryRequest, token: 
     let alive = match req {
         QueryRequest::Query { sql, .. } => {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                ctx.db.execute_cached_with(&sql, &token)
+                ctx.db.execute_cached_batches(&sql, &token)
             }));
             answer_execution(&session.conn, &ctx.net, &ctx.stats, &ctx.config, outcome)
         }
@@ -946,7 +949,7 @@ fn run_statement(ctx: SchedCtx, mut session: Session, req: QueryRequest, token: 
             Some(plan) => {
                 let plan = plan.clone();
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    ctx.db.execute_planned_with(&plan, &token)
+                    ctx.db.execute_planned_batches(&plan, &token)
                 }));
                 let outcome = match outcome {
                     Ok(Ok((result, fresh, reused))) => {
@@ -1033,11 +1036,13 @@ fn panic_response() -> QueryResponse {
 }
 
 type ExecutionOutcome =
-    std::result::Result<Result<(QueryResult, bool)>, Box<dyn std::any::Any + Send>>;
+    std::result::Result<Result<(ResultBatches, bool)>, Box<dyn std::any::Any + Send>>;
 
-/// Turn an execution outcome into wire traffic: a `Begin`/`Rows…`/`End`
-/// stream on success, a typed `Error` on failure or panic. Returns whether
-/// the connection is still usable.
+/// Turn an execution outcome into wire traffic: `Begin`, the result's
+/// `Rows` frames and `End` on success, a typed `Error` on failure or panic.
+/// The frames are encoded from the output batches — a lane-backed batch
+/// from its lanes, so the server builds no row of it — and all of them
+/// before `Begin` is sent. Returns whether the connection is still usable.
 fn answer_execution(
     conn: &TcpConn,
     net: &NetStats,
@@ -1067,25 +1072,24 @@ fn answer_execution(
                 .iter()
                 .map(|f| f.display_name())
                 .collect();
+            let frames = QueryResponse::encode_rows_frames(&result.batches, config.chunk_rows);
+            let end = QueryResponse::End {
+                rows: result.len() as u64,
+                affected: result.affected as u64,
+                plan_cache_hit,
+            };
+            // The writes need only the frames: release the rows now.
+            drop(result);
             if !send_response(conn, net, &QueryResponse::Begin { columns }) {
                 return false;
             }
-            let chunk = config.chunk_rows.max(1);
-            for rows in result.rows.chunks(chunk) {
-                if !send_payload(conn, net, &QueryResponse::encode_rows_chunk(rows)) {
+            for frame in &frames {
+                if !send_payload(conn, net, frame) {
                     return false;
                 }
             }
             ServiceStats::bump(&stats.queries_ok);
-            send_response(
-                conn,
-                net,
-                &QueryResponse::End {
-                    rows: result.rows.len() as u64,
-                    affected: result.affected as u64,
-                    plan_cache_hit,
-                },
-            )
+            send_response(conn, net, &end)
         }
     }
 }

@@ -25,7 +25,8 @@ pub mod spill;
 pub use aggregate::{aggregate_output_schema, aggregate_state_schema, AggSpec, HashAggregate};
 pub use join::{HashJoin, NestedLoopJoin};
 pub use ops::{
-    collect, compare_values, CancelCheck, ColumnarScan, Filter, Operator, Project, RowsOp, Sort,
+    collect, compare_values, CancelCheck, ColumnarScan, Filter, Operator, Project, Projection,
+    RowsOp, Sort,
 };
 pub use pool::WorkerPool;
 pub use spill::MemoryTracker;

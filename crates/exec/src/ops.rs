@@ -111,14 +111,14 @@ pub(crate) use batch_operator;
 /// any column data is touched, the survivors' typed lanes are tested row by
 /// row, and what comes out is a lane-backed batch — the lanes of the
 /// columns asked for, shared, plus the selection of rows the spec does not
-/// provably reject — whose rows are built only if an operator above asks
-/// for them (DESIGN.md §2). The [`Filter`] above —
-/// which decides the same compiled conjuncts with the same row rule,
-/// [`FilterSpec::eval`] — remains authoritative for row-level semantics: the
-/// scan removes nothing it would not have mapped to FALSE/UNKNOWN, and never
-/// a row it would have raised an error on. The oracle this scan is
-/// differentially tested against is the general evaluator over
-/// `Table::snapshot()`.
+/// provably reject — whose rows are built only if something above asks
+/// for them (DESIGN.md §2). The [`Filter`] above remains authoritative for
+/// row-level semantics: it decides the same compiled conjuncts again, with
+/// the same lane rule where no row can raise and the row rule
+/// ([`FilterSpec::eval`]) elsewhere. The scan removes nothing the filter
+/// would not have mapped to FALSE/UNKNOWN, and never a row it would have
+/// raised an error on. The oracle this scan is differentially tested
+/// against is the general evaluator over `Table::snapshot()`.
 pub struct ColumnarScan {
     scan: TableScan,
 }
@@ -202,16 +202,21 @@ impl RowsOp {
 
 batch_operator!(RowsOp, hint: |s: &RowsOp| Some(s.rows.len()));
 
-/// Filter rows by a bound predicate. Batch-native: each input batch is
-/// compacted in place (kept rows are moved, never cloned).
+/// Filter rows by a bound predicate, batch by batch.
 ///
 /// The predicate is split once, by the compiler the scan uses
-/// ([`FilterSpec::split`]): the leading `column <cmp> literal` conjuncts — in
-/// either orientation, a single comparison included — are decided by the
-/// storage layer's row rule ([`FilterSpec::eval`], no expression-tree walk
-/// and no per-row `Value` clone), and whatever follows them by the general
-/// evaluator. Together that is the general evaluator's answer on every row:
-/// same rows, same error on the same row.
+/// ([`FilterSpec::split`]). When the leading `column <cmp> literal`
+/// conjuncts — in either orientation, a single comparison included — are
+/// the whole predicate and a lane-backed batch pairs each with a lane no row
+/// of which can raise ([`FilterSpec::select_lanes`]), they are decided on
+/// the lanes by the scan's own lane rule: the batch's selection is narrowed
+/// and its lanes passed on, and no row is built. Every other batch takes the
+/// row path and is compacted in place (kept rows are moved, never cloned):
+/// the prefix is decided by the storage layer's row rule
+/// ([`FilterSpec::eval`], no expression-tree walk and no per-row `Value`
+/// clone), whatever follows it by the general evaluator. Either way it is
+/// the general evaluator's answer on every row: same rows, same error on
+/// the same row.
 pub struct Filter {
     input: Box<dyn Operator + Send>,
     predicate: PhysExpr,
@@ -267,6 +272,19 @@ impl Filter {
             let Some(batch) = self.input.next_batch()? else {
                 return Ok(None);
             };
+            if let (Some(spec), Some((lanes, sel))) = (&self.spec, batch.lanes()) {
+                if let Some(kept) = spec.select_lanes(lanes, sel) {
+                    if kept.is_empty() {
+                        continue;
+                    }
+                    let lanes = lanes.to_vec();
+                    return Ok(Some(RowBatch::from_lanes(
+                        batch.schema().clone(),
+                        lanes,
+                        kept,
+                    )));
+                }
+            }
             let (schema, mut rows) = batch.into_parts();
             let mut err = None;
             rows.retain(|r| {
@@ -303,7 +321,49 @@ enum ProjPath {
 }
 
 impl ProjPath {
-    fn analyze(exprs: &[PhysExpr]) -> ProjPath {
+    /// The row path for bare columns `cols` (`None` when some expression is
+    /// not one).
+    fn analyze(cols: Option<&[usize]>) -> ProjPath {
+        let Some(cols) = cols else {
+            return ProjPath::Eval;
+        };
+        if cols.windows(2).all(|w| w[0] < w[1]) {
+            return ProjPath::InPlace(cols.to_vec());
+        }
+        // Moving a value out of the input row is only sound when no other
+        // output column reads the same ordinal.
+        let mut sorted = cols.to_vec();
+        sorted.sort_unstable();
+        if sorted.windows(2).all(|w| w[0] != w[1]) {
+            ProjPath::Move(cols.to_vec())
+        } else {
+            ProjPath::Eval
+        }
+    }
+}
+
+/// A list of expressions applied to one batch at a time, producing a new
+/// schema: the kernel of [`Project`], and what lowering applies to a
+/// statement's output batches as its final projection.
+///
+/// When every expression is a bare column, a lane-backed batch becomes the
+/// picked lanes (`Arc` clones, in any order, repeats included) under the
+/// same selection, and no row is built. A batch of rows — or a projection
+/// with any other expression, or an ordinal past the lanes — takes the row
+/// path: strictly increasing columns retitle each row in place, distinct
+/// ones move its values, anything else evaluates per row.
+pub struct Projection {
+    exprs: Vec<PhysExpr>,
+    /// The ordinals when every expression is a bare column.
+    cols: Option<Vec<usize>>,
+    path: ProjPath,
+    schema: Arc<Schema>,
+}
+
+impl Projection {
+    /// `exprs` paired with their output fields.
+    pub fn new(exprs: Vec<(PhysExpr, Field)>) -> Projection {
+        let (exprs, fields): (Vec<_>, Vec<_>) = exprs.into_iter().unzip();
         let cols: Option<Vec<usize>> = exprs
             .iter()
             .map(|e| match e {
@@ -311,53 +371,67 @@ impl ProjPath {
                 _ => None,
             })
             .collect();
-        let Some(cols) = cols else {
-            return ProjPath::Eval;
-        };
-        if cols.windows(2).all(|w| w[0] < w[1]) {
-            return ProjPath::InPlace(cols);
+        Projection {
+            path: ProjPath::analyze(cols.as_deref()),
+            exprs,
+            cols,
+            schema: Arc::new(Schema::new(fields)),
         }
-        // Moving a value out of the input row is only sound when no other
-        // output column reads the same ordinal.
-        let mut sorted = cols.clone();
-        sorted.sort_unstable();
-        if sorted.windows(2).all(|w| w[0] != w[1]) {
-            ProjPath::Move(cols)
-        } else {
-            ProjPath::Eval
+    }
+
+    /// Output schema.
+    pub fn schema(&self) -> &Arc<Schema> {
+        &self.schema
+    }
+
+    /// Project one batch.
+    pub fn apply(&self, batch: RowBatch) -> Result<RowBatch> {
+        if let (Some(cols), Some((lanes, sel))) = (&self.cols, batch.lanes()) {
+            if cols.iter().all(|&c| c < lanes.len()) {
+                let picked = cols.iter().map(|&c| lanes[c].clone()).collect();
+                return Ok(RowBatch::from_lanes(
+                    self.schema.clone(),
+                    picked,
+                    sel.clone(),
+                ));
+            }
         }
+        let rows = project_rows(&self.path, &self.exprs, batch.into_rows())?;
+        Ok(RowBatch::from_rows(self.schema.clone(), rows))
     }
 }
 
-/// Evaluate a list of expressions per row, producing a new schema.
-/// Batch-native; pure-column projections move (or retitle in place) the
-/// values of the consumed input rows instead of cloning them.
+/// Evaluate a list of expressions per row, producing a new schema: a
+/// [`Projection`] applied to each input batch.
 pub struct Project {
     input: Box<dyn Operator + Send>,
-    exprs: Vec<PhysExpr>,
-    path: ProjPath,
-    schema: Arc<Schema>,
+    projection: Projection,
 }
 
 impl Project {
     /// `exprs` paired with their output fields.
     pub fn new(input: Box<dyn Operator + Send>, exprs: Vec<(PhysExpr, Field)>) -> Project {
-        let (exprs, fields): (Vec<_>, Vec<_>) = exprs.into_iter().unzip();
-        let path = ProjPath::analyze(&exprs);
         Project {
             input,
-            exprs,
-            path,
-            schema: Arc::new(Schema::new(fields)),
+            projection: Projection::new(exprs),
         }
     }
+}
 
-    fn produce(&mut self) -> Result<Option<RowBatch>> {
-        let Some(batch) = self.input.next_batch()? else {
-            return Ok(None);
-        };
-        let rows = project_rows(&self.path, &self.exprs, batch.into_rows())?;
-        Ok(Some(RowBatch::from_rows(self.schema.clone(), rows)))
+impl Operator for Project {
+    fn schema(&self) -> &Schema {
+        self.projection.schema()
+    }
+
+    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
+        self.input
+            .next_batch()?
+            .map(|b| self.projection.apply(b))
+            .transpose()
+    }
+
+    fn size_hint(&self) -> Option<usize> {
+        self.input.size_hint()
     }
 }
 
@@ -402,8 +476,6 @@ fn project_rows(path: &ProjPath, exprs: &[PhysExpr], mut rows: Vec<Row>) -> Resu
         }
     }
 }
-
-batch_operator!(Project, hint: |s: &Project| s.input.size_hint());
 
 /// Compare two rows on the given key columns with SQL ordering; NULLs sort
 /// first, cross-type comparisons are exec errors surfaced at sort time.

@@ -53,18 +53,27 @@
 //! This module is the workspace's one predicate compiler. What a pushable
 //! conjunct is, is decided once ([`FilterSpec::split`]); how one is decided
 //! on a value, twice — [`FilterSpec::eval`] on a row, a `LaneTest` on a
-//! sealed column's lane, both over the same [`ColPred`] and the one
-//! comparison truth table ([`BinaryOp::accepts`]). The scan reads only
-//! lanes; `csq_exec::Filter` is `eval`'s caller, deciding the same prefix
-//! for keeps and handing the conjuncts after it to the general evaluator.
+//! bare [`Lane`], both over the same [`ColPred`] and the one comparison
+//! truth table ([`BinaryOp::accepts`]). The lane rule has two callers. The
+//! scan runs it on a segment's lanes, for the prefix the zone maps proved
+//! error-free there. `csq_exec::Filter` runs it on a lane batch's lanes
+//! through [`FilterSpec::select_lanes`], for a `complete` spec whose every
+//! conjunct is a typed pairing that cannot raise — the lane form of a
+//! clean conjunct — and narrows the batch's selection instead of building
+//! rows. Every other batch reaches `Filter`'s row path: `eval` for the
+//! prefix, the general evaluator for the conjuncts after it.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use csq_common::{CsqError, Result, Row, RowBatch, Schema, Selection, Value, DEFAULT_BATCH_SIZE};
+use csq_common::lane::wide;
+use csq_common::{
+    each_width, CsqError, Lane, NullBitmap, Result, Row, RowBatch, Schema, Selection, Value,
+    DEFAULT_BATCH_SIZE,
+};
 use csq_expr::{BinaryOp, PhysExpr};
 
-use crate::segment::{LaneTest, Segment, ZoneMap};
+use crate::segment::{Segment, ZoneMap};
 
 /// Comparison operator in a pushed-down conjunct.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -315,6 +324,149 @@ impl FilterSpec {
         }
         Ok(verdict)
     }
+
+    /// The whole spec decided on a lane batch: `sel` narrowed to the rows on
+    /// which every conjunct is TRUE. `None` — decide the batch's rows
+    /// instead — unless the spec is `complete` and every conjunct pairs its
+    /// lane with its literal so that no row can raise: an INT or FLOAT lane
+    /// against an INT or FLOAT literal, BOOL against BOOL, a dictionary
+    /// against a STR, any lane against NULL. A `Values` lane, a cross-type
+    /// literal or an ordinal past the lanes is left to the row rule, which
+    /// raises what the general evaluator would.
+    pub fn select_lanes(&self, lanes: &[Arc<Lane>], sel: &Selection) -> Option<Selection> {
+        if !self.complete {
+            return None;
+        }
+        let tests = self
+            .preds
+            .iter()
+            .map(|p| {
+                let lane = lanes.get(p.col)?;
+                let test = LaneTest::new(lane, p);
+                test.typed().then_some((&**lane, test))
+            })
+            .collect::<Option<Vec<_>>>()?;
+        Some(narrow(sel, tests.iter().map(|(l, t)| (*l, t)), false))
+    }
+}
+
+/// One pushed conjunct compiled against one lane: the literal resolved to
+/// the lane's own type (for a dictionary lane, to one verdict per dictionary
+/// entry), so [`retain`](LaneTest::retain) tests raw lane values without
+/// building a [`Value`] per row.
+#[derive(Debug)]
+struct LaneTest {
+    op: BinaryOp,
+    lit: LaneLit,
+}
+
+#[derive(Debug)]
+enum LaneLit {
+    Int(i64),
+    Float(f64),
+    Bool(bool),
+    /// `accept[code]` for a dictionary lane, the literal compared once per
+    /// entry.
+    Dict(Vec<bool>),
+    /// A NULL literal: UNKNOWN on every row.
+    Null,
+    /// Any other pairing, compared row by row through [`Value::sql_cmp`]
+    /// (only on a `Values` lane).
+    Value(Value),
+}
+
+impl LaneTest {
+    /// Compile `pred` against `lane`, the lane of its column.
+    fn new(lane: &Lane, pred: &ColPred) -> LaneTest {
+        let op = pred.op.binary();
+        let lit = match (lane, &pred.lit) {
+            (_, Value::Null) => LaneLit::Null,
+            (Lane::StrDict { dict, .. }, Value::Str(s)) => {
+                LaneLit::Dict(dict.iter().map(|d| op.accepts(d.cmp(s))).collect())
+            }
+            (Lane::Int { .. }, Value::Int(i)) => LaneLit::Int(*i),
+            (Lane::Int { .. } | Lane::Float { .. }, Value::Float(f)) => LaneLit::Float(*f),
+            // Mixed INT/FLOAT comparisons widen to f64, as `sql_cmp` does.
+            (Lane::Float { .. }, Value::Int(i)) => LaneLit::Float(*i as f64),
+            (Lane::Bool { .. }, Value::Bool(b)) => LaneLit::Bool(*b),
+            (_, v) => LaneLit::Value(v.clone()),
+        };
+        LaneTest { op, lit }
+    }
+
+    /// True when the lane's type and the literal's pair so that every row
+    /// is decided without an error: the literal resolved to the lane's type.
+    fn typed(&self) -> bool {
+        !matches!(self.lit, LaneLit::Value(_))
+    }
+
+    /// Drop from `sel` (ordinals of `lane`) every row on which the conjunct
+    /// is definitely FALSE, and — unless `keep_unknown` — every row on which
+    /// it is UNKNOWN (a NULL value or literal, a NaN ordering). A typed
+    /// pairing cannot raise; the scan compiles an untyped one only where the
+    /// zone map proved it error-free, and a pairing that is neither leaves
+    /// `sel` alone.
+    fn retain(&self, lane: &Lane, keep_unknown: bool, sel: &mut Vec<usize>) {
+        let op = self.op;
+        let tri = |ord: Option<Ordering>| ord.map_or(keep_unknown, |o| op.accepts(o));
+        // A typed lane: NULL rows are UNKNOWN, row `i` of the rest orders as
+        // `cmp(i)`.
+        fn typed(
+            sel: &mut Vec<usize>,
+            nulls: &NullBitmap,
+            tri: impl Fn(Option<Ordering>) -> bool,
+            cmp: impl Fn(usize) -> Option<Ordering>,
+        ) {
+            sel.retain(|&i| tri((!nulls.get(i)).then(|| cmp(i)).flatten()))
+        }
+        match (lane, &self.lit) {
+            (_, LaneLit::Null) => sel.retain(|_| keep_unknown),
+            (Lane::Int { values, nulls }, LaneLit::Int(b)) => each_width!(values, v => {
+                typed(sel, nulls, tri, |i| Some(wide(v[i]).cmp(b)))
+            }),
+            (Lane::Int { values, nulls }, LaneLit::Float(b)) => each_width!(values, v => {
+                typed(sel, nulls, tri, |i| (wide(v[i]) as f64).partial_cmp(b))
+            }),
+            (Lane::Float { values, nulls }, LaneLit::Float(b)) => {
+                typed(sel, nulls, tri, |i| values[i].partial_cmp(b))
+            }
+            (Lane::Bool { values, nulls }, LaneLit::Bool(b)) => {
+                typed(sel, nulls, tri, |i| Some(values[i].cmp(b)))
+            }
+            (Lane::StrDict { codes, .. }, LaneLit::Dict(accept)) => {
+                sel.retain(|&i| match codes[i] {
+                    u32::MAX => keep_unknown,
+                    c => accept[c as usize],
+                })
+            }
+            // An `Err` cannot happen on a conjunct proved error-free; keeping
+            // the row leaves it to the filter.
+            (Lane::Values(values), LaneLit::Value(lit)) => {
+                sel.retain(|&i| values[i].sql_cmp(lit).map_or(true, tri))
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The lane rule over one batch: `sel` less every row one of `tests` drops
+/// from its lane. A window comes back as itself when no row is dropped.
+fn narrow<'a>(
+    sel: &Selection,
+    tests: impl IntoIterator<Item = (&'a Lane, &'a LaneTest)>,
+    keep_unknown: bool,
+) -> Selection {
+    let mut kept: Vec<usize> = match sel {
+        Selection::Window(w) => w.clone().collect(),
+        Selection::Rows(rows) => rows.clone(),
+    };
+    for (lane, test) in tests {
+        test.retain(lane, keep_unknown, &mut kept);
+    }
+    match sel {
+        Selection::Window(w) if kept.len() == w.len() => Selection::Window(w.clone()),
+        _ => Selection::Rows(kept),
+    }
 }
 
 fn flatten_and<'a>(e: &'a PhysExpr, out: &mut Vec<&'a PhysExpr>) {
@@ -401,7 +553,7 @@ impl SegScan {
             tests.extend(
                 spec.preds[..clean]
                     .iter()
-                    .map(|p| (p.col, seg.columns()[p.col].lane_test(p))),
+                    .map(|p| (p.col, LaneTest::new(seg.columns()[p.col].lane(), p))),
             );
             keep_unknown = !(spec.complete && clean == spec.preds.len());
         }
@@ -494,20 +646,17 @@ impl TableScan {
             }
             let window = self.offset..(self.offset + DEFAULT_BATCH_SIZE).min(s.seg.len());
             self.offset = window.end;
-            let sel = if s.tests.is_empty() {
-                Selection::Window(window)
-            } else {
-                let mut sel: Vec<usize> = window.clone().collect();
-                for (col, test) in &s.tests {
-                    s.seg.columns()[*col].retain(test, s.keep_unknown, &mut sel);
+            let mut sel = Selection::Window(window);
+            if !s.tests.is_empty() {
+                let cols = s.seg.columns();
+                let tests = s.tests.iter().map(|(c, t)| (&**cols[*c].lane(), t));
+                let kept = narrow(&sel, tests, s.keep_unknown);
+                self.stats.rows_filtered += sel.len() - kept.len();
+                if kept.is_empty() {
+                    continue;
                 }
-                self.stats.rows_filtered += window.len() - sel.len();
-                match sel.len() {
-                    0 => continue,
-                    n if n == window.len() => Selection::Window(window),
-                    _ => Selection::Rows(sel),
-                }
-            };
+                sel = kept;
+            }
             let lanes = self
                 .cols
                 .iter()

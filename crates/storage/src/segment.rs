@@ -13,8 +13,8 @@
 //! carries them), nulls move into a per-column bitmap, and a [`ZoneMap`]
 //! records the min/max over non-null values so scans can skip the whole
 //! segment when a filter disproves it (see the `scan` module). A pushed
-//! conjunct the zone map cannot disprove is tested on the lane itself
-//! ([`ColumnSeg::retain`]), so only the rows it leaves are ever selected.
+//! conjunct the zone map cannot disprove is tested on the lane itself (the
+//! `scan` module's lane rule), so only the rows it leaves are ever selected.
 //!
 //! A column holds its lane behind an `Arc`: the scan hands the lanes of the
 //! columns it was asked for to the batch it emits, and nothing is decoded
@@ -30,9 +30,6 @@ use std::sync::Arc;
 
 use csq_common::lane::wide;
 use csq_common::{each_width, Lane, NullBitmap, Row, Schema, Value};
-use csq_expr::BinaryOp;
-
-use crate::scan::ColPred;
 
 /// Default number of rows per sealed segment.
 pub const DEFAULT_SEGMENT_ROWS: usize = 4096;
@@ -206,99 +203,6 @@ impl ColumnSeg {
     /// NULL rows in this column.
     pub fn null_count(&self) -> usize {
         self.zone.null_count
-    }
-}
-
-/// One pushed conjunct compiled against one sealed column: the literal
-/// resolved to the lane's own type (for a dictionary lane, to one verdict per
-/// dictionary entry), so [`ColumnSeg::retain`] tests raw lane values without
-/// building a [`Value`] per row.
-#[derive(Debug)]
-pub(crate) struct LaneTest {
-    op: BinaryOp,
-    lit: LaneLit,
-}
-
-#[derive(Debug)]
-enum LaneLit {
-    Int(i64),
-    Float(f64),
-    Bool(bool),
-    /// `accept[code]` for a dictionary lane, the literal compared once per
-    /// entry.
-    Dict(Vec<bool>),
-    /// A NULL literal: UNKNOWN on every row.
-    Null,
-    /// Compared row by row through [`Value::sql_cmp`].
-    Value(Value),
-}
-
-impl ColumnSeg {
-    /// Compile `pred` (whose column this is) for [`retain`](Self::retain).
-    pub(crate) fn lane_test(&self, pred: &ColPred) -> LaneTest {
-        let op = pred.op.binary();
-        let lit = match (&*self.lane, &pred.lit) {
-            (_, Value::Null) => LaneLit::Null,
-            (Lane::StrDict { dict, .. }, Value::Str(s)) => {
-                LaneLit::Dict(dict.iter().map(|d| op.accepts(d.cmp(s))).collect())
-            }
-            (Lane::Values(_), v) => LaneLit::Value(v.clone()),
-            // Mixed INT/FLOAT comparisons widen to f64, as `sql_cmp` does.
-            (Lane::Float { .. }, Value::Int(i)) => LaneLit::Float(*i as f64),
-            (_, Value::Int(i)) => LaneLit::Int(*i),
-            (_, Value::Float(f)) => LaneLit::Float(*f),
-            (_, Value::Bool(b)) => LaneLit::Bool(*b),
-            (_, v) => LaneLit::Value(v.clone()),
-        };
-        LaneTest { op, lit }
-    }
-
-    /// Drop from `sel` (row ordinals of this segment) every row on which the
-    /// conjunct is definitely FALSE, and — unless `keep_unknown` — every row
-    /// on which it is UNKNOWN (a NULL value or literal, a NaN ordering). The
-    /// caller only compiles conjuncts the zone map proved error-free for this
-    /// segment, so the lane and the literal are always comparable; a pairing
-    /// that is not leaves `sel` alone.
-    pub(crate) fn retain(&self, test: &LaneTest, keep_unknown: bool, sel: &mut Vec<usize>) {
-        let op = test.op;
-        let tri = |ord: Option<Ordering>| ord.map_or(keep_unknown, |o| op.accepts(o));
-        // A typed lane: NULL rows are UNKNOWN, row `i` of the rest orders as
-        // `cmp(i)`.
-        fn lane(
-            sel: &mut Vec<usize>,
-            nulls: &NullBitmap,
-            tri: impl Fn(Option<Ordering>) -> bool,
-            cmp: impl Fn(usize) -> Option<Ordering>,
-        ) {
-            sel.retain(|&i| tri((!nulls.get(i)).then(|| cmp(i)).flatten()))
-        }
-        match (&*self.lane, &test.lit) {
-            (_, LaneLit::Null) => sel.retain(|_| keep_unknown),
-            (Lane::Int { values, nulls }, LaneLit::Int(b)) => each_width!(values, v => {
-                lane(sel, nulls, tri, |i| Some(wide(v[i]).cmp(b)))
-            }),
-            (Lane::Int { values, nulls }, LaneLit::Float(b)) => each_width!(values, v => {
-                lane(sel, nulls, tri, |i| (wide(v[i]) as f64).partial_cmp(b))
-            }),
-            (Lane::Float { values, nulls }, LaneLit::Float(b)) => {
-                lane(sel, nulls, tri, |i| values[i].partial_cmp(b))
-            }
-            (Lane::Bool { values, nulls }, LaneLit::Bool(b)) => {
-                lane(sel, nulls, tri, |i| Some(values[i].cmp(b)))
-            }
-            (Lane::StrDict { codes, .. }, LaneLit::Dict(accept)) => {
-                sel.retain(|&i| match codes[i] {
-                    u32::MAX => keep_unknown,
-                    c => accept[c as usize],
-                })
-            }
-            // An `Err` cannot happen on a conjunct proved error-free; keeping
-            // the row leaves it to the filter.
-            (Lane::Values(values), LaneLit::Value(lit)) => {
-                sel.retain(|&i| values[i].sql_cmp(lit).map_or(true, tri))
-            }
-            _ => {}
-        }
     }
 }
 

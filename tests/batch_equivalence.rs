@@ -16,14 +16,18 @@
 //! 3. Random semi-join / client-join workloads ship byte-for-byte the same
 //!    traffic through the threaded engine (batched senders, zero-copy
 //!    receive) and the virtual-time simulator.
+//! 4. A lane-backed batch and the same rows as rows are one input: `Filter`
+//!    and `Project` answer the same over both, and leave the lanes unbuilt
+//!    exactly where they can; the result frames the server encodes from
+//!    batches are the frames of their rows, byte for byte.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use csq_client::synthetic::ObjectUdf;
-use csq_client::{spawn_client, ClientRuntime};
-use csq_common::{DataType, Field, Lane, Result, Row, RowBatch, Schema, Selection, Value};
+use csq_client::{spawn_client, ClientRuntime, QueryResponse};
+use csq_common::{Blob, DataType, Field, Lane, Result, Row, RowBatch, Schema, Selection, Value};
 use csq_exec::{
     collect, BoxOp, Filter, HashJoin, MemoryTracker, NestedLoopJoin, Operator, Project, RowsOp,
     Sort,
@@ -416,6 +420,339 @@ fn int_and_float_keys_match_under_the_filter_but_not_in_the_hash_join() {
         vec![0],
     );
     assert_eq!(collect(&mut hashed).unwrap(), Vec::<Row>::new());
+}
+
+// ---- lanes against rows: Filter, Project and the result frames --------------
+
+/// SplitMix64: stretches one generated seed into every draw a case needs.
+fn mix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Lane kinds [`lane_cell`] draws from.
+const LANE_KINDS: u8 = 8;
+
+/// One cell of a column of `kind`, a seventh of them NULL: INT at each width
+/// (the ranges of 1, 2, 4 and 8 bytes), FLOAT with NaN and both zeros, BOOL,
+/// STR (a dictionary lane, NULL codes included), and a mix of INT, FLOAT and
+/// BLOB that seals into a `Values` lane.
+fn lane_cell(kind: u8, raw: u64) -> Value {
+    if raw.is_multiple_of(7) {
+        return Value::Null;
+    }
+    let r = raw >> 3;
+    let pick = |n: u64| (r % n) as usize;
+    match kind % LANE_KINDS {
+        0 => Value::Int((r % 200) as i64 - 100),
+        1 => Value::Int((r % 60_000) as i64 - 30_000),
+        2 => Value::Int((r % 4_000_000_000) as i64 - 2_000_000_000),
+        3 => Value::Int([i64::MIN, i64::MAX, -1, 0, 7, 1 << 40][pick(6)]),
+        4 => Value::Float([f64::NAN, -0.0, 0.0, 1.5, -2.5, 1e300][pick(6)]),
+        5 => Value::Bool(r.is_multiple_of(2)),
+        6 => Value::from(["a", "bb", "c", "zz"][pick(4)]),
+        _ => [
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Float(-0.0),
+            Value::Blob(Blob::synthetic(3, r % 5)),
+        ][pick(4)]
+        .clone(),
+    }
+}
+
+/// Columns of random kinds over a few rows, and which of the rows a batch
+/// covers: a window or a selection vector.
+#[derive(Debug, Clone)]
+struct LaneCase {
+    kinds: Vec<u8>,
+    rows: Vec<Row>,
+    sel: Selection,
+}
+
+impl LaneCase {
+    fn schema(&self) -> Arc<Schema> {
+        let fields = self.kinds.iter().enumerate();
+        Arc::new(Schema::new(
+            fields
+                .map(|(c, _)| Field::new(format!("c{c}"), DataType::Int))
+                .collect(),
+        ))
+    }
+
+    fn lanes(&self) -> Vec<Arc<Lane>> {
+        (0..self.kinds.len())
+            .map(|c| Arc::new(Lane::build(&self.rows, c)))
+            .collect()
+    }
+
+    /// The rows of positions `at` of the selection, as lanes.
+    fn lane_batch(&self, at: std::ops::Range<usize>) -> RowBatch {
+        let sel = match &self.sel {
+            Selection::Window(w) => Selection::Window(w.start + at.start..w.start + at.end),
+            Selection::Rows(rows) => Selection::Rows(rows[at].to_vec()),
+        };
+        RowBatch::from_lanes(self.schema(), self.lanes(), sel)
+    }
+
+    /// The rows of positions `at` of the selection, as rows.
+    fn row_batch(&self, at: std::ops::Range<usize>) -> RowBatch {
+        let rows = at.map(|p| self.rows[self.sel.ordinal(p)].clone()).collect();
+        RowBatch::from_rows(self.schema(), rows)
+    }
+}
+
+fn arb_lane_case() -> impl Strategy<Value = LaneCase> {
+    (
+        prop::collection::vec(0u8..LANE_KINDS, 1..4),
+        1usize..48,
+        any::<u64>(),
+        any::<bool>(),
+    )
+        .prop_map(|(kinds, n, seed, window)| {
+            let rows = (0..n as u64)
+                .map(|i| {
+                    let cells = kinds.iter().zip(0u64..);
+                    Row::new(
+                        cells
+                            .map(|(&k, c)| lane_cell(k, mix(seed ^ (i << 8) ^ c)))
+                            .collect(),
+                    )
+                })
+                .collect();
+            let n = n as u64;
+            let sel = if window {
+                let start = mix(seed) % n;
+                let end = start + 1 + mix(!seed) % (n - start);
+                Selection::Window(start as usize..end as usize)
+            } else {
+                let kept = (0..n).filter(|&i| !mix(seed.rotate_left(17) ^ i).is_multiple_of(3));
+                Selection::Rows(kept.map(|i| i as usize).collect())
+            };
+            LaneCase { kinds, rows, sel }
+        })
+}
+
+/// Hands out `batches` as they are.
+struct Batches {
+    schema: Arc<Schema>,
+    batches: std::vec::IntoIter<RowBatch>,
+}
+
+impl Operator for Batches {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
+        Ok(self.batches.next())
+    }
+}
+
+fn one_batch(batch: RowBatch) -> BoxOp {
+    Box::new(Batches {
+        schema: batch.schema().clone(),
+        batches: vec![batch].into_iter(),
+    })
+}
+
+/// Whether each batch `op` emits left its rows unbuilt, and then the rows;
+/// or its error as (kind, message).
+fn drain(mut op: BoxOp) -> std::result::Result<(Vec<bool>, Vec<Row>), (String, String)> {
+    let (mut unbuilt, mut rows) = (Vec::new(), Vec::new());
+    loop {
+        match op.next_batch() {
+            Ok(Some(b)) => {
+                unbuilt.push(!b.is_materialized());
+                rows.extend(b.into_rows());
+            }
+            Ok(None) => return Ok((unbuilt, rows)),
+            Err(e) => return Err((e.kind().to_string(), e.to_string())),
+        }
+    }
+}
+
+/// A literal for a conjunct: INT (the extremes included), FLOAT with NaN
+/// and both zeros, BOOL, STR, NULL, and a BLOB that every other lane kind
+/// raises against.
+fn arb_literal(raw: u64) -> Value {
+    let r = raw >> 3;
+    match raw % 8 {
+        0 | 1 => Value::Int((r % 21) as i64 - 10),
+        2 => Value::Float([f64::NAN, -0.0, 0.0, 1.5, -2.5, 1e300][(r % 6) as usize]),
+        3 => Value::Bool(r.is_multiple_of(2)),
+        4 => Value::from(["a", "bb", "c", "zz"][(r % 4) as usize]),
+        5 => Value::Null,
+        6 => Value::Blob(Blob::synthetic(3, r % 5)),
+        _ => Value::Int([i64::MIN, i64::MAX][(r % 2) as usize]),
+    }
+}
+
+/// True when `lit` against `lane` can be decided on every row without an
+/// error — what `Filter` decides on the lanes.
+fn typed_pairing(lane: &Lane, lit: &Value) -> bool {
+    matches!(
+        (lane, lit),
+        (_, Value::Null)
+            | (
+                Lane::Int { .. } | Lane::Float { .. },
+                Value::Int(_) | Value::Float(_)
+            )
+            | (Lane::Bool { .. }, Value::Bool(_))
+            | (Lane::StrDict { .. }, Value::Str(_))
+    )
+}
+
+fn binary(left: PhysExpr, op: BinaryOp, right: PhysExpr) -> PhysExpr {
+    PhysExpr::Binary {
+        left: Box::new(left),
+        op,
+        right: Box::new(right),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // `Filter` over a lane batch answers what it answers over the same rows
+    // as rows — the same rows in order, or the same error kind and message
+    // — and leaves the rows unbuilt exactly when its predicate is the
+    // compiled conjuncts alone and each pairs its lane with a literal no
+    // row can raise against.
+    #[test]
+    fn filter_on_lanes_agrees_with_filter_on_rows(
+        case in arb_lane_case(),
+        conjuncts in prop::collection::vec(
+            (any::<u8>(), any::<u8>(), any::<u64>(), any::<bool>()),
+            1..4,
+        ),
+        residual in any::<u8>(),
+    ) {
+        let width = case.kinds.len();
+        let lanes = case.lanes();
+        let mut typed = true;
+        let mut pred = None;
+        // Each conjunct: (column, operator, literal, written literal-first).
+        for &(col, op, raw, flipped) in &conjuncts {
+            // Now and then an ordinal the batch does not have.
+            let col = col as usize % (width + 1);
+            let lit = arb_literal(raw);
+            typed &= lanes.get(col).is_some_and(|l| typed_pairing(l, &lit));
+            let (c, l) = (PhysExpr::Column(col), PhysExpr::Literal(lit));
+            let conjunct: PhysExpr = match flipped {
+                true => binary(l, cmp_op(op), c),
+                false => binary(c, cmp_op(op), l),
+            };
+            pred = Some(match pred {
+                Some(p) => binary(p, BinaryOp::And, conjunct),
+                None => conjunct,
+            });
+        }
+        let mut pred = pred.expect("at least one conjunct");
+        if residual % 3 == 0 {
+            // Not `column <cmp> literal`: the spec is incomplete.
+            let (a, b) = (residual as usize % width, (residual as usize / 3) % width);
+            let other = binary(PhysExpr::Column(a), cmp_op(residual), PhysExpr::Column(b));
+            pred = binary(pred, BinaryOp::And, other);
+            typed = false;
+        }
+        let all = 0..case.sel.len();
+        let on_lanes = drain(Box::new(Filter::new(one_batch(case.lane_batch(all.clone())), pred.clone())));
+        let on_rows = drain(Box::new(Filter::new(one_batch(case.row_batch(all)), pred.clone())));
+        match (&on_lanes, &on_rows) {
+            (Ok((unbuilt, lane_rows)), Ok((_, rows))) => {
+                prop_assert_eq!(lane_rows, rows, "{:?}", pred);
+                for &u in unbuilt {
+                    prop_assert_eq!(u, typed, "{:?}", pred);
+                }
+            }
+            (Err(a), Err(b)) => prop_assert_eq!(a, b, "{:?}", pred),
+            (a, b) => prop_assert!(false, "{pred:?}: lanes {a:?} vs rows {b:?}"),
+        }
+        if typed {
+            prop_assert!(on_lanes.is_ok(), "a typed pairing cannot raise: {:?}", pred);
+        }
+    }
+
+    // `Project` over a lane batch answers what it answers over the same
+    // rows as rows, and hands the picked lanes on, unbuilt, exactly when
+    // every expression is a column the batch has — in any order, repeats
+    // included.
+    #[test]
+    fn project_on_lanes_agrees_with_project_on_rows(
+        case in arb_lane_case(),
+        exprs in prop::collection::vec((any::<u8>(), any::<u8>()), 1..5),
+    ) {
+        let width = case.kinds.len();
+        let mut plain = true;
+        let exprs: Vec<(PhysExpr, Field)> = exprs
+            .iter()
+            .enumerate()
+            .map(|(i, &(a, b))| {
+                let a = a as usize % (width + 1);
+                plain &= a < width && b % 4 != 0;
+                let e = match b % 4 {
+                    // Raises on a mismatched pair of values.
+                    0 => binary(PhysExpr::Column(a), BinaryOp::Add, PhysExpr::Column(b as usize % width)),
+                    _ => PhysExpr::Column(a),
+                };
+                (e, Field::new(format!("p{i}"), DataType::Int))
+            })
+            .collect();
+        let all = 0..case.sel.len();
+        let on_lanes = drain(Box::new(Project::new(one_batch(case.lane_batch(all.clone())), exprs.clone())));
+        let on_rows = drain(Box::new(Project::new(one_batch(case.row_batch(all)), exprs.clone())));
+        match (&on_lanes, &on_rows) {
+            (Ok((unbuilt, lane_rows)), Ok((_, rows))) => {
+                prop_assert_eq!(lane_rows, rows);
+                for &u in unbuilt {
+                    prop_assert_eq!(u, plain, "{:?}", exprs);
+                }
+            }
+            (Err(a), Err(b)) => prop_assert_eq!(a, b),
+            (a, b) => prop_assert!(false, "{exprs:?}: lanes {a:?} vs rows {b:?}"),
+        }
+    }
+
+    // The frames the server encodes from a result's batches — cut at random
+    // points, each piece lanes or rows — are the `Rows` frames of the same
+    // rows chunked `chunk_rows` at a time, byte for byte, and decode back to
+    // those rows.
+    #[test]
+    fn result_frames_from_batches_are_the_frames_of_their_rows(
+        case in arb_lane_case(),
+        cuts in prop::collection::vec((any::<u64>(), any::<bool>()), 0..5),
+    ) {
+        let n = case.sel.len();
+        let mut at: Vec<usize> = cuts.iter().map(|&(c, _)| (c % (n as u64 + 1)) as usize).collect();
+        at.extend([0, n]);
+        at.sort_unstable();
+        let batches: Vec<RowBatch> = at
+            .windows(2)
+            .zip(cuts.iter().map(|&(_, lanes)| lanes).chain([true]))
+            .map(|(w, lanes)| match lanes {
+                true => case.lane_batch(w[0]..w[1]),
+                false => case.row_batch(w[0]..w[1]),
+            })
+            .collect();
+        let rows = case.row_batch(0..n).into_rows();
+        for chunk_rows in [1, 3, 1024] {
+            let frames = QueryResponse::encode_rows_frames(&batches, chunk_rows);
+            let expect: Vec<Vec<u8>> = rows
+                .chunks(chunk_rows)
+                .map(QueryResponse::encode_rows_chunk)
+                .collect();
+            prop_assert_eq!(&frames, &expect, "chunk_rows = {}", chunk_rows);
+            for (frame, chunk) in frames.into_iter().zip(rows.chunks(chunk_rows)) {
+                let decoded = QueryResponse::decode_shared(&Arc::new(frame)).unwrap();
+                prop_assert_eq!(decoded, QueryResponse::Rows(chunk.to_vec()));
+            }
+        }
+        prop_assert!(batches.iter().all(|b| b.lanes().is_none() || !b.is_materialized()),
+            "encoding builds no row of a lane batch");
+    }
 }
 
 // ---- shipped-byte accounting: threaded vs simulated ------------------------

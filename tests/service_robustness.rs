@@ -156,6 +156,55 @@ fn server_errors_propagate_with_kinds_and_session_survives() {
     handle.shutdown();
 }
 
+/// A statement that raises after its scan has handed on lane batches —
+/// in the filter above it, or in the final projection once earlier batches
+/// have been projected — answers with exactly one `Error` frame: no `Begin`,
+/// no rows. The next statement's answer is the next frame on the socket.
+#[test]
+fn statement_failing_after_lane_batches_answers_one_error_frame() {
+    let db = demo_db(5_000);
+    let handle = start(&db, small_config());
+    let conn = TcpConn::connect(handle.local_addr()).unwrap();
+    let send = |sql: &str| {
+        let request = csq_client::QueryRequest::Query {
+            sql: sql.into(),
+            deadline_ms: 0,
+        };
+        conn.send(&request.encode()).unwrap();
+    };
+    let recv = || {
+        let csq_net::Frame::Payload(frame) = conn.recv().unwrap() else {
+            panic!("expected a response frame");
+        };
+        QueryResponse::decode(&frame).unwrap()
+    };
+    for sql in [
+        "SELECT R.Id FROM R R WHERE R.Id > 10 AND R.Grp / (R.Id - 4500) >= 0",
+        "SELECT R.Grp / (R.Id - 4500) FROM R R WHERE R.Id > 10",
+    ] {
+        let local = db.execute(sql).unwrap_err();
+        assert_eq!(local.message(), "division by zero");
+        send(sql);
+        match recv() {
+            QueryResponse::Error { kind, message, .. } => {
+                assert_eq!(
+                    (kind.as_str(), message.as_str()),
+                    (local.kind(), local.message())
+                )
+            }
+            other => panic!("{sql}: expected one Error frame, got {other:?}"),
+        }
+        send(COUNT_SQL);
+        assert!(matches!(recv(), QueryResponse::Begin { .. }));
+        assert_eq!(
+            recv(),
+            QueryResponse::Rows(vec![Row::new(vec![Value::Int(5_000)])])
+        );
+        assert!(matches!(recv(), QueryResponse::End { rows: 1, .. }));
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn garbage_frame_gets_codec_error_and_other_sessions_continue() {
     let db = demo_db(30);
