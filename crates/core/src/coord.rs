@@ -51,7 +51,7 @@ use parking_lot::{Mutex, RwLock};
 
 use csq_client::{ConnectionPool, QueryOptions, RemoteResult, ScalarUdf};
 use csq_common::{CsqError, DataType, Field, Result, Row, RowBatch, Schema, Value};
-use csq_exec::{collect, AggSpec, HashAggregate, Operator, RowsOp};
+use csq_exec::{collect, AggSpec, HashAggregate, RowsOp};
 use csq_expr::{bind, ColumnRef, Expr, UnaryOp};
 use csq_net::NetworkSpec;
 use csq_opt::context::TableStats;
@@ -723,13 +723,10 @@ impl Coordinator {
             .map(|c| AggSpec::new(c.func, None, c.result_col.clone()))
             .collect();
         let input: csq_exec::BoxOp = Box::new(RowsOp::new(partial_schema.clone(), rows));
-        let mut agg = HashAggregate::finalize(input, key_len, aggs)?;
-        let out_schema = agg.schema().clone();
-        let mut out_rows = collect(&mut agg)?;
-        if let Some(h) = &spec.having {
-            out_rows = crate::lower::keep_where(&bind(h, &out_schema)?, out_rows)?;
-        }
-        let merged = RowBatch::from_rows(Arc::new(out_schema.clone()), out_rows);
+        let agg = Box::new(HashAggregate::finalize(input, key_len, aggs)?);
+        let mut op = crate::lower::with_having(spec, agg)?;
+        let out_schema = op.schema().clone();
+        let merged = RowBatch::from_rows(Arc::new(out_schema.clone()), collect(&mut *op)?);
         Ok(crate::lower::project_output(graph, &out_schema, vec![merged])?.into_result())
     }
 

@@ -8,7 +8,8 @@
 //!   threads, a real client thread, an unthrottled in-memory duplex (bytes
 //!   counted, transfer instant). The correctness path.
 //! * [`Database::execute_simulated`] — the *virtual-time* engine: the same
-//!   plans and the same client code, but transfers timed by the
+//!   plan, the same operator tree and the same client code; only the link
+//!   under each client-site operator differs, its transfers timed by the
 //!   discrete-event link model. Returns a [`SimSummary`] with completion
 //!   time and per-link byte accounting — this is what regenerates the
 //!   paper's figures.
@@ -49,7 +50,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use csq_expr::bind;
-use csq_opt::OptContext;
+use csq_opt::{OptContext, QueryGraph};
 use csq_sql::{parse_statement, Statement};
 
 // Re-exported so the `csq` facade crate offers the full public vocabulary:
@@ -241,20 +242,30 @@ impl Database {
         self.execute_statement(parse_statement(sql)?)
     }
 
+    /// Optimize a parsed SELECT against the current statistics, UDF metadata
+    /// and network — the one way `Database` plans a query.
+    fn plan(&self, sel: &csq_sql::SelectStmt) -> Result<(QueryGraph, OptimizedPlan)> {
+        let ctx = self.opt_context();
+        let graph = csq_opt::query::extract(sel, &ctx)?;
+        let plan = csq_opt::optimize(&graph, &ctx)?;
+        Ok((graph, plan))
+    }
+
+    /// Parse `sql` and [`plan`](Self::plan) it; any statement other than a
+    /// SELECT is a plan error saying `not_select`.
+    fn plan_sql(&self, sql: &str, not_select: &str) -> Result<(QueryGraph, OptimizedPlan)> {
+        match parse_statement(sql)? {
+            Statement::Select(sel) => self.plan(&sel),
+            _ => Err(CsqError::Plan(not_select.into())),
+        }
+    }
+
     /// Execute a SELECT on the virtual-time engine, returning rows plus the
     /// simulated timing/byte summary under the database's network.
     pub fn execute_simulated(&self, sql: &str) -> Result<(QueryResult, SimSummary)> {
-        match parse_statement(sql)? {
-            Statement::Select(sel) => {
-                let ctx = self.opt_context();
-                let graph = csq_opt::query::extract(&sel, &ctx)?;
-                let plan = csq_opt::optimize(&graph, &ctx)?;
-                lower::execute_simulated(self, &graph, &plan)
-            }
-            _ => Err(CsqError::Plan(
-                "execute_simulated only supports SELECT statements".into(),
-            )),
-        }
+        let (graph, plan) =
+            self.plan_sql(sql, "execute_simulated only supports SELECT statements")?;
+        lower::execute_simulated(self, &graph, &plan)
     }
 
     /// The optimizer's chosen plan, rendered as an indented tree, with its
@@ -262,23 +273,16 @@ impl Database {
     /// counts (`segments: N pruned / M`) computed against the current
     /// catalog, so selective filters are visible before running the query.
     pub fn explain(&self, sql: &str) -> Result<String> {
-        match parse_statement(sql)? {
-            Statement::Select(sel) => {
-                let ctx = self.opt_context();
-                let graph = csq_opt::query::extract(&sel, &ctx)?;
-                let plan = csq_opt::optimize(&graph, &ctx)?;
-                let mut notes = std::collections::HashMap::new();
-                self.scan_notes(&graph, &plan.root, &[], &mut notes);
-                Ok(format!(
-                    "{}cost: {:.6}s (est. {:.1} rows, {} states explored)\n",
-                    plan.root.explain_annotated(&graph, &notes),
-                    plan.cost_seconds,
-                    plan.est_rows,
-                    plan.states_explored
-                ))
-            }
-            _ => Err(CsqError::Plan("EXPLAIN only supports SELECT".into())),
-        }
+        let (graph, plan) = self.plan_sql(sql, "EXPLAIN only supports SELECT")?;
+        let mut notes = std::collections::HashMap::new();
+        self.scan_notes(&graph, &plan.root, &[], &mut notes);
+        Ok(format!(
+            "{}cost: {:.6}s (est. {:.1} rows, {} states explored)\n",
+            plan.root.explain_annotated(&graph, &notes),
+            plan.cost_seconds,
+            plan.est_rows,
+            plan.states_explored
+        ))
     }
 
     /// Walk a plan and annotate each scan leaf with the segment counts the
@@ -287,7 +291,7 @@ impl Database {
     /// of a Filter/Final node sitting directly on the scan, else none).
     fn scan_notes(
         &self,
-        graph: &csq_opt::QueryGraph,
+        graph: &QueryGraph,
         node: &csq_opt::PlanNode,
         preds: &[usize],
         notes: &mut std::collections::HashMap<usize, String>,
@@ -336,16 +340,8 @@ impl Database {
 
     /// Optimize without executing (for tests and benches that inspect plan
     /// shapes).
-    pub fn optimize(&self, sql: &str) -> Result<(csq_opt::QueryGraph, OptimizedPlan)> {
-        match parse_statement(sql)? {
-            Statement::Select(sel) => {
-                let ctx = self.opt_context();
-                let graph = csq_opt::query::extract(&sel, &ctx)?;
-                let plan = csq_opt::optimize(&graph, &ctx)?;
-                Ok((graph, plan))
-            }
-            _ => Err(CsqError::Plan("optimize only supports SELECT".into())),
-        }
+    pub fn optimize(&self, sql: &str) -> Result<(QueryGraph, OptimizedPlan)> {
+        self.plan_sql(sql, "optimize only supports SELECT")
     }
 
     /// Run a `;`-separated script, returning the last statement's result.
@@ -362,9 +358,7 @@ impl Database {
     fn execute_statement(&self, stmt: Statement) -> Result<QueryResult> {
         match stmt {
             Statement::Select(sel) => {
-                let ctx = self.opt_context();
-                let graph = csq_opt::query::extract(&sel, &ctx)?;
-                let plan = csq_opt::optimize(&graph, &ctx)?;
+                let (graph, plan) = self.plan(&sel)?;
                 let out = lower::execute_threaded(self, &graph, &plan, &CancelToken::new())?;
                 Ok(out.into_result())
             }
@@ -439,9 +433,7 @@ impl Database {
         sel: &csq_sql::SelectStmt,
         epoch: u64,
     ) -> Result<Arc<PlannedQuery>> {
-        let ctx = self.opt_context();
-        let graph = csq_opt::query::extract(sel, &ctx)?;
-        let plan = csq_opt::optimize(&graph, &ctx)?;
+        let (graph, plan) = self.plan(sel)?;
         let planned = Arc::new(PlannedQuery {
             sql: sql.to_string(),
             epoch,

@@ -1,31 +1,31 @@
 //! Plan lowering: optimizer [`PlanNode`] trees → execution.
 //!
-//! Two backends share this module:
+//! One lowering, two links. [`build_tree`] turns a plan into one operator
+//! tree — columnar scans, filters, nested-loop joins, aggregates — and both
+//! entry points drain that tree and project its batches onto the SELECT
+//! list. The only node whose lowering depends on the link is `ApplyUdf`:
 //!
 //! * **Threaded** ([`execute_threaded`]): each `ApplyUdf` node gets its own
-//!   in-memory duplex and client thread; joins/filters run as iterator
-//!   operators; the tree is drained on the caller's thread and the final
-//!   projection applied to its batches there, and the result stays batches
+//!   in-memory duplex and client thread and ships as it is pulled; the tree
+//!   is drained on the caller's thread, and the result stays batches
 //!   ([`ResultBatches`]) — rows are built by whoever receives them.
-//! * **Simulated** ([`execute_simulated`]): operators materialize rows
-//!   bottom-up; each `ApplyUdf` runs the virtual-time executor and its
-//!   timing/bytes accumulate into a [`SimSummary`] (phases are sequential —
+//! * **Virtual time** ([`execute_simulated`]): each `ApplyUdf` collects its
+//!   child, runs the virtual-time executor over those rows, and folds the
+//!   run's timing and bytes into a [`SimSummary`] (phases are sequential —
 //!   a conservative approximation of the pipelined reality, documented in
-//!   DESIGN.md).
+//!   DESIGN.md); the final delivery crosses the modelled downlink.
 //!
 //! Execution-semantics notes: `leave-on-client` and `merged-with-final`
 //! strategies differ from plain variants only in *cost* (what crosses the
-//! uplink when); row semantics are identical, so both backends execute them
+//! uplink when); row semantics are identical, so both links execute them
 //! as their plain counterparts and the savings show up in the optimizer's
 //! estimates and the cost-model benches.
 
-use std::sync::Arc;
-
 use csq_client::spawn_client_with_token;
-use csq_common::{codec, CancelToken, CsqError, Field, Result, Row, RowBatch, Schema};
+use csq_common::{codec, CancelToken, CsqError, Field, Result, RowBatch, Schema};
 use csq_exec::{
-    collect, AggSpec, CancelCheck, ColumnarScan, Filter, HashAggregate, NestedLoopJoin, Operator,
-    Projection, RowsOp,
+    collect, AggSpec, BoxOp, CancelCheck, ColumnarScan, Filter, HashAggregate, NestedLoopJoin,
+    Operator, Projection, RowsOp,
 };
 use csq_expr::{analysis, bind, PhysExpr};
 use csq_net::in_memory_duplex;
@@ -127,59 +127,16 @@ fn bind_aggregate(spec: &AggregateSpec, schema: &Schema) -> Result<(Vec<usize>, 
     Ok((key, aggs))
 }
 
-/// Execute the aggregation layer over materialized rows (shared by the
-/// simulated backend and tests). `placement` picks the decomposition:
-/// client-only runs one single-phase pass; server-partial runs the partial
-/// phase, round-trips the decomposed state through the wire codec (the
-/// bytes a networked deployment would ship), and finishes from the decoded
-/// states. Row semantics are identical by construction — the differential
-/// suite holds both against a naive reference.
-fn apply_aggregate(
-    spec: &AggregateSpec,
-    placement: AggPlacement,
-    schema: &Schema,
-    rows: Vec<Row>,
-) -> Result<(Schema, Vec<Row>)> {
-    let (key, aggs) = bind_aggregate(spec, schema)?;
-    let input: csq_exec::BoxOp = Box::new(RowsOp::new(schema.clone(), rows));
-    let (out_schema, out_rows) = match placement {
-        AggPlacement::ClientOnly => {
-            let mut agg = HashAggregate::new(input, key, aggs);
-            let s = agg.schema().clone();
-            (s, collect(&mut agg)?)
+/// `op` — an aggregate's output — under the aggregate's HAVING predicate,
+/// if it has one.
+pub(crate) fn with_having(spec: &AggregateSpec, op: BoxOp) -> Result<BoxOp> {
+    Ok(match &spec.having {
+        Some(h) => {
+            let pred = bind(h, op.schema())?;
+            Box::new(Filter::new(op, pred))
         }
-        AggPlacement::ServerPartial => {
-            let pspec = PartialAggSpec::new(key, aggs);
-            let (s, r, _wire_bytes) = pspec.ship_through_wire(input)?;
-            (s, r)
-        }
-        // Shard-partial plans belong to the coordinator (csq_core::coord),
-        // which merges per-shard states itself; a single-node executor has
-        // no shards to scatter over.
-        AggPlacement::ShardPartial => {
-            return Err(CsqError::Plan(
-                "shard-partial aggregation requires a coordinator".into(),
-            ))
-        }
-    };
-    let out_rows = match &spec.having {
-        Some(h) => keep_where(&bind(h, &out_schema)?, out_rows)?,
-        None => out_rows,
-    };
-    Ok((out_schema, out_rows))
-}
-
-/// Keep, in order, the rows on which `pred` holds. Evaluates the general
-/// [`PhysExpr`] — this is the oracle for `csq_exec::Filter`'s compiled
-/// predicate paths, so it must not go through them.
-pub(crate) fn keep_where(pred: &PhysExpr, rows: Vec<Row>) -> Result<Vec<Row>> {
-    let mut kept = Vec::with_capacity(rows.len());
-    for r in rows {
-        if pred.eval_predicate(&r)? {
-            kept.push(r);
-        }
-    }
-    Ok(kept)
+        None => op,
+    })
 }
 
 /// The [`FilterSpec`] a scan of `table` as `alias` is opened with when `preds`
@@ -208,7 +165,7 @@ fn scan_leaf(
     preds: &[usize],
     narrow: bool,
     token: &CancelToken,
-) -> Result<Box<dyn Operator + Send>> {
+) -> Result<BoxOp> {
     let Unit::Rel { alias, table, .. } = &graph.units[unit] else {
         return Err(CsqError::Plan("scan of non-relation unit".into()));
     };
@@ -248,7 +205,7 @@ fn udf_application(graph: &QueryGraph, unit: usize, schema: &Schema) -> Result<U
     ))
 }
 
-/// What an `ApplyUdf` node ships with, for either backend.
+/// What an `ApplyUdf` node ships with, over either link.
 enum ShipSpec {
     SemiJoin(SemiJoinSpec),
     ClientJoin(ClientJoinSpec),
@@ -256,8 +213,8 @@ enum ShipSpec {
 
 /// The shipping spec of an `ApplyUdf` node over a child of `schema`: the
 /// node's strategy, run at the tuples-per-message and concurrency factor the
-/// optimizer stored on it. Both backends build their specs here, so they
-/// ship the same messages.
+/// optimizer stored on it. Both links build their specs here, so they ship
+/// the same messages.
 fn ship_spec(
     graph: &QueryGraph,
     unit: usize,
@@ -282,7 +239,7 @@ fn ship_spec(
     })
 }
 
-// ---- threaded backend ------------------------------------------------------
+// ---- the operator tree -----------------------------------------------------
 
 /// `input` under the conjunction of `preds` (just `input` when there are
 /// none). Predicates landing directly on a scan also push their pushable
@@ -296,10 +253,11 @@ fn filtered(
     preds: &[usize],
     narrow: bool,
     token: &CancelToken,
-) -> Result<Box<dyn Operator + Send>> {
+    sim: Option<&mut SimSummary>,
+) -> Result<BoxOp> {
     let child = match input {
         PlanNode::Scan { unit } => scan_leaf(db, graph, *unit, preds, narrow, token)?,
-        _ => build_threaded(db, graph, input, narrow, token)?,
+        _ => build_tree(db, graph, input, narrow, token, sim)?,
     };
     Ok(match bind_preds(graph, preds, child.schema())? {
         Some(pred) => Box::new(Filter::new(child, pred)),
@@ -307,30 +265,36 @@ fn filtered(
     })
 }
 
+/// Lower `node` to its operator tree. `sim` picks the link every `ApplyUdf`
+/// ships over: `None` is the threaded link (a client thread behind an
+/// in-memory duplex), `Some` the virtual-time link, whose runs accumulate
+/// into the summary. Every other node lowers the same way under either.
+///
 /// `narrow` is true until the walk descends through an `ApplyUdf`: the
-/// client-site join ships its whole input record (and the simulated backend
-/// reads whole snapshots), so the scans feeding one keep every column.
-fn build_threaded(
+/// client-site join ships its whole input record, so the scans feeding one
+/// keep every column.
+fn build_tree(
     db: &Database,
     graph: &QueryGraph,
     node: &PlanNode,
     narrow: bool,
     token: &CancelToken,
-) -> Result<Box<dyn Operator + Send>> {
+    mut sim: Option<&mut SimSummary>,
+) -> Result<BoxOp> {
     match node {
         PlanNode::Scan { unit } => scan_leaf(db, graph, *unit, &[], narrow, token),
         PlanNode::Join { left, right } => {
-            let l = build_threaded(db, graph, left, narrow, token)?;
-            let r = build_threaded(db, graph, right, narrow, token)?;
+            let l = build_tree(db, graph, left, narrow, token, sim.as_deref_mut())?;
+            let r = build_tree(db, graph, right, narrow, token, sim)?;
             Ok(Box::new(NestedLoopJoin::new(l, r, None)))
         }
         PlanNode::Filter { input, preds } => {
             if preds.is_empty() {
                 return Err(CsqError::Plan("empty filter".into()));
             }
-            filtered(db, graph, input, preds, narrow, token)
+            filtered(db, graph, input, preds, narrow, token, sim)
         }
-        PlanNode::ReturnToServer { input } => build_threaded(db, graph, input, narrow, token),
+        PlanNode::ReturnToServer { input } => build_tree(db, graph, input, narrow, token, sim),
         // Scatter/gather belong to the coordinator (csq_core::coord), which
         // never lowers them — it generates per-shard SQL instead.
         PlanNode::Scatter { .. } | PlanNode::Gather { .. } => Err(CsqError::Plan(
@@ -339,14 +303,14 @@ fn build_threaded(
         PlanNode::Aggregate {
             input, placement, ..
         } => {
-            let child = build_threaded(db, graph, input, narrow, token)?;
+            let child = build_tree(db, graph, input, narrow, token, sim)?;
             let spec = graph
                 .aggregate
                 .as_ref()
                 .ok_or_else(|| CsqError::Plan("Aggregate node without an aggregate spec".into()))?;
             let schema = child.schema().clone();
             let (key, aggs) = bind_aggregate(spec, &schema)?;
-            let mut op: Box<dyn Operator + Send> = match placement {
+            let op: BoxOp = match placement {
                 AggPlacement::ClientOnly => {
                     Box::new(HashAggregate::new(child, key, aggs).with_memory(db.memory_tracker()))
                 }
@@ -365,25 +329,40 @@ fn build_threaded(
                     ))
                 }
             };
-            if let Some(h) = &spec.having {
-                let pred = bind(h, op.schema())?;
-                op = Box::new(Filter::new(op, pred));
-            }
-            Ok(op)
+            with_having(spec, op)
         }
         PlanNode::Final {
             input,
             pushed_preds,
             ..
-        } => filtered(db, graph, input, pushed_preds, narrow, token),
+        } => filtered(db, graph, input, pushed_preds, narrow, token, sim),
         PlanNode::ApplyUdf {
             input,
             unit,
             strategy,
             ship,
         } => {
-            let child = build_threaded(db, graph, input, false, token)?;
+            let mut child = build_tree(db, graph, input, false, token, sim.as_deref_mut())?;
             let spec = ship_spec(graph, *unit, strategy, *ship, child.schema())?;
+            if let Some(summary) = sim {
+                // Virtual time: the whole input crosses the modelled link in
+                // one run, and the rows it returns feed the tree above.
+                let schema = child.schema().clone();
+                let rows = collect(&mut *child)?;
+                let (net, runtime) = (db.network(), db.client_runtime().clone());
+                let (out_schema, run) = match spec {
+                    ShipSpec::SemiJoin(spec) => (
+                        spec.output_schema(&schema),
+                        simulate_semijoin(&schema, rows, &spec, runtime, &net)?,
+                    ),
+                    ShipSpec::ClientJoin(spec) => (
+                        spec.output_schema(&schema),
+                        simulate_client_join(&schema, rows, &spec, runtime, &net)?,
+                    ),
+                };
+                summary.absorb(&run);
+                return Ok(Box::new(RowsOp::new(out_schema, run.rows)));
+            }
             let (server_end, client_end, _stats) = in_memory_duplex();
             // Client thread per client-site operator; detached — it exits
             // when the operator closes the connection *or* the query's
@@ -432,18 +411,19 @@ pub(crate) fn project_output(
     })
 }
 
-/// Execute an optimized SELECT on the threaded engine under a cancellation
-/// token (deadline expiry or an explicit `cancel()` surfaces as a typed
-/// `timeout`/`cancelled` error at the next operator batch boundary): build
-/// the operator tree, drain it, then project its batches onto the SELECT
-/// list. The one way the threaded backend runs a plan.
-pub(crate) fn execute_threaded(
+/// Build the operator tree of an optimized SELECT over the link `sim`
+/// picks, drain it under a cancellation token (deadline expiry or an
+/// explicit `cancel()` surfaces as a typed `timeout`/`cancelled` error at
+/// the next operator batch boundary), then project its batches onto the
+/// SELECT list.
+fn run_tree(
     db: &Database,
     graph: &QueryGraph,
     plan: &csq_opt::OptimizedPlan,
     token: &CancelToken,
+    sim: Option<&mut SimSummary>,
 ) -> Result<ResultBatches> {
-    let op = build_threaded(db, graph, &plan.root, true, token)?;
+    let op = build_tree(db, graph, &plan.root, true, token, sim)?;
     // A second checkpoint above the root catches plans whose leaves run
     // inside feeder threads (the shipping operators).
     let mut op = CancelCheck::new(op, token.clone());
@@ -457,98 +437,27 @@ pub(crate) fn execute_threaded(
     project_output(graph, &schema, batches)
 }
 
-// ---- simulated backend -----------------------------------------------------
-
-fn run_simulated(
+/// Execute an optimized SELECT on the threaded link under a cancellation
+/// token. The one way the service and [`Database::execute`] run a plan.
+pub(crate) fn execute_threaded(
     db: &Database,
     graph: &QueryGraph,
-    node: &PlanNode,
-    summary: &mut SimSummary,
-) -> Result<(Schema, Vec<Row>)> {
-    match node {
-        PlanNode::Scan { unit } => {
-            let Unit::Rel { alias, table, .. } = &graph.units[*unit] else {
-                return Err(CsqError::Plan("scan of non-relation unit".into()));
-            };
-            let t = db.catalog().get(table)?;
-            Ok((t.schema().qualify(alias), t.snapshot()))
-        }
-        PlanNode::Join { left, right } => {
-            let (ls, lr) = run_simulated(db, graph, left, summary)?;
-            let (rs, rr) = run_simulated(db, graph, right, summary)?;
-            let mut j = NestedLoopJoin::new(
-                Box::new(RowsOp::new(ls, lr)),
-                Box::new(RowsOp::new(rs, rr)),
-                None,
-            );
-            let rows = collect(&mut j)?;
-            Ok((j.schema().clone(), rows))
-        }
-        PlanNode::Filter { input, preds }
-        | PlanNode::Final {
-            input,
-            pushed_preds: preds,
-            ..
-        } => {
-            let (schema, rows) = run_simulated(db, graph, input, summary)?;
-            let rows = match bind_preds(graph, preds, &schema)? {
-                Some(pred) => keep_where(&pred, rows)?,
-                None => rows,
-            };
-            Ok((schema, rows))
-        }
-        PlanNode::ReturnToServer { input } => run_simulated(db, graph, input, summary),
-        PlanNode::Scatter { .. } | PlanNode::Gather { .. } => Err(CsqError::Plan(
-            "scatter/gather plan reached a single-node executor".into(),
-        )),
-        PlanNode::Aggregate {
-            input, placement, ..
-        } => {
-            let (schema, rows) = run_simulated(db, graph, input, summary)?;
-            let spec = graph
-                .aggregate
-                .as_ref()
-                .ok_or_else(|| CsqError::Plan("Aggregate node without an aggregate spec".into()))?;
-            // Placement changes what crosses the wire, not the rows; like
-            // leave-on-client/merged-final, the byte savings live in the
-            // optimizer's estimates (see module docs), so both placements
-            // execute the same decomposition here.
-            apply_aggregate(spec, *placement, &schema, rows)
-        }
-        PlanNode::ApplyUdf {
-            input,
-            unit,
-            strategy,
-            ship,
-        } => {
-            let (schema, rows) = run_simulated(db, graph, input, summary)?;
-            let (net, runtime) = (db.network(), db.client_runtime().clone());
-            let (out_schema, run) = match ship_spec(graph, *unit, strategy, *ship, &schema)? {
-                ShipSpec::SemiJoin(spec) => (
-                    spec.output_schema(&schema),
-                    simulate_semijoin(&schema, rows, &spec, runtime, &net)?,
-                ),
-                ShipSpec::ClientJoin(spec) => (
-                    spec.output_schema(&schema),
-                    simulate_client_join(&schema, rows, &spec, runtime, &net)?,
-                ),
-            };
-            summary.absorb(&run);
-            Ok((out_schema, run.rows))
-        }
-    }
+    plan: &csq_opt::OptimizedPlan,
+    token: &CancelToken,
+) -> Result<ResultBatches> {
+    run_tree(db, graph, plan, token, None)
 }
 
-/// Execute an optimized SELECT on the virtual-time engine.
+/// Execute an optimized SELECT on the virtual-time link: the same tree as
+/// [`execute_threaded`], its `ApplyUdf` nodes timed by the link model, then
+/// the result delivered over the modelled downlink.
 pub fn execute_simulated(
     db: &Database,
     graph: &QueryGraph,
     plan: &csq_opt::OptimizedPlan,
 ) -> Result<(QueryResult, SimSummary)> {
     let mut summary = SimSummary::default();
-    let (schema, rows) = run_simulated(db, graph, &plan.root, &mut summary)?;
-    let batch = RowBatch::from_rows(Arc::new(schema.clone()), rows);
-    let result = project_output(graph, &schema, vec![batch])?.into_result();
+    let result = run_tree(db, graph, plan, &CancelToken::new(), Some(&mut summary))?.into_result();
     // Final delivery: ship the projected output to the client over the
     // downlink (the plain Final operator; merged-final savings are an
     // optimizer-estimate concern, see module docs).
@@ -602,7 +511,7 @@ mod tests {
     /// projection onto the SELECT list).
     fn lowered_width(db: &Database, sql: &str) -> usize {
         let (graph, plan) = db.optimize(sql).unwrap();
-        let op = build_threaded(db, &graph, &plan.root, true, &CancelToken::new()).unwrap();
+        let op = build_tree(db, &graph, &plan.root, true, &CancelToken::new(), None).unwrap();
         op.schema().len()
     }
 

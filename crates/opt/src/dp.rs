@@ -13,7 +13,7 @@
 //! ties in favour of plans doing less server work. The paper's assumption
 //! that client and server CPU are not bottlenecks is preserved.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use csq_common::{CsqError, Result};
 use csq_expr::analysis;
@@ -208,12 +208,13 @@ pub(crate) fn optimize_inner(
         unit_cols,
     };
 
-    // DP table, staged by popcount.
+    // DP table, staged by popcount. Ordered, so the walks below visit states
+    // in key order and a tie in cost goes to the same plan on every run.
     let full = graph.full_mask();
-    let mut table: HashMap<(u64, u64, String), State> = HashMap::new();
+    let mut table: BTreeMap<(u64, u64, String), State> = BTreeMap::new();
     let mut states_explored = 0usize;
 
-    let insert = |table: &mut HashMap<(u64, u64, String), State>, s: State| {
+    let insert = |table: &mut BTreeMap<(u64, u64, String), State>, s: State| {
         let k = key_of(&s);
         match table.get(&k) {
             Some(old) if old.cost <= s.cost => {}

@@ -65,16 +65,32 @@ fn figure1_query_runs_end_to_end() {
     assert!(expected > 0, "workload must exercise both predicates");
 }
 
+/// The threaded rows are the ones plain Rust computes over the table's
+/// snapshot, and the virtual-time link — the same operator tree, another
+/// link under its `ApplyUdf` — returns them in the same order.
 #[test]
 fn threaded_and_simulated_agree_on_rows() {
+    use csq_client::ScalarUdf;
+
     let db = stock_db(40);
     let threaded = db.execute(FIG1).unwrap();
-    let (simulated, summary) = db.execute_simulated(FIG1).unwrap();
+    let rating = RatingUdf::new("x", 1000);
+    let mut expected: Vec<Row> = Vec::new();
+    for r in db.catalog().get("StockQuotes").unwrap().snapshot() {
+        let ratio = r.value(1).as_f64().unwrap() / r.value(2).as_f64().unwrap();
+        let rated = rating.invoke(&[r.value(3).clone()]).unwrap();
+        if ratio > 0.2 && rated.as_i64().unwrap() > 500 {
+            expected.push(Row::new(vec![r.value(0).clone(), r.value(4).clone()]));
+        }
+    }
     let norm = |mut rows: Vec<Row>| {
         rows.sort_by_key(|r| format!("{r}"));
         rows
     };
-    assert_eq!(norm(threaded.rows), norm(simulated.rows));
+    assert!(!expected.is_empty());
+    assert_eq!(norm(threaded.rows.clone()), norm(expected));
+    let (simulated, summary) = db.execute_simulated(FIG1).unwrap();
+    assert_eq!(threaded.rows, simulated.rows);
     assert!(summary.elapsed_us > 0);
     assert!(summary.down_bytes > 0);
     assert!(summary.up_bytes > 0);

@@ -311,6 +311,58 @@ fn explain_is_stable_and_readable() {
     assert!(a.contains("Final"));
 }
 
+/// Every environment the `figures` binary plans in (`fig12`, `fig13`): the
+/// Figure 11 statistics with both UDFs advertised, at the figure's network,
+/// result size and selectivity.
+fn figure_envs() -> Vec<(&'static str, OptContext)> {
+    let fig12 = "SELECT S.Name, E.BrokerName FROM StockQuotes S, Estimations E \
+                 WHERE S.Name = E.CompanyName AND ClientAnalysis(S.Quotes) = E.Rating";
+    let fig13 = "SELECT S.Name, E.BrokerName, Volatility(S.Quotes, S.FuturePrices) \
+                 FROM StockQuotes S, Estimations E \
+                 WHERE S.Name = E.CompanyName AND ClientAnalysis(S.Quotes) = E.Rating";
+    [
+        (fig12, NetworkSpec::modem_28_8(), 9.0, 0.5),
+        (fig12, NetworkSpec::cable_asymmetric(), 20_000.0, 0.01),
+        (fig12, NetworkSpec::modem_28_8(), 2_000.0, 0.2),
+        (fig13, NetworkSpec::modem_28_8(), 9.0, 0.5),
+        (fig13, NetworkSpec::cable_asymmetric(), 9.0, 0.5),
+    ]
+    .into_iter()
+    .map(|(sql, net, result_bytes, selectivity)| {
+        let mut ctx = fig11_ctx(net);
+        ctx.add_udf(
+            UdfMeta::client("ClientAnalysis", vec![DataType::Blob], DataType::Int)
+                .with_result_bytes(result_bytes)
+                .with_selectivity(selectivity),
+        );
+        ctx.add_udf(
+            UdfMeta::client(
+                "Volatility",
+                vec![DataType::Blob, DataType::Blob],
+                DataType::Float,
+            )
+            .with_result_bytes(9.0),
+        );
+        (sql, ctx)
+    })
+    .collect()
+}
+
+/// Plans that tie on cost are told apart the same way on every run: the
+/// figure environments hold such ties (modem, 2 KB results, selectivity
+/// 0.2 costs a semi-join and a client-site join alike), and repeated
+/// optimization in one process must print one EXPLAIN each.
+#[test]
+fn tied_plans_are_chosen_the_same_way_every_time() {
+    for (sql, ctx) in figure_envs() {
+        let g = csq_opt::query::extract(&select(sql), &ctx).unwrap();
+        let first = optimize(&g, &ctx).unwrap().root.explain(&g);
+        for _ in 0..32 {
+            assert_eq!(optimize(&g, &ctx).unwrap().root.explain(&g), first);
+        }
+    }
+}
+
 // ---- grouped-aggregation placement (DESIGN.md §7) --------------------------
 
 /// A plain metrics table for the aggregation-placement scenarios: 9-byte

@@ -1024,8 +1024,9 @@ mod pinned {
     /// End to end through lowering: plans whose scans are narrowed to the
     /// columns they read (none at all for `count(*)`, different ones for the
     /// two aliases of a self-join, the predicate's column though it is not
-    /// selected) answer what the simulated backend — whole snapshots, the
-    /// general evaluator — answers.
+    /// selected), HAVING over either aggregate placement, answer what plain
+    /// Rust over the table's snapshot answers. The simulated link runs the
+    /// same operator tree, so it answers the same rows in the same order.
     #[test]
     fn narrowed_plans_answer_what_the_snapshot_backend_answers() {
         let db = Database::new(NetworkSpec::lan());
@@ -1062,33 +1063,110 @@ mod pinned {
             t.segment_count() > 0 && t.len() > t.segment_count() * 16,
             "sealed + tail"
         );
+        let snapshot = t.snapshot();
 
-        for (sql, width, rows) in [
-            ("SELECT count(*) FROM T", 1, Some(1)),
-            ("SELECT count(*) FROM T WHERE T.Val > 89", 1, Some(1)),
+        // The reference: `Val` is NULL on every eleventh row, and a
+        // comparison with NULL holds for no row.
+        fn val(r: &Row) -> Option<i64> {
+            r.value(3).as_i64().ok()
+        }
+        fn count_of(n: usize) -> Value {
+            Value::Int(n as i64)
+        }
+        fn sum_by_grp(rows: &[Row]) -> Vec<Row> {
+            let mut sums = std::collections::BTreeMap::<i64, Option<i64>>::new();
+            for r in rows {
+                let sum = sums.entry(r.value(1).as_i64().unwrap()).or_default();
+                if let Some(v) = val(r) {
+                    *sum = Some(sum.unwrap_or(0) + v);
+                }
+            }
+            sums.into_iter()
+                .map(|(g, s)| Row::new(vec![Value::Int(g), s.map_or(Value::Null, Value::Int)]))
+                .collect()
+        }
+        type Reference = fn(&[Row]) -> Vec<Row>;
+        let statements: [(&str, usize, Reference); 9] = [
+            ("SELECT count(*) FROM T", 1, |rows| {
+                vec![Row::new(vec![count_of(rows.len())])]
+            }),
+            ("SELECT count(*) FROM T WHERE T.Val > 89", 1, |rows| {
+                let n = rows.iter().filter(|r| val(r) > Some(89)).count();
+                vec![Row::new(vec![count_of(n)])]
+            }),
             (
                 "SELECT A.Id, B.Sym FROM T A, T B WHERE A.Id = B.Grp AND A.Val > 40",
                 2,
-                None,
+                |rows| {
+                    let mut out = Vec::new();
+                    for a in rows.iter().filter(|a| val(a) > Some(40)) {
+                        for b in rows.iter().filter(|b| b.value(1) == a.value(0)) {
+                            out.push(Row::new(vec![a.value(0).clone(), b.value(2).clone()]));
+                        }
+                    }
+                    out
+                },
             ),
-            ("SELECT T.Id FROM T WHERE T.Val > 50", 1, None),
-            ("SELECT T.Grp, sum(T.Val) FROM T GROUP BY T.Grp", 2, Some(8)),
+            ("SELECT T.Id FROM T WHERE T.Val > 50", 1, |rows| {
+                rows.iter()
+                    .filter(|r| val(r) > Some(50))
+                    .map(|r| Row::new(vec![r.value(0).clone()]))
+                    .collect()
+            }),
+            (
+                "SELECT T.Grp, sum(T.Val) FROM T GROUP BY T.Grp",
+                2,
+                sum_by_grp,
+            ),
+            (
+                "SELECT T.Grp, sum(T.Val) FROM T GROUP BY T.Grp HAVING sum(T.Val) > 1140",
+                2,
+                |rows| {
+                    let mut out = sum_by_grp(rows);
+                    out.retain(|r| r.value(1).as_i64().is_ok_and(|s| s > 1140));
+                    out
+                },
+            ),
+            (
+                "SELECT T.Sym, count(*) FROM T WHERE T.Val > 20 GROUP BY T.Sym",
+                2,
+                |rows| {
+                    let mut counts = std::collections::BTreeMap::<&str, usize>::new();
+                    for r in rows.iter().filter(|r| val(r) > Some(20)) {
+                        *counts.entry(r.value(2).as_str().unwrap()).or_default() += 1;
+                    }
+                    counts
+                        .into_iter()
+                        .map(|(sym, n)| Row::new(vec![Value::from(sym), count_of(n)]))
+                        .collect()
+                },
+            ),
             (
                 "SELECT * FROM T WHERE T.Val > 50 AND T.Sym <> 'S1'",
                 4,
-                None,
+                |rows| {
+                    rows.iter()
+                        .filter(|r| val(r) > Some(50) && r.value(2).as_str().unwrap() != "S1")
+                        .cloned()
+                        .collect()
+                },
             ),
-            ("SELECT * FROM T", 4, Some(200)),
-        ] {
+            ("SELECT * FROM T", 4, <[Row]>::to_vec),
+        ];
+        let explain = db
+            .explain("SELECT T.Sym, count(*) FROM T WHERE T.Val > 20 GROUP BY T.Sym")
+            .unwrap();
+        assert!(explain.contains("Aggregate [server-partial]"), "{explain}");
+
+        for (sql, width, reference) in statements {
             let threaded = db.execute(sql).unwrap();
+            assert_eq!(threaded.schema.len(), width, "{sql}");
+            let expected = reference(&snapshot);
+            assert!(!expected.is_empty(), "{sql}");
+            assert_eq!(sorted(threaded.rows.clone()), sorted(expected), "{sql}");
             let (simulated, _) = db.execute_simulated(sql).unwrap();
             assert_eq!(threaded.schema, simulated.schema, "{sql}");
-            assert_eq!(threaded.schema.len(), width, "{sql}");
-            assert!(!threaded.rows.is_empty(), "{sql}");
-            if let Some(n) = rows {
-                assert_eq!(threaded.rows.len(), n, "{sql}");
-            }
-            assert_eq!(sorted(threaded.rows), sorted(simulated.rows), "{sql}");
+            assert_eq!(threaded.rows, simulated.rows, "{sql}");
         }
         let count = db.execute("SELECT count(*) FROM T").unwrap();
         assert_eq!(count.rows[0].value(0), &Value::Int(200));
