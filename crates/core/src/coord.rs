@@ -11,25 +11,23 @@
 //!   (empty) schema.
 //! * **INSERT** routes each row to the shard owning the hash bucket of its
 //!   shard-key value, then re-renders a per-shard `INSERT`.
-//! * **SELECT** plans through the ordinary optimizer in a sharded
-//!   [`OptContext`] (statistics maintained coordinator-side from the routed
-//!   inserts) and executes one of three strategies derived from the
-//!   scatter/gather plan:
+//! * **SELECT** is parsed and planned once, through the ordinary optimizer
+//!   in a sharded [`OptContext`] (statistics maintained coordinator-side
+//!   from the routed inserts), and runs the plan its EXPLAIN prints:
 //!   - **pushdown** — single-table, non-aggregate queries run verbatim on
 //!     every live shard (or only the shard pinned by a `key = literal`
 //!     conjunct) and the gather concatenates rows in shard order;
-//!   - **shard-partial aggregation** — when the enumerator picks
-//!     [`AggPlacement::ShardPartial`], each shard runs a rewritten partial
-//!     query (`GROUP BY` keys plus decomposed aggregate state — AVG splits
-//!     into SUM + COUNT) and the coordinator merges the per-shard states
-//!     with [`HashAggregate::finalize`] before applying HAVING and the
-//!     final projection;
-//!   - **gather-and-execute** — joins, client-site UDF queries, and
-//!     aggregates the optimizer kept client-only fetch each base table's
-//!     shard partitions (with single-table predicates pushed down) into a
-//!     scratch single-node [`Database`] that runs the original statement
-//!     through its ordinary lowering (a join is a nested loop under a
-//!     filter); nothing is repartitioned across shards.
+//!   - **lowered** — everything else goes through the single-node lowering,
+//!     each `Gather` node a leaf over the rows its per-shard statement
+//!     returned. Under a [`AggPlacement::ShardPartial`] aggregate that
+//!     statement is a rewritten partial query (`GROUP BY` keys plus
+//!     decomposed aggregate state — AVG splits into SUM + COUNT), and the
+//!     aggregate merges the states with [`HashAggregate::finalize`](csq_exec::HashAggregate::finalize);
+//!     any other `Gather` fetches its relation's rows under the conjuncts
+//!     that need that relation alone, pinned when one fixes its shard key.
+//!     Joins, client-site UDFs and client-only aggregates run above the
+//!     leaves at the coordinator (a join is a nested loop under a filter);
+//!     nothing is repartitioned across shards.
 //!
 //! **Failure semantics.** Every per-shard statement goes through the §10
 //! retry machinery ([`ConnectionPool::query_with`] under the configured
@@ -50,14 +48,14 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use csq_client::{ConnectionPool, QueryOptions, RemoteResult, ScalarUdf};
-use csq_common::{CsqError, DataType, Field, Result, Row, RowBatch, Schema, Value};
-use csq_exec::{collect, AggSpec, HashAggregate, RowsOp};
+use csq_common::{CancelToken, CsqError, DataType, Field, Result, Row, Schema, Value};
+use csq_exec::{BoxOp, RowsOp};
 use csq_expr::{bind, ColumnRef, Expr, UnaryOp};
 use csq_net::NetworkSpec;
 use csq_opt::context::TableStats;
 use csq_opt::query::extract;
 use csq_opt::shard::{pinned_shard_value, pushable};
-use csq_opt::{AggPlacement, OptContext, PlanNode, QueryGraph, UdfMeta, Unit};
+use csq_opt::{AggPlacement, GatherMode, OptContext, OptimizedPlan, PlanNode, QueryGraph, Unit};
 use csq_sql::ast::SelectStmt;
 use csq_sql::{parse_statement, Statement};
 
@@ -103,7 +101,8 @@ pub struct CoordStats {
     pub pushdown_queries: AtomicU64,
     /// SELECTs answered by per-shard partial aggregation + merge.
     pub partial_agg_queries: AtomicU64,
-    /// SELECTs answered by gathering base tables into a scratch engine.
+    /// Other SELECTs whose plan the coordinator lowers over gathered leaves
+    /// (joins, client-site UDFs, client-only aggregates).
     pub gather_exec_queries: AtomicU64,
     /// SELECT plans served from the coordinator plan cache.
     pub plan_cache_hits: AtomicU64,
@@ -169,32 +168,25 @@ enum Strategy {
         target: Option<usize>,
         out_schema: Schema,
     },
-    /// Per-shard partial aggregation; the coordinator merges the decomposed
-    /// states (`Gather [merge]`), applies HAVING, and projects.
-    PartialAgg {
-        per_shard_sql: String,
-        target: Option<usize>,
-        /// Schema of the per-shard partial rows: qualified group-key fields
-        /// first, then each call's state fields (AVG is two columns).
-        partial_schema: Schema,
-        key_len: usize,
+    /// Lower the plan, each `Gather` a leaf over the rows its per-shard
+    /// statement returned.
+    Lowered {
         graph: Box<QueryGraph>,
+        plan: OptimizedPlan,
+        /// One per `Gather`, in [`PlanNode::walk`] order.
+        leaves: Vec<Leaf>,
     },
-    /// Fetch each base table's partitions into a scratch engine and run the
-    /// original statement there.
-    GatherExec { fetches: Vec<Fetch>, sql: String },
 }
 
-/// One base-table gather of the fallback strategy.
-struct Fetch {
-    /// Catalog-case table name (scratch registration).
-    table: String,
-    /// Shadow schema the fetched rows are inserted under.
-    schema: Schema,
-    /// `SELECT * FROM t t [WHERE single-table conjuncts]`.
+/// The per-shard statement behind one `Gather` of a lowered plan.
+struct Leaf {
+    /// Under a shard-partial aggregate the partial-aggregation rewrite,
+    /// otherwise `SELECT * FROM t a [WHERE conjuncts on a alone]`.
     sql: String,
-    /// Pinned shard, when a conjunct fixes the table's shard key.
+    /// Pinned shard, when a conjunct fixes the relation's shard key.
     target: Option<usize>,
+    /// What the returned rows are checked against and read under.
+    schema: Schema,
 }
 
 /// A planned-and-cached coordinator statement: valid only while both epochs
@@ -216,7 +208,10 @@ pub struct Coordinator {
     /// schemas feed the optimizer): the other half of the fingerprint.
     ddl_epoch: AtomicU64,
     tables: RwLock<HashMap<String, TableShadow>>,
-    udfs: RwLock<Vec<(Arc<dyn ScalarUdf>, UdfMeta)>>,
+    /// The coordinator's own engine, over an empty catalog: it holds the
+    /// registered UDFs (implementations and advertised metadata) and runs
+    /// the coordinator's part of every lowered plan.
+    engine: Database,
     distincts: RwLock<HashMap<String, f64>>,
     plans: Mutex<HashMap<String, Arc<ShardPlan>>>,
     config: CoordinatorConfig,
@@ -244,7 +239,7 @@ impl Coordinator {
             topology_epoch: AtomicU64::new(0),
             ddl_epoch: AtomicU64::new(0),
             tables: RwLock::new(HashMap::new()),
-            udfs: RwLock::new(Vec::new()),
+            engine: Database::new(config.net.clone()),
             distincts: RwLock::new(HashMap::new()),
             plans: Mutex::new(HashMap::new()),
             config,
@@ -298,12 +293,12 @@ impl Coordinator {
         Ok(())
     }
 
-    /// Register a client-site UDF with the coordinator: gather-and-execute
-    /// queries run it in their scratch engine (shards never hold UDF
-    /// implementations, so UDF queries are never pushed down).
+    /// Register a client-site UDF with the coordinator, which runs it in
+    /// lowered plans (shards never hold UDF implementations, so UDF queries
+    /// are never pushed down). Refused as [`Database::register_udf`] refuses
+    /// it: a duplicate name, or one colliding with an SQL aggregate.
     pub fn register_udf(&self, udf: Arc<dyn ScalarUdf>) -> Result<()> {
-        let meta = Database::meta_of(&udf);
-        self.udfs.write().push((udf, meta));
+        self.engine.register_udf(udf)?;
         self.bump_ddl();
         Ok(())
     }
@@ -458,8 +453,8 @@ impl Coordinator {
 
     fn execute_select(&self, sql: &str, sel: &SelectStmt) -> Result<QueryResult> {
         CoordStats::bump(&self.stats.queries);
-        let plan = self.plan_select(sql, sel)?;
-        match &plan.strategy {
+        let planned = self.plan_select(sql, sel)?;
+        match &planned.strategy {
             Strategy::Pushdown {
                 sql,
                 target,
@@ -468,19 +463,24 @@ impl Coordinator {
                 CoordStats::bump(&self.stats.pushdown_queries);
                 self.run_pushdown(sql, *target, out_schema)
             }
-            Strategy::PartialAgg {
-                per_shard_sql,
-                target,
-                partial_schema,
-                key_len,
+            Strategy::Lowered {
                 graph,
+                plan,
+                leaves,
             } => {
-                CoordStats::bump(&self.stats.partial_agg_queries);
-                self.run_partial_agg(per_shard_sql, *target, partial_schema, *key_len, graph)
-            }
-            Strategy::GatherExec { fetches, sql } => {
-                CoordStats::bump(&self.stats.gather_exec_queries);
-                self.run_gather_exec(fetches, sql)
+                let shard_partial = matches!(
+                    plan.root,
+                    PlanNode::Aggregate {
+                        placement: AggPlacement::ShardPartial,
+                        ..
+                    }
+                );
+                CoordStats::bump(if shard_partial {
+                    &self.stats.partial_agg_queries
+                } else {
+                    &self.stats.gather_exec_queries
+                });
+                self.run_lowered(graph, plan, leaves)
             }
         }
     }
@@ -510,7 +510,15 @@ impl Coordinator {
             optimized.cost_seconds,
             optimized.est_rows
         );
-        let strategy = self.derive_strategy(sql, &graph, &optimized.root, &ctx)?;
+        let strategy = if pushable(&graph) && graph.aggregate.is_none() {
+            pushdown(sql, &graph, &ctx)?
+        } else {
+            Strategy::Lowered {
+                leaves: leaves(&graph, &optimized.root, &ctx)?,
+                graph: Box::new(graph),
+                plan: optimized,
+            }
+        };
         let plan = Arc::new(ShardPlan {
             ddl_epoch: ddl,
             topology_epoch: topo,
@@ -534,7 +542,7 @@ impl Coordinator {
             ctx.add_table(&shadow.name, shadow.stats());
             ctx.set_shard_key(&shadow.name, &shadow.schema.field(shadow.shard_col).name);
         }
-        for (_, meta) in self.udfs.read().iter() {
+        for meta in self.engine.udf_metas.read().iter() {
             ctx.add_udf(meta.clone());
         }
         for (key, d) in self.distincts.read().iter() {
@@ -543,125 +551,6 @@ impl Coordinator {
             }
         }
         ctx
-    }
-
-    /// Turn the optimized scatter/gather plan into an executable strategy.
-    fn derive_strategy(
-        &self,
-        sql: &str,
-        graph: &QueryGraph,
-        root: &PlanNode,
-        ctx: &OptContext,
-    ) -> Result<Strategy> {
-        let n = self.shards.read().len();
-        if pushable(graph) {
-            let target = pinned_shard_value(graph, ctx, 0).map(|v| shard_for(v, n));
-            let Unit::Rel { alias, stats, .. } = &graph.units[0] else {
-                return Err(CsqError::Plan("pushable graph without a relation".into()));
-            };
-            let qualified = stats.schema.qualify(alias);
-            match &graph.aggregate {
-                None => {
-                    let mut fields = Vec::with_capacity(graph.output.len());
-                    for (e, name) in &graph.output {
-                        let dtype = bind(e, &qualified)
-                            .and_then(|p| p.infer_type(&qualified))
-                            .unwrap_or(DataType::Str);
-                        fields.push(Field::new(name.clone(), dtype));
-                    }
-                    Ok(Strategy::Pushdown {
-                        sql: sql.to_string(),
-                        target,
-                        out_schema: Schema::new(fields),
-                    })
-                }
-                Some(_) => {
-                    let shard_partial = matches!(
-                        root,
-                        PlanNode::Aggregate {
-                            placement: AggPlacement::ShardPartial,
-                            ..
-                        }
-                    );
-                    if shard_partial {
-                        let (per_shard_sql, partial_schema, key_len) =
-                            partial_agg_sql(graph, &qualified)?;
-                        Ok(Strategy::PartialAgg {
-                            per_shard_sql,
-                            target,
-                            partial_schema,
-                            key_len,
-                            graph: Box::new(graph.clone()),
-                        })
-                    } else {
-                        // Client-only aggregation: honoring the optimizer's
-                        // choice means gathering raw rows and aggregating at
-                        // the coordinator.
-                        Ok(Strategy::GatherExec {
-                            fetches: self.plan_fetches(graph, ctx, n)?,
-                            sql: sql.to_string(),
-                        })
-                    }
-                }
-            }
-        } else {
-            Ok(Strategy::GatherExec {
-                fetches: self.plan_fetches(graph, ctx, n)?,
-                sql: sql.to_string(),
-            })
-        }
-    }
-
-    /// One fetch per distinct base table of the fallback strategy, with
-    /// single-table predicates pushed into the per-shard `WHERE` and the
-    /// scatter pinned when a conjunct fixes the table's shard key.
-    fn plan_fetches(&self, graph: &QueryGraph, ctx: &OptContext, n: usize) -> Result<Vec<Fetch>> {
-        let mut by_table: HashMap<String, Vec<usize>> = HashMap::new();
-        for (i, u) in graph.units.iter().enumerate().take(graph.n_rels) {
-            if let Unit::Rel { table, .. } = u {
-                by_table
-                    .entry(table.to_ascii_lowercase())
-                    .or_default()
-                    .push(i);
-            }
-        }
-        let tables = self.tables.read();
-        let mut fetches = Vec::with_capacity(by_table.len());
-        for (key, units) in by_table {
-            let shadow = tables
-                .get(&key)
-                .ok_or_else(|| CsqError::Catalog(format!("unknown table '{key}'")))?;
-            // Predicate pushdown and pruning are sound only when a single
-            // FROM entry references the table (a self-join's two aliases
-            // need different row subsets, so both fetch everything).
-            let (mut conjuncts, mut target) = (Vec::new(), None);
-            if let [unit] = units[..] {
-                if let Unit::Rel { alias, .. } = &graph.units[unit] {
-                    for p in &graph.predicates {
-                        if p.required == (1u64 << unit) && !p.references_udf {
-                            if let Ok(s) = render_expr(&p.expr, Some(alias)) {
-                                conjuncts.push(s);
-                            }
-                        }
-                    }
-                }
-                target = pinned_shard_value(graph, ctx, unit).map(|v| shard_for(v, n));
-            }
-            let mut sql = format!("SELECT * FROM {0} {0}", shadow.name);
-            if !conjuncts.is_empty() {
-                sql.push_str(" WHERE ");
-                sql.push_str(&conjuncts.join(" AND "));
-            }
-            fetches.push(Fetch {
-                table: shadow.name.clone(),
-                schema: shadow.schema.clone(),
-                sql,
-                target,
-            });
-        }
-        // Deterministic scatter order (HashMap iteration is not).
-        fetches.sort_by(|a, b| a.table.cmp(&b.table));
-        Ok(fetches)
     }
 
     fn run_pushdown(
@@ -685,70 +574,27 @@ impl Coordinator {
         })
     }
 
-    fn run_partial_agg(
+    /// Fetch every leaf's rows, check them, and run the plan over them.
+    fn run_lowered(
         &self,
-        per_shard_sql: &str,
-        target: Option<usize>,
-        partial_schema: &Schema,
-        key_len: usize,
         graph: &QueryGraph,
+        plan: &OptimizedPlan,
+        leaves: &[Leaf],
     ) -> Result<QueryResult> {
-        let spec = graph
-            .aggregate
-            .as_ref()
-            .ok_or_else(|| CsqError::Plan("partial-agg plan without an aggregate".into()))?;
         let shards = self.shards.read();
-        let jobs = self.jobs_for(shards.len(), target, per_shard_sql);
-        let results = self.scatter(&shards, &jobs)?;
-        drop(shards);
-        let mut rows = Vec::new();
-        for (r, (shard, _)) in results.into_iter().zip(&jobs) {
-            for row in r.rows {
-                if row.len() != partial_schema.len() {
-                    return Err(CsqError::Exec(format!(
-                        "shard {shard} returned {}-column partial rows; expected {}",
-                        row.len(),
-                        partial_schema.len()
-                    )));
-                }
-                rows.push(row);
+        let mut ops: Vec<BoxOp> = Vec::with_capacity(leaves.len());
+        for leaf in leaves {
+            let jobs = self.jobs_for(shards.len(), leaf.target, &leaf.sql);
+            let mut rows = Vec::new();
+            for (r, (shard, _)) in self.scatter(&shards, &jobs)?.into_iter().zip(&jobs) {
+                check_rows(&r.rows, &leaf.schema, *shard)?;
+                rows.extend(r.rows);
             }
-        }
-        // Merge the per-shard states (`Gather [merge]`): the same finalize
-        // phase the two-site server-partial path uses, fed with one
-        // partial-state row set per shard.
-        let aggs: Vec<AggSpec> = spec
-            .calls
-            .iter()
-            .map(|c| AggSpec::new(c.func, None, c.result_col.clone()))
-            .collect();
-        let input: csq_exec::BoxOp = Box::new(RowsOp::new(partial_schema.clone(), rows));
-        let agg = Box::new(HashAggregate::finalize(input, key_len, aggs)?);
-        let mut op = crate::lower::with_having(spec, agg)?;
-        let out_schema = op.schema().clone();
-        let merged = RowBatch::from_rows(Arc::new(out_schema.clone()), collect(&mut *op)?);
-        Ok(crate::lower::project_output(graph, &out_schema, vec![merged])?.into_result())
-    }
-
-    fn run_gather_exec(&self, fetches: &[Fetch], sql: &str) -> Result<QueryResult> {
-        let scratch = Database::new(self.config.net.clone());
-        for (udf, meta) in self.udfs.read().iter() {
-            scratch.register_udf(udf.clone())?;
-            scratch.advertise_udf(meta.clone());
-        }
-        let shards = self.shards.read();
-        for f in fetches {
-            let jobs = self.jobs_for(shards.len(), f.target, &f.sql);
-            let results = self.scatter(&shards, &jobs)?;
-            let table = scratch
-                .catalog()
-                .register(csq_storage::Table::new(f.table.clone(), f.schema.clone())?)?;
-            for r in results {
-                table.insert_all(r.rows)?;
-            }
+            ops.push(Box::new(RowsOp::new(leaf.schema.clone(), rows)));
         }
         drop(shards);
-        scratch.execute(sql)
+        let token = CancelToken::new();
+        Ok(crate::lower::run_tree(&self.engine, graph, plan, &token, None, ops)?.into_result())
     }
 
     /// The scatter targets for one statement: the pinned shard, or all of
@@ -831,6 +677,123 @@ fn shard_for(v: &Value, n: usize) -> usize {
     Row::new(vec![v.clone()]).partition_of(Some(&[0]), n)
 }
 
+/// The pushdown strategy of a single-table, non-aggregate statement.
+fn pushdown(sql: &str, graph: &QueryGraph, ctx: &OptContext) -> Result<Strategy> {
+    let Unit::Rel { alias, stats, .. } = &graph.units[0] else {
+        return Err(CsqError::Plan("pushable graph without a relation".into()));
+    };
+    let qualified = stats.schema.qualify(alias);
+    let mut fields = Vec::with_capacity(graph.output.len());
+    for (e, name) in &graph.output {
+        let dtype = bind(e, &qualified)
+            .and_then(|p| p.infer_type(&qualified))
+            .unwrap_or(DataType::Str);
+        fields.push(Field::new(name.clone(), dtype));
+    }
+    Ok(Strategy::Pushdown {
+        sql: sql.to_string(),
+        target: pinned_shard_value(graph, ctx, 0).map(|v| shard_for(v, ctx.shards)),
+        out_schema: Schema::new(fields),
+    })
+}
+
+/// The per-shard statement of every `Gather` in `root`, in walk order. A
+/// `Gather [merge]` sits under a shard-partial aggregate and sends the
+/// partial-aggregation rewrite; any other fetches its relation's rows.
+/// Either is pinned when a conjunct fixes that relation's shard key. Each
+/// alias is a leaf of its own, so a self-join's aliases fetch under their
+/// own pins and predicates — the fan-out EXPLAIN prints.
+fn leaves(graph: &QueryGraph, root: &PlanNode, ctx: &OptContext) -> Result<Vec<Leaf>> {
+    let mut gathers = Vec::new();
+    root.walk(&mut |node| {
+        if let PlanNode::Gather { input, mode } = node {
+            let mut unit = None;
+            input.walk(&mut |n| {
+                if let PlanNode::Scan { unit: u } = n {
+                    unit.get_or_insert(*u);
+                }
+            });
+            gathers.push((unit, *mode));
+        }
+    });
+    gathers
+        .into_iter()
+        .map(|(unit, mode)| {
+            let Some((
+                unit,
+                Unit::Rel {
+                    alias,
+                    table,
+                    stats,
+                },
+            )) = unit.map(|u| (u, &graph.units[u]))
+            else {
+                return Err(CsqError::Plan("gather without a relation scan".into()));
+            };
+            let qualified = stats.schema.qualify(alias);
+            let (sql, schema) = match mode {
+                GatherMode::Merge => partial_agg_sql(graph, &qualified)?,
+                GatherMode::Ordered => (
+                    format!("SELECT * FROM {table} {alias}{}", where_sql(graph, unit)?),
+                    qualified,
+                ),
+            };
+            Ok(Leaf {
+                sql,
+                target: pinned_shard_value(graph, ctx, unit).map(|v| shard_for(v, ctx.shards)),
+                schema,
+            })
+        })
+        .collect()
+}
+
+/// ` WHERE c1 AND …` over the conjuncts a shard can evaluate for relation
+/// `unit` alone — those that need no other unit and call no UDF — or
+/// nothing when there are none. The operators above a leaf re-apply them.
+fn where_sql(graph: &QueryGraph, unit: usize) -> Result<String> {
+    let Unit::Rel { alias, .. } = &graph.units[unit] else {
+        return Err(CsqError::Plan("shard statement over a non-relation".into()));
+    };
+    let conjuncts: Vec<String> = graph
+        .predicates
+        .iter()
+        .filter(|p| p.required & !(1u64 << unit) == 0 && !p.references_udf)
+        .map(|p| render_expr(&p.expr, Some(alias)))
+        .collect::<Result<_>>()?;
+    Ok(if conjuncts.is_empty() {
+        String::new()
+    } else {
+        format!(" WHERE {}", conjuncts.join(" AND "))
+    })
+}
+
+/// Check the rows shard `shard` returned for a leaf against the schema the
+/// plan reads them under. They come from outside the program: a shard whose
+/// table disagrees with the coordinator's shadow schema is a typed error
+/// naming the shard, never rows.
+fn check_rows(rows: &[Row], schema: &Schema, shard: usize) -> Result<()> {
+    for row in rows {
+        if row.len() != schema.len() {
+            return Err(CsqError::Exec(format!(
+                "shard {shard} returned {}-column rows; expected {}",
+                row.len(),
+                schema.len()
+            )));
+        }
+        for (v, f) in row.values().iter().zip(schema.fields()) {
+            if let Some(dt) = v.data_type() {
+                if !f.dtype.accepts(dt) {
+                    return Err(CsqError::Type(format!(
+                        "shard {shard} returned {dt} for column '{}' ({})",
+                        f.name, f.dtype
+                    )));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Coerce a literal to a column's declared type (Int → Float is the only
 /// SQL-sanctioned widening); anything else is left for the shard-side type
 /// check to reject.
@@ -910,9 +873,10 @@ fn render_col(c: &ColumnRef, alias: Option<&str>) -> String {
 
 /// Build the per-shard partial-aggregation SQL plus the schema its result
 /// rows decode under: qualified group-key fields first, then each call's
-/// partial-state fields in [`HashAggregate::partial`] wire order (COUNT →
-/// count, SUM/MIN/MAX → value, AVG → running sum + non-NULL count).
-fn partial_agg_sql(graph: &QueryGraph, qualified: &Schema) -> Result<(String, Schema, usize)> {
+/// partial-state fields in [`HashAggregate::partial`](csq_exec::HashAggregate::partial)
+/// wire order (COUNT → count, SUM/MIN/MAX → value, AVG → running sum +
+/// non-NULL count).
+fn partial_agg_sql(graph: &QueryGraph, qualified: &Schema) -> Result<(String, Schema)> {
     let spec = graph
         .aggregate
         .as_ref()
@@ -963,16 +927,11 @@ fn partial_agg_sql(graph: &QueryGraph, qualified: &Schema) -> Result<(String, Sc
             }
         }
     }
-    let mut sql = format!("SELECT {} FROM {} {}", items.join(", "), table, alias);
-    let conjuncts: Vec<String> = graph
-        .predicates
-        .iter()
-        .map(|p| render_expr(&p.expr, Some(alias)))
-        .collect::<Result<_>>()?;
-    if !conjuncts.is_empty() {
-        sql.push_str(" WHERE ");
-        sql.push_str(&conjuncts.join(" AND "));
-    }
+    let mut sql = format!(
+        "SELECT {} FROM {table} {alias}{}",
+        items.join(", "),
+        where_sql(graph, 0)?
+    );
     let keys: Vec<String> = spec
         .group_by
         .iter()
@@ -982,7 +941,7 @@ fn partial_agg_sql(graph: &QueryGraph, qualified: &Schema) -> Result<(String, Sc
         sql.push_str(" GROUP BY ");
         sql.push_str(&keys.join(", "));
     }
-    Ok((sql, Schema::new(fields), spec.group_by.len()))
+    Ok((sql, Schema::new(fields)))
 }
 
 /// Render a hash-routed per-shard INSERT.

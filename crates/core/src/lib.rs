@@ -202,7 +202,7 @@ impl Database {
         Ok(())
     }
 
-    pub(crate) fn meta_of(udf: &Arc<dyn ScalarUdf>) -> UdfMeta {
+    fn meta_of(udf: &Arc<dyn ScalarUdf>) -> UdfMeta {
         let sig = udf.signature().clone();
         UdfMeta {
             name: sig.name.clone(),

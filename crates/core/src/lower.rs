@@ -15,6 +15,9 @@
 //!   a conservative approximation of the pipelined reality, documented in
 //!   DESIGN.md); the final delivery crosses the modelled downlink.
 //!
+//! A coordinator's plan lowers here too ([`run_tree`] on the threaded
+//! link), each `Gather` a leaf over the rows the shards returned for it.
+//!
 //! Execution-semantics notes: `leave-on-client` and `merged-with-final`
 //! strategies differ from plain variants only in *cost* (what crosses the
 //! uplink when); row semantics are identical, so both links execute them
@@ -129,7 +132,7 @@ fn bind_aggregate(spec: &AggregateSpec, schema: &Schema) -> Result<(Vec<usize>, 
 
 /// `op` — an aggregate's output — under the aggregate's HAVING predicate,
 /// if it has one.
-pub(crate) fn with_having(spec: &AggregateSpec, op: BoxOp) -> Result<BoxOp> {
+fn with_having(spec: &AggregateSpec, op: BoxOp) -> Result<BoxOp> {
     Ok(match &spec.having {
         Some(h) => {
             let pred = bind(h, op.schema())?;
@@ -151,47 +154,6 @@ pub(crate) fn scan_spec(
 ) -> Result<Option<FilterSpec>> {
     let pred = bind_preds(graph, preds, &table.schema().qualify(alias))?;
     Ok(pred.and_then(|p| FilterSpec::from_phys(&p)))
-}
-
-/// Build a scan leaf: a columnar [`ColumnarScan`] over the unit's table,
-/// with the pushable prefix of `preds` compiled to a [`FilterSpec`] so the
-/// scan skips segments by zone map and decodes only rows the spec does not
-/// reject, wrapped in the per-leaf cancellation checkpoint. With `narrow`
-/// the scan decodes only the columns the plan reads from this unit.
-fn scan_leaf(
-    db: &Database,
-    graph: &QueryGraph,
-    unit: usize,
-    preds: &[usize],
-    narrow: bool,
-    token: &CancelToken,
-) -> Result<BoxOp> {
-    let Unit::Rel { alias, table, .. } = &graph.units[unit] else {
-        return Err(CsqError::Plan("scan of non-relation unit".into()));
-    };
-    let t = db.catalog().get(table)?;
-    let spec = scan_spec(graph, &t, alias, preds)?;
-    let scan = if narrow {
-        // Everything above binds by name against its child's schema, and all
-        // of it is in the graph: the pre-aggregation output, every predicate
-        // (the filter above re-reads the pushed ones) and every UDF argument.
-        // A name the table lacks is left for that binding to report.
-        let mut cols: Vec<usize> = graph
-            .needed_columns(0, 0)
-            .iter()
-            .filter(|c| graph.owner_of(c) == Some(unit))
-            .filter_map(|c| t.schema().index_of(None, &c.name).ok())
-            .collect();
-        cols.sort_unstable();
-        cols.dedup();
-        ColumnarScan::with_columns(&t, alias, &cols, spec.as_ref())?
-    } else {
-        ColumnarScan::new(&t, alias, spec.as_ref())?
-    };
-    // The scan is where a long plan spends its pull loop, so the
-    // cancellation checkpoint lives right above every leaf: each batch
-    // boundary observes the token.
-    Ok(Box::new(CancelCheck::new(Box::new(scan), token.clone())))
 }
 
 fn udf_application(graph: &QueryGraph, unit: usize, schema: &Schema) -> Result<UdfApplication> {
@@ -241,142 +203,195 @@ fn ship_spec(
 
 // ---- the operator tree -----------------------------------------------------
 
-/// `input` under the conjunction of `preds` (just `input` when there are
-/// none). Predicates landing directly on a scan also push their pushable
-/// prefix down as a [`FilterSpec`]: segments disproved by zone maps are
-/// skipped and rows the spec rejects are never materialized. The full
-/// predicate is still applied above — the spec only rules out.
-fn filtered(
-    db: &Database,
-    graph: &QueryGraph,
-    input: &PlanNode,
-    preds: &[usize],
-    narrow: bool,
-    token: &CancelToken,
-    sim: Option<&mut SimSummary>,
-) -> Result<BoxOp> {
-    let child = match input {
-        PlanNode::Scan { unit } => scan_leaf(db, graph, *unit, preds, narrow, token)?,
-        _ => build_tree(db, graph, input, narrow, token, sim)?,
-    };
-    Ok(match bind_preds(graph, preds, child.schema())? {
-        Some(pred) => Box::new(Filter::new(child, pred)),
-        None => child,
-    })
+/// One plan being lowered: what every node of the walk reads.
+struct Lowering<'a> {
+    db: &'a Database,
+    graph: &'a QueryGraph,
+    token: &'a CancelToken,
+    /// The link every `ApplyUdf` ships over: `None` is the threaded link (a
+    /// client thread behind an in-memory duplex), `Some` the virtual-time
+    /// link, whose runs accumulate into the summary. Every other node lowers
+    /// the same way under either.
+    sim: Option<&'a mut SimSummary>,
+    /// What each `Gather` lowers to, in [`PlanNode::walk`] order: the rows a
+    /// coordinator fetched for it. Single-node callers pass none.
+    leaves: std::vec::IntoIter<BoxOp>,
 }
 
-/// Lower `node` to its operator tree. `sim` picks the link every `ApplyUdf`
-/// ships over: `None` is the threaded link (a client thread behind an
-/// in-memory duplex), `Some` the virtual-time link, whose runs accumulate
-/// into the summary. Every other node lowers the same way under either.
-///
-/// `narrow` is true until the walk descends through an `ApplyUdf`: the
-/// client-site join ships its whole input record, so the scans feeding one
-/// keep every column.
-fn build_tree(
-    db: &Database,
-    graph: &QueryGraph,
-    node: &PlanNode,
-    narrow: bool,
-    token: &CancelToken,
-    mut sim: Option<&mut SimSummary>,
-) -> Result<BoxOp> {
-    match node {
-        PlanNode::Scan { unit } => scan_leaf(db, graph, *unit, &[], narrow, token),
-        PlanNode::Join { left, right } => {
-            let l = build_tree(db, graph, left, narrow, token, sim.as_deref_mut())?;
-            let r = build_tree(db, graph, right, narrow, token, sim)?;
-            Ok(Box::new(NestedLoopJoin::new(l, r, None)))
-        }
-        PlanNode::Filter { input, preds } => {
-            if preds.is_empty() {
-                return Err(CsqError::Plan("empty filter".into()));
+impl Lowering<'_> {
+    /// Build a scan leaf: a columnar [`ColumnarScan`] over the unit's table,
+    /// with the pushable prefix of `preds` compiled to a [`FilterSpec`] so
+    /// the scan skips segments by zone map and decodes only rows the spec
+    /// does not reject, wrapped in the per-leaf cancellation checkpoint.
+    /// With `narrow` the scan decodes only the columns the plan reads from
+    /// this unit.
+    fn scan_leaf(&self, unit: usize, preds: &[usize], narrow: bool) -> Result<BoxOp> {
+        let graph = self.graph;
+        let Unit::Rel { alias, table, .. } = &graph.units[unit] else {
+            return Err(CsqError::Plan("scan of non-relation unit".into()));
+        };
+        let t = self.db.catalog().get(table)?;
+        let spec = scan_spec(graph, &t, alias, preds)?;
+        let scan = if narrow {
+            // Everything above binds by name against its child's schema, and
+            // all of it is in the graph: the pre-aggregation output, every
+            // predicate (the filter above re-reads the pushed ones) and every
+            // UDF argument. A name the table lacks is left for that binding
+            // to report.
+            let mut cols: Vec<usize> = graph
+                .needed_columns(0, 0)
+                .iter()
+                .filter(|c| graph.owner_of(c) == Some(unit))
+                .filter_map(|c| t.schema().index_of(None, &c.name).ok())
+                .collect();
+            cols.sort_unstable();
+            cols.dedup();
+            ColumnarScan::with_columns(&t, alias, &cols, spec.as_ref())?
+        } else {
+            ColumnarScan::new(&t, alias, spec.as_ref())?
+        };
+        // The scan is where a long plan spends its pull loop, so the
+        // cancellation checkpoint lives right above every leaf: each batch
+        // boundary observes the token.
+        Ok(Box::new(CancelCheck::new(
+            Box::new(scan),
+            self.token.clone(),
+        )))
+    }
+
+    /// Lower `node` to its operator tree.
+    ///
+    /// `narrow` is true until the walk descends through an `ApplyUdf`: the
+    /// client-site join ships its whole input record, so the scans feeding
+    /// one keep every column.
+    fn build_tree(&mut self, node: &PlanNode, narrow: bool) -> Result<BoxOp> {
+        let graph = self.graph;
+        match node {
+            PlanNode::Scan { unit } => self.scan_leaf(*unit, &[], narrow),
+            PlanNode::Join { left, right } => {
+                let l = self.build_tree(left, narrow)?;
+                let r = self.build_tree(right, narrow)?;
+                Ok(Box::new(NestedLoopJoin::new(l, r, None)))
             }
-            filtered(db, graph, input, preds, narrow, token, sim)
-        }
-        PlanNode::ReturnToServer { input } => build_tree(db, graph, input, narrow, token, sim),
-        // Scatter/gather belong to the coordinator (csq_core::coord), which
-        // never lowers them — it generates per-shard SQL instead.
-        PlanNode::Scatter { .. } | PlanNode::Gather { .. } => Err(CsqError::Plan(
-            "scatter/gather plan reached a single-node executor".into(),
-        )),
-        PlanNode::Aggregate {
-            input, placement, ..
-        } => {
-            let child = build_tree(db, graph, input, narrow, token, sim)?;
-            let spec = graph
-                .aggregate
-                .as_ref()
-                .ok_or_else(|| CsqError::Plan("Aggregate node without an aggregate spec".into()))?;
-            let schema = child.schema().clone();
-            let (key, aggs) = bind_aggregate(spec, &schema)?;
-            let op: BoxOp = match placement {
-                AggPlacement::ClientOnly => {
-                    Box::new(HashAggregate::new(child, key, aggs).with_memory(db.memory_tracker()))
-                }
-                AggPlacement::ServerPartial => {
-                    // The server-side partial phase reduces rows to groups,
-                    // the decomposed state crosses the wire through the
-                    // partial-aggregate codec, and the client finishes from
-                    // the decoded states.
-                    let pspec = PartialAggSpec::new(key, aggs);
-                    let (out_schema, rows, _wire_bytes) = pspec.ship_through_wire(child)?;
-                    Box::new(RowsOp::new(out_schema, rows))
-                }
-                AggPlacement::ShardPartial => {
-                    return Err(CsqError::Plan(
-                        "shard-partial aggregation requires a coordinator".into(),
-                    ))
-                }
-            };
-            with_having(spec, op)
-        }
-        PlanNode::Final {
-            input,
-            pushed_preds,
-            ..
-        } => filtered(db, graph, input, pushed_preds, narrow, token, sim),
-        PlanNode::ApplyUdf {
-            input,
-            unit,
-            strategy,
-            ship,
-        } => {
-            let mut child = build_tree(db, graph, input, false, token, sim.as_deref_mut())?;
-            let spec = ship_spec(graph, *unit, strategy, *ship, child.schema())?;
-            if let Some(summary) = sim {
-                // Virtual time: the whole input crosses the modelled link in
-                // one run, and the rows it returns feed the tree above.
-                let schema = child.schema().clone();
-                let rows = collect(&mut *child)?;
-                let (net, runtime) = (db.network(), db.client_runtime().clone());
-                let (out_schema, run) = match spec {
-                    ShipSpec::SemiJoin(spec) => (
-                        spec.output_schema(&schema),
-                        simulate_semijoin(&schema, rows, &spec, runtime, &net)?,
-                    ),
-                    ShipSpec::ClientJoin(spec) => (
-                        spec.output_schema(&schema),
-                        simulate_client_join(&schema, rows, &spec, runtime, &net)?,
-                    ),
+            PlanNode::Filter { preds, .. } if preds.is_empty() => {
+                Err(CsqError::Plan("empty filter".into()))
+            }
+            // `input` under the conjunction of `preds` (just `input` when
+            // there are none). Predicates landing directly on a scan also
+            // push their pushable prefix down as a `FilterSpec`: segments
+            // disproved by zone maps are skipped and rows the spec rejects
+            // are never materialized. The full predicate is still applied
+            // above — the spec only rules out.
+            PlanNode::Filter { input, preds }
+            | PlanNode::Final {
+                input,
+                pushed_preds: preds,
+                ..
+            } => {
+                let child = match &**input {
+                    PlanNode::Scan { unit } => self.scan_leaf(*unit, preds, narrow)?,
+                    _ => self.build_tree(input, narrow)?,
                 };
-                summary.absorb(&run);
-                return Ok(Box::new(RowsOp::new(out_schema, run.rows)));
+                Ok(match bind_preds(graph, preds, child.schema())? {
+                    Some(pred) => Box::new(Filter::new(child, pred)),
+                    None => child,
+                })
             }
-            let (server_end, client_end, _stats) = in_memory_duplex();
-            // Client thread per client-site operator; detached — it exits
-            // when the operator closes the connection *or* the query's
-            // cancel token trips (checked at every received batch).
-            let _client =
-                spawn_client_with_token(db.client_runtime().clone(), client_end, token.clone())?;
-            Ok(match spec {
-                ShipSpec::SemiJoin(spec) => {
-                    Box::new(csq_ship::ThreadedSemiJoin::new(child, spec, server_end)?)
+            PlanNode::ReturnToServer { input } => self.build_tree(input, narrow),
+            // The shards ran everything under a `Gather`; what it lowers to is
+            // the rows the coordinator fetched for it (csq_core::coord).
+            PlanNode::Gather { .. } => self.leaves.next().ok_or_else(|| {
+                CsqError::Plan("scatter/gather plan reached a single-node executor".into())
+            }),
+            PlanNode::Scatter { .. } => Err(CsqError::Plan(
+                "scatter/gather plan reached a single-node executor".into(),
+            )),
+            PlanNode::Aggregate {
+                input, placement, ..
+            } => {
+                let child = self.build_tree(input, narrow)?;
+                let spec = graph.aggregate.as_ref().ok_or_else(|| {
+                    CsqError::Plan("Aggregate node without an aggregate spec".into())
+                })?;
+                let op: BoxOp = match placement {
+                    AggPlacement::ClientOnly => {
+                        let (key, aggs) = bind_aggregate(spec, child.schema())?;
+                        Box::new(
+                            HashAggregate::new(child, key, aggs)
+                                .with_memory(self.db.memory_tracker()),
+                        )
+                    }
+                    AggPlacement::ServerPartial => {
+                        // The server-side partial phase reduces rows to
+                        // groups, the decomposed state crosses the wire
+                        // through the partial-aggregate codec, and the client
+                        // finishes from the decoded states.
+                        let (key, aggs) = bind_aggregate(spec, child.schema())?;
+                        let pspec = PartialAggSpec::new(key, aggs);
+                        let (out_schema, rows, _wire_bytes) = pspec.ship_through_wire(child)?;
+                        Box::new(RowsOp::new(out_schema, rows))
+                    }
+                    AggPlacement::ShardPartial => {
+                        // The child is the `Gather [merge]` leaf: every
+                        // shard's partial states, group keys first. The
+                        // merge is the finalize phase the server-partial
+                        // path's client runs.
+                        let aggs = spec
+                            .calls
+                            .iter()
+                            .map(|c| AggSpec::new(c.func, None, c.result_col.clone()))
+                            .collect();
+                        Box::new(HashAggregate::finalize(child, spec.group_by.len(), aggs)?)
+                    }
+                };
+                with_having(spec, op)
+            }
+            PlanNode::ApplyUdf {
+                input,
+                unit,
+                strategy,
+                ship,
+            } => {
+                let mut child = self.build_tree(input, false)?;
+                let spec = ship_spec(graph, *unit, strategy, *ship, child.schema())?;
+                let db = self.db;
+                if let Some(summary) = self.sim.as_deref_mut() {
+                    // Virtual time: the whole input crosses the modelled link
+                    // in one run, and the rows it returns feed the tree above.
+                    let schema = child.schema().clone();
+                    let rows = collect(&mut *child)?;
+                    let (net, runtime) = (db.network(), db.client_runtime().clone());
+                    let (out_schema, run) = match spec {
+                        ShipSpec::SemiJoin(spec) => (
+                            spec.output_schema(&schema),
+                            simulate_semijoin(&schema, rows, &spec, runtime, &net)?,
+                        ),
+                        ShipSpec::ClientJoin(spec) => (
+                            spec.output_schema(&schema),
+                            simulate_client_join(&schema, rows, &spec, runtime, &net)?,
+                        ),
+                    };
+                    summary.absorb(&run);
+                    return Ok(Box::new(RowsOp::new(out_schema, run.rows)));
                 }
-                ShipSpec::ClientJoin(spec) => {
-                    Box::new(csq_ship::ThreadedClientJoin::new(child, spec, server_end)?)
-                }
-            })
+                let (server_end, client_end, _stats) = in_memory_duplex();
+                // Client thread per client-site operator; detached — it exits
+                // when the operator closes the connection *or* the query's
+                // cancel token trips (checked at every received batch).
+                let _client = spawn_client_with_token(
+                    db.client_runtime().clone(),
+                    client_end,
+                    self.token.clone(),
+                )?;
+                Ok(match spec {
+                    ShipSpec::SemiJoin(spec) => {
+                        Box::new(csq_ship::ThreadedSemiJoin::new(child, spec, server_end)?)
+                    }
+                    ShipSpec::ClientJoin(spec) => {
+                        Box::new(csq_ship::ThreadedClientJoin::new(child, spec, server_end)?)
+                    }
+                })
+            }
         }
     }
 }
@@ -387,7 +402,7 @@ fn build_tree(
 /// the same selection), anything else is projected row by row. The SELECT
 /// list is bound only here, after the tree has drained, so an error the
 /// tree raises wins over one the projection would.
-pub(crate) fn project_output(
+fn project_output(
     graph: &QueryGraph,
     schema: &Schema,
     batches: Vec<RowBatch>,
@@ -412,18 +427,27 @@ pub(crate) fn project_output(
 }
 
 /// Build the operator tree of an optimized SELECT over the link `sim`
-/// picks, drain it under a cancellation token (deadline expiry or an
-/// explicit `cancel()` surfaces as a typed `timeout`/`cancelled` error at
-/// the next operator batch boundary), then project its batches onto the
-/// SELECT list.
-fn run_tree(
+/// picks, each `Gather` lowered to the next of `leaves` (a coordinator's
+/// fetched rows, in [`PlanNode::walk`] order), drain it under a
+/// cancellation token (deadline expiry or an explicit `cancel()` surfaces
+/// as a typed `timeout`/`cancelled` error at the next operator batch
+/// boundary), then project its batches onto the SELECT list.
+pub(crate) fn run_tree(
     db: &Database,
     graph: &QueryGraph,
     plan: &csq_opt::OptimizedPlan,
     token: &CancelToken,
     sim: Option<&mut SimSummary>,
+    leaves: Vec<BoxOp>,
 ) -> Result<ResultBatches> {
-    let op = build_tree(db, graph, &plan.root, true, token, sim)?;
+    let mut lowering = Lowering {
+        db,
+        graph,
+        token,
+        sim,
+        leaves: leaves.into_iter(),
+    };
+    let op = lowering.build_tree(&plan.root, true)?;
     // A second checkpoint above the root catches plans whose leaves run
     // inside feeder threads (the shipping operators).
     let mut op = CancelCheck::new(op, token.clone());
@@ -445,7 +469,7 @@ pub(crate) fn execute_threaded(
     plan: &csq_opt::OptimizedPlan,
     token: &CancelToken,
 ) -> Result<ResultBatches> {
-    run_tree(db, graph, plan, token, None)
+    run_tree(db, graph, plan, token, None, Vec::new())
 }
 
 /// Execute an optimized SELECT on the virtual-time link: the same tree as
@@ -457,7 +481,9 @@ pub fn execute_simulated(
     plan: &csq_opt::OptimizedPlan,
 ) -> Result<(QueryResult, SimSummary)> {
     let mut summary = SimSummary::default();
-    let result = run_tree(db, graph, plan, &CancelToken::new(), Some(&mut summary))?.into_result();
+    let token = CancelToken::new();
+    let result = run_tree(db, graph, plan, &token, Some(&mut summary), Vec::new())?;
+    let result = result.into_result();
     // Final delivery: ship the projected output to the client over the
     // downlink (the plain Final operator; merged-final savings are an
     // optimizer-estimate concern, see module docs).
@@ -511,7 +537,14 @@ mod tests {
     /// projection onto the SELECT list).
     fn lowered_width(db: &Database, sql: &str) -> usize {
         let (graph, plan) = db.optimize(sql).unwrap();
-        let op = build_tree(db, &graph, &plan.root, true, &CancelToken::new(), None).unwrap();
+        let mut lowering = Lowering {
+            db,
+            graph: &graph,
+            token: &CancelToken::new(),
+            sim: None,
+            leaves: Vec::new().into_iter(),
+        };
+        let op = lowering.build_tree(&plan.root, true).unwrap();
         op.schema().len()
     }
 

@@ -11,7 +11,8 @@
 //!   merge+finalize phase.
 //! * Everything else (joins, UDFs) gathers each base relation's shard
 //!   partitions separately and runs the remaining operators at the
-//!   coordinator, through a single-node database's ordinary lowering.
+//!   coordinator: it lowers this same plan, each `Gather` a leaf over the
+//!   rows it fetched.
 //!
 //! Shard pruning: when a conjunct pins a table's hash-partitioning column
 //! to a literal (`key = lit`), only the shard owning that hash bucket is

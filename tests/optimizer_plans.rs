@@ -591,7 +591,7 @@ fn pinned_shard_key_prunes_the_scatter() {
 fn sharded_join_gathers_each_relation() {
     // A join is not pushable per shard (rows co-located by different keys):
     // each relation's partitions gather separately and the coordinator
-    // joins them in its scratch single-node `Database`.
+    // joins them above the gathered leaves.
     let ctx = sharded_ctx(4);
     let g = csq_opt::query::extract(
         &select(

@@ -8,6 +8,12 @@
 //! (key = row id: every shard holds a partial state of every group, and
 //! the coordinator's merge does real work).
 //!
+//! Deterministic tests below pin what the differential run cannot see:
+//! the per-shard statements a plan sends are the fan-out its EXPLAIN
+//! prints, the coordinator refuses the UDF registrations a single server
+//! refuses, and a shard whose table disagrees with the coordinator's schema
+//! fails typed, naming itself.
+//!
 //! A separate deterministic test kills one shard mid-workload behind a
 //! `csq-net` fault injector and checks the §13 failure contract: the
 //! gather returns a typed *retryable* error naming the shard (no hang),
@@ -39,7 +45,7 @@ fn arb_row() -> impl Strategy<Value = RowSpec> {
 
 /// One generated statement; the mix covers every coordinator strategy:
 /// pushdown (with and without shard pruning), shard-partial aggregation,
-/// gather-and-execute (join, UDF, client-only aggregation), and failures.
+/// plans lowered over gathered leaves (join, UDF), and failures.
 #[derive(Debug, Clone)]
 enum QuerySpec {
     /// Filter + projection: pushdown, every shard contacted.
@@ -52,9 +58,11 @@ enum QuerySpec {
     Agg { having: Option<i64> },
     /// Ungrouped aggregation: one partial-state row per shard.
     Global,
-    /// Self-join: gather-and-execute (both aliases fetch everything).
+    /// Self-join: lowered over one gathered leaf per alias, each fetched
+    /// under its own predicates (`a.Val > lo` reaches only `a`'s shards).
     SelfJoin { lo: i64 },
-    /// Client-site UDF: gather-and-execute (shards hold no UDF code).
+    /// Client-site UDF: lowered over a gathered leaf (shards hold no UDF
+    /// code).
     Udf { lo: i64 },
     /// Unknown column: fails at planning on both sides.
     BadColumn,
@@ -420,4 +428,191 @@ fn killed_shard_fails_typed_and_replace_restores_service() {
     for h in handles {
         h.shutdown();
     }
+}
+
+/// `name(INT) -> INT`, adding ten: `PlusTen` under another name.
+fn plus_ten_named(name: &str) -> Arc<dyn ScalarUdf> {
+    Arc::new(PlusTen(UdfSignature::new(
+        name,
+        vec![DataType::Int],
+        DataType::Int,
+    )))
+}
+
+/// The coordinator registers a UDF through the same path a single server
+/// does: a duplicate name and a name colliding with an SQL aggregate are
+/// refused up front with the kinds `Database` gives, and neither refusal
+/// leaves anything behind that later statements trip over.
+#[test]
+fn coordinator_refuses_the_udfs_a_database_refuses() {
+    let inserts = insert_statements(&fixture_rows());
+    let reference = reference_db(&inserts);
+    let cluster = Cluster::start(2, "Id", &inserts);
+    for name in ["PlusTen", "Sum"] {
+        let want = reference
+            .register_udf(plus_ten_named(name))
+            .expect_err("a database refuses it")
+            .kind();
+        let got = cluster.coord.register_udf(plus_ten_named(name));
+        assert_eq!(
+            got.map_err(|e| e.kind()),
+            Err(want),
+            "registering '{name}' twice or over an aggregate"
+        );
+    }
+    for sql in [
+        "SELECT a.Id, b.Val FROM T a, T b WHERE a.Id = b.Id",
+        "SELECT T.Id, PlusTen(T.Val) FROM T T WHERE T.Id > 3",
+    ] {
+        assert_eq!(
+            outcome_of(cluster.coord.execute(sql)),
+            outcome_of(reference.execute(sql)),
+            "{sql}"
+        );
+    }
+    cluster.stop();
+}
+
+/// `(statements, pruned)` summed over EXPLAIN's `Scatter [n shards, k
+/// pruned]` lines: each scatter sends `n - k` statements and skips `k`.
+fn promised_fan_out(explain: &str) -> (u64, u64) {
+    let mut total = (0, 0);
+    for line in explain.lines() {
+        let Some(rest) = line.trim().strip_prefix("Scatter [") else {
+            continue;
+        };
+        let nums: Vec<u64> = rest
+            .split(|c: char| !c.is_ascii_digit())
+            .filter(|w| !w.is_empty())
+            .map(|w| w.parse().expect("a count"))
+            .collect();
+        let [n, k] = nums[..] else {
+            panic!("unreadable scatter line: {line}");
+        };
+        total.0 += n - k;
+        total.1 += k;
+    }
+    total
+}
+
+/// Every coordinator shape on 4 shards: the rows equal a single server's,
+/// and the per-shard statements sent and shards pruned are the ones the
+/// statement's EXPLAIN prints.
+#[test]
+fn fan_out_is_what_explain_promises() {
+    const CREATE_U: &str = "CREATE TABLE U (Grp INT, Label STR)";
+    let rows = fixture_rows();
+    let mut inserts = insert_statements(&rows);
+    inserts.push("INSERT INTO U VALUES (0, 'zero'), (1, 'one'), (2, 'two'), (3, 'three')".into());
+    let reference = reference_db(&[]);
+    reference.execute(CREATE_U).expect("reference CREATE U");
+    for stmt in &inserts {
+        reference.execute(stmt).expect("reference INSERT");
+    }
+    let cluster = Cluster::start(4, "Id", &[]);
+    let coord = &cluster.coord;
+    // `U` is sharded on another key than `T`, so a join of the two cannot
+    // be co-located.
+    coord
+        .create_table(CREATE_U, "Grp")
+        .expect("sharded CREATE U");
+    for stmt in &inserts {
+        coord.execute(stmt).expect("routed INSERT");
+    }
+    // As many distinct ids as rows: grouping by `Id` reduces nothing per
+    // shard, so the optimizer aggregates client-only.
+    coord.advertise_distinct("T", "Id", rows.len() as f64);
+
+    let statements = [
+        (
+            "SELECT T.Id, T.Name FROM T T WHERE T.Val > 0",
+            "Gather [ordered]",
+        ),
+        ("SELECT T.Grp, T.Val FROM T T WHERE T.Id = 7", "3 pruned"),
+        (
+            "SELECT T.Grp, COUNT(*), SUM(T.Val) FROM T T GROUP BY T.Grp HAVING COUNT(*) > 7",
+            "Aggregate [shard-partial]",
+        ),
+        (
+            "SELECT T.Id, COUNT(*) FROM T T GROUP BY T.Id",
+            "Aggregate [client-only]",
+        ),
+        // An alias other than the table name: the leaf's pushed conjunct
+        // must be qualified the way its `FROM` names the table.
+        (
+            "SELECT a.Id, COUNT(*) FROM T a WHERE a.Val > 0 GROUP BY a.Id",
+            "Aggregate [client-only]",
+        ),
+        (
+            "SELECT T.Id, PlusTen(T.Val) FROM T T WHERE T.Val > 5",
+            "ApplyUdf",
+        ),
+        (
+            "SELECT a.Id, b.Val FROM T a, T b WHERE a.Id = 7 AND a.Id = b.Id",
+            "Join",
+        ),
+        (
+            "SELECT T.Id, U.Label FROM T T, U U WHERE T.Grp = U.Grp AND U.Grp = 2",
+            "Join",
+        ),
+    ];
+    let count = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+    for (sql, marker) in statements {
+        let explain = coord.explain(sql).expect("explain");
+        assert!(
+            explain.contains(marker),
+            "{sql}: no '{marker}' in\n{explain}"
+        );
+        let promised = promised_fan_out(&explain);
+        let stats = coord.stats();
+        let before = (count(&stats.shard_statements), count(&stats.shards_pruned));
+        let got = outcome_of(coord.execute(sql));
+        let sent = (
+            count(&stats.shard_statements) - before.0,
+            count(&stats.shards_pruned) - before.1,
+        );
+        assert_eq!(got, outcome_of(reference.execute(sql)), "{sql}");
+        assert_eq!(
+            sent, promised,
+            "{sql}: (statements, pruned) sent vs EXPLAIN\n{explain}"
+        );
+    }
+    cluster.stop();
+}
+
+/// A shard whose `T` has a column the coordinator's schema lacks: every
+/// statement that gathers `T`'s rows returns a typed error naming that
+/// shard, and never rows.
+#[test]
+fn a_shard_that_disagrees_with_the_schema_fails_typed() {
+    let inserts = insert_statements(&fixture_rows());
+    let cluster = Cluster::start(2, "Id", &inserts);
+    let impostor = Arc::new(Database::new(NetworkSpec::lan()));
+    impostor
+        .execute("CREATE TABLE T (Id INT, Grp INT, Val INT, Name STR, Extra INT)")
+        .expect("impostor CREATE");
+    impostor
+        .execute("INSERT INTO T VALUES (1, 0, 5, 'bee', 9), (3, 1, -4, 'alpha', 9)")
+        .expect("impostor INSERT");
+    let handle = service::start(impostor, ServiceConfig::default()).expect("impostor service");
+    cluster
+        .coord
+        .replace_shard(1, handle.local_addr())
+        .expect("replace shard 1");
+    for sql in [
+        "SELECT a.Id, b.Name FROM T a, T b WHERE a.Id = b.Id",
+        "SELECT T.Id, PlusTen(T.Val) FROM T T WHERE T.Id > 0",
+    ] {
+        match cluster.coord.execute(sql) {
+            Ok(r) => panic!("{sql}: {} rows from a mismatched shard", r.rows.len()),
+            Err(e) => assert!(
+                e.message().contains("shard 1"),
+                "{sql}: the error must name shard 1, got {}: {}",
+                e.kind(),
+                e.message()
+            ),
+        }
+    }
+    handle.shutdown();
+    cluster.stop();
 }
