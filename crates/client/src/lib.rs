@@ -9,7 +9,7 @@
 //!
 //! * [`ScalarUdf`] + [`ClientRuntime`] — the UDF trait and per-client
 //!   registry, with invocation accounting and per-invocation CPU cost hints
-//!   used by the virtual-time simulator.
+//!   that the client loop puts on its endpoint's virtual clock.
 //! * [`synthetic`] — the paper's experiment UDFs ("takes an object, returns
 //!   another object of a given size" / "returns true or false with a given
 //!   selectivity"), deterministic and parameterized exactly like §4.
@@ -21,8 +21,7 @@
 //!   pushable predicate + pushable projection), then stream argument or
 //!   record batches and receive result batches.
 //! * [`service`] — the client event loop run as a thread over a
-//!   [`csq_net::Endpoint`], and a synchronous in-process handle used by the
-//!   virtual-time executors.
+//!   [`csq_net::Endpoint`], in real or virtual time.
 //! * [`qproto`] + [`pool`] — the *query service* side of being a client:
 //!   the SQL-in/rows-out wire protocol spoken to `csq-core`'s socket
 //!   server, a single framed [`ServiceConn`], and a bounded blocking
@@ -47,4 +46,4 @@ pub use pool::{
 pub use protocol::{ClientTask, Request, Response, TaskMode, UdfStep};
 pub use qproto::{QueryRequest, QueryResponse};
 pub use runtime::{ClientRuntime, ScalarUdf, UdfCost, UdfSignature};
-pub use service::{spawn_client, spawn_client_with_token, ClientHandle};
+pub use service::{spawn_client, spawn_client_with_token};

@@ -3,8 +3,8 @@
 //! [`TaskExecutor`] is the client half of both shipping strategies: it
 //! extends each incoming row with UDF result columns, applies the pushable
 //! predicate, and projects the returned columns. [`spawn_client`] runs it as
-//! a thread over a real [`Endpoint`]; [`ClientHandle`] runs it synchronously
-//! in-process for the virtual-time executors (same code path, no threads).
+//! a thread over an [`Endpoint`] — in-memory, virtual-time or TCP — and
+//! puts the simulated CPU time it spends on the endpoint's clock.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -25,7 +25,7 @@ pub struct TaskExecutor {
     /// The task's `return_cols` as row ordinals.
     return_idx: Option<Vec<usize>>,
     /// Total simulated CPU µs consumed by UDF invocations (cache hits are
-    /// free). Used by the virtual-time executors.
+    /// free). The client loop puts it on its endpoint's clock.
     cpu_us: u64,
 }
 
@@ -65,11 +65,6 @@ impl TaskExecutor {
             return_idx,
             cpu_us: 0,
         })
-    }
-
-    /// The installed task.
-    pub fn task(&self) -> &ClientTask {
-        &self.task
     }
 
     /// Simulated client CPU time consumed so far, µs.
@@ -176,37 +171,14 @@ impl TaskExecutor {
     }
 }
 
-/// A synchronous in-process client: installs a task and processes batches
-/// without any network or threads. The virtual-time executors in `csq-ship`
-/// use this so that the *same* client code path produces both the threaded
-/// and the simulated results.
-pub struct ClientHandle {
-    runtime: Arc<ClientRuntime>,
-}
-
-impl ClientHandle {
-    /// Wrap a runtime.
-    pub fn new(runtime: Arc<ClientRuntime>) -> ClientHandle {
-        ClientHandle { runtime }
-    }
-
-    /// The underlying runtime (for registration and accounting).
-    pub fn runtime(&self) -> &Arc<ClientRuntime> {
-        &self.runtime
-    }
-
-    /// Install a task, returning its executor.
-    pub fn install(&self, task: ClientTask) -> Result<TaskExecutor> {
-        TaskExecutor::new(self.runtime.clone(), task)
-    }
-}
-
 /// Run the client event loop over `endpoint` in a new thread. Fails only
 /// when the OS refuses to spawn the thread (resource exhaustion).
 ///
 /// Protocol: the server first sends [`Request::Install`], then any number of
 /// [`Request::Batch`] (each answered by exactly one [`Response::Batch`] or
-/// [`Response::Error`]), then [`Request::Finish`] (or just closes).
+/// [`Response::Error`]), then [`Request::Finish`] (or just closes). A batch
+/// is answered once its UDFs have run: their CPU µs pass on the endpoint's
+/// clock before the answer is sent.
 pub fn spawn_client(
     runtime: Arc<ClientRuntime>,
     endpoint: Endpoint,
@@ -253,8 +225,10 @@ fn client_loop(runtime: Arc<ClientRuntime>, endpoint: Endpoint, token: CancelTok
                     let _ = endpoint.send(Response::Error(msg.into()).encode());
                     return Err(CsqError::Client(msg.into()));
                 };
+                let before = ex.cpu_us();
                 match ex.process(rows) {
                     Ok(out) => {
+                        endpoint.advance(ex.cpu_us() - before);
                         if endpoint.send(Response::Batch(out).encode()).is_err() {
                             // Server went away; nothing more to do.
                             return Ok(());

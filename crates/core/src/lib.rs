@@ -5,14 +5,13 @@
 //! text goes in, rows come out. Three execution paths:
 //!
 //! * [`Database::execute`] — the *threaded* engine: real sender/receiver
-//!   threads, a real client thread, an unthrottled in-memory duplex (bytes
+//!   threads, a real client thread, an in-memory duplex in real time (bytes
 //!   counted, transfer instant). The correctness path.
 //! * [`Database::execute_simulated`] — the *virtual-time* engine: the same
-//!   plan, the same operator tree and the same client code; only the link
-//!   under each client-site operator differs, its transfers timed by the
-//!   discrete-event link model. Returns a [`SimSummary`] with completion
-//!   time and per-link byte accounting — this is what regenerates the
-//!   paper's figures.
+//!   plan, the same operator tree and the same client code; only the duplex
+//!   under each client-site operator differs, every message on it timed by
+//!   the discrete-event link model. Returns a [`SimSummary`] with
+//!   completion time and per-link byte accounting.
 //! * [`Database::explain`] — the §5 optimizer's chosen plan as text.
 //!
 //! ```

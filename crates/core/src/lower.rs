@@ -1,19 +1,21 @@
 //! Plan lowering: optimizer [`PlanNode`] trees → execution.
 //!
 //! One lowering, two links. [`build_tree`] turns a plan into one operator
-//! tree — columnar scans, filters, nested-loop joins, aggregates — and both
-//! entry points drain that tree and project its batches onto the SELECT
-//! list. The only node whose lowering depends on the link is `ApplyUdf`:
+//! tree — columnar scans, filters, nested-loop joins, aggregates, and the
+//! shipping operators of `csq-ship` — and both entry points drain that tree
+//! and project its batches onto the SELECT list. Each `ApplyUdf` node ships
+//! over its own duplex to its own client thread, and the link picks only
+//! which duplex:
 //!
-//! * **Threaded** ([`execute_threaded`]): each `ApplyUdf` node gets its own
-//!   in-memory duplex and client thread and ships as it is pulled; the tree
-//!   is drained on the caller's thread, and the result stays batches
-//!   ([`ResultBatches`]) — rows are built by whoever receives them.
-//! * **Virtual time** ([`execute_simulated`]): each `ApplyUdf` collects its
-//!   child, runs the virtual-time executor over those rows, and folds the
-//!   run's timing and bytes into a [`SimSummary`] (phases are sequential —
-//!   a conservative approximation of the pipelined reality, documented in
-//!   DESIGN.md); the final delivery crosses the modelled downlink.
+//! * **Threaded** ([`execute_threaded`]): an in-memory duplex in real time;
+//!   the tree is drained on the caller's thread, and the result stays
+//!   batches ([`ResultBatches`]) — rows are built by whoever receives them.
+//! * **Virtual time** ([`execute_simulated`]): a virtual-time duplex over
+//!   the database's network; once the tree drains, each node's run (its
+//!   clock, bytes and client CPU) is folded into a [`SimSummary`] (phases
+//!   are sequential — a conservative approximation of the pipelined
+//!   reality, documented in DESIGN.md); the final delivery crosses the
+//!   modelled downlink.
 //!
 //! A coordinator's plan lowers here too ([`run_tree`] on the threaded
 //! link), each `Gather` a leaf over the rows the shards returned for it.
@@ -27,14 +29,14 @@
 use csq_client::spawn_client_with_token;
 use csq_common::{codec, CancelToken, CsqError, Field, Result, RowBatch, Schema};
 use csq_exec::{
-    collect, AggSpec, BoxOp, CancelCheck, ColumnarScan, Filter, HashAggregate, NestedLoopJoin,
-    Operator, Projection, RowsOp,
+    AggSpec, BoxOp, CancelCheck, ColumnarScan, Filter, HashAggregate, NestedLoopJoin, Operator,
+    Projection, RowsOp,
 };
 use csq_expr::{analysis, bind, PhysExpr};
-use csq_net::in_memory_duplex;
+use csq_net::{in_memory_duplex, virtual_duplex, VirtualLinks};
 use csq_opt::{AggPlacement, AggregateSpec, PlanNode, QueryGraph, ShipParams, UdfStrategy, Unit};
 use csq_ship::{
-    simulate_client_join, simulate_semijoin, ClientJoinSpec, PartialAggSpec, SemiJoinSpec,
+    ClientJoinSpec, PartialAggSpec, SemiJoinSpec, SimRun, ThreadedClientJoin, ThreadedSemiJoin,
     UdfApplication,
 };
 use csq_storage::{FilterSpec, Table};
@@ -210,9 +212,9 @@ struct Lowering<'a> {
     token: &'a CancelToken,
     /// The link every `ApplyUdf` ships over: `None` is the threaded link (a
     /// client thread behind an in-memory duplex), `Some` the virtual-time
-    /// link, whose runs accumulate into the summary. Every other node lowers
-    /// the same way under either.
-    sim: Option<&'a mut SimSummary>,
+    /// link, which keeps each node's links to read once the tree drains.
+    /// Every node lowers to the same operator under either.
+    sim: Option<Vec<VirtualLinks>>,
     /// What each `Gather` lowers to, in [`PlanNode::walk`] order: the rows a
     /// coordinator fetched for it. Single-node callers pass none.
     leaves: std::vec::IntoIter<BoxOp>,
@@ -352,43 +354,30 @@ impl Lowering<'_> {
                 strategy,
                 ship,
             } => {
-                let mut child = self.build_tree(input, false)?;
+                let child = self.build_tree(input, false)?;
                 let spec = ship_spec(graph, *unit, strategy, *ship, child.schema())?;
-                let db = self.db;
-                if let Some(summary) = self.sim.as_deref_mut() {
-                    // Virtual time: the whole input crosses the modelled link
-                    // in one run, and the rows it returns feed the tree above.
-                    let schema = child.schema().clone();
-                    let rows = collect(&mut *child)?;
-                    let (net, runtime) = (db.network(), db.client_runtime().clone());
-                    let (out_schema, run) = match spec {
-                        ShipSpec::SemiJoin(spec) => (
-                            spec.output_schema(&schema),
-                            simulate_semijoin(&schema, rows, &spec, runtime, &net)?,
-                        ),
-                        ShipSpec::ClientJoin(spec) => (
-                            spec.output_schema(&schema),
-                            simulate_client_join(&schema, rows, &spec, runtime, &net)?,
-                        ),
-                    };
-                    summary.absorb(&run);
-                    return Ok(Box::new(RowsOp::new(out_schema, run.rows)));
-                }
-                let (server_end, client_end, _stats) = in_memory_duplex();
+                let (server_end, client_end) = match &mut self.sim {
+                    None => {
+                        let (server_end, client_end, _stats) = in_memory_duplex();
+                        (server_end, client_end)
+                    }
+                    Some(runs) => {
+                        let (server_end, client_end, links) = virtual_duplex(&self.db.network());
+                        runs.push(links);
+                        (server_end, client_end)
+                    }
+                };
                 // Client thread per client-site operator; detached — it exits
                 // when the operator closes the connection *or* the query's
                 // cancel token trips (checked at every received batch).
-                let _client = spawn_client_with_token(
-                    db.client_runtime().clone(),
-                    client_end,
-                    self.token.clone(),
-                )?;
+                let runtime = self.db.client_runtime().clone();
+                spawn_client_with_token(runtime, client_end, self.token.clone())?;
                 Ok(match spec {
                     ShipSpec::SemiJoin(spec) => {
-                        Box::new(csq_ship::ThreadedSemiJoin::new(child, spec, server_end)?)
+                        Box::new(ThreadedSemiJoin::new(child, spec, server_end)?)
                     }
                     ShipSpec::ClientJoin(spec) => {
-                        Box::new(csq_ship::ThreadedClientJoin::new(child, spec, server_end)?)
+                        Box::new(ThreadedClientJoin::new(child, spec, server_end)?)
                     }
                 })
             }
@@ -444,7 +433,7 @@ pub(crate) fn run_tree(
         db,
         graph,
         token,
-        sim,
+        sim: sim.is_some().then(Vec::new),
         leaves: leaves.into_iter(),
     };
     let op = lowering.build_tree(&plan.root, true)?;
@@ -458,6 +447,11 @@ pub(crate) fn run_tree(
     let schema = op.schema().clone();
     drop(op);
     token.check()?;
+    if let (Some(summary), Some(runs)) = (sim, lowering.sim) {
+        for links in &runs {
+            summary.absorb(&SimRun::new(Vec::new(), links));
+        }
+    }
     project_output(graph, &schema, batches)
 }
 

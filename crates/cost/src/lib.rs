@@ -298,8 +298,8 @@ const PIPELINE_FILL_SHARE: f64 = 0.05;
 /// one-tuple pipeline, and that may cost at most a twentieth of the
 /// estimated transfer. `K` is [`optimal_concurrency`] taken over those
 /// messages — how many of them the pipeline holds — in input tuples, and at
-/// least two spans: a span wider than `K` serialises one round trip per
-/// message.
+/// least two spans: the semi-join admits ⌈K/m⌉ unpaired hand-offs, and with
+/// one the sender waits out a round trip per message.
 pub fn shipping_params(
     net: &NetworkSpec,
     down_bytes: f64,

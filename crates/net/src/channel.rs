@@ -1,19 +1,26 @@
-//! Real (threaded) in-memory duplex transport.
+//! The in-memory duplex transport, in real or virtual time.
 //!
-//! The threaded execution engine in `csq-ship` runs actual sender/receiver
-//! threads (Figure 3 of the paper); this module gives them a duplex message
-//! channel with byte accounting, and optionally wall-clock bandwidth/latency
-//! enforcement for end-to-end demos. The timing *experiments* use the
-//! virtual-time model instead (deterministic and instant) — see `csq-ship`.
+//! The shipping operators in `csq-ship` run real sender and receiver
+//! threads (Figure 3 of the paper) around a real client thread; this module
+//! gives them a duplex message channel with byte accounting. Every endpoint
+//! keeps a virtual clock (µs). Over a [`virtual_duplex`] each message is
+//! stamped with the time it reaches the peer — its sender's clock pushed
+//! through that direction's [`Link`] — and a receive moves the receiver's
+//! clock up to the stamp; the protocol code adds the waits and the work it
+//! times itself ([`NetSender::advance_to`], [`Endpoint::advance`]). Virtual
+//! time thus measures the protocol that actually runs, and deterministically:
+//! every wait is timestamped, so thread interleaving moves no clock.
+//! [`in_memory_duplex`] is the same channel with every stamp 0.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use csq_common::{CsqError, Result};
 
+use crate::link::{Link, SimTime};
 use crate::spec::NetworkSpec;
 use crate::stats::NetStats;
 
@@ -26,56 +33,87 @@ enum Direction {
     Up,
 }
 
-/// Wall-clock rate limiting state for one direction.
-#[derive(Debug)]
-struct Throttle {
-    bandwidth: f64,
-    latency: Duration,
-    /// When the (serial) transmitter is next free.
-    next_free: Mutex<Instant>,
-}
+/// A virtual clock, µs. The two halves of an unsplit endpoint share one.
+#[derive(Debug, Clone, Default)]
+struct Clock(Arc<AtomicU64>);
 
-impl Throttle {
-    fn new(bandwidth: f64, latency: Duration) -> Throttle {
-        Throttle {
-            bandwidth,
-            latency,
-            next_free: Mutex::new(Instant::now()),
-        }
+impl Clock {
+    fn now(&self) -> SimTime {
+        self.0.load(Ordering::Relaxed)
     }
 
-    /// Block for the transmission time of `size` bytes; return the instant
-    /// at which the message may be delivered (tx end + propagation).
-    fn admit(&self, size: usize) -> Instant {
-        let tx = Duration::from_secs_f64(size as f64 / self.bandwidth);
-        let deliver_at;
-        {
-            let mut free = self.next_free.lock();
-            let start = (*free).max(Instant::now());
-            let tx_done = start + tx;
-            *free = tx_done;
-            deliver_at = tx_done + self.latency;
-        }
-        // Backpressure: the sender experiences the transmitter being busy.
-        let now = Instant::now();
-        if deliver_at - self.latency > now {
-            std::thread::sleep(deliver_at - self.latency - now);
-        }
-        deliver_at
+    fn advance_to(&self, at: SimTime) {
+        self.0.fetch_max(at, Ordering::Relaxed);
+    }
+
+    /// A clock of its own, starting at this one's time.
+    fn fork(&self) -> Clock {
+        Clock(Arc::new(AtomicU64::new(self.now())))
+    }
+}
+
+/// The modelled links of a [`virtual_duplex`], one [`Link`] per direction,
+/// its server endpoint's clock and its endpoints' own work. Clones share
+/// them; read them once the run is over.
+#[derive(Clone)]
+pub struct VirtualLinks(Arc<Links>);
+
+struct Links {
+    spec: NetworkSpec,
+    down: Mutex<Link>,
+    up: Mutex<Link>,
+    server: Clock,
+    work: AtomicU64,
+}
+
+impl VirtualLinks {
+    /// Put a `size`-byte payload on `direction`'s link at `at`; returns when
+    /// it reaches the peer.
+    fn transmit(&self, direction: Direction, at: SimTime, size: usize) -> SimTime {
+        let links = &self.0;
+        let (link, bytes) = match direction {
+            Direction::Down => (&links.down, links.spec.downlink_bytes(size)),
+            Direction::Up => (&links.up, links.spec.uplink_bytes(size)),
+        };
+        link.lock().transmit(at, bytes).1
+    }
+
+    /// The downlink: bytes, messages and busy time so far.
+    pub fn downlink(&self) -> Link {
+        self.0.down.lock().clone()
+    }
+
+    /// The uplink: bytes (after any inflation), messages and busy time so
+    /// far.
+    pub fn uplink(&self) -> Link {
+        self.0.up.lock().clone()
+    }
+
+    /// The server endpoint's clock — its receiving half's once split: when
+    /// the server took the last message it received.
+    pub fn server_clock(&self) -> SimTime {
+        self.0.server.now()
+    }
+
+    /// µs the endpoints spent on their own work ([`Endpoint::advance`]): on
+    /// a shipping duplex, the client's UDF CPU.
+    pub fn work_us(&self) -> SimTime {
+        self.0.work.load(Ordering::Relaxed)
     }
 }
 
 struct Message {
-    deliver_at: Option<Instant>,
+    /// When the message reaches the receiver, in virtual time.
+    deliver_at: SimTime,
     payload: Vec<u8>,
 }
 
-/// What actually carries a sender's messages: the in-memory channel (with
-/// optional wall-clock throttling) or a framed TCP connection.
+/// What actually carries a sender's messages: the in-memory channel (timed
+/// by the links of a virtual duplex, if any) or a framed TCP connection.
 enum SendHalf {
     Chan {
         tx: Sender<Message>,
-        throttle: Option<Arc<Throttle>>,
+        links: Option<VirtualLinks>,
     },
     Tcp(Arc<crate::tcp::TcpConn>),
 }
@@ -86,10 +124,12 @@ pub struct NetSender {
     stats: NetStats,
     direction: Direction,
     overhead: usize,
+    clock: Clock,
 }
 
 impl NetSender {
-    /// Send one message. Blocks for transmission time when throttled.
+    /// Send one message, stamped with its arrival at the sender's clock.
+    /// Never blocks: the link queues it behind the messages before it.
     pub fn send(&self, payload: Vec<u8>) -> Result<()> {
         let wire_bytes = payload.len() + self.overhead;
         match self.direction {
@@ -97,8 +137,10 @@ impl NetSender {
             Direction::Up => self.stats.record_up(wire_bytes),
         }
         match &self.half {
-            SendHalf::Chan { tx, throttle } => {
-                let deliver_at = throttle.as_ref().map(|t| t.admit(wire_bytes));
+            SendHalf::Chan { tx, links } => {
+                let deliver_at = links.as_ref().map_or(0, |links| {
+                    links.transmit(self.direction, self.clock.now(), payload.len())
+                });
                 tx.send(Message {
                     deliver_at,
                     payload,
@@ -107,6 +149,12 @@ impl NetSender {
             }
             SendHalf::Tcp(conn) => conn.send(&payload),
         }
+    }
+
+    /// Move the sender's clock up to `at`: a wait the protocol timed
+    /// itself, such as a credit stamped by the receiver.
+    pub fn advance_to(&self, at: SimTime) {
+        self.clock.advance_to(at);
     }
 }
 
@@ -120,10 +168,12 @@ enum RecvHalf {
 /// Receiving half of an endpoint.
 pub struct NetReceiver {
     rx: RecvHalf,
+    clock: Clock,
 }
 
 impl NetReceiver {
     /// Receive the next message, blocking; `None` when the peer closed.
+    /// The receiver's clock moves up to the message's arrival.
     /// On a TCP endpoint any transport failure (truncated frame, reset)
     /// also reads as `None` — the peer is gone either way; consumers that
     /// need the distinction use [`crate::tcp::TcpConn`] directly.
@@ -131,12 +181,7 @@ impl NetReceiver {
         match &self.rx {
             RecvHalf::Chan(rx) => {
                 let msg = rx.recv().ok()?;
-                if let Some(at) = msg.deliver_at {
-                    let now = Instant::now();
-                    if at > now {
-                        std::thread::sleep(at - now);
-                    }
-                }
+                self.clock.advance_to(msg.deliver_at);
                 Some(msg.payload)
             }
             RecvHalf::Tcp(conn) => match conn.recv() {
@@ -146,32 +191,9 @@ impl NetReceiver {
         }
     }
 
-    /// Non-blocking receive; `Ok(None)` when no message is ready,
-    /// `Err` when the peer closed. Only supported on in-memory endpoints
-    /// (no consumer polls a TCP endpoint).
-    pub fn try_recv(&self) -> std::result::Result<Option<Vec<u8>>, CsqError> {
-        use crossbeam::channel::TryRecvError;
-        let rx = match &self.rx {
-            RecvHalf::Chan(rx) => rx,
-            RecvHalf::Tcp(_) => {
-                return Err(CsqError::Net(
-                    "try_recv is not supported on TCP endpoints".into(),
-                ))
-            }
-        };
-        match rx.try_recv() {
-            Ok(msg) => {
-                if let Some(at) = msg.deliver_at {
-                    let now = Instant::now();
-                    if at > now {
-                        std::thread::sleep(at - now);
-                    }
-                }
-                Ok(Some(msg.payload))
-            }
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(CsqError::Net("peer endpoint closed".into())),
-        }
+    /// The receiver's clock, µs.
+    pub fn now(&self) -> SimTime {
+        self.clock.now()
     }
 }
 
@@ -192,10 +214,46 @@ impl Endpoint {
         self.receiver.recv()
     }
 
+    /// Add `us` of the endpoint's own work to its clock (and, on a virtual
+    /// duplex, to [`VirtualLinks::work_us`]).
+    pub fn advance(&self, us: SimTime) {
+        self.receiver.clock.0.fetch_add(us, Ordering::Relaxed);
+        if let SendHalf::Chan {
+            links: Some(links), ..
+        } = &self.sender.half
+        {
+            links.0.work.fetch_add(us, Ordering::Relaxed);
+        }
+    }
+
     /// Split into independently-owned halves so sender and receiver threads
-    /// (Figure 3) can each own their direction.
+    /// (Figure 3) can each own their direction. The receiving half keeps
+    /// the endpoint's clock; the sending half gets one of its own.
     pub fn split(self) -> (NetSender, NetReceiver) {
-        (self.sender, self.receiver)
+        let mut sender = self.sender;
+        sender.clock = sender.clock.fork();
+        (sender, self.receiver)
+    }
+
+    fn new(
+        half: SendHalf,
+        rx: RecvHalf,
+        direction: Direction,
+        overhead: usize,
+        stats: NetStats,
+        clock: Clock,
+    ) -> Endpoint {
+        let sender = NetSender {
+            half,
+            stats,
+            direction,
+            overhead,
+            clock: clock.clone(),
+        };
+        Endpoint {
+            sender,
+            receiver: NetReceiver { rx, clock },
+        }
     }
 
     /// Wrap one side of a framed TCP connection as an endpoint. `is_server`
@@ -207,84 +265,54 @@ impl Endpoint {
         is_server: bool,
         stats: NetStats,
     ) -> Endpoint {
-        Endpoint {
-            sender: NetSender {
-                half: SendHalf::Tcp(conn.clone()),
-                stats,
-                direction: if is_server {
-                    Direction::Down
-                } else {
-                    Direction::Up
-                },
-                overhead: crate::tcp::FRAME_HEADER_BYTES,
-            },
-            receiver: NetReceiver {
-                rx: RecvHalf::Tcp(conn),
-            },
-        }
+        let direction = if is_server {
+            Direction::Down
+        } else {
+            Direction::Up
+        };
+        let (half, rx) = (SendHalf::Tcp(conn.clone()), RecvHalf::Tcp(conn));
+        let overhead = crate::tcp::FRAME_HEADER_BYTES;
+        Endpoint::new(half, rx, direction, overhead, stats, Clock::default())
     }
 }
 
-fn build_pair(spec: Option<&NetworkSpec>) -> (Endpoint, Endpoint, NetStats) {
+fn build_pair(links: Option<&VirtualLinks>) -> (Endpoint, Endpoint, NetStats) {
     let stats = NetStats::new();
     let (down_tx, down_rx) = unbounded::<Message>();
     let (up_tx, up_rx) = unbounded::<Message>();
-    let (down_throttle, up_throttle, overhead) = match spec {
-        Some(s) => (
-            Some(Arc::new(Throttle::new(
-                s.down_bandwidth,
-                Duration::from_micros(s.down_latency),
-            ))),
-            Some(Arc::new(Throttle::new(
-                s.up_bandwidth / s.uplink_inflation,
-                Duration::from_micros(s.up_latency),
-            ))),
-            s.per_message_overhead,
-        ),
-        None => (None, None, 0),
+    let end = |tx, rx, direction, clock| {
+        let half = SendHalf::Chan {
+            tx,
+            links: links.cloned(),
+        };
+        Endpoint::new(half, RecvHalf::Chan(rx), direction, 0, stats.clone(), clock)
     };
-    let server = Endpoint {
-        sender: NetSender {
-            half: SendHalf::Chan {
-                tx: down_tx,
-                throttle: down_throttle,
-            },
-            stats: stats.clone(),
-            direction: Direction::Down,
-            overhead,
-        },
-        receiver: NetReceiver {
-            rx: RecvHalf::Chan(up_rx),
-        },
-    };
-    let client = Endpoint {
-        sender: NetSender {
-            half: SendHalf::Chan {
-                tx: up_tx,
-                throttle: up_throttle,
-            },
-            stats: stats.clone(),
-            direction: Direction::Up,
-            overhead,
-        },
-        receiver: NetReceiver {
-            rx: RecvHalf::Chan(down_rx),
-        },
-    };
+    let server_clock = links.map_or_else(Clock::default, |l| l.0.server.clone());
+    let server = end(down_tx, up_rx, Direction::Down, server_clock);
+    let client = end(up_tx, down_rx, Direction::Up, Clock::default());
     (server, client, stats)
 }
 
-/// An unthrottled in-memory duplex connection `(server, client, stats)`.
-/// Bytes are counted but transfer is instantaneous — used for correctness
-/// tests of the threaded engine.
+/// An in-memory duplex connection `(server, client, stats)` in real time:
+/// bytes are counted and every message is stamped 0.
 pub fn in_memory_duplex() -> (Endpoint, Endpoint, NetStats) {
     build_pair(None)
 }
 
-/// A wall-clock throttled duplex connection honouring `spec`'s bandwidths
-/// and latencies (uplink inflation is modelled by slowing the uplink).
-pub fn throttled_duplex(spec: &NetworkSpec) -> (Endpoint, Endpoint, NetStats) {
-    build_pair(Some(spec))
+/// An in-memory duplex connection `(server, client, links)` in virtual
+/// time over `spec`'s links: a message's stamp is its sender's clock pushed
+/// through the link of its direction, at the bytes `spec` charges for it
+/// there (framing overhead, uplink inflation).
+pub fn virtual_duplex(spec: &NetworkSpec) -> (Endpoint, Endpoint, VirtualLinks) {
+    let links = VirtualLinks(Arc::new(Links {
+        spec: spec.clone(),
+        down: Mutex::new(spec.make_downlink()),
+        up: Mutex::new(spec.make_uplink()),
+        server: Clock::default(),
+        work: AtomicU64::new(0),
+    }));
+    let (server, client, _) = build_pair(Some(&links));
+    (server, client, links)
 }
 
 #[cfg(test)]
@@ -334,38 +362,58 @@ mod tests {
     }
 
     #[test]
-    fn throttled_send_takes_time() {
-        // 10_000 B/s, no latency: sending 2500 bytes should take ≥ ~0.25s of
-        // transmitter time; we use a small payload to keep the test quick.
-        let spec = NetworkSpec::symmetric(100_000.0, 0);
-        let (server, client, _) = throttled_duplex(&spec);
-        let start = Instant::now();
-        server.send(vec![0; 10_000]).unwrap(); // 0.1s tx
+    fn a_virtual_round_trip_moves_each_clock_to_its_arrival() {
+        // 100 000 B/s, 1 ms each way: 10 000 bytes take 100 ms to transmit.
+        let spec = NetworkSpec::symmetric(100_000.0, 1_000);
+        let (server, client, links) = virtual_duplex(&spec);
+        server.send(vec![0; 10_000]).unwrap();
+        server.send(vec![0; 10_000]).unwrap();
         client.recv().unwrap();
-        let elapsed = start.elapsed();
-        assert!(
-            elapsed >= Duration::from_millis(90),
-            "elapsed = {elapsed:?}"
-        );
+        assert_eq!(client.receiver.now(), 101_000);
+        // The second message queued behind the first on the serial link.
+        client.recv().unwrap();
+        assert_eq!(client.receiver.now(), 201_000);
+        client.advance(9_000);
+        client.send(vec![0; 100]).unwrap();
+        server.recv().unwrap();
+        assert_eq!(links.server_clock(), 201_000 + 9_000 + 1_000 + 1_000);
+        assert_eq!(links.work_us(), 9_000);
+        assert_eq!(links.downlink().busy_time(), 200_000);
+        assert_eq!(links.downlink().messages_sent(), 2);
+        assert_eq!(links.uplink().bytes_sent(), 100);
+        // The real-time duplex stamps every message 0.
+        let (server, client, _) = in_memory_duplex();
+        server.send(vec![0; 10_000]).unwrap();
+        client.recv().unwrap();
+        assert_eq!(client.receiver.now(), 0);
+    }
+
+    #[test]
+    fn a_split_sender_keeps_a_clock_of_its_own() {
+        let spec = NetworkSpec::symmetric(1_000.0, 0);
+        let (server, client, links) = virtual_duplex(&spec);
+        let (tx, rx) = server.split();
+        client.send(vec![0; 1_000]).unwrap();
+        rx.recv().unwrap();
+        assert_eq!(rx.now(), 1_000_000);
+        // Receiving moved the receiver, not the sender: this send starts at
+        // 0 until the sender is told to wait.
+        tx.send(vec![0; 1_000]).unwrap();
+        tx.advance_to(5_000_000);
+        tx.send(vec![0; 1_000]).unwrap();
+        client.recv().unwrap();
+        assert_eq!(client.receiver.now(), 1_000_000);
+        client.recv().unwrap();
+        assert_eq!(client.receiver.now(), 6_000_000);
+        assert_eq!(links.server_clock(), 1_000_000);
     }
 
     #[test]
     fn overhead_is_counted() {
         let spec = NetworkSpec::symmetric(1e9, 0).with_overhead(8);
-        let (server, client, stats) = throttled_duplex(&spec);
+        let (server, client, links) = virtual_duplex(&spec);
         server.send(vec![0; 100]).unwrap();
         client.recv().unwrap();
-        assert_eq!(stats.down_bytes(), 108);
-    }
-
-    #[test]
-    fn try_recv_reports_empty_and_closed() {
-        let (server, client, _) = in_memory_duplex();
-        assert!(matches!(server.receiver.try_recv(), Ok(None)));
-        client.send(vec![1]).unwrap();
-        // Allow the message through.
-        assert_eq!(server.receiver.try_recv().unwrap(), Some(vec![1]));
-        drop(client);
-        assert!(server.receiver.try_recv().is_err());
+        assert_eq!(links.downlink().bytes_sent(), 108);
     }
 }

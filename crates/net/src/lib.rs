@@ -13,9 +13,11 @@
 //! * [`NetworkSpec`] — a duplex (downlink + uplink) description with presets
 //!   for the paper's configurations, including the asymmetric `N = 100`
 //!   setup of Figure 9 and the paper's byte-inflation emulation mode.
-//! * [`channel`] — a real threaded in-memory duplex transport (crossbeam)
-//!   with byte accounting, used by the threaded execution engine; and a
-//!   throttled variant that enforces bandwidth in wall-clock time.
+//! * [`channel`] — the in-memory duplex transport (crossbeam) with byte
+//!   accounting that the shipping operators run over, in real time
+//!   ([`in_memory_duplex`]) or in virtual time ([`virtual_duplex`]: every
+//!   message stamped with its arrival through the [`Link`] of its
+//!   direction, every endpoint keeping a clock).
 //! * [`tcp`] — the same length-framed protocol over real sockets: a framed
 //!   [`TcpConn`] plus [`tcp_duplex`], a loopback pair that is drop-in
 //!   compatible with the in-memory duplex (the query service and its load
@@ -25,8 +27,8 @@
 //!   thread parks thousands of idle connections and hands complete request
 //!   frames to a small worker pool.
 //!
-//! Timing experiments use the virtual-time model (deterministic, instant);
-//! the threaded engine uses `channel` and is checked row-for-row against it.
+//! Timing experiments run the same threaded operators over a virtual-time
+//! duplex: deterministic, because every wait is timestamped, and instant.
 
 pub mod channel;
 pub mod fault;
@@ -36,7 +38,9 @@ pub mod spec;
 pub mod stats;
 pub mod tcp;
 
-pub use channel::{in_memory_duplex, throttled_duplex, Endpoint, NetReceiver, NetSender};
+pub use channel::{
+    in_memory_duplex, virtual_duplex, Endpoint, NetReceiver, NetSender, VirtualLinks,
+};
 pub use fault::{fault_schedule, Fault, FaultInjector};
 pub use link::{Link, SimTime};
 pub use ready::{poll_readable, wake_pair, Fd, WakeReceiver, Waker};

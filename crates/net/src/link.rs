@@ -43,16 +43,6 @@ impl Link {
         }
     }
 
-    /// Bandwidth in bytes per second.
-    pub fn bandwidth(&self) -> f64 {
-        self.bandwidth_bytes_per_sec
-    }
-
-    /// Propagation latency in µs.
-    pub fn latency(&self) -> SimTime {
-        self.latency
-    }
-
     /// Time (µs) the transmitter needs to put `size` bytes on the wire.
     pub fn tx_time(&self, size: usize) -> SimTime {
         ((size as f64 / self.bandwidth_bytes_per_sec) * SECOND as f64).ceil() as SimTime
@@ -74,11 +64,6 @@ impl Link {
         (tx_done, tx_done + self.latency)
     }
 
-    /// When the transmitter is next free.
-    pub fn free_at(&self) -> SimTime {
-        self.free_at
-    }
-
     /// Total payload bytes sent.
     pub fn bytes_sent(&self) -> u64 {
         self.bytes_sent
@@ -93,14 +78,6 @@ impl Link {
     /// bottleneck link of a finished run.
     pub fn busy_time(&self) -> SimTime {
         self.busy_time
-    }
-
-    /// Reset dynamic state (clock and counters), keeping the configuration.
-    pub fn reset(&mut self) {
-        self.free_at = 0;
-        self.bytes_sent = 0;
-        self.messages_sent = 0;
-        self.busy_time = 0;
     }
 }
 
@@ -163,15 +140,5 @@ mod tests {
     fn unit_conversions() {
         assert_eq!(kbit_per_sec(28.8), 3600.0);
         assert_eq!(mbit_per_sec(10.0), 1_250_000.0);
-    }
-
-    #[test]
-    fn reset_clears_dynamic_state() {
-        let mut link = Link::new(1000.0, 5);
-        link.transmit(0, 100);
-        link.reset();
-        assert_eq!(link.free_at(), 0);
-        assert_eq!(link.bytes_sent(), 0);
-        assert_eq!(link.busy_time(), 0);
     }
 }

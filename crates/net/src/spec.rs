@@ -138,13 +138,6 @@ impl NetworkSpec {
         self.per_message_overhead = bytes;
         self
     }
-
-    /// Builder-style: set both latencies.
-    pub fn with_latency(mut self, latency: SimTime) -> NetworkSpec {
-        self.down_latency = latency;
-        self.up_latency = latency;
-        self
-    }
 }
 
 #[cfg(test)]

@@ -63,7 +63,7 @@ pub struct SemiJoinSpec {
     /// The UDF applications shipped together (shared-argument grouping).
     pub udfs: Vec<UdfApplication>,
     /// Pipeline concurrency factor: max tuples between sender and receiver
-    /// (the bounded buffer holds ⌈`concurrency` / `batch_size`⌉ spans).
+    /// (at most ⌈`concurrency` / `batch_size`⌉ spans are unpaired at once).
     /// 1 ≈ tuple-at-a-time.
     pub concurrency: usize,
     /// Distinct argument tuples per network message.

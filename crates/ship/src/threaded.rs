@@ -2,22 +2,28 @@
 //!
 //! The architecture is Figure 3/4 of the paper: a *sender* thread pulls
 //! input rows, ships argument (or whole-record) batches to the client, and —
-//! for the semi-join — enqueues the full records, one message's span per
-//! hand-off, onto a **bounded buffer** that holds the pipeline concurrency
-//! factor's worth of spans. The *receiver* is the operator itself (the
-//! calling thread): it dequeues records, pairs them with results arriving
-//! from the client, and emits joined rows. The client runs in its own thread
-//! (see [`csq_client::spawn_client`]).
+//! for the semi-join — hands the full records, one message's span per
+//! hand-off, to the *receiver* under **credit back-pressure**: at most the
+//! pipeline concurrency factor's worth of spans are unpaired at once. The
+//! receiver is the operator itself (the calling thread): it takes records,
+//! pairs them with results arriving from the client, and emits joined rows.
+//! The client runs in its own thread (see [`csq_client::spawn_client`]).
+//!
+//! The operators carry the endpoints' clocks, so the same code runs in real
+//! time over an in-memory or TCP duplex and in virtual time over
+//! [`csq_net::virtual_duplex`] (see [`crate::sim`]): a receive moves the
+//! receiver's clock, a credit moves the sender's, and the naive operator's
+//! blocking round trip keeps one clock for both directions.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use csq_common::{CsqError, Result, Row, RowBatch, Schema, DEFAULT_BATCH_SIZE};
 use csq_exec::{Operator, Sort};
-use csq_net::{Endpoint, NetReceiver, NetSender};
+use csq_net::{Endpoint, NetReceiver, NetSender, SimTime};
 
 use csq_client::{Request, Response};
 
@@ -32,10 +38,10 @@ struct Rec {
     arg: usize,
 }
 
-/// Receive one response message and decode it to its rows; `closed` is the
-/// caller's wording for a peer that hung up first.
-fn recv_rows(net_rx: &NetReceiver, closed: &str) -> Result<Vec<Row>> {
-    let Some(buf) = net_rx.recv() else {
+/// Decode one received response message to its rows; `closed` is the
+/// caller's wording for a peer that hung up first (`None`).
+fn response_rows(received: Option<Vec<u8>>, closed: &str) -> Result<Vec<Row>> {
+    let Some(buf) = received else {
         return Err(CsqError::Net(closed.into()));
     };
     // Zero-copy: result payloads stay views of the message buffer.
@@ -46,13 +52,15 @@ fn recv_rows(net_rx: &NetReceiver, closed: &str) -> Result<Vec<Row>> {
     }
 }
 
-/// The semi-join operator (Figure 3): sender thread + bounded buffer +
-/// receiver pulling matched rows.
+/// The semi-join operator (Figure 3): sender thread + credit-bounded
+/// buffer + receiver pulling matched rows.
 pub struct ThreadedSemiJoin {
     schema: Arc<Schema>,
     /// One item per hand-off: the records of a shipped span, or the
     /// sender's failure (input error or network error).
     buffer_rx: Receiver<Result<Vec<Rec>>>,
+    /// One credit per paired hand-off, stamped with the receiver's clock.
+    credits_tx: Sender<SimTime>,
     /// The span being paired.
     span: std::vec::IntoIter<Rec>,
     net_rx: NetReceiver,
@@ -81,21 +89,17 @@ impl ThreadedSemiJoin {
         let schema = Arc::new(spec.output_schema(&input_schema));
         let task = spec.client_task(&input_schema)?;
         let (net_tx, net_rx) = endpoint.split();
-        let arg_cols = spec.arg_union(input_schema.len());
-        let batch_size = spec.batch_size.max(1);
-        // K is in tuples and a hand-off is a span of `batch_size` shipped
-        // arguments, so the buffer holds ⌈K/m⌉ of them.
-        let (buffer_tx, buffer_rx) = bounded(spec.concurrency.div_ceil(batch_size));
+        let (buffer_tx, buffer_rx) = unbounded();
+        let (credits_tx, credits_rx) = unbounded();
         let sorted = spec.sorted;
         let sender = std::thread::Builder::new()
             .name("csq-sj-sender".into())
-            .spawn(move || {
-                semijoin_sender(input, task, arg_cols, batch_size, sorted, net_tx, buffer_tx)
-            })
+            .spawn(move || semijoin_sender(input, task, spec, net_tx, buffer_tx, credits_rx))
             .map_err(|e| CsqError::Exec(format!("failed to spawn semi-join sender: {e}")))?;
         Ok(ThreadedSemiJoin {
             schema,
             buffer_rx,
+            credits_tx,
             span: Vec::new().into_iter(),
             net_rx,
             results: Vec::new(),
@@ -112,8 +116,8 @@ impl ThreadedSemiJoin {
             if let Some(r) = self.results_fifo.pop_front() {
                 return Ok(r);
             }
-            self.results_fifo.extend(recv_rows(
-                &self.net_rx,
+            self.results_fifo.extend(response_rows(
+                self.net_rx.recv(),
                 "client closed connection before all results arrived",
             )?);
         }
@@ -191,7 +195,15 @@ impl Operator for ThreadedSemiJoin {
                 Some(Ok(rec)) => self.pair(rec),
             };
             match joined {
-                Ok(row) => rows.push(row),
+                Ok(row) => {
+                    rows.push(row);
+                    if self.span.as_slice().is_empty() {
+                        // The hand-off is paired: its slot goes back to the
+                        // sender, at the receiver's time. A sender that is
+                        // gone needs no credit.
+                        let _ = self.credits_tx.send(self.net_rx.now());
+                    }
+                }
                 Err(e) => {
                     // Latch: the partial batch is discarded and every later
                     // pull reports end of stream.
@@ -208,27 +220,28 @@ impl Operator for ThreadedSemiJoin {
 }
 
 /// Sender-thread body for the semi-join — the loop of Figure 3: dedup,
-/// stage the record, send the open span's message, hand the staged records
-/// to the bounded buffer. Consumes the input operator one [`RowBatch`] at a
-/// time (the sorted mode wraps it in a `Sort`, which itself streams batches
-/// out of its materialized buffer). A distinct argument is hashed once, when
-/// it is numbered; the receiver finds its result by that number. Records
-/// enter the buffer only after every argument they refer to is on the wire
-/// — the sender/receiver pairing protocol — and one hand-off carries all of
-/// a message's records.
+/// stage the record, wait for a slot, send the open span's message, hand
+/// the staged records to the receiver. Consumes the input operator one
+/// [`RowBatch`] at a time (the sorted mode wraps it in a `Sort`, which
+/// itself streams batches out of its materialized buffer). A distinct
+/// argument is hashed once, when it is numbered; the receiver finds its
+/// result by that number. Records are handed off only after every argument
+/// they refer to is on the wire — the sender/receiver pairing protocol —
+/// and one hand-off carries all of a message's records.
 fn semijoin_sender(
     input: Box<dyn Operator + Send>,
     task: csq_client::ClientTask,
-    arg_cols: Vec<usize>,
-    batch_size: usize,
-    sorted: bool,
+    spec: SemiJoinSpec,
     net_tx: NetSender,
     buffer_tx: Sender<Result<Vec<Rec>>>,
+    credits_rx: Receiver<SimTime>,
 ) {
     if net_tx.send(Request::Install(task).encode()).is_err() {
         let _ = buffer_tx.send(Err(CsqError::Net("client unreachable".into())));
         return;
     }
+    let (sorted, batch_size) = (spec.sorted, spec.batch_size.max(1));
+    let arg_cols = spec.arg_union(input.schema().len());
 
     // Sort when requested (makes argument duplicates adjacent).
     let mut source: Box<dyn Operator + Send> = if sorted {
@@ -247,13 +260,32 @@ fn semijoin_sender(
     // the last hand-off.
     let mut batch_args: Vec<Arc<Row>> = Vec::with_capacity(batch_size);
     let mut staged: Vec<Rec> = Vec::new();
-    // Send the open span's message, then release the staged records. False
-    // when the client or the receiver (e.g. under a LIMIT) is gone: stop
-    // quietly.
-    let ship_span = |args: &mut Vec<Arc<Row>>, staged: &mut Vec<Rec>| {
-        let msg = Request::encode_batch(args.iter().map(|a| a.as_ref()));
-        args.clear();
-        net_tx.send(msg).is_ok() && buffer_tx.send(Ok(std::mem::take(staged))).is_ok()
+    // K is in tuples and a hand-off is a span of `batch_size` shipped
+    // arguments, so ⌈K/m⌉ hand-offs may be unpaired at once.
+    let slots = spec.concurrency.div_ceil(batch_size).max(1);
+    let mut unpaired = 0;
+    // Hand the staged records off, with the open span's message if there is
+    // one: wait until fewer than `slots` hand-offs are unpaired (moving the
+    // sender's clock up to each credit's stamp), send the message, release
+    // the records. False when the client or the receiver (e.g. under a
+    // LIMIT) is gone: stop quietly.
+    let mut hand_off = |args: &mut Vec<Arc<Row>>, staged: &mut Vec<Rec>| {
+        while unpaired >= slots {
+            let Ok(at) = credits_rx.recv() else {
+                return false;
+            };
+            net_tx.advance_to(at);
+            unpaired -= 1;
+        }
+        if !args.is_empty() {
+            let msg = Request::encode_batch(args.iter().map(|a| a.as_ref()));
+            args.clear();
+            if net_tx.send(msg).is_err() {
+                return false;
+            }
+        }
+        unpaired += 1;
+        buffer_tx.send(Ok(std::mem::take(staged))).is_ok()
     };
 
     loop {
@@ -282,24 +314,23 @@ fn semijoin_sender(
                 batch_args.push(key);
             }
             staged.push(Rec { row, arg });
-            if batch_args.len() >= batch_size && !ship_span(&mut batch_args, &mut staged) {
+            if batch_args.len() >= batch_size && !hand_off(&mut batch_args, &mut staged) {
                 return;
             }
         }
         // With no span open, what is staged repeats shipped arguments: its
-        // results are in flight or kept, so it need not wait for a message.
-        if batch_args.is_empty()
-            && !staged.is_empty()
-            && buffer_tx.send(Ok(std::mem::take(&mut staged))).is_err()
-        {
+        // results are in flight or kept, so it needs no message of its own
+        // (but a slot, like any hand-off).
+        if batch_args.is_empty() && !staged.is_empty() && !hand_off(&mut batch_args, &mut staged) {
             return;
         }
     }
-    if !batch_args.is_empty() && !ship_span(&mut batch_args, &mut staged) {
+    if !batch_args.is_empty() && !hand_off(&mut batch_args, &mut staged) {
         return;
     }
     let _ = net_tx.send(Request::Finish.encode());
-    // Dropping buffer_tx closes the buffer; the receiver then terminates.
+    // Dropping the hand-off sender closes the buffer; the receiver then
+    // terminates.
 }
 
 /// The client-site join operator (Figure 4): sender streams whole records,
@@ -374,7 +405,9 @@ impl Operator for ThreadedClientJoin {
                     Err(e)
                 }
                 // The response chunk this ticket announced.
-                Ok(Ok(())) => recv_rows(&self.net_rx, "client closed connection mid-query"),
+                Ok(Ok(())) => {
+                    response_rows(self.net_rx.recv(), "client closed connection mid-query")
+                }
             };
             match chunk {
                 // Fully filtered chunk; wait for the next.
@@ -449,12 +482,13 @@ fn client_join_sender(
 /// UDF that happens to make a blocking remote call per tuple. One message
 /// round-trip per distinct argument (with \[HN97]-style result caching, as
 /// the "established approach" does), full latency exposed on every call.
+/// The endpoint stays whole: one clock for both directions, so each call
+/// leaves when the previous answer arrived.
 pub struct NaiveRemoteUdf {
     input: Box<dyn Operator + Send>,
     schema: Arc<Schema>,
     arg_cols: Vec<usize>,
-    net_tx: NetSender,
-    net_rx: NetReceiver,
+    endpoint: Endpoint,
     cache: HashMap<Row, Row>,
     use_cache: bool,
     installed: bool,
@@ -475,13 +509,11 @@ impl NaiveRemoteUdf {
         let schema = Arc::new(spec.output_schema(&input_schema));
         let task = spec.client_task(&input_schema)?;
         let arg_cols = spec.arg_union(input_schema.len());
-        let (net_tx, net_rx) = endpoint.split();
         Ok(NaiveRemoteUdf {
             input,
             schema,
             arg_cols,
-            net_tx,
-            net_rx,
+            endpoint,
             cache: HashMap::new(),
             use_cache,
             installed: false,
@@ -493,9 +525,9 @@ impl NaiveRemoteUdf {
     /// One blocking round trip for one argument tuple — the whole point of
     /// §2.1's critique.
     fn call(&mut self, key: &Row) -> Result<Row> {
-        self.net_tx
+        self.endpoint
             .send(Request::encode_batch(std::iter::once(key)))?;
-        let rows = recv_rows(&self.net_rx, "client closed connection")?;
+        let rows = response_rows(self.endpoint.recv(), "client closed connection")?;
         let n = rows.len();
         match (rows.into_iter().next(), n) {
             (Some(result), 1) => Ok(result),
@@ -518,13 +550,13 @@ impl Operator for NaiveRemoteUdf {
             return Ok(None);
         }
         if !self.installed {
-            self.net_tx
+            self.endpoint
                 .send(Request::Install(self.task.clone()).encode())?;
             self.installed = true;
         }
         let Some(batch) = self.input.next_batch()? else {
             self.finished = true;
-            let _ = self.net_tx.send(Request::Finish.encode());
+            let _ = self.endpoint.send(Request::Finish.encode());
             return Ok(None);
         };
         let mut out = Vec::with_capacity(batch.len());
@@ -947,9 +979,10 @@ mod tests {
     #[test]
     fn early_drop_of_receiver_shuts_pipeline_down() {
         // LIMIT-style early termination: dropping the operator with most of
-        // its input still unsent must not hang. The buffer holds one hand-off
-        // (K = 2 tuples at 1 or 8 per message), so the sender is blocked on a
-        // record, or on a whole span, when the receiver goes away.
+        // its input still unsent must not hang. One hand-off may be unpaired
+        // (K = 2 tuples at 1 or 8 per message), so the sender is waiting for
+        // the credit of a record, or of a whole span, when the receiver goes
+        // away.
         for batch_size in [1, 8] {
             let (server, client, _) = in_memory_duplex();
             let handle = spawn_client(runtime(), client).unwrap();

@@ -1,11 +1,13 @@
-//! The threaded engine and the virtual-time engine must agree exactly:
-//! same output rows, and — because both run the same client code and the
-//! same wire encoding — the same number of bytes and messages on each link.
+//! One operator, two duplexes: the shipping operators over the in-memory
+//! duplex and over the virtual-time duplex (`simulate_*`) must agree
+//! exactly — same output rows, and the same number of bytes and messages on
+//! each link. And a virtual-time run is deterministic: its clocks move only
+//! with timestamps, never with thread interleaving.
 
 use std::sync::Arc;
 
 use csq_client::synthetic::{ObjectUdf, PredicateUdf};
-use csq_client::{spawn_client, ClientRuntime};
+use csq_client::{spawn_client, ClientRuntime, UdfCost};
 use csq_common::{Blob, DataType, Field, Row, Schema, Value};
 use csq_exec::{collect, RowsOp};
 use csq_expr::{BinaryOp, PhysExpr};
@@ -70,7 +72,7 @@ fn threaded_sj(spec: SemiJoinSpec, data: Vec<Row>) -> (Vec<Row>, u64, u64, u64, 
 #[test]
 fn semijoin_bytes_match_between_backends() {
     // (rows, distinct arguments, tuples per message, K). The last four ship
-    // messages wider than the bounded buffer (K < m: it holds one span), and
+    // messages wider than the credit window (K < m: one span at a time), and
     // the last two follow their five arguments with a run of 55 duplicates —
     // longer than any span — that reaches the buffer with no message of its
     // own.
@@ -214,5 +216,46 @@ fn strategies_all_agree_under_randomized_workloads() {
         // The semi-join never ships more argument bytes than the client join
         // ships record bytes.
         assert!(sj.down_bytes <= csj.down_bytes, "trial {trial}");
+    }
+}
+
+#[test]
+fn virtual_time_runs_are_deterministic() {
+    // 16 runs of one semi-join from 4 threads at once must be one run:
+    // rows, clocks, busy times, bytes, messages and client CPU. Unsorted
+    // and sorted input, with duplicates; K = 4 below the 8-argument span
+    // (one hand-off unpaired at a time: every hand-off waits for a credit),
+    // and K = 8 over 2-argument spans (four unpaired: a credit may arrive
+    // long before the sender needs it).
+    let rt = || {
+        let rt = ClientRuntime::new();
+        rt.register(Arc::new(ObjectUdf::sized("Analyze", 150).with_cost(
+            UdfCost {
+                fixed_us: 700.0,
+                per_byte_us: 1.5,
+            },
+        )))
+        .unwrap();
+        Arc::new(rt)
+    };
+    for (sorted, batch, k) in [(false, 8, 4), (true, 8, 4), (false, 2, 8), (true, 2, 8)] {
+        let mut spec = SemiJoinSpec::new(vec![analyze()], k);
+        spec.batch_size = batch;
+        spec.sorted = sorted;
+        let data = rows(90, 30, 120);
+        let net = NetworkSpec::modem_28_8();
+        let run = || simulate_semijoin(&schema(), data.clone(), &spec, rt(), &net).unwrap();
+        let first = run();
+        assert!(first.client_cpu_us > 0 && first.elapsed_us > 0);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| (0..4).map(|_| run()).collect::<Vec<_>>()))
+                .collect();
+            for worker in workers {
+                for again in worker.join().unwrap() {
+                    assert_eq!(again, first, "sorted: {sorted}, m = {batch}, K = {k}");
+                }
+            }
+        });
     }
 }
