@@ -1,5 +1,5 @@
-//! Shared CLI harness for the five regression-gated benchmark binaries
-//! (`throughput`, `aggregate`, `storage`, `service`, `sharded`):
+//! Shared CLI harness for the four regression-gated benchmark binaries
+//! (`throughput`, `storage`, `service`, `sharded`):
 //! argument parsing, the `--check` baseline comparison, and the
 //! `--merge`-aware results write, all over the one [`crate::gate`] schema.
 //!

@@ -1,6 +1,6 @@
 //! The one results schema and the one regression gate shared by every
-//! gated bench (`throughput`, `aggregate`, `storage`,
-//! `service`, `sharded`); DESIGN.md §6 "Bench gates" is the prose version.
+//! gated bench (`throughput`, `storage`, `service`, `sharded`); DESIGN.md §6
+//! "Bench gates" is the prose version.
 //!
 //! A bench run is a list of [`Entry`]s. Each carries the host's core count
 //! and a `reference` throughput — untouched code (the row engine, a serial

@@ -9,7 +9,6 @@
 //! deterministic, instant to compute, and byte-exact with the threaded
 //! engine (asserted by the `backends_agree` integration tests).
 
-pub mod aggregate;
 pub mod cli;
 pub mod figures;
 pub mod gate;

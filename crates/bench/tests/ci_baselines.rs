@@ -17,7 +17,7 @@ fn every_ci_check_path_is_tracked_and_has_quick_entries() {
         .filter(|w| w[0] == "--check" && w[1].starts_with("results/"))
         .map(|w| w[1])
         .collect();
-    assert_eq!(paths.len(), 5, "bench-gate --check paths: {paths:?}");
+    assert_eq!(paths.len(), 4, "bench-gate --check paths: {paths:?}");
 
     let in_git = root.join(".git").exists();
     for path in paths {

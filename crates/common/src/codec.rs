@@ -339,48 +339,6 @@ pub fn row_encoded_size(row: &Row) -> usize {
     4 + row.wire_size()
 }
 
-/// Encode a partial-aggregate shipment: a self-describing header (group-key
-/// arity, state arity) followed by the state rows. Partial aggregation
-/// states are ordinary value columns — COUNT ships an Int, SUM/MIN/MAX ship
-/// their running value, AVG ships (sum, count) — so the row codec carries
-/// them unchanged; the header lets the receiving site rebuild the key/state
-/// split without out-of-band schema agreement.
-pub fn encode_partial_aggregate(key_len: usize, state_len: usize, rows: &[Row], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(key_len as u32).to_le_bytes());
-    out.extend_from_slice(&(state_len as u32).to_le_bytes());
-    encode_rows(rows, out);
-}
-
-/// Decode a partial-aggregate shipment encoded by
-/// [`encode_partial_aggregate`]: `(key_len, state_len, state_rows)`. Every
-/// row is validated against the header's total width.
-pub fn decode_partial_aggregate(buf: &[u8]) -> Result<(usize, usize, Vec<Row>)> {
-    let mut d = Decoder::new(buf);
-    let key_len = d.take_u32()? as usize;
-    let state_len = d.take_u32()? as usize;
-    let n = d.take_count(4)?;
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
-        let row = d.row()?;
-        if row.len() != key_len + state_len {
-            return Err(CsqError::Codec(format!(
-                "partial-aggregate row has {} columns; header says {} key + {} state",
-                row.len(),
-                key_len,
-                state_len
-            )));
-        }
-        rows.push(row);
-    }
-    if !d.is_exhausted() {
-        return Err(CsqError::Codec(format!(
-            "{} trailing bytes after partial-aggregate rows",
-            buf.len() - d.position()
-        )));
-    }
-    Ok((key_len, state_len, rows))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,35 +368,6 @@ mod tests {
         roundtrip(Value::from("héllo"));
         roundtrip(Value::Blob(Blob::synthetic(1000, 9)));
         roundtrip(Value::Blob(Blob::new(vec![])));
-    }
-
-    #[test]
-    fn partial_aggregate_roundtrip_and_validation() {
-        let rows = vec![
-            Row::new(vec![
-                Value::Int(1),
-                Value::Int(3),
-                Value::Float(4.5),
-                Value::Int(2),
-            ]),
-            Row::new(vec![Value::Null, Value::Int(1), Value::Null, Value::Int(0)]),
-        ];
-        let mut buf = Vec::new();
-        encode_partial_aggregate(1, 3, &rows, &mut buf);
-        let (k, s, decoded) = decode_partial_aggregate(&buf).unwrap();
-        assert_eq!((k, s), (1, 3));
-        assert_eq!(decoded, rows);
-        // Width mismatch against the header is a codec error.
-        let mut bad = Vec::new();
-        encode_partial_aggregate(2, 3, &rows, &mut bad);
-        assert_eq!(decode_partial_aggregate(&bad).unwrap_err().kind(), "codec");
-        // Truncated input is a codec error, not a panic.
-        assert_eq!(
-            decode_partial_aggregate(&buf[..buf.len() - 2])
-                .unwrap_err()
-                .kind(),
-            "codec"
-        );
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!   from the routed inserts), and runs the plan its EXPLAIN prints:
 //!   - **pushdown** — single-table, non-aggregate queries run verbatim on
 //!     every live shard (or only the shard pinned by a `key = literal`
-//!     conjunct) and the gather concatenates rows in shard order;
+//!     conjunct) and the gather concatenates rows in shard order, each
+//!     shard's checked against the statement's output schema;
 //!   - **lowered** — everything else goes through the single-node lowering,
 //!     each `Gather` node a leaf over the rows its per-shard statement
 //!     returned. Under a [`AggPlacement::ShardPartial`] aggregate that
@@ -564,7 +565,8 @@ impl Coordinator {
         let results = self.scatter(&shards, &jobs)?;
         drop(shards);
         let mut rows = Vec::new();
-        for r in results {
+        for (r, (shard, _)) in results.into_iter().zip(&jobs) {
+            check_rows(&r.rows, out_schema, *shard)?;
             rows.extend(r.rows);
         }
         Ok(QueryResult {
@@ -767,10 +769,11 @@ fn where_sql(graph: &QueryGraph, unit: usize) -> Result<String> {
     })
 }
 
-/// Check the rows shard `shard` returned for a leaf against the schema the
-/// plan reads them under. They come from outside the program: a shard whose
-/// table disagrees with the coordinator's shadow schema is a typed error
-/// naming the shard, never rows.
+/// Check the rows shard `shard` returned for a leaf or a pushed-down
+/// statement against the schema the plan reads them under. They come from
+/// outside the program: a shard whose table disagrees with the
+/// coordinator's shadow schema is a typed error naming the shard, never
+/// rows.
 fn check_rows(rows: &[Row], schema: &Schema, shard: usize) -> Result<()> {
     for row in rows {
         if row.len() != schema.len() {

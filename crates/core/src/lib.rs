@@ -103,11 +103,14 @@ impl Database {
         }
     }
 
-    /// Cap the bytes stateful operators may hold in memory across all
-    /// queries on this database; past the cap they spill to temp files and
-    /// merge back (larger-than-memory execution). The budget is advisory —
-    /// operators check it at batch boundaries — and shared, so concurrent
-    /// queries degrade into spilling instead of compounding memory use.
+    /// Cap the bytes the grouped aggregates of all queries on this database
+    /// may hold in memory — every phase of every aggregate placement; past
+    /// the cap they spill group state to temp files and merge it back
+    /// (larger-than-memory execution). Joins are not budgeted: a SQL join
+    /// runs as a `NestedLoopJoin`, which has no budget. The budget is
+    /// advisory — operators check it at batch boundaries — and shared, so
+    /// concurrent queries degrade into spilling instead of compounding
+    /// memory use.
     pub fn set_memory_budget(&self, bytes: usize) {
         *self.memory.write() = MemoryTracker::new(bytes);
     }

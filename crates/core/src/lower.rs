@@ -30,14 +30,13 @@ use csq_client::spawn_client_with_token;
 use csq_common::{codec, CancelToken, CsqError, Field, Result, RowBatch, Schema};
 use csq_exec::{
     AggSpec, BoxOp, CancelCheck, ColumnarScan, Filter, HashAggregate, NestedLoopJoin, Operator,
-    Projection, RowsOp,
+    Projection,
 };
 use csq_expr::{analysis, bind, PhysExpr};
 use csq_net::{in_memory_duplex, virtual_duplex, VirtualLinks};
 use csq_opt::{AggPlacement, AggregateSpec, PlanNode, QueryGraph, ShipParams, UdfStrategy, Unit};
 use csq_ship::{
-    ClientJoinSpec, PartialAggSpec, SemiJoinSpec, SimRun, ThreadedClientJoin, ThreadedSemiJoin,
-    UdfApplication,
+    ClientJoinSpec, SemiJoinSpec, SimRun, ThreadedClientJoin, ThreadedSemiJoin, UdfApplication,
 };
 use csq_storage::{FilterSpec, Table};
 
@@ -315,38 +314,35 @@ impl Lowering<'_> {
                 let spec = graph.aggregate.as_ref().ok_or_else(|| {
                     CsqError::Plan("Aggregate node without an aggregate spec".into())
                 })?;
-                let op: BoxOp = match placement {
+                let memory = self.db.memory_tracker();
+                let op = match placement {
                     AggPlacement::ClientOnly => {
                         let (key, aggs) = bind_aggregate(spec, child.schema())?;
-                        Box::new(
-                            HashAggregate::new(child, key, aggs)
-                                .with_memory(self.db.memory_tracker()),
-                        )
+                        HashAggregate::new(child, key, aggs)
                     }
+                    // The partial phase reduces rows to group states (key
+                    // columns, then each call's state columns) and the
+                    // final phase finishes them: the two ends of the link
+                    // the placement is priced on.
                     AggPlacement::ServerPartial => {
-                        // The server-side partial phase reduces rows to
-                        // groups, the decomposed state crosses the wire
-                        // through the partial-aggregate codec, and the client
-                        // finishes from the decoded states.
                         let (key, aggs) = bind_aggregate(spec, child.schema())?;
-                        let pspec = PartialAggSpec::new(key, aggs);
-                        let (out_schema, rows, _wire_bytes) = pspec.ship_through_wire(child)?;
-                        Box::new(RowsOp::new(out_schema, rows))
+                        let key_len = key.len();
+                        let partial = HashAggregate::partial(child, key, aggs.clone())
+                            .with_memory(memory.clone());
+                        HashAggregate::finalize(Box::new(partial), key_len, aggs)?
                     }
+                    // The child is the `Gather [merge]` leaf: every shard's
+                    // partial states, finished by the same final phase.
                     AggPlacement::ShardPartial => {
-                        // The child is the `Gather [merge]` leaf: every
-                        // shard's partial states, group keys first. The
-                        // merge is the finalize phase the server-partial
-                        // path's client runs.
                         let aggs = spec
                             .calls
                             .iter()
                             .map(|c| AggSpec::new(c.func, None, c.result_col.clone()))
                             .collect();
-                        Box::new(HashAggregate::finalize(child, spec.group_by.len(), aggs)?)
+                        HashAggregate::finalize(child, spec.group_by.len(), aggs)?
                     }
                 };
-                with_having(spec, op)
+                with_having(spec, Box::new(op.with_memory(memory)))
             }
             PlanNode::ApplyUdf {
                 input,

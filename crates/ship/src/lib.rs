@@ -20,13 +20,14 @@
 //! and per-link byte/busy accounting.
 //! Integration tests assert the two duplexes carry identical rows and
 //! identical byte counts.
+//!
+//! Only UDF applications ship through this crate. An aggregate placement
+//! lowers to `csq-exec`'s `HashAggregate` phases directly (DESIGN.md §7).
 
-pub mod partial;
 pub mod sim;
 pub mod spec;
 pub mod threaded;
 
-pub use partial::PartialAggSpec;
 pub use sim::{simulate_client_join, simulate_naive, simulate_semijoin, SimRun};
 pub use spec::{ClientJoinSpec, SemiJoinSpec, UdfApplication};
 pub use threaded::{NaiveRemoteUdf, ThreadedClientJoin, ThreadedSemiJoin};

@@ -5,8 +5,9 @@
 //! * a naive row-at-a-time reference aggregator (independent fold logic,
 //!   written here),
 //! * the serial [`HashAggregate`],
-//! * the decomposed partial/final split shipped through the wire codec
-//!   ([`PartialAggSpec`]), with the input cut into 1 or 3 partial sources, and
+//! * the decomposed split a `server-partial` or `shard-partial` plan runs:
+//!   [`HashAggregate::partial`] over the input cut into 1 or 3 sources, the
+//!   state rows concatenated, then [`HashAggregate::finalize`], and
 //! * the lane path: the rows loaded into a [`Table`] at 1/3/7/16 rows a
 //!   segment (tail sealed or not) and aggregated straight off the
 //!   [`ColumnarScan`]'s lane batches, single-phase and partial→final — held
@@ -14,7 +15,9 @@
 //!
 //! Results compare as row multisets; failures compare as error *kinds*
 //! (NaN-bearing MIN/MAX groups are exec errors, non-numeric SUM arguments
-//! are type errors — on every engine). Failing seeds persist under
+//! are type errors — on every engine). Through SQL, both placements a
+//! single database plans spill under its memory budget and still return
+//! the unbudgeted groups. Failing seeds persist under
 //! `proptest-regressions/` via the vendored proptest shim and replay on
 //! every `cargo test`.
 
@@ -22,10 +25,13 @@ use proptest::prelude::*;
 
 use std::sync::Arc;
 
+use csq::prelude::{Database, NetworkSpec};
 use csq_common::{CsqError, DataType, Field, Result, Row, Schema, Value};
-use csq_exec::{collect, AggSpec, BoxOp, ColumnarScan, HashAggregate, MemoryTracker, RowsOp};
+use csq_exec::{
+    aggregate_state_schema, collect, AggSpec, BoxOp, ColumnarScan, HashAggregate, MemoryTracker,
+    RowsOp,
+};
 use csq_expr::{AggFunc, PhysExpr};
-use csq_ship::PartialAggSpec;
 use csq_storage::Table;
 
 fn base_schema() -> Schema {
@@ -256,33 +262,32 @@ fn run_serial(rows: Vec<Row>, key: Vec<usize>, specs: Vec<AggSpec>) -> Result<Ve
     collect(&mut agg)
 }
 
-/// Partial-aggregate each contiguous chunk, concatenate the encoded state
-/// shipments, decode, and finalize — the shipped partial/final split.
-fn run_shipped(
+/// Partial-aggregate each contiguous chunk, concatenate the state rows, and
+/// finalize them — the phases a `server-partial` plan chains over one
+/// source and a `shard-partial` plan runs over one source a shard.
+fn run_split(
     rows: Vec<Row>,
     key: Vec<usize>,
     specs: Vec<AggSpec>,
     chunks: usize,
 ) -> Result<Vec<Row>> {
-    let spec = PartialAggSpec::new(key, specs);
+    let state_schema = aggregate_state_schema(&base_schema(), &key, &specs);
     let chunk_len = rows.len().div_ceil(chunks).max(1);
-    let mut states = Vec::new();
-    let mut state_schema = spec.state_schema(&base_schema());
     let mut pieces: Vec<Vec<Row>> = rows.chunks(chunk_len).map(<[Row]>::to_vec).collect();
     if pieces.is_empty() {
         pieces.push(Vec::new());
     }
+    let mut states = Vec::new();
     for piece in pieces {
         let scan: BoxOp = Box::new(RowsOp::new(base_schema(), piece));
-        let mut partial = spec.partial_operator(scan);
-        state_schema = csq_exec::Operator::schema(&partial).clone();
-        let piece_states = collect(&mut partial)?;
-        let mut buf = Vec::new();
-        spec.encode_states(&piece_states, &mut buf);
-        states.extend(spec.decode_states(&buf)?);
+        states.extend(collect(&mut HashAggregate::partial(
+            scan,
+            key.clone(),
+            specs.clone(),
+        ))?);
     }
-    let mut fin = spec.final_operator(state_schema, states)?;
-    collect(&mut fin)
+    let states: BoxOp = Box::new(RowsOp::new(state_schema, states));
+    collect(&mut HashAggregate::finalize(states, key.len(), specs)?)
 }
 
 /// How [`run_scanned`] aggregates the scan.
@@ -428,7 +433,7 @@ fn sum_over_strings_is_a_type_error_on_every_engine() {
     );
     for chunks in [1usize, 3] {
         assert_eq!(
-            run_shipped(rows.clone(), key.clone(), specs_of(&calls), chunks)
+            run_split(rows.clone(), key.clone(), specs_of(&calls), chunks)
                 .unwrap_err()
                 .kind(),
             "type",
@@ -438,6 +443,51 @@ fn sum_over_strings_is_a_type_error_on_every_engine() {
     for phases in [Phases::Single, Phases::PartialThenFinal] {
         let scanned = run_scanned(&rows, key.clone(), specs_of(&calls), 7, true, phases);
         assert_eq!(scanned.unwrap_err().kind(), "type", "{phases:?}");
+    }
+}
+
+/// Under a 4 KB budget, the `server-partial` and the `client-only`
+/// statement both spill, return the groups the unbudgeted run returns, and
+/// give every tracked byte back.
+#[test]
+fn both_placements_spill_under_the_memory_budget() {
+    let db = Database::new(NetworkSpec::lan());
+    db.execute("CREATE TABLE T (Id INT, Grp INT, Val INT)")
+        .unwrap();
+    let rows: Vec<Row> = (0..40_000i64)
+        .map(|i| {
+            Row::new(vec![
+                Value::Int(i),
+                Value::Int(i % 2000),
+                Value::Int(i % 97),
+            ])
+        })
+        .collect();
+    db.catalog().get("T").unwrap().insert_all(rows).unwrap();
+    for (sql, placement) in [
+        (
+            "SELECT T.Grp, count(*), sum(T.Val) FROM T T GROUP BY T.Grp",
+            "Aggregate [server-partial]",
+        ),
+        (
+            "SELECT T.Id, T.Grp, count(*) FROM T T GROUP BY T.Id, T.Grp",
+            "Aggregate [client-only]",
+        ),
+    ] {
+        let plan = db.explain(sql).unwrap();
+        assert!(plan.contains(placement), "{sql}: {plan}");
+        let unbudgeted = db.execute(sql).unwrap().rows;
+        db.set_memory_budget(4096);
+        let budgeted = db.execute(sql).unwrap().rows;
+        let tracker = db.memory_tracker();
+        assert!(tracker.spill_count() > 0, "{sql}: no spill under 4 KB");
+        assert_eq!(tracker.used(), 0, "{sql}: tracked bytes left behind");
+        assert_eq!(
+            sorted_display(&budgeted),
+            sorted_display(&unbudgeted),
+            "{sql}"
+        );
+        db.set_memory_budget(usize::MAX);
     }
 }
 
@@ -798,7 +848,7 @@ proptest! {
         chunks in prop_oneof![Just(1usize), Just(3)],
     ) {
         let reference = naive_reference(&rows, &key, &calls);
-        let shipped = run_shipped(rows, key, specs_of(&calls), chunks);
-        assert_agree(&format!("shipped x{chunks} vs naive"), &reference, &shipped);
+        let split = run_split(rows, key, specs_of(&calls), chunks);
+        assert_agree(&format!("split x{chunks} vs naive"), &reference, &split);
     }
 }

@@ -602,6 +602,7 @@ fn a_shard_that_disagrees_with_the_schema_fails_typed() {
     for sql in [
         "SELECT a.Id, b.Name FROM T a, T b WHERE a.Id = b.Id",
         "SELECT T.Id, PlusTen(T.Val) FROM T T WHERE T.Id > 0",
+        "SELECT * FROM T T",
     ] {
         match cluster.coord.execute(sql) {
             Ok(r) => panic!("{sql}: {} rows from a mismatched shard", r.rows.len()),
