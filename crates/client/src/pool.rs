@@ -20,7 +20,7 @@ use csq_common::{CsqError, Deadline, Result, Row};
 use csq_net::{Frame, NetStats, TcpConn};
 
 use crate::backoff::Backoff;
-use crate::qproto::{QueryRequest, QueryResponse};
+use crate::qproto::{Encoded, QueryRequest, QueryResponse};
 
 /// A complete result fetched through the service.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,6 +65,8 @@ pub struct SessionTicket {
 ///   checks out a fresh connection; on a bare [`ServiceConn`] attempts
 ///   replay on the same session and stop early if the transport broke.
 ///   `deadline` is the budget across all attempts, backoff waits included.
+///   A typed insert replays only when it provably did not apply (see
+///   [`ConnectionPool::insert_with`]).
 ///
 /// `QueryOptions::default()` means: no deadline, no retry — identical to
 /// the plain [`ServiceConn::query`].
@@ -103,6 +105,12 @@ impl QueryOptions {
             None => 0,
         }
     }
+}
+
+/// What is left of `deadline` as a wire deadline in milliseconds (0 = none),
+/// clamped up to 1ms so "almost spent" still reads as a bound.
+fn remaining_ms(deadline: Option<&Deadline>) -> u64 {
+    deadline.map_or(0, |dl| (dl.remaining().as_millis() as u64).max(1))
 }
 
 /// One framed connection to a query service.
@@ -160,12 +168,6 @@ impl ServiceConn {
         self.last_retryable
     }
 
-    /// Rows received during the most recent result stream (reset per
-    /// query/execute). Zero means a failed request is safe to replay.
-    pub fn rows_received(&self) -> u64 {
-        self.last_rows_received
-    }
-
     /// Record a wire `Error` frame: remember the server's retryability
     /// verdict, poison the connection if the server said fatal (it closes
     /// the socket after a fatal reply), and produce the typed error.
@@ -182,10 +184,13 @@ impl ServiceConn {
     }
 
     fn send(&mut self, req: &QueryRequest) -> Result<()> {
-        let payload = req.encode();
+        self.send_payload(&req.encode())
+    }
+
+    fn send_payload(&mut self, payload: &[u8]) -> Result<()> {
         self.stats
             .record_up(payload.len() + csq_net::FRAME_HEADER_BYTES);
-        self.conn.send(&payload).inspect_err(|_| {
+        self.conn.send(payload).inspect_err(|_| {
             self.broken = true;
         })
     }
@@ -223,10 +228,8 @@ impl ServiceConn {
         }
     }
 
-    /// Drain one result stream (after `Query`/`Execute` was sent).
+    /// Drain one result stream (after `Query`/`Execute`/`Insert` was sent).
     fn read_result(&mut self) -> Result<RemoteResult> {
-        self.last_retryable = None;
-        self.last_rows_received = 0;
         let columns = match self.recv()? {
             QueryResponse::Begin { columns } => columns,
             QueryResponse::Error {
@@ -298,12 +301,26 @@ impl ServiceConn {
     /// (a replay must not double-observe a partial stream), and the
     /// transport is still healthy — a broken connection ends the loop
     /// immediately, since this method cannot re-dial (use
-    /// [`ConnectionPool::query_with`] for that).
+    /// [`ConnectionPool::query_with`] for that). An SQL `INSERT` whose
+    /// answer was lost may replay: send writes with
+    /// [`insert_with`](Self::insert_with).
     pub fn query_with(&mut self, sql: &str, opts: &QueryOptions) -> Result<RemoteResult> {
-        self.run_with(opts, |deadline_ms| QueryRequest::Query {
-            sql: sql.into(),
-            deadline_ms,
-        })
+        self.run_with(
+            opts,
+            Encoded::new(&QueryRequest::Query {
+                sql: sql.into(),
+                deadline_ms: 0,
+            }),
+        )
+    }
+
+    /// Append typed `rows` to `table` under `opts` (a
+    /// [`QueryRequest::Insert`], encoded once); returns the rows stored.
+    /// It replays only on the server's retryable `Error` frame, sent before
+    /// anything is stored. Sent and never answered, it fails
+    /// `indeterminate` instead of replaying.
+    pub fn insert_with(&mut self, table: &str, rows: &[Row], opts: &QueryOptions) -> Result<u64> {
+        Ok(self.run_with(opts, Encoded::insert(table, rows))?.affected)
     }
 
     /// [`query_with`](Self::query_with) without options: no deadline, one
@@ -312,50 +329,46 @@ impl ServiceConn {
         self.query_with(sql, &QueryOptions::default())
     }
 
-    /// Issue one statement under `opts`: `request` builds the wire request
-    /// for an attempt's millisecond deadline (0 = none), and the result
-    /// stream is read under the same budget. Without `opts.retry` this is a
-    /// single attempt.
-    fn run_with(
-        &mut self,
-        opts: &QueryOptions,
-        request: impl Fn(u64) -> QueryRequest,
-    ) -> Result<RemoteResult> {
+    /// Issue one request under `opts`: each attempt sends it under its
+    /// millisecond deadline (0 = none) and reads the result stream under
+    /// the same budget. Without `opts.retry` this is a single attempt.
+    fn run_with(&mut self, opts: &QueryOptions, mut req: Encoded) -> Result<RemoteResult> {
         let Some(policy) = &opts.retry else {
-            return self.attempt(&request(opts.deadline_ms()), opts.deadline_ms());
+            return self.attempt(&mut req, opts.deadline_ms());
         };
-        let deadline = opts.deadline.map(Deadline::from_timeout);
-        let attempts = policy.max_attempts.max(1);
-        for attempt in 0..attempts {
-            // Each attempt gets what is left of the overall budget (clamped
-            // up to 1ms so "almost spent" still reads as a bound).
-            let deadline_ms = match &deadline {
-                Some(dl) => (dl.remaining().as_millis() as u64).max(1),
-                None => 0,
-            };
-            match self.attempt(&request(deadline_ms), deadline_ms) {
-                Ok(result) => return Ok(result),
-                Err(e) => {
-                    let retryable = self.last_error_retryable().unwrap_or_else(|| e.retryable());
-                    let replay_safe = self.last_rows_received == 0;
-                    let give_up = self.broken
-                        || !retryable
-                        || !replay_safe
-                        || attempt + 1 == attempts
-                        || !policy.backoff.sleep(attempt, deadline.as_ref());
-                    if give_up {
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        unreachable!("retry loop always returns on its last attempt")
+        retry(policy, opts.deadline, |deadline| {
+            self.attempt(&mut req, remaining_ms(deadline)).map_err(|e| {
+                let replay = !self.broken && self.may_replay(&req, &e);
+                (e, replay)
+            })
+        })
     }
 
-    /// One attempt on the wire under a millisecond deadline (0 = none).
-    fn attempt(&mut self, req: &QueryRequest, deadline_ms: u64) -> Result<RemoteResult> {
-        self.send(req)?;
-        self.read_result_within(deadline_ms)
+    /// One attempt on the wire under a millisecond deadline (0 = none). A
+    /// write that was sent and then answered neither `End` nor an `Error`
+    /// frame fails `indeterminate`: it may have been applied.
+    fn attempt(&mut self, req: &mut Encoded, deadline_ms: u64) -> Result<RemoteResult> {
+        self.last_retryable = None;
+        self.last_rows_received = 0;
+        self.send_payload(req.payload(deadline_ms))?;
+        self.read_result_within(deadline_ms).map_err(|e| {
+            if req.is_write() && self.last_retryable.is_none() {
+                CsqError::Indeterminate(format!("write outcome unknown: sent, then {e}"))
+            } else {
+                e
+            }
+        })
+    }
+
+    /// Whether the attempt that just failed with `e` may be replayed. A
+    /// read may when the failure is retryable — the server's wire verdict,
+    /// else [`CsqError::retryable`] — and it delivered no row. A write may
+    /// only on the server's retryable `Error` frame.
+    fn may_replay(&self, req: &Encoded, e: &CsqError) -> bool {
+        let retryable = self
+            .last_retryable
+            .unwrap_or_else(|| !req.is_write() && e.retryable());
+        retryable && self.last_rows_received == 0
     }
 
     /// Extra slack on the client-side response timeout beyond the server's
@@ -418,10 +431,13 @@ impl ServiceConn {
         stmt: StatementHandle,
         opts: &QueryOptions,
     ) -> Result<RemoteResult> {
-        self.run_with(opts, |deadline_ms| QueryRequest::Execute {
-            stmt: stmt.id,
-            deadline_ms,
-        })
+        self.run_with(
+            opts,
+            Encoded::new(&QueryRequest::Execute {
+                stmt: stmt.id,
+                deadline_ms: 0,
+            }),
+        )
     }
 
     /// [`execute_with`](Self::execute_with) without options: no deadline,
@@ -617,68 +633,84 @@ impl ConnectionPool {
     /// * attempts and wall-clock budget remain, and the next backoff wait
     ///   fits inside the remaining budget.
     ///
+    /// An SQL `INSERT` whose answer was lost may replay: send writes with
+    /// [`insert_with`](Self::insert_with).
+    ///
     /// The remaining budget (checkout, wire time and backoff waits all
     /// count against `opts.deadline`) is also forwarded as each attempt's
     /// server-side query deadline, so no attempt outlives the caller's
     /// patience.
     pub fn query_with(&self, sql: &str, opts: &QueryOptions) -> Result<RemoteResult> {
+        self.run_with(
+            Encoded::new(&QueryRequest::Query {
+                sql: sql.into(),
+                deadline_ms: 0,
+            }),
+            opts,
+        )
+    }
+
+    /// [`ServiceConn::insert_with`] with a fresh checkout per attempt. An
+    /// attempt is retried only when it provably did not apply: the checkout
+    /// failed retryably, or the server answered a retryable `Error` frame.
+    pub fn insert_with(&self, table: &str, rows: &[Row], opts: &QueryOptions) -> Result<u64> {
+        Ok(self.run_with(Encoded::insert(table, rows), opts)?.affected)
+    }
+
+    /// [`query_with`](Self::query_with) and [`insert_with`](Self::insert_with)
+    /// over an encoded request: each attempt checks out a connection and
+    /// sends `req` under what is left of the budget.
+    fn run_with(&self, mut req: Encoded, opts: &QueryOptions) -> Result<RemoteResult> {
         let Some(policy) = &opts.retry else {
-            return self.get()?.query_with(sql, opts);
+            return self.get()?.attempt(&mut req, opts.deadline_ms());
         };
-        let deadline = opts.deadline.map(Deadline::from_timeout);
-        let attempts = policy.max_attempts.max(1);
-        let mut last_err: Option<CsqError> = None;
-        for attempt in 0..attempts {
-            if let Some(dl) = &deadline {
-                if dl.expired() {
-                    return Err(last_err.unwrap_or_else(|| {
-                        CsqError::Timeout("retry budget exhausted before any attempt".into())
-                    }));
-                }
-            }
-            let checkout = match &deadline {
+        retry(policy, opts.deadline, |deadline| {
+            let checkout = match deadline {
                 Some(dl) => self.get_within(dl.remaining().min(self.checkout_wait)),
                 None => self.get(),
             };
-            let mut conn = match checkout {
-                Ok(conn) => conn,
-                Err(e) => {
-                    let give_up = !e.retryable()
-                        || attempt + 1 == attempts
-                        || !policy.backoff.sleep(attempt, deadline.as_ref());
-                    if give_up {
-                        return Err(e);
-                    }
-                    last_err = Some(e);
-                    continue;
+            let mut conn = checkout.map_err(|e| {
+                let replay = e.retryable();
+                (e, replay)
+            })?;
+            // The slot goes back (or is discarded) before any backoff wait.
+            conn.attempt(&mut req, remaining_ms(deadline)).map_err(|e| {
+                let replay = conn.may_replay(&req, &e);
+                (e, replay)
+            })
+        })
+    }
+}
+
+/// The retry loop behind every `*_with` call of [`ServiceConn`] and
+/// [`ConnectionPool`]: run `attempt` under the deadline of the overall
+/// `budget` until it succeeds, fails in a way it says may not be replayed
+/// (the `bool`), or attempts or budget run out, backing off in between.
+fn retry(
+    policy: &RetryPolicy,
+    budget: Option<Duration>,
+    mut attempt: impl FnMut(Option<&Deadline>) -> std::result::Result<RemoteResult, (CsqError, bool)>,
+) -> Result<RemoteResult> {
+    let deadline = budget.map(Deadline::from_timeout);
+    let attempts = policy.max_attempts.max(1);
+    let mut last_err = None;
+    for n in 0..attempts {
+        if deadline.as_ref().is_some_and(Deadline::expired) {
+            return Err(last_err.unwrap_or_else(|| {
+                CsqError::Timeout("retry budget exhausted before any attempt".into())
+            }));
+        }
+        match attempt(deadline.as_ref()) {
+            Ok(result) => return Ok(result),
+            Err((e, may_replay)) => {
+                if !may_replay || n + 1 == attempts || !policy.backoff.sleep(n, deadline.as_ref()) {
+                    return Err(e);
                 }
-            };
-            // Forward the remaining budget as the server-side deadline.
-            let attempt_opts = QueryOptions {
-                deadline: deadline.as_ref().map(Deadline::remaining),
-                retry: None,
-            };
-            match conn.query_with(sql, &attempt_opts) {
-                Ok(result) => return Ok(result),
-                Err(e) => {
-                    let retryable = conn.last_error_retryable().unwrap_or_else(|| e.retryable());
-                    let replay_safe = conn.rows_received() == 0;
-                    drop(conn); // return (or discard) the slot before sleeping
-                    let give_up = !retryable
-                        || !replay_safe
-                        || attempt + 1 == attempts
-                        || !policy.backoff.sleep(attempt, deadline.as_ref());
-                    if give_up {
-                        return Err(e);
-                    }
-                    last_err = Some(e);
-                }
+                last_err = Some(e);
             }
         }
-        // Unreachable: the loop always returns on its last attempt.
-        Err(last_err
-            .unwrap_or_else(|| CsqError::Exec("retry loop ended without an attempt".into())))
     }
+    unreachable!("retry loop always returns on its last attempt")
 }
 
 /// A checked-out pool connection; returns itself (or its empty slot, when

@@ -15,8 +15,10 @@
 //! large a result set is. The server encodes every chunk of a result before
 //! it sends the header ([`QueryResponse::encode_rows_frames`]), so a
 //! statement that fails answers with one `Error` and never a partial result.
+//! One request is not SQL: [`QueryRequest::Insert`] carries typed rows,
+//! which the server stores without parsing or evaluating anything.
 
-use csq_common::codec::Decoder;
+use csq_common::codec::{encode_rows, Decoder};
 use csq_common::{CsqError, Result, Row, RowBatch};
 
 use crate::protocol::{put_bool, put_str, put_u32, take_bool, take_str};
@@ -60,6 +62,17 @@ pub enum QueryRequest {
     /// connection can target it with `CancelQuery`. Answered with
     /// [`QueryResponse::Session`].
     SessionInfo,
+    /// Append typed rows to a table, all or none. Answered like an SQL
+    /// `INSERT` (empty `Begin`, `End { affected }`), or with an `Error`
+    /// sent only before any row is stored.
+    Insert {
+        /// Target table name.
+        table: String,
+        /// The rows, each in the table's column order.
+        rows: Vec<Row>,
+        /// Per-request deadline budget in milliseconds; `0` = none.
+        deadline_ms: u64,
+    },
     /// Kill the query currently running on session `session` (the
     /// Postgres-style out-of-band cancel: a busy session cannot read its
     /// own socket mid-query, so the cancel arrives on a *different*
@@ -187,6 +200,7 @@ const REQ_CLOSE: u8 = 4;
 const REQ_CLOSE_STMT: u8 = 5;
 const REQ_SESSION_INFO: u8 = 6;
 const REQ_CANCEL_QUERY: u8 = 7;
+const REQ_INSERT: u8 = 8;
 
 const RESP_BEGIN: u8 = 1;
 const RESP_ROWS: u8 = 2;
@@ -199,38 +213,67 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Append a deadline; returns its offset, where a retry overwrites it.
+fn put_deadline(out: &mut Vec<u8>, deadline_ms: u64) -> usize {
+    let at = out.len();
+    put_u64(out, deadline_ms);
+    at
+}
+
+/// Append an `Insert` request: tag, table name, deadline, then the rows in
+/// the [`encode_rows`] layout. Returns the deadline's offset.
+fn encode_insert(out: &mut Vec<u8>, table: &str, rows: &[Row], deadline_ms: u64) -> usize {
+    out.push(REQ_INSERT);
+    put_str(out, table);
+    let at = put_deadline(out, deadline_ms);
+    encode_rows(rows, out);
+    at
+}
+
 impl QueryRequest {
     /// Encode to wire bytes (one frame payload).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the encoding to `out`; returns the offset of the request's
+    /// deadline when it carries one.
+    fn encode_into(&self, out: &mut Vec<u8>) -> Option<usize> {
         match self {
             QueryRequest::Query { sql, deadline_ms } => {
                 out.push(REQ_QUERY);
-                put_str(&mut out, sql);
-                put_u64(&mut out, *deadline_ms);
+                put_str(out, sql);
+                return Some(put_deadline(out, *deadline_ms));
             }
             QueryRequest::Prepare { sql } => {
                 out.push(REQ_PREPARE);
-                put_str(&mut out, sql);
+                put_str(out, sql);
             }
             QueryRequest::Execute { stmt, deadline_ms } => {
                 out.push(REQ_EXECUTE);
-                put_u32(&mut out, *stmt);
-                put_u64(&mut out, *deadline_ms);
+                put_u32(out, *stmt);
+                return Some(put_deadline(out, *deadline_ms));
             }
             QueryRequest::CloseStmt { stmt } => {
                 out.push(REQ_CLOSE_STMT);
-                put_u32(&mut out, *stmt);
+                put_u32(out, *stmt);
             }
             QueryRequest::Close => out.push(REQ_CLOSE),
             QueryRequest::SessionInfo => out.push(REQ_SESSION_INFO),
+            QueryRequest::Insert {
+                table,
+                rows,
+                deadline_ms,
+            } => return Some(encode_insert(out, table, rows, *deadline_ms)),
             QueryRequest::CancelQuery { session, key } => {
                 out.push(REQ_CANCEL_QUERY);
-                put_u64(&mut out, *session);
-                put_u64(&mut out, *key);
+                put_u64(out, *session);
+                put_u64(out, *key);
             }
         }
-        out
+        None
     }
 
     fn decode_with(d: &mut Decoder<'_>) -> Result<QueryRequest> {
@@ -253,6 +296,21 @@ impl QueryRequest {
                 session: d.take_u64()?,
                 key: d.take_u64()?,
             },
+            REQ_INSERT => {
+                let table = take_str(d)?;
+                let deadline_ms = d.take_u64()?;
+                // Every row costs at least its 4-byte value count.
+                let n = d.take_count(4)?;
+                let mut rows = Vec::with_capacity(n);
+                for _ in 0..n {
+                    rows.push(d.row()?);
+                }
+                QueryRequest::Insert {
+                    table,
+                    rows,
+                    deadline_ms,
+                }
+            }
             other => return Err(CsqError::Codec(format!("bad query request tag {other}"))),
         };
         if !d.is_exhausted() {
@@ -264,6 +322,52 @@ impl QueryRequest {
     /// Decode from wire bytes.
     pub fn decode(buf: &[u8]) -> Result<QueryRequest> {
         QueryRequest::decode_with(&mut Decoder::new(buf))
+    }
+}
+
+/// A request encoded once for all its attempts; each writes its own
+/// deadline into the payload in place.
+pub(crate) struct Encoded {
+    payload: Vec<u8>,
+    deadline_at: Option<usize>,
+}
+
+impl Encoded {
+    /// Encode `req`.
+    pub(crate) fn new(req: &QueryRequest) -> Encoded {
+        let mut payload = Vec::new();
+        let deadline_at = req.encode_into(&mut payload);
+        Encoded {
+            payload,
+            deadline_at,
+        }
+    }
+
+    /// An `Insert` of borrowed rows — byte-identical to [`Encoded::new`] of
+    /// the owning request, without cloning the rows into one first.
+    pub(crate) fn insert(table: &str, rows: &[Row]) -> Encoded {
+        let mut payload = Vec::new();
+        let deadline_at = Some(encode_insert(&mut payload, table, rows, 0));
+        Encoded {
+            payload,
+            deadline_at,
+        }
+    }
+
+    /// Whether the request writes, which sets the rule for replaying it.
+    pub(crate) fn is_write(&self) -> bool {
+        self.payload.first() == Some(&REQ_INSERT)
+    }
+
+    /// The payload, carrying `deadline_ms` when the request has a deadline.
+    pub(crate) fn payload(&mut self, deadline_ms: u64) -> &[u8] {
+        if let Some(slot) = self
+            .deadline_at
+            .and_then(|at| self.payload.get_mut(at..at + 8))
+        {
+            slot.copy_from_slice(&deadline_ms.to_le_bytes());
+        }
+        &self.payload
     }
 }
 

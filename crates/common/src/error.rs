@@ -37,6 +37,9 @@ pub enum CsqError {
     /// effect (e.g. a service config whose shed threshold exceeds its
     /// session cap).
     Config(String),
+    /// A write sent whose answer never arrived: it may or may not have been
+    /// applied, so it must not be replayed.
+    Indeterminate(String),
 }
 
 impl CsqError {
@@ -55,6 +58,7 @@ impl CsqError {
             CsqError::Timeout(_) => "timeout",
             CsqError::Cancelled(_) => "cancelled",
             CsqError::Config(_) => "config",
+            CsqError::Indeterminate(_) => "indeterminate",
         }
     }
 
@@ -63,7 +67,8 @@ impl CsqError {
     /// decode failures are transient by default, as are deadline expiries
     /// (the caller may retry with a fresh deadline). Semantic errors —
     /// parse/plan/type/catalog/exec/client/limit — would fail identically
-    /// on retry, and an explicit cancellation must not resurrect the query.
+    /// on retry, an explicit cancellation must not resurrect the query, and
+    /// an indeterminate write may already have been applied.
     /// The wire `Error` frame carries the *server's* classification, which
     /// overrides this default (e.g. admission refusal keeps kind `limit`
     /// but is marked retryable).
@@ -93,6 +98,7 @@ impl CsqError {
             "timeout" => CsqError::Timeout(m),
             "cancelled" => CsqError::Cancelled(m),
             "config" => CsqError::Config(m),
+            "indeterminate" => CsqError::Indeterminate(m),
             other => CsqError::Net(format!("unknown remote error kind '{other}': {m}")),
         }
     }
@@ -111,7 +117,8 @@ impl CsqError {
             | CsqError::Codec(m)
             | CsqError::Timeout(m)
             | CsqError::Cancelled(m)
-            | CsqError::Config(m) => m,
+            | CsqError::Config(m)
+            | CsqError::Indeterminate(m) => m,
         }
     }
 }
@@ -151,6 +158,7 @@ mod tests {
             CsqError::Timeout("m".into()),
             CsqError::Cancelled("m".into()),
             CsqError::Config("m".into()),
+            CsqError::Indeterminate("m".into()),
         ];
         for e in errs {
             assert_eq!(CsqError::from_kind(e.kind(), e.message()), e);
@@ -173,6 +181,7 @@ mod tests {
             CsqError::Timeout(String::new()),
             CsqError::Cancelled(String::new()),
             CsqError::Config(String::new()),
+            CsqError::Indeterminate(String::new()),
         ];
         let kinds: std::collections::HashSet<_> = errs.iter().map(|e| e.kind()).collect();
         assert_eq!(kinds.len(), errs.len());
@@ -188,5 +197,6 @@ mod tests {
         assert!(!CsqError::Exec("m".into()).retryable());
         assert!(!CsqError::Limit("m".into()).retryable());
         assert!(!CsqError::Config("m".into()).retryable());
+        assert!(!CsqError::Indeterminate("m".into()).retryable());
     }
 }

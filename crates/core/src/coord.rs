@@ -9,8 +9,10 @@
 //!
 //! * **DDL** broadcasts to every shard, so all shards hold every table's
 //!   (empty) schema.
-//! * **INSERT** routes each row to the shard owning the hash bucket of its
-//!   shard-key value, then re-renders a per-shard `INSERT`.
+//! * **INSERT** evaluates each row once, routes it to the shard owning the
+//!   hash bucket of its shard-key value, and sends each shard its rows as
+//!   one typed [`QueryRequest::Insert`](csq_client::QueryRequest::Insert):
+//!   values in the row codec, no SQL text for the shard to parse.
 //! * **SELECT** is parsed and planned once, through the ordinary optimizer
 //!   in a sharded [`OptContext`] (statistics maintained coordinator-side
 //!   from the routed inserts), and runs the plan its EXPLAIN prints:
@@ -30,12 +32,17 @@
 //!     leaves at the coordinator (a join is a nested loop under a filter);
 //!     nothing is repartitioned across shards.
 //!
-//! **Failure semantics.** Every per-shard statement goes through the §10
-//! retry machinery ([`ConnectionPool::query_with`] under the configured
-//! [`QueryOptions`]), so a dead or slow shard surfaces as a *typed,
-//! retryable* error tagged with the shard index instead of hanging the
-//! gather; the other shards' fetches still complete before the error is
-//! returned. [`Coordinator::replace_shard`] swaps a failed shard's address
+//! **Failure semantics.** Every per-shard request goes through the §10
+//! retry machinery ([`ConnectionPool::query_with`], or
+//! [`ConnectionPool::insert_with`] for routed rows, under the configured
+//! [`QueryOptions`]), so a dead or slow shard surfaces as a *typed* error
+//! tagged with the shard index instead of hanging the gather; the other
+//! shards' requests still complete before the error is returned. A shard's
+//! rows are replayed only on its retryable error, sent before it stores
+//! anything; rows sent and never answered fail the INSERT `indeterminate`,
+//! stored at most once. A multi-shard INSERT is not atomic — shards that
+//! answered keep their rows — and the statistics count every routed row.
+//! [`Coordinator::replace_shard`] swaps a failed shard's address
 //! and bumps the **topology epoch**, which (together with the DDL epoch) is
 //! part of every cached plan's fingerprint — a topology change can never be
 //! served a stale plan.
@@ -48,7 +55,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use csq_client::{ConnectionPool, QueryOptions, RemoteResult, ScalarUdf};
+use csq_client::{ConnectionPool, QueryOptions, ScalarUdf};
 use csq_common::{CancelToken, CsqError, DataType, Field, Result, Row, Schema, Value};
 use csq_exec::{BoxOp, RowsOp};
 use csq_expr::{bind, ColumnRef, Expr, UnaryOp};
@@ -61,7 +68,7 @@ use csq_sql::ast::SelectStmt;
 use csq_sql::{parse_statement, Statement};
 
 use crate::result::QueryResult;
-use crate::Database;
+use crate::{insert_values, Database};
 
 /// Cached coordinator plans (distinct SQL texts). Small: the coordinator
 /// fronts few distinct statement shapes; on overflow the whole cache is
@@ -349,8 +356,8 @@ impl Coordinator {
             return Err(CsqError::Catalog(format!("table '{name}' already exists")));
         }
         let shards = self.shards.read();
-        let jobs: Vec<(usize, String)> = (0..shards.len()).map(|i| (i, sql.to_string())).collect();
-        self.scatter(&shards, &jobs)?;
+        let jobs = self.jobs_for(shards.len(), None, sql);
+        self.scatter(&shards, &jobs, |pool, sql, opts| pool.query_with(sql, opts))?;
         drop(shards);
         let width = fields.len();
         self.tables.write().insert(
@@ -401,8 +408,6 @@ impl Coordinator {
         let shadow = tables
             .get_mut(&table.to_ascii_lowercase())
             .ok_or_else(|| CsqError::Catalog(format!("unknown table '{table}'")))?;
-        let empty_schema = Schema::empty();
-        let empty_row = Row::new(vec![]);
         let mut per_shard: Vec<Vec<Row>> = (0..n).map(|_| Vec::new()).collect();
         let mut routed = 0u64;
         for exprs in rows {
@@ -414,18 +419,15 @@ impl Coordinator {
                     exprs.len()
                 )));
             }
-            let mut values: Vec<Value> = Vec::with_capacity(exprs.len());
-            for (i, e) in exprs.iter().enumerate() {
-                let bound = bind(e, &empty_schema).map_err(|_| {
-                    CsqError::Plan("INSERT values must be literal expressions".into())
-                })?;
-                let v = bound.eval(&empty_row)?;
+            let values = insert_values(exprs)?
+                .into_iter()
+                .zip(shadow.schema.fields())
                 // Coerce to the declared column type before hashing: stored
                 // and routed values must hash identically, and `Int(5)` and
                 // `Float(5.0)` do not (shard pruning and routing both hash
                 // the declared type).
-                values.push(coerce_to(v, shadow.schema.field(i).dtype)?);
-            }
+                .map(|(v, f)| coerce_to(v, f.dtype))
+                .collect::<Result<Vec<Value>>>()?;
             let row = Row::new(values);
             shadow.rows += 1;
             shadow.row_byte_sum += row.wire_size() as f64;
@@ -436,14 +438,16 @@ impl Coordinator {
             let at = row.partition_of(Some(&[shadow.shard_col]), n);
             per_shard[at].push(row);
         }
-        let mut jobs = Vec::new();
-        for (i, batch) in per_shard.iter().enumerate() {
-            if !batch.is_empty() {
-                jobs.push((i, render_insert(&shadow.name, batch)?));
-            }
-        }
+        let name = shadow.name.clone();
         drop(tables);
-        self.scatter(&shards, &jobs)?;
+        let jobs: Vec<(usize, Vec<Row>)> = per_shard
+            .into_iter()
+            .enumerate()
+            .filter(|(_, rows)| !rows.is_empty())
+            .collect();
+        self.scatter(&shards, &jobs, |pool, rows, opts| {
+            pool.insert_with(&name, rows, opts)
+        })?;
         drop(shards);
         CoordStats::add(&self.stats.rows_routed, routed);
         self.bump_ddl(); // Cardinalities moved; cached plans are stale.
@@ -562,7 +566,7 @@ impl Coordinator {
     ) -> Result<QueryResult> {
         let shards = self.shards.read();
         let jobs = self.jobs_for(shards.len(), target, sql);
-        let results = self.scatter(&shards, &jobs)?;
+        let results = self.scatter(&shards, &jobs, |pool, sql, opts| pool.query_with(sql, opts))?;
         drop(shards);
         let mut rows = Vec::new();
         for (r, (shard, _)) in results.into_iter().zip(&jobs) {
@@ -587,8 +591,10 @@ impl Coordinator {
         let mut ops: Vec<BoxOp> = Vec::with_capacity(leaves.len());
         for leaf in leaves {
             let jobs = self.jobs_for(shards.len(), leaf.target, &leaf.sql);
+            let results =
+                self.scatter(&shards, &jobs, |pool, sql, opts| pool.query_with(sql, opts))?;
             let mut rows = Vec::new();
-            for (r, (shard, _)) in self.scatter(&shards, &jobs)?.into_iter().zip(&jobs) {
+            for (r, (shard, _)) in results.into_iter().zip(&jobs) {
                 check_rows(&r.rows, &leaf.schema, *shard)?;
                 rows.extend(r.rows);
             }
@@ -601,31 +607,37 @@ impl Coordinator {
 
     /// The scatter targets for one statement: the pinned shard, or all of
     /// them. Pruned contacts are counted as they are skipped.
-    fn jobs_for(&self, n: usize, target: Option<usize>, sql: &str) -> Vec<(usize, String)> {
+    fn jobs_for<'a>(&self, n: usize, target: Option<usize>, sql: &'a str) -> Vec<(usize, &'a str)> {
         match target {
             Some(t) => {
                 CoordStats::add(&self.stats.shards_pruned, n.saturating_sub(1) as u64);
-                vec![(t, sql.to_string())]
+                vec![(t, sql)]
             }
-            None => (0..n).map(|i| (i, sql.to_string())).collect(),
+            None => (0..n).map(|i| (i, sql)).collect(),
         }
     }
 
-    /// Run one statement per `(shard, sql)` job concurrently, each under
-    /// the configured per-shard [`QueryOptions`] (§10 deadline + retry):
-    /// the last job on the calling thread, every other on a scoped thread of
-    /// its own — so a statement pinned to one shard spawns nothing.
+    /// Run one request per `(shard, job)` concurrently — `run` sends a job
+    /// through its shard's pool under the configured per-shard
+    /// [`QueryOptions`] (§10 deadline + retry): the last job on the calling
+    /// thread, every other on a scoped thread of its own — so a statement
+    /// pinned to one shard spawns nothing.
     /// Every job runs to completion before any error is returned — a
     /// failed shard cannot leave the others' sessions mid-stream — and the
     /// first failure (lowest shard index) is surfaced with its typed kind
     /// preserved, tagged with the shard it came from. A job that panics,
     /// on its own thread or the caller's, is reported as that shard's
     /// failure.
-    fn scatter(&self, shards: &[ShardSlot], jobs: &[(usize, String)]) -> Result<Vec<RemoteResult>> {
+    fn scatter<J: Sync, T: Send>(
+        &self,
+        shards: &[ShardSlot],
+        jobs: &[(usize, J)],
+        run: impl Fn(&ConnectionPool, &J, &QueryOptions) -> Result<T> + Sync,
+    ) -> Result<Vec<T>> {
         CoordStats::add(&self.stats.shard_statements, jobs.len() as u64);
         let opts = &self.config.shard_options;
-        let run = |(i, sql): &(usize, String)| shards[*i].pool.query_with(sql, opts);
-        let outcomes: Vec<Result<RemoteResult>> = std::thread::scope(|scope| {
+        let run = |(i, job): &(usize, J)| run(&shards[*i].pool, job, opts);
+        let outcomes: Vec<Result<T>> = std::thread::scope(|scope| {
             let (inline, spawned) = match jobs.split_last() {
                 Some((last, rest)) => (Some(last), rest),
                 None => (None, jobs),
@@ -947,25 +959,6 @@ fn partial_agg_sql(graph: &QueryGraph, qualified: &Schema) -> Result<(String, Sc
     Ok((sql, Schema::new(fields)))
 }
 
-/// Render a hash-routed per-shard INSERT.
-fn render_insert(table: &str, rows: &[Row]) -> Result<String> {
-    let mut sql = format!("INSERT INTO {table} VALUES ");
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            sql.push_str(", ");
-        }
-        sql.push('(');
-        for (j, v) in row.values().iter().enumerate() {
-            if j > 0 {
-                sql.push_str(", ");
-            }
-            sql.push_str(&sql_literal(v)?);
-        }
-        sql.push(')');
-    }
-    Ok(sql)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -986,19 +979,18 @@ mod tests {
         assert!(sql_literal(&Value::Float(f64::NAN)).is_err());
     }
 
-    /// What a shard stores for `values` sent as one rendered INSERT: the
-    /// statement re-parsed, its value expressions evaluated the way
-    /// `Database::execute` evaluates them.
+    /// What a shard reads back for `values` rendered as SQL literals — the
+    /// form a pushed conjunct carries them in: each literal re-parsed as an
+    /// expression, bound and evaluated.
     fn stored_by_a_shard(values: &[Value]) -> Vec<Value> {
-        let sql = render_insert("T", &[Row::new(values.to_vec())]).unwrap();
-        let stmt = parse_statement(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
-        let Statement::Insert { rows, .. } = stmt else {
-            unreachable!()
-        };
         let (schema, row) = (Schema::empty(), Row::new(vec![]));
-        rows[0]
+        values
             .iter()
-            .map(|e| bind(e, &schema).unwrap().eval(&row).unwrap())
+            .map(|v| {
+                let sql = sql_literal(v).unwrap();
+                let e = csq_sql::parse_expression(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+                bind(&e, &schema).unwrap().eval(&row).unwrap()
+            })
             .collect()
     }
 
@@ -1070,10 +1062,7 @@ mod tests {
             Value::Float(f64::NEG_INFINITY),
             Value::Blob(csq_common::Blob::synthetic(4, 1)),
         ] {
-            assert_eq!(
-                render_insert("T", &[Row::new(vec![v])]).unwrap_err().kind(),
-                "plan"
-            );
+            assert_eq!(sql_literal(&v).unwrap_err().kind(), "plan");
         }
     }
 
@@ -1090,18 +1079,6 @@ mod tests {
             unreachable!()
         };
         assert!(matches!(expr, Expr::Literal(Value::Float(f)) if *f == 2.0));
-    }
-
-    #[test]
-    fn insert_rendering_batches_rows() {
-        let rows = vec![
-            Row::new(vec![Value::Int(1), Value::from("a")]),
-            Row::new(vec![Value::Int(2), Value::Null]),
-        ];
-        assert_eq!(
-            render_insert("T", &rows).unwrap(),
-            "INSERT INTO T VALUES (1, 'a'), (2, NULL)"
-        );
     }
 
     #[test]

@@ -48,7 +48,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use csq_expr::bind;
+use csq_expr::{bind, Expr};
 use csq_opt::{OptContext, QueryGraph};
 use csq_sql::{parse_statement, Statement};
 
@@ -364,16 +364,12 @@ impl Database {
                 let out = lower::execute_threaded(self, &graph, &plan, &CancelToken::new())?;
                 Ok(out.into_result())
             }
-            other => {
-                // CREATE/INSERT share the text path; rebuild minimal SQL is
-                // fragile, so inline the same logic via a helper.
-                self.execute_nontext(other)
-            }
+            other => self.execute_nontext(other, &CancelToken::new()),
         }
     }
 
-    fn execute_nontext(&self, stmt: Statement) -> Result<QueryResult> {
-        let result = match stmt {
+    fn execute_nontext(&self, stmt: Statement, token: &CancelToken) -> Result<QueryResult> {
+        match stmt {
             Statement::CreateTable { name, columns } => {
                 let fields = columns
                     .into_iter()
@@ -381,33 +377,35 @@ impl Database {
                     .collect();
                 self.catalog
                     .register(Table::new(name, csq_common::Schema::new(fields))?)?;
-                QueryResult::empty()
+                // A new schema changes what the optimizer would produce.
+                self.bump_plan_epoch();
+                Ok(QueryResult::empty())
             }
             Statement::Insert { table, rows } => {
-                let t = self.catalog.get(&table)?;
-                let mut out = Vec::with_capacity(rows.len());
-                let empty_schema = csq_common::Schema::empty();
-                let empty_row = Row::new(vec![]);
-                for exprs in rows {
-                    let mut values: Vec<Value> = Vec::with_capacity(exprs.len());
-                    for e in exprs {
-                        let bound = bind(&e, &empty_schema).map_err(|_| {
-                            CsqError::Plan("INSERT values must be literal expressions".into())
-                        })?;
-                        values.push(bound.eval(&empty_row)?);
-                    }
-                    out.push(Row::new(values));
-                }
-                let n = out.len();
-                t.insert_all(out)?;
-                QueryResult::count(n)
+                // An unknown table is reported before any value is read, as
+                // the coordinator reports it.
+                self.catalog.get(&table)?;
+                let rows = rows
+                    .into_iter()
+                    .map(|exprs| insert_values(exprs).map(Row::new))
+                    .collect::<Result<Vec<Row>>>()?;
+                Ok(QueryResult::count(self.insert_rows(&table, rows, token)?))
             }
             Statement::Select(_) => unreachable!("handled by execute_statement"),
-        };
-        // DDL and new rows both change what the optimizer would produce
-        // (schemas, cardinalities, distinct-fraction statistics).
+        }
+    }
+
+    /// Append `rows` to `table`: the one write path, behind SQL `INSERT` and
+    /// the service's typed `Insert` alike; returns the rows stored. It fails
+    /// before storing any row (`token` spent, unknown table, a row that does
+    /// not fit the schema) or stores them all, and bumps the plan epoch.
+    pub fn insert_rows(&self, table: &str, rows: Vec<Row>, token: &CancelToken) -> Result<usize> {
+        token.check()?;
+        let t = self.catalog.get(table)?;
+        let n = rows.len();
+        t.insert_all(rows)?;
         self.bump_plan_epoch();
-        Ok(result)
+        Ok(n)
     }
 
     // ---- prepared statements and the plan cache ---------------------------
@@ -525,13 +523,8 @@ impl Database {
             }
             other => {
                 // DDL and DML answer with a count, never with rows.
-                let done = self.execute_nontext(other)?;
-                let out = ResultBatches {
-                    schema: done.schema,
-                    batches: Vec::new(),
-                    affected: done.affected,
-                };
-                Ok((out, false))
+                let done = self.execute_nontext(other, token)?;
+                Ok((ResultBatches::count(done.affected), false))
             }
         }
     }
@@ -540,4 +533,20 @@ impl Database {
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         self.plan_cache.stats()
     }
+}
+
+/// The values of one `INSERT` row: a literal is taken as it is, and any
+/// other expression is bound over no columns and evaluated. `Database` and
+/// the coordinator both read rows through it, so a cluster stores what one
+/// server stores.
+pub(crate) fn insert_values(exprs: Vec<Expr>) -> Result<Vec<Value>> {
+    exprs
+        .into_iter()
+        .map(|e| match e {
+            Expr::Literal(v) => Ok(v),
+            e => bind(&e, &Schema::empty())
+                .map_err(|_| CsqError::Plan("INSERT values must be literal expressions".into()))?
+                .eval(&Row::new(Vec::new())),
+        })
+        .collect()
 }

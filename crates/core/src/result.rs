@@ -67,6 +67,15 @@ pub(crate) struct ResultBatches {
 }
 
 impl ResultBatches {
+    /// The answer to a write that stored `n` rows: no columns, no batches.
+    pub(crate) fn count(n: usize) -> ResultBatches {
+        ResultBatches {
+            schema: Schema::empty(),
+            batches: Vec::new(),
+            affected: n,
+        }
+    }
+
     /// Rows in the result.
     pub(crate) fn len(&self) -> usize {
         self.batches.iter().map(RowBatch::len).sum()

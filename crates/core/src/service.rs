@@ -889,9 +889,9 @@ fn dispatch(
         return Some(session);
     }
     let deadline_ms = match &req {
-        QueryRequest::Query { deadline_ms, .. } | QueryRequest::Execute { deadline_ms, .. } => {
-            *deadline_ms
-        }
+        QueryRequest::Query { deadline_ms, .. }
+        | QueryRequest::Execute { deadline_ms, .. }
+        | QueryRequest::Insert { deadline_ms, .. } => *deadline_ms,
         _ => 0,
     };
     let token = statement_token(deadline_ms);
@@ -932,6 +932,18 @@ fn run_statement(ctx: SchedCtx, mut session: Session, req: QueryRequest, token: 
         QueryRequest::Query { sql, .. } => {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 ctx.db.execute_cached_batches(&sql, &token)
+            }));
+            answer_execution(&session.conn, &ctx.net, &ctx.stats, &ctx.config, outcome)
+        }
+        // A typed write answers an `Error` only from before `insert_rows`
+        // stores a row (expired deadline, unknown table, a row that does not
+        // fit the schema); once it has stored them the answer is `End`. So
+        // a retryable `Error` proves the rows were not stored, and a client
+        // may replay the request.
+        QueryRequest::Insert { table, rows, .. } => {
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let stored = ctx.db.insert_rows(&table, rows, &token)?;
+                Ok((ResultBatches::count(stored), false))
             }));
             answer_execution(&session.conn, &ctx.net, &ctx.stats, &ctx.config, outcome)
         }

@@ -385,3 +385,169 @@ fn retry_with_backoff_rides_out_transient_faults() {
     injector.shutdown();
     handle.shutdown();
 }
+
+/// Retry for the write-contract tests: enough attempts that a replay would
+/// happen if the rule allowed one.
+fn retrying() -> QueryOptions {
+    QueryOptions::new()
+        .with_deadline(Duration::from_secs(10))
+        .with_retry(RetryPolicy {
+            max_attempts: 4,
+            backoff: Backoff::new(Duration::from_millis(2), Duration::from_millis(30), 7),
+        })
+}
+
+/// Rows of `T` with this `Id`, read straight from the table.
+fn copies_of(db: &Database, id: i64) -> usize {
+    db.execute(&format!("SELECT T.Id FROM T T WHERE T.Id = {id}"))
+        .expect("count copies")
+        .rows
+        .len()
+}
+
+/// A typed insert whose answer is lost is not replayed. Over
+/// `[DropAfter(0), None]` the first connection delivers the insert and
+/// loses its reply; the retrying pool must not send the rows again on the
+/// healthy second connection. The outcome is exactly one stored copy, or a
+/// typed `indeterminate` error with at most one.
+#[test]
+fn typed_insert_is_not_replayed_after_its_reply_is_lost() {
+    let db = build_db(0);
+    let handle = start_service(&db, ServiceConfig::default());
+    let schedule = vec![Fault::DropAfter(0), Fault::None];
+    let injector = FaultInjector::start(handle.local_addr(), schedule).expect("injector");
+    let pool = ConnectionPool::new(injector.local_addr(), 1).expect("pool");
+    let row = |id: i64| Row::new(vec![Value::Int(id), Value::Int(0), Value::Int(0)]);
+
+    match pool.insert_with("T", &[row(1)], &retrying()) {
+        Ok(stored) => {
+            assert_eq!(stored, 1);
+            assert_eq!(
+                copies_of(&db, 1),
+                1,
+                "a replayed write stored a second copy"
+            );
+        }
+        Err(e) => {
+            assert_eq!(e.kind(), "indeterminate", "{e}");
+            assert!(
+                copies_of(&db, 1) <= 1,
+                "a replayed write stored a second copy"
+            );
+        }
+    }
+    // The healthy connection takes the next write.
+    assert_eq!(pool.insert_with("T", &[row(2)], &retrying()), Ok(1));
+    assert_eq!(copies_of(&db, 2), 1);
+    injector.shutdown();
+    handle.shutdown();
+}
+
+/// A typed insert the server refused with a retryable `Error` frame — here
+/// a shed, sent before the rows reach a worker — provably did not apply, so
+/// the pool replays it until it lands, exactly once.
+#[test]
+fn typed_insert_replays_after_a_retryable_refusal() {
+    let db = build_db(4_000);
+    let handle = start_service(
+        &db,
+        ServiceConfig {
+            workers: 1,
+            max_sessions: 16,
+            shed_queue_depth: 0,
+            ..ServiceConfig::default()
+        },
+    );
+    let addr = handle.local_addr();
+    // Occupy the only worker, bounded by its own deadline.
+    let holder = std::thread::spawn(move || {
+        let mut conn = ServiceConn::connect(addr).expect("holder connects");
+        let _ = conn.query_with(
+            "SELECT A.Id FROM T A, T B WHERE A.Val > B.Val",
+            &QueryOptions::new().with_deadline(Duration::from_secs(1)),
+        );
+        conn.close();
+    });
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while handle
+        .scheduler_stats()
+        .executing_statements
+        .load(std::sync::atomic::Ordering::Relaxed)
+        < 1
+    {
+        assert!(std::time::Instant::now() < deadline, "holder never ran");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let pool = ConnectionPool::new(addr, 1).expect("pool");
+    let opts = QueryOptions::new()
+        .with_deadline(Duration::from_secs(10))
+        .with_retry(RetryPolicy {
+            max_attempts: 200,
+            backoff: Backoff::new(Duration::from_millis(5), Duration::from_millis(50), 3),
+        });
+    let id = 1_000_000;
+    let row = Row::new(vec![Value::Int(id), Value::Int(0), Value::Int(0)]);
+    assert_eq!(pool.insert_with("T", &[row], &opts), Ok(1));
+    assert!(
+        handle
+            .stats()
+            .shed
+            .load(std::sync::atomic::Ordering::Relaxed)
+            >= 1
+    );
+    assert_eq!(copies_of(&db, id), 1);
+    holder.join().expect("holder thread");
+    handle.shutdown();
+}
+
+/// The same contract through a coordinator whose per-shard options retry:
+/// shard 1's first connection loses the reply to its routed rows. Every
+/// routed row is stored exactly once, or the INSERT fails typed, naming the
+/// shard, with no row stored twice.
+#[test]
+fn routed_insert_is_not_replayed_after_a_shard_reply_is_lost() {
+    let dbs: Vec<Arc<Database>> = (0..2)
+        .map(|_| Arc::new(Database::new(NetworkSpec::lan())))
+        .collect();
+    let handles: Vec<_> = dbs
+        .iter()
+        .map(|db| start_service(db, ServiceConfig::default()))
+        .collect();
+    let addrs: Vec<_> = handles.iter().map(|h| h.local_addr()).collect();
+    let coord = Coordinator::connect(
+        &addrs,
+        CoordinatorConfig {
+            shard_options: retrying(),
+            ..CoordinatorConfig::default()
+        },
+    )
+    .expect("coordinator");
+    coord
+        .create_table("CREATE TABLE T (Id INT, Grp INT, Val INT)", "Id")
+        .expect("sharded CREATE");
+    let injector =
+        FaultInjector::start(addrs[1], vec![Fault::DropAfter(0), Fault::None]).expect("injector");
+    coord
+        .replace_shard(1, injector.local_addr())
+        .expect("route shard 1 through the injector");
+    let values: Vec<String> = (0..16).map(|id| format!("({id}, 0, 0)")).collect();
+    let outcome = coord.execute(&format!("INSERT INTO T VALUES {}", values.join(", ")));
+    let stored: Vec<usize> = (0..16)
+        .map(|id| dbs.iter().map(|db| copies_of(db, id)).sum())
+        .collect();
+    match outcome {
+        Ok(r) => {
+            assert_eq!(r.affected, 16);
+            assert_eq!(stored, vec![1; 16], "copies per Id");
+        }
+        Err(e) => {
+            assert_eq!(e.kind(), "indeterminate", "{e}");
+            assert!(e.message().contains("shard 1"), "{e}");
+            assert!(stored.iter().all(|&n| n <= 1), "copies per Id: {stored:?}");
+        }
+    }
+    injector.shutdown();
+    for h in handles {
+        h.shutdown();
+    }
+}

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use csq::prelude::*;
 use csq_client::synthetic::ObjectUdf;
-use csq_client::QueryResponse;
+use csq_client::{QueryRequest, QueryResponse};
 use csq_common::Blob;
 use csq_core::service;
 use csq_net::TcpConn;
@@ -396,6 +396,179 @@ fn prepared_select_sees_rows_from_interleaved_adhoc_inserts() {
 
     reader.close();
     writer.close();
+    handle.shutdown();
+}
+
+/// A typed `Insert` bumps the plan epoch as an SQL `INSERT` does: a SELECT
+/// prepared on another session replans and returns the new rows.
+#[test]
+fn prepared_select_sees_rows_from_typed_inserts() {
+    let db = demo_db(40);
+    let handle = start(&db, small_config());
+    let mut reader = ServiceConn::connect(handle.local_addr()).unwrap();
+    let mut writer = ServiceConn::connect(handle.local_addr()).unwrap();
+
+    let (stmt, _) = reader
+        .prepare("SELECT R.Id FROM R R WHERE R.Id >= 1000")
+        .unwrap();
+    assert!(reader.execute(stmt).unwrap().rows.is_empty());
+    for round in 1..=3usize {
+        let row = Row::new(vec![
+            Value::Int(1000 + round as i64),
+            Value::Int(0),
+            Value::Null,
+        ]);
+        assert_eq!(writer.insert_with("R", &[row], &QueryOptions::new()), Ok(1));
+        let got = reader.execute(stmt).unwrap();
+        assert!(
+            !got.plan_cache_hit,
+            "round {round}: the insert stales the plan"
+        );
+        assert_eq!(got.rows.len(), round, "round {round}: new rows are visible");
+    }
+    reader.close();
+    writer.close();
+    handle.shutdown();
+}
+
+/// A typed `Insert` that does not fit is refused whole, before any row is
+/// stored: the wrong arity or a mistyped value is a `type` error, an unknown
+/// table a `catalog` error. The table is unchanged and the session lives on.
+#[test]
+fn typed_insert_refusals_leave_table_and_session_intact() {
+    let db = demo_db(10);
+    let handle = start(&db, small_config());
+    let mut conn = ServiceConn::connect(handle.local_addr()).unwrap();
+    let opts = QueryOptions::new();
+    let stored = || db.execute(COUNT_SQL).unwrap().rows[0].value(0).clone();
+    let fits = Row::new(vec![Value::Int(100), Value::Int(0), Value::Null]);
+    let short = Row::new(vec![Value::Int(101), Value::Int(0)]);
+    let mistyped = Row::new(vec![Value::Int(102), Value::from("seven"), Value::Null]);
+    for (table, rows, kind) in [
+        ("R", vec![fits.clone(), short], "type"),
+        ("R", vec![fits.clone(), mistyped], "type"),
+        ("Nope", vec![fits.clone()], "catalog"),
+    ] {
+        let err = conn.insert_with(table, &rows, &opts).unwrap_err();
+        assert_eq!(err.kind(), kind, "{table}: {err}");
+        assert_eq!(conn.last_error_retryable(), Some(false));
+        assert!(!conn.is_broken(), "a refused insert keeps the session");
+        assert_eq!(stored(), Value::Int(10), "a refused insert stores nothing");
+    }
+    assert_eq!(conn.insert_with("R", &[fits], &opts), Ok(1));
+    assert_eq!(stored(), Value::Int(11));
+    conn.close();
+    handle.shutdown();
+}
+
+/// A typed `Insert` carries every value as it is — through its encoding,
+/// and through a service into the table — at every edge, NaN and blobs
+/// included (`Value` equality compares floats by bit pattern).
+#[test]
+fn typed_insert_carries_values_at_every_edge() {
+    let rows = vec![
+        Row::new(vec![
+            Value::Float(f64::INFINITY),
+            Value::Int(i64::MIN),
+            Value::from("it's\n\"quoted\" naïve 数据库 🦀"),
+            Value::Blob(Blob::synthetic(64, 9)),
+        ]),
+        Row::new(vec![
+            Value::Float(f64::NEG_INFINITY),
+            Value::Int(i64::MAX),
+            Value::from(""),
+            Value::Blob(Blob::synthetic(1, 2)),
+        ]),
+        Row::new(vec![
+            Value::Float(-0.0),
+            Value::Null,
+            Value::Null,
+            Value::Null,
+        ]),
+        Row::new(vec![
+            Value::Float(f64::NAN),
+            Value::Int(0),
+            Value::from("x"),
+            Value::Blob(Blob::synthetic(3, 3)),
+        ]),
+    ];
+    let req = QueryRequest::Insert {
+        table: "E".into(),
+        rows: rows.clone(),
+        deadline_ms: 250,
+    };
+    assert_eq!(QueryRequest::decode(&req.encode()).unwrap(), req);
+
+    let db = Arc::new(Database::new(NetworkSpec::lan()));
+    db.execute("CREATE TABLE E (F FLOAT, I INT, S STR, B BLOB)")
+        .unwrap();
+    let handle = start(&db, small_config());
+    let mut conn = ServiceConn::connect(handle.local_addr()).unwrap();
+    assert_eq!(conn.insert_with("E", &rows, &QueryOptions::new()), Ok(4));
+    assert_eq!(db.catalog().get("E").unwrap().snapshot(), rows);
+    conn.close();
+    handle.shutdown();
+}
+
+/// A truncated `Insert` payload, or one claiming more rows than it holds,
+/// decodes to a typed `codec` error; `take_count` refuses the count before
+/// anything is allocated for it.
+#[test]
+fn malformed_insert_payloads_are_codec_errors() {
+    let full = QueryRequest::Insert {
+        table: "T".into(),
+        rows: vec![Row::new(vec![Value::Int(1), Value::from("abc")])],
+        deadline_ms: 0,
+    }
+    .encode();
+    for cut in 1..full.len() {
+        let err = QueryRequest::decode(&full[..cut]).unwrap_err();
+        assert_eq!(err.kind(), "codec", "cut at {cut}: {err}");
+    }
+    let mut lying = QueryRequest::Insert {
+        table: "T".into(),
+        rows: Vec::new(),
+        deadline_ms: 0,
+    }
+    .encode();
+    let at = lying.len() - 4;
+    lying[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+    let err = QueryRequest::decode(&lying).unwrap_err();
+    assert_eq!(err.kind(), "codec");
+    assert!(err.message().contains("impossible"), "{err}");
+}
+
+/// A hostile `Insert` frame — a row count its payload cannot hold — is a
+/// fatal `codec` error for its own session and nothing else.
+#[test]
+fn hostile_insert_frame_only_kills_its_own_session() {
+    let db = demo_db(30);
+    let handle = start(&db, small_config());
+    let mut bystander = ServiceConn::connect(handle.local_addr()).unwrap();
+
+    let raw = TcpConn::connect(handle.local_addr()).unwrap();
+    let mut frame = QueryRequest::Insert {
+        table: "R".into(),
+        rows: Vec::new(),
+        deadline_ms: 0,
+    }
+    .encode();
+    let at = frame.len() - 4;
+    frame[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+    raw.send(&frame).unwrap();
+    let csq_net::Frame::Payload(resp) = raw.recv().unwrap() else {
+        panic!("expected an error response frame");
+    };
+    let QueryResponse::Error { kind, fatal, .. } = QueryResponse::decode(&resp).unwrap() else {
+        panic!("expected an Error response");
+    };
+    assert_eq!(kind, "codec");
+    assert!(fatal, "a protocol fault closes the session");
+    assert!(!matches!(raw.recv(), Ok(csq_net::Frame::Payload(_))));
+
+    let ok = bystander.query(COUNT_SQL).unwrap();
+    assert_eq!(ok.rows[0].value(0), &Value::Int(30));
+    bystander.close();
     handle.shutdown();
 }
 

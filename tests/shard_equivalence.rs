@@ -324,10 +324,10 @@ fn explain_shows_scatter_gather_and_pruning() {
     cluster.stop();
 }
 
-/// `route_insert` evaluates an INSERT's value expressions and re-renders the
-/// routed rows as SQL the shards re-parse. `i64::MIN` has no literal the
+/// `route_insert` evaluates an INSERT's value expressions once and ships the
+/// routed rows to the shards as typed values. `i64::MIN` has no literal the
 /// lexer reads (`-9223372036854775808` is a minus sign and a magnitude no i64
-/// holds), so the renderer must spell it as an expression: what one server
+/// holds), so the statement spells it as an expression: what one server
 /// stores, the cluster stores.
 #[test]
 fn routed_insert_stores_i64_min() {
@@ -339,6 +339,56 @@ fn routed_insert_stores_i64_min() {
     assert_eq!(stored, reference.execute(sql).expect("SELECT").rows);
     assert_eq!(stored[0].value(0), &Value::Int(i64::MIN));
     cluster.stop();
+}
+
+/// Values at the edges of every column type, routed through the
+/// coordinator: the cluster stores exactly what one server stores, compared
+/// by `Value` equality (a float by its bit pattern), under each choice of
+/// shard key. Some have no SQL literal: `1e308 * 10.0` evaluates to
+/// infinity, which reaches a shard only as a typed value.
+#[test]
+fn routed_insert_stores_what_one_server_stores() {
+    const CREATE_E: &str = "CREATE TABLE E (Id INT, I INT, F FLOAT, S STR)";
+    let big = format!("1{}.0", "0".repeat(308));
+    let inserts = [
+        format!("INSERT INTO E VALUES (0, -9223372036854775807 - 1, {big} * 10.0, 'it''s')"),
+        format!("INSERT INTO E VALUES (1, 9223372036854775807, -({big} * 10.0), '')"),
+        "INSERT INTO E VALUES (2, NULL, -0.0, 'line\nbreak\r\n\ttab'), (3, 0, NULL, NULL), \
+         (4, -1, 0.0, 'naïve Ünïcödé 数据库 🦀'), \
+         (5, 7, 2.5, 'back\\slash \"quoted\" -- ''x''')"
+            .to_string(),
+    ];
+    let reference = Database::new(NetworkSpec::lan());
+    reference.execute(CREATE_E).expect("reference CREATE");
+    for stmt in &inserts {
+        reference.execute(stmt).expect("reference INSERT");
+    }
+    let by_id = |mut rows: Vec<Row>| {
+        rows.sort_by_key(|r| r.value(0).as_i64().expect("Id is an INT"));
+        rows
+    };
+    let sql = "SELECT * FROM E E";
+    let want = by_id(reference.execute(sql).expect("reference SELECT").rows);
+    assert_eq!(want.len(), 6);
+    assert_eq!(want[0].value(2), &Value::Float(f64::INFINITY));
+    assert_eq!(want[1].value(2), &Value::Float(f64::NEG_INFINITY));
+    assert_eq!(want[2].value(2), &Value::Float(-0.0));
+
+    for key in ["Id", "F", "S"] {
+        let cluster = Cluster::start(2, "Id", &[]);
+        cluster
+            .coord
+            .create_table(CREATE_E, key)
+            .expect("sharded CREATE");
+        for stmt in &inserts {
+            if let Err(e) = cluster.coord.execute(stmt) {
+                panic!("key {key}: routed {stmt}: {e}");
+            }
+        }
+        let got = by_id(cluster.coord.execute(sql).expect("sharded SELECT").rows);
+        assert_eq!(got, want, "key {key}");
+        cluster.stop();
+    }
 }
 
 #[test]
