@@ -16,7 +16,7 @@
 //! network model charges are the real encoded sizes.
 
 use csq_common::codec::{encode_row, encode_value, Decoder};
-use csq_common::{CsqError, Result, Row};
+use csq_common::{CsqError, Result, Row, Value};
 use csq_expr::{BinaryOp, PhysExpr, UnaryOp};
 
 /// Which strategy this task implements (affects validation, not execution).
@@ -387,13 +387,13 @@ impl Request {
         out
     }
 
-    /// Encode a `Request::Batch` message directly from borrowed rows —
-    /// byte-identical to `Request::Batch(rows.to_vec()).encode()` without
-    /// cloning the rows first. This is what the shipping senders use on
+    /// Encode a `Request::Batch` message directly from borrowed rows' values
+    /// — byte-identical to `Request::Batch(rows.to_vec()).encode()` without
+    /// building the rows first. This is what the shipping senders use on
     /// their hot path.
     pub fn encode_batch<'r, I>(rows: I) -> Vec<u8>
     where
-        I: ExactSizeIterator<Item = &'r Row> + Clone,
+        I: ExactSizeIterator<Item = &'r [Value]> + Clone,
     {
         let mut out = Vec::new();
         out.push(REQ_BATCH);

@@ -6,11 +6,10 @@
 //! a thread over an [`Endpoint`] — in-memory, virtual-time or TCP — and
 //! puts the simulated CPU time it spends on the endpoint's clock.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use csq_common::{CancelToken, CsqError, Result, Row, Value};
+use csq_common::{ArgIndex, CancelToken, CsqError, Result, Row, Value};
 use csq_net::Endpoint;
 
 use crate::protocol::{ClientTask, Request, Response};
@@ -31,12 +30,14 @@ pub struct TaskExecutor {
 
 /// What [`TaskExecutor::process`] needs of one [`crate::protocol::UdfStep`].
 struct Step {
-    /// The step's argument columns as row ordinals.
-    arg_idx: Vec<usize>,
+    /// The step's argument columns; with the task's `dedup_cache`, also the
+    /// memo's keys (\[HN97]-style): every distinct argument tuple whose
+    /// result is in `results`, numbered in first-occurrence order.
+    args: ArgIndex,
+    /// The memo's results, by argument ordinal.
+    results: Vec<Value>,
     /// Cost model of the UDF registered under the step's name.
     cost: UdfCost,
-    /// Memo cache keyed by argument tuple (\[HN97]-style).
-    cache: HashMap<Row, Value>,
 }
 
 impl TaskExecutor {
@@ -48,9 +49,9 @@ impl TaskExecutor {
             .iter()
             .map(|s| {
                 Ok(Step {
-                    arg_idx: s.arg_cols.iter().map(|&c| c as usize).collect(),
+                    args: ArgIndex::new(s.arg_cols.iter().map(|&c| c as usize).collect()),
+                    results: Vec::new(),
                     cost: runtime.get(&s.udf)?.cost(),
-                    cache: HashMap::new(),
                 })
             })
             .collect::<Result<_>>()?;
@@ -74,24 +75,17 @@ impl TaskExecutor {
 
     /// Process one batch: extend, filter, project.
     ///
-    /// Vectorized: each UDF step sweeps the whole batch — cached results
-    /// are resolved first, then every remaining (deduplicated) argument
-    /// tuple goes through one [`ClientRuntime::invoke_batch`] call, so
+    /// Vectorized: each UDF step sweeps the whole batch — with the task's
+    /// `dedup_cache`, each row's argument tuple is numbered in the step's
+    /// memo (hashed once; a tuple seen before, in this batch or an earlier
+    /// one, is a cache hit) — then every argument tuple left to evaluate
+    /// goes through one [`ClientRuntime::invoke_batch`] call, so
     /// per-invocation setup (registry lookup, VM stack) is paid per batch.
     /// On success, accounting (invocations, cache hits, CPU µs) matches
-    /// the previous row-at-a-time loop exactly. On a failed batch the
-    /// counters cover the whole attempted batch (the row-at-a-time loop
-    /// stopped counting at the failing tuple); a failure poisons the
-    /// session either way, so nothing downstream reads the difference.
+    /// a row-at-a-time loop over a memo exactly. On a failed batch the
+    /// counters cover the whole attempted batch, and the memo forgets the
+    /// tuples the batch numbered: it holds only tuples whose results exist.
     pub fn process(&mut self, rows: Vec<Row>) -> Result<Vec<Row>> {
-        /// Where a row's step result comes from.
-        enum Slot {
-            /// Served from the memo cache.
-            Ready(Value),
-            /// The n-th entry of this step's invocation batch.
-            Invoked(usize),
-        }
-
         let width = self.task.input_width as usize;
         for row in &rows {
             if row.len() != width {
@@ -103,55 +97,49 @@ impl TaskExecutor {
             }
         }
         let mut extended = rows;
-        let dedup = self.task.dedup_cache;
         for (step, task_step) in self.steps.iter_mut().zip(&self.task.steps) {
-            let mut slots: Vec<Slot> = Vec::with_capacity(extended.len());
-            let mut to_invoke: Vec<Row> = Vec::new();
-            // First-occurrence index of each argument tuple in `to_invoke`
-            // (dedup mode only): an in-batch duplicate counts as a cache
-            // hit, exactly as it would row-at-a-time once the first
-            // occurrence had populated the cache.
-            let mut pending: HashMap<Row, usize> = HashMap::new();
-            for row in &extended {
-                let args = row.project(&step.arg_idx);
-                if dedup {
-                    if let Some(v) = step.cache.get(&args) {
-                        self.runtime.record_cache_hit();
-                        slots.push(Slot::Ready(v.clone()));
-                    } else if let Some(&n) = pending.get(&args) {
-                        self.runtime.record_cache_hit();
-                        slots.push(Slot::Invoked(n));
-                    } else {
-                        let n = to_invoke.len();
-                        pending.insert(args.clone(), n);
-                        to_invoke.push(args);
-                        slots.push(Slot::Invoked(n));
-                    }
-                } else {
-                    slots.push(Slot::Invoked(to_invoke.len()));
-                    to_invoke.push(args);
+            let invoke = |args: &[&[Value]], cpu_us: &mut u64| {
+                for a in args {
+                    *cpu_us += step
+                        .cost
+                        .invocation_us(a.iter().map(Value::wire_size).sum());
                 }
-            }
-            for args in &to_invoke {
-                self.cpu_us += step.cost.invocation_us(args.wire_size());
-            }
-            let invoked = if to_invoke.is_empty() {
-                Vec::new()
-            } else {
-                let arg_refs: Vec<&[Value]> = to_invoke.iter().map(|r| r.values()).collect();
-                self.runtime.invoke_batch(&task_step.udf, &arg_refs)?
+                if args.is_empty() {
+                    return Ok(Vec::new());
+                }
+                self.runtime.invoke_batch(&task_step.udf, args)
             };
-            if dedup {
-                for (args, v) in to_invoke.iter().zip(invoked.iter()) {
-                    step.cache.insert(args.clone(), v.clone());
+            if !self.task.dedup_cache {
+                let args: Vec<Row> = extended
+                    .iter()
+                    .map(|r| r.project(step.args.cols()))
+                    .collect();
+                let arg_refs: Vec<&[Value]> = args.iter().map(Row::values).collect();
+                let invoked = invoke(&arg_refs, &mut self.cpu_us)?;
+                for (row, v) in extended.iter_mut().zip(invoked) {
+                    row.push_value(v);
+                }
+                continue;
+            }
+            let known = step.results.len();
+            let mut ordinals = Vec::with_capacity(extended.len());
+            for row in &extended {
+                let (ordinal, new) = step.args.insert(row);
+                if !new {
+                    self.runtime.record_cache_hit();
+                }
+                ordinals.push(ordinal);
+            }
+            let fresh: Vec<&[Value]> = step.args.keys(known).collect();
+            match invoke(&fresh, &mut self.cpu_us) {
+                Ok(invoked) => step.results.extend(invoked),
+                Err(e) => {
+                    step.args.truncate(known);
+                    return Err(e);
                 }
             }
-            for (row, slot) in extended.iter_mut().zip(slots) {
-                let v = match slot {
-                    Slot::Ready(v) => v,
-                    Slot::Invoked(n) => invoked[n].clone(),
-                };
-                row.push_value(v);
+            for (row, ordinal) in extended.iter_mut().zip(ordinals) {
+                row.push_value(step.results[ordinal].clone());
             }
         }
         let mut out = Vec::with_capacity(extended.len());
@@ -460,5 +448,54 @@ mod tests {
         assert!(matches!(resp, Response::Error(_)));
         drop(server);
         assert!(handle.join().unwrap().is_err());
+    }
+
+    /// `Unlucky(INT) -> INT`: ten times its argument, and an error on 13.
+    struct Unlucky(crate::runtime::UdfSignature);
+
+    impl crate::runtime::ScalarUdf for Unlucky {
+        fn signature(&self) -> &crate::runtime::UdfSignature {
+            &self.0
+        }
+
+        fn invoke(&self, args: &[Value]) -> Result<Value> {
+            match args[0] {
+                Value::Int(13) => Err(CsqError::Client("13 is unlucky".into())),
+                Value::Int(i) => Ok(Value::Int(i * 10)),
+                _ => Ok(Value::Null),
+            }
+        }
+    }
+
+    #[test]
+    fn the_memo_holds_only_arguments_whose_results_exist() {
+        // Batch 1 fails on 13 after numbering 1 and 2; batch 2 repeats them.
+        // They have no results, so they are invoked again, not served from a
+        // half-filled memo, and the answers are a fresh executor's.
+        use csq_common::DataType;
+        let rt = ClientRuntime::new();
+        let sig = crate::runtime::UdfSignature::new("Unlucky", vec![DataType::Int], DataType::Int);
+        rt.register(Arc::new(Unlucky(sig))).unwrap();
+        let rt = Arc::new(rt);
+        let mut task = sj_task();
+        task.steps[0].udf = "Unlucky".into();
+        task.dedup_cache = true;
+        let ints =
+            |v: &[i64]| -> Vec<Row> { v.iter().map(|&i| Row::new(vec![Value::Int(i)])).collect() };
+        let mut ex = TaskExecutor::new(rt.clone(), task.clone()).unwrap();
+        assert_eq!(
+            ex.process(ints(&[1, 2, 13, 2])).unwrap_err().kind(),
+            "client"
+        );
+        let (invocations, hits) = (rt.invocations(), rt.cache_hits());
+        let out = ex.process(ints(&[2, 1, 2, 3])).unwrap();
+        assert_eq!(rt.invocations() - invocations, 3, "1, 2 and 3 are invoked");
+        assert_eq!(rt.cache_hits() - hits, 1, "the second 2 is a hit");
+        let fresh = TaskExecutor::new(rt, task)
+            .unwrap()
+            .process(ints(&[2, 1, 2, 3]))
+            .unwrap();
+        assert_eq!(out, fresh);
+        assert_eq!(out, ints(&[20, 10, 20, 30]));
     }
 }

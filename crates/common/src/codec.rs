@@ -223,34 +223,39 @@ impl<'a> Decoder<'a> {
 
 /// Append the encoding of `row` to `out`. Size is `4 + row.wire_size()`.
 pub fn encode_row(row: &Row, out: &mut Vec<u8>) {
-    out.extend_from_slice(&(row.len() as u32).to_le_bytes());
-    for v in row.values() {
+    encode_row_values(row.values(), out);
+}
+
+/// Append `values` encoded as the row they make up, exactly as
+/// [`encode_row`] writes it.
+fn encode_row_values(values: &[Value], out: &mut Vec<u8>) {
+    out.extend_from_slice(&(values.len() as u32).to_le_bytes());
+    for v in values {
         encode_value(v, out);
     }
 }
 
 /// Encode a batch of rows (u32 count then rows); the message payloads the
 /// shipping strategies put on the wire. Preallocates the exact output size
-/// via [`row_encoded_size`] so large batches encode without reallocation.
+/// (each row's [`row_encoded_size`]) so large batches encode without
+/// reallocation.
 pub fn encode_rows(rows: &[Row], out: &mut Vec<u8>) {
-    out.reserve(4 + rows.iter().map(row_encoded_size).sum::<usize>());
-    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-    for r in rows {
-        encode_row(r, out);
-    }
+    encode_rows_iter(rows.iter().map(Row::values), out);
 }
 
-/// Like [`encode_rows`] but over borrowed rows from any exactly-sized
-/// iterator (lets senders encode without first cloning rows into a `Vec`).
-/// Produces byte-identical output to `encode_rows` on the same rows.
+/// Like [`encode_rows`] but over each row's values, borrowed from any
+/// exactly-sized iterator (lets senders encode argument tuples they keep
+/// in place of rows). Produces byte-identical output to `encode_rows` on
+/// the same rows.
 pub fn encode_rows_iter<'r, I>(rows: I, out: &mut Vec<u8>)
 where
-    I: ExactSizeIterator<Item = &'r Row> + Clone,
+    I: ExactSizeIterator<Item = &'r [Value]> + Clone,
 {
-    out.reserve(4 + rows.clone().map(row_encoded_size).sum::<usize>());
+    let values_size = |r: &[Value]| 4 + r.iter().map(Value::wire_size).sum::<usize>();
+    out.reserve(4 + rows.clone().map(values_size).sum::<usize>());
     out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
     for r in rows {
-        encode_row(r, out);
+        encode_row_values(r, out);
     }
 }
 
@@ -401,7 +406,7 @@ mod tests {
         let mut a = Vec::new();
         encode_rows(&rows, &mut a);
         let mut b = Vec::new();
-        encode_rows_iter(rows.iter(), &mut b);
+        encode_rows_iter(rows.iter().map(Row::values), &mut b);
         assert_eq!(a, b);
     }
 

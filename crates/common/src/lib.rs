@@ -13,6 +13,7 @@
 //! uplink and downlink, so "how big is this value on the wire" is a
 //! first-class concept here: see [`Value::wire_size`] and [`Row::wire_size`].
 
+pub mod args;
 pub mod batch;
 pub mod cancel;
 pub mod codec;
@@ -22,6 +23,7 @@ pub mod row;
 pub mod schema;
 pub mod value;
 
+pub use args::ArgIndex;
 pub use batch::{RowBatch, DEFAULT_BATCH_SIZE};
 pub use cancel::{CancelToken, Deadline};
 pub use error::{CsqError, Result};

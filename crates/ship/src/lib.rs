@@ -1,12 +1,12 @@
 //! # csq-ship — client-site UDF execution strategies
 //!
 //! The paper's three strategies for applying client-site UDFs to a relation
-//! (§2–§3), each implemented once, as a threaded operator, and run over
-//! either clock:
+//! (§2–§3), run by two threaded operators over either clock — the naive
+//! strategy is the semi-join with one tuple in flight:
 //!
 //! | strategy | operator | in virtual time |
 //! |---|---|---|
-//! | naive tuple-at-a-time | [`NaiveRemoteUdf`] | [`simulate_naive`] |
+//! | naive tuple-at-a-time | [`ThreadedSemiJoin`] at K = 1, one tuple a message | [`simulate_naive`] |
 //! | semi-join (Fig. 3)    | [`ThreadedSemiJoin`] | [`simulate_semijoin`] |
 //! | client-site join (Fig. 4) | [`ThreadedClientJoin`] | [`simulate_client_join`] |
 //!
@@ -30,4 +30,4 @@ pub mod threaded;
 
 pub use sim::{simulate_client_join, simulate_naive, simulate_semijoin, SimRun};
 pub use spec::{ClientJoinSpec, SemiJoinSpec, UdfApplication};
-pub use threaded::{NaiveRemoteUdf, ThreadedClientJoin, ThreadedSemiJoin};
+pub use threaded::{ThreadedClientJoin, ThreadedSemiJoin};

@@ -11,7 +11,7 @@ use csq_exec::{collect, BoxOp, Operator, RowsOp};
 use csq_net::{virtual_duplex, Endpoint, NetworkSpec, SimTime, VirtualLinks};
 
 use crate::spec::{ClientJoinSpec, SemiJoinSpec};
-use crate::threaded::{NaiveRemoteUdf, ThreadedClientJoin, ThreadedSemiJoin};
+use crate::threaded::{ThreadedClientJoin, ThreadedSemiJoin};
 
 /// Outcome of one virtual-time strategy execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,7 +104,10 @@ pub fn simulate_client_join(
 }
 
 /// Simulate the naive tuple-at-a-time strategy (§2.1): one blocking round
-/// trip per distinct argument (result caching on), full RTT exposed.
+/// trip per distinct argument (result caching on), full RTT exposed. That is
+/// the semi-join with one tuple per message and one in flight —
+/// `SemiJoinSpec::new(spec.udfs, 1)`, unsorted; the rest of `spec` is not
+/// read.
 pub fn simulate_naive(
     schema: &Schema,
     rows: Vec<Row>,
@@ -112,9 +115,8 @@ pub fn simulate_naive(
     runtime: Arc<ClientRuntime>,
     net: &NetworkSpec,
 ) -> Result<SimRun> {
-    simulate(schema, rows, runtime, net, |i, s| {
-        NaiveRemoteUdf::new(i, spec.udfs.clone(), s, true)
-    })
+    let naive = SemiJoinSpec::new(spec.udfs.clone(), 1);
+    simulate_semijoin(schema, rows, &naive, runtime, net)
 }
 
 #[cfg(test)]

@@ -12,22 +12,21 @@
 //! The operators carry the endpoints' clocks, so the same code runs in real
 //! time over an in-memory or TCP duplex and in virtual time over
 //! [`csq_net::virtual_duplex`] (see [`crate::sim`]): a receive moves the
-//! receiver's clock, a credit moves the sender's, and the naive operator's
-//! blocking round trip keeps one clock for both directions.
+//! receiver's clock, and a credit moves the sender's.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
-use csq_common::{CsqError, Result, Row, RowBatch, Schema, DEFAULT_BATCH_SIZE};
+use csq_common::{ArgIndex, CsqError, Result, Row, RowBatch, Schema, DEFAULT_BATCH_SIZE};
 use csq_exec::{Operator, Sort};
 use csq_net::{Endpoint, NetReceiver, NetSender, SimTime};
 
 use csq_client::{Request, Response};
 
-use crate::spec::{ClientJoinSpec, SemiJoinSpec, UdfApplication};
+use crate::spec::{ClientJoinSpec, SemiJoinSpec};
 
 /// A record in the sender → receiver buffer.
 struct Rec {
@@ -219,15 +218,89 @@ impl Operator for ThreadedSemiJoin {
     }
 }
 
-/// Sender-thread body for the semi-join — the loop of Figure 3: dedup,
-/// stage the record, wait for a slot, send the open span's message, hand
-/// the staged records to the receiver. Consumes the input operator one
-/// [`RowBatch`] at a time (the sorted mode wraps it in a `Sort`, which
-/// itself streams batches out of its materialized buffer). A distinct
-/// argument is hashed once, when it is numbered; the receiver finds its
-/// result by that number. Records are handed off only after every argument
-/// they refer to is on the wire — the sender/receiver pairing protocol —
-/// and one hand-off carries all of a message's records.
+/// The semi-join sender's numbering of argument tuples, in shipping order,
+/// and its open span: the arguments numbered since the last message.
+struct Numbering {
+    /// The argument columns, and (unsorted input) every distinct argument
+    /// by shipping ordinal — each row's arguments are hashed once, there.
+    index: ArgIndex,
+    /// Sorted input: a duplicate is adjacent, so an argument is only
+    /// compared with the one before it, and only the open span's arguments
+    /// (`span`) and the last one a message carried (`sent_last`) are kept.
+    sorted: bool,
+    span: Vec<Row>,
+    sent_last: Option<Row>,
+    /// Arguments numbered, and carried by a message, so far.
+    numbered: usize,
+    sent: usize,
+}
+
+impl Numbering {
+    fn new(cols: Vec<usize>, sorted: bool) -> Numbering {
+        Numbering {
+            index: ArgIndex::new(cols),
+            sorted,
+            span: Vec::new(),
+            sent_last: None,
+            numbered: 0,
+            sent: 0,
+        }
+    }
+
+    /// The shipping ordinal of `row`'s arguments, numbered if they are new.
+    fn number(&mut self, row: &Row) -> usize {
+        if !self.sorted {
+            let (arg, _) = self.index.insert(row);
+            self.numbered = self.index.len();
+            return arg;
+        }
+        let cols = self.index.cols();
+        let same = |prev: &Row| {
+            cols.iter()
+                .zip(prev.values())
+                .all(|(&c, v)| row.value(c) == v)
+        };
+        if !self
+            .span
+            .last()
+            .or(self.sent_last.as_ref())
+            .is_some_and(same)
+        {
+            self.span.push(row.project(cols));
+            self.numbered += 1;
+        }
+        self.numbered - 1
+    }
+
+    /// Arguments in the open span.
+    fn open(&self) -> usize {
+        self.numbered - self.sent
+    }
+
+    /// The open span's message; the span closes.
+    fn message(&mut self) -> Vec<u8> {
+        let msg = if self.sorted {
+            let msg = Request::encode_batch(self.span.iter().map(Row::values));
+            self.sent_last = self.span.pop();
+            self.span.clear();
+            msg
+        } else {
+            Request::encode_batch(self.index.keys(self.sent))
+        };
+        self.sent = self.numbered;
+        msg
+    }
+}
+
+/// Sender-thread body for the semi-join — the loop of Figure 3: number the
+/// record's arguments, stage the record, and once a span is full wait for a
+/// slot, send its message and hand the staged records to the receiver.
+/// Consumes the input operator one [`RowBatch`] at a time (the sorted mode
+/// wraps it in a `Sort`, which itself streams batches out of its
+/// materialized buffer). The receiver finds a record's result by its
+/// argument's shipping ordinal. Records are handed off only after every
+/// argument they refer to is on the wire — the sender/receiver pairing
+/// protocol — and one hand-off carries all of a message's records.
 fn semijoin_sender(
     input: Box<dyn Operator + Send>,
     task: csq_client::ClientTask,
@@ -250,26 +323,19 @@ fn semijoin_sender(
         input
     };
 
-    // Shipping ordinals of the arguments seen (unsorted input), or the
-    // latest argument (sorted input: a duplicate is adjacent).
-    let mut seen: HashMap<Arc<Row>, usize> = HashMap::new();
-    let mut prev_key: Option<Arc<Row>> = None;
-    // Arguments numbered so far.
-    let mut shipped = 0usize;
-    // The open span's arguments, not yet sent, and the records staged since
-    // the last hand-off.
-    let mut batch_args: Vec<Arc<Row>> = Vec::with_capacity(batch_size);
+    let mut args = Numbering::new(arg_cols, sorted);
+    // The records staged since the last hand-off.
     let mut staged: Vec<Rec> = Vec::new();
     // K is in tuples and a hand-off is a span of `batch_size` shipped
     // arguments, so ⌈K/m⌉ hand-offs may be unpaired at once.
     let slots = spec.concurrency.div_ceil(batch_size).max(1);
     let mut unpaired = 0;
-    // Hand the staged records off, with the open span's message if there is
-    // one: wait until fewer than `slots` hand-offs are unpaired (moving the
+    // Hand the staged records off, with the span's message if there is one:
+    // wait until fewer than `slots` hand-offs are unpaired (moving the
     // sender's clock up to each credit's stamp), send the message, release
     // the records. False when the client or the receiver (e.g. under a
     // LIMIT) is gone: stop quietly.
-    let mut hand_off = |args: &mut Vec<Arc<Row>>, staged: &mut Vec<Rec>| {
+    let mut hand_off = |msg: Option<Vec<u8>>, staged: &mut Vec<Rec>| {
         while unpaired >= slots {
             let Ok(at) = credits_rx.recv() else {
                 return false;
@@ -277,9 +343,7 @@ fn semijoin_sender(
             net_tx.advance_to(at);
             unpaired -= 1;
         }
-        if !args.is_empty() {
-            let msg = Request::encode_batch(args.iter().map(|a| a.as_ref()));
-            args.clear();
+        if let Some(msg) = msg {
             if net_tx.send(msg).is_err() {
                 return false;
             }
@@ -300,32 +364,20 @@ fn semijoin_sender(
             }
         };
         for row in batch.into_rows() {
-            let key = Arc::new(row.project(&arg_cols));
-            let arg = if !sorted {
-                *seen.entry(key.clone()).or_insert(shipped)
-            } else if prev_key.as_ref() == Some(&key) {
-                shipped - 1
-            } else {
-                prev_key = Some(key.clone());
-                shipped
-            };
-            if arg == shipped {
-                shipped += 1;
-                batch_args.push(key);
-            }
+            let arg = args.number(&row);
             staged.push(Rec { row, arg });
-            if batch_args.len() >= batch_size && !hand_off(&mut batch_args, &mut staged) {
+            if args.open() >= batch_size && !hand_off(Some(args.message()), &mut staged) {
                 return;
             }
         }
         // With no span open, what is staged repeats shipped arguments: its
         // results are in flight or kept, so it needs no message of its own
         // (but a slot, like any hand-off).
-        if batch_args.is_empty() && !staged.is_empty() && !hand_off(&mut batch_args, &mut staged) {
+        if args.open() == 0 && !staged.is_empty() && !hand_off(None, &mut staged) {
             return;
         }
     }
-    if !batch_args.is_empty() && !hand_off(&mut batch_args, &mut staged) {
+    if args.open() > 0 && !hand_off(Some(args.message()), &mut staged) {
         return;
     }
     let _ = net_tx.send(Request::Finish.encode());
@@ -449,7 +501,7 @@ fn client_join_sender(
 
     // False when the client or the receiver is gone: stop quietly.
     let ship_chunk = |rows: &mut Vec<Row>| {
-        let msg = Request::encode_batch(rows.iter());
+        let msg = Request::encode_batch(rows.iter().map(Row::values));
         rows.clear();
         net_tx.send(msg).is_ok() && tickets_tx.send(Ok(())).is_ok()
     };
@@ -478,108 +530,10 @@ fn client_join_sender(
     let _ = net_tx.send(Request::Finish.encode());
 }
 
-/// The naive strategy of §2.1: treat the client-site UDF like a server-site
-/// UDF that happens to make a blocking remote call per tuple. One message
-/// round-trip per distinct argument (with \[HN97]-style result caching, as
-/// the "established approach" does), full latency exposed on every call.
-/// The endpoint stays whole: one clock for both directions, so each call
-/// leaves when the previous answer arrived.
-pub struct NaiveRemoteUdf {
-    input: Box<dyn Operator + Send>,
-    schema: Arc<Schema>,
-    arg_cols: Vec<usize>,
-    endpoint: Endpoint,
-    cache: HashMap<Row, Row>,
-    use_cache: bool,
-    installed: bool,
-    task: csq_client::ClientTask,
-    finished: bool,
-}
-
-impl NaiveRemoteUdf {
-    /// Build the naive executor for `udfs` over `input`.
-    pub fn new(
-        input: Box<dyn Operator + Send>,
-        udfs: Vec<UdfApplication>,
-        endpoint: Endpoint,
-        use_cache: bool,
-    ) -> Result<NaiveRemoteUdf> {
-        let spec = SemiJoinSpec::new(udfs, 1);
-        let input_schema = input.schema().clone();
-        let schema = Arc::new(spec.output_schema(&input_schema));
-        let task = spec.client_task(&input_schema)?;
-        let arg_cols = spec.arg_union(input_schema.len());
-        Ok(NaiveRemoteUdf {
-            input,
-            schema,
-            arg_cols,
-            endpoint,
-            cache: HashMap::new(),
-            use_cache,
-            installed: false,
-            task,
-            finished: false,
-        })
-    }
-
-    /// One blocking round trip for one argument tuple — the whole point of
-    /// §2.1's critique.
-    fn call(&mut self, key: &Row) -> Result<Row> {
-        self.endpoint
-            .send(Request::encode_batch(std::iter::once(key)))?;
-        let rows = response_rows(self.endpoint.recv(), "client closed connection")?;
-        let n = rows.len();
-        match (rows.into_iter().next(), n) {
-            (Some(result), 1) => Ok(result),
-            _ => Err(CsqError::Exec(format!(
-                "naive execution expected 1 result, got {n}"
-            ))),
-        }
-    }
-}
-
-impl Operator for NaiveRemoteUdf {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// Maps one input batch to one output batch, still paying one round
-    /// trip per (uncached) row inside it.
-    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
-        if self.finished {
-            return Ok(None);
-        }
-        if !self.installed {
-            self.endpoint
-                .send(Request::Install(self.task.clone()).encode())?;
-            self.installed = true;
-        }
-        let Some(batch) = self.input.next_batch()? else {
-            self.finished = true;
-            let _ = self.endpoint.send(Request::Finish.encode());
-            return Ok(None);
-        };
-        let mut out = Vec::with_capacity(batch.len());
-        for row in batch.into_rows() {
-            let key = row.project(&self.arg_cols);
-            // Only ever populated when `use_cache` is set.
-            if let Some(result) = self.cache.get(&key) {
-                out.push(row.join(result));
-                continue;
-            }
-            let result = self.call(&key)?;
-            out.push(row.join(&result));
-            if self.use_cache {
-                self.cache.insert(key, result);
-            }
-        }
-        Ok(Some(RowBatch::from_rows(self.schema.clone(), out)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::UdfApplication;
     use csq_client::{spawn_client, ClientRuntime};
     use csq_common::{Blob, DataType, Field, Value};
     use csq_exec::{collect, RowsOp};
@@ -847,33 +801,23 @@ mod tests {
 
     #[test]
     fn naive_blocking_roundtrips() {
+        // The naive strategy is the semi-join at K = 1, one tuple a message:
+        // a round trip per distinct argument, duplicates served from the
+        // results kept by ordinal.
         let rt = runtime();
         let (server, client, stats) = in_memory_duplex();
         let handle = spawn_client(rt.clone(), client).unwrap();
         let input = Box::new(RowsOp::new(input_schema(), rows(12, 4)));
-        let mut op = NaiveRemoteUdf::new(input, vec![analyze_app()], server, true).unwrap();
+        let spec = SemiJoinSpec::new(vec![analyze_app()], 1);
+        let mut op = ThreadedSemiJoin::new(input, spec, server).unwrap();
         let out = collect(&mut op).unwrap();
         drop(op);
         let _ = handle.join().unwrap();
         assert_eq!(out.len(), 12);
-        assert_eq!(rt.invocations(), 4, "cache eliminates duplicate calls");
+        assert_eq!(rt.invocations(), 4, "duplicates are not shipped again");
         // install + 4 round trips + finish.
         assert_eq!(stats.down_messages(), 6);
         assert_eq!(stats.up_messages(), 4);
-    }
-
-    #[test]
-    fn naive_without_cache_reinvokes() {
-        let rt = runtime();
-        let (server, client, _) = in_memory_duplex();
-        let handle = spawn_client(rt.clone(), client).unwrap();
-        let input = Box::new(RowsOp::new(input_schema(), rows(12, 4)));
-        let mut op = NaiveRemoteUdf::new(input, vec![analyze_app()], server, false).unwrap();
-        let out = collect(&mut op).unwrap();
-        drop(op);
-        let _ = handle.join().unwrap();
-        assert_eq!(out.len(), 12);
-        assert_eq!(rt.invocations(), 12);
     }
 
     #[test]
@@ -891,13 +835,7 @@ mod tests {
         drop(op);
         let _ = handle.join().unwrap();
 
-        let (server, client, _) = in_memory_duplex();
-        let handle = spawn_client(runtime(), client).unwrap();
-        let input = Box::new(RowsOp::new(input_schema(), data));
-        let mut op = NaiveRemoteUdf::new(input, vec![analyze_app()], server, true).unwrap();
-        let naive = collect(&mut op).unwrap();
-        drop(op);
-        let _ = handle.join().unwrap();
+        let naive = run_semijoin(SemiJoinSpec::new(vec![analyze_app()], 1), data).unwrap();
 
         assert_eq!(sj, csj);
         assert_eq!(sj, naive);

@@ -54,7 +54,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         net.rtt() as f64 / 1e6
     );
 
-    // Naive tuple-at-a-time (§2.1): blocking round trip per tuple.
+    // Naive tuple-at-a-time (§2.1): a blocking round trip per distinct
+    // argument — the semi-join with one tuple in flight, one a message.
     let naive = simulate_naive(
         &schema,
         rows.clone(),

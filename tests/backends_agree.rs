@@ -13,8 +13,8 @@ use csq_exec::{collect, RowsOp};
 use csq_expr::{BinaryOp, PhysExpr};
 use csq_net::{in_memory_duplex, NetworkSpec};
 use csq_ship::{
-    simulate_client_join, simulate_naive, simulate_semijoin, ClientJoinSpec, NaiveRemoteUdf,
-    SemiJoinSpec, ThreadedClientJoin, ThreadedSemiJoin, UdfApplication,
+    simulate_client_join, simulate_naive, simulate_semijoin, ClientJoinSpec, SemiJoinSpec,
+    ThreadedClientJoin, ThreadedSemiJoin, UdfApplication,
 };
 
 fn runtime() -> Arc<ClientRuntime> {
@@ -162,22 +162,16 @@ fn client_join_bytes_match_between_backends() {
 
 #[test]
 fn naive_bytes_match_between_backends() {
+    // The naive strategy is the semi-join at K = 1, one tuple a message.
     let data = rows(20, 6, 80);
-    let (server, client, stats) = in_memory_duplex();
-    let handle = spawn_client(runtime(), client).unwrap();
-    let input = Box::new(RowsOp::new(schema(), data.clone()));
-    let mut op = NaiveRemoteUdf::new(input, vec![analyze()], server, true).unwrap();
-    let t_rows = collect(&mut op).unwrap();
-    drop(op);
-    let _ = handle.join().unwrap();
-
     let spec = SemiJoinSpec::new(vec![analyze()], 1);
+    let (t_rows, t_down, t_up, t_dm, t_um) = threaded_sj(spec.clone(), data.clone());
     let sim = simulate_naive(&schema(), data, &spec, runtime(), &NetworkSpec::lan()).unwrap();
     assert_eq!(t_rows, sim.rows);
-    assert_eq!(stats.down_bytes(), sim.down_bytes);
-    assert_eq!(stats.up_bytes(), sim.up_bytes);
-    assert_eq!(stats.down_messages(), sim.down_messages);
-    assert_eq!(stats.up_messages(), sim.up_messages);
+    assert_eq!(t_down, sim.down_bytes);
+    assert_eq!(t_up, sim.up_bytes);
+    assert_eq!(t_dm, sim.down_messages);
+    assert_eq!(t_um, sim.up_messages);
 }
 
 #[test]

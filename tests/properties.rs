@@ -333,3 +333,231 @@ fn chosen_shipping_parameters_hold_up_in_the_simulator() {
         );
     }
 }
+
+/// `name(..) -> STR`: names its arguments as exactly as `Value` equality
+/// tells them apart — a float by its bits, `Int 1` apart from `Float 1.0`,
+/// a blob by its bytes.
+struct Describe(csq_client::UdfSignature);
+
+impl csq_client::ScalarUdf for Describe {
+    fn signature(&self) -> &csq_client::UdfSignature {
+        &self.0
+    }
+
+    fn invoke(&self, args: &[Value]) -> csq_common::Result<Value> {
+        let cell = |v: &Value| match v {
+            Value::Float(f) => format!("f{:x}", f.to_bits()),
+            Value::Int(i) => format!("i{i}"),
+            Value::Blob(b) => format!("b{:?}", b.as_bytes()),
+            other => format!("{other:?}"),
+        };
+        Ok(Value::from(
+            args.iter().map(cell).collect::<Vec<_>>().join(","),
+        ))
+    }
+
+    fn cost(&self) -> csq_client::UdfCost {
+        csq_client::UdfCost {
+            fixed_us: 3.0,
+            per_byte_us: 0.5,
+        }
+    }
+}
+
+/// Argument cells that are equal or not in every way the memo must get
+/// right: NULL, two NaN bit patterns, −0.0 and 0.0, `Int 1` and
+/// `Float 1.0`; and blobs, each built in an allocation of its own.
+fn edge_row(id: usize, a: usize, b: usize) -> Row {
+    let a = match a {
+        0 => Value::Null,
+        1 => Value::Float(f64::from_bits(0x7ff8_0000_0000_0000)),
+        2 => Value::Float(f64::from_bits(0x7ff8_0000_0000_0001)),
+        3 => Value::Float(-0.0),
+        4 => Value::Float(0.0),
+        5 => Value::Int(1),
+        6 => Value::Float(1.0),
+        _ => Value::Int(0),
+    };
+    let b = match b {
+        0 => Value::Null,
+        n => Value::Blob(Blob::new((1..n as u8).collect())),
+    };
+    Row::new(vec![Value::Int(id as i64), a, b])
+}
+
+/// Batches of edge rows, duplicates within and across batches.
+fn edge_batches() -> impl Strategy<Value = Vec<Vec<Row>>> {
+    prop::collection::vec(prop::collection::vec((0usize..8, 0usize..4), 0..12), 1..6).prop_map(
+        |batches| {
+            let mut id = 0;
+            batches
+                .into_iter()
+                .map(|batch| {
+                    batch
+                        .into_iter()
+                        .map(|(a, b)| {
+                            id += 1;
+                            edge_row(id, a, b)
+                        })
+                        .collect()
+                })
+                .collect()
+        },
+    )
+}
+
+/// The two UDF steps both properties run: `Mix(a, b)` on a two-column
+/// argument, then `First(a)`.
+fn describe_runtime() -> (Arc<ClientRuntime>, Vec<(String, Vec<usize>)>) {
+    let rt = ClientRuntime::new();
+    for (name, args) in [
+        ("Mix", vec![DataType::Float, DataType::Blob]),
+        ("First", vec![DataType::Float]),
+    ] {
+        let sig = csq_client::UdfSignature::new(name, args, DataType::Str);
+        rt.register(Arc::new(Describe(sig))).unwrap();
+    }
+    let steps = vec![
+        ("Mix".to_string(), vec![1, 2]),
+        ("First".to_string(), vec![1]),
+    ];
+    (Arc::new(rt), steps)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    // The client memo against a row-at-a-time reference over a
+    // `HashMap<Row, Value>`: the same rows, invocations, cache hits and
+    // CPU µs after every batch.
+    #[test]
+    fn memo_matches_a_row_at_a_time_hashmap(batches in edge_batches()) {
+        use std::collections::HashMap;
+        use csq_client::protocol::{ClientTask, TaskMode, UdfStep};
+        use csq_client::service::TaskExecutor;
+        use csq_client::ScalarUdf;
+
+        let (rt, steps) = describe_runtime();
+        let task = ClientTask {
+            mode: TaskMode::SemiJoin,
+            input_width: 3,
+            steps: steps
+                .iter()
+                .map(|(udf, cols)| UdfStep {
+                    udf: udf.clone(),
+                    arg_cols: cols.iter().map(|&c| c as u32).collect(),
+                })
+                .collect(),
+            predicate: None,
+            return_cols: None,
+            dedup_cache: true,
+        };
+        let mut ex = TaskExecutor::new(rt.clone(), task).unwrap();
+        let udf = Describe(csq_client::UdfSignature::new("ref", vec![], DataType::Str));
+        let mut memo: Vec<HashMap<Row, Value>> = vec![HashMap::new(); steps.len()];
+        let (mut invocations, mut hits, mut cpu_us) = (0u64, 0u64, 0u64);
+        for batch in batches {
+            let mut expected = Vec::new();
+            for row in &batch {
+                let mut row = row.clone();
+                for ((_, cols), memo) in steps.iter().zip(&mut memo) {
+                    let key = row.project(cols);
+                    let v = match memo.get(&key) {
+                        Some(v) => {
+                            hits += 1;
+                            v.clone()
+                        }
+                        None => {
+                            invocations += 1;
+                            cpu_us += udf.cost().invocation_us(key.wire_size());
+                            let v = udf.invoke(key.values()).unwrap();
+                            memo.insert(key, v.clone());
+                            v
+                        }
+                    };
+                    row.push_value(v);
+                }
+                expected.push(row);
+            }
+            prop_assert_eq!(ex.process(batch).unwrap(), expected);
+            prop_assert_eq!(rt.invocations(), invocations);
+            prop_assert_eq!(rt.cache_hits(), hits);
+            prop_assert_eq!(ex.cpu_us(), cpu_us);
+        }
+    }
+
+    // The semi-join sender over the in-memory duplex puts on the wire
+    // exactly the messages of a reference that numbers first occurrences
+    // with a `HashMap`: the install, the distinct arguments in
+    // first-occurrence order `m` to a message, and the finish.
+    #[test]
+    fn sender_ships_the_first_occurrences_a_hashmap_numbers(
+        batches in edge_batches(),
+        m in 1usize..5,
+        k in 1usize..8,
+    ) {
+        use std::collections::HashMap;
+        use csq_client::{Request, Response};
+        use csq_exec::{collect, RowsOp};
+        use csq_ship::ThreadedSemiJoin;
+
+        let (_, steps) = describe_runtime();
+        let schema = Schema::new(vec![
+            Field::new("id", DataType::Int),
+            Field::new("a", DataType::Float),
+            Field::new("b", DataType::Blob),
+        ]);
+        let apps = steps
+            .iter()
+            .map(|(udf, cols)| UdfApplication::new(udf, cols.clone(), Field::new(udf, DataType::Str)))
+            .collect();
+        let mut spec = SemiJoinSpec::new(apps, k);
+        spec.batch_size = m;
+        let rows: Vec<Row> = batches.into_iter().flatten().collect();
+
+        let mut expected = vec![Request::Install(spec.client_task(&schema).unwrap()).encode()];
+        let mut numbered: HashMap<Row, usize> = HashMap::new();
+        let mut order = Vec::new();
+        for row in &rows {
+            let key = row.project(&[1, 2]);
+            if !numbered.contains_key(&key) {
+                numbered.insert(key.clone(), order.len());
+                order.push(key);
+            }
+        }
+        expected.extend(order.chunks(m).map(|span| Request::Batch(span.to_vec()).encode()));
+        expected.push(Request::Finish.encode());
+
+        // A client that records what comes down and answers every argument
+        // with one NULL per UDF.
+        let (server, client, _) = csq_net::in_memory_duplex();
+        let recorder = std::thread::spawn(move || {
+            let mut down = Vec::new();
+            while let Some(buf) = client.recv() {
+                let reply = match Request::decode(&buf) {
+                    Ok(Request::Batch(args)) => Some(Response::Batch(
+                        args.iter().map(|_| Row::new(vec![Value::Null, Value::Null])).collect(),
+                    )),
+                    _ => None,
+                };
+                down.push(buf);
+                if let Some(reply) = reply {
+                    if client.send(reply.encode()).is_err() {
+                        break;
+                    }
+                }
+            }
+            down
+        });
+        let input = Box::new(RowsOp::new(schema, rows.clone()));
+        let mut op = ThreadedSemiJoin::new(input, spec, server).unwrap();
+        let out = collect(&mut op).unwrap();
+        drop(op);
+        let down = recorder.join().unwrap();
+        prop_assert_eq!(down, expected);
+        prop_assert_eq!(out.len(), rows.len());
+        for (o, r) in out.iter().zip(&rows) {
+            prop_assert_eq!(&o.values()[..3], r.values());
+        }
+    }
+}
