@@ -401,6 +401,16 @@ impl Request {
         out
     }
 
+    /// The head of a `Request::Batch` message of `rows` rows: what
+    /// [`encode_batch`](Self::encode_batch) writes before the first row.
+    /// The rows follow as [`csq_common::codec::encode_batch_rows`] writes
+    /// them, rows and lanes alike.
+    pub fn batch_head(rows: usize) -> Vec<u8> {
+        let mut out = vec![REQ_BATCH];
+        put_u32(&mut out, rows as u32);
+        out
+    }
+
     fn decode_with(d: &mut Decoder<'_>) -> Result<Request> {
         let req = match d.take_u8()? {
             REQ_INSTALL => Request::Install(decode_task(d)?),

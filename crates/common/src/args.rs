@@ -1,6 +1,7 @@
 //! The argument index: distinct argument tuples numbered in the order they
 //! first occur — the semi-join's shipping ordinals and the client's memo.
 
+use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash, Hasher};
 
@@ -13,11 +14,12 @@ use crate::value::Value;
 /// and an open-addressing index (linear probing over `slots`, at most half
 /// full) finds a tuple's ordinal from its hash.
 ///
-/// A row's argument cells are hashed straight from the row — one keyed
-/// SipHash stream (std's `RandomState`, so the index keeps the collision
-/// resistance `HashMap` has) — and compared by `Value` equality, so a
-/// duplicate builds no key row. The hash is kept per key: growing the index
-/// re-seats keys and never hashes one again.
+/// A tuple's cells are read through one accessor — from a row, or from a
+/// batch's lanes ([`insert_by`](Self::insert_by)) — hashed straight from
+/// there in one keyed SipHash stream (std's `RandomState`, so the index
+/// keeps the collision resistance `HashMap` has) and compared by `Value`
+/// equality, so a duplicate builds no key row. The hash is kept per key:
+/// growing the index re-seats keys and never hashes one again.
 pub struct ArgIndex {
     cols: Vec<usize>,
     hasher: RandomState,
@@ -59,14 +61,23 @@ impl ArgIndex {
     /// The ordinal of `row`'s argument tuple, and whether this call numbered
     /// it (the tuple's first occurrence).
     pub fn insert(&mut self, row: &Row) -> (usize, bool) {
-        let mut h = self.hasher.build_hasher();
-        for &c in &self.cols {
-            row.value(c).hash(&mut h);
-        }
-        self.insert_hashed(h.finish(), row)
+        self.insert_by(|c| Cow::Borrowed(row.value(c)))
     }
 
-    fn insert_hashed(&mut self, hash: u64, row: &Row) -> (usize, bool) {
+    /// [`insert`](Self::insert) for the tuple whose cell at `c` is `cell(c)`.
+    pub fn insert_by<'v>(&mut self, cell: impl Fn(usize) -> Cow<'v, Value>) -> (usize, bool) {
+        let mut h = self.hasher.build_hasher();
+        for &c in &self.cols {
+            cell(c).hash(&mut h);
+        }
+        self.insert_hashed(h.finish(), cell)
+    }
+
+    fn insert_hashed<'v>(
+        &mut self,
+        hash: u64,
+        cell: impl Fn(usize) -> Cow<'v, Value>,
+    ) -> (usize, bool) {
         let mask = self.slots.len() - 1;
         let mut s = hash as usize & mask;
         while self.slots[s] != 0 {
@@ -76,7 +87,7 @@ impl ArgIndex {
                     .cols
                     .iter()
                     .zip(self.key(o))
-                    .all(|(&c, k)| row.value(c) == k)
+                    .all(|(&c, k)| *cell(c) == *k)
             {
                 return (o, false);
             }
@@ -85,7 +96,7 @@ impl ArgIndex {
         let o = self.hashes.len();
         self.hashes.push(hash);
         self.keys
-            .extend(self.cols.iter().map(|&c| row.value(c).clone()));
+            .extend(self.cols.iter().map(|&c| cell(c).into_owned()));
         self.slots[s] = o + 1;
         if self.hashes.len() * 2 > self.slots.len() {
             self.reseat(self.slots.len() * 2);
@@ -135,6 +146,11 @@ mod tests {
         Row::new(vec![Value::Int(-1), v])
     }
 
+    /// `insert_hashed` under a fixed hash, the cells read from `row`.
+    fn insert_at(index: &mut ArgIndex, hash: u64, row: &Row) -> (usize, bool) {
+        index.insert_hashed(hash, |c| Cow::Borrowed(row.value(c)))
+    }
+
     fn keys(index: &ArgIndex) -> Vec<Vec<Value>> {
         index.keys(0).map(<[Value]>::to_vec).collect()
     }
@@ -169,13 +185,16 @@ mod tests {
             .collect();
         for round in 0..2 {
             for (i, v) in values.iter().enumerate() {
-                assert_eq!(index.insert_hashed(42, &one(v.clone())), (i, round == 0));
+                assert_eq!(insert_at(&mut index, 42, &one(v.clone())), (i, round == 0));
             }
         }
         index.truncate(10);
-        assert_eq!(index.insert_hashed(42, &one(values[3].clone())), (3, false));
         assert_eq!(
-            index.insert_hashed(42, &one(values[30].clone())),
+            insert_at(&mut index, 42, &one(values[3].clone())),
+            (3, false)
+        );
+        assert_eq!(
+            insert_at(&mut index, 42, &one(values[30].clone())),
             (10, true)
         );
         assert_eq!(index.len(), 11);

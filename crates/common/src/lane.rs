@@ -10,6 +10,7 @@
 //! only by an operator that reads rows. A [`Selection`] names which rows of
 //! the lanes a batch covers.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -77,7 +78,7 @@ pub fn wide(v: impl Into<i64>) -> i64 {
 
 /// INT values at the narrowest width that holds every value of the lane:
 /// a key column costs four bytes a row instead of eight, a small code one.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum IntLane {
     I8(Vec<i8>),
     I16(Vec<i16>),
@@ -121,7 +122,7 @@ impl IntLane {
 
 /// One column of a run of rows: the narrowest representation that keeps the
 /// original values reconstructible bit for bit.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum Lane {
     /// All non-null values are INT.
     Int { values: IntLane, nulls: NullBitmap },
@@ -144,10 +145,19 @@ impl Lane {
     /// when *every* non-null value is of that exact variant, so
     /// reconstruction is lossless; anything else is a [`Lane::Values`].
     pub fn build(rows: &[Row], col: usize) -> Lane {
-        let n = rows.len();
+        Lane::from_cells(rows.len(), rows.iter().map(|r| r.value(col)).enumerate())
+    }
+
+    /// A lane of `len` rows holding each `(row, value)` of `cells`, typed as
+    /// [`build`](Self::build) types a column; a batch must not select a row
+    /// no cell names.
+    pub fn from_cells<'v, I>(len: usize, cells: I) -> Lane
+    where
+        I: Iterator<Item = (usize, &'v Value)> + Clone,
+    {
         let (mut ints, mut floats, mut bools, mut strs, mut others) = (0, 0, 0, 0, 0);
-        for r in rows {
-            match r.value(col) {
+        for (_, v) in cells.clone() {
+            match v {
                 Value::Null => {}
                 Value::Int(_) => ints += 1,
                 Value::Float(_) => floats += 1,
@@ -157,28 +167,26 @@ impl Lane {
             }
         }
         let non_null = ints + floats + bools + strs + others;
-        /// The values `pick` extracts, `zero` standing in for each NULL.
-        fn typed<T: Copy>(
-            rows: &[Row],
-            col: usize,
+        /// The values `pick` extracts, `zero` standing in for each NULL and
+        /// each row no cell names.
+        fn typed<'v, T: Copy>(
+            len: usize,
+            cells: impl Iterator<Item = (usize, &'v Value)>,
             zero: T,
             pick: impl Fn(&Value) -> Option<T>,
         ) -> (Vec<T>, NullBitmap) {
-            let mut nulls = NullBitmap::new(rows.len());
-            let values = rows
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    pick(r.value(col)).unwrap_or_else(|| {
-                        nulls.set(i);
-                        zero
-                    })
-                })
-                .collect();
+            let mut nulls = NullBitmap::new(len);
+            let mut values = vec![zero; len];
+            for (i, v) in cells {
+                match pick(v) {
+                    Some(x) => values[i] = x,
+                    None => nulls.set(i),
+                }
+            }
             (values, nulls)
         }
         if non_null == ints && ints > 0 {
-            let (values, nulls) = typed(rows, col, 0, |v| match v {
+            let (values, nulls) = typed(len, cells, 0, |v| match v {
                 Value::Int(i) => Some(*i),
                 _ => None,
             });
@@ -187,13 +195,13 @@ impl Lane {
                 nulls,
             }
         } else if non_null == floats && floats > 0 {
-            let (values, nulls) = typed(rows, col, 0.0, |v| match v {
+            let (values, nulls) = typed(len, cells, 0.0, |v| match v {
                 Value::Float(f) => Some(*f),
                 _ => None,
             });
             Lane::Float { values, nulls }
         } else if non_null == bools && bools > 0 {
-            let (values, nulls) = typed(rows, col, false, |v| match v {
+            let (values, nulls) = typed(len, cells, false, |v| match v {
                 Value::Bool(b) => Some(*b),
                 _ => None,
             });
@@ -201,22 +209,22 @@ impl Lane {
         } else if non_null == strs && strs > 0 {
             let mut dict: Vec<Str> = Vec::new();
             let mut index: HashMap<Str, u32> = HashMap::new();
-            let mut codes = Vec::with_capacity(n);
-            for r in rows {
-                match r.value(col) {
-                    Value::Str(s) => {
-                        let code = *index.entry(s.clone()).or_insert_with(|| {
-                            dict.push(s.clone());
-                            (dict.len() - 1) as u32
-                        });
-                        codes.push(code);
-                    }
-                    _ => codes.push(u32::MAX),
+            let mut codes = vec![u32::MAX; len];
+            for (i, v) in cells {
+                if let Value::Str(s) = v {
+                    codes[i] = *index.entry(s.clone()).or_insert_with(|| {
+                        dict.push(s.clone());
+                        (dict.len() - 1) as u32
+                    });
                 }
             }
             Lane::StrDict { dict, codes }
         } else {
-            Lane::Values(rows.iter().map(|r| r.value(col).clone()).collect())
+            let mut values = vec![Value::Null; len];
+            for (i, v) in cells {
+                values[i] = v.clone();
+            }
+            Lane::Values(values)
         }
     }
 
@@ -248,7 +256,17 @@ impl Lane {
         }
     }
 
+    /// [`value`](Self::value), borrowed where the lane holds a [`Value`].
+    #[inline]
+    pub fn cell(&self, i: usize) -> Cow<'_, Value> {
+        match self {
+            Lane::Values(values) => Cow::Borrowed(&values[i]),
+            _ => Cow::Owned(self.value(i)),
+        }
+    }
+
     /// The exact value at row `i`.
+    #[inline]
     pub fn value(&self, i: usize) -> Value {
         match self {
             _ if self.is_null(i) => Value::Null,

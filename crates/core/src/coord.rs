@@ -68,7 +68,7 @@ use csq_sql::ast::SelectStmt;
 use csq_sql::{parse_statement, Statement};
 
 use crate::result::QueryResult;
-use crate::{insert_values, Database};
+use crate::{coerce_to, insert_values, Database};
 
 /// Cached coordinator plans (distinct SQL texts). Small: the coordinator
 /// fronts few distinct statement shapes; on overflow the whole cache is
@@ -427,7 +427,7 @@ impl Coordinator {
                 // `Float(5.0)` do not (shard pruning and routing both hash
                 // the declared type).
                 .map(|(v, f)| coerce_to(v, f.dtype))
-                .collect::<Result<Vec<Value>>>()?;
+                .collect();
             let row = Row::new(values);
             shadow.rows += 1;
             shadow.row_byte_sum += row.wire_size() as f64;
@@ -809,16 +809,6 @@ fn check_rows(rows: &[Row], schema: &Schema, shard: usize) -> Result<()> {
     Ok(())
 }
 
-/// Coerce a literal to a column's declared type (Int → Float is the only
-/// SQL-sanctioned widening); anything else is left for the shard-side type
-/// check to reject.
-fn coerce_to(v: Value, dtype: DataType) -> Result<Value> {
-    Ok(match (v, dtype) {
-        (Value::Int(i), DataType::Float) => Value::Float(i as f64),
-        (v, _) => v,
-    })
-}
-
 /// Render a value as a SQL literal that re-parses to the same `Value`.
 fn sql_literal(v: &Value) -> Result<String> {
     Ok(match v {
@@ -1094,10 +1084,10 @@ mod tests {
 
     #[test]
     fn int_literals_coerce_before_hashing() {
-        let v = coerce_to(Value::Int(5), DataType::Float).unwrap();
+        let v = coerce_to(Value::Int(5), DataType::Float);
         assert_eq!(v, Value::Float(5.0));
         // Str columns are untouched.
-        let s = coerce_to(Value::from("x"), DataType::Str).unwrap();
+        let s = coerce_to(Value::from("x"), DataType::Str);
         assert_eq!(s, Value::from("x"));
     }
 }

@@ -395,13 +395,25 @@ impl Database {
         }
     }
 
-    /// Append `rows` to `table`: the one write path, behind SQL `INSERT` and
-    /// the service's typed `Insert` alike; returns the rows stored. It fails
-    /// before storing any row (`token` spent, unknown table, a row that does
-    /// not fit the schema) or stores them all, and bumps the plan epoch.
+    /// Append `rows` to `table`, coerced to its column types: the one write
+    /// path, behind SQL `INSERT` and the service's typed `Insert` alike;
+    /// returns the rows stored. It fails before storing any row (`token`
+    /// spent, unknown table, a row that does not fit the schema) or stores
+    /// them all, and bumps the plan epoch.
     pub fn insert_rows(&self, table: &str, rows: Vec<Row>, token: &CancelToken) -> Result<usize> {
         token.check()?;
         let t = self.catalog.get(table)?;
+        let fields = t.schema().fields();
+        let rows: Vec<Row> = rows
+            .into_iter()
+            .map(|r| {
+                let mut values = r.into_values();
+                for (v, f) in values.iter_mut().zip(fields) {
+                    *v = coerce_to(std::mem::replace(v, Value::Null), f.dtype);
+                }
+                Row::new(values)
+            })
+            .collect();
         let n = rows.len();
         t.insert_all(rows)?;
         self.bump_plan_epoch();
@@ -549,4 +561,14 @@ pub(crate) fn insert_values(exprs: Vec<Expr>) -> Result<Vec<Value>> {
                 .eval(&Row::new(Vec::new())),
         })
         .collect()
+}
+
+/// A value coerced to a column's declared type (INT → FLOAT is the only
+/// SQL-sanctioned widening; anything else is left for the type check):
+/// what [`Database::insert_rows`] stores and the coordinator routes by.
+pub(crate) fn coerce_to(v: Value, dtype: DataType) -> Value {
+    match (v, dtype) {
+        (Value::Int(i), DataType::Float) => Value::Float(i as f64),
+        (v, _) => v,
+    }
 }

@@ -569,6 +569,28 @@ mod tests {
         assert_eq!(out.into_result().rows, db.execute(sql).unwrap().rows);
     }
 
+    /// The Figure 1 query stays on lanes from the scan to the result: the
+    /// arithmetic conjunct is decided on the scan's lanes, the semi-join
+    /// appends its result lane to them, and the filter on the result and
+    /// the final projection pick lanes. No row is built before the caller
+    /// asks for them.
+    #[test]
+    fn the_paper_query_leaves_the_executor_as_lanes() {
+        let db = stock_db(NetworkSpec::modem_28_8());
+        let sql = "SELECT S.Name, S.Report FROM StockQuotes S \
+                   WHERE S.Change / S.Close > 0.2 AND ClientAnalysis(S.Quotes) > 500";
+        assert!(db.explain(sql).unwrap().contains("[semi-join"));
+        let (graph, plan) = db.optimize(sql).unwrap();
+        let out = execute_threaded(&db, &graph, &plan, &CancelToken::new()).unwrap();
+        assert!(!out.batches.is_empty());
+        for batch in &out.batches {
+            assert!(batch.lanes().is_some() && !batch.is_materialized());
+        }
+        let rows = out.into_result().rows;
+        assert!(!rows.is_empty());
+        assert_eq!(rows, db.execute(sql).unwrap().rows);
+    }
+
     /// A plain scan decodes only what the plan reads. A scan under an
     /// `ApplyUdf` decodes everything, under either strategy: the client-site
     /// join ships the record it is given, so narrowing it would change what

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use csq_common::{CsqError, Field, Result, Row, RowBatch, Schema, Value, DEFAULT_BATCH_SIZE};
 use csq_expr::PhysExpr;
-use csq_storage::{FilterSpec, ScanStats, Table, TableScan};
+use csq_storage::{Conjuncts, FilterSpec, ScanStats, Table, TableScan};
 
 /// A pull operator: [`Operator::next_batch`] is the one way to drive it.
 pub trait Operator {
@@ -115,7 +115,7 @@ pub(crate) use batch_operator;
 /// for them (DESIGN.md §2). The [`Filter`] above remains authoritative for
 /// row-level semantics: it decides the same compiled conjuncts again, with
 /// the same lane rule where no row can raise and the row rule
-/// ([`FilterSpec::eval`]) elsewhere. The scan removes nothing the filter
+/// ([`Conjuncts::eval`]) elsewhere. The scan removes nothing the filter
 /// would not have mapped to FALSE/UNKNOWN, and never a row it would have
 /// raised an error on. The oracle this scan is differentially tested
 /// against is the general evaluator over `Table::snapshot()`.
@@ -205,23 +205,22 @@ batch_operator!(RowsOp, hint: |s: &RowsOp| Some(s.rows.len()));
 /// Filter rows by a bound predicate, batch by batch.
 ///
 /// The predicate is split once, by the compiler the scan uses
-/// ([`FilterSpec::split`]). When the leading `column <cmp> literal`
-/// conjuncts — in either orientation, a single comparison included — are
-/// the whole predicate and a lane-backed batch pairs each with a lane no row
-/// of which can raise ([`FilterSpec::select_lanes`]), they are decided on
-/// the lanes by the scan's own lane rule: the batch's selection is narrowed
-/// and its lanes passed on, and no row is built. Every other batch takes the
-/// row path and is compacted in place (kept rows are moved, never cloned):
-/// the prefix is decided by the storage layer's row rule
-/// ([`FilterSpec::eval`], no expression-tree walk and no per-row `Value`
-/// clone), whatever follows it by the general evaluator. Either way it is
-/// the general evaluator's answer on every row: same rows, same error on
-/// the same row.
+/// ([`Conjuncts::split`]): its leading `column <cmp> literal` and arithmetic
+/// `(x ⊕ y) <cmp> literal` conjuncts, in either orientation, are compiled.
+/// When they are the whole predicate and no selected row of a lane-backed
+/// batch can raise on them ([`Conjuncts::select_lanes`]), they are decided
+/// on the lanes by the scan's own lane rule: the batch's selection is
+/// narrowed and its lanes passed on, and no row is built. Every other batch
+/// takes the row path and is compacted in place (kept rows are moved, never
+/// cloned): the prefix is decided by the storage layer's row rule
+/// ([`Conjuncts::eval`]), whatever follows it by the general evaluator.
+/// Either way it is the general evaluator's answer on every row: same rows,
+/// same error on the same row.
 pub struct Filter {
     input: Box<dyn Operator + Send>,
     predicate: PhysExpr,
     /// `predicate`'s compiled prefix.
-    spec: Option<FilterSpec>,
+    prefix: Option<Conjuncts>,
     /// `predicate`'s conjuncts after the prefix.
     residual: Option<PhysExpr>,
     schema: Arc<Schema>,
@@ -231,11 +230,11 @@ impl Filter {
     /// Wrap `input` with `predicate`.
     pub fn new(input: Box<dyn Operator + Send>, predicate: PhysExpr) -> Filter {
         let schema = Arc::new(input.schema().clone());
-        let (spec, residual) = FilterSpec::split(&predicate);
+        let (prefix, residual) = Conjuncts::split(&predicate);
         Filter {
             input,
             predicate,
-            spec,
+            prefix,
             residual,
             schema,
         }
@@ -246,13 +245,14 @@ impl Filter {
     /// residual may still raise), and the row is kept only when both halves
     /// hold.
     fn keeps(&self, row: &Row) -> Result<bool> {
-        let prefix = match &self.spec {
-            Some(spec) => match spec.eval(row) {
+        let prefix = match &self.prefix {
+            Some(prefix) => match prefix.eval(row) {
                 Ok(verdict) => verdict,
                 // A compiled conjunct raised, so the row fails the query; the
-                // general evaluator words the error. A compiled conjunct is
-                // always `column <cmp> literal`, and a comparison error names
-                // its operands in the order the predicate wrote them.
+                // general evaluator words the error. It meets the same error
+                // on the same conjunct — every one before it was TRUE or
+                // UNKNOWN — and names a comparison's operands in the order
+                // the predicate wrote them.
                 Err(_) => return self.predicate.eval_predicate(row),
             },
             None => Some(true),
@@ -272,8 +272,8 @@ impl Filter {
             let Some(batch) = self.input.next_batch()? else {
                 return Ok(None);
             };
-            if let (Some(spec), Some((lanes, sel))) = (&self.spec, batch.lanes()) {
-                if let Some(kept) = spec.select_lanes(lanes, sel) {
+            if let (Some(prefix), Some((lanes, sel))) = (&self.prefix, batch.lanes()) {
+                if let Some(kept) = prefix.select_lanes(lanes, sel) {
                     if kept.is_empty() {
                         continue;
                     }
@@ -750,6 +750,59 @@ mod tests {
                 }
                 (f, o) => panic!("{pred:?}: {f:?} vs {o:?}"),
             }
+        }
+    }
+
+    /// A zero divisor raises even when a later conjunct is FALSE: the
+    /// general evaluator computes `a / b` first, and so does the filter, on
+    /// rows and on lanes alike.
+    #[test]
+    fn filter_raises_on_a_zero_divisor_before_a_false_conjunct() {
+        use csq_common::{Lane, Selection};
+        use csq_expr::BinaryOp::{And, Div, Eq, Gt};
+        let schema = Arc::new(Schema::new(
+            ["a", "b", "c"]
+                .map(|n| Field::new(n, DataType::Int))
+                .to_vec(),
+        ));
+        let rows = vec![Row::new(vec![Value::Int(1), Value::Int(0), Value::Int(4)])];
+        let bin = |left, op, right| PhysExpr::Binary {
+            left: Box::new(left),
+            op,
+            right: Box::new(right),
+        };
+        let (col, lit) = (PhysExpr::Column, PhysExpr::Literal);
+        let pred = bin(
+            bin(bin(col(0), Div, col(1)), Gt, lit(Value::Int(0))),
+            And,
+            bin(col(2), Eq, lit(Value::Int(5))),
+        );
+        let oracle = pred.eval_predicate(&rows[0]).unwrap_err();
+        assert_eq!(oracle.to_string(), "exec error: division by zero");
+        let lanes = (0..3).map(|c| Arc::new(Lane::build(&rows, c))).collect();
+        for batch in [
+            RowBatch::from_rows(schema.clone(), rows.clone()),
+            RowBatch::from_lanes(schema.clone(), lanes, Selection::Window(0..1)),
+        ] {
+            let source = Box::new(OneBatch(schema.clone(), Some(batch)));
+            let err = collect(&mut Filter::new(source, pred.clone())).unwrap_err();
+            assert_eq!(
+                (err.kind(), err.to_string()),
+                (oracle.kind(), oracle.to_string())
+            );
+        }
+    }
+
+    /// Hands out one batch as it is.
+    struct OneBatch(Arc<Schema>, Option<RowBatch>);
+
+    impl Operator for OneBatch {
+        fn schema(&self) -> &Schema {
+            &self.0
+        }
+
+        fn next_batch(&mut self) -> Result<Option<RowBatch>> {
+            Ok(self.1.take())
         }
     }
 

@@ -1,26 +1,35 @@
 //! Threaded execution of the three strategies over a real endpoint.
 //!
 //! The architecture is Figure 3/4 of the paper: a *sender* thread pulls
-//! input rows, ships argument (or whole-record) batches to the client, and —
-//! for the semi-join — hands the full records, one message's span per
+//! input batches, ships argument (or whole-record) batches to the client,
+//! and — for the semi-join — hands the records, one message's span per
 //! hand-off, to the *receiver* under **credit back-pressure**: at most the
 //! pipeline concurrency factor's worth of spans are unpaired at once. The
 //! receiver is the operator itself (the calling thread): it takes records,
 //! pairs them with results arriving from the client, and emits joined rows.
 //! The client runs in its own thread (see [`csq_client::spawn_client`]).
 //!
+//! A lane-backed input stays lanes (DESIGN.md §2): the semi-join numbers
+//! arguments from the lanes, hands off the shared lanes with the records'
+//! ordinals and appends one result lane per UDF to them; rows get their
+//! results pushed on in place.
+//!
 //! The operators carry the endpoints' clocks, so the same code runs in real
 //! time over an in-memory or TCP duplex and in virtual time over
 //! [`csq_net::virtual_duplex`] (see [`crate::sim`]): a receive moves the
 //! receiver's clock, and a credit moves the sender's.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
-use csq_common::{ArgIndex, CsqError, Result, Row, RowBatch, Schema, DEFAULT_BATCH_SIZE};
+use csq_common::codec::encode_batch_rows;
+use csq_common::{
+    ArgIndex, CsqError, Lane, Result, Row, RowBatch, Schema, Selection, Value, DEFAULT_BATCH_SIZE,
+};
 use csq_exec::{Operator, Sort};
 use csq_net::{Endpoint, NetReceiver, NetSender, SimTime};
 
@@ -28,13 +37,61 @@ use csq_client::{Request, Response};
 
 use crate::spec::{ClientJoinSpec, SemiJoinSpec};
 
-/// A record in the sender → receiver buffer.
-struct Rec {
-    row: Row,
-    /// Shipping ordinal of the record's argument tuple: the sender numbers
-    /// distinct arguments in the order it ships them, which is the order
-    /// their results come back in.
-    arg: usize,
+/// Records of one input batch — its shared lanes and the records' lane
+/// ordinals, or its rows — with, per record, the shipping ordinal of its
+/// argument tuple (`args`, in the sender → receiver buffer: results come
+/// back in that order) or its result cells (`cells`, one per UDF, in the
+/// receiver's output).
+#[derive(Default)]
+struct Records {
+    lanes: Option<Vec<Arc<Lane>>>,
+    ords: Vec<usize>,
+    rows: Vec<Row>,
+    args: Vec<usize>,
+    cells: Vec<Value>,
+}
+
+impl Records {
+    fn len(&self) -> usize {
+        self.ords.len() + self.rows.len()
+    }
+
+    /// The records staged so far; `self` goes on empty, over the same lanes.
+    fn split(&mut self) -> Records {
+        Records {
+            lanes: self.lanes.clone(),
+            ords: std::mem::take(&mut self.ords),
+            rows: std::mem::take(&mut self.rows),
+            args: std::mem::take(&mut self.args),
+            cells: Vec::new(),
+        }
+    }
+
+    /// True when `other`'s records may join these in one batch.
+    fn takes(&self, other: &Records) -> bool {
+        match (&self.lanes, &other.lanes) {
+            _ if self.len() == 0 => true,
+            (Some(a), Some(b)) => a.iter().zip(b).all(|(a, b)| Arc::ptr_eq(a, b)),
+            (a, b) => a.is_none() && b.is_none(),
+        }
+    }
+
+    /// The output batch: on lanes, the input lanes plus one lane per result
+    /// column, typed as a sealed column of the results would be.
+    fn into_batch(self, schema: &Arc<Schema>) -> Option<RowBatch> {
+        let Some(mut lanes) = self.lanes else {
+            return (!self.rows.is_empty()).then(|| RowBatch::from_rows(schema.clone(), self.rows));
+        };
+        let len = self.ords.iter().max().map_or(0, |m| m + 1);
+        let width = schema.len() - lanes.len();
+        for k in 0..width {
+            let cells = self.cells.iter().skip(k).step_by(width);
+            let cells = self.ords.iter().copied().zip(cells);
+            lanes.push(Arc::new(Lane::from_cells(len, cells)));
+        }
+        let sel = Selection::Rows(self.ords);
+        Some(RowBatch::from_lanes(schema.clone(), lanes, sel))
+    }
 }
 
 /// Decode one received response message to its rows; `closed` is the
@@ -57,11 +114,13 @@ pub struct ThreadedSemiJoin {
     schema: Arc<Schema>,
     /// One item per hand-off: the records of a shipped span, or the
     /// sender's failure (input error or network error).
-    buffer_rx: Receiver<Result<Vec<Rec>>>,
+    buffer_rx: Receiver<Result<Vec<Records>>>,
     /// One credit per paired hand-off, stamped with the receiver's clock.
     credits_tx: Sender<SimTime>,
-    /// The span being paired.
-    span: std::vec::IntoIter<Rec>,
+    /// The hand-off being paired, and how many records of its first piece
+    /// are paired.
+    span: VecDeque<Records>,
+    paired: usize,
     net_rx: NetReceiver,
     /// Results by shipping ordinal, from `received - results.len()` up:
     /// every one for unsorted input, the latest for sorted input
@@ -99,7 +158,8 @@ impl ThreadedSemiJoin {
             schema,
             buffer_rx,
             credits_tx,
-            span: Vec::new().into_iter(),
+            span: VecDeque::new(),
+            paired: 0,
             net_rx,
             results: Vec::new(),
             received: 0,
@@ -122,11 +182,11 @@ impl ThreadedSemiJoin {
         }
     }
 
-    /// Pair one buffered record with its UDF result: the next row of the
-    /// response stream for a newly shipped argument, the kept one for a
-    /// duplicate.
-    fn pair(&mut self, rec: Rec) -> Result<Row> {
-        if rec.arg == self.received {
+    /// The position in `results` of the result for shipping ordinal `arg`:
+    /// the next row of the response stream for a newly shipped argument,
+    /// the kept one for a duplicate.
+    fn result(&mut self, arg: usize) -> Result<usize> {
+        if arg == self.received {
             let result = self.next_result()?;
             if self.sorted {
                 self.results.clear();
@@ -135,33 +195,50 @@ impl ThreadedSemiJoin {
             self.received += 1;
         }
         let first = self.received - self.results.len();
-        let result = rec
-            .arg
-            .checked_sub(first)
-            .and_then(|i| self.results.get(i))
+        arg.checked_sub(first)
+            .filter(|&i| i < self.results.len())
             .ok_or_else(|| {
                 CsqError::Exec(
                     "semi-join receiver: no result received for a record's \
                      argument (sender/receiver protocol violation)"
                         .into(),
                 )
-            })?;
-        Ok(rec.row.join(result))
+            })
     }
 
-    /// The next buffered record: from the span in hand, else from the next
-    /// hand-off. `None` once the sender has finished and the buffer drained.
-    fn next_rec(&mut self) -> Option<Result<Rec>> {
-        loop {
-            if let Some(rec) = self.span.next() {
-                return Some(Ok(rec));
+    /// Pair the next buffered record with its result into `out`; once its
+    /// hand-off is paired, its slot goes back to the sender.
+    fn pair(&mut self, out: &mut Records) -> Result<()> {
+        let missing = || CsqError::Exec("semi-join receiver: no record to pair".into());
+        let arg = self.span.front().and_then(|p| p.args.get(self.paired));
+        let result = self.result(*arg.ok_or_else(missing)?)?;
+        let (piece, result) = self
+            .span
+            .front_mut()
+            .zip(self.results.get(result))
+            .ok_or_else(missing)?;
+        if let Some(lanes) = &piece.lanes {
+            out.lanes.get_or_insert_with(|| lanes.clone());
+            out.ords.push(piece.ords[self.paired]);
+            out.cells.extend_from_slice(result.values());
+        } else {
+            let mut row = std::mem::take(&mut piece.rows[self.paired]);
+            for v in result.values() {
+                row.push_value(v.clone());
             }
-            match self.buffer_rx.recv() {
-                Ok(Ok(span)) => self.span = span.into_iter(),
-                Ok(Err(e)) => return Some(Err(e)),
-                Err(_) => return None,
+            out.rows.push(row);
+        }
+        self.paired += 1;
+        if self.paired == piece.args.len() {
+            self.span.pop_front();
+            self.paired = 0;
+            if self.span.is_empty() {
+                // At the receiver's time. A sender that is gone needs no
+                // credit.
+                let _ = self.credits_tx.send(self.net_rx.now());
             }
         }
+        Ok(())
     }
 
     fn join_sender(&mut self) {
@@ -180,41 +257,35 @@ impl Operator for ThreadedSemiJoin {
         if self.failed {
             return Ok(None);
         }
-        let mut rows = Vec::new();
-        while rows.len() < DEFAULT_BATCH_SIZE {
-            let joined = match self.next_rec() {
-                None => {
-                    self.join_sender();
-                    break;
-                }
-                Some(Err(e)) => {
-                    self.join_sender();
-                    Err(e)
-                }
-                Some(Ok(rec)) => self.pair(rec),
-            };
-            match joined {
-                Ok(row) => {
-                    rows.push(row);
-                    if self.span.as_slice().is_empty() {
-                        // The hand-off is paired: its slot goes back to the
-                        // sender, at the receiver's time. A sender that is
-                        // gone needs no credit.
-                        let _ = self.credits_tx.send(self.net_rx.now());
+        let mut out = Records::default();
+        while out.len() < DEFAULT_BATCH_SIZE {
+            if self.span.is_empty() {
+                match self.buffer_rx.recv() {
+                    Ok(Ok(span)) => self.span = span.into(),
+                    Ok(Err(e)) => {
+                        self.join_sender();
+                        self.failed = true;
+                        return Err(e);
+                    }
+                    Err(_) => {
+                        self.join_sender();
+                        break;
                     }
                 }
-                Err(e) => {
-                    // Latch: the partial batch is discarded and every later
-                    // pull reports end of stream.
-                    self.failed = true;
-                    return Err(e);
-                }
+            }
+            // A piece over other lanes than the batch's, or rows after
+            // lanes, starts the next batch.
+            if !self.span.front().is_some_and(|p| out.takes(p)) {
+                break;
+            }
+            if let Err(e) = self.pair(&mut out) {
+                // Latch: the partial batch is discarded and every later
+                // pull reports end of stream.
+                self.failed = true;
+                return Err(e);
             }
         }
-        if rows.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(RowBatch::from_rows(self.schema.clone(), rows)))
+        Ok(out.into_batch(&self.schema))
     }
 }
 
@@ -247,26 +318,24 @@ impl Numbering {
         }
     }
 
-    /// The shipping ordinal of `row`'s arguments, numbered if they are new.
-    fn number(&mut self, row: &Row) -> usize {
+    /// The shipping ordinal of the arguments whose cell at column `c` is
+    /// `cell(c)`, numbered if they are new.
+    fn number<'v>(&mut self, cell: impl Fn(usize) -> Cow<'v, Value>) -> usize {
         if !self.sorted {
-            let (arg, _) = self.index.insert(row);
+            let (arg, _) = self.index.insert_by(cell);
             self.numbered = self.index.len();
             return arg;
         }
         let cols = self.index.cols();
-        let same = |prev: &Row| {
-            cols.iter()
-                .zip(prev.values())
-                .all(|(&c, v)| row.value(c) == v)
-        };
+        let same = |prev: &Row| cols.iter().zip(prev.values()).all(|(&c, v)| *cell(c) == *v);
         if !self
             .span
             .last()
             .or(self.sent_last.as_ref())
             .is_some_and(same)
         {
-            self.span.push(row.project(cols));
+            let args = Row::new(cols.iter().map(|&c| cell(c).into_owned()).collect());
+            self.span.push(args);
             self.numbered += 1;
         }
         self.numbered - 1
@@ -297,16 +366,17 @@ impl Numbering {
 /// slot, send its message and hand the staged records to the receiver.
 /// Consumes the input operator one [`RowBatch`] at a time (the sorted mode
 /// wraps it in a `Sort`, which itself streams batches out of its
-/// materialized buffer). The receiver finds a record's result by its
-/// argument's shipping ordinal. Records are handed off only after every
-/// argument they refer to is on the wire — the sender/receiver pairing
-/// protocol — and one hand-off carries all of a message's records.
+/// materialized buffer), a lane batch read and staged as its lanes. The
+/// receiver finds a record's result by its argument's shipping ordinal.
+/// Records are handed off only after every argument they refer to is on the
+/// wire — the sender/receiver pairing protocol — and one hand-off carries
+/// all of a message's records.
 fn semijoin_sender(
     input: Box<dyn Operator + Send>,
     task: csq_client::ClientTask,
     spec: SemiJoinSpec,
     net_tx: NetSender,
-    buffer_tx: Sender<Result<Vec<Rec>>>,
+    buffer_tx: Sender<Result<Vec<Records>>>,
     credits_rx: Receiver<SimTime>,
 ) {
     if net_tx.send(Request::Install(task).encode()).is_err() {
@@ -325,7 +395,7 @@ fn semijoin_sender(
 
     let mut args = Numbering::new(arg_cols, sorted);
     // The records staged since the last hand-off.
-    let mut staged: Vec<Rec> = Vec::new();
+    let mut staged: Vec<Records> = Vec::new();
     // K is in tuples and a hand-off is a span of `batch_size` shipped
     // arguments, so ⌈K/m⌉ hand-offs may be unpaired at once.
     let slots = spec.concurrency.div_ceil(batch_size).max(1);
@@ -335,7 +405,7 @@ fn semijoin_sender(
     // sender's clock up to each credit's stamp), send the message, release
     // the records. False when the client or the receiver (e.g. under a
     // LIMIT) is gone: stop quietly.
-    let mut hand_off = |msg: Option<Vec<u8>>, staged: &mut Vec<Rec>| {
+    let mut hand_off = |msg: Option<Vec<u8>>, staged: &mut Vec<Records>| {
         while unpaired >= slots {
             let Ok(at) = credits_rx.recv() else {
                 return false;
@@ -363,12 +433,40 @@ fn semijoin_sender(
                 return;
             }
         };
-        for row in batch.into_rows() {
-            let arg = args.number(&row);
-            staged.push(Rec { row, arg });
-            if args.open() >= batch_size && !hand_off(Some(args.message()), &mut staged) {
-                return;
+        let n = batch.len();
+        let (lanes, sel, rows) = match batch.lanes() {
+            Some((lanes, sel)) => (Some(lanes.to_vec()), sel.clone(), Vec::new()),
+            None => (None, Selection::Window(0..0), batch.into_rows()),
+        };
+        let mut rows = rows.into_iter();
+        let mut piece = Records {
+            lanes,
+            ..Records::default()
+        };
+        for p in 0..n {
+            match &piece.lanes {
+                Some(lanes) => {
+                    let i = sel.ordinal(p);
+                    piece.args.push(args.number(|c| lanes[c].cell(i)));
+                    piece.ords.push(i);
+                }
+                None => {
+                    let Some(row) = rows.next() else { break };
+                    piece
+                        .args
+                        .push(args.number(|c| Cow::Borrowed(row.value(c))));
+                    piece.rows.push(row);
+                }
             }
+            if args.open() >= batch_size {
+                staged.push(piece.split());
+                if !hand_off(Some(args.message()), &mut staged) {
+                    return;
+                }
+            }
+        }
+        if !piece.args.is_empty() {
+            staged.push(piece);
         }
         // With no span open, what is staged repeats shipped arguments: its
         // results are in flight or kept, so it needs no message of its own
@@ -478,9 +576,10 @@ impl Operator for ThreadedClientJoin {
 
 /// Sender-thread body for the client-site join: consumes operator batches
 /// directly and re-chunks them into `batch_size`-row wire messages (so byte
-/// and message accounting is independent of the engine's batch capacity).
-/// Chunk, send, ticket: a message's ticket is issued only once it is on the
-/// wire.
+/// and message accounting is independent of the engine's batch capacity),
+/// written by [`encode_batch_rows`] from rows or lanes alike; a short last
+/// chunk has its row count patched. Chunk, send, ticket: a message's ticket
+/// is issued only once it is on the wire.
 fn client_join_sender(
     input: Box<dyn Operator + Send>,
     task: csq_client::ClientTask,
@@ -500,12 +599,9 @@ fn client_join_sender(
     };
 
     // False when the client or the receiver is gone: stop quietly.
-    let ship_chunk = |rows: &mut Vec<Row>| {
-        let msg = Request::encode_batch(rows.iter().map(Row::values));
-        rows.clear();
-        net_tx.send(msg).is_ok() && tickets_tx.send(Ok(())).is_ok()
-    };
-    let mut pending: Vec<Row> = Vec::with_capacity(batch_size);
+    let ship_chunk = |msg: Vec<u8>| net_tx.send(msg).is_ok() && tickets_tx.send(Ok(())).is_ok();
+    let mut msg = Request::batch_head(batch_size);
+    let mut pending = 0;
     loop {
         let batch = match source.next_batch() {
             Ok(Some(b)) => b,
@@ -517,15 +613,25 @@ fn client_join_sender(
                 return;
             }
         };
-        for row in batch.into_rows() {
-            pending.push(row);
-            if pending.len() >= batch_size && !ship_chunk(&mut pending) {
-                return;
+        let mut pos = 0;
+        while pos < batch.len() {
+            let take = (batch_size - pending).min(batch.len() - pos);
+            encode_batch_rows(&batch, pos..pos + take, &mut msg);
+            (pos, pending) = (pos + take, pending + take);
+            if pending == batch_size {
+                pending = 0;
+                if !ship_chunk(std::mem::replace(&mut msg, Request::batch_head(batch_size))) {
+                    return;
+                }
             }
         }
     }
-    if !pending.is_empty() && !ship_chunk(&mut pending) {
-        return;
+    if pending > 0 {
+        let head = Request::batch_head(pending);
+        msg[..head.len()].copy_from_slice(&head);
+        if !ship_chunk(msg) {
+            return;
+        }
     }
     let _ = net_tx.send(Request::Finish.encode());
 }
@@ -535,7 +641,7 @@ mod tests {
     use super::*;
     use crate::spec::UdfApplication;
     use csq_client::{spawn_client, ClientRuntime};
-    use csq_common::{Blob, DataType, Field, Value};
+    use csq_common::{Blob, DataType, Field};
     use csq_exec::{collect, RowsOp};
     use csq_expr::{BinaryOp, PhysExpr};
     use csq_net::in_memory_duplex;
@@ -981,6 +1087,56 @@ mod tests {
             spec.batch_size = 4;
             Box::new(ThreadedSemiJoin::new(input, spec, server).unwrap())
         });
+    }
+
+    /// Hands out `batches` as they are.
+    struct Batches(Arc<Schema>, std::vec::IntoIter<RowBatch>);
+
+    impl Operator for Batches {
+        fn schema(&self) -> &Schema {
+            &self.0
+        }
+
+        fn next_batch(&mut self) -> Result<Option<RowBatch>> {
+            Ok(self.1.next())
+        }
+    }
+
+    #[test]
+    fn semijoin_appends_typed_result_lanes_to_the_input_lanes() {
+        // Two batches over one set of lanes, every other row selected: the
+        // output is one batch over the same lanes plus a BLOB result lane
+        // (`Values`) and a BOOL one, under the records' ordinals.
+        let data = rows(40, 7);
+        let lanes: Vec<Arc<Lane>> = (0..2).map(|c| Arc::new(Lane::build(&data, c))).collect();
+        let schema = Arc::new(input_schema());
+        let batches = [(0..20), (20..40)].map(|half| {
+            let sel = Selection::Rows(half.filter(|i| i % 2 == 1).collect());
+            RowBatch::from_lanes(schema.clone(), lanes.clone(), sel)
+        });
+        let (server, client, _) = in_memory_duplex();
+        let handle = spawn_client(runtime(), client).unwrap();
+        let apps = || {
+            let keep = UdfApplication::new("Keep", vec![1], Field::new("keep", DataType::Bool));
+            vec![analyze_app(), keep]
+        };
+        let mut spec = SemiJoinSpec::new(apps(), 4);
+        spec.batch_size = 3;
+        let input = Box::new(Batches(schema, Vec::from(batches).into_iter()));
+        let mut op = ThreadedSemiJoin::new(input, spec, server).unwrap();
+        let out = op.next_batch().unwrap().unwrap();
+        assert!(op.next_batch().unwrap().is_none());
+        drop(op);
+        let _ = handle.join().unwrap();
+        let (out_lanes, sel) = out.lanes().expect("lane output");
+        assert!(!out.is_materialized());
+        assert_eq!(sel.len(), 20);
+        assert!(Arc::ptr_eq(&out_lanes[0], &lanes[0]) && Arc::ptr_eq(&out_lanes[1], &lanes[1]));
+        assert!(matches!(*out_lanes[2], Lane::Values(_)));
+        assert!(matches!(*out_lanes[3], Lane::Bool { .. }));
+        let odd: Vec<Row> = data.iter().skip(1).step_by(2).cloned().collect();
+        let expect = run_semijoin(SemiJoinSpec::new(apps(), 4), odd).unwrap();
+        assert_eq!(out.into_rows(), expect);
     }
 
     #[test]

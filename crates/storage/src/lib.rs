@@ -29,7 +29,7 @@
 mod scan;
 mod segment;
 
-pub use scan::{CmpOp, ColPred, FilterSpec, ScanStats, TableScan};
+pub use scan::{CmpOp, ColPred, Conjuncts, FilterSpec, ScanStats, TableScan};
 pub use segment::{ColumnSeg, Segment, SegmentZones, ZoneMap, DEFAULT_SEGMENT_ROWS};
 
 use std::collections::HashMap;

@@ -50,27 +50,33 @@
 //! raises on is the same row with or without the scan's help. A run has its
 //! own zone maps, so a tail row meets the same rule as any other.
 //!
-//! This module is the workspace's one predicate compiler. What a pushable
-//! conjunct is, is decided once ([`FilterSpec::split`]); how one is decided
-//! on a value, twice — [`FilterSpec::eval`] on a row, a `LaneTest` on a
-//! bare [`Lane`], both over the same [`ColPred`] and the one comparison
-//! truth table ([`BinaryOp::accepts`]). The lane rule has two callers. The
-//! scan runs it on a segment's lanes, for the prefix the zone maps proved
-//! error-free there. `csq_exec::Filter` runs it on a lane batch's lanes
-//! through [`FilterSpec::select_lanes`], for a `complete` spec whose every
-//! conjunct is a typed pairing that cannot raise — the lane form of a
-//! clean conjunct — and narrows the batch's selection instead of building
-//! rows. Every other batch reaches `Filter`'s row path: `eval` for the
-//! prefix, the general evaluator for the conjuncts after it.
+//! This module is the workspace's one predicate compiler. What a compiled
+//! conjunct is, is decided once ([`Conjuncts::split`]): `column <cmp>
+//! literal`, or an arithmetic `(x ⊕ y) <cmp> literal` over columns and
+//! literals (at least one column; ⊕ one of + − × ÷), in either
+//! orientation. An arithmetic conjunct is opaque to zone maps — a column's
+//! bounds do not bound a quotient — so the scan's spec
+//! ([`FilterSpec::from_phys`]) stops in front of it. How a conjunct is
+//! decided, twice — [`Conjuncts::eval`] on a row, a `LaneTest` on a bare
+//! [`Lane`] — over the one comparison truth table ([`BinaryOp::accepts`]);
+//! a term is computed by the general evaluator's arithmetic on both, into a
+//! lane of its own on lanes. The lane rule has two callers. The scan runs
+//! it on a segment's lanes, for the prefix the zone maps proved error-free
+//! there. `csq_exec::Filter` runs it on a lane batch through
+//! [`Conjuncts::select_lanes`] when every conjunct is compiled and no
+//! selected row can raise, and narrows the batch's selection instead of
+//! building rows. Every other batch reaches `Filter`'s row path.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
 use csq_common::lane::wide;
 use csq_common::{
-    each_width, CsqError, Lane, NullBitmap, Result, Row, RowBatch, Schema, Selection, Value,
+    each_width, Lane, NullBitmap, Result, Row, RowBatch, Schema, Selection, Value,
     DEFAULT_BATCH_SIZE,
 };
+use csq_expr::physical::eval_binary;
 use csq_expr::{BinaryOp, PhysExpr};
 
 use crate::segment::{Segment, ZoneMap};
@@ -119,6 +125,22 @@ impl CmpOp {
             CmpOp::GtEq => CmpOp::LtEq,
         }
     }
+
+    /// The comparison decided on one value against `lit`, three-valued:
+    /// `None` is UNKNOWN (a NULL operand, a NaN ordering). The numeric
+    /// pairings every conjunct in practice has are compared in place;
+    /// everything else — cross-type pairs and their typed errors included —
+    /// is [`Value::sql_cmp`]'s to decide.
+    #[inline]
+    fn test(self, v: &Value, lit: &Value) -> Result<Option<bool>> {
+        let ord = match (v, lit) {
+            (Value::Float(a), Value::Float(b)) => a.partial_cmp(b),
+            (Value::Int(a), Value::Float(b)) => (*a as f64).partial_cmp(b),
+            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
+            _ => v.sql_cmp(lit)?,
+        };
+        Ok(ord.map(|o| self.binary().accepts(o)))
+    }
 }
 
 /// One pushed conjunct: `column <op> literal` with the column resolved to
@@ -133,21 +155,57 @@ pub struct ColPred {
     pub lit: Value,
 }
 
-impl ColPred {
-    /// The conjunct decided on one value of its column, three-valued: `None`
-    /// is UNKNOWN (a NULL operand, a NaN ordering). The numeric pairings every
-    /// scan predicate in practice has are compared in place; everything else
-    /// — cross-type pairs and their typed errors included — is
-    /// [`Value::sql_cmp`]'s to decide.
+/// One conjunct the filter compiles: `term <op> lit`, the term a column or
+/// an arithmetic `x ⊕ y` over columns and literals.
+#[derive(Debug, Clone)]
+struct Conjunct {
+    term: PhysExpr,
+    op: CmpOp,
+    lit: Value,
+}
+
+impl Conjunct {
+    /// The row rule: the column's value, or the term as the general
+    /// evaluator computes it (raising what it raises), against the literal.
     #[inline]
-    fn test(&self, v: &Value) -> Result<Option<bool>> {
-        let ord = match (v, &self.lit) {
-            (Value::Float(a), Value::Float(b)) => a.partial_cmp(b),
-            (Value::Int(a), Value::Float(b)) => (*a as f64).partial_cmp(b),
-            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
-            _ => v.sql_cmp(&self.lit)?,
+    fn test(&self, row: &Row) -> Result<Option<bool>> {
+        match &self.term {
+            PhysExpr::Column(c) if *c < row.len() => self.op.test(row.value(*c), &self.lit),
+            term => self.op.test(&term.eval(row)?, &self.lit),
+        }
+    }
+
+    /// The term on a lane batch: a column's lane, or `x ⊕ y` computed by
+    /// `eval_binary` on the selected rows into a lane as long as its column
+    /// operand's, typed as a sealed column of the results would be. `None`
+    /// for an ordinal past the lanes or when some selected row raises.
+    fn lane<'a>(&self, lanes: &'a [Arc<Lane>], sel: &Selection) -> Option<Cow<'a, Lane>> {
+        let PhysExpr::Binary { left, op, right } = &self.term else {
+            let PhysExpr::Column(c) = self.term else {
+                return None;
+            };
+            return lanes.get(c).map(|l| Cow::Borrowed(&**l));
         };
-        Ok(ord.map(|o| self.op.binary().accepts(o)))
+        let value = |e: &PhysExpr, i| match e {
+            PhysExpr::Column(c) => lanes.get(*c).map(|l| l.value(i)),
+            PhysExpr::Literal(v) => Some(v.clone()),
+            _ => None,
+        };
+        let len = [left, right].iter().find_map(|e| match &***e {
+            PhysExpr::Column(c) => lanes.get(*c).map(|l| l.len()),
+            _ => None,
+        })?;
+        let mut cells = Vec::with_capacity(sel.len());
+        sel.try_for_each(sel.len(), |_, i| {
+            let (Some(l), Some(r)) = (value(left, i), value(right, i)) else {
+                return Err(());
+            };
+            cells.push((i, eval_binary(*op, &l, &r).map_err(drop)?));
+            Ok(())
+        })
+        .ok()?;
+        let lane = Lane::from_cells(len, cells.iter().map(|(i, v)| (*i, v)));
+        Some(Cow::Owned(lane))
     }
 }
 
@@ -160,6 +218,87 @@ pub struct FilterSpec {
     /// them is evaluated by the filter). Required for the
     /// disproof-with-unknowns pruning rule and for dropping UNKNOWN rows.
     pub complete: bool,
+}
+
+/// The compiled prefix of a filter's predicate: the longest run of leading
+/// conjuncts that are `column <cmp> literal` or arithmetic, in evaluation
+/// order.
+#[derive(Debug, Clone)]
+pub struct Conjuncts {
+    conjuncts: Vec<Conjunct>,
+    /// True when nothing follows the prefix.
+    complete: bool,
+}
+
+impl Conjuncts {
+    /// Compile the prefix of a bound predicate and return what it leaves:
+    /// the conjuncts after it, re-joined in evaluation order. Evaluating
+    /// the prefix with [`eval`](Self::eval) and then the residual is
+    /// evaluating `pred`.
+    pub fn split(pred: &PhysExpr) -> (Option<Conjuncts>, Option<PhysExpr>) {
+        let mut flat = Vec::new();
+        flatten_and(pred, &mut flat);
+        let conjuncts: Vec<Conjunct> = flat.iter().map_while(|c| as_conjunct(c)).collect();
+        let residual = flat[conjuncts.len()..]
+            .iter()
+            .map(|&c| c.clone())
+            .reduce(|left, right| PhysExpr::Binary {
+                left: Box::new(left),
+                op: BinaryOp::And,
+                right: Box::new(right),
+            });
+        let prefix = (!conjuncts.is_empty()).then_some(Conjuncts {
+            conjuncts,
+            complete: residual.is_none(),
+        });
+        (prefix, residual)
+    }
+
+    /// The row rule: the conjuncts on one row, as the general evaluator
+    /// decides their conjunction — three-valued AND, left to right, stopping
+    /// at the first definite FALSE, an error (a comparison, an arithmetic
+    /// error, an ordinal the row does not have) raised if it is met before
+    /// one.
+    #[inline]
+    pub fn eval(&self, row: &Row) -> Result<Option<bool>> {
+        let mut verdict = Some(true);
+        for c in &self.conjuncts {
+            match c.test(row)? {
+                Some(false) => return Ok(Some(false)),
+                Some(true) => {}
+                None => verdict = None,
+            }
+        }
+        Ok(verdict)
+    }
+
+    /// The whole predicate decided on a lane batch: `sel` narrowed to the
+    /// rows on which every conjunct is TRUE. `None` — decide the batch's
+    /// rows instead — unless the prefix is `complete` and no selected row
+    /// can raise: every term is computed without an error, and each
+    /// conjunct's lane (a column's, or a term's) pairs with its literal so
+    /// that no comparison can (INT or FLOAT against INT or FLOAT, BOOL
+    /// against BOOL, a dictionary against a STR, any lane against NULL).
+    pub fn select_lanes(&self, lanes: &[Arc<Lane>], sel: &Selection) -> Option<Selection> {
+        if !self.complete {
+            return None;
+        }
+        let terms = self
+            .conjuncts
+            .iter()
+            .map(|c| c.lane(lanes, sel))
+            .collect::<Option<Vec<_>>>()?;
+        let tests = self
+            .conjuncts
+            .iter()
+            .zip(&terms)
+            .map(|(c, lane)| {
+                let test = LaneTest::new(lane, c.op, &c.lit);
+                test.typed().then_some((&**lane, test))
+            })
+            .collect::<Option<Vec<_>>>()?;
+        Some(narrow(sel, tests.iter().map(|(l, t)| (*l, t)), false))
+    }
 }
 
 /// How one conjunct relates to one segment's zone map.
@@ -227,32 +366,26 @@ impl FilterSpec {
     /// Compile the pushable prefix of a bound predicate: flatten the
     /// top-level AND chain and take the longest prefix of
     /// `column <cmp> literal` conjuncts, in either orientation (in evaluation
-    /// order). Returns `None` when not even the first conjunct is pushable.
+    /// order) — the leading column conjuncts of [`Conjuncts::split`]. Returns
+    /// `None` when not even the first conjunct is pushable.
     pub fn from_phys(pred: &PhysExpr) -> Option<FilterSpec> {
-        FilterSpec::split(pred).0
-    }
-
-    /// [`from_phys`](Self::from_phys) plus what it leaves: the conjuncts
-    /// after the pushable prefix, re-joined in evaluation order. Evaluating
-    /// the spec with [`eval`](Self::eval) and then the residual is evaluating
-    /// `pred`.
-    pub fn split(pred: &PhysExpr) -> (Option<FilterSpec>, Option<PhysExpr>) {
-        let mut conjuncts = Vec::new();
-        flatten_and(pred, &mut conjuncts);
-        let preds: Vec<ColPred> = conjuncts.iter().map_while(|c| as_col_pred(c)).collect();
-        let residual = conjuncts[preds.len()..]
+        let mut flat = Vec::new();
+        flatten_and(pred, &mut flat);
+        let preds: Vec<ColPred> = flat
             .iter()
-            .map(|&c| c.clone())
-            .reduce(|left, right| PhysExpr::Binary {
-                left: Box::new(left),
-                op: BinaryOp::And,
-                right: Box::new(right),
-            });
-        let spec = (!preds.is_empty()).then_some(FilterSpec {
+            .map_while(|c| match as_conjunct(c)? {
+                Conjunct {
+                    term: PhysExpr::Column(col),
+                    op,
+                    lit,
+                } => Some(ColPred { col, op, lit }),
+                _ => None,
+            })
+            .collect();
+        (!preds.is_empty()).then_some(FilterSpec {
+            complete: preds.len() == flat.len(),
             preds,
-            complete: residual.is_none(),
-        });
-        (spec, residual)
+        })
     }
 
     /// True when the spec proves the segment contributes no output rows
@@ -300,54 +433,6 @@ impl FilterSpec {
         }
         false
     }
-
-    /// The row rule: the conjuncts on one row, as the general evaluator
-    /// decides their conjunction — three-valued AND, left to right, stopping
-    /// at the first definite FALSE, a comparison error (or an ordinal the row
-    /// does not have) raised if it is met before one.
-    #[inline]
-    pub fn eval(&self, row: &Row) -> Result<Option<bool>> {
-        let mut verdict = Some(true);
-        for p in &self.preds {
-            let v = row.values().get(p.col).ok_or_else(|| {
-                CsqError::Exec(format!(
-                    "column ordinal {} out of bounds for row of width {}",
-                    p.col,
-                    row.len()
-                ))
-            })?;
-            match p.test(v)? {
-                Some(false) => return Ok(Some(false)),
-                Some(true) => {}
-                None => verdict = None,
-            }
-        }
-        Ok(verdict)
-    }
-
-    /// The whole spec decided on a lane batch: `sel` narrowed to the rows on
-    /// which every conjunct is TRUE. `None` — decide the batch's rows
-    /// instead — unless the spec is `complete` and every conjunct pairs its
-    /// lane with its literal so that no row can raise: an INT or FLOAT lane
-    /// against an INT or FLOAT literal, BOOL against BOOL, a dictionary
-    /// against a STR, any lane against NULL. A `Values` lane, a cross-type
-    /// literal or an ordinal past the lanes is left to the row rule, which
-    /// raises what the general evaluator would.
-    pub fn select_lanes(&self, lanes: &[Arc<Lane>], sel: &Selection) -> Option<Selection> {
-        if !self.complete {
-            return None;
-        }
-        let tests = self
-            .preds
-            .iter()
-            .map(|p| {
-                let lane = lanes.get(p.col)?;
-                let test = LaneTest::new(lane, p);
-                test.typed().then_some((&**lane, test))
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(narrow(sel, tests.iter().map(|(l, t)| (*l, t)), false))
-    }
 }
 
 /// One pushed conjunct compiled against one lane: the literal resolved to
@@ -376,10 +461,10 @@ enum LaneLit {
 }
 
 impl LaneTest {
-    /// Compile `pred` against `lane`, the lane of its column.
-    fn new(lane: &Lane, pred: &ColPred) -> LaneTest {
-        let op = pred.op.binary();
-        let lit = match (lane, &pred.lit) {
+    /// Compile `<op> lit` against `lane`, the lane of its column or term.
+    fn new(lane: &Lane, op: CmpOp, lit: &Value) -> LaneTest {
+        let op = op.binary();
+        let lit = match (lane, lit) {
             (_, Value::Null) => LaneLit::Null,
             (Lane::StrDict { dict, .. }, Value::Str(s)) => {
                 LaneLit::Dict(dict.iter().map(|d| op.accepts(d.cmp(s))).collect())
@@ -479,24 +564,30 @@ fn flatten_and<'a>(e: &'a PhysExpr, out: &mut Vec<&'a PhysExpr>) {
     }
 }
 
-fn as_col_pred(e: &PhysExpr) -> Option<ColPred> {
+fn as_conjunct(e: &PhysExpr) -> Option<Conjunct> {
     let PhysExpr::Binary { left, op, right } = e else {
         return None;
     };
     let op = CmpOp::from_binary(*op)?;
-    match (left.as_ref(), right.as_ref()) {
-        (PhysExpr::Column(c), PhysExpr::Literal(v)) => Some(ColPred {
-            col: *c,
-            op,
-            lit: v.clone(),
-        }),
-        (PhysExpr::Literal(v), PhysExpr::Column(c)) => Some(ColPred {
-            col: *c,
-            op: op.flipped(),
-            lit: v.clone(),
-        }),
-        _ => None,
-    }
+    let (term, op, lit) = match (left.as_ref(), right.as_ref()) {
+        (term, PhysExpr::Literal(lit)) => (term, op, lit.clone()),
+        (PhysExpr::Literal(lit), term) => (term, op.flipped(), lit.clone()),
+        _ => return None,
+    };
+    let leaf = |e: &PhysExpr| matches!(e, PhysExpr::Column(_) | PhysExpr::Literal(_));
+    let is_col = |e: &PhysExpr| matches!(e, PhysExpr::Column(_));
+    let compiled = match term {
+        PhysExpr::Column(_) => true,
+        PhysExpr::Binary { left, op, right } => {
+            op.is_arithmetic() && leaf(left) && leaf(right) && (is_col(left) || is_col(right))
+        }
+        _ => false,
+    };
+    compiled.then(|| Conjunct {
+        term: term.clone(),
+        op,
+        lit,
+    })
 }
 
 /// Pruning and filtering accounting for one scan (the segment and tail
@@ -550,11 +641,12 @@ impl SegScan {
                 .iter()
                 .position(|c| *c == PredClass::Opaque)
                 .unwrap_or(classes.len());
-            tests.extend(
-                spec.preds[..clean]
-                    .iter()
-                    .map(|p| (p.col, LaneTest::new(seg.columns()[p.col].lane(), p))),
-            );
+            tests.extend(spec.preds[..clean].iter().map(|p| {
+                (
+                    p.col,
+                    LaneTest::new(seg.columns()[p.col].lane(), p.op, &p.lit),
+                )
+            }));
             keep_unknown = !(spec.complete && clean == spec.preds.len());
         }
         Some(SegScan {
@@ -670,5 +762,47 @@ impl TableScan {
     /// Pruning accounting, and the rows filtered so far.
     pub fn stats(&self) -> ScanStats {
         self.stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn bin(left: PhysExpr, op: BinaryOp, right: PhysExpr) -> PhysExpr {
+        PhysExpr::Binary {
+            left: Box::new(left),
+            op,
+            right: Box::new(right),
+        }
+    }
+
+    /// An arithmetic conjunct compiles for the filter but is opaque to zone
+    /// maps: the scan's spec stops in front of it, as it stops in front of
+    /// any conjunct it cannot push.
+    #[test]
+    fn from_phys_stops_at_an_arithmetic_conjunct() {
+        let (a, b, c) = (
+            PhysExpr::Column(0),
+            PhysExpr::Column(1),
+            PhysExpr::Column(2),
+        );
+        let quotient = bin(
+            bin(a, BinaryOp::Div, b),
+            BinaryOp::Gt,
+            PhysExpr::Literal(Value::Float(0.2)),
+        );
+        assert!(FilterSpec::from_phys(&quotient).is_none());
+        let c_is_5 = bin(c, BinaryOp::Eq, PhysExpr::Literal(Value::Int(5)));
+        let spec = FilterSpec::from_phys(&bin(c_is_5, BinaryOp::And, quotient.clone()))
+            .expect("the prefix `c = 5`");
+        assert!(!spec.complete);
+        assert_eq!(spec.preds.len(), 1);
+        let p = &spec.preds[0];
+        assert_eq!((p.col, p.op, &p.lit), (2, CmpOp::Eq, &Value::Int(5)));
+        // The filter compiles both, and nothing is left over.
+        let (prefix, residual) = Conjuncts::split(&quotient);
+        assert!(residual.is_none());
+        assert_eq!(prefix.map(|p| p.conjuncts.len()), Some(1));
     }
 }

@@ -605,6 +605,37 @@ fn typed_pairing(lane: &Lane, lit: &Value) -> bool {
     )
 }
 
+/// An arithmetic term over column `col` for a conjunct, from one draw:
+/// the operator, and the other operand — a column (one the batch may lack)
+/// or a literal among the zeros of both types and signs, the INT extremes,
+/// NaN, NULL and a STR — on either side.
+fn arb_term(raw: u8, col: usize, width: usize) -> PhysExpr {
+    const OPS: [BinaryOp; 4] = [BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div];
+    let op = OPS[raw as usize % 4];
+    let pick = raw as usize / 4;
+    let other = match pick % 2 {
+        0 => PhysExpr::Column(pick / 2 % (width + 1)),
+        _ => PhysExpr::Literal(
+            [
+                Value::Int(0),
+                Value::Float(0.0),
+                Value::Float(-0.0),
+                Value::Int(i64::MAX),
+                Value::Int(i64::MIN),
+                Value::Int(-3),
+                Value::Float(f64::NAN),
+                Value::Null,
+                Value::from("a"),
+            ][pick / 2 % 9]
+                .clone(),
+        ),
+    };
+    match pick >= 36 {
+        true => binary(other, op, PhysExpr::Column(col)),
+        false => binary(PhysExpr::Column(col), op, other),
+    }
+}
+
 fn binary(left: PhysExpr, op: BinaryOp, right: PhysExpr) -> PhysExpr {
     PhysExpr::Binary {
         left: Box::new(left),
@@ -619,31 +650,53 @@ proptest! {
     // `Filter` over a lane batch answers what it answers over the same rows
     // as rows — the same rows in order, or the same error kind and message
     // — and leaves the rows unbuilt exactly when its predicate is the
-    // compiled conjuncts alone and each pairs its lane with a literal no
-    // row can raise against.
+    // compiled conjuncts alone and no selected row can raise: each column
+    // pairs its lane with a typed literal, and each arithmetic term
+    // `(x ⊕ y)` is computed on every selected row without an error (no
+    // zero divisor of either sign, no INT overflow at the extremes, no
+    // non-numeric operand) into a lane that pairs with its literal.
     #[test]
     fn filter_on_lanes_agrees_with_filter_on_rows(
         case in arb_lane_case(),
         conjuncts in prop::collection::vec(
-            (any::<u8>(), any::<u8>(), any::<u64>(), any::<bool>()),
+            (any::<u8>(), any::<u8>(), any::<u64>(), any::<bool>(), any::<u8>()),
             1..4,
         ),
         residual in any::<u8>(),
     ) {
         let width = case.kinds.len();
         let lanes = case.lanes();
+        let all = 0..case.sel.len();
+        let selected = case.row_batch(all.clone()).into_rows();
         let mut typed = true;
         let mut pred = None;
-        // Each conjunct: (column, operator, literal, written literal-first).
-        for &(col, op, raw, flipped) in &conjuncts {
+        // Each conjunct: (column, operator, literal, written literal-first,
+        // arithmetic term).
+        for &(col, op, raw, flipped, arith) in &conjuncts {
             // Now and then an ordinal the batch does not have.
             let col = col as usize % (width + 1);
             let lit = arb_literal(raw);
-            typed &= lanes.get(col).is_some_and(|l| typed_pairing(l, &lit));
-            let (c, l) = (PhysExpr::Column(col), PhysExpr::Literal(lit));
+            let term = match arith % 3 {
+                0 => {
+                    // The term's values on the selected rows, as the lane
+                    // they seal into — or the error one of them raises.
+                    let term = arb_term(arith / 3, col, width);
+                    let values: Option<Vec<Row>> = selected
+                        .iter()
+                        .map(|r| term.eval(r).ok().map(|v| Row::new(vec![v])))
+                        .collect();
+                    typed &= values.is_some_and(|v| typed_pairing(&Lane::build(&v, 0), &lit));
+                    term
+                }
+                _ => {
+                    typed &= lanes.get(col).is_some_and(|l| typed_pairing(l, &lit));
+                    PhysExpr::Column(col)
+                }
+            };
+            let l = PhysExpr::Literal(lit);
             let conjunct: PhysExpr = match flipped {
-                true => binary(l, cmp_op(op), c),
-                false => binary(c, cmp_op(op), l),
+                true => binary(l, cmp_op(op), term),
+                false => binary(term, cmp_op(op), l),
             };
             pred = Some(match pred {
                 Some(p) => binary(p, BinaryOp::And, conjunct),
@@ -652,13 +705,13 @@ proptest! {
         }
         let mut pred = pred.expect("at least one conjunct");
         if residual % 3 == 0 {
-            // Not `column <cmp> literal`: the spec is incomplete.
+            // `column <cmp> column` is not compiled: the prefix is
+            // incomplete.
             let (a, b) = (residual as usize % width, (residual as usize / 3) % width);
             let other = binary(PhysExpr::Column(a), cmp_op(residual), PhysExpr::Column(b));
             pred = binary(pred, BinaryOp::And, other);
             typed = false;
         }
-        let all = 0..case.sel.len();
         let on_lanes = drain(Box::new(Filter::new(one_batch(case.lane_batch(all.clone())), pred.clone())));
         let on_rows = drain(Box::new(Filter::new(one_batch(case.row_batch(all)), pred.clone())));
         match (&on_lanes, &on_rows) {

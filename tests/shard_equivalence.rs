@@ -357,6 +357,8 @@ fn routed_insert_stores_what_one_server_stores() {
          (4, -1, 0.0, 'naïve Ünïcödé 数据库 🦀'), \
          (5, 7, 2.5, 'back\\slash \"quoted\" -- ''x''')"
             .to_string(),
+        // An INT into the FLOAT column is stored as the FLOAT it widens to.
+        "INSERT INTO E VALUES (6, 2, 2, 'int in float')".to_string(),
     ];
     let reference = Database::new(NetworkSpec::lan());
     reference.execute(CREATE_E).expect("reference CREATE");
@@ -369,10 +371,11 @@ fn routed_insert_stores_what_one_server_stores() {
     };
     let sql = "SELECT * FROM E E";
     let want = by_id(reference.execute(sql).expect("reference SELECT").rows);
-    assert_eq!(want.len(), 6);
+    assert_eq!(want.len(), 7);
     assert_eq!(want[0].value(2), &Value::Float(f64::INFINITY));
     assert_eq!(want[1].value(2), &Value::Float(f64::NEG_INFINITY));
     assert_eq!(want[2].value(2), &Value::Float(-0.0));
+    assert_eq!(want[6].value(2), &Value::Float(2.0));
 
     for key in ["Id", "F", "S"] {
         let cluster = Cluster::start(2, "Id", &[]);

@@ -9,8 +9,9 @@
 //!   row-vector [`Table::snapshot`]) returns — including all-NULL columns,
 //!   constant columns, NULL literals, and predicates on unordered (mixed
 //!   lane) columns. The oracle side runs none of the compiled predicate
-//!   code: [`Filter`] runs its row rule ([`FilterSpec::eval`]), so a filter
-//!   on both sides would hide its bugs.
+//!   code: [`Filter`] runs its row rule ([`csq_storage::Conjuncts::eval`]) and its lane
+//!   rule, arithmetic conjuncts included, so a filter on both sides would
+//!   hide their bugs.
 //! * The table's tail — rows a scan seals into short runs, merged as more
 //!   arrive — holds the same rows in the same order through any interleaving
 //!   of inserts and scans, and scanning it changes no statistic: the
@@ -125,9 +126,14 @@ fn arb_cmp() -> impl Strategy<Value = (BinaryOp, bool)> {
 
 /// `column <op> literal`, or the same comparison written literal-first
 /// (`literal <mirrored op> column`): both orientations are pushable.
-fn comparison(c: usize, (op, literal_first): (BinaryOp, bool), v: Value) -> PhysExpr {
+fn comparison(c: usize, cmp: (BinaryOp, bool), v: Value) -> PhysExpr {
+    comparison_of(col(c), cmp, v)
+}
+
+/// `term <op> literal`, or the same comparison written literal-first.
+fn comparison_of(term: PhysExpr, (op, literal_first): (BinaryOp, bool), v: Value) -> PhysExpr {
     if !literal_first {
-        return bin(col(c), op, lit(v));
+        return bin(term, op, lit(v));
     }
     let mirrored = match op {
         BinaryOp::Lt => BinaryOp::Gt,
@@ -136,7 +142,7 @@ fn comparison(c: usize, (op, literal_first): (BinaryOp, bool), v: Value) -> Phys
         BinaryOp::GtEq => BinaryOp::LtEq,
         symmetric => symmetric,
     };
-    bin(lit(v), mirrored, col(c))
+    bin(lit(v), mirrored, term)
 }
 
 /// One pushable conjunct: `column <cmp> literal` in either orientation,
@@ -212,18 +218,22 @@ fn arb_filter_row() -> impl Strategy<Value = Row> {
     })
 }
 
-/// One pushable conjunct over [`profile_schema`], in either orientation:
+/// One compiled conjunct over [`profile_schema`], in either orientation:
 /// mostly a literal of the column's own type (so multi-conjunct specs are
 /// often error-free and the lane kernels do the work), sometimes NULL, NaN, a
 /// numeric literal on any column, or the next column's type — the conjunct
-/// that raises.
+/// that raises. One in four compares an arithmetic term instead of the
+/// column, `(column ⊕ x)` with `x` a zero of either type, a small INT or
+/// the INT or FLOAT column: the filter compiles it, the scan's spec stops
+/// in front of it, and it raises on a zero divisor or a non-numeric
+/// column.
 fn arb_filter_conjunct() -> impl Strategy<Value = PhysExpr> {
     (
         (0usize..5, arb_cmp(), 0usize..12),
         (-20i64..20, -8i64..8, 0usize..4),
-        (any::<bool>(), 0usize..40),
+        (any::<bool>(), 0usize..40, 0usize..64),
     )
-        .prop_map(|((c, cmp, pick), (i, f, s), (b, q))| {
+        .prop_map(|((c, cmp, pick), (i, f, s), (b, q, arith))| {
             let typed = [
                 Value::Int(i),
                 Value::Float(f as f64 * 0.5),
@@ -238,27 +248,37 @@ fn arb_filter_conjunct() -> impl Strategy<Value = PhysExpr> {
                 3 => Value::Int(i),
                 _ => typed[c].clone(),
             };
-            comparison(c, cmp, v)
+            if arith < 48 {
+                return comparison(c, cmp, v);
+            }
+            const OPS: [BinaryOp; 4] = [BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div];
+            let x = [
+                lit(Value::Int(0)),
+                lit(Value::Float(-0.0)),
+                lit(Value::Int(3)),
+                col(0),
+                col(1),
+            ][arith / 4 % 5]
+                .clone();
+            comparison_of(bin(col(c), OPS[arith % 4], x), cmp, v)
         })
 }
 
-/// A conjunct [`FilterSpec::from_phys`] cannot push, so a spec compiled from
-/// a chain holding one is incomplete: arithmetic on the INT column (never
-/// raises) or on the STR column (raises on every non-NULL string).
+/// `column <cmp> column`: a conjunct [`csq_storage::Conjuncts::split`] does not compile,
+/// so a filter prefix — and a scan spec — compiled from a chain holding one
+/// is incomplete: the INT column against the FLOAT one (never raises) or
+/// against the STR one (raises wherever both are non-NULL).
 fn arb_residual() -> impl Strategy<Value = PhysExpr> {
-    (0usize..2).prop_map(|k| {
-        let plus_one = bin(col([0, 2][k]), BinaryOp::Add, lit(Value::Int(1)));
-        bin(plus_one, BinaryOp::Gt, lit(Value::Int(0)))
-    })
+    (0usize..2, arb_cmp()).prop_map(|(k, (op, _))| bin(col(0), op, col([1, 2][k])))
 }
 
-/// A predicate for the scan-filter properties: 1–3 pushable conjuncts and,
-/// when `residual` is given, an unpushable one spliced in at `at` (modulo
+/// A predicate for the scan-filter properties: 1–3 compiled conjuncts and,
+/// when `residual` is given, an uncompiled one spliced in at `at` (modulo
 /// the length; at the end the spec is the whole pushable prefix but
 /// incomplete, in the middle it stops short, at the front there is no spec).
 /// [`Filter`] splits at the same place: the conjuncts before the splice run
 /// on its compiled path, the splice and everything after it on the general
-/// evaluator.
+/// evaluator. The scan's spec also stops at the first arithmetic conjunct.
 fn filter_predicate(
     mut conjuncts: Vec<PhysExpr>,
     residual: Option<PhysExpr>,
