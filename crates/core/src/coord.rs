@@ -13,9 +13,11 @@
 //!   hash bucket of its shard-key value, and sends each shard its rows as
 //!   one typed [`QueryRequest::Insert`](csq_client::QueryRequest::Insert):
 //!   values in the row codec, no SQL text for the shard to parse.
-//! * **SELECT** is parsed and planned once, through the ordinary optimizer
-//!   in a sharded [`OptContext`] (statistics maintained coordinator-side
-//!   from the routed inserts), and runs the plan its EXPLAIN prints:
+//! * **SELECT** is planned by the coordinator's engine, a [`Database`] that
+//!   holds each sharded table as a remote entry: its schema, shard key, and
+//!   the profile of the rows routed to it. Plans go through the engine's
+//!   plan cache, so a repeated statement is not even parsed, and each runs
+//!   the plan its EXPLAIN prints:
 //!   - **pushdown** — single-table, non-aggregate queries run verbatim on
 //!     every live shard (or only the shard pinned by a `key = literal`
 //!     conjunct) and the gather concatenates rows in shard order, each
@@ -42,38 +44,32 @@
 //! anything; rows sent and never answered fail the INSERT `indeterminate`,
 //! stored at most once. A multi-shard INSERT is not atomic — shards that
 //! answered keep their rows — and the statistics count every routed row.
-//! [`Coordinator::replace_shard`] swaps a failed shard's address
-//! and bumps the **topology epoch**, which (together with the DDL epoch) is
-//! part of every cached plan's fingerprint — a topology change can never be
-//! served a stale plan.
+//!
+//! **One plan epoch.** Every change a plan depends on bumps the engine's
+//! plan epoch: `create_table`, every routed INSERT (including one a shard
+//! refused — its rows were counted), UDF registration,
+//! [`Coordinator::advertise_distinct`], and [`Coordinator::replace_shard`],
+//! which swaps a failed shard's address. A cached plan is served only under
+//! the epoch it was made in, so none of these is ever served a stale plan.
 
-use std::collections::HashMap;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use csq_client::{ConnectionPool, QueryOptions, ScalarUdf};
 use csq_common::{CancelToken, CsqError, DataType, Field, Result, Row, Schema, Value};
 use csq_exec::{BoxOp, RowsOp};
 use csq_expr::{bind, ColumnRef, Expr, UnaryOp};
 use csq_net::NetworkSpec;
-use csq_opt::context::TableStats;
-use csq_opt::query::extract;
-use csq_opt::shard::{pinned_shard_value, pushable};
-use csq_opt::{AggPlacement, GatherMode, OptContext, OptimizedPlan, PlanNode, QueryGraph, Unit};
-use csq_sql::ast::SelectStmt;
+use csq_opt::shard::pushable;
+use csq_opt::{AggPlacement, GatherMode, PlanNode, QueryGraph, Unit};
 use csq_sql::{parse_statement, Statement};
 
 use crate::result::QueryResult;
-use crate::{coerce_to, insert_values, Database};
-
-/// Cached coordinator plans (distinct SQL texts). Small: the coordinator
-/// fronts few distinct statement shapes; on overflow the whole cache is
-/// reset (cheap, and correctness never depends on residency).
-const COORD_PLAN_CACHE_CAPACITY: usize = 64;
+use crate::{Cached, Database, PlannedQuery};
 
 /// Tunables for one [`Coordinator`].
 #[derive(Debug, Clone)]
@@ -112,7 +108,8 @@ pub struct CoordStats {
     /// Other SELECTs whose plan the coordinator lowers over gathered leaves
     /// (joins, client-site UDFs, client-only aggregates).
     pub gather_exec_queries: AtomicU64,
-    /// SELECT plans served from the coordinator plan cache.
+    /// SELECTs and EXPLAINs whose plan the coordinator engine's plan cache
+    /// served.
     pub plan_cache_hits: AtomicU64,
     /// Per-shard statements sent (scatter fan-out).
     pub shard_statements: AtomicU64,
@@ -134,94 +131,33 @@ impl CoordStats {
     }
 }
 
-/// Coordinator-side shadow of one sharded table: the schema, the shard-key
-/// ordinal, and running statistics maintained from routed inserts (the
-/// coordinator never scans shards to re-derive them).
-struct TableShadow {
-    /// Catalog-case table name (as created).
-    name: String,
-    schema: Schema,
-    /// Ordinal of the hash-partitioning column.
-    shard_col: usize,
-    rows: u64,
-    row_byte_sum: f64,
-    col_byte_sums: Vec<f64>,
-}
-
-impl TableShadow {
-    fn stats(&self) -> TableStats {
-        let n = (self.rows.max(1)) as f64;
-        TableStats {
-            schema: self.schema.clone(),
-            rows: self.rows as f64,
-            row_bytes: self.row_byte_sum / n,
-            col_bytes: self.col_byte_sums.iter().map(|b| b / n).collect(),
-            segments: Default::default(),
-        }
-    }
-}
-
 /// One shard: its address and connection pool.
 struct ShardSlot {
     addr: SocketAddr,
     pool: ConnectionPool,
 }
 
-/// How a planned SELECT executes across the shards.
-enum Strategy {
-    /// Forward the original statement to the target shards; concatenate
-    /// rows in shard order (`Gather [ordered]`).
-    Pushdown {
-        sql: String,
-        target: Option<usize>,
-        out_schema: Schema,
-    },
-    /// Lower the plan, each `Gather` a leaf over the rows its per-shard
-    /// statement returned.
-    Lowered {
-        graph: Box<QueryGraph>,
-        plan: OptimizedPlan,
-        /// One per `Gather`, in [`PlanNode::walk`] order.
-        leaves: Vec<Leaf>,
-    },
-}
-
-/// The per-shard statement behind one `Gather` of a lowered plan.
+/// The per-shard statement behind one `Gather` of a plan.
 struct Leaf {
-    /// Under a shard-partial aggregate the partial-aggregation rewrite,
-    /// otherwise `SELECT * FROM t a [WHERE conjuncts on a alone]`.
+    /// A pushdown plan's statement itself; under a shard-partial aggregate
+    /// the partial-aggregation rewrite; otherwise `SELECT * FROM t a [WHERE
+    /// conjuncts on a alone]`.
     sql: String,
-    /// Pinned shard, when a conjunct fixes the relation's shard key.
+    /// Pinned shard: the `Scatter`'s target.
     target: Option<usize>,
     /// What the returned rows are checked against and read under.
     schema: Schema,
 }
 
-/// A planned-and-cached coordinator statement: valid only while both epochs
-/// it was planned under still hold.
-struct ShardPlan {
-    ddl_epoch: u64,
-    topology_epoch: u64,
-    explain: String,
-    strategy: Strategy,
-}
-
 /// The scatter/gather coordinator; see the module docs.
 pub struct Coordinator {
     shards: RwLock<Vec<ShardSlot>>,
-    /// Bumped by [`replace_shard`](Coordinator::replace_shard): part of the
-    /// plan-cache fingerprint, so topology changes invalidate cached plans.
-    topology_epoch: AtomicU64,
-    /// Bumped by DDL, routed DML, and UDF registration (statistics and
-    /// schemas feed the optimizer): the other half of the fingerprint.
-    ddl_epoch: AtomicU64,
-    tables: RwLock<HashMap<String, TableShadow>>,
-    /// The coordinator's own engine, over an empty catalog: it holds the
-    /// registered UDFs (implementations and advertised metadata) and runs
-    /// the coordinator's part of every lowered plan.
+    /// The coordinator's own engine. Its catalog is empty; it holds each
+    /// sharded table as a remote entry (schema, shard key, profile of the
+    /// routed rows), the registered UDFs, the plan cache and the one plan
+    /// epoch. It plans every SELECT and runs the coordinator's part of
+    /// every lowered plan.
     engine: Database,
-    distincts: RwLock<HashMap<String, f64>>,
-    plans: Mutex<HashMap<String, Arc<ShardPlan>>>,
     config: CoordinatorConfig,
     stats: CoordStats,
 }
@@ -243,13 +179,11 @@ impl Coordinator {
             shards.push(Self::dial(a, config.pool_size)?);
         }
         Ok(Coordinator {
+            engine: Database {
+                shards: shards.len(),
+                ..Database::new(config.net.clone())
+            },
             shards: RwLock::new(shards),
-            topology_epoch: AtomicU64::new(0),
-            ddl_epoch: AtomicU64::new(0),
-            tables: RwLock::new(HashMap::new()),
-            engine: Database::new(config.net.clone()),
-            distincts: RwLock::new(HashMap::new()),
-            plans: Mutex::new(HashMap::new()),
             config,
             stats: CoordStats::default(),
         })
@@ -272,10 +206,12 @@ impl Coordinator {
         self.shards.read().len()
     }
 
-    /// The current topology epoch (bumped by
-    /// [`replace_shard`](Coordinator::replace_shard)).
-    pub fn topology_epoch(&self) -> u64 {
-        self.topology_epoch.load(Ordering::SeqCst)
+    /// The plan epoch of the coordinator's engine: bumped by every change a
+    /// plan depends on — `create_table`, routed INSERTs, UDF registration,
+    /// [`advertise_distinct`](Coordinator::advertise_distinct) and
+    /// [`replace_shard`](Coordinator::replace_shard).
+    pub fn plan_epoch(&self) -> u64 {
+        self.engine.plan_epoch()
     }
 
     /// Coordinator counters.
@@ -284,7 +220,7 @@ impl Coordinator {
     }
 
     /// Swap shard `idx` to a replacement service at `addr` (failover: the
-    /// replacement is assumed to hold the shard's data). Bumps the topology
+    /// replacement is assumed to hold the shard's data). Bumps the plan
     /// epoch, so every cached plan replans before its next execution.
     pub fn replace_shard(&self, idx: usize, addr: impl ToSocketAddrs) -> Result<()> {
         let slot = Self::dial(addr, self.config.pool_size)?;
@@ -297,7 +233,7 @@ impl Coordinator {
         };
         *entry = slot;
         drop(shards);
-        self.topology_epoch.fetch_add(1, Ordering::SeqCst);
+        self.engine.bump_plan_epoch();
         Ok(())
     }
 
@@ -306,33 +242,20 @@ impl Coordinator {
     /// are never pushed down). Refused as [`Database::register_udf`] refuses
     /// it: a duplicate name, or one colliding with an SQL aggregate.
     pub fn register_udf(&self, udf: Arc<dyn ScalarUdf>) -> Result<()> {
-        self.engine.register_udf(udf)?;
-        self.bump_ddl();
-        Ok(())
+        self.engine.register_udf(udf)
     }
 
     /// Record the distinct-value count of `table.column`, driving the
     /// enumerator's per-shard group estimate (and hence the
-    /// shard-partial-vs-gather choice).
+    /// shard-partial-vs-gather choice). A table the coordinator does not
+    /// hold is ignored.
     pub fn advertise_distinct(&self, table: &str, column: &str, distinct: f64) {
-        self.distincts.write().insert(
-            format!(
-                "{}.{}",
-                table.to_ascii_lowercase(),
-                column.to_ascii_lowercase()
-            ),
-            distinct,
-        );
-        self.bump_ddl();
-    }
-
-    fn bump_ddl(&self) {
-        self.ddl_epoch.fetch_add(1, Ordering::SeqCst);
+        self.engine.set_col_distinct(table, column, distinct);
     }
 
     /// Create a table hash-partitioned on `shard_key`: the `CREATE TABLE`
-    /// broadcasts to every shard, and the coordinator records the schema
-    /// and routing column.
+    /// broadcasts to every shard, and the coordinator's engine records the
+    /// schema and routing column.
     pub fn create_table(&self, sql: &str, shard_key: &str) -> Result<QueryResult> {
         let Statement::CreateTable { name, columns } = parse_statement(sql)? else {
             return Err(CsqError::Plan(
@@ -347,31 +270,16 @@ impl Coordinator {
                     "shard key '{shard_key}' is not a column of table '{name}'"
                 ))
             })?;
-        let fields: Vec<Field> = columns
-            .iter()
-            .map(|(c, t)| Field::new(c.clone(), *t))
-            .collect();
-        let key = name.to_ascii_lowercase();
-        if self.tables.read().contains_key(&key) {
+        if self.engine.has_remote_table(&name) {
             return Err(CsqError::Catalog(format!("table '{name}' already exists")));
         }
         let shards = self.shards.read();
         let jobs = self.jobs_for(shards.len(), None, sql);
         self.scatter(&shards, &jobs, |pool, sql, opts| pool.query_with(sql, opts))?;
         drop(shards);
-        let width = fields.len();
-        self.tables.write().insert(
-            key,
-            TableShadow {
-                name,
-                schema: Schema::new(fields),
-                shard_col,
-                rows: 0,
-                row_byte_sum: 0.0,
-                col_byte_sums: vec![0.0; width],
-            },
-        );
-        self.bump_ddl();
+        let fields = columns.into_iter().map(|(c, t)| Field::new(c, t)).collect();
+        self.engine
+            .create_remote_table(name, Schema::new(fields), shard_col);
         Ok(QueryResult::empty())
     }
 
@@ -379,214 +287,73 @@ impl Coordinator {
     /// SELECTs scatter/gather. `CREATE TABLE` must go through
     /// [`create_table`](Coordinator::create_table) (it needs a shard key).
     pub fn execute(&self, sql: &str) -> Result<QueryResult> {
-        match parse_statement(sql)? {
-            Statement::CreateTable { name, .. } => Err(CsqError::Plan(format!(
+        match self.engine.plan_cached(sql)? {
+            Cached::Select(planned, hit) => self.execute_select(self.counted(planned, hit)),
+            Cached::Other(Statement::CreateTable { name, .. }) => Err(CsqError::Plan(format!(
                 "CREATE TABLE '{name}' on a coordinator needs a shard key; \
                  use Coordinator::create_table(sql, shard_key)"
             ))),
-            Statement::Insert { table, rows } => self.route_insert(&table, rows),
-            Statement::Select(sel) => self.execute_select(sql, &sel),
+            Cached::Other(Statement::Insert { table, rows }) => self.route_insert(&table, rows),
+            Cached::Other(Statement::Select(_)) => unreachable!("plan_cached plans every SELECT"),
         }
     }
 
     /// The coordinator's chosen scatter/gather plan for a SELECT, rendered
-    /// as an indented tree (`Scatter [n shards, k pruned]` / `Gather
-    /// [ordered|merge]` nodes included), plus its estimated cost.
+    /// as [`Database::explain`] renders a plan (`Scatter [n shards, k
+    /// pruned]` / `Gather [ordered|merge]` nodes included), plus its
+    /// estimated cost.
     pub fn explain(&self, sql: &str) -> Result<String> {
-        let Statement::Select(sel) = parse_statement(sql)? else {
+        let Cached::Select(planned, hit) = self.engine.plan_cached(sql)? else {
             return Err(CsqError::Plan("EXPLAIN only supports SELECT".into()));
         };
-        Ok(self.plan_select(sql, &sel)?.explain.clone())
+        let planned = self.counted(planned, hit);
+        Ok(self.engine.render_explain(&planned.graph, &planned.plan))
+    }
+
+    /// `planned`, counted as a plan-cache hit when the cache served it.
+    fn counted(&self, planned: Arc<PlannedQuery>, hit: bool) -> Arc<PlannedQuery> {
+        if hit {
+            CoordStats::bump(&self.stats.plan_cache_hits);
+        }
+        planned
     }
 
     // ---- INSERT routing ---------------------------------------------------
 
     fn route_insert(&self, table: &str, rows: Vec<Vec<Expr>>) -> Result<QueryResult> {
         let shards = self.shards.read();
-        let n = shards.len();
-        let mut tables = self.tables.write();
-        let shadow = tables
-            .get_mut(&table.to_ascii_lowercase())
-            .ok_or_else(|| CsqError::Catalog(format!("unknown table '{table}'")))?;
-        let mut per_shard: Vec<Vec<Row>> = (0..n).map(|_| Vec::new()).collect();
-        let mut routed = 0u64;
-        for exprs in rows {
-            if exprs.len() != shadow.schema.len() {
-                return Err(CsqError::Type(format!(
-                    "table '{}': expected {} columns, got {}",
-                    shadow.name,
-                    shadow.schema.len(),
-                    exprs.len()
-                )));
-            }
-            let values = insert_values(exprs)?
-                .into_iter()
-                .zip(shadow.schema.fields())
-                // Coerce to the declared column type before hashing: stored
-                // and routed values must hash identically, and `Int(5)` and
-                // `Float(5.0)` do not (shard pruning and routing both hash
-                // the declared type).
-                .map(|(v, f)| coerce_to(v, f.dtype))
-                .collect();
-            let row = Row::new(values);
-            shadow.rows += 1;
-            shadow.row_byte_sum += row.wire_size() as f64;
-            for (i, v) in row.values().iter().enumerate() {
-                shadow.col_byte_sums[i] += v.wire_size() as f64;
-            }
-            routed += 1;
-            let at = row.partition_of(Some(&[shadow.shard_col]), n);
-            per_shard[at].push(row);
-        }
-        let name = shadow.name.clone();
-        drop(tables);
+        let (name, per_shard) = self.engine.route_rows(table, rows)?;
         let jobs: Vec<(usize, Vec<Row>)> = per_shard
             .into_iter()
             .enumerate()
             .filter(|(_, rows)| !rows.is_empty())
             .collect();
+        let routed: usize = jobs.iter().map(|(_, rows)| rows.len()).sum();
         self.scatter(&shards, &jobs, |pool, rows, opts| {
             pool.insert_with(&name, rows, opts)
         })?;
-        drop(shards);
-        CoordStats::add(&self.stats.rows_routed, routed);
-        self.bump_ddl(); // Cardinalities moved; cached plans are stale.
-        Ok(QueryResult::count(routed as usize))
+        CoordStats::add(&self.stats.rows_routed, routed as u64);
+        Ok(QueryResult::count(routed))
     }
 
     // ---- SELECT -----------------------------------------------------------
 
-    fn execute_select(&self, sql: &str, sel: &SelectStmt) -> Result<QueryResult> {
+    /// Send every `Gather`'s per-shard statement, check the rows, and run
+    /// the plan over them — or, for a pushdown plan, return its one leaf's
+    /// rows.
+    fn execute_select(&self, planned: Arc<PlannedQuery>) -> Result<QueryResult> {
         CoordStats::bump(&self.stats.queries);
-        let planned = self.plan_select(sql, sel)?;
-        match &planned.strategy {
-            Strategy::Pushdown {
-                sql,
-                target,
-                out_schema,
-            } => {
-                CoordStats::bump(&self.stats.pushdown_queries);
-                self.run_pushdown(sql, *target, out_schema)
-            }
-            Strategy::Lowered {
-                graph,
-                plan,
-                leaves,
-            } => {
-                let shard_partial = matches!(
-                    plan.root,
-                    PlanNode::Aggregate {
-                        placement: AggPlacement::ShardPartial,
-                        ..
-                    }
-                );
-                CoordStats::bump(if shard_partial {
-                    &self.stats.partial_agg_queries
-                } else {
-                    &self.stats.gather_exec_queries
-                });
-                self.run_lowered(graph, plan, leaves)
-            }
-        }
-    }
-
-    /// Plan `sql` through the coordinator plan cache. A cached plan is
-    /// valid only under the exact (DDL epoch, topology epoch) pair it was
-    /// made under — DDL/DML move statistics, and a topology change moves
-    /// where hash buckets live.
-    fn plan_select(&self, sql: &str, sel: &SelectStmt) -> Result<Arc<ShardPlan>> {
-        let ddl = self.ddl_epoch.load(Ordering::SeqCst);
-        let topo = self.topology_epoch.load(Ordering::SeqCst);
-        {
-            let plans = self.plans.lock();
-            if let Some(p) = plans.get(sql) {
-                if p.ddl_epoch == ddl && p.topology_epoch == topo {
-                    CoordStats::bump(&self.stats.plan_cache_hits);
-                    return Ok(p.clone());
-                }
-            }
-        }
-        let ctx = self.opt_context();
-        let graph = extract(sel, &ctx)?;
-        let optimized = csq_opt::optimize(&graph, &ctx)?;
-        let explain = format!(
-            "{}cost: {:.6}s (est. {:.1} rows)\n",
-            optimized.root.explain(&graph),
-            optimized.cost_seconds,
-            optimized.est_rows
-        );
-        let strategy = if pushable(&graph) && graph.aggregate.is_none() {
-            pushdown(sql, &graph, &ctx)?
-        } else {
-            Strategy::Lowered {
-                leaves: leaves(&graph, &optimized.root, &ctx)?,
-                graph: Box::new(graph),
-                plan: optimized,
-            }
-        };
-        let plan = Arc::new(ShardPlan {
-            ddl_epoch: ddl,
-            topology_epoch: topo,
-            explain,
-            strategy,
+        let (graph, plan) = (&planned.graph, &planned.plan);
+        let pushdown = pushable(graph) && graph.aggregate.is_none();
+        CoordStats::bump(match &plan.root {
+            _ if pushdown => &self.stats.pushdown_queries,
+            PlanNode::Aggregate {
+                placement: AggPlacement::ShardPartial,
+                ..
+            } => &self.stats.partial_agg_queries,
+            _ => &self.stats.gather_exec_queries,
         });
-        let mut plans = self.plans.lock();
-        if plans.len() >= COORD_PLAN_CACHE_CAPACITY {
-            plans.clear();
-        }
-        plans.insert(sql.to_string(), plan.clone());
-        Ok(plan)
-    }
-
-    /// The sharded optimizer context: shadow statistics, shard keys, UDF
-    /// metadata, and the coordinator↔shard network.
-    fn opt_context(&self) -> OptContext {
-        let shards = self.shards.read().len();
-        let mut ctx = OptContext::new(self.config.net.clone()).with_shards(shards);
-        for shadow in self.tables.read().values() {
-            ctx.add_table(&shadow.name, shadow.stats());
-            ctx.set_shard_key(&shadow.name, &shadow.schema.field(shadow.shard_col).name);
-        }
-        for meta in self.engine.udf_metas.read().iter() {
-            ctx.add_udf(meta.clone());
-        }
-        for (key, d) in self.distincts.read().iter() {
-            if let Some((t, c)) = key.split_once('.') {
-                ctx.set_col_distinct(t, c, *d);
-            }
-        }
-        ctx
-    }
-
-    fn run_pushdown(
-        &self,
-        sql: &str,
-        target: Option<usize>,
-        out_schema: &Schema,
-    ) -> Result<QueryResult> {
-        let shards = self.shards.read();
-        let jobs = self.jobs_for(shards.len(), target, sql);
-        let results = self.scatter(&shards, &jobs, |pool, sql, opts| pool.query_with(sql, opts))?;
-        drop(shards);
-        let mut rows = Vec::new();
-        for (r, (shard, _)) in results.into_iter().zip(&jobs) {
-            check_rows(&r.rows, out_schema, *shard)?;
-            rows.extend(r.rows);
-        }
-        Ok(QueryResult {
-            schema: out_schema.clone(),
-            rows,
-            affected: 0,
-        })
-    }
-
-    /// Fetch every leaf's rows, check them, and run the plan over them.
-    fn run_lowered(
-        &self,
-        graph: &QueryGraph,
-        plan: &OptimizedPlan,
-        leaves: &[Leaf],
-    ) -> Result<QueryResult> {
+        let leaves = leaves(&planned.sql, graph, &plan.root, pushdown)?;
         let shards = self.shards.read();
         let mut ops: Vec<BoxOp> = Vec::with_capacity(leaves.len());
         for leaf in leaves {
@@ -598,7 +365,14 @@ impl Coordinator {
                 check_rows(&r.rows, &leaf.schema, *shard)?;
                 rows.extend(r.rows);
             }
-            ops.push(Box::new(RowsOp::new(leaf.schema.clone(), rows)));
+            if pushdown {
+                return Ok(QueryResult {
+                    schema: leaf.schema,
+                    rows,
+                    affected: 0,
+                });
+            }
+            ops.push(Box::new(RowsOp::new(leaf.schema, rows)));
         }
         drop(shards);
         let token = CancelToken::new();
@@ -685,54 +459,33 @@ impl Coordinator {
     }
 }
 
-/// The shard owning `v`'s hash bucket among `n` — the same `Value` hash
-/// INSERT routing uses, so pruning and routing always agree.
-fn shard_for(v: &Value, n: usize) -> usize {
-    Row::new(vec![v.clone()]).partition_of(Some(&[0]), n)
-}
-
-/// The pushdown strategy of a single-table, non-aggregate statement.
-fn pushdown(sql: &str, graph: &QueryGraph, ctx: &OptContext) -> Result<Strategy> {
-    let Unit::Rel { alias, stats, .. } = &graph.units[0] else {
-        return Err(CsqError::Plan("pushable graph without a relation".into()));
-    };
-    let qualified = stats.schema.qualify(alias);
-    let mut fields = Vec::with_capacity(graph.output.len());
-    for (e, name) in &graph.output {
-        let dtype = bind(e, &qualified)
-            .and_then(|p| p.infer_type(&qualified))
-            .unwrap_or(DataType::Str);
-        fields.push(Field::new(name.clone(), dtype));
-    }
-    Ok(Strategy::Pushdown {
-        sql: sql.to_string(),
-        target: pinned_shard_value(graph, ctx, 0).map(|v| shard_for(v, ctx.shards)),
-        out_schema: Schema::new(fields),
-    })
-}
-
-/// The per-shard statement of every `Gather` in `root`, in walk order. A
-/// `Gather [merge]` sits under a shard-partial aggregate and sends the
-/// partial-aggregation rewrite; any other fetches its relation's rows.
-/// Either is pinned when a conjunct fixes that relation's shard key. Each
-/// alias is a leaf of its own, so a self-join's aliases fetch under their
-/// own pins and predicates — the fan-out EXPLAIN prints.
-fn leaves(graph: &QueryGraph, root: &PlanNode, ctx: &OptContext) -> Result<Vec<Leaf>> {
+/// The per-shard statement of every `Gather` in `root`, in walk order,
+/// each pinned to its `Scatter`'s target. A pushdown plan's one `Gather`
+/// sends `sql` itself; a `Gather [merge]` sits under a shard-partial
+/// aggregate and sends the partial-aggregation rewrite; any other fetches
+/// its relation's rows. Each alias is a leaf of its own, so a self-join's
+/// aliases fetch under their own pins and predicates — the fan-out EXPLAIN
+/// prints.
+fn leaves(sql: &str, graph: &QueryGraph, root: &PlanNode, pushdown: bool) -> Result<Vec<Leaf>> {
     let mut gathers = Vec::new();
     root.walk(&mut |node| {
         if let PlanNode::Gather { input, mode } = node {
+            let target = match **input {
+                PlanNode::Scatter { target, .. } => target,
+                _ => None,
+            };
             let mut unit = None;
             input.walk(&mut |n| {
                 if let PlanNode::Scan { unit: u } = n {
                     unit.get_or_insert(*u);
                 }
             });
-            gathers.push((unit, *mode));
+            gathers.push((unit, *mode, target));
         }
     });
     gathers
         .into_iter()
-        .map(|(unit, mode)| {
+        .map(|(unit, mode, target)| {
             let Some((
                 unit,
                 Unit::Rel {
@@ -746,6 +499,7 @@ fn leaves(graph: &QueryGraph, root: &PlanNode, ctx: &OptContext) -> Result<Vec<L
             };
             let qualified = stats.schema.qualify(alias);
             let (sql, schema) = match mode {
+                _ if pushdown => (sql.to_string(), output_schema(graph, &qualified)),
                 GatherMode::Merge => partial_agg_sql(graph, &qualified)?,
                 GatherMode::Ordered => (
                     format!("SELECT * FROM {table} {alias}{}", where_sql(graph, unit)?),
@@ -754,11 +508,26 @@ fn leaves(graph: &QueryGraph, root: &PlanNode, ctx: &OptContext) -> Result<Vec<L
             };
             Ok(Leaf {
                 sql,
-                target: pinned_shard_value(graph, ctx, unit).map(|v| shard_for(v, ctx.shards)),
+                target,
                 schema,
             })
         })
         .collect()
+}
+
+/// The output schema of a single-relation statement over `qualified`.
+fn output_schema(graph: &QueryGraph, qualified: &Schema) -> Schema {
+    let fields = graph
+        .output
+        .iter()
+        .map(|(e, name)| {
+            let dtype = bind(e, qualified)
+                .and_then(|p| p.infer_type(qualified))
+                .unwrap_or(DataType::Str);
+            Field::new(name.clone(), dtype)
+        })
+        .collect();
+    Schema::new(fields)
 }
 
 /// ` WHERE c1 AND …` over the conjuncts a shard can evaluate for relation
@@ -970,9 +739,9 @@ mod tests {
     }
 
     /// What a shard reads back for `values` rendered as SQL literals — the
-    /// form a pushed conjunct carries them in: each literal re-parsed as an
-    /// expression, bound and evaluated.
-    fn stored_by_a_shard(values: &[Value]) -> Vec<Value> {
+    /// form a leaf's pushed conjunct carries them in: each literal re-parsed
+    /// as an expression, bound and evaluated.
+    fn read_by_a_shard(values: &[Value]) -> Vec<Value> {
         let (schema, row) = (Schema::empty(), Row::new(vec![]));
         values
             .iter()
@@ -984,8 +753,10 @@ mod tests {
             .collect()
     }
 
+    /// Every value a leaf's pushed conjunct can carry renders to a literal a
+    /// shard reads back as that same value; the rest is a typed refusal.
     #[test]
-    fn rendered_inserts_reparse_to_the_same_values() {
+    fn pushed_conjunct_literals_reparse_to_the_same_values() {
         // `Value` equality is by type and, for floats, by bit pattern.
         let edges = [
             Value::Null,
@@ -1014,7 +785,7 @@ mod tests {
             Value::from("back\\slash \"quoted\""),
             Value::from("naïve Ünïcödé 数据库 🦀"),
         ];
-        assert_eq!(stored_by_a_shard(&edges), edges);
+        assert_eq!(read_by_a_shard(&edges), edges);
 
         // A seeded xorshift sweep: ints of every magnitude, finite floats of
         // every exponent, strings over an alphabet of quotes, controls and
@@ -1042,7 +813,7 @@ mod tests {
                     .collect();
                 row.push(Value::from(s));
             }
-            assert_eq!(stored_by_a_shard(&row), row);
+            assert_eq!(read_by_a_shard(&row), row);
         }
 
         // What SQL text cannot carry stays a typed refusal.
@@ -1071,23 +842,24 @@ mod tests {
         assert!(matches!(expr, Expr::Literal(Value::Float(f)) if *f == 2.0));
     }
 
+    /// A remote table holds no rows on the engine: a scan of it that no
+    /// `Gather` reads is an unknown table, never an empty answer.
     #[test]
-    fn shard_routing_matches_row_partitioning() {
-        // The pinning path hashes a lone literal; INSERT routing hashes the
-        // key column inside the full row. They must agree.
-        let v = Value::from("Acme");
-        let row = Row::new(vec![Value::Int(9), v.clone(), Value::Float(1.5)]);
-        for n in [1usize, 2, 4, 7] {
-            assert_eq!(shard_for(&v, n), row.partition_of(Some(&[1]), n));
-        }
+    fn a_scan_outside_a_gather_is_an_unknown_table() {
+        let engine = Database::new(NetworkSpec::lan());
+        let schema = Schema::new(vec![Field::new("Id", DataType::Int)]);
+        engine.create_remote_table("R".into(), schema, 0);
+        let err = engine.execute("SELECT R.Id FROM R R").unwrap_err();
+        assert_eq!(err.kind(), "catalog");
+        assert!(err.message().contains("unknown table 'R'"), "{err}");
     }
 
     #[test]
     fn int_literals_coerce_before_hashing() {
-        let v = coerce_to(Value::Int(5), DataType::Float);
+        let v = crate::coerce_to(Value::Int(5), DataType::Float);
         assert_eq!(v, Value::Float(5.0));
         // Str columns are untouched.
-        let s = coerce_to(Value::from("x"), DataType::Str);
+        let s = crate::coerce_to(Value::from("x"), DataType::Str);
         assert_eq!(s, Value::from("x"));
     }
 }

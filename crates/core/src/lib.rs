@@ -43,6 +43,7 @@ pub use result::QueryResult;
 use result::ResultBatches;
 pub use service::{ServiceConfig, ServiceHandle, ServiceStats};
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -66,6 +67,7 @@ pub use csq_exec::{AggSpec, HashAggregate, MemoryTracker};
 pub use csq_expr::AggFunc;
 pub use csq_net::{NetStats, NetworkSpec};
 pub use csq_opt::{AggPlacement, OptimizedPlan, UdfMeta};
+use csq_storage::TableProfile;
 pub use csq_storage::{Catalog, Table, TableBuilder};
 
 /// Capacity of the per-database plan cache (distinct SQL×context plans).
@@ -87,6 +89,27 @@ pub struct Database {
     /// files instead of growing.
     /// Defaults to unlimited; see [`set_memory_budget`](Self::set_memory_budget).
     memory: RwLock<Arc<MemoryTracker>>,
+    /// Tables whose rows live on a coordinator's shards, by lowercase name;
+    /// empty except in a [`Coordinator`]'s engine.
+    remote: RwLock<HashMap<String, RemoteTable>>,
+    /// Shards the remote tables are hash-partitioned across: the
+    /// coordinator's shard count, 0 for every other database.
+    shards: usize,
+}
+
+/// A table whose rows live on a coordinator's shards (DESIGN.md §13): what
+/// the coordinator's engine plans it by. It is never a catalog [`Table`], so
+/// only a `Gather` reads its rows; a scan outside one is an unknown table.
+struct RemoteTable {
+    /// Name as created.
+    name: String,
+    schema: Schema,
+    /// Ordinal of the hash-partitioning column.
+    shard_col: usize,
+    /// The rows routed to the shards, counted as they are routed.
+    profile: TableProfile,
+    /// Advertised distinct-value counts, by lowercase column name.
+    col_distincts: HashMap<String, f64>,
 }
 
 impl Database {
@@ -100,6 +123,8 @@ impl Database {
             plan_epoch: AtomicU64::new(0),
             plan_cache: PlanCache::new(PLAN_CACHE_CAPACITY),
             memory: RwLock::new(MemoryTracker::unlimited()),
+            remote: RwLock::new(HashMap::new()),
+            shards: 0,
         }
     }
 
@@ -127,8 +152,8 @@ impl Database {
     }
 
     /// The placement context a plan is valid under. Everything the
-    /// optimizer reads — catalog statistics, UDF metadata, *and* the
-    /// network description (see [`set_network`](Self::set_network), which
+    /// optimizer reads — catalog and remote-table statistics, UDF metadata,
+    /// *and* the network description (see [`set_network`](Self::set_network), which
     /// bumps it) — rolls into this one counter, so equal epochs mean the
     /// optimizer would reproduce the same plan.
     pub fn plan_epoch(&self) -> u64 {
@@ -226,11 +251,21 @@ impl Database {
         self.bump_plan_epoch();
     }
 
+    /// The one optimizer context: catalog and remote tables (these with
+    /// their shard keys), UDF metadata, the network and the shard count.
     fn opt_context(&self) -> OptContext {
-        let mut ctx = OptContext::new(self.network());
+        let mut ctx = OptContext::new(self.network()).with_shards(self.shards);
         for name in self.catalog.table_names() {
             if let Ok(t) = self.catalog.get(&name) {
                 ctx.add_table(&name, csq_opt::context::stats_from_table(&t));
+            }
+        }
+        for t in self.remote.read().values() {
+            let stats = csq_opt::context::stats_from_profile(&t.schema, t.profile.clone());
+            ctx.add_table(&t.name, stats);
+            ctx.set_shard_key(&t.name, &t.schema.field(t.shard_col).name);
+            for (column, d) in &t.col_distincts {
+                ctx.set_col_distinct(&t.name, column, *d);
             }
         }
         for m in self.udf_metas.read().iter() {
@@ -276,15 +311,20 @@ impl Database {
     /// catalog, so selective filters are visible before running the query.
     pub fn explain(&self, sql: &str) -> Result<String> {
         let (graph, plan) = self.plan_sql(sql, "EXPLAIN only supports SELECT")?;
-        let mut notes = std::collections::HashMap::new();
-        self.scan_notes(&graph, &plan.root, &[], &mut notes);
-        Ok(format!(
+        Ok(self.render_explain(&graph, &plan))
+    }
+
+    /// [`explain`](Self::explain)'s text for a planned query.
+    fn render_explain(&self, graph: &QueryGraph, plan: &OptimizedPlan) -> String {
+        let mut notes = HashMap::new();
+        self.scan_notes(graph, &plan.root, &[], &mut notes);
+        format!(
             "{}cost: {:.6}s (est. {:.1} rows, {} states explored)\n",
-            plan.root.explain_annotated(&graph, &notes),
+            plan.root.explain_annotated(graph, &notes),
             plan.cost_seconds,
             plan.est_rows,
             plan.states_explored
-        ))
+        )
     }
 
     /// Walk a plan and annotate each scan leaf with the segment counts the
@@ -296,7 +336,7 @@ impl Database {
         graph: &QueryGraph,
         node: &csq_opt::PlanNode,
         preds: &[usize],
-        notes: &mut std::collections::HashMap<usize, String>,
+        notes: &mut HashMap<usize, String>,
     ) {
         use csq_opt::PlanNode;
         match node {
@@ -426,16 +466,25 @@ impl Database {
     /// query plus whether it was served from the cache. Non-SELECT
     /// statements cannot be prepared.
     pub fn prepare(&self, sql: &str) -> Result<(Arc<PlannedQuery>, bool)> {
-        let epoch = self.plan_epoch();
-        if let Some(planned) = self.plan_cache.lookup(epoch, sql) {
-            return Ok((planned, true));
-        }
-        match parse_statement(sql)? {
-            Statement::Select(sel) => Ok((self.plan_select(sql, &sel, epoch)?, false)),
-            _ => Err(CsqError::Plan(
+        match self.plan_cached(sql)? {
+            Cached::Select(planned, hit) => Ok((planned, hit)),
+            Cached::Other(_) => Err(CsqError::Plan(
                 "only SELECT statements can be prepared".into(),
             )),
         }
+    }
+
+    /// `sql` as a SELECT planned through the plan cache, or as the parsed
+    /// statement when it is not one. A cache hit skips the parse.
+    pub(crate) fn plan_cached(&self, sql: &str) -> Result<Cached> {
+        let epoch = self.plan_epoch();
+        if let Some(planned) = self.plan_cache.lookup(epoch, sql) {
+            return Ok(Cached::Select(planned, true));
+        }
+        Ok(match parse_statement(sql)? {
+            Statement::Select(sel) => Cached::Select(self.plan_select(sql, &sel, epoch)?, false),
+            other => Cached::Other(other),
+        })
     }
 
     /// Optimize a parsed SELECT and publish it to the plan cache.
@@ -522,18 +571,12 @@ impl Database {
         sql: &str,
         token: &CancelToken,
     ) -> Result<(ResultBatches, bool)> {
-        let epoch = self.plan_epoch();
-        if let Some(planned) = self.plan_cache.lookup(epoch, sql) {
-            let out = lower::execute_threaded(self, &planned.graph, &planned.plan, token)?;
-            return Ok((out, true));
-        }
-        match parse_statement(sql)? {
-            Statement::Select(sel) => {
-                let planned = self.plan_select(sql, &sel, epoch)?;
+        match self.plan_cached(sql)? {
+            Cached::Select(planned, hit) => {
                 let out = lower::execute_threaded(self, &planned.graph, &planned.plan, token)?;
-                Ok((out, false))
+                Ok((out, hit))
             }
-            other => {
+            Cached::Other(other) => {
                 // DDL and DML answer with a count, never with rows.
                 let done = self.execute_nontext(other, token)?;
                 Ok((ResultBatches::count(done.affected), false))
@@ -545,6 +588,102 @@ impl Database {
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         self.plan_cache.stats()
     }
+
+    // ---- remote tables (a coordinator's engine) ---------------------------
+
+    /// True when `name` is a remote table.
+    pub(crate) fn has_remote_table(&self, name: &str) -> bool {
+        self.remote.read().contains_key(&name.to_ascii_lowercase())
+    }
+
+    /// Add a remote table hash-partitioned on column `shard_col`, with no
+    /// rows, and bump the plan epoch.
+    pub(crate) fn create_remote_table(&self, name: String, schema: Schema, shard_col: usize) {
+        let profile = TableProfile {
+            col_wire_bytes: vec![0; schema.len()],
+            ..TableProfile::default()
+        };
+        self.remote.write().insert(
+            name.to_ascii_lowercase(),
+            RemoteTable {
+                name,
+                schema,
+                shard_col,
+                profile,
+                col_distincts: HashMap::new(),
+            },
+        );
+        self.bump_plan_epoch();
+    }
+
+    /// Evaluate the rows of an `INSERT` into remote table `table`, coerce
+    /// them to its column types, count them into its profile and bump the
+    /// plan epoch; returns the table's name as created and the rows each of
+    /// the `shards` shards owns by its shard-key hash. The one place a
+    /// remote table's statistics move, so they never move without the
+    /// epoch: a row that fails to evaluate fails the statement before any
+    /// row is counted, and rows a shard later refuses stay counted.
+    pub(crate) fn route_rows(
+        &self,
+        table: &str,
+        rows: Vec<Vec<Expr>>,
+    ) -> Result<(String, Vec<Vec<Row>>)> {
+        let mut remote = self.remote.write();
+        let t = remote
+            .get_mut(&table.to_ascii_lowercase())
+            .ok_or_else(|| CsqError::Catalog(format!("unknown table '{table}'")))?;
+        let mut routed = Vec::with_capacity(rows.len());
+        for exprs in rows {
+            if exprs.len() != t.schema.len() {
+                return Err(CsqError::Type(format!(
+                    "table '{}': expected {} columns, got {}",
+                    t.name,
+                    t.schema.len(),
+                    exprs.len()
+                )));
+            }
+            let values = insert_values(exprs)?
+                .into_iter()
+                .zip(t.schema.fields())
+                // Coerce to the declared column type before hashing: stored
+                // and routed values must hash identically, and `Int(5)` and
+                // `Float(5.0)` do not (shard pruning and routing both hash
+                // the declared type).
+                .map(|(v, f)| coerce_to(v, f.dtype))
+                .collect();
+            routed.push(Row::new(values));
+        }
+        let mut per_shard: Vec<Vec<Row>> = (0..self.shards).map(|_| Vec::new()).collect();
+        t.profile.rows += routed.len();
+        for row in routed {
+            for (sum, v) in t.profile.col_wire_bytes.iter_mut().zip(row.values()) {
+                *sum += v.wire_size() as u64;
+            }
+            per_shard[row.partition_of(Some(&[t.shard_col]), self.shards)].push(row);
+        }
+        let name = t.name.clone();
+        drop(remote);
+        self.bump_plan_epoch();
+        Ok((name, per_shard))
+    }
+
+    /// Record the distinct-value count of remote `table.column` and bump the
+    /// plan epoch; a table this database does not hold is ignored.
+    pub(crate) fn set_col_distinct(&self, table: &str, column: &str, distinct: f64) {
+        if let Some(t) = self.remote.write().get_mut(&table.to_ascii_lowercase()) {
+            t.col_distincts
+                .insert(column.to_ascii_lowercase(), distinct);
+            self.bump_plan_epoch();
+        }
+    }
+}
+
+/// What [`Database::plan_cached`] made of one SQL text.
+pub(crate) enum Cached {
+    /// A planned SELECT, and whether the plan cache served it.
+    Select(Arc<PlannedQuery>, bool),
+    /// Any other statement, parsed.
+    Other(Statement),
 }
 
 /// The values of one `INSERT` row: a literal is taken as it is, and any

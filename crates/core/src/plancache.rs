@@ -8,12 +8,13 @@
 //! everything the optimizer read from the catalog and UDF registry
 //! (statistics, advertised UDF metadata). Both roll into the database's
 //! **plan epoch**: a counter bumped on every DDL, INSERT, UDF
-//! (re-)registration, and network change. Entries are keyed by SQL text
-//! and stamped with the epoch they were planned under; a lookup whose
-//! entry carries a stale epoch is a miss (the replan overwrites the stale
-//! entry in place), so a stale plan can never be served — and lookups
-//! probe the map with a borrowed `&str`, no per-query allocation on the
-//! hot path.
+//! (re-)registration, and network change — and, in a coordinator's engine,
+//! on every routed INSERT, advertised distinct count and shard
+//! replacement. Entries are keyed by SQL text and stamped with the epoch
+//! they were planned under; a lookup whose entry carries a stale epoch is
+//! a miss (the replan overwrites the stale entry in place), so a stale
+//! plan can never be served — and lookups probe the map with a borrowed
+//! `&str`, no per-query allocation on the hot path.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -228,16 +228,21 @@ impl OptContext {
     }
 }
 
-/// [`TableStats`] of an actual in-memory table: a conversion of the
-/// table's running [`csq_storage::TableProfile`], O(width) whatever the
-/// table's size. The sums are integers, so the averages are exactly what a
-/// walk over every row would produce.
+/// [`TableStats`] of an actual in-memory table: [`stats_from_profile`] of
+/// its running profile, O(width) whatever the table's size.
 pub fn stats_from_table(table: &csq_storage::Table) -> TableStats {
-    let profile = table.profile();
+    stats_from_profile(table.schema(), table.profile())
+}
+
+/// [`TableStats`] of a table with schema `schema` whose rows `profile`
+/// describes — a local table's or the rows a coordinator routed to its
+/// shards. The sums are integers, so the averages are exactly what a walk
+/// over every row would produce.
+pub fn stats_from_profile(schema: &Schema, profile: csq_storage::TableProfile) -> TableStats {
     let n = profile.rows.max(1) as f64;
     let total: u64 = profile.col_wire_bytes.iter().sum();
     TableStats {
-        schema: table.schema().clone(),
+        schema: schema.clone(),
         rows: profile.rows as f64,
         row_bytes: total as f64 / n,
         col_bytes: profile

@@ -106,15 +106,15 @@ pub enum PlanNode {
         groups_est: f64,
     },
     /// Fan the subplan out to a shard set (DESIGN.md §13): every live shard
-    /// runs the subplan over its hash-partition of the data. `pruned` counts
-    /// shards skipped because a predicate pins the shard key to one
-    /// hash bucket.
+    /// runs the subplan over its hash-partition of the data, or only
+    /// `target` when a predicate pins the shard key to one hash bucket.
     Scatter {
         input: Box<PlanNode>,
         /// Shards in the topology.
         shards: usize,
-        /// Shards the coordinator never contacts for this query.
-        pruned: usize,
+        /// The one shard contacted, when the shard key is pinned; the
+        /// coordinator skips the other `shards - 1`.
+        target: Option<usize>,
     },
     /// Reassemble the scattered streams at the coordinator: shard-order
     /// concatenation for row results, group-wise state merging for
@@ -266,8 +266,9 @@ impl PlanNode {
             PlanNode::Scatter {
                 input,
                 shards,
-                pruned,
+                target,
             } => {
+                let pruned = if target.is_some() { shards - 1 } else { 0 };
                 out.push_str(&format!(
                     "{pad}Scatter [{shards} shards, {pruned} pruned]\n"
                 ));

@@ -16,9 +16,9 @@
 //!
 //! Shard pruning: when a conjunct pins a table's hash-partitioning column
 //! to a literal (`key = lit`), only the shard owning that hash bucket is
-//! contacted; the `Scatter` node records how many shards that skipped.
+//! contacted; the `Scatter` node records that shard as its `target`.
 
-use csq_common::Value;
+use csq_common::{Row, Value};
 use csq_expr::{BinaryOp, Expr};
 
 use crate::context::OptContext;
@@ -88,14 +88,17 @@ pub fn pushable(graph: &QueryGraph) -> bool {
     graph.n_rels == 1 && graph.units.len() == 1
 }
 
-/// Shards a scan of relation `unit` skips: all but one when the shard key
-/// is pinned, none otherwise.
-pub fn pruned_for(graph: &QueryGraph, opt: &OptContext, unit: usize) -> usize {
-    if pinned_shard_value(graph, opt, unit).is_some() {
-        opt.shards.saturating_sub(1)
-    } else {
-        0
-    }
+/// The shard owning `v`'s hash bucket among `n` — the same `Value` hash
+/// INSERT routing uses ([`Row::partition_of`]), so pruning and routing
+/// always agree.
+pub fn shard_for(v: &Value, n: usize) -> usize {
+    Row::new(vec![v.clone()]).partition_of(Some(&[0]), n)
+}
+
+/// The one shard a scan of relation `unit` contacts when the shard key is
+/// pinned; `None` when it contacts every shard.
+fn target_for(graph: &QueryGraph, opt: &OptContext, unit: usize) -> Option<usize> {
+    pinned_shard_value(graph, opt, unit).map(|v| shard_for(v, opt.shards))
 }
 
 /// Rewrite an optimized single-node plan into the scatter/gather form a
@@ -105,7 +108,7 @@ pub fn shardify(root: PlanNode, graph: &QueryGraph, opt: &OptContext) -> PlanNod
         return root;
     }
     if pushable(graph) {
-        let pruned = pruned_for(graph, opt, 0);
+        let target = target_for(graph, opt, 0);
         return match root {
             // The finalize Aggregate stays above the gather: shards run the
             // subplan (for shard-partial, their local partial phase) and the
@@ -120,23 +123,23 @@ pub fn shardify(root: PlanNode, graph: &QueryGraph, opt: &OptContext) -> PlanNod
                     _ => GatherMode::Ordered,
                 };
                 PlanNode::Aggregate {
-                    input: Box::new(wrap(input, opt.shards, pruned, mode)),
+                    input: Box::new(wrap(input, opt.shards, target, mode)),
                     placement,
                     groups_est,
                 }
             }
-            other => wrap(Box::new(other), opt.shards, pruned, GatherMode::Ordered),
+            other => wrap(Box::new(other), opt.shards, target, GatherMode::Ordered),
         };
     }
     wrap_scans(root, graph, opt)
 }
 
-fn wrap(input: Box<PlanNode>, shards: usize, pruned: usize, mode: GatherMode) -> PlanNode {
+fn wrap(input: Box<PlanNode>, shards: usize, target: Option<usize>, mode: GatherMode) -> PlanNode {
     PlanNode::Gather {
         input: Box::new(PlanNode::Scatter {
             input,
             shards,
-            pruned,
+            target,
         }),
         mode,
     }
@@ -149,7 +152,7 @@ fn wrap_scans(node: PlanNode, graph: &QueryGraph, opt: &OptContext) -> PlanNode 
         PlanNode::Scan { unit } => wrap(
             Box::new(PlanNode::Scan { unit }),
             opt.shards,
-            pruned_for(graph, opt, unit),
+            target_for(graph, opt, unit),
             GatherMode::Ordered,
         ),
         PlanNode::Join { left, right } => PlanNode::Join {
@@ -195,5 +198,63 @@ fn wrap_scans(node: PlanNode, graph: &QueryGraph, opt: &OptContext) -> PlanNode 
         // Already wrapped (shardify is idempotent only because these stop
         // the recursion).
         done @ (PlanNode::Scatter { .. } | PlanNode::Gather { .. }) => done,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::context::TableStats;
+    use csq_common::{DataType, Field, Schema};
+    use csq_net::NetworkSpec;
+
+    #[test]
+    fn shard_routing_matches_row_partitioning() {
+        // The pinning path hashes a lone literal; INSERT routing hashes the
+        // key column inside the full row. They must agree.
+        let v = Value::from("Acme");
+        let row = Row::new(vec![Value::Int(9), v.clone(), Value::Float(1.5)]);
+        for n in [1usize, 2, 4, 7] {
+            assert_eq!(shard_for(&v, n), row.partition_of(Some(&[1]), n));
+        }
+
+        // A pinned `Scatter` targets the shard its literal's row routes to.
+        let schema = Schema::new(vec![
+            Field::new("Id", DataType::Int),
+            Field::new("Name", DataType::Str),
+            Field::new("Price", DataType::Float),
+        ]);
+        for n in [2usize, 4, 7] {
+            let mut ctx = OptContext::new(NetworkSpec::lan()).with_shards(n);
+            ctx.add_table(
+                "T",
+                TableStats {
+                    schema: schema.clone(),
+                    rows: 100.0,
+                    row_bytes: 27.0,
+                    col_bytes: vec![9.0, 9.0, 9.0],
+                    segments: Default::default(),
+                },
+            );
+            ctx.set_shard_key("T", "Name");
+            let csq_sql::Statement::Select(sel) =
+                csq_sql::parse_statement("SELECT T.Id FROM T T WHERE T.Name = 'Acme'").unwrap()
+            else {
+                unreachable!()
+            };
+            let graph = crate::query::extract(&sel, &ctx).unwrap();
+            let plan = crate::optimize(&graph, &ctx).unwrap();
+            let mut targets = Vec::new();
+            plan.root.walk(&mut |node| {
+                if let PlanNode::Scatter { target, .. } = node {
+                    targets.push(*target);
+                }
+            });
+            assert_eq!(
+                targets,
+                [Some(row.partition_of(Some(&[1]), n))],
+                "{n} shards"
+            );
+        }
     }
 }

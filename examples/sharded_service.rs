@@ -59,15 +59,28 @@ fn main() {
         println!("{row}");
     }
 
-    // A filter that pins the shard key is pruned to a single shard.
+    // A filter that pins the shard key is pruned to a single shard. The
+    // EXPLAIN planned it, so running it is a plan-cache hit.
     let pinned = "SELECT Trades.Qty FROM Trades Trades WHERE Trades.Sym = 'CC'";
     println!("\nEXPLAIN {pinned}\n");
     println!("{}", coord.explain(pinned).expect("explain pinned"));
-    let cc = coord.execute(pinned).expect("pinned filter");
-    println!("{} CC trades (1 of 3 shards contacted)", cc.rows.len());
-
     use std::sync::atomic::Ordering::Relaxed;
     let stats = coord.stats();
+    let pruned = stats.shards_pruned.load(Relaxed);
+    let hits = stats.plan_cache_hits.load(Relaxed);
+    let cc = coord.execute(pinned).expect("pinned filter");
+    println!("{} CC trades (1 of 3 shards contacted)", cc.rows.len());
+    assert_eq!(
+        stats.shards_pruned.load(Relaxed) - pruned,
+        addrs.len() as u64 - 1,
+        "the pinned filter must skip every shard but one"
+    );
+    assert_eq!(
+        stats.plan_cache_hits.load(Relaxed) - hits,
+        1,
+        "a repeated statement must be a plan-cache hit"
+    );
+
     println!(
         "coordinator: {} queries ({} partial-agg), {} shard statements, {} pruned contacts",
         stats.queries.load(Relaxed),

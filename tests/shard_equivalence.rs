@@ -18,7 +18,7 @@
 //! `csq-net` fault injector and checks the §13 failure contract: the
 //! gather returns a typed *retryable* error naming the shard (no hang),
 //! the healthy shard keeps answering, and `replace_shard` restores full
-//! service under a bumped topology epoch.
+//! service under a bumped plan epoch.
 //!
 //! Failing seeds persist under `proptest-regressions/` (vendored proptest
 //! shim) and committed seeds replay on every `cargo test`.
@@ -321,6 +321,92 @@ fn explain_shows_scatter_gather_and_pruning() {
         .load(std::sync::atomic::Ordering::Relaxed);
     assert!(hits1 > hits0, "repeated explain must hit the plan cache");
 
+    // Every event that moves what a plan depends on moves the one plan
+    // epoch.
+    let coord = &cluster.coord;
+    epoch_moves(coord, "create_table", || {
+        coord
+            .create_table("CREATE TABLE V (Id INT, Tag STR)", "Tag")
+            .expect("sharded CREATE V");
+    });
+    epoch_moves(coord, "routed INSERT", || {
+        coord
+            .execute("INSERT INTO T VALUES (100, 1, 2, 'x'), (101, 2, 3, 'y')")
+            .expect("routed INSERT");
+    });
+    epoch_moves(coord, "register_udf", || {
+        coord
+            .register_udf(plus_ten_named("PlusEleven"))
+            .expect("udf")
+    });
+    epoch_moves(coord, "advertise_distinct", || {
+        coord.advertise_distinct("T", "Grp", 5.0)
+    });
+    epoch_moves(coord, "replace_shard", || {
+        coord
+            .replace_shard(1, cluster.handles[1].local_addr())
+            .expect("replace shard 1")
+    });
+
+    cluster.stop();
+}
+
+/// Run `event` between EXPLAINs of a statement the plan cache holds: the
+/// next EXPLAIN must replan (`plan_cache_hits` unchanged), and the one after
+/// it must hit.
+fn epoch_moves(coord: &Coordinator, name: &str, event: impl FnOnce()) {
+    const SQL: &str = "SELECT T.Val FROM T T WHERE T.Id = 7";
+    let hits = || {
+        coord
+            .stats()
+            .plan_cache_hits
+            .load(std::sync::atomic::Ordering::Relaxed)
+    };
+    coord.explain(SQL).expect("explain");
+    event();
+    let before = hits();
+    coord.explain(SQL).expect("explain after the event");
+    assert_eq!(hits(), before, "{name}: the next explain must replan");
+    coord.explain(SQL).expect("explain again");
+    assert_eq!(hits(), before + 1, "{name}: the explain after must hit");
+}
+
+/// A multi-row INSERT that one shard refuses still counted its rows into
+/// the coordinator's statistics (the other shard stored its share), so it
+/// moves the plan epoch as well: the next EXPLAIN replans, and its estimate
+/// counts the rows.
+#[test]
+fn a_failed_routed_insert_leaves_no_stale_plan() {
+    let inserts = insert_statements(&fixture_rows());
+    let cluster = Cluster::start(2, "Id", &inserts);
+    let coord = &cluster.coord;
+    let hits = || {
+        coord
+            .stats()
+            .plan_cache_hits
+            .load(std::sync::atomic::Ordering::Relaxed)
+    };
+    let sql = "SELECT T.Id FROM T T";
+    let injector = FaultInjector::start(cluster.handles[1].local_addr(), vec![Fault::Refuse; 64])
+        .expect("fault injector");
+    coord
+        .replace_shard(1, injector.local_addr())
+        .expect("replace with injector");
+    let cached = coord.explain(sql).expect("explain");
+    assert!(cached.contains("est. 40.0 rows"), "{cached}");
+    assert_eq!(coord.explain(sql).expect("explain again"), cached);
+
+    let rows: Vec<String> = (100..120).map(|i| format!("({i}, 0, 0, 'x')")).collect();
+    let insert = format!("INSERT INTO T VALUES {}", rows.join(", "));
+    let err = coord.execute(&insert).expect_err("shard 1 refuses");
+    assert!(err.message().contains("shard 1"), "{}", err.message());
+
+    let before = hits();
+    let replanned = coord.explain(sql).expect("explain after the failed insert");
+    assert_eq!(hits(), before, "the failed insert must invalidate the plan");
+    assert!(replanned.contains("est. 60.0 rows"), "{replanned}");
+
+    injector.shutdown();
     cluster.stop();
 }
 
@@ -426,7 +512,7 @@ fn killed_shard_fails_typed_and_replace_restores_service() {
     // connection. The fan-out must return a typed retryable error naming
     // the shard — not hang the gather.
     let injector = FaultInjector::start(addrs[1], vec![Fault::Refuse; 64]).expect("fault injector");
-    let epoch0 = coord.topology_epoch();
+    let epoch0 = coord.plan_epoch();
     coord
         .replace_shard(1, injector.local_addr())
         .expect("replace with injector");
@@ -455,13 +541,10 @@ fn killed_shard_fails_typed_and_replace_restores_service() {
         "at least one pinned key must route to the live shard"
     );
 
-    // Failover: point shard 1 back at the real service; the topology epoch
+    // Failover: point shard 1 back at the real service; the plan epoch
     // must have moved (stale plans replan) and the gather must be whole.
     coord.replace_shard(1, addrs[1]).expect("replace back");
-    assert!(
-        coord.topology_epoch() >= epoch0 + 2,
-        "epoch must bump per swap"
-    );
+    assert!(coord.plan_epoch() >= epoch0 + 2, "epoch must bump per swap");
     let restored = coord.execute(full).expect("restored gather");
     let norm = |r: &QueryResult| {
         let mut v: Vec<String> = r.rows.iter().map(|row| format!("{row}")).collect();
