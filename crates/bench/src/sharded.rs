@@ -7,9 +7,9 @@
 //!
 //! * **agg** — grouped aggregation: per-shard partial states merged at the
 //!   coordinator (the scatter/gather path the tentpole exists for);
-//! * **filter** — single-table selection: statement pushdown to every
+//! * **filter** — single-table selection: a filtered `Fetch` to every
 //!   shard, rows concatenated;
-//! * **pinned** — equality on the shard key: pushdown pruned to the one
+//! * **pinned** — equality on the shard key: the `Fetch` pruned to the one
 //!   shard owning the hash bucket (its cost should stay flat as shards
 //!   are added).
 //!

@@ -657,7 +657,15 @@ impl ConnectionPool {
         Ok(self.run_with(Encoded::insert(table, rows), opts)?.affected)
     }
 
-    /// [`query_with`](Self::query_with) and [`insert_with`](Self::insert_with)
+    /// Send a typed read ([`QueryRequest::Fetch`]) under `opts`, retried as
+    /// [`query_with`](Self::query_with) retries: a read changes nothing, so
+    /// it is never `indeterminate`.
+    pub fn fetch_with(&self, fetch: &QueryRequest, opts: &QueryOptions) -> Result<RemoteResult> {
+        self.run_with(Encoded::new(fetch), opts)
+    }
+
+    /// [`query_with`](Self::query_with), [`insert_with`](Self::insert_with)
+    /// and [`fetch_with`](Self::fetch_with)
     /// over an encoded request: each attempt checks out a connection and
     /// sends `req` under what is left of the budget.
     fn run_with(&self, mut req: Encoded, opts: &QueryOptions) -> Result<RemoteResult> {

@@ -83,7 +83,7 @@ impl ClientTask {
             ));
         }
         if let Some(p) = &self.predicate {
-            check_expr_width(p, width)?;
+            check_expr_width(p, width as usize)?;
         }
         if let Some(cols) = &self.return_cols {
             for &c in cols {
@@ -103,15 +103,18 @@ impl ClientTask {
     }
 }
 
-fn check_expr_width(e: &PhysExpr, width: u32) -> Result<()> {
+/// Check that every column `e` reads is below `width`: a `plan` error
+/// naming the first that is not. An expression from outside the program
+/// passes this before anything evaluates it.
+pub fn check_expr_width(e: &PhysExpr, width: usize) -> Result<()> {
     match e {
         PhysExpr::Literal(_) => Ok(()),
         PhysExpr::Column(i) => {
-            if (*i as u32) < width {
+            if *i < width {
                 Ok(())
             } else {
                 Err(CsqError::Plan(format!(
-                    "task predicate: column {i} out of range (width {width})"
+                    "column {i} out of range (width {width})"
                 )))
             }
         }
@@ -232,8 +235,21 @@ pub fn encode_expr(e: &PhysExpr, out: &mut Vec<u8>) {
     }
 }
 
+/// Deepest expression [`decode_expr`] accepts: a frame nesting deeper is a
+/// `codec` error, never a decoder recursing until the stack overflows.
+const MAX_EXPR_DEPTH: usize = 256;
+
 /// Decode a physical expression.
 pub fn decode_expr(d: &mut Decoder<'_>) -> Result<PhysExpr> {
+    decode_expr_within(d, MAX_EXPR_DEPTH)
+}
+
+fn decode_expr_within(d: &mut Decoder<'_>, depth: usize) -> Result<PhysExpr> {
+    let Some(depth) = depth.checked_sub(1) else {
+        return Err(CsqError::Codec(format!(
+            "expression nested deeper than {MAX_EXPR_DEPTH}"
+        )));
+    };
     match d.take_u8()? {
         EXPR_LIT => Ok(PhysExpr::Literal(d.value()?)),
         EXPR_COL => Ok(PhysExpr::Column(d.take_u32()? as usize)),
@@ -245,13 +261,13 @@ pub fn decode_expr(d: &mut Decoder<'_>) -> Result<PhysExpr> {
             };
             Ok(PhysExpr::Unary {
                 op,
-                expr: Box::new(decode_expr(d)?),
+                expr: Box::new(decode_expr_within(d, depth)?),
             })
         }
         EXPR_BINARY => {
             let op = binary_op_from(d.take_u8()?)?;
-            let left = Box::new(decode_expr(d)?);
-            let right = Box::new(decode_expr(d)?);
+            let left = Box::new(decode_expr_within(d, depth)?);
+            let right = Box::new(decode_expr_within(d, depth)?);
             Ok(PhysExpr::Binary { left, op, right })
         }
         other => Err(CsqError::Codec(format!("bad expr tag {other}"))),

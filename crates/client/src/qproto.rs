@@ -15,13 +15,19 @@
 //! large a result set is. The server encodes every chunk of a result before
 //! it sends the header ([`QueryResponse::encode_rows_frames`]), so a
 //! statement that fails answers with one `Error` and never a partial result.
-//! One request is not SQL: [`QueryRequest::Insert`] carries typed rows,
+//!
+//! Two requests are not SQL. [`QueryRequest::Insert`] carries typed rows,
 //! which the server stores without parsing or evaluating anything.
+//! [`QueryRequest::Fetch`] carries a typed read fragment — a table, the
+//! schema the sender expects of it, a bound filter, the columns to return
+//! and an optional partial aggregation — which the server runs as operators
+//! without parsing or planning anything: what a coordinator sends a shard.
 
 use csq_common::codec::{encode_rows, Decoder};
-use csq_common::{CsqError, Result, Row, RowBatch};
+use csq_common::{CsqError, DataType, Field, Result, Row, RowBatch, Schema};
+use csq_expr::{AggFunc, AggSpec, PhysExpr};
 
-use crate::protocol::{put_bool, put_str, put_u32, take_bool, take_str};
+use crate::protocol::{decode_expr, encode_expr, put_bool, put_str, put_u32, take_bool, take_str};
 
 /// Client → server messages.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,6 +76,28 @@ pub enum QueryRequest {
         table: String,
         /// The rows, each in the table's column order.
         rows: Vec<Row>,
+        /// Per-request deadline budget in milliseconds; `0` = none.
+        deadline_ms: u64,
+    },
+    /// Read a fragment of one table: its rows under `filter`, returned as
+    /// `columns` or — with `partial` — as the partial states of a grouped
+    /// aggregation (group key columns, then each call's state columns, as
+    /// `HashAggregate::partial` emits them). Every ordinal is a table
+    /// ordinal. Answered like a SELECT; the server refuses a table whose
+    /// columns differ from `schema` by name, type or order. Runs no parse
+    /// and no optimize.
+    Fetch {
+        /// Table name.
+        table: String,
+        /// The table's columns as the sender plans them, in order.
+        schema: Schema,
+        /// Conjunction the returned rows satisfy, over table ordinals.
+        filter: Option<PhysExpr>,
+        /// Table ordinals of the returned columns, in order; unread
+        /// with `partial`.
+        columns: Vec<usize>,
+        /// Group key ordinals plus the aggregate calls to run partially.
+        partial: Option<(Vec<usize>, Vec<AggSpec>)>,
         /// Per-request deadline budget in milliseconds; `0` = none.
         deadline_ms: u64,
     },
@@ -201,6 +229,7 @@ const REQ_CLOSE_STMT: u8 = 5;
 const REQ_SESSION_INFO: u8 = 6;
 const REQ_CANCEL_QUERY: u8 = 7;
 const REQ_INSERT: u8 = 8;
+const REQ_FETCH: u8 = 9;
 
 const RESP_BEGIN: u8 = 1;
 const RESP_ROWS: u8 = 2;
@@ -228,6 +257,80 @@ fn encode_insert(out: &mut Vec<u8>, table: &str, rows: &[Row], deadline_ms: u64)
     let at = put_deadline(out, deadline_ms);
     encode_rows(rows, out);
     at
+}
+
+fn put_ordinals(out: &mut Vec<u8>, ordinals: &[usize]) {
+    put_u32(out, ordinals.len() as u32);
+    for &i in ordinals {
+        put_u32(out, i as u32);
+    }
+}
+
+fn take_ordinals(d: &mut Decoder<'_>) -> Result<Vec<usize>> {
+    let n = d.take_count(4)?;
+    let mut ordinals = Vec::with_capacity(n);
+    for _ in 0..n {
+        ordinals.push(d.take_u32()? as usize);
+    }
+    Ok(ordinals)
+}
+
+fn put_opt_expr(out: &mut Vec<u8>, e: Option<&PhysExpr>) {
+    put_bool(out, e.is_some());
+    if let Some(e) = e {
+        encode_expr(e, out);
+    }
+}
+
+fn take_opt_expr(d: &mut Decoder<'_>) -> Result<Option<PhysExpr>> {
+    Ok(if take_bool(d)? {
+        Some(decode_expr(d)?)
+    } else {
+        None
+    })
+}
+
+fn decode_fetch(d: &mut Decoder<'_>) -> Result<QueryRequest> {
+    let table = take_str(d)?;
+    let deadline_ms = d.take_u64()?;
+    // A field is at least two 4-byte lengths: its name's and its type's.
+    let n = d.take_count(8)?;
+    let mut fields = Vec::with_capacity(n);
+    for _ in 0..n {
+        let name = take_str(d)?;
+        let dtype = DataType::parse(&take_str(d)?);
+        fields.push(Field::new(
+            name,
+            dtype.map_err(|e| CsqError::Codec(e.message().into()))?,
+        ));
+    }
+    let filter = take_opt_expr(d)?;
+    let columns = take_ordinals(d)?;
+    let partial = if take_bool(d)? {
+        let keys = take_ordinals(d)?;
+        // A call is at least its function's 4-byte name length, an
+        // argument flag and its own 4-byte name length.
+        let n = d.take_count(9)?;
+        let mut aggs = Vec::with_capacity(n);
+        for _ in 0..n {
+            let func = take_str(d)?;
+            let func = AggFunc::parse(&func)
+                .ok_or_else(|| CsqError::Codec(format!("unknown aggregate function '{func}'")))?;
+            let arg = take_opt_expr(d)?;
+            aggs.push(AggSpec::new(func, arg, take_str(d)?));
+        }
+        Some((keys, aggs))
+    } else {
+        None
+    };
+    Ok(QueryRequest::Fetch {
+        table,
+        schema: Schema::new(fields),
+        filter,
+        columns,
+        partial,
+        deadline_ms,
+    })
 }
 
 impl QueryRequest {
@@ -267,6 +370,36 @@ impl QueryRequest {
                 rows,
                 deadline_ms,
             } => return Some(encode_insert(out, table, rows, *deadline_ms)),
+            QueryRequest::Fetch {
+                table,
+                schema,
+                filter,
+                columns,
+                partial,
+                deadline_ms,
+            } => {
+                out.push(REQ_FETCH);
+                put_str(out, table);
+                let at = put_deadline(out, *deadline_ms);
+                put_u32(out, schema.len() as u32);
+                for f in schema.fields() {
+                    put_str(out, &f.name);
+                    put_str(out, &f.dtype.to_string());
+                }
+                put_opt_expr(out, filter.as_ref());
+                put_ordinals(out, columns);
+                put_bool(out, partial.is_some());
+                if let Some((keys, aggs)) = partial {
+                    put_ordinals(out, keys);
+                    put_u32(out, aggs.len() as u32);
+                    for a in aggs {
+                        put_str(out, a.func.name());
+                        put_opt_expr(out, a.arg.as_ref());
+                        put_str(out, &a.name);
+                    }
+                }
+                return Some(at);
+            }
             QueryRequest::CancelQuery { session, key } => {
                 out.push(REQ_CANCEL_QUERY);
                 put_u64(out, *session);
@@ -311,6 +444,7 @@ impl QueryRequest {
                     deadline_ms,
                 }
             }
+            REQ_FETCH => decode_fetch(d)?,
             other => return Err(CsqError::Codec(format!("bad query request tag {other}"))),
         };
         if !d.is_exhausted() {

@@ -18,7 +18,11 @@
 //!   modelled downlink.
 //!
 //! A coordinator's plan lowers here too ([`run_tree`] on the threaded
-//! link), each `Gather` a leaf over the rows the shards returned for it.
+//! link): where a single node would build a scan, a `Gather` builds the
+//! typed fragment ([`QueryRequest::Fetch`]) the shards run instead — the
+//! same filter and narrowing, and under a shard-partial aggregate its
+//! partial phase — and is a leaf over the rows they return. A shard
+//! answers it with [`execute_fetch`].
 //!
 //! Execution-semantics notes: `leave-on-client` and `merged-with-final`
 //! strategies differ from plain variants only in *cost* (what crosses the
@@ -26,15 +30,18 @@
 //! as their plain counterparts and the savings show up in the optimizer's
 //! estimates and the cost-model benches.
 
-use csq_client::spawn_client_with_token;
-use csq_common::{codec, CancelToken, CsqError, Field, Result, RowBatch, Schema};
+use csq_client::protocol::check_expr_width;
+use csq_client::{spawn_client_with_token, QueryRequest};
+use csq_common::{codec, CancelToken, CsqError, Field, Result, Row, RowBatch, Schema};
 use csq_exec::{
-    AggSpec, BoxOp, CancelCheck, ColumnarScan, Filter, HashAggregate, NestedLoopJoin, Operator,
-    Projection,
+    aggregate_state_schema, AggSpec, BoxOp, CancelCheck, ColumnarScan, Filter, HashAggregate,
+    NestedLoopJoin, Operator, Project, Projection, RowsOp,
 };
 use csq_expr::{analysis, bind, PhysExpr};
 use csq_net::{in_memory_duplex, virtual_duplex, VirtualLinks};
-use csq_opt::{AggPlacement, AggregateSpec, PlanNode, QueryGraph, ShipParams, UdfStrategy, Unit};
+use csq_opt::{
+    AggPlacement, AggregateSpec, GatherMode, PlanNode, QueryGraph, ShipParams, UdfStrategy, Unit,
+};
 use csq_ship::{
     ClientJoinSpec, SemiJoinSpec, SimRun, ThreadedClientJoin, ThreadedSemiJoin, UdfApplication,
 };
@@ -143,6 +150,23 @@ fn with_having(spec: &AggregateSpec, op: BoxOp) -> Result<BoxOp> {
     })
 }
 
+/// The table ordinals the plan reads from relation `unit`, whose table has
+/// `schema`. Everything above a scan binds by name against its child's
+/// schema, and all of it is in the graph: the pre-aggregation output, every
+/// predicate (the filter above re-reads the pushed ones) and every UDF
+/// argument. A name the table lacks is left for that binding to report.
+fn read_columns(graph: &QueryGraph, unit: usize, schema: &Schema) -> Vec<usize> {
+    let mut cols: Vec<usize> = graph
+        .needed_columns(0, 0)
+        .iter()
+        .filter(|c| graph.owner_of(c) == Some(unit))
+        .filter_map(|c| schema.index_of(None, &c.name).ok())
+        .collect();
+    cols.sort_unstable();
+    cols.dedup();
+    cols
+}
+
 /// The [`FilterSpec`] a scan of `table` as `alias` is opened with when `preds`
 /// (possibly none) sit directly above it: their conjunction bound against
 /// the qualified table schema, its pushable prefix compiled. Lowering opens
@@ -214,10 +238,15 @@ struct Lowering<'a> {
     /// link, which keeps each node's links to read once the tree drains.
     /// Every node lowers to the same operator under either.
     sim: Option<Vec<VirtualLinks>>,
-    /// What each `Gather` lowers to, in [`PlanNode::walk`] order: the rows a
-    /// coordinator fetched for it. Single-node callers pass none.
-    leaves: std::vec::IntoIter<BoxOp>,
+    /// How a coordinator answers each `Gather`; single-node callers have
+    /// none.
+    gather: Option<Gather<'a>>,
 }
+
+/// A coordinator's answer to one `Gather`: send the `Fetch` to the shard
+/// its `Scatter` is pinned to (every shard when `None`) and return their
+/// rows, checked against the schema the plan reads them under.
+pub(crate) type Gather<'a> = &'a dyn Fn(&QueryRequest, Option<usize>, &Schema) -> Result<Vec<Row>>;
 
 impl Lowering<'_> {
     /// Build a scan leaf: a columnar [`ColumnarScan`] over the unit's table,
@@ -234,19 +263,7 @@ impl Lowering<'_> {
         let t = self.db.catalog().get(table)?;
         let spec = scan_spec(graph, &t, alias, preds)?;
         let scan = if narrow {
-            // Everything above binds by name against its child's schema, and
-            // all of it is in the graph: the pre-aggregation output, every
-            // predicate (the filter above re-reads the pushed ones) and every
-            // UDF argument. A name the table lacks is left for that binding
-            // to report.
-            let mut cols: Vec<usize> = graph
-                .needed_columns(0, 0)
-                .iter()
-                .filter(|c| graph.owner_of(c) == Some(unit))
-                .filter_map(|c| t.schema().index_of(None, &c.name).ok())
-                .collect();
-            cols.sort_unstable();
-            cols.dedup();
+            let cols = read_columns(graph, unit, t.schema());
             ColumnarScan::with_columns(&t, alias, &cols, spec.as_ref())?
         } else {
             ColumnarScan::new(&t, alias, spec.as_ref())?
@@ -258,6 +275,75 @@ impl Lowering<'_> {
             Box::new(scan),
             self.token.clone(),
         )))
+    }
+
+    /// Build the leaf a `Gather` over `scatter` lowers to: the fragment the
+    /// shards run in place of the scan below it — its relation's rows under
+    /// the conjuncts that need that relation alone and call no UDF (the
+    /// operators above re-apply them), narrowed as [`scan_leaf`](Self::scan_leaf)
+    /// narrows, and under `GatherMode::Merge` reduced to partial aggregate
+    /// states — sent as one [`QueryRequest::Fetch`], then the rows returned.
+    fn gather_leaf(&self, scatter: &PlanNode, mode: GatherMode, narrow: bool) -> Result<BoxOp> {
+        let graph = self.graph;
+        let (Some(gather), PlanNode::Scatter { input, target, .. }) = (self.gather, scatter) else {
+            return Err(CsqError::Plan(
+                "scatter/gather plan reached a single-node executor".into(),
+            ));
+        };
+        let mut unit = None;
+        input.walk(&mut |n| {
+            if let PlanNode::Scan { unit: u } = n {
+                unit.get_or_insert(*u);
+            }
+        });
+        let Some((
+            unit,
+            Unit::Rel {
+                alias,
+                table,
+                stats,
+            },
+        )) = unit.map(|u| (u, &graph.units[u]))
+        else {
+            return Err(CsqError::Plan("gather without a relation scan".into()));
+        };
+        let qualified = stats.schema.qualify(alias);
+        let preds: Vec<usize> = (0..graph.predicates.len())
+            .filter(|&p| {
+                let p = &graph.predicates[p];
+                p.required & !(1u64 << unit) == 0 && !p.references_udf
+            })
+            .collect();
+        let columns = if narrow {
+            read_columns(graph, unit, &stats.schema)
+        } else {
+            (0..stats.schema.len()).collect()
+        };
+        let partial = match mode {
+            GatherMode::Merge => Some(bind_aggregate(self.aggregate()?, &qualified)?),
+            GatherMode::Ordered => None,
+        };
+        let schema = match &partial {
+            Some((key, aggs)) => aggregate_state_schema(&qualified, key, aggs),
+            None => qualified.project(&columns),
+        };
+        let fetch = QueryRequest::Fetch {
+            table: table.clone(),
+            schema: stats.schema.clone(),
+            filter: bind_preds(graph, &preds, &qualified)?,
+            columns,
+            partial,
+            deadline_ms: 0,
+        };
+        let rows = gather(&fetch, *target, &schema)?;
+        Ok(Box::new(RowsOp::new(schema, rows)))
+    }
+
+    fn aggregate(&self) -> Result<&AggregateSpec> {
+        self.graph
+            .aggregate
+            .as_ref()
+            .ok_or_else(|| CsqError::Plan("Aggregate node without an aggregate spec".into()))
     }
 
     /// Lower `node` to its operator tree.
@@ -299,11 +385,7 @@ impl Lowering<'_> {
                 })
             }
             PlanNode::ReturnToServer { input } => self.build_tree(input, narrow),
-            // The shards ran everything under a `Gather`; what it lowers to is
-            // the rows the coordinator fetched for it (csq_core::coord).
-            PlanNode::Gather { .. } => self.leaves.next().ok_or_else(|| {
-                CsqError::Plan("scatter/gather plan reached a single-node executor".into())
-            }),
+            PlanNode::Gather { input, mode } => self.gather_leaf(input, *mode, narrow),
             PlanNode::Scatter { .. } => Err(CsqError::Plan(
                 "scatter/gather plan reached a single-node executor".into(),
             )),
@@ -311,9 +393,7 @@ impl Lowering<'_> {
                 input, placement, ..
             } => {
                 let child = self.build_tree(input, narrow)?;
-                let spec = graph.aggregate.as_ref().ok_or_else(|| {
-                    CsqError::Plan("Aggregate node without an aggregate spec".into())
-                })?;
+                let spec = self.aggregate()?;
                 let memory = self.db.memory_tracker();
                 let op = match placement {
                     AggPlacement::ClientOnly => {
@@ -412,25 +492,24 @@ fn project_output(
 }
 
 /// Build the operator tree of an optimized SELECT over the link `sim`
-/// picks, each `Gather` lowered to the next of `leaves` (a coordinator's
-/// fetched rows, in [`PlanNode::walk`] order), drain it under a
-/// cancellation token (deadline expiry or an explicit `cancel()` surfaces
-/// as a typed `timeout`/`cancelled` error at the next operator batch
-/// boundary), then project its batches onto the SELECT list.
+/// picks, each `Gather` answered by `gather` (a coordinator's), drain it
+/// under a cancellation token (deadline expiry or an explicit `cancel()`
+/// surfaces as a typed `timeout`/`cancelled` error at the next operator
+/// batch boundary), then project its batches onto the SELECT list.
 pub(crate) fn run_tree(
     db: &Database,
     graph: &QueryGraph,
     plan: &csq_opt::OptimizedPlan,
     token: &CancelToken,
     sim: Option<&mut SimSummary>,
-    leaves: Vec<BoxOp>,
+    gather: Option<Gather<'_>>,
 ) -> Result<ResultBatches> {
     let mut lowering = Lowering {
         db,
         graph,
         token,
         sim: sim.is_some().then(Vec::new),
-        leaves: leaves.into_iter(),
+        gather,
     };
     let op = lowering.build_tree(&plan.root, true)?;
     // A second checkpoint above the root catches plans whose leaves run
@@ -459,7 +538,78 @@ pub(crate) fn execute_threaded(
     plan: &csq_opt::OptimizedPlan,
     token: &CancelToken,
 ) -> Result<ResultBatches> {
-    run_tree(db, graph, plan, token, None, Vec::new())
+    run_tree(db, graph, plan, token, None, None)
+}
+
+/// Answer a [`QueryRequest::Fetch`] for `table` on the threaded link with
+/// the operators lowering builds: a [`ColumnarScan`] under the filter's
+/// [`FilterSpec`], its [`Filter`], then the fetched `columns` or, with
+/// `partial`, a [`HashAggregate::partial`] under the database's memory
+/// tracker. The request comes from outside the program: a table whose
+/// columns differ from `schema` by name, type or order is a `catalog`
+/// error, and an ordinal past the table's width a `plan` error, both
+/// before any operator is built. Nothing is parsed or optimized.
+pub(crate) fn execute_fetch(
+    db: &Database,
+    table: &str,
+    schema: &Schema,
+    filter: Option<PhysExpr>,
+    columns: &[usize],
+    partial: Option<(Vec<usize>, Vec<AggSpec>)>,
+    token: &CancelToken,
+) -> Result<ResultBatches> {
+    token.check()?;
+    let t = db.catalog().get(table)?;
+    let fields = t.schema().fields();
+    let same =
+        |(a, b): (&Field, &Field)| a.name.eq_ignore_ascii_case(&b.name) && a.dtype == b.dtype;
+    if fields.len() != schema.len() || !fields.iter().zip(schema.fields()).all(same) {
+        return Err(CsqError::Catalog(format!(
+            "table '{table}' here is not the {}-column table the request names",
+            schema.len()
+        )));
+    }
+    let width = fields.len();
+    let (keys, aggs) = partial.as_ref().map_or((&[][..], &[][..]), |(k, a)| (k, a));
+    for e in filter
+        .iter()
+        .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
+    {
+        check_expr_width(e, width)?;
+    }
+    if let Some(i) = columns.iter().chain(keys).find(|&&i| i >= width) {
+        return Err(CsqError::Plan(format!(
+            "column {i} out of range (width {width})"
+        )));
+    }
+    let spec = filter.as_ref().and_then(FilterSpec::from_phys);
+    let scan = ColumnarScan::new(&t, table, spec.as_ref())?;
+    let mut op: BoxOp = Box::new(CancelCheck::new(Box::new(scan), token.clone()));
+    if let Some(pred) = filter {
+        op = Box::new(Filter::new(op, pred));
+    }
+    op = match partial {
+        Some((keys, aggs)) => {
+            Box::new(HashAggregate::partial(op, keys, aggs).with_memory(db.memory_tracker()))
+        }
+        None => {
+            let cols: Vec<_> = columns
+                .iter()
+                .map(|&i| (PhysExpr::Column(i), op.schema().field(i).clone()))
+                .collect();
+            Box::new(Project::new(op, cols))
+        }
+    };
+    let mut batches = Vec::new();
+    while let Some(batch) = op.next_batch()? {
+        batches.push(batch);
+    }
+    token.check()?;
+    Ok(ResultBatches {
+        schema: op.schema().clone(),
+        batches,
+        affected: 0,
+    })
 }
 
 /// Execute an optimized SELECT on the virtual-time link: the same tree as
@@ -472,7 +622,7 @@ pub fn execute_simulated(
 ) -> Result<(QueryResult, SimSummary)> {
     let mut summary = SimSummary::default();
     let token = CancelToken::new();
-    let result = run_tree(db, graph, plan, &token, Some(&mut summary), Vec::new())?;
+    let result = run_tree(db, graph, plan, &token, Some(&mut summary), None)?;
     let result = result.into_result();
     // Final delivery: ship the projected output to the client over the
     // downlink (the plain Final operator; merged-final savings are an
@@ -532,7 +682,7 @@ mod tests {
             graph: &graph,
             token: &CancelToken::new(),
             sim: None,
-            leaves: Vec::new().into_iter(),
+            gather: None,
         };
         let op = lowering.build_tree(&plan.root, true).unwrap();
         op.schema().len()

@@ -891,7 +891,8 @@ fn dispatch(
     let deadline_ms = match &req {
         QueryRequest::Query { deadline_ms, .. }
         | QueryRequest::Execute { deadline_ms, .. }
-        | QueryRequest::Insert { deadline_ms, .. } => *deadline_ms,
+        | QueryRequest::Insert { deadline_ms, .. }
+        | QueryRequest::Fetch { deadline_ms, .. } => *deadline_ms,
         _ => 0,
     };
     let token = statement_token(deadline_ms);
@@ -947,6 +948,7 @@ fn run_statement(ctx: SchedCtx, mut session: Session, req: QueryRequest, token: 
             }));
             answer_execution(&session.conn, &ctx.net, &ctx.stats, &ctx.config, outcome)
         }
+        fetch @ QueryRequest::Fetch { .. } => answer_fetch(&ctx, &session.conn, fetch, &token),
         QueryRequest::Execute { stmt, .. } => match session.prepared.get(&stmt) {
             None => {
                 ServiceStats::bump(&ctx.stats.queries_failed);
@@ -1039,6 +1041,31 @@ fn run_statement(ctx: SchedCtx, mut session: Session, req: QueryRequest, token: 
             try_send_response(&session.conn, &ctx.net, &shutting_down_response());
         }
     }
+}
+
+/// Run a coordinator's typed read and answer it as a query is answered.
+/// Kept out of `run_statement`: inlined there, it cost every SQL statement
+/// ≈7 % CPU in `csqbench`'s `svc_adhoc_rw` (2 vCPUs, bisected).
+#[inline(never)]
+fn answer_fetch(ctx: &SchedCtx, conn: &TcpConn, fetch: QueryRequest, token: &CancelToken) -> bool {
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let QueryRequest::Fetch {
+            table,
+            schema,
+            filter,
+            columns,
+            partial,
+            ..
+        } = fetch
+        else {
+            return Err(CsqError::Plan("not a fetch request".into()));
+        };
+        let out = crate::lower::execute_fetch(
+            &ctx.db, &table, &schema, filter, &columns, partial, token,
+        )?;
+        Ok((out, false))
+    }));
+    answer_execution(conn, &ctx.net, &ctx.stats, &ctx.config, outcome)
 }
 
 fn panic_response() -> QueryResponse {

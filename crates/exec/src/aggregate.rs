@@ -46,71 +46,12 @@ use csq_common::{
     each_width, CsqError, DataType, Field, IntLane, Lane, Result, Row, RowBatch, Schema, Selection,
     Value,
 };
+pub use csq_expr::AggSpec;
 use csq_expr::{physical::eval_binary, AggFunc, BinaryOp, PhysExpr};
 
 use crate::ops::{batch_operator, compare_values};
 use crate::spill::{MemoryTracker, SpillFile, ENTRY_OVERHEAD, SPILL_PARTITIONS};
 use crate::{BoxOp, Operator};
-
-/// One aggregate call evaluated by [`HashAggregate`]: a function over an
-/// optional bound argument expression (`None` = `COUNT(*)`), plus the
-/// output column name.
-#[derive(Clone)]
-pub struct AggSpec {
-    /// The aggregate function.
-    pub func: AggFunc,
-    /// Bound argument expression (`None` only for `COUNT(*)`).
-    pub arg: Option<PhysExpr>,
-    /// Output column name.
-    pub name: String,
-}
-
-impl AggSpec {
-    /// Convenience constructor.
-    pub fn new(func: AggFunc, arg: Option<PhysExpr>, name: impl Into<String>) -> AggSpec {
-        AggSpec {
-            func,
-            arg,
-            name: name.into(),
-        }
-    }
-
-    /// The finished-value output field, with the result type inferred from
-    /// the argument's type under `input` when possible.
-    pub fn result_field(&self, input: &Schema) -> Field {
-        let at = self.arg.as_ref().and_then(|a| a.infer_type(input).ok());
-        Field::new(self.name.clone(), self.func.result_type(at))
-    }
-
-    /// The partial-state fields this call ships between the partial and
-    /// final phases (AVG decomposes into running sum + count).
-    pub fn state_fields(&self, input: &Schema) -> Vec<Field> {
-        match self.func {
-            AggFunc::Avg => vec![
-                // The running sum keeps the argument's type (an Int column
-                // accumulates Int sums); only `finish` divides into Float.
-                Field::new(
-                    format!("{}$sum", self.name),
-                    self.arg
-                        .as_ref()
-                        .and_then(|a| a.infer_type(input).ok())
-                        .unwrap_or(DataType::Float),
-                ),
-                Field::new(format!("{}$n", self.name), DataType::Int),
-            ],
-            AggFunc::Count => vec![Field::new(self.name.clone(), DataType::Int)],
-            AggFunc::Sum | AggFunc::Min | AggFunc::Max => vec![self.result_field(input)],
-        }
-    }
-
-    /// Number of partial-state columns (1, or 2 for AVG).
-    pub fn state_width(&self) -> usize {
-        match self.func {
-            AggFunc::Avg => 2,
-            _ => 1,
-        }
-    }
-}
 
 /// Running accumulator state for one (group, aggregate call) pair.
 #[derive(Debug, Clone)]

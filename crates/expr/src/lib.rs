@@ -20,4 +20,4 @@ pub mod physical;
 
 pub use analysis::{columns_referenced, split_conjuncts, udfs_referenced};
 pub use logical::{AggFunc, BinaryOp, ColumnRef, Expr, UnaryOp};
-pub use physical::{bind, PhysExpr};
+pub use physical::{bind, AggSpec, PhysExpr};

@@ -5,9 +5,9 @@
 //! result is just a column of the input. Attempting to bind a residual
 //! [`Expr::Udf`] is a planning bug and reported as such.
 
-use csq_common::{CsqError, DataType, Result, Row, Schema, Value};
+use csq_common::{CsqError, DataType, Field, Result, Row, Schema, Value};
 
-use crate::logical::{BinaryOp, Expr, UnaryOp};
+use crate::logical::{AggFunc, BinaryOp, Expr, UnaryOp};
 
 /// A bound scalar expression.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,6 +24,68 @@ pub enum PhysExpr {
         op: BinaryOp,
         right: Box<PhysExpr>,
     },
+}
+
+/// One aggregate call, as `csq_exec::HashAggregate` evaluates it: a function
+/// over an optional bound argument expression (`None` = `COUNT(*)`), plus
+/// the output column name.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AggSpec {
+    /// The aggregate function.
+    pub func: AggFunc,
+    /// Bound argument expression (`None` only for `COUNT(*)`).
+    pub arg: Option<PhysExpr>,
+    /// Output column name.
+    pub name: String,
+}
+
+impl AggSpec {
+    /// Convenience constructor.
+    pub fn new(func: AggFunc, arg: Option<PhysExpr>, name: impl Into<String>) -> AggSpec {
+        AggSpec {
+            func,
+            arg,
+            name: name.into(),
+        }
+    }
+
+    /// The finished-value output field, with the result type inferred from
+    /// the argument's type under `input` when possible.
+    pub fn result_field(&self, input: &Schema) -> Field {
+        let at = self.arg.as_ref().and_then(|a| a.infer_type(input).ok());
+        Field::new(self.name.clone(), self.func.result_type(at))
+    }
+
+    /// The partial-state fields this call ships between the partial and
+    /// final phases (AVG decomposes into running sum + count).
+    pub fn state_fields(&self, input: &Schema) -> Vec<Field> {
+        match self.func {
+            AggFunc::Avg => vec![
+                // The running sum keeps the argument's type (an Int column
+                // accumulates Int sums); only `finish` divides into Float.
+                Field::new(
+                    format!("{}$sum", self.name),
+                    self.arg
+                        .as_ref()
+                        .and_then(|a| a.infer_type(input).ok())
+                        .unwrap_or(DataType::Float),
+                ),
+                Field::new(format!("{}$n", self.name), DataType::Int),
+            ],
+            AggFunc::Count => vec![Field::new(self.name.clone(), DataType::Int)],
+            AggFunc::Sum | AggFunc::Min | AggFunc::Max => vec![self.result_field(input)],
+        }
+    }
+
+    /// Number of partial-state columns (1, or 2 for AVG). Inlined: the
+    /// final phase asks it once per merged row and call.
+    #[inline]
+    pub fn state_width(&self) -> usize {
+        match self.func {
+            AggFunc::Avg => 2,
+            _ => 1,
+        }
+    }
 }
 
 /// Bind `expr` against `schema`, resolving column references to ordinals.

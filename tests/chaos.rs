@@ -551,3 +551,65 @@ fn routed_insert_is_not_replayed_after_a_shard_reply_is_lost() {
         h.shutdown();
     }
 }
+
+/// Reads through a coordinator whose per-shard options retry: shard 1's
+/// first connection loses the reply to a `Fetch`. A read changes nothing, so
+/// the pool replays it on a fresh connection, and every statement — a
+/// filter, a shard-partial aggregate and a self-join — returns the rows one
+/// server returns.
+#[test]
+fn a_dropped_fetch_reply_is_retried_to_oracle_rows() {
+    let oracle = build_db(200);
+    let dbs: Vec<Arc<Database>> = (0..2)
+        .map(|_| Arc::new(Database::new(NetworkSpec::lan())))
+        .collect();
+    let handles: Vec<_> = dbs
+        .iter()
+        .map(|db| start_service(db, ServiceConfig::default()))
+        .collect();
+    let addrs: Vec<_> = handles.iter().map(|h| h.local_addr()).collect();
+    let coord = Coordinator::connect(
+        &addrs,
+        CoordinatorConfig {
+            shard_options: retrying(),
+            ..CoordinatorConfig::default()
+        },
+    )
+    .expect("coordinator");
+    coord
+        .create_table("CREATE TABLE T (Id INT, Grp INT, Val INT)", "Id")
+        .expect("sharded CREATE");
+    let rows: Vec<String> = oracle
+        .catalog()
+        .get("T")
+        .expect("oracle table")
+        .snapshot()
+        .iter()
+        .map(|r| format!("({}, {}, {})", r.value(0), r.value(1), r.value(2)))
+        .collect();
+    coord
+        .execute(&format!("INSERT INTO T VALUES {}", rows.join(", ")))
+        .expect("routed INSERT");
+    let injector =
+        FaultInjector::start(addrs[1], vec![Fault::DropAfter(0), Fault::None]).expect("injector");
+    coord
+        .replace_shard(1, injector.local_addr())
+        .expect("route shard 1 through the injector");
+    for sql in [
+        "SELECT T.Id, T.Val FROM T T WHERE T.Val > 0",
+        "SELECT T.Grp, count(*), sum(T.Val) FROM T T GROUP BY T.Grp",
+        "SELECT a.Id, b.Grp FROM T a, T b WHERE a.Id = b.Id AND a.Val < 0",
+    ] {
+        let got = coord.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        let want = oracle.execute(sql).expect("oracle query must run");
+        assert_eq!(normalize(&got.rows), normalize(&want.rows), "{sql}");
+    }
+    assert!(
+        injector.connections() >= 2,
+        "the dropped reply must have been retried on a fresh connection"
+    );
+    injector.shutdown();
+    for h in handles {
+        h.shutdown();
+    }
+}

@@ -17,7 +17,9 @@ use csq::prelude::*;
 use csq_client::synthetic::ObjectUdf;
 use csq_client::{QueryRequest, QueryResponse};
 use csq_common::Blob;
+use csq_common::Field;
 use csq_core::service;
+use csq_expr::{AggFunc, AggSpec, BinaryOp, PhysExpr, UnaryOp};
 use csq_net::TcpConn;
 use csq_storage::TableBuilder;
 
@@ -510,6 +512,131 @@ fn typed_insert_carries_values_at_every_edge() {
     handle.shutdown();
 }
 
+/// A `Fetch` whose filter tests column `i` against `values[i]`, over a
+/// schema of every column type, with a partial aggregation of every
+/// function.
+fn fetch_of(values: &[Value]) -> QueryRequest {
+    let binary = |left, op, right| PhysExpr::Binary {
+        left: Box::new(left),
+        op,
+        right: Box::new(right),
+    };
+    let filter = values
+        .iter()
+        .enumerate()
+        .map(|(i, v)| {
+            binary(
+                PhysExpr::Column(i),
+                BinaryOp::Eq,
+                PhysExpr::Literal(v.clone()),
+            )
+        })
+        .reduce(|l, r| binary(l, BinaryOp::And, r));
+    let types = [
+        DataType::Bool,
+        DataType::Int,
+        DataType::Float,
+        DataType::Str,
+        DataType::Blob,
+    ];
+    let fields = types.map(|t| Field::new(format!("c{t}"), t));
+    let funcs = [
+        AggFunc::Count,
+        AggFunc::Sum,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::Avg,
+    ];
+    let aggs = funcs
+        .iter()
+        .map(|&f| AggSpec::new(f, Some(PhysExpr::Column(1)), f.name()))
+        .chain([AggSpec::new(AggFunc::Count, None, "n")]);
+    QueryRequest::Fetch {
+        table: "T".into(),
+        schema: Schema::new(fields.to_vec()),
+        filter,
+        columns: (0..values.len()).collect(),
+        partial: Some((vec![0, 3], aggs.collect())),
+        deadline_ms: 7,
+    }
+}
+
+/// Every value a `Fetch` can carry decodes to itself: the edge values a
+/// SQL literal can spell, those it cannot (NaN, ±inf, a BLOB), and a
+/// seeded sweep of ints, floats of every bit pattern and awkward
+/// strings.
+#[test]
+fn fetch_roundtrips_every_value() {
+    let roundtrip = |req: QueryRequest| {
+        assert_eq!(QueryRequest::decode(&req.encode()).unwrap(), req);
+    };
+    // `Value` equality is by type and, for floats, by bit pattern.
+    let edges = [
+        Value::Null,
+        Value::Bool(true),
+        Value::Bool(false),
+        Value::Int(i64::MIN),
+        Value::Int(i64::MIN + 1),
+        Value::Int(i64::MAX),
+        Value::Int(0),
+        Value::Int(-1),
+        Value::Float(0.0),
+        Value::Float(-0.0),
+        Value::Float(f64::MIN_POSITIVE),
+        Value::Float(f64::from_bits(1)),
+        Value::Float(-f64::from_bits(0x000f_ffff_ffff_ffff)),
+        Value::Float(f64::MAX),
+        Value::Float(f64::MIN),
+        Value::Float(1e-300),
+        Value::Float(0.1),
+        Value::Float(1e21),
+        Value::Float(f64::NAN),
+        Value::Float(f64::INFINITY),
+        Value::Float(f64::NEG_INFINITY),
+        Value::Blob(Blob::synthetic(4, 1)),
+        Value::from(""),
+        Value::from("'"),
+        Value::from("''"),
+        Value::from("it's -- not a comment"),
+        Value::from("line\nbreak\r\n\ttab"),
+        Value::from("back\\slash \"quoted\""),
+        Value::from("naïve Ünïcödé 数据库 🦀"),
+    ];
+    roundtrip(fetch_of(&edges));
+
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    const ALPHABET: [char; 12] = [
+        'a', 'Z', '7', ' ', '\'', '"', '\\', '\n', '\t', '-', 'é', '数',
+    ];
+    for _ in 0..200 {
+        let mut row = Vec::new();
+        for _ in 0..8 {
+            let bits = next();
+            row.push(Value::Int(bits as i64 >> (next() % 64)));
+            row.push(Value::Float(f64::from_bits(bits)));
+            let s: String = (0..next() % 12)
+                .map(|_| ALPHABET[(next() % 12) as usize])
+                .collect();
+            row.push(Value::from(s));
+        }
+        roundtrip(fetch_of(&row));
+    }
+    roundtrip(QueryRequest::Fetch {
+        table: "T".into(),
+        schema: Schema::empty(),
+        filter: None,
+        columns: Vec::new(),
+        partial: None,
+        deadline_ms: 0,
+    });
+}
+
 /// A truncated `Insert` payload, or one claiming more rows than it holds,
 /// decodes to a typed `codec` error; `take_count` refuses the count before
 /// anything is allocated for it.
@@ -570,6 +697,191 @@ fn hostile_insert_frame_only_kills_its_own_session() {
     assert_eq!(ok.rows[0].value(0), &Value::Int(30));
     bystander.close();
     handle.shutdown();
+}
+
+/// `R.Id < 10` over `R`'s ordinals.
+fn id_below_10() -> PhysExpr {
+    PhysExpr::Binary {
+        left: Box::new(PhysExpr::Column(0)),
+        op: BinaryOp::Lt,
+        right: Box::new(PhysExpr::Literal(Value::Int(10))),
+    }
+}
+
+/// A `Fetch` of `R`'s `columns` under `filter`, or with `partial` their
+/// partial aggregate states.
+fn fetch_r(
+    filter: PhysExpr,
+    columns: Vec<usize>,
+    partial: Option<(Vec<usize>, Vec<AggSpec>)>,
+) -> QueryRequest {
+    QueryRequest::Fetch {
+        table: "R".into(),
+        schema: Schema::new(vec![
+            Field::new("Id", DataType::Int),
+            Field::new("Grp", DataType::Int),
+            Field::new("Obj", DataType::Blob),
+        ]),
+        filter: Some(filter),
+        columns,
+        partial,
+        deadline_ms: 0,
+    }
+}
+
+/// `SUM(arg)` named `s`.
+fn sum_of(arg: usize) -> Vec<AggSpec> {
+    vec![AggSpec::new(AggFunc::Sum, Some(PhysExpr::Column(arg)), "s")]
+}
+
+/// Send one request frame on `conn` and read the answer: its rows, or the
+/// error's kind and whether it is fatal.
+fn exchange(conn: &TcpConn, frame: &[u8]) -> std::result::Result<Vec<String>, (String, bool)> {
+    conn.send(frame).unwrap();
+    let mut rows = Vec::new();
+    loop {
+        let csq_net::Frame::Payload(resp) = conn.recv().unwrap() else {
+            panic!("expected a response frame");
+        };
+        match QueryResponse::decode(&resp).unwrap() {
+            QueryResponse::Begin { .. } => {}
+            QueryResponse::Rows(chunk) => rows.extend(chunk.iter().map(|r| format!("{r}"))),
+            QueryResponse::End { .. } => {
+                rows.sort();
+                return Ok(rows);
+            }
+            QueryResponse::Error { kind, fatal, .. } => return Err((kind, fatal)),
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+}
+
+/// A `Fetch` is answered with what the statement it stands for answers —
+/// the filtered columns, or the partial states of a grouped aggregation —
+/// and plans nothing.
+#[test]
+fn fetch_answers_what_its_statement_answers() {
+    let db = demo_db(50);
+    let handle = start(&db, small_config());
+    let conn = TcpConn::connect(handle.local_addr()).unwrap();
+    let aggs = vec![
+        AggSpec::new(AggFunc::Count, None, "n"),
+        AggSpec::new(AggFunc::Sum, Some(PhysExpr::Column(0)), "s"),
+    ];
+    for (req, sql) in [
+        (
+            fetch_r(id_below_10(), vec![0, 1], None),
+            "SELECT R.Id, R.Grp FROM R R WHERE R.Id < 10",
+        ),
+        (
+            fetch_r(id_below_10(), vec![0, 1], Some((vec![1], aggs))),
+            "SELECT R.Grp, count(*), sum(R.Id) FROM R R WHERE R.Id < 10 GROUP BY R.Grp",
+        ),
+    ] {
+        let mut want: Vec<String> = db
+            .execute(sql)
+            .unwrap()
+            .rows
+            .iter()
+            .map(|r| format!("{r}"))
+            .collect();
+        want.sort();
+        assert_eq!(exchange(&conn, &req.encode()), Ok(want), "{sql}");
+    }
+    assert_eq!(db.plan_cache_stats().misses, 0, "a fetch plans nothing");
+    handle.shutdown();
+}
+
+/// A `Fetch` with an ordinal past its table's width — a returned column, a
+/// filter column, a group key, an aggregate argument — or whose table is
+/// missing or not the schema it names, is a typed error before any operator
+/// is built, and the session answers the next request. A frame
+/// that does not decode — an unknown aggregate function, a body cut short —
+/// is a fatal `codec` error for its own session only.
+#[test]
+fn hostile_fetch_frames_are_typed_errors() {
+    let db = demo_db(30);
+    let handle = start(&db, small_config());
+    let valid = fetch_r(id_below_10(), vec![0, 1], Some((vec![1], sum_of(0))));
+    let mut reordered = valid.clone();
+    if let QueryRequest::Fetch { schema, .. } = &mut reordered {
+        let f = schema.fields();
+        *schema = Schema::new(vec![f[1].clone(), f[0].clone(), f[2].clone()]);
+    }
+    let mut unknown = valid.clone();
+    if let QueryRequest::Fetch { table, .. } = &mut unknown {
+        *table = "Nope".into();
+    }
+    let refusals = [
+        (fetch_r(id_below_10(), vec![0, 3], None), "plan"),
+        (fetch_r(PhysExpr::Column(3), vec![0, 1], None), "plan"),
+        (
+            fetch_r(id_below_10(), vec![0, 1], Some((vec![3], sum_of(0)))),
+            "plan",
+        ),
+        (
+            fetch_r(id_below_10(), vec![0, 1], Some((vec![1], sum_of(3)))),
+            "plan",
+        ),
+        (reordered, "catalog"),
+        (unknown, "catalog"),
+    ];
+    let conn = TcpConn::connect(handle.local_addr()).unwrap();
+    for (req, kind) in refusals {
+        assert_eq!(
+            exchange(&conn, &req.encode()),
+            Err((kind.to_string(), false)),
+            "{req:?}"
+        );
+        assert!(
+            exchange(&conn, &valid.encode()).is_ok(),
+            "the session lives"
+        );
+    }
+
+    // `SUM(R.Id) AS s` ends the frame: the function's name ends 12 bytes
+    // from the end, before the argument flag, the column and the call name.
+    let mut bad_func = valid.encode();
+    let at = bad_func.len() - 12;
+    bad_func[at] = b'X';
+    let full = valid.encode();
+    for frame in [bad_func, full[..full.len() - 1].to_vec()] {
+        let raw = TcpConn::connect(handle.local_addr()).unwrap();
+        assert_eq!(exchange(&raw, &frame), Err(("codec".to_string(), true)));
+    }
+    assert!(
+        exchange(&conn, &valid.encode()).is_ok(),
+        "a bystander lives"
+    );
+    handle.shutdown();
+}
+
+/// Every truncation of a `Fetch` payload, a count larger than the payload
+/// and an expression nested past the decoder's bound are typed `codec`
+/// errors; `take_count` refuses a count before anything is allocated for it.
+#[test]
+fn malformed_fetch_payloads_are_codec_errors() {
+    let full = fetch_r(id_below_10(), vec![0, 1], Some((vec![1], sum_of(0)))).encode();
+    for cut in 1..full.len() {
+        let err = QueryRequest::decode(&full[..cut]).unwrap_err();
+        assert_eq!(err.kind(), "codec", "cut at {cut}: {err}");
+    }
+    // The call's name `s` ends the frame behind its 4-byte length.
+    let mut lying = full.clone();
+    let at = lying.len() - 5;
+    lying[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let err = QueryRequest::decode(&lying).unwrap_err();
+    assert_eq!(err.kind(), "codec", "{err}");
+    let mut deep = PhysExpr::Column(0);
+    for _ in 0..300 {
+        deep = PhysExpr::Unary {
+            op: UnaryOp::Not,
+            expr: Box::new(deep),
+        };
+    }
+    let err = QueryRequest::decode(&fetch_r(deep, vec![0], None).encode()).unwrap_err();
+    assert_eq!(err.kind(), "codec");
+    assert!(err.message().contains("nested"), "{err}");
 }
 
 #[test]

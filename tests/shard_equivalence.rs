@@ -193,16 +193,19 @@ fn reference_db(inserts: &[String]) -> Database {
 
 /// A live cluster: `n` TCP shard services plus a coordinator over them.
 struct Cluster {
+    dbs: Vec<Arc<Database>>,
     handles: Vec<ServiceHandle>,
     coord: Coordinator,
 }
 
 impl Cluster {
     fn start(n: usize, shard_key: &str, inserts: &[String]) -> Cluster {
+        let mut dbs = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
         let mut addrs = Vec::with_capacity(n);
         for _ in 0..n {
             let db = Arc::new(Database::new(NetworkSpec::lan()));
+            dbs.push(db.clone());
             let h = service::start(
                 db,
                 ServiceConfig {
@@ -224,7 +227,11 @@ impl Cluster {
             coord.execute(stmt).expect("routed INSERT");
         }
         coord.register_udf(Arc::new(PlusTen::new())).expect("udf");
-        Cluster { handles, coord }
+        Cluster {
+            dbs,
+            handles,
+            coord,
+        }
     }
 
     fn stop(self) {
@@ -427,14 +434,12 @@ fn routed_insert_stores_i64_min() {
     cluster.stop();
 }
 
-/// Values at the edges of every column type, routed through the
-/// coordinator: the cluster stores exactly what one server stores, compared
-/// by `Value` equality (a float by its bit pattern), under each choice of
-/// shard key. Some have no SQL literal: `1e308 * 10.0` evaluates to
-/// infinity, which reaches a shard only as a typed value.
-#[test]
-fn routed_insert_stores_what_one_server_stores() {
-    const CREATE_E: &str = "CREATE TABLE E (Id INT, I INT, F FLOAT, S STR)";
+const CREATE_E: &str = "CREATE TABLE E (Id INT, I INT, F FLOAT, S STR)";
+
+/// One server and a 2-shard cluster, sharded on `key`, each holding rows at
+/// the edges of every column type. Some have no SQL literal: `1e308 * 10.0`
+/// evaluates to infinity, which reaches a shard only as a typed value.
+fn edge_tables(key: &str) -> (Database, Cluster) {
     let big = format!("1{}.0", "0".repeat(308));
     let inserts = [
         format!("INSERT INTO E VALUES (0, -9223372036854775807 - 1, {big} * 10.0, 'it''s')"),
@@ -451,31 +456,66 @@ fn routed_insert_stores_what_one_server_stores() {
     for stmt in &inserts {
         reference.execute(stmt).expect("reference INSERT");
     }
+    let cluster = Cluster::start(2, "Id", &[]);
+    cluster
+        .coord
+        .create_table(CREATE_E, key)
+        .expect("sharded CREATE");
+    for stmt in &inserts {
+        if let Err(e) = cluster.coord.execute(stmt) {
+            panic!("key {key}: routed {stmt}: {e}");
+        }
+    }
+    (reference, cluster)
+}
+
+/// Values at the edges of every column type, routed through the
+/// coordinator: the cluster stores exactly what one server stores, compared
+/// by `Value` equality (a float by its bit pattern), under each choice of
+/// shard key.
+#[test]
+fn routed_insert_stores_what_one_server_stores() {
     let by_id = |mut rows: Vec<Row>| {
         rows.sort_by_key(|r| r.value(0).as_i64().expect("Id is an INT"));
         rows
     };
     let sql = "SELECT * FROM E E";
-    let want = by_id(reference.execute(sql).expect("reference SELECT").rows);
-    assert_eq!(want.len(), 7);
-    assert_eq!(want[0].value(2), &Value::Float(f64::INFINITY));
-    assert_eq!(want[1].value(2), &Value::Float(f64::NEG_INFINITY));
-    assert_eq!(want[2].value(2), &Value::Float(-0.0));
-    assert_eq!(want[6].value(2), &Value::Float(2.0));
-
     for key in ["Id", "F", "S"] {
-        let cluster = Cluster::start(2, "Id", &[]);
-        cluster
-            .coord
-            .create_table(CREATE_E, key)
-            .expect("sharded CREATE");
-        for stmt in &inserts {
-            if let Err(e) = cluster.coord.execute(stmt) {
-                panic!("key {key}: routed {stmt}: {e}");
-            }
-        }
+        let (reference, cluster) = edge_tables(key);
+        let want = by_id(reference.execute(sql).expect("reference SELECT").rows);
+        assert_eq!(want.len(), 7);
+        assert_eq!(want[0].value(2), &Value::Float(f64::INFINITY));
+        assert_eq!(want[1].value(2), &Value::Float(f64::NEG_INFINITY));
+        assert_eq!(want[2].value(2), &Value::Float(-0.0));
+        assert_eq!(want[6].value(2), &Value::Float(2.0));
         let got = by_id(cluster.coord.execute(sql).expect("sharded SELECT").rows);
         assert_eq!(got, want, "key {key}");
+        cluster.stop();
+    }
+}
+
+/// A conjunct's literal reaches the shards as a value, so one with no SQL
+/// literal of its own — `1e309` reads as infinity — filters the cluster's
+/// rows as it filters one server's: in a filter on one table and in a
+/// self-join's leaves, under each choice of shard key.
+#[test]
+fn non_finite_literals_reach_a_shard_as_values() {
+    let statements = [
+        "SELECT count(*) FROM E E WHERE E.F < 1e309",
+        "SELECT count(*) FROM E a, E b WHERE a.Id = b.Id AND a.F < 1e309",
+        "SELECT count(*) FROM E E WHERE E.F > -1e309",
+    ];
+    for key in ["Id", "F", "S"] {
+        let (reference, cluster) = edge_tables(key);
+        for sql in statements {
+            let want = outcome_of(reference.execute(sql));
+            assert!(want.is_ok(), "{sql}: {want:?}");
+            assert_eq!(
+                outcome_of(cluster.coord.execute(sql)),
+                want,
+                "key {key}: {sql}"
+            );
+        }
         cluster.stop();
     }
 }
@@ -716,40 +756,89 @@ fn fan_out_is_what_explain_promises() {
     cluster.stop();
 }
 
-/// A shard whose `T` has a column the coordinator's schema lacks: every
-/// statement that gathers `T`'s rows returns a typed error naming that
-/// shard, and never rows.
+/// A shard whose `T` disagrees with the coordinator's schema — it has a
+/// column the coordinator's lacks, or the same-typed `Grp` and `Val` in the
+/// other order: every statement that gathers `T`'s rows returns a typed
+/// error naming that shard, and never rows.
 #[test]
 fn a_shard_that_disagrees_with_the_schema_fails_typed() {
+    let impostors = [
+        (
+            "CREATE TABLE T (Id INT, Grp INT, Val INT, Name STR, Extra INT)",
+            "INSERT INTO T VALUES (1, 0, 5, 'bee', 9), (3, 1, -4, 'alpha', 9)",
+            [
+                "SELECT a.Id, b.Name FROM T a, T b WHERE a.Id = b.Id",
+                "SELECT T.Id, PlusTen(T.Val) FROM T T WHERE T.Id > 0",
+                "SELECT * FROM T T",
+            ],
+        ),
+        (
+            "CREATE TABLE T (Id INT, Val INT, Grp INT, Name STR)",
+            "INSERT INTO T VALUES (1, 200, 20, 'bee'), (3, -4, 1, 'alpha')",
+            [
+                "SELECT * FROM T T",
+                "SELECT a.Id, b.Grp FROM T a, T b WHERE a.Id = b.Id",
+                "SELECT T.Grp, COUNT(*), SUM(T.Val) FROM T T GROUP BY T.Grp",
+            ],
+        ),
+    ];
+    for (create, insert, statements) in impostors {
+        let inserts = insert_statements(&fixture_rows());
+        let cluster = Cluster::start(2, "Id", &inserts);
+        let impostor = Arc::new(Database::new(NetworkSpec::lan()));
+        impostor.execute(create).expect("impostor CREATE");
+        impostor.execute(insert).expect("impostor INSERT");
+        let handle = service::start(impostor, ServiceConfig::default()).expect("impostor service");
+        cluster
+            .coord
+            .replace_shard(1, handle.local_addr())
+            .expect("replace shard 1");
+        for sql in statements {
+            match cluster.coord.execute(sql) {
+                Ok(r) => panic!("{sql}: {} rows from a mismatched shard", r.rows.len()),
+                Err(e) => assert!(
+                    e.kind() == "catalog" && e.message().contains("shard 1"),
+                    "{sql}: the error must be a catalog error naming shard 1, got {}: {}",
+                    e.kind(),
+                    e.message()
+                ),
+            }
+        }
+        handle.shutdown();
+        cluster.stop();
+    }
+}
+
+/// No coordinator read reaches a shard as SQL: across a mix of every read
+/// shape — a filter, a pinned lookup, an aggregate, a self-join and a UDF —
+/// no shard parses or plans anything, so its plan cache sees no lookup.
+#[test]
+fn coordinator_reads_never_reach_a_shard_planner() {
     let inserts = insert_statements(&fixture_rows());
     let cluster = Cluster::start(2, "Id", &inserts);
-    let impostor = Arc::new(Database::new(NetworkSpec::lan()));
-    impostor
-        .execute("CREATE TABLE T (Id INT, Grp INT, Val INT, Name STR, Extra INT)")
-        .expect("impostor CREATE");
-    impostor
-        .execute("INSERT INTO T VALUES (1, 0, 5, 'bee', 9), (3, 1, -4, 'alpha', 9)")
-        .expect("impostor INSERT");
-    let handle = service::start(impostor, ServiceConfig::default()).expect("impostor service");
-    cluster
-        .coord
-        .replace_shard(1, handle.local_addr())
-        .expect("replace shard 1");
-    for sql in [
-        "SELECT a.Id, b.Name FROM T a, T b WHERE a.Id = b.Id",
-        "SELECT T.Id, PlusTen(T.Val) FROM T T WHERE T.Id > 0",
-        "SELECT * FROM T T",
+    let lookups = || -> Vec<u64> {
+        cluster
+            .dbs
+            .iter()
+            .map(|db| {
+                let s = db.plan_cache_stats();
+                s.hits + s.misses
+            })
+            .collect()
+    };
+    let before = lookups();
+    for spec in [
+        QuerySpec::Filter { lo: 0 },
+        QuerySpec::Pinned { id: 7 },
+        QuerySpec::Agg { having: Some(2) },
+        QuerySpec::Global,
+        QuerySpec::SelfJoin { lo: -5 },
+        QuerySpec::Udf { lo: 3 },
     ] {
-        match cluster.coord.execute(sql) {
-            Ok(r) => panic!("{sql}: {} rows from a mismatched shard", r.rows.len()),
-            Err(e) => assert!(
-                e.message().contains("shard 1"),
-                "{sql}: the error must name shard 1, got {}: {}",
-                e.kind(),
-                e.message()
-            ),
-        }
+        let sql = spec.sql();
+        let rows = cluster.coord.execute(&sql).expect("sharded SELECT").rows;
+        assert!(!rows.is_empty(), "{sql}");
     }
-    handle.shutdown();
+    assert_eq!(lookups(), before, "shard plan-cache lookups");
     cluster.stop();
 }
