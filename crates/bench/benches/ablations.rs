@@ -8,9 +8,6 @@ fn bench(c: &mut Criterion) {
     g.bench_function("duplicates", |b| {
         b.iter(|| criterion::black_box(csq_bench::figures::ablate_duplicates()))
     });
-    g.bench_function("receiver_join", |b| {
-        b.iter(|| criterion::black_box(csq_bench::figures::ablate_receiver_join()))
-    });
     g.bench_function("asymmetry_emulation", |b| {
         b.iter(|| criterion::black_box(csq_bench::figures::ablate_asymmetry_emulation()))
     });

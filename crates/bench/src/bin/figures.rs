@@ -51,7 +51,6 @@ const KNOWN: &[&str] = &[
     "fig13",
     "ablations",
     "ablate-duplicates",
-    "ablate-receiver",
     "ablate-asymmetry",
 ];
 
@@ -123,14 +122,6 @@ fn main() {
             "ablate_duplicates",
             &figures::ablate_duplicates(),
             "D (distinct fraction)",
-            "seconds",
-        );
-    }
-    if want("ablate-receiver") || want("ablations") {
-        emit(
-            "ablate_receiver_join",
-            &figures::ablate_receiver_join(),
-            "D",
             "seconds",
         );
     }

@@ -346,38 +346,6 @@ pub fn ablate_duplicates() -> Vec<Series> {
     ]
 }
 
-/// Ablation: sorted (merge-join receiver) vs hash receiver for the
-/// semi-join — same bytes, same results; returns (D, seconds) per mode.
-pub fn ablate_receiver_join() -> Vec<Series> {
-    let net = NetworkSpec::modem_28_8();
-    let schema = fig7_schema();
-    let (udf1, udf2) = fig7_apps();
-    let mut hash_points = Vec::new();
-    let mut merge_points = Vec::new();
-    for distinct in [10usize, 30, 60] {
-        let rows = fig7_rows(60, 495, 495, distinct);
-        let d = distinct as f64 / 60.0;
-        let mut spec = SemiJoinSpec::new(vec![udf1.clone(), udf2.clone()], 16);
-        let hash =
-            simulate_semijoin(&schema, rows.clone(), &spec, fig7_runtime(0.5, 1000), &net).unwrap();
-        spec.sorted = true;
-        let merge = simulate_semijoin(&schema, rows, &spec, fig7_runtime(0.5, 1000), &net).unwrap();
-        assert_eq!(hash.down_bytes, merge.down_bytes, "same dedup, same bytes");
-        hash_points.push((d, hash.elapsed_secs()));
-        merge_points.push((d, merge.elapsed_secs()));
-    }
-    vec![
-        Series {
-            label: "hash receiver".into(),
-            points: hash_points,
-        },
-        Series {
-            label: "merge receiver (sorted)".into(),
-            points: merge_points,
-        },
-    ]
-}
-
 /// Ablation: true asymmetric links vs the paper's byte-inflation emulation.
 /// Returns (selectivity, CSJ/SJ) per model.
 pub fn ablate_asymmetry_emulation() -> Vec<Series> {

@@ -178,11 +178,6 @@ impl Coordinator {
         })
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.read().len()
-    }
-
     /// The plan epoch of the coordinator's engine: bumped by every change a
     /// plan depends on — `create_table`, routed INSERTs, UDF registration,
     /// [`advertise_distinct`](Coordinator::advertise_distinct) and

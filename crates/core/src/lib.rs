@@ -546,15 +546,9 @@ impl Database {
         Ok((out, fresh, cache_hit))
     }
 
-    /// Execute one statement, planning SELECTs through the plan cache (the
-    /// query service's entry point). Returns the result plus whether a
-    /// cached plan was reused. A cache hit skips parsing *and* optimizing.
-    pub fn execute_cached(&self, sql: &str) -> Result<(QueryResult, bool)> {
-        self.execute_cached_with(sql, &CancelToken::new())
-    }
-
-    /// [`execute_cached`](Self::execute_cached) under a cancellation token
-    /// (the query service's entry point for deadline-carrying statements).
+    /// Execute one statement under a cancellation token, planning SELECTs
+    /// through the plan cache. Returns the result plus whether a cached plan
+    /// was reused. A cache hit skips parsing *and* optimizing.
     pub fn execute_cached_with(
         &self,
         sql: &str,

@@ -33,10 +33,8 @@
 //!   of partial sources, e.g. one per shard or one per site), finished
 //!   values out.
 //!
-//! MIN/MAX accumulate through [`crate::ops::compare_values`] — the same
-//! key-validation primitive `Sort` uses — so a NaN-bearing group is an exec
-//! *error* here, exactly like `ORDER BY` over a NaN-bearing column, never a
-//! comparator panic.
+//! MIN/MAX accumulate through [`crate::ops::compare_values`], so a
+//! NaN-bearing group is an exec *error* here, never a comparator panic.
 
 use std::hash::{BuildHasher, RandomState};
 use std::sync::Arc;
@@ -714,8 +712,7 @@ impl Drop for GroupTable {
 /// merged independently (disjoint key sets, so peak memory is ~1/16th of
 /// the working set). Results are identical to the in-memory path except for
 /// group *order*, which becomes partition-major instead of global
-/// first-occurrence (GROUP BY output order is unspecified; an explicit
-/// ORDER BY above is unaffected). Whatever the build registered with the
+/// first-occurrence (GROUP BY output order is unspecified). Whatever the build registered with the
 /// tracker is released when its table goes — at the end of the build,
 /// however it ends; a build that fails is returned once and leaves the
 /// operator exhausted.
@@ -1008,7 +1005,7 @@ batch_operator!(HashAggregate, hint: |s: &HashAggregate| {
 mod tests {
     use super::*;
     use crate::ops::testing::assert_latched;
-    use crate::ops::{collect, CancelCheck, ColumnarScan, Filter, RowsOp, Sort};
+    use crate::ops::{collect, CancelCheck, ColumnarScan, Filter, RowsOp};
     use csq_common::{CancelToken, DEFAULT_BATCH_SIZE};
     use csq_storage::Table;
 
@@ -1133,25 +1130,6 @@ mod tests {
             vec![AggSpec::new(AggFunc::Min, Some(PhysExpr::Column(2)), "m")],
         );
         assert_eq!(collect(&mut agg).unwrap_err().kind(), "exec");
-    }
-
-    #[test]
-    fn sort_over_nan_avg_errors_instead_of_panicking() {
-        // ORDER BY avg(x) over a NaN-bearing group: the aggregate itself
-        // succeeds (a lone NaN never gets compared), and the downstream Sort
-        // must surface the same upfront key-validation error it uses for
-        // base columns — not a comparator panic.
-        let data = vec![
-            Row::new(vec![Value::Int(1), Value::Int(1), Value::Float(f64::NAN)]),
-            Row::new(vec![Value::Int(2), Value::Int(2), Value::Float(1.0)]),
-        ];
-        let agg = HashAggregate::new(
-            Box::new(RowsOp::new(schema(), data)),
-            vec![0],
-            vec![AggSpec::new(AggFunc::Avg, Some(PhysExpr::Column(2)), "a")],
-        );
-        let mut sort = Sort::new(Box::new(agg), vec![1]);
-        assert_eq!(collect(&mut sort).unwrap_err().kind(), "exec");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! receivers in `csq-ship` implement the same contract and compose into the
 //! same plans. See DESIGN.md §2.
 //!
-//! Operators provided here: scan, filter, project, sort, hash join,
+//! Operators provided here: scan, filter, project, hash join,
 //! nested-loop join, grouped aggregation, the cancellation checkpoint and
 //! in-memory row sources — what `csq_core::lower` and `csq-ship` build
 //! (`HashJoin` is the one no statement reaches yet). [`MemoryTracker`] is
@@ -26,7 +26,7 @@ pub use aggregate::{aggregate_output_schema, aggregate_state_schema, AggSpec, Ha
 pub use join::{HashJoin, NestedLoopJoin};
 pub use ops::{
     collect, compare_values, CancelCheck, ColumnarScan, Filter, Operator, Project, Projection,
-    RowsOp, Sort,
+    RowsOp,
 };
 pub use pool::WorkerPool;
 pub use spill::MemoryTracker;

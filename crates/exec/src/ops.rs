@@ -1,4 +1,4 @@
-//! Core operators: sources, filter, project, sort.
+//! Core operators: sources, filter, project.
 //!
 //! Every operator here is *batch native*: [`Operator::next_batch`] — the
 //! only way to drive an operator — processes a whole [`RowBatch`] at a time,
@@ -477,24 +477,10 @@ fn project_rows(path: &ProjPath, exprs: &[PhysExpr], mut rows: Vec<Row>) -> Resu
     }
 }
 
-/// Compare two rows on the given key columns with SQL ordering; NULLs sort
-/// first, cross-type comparisons are exec errors surfaced at sort time.
-pub fn compare_on(a: &Row, b: &Row, key: &[usize]) -> Result<Ordering> {
-    for &k in key {
-        let ord = compare_values(a.value(k), b.value(k))?;
-        if ord != Ordering::Equal {
-            return Ok(ord);
-        }
-    }
-    Ok(Ordering::Equal)
-}
-
-/// SQL ordering of two values with NULLs first; incomparable pairs (NaN
-/// against another float, cross-type) are exec errors rather than panics.
-/// This is the key-validation primitive shared by [`Sort`]'s fallible
-/// comparator and [`crate::HashAggregate`]'s MIN/MAX accumulators, so
-/// `ORDER BY` over NaN-bearing aggregate output errors the same way a sort
-/// over a NaN-bearing base column does.
+/// SQL ordering of two values with NULLs first; incomparable pairs are
+/// errors rather than panics: cross-type is a type error, NaN against
+/// another float an exec error. [`crate::HashAggregate`]'s MIN/MAX
+/// accumulators compare through it.
 pub fn compare_values(va: &Value, vb: &Value) -> Result<Ordering> {
     match (va.is_null(), vb.is_null()) {
         (true, true) => Ok(Ordering::Equal),
@@ -505,102 +491,6 @@ pub fn compare_values(va: &Value, vb: &Value) -> Result<Ordering> {
             .ok_or_else(|| CsqError::Exec("incomparable values in sort key".into())),
     }
 }
-
-/// Materializing sort on key columns (ascending). The input is drained
-/// batch-wise into one buffer (sized from the input's hint), sorted once,
-/// and re-emitted in batches. A drain or comparison that fails is returned
-/// once and leaves the operator exhausted.
-pub struct Sort {
-    /// `Some` until the first pull takes it to build `sorted`.
-    input: Option<Box<dyn Operator + Send>>,
-    key: Vec<usize>,
-    schema: Arc<Schema>,
-    sorted: std::vec::IntoIter<Row>,
-}
-
-impl Sort {
-    /// Sort `input` rows on `key` column ordinals.
-    pub fn new(input: Box<dyn Operator + Send>, key: Vec<usize>) -> Sort {
-        let schema = Arc::new(input.schema().clone());
-        Sort {
-            input: Some(input),
-            key,
-            schema,
-            sorted: Vec::new().into_iter(),
-        }
-    }
-
-    fn produce(&mut self) -> Result<Option<RowBatch>> {
-        if let Some(mut input) = self.input.take() {
-            let mut rows = collect(input.as_mut())?;
-            sort_rows_fallible(&mut rows, &self.key)?;
-            self.sorted = rows.into_iter();
-        }
-        produce_chunk(&mut self.sorted, &self.schema)
-    }
-}
-
-/// Stable bottom-up merge sort that *propagates* comparison errors.
-///
-/// `slice::sort_by` cannot host a fallible comparator: smuggling errors out
-/// as fake `Equal`s makes the relation violate total order, which modern
-/// std detects and punishes with a panic. This sort surfaces the first
-/// incomparable pair it actually compares as an `Err` — the same
-/// lazy-error semantics the engine has always had (a key column whose
-/// incomparable values are never reached by any comparison still sorts).
-/// On error the contents of `rows` are unspecified (the caller discards).
-fn sort_rows_fallible(rows: &mut [Row], key: &[usize]) -> Result<()> {
-    let n = rows.len();
-    if n < 2 {
-        return Ok(());
-    }
-    let mut src: Vec<Row> = rows.iter_mut().map(std::mem::take).collect();
-    let mut dst: Vec<Row> = std::iter::repeat_with(Row::default).take(n).collect();
-    let mut width = 1;
-    while width < n {
-        let mut start = 0;
-        while start < n {
-            let mid = (start + width).min(n);
-            let end = (start + 2 * width).min(n);
-            let (mut i, mut j, mut k) = (start, mid, start);
-            while i < mid && j < end {
-                // Stable: the left run wins ties.
-                if compare_on(&src[i], &src[j], key)? != Ordering::Greater {
-                    dst[k] = std::mem::take(&mut src[i]);
-                    i += 1;
-                } else {
-                    dst[k] = std::mem::take(&mut src[j]);
-                    j += 1;
-                }
-                k += 1;
-            }
-            while i < mid {
-                dst[k] = std::mem::take(&mut src[i]);
-                i += 1;
-                k += 1;
-            }
-            while j < end {
-                dst[k] = std::mem::take(&mut src[j]);
-                j += 1;
-                k += 1;
-            }
-            start = end;
-        }
-        std::mem::swap(&mut src, &mut dst);
-        width *= 2;
-    }
-    for (slot, row) in rows.iter_mut().zip(src) {
-        *slot = row;
-    }
-    Ok(())
-}
-
-batch_operator!(Sort, hint: |s: &Sort| {
-    match &s.input {
-        Some(input) => input.size_hint(),
-        None => Some(s.sorted.len()),
-    }
-});
 
 /// What the blocking operators' latch tests share.
 #[cfg(test)]
@@ -637,7 +527,6 @@ pub(crate) mod testing {
 
 #[cfg(test)]
 mod tests {
-    use super::testing::{assert_latched, FailsAfter};
     use super::*;
     use csq_common::{DataType, Value};
     use csq_expr::{bind, Expr};
@@ -854,94 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn sort_orders_with_nulls_first() {
-        let schema = Schema::new(vec![Field::new("a", DataType::Int)]);
-        let rows = vec![
-            Row::new(vec![Value::Int(3)]),
-            Row::new(vec![Value::Null]),
-            Row::new(vec![Value::Int(1)]),
-        ];
-        let mut s = Sort::new(Box::new(RowsOp::new(schema, rows)), vec![0]);
-        let out = collect(&mut s).unwrap();
-        assert_eq!(out[0].value(0), &Value::Null);
-        assert_eq!(out[1].value(0), &Value::Int(1));
-        assert_eq!(out[2].value(0), &Value::Int(3));
-    }
-
-    #[test]
-    fn sort_is_stable_on_equal_keys() {
-        let (schema, rows) = int_rows(&[(1, 100), (1, 200), (0, 300)]);
-        let mut s = Sort::new(Box::new(RowsOp::new(schema, rows)), vec![0]);
-        let out = collect(&mut s).unwrap();
-        assert_eq!(out[1].value(1), &Value::Int(100));
-        assert_eq!(out[2].value(1), &Value::Int(200));
-    }
-
-    #[test]
-    fn sort_incomparable_errors_instead_of_panicking() {
-        // Mixed Int/Str key column: a type error, not a sort_by panic.
-        let schema = Schema::new(vec![Field::new("a", DataType::Int)]);
-        let rows = vec![
-            Row::new(vec![Value::Int(1)]),
-            Row::new(vec![Value::from("x")]),
-            Row::new(vec![Value::Int(2)]),
-        ];
-        let mut s = Sort::new(Box::new(RowsOp::new(schema.clone(), rows)), vec![0]);
-        assert_eq!(collect(&mut s).unwrap_err().kind(), "type");
-        // NaN alongside another float: exec error.
-        let rows = vec![
-            Row::new(vec![Value::Float(f64::NAN)]),
-            Row::new(vec![Value::Float(1.0)]),
-        ];
-        let mut s = Sort::new(Box::new(RowsOp::new(schema, rows)), vec![0]);
-        assert_eq!(collect(&mut s).unwrap_err().kind(), "exec");
-    }
-
-    #[test]
-    fn sort_is_exhausted_after_a_failed_build() {
-        let (schema, rows) = int_rows(&[(2, 0), (1, 0)]);
-        let failing = FailsAfter {
-            schema: Arc::new(schema.clone()),
-            batches: vec![rows.clone(), rows].into_iter(),
-        };
-        assert_latched(&mut Sort::new(Box::new(failing), vec![0]), "exec");
-        // The comparator failing (Int vs Str) ends it the same way.
-        let rows = vec![
-            Row::new(vec![Value::Int(1), Value::Int(0)]),
-            Row::new(vec![Value::from("x"), Value::Int(0)]),
-        ];
-        let mut s = Sort::new(Box::new(RowsOp::new(schema, rows)), vec![0]);
-        assert_latched(&mut s, "type");
-        assert_eq!(s.size_hint(), Some(0));
-    }
-
-    #[test]
-    fn sort_handles_large_inputs_stably() {
-        // Exercise several merge levels of the fallible sort.
-        let schema = Schema::new(vec![
-            Field::new("k", DataType::Int),
-            Field::new("seq", DataType::Int),
-        ]);
-        let rows: Vec<Row> = (0..3000)
-            .map(|i| Row::new(vec![Value::Int((i * 7 % 13) as i64), Value::Int(i as i64)]))
-            .collect();
-        let mut s = Sort::new(Box::new(RowsOp::new(schema, rows)), vec![0]);
-        let out = collect(&mut s).unwrap();
-        assert_eq!(out.len(), 3000);
-        for w in out.windows(2) {
-            let (a, b) = (
-                w[0].value(0).as_i64().unwrap(),
-                w[1].value(0).as_i64().unwrap(),
-            );
-            assert!(a <= b);
-            if a == b {
-                // Stability: original sequence order preserved within keys.
-                assert!(w[0].value(1).as_i64().unwrap() < w[1].value(1).as_i64().unwrap());
-            }
-        }
-    }
-
-    #[test]
     fn project_in_place_rejects_non_monotonic() {
         let mut r = Row::new(vec![Value::Int(1), Value::Int(2)]);
         assert_eq!(r.project_in_place(&[1, 0]).unwrap_err().kind(), "exec");
@@ -950,14 +751,12 @@ mod tests {
     }
 
     #[test]
-    fn compare_on_errors_for_incomparable() {
+    fn compare_values_errors_for_incomparable() {
         // Bool vs Int is a type error from Value::sql_cmp.
-        let a = Row::new(vec![Value::Bool(true)]);
-        let b = Row::new(vec![Value::Int(1)]);
-        assert_eq!(compare_on(&a, &b, &[0]).unwrap_err().kind(), "type");
-        // NaN vs Float compares (bit order not defined by partial_cmp → exec).
-        let a = Row::new(vec![Value::Float(f64::NAN)]);
-        let b = Row::new(vec![Value::Float(1.0)]);
-        assert_eq!(compare_on(&a, &b, &[0]).unwrap_err().kind(), "exec");
+        let err = compare_values(&Value::Bool(true), &Value::Int(1)).unwrap_err();
+        assert_eq!(err.kind(), "type");
+        // NaN vs Float has no partial_cmp order: an exec error.
+        let err = compare_values(&Value::Float(f64::NAN), &Value::Float(1.0)).unwrap_err();
+        assert_eq!(err.kind(), "exec");
     }
 }

@@ -237,7 +237,6 @@ pub struct TcpConn {
     recv_buffered: AtomicUsize,
     fd: Fd,
     local: SocketAddr,
-    peer: SocketAddr,
 }
 
 impl TcpConn {
@@ -253,7 +252,6 @@ impl TcpConn {
             .set_nodelay(true)
             .map_err(|e| io_net("set_nodelay", e))?;
         let local = stream.local_addr().map_err(|e| io_net("local_addr", e))?;
-        let peer = stream.peer_addr().map_err(|e| io_net("peer_addr", e))?;
         let fd = crate::ready::stream_fd(&stream);
         let read_half = stream.try_clone().map_err(|e| io_net("clone stream", e))?;
         Ok(TcpConn {
@@ -267,7 +265,6 @@ impl TcpConn {
             recv_buffered: AtomicUsize::new(0),
             fd,
             local,
-            peer,
         })
     }
 
@@ -321,11 +318,6 @@ impl TcpConn {
     /// This end's socket address.
     pub fn local_addr(&self) -> SocketAddr {
         self.local
-    }
-
-    /// The peer's socket address.
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.peer
     }
 
     /// Send one frame (header + payload), flushed to the socket.

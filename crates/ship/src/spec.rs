@@ -3,8 +3,12 @@
 //! A [`UdfApplication`] names one client-site UDF call: which input columns
 //! are its arguments and what the appended result column is called. The two
 //! strategy specs bundle one or more applications (§5.1's *grouped* UDFs)
-//! with the strategy-specific knobs, and know how to derive the operator's
-//! output schema and the [`ClientTask`] shipped to the client.
+//! with the strategy's batching and pushdowns, and know how to derive the
+//! operator's output schema and the [`ClientTask`] shipped to the client.
+//! Each strategy ships one way: the semi-join numbers its distinct
+//! arguments in a hash index and the client memoizes nothing; the
+//! client-site join ships every record and the client memoizes its UDF
+//! results.
 
 use csq_common::{Field, Result, Schema};
 use csq_expr::PhysExpr;
@@ -44,19 +48,6 @@ pub fn extended_schema(input: &Schema, udfs: &[UdfApplication]) -> Schema {
     s
 }
 
-/// Argument ordinals of `udfs` that live in the input (`< input_width`),
-/// ascending and deduplicated.
-fn arg_union(udfs: &[UdfApplication], input_width: usize) -> Vec<usize> {
-    let mut cols: Vec<usize> = udfs
-        .iter()
-        .flat_map(|u| u.arg_cols.iter().copied())
-        .filter(|&c| c < input_width)
-        .collect();
-    cols.sort_unstable();
-    cols.dedup();
-    cols
-}
-
 /// Semi-join strategy parameters (§2.3.1, §3.1.1–§3.1.2).
 #[derive(Debug, Clone)]
 pub struct SemiJoinSpec {
@@ -68,25 +59,16 @@ pub struct SemiJoinSpec {
     pub concurrency: usize,
     /// Distinct argument tuples per network message.
     pub batch_size: usize,
-    /// Sort the input on the argument columns first. Duplicates become
-    /// adjacent, so the receiver can merge-join with O(1) result cache
-    /// instead of a hash cache (§2.3.1 "If the sender sorts and groups...").
-    pub sorted: bool,
-    /// Use client-side memoization too (normally pointless for semi-joins —
-    /// the server already deduplicates — but exposed for ablations).
-    pub client_cache: bool,
 }
 
 impl SemiJoinSpec {
     /// A spec with the defaults used throughout the paper's experiments:
-    /// unsorted hash dedup, one tuple per message.
+    /// one tuple per message.
     pub fn new(udfs: Vec<UdfApplication>, concurrency: usize) -> SemiJoinSpec {
         SemiJoinSpec {
             udfs,
             concurrency: concurrency.max(1),
             batch_size: 1,
-            sorted: false,
-            client_cache: false,
         }
     }
 
@@ -96,7 +78,15 @@ impl SemiJoinSpec {
     /// for grouped semi-joins). References to earlier UDF results (ordinals
     /// `>= input_width`) are excluded: those never cross the downlink.
     pub fn arg_union(&self, input_width: usize) -> Vec<usize> {
-        arg_union(&self.udfs, input_width)
+        let mut cols: Vec<usize> = self
+            .udfs
+            .iter()
+            .flat_map(|u| u.arg_cols.iter().copied())
+            .filter(|&c| c < input_width)
+            .collect();
+        cols.sort_unstable();
+        cols.dedup();
+        cols
     }
 
     /// Output schema: input columns followed by each result column.
@@ -107,6 +97,7 @@ impl SemiJoinSpec {
     /// Build the client task. The task operates on the *argument projection*
     /// of the input row, so application argument ordinals are remapped;
     /// references to earlier results are remapped into the projected space.
+    /// Every shipped tuple is distinct, so the client memoizes nothing.
     pub fn client_task(&self, input: &Schema) -> Result<ClientTask> {
         let union = self.arg_union(input.len());
         let proj_width = union.len();
@@ -141,7 +132,7 @@ impl SemiJoinSpec {
             steps,
             predicate: None,
             return_cols: Some((proj_width..proj_width + n).map(|c| c as u32).collect()),
-            dedup_cache: self.client_cache,
+            dedup_cache: false,
         };
         task.validate()?;
         Ok(task)
@@ -161,32 +152,18 @@ pub struct ClientJoinSpec {
     pub return_cols: Option<Vec<usize>>,
     /// Whole records per network message.
     pub batch_size: usize,
-    /// Sort the input on the argument union so the client's memo cache
-    /// avoids duplicate invocations (§2.3.2: "the server may sort the stream
-    /// of tuples on the argument attributes").
-    pub sort_on_args: bool,
-    /// Client-side memoization of UDF results per argument tuple.
-    pub client_cache: bool,
 }
 
 impl ClientJoinSpec {
     /// A spec with the paper's defaults: no pushdowns, one record per
-    /// message, client cache on.
+    /// message.
     pub fn new(udfs: Vec<UdfApplication>) -> ClientJoinSpec {
         ClientJoinSpec {
             udfs,
             pushed_predicate: None,
             return_cols: None,
             batch_size: 1,
-            sort_on_args: false,
-            client_cache: true,
         }
-    }
-
-    /// Argument-column union within the input (used for optional input
-    /// sorting); references to earlier UDF results are excluded.
-    pub fn arg_union(&self, input_width: usize) -> Vec<usize> {
-        arg_union(&self.udfs, input_width)
     }
 
     /// Output schema: the returned projection of the extended schema.
@@ -199,6 +176,7 @@ impl ClientJoinSpec {
     }
 
     /// Build the client task (full rows in, filtered/projected rows out).
+    /// Duplicate records are shipped, so the client memoizes its UDF results.
     pub fn client_task(&self, input: &Schema) -> Result<ClientTask> {
         let steps = self
             .udfs
@@ -217,7 +195,7 @@ impl ClientJoinSpec {
                 .return_cols
                 .as_ref()
                 .map(|cols| cols.iter().map(|&c| c as u32).collect()),
-            dedup_cache: self.client_cache,
+            dedup_cache: true,
         };
         task.validate()?;
         Ok(task)

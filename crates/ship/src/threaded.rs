@@ -30,7 +30,7 @@ use csq_common::codec::encode_batch_rows;
 use csq_common::{
     ArgIndex, CsqError, Lane, Result, Row, RowBatch, Schema, Selection, Value, DEFAULT_BATCH_SIZE,
 };
-use csq_exec::{Operator, Sort};
+use csq_exec::Operator;
 use csq_net::{Endpoint, NetReceiver, NetSender, SimTime};
 
 use csq_client::{Request, Response};
@@ -112,9 +112,10 @@ fn response_rows(received: Option<Vec<u8>>, closed: &str) -> Result<Vec<Row>> {
 /// buffer + receiver pulling matched rows.
 pub struct ThreadedSemiJoin {
     schema: Arc<Schema>,
-    /// One item per hand-off: the records of a shipped span, or the
-    /// sender's failure (input error or network error).
-    buffer_rx: Receiver<Result<Vec<Records>>>,
+    /// One item per hand-off: how many arguments its message shipped (none
+    /// when its records repeat shipped arguments) and the records of the
+    /// span, or the sender's failure (input error or network error).
+    buffer_rx: Receiver<Result<(usize, Vec<Records>)>>,
     /// One credit per paired hand-off, stamped with the receiver's clock.
     credits_tx: Sender<SimTime>,
     /// The hand-off being paired, and how many records of its first piece
@@ -122,15 +123,9 @@ pub struct ThreadedSemiJoin {
     span: VecDeque<Records>,
     paired: usize,
     net_rx: NetReceiver,
-    /// Results by shipping ordinal, from `received - results.len()` up:
-    /// every one for unsorted input, the latest for sorted input
-    /// (duplicates are adjacent, so O(1) memory — the "merge-join" receiver
-    /// of §2.3.1).
+    /// Results by shipping ordinal, `udfs` values each.
     results: Vec<Row>,
-    /// Results taken off the response stream so far.
-    received: usize,
-    sorted: bool,
-    results_fifo: VecDeque<Row>,
+    udfs: usize,
     sender: Option<JoinHandle<()>>,
     failed: bool,
 }
@@ -149,7 +144,7 @@ impl ThreadedSemiJoin {
         let (net_tx, net_rx) = endpoint.split();
         let (buffer_tx, buffer_rx) = unbounded();
         let (credits_tx, credits_rx) = unbounded();
-        let sorted = spec.sorted;
+        let udfs = spec.udfs.len();
         let sender = std::thread::Builder::new()
             .name("csq-sj-sender".into())
             .spawn(move || semijoin_sender(input, task, spec, net_tx, buffer_tx, credits_rx))
@@ -162,60 +157,48 @@ impl ThreadedSemiJoin {
             paired: 0,
             net_rx,
             results: Vec::new(),
-            received: 0,
-            sorted,
-            results_fifo: VecDeque::new(),
+            udfs,
             sender: Some(sender),
             failed: false,
         })
     }
 
-    fn next_result(&mut self) -> Result<Row> {
-        loop {
-            if let Some(r) = self.results_fifo.pop_front() {
-                return Ok(r);
-            }
-            self.results_fifo.extend(response_rows(
-                self.net_rx.recv(),
-                "client closed connection before all results arrived",
-            )?);
+    /// Take the reply to a hand-off's message of `shipped` arguments: one
+    /// result per argument, one value per UDF, or a `client` error.
+    fn receive(&mut self, shipped: usize) -> Result<()> {
+        if shipped == 0 {
+            return Ok(());
         }
-    }
-
-    /// The position in `results` of the result for shipping ordinal `arg`:
-    /// the next row of the response stream for a newly shipped argument,
-    /// the kept one for a duplicate.
-    fn result(&mut self, arg: usize) -> Result<usize> {
-        if arg == self.received {
-            let result = self.next_result()?;
-            if self.sorted {
-                self.results.clear();
-            }
-            self.results.push(result);
-            self.received += 1;
+        let rows = response_rows(
+            self.net_rx.recv(),
+            "client closed connection before all results arrived",
+        )?;
+        if rows.len() != shipped || rows.iter().any(|r| r.len() != self.udfs) {
+            return Err(CsqError::Client(format!(
+                "semi-join: the client's reply to {shipped} arguments is not \
+                 {shipped} results of {} values",
+                self.udfs
+            )));
         }
-        let first = self.received - self.results.len();
-        arg.checked_sub(first)
-            .filter(|&i| i < self.results.len())
-            .ok_or_else(|| {
-                CsqError::Exec(
-                    "semi-join receiver: no result received for a record's \
-                     argument (sender/receiver protocol violation)"
-                        .into(),
-                )
-            })
+        self.results.extend(rows);
+        Ok(())
     }
 
     /// Pair the next buffered record with its result into `out`; once its
     /// hand-off is paired, its slot goes back to the sender.
     fn pair(&mut self, out: &mut Records) -> Result<()> {
-        let missing = || CsqError::Exec("semi-join receiver: no record to pair".into());
-        let arg = self.span.front().and_then(|p| p.args.get(self.paired));
-        let result = self.result(*arg.ok_or_else(missing)?)?;
-        let (piece, result) = self
-            .span
-            .front_mut()
-            .zip(self.results.get(result))
+        let missing = || {
+            CsqError::Exec(
+                "semi-join receiver: no record, or no result for its argument, to pair \
+                 (sender/receiver protocol violation)"
+                    .into(),
+            )
+        };
+        let piece = self.span.front_mut().ok_or_else(missing)?;
+        let result = piece
+            .args
+            .get(self.paired)
+            .and_then(|&arg| self.results.get(arg))
             .ok_or_else(missing)?;
         if let Some(lanes) = &piece.lanes {
             out.lanes.get_or_insert_with(|| lanes.clone());
@@ -260,16 +243,22 @@ impl Operator for ThreadedSemiJoin {
         let mut out = Records::default();
         while out.len() < DEFAULT_BATCH_SIZE {
             if self.span.is_empty() {
-                match self.buffer_rx.recv() {
-                    Ok(Ok(span)) => self.span = span.into(),
+                let span = match self.buffer_rx.recv() {
+                    Ok(Ok((shipped, span))) => self.receive(shipped).map(|()| span),
                     Ok(Err(e)) => {
                         self.join_sender();
-                        self.failed = true;
-                        return Err(e);
+                        Err(e)
                     }
                     Err(_) => {
                         self.join_sender();
                         break;
+                    }
+                };
+                match span {
+                    Ok(span) => self.span = span.into(),
+                    Err(e) => {
+                        self.failed = true;
+                        return Err(e);
                     }
                 }
             }
@@ -289,123 +278,47 @@ impl Operator for ThreadedSemiJoin {
     }
 }
 
-/// The semi-join sender's numbering of argument tuples, in shipping order,
-/// and its open span: the arguments numbered since the last message.
-struct Numbering {
-    /// The argument columns, and (unsorted input) every distinct argument
-    /// by shipping ordinal — each row's arguments are hashed once, there.
-    index: ArgIndex,
-    /// Sorted input: a duplicate is adjacent, so an argument is only
-    /// compared with the one before it, and only the open span's arguments
-    /// (`span`) and the last one a message carried (`sent_last`) are kept.
-    sorted: bool,
-    span: Vec<Row>,
-    sent_last: Option<Row>,
-    /// Arguments numbered, and carried by a message, so far.
-    numbered: usize,
-    sent: usize,
-}
-
-impl Numbering {
-    fn new(cols: Vec<usize>, sorted: bool) -> Numbering {
-        Numbering {
-            index: ArgIndex::new(cols),
-            sorted,
-            span: Vec::new(),
-            sent_last: None,
-            numbered: 0,
-            sent: 0,
-        }
-    }
-
-    /// The shipping ordinal of the arguments whose cell at column `c` is
-    /// `cell(c)`, numbered if they are new.
-    fn number<'v>(&mut self, cell: impl Fn(usize) -> Cow<'v, Value>) -> usize {
-        if !self.sorted {
-            let (arg, _) = self.index.insert_by(cell);
-            self.numbered = self.index.len();
-            return arg;
-        }
-        let cols = self.index.cols();
-        let same = |prev: &Row| cols.iter().zip(prev.values()).all(|(&c, v)| *cell(c) == *v);
-        if !self
-            .span
-            .last()
-            .or(self.sent_last.as_ref())
-            .is_some_and(same)
-        {
-            let args = Row::new(cols.iter().map(|&c| cell(c).into_owned()).collect());
-            self.span.push(args);
-            self.numbered += 1;
-        }
-        self.numbered - 1
-    }
-
-    /// Arguments in the open span.
-    fn open(&self) -> usize {
-        self.numbered - self.sent
-    }
-
-    /// The open span's message; the span closes.
-    fn message(&mut self) -> Vec<u8> {
-        let msg = if self.sorted {
-            let msg = Request::encode_batch(self.span.iter().map(Row::values));
-            self.sent_last = self.span.pop();
-            self.span.clear();
-            msg
-        } else {
-            Request::encode_batch(self.index.keys(self.sent))
-        };
-        self.sent = self.numbered;
-        msg
-    }
-}
-
 /// Sender-thread body for the semi-join — the loop of Figure 3: number the
 /// record's arguments, stage the record, and once a span is full wait for a
 /// slot, send its message and hand the staged records to the receiver.
-/// Consumes the input operator one [`RowBatch`] at a time (the sorted mode
-/// wraps it in a `Sort`, which itself streams batches out of its
-/// materialized buffer), a lane batch read and staged as its lanes. The
-/// receiver finds a record's result by its argument's shipping ordinal.
+/// Consumes the input operator one [`RowBatch`] at a time, a lane batch
+/// read and staged as its lanes. Every distinct argument tuple is numbered
+/// in an [`ArgIndex`] in shipping order (each record's arguments are hashed
+/// once, there), and the receiver finds a record's result by that ordinal.
 /// Records are handed off only after every argument they refer to is on the
 /// wire — the sender/receiver pairing protocol — and one hand-off carries
 /// all of a message's records.
 fn semijoin_sender(
-    input: Box<dyn Operator + Send>,
+    mut input: Box<dyn Operator + Send>,
     task: csq_client::ClientTask,
     spec: SemiJoinSpec,
     net_tx: NetSender,
-    buffer_tx: Sender<Result<Vec<Records>>>,
+    buffer_tx: Sender<Result<(usize, Vec<Records>)>>,
     credits_rx: Receiver<SimTime>,
 ) {
     if net_tx.send(Request::Install(task).encode()).is_err() {
         let _ = buffer_tx.send(Err(CsqError::Net("client unreachable".into())));
         return;
     }
-    let (sorted, batch_size) = (spec.sorted, spec.batch_size.max(1));
-    let arg_cols = spec.arg_union(input.schema().len());
-
-    // Sort when requested (makes argument duplicates adjacent).
-    let mut source: Box<dyn Operator + Send> = if sorted {
-        Box::new(Sort::new(input, arg_cols.clone()))
-    } else {
-        input
-    };
-
-    let mut args = Numbering::new(arg_cols, sorted);
+    let batch_size = spec.batch_size.max(1);
+    let mut args = ArgIndex::new(spec.arg_union(input.schema().len()));
+    // Arguments carried by a message so far; the rest form the open span.
+    let mut sent = 0;
     // The records staged since the last hand-off.
     let mut staged: Vec<Records> = Vec::new();
     // K is in tuples and a hand-off is a span of `batch_size` shipped
     // arguments, so ⌈K/m⌉ hand-offs may be unpaired at once.
     let slots = spec.concurrency.div_ceil(batch_size).max(1);
     let mut unpaired = 0;
-    // Hand the staged records off, with the span's message if there is one:
-    // wait until fewer than `slots` hand-offs are unpaired (moving the
-    // sender's clock up to each credit's stamp), send the message, release
-    // the records. False when the client or the receiver (e.g. under a
-    // LIMIT) is gone: stop quietly.
-    let mut hand_off = |msg: Option<Vec<u8>>, staged: &mut Vec<Records>| {
+    // Hand the staged records off, with the open span's message if there
+    // is one (the span closes): wait until fewer than `slots` hand-offs are
+    // unpaired (moving the sender's clock up to each credit's stamp), send
+    // the message, release the records. False when the client or the
+    // receiver (e.g. under a LIMIT) is gone: stop quietly.
+    let mut hand_off = |args: &ArgIndex, sent: &mut usize, staged: &mut Vec<Records>| {
+        let shipped = args.len() - *sent;
+        let msg = (shipped > 0).then(|| Request::encode_batch(args.keys(*sent)));
+        *sent = args.len();
         while unpaired >= slots {
             let Ok(at) = credits_rx.recv() else {
                 return false;
@@ -419,11 +332,13 @@ fn semijoin_sender(
             }
         }
         unpaired += 1;
-        buffer_tx.send(Ok(std::mem::take(staged))).is_ok()
+        buffer_tx
+            .send(Ok((shipped, std::mem::take(staged))))
+            .is_ok()
     };
 
     loop {
-        let batch = match source.next_batch() {
+        let batch = match input.next_batch() {
             Ok(Some(b)) => b,
             Ok(None) => break,
             Err(e) => {
@@ -447,20 +362,20 @@ fn semijoin_sender(
             match &piece.lanes {
                 Some(lanes) => {
                     let i = sel.ordinal(p);
-                    piece.args.push(args.number(|c| lanes[c].cell(i)));
+                    piece.args.push(args.insert_by(|c| lanes[c].cell(i)).0);
                     piece.ords.push(i);
                 }
                 None => {
                     let Some(row) = rows.next() else { break };
                     piece
                         .args
-                        .push(args.number(|c| Cow::Borrowed(row.value(c))));
+                        .push(args.insert_by(|c| Cow::Borrowed(row.value(c))).0);
                     piece.rows.push(row);
                 }
             }
-            if args.open() >= batch_size {
+            if args.len() - sent >= batch_size {
                 staged.push(piece.split());
-                if !hand_off(Some(args.message()), &mut staged) {
+                if !hand_off(&args, &mut sent, &mut staged) {
                     return;
                 }
             }
@@ -471,11 +386,11 @@ fn semijoin_sender(
         // With no span open, what is staged repeats shipped arguments: its
         // results are in flight or kept, so it needs no message of its own
         // (but a slot, like any hand-off).
-        if args.open() == 0 && !staged.is_empty() && !hand_off(None, &mut staged) {
+        if args.len() == sent && !staged.is_empty() && !hand_off(&args, &mut sent, &mut staged) {
             return;
         }
     }
-    if args.open() > 0 && !hand_off(Some(args.message()), &mut staged) {
+    if args.len() > sent && !hand_off(&args, &mut sent, &mut staged) {
         return;
     }
     let _ = net_tx.send(Request::Finish.encode());
@@ -507,16 +422,9 @@ impl ThreadedClientJoin {
         let (net_tx, net_rx) = endpoint.split();
         let (tickets_tx, tickets_rx) = unbounded();
         let batch_size = spec.batch_size.max(1);
-        let sort_cols = if spec.sort_on_args {
-            Some(spec.arg_union(input_schema.len()))
-        } else {
-            None
-        };
         let sender = std::thread::Builder::new()
             .name("csq-csj-sender".into())
-            .spawn(move || {
-                client_join_sender(input, task, batch_size, sort_cols, net_tx, tickets_tx)
-            })
+            .spawn(move || client_join_sender(input, task, batch_size, net_tx, tickets_tx))
             .map_err(|e| CsqError::Exec(format!("failed to spawn client-join sender: {e}")))?;
         Ok(ThreadedClientJoin {
             schema,
@@ -554,9 +462,19 @@ impl Operator for ThreadedClientJoin {
                     self.join_sender();
                     Err(e)
                 }
-                // The response chunk this ticket announced.
+                // The response chunk this ticket announced, a row of the
+                // output schema's width each.
                 Ok(Ok(())) => {
+                    let width = self.schema.len();
                     response_rows(self.net_rx.recv(), "client closed connection mid-query")
+                        .and_then(|rows| match rows.iter().find(|r| r.len() != width) {
+                            Some(r) => Err(CsqError::Client(format!(
+                                "client-site join: the client returned a row of {} values \
+                                 for {width} columns",
+                                r.len()
+                            ))),
+                            None => Ok(rows),
+                        })
                 }
             };
             match chunk {
@@ -581,10 +499,9 @@ impl Operator for ThreadedClientJoin {
 /// chunk has its row count patched. Chunk, send, ticket: a message's ticket
 /// is issued only once it is on the wire.
 fn client_join_sender(
-    input: Box<dyn Operator + Send>,
+    mut input: Box<dyn Operator + Send>,
     task: csq_client::ClientTask,
     batch_size: usize,
-    sort_cols: Option<Vec<usize>>,
     net_tx: NetSender,
     tickets_tx: Sender<Result<()>>,
 ) {
@@ -592,18 +509,12 @@ fn client_join_sender(
         let _ = tickets_tx.send(Err(CsqError::Net("client unreachable".into())));
         return;
     }
-    let mut source: Box<dyn Operator + Send> = if let Some(cols) = sort_cols {
-        Box::new(Sort::new(input, cols))
-    } else {
-        input
-    };
-
     // False when the client or the receiver is gone: stop quietly.
     let ship_chunk = |msg: Vec<u8>| net_tx.send(msg).is_ok() && tickets_tx.send(Ok(())).is_ok();
     let mut msg = Request::batch_head(batch_size);
     let mut pending = 0;
     loop {
-        let batch = match source.next_batch() {
+        let batch = match input.next_batch() {
             Ok(Some(b)) => b,
             Ok(None) => break,
             Err(e) => {
@@ -718,19 +629,6 @@ mod tests {
         assert_eq!(stats.down_messages(), 5);
         // Duplicates share results.
         assert_eq!(out[0].value(2), out[3].value(2));
-    }
-
-    #[test]
-    fn semijoin_sorted_mode_matches_unsorted_results() {
-        let data = rows(24, 6);
-        let mut a = run_semijoin(SemiJoinSpec::new(vec![analyze_app()], 4), data.clone()).unwrap();
-        let mut spec = SemiJoinSpec::new(vec![analyze_app()], 4);
-        spec.sorted = true;
-        let mut b = run_semijoin(spec, data).unwrap();
-        let key = |r: &Row| format!("{r}");
-        a.sort_by_key(key);
-        b.sort_by_key(key);
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -888,9 +786,7 @@ mod tests {
         let rt = runtime();
         let (server, client, stats) = in_memory_duplex();
         let handle = spawn_client(rt.clone(), client).unwrap();
-        let mut spec = ClientJoinSpec::new(vec![analyze_app()]);
-        spec.sort_on_args = true;
-        spec.client_cache = true;
+        let spec = ClientJoinSpec::new(vec![analyze_app()]);
         let input = Box::new(RowsOp::new(input_schema(), rows(30, 3)));
         let mut op = ThreadedClientJoin::new(input, spec, server).unwrap();
         let out = collect(&mut op).unwrap();
@@ -1087,6 +983,72 @@ mod tests {
             spec.batch_size = 4;
             Box::new(ThreadedSemiJoin::new(input, spec, server).unwrap())
         });
+    }
+
+    #[test]
+    fn receivers_reject_replies_of_the_wrong_shape() {
+        // A hand-rolled client answers every batch of `m` tuples with
+        // `reply(m)`. A semi-join reply that is not one result per shipped
+        // argument, one value per UDF, or a client-join row that is not the
+        // output schema's width fails the pull that takes it with a typed
+        // `client` error and latches, over row and lane input alike.
+        type Input = Box<dyn Operator + Send>;
+        type Reply = fn(usize) -> Vec<Row>;
+        let check = |reply: Reply, make: &dyn Fn(Input, Endpoint) -> Box<dyn Operator>| {
+            for on_lanes in [false, true] {
+                let (server, client, _) = in_memory_duplex();
+                let fake = std::thread::spawn(move || {
+                    while let Some(buf) = client.recv() {
+                        let Ok(Request::Batch(tuples)) = Request::decode(&buf) else {
+                            continue;
+                        };
+                        if client
+                            .send(Response::Batch(reply(tuples.len())).encode())
+                            .is_err()
+                        {
+                            break;
+                        }
+                    }
+                });
+                let (data, schema) = (rows(12, 12), Arc::new(input_schema()));
+                let batch = if on_lanes {
+                    let lanes = (0..2).map(|c| Arc::new(Lane::build(&data, c))).collect();
+                    RowBatch::from_lanes(schema.clone(), lanes, Selection::Window(0..12))
+                } else {
+                    RowBatch::from_rows(schema.clone(), data)
+                };
+                let input = Box::new(Batches(schema, vec![batch].into_iter()));
+                let mut op = make(input, server);
+                let err = op.next_batch().unwrap_err();
+                assert_eq!(err.kind(), "client", "lanes: {on_lanes}: {err}");
+                for _ in 0..3 {
+                    assert!(op.next_batch().unwrap().is_none());
+                }
+                drop(op);
+                fake.join().unwrap();
+            }
+        };
+        let semijoin = |input, server| -> Box<dyn Operator> {
+            let mut spec = SemiJoinSpec::new(vec![analyze_app()], 8);
+            spec.batch_size = 4;
+            Box::new(ThreadedSemiJoin::new(input, spec, server).unwrap())
+        };
+        // Two values for one UDF.
+        let pair = |m| {
+            let pair = |i| Row::new(vec![Value::Int(i as i64), Value::Int(99)]);
+            (0..m).map(pair).collect()
+        };
+        check(pair, &semijoin);
+        // One result short, one over.
+        check(|m| vec![Row::new(vec![Value::Int(0)]); m - 1], &semijoin);
+        check(|m| vec![Row::new(vec![Value::Int(0)]); m + 1], &semijoin);
+        // One column for the three of the output schema.
+        let client_join = |input, server| -> Box<dyn Operator> {
+            let mut spec = ClientJoinSpec::new(vec![analyze_app()]);
+            spec.batch_size = 4;
+            Box::new(ThreadedClientJoin::new(input, spec, server).unwrap())
+        };
+        check(|m| vec![Row::new(vec![Value::Int(0)]); m], &client_join);
     }
 
     /// Hands out `batches` as they are.

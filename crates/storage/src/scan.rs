@@ -609,13 +609,6 @@ pub struct ScanStats {
     pub rows_filtered: usize,
 }
 
-impl ScanStats {
-    /// Segments actually read.
-    pub fn segments_scanned(&self) -> usize {
-        self.segments_total - self.segments_pruned
-    }
-}
-
 /// One unpruned segment with the spec's error-free prefix compiled against
 /// its lanes.
 struct SegScan {

@@ -69,6 +69,15 @@ fn threaded_sj(spec: SemiJoinSpec, data: Vec<Row>) -> (Vec<Row>, u64, u64, u64, 
     )
 }
 
+/// `rows(n, distinct, arg_size)` in argument order, as a sort on the
+/// argument would leave them: every argument is one run of adjacent
+/// duplicates, in `Id` order.
+fn sorted_rows(n: usize, distinct: usize, arg_size: usize) -> Vec<Row> {
+    let mut data = rows(n, distinct, arg_size);
+    data.sort_by_key(|r| r.value(0).as_i64().unwrap() % distinct as i64);
+    data
+}
+
 #[test]
 fn semijoin_bytes_match_between_backends() {
     // (rows, distinct arguments, tuples per message, K). The last four ship
@@ -105,14 +114,13 @@ fn semijoin_bytes_match_between_backends() {
 
 #[test]
 fn semijoin_sorted_bytes_match() {
-    // Sorted input makes every argument a run of adjacent duplicates (5, 5
-    // and 10 records here); with 8 per message a span is several runs and
-    // wider than the buffer.
+    // Argument-sorted input makes every argument a run of adjacent
+    // duplicates (5, 5 and 10 records here); with 8 per message a span is
+    // several runs and wider than the buffer.
     for (distinct, batch, k) in [(8, 1, 5), (8, 8, 4), (4, 8, 1)] {
-        let data = rows(40, distinct, 100);
+        let data = sorted_rows(40, distinct, 100);
         let mut spec = SemiJoinSpec::new(vec![analyze()], k);
         spec.batch_size = batch;
-        spec.sorted = true;
         let (t_rows, t_down, t_up, t_dm, t_um) = threaded_sj(spec.clone(), data.clone());
         let sim =
             simulate_semijoin(&schema(), data, &spec, runtime(), &NetworkSpec::lan()).unwrap();
@@ -217,7 +225,7 @@ fn strategies_all_agree_under_randomized_workloads() {
 fn virtual_time_runs_are_deterministic() {
     // 16 runs of one semi-join from 4 threads at once must be one run:
     // rows, clocks, busy times, bytes, messages and client CPU. Unsorted
-    // and sorted input, with duplicates; K = 4 below the 8-argument span
+    // and argument-sorted input, with duplicates; K = 4 below the 8-argument span
     // (one hand-off unpaired at a time: every hand-off waits for a credit),
     // and K = 8 over 2-argument spans (four unpaired: a credit may arrive
     // long before the sender needs it).
@@ -235,8 +243,10 @@ fn virtual_time_runs_are_deterministic() {
     for (sorted, batch, k) in [(false, 8, 4), (true, 8, 4), (false, 2, 8), (true, 2, 8)] {
         let mut spec = SemiJoinSpec::new(vec![analyze()], k);
         spec.batch_size = batch;
-        spec.sorted = sorted;
-        let data = rows(90, 30, 120);
+        let data = match sorted {
+            true => sorted_rows(90, 30, 120),
+            false => rows(90, 30, 120),
+        };
         let net = NetworkSpec::modem_28_8();
         let run = || simulate_semijoin(&schema(), data.clone(), &spec, rt(), &net).unwrap();
         let first = run();
@@ -472,11 +482,10 @@ fn lane_input_ships_what_row_input_ships() {
         Arc::new(rt)
     };
     let probe = |name: &str, kind| UdfApplication::new(name, vec![1, 2], Field::new(name, kind));
-    let semijoin = |udfs: Vec<UdfApplication>, m: usize, k: usize, sorted: bool| -> Box<Ship> {
+    let semijoin = |udfs: Vec<UdfApplication>, m: usize, k: usize| -> Box<Ship> {
         Box::new(move |input, server| {
             let mut spec = SemiJoinSpec::new(udfs.clone(), k);
             spec.batch_size = m;
-            spec.sorted = sorted;
             Box::new(ThreadedSemiJoin::new(input, spec, server).unwrap())
         })
     };
@@ -494,7 +503,7 @@ fn lane_input_ships_what_row_input_ships() {
         // later batch repeats arguments an earlier one shipped.
         (
             "int result",
-            semijoin(vec![probe("AsInt", DataType::Int)], 4, 6, false),
+            semijoin(vec![probe("AsInt", DataType::Int)], 4, 6),
             7,
             true,
         ),
@@ -508,28 +517,21 @@ fn lane_input_ships_what_row_input_ships() {
                 ],
                 3,
                 4,
-                false,
             ),
             5,
             true,
         ),
         (
             "one span at a time",
-            semijoin(vec![probe("AsInt", DataType::Int)], 8, 2, false),
+            semijoin(vec![probe("AsInt", DataType::Int)], 8, 2),
             25,
             true,
         ),
         (
             "fails mid-span",
-            semijoin(vec![probe("FailsOn7", DataType::Int)], 4, 6, false),
+            semijoin(vec![probe("FailsOn7", DataType::Int)], 4, 6),
             7,
             true,
-        ),
-        (
-            "sorted",
-            semijoin(vec![probe("AsInt", DataType::Int)], 4, 6, true),
-            7,
-            false,
         ),
         (
             "client join, a short last message",

@@ -4,8 +4,8 @@
 //! 1. Random operator pipelines are insensitive to batch boundaries: the
 //!    same rows fed in chunks of 1, 3, 17 or all at once produce identical
 //!    results — and identical error kinds when a pipeline is ill-typed,
-//!    under every chunking — so operator state that spans batches (`Sort`'s
-//!    re-chunking, `Filter`'s empty-batch skipping) is pinned.
+//!    under every chunking — so operator state that spans batches
+//!    (`Filter`'s empty-batch skipping) is pinned.
 //!    Each chunking is also fed as lane-backed batches (the chunk's columns
 //!    as typed lanes plus a selection, what a scan emits), which the
 //!    pipeline must not be able to tell from the same rows as rows.
@@ -30,7 +30,6 @@ use csq_client::{spawn_client, ClientRuntime, QueryResponse};
 use csq_common::{Blob, DataType, Field, Lane, Result, Row, RowBatch, Schema, Selection, Value};
 use csq_exec::{
     collect, BoxOp, Filter, HashJoin, MemoryTracker, NestedLoopJoin, Operator, Project, RowsOp,
-    Sort,
 };
 use csq_expr::{BinaryOp, PhysExpr};
 use csq_net::{in_memory_duplex, NetworkSpec};
@@ -44,26 +43,12 @@ use csq_ship::{
 #[derive(Debug, Clone)]
 enum StageSpec {
     /// `col <op> lit` — single-comparison filter (batch fast path).
-    FilterCmp {
-        col: u8,
-        op: u8,
-        lit: i64,
-    },
+    FilterCmp { col: u8, op: u8, lit: i64 },
     /// `col > lo AND col < hi` — conjunction filter (batch fast path).
-    FilterRange {
-        col: u8,
-        lo: i64,
-        hi: i64,
-    },
+    FilterRange { col: u8, lo: i64, hi: i64 },
     /// Bare-column projection, possibly plus a computed `c + c` column
     /// (exercises the in-place, move, and eval paths).
-    Project {
-        cols: Vec<u8>,
-        add_sum: bool,
-    },
-    Sort {
-        col: u8,
-    },
+    Project { cols: Vec<u8>, add_sum: bool },
 }
 
 fn cmp_op(sel: u8) -> BinaryOp {
@@ -131,7 +116,6 @@ fn arb_stage() -> impl Strategy<Value = StageSpec> {
         }),
         (prop::collection::vec(any::<u8>(), 1..4), any::<bool>())
             .prop_map(|(cols, add_sum)| StageSpec::Project { cols, add_sum }),
-        any::<u8>().prop_map(|col| StageSpec::Sort { col }),
     ]
 }
 
@@ -245,7 +229,6 @@ fn build_pipeline(stages: &[StageSpec], rows: Vec<Row>, chunk: usize, lanes: boo
                 }
                 Box::new(Project::new(op, exprs))
             }
-            StageSpec::Sort { col } => Box::new(Sort::new(op, vec![*col as usize % w])),
         };
     }
     op
@@ -854,13 +837,11 @@ proptest! {
         arg_size in 1usize..200,
         k in 1usize..10,
         batch in 1usize..5,
-        sorted in any::<bool>(),
     ) {
         let distinct = distinct_sel.min(n);
         let data = ship_rows(n, distinct, arg_size);
         let mut spec = SemiJoinSpec::new(vec![analyze_app()], k);
         spec.batch_size = batch;
-        spec.sorted = sorted;
 
         let (server, client, stats) = in_memory_duplex();
         let handle = spawn_client(ship_runtime(), client).unwrap();

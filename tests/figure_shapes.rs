@@ -212,34 +212,3 @@ fn cost_model_predicts_simulation_within_tolerance() {
     }
     assert_eq!(checked, 5);
 }
-
-#[test]
-fn the_merge_receiver_is_admitted_like_the_hash_receiver() {
-    // The receiver ablation's workload: 60 Figure 7 rows with 10 distinct
-    // arguments, UDF1 + UDF2, K = 16, the modem. Sorting changes which
-    // receiver pairs the records, not what crosses the link: both ship the
-    // same ten one-argument messages, and a hand-off is admitted by the
-    // count of unpaired hand-offs (⌈K/m⌉), however many duplicate records
-    // ride along. So both runs take the same virtual time.
-    use csq_bench::workloads::{fig7_apps, fig7_rows, fig7_runtime};
-    let (udf1, udf2) = fig7_apps();
-    let rows = fig7_rows(60, 495, 495, 10);
-    let net = NetworkSpec::modem_28_8();
-    let mut spec = SemiJoinSpec::new(vec![udf1, udf2], 16);
-    let run = |spec: &SemiJoinSpec| {
-        simulate_semijoin(
-            &fig7_schema(),
-            rows.clone(),
-            spec,
-            fig7_runtime(0.5, 1000),
-            &net,
-        )
-        .unwrap()
-    };
-    let hash = run(&spec);
-    spec.sorted = true;
-    let merge = run(&spec);
-    assert_eq!(merge.down_bytes, hash.down_bytes);
-    assert_eq!(merge.down_messages, hash.down_messages);
-    assert_eq!(merge.elapsed_us, hash.elapsed_us);
-}

@@ -87,7 +87,6 @@ proptest! {
         distinct in 1usize..40,
         k in 1usize..12,
         batch in 1usize..5,
-        sorted in any::<bool>(),
     ) {
         let distinct = distinct.min(n);
         let schema = Schema::new(vec![
@@ -108,16 +107,13 @@ proptest! {
             k,
         );
         spec.batch_size = batch;
-        spec.sorted = sorted;
         let run = simulate_semijoin(&schema, rows.clone(), &spec, rt.clone(), &NetworkSpec::lan()).unwrap();
         // One output per input; UDF invoked once per distinct argument.
         prop_assert_eq!(run.rows.len(), n);
         prop_assert_eq!(rt.invocations(), distinct as u64);
-        if !sorted {
-            // Input order preserved.
-            for (i, r) in run.rows.iter().enumerate() {
-                prop_assert_eq!(r.value(0), &Value::Int(i as i64));
-            }
+        // Input order preserved.
+        for (i, r) in run.rows.iter().enumerate() {
+            prop_assert_eq!(r.value(0), &Value::Int(i as i64));
         }
         // Duplicate arguments ⇒ duplicate results.
         for a in &run.rows {
