@@ -497,7 +497,7 @@ fn having_shrinks_the_estimated_output() {
 fn costs_are_the_recorded_ones() {
     // Estimates are pure arithmetic over the statistics, so they repeat to
     // the bit. A cost-model change that moves one re-records it on purpose;
-    // a refactor that claims to move nothing must leave all three alone.
+    // a refactor that claims to move nothing must leave every one alone.
     let mut ctx = fig11_ctx(NetworkSpec::modem_28_8());
     ctx.add_udf(
         UdfMeta::client("ClientAnalysis", vec![DataType::Blob], DataType::Int)
@@ -516,6 +516,42 @@ fn costs_are_the_recorded_ones() {
         let g = csq_opt::query::extract(&select(AVG_BY_K), &ctx).unwrap();
         let cost = optimize(&g, &ctx).unwrap().cost_seconds;
         assert_eq!(cost.to_bits(), bits, "distinct={distinct}: {cost:?}");
+    }
+
+    // Every plan the `figures` binary prints, the tied 2 KB case included.
+    let figure_bits = [
+        0x403c_78e3_b82a_4ea0_u64,
+        0x3fd2_d3ad_0273_bf5c,
+        0x403d_6aaa_dcff_918d,
+        0x404c_2000_192a_7371,
+        0x3fe2_0006_4a9c_dc44,
+    ];
+    for ((sql, ctx), bits) in figure_envs().into_iter().zip(figure_bits) {
+        let g = csq_opt::query::extract(&select(sql), &ctx).unwrap();
+        let cost = optimize(&g, &ctx).unwrap().cost_seconds;
+        assert_eq!(cost.to_bits(), bits, "{sql} on {:?}: {cost:?}", ctx.net);
+    }
+
+    // Both N-site placements: per-shard partial states, and gathered rows.
+    for (sql, distinct, bits) in [
+        (
+            "SELECT E.BrokerName, COUNT(*) FROM Estimations E GROUP BY E.BrokerName",
+            None,
+            0x3f09_4155_809d_cff0_u64,
+        ),
+        (
+            "SELECT E.CompanyName, COUNT(*) FROM Estimations E GROUP BY E.CompanyName",
+            Some(1000.0),
+            0x3f2c_d5f9_9c38_b04b,
+        ),
+    ] {
+        let mut ctx = sharded_ctx(4);
+        if let Some(d) = distinct {
+            ctx.set_col_distinct("Estimations", "CompanyName", d);
+        }
+        let g = csq_opt::query::extract(&select(sql), &ctx).unwrap();
+        let cost = optimize(&g, &ctx).unwrap().cost_seconds;
+        assert_eq!(cost.to_bits(), bits, "{sql}: {cost:?}");
     }
 }
 
