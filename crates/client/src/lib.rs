@@ -47,3 +47,15 @@ pub use protocol::{ClientTask, Request, Response, TaskMode, UdfStep};
 pub use qproto::{QueryRequest, QueryResponse};
 pub use runtime::{ClientRuntime, ScalarUdf, UdfCost, UdfSignature};
 pub use service::{spawn_client, spawn_client_with_token};
+
+/// Stable 64-bit hash of a byte slice (FNV-1a): the VM's `BlobHash`
+/// instruction and the seed of every synthetic UDF result. Private to the
+/// crate so callers cannot come to depend on its values.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}

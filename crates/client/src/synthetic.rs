@@ -13,18 +13,8 @@
 
 use csq_common::{Blob, DataType, Result, Value};
 
+use crate::fnv1a;
 use crate::runtime::{ScalarUdf, UdfCost, UdfSignature};
-
-/// Stable 64-bit hash of a byte slice (FNV-1a), the seed for synthetic
-/// results. Private to keep callers honest about determinism.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// Blob → Blob UDF producing a result of fixed size, deterministically
 /// derived from the argument. With `result_size: None` the result has the

@@ -144,15 +144,6 @@ impl Program {
     }
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Execute `program` on `args` under `limits`.
 pub fn execute(program: &Program, args: &[Value], limits: VmLimits) -> Result<Value> {
     let mut stack: Vec<Value> = Vec::with_capacity(16);
@@ -339,7 +330,7 @@ fn execute_inner(
                 let b = pop!();
                 let b = b.as_blob()?;
                 burn!((b.len() as u64) / 16);
-                push!(Value::Int(fnv1a(b.as_bytes()) as i64));
+                push!(Value::Int(crate::fnv1a(b.as_bytes()) as i64));
             }
             Instr::BlobFill => {
                 let seed = pop!().as_i64()?;

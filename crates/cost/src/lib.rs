@@ -1,27 +1,80 @@
 //! # csq-cost — the paper's bandwidth cost model (§3.2)
 //!
-//! The model quantifies, per input tuple, how many bytes each strategy puts
-//! on the client's downlink and uplink, weighs the uplink by the network
-//! asymmetry `N`, and takes the **bottleneck link** (the maximum) as the
-//! strategy's cost:
+//! The model counts the bytes each operation that moves data between
+//! server and client puts on the client's downlink and uplink, and prices
+//! the operation at its **bottleneck link**, the slower of the two
+//! transfers ([`LinkBytes::seconds`]). The two client-site strategies of
+//! §2.3 move
 //!
 //! ```text
-//! semi-join:        down = D·A·I          up(weighted) = N·D·R
-//! client-site join: down = I              up(weighted) = N·(I+R)·P·S
-//! cost(strategy)  = max(down, weighted up)
+//! semi-join:        down = rows·d·(argument bytes)   up = rows·d·(result bytes)
+//! client-site join: down = rows·(shipped bytes)      up = rows·S·(returned bytes)
 //! ```
 //!
-//! with `A` = argument fraction of the record, `D` = distinct-argument
-//! fraction, `S` = pushable-predicate selectivity, `P` = pushable-projection
-//! column selectivity, `I` = input record bytes, `R` = result bytes,
-//! `N` = downlink/uplink bandwidth ratio.
+//! ([`semijoin_bytes`], [`client_join_bytes`]), where `d` is the
+//! distinct-argument fraction and `S` the selectivity of the predicates
+//! pushed to the client. The optimizer's dynamic program (`csq-opt`) prices
+//! every plan through these functions and [`AggPlacementParams`], with the
+//! per-tuple byte counts it derives from its statistics. [`CostParams`]
+//! builds the same quantities from the paper's seven parameters (A, D, S,
+//! P, I, R, N) for one input tuple, so [`relative_time`], the y-axis of
+//! Figures 8–10, runs exactly the functions the optimizer runs.
 //!
-//! The module also provides the §3.1.2 analysis of the optimal pipeline
-//! concurrency factor (the bandwidth-delay product), the breakpoints the
-//! paper reads off Figures 8–10, and a strategy chooser used by the
-//! optimizer.
+//! The crate also gives the §3.1.2 pipeline concurrency factor (the
+//! bandwidth-delay product) and the shipping parameters chosen with it.
 
 use csq_net::{NetworkSpec, SimTime};
+
+/// Bytes one operation puts on each link of the client's connection.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LinkBytes {
+    /// Server → client.
+    pub down: f64,
+    /// Client → server, before the link's uplink inflation.
+    pub up: f64,
+}
+
+impl LinkBytes {
+    /// Transfer seconds on the bottleneck link (§3.2.1): both links carry
+    /// their bytes at once, so the slower one bounds the operation.
+    pub fn seconds(&self, net: &NetworkSpec) -> f64 {
+        let (down_s, up_s) = self.link_seconds(net);
+        down_s.max(up_s)
+    }
+
+    /// Transfer seconds on the downlink and on the uplink.
+    fn link_seconds(&self, net: &NetworkSpec) -> (f64, f64) {
+        (
+            self.down / net.down_bandwidth,
+            self.up * net.uplink_inflation / net.up_bandwidth,
+        )
+    }
+}
+
+/// Semi-join (§2.3.1) over `rows` input tuples: the distinct argument
+/// tuples (the fraction `d`) go down, one result each comes back up.
+pub fn semijoin_bytes(rows: f64, d: f64, arg_bytes: f64, result_bytes: f64) -> LinkBytes {
+    LinkBytes {
+        down: rows * d * arg_bytes,
+        up: rows * d * result_bytes,
+    }
+}
+
+/// Client-site join (§2.3.2) over `rows` input tuples: every record goes
+/// down with the columns it ships, duplicates included; the fraction
+/// `selectivity` passes the pushed predicates, and the pushed projection
+/// returns `returned_bytes` of each.
+pub fn client_join_bytes(
+    rows: f64,
+    shipped_bytes: f64,
+    selectivity: f64,
+    returned_bytes: f64,
+) -> LinkBytes {
+    LinkBytes {
+        down: rows * shipped_bytes,
+        up: rows * selectivity * returned_bytes,
+    }
+}
 
 /// The seven parameters of §3.2.1.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,29 +87,15 @@ pub struct CostParams {
     pub s: f64,
     /// `P`: pushable-projection output fraction of `(I+R)`, in (0,1].
     pub p: f64,
-    /// `I`: one input record, bytes.
+    /// `I`: one input record, bytes (> 0).
     pub i: f64,
-    /// `R`: one UDF result, bytes.
+    /// `R`: one UDF result, bytes (≥ 0).
     pub r: f64,
-    /// `N`: downlink bandwidth / uplink bandwidth.
+    /// `N`: downlink bandwidth / uplink bandwidth (> 0).
     pub n: f64,
 }
 
 impl CostParams {
-    /// Parameters with the paper's "default" shape: no duplicates, no
-    /// pushdown reductions, symmetric network.
-    pub fn new(i: f64, r: f64) -> CostParams {
-        CostParams {
-            a: 1.0,
-            d: 1.0,
-            s: 1.0,
-            p: 1.0,
-            i,
-            r,
-            n: 1.0,
-        }
-    }
-
     /// The paper's Figure 7/8 convention for `P`: only non-argument columns
     /// and results are returned, i.e. `P·(I+R) = I·(1−A) + R`.
     pub fn with_paper_projection(mut self) -> CostParams {
@@ -64,186 +103,68 @@ impl CostParams {
         self
     }
 
-    /// Validate ranges.
+    /// Check that the parameters are in range and that [`relative_time`]
+    /// prices them as a finite, positive ratio. A fraction of 0 (A, D or P)
+    /// or an empty record would let a strategy move no bytes at all.
     pub fn validate(&self) -> Result<(), String> {
-        let checks = [
-            ("A", self.a, 0.0, 1.0),
-            ("D", self.d, 0.0, 1.0),
-            ("S", self.s, 0.0, 1.0),
-            ("P", self.p, 0.0, 1.0),
-        ];
-        for (name, v, lo, hi) in checks {
-            if !(lo..=hi).contains(&v) || v.is_nan() {
-                return Err(format!("{name} = {v} outside [{lo}, {hi}]"));
+        for (name, v) in [("A", self.a), ("D", self.d), ("P", self.p)] {
+            if !(v > 0.0 && v <= 1.0) {
+                return Err(format!("{name} = {v} outside (0, 1]"));
             }
         }
-        if self.i < 0.0 || self.r < 0.0 {
-            return Err("I and R must be non-negative".into());
+        if !(0.0..=1.0).contains(&self.s) {
+            return Err(format!("S = {} outside [0, 1]", self.s));
         }
-        if self.n <= 0.0 {
-            return Err("N must be positive".into());
+        if !(self.i > 0.0 && self.r >= 0.0 && (self.i + self.r).is_finite()) {
+            return Err(format!(
+                "I = {} and R = {} must be finite, I positive and R non-negative",
+                self.i, self.r
+            ));
+        }
+        if !(self.n > 0.0 && self.n.is_finite()) {
+            return Err(format!("N = {} must be finite and positive", self.n));
+        }
+        // In range, extreme magnitudes can still under- or overflow.
+        let rel = relative_time(self);
+        if !(rel > 0.0 && rel.is_finite()) {
+            return Err(format!("the model prices CSJ/SJ at {rel}"));
         }
         Ok(())
     }
-}
 
-/// Per-tuple byte costs of one strategy on both links.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkCosts {
-    /// Bytes on the downlink per input tuple.
-    pub down: f64,
-    /// Bytes on the uplink per input tuple, *weighted by N* so the two
-    /// directions are comparable in transfer time.
-    pub up_weighted: f64,
-}
-
-impl LinkCosts {
-    /// The bottleneck cost: `max(down, up_weighted)` (§3.2.1).
-    pub fn bottleneck(&self) -> f64 {
-        self.down.max(self.up_weighted)
+    /// The semi-join's bytes per input tuple: `D·A·I` down, `D·R` up.
+    fn semijoin(&self) -> LinkBytes {
+        semijoin_bytes(1.0, self.d, self.a * self.i, self.r)
     }
 
-    /// Which link dominates.
-    pub fn bottleneck_link(&self) -> Bottleneck {
-        if self.down >= self.up_weighted {
-            Bottleneck::Downlink
-        } else {
-            Bottleneck::Uplink
+    /// The client-site join's bytes per input tuple: `I` down,
+    /// `S·P·(I+R)` up.
+    fn client_join(&self) -> LinkBytes {
+        client_join_bytes(1.0, self.i, self.s, self.p * (self.i + self.r))
+    }
+
+    /// A connection whose downlink is `N` times as fast as its uplink.
+    fn network(&self) -> NetworkSpec {
+        NetworkSpec {
+            down_bandwidth: self.n,
+            up_bandwidth: 1.0,
+            ..NetworkSpec::symmetric(1.0, 0)
         }
-    }
-}
-
-/// Which link limits a strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Bottleneck {
-    Downlink,
-    Uplink,
-}
-
-/// Semi-join per-tuple costs: dedup'd argument columns down, dedup'd results
-/// up, no pushdowns possible.
-pub fn semijoin_costs(p: &CostParams) -> LinkCosts {
-    LinkCosts {
-        down: p.d * p.a * p.i,
-        up_weighted: p.n * p.d * p.r,
-    }
-}
-
-/// Client-site join per-tuple costs: whole records down (duplicates
-/// included), filtered/projected records + results up.
-pub fn client_join_costs(p: &CostParams) -> LinkCosts {
-    LinkCosts {
-        down: p.i,
-        up_weighted: p.n * (p.i + p.r) * p.p * p.s,
     }
 }
 
 /// Relative execution time CSJ/SJ predicted by the model — the y-axis of
 /// Figures 8, 9, and 10.
 pub fn relative_time(p: &CostParams) -> f64 {
-    client_join_costs(p).bottleneck() / semijoin_costs(p).bottleneck()
+    let net = p.network();
+    p.client_join().seconds(&net) / p.semijoin().seconds(&net)
 }
 
-/// The two client-site strategies the model chooses between.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strategy {
-    SemiJoin,
-    ClientJoin,
-}
-
-/// Pick the cheaper strategy under the model (ties go to the semi-join,
-/// which needs no pushdown analysis).
-pub fn choose_strategy(p: &CostParams) -> Strategy {
-    if client_join_costs(p).bottleneck() < semijoin_costs(p).bottleneck() {
-        Strategy::ClientJoin
-    } else {
-        Strategy::SemiJoin
-    }
-}
-
-/// Predicted wall-clock seconds to process `tuples` input tuples: the
-/// bottleneck link's bytes divided by that link's bandwidth. (Latency adds a
-/// constant pipeline-fill term which the paper's model ignores; so do we.)
-pub fn predicted_seconds(
-    p: &CostParams,
-    tuples: usize,
-    strategy: Strategy,
-    net: &NetworkSpec,
-) -> f64 {
-    let costs = match strategy {
-        Strategy::SemiJoin => semijoin_costs(p),
-        Strategy::ClientJoin => client_join_costs(p),
-    };
-    let down_secs = costs.down * tuples as f64 / net.down_bandwidth;
-    // `up_weighted` folded N in; undo it and charge the real uplink.
-    let up_bytes = costs.up_weighted / p.n;
-    let up_secs = up_bytes * net.uplink_inflation * tuples as f64 / net.up_bandwidth;
-    down_secs.max(up_secs)
-}
-
-/// Selectivity below which the client-site join is downlink-bound (the flat
-/// region of Figures 8/9): `S* = I / (N·P·(I+R))`, clamped to \[0,1].
-pub fn csj_flat_region_end(p: &CostParams) -> f64 {
-    let denom = p.n * p.p * (p.i + p.r);
-    if denom <= 0.0 {
-        return 1.0;
-    }
-    (p.i / denom).clamp(0.0, 1.0)
-}
-
-/// The selectivity at which CSJ and SJ cost the same, if one exists in
-/// (0,1]. Below it the client-site join wins. The paper reads these
-/// crossings off Figures 8–10: they satisfy `S·P·(I+R) = D·R` when both
-/// strategies are uplink-bound.
-pub fn crossover_selectivity(p: &CostParams) -> Option<f64> {
-    let sj = semijoin_costs(p).bottleneck();
-    // CSJ cost as a function of S: max(I, N·(I+R)·P·S) — monotone in S.
-    let at = |s: f64| {
-        let mut q = *p;
-        q.s = s;
-        client_join_costs(&q).bottleneck()
-    };
-    if at(0.0) > sj {
-        return None; // CSJ already loses with S=0 (downlink too dear).
-    }
-    if at(1.0) <= sj {
-        return Some(1.0); // CSJ wins everywhere.
-    }
-    // Solve N·(I+R)·P·S = sj.
-    let s = sj / (p.n * (p.i + p.r) * p.p);
-    Some(s.clamp(0.0, 1.0))
-}
-
-/// The result size at which CSJ and SJ cost the same for a fixed
-/// selectivity — the Figure 10 crossings. Solved numerically by bisection
-/// because `R` appears on both sides. Returns `None` when CSJ never matches
-/// SJ within `(0, r_max]`.
-pub fn crossover_result_size(p: &CostParams, r_max: f64) -> Option<f64> {
-    let rel = |r: f64| {
-        let mut q = *p;
-        q.r = r;
-        if q.p != 1.0 {
-            // Preserve the paper's projection convention when in use:
-            // recompute P from A and the new R.
-            q = q.with_paper_projection();
-        }
-        relative_time(&q)
-    };
-    let (mut lo, mut hi) = (1e-9, r_max);
-    let (f_lo, f_hi) = (rel(lo) - 1.0, rel(hi) - 1.0);
-    if f_lo.signum() == f_hi.signum() {
-        return None;
-    }
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        let f_mid = rel(mid) - 1.0;
-        if f_mid.signum() == f_lo.signum() {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    Some(0.5 * (lo + hi))
+/// Microseconds one message of `down` bytes takes on the downlink and one
+/// of `up` bytes on the uplink.
+fn message_us(net: &NetworkSpec, down: f64, up: f64) -> (f64, f64) {
+    let (down_s, up_s) = LinkBytes { down, up }.link_seconds(net);
+    (down_s * 1e6, up_s * 1e6)
 }
 
 /// §3.1.2: the optimal pipeline concurrency factor is the number of tuples
@@ -258,8 +179,7 @@ pub fn optimal_concurrency(
     result_msg_bytes: usize,
     client_us: u64,
 ) -> usize {
-    let down_t = arg_msg_bytes as f64 / net.down_bandwidth * 1e6;
-    let up_t = result_msg_bytes as f64 * net.uplink_inflation / net.up_bandwidth * 1e6;
+    let (down_t, up_t) = message_us(net, arg_msg_bytes as f64, result_msg_bytes as f64);
     let service = down_t.max(up_t).max(client_us as f64);
     if service <= 0.0 {
         return 1;
@@ -310,8 +230,7 @@ pub fn shipping_params(
 ) -> ShipParams {
     let d = if d > 0.0 { d.min(1.0) } else { 1.0 };
     let shipped = (rows * d).max(1.0);
-    let down_t = down_bytes / net.down_bandwidth * 1e6;
-    let up_t = up_bytes * net.uplink_inflation / net.up_bandwidth * 1e6;
+    let (down_t, up_t) = message_us(net, down_bytes, up_bytes);
     let service = down_t.max(up_t).max(client_us);
     let off_bottleneck = down_t + up_t + client_us - service;
     let fill = if off_bottleneck > 0.0 {
@@ -377,16 +296,6 @@ pub fn estimate_group_count(rows: f64, key_distincts: &[f64]) -> f64 {
     d.min(rows)
 }
 
-/// The partial-aggregation reduction factor `groups / rows` in (0, 1]: the
-/// fraction of the input cardinality that survives server-side partial
-/// aggregation and has to cross the wire.
-pub fn agg_reduction_factor(rows: f64, groups: f64) -> f64 {
-    if rows <= 0.0 {
-        return 1.0;
-    }
-    (groups / rows).clamp(0.0, 1.0)
-}
-
 /// Wire bytes of one shipped partial-aggregate state (per group, excluding
 /// the key columns): COUNT ships a 9-byte Int, SUM/MIN/MAX ship their
 /// running value (the argument's width), AVG ships running sum + count.
@@ -400,69 +309,27 @@ pub fn agg_state_bytes(func: csq_expr::AggFunc, arg_bytes: f64) -> f64 {
     }
 }
 
-/// Shipping-volume inputs of the placement choice.
+/// Shipping-volume inputs of the placement choice: one struct gives every
+/// placement's bytes ([`AggPlacementParams::bytes`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AggPlacementParams {
-    /// Pre-aggregation input cardinality at the server.
+    /// Pre-aggregation input cardinality at the server(s), for the whole
+    /// table.
     pub rows: f64,
     /// Estimated group count ([`estimate_group_count`]).
     pub groups: f64,
     /// Bytes per *row* the client-only placement ships (group-key columns +
     /// aggregate argument columns).
     pub row_bytes: f64,
-    /// Bytes per *group* the server-partial placement ships (group-key
-    /// columns + decomposed state, [`agg_state_bytes`]).
+    /// Bytes per *group* a partial placement ships (group-key columns +
+    /// decomposed state, [`agg_state_bytes`]).
     pub state_bytes: f64,
-}
-
-impl AggPlacementParams {
-    /// Downlink bytes a placement puts on the wire. `ShardPartial` here is
-    /// the single-site degenerate figure; [`ShardedAggParams::gather_bytes`]
-    /// gives the N-shard gather volume (a group's state crosses once per
-    /// shard that holds any of its rows).
-    pub fn down_bytes(&self, placement: AggPlacement) -> f64 {
-        match placement {
-            AggPlacement::ClientOnly => self.rows * self.row_bytes,
-            AggPlacement::ServerPartial | AggPlacement::ShardPartial => {
-                self.groups * self.state_bytes
-            }
-        }
-    }
-
-    /// The reduction factor below which server-partial ships fewer bytes:
-    /// `groups/rows < row_bytes/state_bytes`. Above 1.0 the state overhead
-    /// never loses; at 0 it never wins.
-    pub fn breakeven_reduction(&self) -> f64 {
-        if self.state_bytes <= 0.0 {
-            return 1.0;
-        }
-        self.row_bytes / self.state_bytes
-    }
-}
-
-/// Pick the placement that ships fewer bytes across the bottleneck link;
-/// ties go to client-only (no extra server work, no state framing).
-pub fn choose_agg_placement(p: &AggPlacementParams) -> AggPlacement {
-    if p.down_bytes(AggPlacement::ServerPartial) < p.down_bytes(AggPlacement::ClientOnly) {
-        AggPlacement::ServerPartial
-    } else {
-        AggPlacement::ClientOnly
-    }
-}
-
-/// Shipping-volume inputs of the N-site placement choice (DESIGN.md §13):
-/// the two-site [`AggPlacementParams`] plus the shard count the table's rows
-/// are hash-partitioned over.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardedAggParams {
-    /// The two-site volume inputs; `rows` and `groups` describe the *whole*
-    /// table, not one shard.
-    pub base: AggPlacementParams,
-    /// Number of shards holding the table's rows (≥ 1).
+    /// Number of sites holding the rows (≥ 1): the shard count of a
+    /// hash-sharded table (DESIGN.md §13), 1 for a single server.
     pub shards: usize,
 }
 
-impl ShardedAggParams {
+impl AggPlacementParams {
     /// Expected groups present on a single shard. Hash partitioning spreads
     /// rows evenly, so a shard sees `rows / shards` rows and can hold at
     /// most that many groups — and never more than the table's total group
@@ -470,63 +337,23 @@ impl ShardedAggParams {
     /// as [`estimate_group_count`].
     pub fn per_shard_groups(&self) -> f64 {
         let n = self.shards.max(1) as f64;
-        self.base.groups.min((self.base.rows / n).max(1.0))
+        self.groups.min((self.rows / n).max(1.0))
     }
 
-    /// Gather volume of the shard-partial placement: each shard ships the
-    /// decomposed state of every group it holds, so a wide-spread group's
-    /// state crosses the wire once per shard (the coordinator merges the
-    /// duplicates).
-    pub fn gather_bytes(&self) -> f64 {
-        self.shards.max(1) as f64 * self.per_shard_groups() * self.base.state_bytes
+    /// The bytes a placement puts on the wire, all of them downlink: the
+    /// raw rows (client-only), one state per group (server-partial), or one
+    /// state per group on every shard that holds any of its rows
+    /// (shard-partial — the coordinator merges the duplicates).
+    pub fn bytes(&self, placement: AggPlacement) -> LinkBytes {
+        let down = match placement {
+            AggPlacement::ClientOnly => self.rows * self.row_bytes,
+            AggPlacement::ServerPartial => self.groups * self.state_bytes,
+            AggPlacement::ShardPartial => {
+                self.shards.max(1) as f64 * self.per_shard_groups() * self.state_bytes
+            }
+        };
+        LinkBytes { down, up: 0.0 }
     }
-
-    /// The reduction factor below which shard-partial ships fewer bytes than
-    /// gathering the raw rows, accounting for per-shard state duplication.
-    pub fn breakeven_reduction(&self) -> f64 {
-        if self.base.state_bytes <= 0.0 {
-            return 1.0;
-        }
-        self.base.row_bytes / self.base.state_bytes
-    }
-}
-
-/// N-site analogue of [`choose_agg_placement`]: shard-partial when the
-/// per-shard partial states (with their cross-shard group duplication) ship
-/// fewer bytes than the raw pre-aggregation rows; ties go to client-only.
-/// At `shards = 1` this agrees with the two-site chooser by construction.
-pub fn choose_sharded_agg_placement(p: &ShardedAggParams) -> AggPlacement {
-    if p.gather_bytes() < p.base.down_bytes(AggPlacement::ClientOnly) {
-        AggPlacement::ShardPartial
-    } else {
-        AggPlacement::ClientOnly
-    }
-}
-
-/// Measure `I`, `A`, and `D` from actual rows: the average record wire
-/// size, the argument fraction, and the distinct-argument fraction over the
-/// given argument column ordinals.
-pub fn measure_params(rows: &[csq_common::Row], arg_cols: &[usize]) -> (f64, f64, f64) {
-    if rows.is_empty() {
-        return (0.0, 1.0, 1.0);
-    }
-    let mut total = 0usize;
-    let mut arg_total = 0usize;
-    let mut distinct = std::collections::HashSet::new();
-    for row in rows {
-        total += row.wire_size();
-        let key = row.project(arg_cols);
-        arg_total += key.wire_size();
-        distinct.insert(key);
-    }
-    let i = total as f64 / rows.len() as f64;
-    let a = if total > 0 {
-        arg_total as f64 / total as f64
-    } else {
-        1.0
-    };
-    let d = distinct.len() as f64 / rows.len() as f64;
-    (i, a, d)
 }
 
 /// Timing components for a single-tuple round trip — exposes what the naive
@@ -537,10 +364,12 @@ pub fn naive_roundtrip_us(
     result_msg_bytes: usize,
     client_us: u64,
 ) -> SimTime {
-    let down_t = (arg_msg_bytes as f64 / net.down_bandwidth * 1e6).ceil() as SimTime;
-    let up_t =
-        (result_msg_bytes as f64 * net.uplink_inflation / net.up_bandwidth * 1e6).ceil() as SimTime;
-    down_t + net.down_latency + client_us + up_t + net.up_latency
+    let (down_t, up_t) = message_us(net, arg_msg_bytes as f64, result_msg_bytes as f64);
+    down_t.ceil() as SimTime
+        + net.down_latency
+        + client_us
+        + up_t.ceil() as SimTime
+        + net.up_latency
 }
 
 #[cfg(test)]
@@ -575,6 +404,21 @@ mod tests {
         .with_paper_projection()
     }
 
+    /// Parameters of the Figure 10 experiment (argument 100 of a 500-byte
+    /// record) at selectivity `s`, result size `r` and asymmetry `n`.
+    fn fig10_params(s: f64, r: f64, n: f64) -> CostParams {
+        CostParams {
+            a: 0.2,
+            d: 1.0,
+            s,
+            p: 1.0,
+            i: 500.0,
+            r,
+            n,
+        }
+        .with_paper_projection()
+    }
+
     #[test]
     fn paper_projection_identity() {
         // P·(I+R) must equal I·(1−A)+R.
@@ -584,14 +428,15 @@ mod tests {
 
     #[test]
     fn fig8_flat_then_linear() {
-        // R=1000: flat while downlink-bound; kink near S ≈ I/(P·(I+R)) = 2/3.
-        let kink = csj_flat_region_end(&fig8_params(1000.0, 0.0));
-        assert!((kink - 1000.0 / 1500.0).abs() < 1e-9, "kink = {kink}");
-        let r_low = relative_time(&fig8_params(1000.0, 0.1));
-        let r_low2 = relative_time(&fig8_params(1000.0, 0.5));
-        assert!((r_low - r_low2).abs() < 1e-12, "flat region");
-        let r_hi = relative_time(&fig8_params(1000.0, 0.9));
-        assert!(r_hi > r_low, "rises after the kink");
+        // R=1000: flat while the client-site join is downlink-bound, up to
+        // the kink at S = I/(N·P·(I+R)) = 1000/1500 = 2/3.
+        let rel = |s: f64| relative_time(&fig8_params(1000.0, s));
+        let kink = 2.0 / 3.0;
+        let flat = rel(0.1);
+        assert_eq!(rel(0.5), flat, "flat region");
+        assert_eq!(rel(kink - 1e-6), flat, "still flat just below the kink");
+        assert!(rel(kink + 1e-6) > flat, "rises just above the kink");
+        assert!(rel(0.9) > rel(kink + 1e-6), "and keeps rising");
     }
 
     #[test]
@@ -613,9 +458,12 @@ mod tests {
     #[test]
     fn fig9_downlink_never_bottleneck() {
         // N=100: the paper predicts the downlink only matters below
-        // S = I/(N·P·(R+I)) ≈ 0.0083 for R=5000.
-        let end = csj_flat_region_end(&fig9_params(5000.0, 0.0));
+        // S = I/(N·P·(R+I)) = 5000/(100·6000) ≈ 0.0083 for R=5000.
+        let end: f64 = 5000.0 / (100.0 * 6000.0);
         assert!((end - 0.008333).abs() < 1e-4, "end = {end}");
+        let rel = |s: f64| relative_time(&fig9_params(5000.0, s));
+        assert_eq!(rel(end * 0.5), rel(end * 0.99), "flat below the end");
+        assert!(rel(end * 1.01) > rel(end * 0.99), "rises above it");
         // So for any realistic S the ratio is linear through ~the origin.
         let r1 = relative_time(&fig9_params(1000.0, 0.2));
         let r2 = relative_time(&fig9_params(1000.0, 0.4));
@@ -624,30 +472,21 @@ mod tests {
 
     #[test]
     fn fig10_crossover_brackets_and_monotone() {
-        // Fig 10 setup: A=0.2 (arg 100 of 500), I=500, symmetric net. For
-        // each selectivity < 1 there is a result size above which the
-        // client-site join wins; below it the semi-join wins.
-        for s in [0.25, 0.5, 0.75] {
-            let base = CostParams {
-                a: 0.2,
-                d: 1.0,
-                s,
-                p: 1.0,
-                i: 500.0,
-                r: 1.0,
-                n: 1.0,
-            }
-            .with_paper_projection();
-            let r_star = crossover_result_size(&base, 4000.0)
-                .unwrap_or_else(|| panic!("expected a crossover for s={s}"));
-            let rel_at = |r: f64| {
-                let mut q = base;
-                q.r = r;
-                relative_time(&q.with_paper_projection())
-            };
-            assert!((rel_at(r_star) - 1.0).abs() < 0.01, "s={s}, r*={r_star}");
-            assert!(rel_at(r_star * 0.5) > 1.0, "SJ wins for small results");
-            assert!(rel_at(r_star * 1.5) < 1.0, "CSJ wins for large results");
+        // Fig 10 on a symmetric net: for each selectivity < 1 there is a
+        // result size R* above which the client-site join wins and below
+        // which the semi-join wins. In closed form (D=1, SJ uplink-bound):
+        // R* = max(I/(N·D), S·I·(1−A)/(D−S)) — the CSJ is downlink-bound at
+        // the crossing for S ≤ 0.5 here, uplink-bound at S = 0.75.
+        let mut last = 0.0;
+        for (s, r_star) in [(0.25, 500.0), (0.5, 500.0), (0.75, 1200.0)] {
+            let closed = f64::max(500.0, s * 500.0 * 0.8 / (1.0 - s));
+            assert!((closed - r_star).abs() < 1e-9, "s={s}: {closed}");
+            let rel = |r: f64| relative_time(&fig10_params(s, r, 1.0));
+            assert!((rel(r_star) - 1.0).abs() < 1e-9, "s={s}: {}", rel(r_star));
+            assert!(rel(r_star * 0.5) > 1.0, "SJ wins for small results");
+            assert!(rel(r_star * 1.5) < 1.0, "CSJ wins for large results");
+            assert!(r_star >= last, "the crossing moves out with S");
+            last = r_star;
         }
     }
 
@@ -655,47 +494,28 @@ mod tests {
     fn fig10_paper_identity_when_uplink_bound() {
         // The paper's crossing identity S·P·(I+R) = D·R holds exactly when
         // both strategies are uplink-bound at the crossing — force that
-        // regime with an asymmetric network (N = 10).
-        let base = CostParams {
-            a: 0.2,
-            d: 1.0,
-            s: 0.5,
-            p: 1.0,
-            i: 500.0,
-            r: 1.0,
-            n: 10.0,
-        }
-        .with_paper_projection();
-        let r_star = crossover_result_size(&base, 4000.0).expect("crossover");
-        let q = {
-            let mut q = base;
-            q.r = r_star;
-            q.with_paper_projection()
-        };
-        assert_eq!(client_join_costs(&q).bottleneck_link(), Bottleneck::Uplink);
-        assert_eq!(semijoin_costs(&q).bottleneck_link(), Bottleneck::Uplink);
+        // regime with an asymmetric network (N = 10). Solved for R it is
+        // R* = S·I·(1−A)/(D−S) = 0.5·500·0.8/0.5 = 400.
+        let r_star = 0.5 * 500.0 * (1.0 - 0.2) / (1.0 - 0.5);
+        assert_eq!(r_star, 400.0);
+        let q = fig10_params(0.5, r_star, 10.0);
+        let (sj, csj) = (q.semijoin(), q.client_join());
+        assert!(sj.up > sj.down / q.n, "SJ uplink-bound: {sj:?}");
+        assert!(csj.up > csj.down / q.n, "CSJ uplink-bound: {csj:?}");
         let lhs = q.s * q.p * (q.i + q.r);
         let rhs = q.d * q.r;
-        assert!((lhs - rhs).abs() / rhs < 0.01, "lhs={lhs}, rhs={rhs}");
+        assert!((lhs - rhs).abs() / rhs < 1e-9, "lhs={lhs}, rhs={rhs}");
+        let rel = |r: f64| relative_time(&fig10_params(0.5, r, 10.0));
+        assert!((rel(r_star) - 1.0).abs() < 1e-9, "{}", rel(r_star));
+        assert!(rel(r_star - 1.0) > 1.0, "SJ wins just below R*");
+        assert!(rel(r_star + 1.0) < 1.0, "CSJ wins just above R*");
     }
 
     #[test]
     fn fig10_selectivity_one_never_crosses() {
         // "The curve for selectivity one will never cross that line."
-        let base = CostParams {
-            a: 0.2,
-            d: 1.0,
-            s: 1.0,
-            p: 1.0,
-            i: 500.0,
-            r: 1.0,
-            n: 1.0,
-        }
-        .with_paper_projection();
         for r in [10.0, 100.0, 500.0, 1000.0, 2000.0, 10000.0] {
-            let mut q = base;
-            q.r = r;
-            let q = q.with_paper_projection();
+            let q = fig10_params(1.0, r, 1.0);
             assert!(
                 relative_time(&q) >= 1.0 - 1e-9,
                 "r={r}: {}",
@@ -706,8 +526,7 @@ mod tests {
 
     #[test]
     fn duplicates_help_semijoin_only() {
-        let mut p = CostParams::new(1000.0, 500.0);
-        p.a = 0.5;
+        let mut p = fig8_params(500.0, 1.0);
         let rel_nodup = relative_time(&p);
         p.d = 0.25;
         let rel_dup = relative_time(&p);
@@ -716,32 +535,59 @@ mod tests {
             "duplicates shrink SJ cost, raising CSJ/SJ"
         );
         // CSJ costs are unchanged by D.
-        assert_eq!(client_join_costs(&p).down, 1000.0);
+        assert_eq!(p.client_join().down, 1000.0);
     }
 
     #[test]
-    fn strategy_chooser_matches_relative_time() {
-        for (s, r) in [(0.1, 2000.0), (0.9, 100.0), (0.5, 1000.0)] {
-            let p = fig8_params(r, s);
-            let strat = choose_strategy(&p);
-            if relative_time(&p) < 1.0 {
-                assert_eq!(strat, Strategy::ClientJoin);
-            } else {
-                assert_eq!(strat, Strategy::SemiJoin);
+    fn per_tuple_bytes_are_the_optimizers_bytes() {
+        // `CostParams` prices one input tuple through the same functions the
+        // optimizer calls with its own row counts: scaling the rows scales
+        // both links, so the relative time does not depend on them.
+        let p = CostParams {
+            a: 0.25,
+            d: 0.5,
+            s: 0.4,
+            p: 0.75,
+            i: 800.0,
+            r: 200.0,
+            n: 4.0,
+        };
+        let sj = semijoin_bytes(1000.0, p.d, p.a * p.i, p.r);
+        let csj = client_join_bytes(1000.0, p.i, p.s, p.p * (p.i + p.r));
+        assert_eq!(
+            sj,
+            LinkBytes {
+                down: 100_000.0,
+                up: 100_000.0
             }
-        }
+        );
+        assert_eq!(
+            csj,
+            LinkBytes {
+                down: 800_000.0,
+                up: 300_000.0
+            }
+        );
+        let net = NetworkSpec::asymmetric(4.0, 4.0, 0);
+        assert_eq!(csj.seconds(&net) / sj.seconds(&net), relative_time(&p));
+        assert_eq!(sj.seconds(&net), 1000.0 * p.semijoin().seconds(&net));
     }
 
     #[test]
-    fn crossover_selectivity_brackets() {
-        let p = fig8_params(2000.0, 0.0);
-        let s_star = crossover_selectivity(&p).expect("crossover exists");
-        let mut below = p;
-        below.s = (s_star - 0.05).max(0.0);
-        let mut above = p;
-        above.s = (s_star + 0.05).min(1.0);
-        assert!(relative_time(&below) < 1.0 + 1e-9);
-        assert!(relative_time(&above) > 1.0 - 1e-9);
+    fn seconds_take_the_bottleneck_link() {
+        // 1000 B/s down, 100 B/s up: 500 B down take 0.5 s, 100 B up 1 s.
+        let net = NetworkSpec::asymmetric(1000.0, 10.0, 0);
+        let bytes = LinkBytes {
+            down: 500.0,
+            up: 100.0,
+        };
+        assert_eq!(bytes.seconds(&net), 1.0);
+        // The paper's emulated asymmetry counts every uplink byte N times.
+        let emulated = NetworkSpec {
+            uplink_inflation: 10.0,
+            ..NetworkSpec::symmetric(1000.0, 0)
+        };
+        assert_eq!(bytes.seconds(&emulated), 1.0);
     }
 
     #[test]
@@ -758,33 +604,6 @@ mod tests {
     }
 
     #[test]
-    fn predicted_seconds_uses_bottleneck_link() {
-        let net = NetworkSpec::symmetric(1000.0, 0);
-        let mut p = CostParams::new(1000.0, 100.0);
-        p.a = 1.0;
-        // SJ: 1000 B down per tuple at 1000 B/s → 1 s/tuple.
-        let secs = predicted_seconds(&p, 10, Strategy::SemiJoin, &net);
-        assert!((secs - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn measure_params_from_rows() {
-        use csq_common::{Blob, Row, Value};
-        let rows: Vec<Row> = (0..10)
-            .map(|i| {
-                Row::new(vec![
-                    Value::Blob(Blob::synthetic(95, (i % 5) as u64)), // arg, wire 100
-                    Value::Blob(Blob::synthetic(95, i as u64)),       // rest, wire 100
-                ])
-            })
-            .collect();
-        let (i, a, d) = measure_params(&rows, &[0]);
-        assert!((i - 200.0).abs() < 1e-9);
-        assert!((a - 0.5).abs() < 1e-9);
-        assert!((d - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn group_count_estimate_caps_and_multiplies() {
         assert_eq!(estimate_group_count(1000.0, &[10.0]), 10.0);
         assert_eq!(estimate_group_count(1000.0, &[50.0, 40.0]), 1000.0, "cap");
@@ -795,83 +614,51 @@ mod tests {
     }
 
     #[test]
-    fn agg_placement_flips_at_breakeven_reduction() {
-        // AVG over a 9-byte int with a 9-byte key: client-only ships 18 B/row,
-        // server-partial ships 27 B/group → break-even at reduction 2/3.
-        let p = |groups: f64| AggPlacementParams {
-            rows: 1000.0,
-            groups,
-            row_bytes: 18.0,
-            state_bytes: 27.0,
-        };
-        assert!((p(1.0).breakeven_reduction() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(choose_agg_placement(&p(300.0)), AggPlacement::ServerPartial);
-        assert_eq!(choose_agg_placement(&p(900.0)), AggPlacement::ClientOnly);
-        // Exactly at break-even the tie goes to client-only.
-        assert_eq!(
-            choose_agg_placement(&p(1000.0 * 2.0 / 3.0)),
-            AggPlacement::ClientOnly
-        );
-    }
-
-    #[test]
     fn sharded_agg_placement_generalizes_two_site() {
-        let base = |groups: f64| AggPlacementParams {
+        // AVG over a 9-byte int with a 9-byte key: client-only ships
+        // 18 B/row, a partial placement 27 B/group.
+        let p = |groups: f64, shards: usize| AggPlacementParams {
             rows: 1000.0,
             groups,
             row_bytes: 18.0,
             state_bytes: 27.0,
+            shards,
         };
-        // shards = 1 agrees with the two-site chooser (modulo the label).
+        let down = |p: AggPlacementParams, placement| p.bytes(placement).down;
+        // One shard ships what the single server ships.
         for groups in [10.0, 300.0, 900.0] {
-            let two = choose_agg_placement(&base(groups));
-            let n = choose_sharded_agg_placement(&ShardedAggParams {
-                base: base(groups),
-                shards: 1,
-            });
-            match two {
-                AggPlacement::ClientOnly => assert_eq!(n, AggPlacement::ClientOnly),
-                _ => assert_eq!(n, AggPlacement::ShardPartial),
-            }
+            assert_eq!(
+                down(p(groups, 1), AggPlacement::ShardPartial),
+                down(p(groups, 1), AggPlacement::ServerPartial)
+            );
         }
         // Few groups: every shard holds (nearly) all of them, so the gather
         // volume grows with the shard count — but 4 × 10 groups × 27 B still
         // beats 1000 rows × 18 B.
-        let p4 = ShardedAggParams {
-            base: base(10.0),
-            shards: 4,
-        };
+        let p4 = p(10.0, 4);
         assert_eq!(p4.per_shard_groups(), 10.0);
-        assert_eq!(p4.gather_bytes(), 4.0 * 10.0 * 27.0);
-        assert_eq!(
-            choose_sharded_agg_placement(&p4),
-            AggPlacement::ShardPartial
-        );
-        // No reduction (groups ≈ rows): shard-partial ships state overhead
-        // for nothing and loses.
-        let flat = ShardedAggParams {
-            base: base(1000.0),
-            shards: 4,
-        };
+        assert_eq!(down(p4, AggPlacement::ShardPartial), 4.0 * 10.0 * 27.0);
+        assert!(down(p4, AggPlacement::ShardPartial) < down(p4, AggPlacement::ClientOnly));
+        // No reduction (groups ≈ rows): per-shard states ship overhead for
+        // nothing.
+        let flat = p(1000.0, 4);
         assert_eq!(flat.per_shard_groups(), 250.0, "capped by rows/shards");
-        assert_eq!(
-            choose_sharded_agg_placement(&flat),
-            AggPlacement::ClientOnly
-        );
-        // Shard fan-out can flip a two-site win back to client-only: at 600
-        // groups the single-site state gather (16.2 kB) beats raw rows
-        // (18 kB), but 4 shards × 250 groups × 27 B = 27 kB does not.
-        assert_eq!(
-            choose_agg_placement(&base(600.0)),
-            AggPlacement::ServerPartial
-        );
-        assert_eq!(
-            choose_sharded_agg_placement(&ShardedAggParams {
-                base: base(600.0),
-                shards: 4,
-            }),
-            AggPlacement::ClientOnly
-        );
+        assert!(down(flat, AggPlacement::ShardPartial) > down(flat, AggPlacement::ClientOnly));
+        // Shard fan-out can turn a two-site win into a loss: at 600 groups
+        // the single-site state (16.2 kB) beats raw rows (18 kB), but
+        // 4 shards × 250 groups × 27 B = 27 kB does not.
+        let p600 = p(600.0, 4);
+        assert_eq!(down(p600, AggPlacement::ServerPartial), 16_200.0);
+        assert_eq!(down(p600, AggPlacement::ClientOnly), 18_000.0);
+        assert_eq!(down(p600, AggPlacement::ShardPartial), 27_000.0);
+        // Every placement ships downlink only.
+        for placement in [
+            AggPlacement::ClientOnly,
+            AggPlacement::ServerPartial,
+            AggPlacement::ShardPartial,
+        ] {
+            assert_eq!(p600.bytes(placement).up, 0.0);
+        }
     }
 
     #[test]
@@ -884,21 +671,59 @@ mod tests {
     }
 
     #[test]
-    fn reduction_factor_clamps() {
-        assert_eq!(agg_reduction_factor(100.0, 10.0), 0.1);
-        assert_eq!(agg_reduction_factor(100.0, 200.0), 1.0);
-        assert_eq!(agg_reduction_factor(0.0, 5.0), 1.0);
-    }
-
-    #[test]
     fn validation_rejects_nonsense() {
-        let mut p = CostParams::new(100.0, 10.0);
-        p.a = 1.5;
-        assert!(p.validate().is_err());
-        p.a = 0.5;
-        p.n = 0.0;
-        assert!(p.validate().is_err());
-        p.n = 1.0;
-        assert!(p.validate().is_ok());
+        // Out of range, and each case `relative_time` cannot price as a
+        // finite, positive ratio: fractions at 0, NaN anywhere, infinite
+        // sizes or N, an empty record, magnitudes that under- or overflow.
+        let ok = fig8_params(10.0, 0.5);
+        let nan = f64::NAN;
+        let inf = f64::INFINITY;
+        for (what, q) in [
+            ("A > 1", CostParams { a: 1.5, ..ok }),
+            ("N = 0", CostParams { n: 0.0, ..ok }),
+            ("A = 0", CostParams { a: 0.0, ..ok }),
+            ("D = 0", CostParams { d: 0.0, ..ok }),
+            ("P = 0", CostParams { p: 0.0, ..ok }),
+            ("S < 0", CostParams { s: -0.1, ..ok }),
+            ("A NaN", CostParams { a: nan, ..ok }),
+            ("D NaN", CostParams { d: nan, ..ok }),
+            ("S NaN", CostParams { s: nan, ..ok }),
+            ("I NaN", CostParams { i: nan, ..ok }),
+            ("R NaN", CostParams { r: nan, ..ok }),
+            ("N NaN", CostParams { n: nan, ..ok }),
+            ("I = inf", CostParams { i: inf, ..ok }),
+            ("R = inf", CostParams { r: inf, ..ok }),
+            ("N = inf", CostParams { n: inf, ..ok }),
+            ("N = -inf", CostParams { n: -inf, ..ok }),
+            ("R < 0", CostParams { r: -1.0, ..ok }),
+            ("I = 0", CostParams { i: 0.0, ..ok }),
+            (
+                "D·A·I underflows",
+                CostParams {
+                    a: 1e-200,
+                    d: 1e-200,
+                    i: 1.0,
+                    r: 0.0,
+                    ..ok
+                },
+            ),
+            (
+                "I/N overflows",
+                CostParams {
+                    i: 1e300,
+                    n: 1e-300,
+                    ..ok
+                },
+            ),
+        ] {
+            assert!(q.validate().is_err(), "{what} accepted: {q:?}");
+        }
+        // The base case stays valid and prices finitely; so do R = 0 and
+        // S = 0.
+        for q in [ok, CostParams { r: 0.0, ..ok }, CostParams { s: 0.0, ..ok }] {
+            assert!(q.validate().is_ok(), "{q:?}");
+            let rel = relative_time(&q);
+            assert!(rel.is_finite() && rel > 0.0, "{q:?}: {rel}");
+        }
     }
 }

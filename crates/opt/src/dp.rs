@@ -7,15 +7,20 @@
 //! that left different column sets at the client are kept separately and
 //! semi-join grouping falls out of ordinary dynamic programming.
 //!
-//! Costs are network-transfer seconds: for each operator that moves data,
-//! `max(downlink seconds, uplink seconds)` (the bottleneck link, §3.2),
-//! summed over operators, plus a tiny per-tuple server cost that breaks
-//! ties in favour of plans doing less server work. The paper's assumption
-//! that client and server CPU are not bottlenecks is preserved.
+//! Costs are network-transfer seconds priced by `csq-cost`'s §3.2 model:
+//! each operator that moves data counts its bytes on each link — a
+//! strategy's through [`csq_cost::semijoin_bytes`] or
+//! [`csq_cost::client_join_bytes`], an aggregate placement's through
+//! [`csq_cost::AggPlacementParams::bytes`] — and pays the bottleneck link's
+//! seconds ([`csq_cost::LinkBytes::seconds`]); operators' seconds add up.
+//! This module keeps the enumeration and a tiny per-tuple server cost that
+//! breaks ties in favour of plans doing less server work. The paper's
+//! assumption that client and server CPU are not bottlenecks is preserved.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use csq_common::{CsqError, Result};
+use csq_cost::{AggPlacement, AggPlacementParams, LinkBytes};
 use csq_expr::analysis;
 
 use crate::context::OptContext;
@@ -68,14 +73,6 @@ impl<'a> Ctx<'a> {
         cols.iter()
             .map(|c| self.col_bytes.get(c).copied().unwrap_or(16.0))
             .sum()
-    }
-
-    /// Transfer cost in seconds for one operator moving `down`/`up` bytes.
-    fn net_cost(&self, down: f64, up: f64) -> f64 {
-        let n = &self.opt.net;
-        let down_s = down / n.down_bandwidth;
-        let up_s = up * n.uplink_inflation / n.up_bandwidth;
-        down_s.max(up_s)
     }
 
     fn server_cost(&self, rows: f64) -> f64 {
@@ -356,12 +353,9 @@ fn apply_rel(ctx: &Ctx<'_>, s: &State, unit: usize) -> Option<State> {
         left: Box::new(s2.plan),
         right: Box::new(PlanNode::Scan { unit }),
     };
-    // Cross product cardinality; greedy_apply charges join predicates.
-    // Equi-join selectivity heuristic: 1/max(|L|,|R|) per join predicate is
-    // folded into PredInfo.selectivity upstream? No — PredInfo uses generic
-    // heuristics; refine equijoins here by replacing the generic 0.1 with
-    // 1/max(rows). We approximate by scaling rows directly for equijoin
-    // predicates that become applicable.
+    // Cross product cardinality; greedy_apply charges join predicates at
+    // their generic selectivity, and an equi-join predicate among them is
+    // re-charged below at 1/max(|L|, |R|).
     s2.rows = left_rows * stats.rows;
     let before_preds = s2.applied_preds;
     greedy_apply(ctx, &mut s2);
@@ -394,7 +388,7 @@ fn return_to_server(ctx: &Ctx<'_>, s: &mut State) {
         .collect();
     if !to_return.is_empty() {
         let up = s.rows * ctx.bytes_of(&to_return);
-        s.cost += ctx.net_cost(0.0, up);
+        s.cost += LinkBytes { down: 0.0, up }.seconds(&ctx.opt.net);
         s.server_cols.extend(to_return);
         s.plan = PlanNode::ReturnToServer {
             input: Box::new(s.plan.clone()),
@@ -456,19 +450,17 @@ fn apply_udf_semijoin(
     let d = (distinct / s.rows.max(1.0)).min(1.0);
     let mut s2 = s.clone();
     s2.mask |= 1 << unit;
-    // Downlink: dedup'd argument columns — free when a previous client-site
-    // operation already left them there (grouping, §5.1.2).
-    let down = if args_at_client {
+    // Nothing goes down when a previous client-site operation already left
+    // the arguments there (grouping, §5.1.2), and nothing comes up while
+    // the results stay on the client.
+    let down_arg_bytes = if args_at_client { 0.0 } else { arg_bytes };
+    let up_result_bytes = if leave_on_client {
         0.0
     } else {
-        s.rows * d * arg_bytes
+        meta.result_bytes
     };
-    let up = if leave_on_client {
-        0.0
-    } else {
-        s.rows * d * meta.result_bytes
-    };
-    s2.cost += ctx.net_cost(down, up) + ctx.server_cost(s.rows);
+    let bytes = csq_cost::semijoin_bytes(s.rows, d, down_arg_bytes, up_result_bytes);
+    s2.cost += bytes.seconds(&ctx.opt.net) + ctx.server_cost(s.rows);
     if leave_on_client {
         s2.client_cols.extend(arg_cols);
         s2.client_cols.insert(result_col.clone());
@@ -523,7 +515,6 @@ fn apply_udf_client_join(
         .cloned()
         .collect();
     shipped.extend(arg_cols.iter().cloned());
-    let down = s.rows * ctx.bytes_of(&shipped);
 
     // Push every unapplied predicate that is evaluable from shipped ∪
     // result ∪ client-resident columns.
@@ -574,23 +565,20 @@ fn apply_udf_client_join(
         .intersection(&visible)
         .cloned()
         .collect();
-    let up = if merged_with_final {
+    let (shipped_bytes, returned_bytes) = (ctx.bytes_of(&shipped), ctx.bytes_of(&needed_after));
+    let up_bytes = if merged_with_final {
         0.0
     } else {
-        rows_after * ctx.bytes_of(&needed_after)
+        returned_bytes
     };
-    let ship = ctx.ship_params(
-        ctx.bytes_of(&shipped),
-        sel * ctx.bytes_of(&needed_after),
-        s.rows,
-        1.0,
-    );
+    let bytes = csq_cost::client_join_bytes(s.rows, shipped_bytes, sel, up_bytes);
+    let ship = ctx.ship_params(shipped_bytes, sel * returned_bytes, s.rows, 1.0);
 
     let mut s2 = s.clone();
     s2.mask = new_mask;
     s2.applied_preds = applied;
     s2.rows = rows_after;
-    s2.cost += ctx.net_cost(down, up) + ctx.server_cost(s.rows);
+    s2.cost += bytes.seconds(&ctx.opt.net) + ctx.server_cost(s.rows);
     if merged_with_final {
         s2.client_cols = visible;
     } else {
@@ -659,135 +647,114 @@ fn finalize(ctx: &Ctx<'_>, s: &State) -> Option<State> {
         }
     }
     let client_resident = out_cols.len() - ship.iter().filter(|c| out_cols.contains(*c)).count();
-    let down = s.rows * ctx.bytes_of(&ship);
-
-    // Delivery cost of the plain (non-aggregated) output.
-    let mut delivery = ctx.net_cost(down, 0.0);
-    let mut agg_node = None;
-    if let Some(spec) = &ctx.graph.aggregate {
-        // Grouped aggregation: enumerate where the partial phase runs.
-        //
-        // * client-only — ship the pre-aggregation rows (the `down` above)
-        //   and aggregate at the client (serial per-tuple work).
-        // * server-partial — the server reduces rows to groups first and
-        //   ships decomposed state (`groups × state bytes`); the partial
-        //   pass costs the server's per-tuple rate like every server-side
-        //   operator. Only legal when every aggregation input is
-        //   server-resident and no residual predicate remains to be
-        //   evaluated at the client pre-grouping.
-        let key_cols: BTreeSet<String> = spec.group_by.iter().map(|c| c.to_string()).collect();
-        let mut state_bytes = ctx.bytes_of(&key_cols);
-        for call in &spec.calls {
-            let arg_bytes = call
-                .arg
-                .as_ref()
-                .map(|a| ctx.bytes_of(&ctx.cols_of_expr(a)))
-                .unwrap_or(0.0);
-            state_bytes += csq_cost::agg_state_bytes(call.func, arg_bytes);
-        }
-        let distincts: Vec<f64> = spec
-            .group_by
-            .iter()
-            .map(|g| {
-                for u in &ctx.graph.units {
-                    if let Unit::Rel { alias, table, .. } = u {
-                        if Some(alias.as_str()) == g.qualifier.as_deref() {
-                            return ctx.opt.col_distinct(table, &g.name);
-                        }
-                    }
-                }
-                s2.rows.sqrt().max(1.0)
-            })
-            .collect();
-        let groups = csq_cost::estimate_group_count(s2.rows.max(0.0), &distincts);
-        // The shipping-volume model lives in csq-cost; this DP turns its
-        // per-placement byte counts into seconds and layers the (tiny)
-        // site-CPU terms on top.
-        let params = csq_cost::AggPlacementParams {
-            rows: s2.rows,
-            groups,
-            row_bytes: ctx.bytes_of(&ship),
-            state_bytes,
-        };
-        let tuple_secs = ctx.opt.server_tuple_cost * 1e-6;
-        let client_total = delivery + params.rows * tuple_secs;
-        let server_legal = pushed.is_empty() && out_cols.iter().all(|c| s2.server_cols.contains(c));
-        let placement = if ctx.opt.sharded() {
-            // N-site enumeration (DESIGN.md §13): there is no single
-            // "server" — the candidates are gathering the raw rows from
-            // every shard and aggregating at the coordinator (client-only's
-            // analogue) vs. per-shard partial aggregation with a
-            // coordinator finalize. The latter needs the partial phase to
-            // run per shard unchanged: server-legal (no residual client
-            // predicates, server-resident inputs) and a pushable plan
-            // (single relation, no UDF units).
-            let shard_legal = server_legal && ctx.graph.n_rels == 1 && ctx.graph.units.len() == 1;
-            let sp = csq_cost::ShardedAggParams {
-                base: params,
-                shards: ctx.opt.shards.max(1),
-            };
-            // Per-shard partial work runs concurrently across shards, so
-            // the CPU term covers one shard's slice; the coordinator then
-            // merges every gathered per-shard group state.
-            let shard_total = ctx.net_cost(sp.gather_bytes(), 0.0)
-                + ctx.server_cost(params.rows / sp.shards as f64)
-                + sp.shards as f64 * sp.per_shard_groups() * tuple_secs;
-            if shard_legal && shard_total < client_total {
-                delivery = shard_total;
-                csq_cost::AggPlacement::ShardPartial
-            } else {
-                delivery = client_total;
-                csq_cost::AggPlacement::ClientOnly
-            }
-        } else {
-            let server_total = ctx.net_cost(
-                params.down_bytes(csq_cost::AggPlacement::ServerPartial),
-                0.0,
-            ) + ctx.server_cost(params.rows)
-                + groups * tuple_secs; // the client still merges and finishes
-            let placement = if server_legal && server_total < client_total {
-                delivery = server_total;
-                csq_cost::AggPlacement::ServerPartial
-            } else {
-                delivery = client_total;
-                csq_cost::AggPlacement::ClientOnly
-            };
-            debug_assert!(
-                // CPU terms only sharpen ties; the byte-level chooser and
-                // this enumeration must agree whenever server-partial is
-                // legal and the byte gap is decisive.
-                !server_legal
-                    || csq_cost::choose_agg_placement(&params) == placement
-                    || (ctx.net_cost(
-                        params.down_bytes(csq_cost::AggPlacement::ServerPartial),
-                        0.0
-                    ) - ctx
-                        .net_cost(params.down_bytes(csq_cost::AggPlacement::ClientOnly), 0.0))
-                    .abs()
-                        < ctx.server_cost(params.rows) + params.rows * tuple_secs
-            );
-            placement
-        };
-        let having_sel = spec
-            .having
-            .as_ref()
-            .map(analysis::estimate_selectivity)
-            .unwrap_or(1.0);
-        s2.rows = groups * having_sel;
-        agg_node = Some((placement, groups));
-    }
-    s2.cost += delivery;
+    let residual_free = pushed.is_empty();
     s2.plan = PlanNode::Final {
         input: Box::new(s2.plan),
         client_resident,
         pushed_preds: pushed,
     };
-    if let Some((placement, groups_est)) = agg_node {
-        s2.plan = PlanNode::Aggregate {
-            input: Box::new(s2.plan),
-            placement,
-            groups_est,
-        };
+    let net = &ctx.opt.net;
+    let row_bytes = ctx.bytes_of(&ship);
+    let Some(spec) = &ctx.graph.aggregate else {
+        // The rows leave the server before any residual predicate runs.
+        s2.cost += LinkBytes {
+            down: s.rows * row_bytes,
+            up: 0.0,
+        }
+        .seconds(net);
+        return Some(s2);
+    };
+
+    // Grouped aggregation: enumerate where the partial phase runs.
+    //
+    // * client-only — ship the pre-aggregation rows and aggregate at the
+    //   client (serial per-tuple work).
+    // * server-partial — the server reduces rows to groups first and ships
+    //   decomposed state (`groups × state bytes`); the partial pass costs
+    //   the server's per-tuple rate like every server-side operator. Only
+    //   legal when every aggregation input is server-resident and no
+    //   residual predicate remains to be evaluated at the client
+    //   pre-grouping.
+    let key_cols: BTreeSet<String> = spec.group_by.iter().map(|c| c.to_string()).collect();
+    let mut state_bytes = ctx.bytes_of(&key_cols);
+    for call in &spec.calls {
+        let arg_bytes = call
+            .arg
+            .as_ref()
+            .map(|a| ctx.bytes_of(&ctx.cols_of_expr(a)))
+            .unwrap_or(0.0);
+        state_bytes += csq_cost::agg_state_bytes(call.func, arg_bytes);
     }
+    let distincts: Vec<f64> = spec
+        .group_by
+        .iter()
+        .map(|g| {
+            for u in &ctx.graph.units {
+                if let Unit::Rel { alias, table, .. } = u {
+                    if Some(alias.as_str()) == g.qualifier.as_deref() {
+                        return ctx.opt.col_distinct(table, &g.name);
+                    }
+                }
+            }
+            s2.rows.sqrt().max(1.0)
+        })
+        .collect();
+    let groups = csq_cost::estimate_group_count(s2.rows.max(0.0), &distincts);
+    // csq-cost gives every placement's bytes; this DP prices them and
+    // layers the (tiny) site-CPU terms on top. A partial placement is legal
+    // only without residual predicates, where `s.rows` and `s2.rows` agree.
+    let params = AggPlacementParams {
+        rows: s.rows,
+        groups,
+        row_bytes,
+        state_bytes,
+        shards: ctx.opt.shards.max(1),
+    };
+    let server_legal = residual_free && out_cols.iter().all(|c| s2.server_cols.contains(c));
+    let tuple_secs = ctx.opt.server_tuple_cost * 1e-6;
+    let client_total = params.bytes(AggPlacement::ClientOnly).seconds(net) + s2.rows * tuple_secs;
+    let (placement, delivery) = if ctx.opt.sharded() {
+        // N-site enumeration (DESIGN.md §13): there is no single "server" —
+        // the candidates are gathering the raw rows from every shard and
+        // aggregating at the coordinator (client-only's analogue) vs.
+        // per-shard partial aggregation with a coordinator finalize. The
+        // latter needs the partial phase to run per shard unchanged:
+        // server-legal (no residual client predicates, server-resident
+        // inputs) and a pushable plan (single relation, no UDF units).
+        let shard_legal = server_legal && ctx.graph.n_rels == 1 && ctx.graph.units.len() == 1;
+        // Per-shard partial work runs concurrently across shards, so the CPU
+        // term covers one shard's slice; the coordinator then merges every
+        // gathered per-shard group state.
+        let shards = params.shards as f64;
+        let shard_total = params.bytes(AggPlacement::ShardPartial).seconds(net)
+            + ctx.server_cost(params.rows / shards)
+            + shards * params.per_shard_groups() * tuple_secs;
+        if shard_legal && shard_total < client_total {
+            (AggPlacement::ShardPartial, shard_total)
+        } else {
+            (AggPlacement::ClientOnly, client_total)
+        }
+    } else {
+        let server_total = params.bytes(AggPlacement::ServerPartial).seconds(net)
+            + ctx.server_cost(params.rows)
+            + groups * tuple_secs; // the client still merges and finishes
+        if server_legal && server_total < client_total {
+            (AggPlacement::ServerPartial, server_total)
+        } else {
+            (AggPlacement::ClientOnly, client_total)
+        }
+    };
+    let having_sel = spec
+        .having
+        .as_ref()
+        .map(analysis::estimate_selectivity)
+        .unwrap_or(1.0);
+    s2.cost += delivery;
+    s2.rows = groups * having_sel;
+    s2.plan = PlanNode::Aggregate {
+        input: Box::new(s2.plan),
+        placement,
+        groups_est: groups,
+    };
     Some(s2)
 }
