@@ -175,7 +175,9 @@ proptest! {
         n in 1.0f64..200.0,
     ) {
         let p = csq_cost::CostParams { a, d, s, p: 1.0, i, r, n }.with_paper_projection();
-        // Whatever validates, the model prices (A or D at 0 must not).
+        // Every draw with A and D above 0 is in range; at 0 the semi-join
+        // may move no bytes, so the model must refuse it.
+        prop_assert_eq!(p.validate().is_ok(), a > 0.0 && d > 0.0, "{:?}", p.validate());
         if p.validate().is_err() {
             return;
         }
