@@ -328,6 +328,37 @@ impl Selection {
         }
     }
 
+    /// Keep the selected rows whose ordinal `keep` accepts, in order. A
+    /// window is tested in place and stays itself when no row is dropped.
+    /// Each ordinal is written to the next free place and the place kept
+    /// only if `keep` says so, so the loop has no branch on the verdict.
+    #[inline]
+    pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        match self {
+            Selection::Window(w) => {
+                let mut rows = vec![0; w.len()];
+                let mut n = 0;
+                for i in w.clone() {
+                    rows[n] = i;
+                    n += keep(i) as usize;
+                }
+                if n < rows.len() {
+                    rows.truncate(n);
+                    *self = Selection::Rows(rows);
+                }
+            }
+            Selection::Rows(rows) => {
+                let mut n = 0;
+                for k in 0..rows.len() {
+                    let i = rows[k];
+                    rows[n] = i;
+                    n += keep(i) as usize;
+                }
+                rows.truncate(n);
+            }
+        }
+    }
+
     /// Call `f(p, i)` for each of the first `limit` selected rows: `p` its
     /// position in the selection, `i` its ordinal in the lanes.
     #[inline]

@@ -22,8 +22,9 @@
 //!   [`PlanCache`](crate::PlanCache), encode the result's bounded chunks
 //!   straight from the executor's output batches — encoded in full, then
 //!   sent over the session's connection (flipped to blocking mode for the
-//!   write) — then hand the session back to the scheduler and pick up the
-//!   next job.
+//!   write) as one vectored write of `Begin`, the `Rows` frames and `End`
+//!   — then hand the session back to the scheduler and pick up the next
+//!   job.
 //!
 //! A session therefore moves `Reading → Queued → Executing → Writing →
 //! Reading`: the scheduler owns it while Reading, the pool queue while
@@ -198,7 +199,8 @@ pub struct ServiceStats {
     /// Sessions ended by a transport/protocol fault (truncated, oversized,
     /// undecodable, or mid-frame-stalled frames).
     pub protocol_errors: AtomicU64,
-    /// Statements that completed and streamed a full result.
+    /// Statements that completed with a full result, counted just before
+    /// the answer's one write (so a client that has read `End` sees it).
     pub queries_ok: AtomicU64,
     /// Statements answered with an `Error` response.
     pub queries_failed: AtomicU64,
@@ -616,12 +618,16 @@ fn refuse(conn: TcpConn, net: NetStats, refusal: QueryResponse) {
 /// Send one response frame, recording downlink bytes; `false` when the
 /// client is gone.
 fn send_response(conn: &TcpConn, net: &NetStats, resp: &QueryResponse) -> bool {
-    send_payload(conn, net, &resp.encode())
+    send_frames(conn, net, &[&resp.encode()])
 }
 
-fn send_payload(conn: &TcpConn, net: &NetStats, payload: &[u8]) -> bool {
-    net.record_down(payload.len() + FRAME_HEADER_BYTES);
-    conn.send(payload).is_ok()
+/// Send `payloads` as consecutive frames in one write, recording each as the
+/// downlink frame it is; `false` when the client is gone.
+fn send_frames(conn: &TcpConn, net: &NetStats, payloads: &[&[u8]]) -> bool {
+    for p in payloads {
+        net.record_down(p.len() + FRAME_HEADER_BYTES);
+    }
+    conn.send_frames(payloads).is_ok()
 }
 
 /// Non-blocking best-effort response send for the scheduler thread, which
@@ -1080,8 +1086,9 @@ type ExecutionOutcome =
 /// Turn an execution outcome into wire traffic: `Begin`, the result's
 /// `Rows` frames and `End` on success, a typed `Error` on failure or panic.
 /// The frames are encoded from the output batches — a lane-backed batch
-/// from its lanes, so the server builds no row of it — and all of them
-/// before `Begin` is sent. Returns whether the connection is still usable.
+/// from its lanes, so the server builds no row of it — and the whole answer
+/// leaves in one vectored write. Returns whether the connection is still
+/// usable.
 fn answer_execution(
     conn: &TcpConn,
     net: &NetStats,
@@ -1117,18 +1124,15 @@ fn answer_execution(
                 affected: result.affected as u64,
                 plan_cache_hit,
             };
-            // The writes need only the frames: release the rows now.
+            // The write needs only the frames: release the rows now.
             drop(result);
-            if !send_response(conn, net, &QueryResponse::Begin { columns }) {
-                return false;
-            }
-            for frame in &frames {
-                if !send_payload(conn, net, frame) {
-                    return false;
-                }
-            }
+            let (begin, end) = (QueryResponse::Begin { columns }.encode(), end.encode());
+            let mut answer: Vec<&[u8]> = Vec::with_capacity(frames.len() + 2);
+            answer.push(&begin);
+            answer.extend(frames.iter().map(Vec::as_slice));
+            answer.push(&end);
             ServiceStats::bump(&stats.queries_ok);
-            send_response(conn, net, &end)
+            send_frames(conn, net, &answer)
         }
     }
 }

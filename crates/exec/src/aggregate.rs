@@ -9,14 +9,19 @@
 //! There is one group table and two ways to read a batch into it, chosen by
 //! the batch's own representation. A lane-backed batch (what the scan emits
 //! for a sealed segment) is grouped on its key lanes and each call whose
-//! argument is a plain column is accumulated on that column's lane — typed
-//! kernels where the lane's type makes the per-row [`Value`] unnecessary,
-//! `Lane::value` into the one `AggState::update_value` for every other
-//! pairing — so the batch's rows are never built. A row batch is grouped on
-//! its rows, without a key `Row` per input row. Group keys compare by
-//! `Value` equality either way, and calls run a batch at a time under the
-//! rule that keeps the row loop's error: first failing row, then first
-//! failing call.
+//! argument is a plain column is accumulated on that column's lane — one
+//! tight loop over the rows' group ids where the lane's type makes the
+//! per-row [`Value`] unnecessary, `Lane::value` into the one
+//! `AggState::update_value` for every other pairing — so the batch's rows
+//! are never built. A key that is one small-domain lane is grouped through a
+//! code map instead of a hash probe per row; a one-byte INT's or a BOOL's
+//! codes are the values themselves, so that map lives until the table
+//! drains (the end of the build, each spill flush), and a dictionary's
+//! codes, which mean something only in their segment, are mapped afresh
+//! each batch. A row batch is grouped on its rows, without a key `Row` per
+//! input row. Group keys compare by `Value` equality either way, and calls
+//! run a batch at a time under the rule that keeps the row loop's error:
+//! first failing row, then first failing call.
 //!
 //! Aggregation is *decomposable*: every function's state splits into a
 //! partial phase (`update` over raw rows, shippable as plain value columns)
@@ -41,8 +46,8 @@ use std::sync::Arc;
 
 use csq_common::lane::wide;
 use csq_common::{
-    each_width, CsqError, DataType, Field, IntLane, Lane, Result, Row, RowBatch, Schema, Selection,
-    Value,
+    each_width, CsqError, DataType, Field, IntLane, Lane, NullBitmap, Result, Row, RowBatch,
+    Schema, Selection, Value,
 };
 pub use csq_expr::AggSpec;
 use csq_expr::{physical::eval_binary, AggFunc, BinaryOp, PhysExpr};
@@ -78,32 +83,12 @@ fn numeric_add(acc: &mut Value, v: &Value) -> Result<()> {
     Ok(())
 }
 
-/// [`numeric_add`] of an INT read off a typed lane: the `Int + Int` case is
-/// the checked add `eval_binary` makes, anything else goes through it.
+/// `a + x` for an INT running sum or count: an overflow is the exec error
+/// scalar arithmetic raises.
 #[inline]
-fn add_int(acc: &mut Value, x: i64) -> Result<()> {
-    match acc {
-        Value::Int(a) => {
-            *a = a
-                .checked_add(x)
-                .ok_or_else(|| CsqError::Exec("integer overflow".into()))?;
-            Ok(())
-        }
-        _ => numeric_add(acc, &Value::Int(x)),
-    }
-}
-
-/// [`numeric_add`] of a FLOAT read off a typed lane: `Float + Float` in
-/// place (the same `a + b`, so sums stay bit-identical), the rest through it.
-#[inline]
-fn add_float(acc: &mut Value, x: f64) -> Result<()> {
-    match acc {
-        Value::Float(a) => {
-            *a += x;
-            Ok(())
-        }
-        _ => numeric_add(acc, &Value::Float(x)),
-    }
+fn checked_sum(a: i64, x: i64) -> Result<i64> {
+    a.checked_add(x)
+        .ok_or_else(|| CsqError::Exec("integer overflow".into()))
 }
 
 impl AggState {
@@ -156,12 +141,7 @@ impl AggState {
     /// phase). `vals` holds this call's state columns.
     fn merge(&mut self, vals: &[Value]) -> Result<()> {
         match self {
-            AggState::Count(n) => {
-                let add = vals[0].as_i64()?;
-                *n = n
-                    .checked_add(add)
-                    .ok_or_else(|| CsqError::Exec("integer overflow".into()))?;
-            }
+            AggState::Count(n) => *n = checked_sum(*n, vals[0].as_i64()?)?,
             AggState::Sum(acc) => {
                 if !vals[0].is_null() {
                     numeric_add(acc, &vals[0])?;
@@ -186,9 +166,7 @@ impl AggState {
                 if !vals[0].is_null() {
                     numeric_add(sum, &vals[0])?;
                 }
-                *n = n
-                    .checked_add(vals[1].as_i64()?)
-                    .ok_or_else(|| CsqError::Exec("integer overflow".into()))?;
+                *n = checked_sum(*n, vals[1].as_i64()?)?;
             }
         }
         Ok(())
@@ -243,16 +221,46 @@ trait KeySource {
     /// Append row `p`'s key.
     fn push_key(&self, p: usize, out: &mut Vec<Value>);
     /// When every key of the batch is one of a few codes known up front (a
-    /// one-byte INT, a BOOL, a dictionary code), how many: rows with equal
+    /// one-byte INT, a BOOL, NULL, a dictionary code), push each row's code
+    /// onto `out` and return the size of the code space: rows with equal
     /// codes have equal keys, so the table is probed once a code, not once a
-    /// row. 0 when the keys have no such codes.
-    fn codes(&self) -> usize {
+    /// row. Codes below [`VALUE_CODES`] are the key values themselves and
+    /// mean the same key in every batch; a dictionary's codes start there and
+    /// mean something only within their batch. 0 (and nothing pushed) when
+    /// the keys have no such codes.
+    fn codes(&self, _out: &mut Vec<u32>) -> usize {
         0
     }
-    /// Call `f(p, code)` for each row `p` in order, `code` below
-    /// [`codes`](Self::codes).
-    fn for_each_code(&self, _f: impl FnMut(usize, usize)) {
-        unreachable!("a key source without codes")
+}
+
+/// The value codes: a one-byte INT `x` is `x as u8`, then NULL, `false` and
+/// `true`.
+const NULL_CODE: u32 = 256;
+const FALSE_CODE: u32 = 257;
+const VALUE_CODES: usize = 259;
+
+/// Push the code of each row `sel` selects from a lane: `code` of its value,
+/// or [`NULL_CODE`] for a row `nulls` marks — a pass made only when it marks
+/// one.
+#[inline]
+fn push_codes<T: Copy>(
+    out: &mut Vec<u32>,
+    sel: &Selection,
+    values: &[T],
+    nulls: Option<&NullBitmap>,
+    code: impl Fn(T) -> u32,
+) {
+    let at = out.len();
+    match sel {
+        Selection::Window(w) => out.extend(values[w.clone()].iter().map(|&x| code(x))),
+        Selection::Rows(rows) => out.extend(rows.iter().map(|&i| code(values[i]))),
+    }
+    if let Some(nulls) = nulls.filter(|n| n.count_ones() > 0) {
+        sel.for_each(sel.len(), |p, i| {
+            if nulls.get(i) {
+                out[at + p] = NULL_CODE;
+            }
+        });
     }
 }
 
@@ -328,39 +336,26 @@ impl KeySource for LaneKeys<'_> {
         out.extend(self.lanes.iter().map(|l| l.value(i)));
     }
 
-    /// One code per non-NULL value of the lane's small domain, and a last
-    /// one for NULL.
-    fn codes(&self) -> usize {
+    fn codes(&self, out: &mut Vec<u32>) -> usize {
+        let sel = self.sel;
         match self.lanes[..] {
             [Lane::Int {
-                values: IntLane::I8(_),
-                ..
-            }] => 257,
-            [Lane::Bool { .. }] => 3,
-            [Lane::StrDict { dict, .. }] => dict.len() + 1,
-            _ => 0,
-        }
-    }
-
-    fn for_each_code(&self, mut f: impl FnMut(usize, usize)) {
-        let (n, null) = (self.sel.len(), self.codes() - 1);
-        match self.lanes[0] {
-            Lane::Int {
                 values: IntLane::I8(v),
                 nulls,
-            } => self.sel.for_each(n, |p, i| match nulls.get(i) {
-                true => f(p, null),
-                false => f(p, v[i] as u8 as usize),
-            }),
-            Lane::Bool { values, nulls } => self.sel.for_each(n, |p, i| match nulls.get(i) {
-                true => f(p, null),
-                false => f(p, values[i] as usize),
-            }),
-            Lane::StrDict { codes, .. } => self
-                .sel
-                .for_each(n, |p, i| f(p, (codes[i] as usize).min(null))),
-            _ => unreachable!("a lane without codes"),
+            }] => push_codes(out, sel, v, Some(nulls), |x| x as u8 as u32),
+            [Lane::Bool { values, nulls }] => {
+                push_codes(out, sel, values, Some(nulls), |b| FALSE_CODE + b as u32)
+            }
+            [Lane::StrDict { dict, codes }] => {
+                push_codes(out, sel, codes, None, |c| match c {
+                    u32::MAX => NULL_CODE,
+                    c => VALUE_CODES as u32 + c,
+                });
+                return VALUE_CODES + dict.len();
+            }
+            _ => return 0,
         }
+        VALUE_CODES
     }
 }
 
@@ -378,6 +373,65 @@ impl CallStates<'_> {
     fn at(&mut self, p: usize) -> &mut AggState {
         &mut self.states[self.gids[p] as usize * self.stride + self.call]
     }
+
+    /// Accumulate `x(i)` of each of the rows `sel` selects into the row's
+    /// group, skipping the rows `nulls` marks: `fast` decides the common
+    /// state in place and says whether it did, and any other state goes to
+    /// `slow`. The selection's shape, and whether there is a NULL to skip,
+    /// are decided once, outside the loop.
+    #[inline(always)]
+    fn fold<X: Copy>(
+        &mut self,
+        sel: &Selection,
+        nulls: Option<&NullBitmap>,
+        x: impl Fn(usize) -> X,
+        fast: impl Fn(&mut AggState, X) -> bool,
+        slow: impl Fn(&mut AggState, X) -> Result<()>,
+    ) -> std::result::Result<(), (usize, CsqError)> {
+        match (sel, nulls.filter(|n| n.count_ones() > 0)) {
+            (Selection::Window(w), None) => self.walk(|p| w.start + p, |_| false, x, fast, slow),
+            (Selection::Window(w), Some(n)) => {
+                self.walk(|p| w.start + p, |i| n.get(i), x, fast, slow)
+            }
+            (Selection::Rows(rows), None) => self.walk(|p| rows[p], |_| false, x, fast, slow),
+            (Selection::Rows(rows), Some(n)) => self.walk(|p| rows[p], |i| n.get(i), x, fast, slow),
+        }
+    }
+
+    /// The loop of [`fold`](Self::fold): row `p` is lane row `ordinal(p)`,
+    /// skipped when `null` says so.
+    #[inline(always)]
+    fn walk<X: Copy>(
+        &mut self,
+        ordinal: impl Fn(usize) -> usize,
+        null: impl Fn(usize) -> bool,
+        x: impl Fn(usize) -> X,
+        fast: impl Fn(&mut AggState, X) -> bool,
+        slow: impl Fn(&mut AggState, X) -> Result<()>,
+    ) -> std::result::Result<(), (usize, CsqError)> {
+        let (gids, stride, call) = (self.gids, self.stride, self.call);
+        let states = &mut *self.states;
+        for (p, &g) in gids.iter().enumerate() {
+            let i = ordinal(p);
+            if null(i) {
+                continue;
+            }
+            let st = &mut states[g as usize * stride + call];
+            if !fast(st, x(i)) {
+                slow(st, x(i)).map_err(|e| (p, e))?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// `update_value` for a row a lane kernel does not decide in place: the
+/// first of a group, a sum that changes type, an overflow. That is about
+/// once a group, so it stays out of the kernels' loops.
+#[cold]
+#[inline(never)]
+fn update_cold(st: &mut AggState, func: AggFunc, v: Value) -> Result<()> {
+    st.update_value(func, Some(&v))
 }
 
 /// Call `f(p, row)` for each row until one fails; the error comes back with
@@ -424,8 +478,13 @@ struct GroupTable {
     memory: Option<Arc<MemoryTracker>>,
     /// Approximate bytes currently registered with `memory`.
     tracked: usize,
-    /// Per-batch scratch: the group id of each row, and of each key code.
+    /// Per-batch scratch: the group id and the key code of each row.
     gids: Vec<u32>,
+    codes: Vec<u32>,
+    /// Group id + 1 of each key code met so far, 0 for one not met. The
+    /// value codes (the first [`VALUE_CODES`]) name the same key in every
+    /// batch, so they are kept until the table drains; a dictionary's codes
+    /// past them are reset with each batch.
     code_groups: Vec<u32>,
 }
 
@@ -453,6 +512,7 @@ impl GroupTable {
             memory,
             tracked: 0,
             gids: Vec::new(),
+            codes: Vec::new(),
             code_groups: Vec::new(),
         }
     }
@@ -534,20 +594,27 @@ impl GroupTable {
                 self.push_group(0, |_| {});
             }
             gids.resize(keys.len(), 0);
-        } else if keys.codes() > 0 {
-            // Group id + 1 of each code met so far in this batch.
-            let mut seen = std::mem::take(&mut self.code_groups);
-            seen.clear();
-            seen.resize(keys.codes(), 0);
-            keys.for_each_code(|p, code| {
-                if seen[code] == 0 {
-                    seen[code] = self.group_of(keys, p) + 1;
-                }
-                gids.push(seen[code] - 1);
-            });
-            self.code_groups = seen;
         } else {
-            gids.extend((0..keys.len()).map(|p| self.group_of(keys, p)));
+            let mut codes = std::mem::take(&mut self.codes);
+            codes.clear();
+            match keys.codes(&mut codes) {
+                0 => gids.extend((0..keys.len()).map(|p| self.group_of(keys, p))),
+                space => {
+                    let mut seen = std::mem::take(&mut self.code_groups);
+                    seen.truncate(VALUE_CODES);
+                    seen.resize(space, 0);
+                    gids.resize(codes.len(), 0);
+                    for (p, (gid, &code)) in gids.iter_mut().zip(&codes).enumerate() {
+                        let g = &mut seen[code as usize];
+                        if *g == 0 {
+                            *g = self.group_of(keys, p) + 1;
+                        }
+                        *gid = *g - 1;
+                    }
+                    self.code_groups = seen;
+                }
+            }
+            self.codes = codes;
         }
         self.gids = gids;
     }
@@ -590,6 +657,12 @@ impl GroupTable {
 
     /// Run call `a` over the first `limit` rows of `batch`; an error comes
     /// back with the position of the row that raised it.
+    ///
+    /// COUNT, and SUM/AVG over an INT or FLOAT lane, are one loop each over
+    /// the rows' group ids that decides the common state in place: a count,
+    /// or a running sum of the lane's own type. Any other state (an unset
+    /// sum, a sum that changed type) and every other pairing goes through
+    /// `update_value`, which the row loop uses too.
     fn update_call(
         &mut self,
         a: usize,
@@ -600,29 +673,60 @@ impl GroupTable {
         let func = spec.func;
         let mut col = CallStates {
             states: &mut self.states,
-            gids: &self.gids,
+            gids: &self.gids[..limit],
             stride: self.funcs.len(),
             call: a,
         };
-        match (&spec.arg, batch.lanes()) {
-            (None, _) => {
-                (0..limit).try_for_each(|p| col.at(p).update_value(func, None).map_err(|e| (p, e)))
+        let count = |st: &mut AggState, ()| match st {
+            AggState::Count(n) => {
+                *n += 1;
+                true
             }
+            _ => false,
+        };
+        let no_arg = |st: &mut AggState, ()| st.update_value(func, None);
+        let sum_int = |st: &mut AggState, x: i64| match st {
+            AggState::Sum(Value::Int(a)) => a.checked_add(x).map(|s| *a = s).is_some(),
+            AggState::Avg {
+                sum: Value::Int(a),
+                n,
+            } => a.checked_add(x).map(|s| (*a, *n) = (s, *n + 1)).is_some(),
+            _ => false,
+        };
+        let sum_float = |st: &mut AggState, x: f64| {
+            match st {
+                AggState::Sum(Value::Float(a)) => *a += x,
+                AggState::Avg {
+                    sum: Value::Float(a),
+                    n,
+                } => (*a, *n) = (*a + x, *n + 1),
+                _ => return false,
+            }
+            true
+        };
+        match (&spec.arg, batch.lanes()) {
+            (None, _) => col.fold(&Selection::Window(0..limit), None, |_| (), count, no_arg),
             (Some(PhysExpr::Column(c)), Some((lanes, sel))) if *c < lanes.len() => {
-                match &*lanes[*c] {
-                    Lane::Int { values, nulls } => each_width!(values, v => {
-                        sel.try_for_each(limit, |p, i| match nulls.get(i) {
-                            true => Ok(()),
-                            false => col.at(p).update_int(func, wide(v[i])),
-                        })
-                    }),
-                    Lane::Float { values, nulls } => {
-                        sel.try_for_each(limit, |p, i| match nulls.get(i) {
-                            true => Ok(()),
-                            false => col.at(p).update_float(func, values[i]),
-                        })
+                match (func, &*lanes[*c]) {
+                    (
+                        AggFunc::Count,
+                        Lane::Int { nulls, .. }
+                        | Lane::Float { nulls, .. }
+                        | Lane::Bool { nulls, .. },
+                    ) => col.fold(sel, Some(nulls), |_| (), count, no_arg),
+                    (AggFunc::Sum | AggFunc::Avg, Lane::Int { values, nulls }) => {
+                        each_width!(values, v => col.fold(sel, Some(nulls), |i| wide(v[i]), sum_int, |st, x| {
+                            update_cold(st, func, Value::Int(x))
+                        }))
                     }
-                    lane => sel.try_for_each(limit, |p, i| {
+                    (AggFunc::Sum | AggFunc::Avg, Lane::Float { values, nulls }) => col.fold(
+                        sel,
+                        Some(nulls),
+                        |i| values[i],
+                        sum_float,
+                        |st, x| update_cold(st, func, Value::Float(x)),
+                    ),
+                    (_, lane) => sel.try_for_each(limit, |p, i| {
                         col.at(p).update_value(func, Some(&lane.value(i)))
                     }),
                 }
@@ -684,6 +788,7 @@ impl GroupTable {
         }
         self.hashes.clear();
         self.slots.fill(0);
+        self.code_groups.clear();
         self.release();
         Ok(out)
     }
@@ -955,45 +1060,6 @@ impl AggState {
             }
             _ => self.update(v),
         }
-    }
-
-    /// [`update_value`](Self::update_value) of a non-NULL INT read off a
-    /// typed lane, without the `Value`: `Int` against an `Int` accumulator is
-    /// decided here, every other pairing by `update_value`.
-    #[inline]
-    fn update_int(&mut self, func: AggFunc, x: i64) -> Result<()> {
-        match self {
-            AggState::Count(n) => *n += 1,
-            AggState::Sum(acc) => add_int(acc, x)?,
-            AggState::Avg { sum, n } => {
-                add_int(sum, x)?;
-                *n += 1;
-            }
-            AggState::Min(Value::Int(a)) => *a = (*a).min(x),
-            AggState::Max(Value::Int(a)) => *a = (*a).max(x),
-            AggState::Min(_) | AggState::Max(_) => {
-                return self.update_value(func, Some(&Value::Int(x)))
-            }
-        }
-        Ok(())
-    }
-
-    /// The FLOAT sibling of [`update_int`](Self::update_int); MIN/MAX go
-    /// through `update_value`, which owns the NaN error.
-    #[inline]
-    fn update_float(&mut self, func: AggFunc, x: f64) -> Result<()> {
-        match self {
-            AggState::Count(n) => *n += 1,
-            AggState::Sum(acc) => add_float(acc, x)?,
-            AggState::Avg { sum, n } => {
-                add_float(sum, x)?;
-                *n += 1;
-            }
-            AggState::Min(_) | AggState::Max(_) => {
-                return self.update_value(func, Some(&Value::Float(x)))
-            }
-        }
-        Ok(())
     }
 }
 

@@ -19,6 +19,12 @@
 //!   flattens (clean close vs. truncated frame vs. idle timeout), so they
 //!   speak to the framed connection itself via [`Frame`].
 //!
+//! The send path is one framing loop: a frame's header and payload go out
+//! as one vectored write, and [`send_frames`](TcpConn::send_frames) writes a
+//! run of frames — a whole query answer — the same way, with no copy of the
+//! payloads into one buffer. The bytes are the frames a send per frame
+//! would write, in the same order.
+//!
 //! The receive path is a resumable state machine: a frame read that stops
 //! at a `WouldBlock` keeps its progress (header bytes and partial payload)
 //! inside the connection and picks up exactly where it left off on the
@@ -26,8 +32,10 @@
 //! the machine to completion — but it is what lets the service's session
 //! scheduler drive thousands of parked connections with non-blocking
 //! [`poll_recv`](TcpConn::poll_recv) calls from one thread (DESIGN.md §12).
+//! A blocking [`recv`](TcpConn::recv) sets the socket's read timeout only
+//! when the armed idle timeout differs from the one it last set.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -124,6 +132,8 @@ impl PartialFrame {
 struct RecvHalf {
     reader: BufReader<TcpStream>,
     partial: Option<PartialFrame>,
+    /// The read timeout last set on the socket (`None` = none, as opened).
+    armed: Option<Duration>,
 }
 
 /// What one `drive` pass produced (the caller assigns meaning to
@@ -140,7 +150,9 @@ enum Step {
 /// Progress is kept in `half.partial` across `WouldBlock` returns.
 fn drive(half: &mut RecvHalf, max_frame: usize, buffered: &AtomicUsize) -> Result<Step> {
     loop {
-        let RecvHalf { reader, partial } = half;
+        let RecvHalf {
+            reader, partial, ..
+        } = half;
         let p = match partial {
             Some(p) => p,
             None => {
@@ -258,6 +270,7 @@ impl TcpConn {
             recv_half: Mutex::new(RecvHalf {
                 reader: BufReader::with_capacity(RECV_BUFFER_CAPACITY, read_half),
                 partial: None,
+                armed: None,
             }),
             writer: Mutex::new(stream),
             max_frame,
@@ -320,27 +333,23 @@ impl TcpConn {
         self.local
     }
 
-    /// Send one frame (header + payload), flushed to the socket.
+    /// Send one frame (header + payload) in one vectored write.
     pub fn send(&self, payload: &[u8]) -> Result<()> {
-        if payload.len() > self.max_frame {
-            return Err(CsqError::Net(format!(
-                "refusing to send {}-byte frame (limit {})",
-                payload.len(),
-                self.max_frame
-            )));
+        self.send_frames(&[payload])
+    }
+
+    /// Send `payloads` as consecutive frames — the same bytes as one
+    /// [`send`](Self::send) each, in order — in one vectored write that
+    /// resumes after a short write, so an answer's frames cost one syscall
+    /// and are not copied into one buffer first.
+    pub fn send_frames(&self, payloads: &[&[u8]]) -> Result<()> {
+        match self.write_frames(payloads)? {
+            Ok(()) => Ok(()),
+            Err(e) if is_wouldblock(&e) => {
+                Err(CsqError::Net("send stalled (peer stopped reading)".into()))
+            }
+            Err(e) => Err(io_net("send frame", e)),
         }
-        let mut w = self.writer.lock();
-        let header = (payload.len() as u32).to_le_bytes();
-        w.write_all(&header)
-            .and_then(|()| w.write_all(payload))
-            .and_then(|()| w.flush())
-            .map_err(|e| {
-                if is_wouldblock(&e) {
-                    CsqError::Net("send stalled (peer stopped reading)".into())
-                } else {
-                    io_net("send frame", e)
-                }
-            })
     }
 
     /// Non-blocking best-effort send of one frame. `Ok(true)` means the
@@ -351,29 +360,51 @@ impl TcpConn {
     /// response frames are small, so a refusal here implies a peer that is
     /// flooding requests without draining answers.
     pub fn try_send(&self, payload: &[u8]) -> Result<bool> {
-        if payload.len() > self.max_frame {
+        match self.write_frames(&[payload])? {
+            Ok(()) => Ok(true),
+            Err(e) if is_wouldblock(&e) => Ok(false),
+            Err(e) => Err(io_net("send frame", e)),
+        }
+    }
+
+    /// The one framing and write loop under every send: each payload's
+    /// header then its bytes, written by `write_vectored` until all are out.
+    /// The outer error refuses an oversized payload before a byte is
+    /// written; the inner one is the socket's (`WouldBlock` when a write
+    /// timeout expires or a non-blocking socket is full).
+    fn write_frames(&self, payloads: &[&[u8]]) -> Result<std::io::Result<()>> {
+        if let Some(big) = payloads.iter().find(|p| p.len() > self.max_frame) {
             return Err(CsqError::Net(format!(
                 "refusing to send {}-byte frame (limit {})",
-                payload.len(),
+                big.len(),
                 self.max_frame
             )));
         }
+        let headers: Vec<[u8; FRAME_HEADER_BYTES]> = payloads
+            .iter()
+            .map(|p| (p.len() as u32).to_le_bytes())
+            .collect();
+        let mut slices: Vec<IoSlice<'_>> = headers
+            .iter()
+            .zip(payloads)
+            .flat_map(|(h, p)| [IoSlice::new(h), IoSlice::new(p)])
+            .collect();
+        let mut bufs = &mut slices[..];
         let mut w = self.writer.lock();
-        let header = (payload.len() as u32).to_le_bytes();
-        for chunk in [&header[..], payload] {
-            let mut off = 0;
-            while off < chunk.len() {
-                match w.write(&chunk[off..]) {
-                    Ok(0) => return Err(CsqError::Net("send frame: wrote 0 bytes".into())),
-                    Ok(n) => off += n,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(e) if is_wouldblock(&e) => return Ok(false),
-                    Err(e) => return Err(io_net("send frame", e)),
+        while !bufs.is_empty() {
+            match w.write_vectored(bufs) {
+                Ok(0) => {
+                    return Ok(Err(std::io::Error::new(
+                        std::io::ErrorKind::WriteZero,
+                        "wrote 0 bytes",
+                    )))
                 }
+                Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Ok(Err(e)),
             }
         }
-        let _ = w.flush();
-        Ok(true)
+        Ok(Ok(()))
     }
 
     /// Receive the next frame event. Errors are terminal for the
@@ -384,12 +415,15 @@ impl TcpConn {
     pub fn recv(&self) -> Result<Frame> {
         let mut half = self.recv_half.lock();
         let timeout = *self.idle_timeout.lock();
-        // Apply the configured timeout unconditionally (a previous recv may
-        // have left a different value on the socket).
-        half.reader
-            .get_ref()
-            .set_read_timeout(timeout)
-            .map_err(|e| io_net("set_read_timeout", e))?;
+        // Only `recv` sets the socket's read timeout, so it is re-armed only
+        // when the configured value differs from the one it armed last.
+        if half.armed != timeout {
+            half.reader
+                .get_ref()
+                .set_read_timeout(timeout)
+                .map_err(|e| io_net("set_read_timeout", e))?;
+            half.armed = timeout;
+        }
         if timeout.is_some() && half.partial.is_none() {
             // Waiting for a frame to *start* is the only benign timeout.
             match half.reader.fill_buf() {
@@ -509,6 +543,43 @@ mod tests {
             Frame::Payload(p) => assert_eq!(p.len(), 1000),
             other => panic!("expected payload, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn send_frames_writes_the_frames_a_send_each_would_in_order() {
+        let (server, client) = loopback_pair();
+        // Far past a socket buffer, so the vectored write has to resume
+        // after short writes.
+        let big: Vec<u8> = (0..3 << 20).map(|i| (i % 251) as u8).collect();
+        let reader = std::thread::spawn(move || {
+            (0..4)
+                .map(|_| match client.recv().unwrap() {
+                    Frame::Payload(p) => p,
+                    other => panic!("expected payload, got {other:?}"),
+                })
+                .collect::<Vec<_>>()
+        });
+        let frames: [&[u8]; 4] = [&[1, 2, 3], &[], &big, &[7]];
+        server.send_frames(&frames).unwrap();
+        assert_eq!(reader.join().unwrap(), frames.map(<[u8]>::to_vec));
+    }
+
+    #[test]
+    fn recv_rearms_the_read_timeout_only_when_it_changes() {
+        let (server, client) = loopback_pair();
+        let armed = || server.recv_half.lock().armed;
+        assert_eq!(armed(), None);
+        let tick = Some(Duration::from_millis(20));
+        server.set_idle_timeout(tick);
+        assert!(matches!(server.recv().unwrap(), Frame::TimedOut));
+        assert_eq!(armed(), tick);
+        client.send(&[1]).unwrap();
+        assert!(matches!(server.recv().unwrap(), Frame::Payload(_)));
+        assert_eq!(armed(), tick);
+        server.set_idle_timeout(None);
+        client.send(&[2]).unwrap();
+        assert!(matches!(server.recv().unwrap(), Frame::Payload(_)));
+        assert_eq!(armed(), None);
     }
 
     #[test]

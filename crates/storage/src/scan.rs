@@ -490,36 +490,42 @@ impl LaneTest {
     /// it is UNKNOWN (a NULL value or literal, a NaN ordering). A typed
     /// pairing cannot raise; the scan compiles an untyped one only where the
     /// zone map proved it error-free, and a pairing that is neither leaves
-    /// `sel` alone.
-    fn retain(&self, lane: &Lane, keep_unknown: bool, sel: &mut Vec<usize>) {
-        let op = self.op;
-        let tri = |ord: Option<Ordering>| ord.map_or(keep_unknown, |o| op.accepts(o));
-        // A typed lane: NULL rows are UNKNOWN, row `i` of the rest orders as
-        // `cmp(i)`.
+    /// `sel` alone. The operator is decided once, into a verdict per
+    /// ordering, and a lane with no NULL is not tested for one.
+    fn retain(&self, lane: &Lane, keep_unknown: bool, sel: &mut Selection) {
+        let accept =
+            [Ordering::Less, Ordering::Equal, Ordering::Greater].map(|o| self.op.accepts(o));
+        let hit = |o: Ordering| accept[(o as i8 + 1) as usize];
+        let tri = |ord: Option<Ordering>| ord.map_or(keep_unknown, hit);
+        // A typed lane: NULL rows are UNKNOWN, `test(i)` decides the rest.
         fn typed(
-            sel: &mut Vec<usize>,
+            sel: &mut Selection,
             nulls: &NullBitmap,
-            tri: impl Fn(Option<Ordering>) -> bool,
-            cmp: impl Fn(usize) -> Option<Ordering>,
+            keep_unknown: bool,
+            test: impl Fn(usize) -> bool,
         ) {
-            sel.retain(|&i| tri((!nulls.get(i)).then(|| cmp(i)).flatten()))
+            if nulls.count_ones() == 0 {
+                sel.retain(test)
+            } else {
+                sel.retain(|i| if nulls.get(i) { keep_unknown } else { test(i) })
+            }
         }
         match (lane, &self.lit) {
             (_, LaneLit::Null) => sel.retain(|_| keep_unknown),
             (Lane::Int { values, nulls }, LaneLit::Int(b)) => each_width!(values, v => {
-                typed(sel, nulls, tri, |i| Some(wide(v[i]).cmp(b)))
+                typed(sel, nulls, keep_unknown, |i| hit(wide(v[i]).cmp(b)))
             }),
             (Lane::Int { values, nulls }, LaneLit::Float(b)) => each_width!(values, v => {
-                typed(sel, nulls, tri, |i| (wide(v[i]) as f64).partial_cmp(b))
+                typed(sel, nulls, keep_unknown, |i| tri((wide(v[i]) as f64).partial_cmp(b)))
             }),
             (Lane::Float { values, nulls }, LaneLit::Float(b)) => {
-                typed(sel, nulls, tri, |i| values[i].partial_cmp(b))
+                typed(sel, nulls, keep_unknown, |i| tri(values[i].partial_cmp(b)))
             }
             (Lane::Bool { values, nulls }, LaneLit::Bool(b)) => {
-                typed(sel, nulls, tri, |i| Some(values[i].cmp(b)))
+                typed(sel, nulls, keep_unknown, |i| hit(values[i].cmp(b)))
             }
             (Lane::StrDict { codes, .. }, LaneLit::Dict(accept)) => {
-                sel.retain(|&i| match codes[i] {
+                sel.retain(|i| match codes[i] {
                     u32::MAX => keep_unknown,
                     c => accept[c as usize],
                 })
@@ -527,7 +533,7 @@ impl LaneTest {
             // An `Err` cannot happen on a conjunct proved error-free; keeping
             // the row leaves it to the filter.
             (Lane::Values(values), LaneLit::Value(lit)) => {
-                sel.retain(|&i| values[i].sql_cmp(lit).map_or(true, tri))
+                sel.retain(|i| values[i].sql_cmp(lit).map_or(true, tri))
             }
             _ => {}
         }
@@ -541,17 +547,11 @@ fn narrow<'a>(
     tests: impl IntoIterator<Item = (&'a Lane, &'a LaneTest)>,
     keep_unknown: bool,
 ) -> Selection {
-    let mut kept: Vec<usize> = match sel {
-        Selection::Window(w) => w.clone().collect(),
-        Selection::Rows(rows) => rows.clone(),
-    };
+    let mut kept = sel.clone();
     for (lane, test) in tests {
         test.retain(lane, keep_unknown, &mut kept);
     }
-    match sel {
-        Selection::Window(w) if kept.len() == w.len() => Selection::Window(w.clone()),
-        _ => Selection::Rows(kept),
-    }
+    kept
 }
 
 fn flatten_and<'a>(e: &'a PhysExpr, out: &mut Vec<&'a PhysExpr>) {

@@ -825,6 +825,197 @@ mod pinned {
     }
 }
 
+/// Full 1 024-row windows through the lane kernels, in default-size tables
+/// (the property above draws at most 160 rows at 16 or fewer a segment).
+/// A one-byte key's code map lives across batches and must be dropped
+/// whenever the table drains: a spill flush mid-build is the case that
+/// shows a stale map, so every input here also runs under a budget.
+mod kernels {
+    use super::*;
+    use csq_common::DEFAULT_BATCH_SIZE;
+    use csq_storage::DEFAULT_SEGMENT_ROWS;
+
+    /// COUNT(*), COUNT(v), SUM/AVG over the INT and the FLOAT lane, MIN(v),
+    /// MAX(f).
+    fn calls() -> Vec<CallSpec> {
+        let call = |func, arg| CallSpec { func, arg };
+        vec![
+            call(AggFunc::Count, None),
+            call(AggFunc::Count, Some(2)),
+            call(AggFunc::Sum, Some(2)),
+            call(AggFunc::Avg, Some(2)),
+            call(AggFunc::Sum, Some(3)),
+            call(AggFunc::Avg, Some(3)),
+            call(AggFunc::Min, Some(2)),
+            call(AggFunc::Max, Some(3)),
+        ]
+    }
+
+    /// `rows` in a table of default-size segments, sealed.
+    fn default_table(rows: &[Row]) -> Arc<Table> {
+        let t = Table::new("t", base_schema()).unwrap();
+        t.insert_all(rows.to_vec()).unwrap();
+        t.seal_tail();
+        Arc::new(t)
+    }
+
+    /// `rows` grouped by `k1` off the scan, single-phase and partial→final,
+    /// with `memory`'s budget when given.
+    fn scanned(
+        rows: &[Row],
+        phases: Phases,
+        memory: Option<Arc<MemoryTracker>>,
+    ) -> Result<Vec<Row>> {
+        let cols: Vec<usize> = (0..base_schema().len()).collect();
+        aggregate_scan(
+            &default_table(rows),
+            &cols,
+            vec![0],
+            specs_of(&calls()),
+            phases,
+            memory,
+        )
+    }
+
+    /// Three segments: keys 0..3 (one-byte INT) in the first and the last,
+    /// and in the middle one sixty more keys from 300 up, so that segment's
+    /// key lane is two bytes wide; a NULL key every 37 rows throughout.
+    fn mixed_width_keys() -> Vec<Row> {
+        (0..3 * DEFAULT_SEGMENT_ROWS as i64)
+            .map(|i| {
+                let wide =
+                    (DEFAULT_SEGMENT_ROWS as i64..2 * DEFAULT_SEGMENT_ROWS as i64).contains(&i);
+                let k = match i {
+                    _ if i % 37 == 0 => Value::Null,
+                    _ if wide && i % 3 == 0 => Value::Int(300 + i % 60),
+                    _ => Value::Int(i % 3),
+                };
+                let v = if i % 11 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(i % 1000 + 1)
+                };
+                let f = if i % 13 == 0 {
+                    Value::Null
+                } else {
+                    Value::Float((i % 8) as f64 * 0.25)
+                };
+                Row::new(vec![k, Value::Null, v, f, Value::Null])
+            })
+            .collect()
+    }
+
+    /// Run `rows` single-phase and partial→final under `budget`, each held
+    /// to the reference; the budget must have forced a spill and every
+    /// tracked byte must come back.
+    fn assert_spilled_agrees(rows: &[Row], budget: usize) {
+        let reference = naive_reference(rows, &[0], &calls());
+        for phases in [Phases::Single, Phases::PartialThenFinal] {
+            let tracker = MemoryTracker::new(budget);
+            let got = scanned(rows, phases, Some(tracker.clone()));
+            assert_agree(
+                &format!("{phases:?} at a {budget}-byte budget"),
+                &reference,
+                &got,
+            );
+            assert!(
+                tracker.spill_count() > 0,
+                "a {budget}-byte budget must spill"
+            );
+            assert_eq!(tracker.used(), 0);
+        }
+    }
+
+    #[test]
+    fn one_and_two_byte_key_segments_with_nulls_agree_with_the_reference() {
+        let rows = mixed_width_keys();
+        assert!(rows.len() >= 3 * DEFAULT_BATCH_SIZE);
+        let reference = naive_reference(&rows, &[0], &calls());
+        let serial = run_serial(rows.clone(), vec![0], specs_of(&calls()));
+        assert_agree("serial", &reference, &serial);
+        for phases in [Phases::Single, Phases::PartialThenFinal] {
+            let got = scanned(&rows, phases, None);
+            assert_agree(&format!("{phases:?}"), &reference, &got);
+        }
+        // First-occurrence order, across the segment whose keys are hashed.
+        assert_eq!(
+            scanned(&rows, Phases::Single, None).unwrap(),
+            serial.unwrap()
+        );
+        // Four groups fit in 4 KB and sixty-odd do not: the wide segment
+        // spills, and the last segment's one-byte keys must not find the
+        // first segment's groups in a code map the spill left behind.
+        assert_spilled_agrees(&rows, 4096);
+    }
+
+    #[test]
+    fn the_same_keys_under_a_zero_budget_drop_the_code_map_at_every_spill() {
+        assert_spilled_agrees(&mixed_width_keys(), 0);
+    }
+
+    /// One default segment, keys `i % 7`, `v` positive; `v` is `i64::MAX` on
+    /// the row at `overflow_at` and `f` is NaN on the row at `nan_at`.
+    fn failing_at(overflow_at: usize, nan_at: usize) -> Vec<Row> {
+        (0..DEFAULT_SEGMENT_ROWS)
+            .map(|i| {
+                let v = if i == overflow_at {
+                    i64::MAX
+                } else {
+                    i as i64 % 100 + 1
+                };
+                let f = if i == nan_at {
+                    f64::NAN
+                } else {
+                    (i % 8) as f64 * 0.25
+                };
+                let k = Value::Int(i as i64 % 7);
+                Row::new(vec![
+                    k,
+                    Value::Null,
+                    Value::Int(v),
+                    Value::Float(f),
+                    Value::Null,
+                ])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_sum_overflowing_in_the_third_window_raises_the_row_loops_error_at_its_row() {
+        // The row holding `i64::MAX` overflows its group's running sum; a
+        // NaN under MAX(f) fails on another row of the same window. The
+        // earlier of the two rows names the error, whichever call it is.
+        let third = 2 * DEFAULT_BATCH_SIZE;
+        for (overflow_at, nan_at, expect) in [
+            (third + 500, third + 700, "exec error: integer overflow"),
+            (
+                third + 500,
+                third + 300,
+                "exec error: incomparable values in sort key",
+            ),
+        ] {
+            let rows = failing_at(overflow_at, nan_at);
+            let serial = run_serial(rows.clone(), vec![0], specs_of(&calls()));
+            assert_eq!(serial.unwrap_err().to_string(), expect, "the row loop");
+            for phases in [Phases::Single, Phases::PartialThenFinal] {
+                for memory in [None, Some(MemoryTracker::new(0))] {
+                    let spills = memory.is_some();
+                    let got = scanned(&rows, phases, memory.clone());
+                    assert_eq!(
+                        got.unwrap_err().to_string(),
+                        expect,
+                        "{phases:?}, spilling: {spills}"
+                    );
+                    if let Some(t) = memory {
+                        assert!(t.spill_count() > 0, "the first windows spill");
+                        assert_eq!(t.used(), 0);
+                    }
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

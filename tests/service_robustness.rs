@@ -7,7 +7,7 @@
 //! runs in release mode on every push so connection/disconnect races get
 //! real scheduler pressure.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -17,7 +17,7 @@ use csq::prelude::*;
 use csq_client::synthetic::ObjectUdf;
 use csq_client::{QueryRequest, QueryResponse};
 use csq_common::Blob;
-use csq_common::Field;
+use csq_common::{Field, RowBatch};
 use csq_core::service;
 use csq_expr::{AggFunc, AggSpec, BinaryOp, PhysExpr, UnaryOp};
 use csq_net::TcpConn;
@@ -280,6 +280,90 @@ fn oversized_frame_is_refused_before_allocation() {
 
     let ok = query_until_admitted(handle.local_addr(), COUNT_SQL, Duration::from_secs(10));
     assert_eq!(ok.rows[0].value(0), &Value::Int(30));
+    handle.shutdown();
+}
+
+/// One answer leaves the server in one write, but the bytes on the wire are
+/// still its frames in order — `Begin`, the `Rows` chunks
+/// `encode_rows_frames` cuts, `End` — and both ends count them per frame,
+/// as they did when each frame was its own send.
+#[test]
+fn an_answer_is_its_frames_in_order_and_counted_frame_by_frame() {
+    const SQL: &str = "SELECT R.Id FROM R R WHERE R.Id < 5";
+    let db = demo_db(20);
+    let config = ServiceConfig {
+        chunk_rows: 2,
+        ..small_config()
+    };
+    let handle = start(&db, config);
+    let framed = |payload: &[u8]| {
+        let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(payload);
+        out
+    };
+    let request = QueryRequest::Query {
+        sql: SQL.into(),
+        deadline_ms: 0,
+    }
+    .encode();
+
+    // Read the first answer off a raw socket: five frames, then silence.
+    let mut raw = TcpStream::connect(handle.local_addr()).unwrap();
+    raw.write_all(&framed(&request)).unwrap();
+    let mut got = Vec::new();
+    for _ in 0..5 {
+        let mut header = [0u8; 4];
+        raw.read_exact(&mut header).unwrap();
+        let mut payload = vec![0u8; u32::from_le_bytes(header) as usize];
+        raw.read_exact(&mut payload).unwrap();
+        got.extend(framed(&payload));
+    }
+    raw.set_read_timeout(Some(Duration::from_millis(50)))
+        .unwrap();
+    assert!(
+        raw.read(&mut [0u8; 1]).is_err(),
+        "nothing follows the End frame"
+    );
+
+    // Those bytes are exactly the frames the rows make.
+    let local = db.execute(SQL).unwrap();
+    assert_eq!(local.rows.len(), 5);
+    let batch = RowBatch::from_rows(Arc::new(local.schema.clone()), local.rows.clone());
+    let columns = local.schema.fields().iter().map(|f| f.display_name());
+    let mut frames = vec![QueryResponse::Begin {
+        columns: columns.collect(),
+    }
+    .encode()];
+    frames.extend(QueryResponse::encode_rows_frames(&[batch], 2));
+    let end = QueryResponse::End {
+        rows: 5,
+        affected: 0,
+        plan_cache_hit: false,
+    };
+    frames.push(end.encode());
+    assert_eq!(frames.len(), 5, "Begin, Rows of 2, 2 and 1 rows, End");
+    let expect: Vec<u8> = frames.iter().flat_map(|f| framed(f)).collect();
+    assert_eq!(got, expect);
+
+    // Each end's counts are what a send per frame recorded: one frame and
+    // its header up, five frames and theirs down.
+    let (up, down) = (request.len() as u64 + 4, expect.len() as u64);
+    let server = handle.net_stats();
+    assert_eq!((server.up_messages(), server.up_bytes()), (1, up));
+    assert_eq!((server.down_messages(), server.down_bytes()), (5, down));
+    let mut conn = ServiceConn::connect(handle.local_addr()).unwrap();
+    let served = conn.query(SQL).unwrap();
+    assert_eq!(served.rows, local.rows);
+    assert!(served.plan_cache_hit);
+    let client = conn.stats();
+    assert_eq!((client.up_messages(), client.up_bytes()), (1, up));
+    assert_eq!((client.down_messages(), client.down_bytes()), (5, down));
+    assert_eq!((server.up_messages(), server.up_bytes()), (2, 2 * up));
+    assert_eq!(
+        (server.down_messages(), server.down_bytes()),
+        (10, 2 * down)
+    );
+    conn.close();
     handle.shutdown();
 }
 
