@@ -62,6 +62,7 @@ use csq_net::NetworkSpec;
 use csq_opt::{AggPlacement, PlanNode};
 use csq_sql::{parse_statement, Statement};
 
+use crate::lower::Link;
 use crate::result::QueryResult;
 use crate::{Cached, Database, PlannedQuery};
 
@@ -275,9 +276,9 @@ impl Coordinator {
     /// pruned]` / `Gather [ordered|merge]` nodes included), plus its
     /// estimated cost.
     pub fn explain(&self, sql: &str) -> Result<String> {
-        let Cached::Select(planned, hit) = self.engine.plan_cached(sql)? else {
-            return Err(CsqError::Plan("EXPLAIN only supports SELECT".into()));
-        };
+        let (planned, hit) = self
+            .engine
+            .plan_cached_select(sql, "EXPLAIN only supports SELECT")?;
         let planned = self.counted(planned, hit);
         Ok(self.engine.render_explain(&planned.graph, &planned.plan))
     }
@@ -335,9 +336,10 @@ impl Coordinator {
             }
             Ok(rows)
         };
-        let (graph, plan) = (&planned.graph, &planned.plan);
-        let token = CancelToken::new();
-        let out = crate::lower::run_tree(&self.engine, graph, plan, &token, None, Some(&gather))?;
+        let link = Link::Gathered(&gather);
+        let (out, _, _) = self
+            .engine
+            .run_planned(&planned, false, &CancelToken::new(), link)?;
         Ok(out.into_result())
     }
 

@@ -2,17 +2,20 @@
 //!
 //! Ties the whole reproduction together: a [`Database`] owns the server
 //! catalog, the client-site UDF runtime, and the network description; SQL
-//! text goes in, rows come out. Three execution paths:
+//! text goes in, rows come out. One statement path over two links: every
+//! text goes through the plan cache, and every planned SELECT through one
+//! run that lowers and drains one operator tree. The link picks only the
+//! duplex under each client-site operator:
 //!
-//! * [`Database::execute`] — the *threaded* engine: real sender/receiver
+//! * [`Database::execute`] — the *threaded* link: real sender/receiver
 //!   threads, a real client thread, an in-memory duplex in real time (bytes
 //!   counted, transfer instant). The correctness path.
-//! * [`Database::execute_simulated`] — the *virtual-time* engine: the same
-//!   plan, the same operator tree and the same client code; only the duplex
-//!   under each client-site operator differs, every message on it timed by
-//!   the discrete-event link model. Returns a [`SimSummary`] with
-//!   completion time and per-link byte accounting.
-//! * [`Database::explain`] — the §5 optimizer's chosen plan as text.
+//! * [`Database::execute_simulated`] — the *virtual-time* link: every
+//!   message on it timed by the discrete-event link model. Returns a
+//!   [`SimSummary`] with completion time and per-link byte accounting.
+//!
+//! [`Database::explain`] renders the §5 optimizer's plan from the same
+//! cache; [`Database::optimize`] alone plans without it.
 //!
 //! ```
 //! use csq_core::Database;
@@ -37,6 +40,7 @@ mod result;
 pub mod service;
 
 pub use coord::{CoordStats, Coordinator, CoordinatorConfig};
+use lower::Link;
 pub use lower::SimSummary;
 pub use plancache::{PlanCache, PlanCacheStats, PlannedQuery};
 pub use result::QueryResult;
@@ -79,9 +83,9 @@ pub struct Database {
     client: Arc<ClientRuntime>,
     udf_metas: RwLock<Vec<UdfMeta>>,
     net: RwLock<NetworkSpec>,
-    /// Bumped on every change that can alter a plan (DDL, DML, UDF
-    /// (re-)registration, network change); cached plans are stamped with
-    /// it so a stale plan can never be served.
+    /// Bumped on every change outside the catalog that can alter a plan
+    /// (UDFs, network, a coordinator's remote tables); plus the catalog's
+    /// [`changes`](Catalog::changes), the [`plan_epoch`](Self::plan_epoch).
     plan_epoch: AtomicU64,
     plan_cache: PlanCache,
     /// Byte budget for stateful operators; lowering attaches it to
@@ -155,9 +159,10 @@ impl Database {
     /// optimizer reads — catalog and remote-table statistics, UDF metadata,
     /// *and* the network description (see [`set_network`](Self::set_network), which
     /// bumps it) — rolls into this one counter, so equal epochs mean the
-    /// optimizer would reproduce the same plan.
+    /// optimizer would reproduce the same plan. A table's statistics move it
+    /// whichever path changed them ([`Catalog::changes`]).
     pub fn plan_epoch(&self) -> u64 {
-        self.plan_epoch.load(Ordering::SeqCst)
+        self.plan_epoch.load(Ordering::SeqCst) + self.catalog.changes()
     }
 
     /// The server catalog (for direct table registration by workload
@@ -274,9 +279,10 @@ impl Database {
         ctx
     }
 
-    /// Execute one SQL statement on the threaded engine.
+    /// Execute one SQL statement on the threaded engine, planning a SELECT
+    /// through the plan cache.
     pub fn execute(&self, sql: &str) -> Result<QueryResult> {
-        self.execute_statement(parse_statement(sql)?)
+        Ok(self.execute_cached_with(sql, &CancelToken::new())?.0)
     }
 
     /// Optimize a parsed SELECT against the current statistics, UDF metadata
@@ -288,30 +294,26 @@ impl Database {
         Ok((graph, plan))
     }
 
-    /// Parse `sql` and [`plan`](Self::plan) it; any statement other than a
-    /// SELECT is a plan error saying `not_select`.
-    fn plan_sql(&self, sql: &str, not_select: &str) -> Result<(QueryGraph, OptimizedPlan)> {
-        match parse_statement(sql)? {
-            Statement::Select(sel) => self.plan(&sel),
-            _ => Err(CsqError::Plan(not_select.into())),
-        }
-    }
-
     /// Execute a SELECT on the virtual-time engine, returning rows plus the
-    /// simulated timing/byte summary under the database's network.
+    /// simulated timing/byte summary under the database's network. Plans
+    /// through the plan cache.
     pub fn execute_simulated(&self, sql: &str) -> Result<(QueryResult, SimSummary)> {
-        let (graph, plan) =
-            self.plan_sql(sql, "execute_simulated only supports SELECT statements")?;
-        lower::execute_simulated(self, &graph, &plan)
+        let (planned, _) =
+            self.plan_cached_select(sql, "execute_simulated only supports SELECT statements")?;
+        let mut summary = SimSummary::default();
+        let link = Link::Virtual(&mut summary);
+        let (out, _, _) = self.run_planned(&planned, false, &CancelToken::new(), link)?;
+        Ok((out.into_result(), summary))
     }
 
     /// The optimizer's chosen plan, rendered as an indented tree, with its
-    /// estimated network cost. Scan lines carry live zone-map pruning
-    /// counts (`segments: N pruned / M`) computed against the current
-    /// catalog, so selective filters are visible before running the query.
+    /// estimated network cost; planned through the plan cache. Scan lines
+    /// carry live zone-map pruning counts (`segments: N pruned / M`)
+    /// computed against the current catalog, so selective filters are
+    /// visible before running the query.
     pub fn explain(&self, sql: &str) -> Result<String> {
-        let (graph, plan) = self.plan_sql(sql, "EXPLAIN only supports SELECT")?;
-        Ok(self.render_explain(&graph, &plan))
+        let (planned, _) = self.plan_cached_select(sql, "EXPLAIN only supports SELECT")?;
+        Ok(self.render_explain(&planned.graph, &planned.plan))
     }
 
     /// [`explain`](Self::explain)'s text for a planned query.
@@ -380,35 +382,30 @@ impl Database {
         }
     }
 
-    /// Optimize without executing (for tests and benches that inspect plan
-    /// shapes).
+    /// The planner on its own: parse and optimize `sql` against the current
+    /// statistics, UDF metadata and network, every time. It never reads or
+    /// fills the plan cache, so timing it times planning (tests and benches
+    /// inspect plan shapes and planning cost through it).
     pub fn optimize(&self, sql: &str) -> Result<(QueryGraph, OptimizedPlan)> {
-        self.plan_sql(sql, "optimize only supports SELECT")
+        match parse_statement(sql)? {
+            Statement::Select(sel) => self.plan(&sel),
+            _ => Err(CsqError::Plan("optimize only supports SELECT".into())),
+        }
     }
 
     /// Run a `;`-separated script, returning the last statement's result.
+    /// The whole script parses before any statement runs; each then runs
+    /// from its own text, as [`execute`](Self::execute) runs it.
     pub fn execute_script(&self, sql: &str) -> Result<QueryResult> {
-        let stmts = csq_sql::parse_statements(sql)?;
         let mut last = QueryResult::empty();
-        for s in stmts {
-            // Re-render is lossy; dispatch directly instead.
-            last = self.execute_statement(s)?;
+        for (_, text) in csq_sql::parse_statements(sql)? {
+            last = self.execute(text)?;
         }
         Ok(last)
     }
 
-    fn execute_statement(&self, stmt: Statement) -> Result<QueryResult> {
-        match stmt {
-            Statement::Select(sel) => {
-                let (graph, plan) = self.plan(&sel)?;
-                let out = lower::execute_threaded(self, &graph, &plan, &CancelToken::new())?;
-                Ok(out.into_result())
-            }
-            other => self.execute_nontext(other, &CancelToken::new()),
-        }
-    }
-
-    fn execute_nontext(&self, stmt: Statement, token: &CancelToken) -> Result<QueryResult> {
+    /// Apply a `CREATE TABLE` or an `INSERT`; returns the rows stored.
+    fn apply(&self, stmt: Statement, token: &CancelToken) -> Result<usize> {
         match stmt {
             Statement::CreateTable { name, columns } => {
                 let fields = columns
@@ -417,9 +414,7 @@ impl Database {
                     .collect();
                 self.catalog
                     .register(Table::new(name, csq_common::Schema::new(fields))?)?;
-                // A new schema changes what the optimizer would produce.
-                self.bump_plan_epoch();
-                Ok(QueryResult::empty())
+                Ok(0)
             }
             Statement::Insert { table, rows } => {
                 // An unknown table is reported before any value is read, as
@@ -429,9 +424,9 @@ impl Database {
                     .into_iter()
                     .map(|exprs| insert_values(exprs).map(Row::new))
                     .collect::<Result<Vec<Row>>>()?;
-                Ok(QueryResult::count(self.insert_rows(&table, rows, token)?))
+                self.insert_rows(&table, rows, token)
             }
-            Statement::Select(_) => unreachable!("handled by execute_statement"),
+            Statement::Select(_) => unreachable!("plan_cached plans every SELECT"),
         }
     }
 
@@ -439,7 +434,7 @@ impl Database {
     /// path, behind SQL `INSERT` and the service's typed `Insert` alike;
     /// returns the rows stored. It fails before storing any row (`token`
     /// spent, unknown table, a row that does not fit the schema) or stores
-    /// them all, and bumps the plan epoch.
+    /// them all, which moves the plan epoch (see [`Catalog::changes`]).
     pub fn insert_rows(&self, table: &str, rows: Vec<Row>, token: &CancelToken) -> Result<usize> {
         token.check()?;
         let t = self.catalog.get(table)?;
@@ -456,126 +451,118 @@ impl Database {
             .collect();
         let n = rows.len();
         t.insert_all(rows)?;
-        self.bump_plan_epoch();
         Ok(n)
     }
 
-    // ---- prepared statements and the plan cache ---------------------------
+    // ---- the one statement path: the plan cache and the planned run -------
 
     /// Plan a SELECT through the plan cache: returns the (shared) planned
     /// query plus whether it was served from the cache. Non-SELECT
     /// statements cannot be prepared.
     pub fn prepare(&self, sql: &str) -> Result<(Arc<PlannedQuery>, bool)> {
+        self.plan_cached_select(sql, "only SELECT statements can be prepared")
+    }
+
+    /// Execute a prepared plan on the threaded engine. When the database's
+    /// plan epoch moved since the plan was made (DDL, any change to a
+    /// table's statistics, UDF re-registration, network change), the
+    /// statement transparently replans first. Returns the result, the plan
+    /// to pin for the next execution (same or replanned), and whether
+    /// planning was skipped.
+    pub fn execute_planned(
+        &self,
+        planned: &Arc<PlannedQuery>,
+    ) -> Result<(QueryResult, Arc<PlannedQuery>, bool)> {
+        let (out, fresh, reused) =
+            self.run_planned(planned, true, &CancelToken::new(), Link::Threaded)?;
+        Ok((out.into_result(), fresh, reused))
+    }
+
+    /// [`execute`](Self::execute) under a cancellation token (deadline
+    /// expiry or `cancel()` aborts at the next batch boundary with a typed
+    /// `timeout`/`cancelled` error); also returns whether a cached plan was
+    /// reused. A cache hit skips parsing *and* optimizing.
+    pub fn execute_cached_with(
+        &self,
+        sql: &str,
+        token: &CancelToken,
+    ) -> Result<(QueryResult, bool)> {
+        let (out, cache_hit) = self.run_sql(sql, token)?;
+        Ok((out.into_result(), cache_hit))
+    }
+
+    /// [`execute_cached_with`](Self::execute_cached_with), the result left
+    /// as the executor's output batches.
+    pub(crate) fn run_sql(&self, sql: &str, token: &CancelToken) -> Result<(ResultBatches, bool)> {
         match self.plan_cached(sql)? {
-            Cached::Select(planned, hit) => Ok((planned, hit)),
-            Cached::Other(_) => Err(CsqError::Plan(
-                "only SELECT statements can be prepared".into(),
-            )),
+            Cached::Select(planned, hit) => {
+                let (out, _, _) = self.run_planned(&planned, false, token, Link::Threaded)?;
+                Ok((out, hit))
+            }
+            // DDL and DML answer with a count, never with rows.
+            Cached::Other(stmt) => Ok((ResultBatches::count(self.apply(stmt, token)?), false)),
         }
     }
 
     /// `sql` as a SELECT planned through the plan cache, or as the parsed
-    /// statement when it is not one. A cache hit skips the parse.
+    /// statement when it is not one. A cache hit skips the parse; a SELECT
+    /// the cache lacks is planned, published and counted as a miss.
     pub(crate) fn plan_cached(&self, sql: &str) -> Result<Cached> {
         let epoch = self.plan_epoch();
         if let Some(planned) = self.plan_cache.lookup(epoch, sql) {
             return Ok(Cached::Select(planned, true));
         }
         Ok(match parse_statement(sql)? {
-            Statement::Select(sel) => Cached::Select(self.plan_select(sql, &sel, epoch)?, false),
+            Statement::Select(sel) => {
+                let (graph, plan) = self.plan(&sel)?;
+                let planned = Arc::new(PlannedQuery {
+                    sql: sql.to_string(),
+                    epoch,
+                    graph,
+                    plan,
+                });
+                self.plan_cache.insert(planned.clone());
+                Cached::Select(planned, false)
+            }
             other => Cached::Other(other),
         })
     }
 
-    /// Optimize a parsed SELECT and publish it to the plan cache.
-    fn plan_select(
+    /// [`plan_cached`](Self::plan_cached) for an entry point that takes only
+    /// a SELECT; any other statement is a plan error saying `not_select`.
+    pub(crate) fn plan_cached_select(
         &self,
         sql: &str,
-        sel: &csq_sql::SelectStmt,
-        epoch: u64,
-    ) -> Result<Arc<PlannedQuery>> {
-        let (graph, plan) = self.plan(sel)?;
-        let planned = Arc::new(PlannedQuery {
-            sql: sql.to_string(),
-            epoch,
-            graph,
-            plan,
-        });
-        self.plan_cache.insert(planned.clone());
-        Ok(planned)
-    }
-
-    /// Execute a prepared plan on the threaded engine. When the database's
-    /// plan epoch moved since the plan was made (DDL, DML, UDF
-    /// re-registration, network change), the statement transparently
-    /// replans first. Returns the result, the plan to pin for the next
-    /// execution (same or replanned), and whether planning was skipped.
-    pub fn execute_planned(
-        &self,
-        planned: &Arc<PlannedQuery>,
-    ) -> Result<(QueryResult, Arc<PlannedQuery>, bool)> {
-        self.execute_planned_with(planned, &CancelToken::new())
-    }
-
-    /// [`execute_planned`](Self::execute_planned) under a cancellation
-    /// token: deadline expiry or an explicit `cancel()` aborts execution at
-    /// the next batch boundary with a typed `timeout`/`cancelled` error.
-    pub fn execute_planned_with(
-        &self,
-        planned: &Arc<PlannedQuery>,
-        token: &CancelToken,
-    ) -> Result<(QueryResult, Arc<PlannedQuery>, bool)> {
-        let (out, fresh, reused) = self.execute_planned_batches(planned, token)?;
-        Ok((out.into_result(), fresh, reused))
-    }
-
-    /// [`execute_planned_with`](Self::execute_planned_with), the result left
-    /// as the executor's output batches.
-    pub(crate) fn execute_planned_batches(
-        &self,
-        planned: &Arc<PlannedQuery>,
-        token: &CancelToken,
-    ) -> Result<(ResultBatches, Arc<PlannedQuery>, bool)> {
-        if planned.epoch == self.plan_epoch() {
-            let out = lower::execute_threaded(self, &planned.graph, &planned.plan, token)?;
-            return Ok((out, planned.clone(), true));
-        }
-        self.plan_cache.record_stale_replan();
-        let (fresh, cache_hit) = self.prepare(&planned.sql)?;
-        let out = lower::execute_threaded(self, &fresh.graph, &fresh.plan, token)?;
-        Ok((out, fresh, cache_hit))
-    }
-
-    /// Execute one statement under a cancellation token, planning SELECTs
-    /// through the plan cache. Returns the result plus whether a cached plan
-    /// was reused. A cache hit skips parsing *and* optimizing.
-    pub fn execute_cached_with(
-        &self,
-        sql: &str,
-        token: &CancelToken,
-    ) -> Result<(QueryResult, bool)> {
-        let (out, cache_hit) = self.execute_cached_batches(sql, token)?;
-        Ok((out.into_result(), cache_hit))
-    }
-
-    /// [`execute_cached_with`](Self::execute_cached_with), the result left
-    /// as the executor's output batches.
-    pub(crate) fn execute_cached_batches(
-        &self,
-        sql: &str,
-        token: &CancelToken,
-    ) -> Result<(ResultBatches, bool)> {
+        not_select: &str,
+    ) -> Result<(Arc<PlannedQuery>, bool)> {
         match self.plan_cached(sql)? {
-            Cached::Select(planned, hit) => {
-                let out = lower::execute_threaded(self, &planned.graph, &planned.plan, token)?;
-                Ok((out, hit))
-            }
-            Cached::Other(other) => {
-                // DDL and DML answer with a count, never with rows.
-                let done = self.execute_nontext(other, token)?;
-                Ok((ResultBatches::count(done.affected), false))
-            }
+            Cached::Select(planned, hit) => Ok((planned, hit)),
+            Cached::Other(_) => Err(CsqError::Plan(not_select.into())),
         }
+    }
+
+    /// Run a planned SELECT over `link`: the one call of
+    /// [`lower::run_tree`]. A `pinned` plan, kept from an earlier lookup, is
+    /// planned again through the cache first when the epoch moved (a stale
+    /// replan); one [`plan_cached`](Self::plan_cached) just returned is
+    /// current by that lookup, so a SELECT whose planning overlapped a
+    /// concurrent write is not planned twice. Returns the output batches,
+    /// the plan that ran and whether it was reused.
+    pub(crate) fn run_planned(
+        &self,
+        planned: &Arc<PlannedQuery>,
+        pinned: bool,
+        token: &CancelToken,
+        link: Link<'_>,
+    ) -> Result<(ResultBatches, Arc<PlannedQuery>, bool)> {
+        let (planned, reused) = if !pinned || planned.epoch == self.plan_epoch() {
+            (planned.clone(), true)
+        } else {
+            self.plan_cache.record_stale_replan();
+            self.prepare(&planned.sql)?
+        };
+        let out = lower::run_tree(self, &planned.graph, &planned.plan, token, link)?;
+        Ok((out, planned, reused))
     }
 
     /// Plan-cache counters (hits/misses/stale replans/evictions).

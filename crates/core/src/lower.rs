@@ -1,28 +1,26 @@
 //! Plan lowering: optimizer [`PlanNode`] trees → execution.
 //!
-//! One lowering, two links. [`build_tree`] turns a plan into one operator
-//! tree — columnar scans, filters, nested-loop joins, aggregates, and the
-//! shipping operators of `csq-ship` — and both entry points drain that tree
-//! and project its batches onto the SELECT list. Each `ApplyUdf` node ships
-//! over its own duplex to its own client thread, and the link picks only
-//! which duplex:
+//! One lowering, one run, two links. [`run_tree`] is the only way a plan
+//! runs: `build_tree` turns it into one operator tree — columnar scans,
+//! filters, nested-loop joins, aggregates, and the shipping operators of
+//! `csq-ship` — drains that tree and projects its batches onto the SELECT
+//! list, leaving the result as batches ([`ResultBatches`]): rows are built
+//! by whoever receives them. Each `ApplyUdf` node ships over its own duplex
+//! to its own client thread, and the [`Link`] picks only which duplex:
 //!
-//! * **Threaded** ([`execute_threaded`]): an in-memory duplex in real time;
-//!   the tree is drained on the caller's thread, and the result stays
-//!   batches ([`ResultBatches`]) — rows are built by whoever receives them.
-//! * **Virtual time** ([`execute_simulated`]): a virtual-time duplex over
-//!   the database's network; once the tree drains, each node's run (its
-//!   clock, bytes and client CPU) is folded into a [`SimSummary`] (phases
-//!   are sequential — a conservative approximation of the pipelined
-//!   reality, documented in DESIGN.md); the final delivery crosses the
-//!   modelled downlink.
-//!
-//! A coordinator's plan lowers here too ([`run_tree`] on the threaded
-//! link): where a single node would build a scan, a `Gather` builds the
-//! typed fragment ([`QueryRequest::Fetch`]) the shards run instead — the
-//! same filter and narrowing, and under a shard-partial aggregate its
-//! partial phase — and is a leaf over the rows they return. A shard
-//! answers it with [`execute_fetch`].
+//! * **Threaded** ([`Link::Threaded`]): an in-memory duplex in real time.
+//! * **Virtual time** ([`Link::Virtual`]): a virtual-time duplex over the
+//!   database's network; once the tree drains, each node's run (its clock,
+//!   bytes and client CPU) is folded into a [`SimSummary`] (phases are
+//!   sequential — a conservative approximation of the pipelined reality,
+//!   documented in DESIGN.md), and the result crosses the modelled
+//!   downlink.
+//! * **Gathered** ([`Link::Gathered`]): a coordinator's plan on the threaded
+//!   link. Where a single node would build a scan, a `Gather` builds the
+//!   typed fragment ([`QueryRequest::Fetch`]) the shards run instead — the
+//!   same filter and narrowing, and under a shard-partial aggregate its
+//!   partial phase — and is a leaf over the rows they return. A shard
+//!   answers it with [`execute_fetch`].
 //!
 //! Execution-semantics notes: `leave-on-client` and `merged-with-final`
 //! strategies differ from plain variants only in *cost* (what crosses the
@@ -47,7 +45,7 @@ use csq_ship::{
 };
 use csq_storage::{FilterSpec, Table};
 
-use crate::result::{QueryResult, ResultBatches};
+use crate::result::ResultBatches;
 use crate::Database;
 
 /// Aggregated virtual-time accounting for one query.
@@ -233,14 +231,11 @@ struct Lowering<'a> {
     db: &'a Database,
     graph: &'a QueryGraph,
     token: &'a CancelToken,
-    /// The link every `ApplyUdf` ships over: `None` is the threaded link (a
-    /// client thread behind an in-memory duplex), `Some` the virtual-time
-    /// link, which keeps each node's links to read once the tree drains.
-    /// Every node lowers to the same operator under either.
-    sim: Option<Vec<VirtualLinks>>,
-    /// How a coordinator answers each `Gather`; single-node callers have
-    /// none.
-    gather: Option<Gather<'a>>,
+    /// The link every `ApplyUdf` ships over, and how a coordinator answers
+    /// each `Gather`. Every node lowers to the same operator under any.
+    link: Link<'a>,
+    /// Each `ApplyUdf`'s virtual-time links, read once the tree drains.
+    runs: Vec<VirtualLinks>,
 }
 
 /// A coordinator's answer to one `Gather`: send the `Fetch` to the shard
@@ -285,7 +280,9 @@ impl Lowering<'_> {
     /// states — sent as one [`QueryRequest::Fetch`], then the rows returned.
     fn gather_leaf(&self, scatter: &PlanNode, mode: GatherMode, narrow: bool) -> Result<BoxOp> {
         let graph = self.graph;
-        let (Some(gather), PlanNode::Scatter { input, target, .. }) = (self.gather, scatter) else {
+        let (Link::Gathered(gather), PlanNode::Scatter { input, target, .. }) =
+            (&self.link, scatter)
+        else {
             return Err(CsqError::Plan(
                 "scatter/gather plan reached a single-node executor".into(),
             ));
@@ -432,16 +429,13 @@ impl Lowering<'_> {
             } => {
                 let child = self.build_tree(input, false)?;
                 let spec = ship_spec(graph, *unit, strategy, *ship, child.schema())?;
-                let (server_end, client_end) = match &mut self.sim {
-                    None => {
-                        let (server_end, client_end, _stats) = in_memory_duplex();
-                        (server_end, client_end)
-                    }
-                    Some(runs) => {
-                        let (server_end, client_end, links) = virtual_duplex(&self.db.network());
-                        runs.push(links);
-                        (server_end, client_end)
-                    }
+                let (server_end, client_end) = if let Link::Virtual(_) = self.link {
+                    let (server_end, client_end, links) = virtual_duplex(&self.db.network());
+                    self.runs.push(links);
+                    (server_end, client_end)
+                } else {
+                    let (server_end, client_end, _stats) = in_memory_duplex();
+                    (server_end, client_end)
                 };
                 // Client thread per client-site operator; detached — it exits
                 // when the operator closes the connection *or* the query's
@@ -491,25 +485,38 @@ fn project_output(
     })
 }
 
-/// Build the operator tree of an optimized SELECT over the link `sim`
-/// picks, each `Gather` answered by `gather` (a coordinator's), drain it
+/// The link a plan's `ApplyUdf` nodes ship over, and where its `Gather`
+/// leaves get their rows.
+pub(crate) enum Link<'a> {
+    /// In-memory duplexes in real time, each to a client thread.
+    Threaded,
+    /// Virtual-time duplexes over the database's network. Once the tree
+    /// drains, each node's run is folded into the summary and the result is
+    /// delivered over the modelled downlink.
+    Virtual(&'a mut SimSummary),
+    /// The threaded link at a coordinator, each `Gather` answered by the
+    /// shards.
+    Gathered(Gather<'a>),
+}
+
+/// Build the operator tree of an optimized SELECT over `link`, drain it
 /// under a cancellation token (deadline expiry or an explicit `cancel()`
 /// surfaces as a typed `timeout`/`cancelled` error at the next operator
-/// batch boundary), then project its batches onto the SELECT list.
+/// batch boundary), then project its batches onto the SELECT list. The one
+/// way a plan runs.
 pub(crate) fn run_tree(
     db: &Database,
     graph: &QueryGraph,
     plan: &csq_opt::OptimizedPlan,
     token: &CancelToken,
-    sim: Option<&mut SimSummary>,
-    gather: Option<Gather<'_>>,
+    link: Link<'_>,
 ) -> Result<ResultBatches> {
     let mut lowering = Lowering {
         db,
         graph,
         token,
-        sim: sim.is_some().then(Vec::new),
-        gather,
+        link,
+        runs: Vec::new(),
     };
     let op = lowering.build_tree(&plan.root, true)?;
     // A second checkpoint above the root catches plans whose leaves run
@@ -522,23 +529,26 @@ pub(crate) fn run_tree(
     let schema = op.schema().clone();
     drop(op);
     token.check()?;
-    if let (Some(summary), Some(runs)) = (sim, lowering.sim) {
-        for links in &runs {
+    let out = project_output(graph, &schema, batches)?;
+    if let Link::Virtual(summary) = lowering.link {
+        for links in &lowering.runs {
             summary.absorb(&SimRun::new(Vec::new(), links));
         }
+        // Final delivery: ship the projected output to the client over the
+        // downlink (the plain Final operator; merged-final savings are an
+        // optimizer-estimate concern, see module docs).
+        let net = db.network();
+        let mut payload = (out.len() as u32).to_le_bytes().to_vec();
+        for batch in &out.batches {
+            codec::encode_batch_rows(batch, 0..batch.len(), &mut payload);
+        }
+        let mut down = net.make_downlink();
+        let (_, arrival) = down.transmit(0, net.downlink_bytes(payload.len()));
+        summary.elapsed_us += arrival;
+        summary.down_bytes += down.bytes_sent();
+        summary.down_messages += 1;
     }
-    project_output(graph, &schema, batches)
-}
-
-/// Execute an optimized SELECT on the threaded link under a cancellation
-/// token. The one way the service and [`Database::execute`] run a plan.
-pub(crate) fn execute_threaded(
-    db: &Database,
-    graph: &QueryGraph,
-    plan: &csq_opt::OptimizedPlan,
-    token: &CancelToken,
-) -> Result<ResultBatches> {
-    run_tree(db, graph, plan, token, None, None)
+    Ok(out)
 }
 
 /// Answer a [`QueryRequest::Fetch`] for `table` on the threaded link with
@@ -612,32 +622,6 @@ pub(crate) fn execute_fetch(
     })
 }
 
-/// Execute an optimized SELECT on the virtual-time link: the same tree as
-/// [`execute_threaded`], its `ApplyUdf` nodes timed by the link model, then
-/// the result delivered over the modelled downlink.
-pub fn execute_simulated(
-    db: &Database,
-    graph: &QueryGraph,
-    plan: &csq_opt::OptimizedPlan,
-) -> Result<(QueryResult, SimSummary)> {
-    let mut summary = SimSummary::default();
-    let token = CancelToken::new();
-    let result = run_tree(db, graph, plan, &token, Some(&mut summary), None)?;
-    let result = result.into_result();
-    // Final delivery: ship the projected output to the client over the
-    // downlink (the plain Final operator; merged-final savings are an
-    // optimizer-estimate concern, see module docs).
-    let net = db.network();
-    let mut payload = Vec::new();
-    codec::encode_rows(&result.rows, &mut payload);
-    let mut down = net.make_downlink();
-    let (_, arrival) = down.transmit(0, net.downlink_bytes(payload.len()));
-    summary.elapsed_us += arrival;
-    summary.down_bytes += down.bytes_sent();
-    summary.down_messages += 1;
-    Ok((result, summary))
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
@@ -681,8 +665,8 @@ mod tests {
             db,
             graph: &graph,
             token: &CancelToken::new(),
-            sim: None,
-            gather: None,
+            link: Link::Threaded,
+            runs: Vec::new(),
         };
         let op = lowering.build_tree(&plan.root, true).unwrap();
         op.schema().len()
@@ -710,7 +694,7 @@ mod tests {
         db.catalog().register(t).unwrap();
         let sql = "SELECT T.Id, T.Sym, T.Val FROM T T WHERE T.Val > 89";
         let (graph, plan) = db.optimize(sql).unwrap();
-        let out = execute_threaded(&db, &graph, &plan, &CancelToken::new()).unwrap();
+        let out = run_tree(&db, &graph, &plan, &CancelToken::new(), Link::Threaded).unwrap();
         assert!(!out.batches.is_empty());
         for batch in &out.batches {
             assert!(batch.lanes().is_some() && !batch.is_materialized());
@@ -731,7 +715,7 @@ mod tests {
                    WHERE S.Change / S.Close > 0.2 AND ClientAnalysis(S.Quotes) > 500";
         assert!(db.explain(sql).unwrap().contains("[semi-join"));
         let (graph, plan) = db.optimize(sql).unwrap();
-        let out = execute_threaded(&db, &graph, &plan, &CancelToken::new()).unwrap();
+        let out = run_tree(&db, &graph, &plan, &CancelToken::new(), Link::Threaded).unwrap();
         assert!(!out.batches.is_empty());
         for batch in &out.batches {
             assert!(batch.lanes().is_some() && !batch.is_materialized());

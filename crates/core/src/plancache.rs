@@ -1,20 +1,23 @@
-//! The prepared-statement plan cache: parse/optimize once, execute many.
+//! The plan cache: parse/optimize once, execute many.
 //!
-//! For a high-QPS service the per-query optimizer cost (§5's state-space
-//! enumeration) dominates short queries, so the service plans each distinct
-//! SQL text once and replays the [`OptimizedPlan`]. A cached plan is only
-//! valid for the *placement context* it was optimized under — the network
-//! description (bandwidths, latencies, asymmetry feed the cost model) and
-//! everything the optimizer read from the catalog and UDF registry
-//! (statistics, advertised UDF metadata). Both roll into the database's
-//! **plan epoch**: a counter bumped on every DDL, INSERT, UDF
-//! (re-)registration, and network change — and, in a coordinator's engine,
-//! on every routed INSERT, advertised distinct count and shard
-//! replacement. Entries are keyed by SQL text and stamped with the epoch
-//! they were planned under; a lookup whose entry carries a stale epoch is
-//! a miss (the replan overwrites the stale entry in place), so a stale
-//! plan can never be served — and lookups probe the map with a borrowed
-//! `&str`, no per-query allocation on the hot path.
+//! Every entry point that takes SQL text looks it up here first, so a
+//! repeated SELECT is neither parsed nor optimized again (§5's state-space
+//! enumeration dominates short queries); only `Database::optimize`, the
+//! planner probe, bypasses it. A cached plan is only valid for the
+//! *placement context* it was optimized under — the network description
+//! and everything the optimizer read from the catalog and UDF registry.
+//! All of it rolls into the database's **plan epoch**: UDF
+//! (re-)registration, a network change and, in a coordinator's engine,
+//! every routed INSERT, advertised distinct count and shard replacement
+//! bump it, and it counts every table registered or dropped and every
+//! change to a registered table's profile, whichever path made it
+//! ([`csq_storage::Catalog::changes`]). Entries are keyed by SQL text and
+//! stamped with the epoch they were planned under; an entry stamped with
+//! another epoch is not served (the replan overwrites it in place), so a
+//! stale plan can never be served — and lookups probe the map with a
+//! borrowed `&str`, no per-query allocation on the hot path. A *hit* is a
+//! lookup that returned a plan; a *miss* is a SELECT planned and inserted,
+//! so a CREATE or INSERT text is neither.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,10 +50,10 @@ impl PlannedQuery {
 pub struct PlanCacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that had to plan.
+    /// SELECTs that had to plan (not other statements).
     pub misses: u64,
-    /// Prepared-statement executions that found their pinned plan stale
-    /// (epoch/network changed since prepare) and replanned.
+    /// Planned runs that found their plan stale (the epoch moved since it
+    /// was planned) and planned again.
     pub stale_replans: u64,
     /// Entries evicted by the LRU bound.
     pub evictions: u64,
@@ -96,8 +99,9 @@ impl PlanCache {
     }
 
     /// Look up `sql` planned under `epoch`, refreshing its LRU position.
-    /// An entry planned under any other epoch is a miss (it stays resident
-    /// until the replan overwrites it).
+    /// An entry planned under any other epoch is not returned (it stays
+    /// resident until the replan overwrites it). Finding nothing is not yet
+    /// a miss: the text may not be a SELECT.
     pub fn lookup(&self, epoch: u64, sql: &str) -> Option<Arc<PlannedQuery>> {
         let mut inner = self.inner.lock();
         inner.tick += 1;
@@ -108,16 +112,14 @@ impl PlanCache {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(e.plan.clone())
             }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+            _ => None,
         }
     }
 
-    /// Insert a freshly-planned query, evicting the least recently used
-    /// entry when full.
+    /// Insert a freshly-planned query, counting the miss that planned it
+    /// and evicting the least recently used entry when full.
     pub fn insert(&self, plan: Arc<PlannedQuery>) {
+        self.misses.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;

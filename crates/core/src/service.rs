@@ -70,6 +70,7 @@ use csq_net::tcp::{Frame, PollFrame, TcpConn};
 use csq_net::{NetStats, FRAME_HEADER_BYTES};
 use parking_lot::Mutex;
 
+use crate::lower::Link;
 use crate::plancache::PlannedQuery;
 use crate::result::ResultBatches;
 use crate::Database;
@@ -937,9 +938,7 @@ fn run_statement(ctx: SchedCtx, mut session: Session, req: QueryRequest, token: 
     }
     let alive = match req {
         QueryRequest::Query { sql, .. } => {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                ctx.db.execute_cached_batches(&sql, &token)
-            }));
+            let outcome = catch_unwind(AssertUnwindSafe(|| ctx.db.run_sql(&sql, &token)));
             answer_execution(&session.conn, &ctx.net, &ctx.stats, &ctx.config, outcome)
         }
         // A typed write answers an `Error` only from before `insert_rows`
@@ -969,7 +968,7 @@ fn run_statement(ctx: SchedCtx, mut session: Session, req: QueryRequest, token: 
             Some(plan) => {
                 let plan = plan.clone();
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    ctx.db.execute_planned_batches(&plan, &token)
+                    ctx.db.run_planned(&plan, true, &token, Link::Threaded)
                 }));
                 let outcome = match outcome {
                     Ok(Ok((result, fresh, reused))) => {

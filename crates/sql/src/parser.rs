@@ -28,8 +28,10 @@ pub fn parse_statement(src: &str) -> Result<Statement> {
     Ok(stmt)
 }
 
-/// Parse a `;`-separated script.
-pub fn parse_statements(src: &str) -> Result<Vec<Statement>> {
+/// Parse a `;`-separated script: each statement with its own text, the
+/// source from its first token up to the `;` or the end that closes it,
+/// trailing whitespace trimmed.
+pub fn parse_statements(src: &str) -> Result<Vec<(Statement, &str)>> {
     let mut p = Parser::new(src)?;
     let mut out = Vec::new();
     loop {
@@ -37,7 +39,9 @@ pub fn parse_statements(src: &str) -> Result<Vec<Statement>> {
         if p.peek_kind() == &TokenKind::Eof {
             break;
         }
-        out.push(p.statement()?);
+        let start = p.peek().offset;
+        let stmt = p.statement()?;
+        out.push((stmt, src[start..p.peek().offset].trim_end()));
         if p.peek_kind() != &TokenKind::Eof && !p.eat_if(&TokenKind::Semicolon) {
             return Err(p.err_here("expected ';' between statements"));
         }
@@ -599,6 +603,18 @@ mod tests {
             parse_statements("CREATE TABLE t (a INT); INSERT INTO t VALUES (1); SELECT a FROM t;")
                 .unwrap();
         assert_eq!(stmts.len(), 3);
+        let texts: Vec<&str> = stmts.iter().map(|(_, text)| *text).collect();
+        assert_eq!(
+            texts,
+            [
+                "CREATE TABLE t (a INT)",
+                "INSERT INTO t VALUES (1)",
+                "SELECT a FROM t"
+            ]
+        );
+        for (stmt, text) in &stmts {
+            assert_eq!(&parse_statement(text).unwrap(), stmt);
+        }
     }
 
     #[test]

@@ -33,6 +33,7 @@ pub use scan::{CmpOp, ColPred, Conjuncts, FilterSpec, ScanStats, TableScan};
 pub use segment::{ColumnSeg, Segment, SegmentZones, ZoneMap, DEFAULT_SEGMENT_ROWS};
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -106,6 +107,8 @@ pub struct Table {
     schema: Schema,
     segment_rows: usize,
     inner: RwLock<TableInner>,
+    /// Counts profile changes; once registered, the [`Catalog`]'s counter.
+    changes: Arc<AtomicU64>,
 }
 
 impl Table {
@@ -160,6 +163,7 @@ impl Table {
                     ..TableProfile::default()
                 },
             }),
+            changes: Arc::default(),
         })
     }
 
@@ -212,11 +216,13 @@ impl Table {
         Ok(bytes)
     }
 
-    /// Account for `n` rows just pushed onto `pending`, then seal every full
-    /// segment's worth of the tail — its runs and `pending`, in insertion
-    /// order — keeping the rest as `pending`. Where segments begin does not
-    /// depend on when scans sealed runs.
+    /// Count the change and account for `n` rows just pushed onto
+    /// `pending`, then seal every full segment's worth of the tail — its
+    /// runs and `pending`, in insertion order — keeping the rest as
+    /// `pending`. Where segments begin does not depend on when scans sealed
+    /// runs.
     fn appended(&self, inner: &mut TableInner, n: usize, bytes: &[u64]) {
+        self.changed();
         inner.profile.rows += n;
         for (sum, b) in inner.profile.col_wire_bytes.iter_mut().zip(bytes) {
             *sum += b;
@@ -229,6 +235,12 @@ impl Table {
         for segment in rows.chunks(self.segment_rows) {
             self.seal(inner, segment);
         }
+    }
+
+    /// Count a profile change; callers hold the write lock, so a reader
+    /// that sees the new count reads the profile only once it is changed.
+    fn changed(&self) {
+        self.changes.fetch_add(1, Ordering::SeqCst);
     }
 
     fn seal(&self, inner: &mut TableInner, rows: &[Row]) {
@@ -249,6 +261,7 @@ impl Table {
         if inner.tail_rows() > 0 {
             let rows = inner.take_tail(0);
             self.seal(&mut inner, &rows);
+            self.changed();
         }
     }
 
@@ -256,7 +269,8 @@ impl Table {
     /// older of the last two would be at most twice the newer: run lengths
     /// then more than double from newest to oldest, and a row is re-sealed
     /// only into a run at least half as long again as the one it leaves —
-    /// O(log segment_rows) times before a full segment takes it.
+    /// O(log segment_rows) times before a full segment takes it. Runs are
+    /// not profiled, so this is no change to count.
     fn seal_pending(&self, inner: &mut TableInner) {
         if inner.pending.is_empty() {
             return;
@@ -488,6 +502,8 @@ impl TableBuilder {
 #[derive(Debug, Default)]
 pub struct Catalog {
     tables: RwLock<HashMap<String, Arc<Table>>>,
+    /// Shared by every registered table; see [`changes`](Self::changes).
+    changes: Arc<AtomicU64>,
 }
 
 impl Catalog {
@@ -497,8 +513,9 @@ impl Catalog {
     }
 
     /// Register a table; errors if a table with the same name exists.
-    pub fn register(&self, table: Table) -> Result<Arc<Table>> {
+    pub fn register(&self, mut table: Table) -> Result<Arc<Table>> {
         let key = table.name().to_ascii_lowercase();
+        table.changes = self.changes.clone();
         let arc = Arc::new(table);
         let mut tables = self.tables.write();
         if tables.contains_key(&key) {
@@ -508,6 +525,7 @@ impl Catalog {
             )));
         }
         tables.insert(key, arc.clone());
+        arc.changed();
         Ok(arc)
     }
 
@@ -525,8 +543,16 @@ impl Catalog {
         self.tables
             .write()
             .remove(&name.to_ascii_lowercase())
-            .map(|_| ())
+            .map(|t| t.changed())
             .ok_or_else(|| CsqError::Catalog(format!("unknown table '{name}'")))
+    }
+
+    /// Changes so far to what a plan reads here: registrations, drops, and
+    /// every change to a registered table's [`TableProfile`] (an insert or
+    /// a sealing [`Table::seal_tail`], through a held `Arc<Table>` too; a
+    /// scan's sealing changes no profile). Unchanged count, same statistics.
+    pub fn changes(&self) -> u64 {
+        self.changes.load(Ordering::SeqCst)
     }
 
     /// Names of all registered tables (sorted).
@@ -675,6 +701,28 @@ mod tests {
         assert_eq!(sealed.segments.len(), 3);
         assert_eq!(sealed.segments[2].rows, 4);
         assert_eq!(before.segments.len(), 2, "a held profile is a snapshot");
+    }
+
+    #[test]
+    fn catalog_counts_every_profile_change_of_its_tables() {
+        let c = Catalog::new();
+        let t = c.register(seg_table(20, 3)).unwrap();
+        assert_eq!(c.changes(), 1, "registration");
+        let moved = |f: &dyn Fn()| {
+            let before = c.changes();
+            f();
+            c.changes() - before
+        };
+        let row = || Row::new(vec![Value::Int(1), Value::Int(1)]);
+        assert_eq!(moved(&|| t.insert(row()).unwrap()), 1);
+        assert_eq!(moved(&|| t.insert_all(vec![row(), row()]).unwrap()), 1);
+        let bad = || vec![Row::new(vec![Value::from("x"), Value::Int(1)])];
+        assert_eq!(moved(&|| assert!(t.insert_all(bad()).is_err())), 0);
+        assert_eq!(moved(&|| drop(drain(&t, None))), 0, "a scan's seal");
+        assert_eq!(moved(&|| t.seal_tail()), 1);
+        assert_eq!(moved(&|| t.seal_tail()), 0, "nothing left to seal");
+        assert_eq!(moved(&|| assert!(c.register(seg_table(1, 1)).is_err())), 0);
+        assert_eq!(moved(&|| c.drop_table("seg").unwrap()), 1);
     }
 
     #[test]

@@ -206,17 +206,36 @@ fn client_failure_surfaces_as_error() {
     assert_eq!(err.kind(), "client", "{err}");
 }
 
+/// A script runs each statement from its own text through the plan cache,
+/// as every entry point but `optimize` does: CREATE and INSERT plan
+/// nothing (neither hit nor miss), and the SELECT is planned once however
+/// it is run after.
 #[test]
 fn script_execution() {
     let db = Database::new(NetworkSpec::lan());
+    let sql = "SELECT s.v FROM s s WHERE s.v > 15";
     let out = db
-        .execute_script(
+        .execute_script(&format!(
             "CREATE TABLE s (v INT); \
              INSERT INTO s VALUES (10), (20), (30); \
-             SELECT s.v FROM s s WHERE s.v > 15;",
-        )
+             {sql};"
+        ))
         .unwrap();
     assert_eq!(out.rows.len(), 2);
+    let counters = || {
+        let s = db.plan_cache_stats();
+        (s.hits, s.misses, s.stale_replans, s.entries)
+    };
+    assert_eq!(counters(), (0, 1, 0, 1));
+    db.execute(sql).unwrap();
+    db.explain(sql).unwrap();
+    db.execute_simulated(sql).unwrap();
+    assert_eq!(counters(), (3, 1, 0, 1), "one plan served every run");
+    db.optimize(sql).unwrap();
+    assert_eq!(counters(), (3, 1, 0, 1), "optimize bypasses the cache");
+    db.execute_cached_with("INSERT INTO s VALUES (40)", &csq::CancelToken::new())
+        .unwrap();
+    assert_eq!(counters(), (3, 1, 0, 1), "an INSERT plans nothing");
 }
 
 /// The EXPLAIN surface of zone-map pruning (DESIGN.md §11): a selective

@@ -677,8 +677,10 @@ fn unsharded_context_never_scatters() {
 
 /// The optimizer's statistics come from each table's running profile, not
 /// from a memo: rows added through SQL *or* behind the database's back
-/// (through a held `Arc<Table>`, which bumps no plan epoch) show up in the
-/// very next EXPLAIN — estimated rows, sealed-segment count and tail rows.
+/// (through a held `Arc<Table>`) show up in the very next EXPLAIN —
+/// estimated rows, sealed-segment count and tail rows. EXPLAIN plans through
+/// the plan cache, so each such change must also move the plan epoch: a
+/// text prepared before it is planned again after it.
 #[test]
 fn explain_statistics_follow_every_insert() {
     use csq::prelude::*;
@@ -711,14 +713,26 @@ fn explain_statistics_follow_every_insert() {
     assert!(e.contains("est. 23.0 rows"), "{e}");
     assert!(e.contains("segments: 0 pruned / 2, 7 tail rows"), "{e}");
 
+    let (planned, _) = db.prepare(all).unwrap();
     held.insert_all(rows(103..108)).unwrap();
+    let (replanned, hit) = db.prepare(all).unwrap();
+    assert!(
+        !hit && !std::sync::Arc::ptr_eq(&planned, &replanned),
+        "a held insert_all replans"
+    );
     let e = db.explain(all).unwrap();
     assert!(e.contains("est. 28.0 rows"), "{e}");
     assert!(e.contains("segments: 0 pruned / 3, 4 tail rows"), "{e}");
     let e = db.explain(high).unwrap();
     assert!(e.contains("segments: 2 pruned / 3, 4 tail rows"), "{e}");
 
+    let (planned, _) = db.prepare(high).unwrap();
     held.seal_tail();
+    let (replanned, hit) = db.prepare(high).unwrap();
+    assert!(
+        !hit && !std::sync::Arc::ptr_eq(&planned, &replanned),
+        "a held seal_tail replans"
+    );
     let e = db.explain(high).unwrap();
     assert!(e.contains("segments: 2 pruned / 4"), "{e}");
     assert!(!e.contains("tail rows"), "{e}");
