@@ -9,7 +9,7 @@
 //!
 //! * [`ScalarUdf`] + [`ClientRuntime`] — the UDF trait and per-client
 //!   registry, with invocation accounting and per-invocation CPU cost hints
-//!   that the client loop puts on its endpoint's virtual clock.
+//!   that a session's answers put on the client's virtual clock.
 //! * [`synthetic`] — the paper's experiment UDFs ("takes an object, returns
 //!   another object of a given size" / "returns true or false with a given
 //!   selectivity"), deterministic and parameterized exactly like §4.
@@ -20,8 +20,10 @@
 //! * [`protocol`] — the wire protocol: install a [`ClientTask`] (UDF steps +
 //!   pushable predicate + pushable projection), then stream argument or
 //!   record batches and receive result batches.
-//! * [`service`] — the client event loop run as a thread over a
-//!   [`csq_net::Endpoint`], in real or virtual time.
+//! * [`service`] — the client's side of a shipping session as a step
+//!   function ([`ClientSession`]), called inline by the sender
+//!   ([`csq_net::Endpoint::with_client`]) or served from a thread over an
+//!   endpoint ([`spawn_client`]), in real or virtual time.
 //! * [`qproto`] + [`pool`] — the *query service* side of being a client:
 //!   the SQL-in/rows-out wire protocol spoken to `csq-core`'s socket
 //!   server, a single framed [`ServiceConn`], and a bounded blocking
@@ -46,7 +48,7 @@ pub use pool::{
 pub use protocol::{ClientTask, Request, Response, TaskMode, UdfStep};
 pub use qproto::{QueryRequest, QueryResponse};
 pub use runtime::{ClientRuntime, ScalarUdf, UdfCost, UdfSignature};
-pub use service::{spawn_client, spawn_client_with_token};
+pub use service::{spawn_client, ClientSession};
 
 /// Stable 64-bit hash of a byte slice (FNV-1a): the VM's `BlobHash`
 /// instruction and the seed of every synthetic UDF result. Private to the

@@ -1,16 +1,18 @@
-//! The client-site service: task execution and the network event loop.
+//! The client-site service: task execution, one request at a time.
 //!
 //! [`TaskExecutor`] is the client half of both shipping strategies: it
 //! extends each incoming row with UDF result columns, applies the pushable
-//! predicate, and projects the returned columns. [`spawn_client`] runs it as
-//! a thread over an [`Endpoint`] — in-memory, virtual-time or TCP — and
-//! puts the simulated CPU time it spends on the endpoint's clock.
+//! predicate, and projects the returned columns. [`ClientSession`] is the
+//! protocol around it as a step — request bytes in; reply bytes, UDF CPU µs
+//! and a done flag out — called inline by the sender
+//! ([`Endpoint::with_client`]), or from a thread over any endpoint by
+//! [`spawn_client`].
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use csq_common::{ArgIndex, CancelToken, CsqError, Result, Row, Value};
-use csq_net::Endpoint;
+use csq_common::{ArgIndex, CsqError, Result, Row, Value};
+use csq_net::{Answer, Endpoint};
 
 use crate::protocol::{ClientTask, Request, Response};
 use crate::runtime::{ClientRuntime, UdfCost};
@@ -24,7 +26,7 @@ pub struct TaskExecutor {
     /// The task's `return_cols` as row ordinals.
     return_idx: Option<Vec<usize>>,
     /// Total simulated CPU µs consumed by UDF invocations (cache hits are
-    /// free). The client loop puts it on its endpoint's clock.
+    /// free). Each answer carries what its batch added.
     cpu_us: u64,
 }
 
@@ -159,79 +161,86 @@ impl TaskExecutor {
     }
 }
 
-/// Run the client event loop over `endpoint` in a new thread. Fails only
-/// when the OS refuses to spawn the thread (resource exhaustion).
-///
-/// Protocol: the server first sends [`Request::Install`], then any number of
-/// [`Request::Batch`] (each answered by exactly one [`Response::Batch`] or
-/// [`Response::Error`]), then [`Request::Finish`] (or just closes). A batch
-/// is answered once its UDFs have run: their CPU µs pass on the endpoint's
-/// clock before the answer is sent.
+/// The client's side of one shipping session, a request at a time: first
+/// [`Request::Install`], then any number of [`Request::Batch`] (each
+/// answered by one [`Response::Batch`], carrying its UDFs' CPU µs), then
+/// [`Request::Finish`] (or the server just closes). A failure is answered
+/// with [`Response::Error`] and ends the session.
+pub struct ClientSession {
+    runtime: Arc<ClientRuntime>,
+    executor: Option<TaskExecutor>,
+    /// What ended the session early, if anything did.
+    failure: Option<CsqError>,
+}
+
+impl ClientSession {
+    /// A session that has installed no task yet.
+    pub fn new(runtime: Arc<ClientRuntime>) -> ClientSession {
+        ClientSession {
+            runtime,
+            executor: None,
+            failure: None,
+        }
+    }
+
+    /// Answer one request: the reply (none to `Install` and `Finish`), the
+    /// UDF CPU µs it cost, and whether the session is over.
+    pub fn step(&mut self, request: Vec<u8>) -> Answer {
+        self.answer(request).unwrap_or_else(|e| {
+            let reply = Some(Response::Error(e.to_string()).encode());
+            self.failure = Some(e);
+            Answer {
+                reply,
+                done: true,
+                ..Answer::default()
+            }
+        })
+    }
+
+    fn answer(&mut self, request: Vec<u8>) -> Result<Answer> {
+        // Zero-copy: batch argument payloads stay views of the message.
+        Ok(match Request::decode_shared(&Arc::new(request))? {
+            Request::Install(task) => {
+                self.executor = Some(TaskExecutor::new(self.runtime.clone(), task)?);
+                Answer::default()
+            }
+            Request::Batch(rows) => {
+                let ex = self.executor.as_mut().ok_or_else(|| {
+                    CsqError::Client("batch received before task installation".into())
+                })?;
+                let before = ex.cpu_us();
+                let out = ex.process(rows)?;
+                Answer {
+                    reply: Some(Response::Batch(out).encode()),
+                    work_us: ex.cpu_us() - before,
+                    done: false,
+                }
+            }
+            Request::Finish => Answer {
+                done: true,
+                ..Answer::default()
+            },
+        })
+    }
+}
+
+/// Serve a [`ClientSession`] over `endpoint` in a new thread until the
+/// session is over or the server closes. Fails only when the OS refuses to
+/// spawn the thread (resource exhaustion).
 pub fn spawn_client(
     runtime: Arc<ClientRuntime>,
     endpoint: Endpoint,
 ) -> Result<JoinHandle<Result<()>>> {
-    spawn_client_with_token(runtime, endpoint, CancelToken::new())
-}
-
-/// Like [`spawn_client`], but the event loop polls `token` before every
-/// batch: once the query is cancelled or over deadline, queued batches are
-/// not processed — the loop exits as if the server had closed the
-/// connection (the server side already has its own typed error; the
-/// client's job is just to stop burning CPU promptly).
-pub fn spawn_client_with_token(
-    runtime: Arc<ClientRuntime>,
-    endpoint: Endpoint,
-    token: CancelToken,
-) -> Result<JoinHandle<Result<()>>> {
+    let run = move || {
+        let mut session = ClientSession::new(runtime);
+        let mut serve = |request| endpoint.answer(session.step(request));
+        while endpoint.recv().is_some_and(&mut serve) {}
+        session.failure.map_or(Ok(()), Err)
+    };
     std::thread::Builder::new()
         .name("csq-client".into())
-        .spawn(move || client_loop(runtime, endpoint, token))
+        .spawn(run)
         .map_err(|e| CsqError::Client(format!("failed to spawn client thread: {e}")))
-}
-
-fn client_loop(runtime: Arc<ClientRuntime>, endpoint: Endpoint, token: CancelToken) -> Result<()> {
-    let mut executor: Option<TaskExecutor> = None;
-    while let Some(buf) = endpoint.recv() {
-        if token.should_stop() {
-            return Ok(());
-        }
-        // Zero-copy: batch argument payloads stay views of the message.
-        let buf = Arc::new(buf);
-        match Request::decode_shared(&buf)? {
-            Request::Install(task) => match TaskExecutor::new(runtime.clone(), task) {
-                Ok(ex) => executor = Some(ex),
-                Err(e) => {
-                    // Installation failures poison the session.
-                    let _ = endpoint.send(Response::Error(e.to_string()).encode());
-                    return Err(e);
-                }
-            },
-            Request::Batch(rows) => {
-                let Some(ex) = executor.as_mut() else {
-                    let msg = "batch received before task installation";
-                    let _ = endpoint.send(Response::Error(msg.into()).encode());
-                    return Err(CsqError::Client(msg.into()));
-                };
-                let before = ex.cpu_us();
-                match ex.process(rows) {
-                    Ok(out) => {
-                        endpoint.advance(ex.cpu_us() - before);
-                        if endpoint.send(Response::Batch(out).encode()).is_err() {
-                            // Server went away; nothing more to do.
-                            return Ok(());
-                        }
-                    }
-                    Err(e) => {
-                        let _ = endpoint.send(Response::Error(e.to_string()).encode());
-                        return Err(e);
-                    }
-                }
-            }
-            Request::Finish => break,
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -404,6 +413,37 @@ mod tests {
         handle.join().unwrap().unwrap();
         assert!(stats.down_bytes() > 0);
         assert!(stats.up_bytes() > 0);
+    }
+
+    #[test]
+    fn a_session_answers_each_request_as_a_step() {
+        let rt = ClientRuntime::new();
+        let cost = crate::runtime::UdfCost {
+            fixed_us: 7.0,
+            per_byte_us: 0.0,
+        };
+        rt.register(Arc::new(ObjectUdf::sized("Analyze", 8).with_cost(cost)))
+            .unwrap();
+        let mut session = ClientSession::new(Arc::new(rt));
+        let installed = session.step(Request::Install(sj_task()).encode());
+        assert!(installed.reply.is_none() && installed.work_us == 0 && !installed.done);
+        let args: Vec<Row> = (0..3)
+            .map(|i| Row::new(vec![Value::Blob(Blob::synthetic(20, i))]))
+            .collect();
+        let answered = session.step(Request::Batch(args).encode());
+        let Ok(Response::Batch(out)) = Response::decode(&answered.reply.unwrap()) else {
+            panic!("expected a batch");
+        };
+        assert_eq!((out.len(), answered.work_us, answered.done), (3, 21, false));
+        let finished = session.step(Request::Finish.encode());
+        assert!(finished.reply.is_none() && finished.done);
+        assert!(session.failure.is_none());
+        // A failure is answered, ends the session and is kept.
+        let mut fresh = ClientSession::new(runtime());
+        let failed = fresh.step(Request::Batch(Vec::new()).encode());
+        let reply = Response::decode(&failed.reply.unwrap()).unwrap();
+        assert!(matches!(reply, Response::Error(_)) && failed.done);
+        assert_eq!(fresh.failure.unwrap().kind(), "client");
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! run that lowers and drains one operator tree. The link picks only the
 //! duplex under each client-site operator:
 //!
-//! * [`Database::execute`] — the *threaded* link: real sender/receiver
-//!   threads, a real client thread, an in-memory duplex in real time (bytes
-//!   counted, transfer instant). The correctness path.
+//! * [`Database::execute`] — the *threaded* link: an in-memory duplex in
+//!   real time (bytes counted, transfer instant) to a client session that
+//!   answers on the statement's thread. The correctness path.
 //! * [`Database::execute_simulated`] — the *virtual-time* link: every
 //!   message on it timed by the discrete-event link model. Returns a
 //!   [`SimSummary`] with completion time and per-link byte accounting.

@@ -6,7 +6,7 @@
 //! `csq-ship` — drains that tree and projects its batches onto the SELECT
 //! list, leaving the result as batches ([`ResultBatches`]): rows are built
 //! by whoever receives them. Each `ApplyUdf` node ships over its own duplex
-//! to its own client thread, and the [`Link`] picks only which duplex:
+//! to a client session answering inline, and the [`Link`] picks the duplex:
 //!
 //! * **Threaded** ([`Link::Threaded`]): an in-memory duplex in real time.
 //! * **Virtual time** ([`Link::Virtual`]): a virtual-time duplex over the
@@ -29,14 +29,14 @@
 //! estimates and the cost-model benches.
 
 use csq_client::protocol::check_expr_width;
-use csq_client::{spawn_client_with_token, QueryRequest};
+use csq_client::{ClientSession, QueryRequest};
 use csq_common::{codec, CancelToken, CsqError, Field, Result, Row, RowBatch, Schema};
 use csq_exec::{
     aggregate_state_schema, AggSpec, BoxOp, CancelCheck, ColumnarScan, Filter, HashAggregate,
     NestedLoopJoin, Operator, Project, Projection, RowsOp,
 };
-use csq_expr::{analysis, bind, PhysExpr};
-use csq_net::{in_memory_duplex, virtual_duplex, VirtualLinks};
+use csq_expr::{analysis, bind, ColumnRef, PhysExpr};
+use csq_net::{in_memory_duplex, virtual_duplex, Endpoint, VirtualLinks};
 use csq_opt::{
     AggPlacement, AggregateSpec, GatherMode, PlanNode, QueryGraph, ShipParams, UdfStrategy, Unit,
 };
@@ -93,16 +93,6 @@ fn result_field(graph: &QueryGraph, unit: usize) -> Field {
         } => Field::new(result_col.clone(), meta.return_type),
         Unit::Rel { .. } => unreachable!("result_field on relation unit"),
     }
-}
-
-/// Resolve a UDF unit's argument columns against the current schema.
-fn resolve_args(graph: &QueryGraph, unit: usize, schema: &Schema) -> Result<Vec<usize>> {
-    let Unit::Udf { args, .. } = &graph.units[unit] else {
-        unreachable!()
-    };
-    args.iter()
-        .map(|c| schema.index_of(c.qualifier.as_deref(), &c.name))
-        .collect()
 }
 
 /// Bind the conjunction of predicate indices against a schema.
@@ -179,47 +169,40 @@ pub(crate) fn scan_spec(
     Ok(pred.and_then(|p| FilterSpec::from_phys(&p)))
 }
 
-fn udf_application(graph: &QueryGraph, unit: usize, schema: &Schema) -> Result<UdfApplication> {
-    let Unit::Udf { name, .. } = &graph.units[unit] else {
-        unreachable!()
-    };
-    Ok(UdfApplication::new(
-        name,
-        resolve_args(graph, unit, schema)?,
-        result_field(graph, unit),
-    ))
-}
-
-/// What an `ApplyUdf` node ships with, over either link.
-enum ShipSpec {
-    SemiJoin(SemiJoinSpec),
-    ClientJoin(ClientJoinSpec),
-}
-
-/// The shipping spec of an `ApplyUdf` node over a child of `schema`: the
-/// node's strategy, run at the tuples-per-message and concurrency factor the
-/// optimizer stored on it. Both links build their specs here, so they ship
-/// the same messages.
-fn ship_spec(
+/// The shipping operator of an `ApplyUdf` node over `child` and `server`:
+/// the node's strategy at the tuples-per-message and concurrency factor the
+/// optimizer stored on it. Both links build it here (same messages).
+fn ship_op(
     graph: &QueryGraph,
     unit: usize,
     strategy: &UdfStrategy,
     ship: ShipParams,
-    schema: &Schema,
-) -> Result<ShipSpec> {
-    let app = udf_application(graph, unit, schema)?;
+    child: BoxOp,
+    server: Endpoint,
+    token: &CancelToken,
+) -> Result<BoxOp> {
+    let Unit::Udf { name, args, .. } = &graph.units[unit] else {
+        return Err(CsqError::Plan("ApplyUdf of a relation unit".into()));
+    };
+    let (schema, field) = (child.schema(), result_field(graph, unit));
+    let col = |c: &ColumnRef| schema.index_of(c.qualifier.as_deref(), &c.name);
+    let cols = args.iter().map(col).collect::<Result<_>>()?;
+    let app = UdfApplication::new(name, cols, field.clone());
     Ok(match strategy {
         UdfStrategy::SemiJoin { .. } => {
             let mut spec = SemiJoinSpec::new(vec![app], ship.concurrency);
             spec.batch_size = ship.tuples_per_message;
-            ShipSpec::SemiJoin(spec)
+            let op = ThreadedSemiJoin::new(child, spec, server)?;
+            Box::new(op.with_cancel(token.clone()))
         }
         UdfStrategy::ClientJoin { pushed_preds, .. } => {
-            let extended = schema.with_field(result_field(graph, unit));
+            let extended = schema.with_field(field);
             let mut spec = ClientJoinSpec::new(vec![app]);
             spec.batch_size = ship.tuples_per_message;
+            spec.concurrency = ship.concurrency;
             spec.pushed_predicate = bind_preds(graph, pushed_preds, &extended)?;
-            ShipSpec::ClientJoin(spec)
+            let op = ThreadedClientJoin::new(child, spec, server)?;
+            Box::new(op.with_cancel(token.clone()))
         }
     })
 }
@@ -428,7 +411,6 @@ impl Lowering<'_> {
                 ship,
             } => {
                 let child = self.build_tree(input, false)?;
-                let spec = ship_spec(graph, *unit, strategy, *ship, child.schema())?;
                 let (server_end, client_end) = if let Link::Virtual(_) = self.link {
                     let (server_end, client_end, links) = virtual_duplex(&self.db.network());
                     self.runs.push(links);
@@ -437,19 +419,9 @@ impl Lowering<'_> {
                     let (server_end, client_end, _stats) = in_memory_duplex();
                     (server_end, client_end)
                 };
-                // Client thread per client-site operator; detached — it exits
-                // when the operator closes the connection *or* the query's
-                // cancel token trips (checked at every received batch).
-                let runtime = self.db.client_runtime().clone();
-                spawn_client_with_token(runtime, client_end, self.token.clone())?;
-                Ok(match spec {
-                    ShipSpec::SemiJoin(spec) => {
-                        Box::new(ThreadedSemiJoin::new(child, spec, server_end)?)
-                    }
-                    ShipSpec::ClientJoin(spec) => {
-                        Box::new(ThreadedClientJoin::new(child, spec, server_end)?)
-                    }
-                })
+                let mut session = ClientSession::new(self.db.client_runtime().clone());
+                let server_end = server_end.with_client(client_end, move |r| session.step(r));
+                ship_op(graph, *unit, strategy, *ship, child, server_end, self.token)
             }
         }
     }
@@ -488,7 +460,7 @@ fn project_output(
 /// The link a plan's `ApplyUdf` nodes ship over, and where its `Gather`
 /// leaves get their rows.
 pub(crate) enum Link<'a> {
-    /// In-memory duplexes in real time, each to a client thread.
+    /// In-memory duplexes in real time.
     Threaded,
     /// Virtual-time duplexes over the database's network. Once the tree
     /// drains, each node's run is folded into the summary and the result is
@@ -519,8 +491,8 @@ pub(crate) fn run_tree(
         runs: Vec::new(),
     };
     let op = lowering.build_tree(&plan.root, true)?;
-    // A second checkpoint above the root catches plans whose leaves run
-    // inside feeder threads (the shipping operators).
+    // A second checkpoint above the root: a `Gather` leaf has none of its
+    // own.
     let mut op = CancelCheck::new(op, token.clone());
     let mut batches = Vec::new();
     while let Some(batch) = op.next_batch()? {

@@ -1,16 +1,17 @@
 //! The in-memory duplex transport, in real or virtual time.
 //!
-//! The shipping operators in `csq-ship` run real sender and receiver
-//! threads (Figure 3 of the paper) around a real client thread; this module
-//! gives them a duplex message channel with byte accounting. Every endpoint
-//! keeps a virtual clock (µs). Over a [`virtual_duplex`] each message is
-//! stamped with the time it reaches the peer — its sender's clock pushed
-//! through that direction's [`Link`] — and a receive moves the receiver's
-//! clock up to the stamp; the protocol code adds the waits and the work it
-//! times itself ([`NetSender::advance_to`], [`Endpoint::advance`]). Virtual
-//! time thus measures the protocol that actually runs, and deterministically:
-//! every wait is timestamped, so thread interleaving moves no clock.
-//! [`in_memory_duplex`] is the same channel with every stamp 0.
+//! The shipping operators in `csq-ship` talk to a client over a duplex
+//! message channel with byte accounting. Every endpoint keeps a virtual
+//! clock (µs). Over a [`virtual_duplex`] each message is stamped with the
+//! time it reaches the peer — its sender's clock pushed through that
+//! direction's [`Link`] — and a receive moves the receiver's clock up to
+//! the stamp; the protocol code adds the waits and the work it times itself
+//! ([`NetSender::advance_to`], [`Endpoint::answer`]). Virtual time thus
+//! measures the protocol that actually runs, and deterministically: every
+//! wait is timestamped, so thread interleaving moves no clock.
+//! [`in_memory_duplex`] is the same channel with every stamp 0. Its client
+//! end is served by whoever holds it, or inline ([`Endpoint::with_client`]):
+//! each message is answered before its send returns, on the same thread.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -95,7 +96,7 @@ impl VirtualLinks {
         self.0.server.now()
     }
 
-    /// µs the endpoints spent on their own work ([`Endpoint::advance`]): on
+    /// µs the endpoints spent on their own work ([`Endpoint::answer`]): on
     /// a shipping duplex, the client's UDF CPU.
     pub fn work_us(&self) -> SimTime {
         self.0.work.load(Ordering::Relaxed)
@@ -106,6 +107,16 @@ struct Message {
     /// When the message reaches the receiver, in virtual time.
     deliver_at: SimTime,
     payload: Vec<u8>,
+}
+
+/// What a client made of one request: the reply, if the request has one;
+/// µs of the client's own work before the reply leaves; and whether the
+/// client is done, taking no further request.
+#[derive(Debug, Default)]
+pub struct Answer {
+    pub reply: Option<Vec<u8>>,
+    pub work_us: SimTime,
+    pub done: bool,
 }
 
 /// What actually carries a sender's messages: the in-memory channel (timed
@@ -125,6 +136,8 @@ pub struct NetSender {
     direction: Direction,
     overhead: usize,
     clock: Clock,
+    /// Serves an inline client end: answers the message just sent.
+    inline: Option<Mutex<Box<dyn FnMut() + Send>>>,
 }
 
 impl NetSender {
@@ -145,10 +158,14 @@ impl NetSender {
                     deliver_at,
                     payload,
                 })
-                .map_err(|_| CsqError::Net("peer endpoint closed".into()))
+                .map_err(|_| CsqError::Net("peer endpoint closed".into()))?
             }
-            SendHalf::Tcp(conn) => conn.send(&payload),
+            SendHalf::Tcp(conn) => conn.send(&payload)?,
         }
+        if let Some(serve) = &self.inline {
+            (*serve.lock())();
+        }
+        Ok(())
     }
 
     /// Move the sender's clock up to `at`: a wait the protocol timed
@@ -214,21 +231,42 @@ impl Endpoint {
         self.receiver.recv()
     }
 
-    /// Add `us` of the endpoint's own work to its clock (and, on a virtual
-    /// duplex, to [`VirtualLinks::work_us`]).
-    pub fn advance(&self, us: SimTime) {
-        self.receiver.clock.0.fetch_add(us, Ordering::Relaxed);
+    /// Give the client's `answer`: its work passes on this clock, then its
+    /// reply leaves. False once the client is done or the peer is gone.
+    pub fn answer(&self, answer: Answer) -> bool {
+        let work = answer.work_us;
+        self.receiver.clock.0.fetch_add(work, Ordering::Relaxed);
         if let SendHalf::Chan {
             links: Some(links), ..
         } = &self.sender.half
         {
-            links.0.work.fetch_add(us, Ordering::Relaxed);
+            links.0.work.fetch_add(work, Ordering::Relaxed);
         }
+        let sent = answer.reply.map_or(Ok(()), |reply| self.send(reply));
+        !answer.done && sent.is_ok()
     }
 
-    /// Split into independently-owned halves so sender and receiver threads
-    /// (Figure 3) can each own their direction. The receiving half keeps
-    /// the endpoint's clock; the sending half gets one of its own.
+    /// This server endpoint with its pair's `client` end served inline by
+    /// `step`: each message is answered before its send returns, and a done
+    /// client's end is dropped, which closes it.
+    pub fn with_client(
+        mut self,
+        client: Endpoint,
+        mut step: impl FnMut(Vec<u8>) -> Answer + Send + 'static,
+    ) -> Endpoint {
+        let mut end = Some(client);
+        let serve = move || {
+            end = end
+                .take()
+                .filter(|e| e.recv().is_some_and(|r| e.answer(step(r))));
+        };
+        self.sender.inline = Some(Mutex::new(Box::new(serve)));
+        self
+    }
+
+    /// Split into independently-owned halves, each with a clock: the
+    /// receiving half keeps the endpoint's, the sending half starts one of
+    /// its own at its time (Figure 3's sender and receiver).
     pub fn split(self) -> (NetSender, NetReceiver) {
         let mut sender = self.sender;
         sender.clock = sender.clock.fork();
@@ -249,6 +287,7 @@ impl Endpoint {
             direction,
             overhead,
             clock: clock.clone(),
+            inline: None,
         };
         Endpoint {
             sender,
@@ -373,8 +412,11 @@ mod tests {
         // The second message queued behind the first on the serial link.
         client.recv().unwrap();
         assert_eq!(client.receiver.now(), 201_000);
-        client.advance(9_000);
-        client.send(vec![0; 100]).unwrap();
+        assert!(client.answer(Answer {
+            reply: Some(vec![0; 100]),
+            work_us: 9_000,
+            done: false,
+        }));
         server.recv().unwrap();
         assert_eq!(links.server_clock(), 201_000 + 9_000 + 1_000 + 1_000);
         assert_eq!(links.work_us(), 9_000);
@@ -406,6 +448,71 @@ mod tests {
         client.recv().unwrap();
         assert_eq!(client.receiver.now(), 6_000_000);
         assert_eq!(links.server_clock(), 1_000_000);
+    }
+
+    /// An echo client: each request answered by itself reversed, after
+    /// `work_us` per byte, and done at an empty request.
+    fn echo(work_us: SimTime) -> impl FnMut(Vec<u8>) -> Answer + Send + 'static {
+        move |request: Vec<u8>| Answer {
+            done: request.is_empty(),
+            work_us: work_us * request.len() as SimTime,
+            reply: (!request.is_empty()).then(|| request.into_iter().rev().collect()),
+        }
+    }
+
+    #[test]
+    fn an_inline_client_stamps_and_counts_what_a_served_one_does() {
+        // Requests of 3 000, 10 and 500 bytes, the sender's clock moved
+        // between them: over a pair whose client is served afterwards, and
+        // over one whose client answers each as it is sent.
+        let spec = NetworkSpec::symmetric(100_000.0, 2_000);
+        let sizes = [3_000, 10, 500];
+        let send_all = |server: &NetSender| {
+            for (i, &size) in sizes.iter().enumerate() {
+                server.send(vec![i as u8; size]).unwrap();
+                server.advance_to(40_000 * i as SimTime);
+            }
+        };
+        let (server, client, pair) = virtual_duplex(&spec);
+        let (tx, rx) = server.split();
+        send_all(&tx);
+        let mut step = echo(3);
+        for _ in sizes {
+            assert!(client.answer(step(client.recv().unwrap())));
+        }
+        let (server, client, inline) = virtual_duplex(&spec);
+        let (inline_tx, inline_rx) = server.with_client(client, echo(3)).split();
+        send_all(&inline_tx);
+        for _ in sizes {
+            assert_eq!(rx.recv().unwrap(), inline_rx.recv().unwrap());
+            assert_eq!(rx.now(), inline_rx.now());
+        }
+        assert_eq!(pair.server_clock(), inline.server_clock());
+        assert_eq!(inline.work_us(), 3 * 3_510);
+        assert_eq!(pair.work_us(), inline.work_us());
+        for (a, b) in [
+            (pair.downlink(), inline.downlink()),
+            (pair.uplink(), inline.uplink()),
+        ] {
+            assert_eq!(a.bytes_sent(), b.bytes_sent());
+            assert_eq!(a.messages_sent(), b.messages_sent());
+            assert_eq!(a.busy_time(), b.busy_time());
+        }
+    }
+
+    #[test]
+    fn a_done_inline_client_closes_its_end() {
+        let (server, client, stats) = in_memory_duplex();
+        let server = server.with_client(client, echo(0));
+        server.send(vec![1, 2, 3]).unwrap();
+        server.send(Vec::new()).unwrap();
+        assert!(server.send(vec![4]).is_err(), "the client is done");
+        // The reply it sent first is still delivered, then nothing is.
+        assert_eq!(server.recv().unwrap(), vec![3, 2, 1]);
+        assert!(server.recv().is_none());
+        assert_eq!(server.receiver.now(), 0);
+        assert_eq!((stats.down_messages(), stats.up_messages()), (3, 1));
+        assert_eq!((stats.down_bytes(), stats.up_bytes()), (4, 3));
     }
 
     #[test]

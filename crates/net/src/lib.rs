@@ -13,11 +13,13 @@
 //! * [`NetworkSpec`] — a duplex (downlink + uplink) description with presets
 //!   for the paper's configurations, including the asymmetric `N = 100`
 //!   setup of Figure 9 and the paper's byte-inflation emulation mode.
-//! * [`channel`] — the in-memory duplex transport (crossbeam) with byte
-//!   accounting that the shipping operators run over, in real time
+//! * [`channel`] — the in-memory duplex transport with byte accounting
+//!   that the shipping operators run over, in real time
 //!   ([`in_memory_duplex`]) or in virtual time ([`virtual_duplex`]: every
 //!   message stamped with its arrival through the [`Link`] of its
-//!   direction, every endpoint keeping a clock).
+//!   direction, every endpoint keeping a clock); a client end may be
+//!   served inline ([`Endpoint::with_client`]), by a function called as
+//!   each request is delivered, so no thread serves it.
 //! * [`tcp`] — the same length-framed protocol over real sockets: a framed
 //!   [`TcpConn`] plus [`tcp_duplex`], a loopback pair that is drop-in
 //!   compatible with the in-memory duplex (the query service and its load
@@ -27,7 +29,7 @@
 //!   thread parks thousands of idle connections and hands complete request
 //!   frames to a small worker pool.
 //!
-//! Timing experiments run the same threaded operators over a virtual-time
+//! Timing experiments run the same shipping operators over a virtual-time
 //! duplex: deterministic, because every wait is timestamped, and instant.
 
 pub mod channel;
@@ -39,7 +41,7 @@ pub mod stats;
 pub mod tcp;
 
 pub use channel::{
-    in_memory_duplex, virtual_duplex, Endpoint, NetReceiver, NetSender, VirtualLinks,
+    in_memory_duplex, virtual_duplex, Answer, Endpoint, NetReceiver, NetSender, VirtualLinks,
 };
 pub use fault::{fault_schedule, Fault, FaultInjector};
 pub use link::{Link, SimTime};

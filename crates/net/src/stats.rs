@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Byte/message counters for one duplex connection. Cloning shares the
-/// underlying counters (they are updated from sender/receiver threads).
+/// underlying counters (both ends of a duplex update them).
 #[derive(Debug, Clone, Default)]
 pub struct NetStats {
     inner: Arc<Counters>,

@@ -1,11 +1,12 @@
-//! Virtual-time runs of the three strategies: the threaded operators over a
-//! virtual-time duplex ([`csq_net::virtual_duplex`]), so a modem experiment
-//! that took the paper minutes completes in milliseconds, deterministically
-//! — every wait is timestamped (DESIGN.md §5).
+//! Virtual-time runs of the three strategies: the shipping operators over a
+//! virtual-time duplex ([`csq_net::virtual_duplex`]) whose client end a
+//! [`ClientSession`] serves inline, so a modem experiment that took the
+//! paper minutes completes in milliseconds on the calling thread,
+//! deterministically — every wait is timestamped (DESIGN.md §5).
 
 use std::sync::Arc;
 
-use csq_client::{spawn_client, ClientRuntime};
+use csq_client::{ClientRuntime, ClientSession};
 use csq_common::{Result, Row, Schema};
 use csq_exec::{collect, BoxOp, Operator, RowsOp};
 use csq_net::{virtual_duplex, Endpoint, NetworkSpec, SimTime, VirtualLinks};
@@ -69,8 +70,9 @@ fn simulate<Op: Operator>(
     ship: impl FnOnce(BoxOp, Endpoint) -> Result<Op>,
 ) -> Result<SimRun> {
     let (server, client, links) = virtual_duplex(net);
-    spawn_client(runtime, client)?;
+    let mut session = ClientSession::new(runtime);
     let input = Box::new(RowsOp::new(schema.clone(), rows));
+    let server = server.with_client(client, move |r| session.step(r));
     let out = ship(input, server).and_then(|mut op| collect(&mut op))?;
     Ok(SimRun::new(out, &links))
 }
@@ -89,8 +91,8 @@ pub fn simulate_semijoin(
     })
 }
 
-/// Simulate the client-site join (Figure 4): the sender streams whole
-/// records as fast as the downlink admits.
+/// Simulate the client-site join (Figure 4): whole records leave as fast
+/// as the downlink admits.
 pub fn simulate_client_join(
     schema: &Schema,
     rows: Vec<Row>,

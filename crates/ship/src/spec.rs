@@ -152,17 +152,21 @@ pub struct ClientJoinSpec {
     pub return_cols: Option<Vec<usize>>,
     /// Whole records per network message.
     pub batch_size: usize,
+    /// Pipeline concurrency factor: at most ⌈`concurrency` / `batch_size`⌉
+    /// messages are unanswered at once.
+    pub concurrency: usize,
 }
 
 impl ClientJoinSpec {
     /// A spec with the paper's defaults: no pushdowns, one record per
-    /// message.
+    /// message, and 16 records unanswered at once.
     pub fn new(udfs: Vec<UdfApplication>) -> ClientJoinSpec {
         ClientJoinSpec {
             udfs,
             pushed_predicate: None,
             return_cols: None,
             batch_size: 1,
+            concurrency: 16,
         }
     }
 

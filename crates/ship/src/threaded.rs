@@ -1,34 +1,27 @@
-//! Threaded execution of the three strategies over a real endpoint.
-//!
-//! The architecture is Figure 3/4 of the paper: a *sender* thread pulls
-//! input batches, ships argument (or whole-record) batches to the client,
-//! and — for the semi-join — hands the records, one message's span per
-//! hand-off, to the *receiver* under **credit back-pressure**: at most the
-//! pipeline concurrency factor's worth of spans are unpaired at once. The
-//! receiver is the operator itself (the calling thread): it takes records,
-//! pairs them with results arriving from the client, and emits joined rows.
-//! The client runs in its own thread (see [`csq_client::spawn_client`]).
+//! The shipping operators (Figures 3 and 4), each driving its own window
+//! from `next_batch` on the calling thread: stage input and send while the
+//! window of the pipeline concurrency factor has room, then receive one
+//! reply. The semi-join's window is ⌈K/m⌉ unpaired hand-offs (one message's
+//! span of records each, its slot returned as a **credit** once paired);
+//! the client-site join's is ⌈K/m⌉ unanswered messages. The client answers
+//! inline ([`Endpoint::with_client`](csq_net::Endpoint::with_client)) or
+//! from its own thread ([`csq_client::spawn_client`]); over a socket the
+//! window is what keeps the one thread from deadlocking (DESIGN.md §5).
 //!
 //! A lane-backed input stays lanes (DESIGN.md §2): the semi-join numbers
-//! arguments from the lanes, hands off the shared lanes with the records'
-//! ordinals and appends one result lane per UDF to them; rows get their
-//! results pushed on in place.
-//!
-//! The operators carry the endpoints' clocks, so the same code runs in real
-//! time over an in-memory or TCP duplex and in virtual time over
-//! [`csq_net::virtual_duplex`] (see [`crate::sim`]): a receive moves the
-//! receiver's clock, and a credit moves the sender's.
+//! arguments from the lanes and appends one result lane per UDF to them.
+//! A send leaves at the sending clock and a receive moves the receiving
+//! clock, so the same code runs in real and in virtual time ([`crate::sim`]);
+//! redeeming a credit moves the sending clock up to the credit's stamp.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use csq_common::codec::encode_batch_rows;
 use csq_common::{
-    ArgIndex, CsqError, Lane, Result, Row, RowBatch, Schema, Selection, Value, DEFAULT_BATCH_SIZE,
+    ArgIndex, CancelToken, CsqError, Lane, Result, Row, RowBatch, Schema, Selection, Value,
+    DEFAULT_BATCH_SIZE,
 };
 use csq_exec::Operator;
 use csq_net::{Endpoint, NetReceiver, NetSender, SimTime};
@@ -37,11 +30,12 @@ use csq_client::{Request, Response};
 
 use crate::spec::{ClientJoinSpec, SemiJoinSpec};
 
+type Input = Box<dyn Operator + Send>;
+
 /// Records of one input batch — its shared lanes and the records' lane
 /// ordinals, or its rows — with, per record, the shipping ordinal of its
-/// argument tuple (`args`, in the sender → receiver buffer: results come
-/// back in that order) or its result cells (`cells`, one per UDF, in the
-/// receiver's output).
+/// argument tuple (`args`, while staged and in flight: results come back in
+/// that order) or its result cells (`cells`, one per UDF, in the output).
 #[derive(Default)]
 struct Records {
     lanes: Option<Vec<Arc<Lane>>>,
@@ -94,11 +88,10 @@ impl Records {
     }
 }
 
-/// Decode one received response message to its rows; `closed` is the
-/// caller's wording for a peer that hung up first (`None`).
-fn response_rows(received: Option<Vec<u8>>, closed: &str) -> Result<Vec<Row>> {
+/// Decode one received reply to its rows (`None`: the client closed).
+fn response_rows(received: Option<Vec<u8>>) -> Result<Vec<Row>> {
     let Some(buf) = received else {
-        return Err(CsqError::Net(closed.into()));
+        return Err(CsqError::Net("client closed before its reply".into()));
     };
     // Zero-copy: result payloads stay views of the message buffer.
     let buf = Arc::new(buf);
@@ -108,59 +101,213 @@ fn response_rows(received: Option<Vec<u8>>, closed: &str) -> Result<Vec<Row>> {
     }
 }
 
-/// The semi-join operator (Figure 3): sender thread + credit-bounded
-/// buffer + receiver pulling matched rows.
+/// An operator's side of the link: the endpoint split into its sending and
+/// receiving clocks, and the query's token, checked before every message.
+struct Wire {
+    tx: NetSender,
+    rx: NetReceiver,
+    cancel: CancelToken,
+}
+
+impl Wire {
+    /// Split `endpoint` and install `task` on the client.
+    fn open(endpoint: Endpoint, task: csq_client::ClientTask) -> Result<Wire> {
+        let (tx, rx) = endpoint.split();
+        tx.send(Request::Install(task).encode())?;
+        let cancel = CancelToken::new();
+        Ok(Wire { tx, rx, cancel })
+    }
+
+    /// Send a batch message unless the query must stop (a client that is
+    /// gone is found by the receive that waits for its reply).
+    fn ship(&self, msg: Vec<u8>) -> Result<()> {
+        self.cancel.check()?;
+        let _ = self.tx.send(msg);
+        Ok(())
+    }
+}
+
+/// An operator's input: open, drained (`Finish` is due once all is sent),
+/// or done: after `Finish`, or with the input's error to report last.
+enum Feed {
+    Open(Input),
+    Drained,
+    Done(Option<CsqError>),
+}
+
+impl Feed {
+    /// The next input batch; `None` once the input is over or failed.
+    fn pull(&mut self) -> Option<RowBatch> {
+        let Feed::Open(input) = self else {
+            return None;
+        };
+        match input.next_batch() {
+            Ok(Some(batch)) => return Some(batch),
+            Ok(None) => *self = Feed::Drained,
+            Err(e) => *self = Feed::Done(Some(e)),
+        }
+        None
+    }
+
+    /// Send `Finish` once the input is drained.
+    fn finish(&mut self, wire: &Wire) {
+        if let Feed::Drained = self {
+            let _ = wire.tx.send(Request::Finish.encode());
+            *self = Feed::Done(None);
+        }
+    }
+
+    /// The input's error, once nothing is in flight.
+    fn end(&mut self) -> Result<()> {
+        match self {
+            Feed::Done(e) => e.take().map_or(Ok(()), Err),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// The semi-join operator (Figure 3): argument batches out, each record
+/// paired with its argument's result in a credit-bounded window.
 pub struct ThreadedSemiJoin {
     schema: Arc<Schema>,
-    /// One item per hand-off: how many arguments its message shipped (none
-    /// when its records repeat shipped arguments) and the records of the
-    /// span, or the sender's failure (input error or network error).
-    buffer_rx: Receiver<Result<(usize, Vec<Records>)>>,
-    /// One credit per paired hand-off, stamped with the receiver's clock.
-    credits_tx: Sender<SimTime>,
+    feed: Feed,
+    wire: Wire,
+    /// Distinct argument tuples by shipping ordinal; of them, `sent` are
+    /// on the wire and `closed` in a closed span.
+    args: ArgIndex,
+    batch_size: usize,
+    sent: usize,
+    closed: usize,
+    /// Records staged since the last span closed.
+    staged: Vec<Records>,
+    /// Hand-offs (how many arguments each one's message ships, and its
+    /// records) waiting for a slot, then sent and waiting to be paired.
+    ready: VecDeque<(usize, Vec<Records>)>,
+    in_flight: VecDeque<(usize, Vec<Records>)>,
+    /// ⌈K/m⌉ slots, held by `unpaired` hand-offs; a paired one's comes back
+    /// as a credit stamped with the receiving clock.
+    slots: usize,
+    unpaired: usize,
+    credits: VecDeque<SimTime>,
     /// The hand-off being paired, and how many records of its first piece
-    /// are paired.
+    /// are.
     span: VecDeque<Records>,
     paired: usize,
-    net_rx: NetReceiver,
     /// Results by shipping ordinal, `udfs` values each.
     results: Vec<Row>,
     udfs: usize,
-    sender: Option<JoinHandle<()>>,
     failed: bool,
 }
 
 impl ThreadedSemiJoin {
-    /// Start the pipeline. `endpoint` is the server side of a duplex whose
-    /// client side is served by [`csq_client::spawn_client`].
-    pub fn new(
-        input: Box<dyn Operator + Send>,
-        spec: SemiJoinSpec,
-        endpoint: Endpoint,
-    ) -> Result<ThreadedSemiJoin> {
+    /// Install the client task over `endpoint`, the server end of a duplex
+    /// whose client answers as [`csq_client::ClientSession`] does.
+    pub fn new(input: Input, spec: SemiJoinSpec, endpoint: Endpoint) -> Result<ThreadedSemiJoin> {
         let input_schema = input.schema().clone();
-        let schema = Arc::new(spec.output_schema(&input_schema));
-        let task = spec.client_task(&input_schema)?;
-        let (net_tx, net_rx) = endpoint.split();
-        let (buffer_tx, buffer_rx) = unbounded();
-        let (credits_tx, credits_rx) = unbounded();
-        let udfs = spec.udfs.len();
-        let sender = std::thread::Builder::new()
-            .name("csq-sj-sender".into())
-            .spawn(move || semijoin_sender(input, task, spec, net_tx, buffer_tx, credits_rx))
-            .map_err(|e| CsqError::Exec(format!("failed to spawn semi-join sender: {e}")))?;
+        let batch_size = spec.batch_size.max(1);
         Ok(ThreadedSemiJoin {
-            schema,
-            buffer_rx,
-            credits_tx,
+            schema: Arc::new(spec.output_schema(&input_schema)),
+            wire: Wire::open(endpoint, spec.client_task(&input_schema)?)?,
+            args: ArgIndex::new(spec.arg_union(input_schema.len())),
+            feed: Feed::Open(input),
+            batch_size,
+            sent: 0,
+            closed: 0,
+            staged: Vec::new(),
+            ready: VecDeque::new(),
+            in_flight: VecDeque::new(),
+            slots: spec.concurrency.div_ceil(batch_size).max(1),
+            unpaired: 0,
+            credits: VecDeque::new(),
             span: VecDeque::new(),
             paired: 0,
-            net_rx,
             results: Vec::new(),
-            udfs,
-            sender: Some(sender),
+            udfs: spec.udfs.len(),
             failed: false,
         })
+    }
+
+    /// Number `batch`'s arguments in shipping order and stage its records;
+    /// every `batch_size` new arguments close a span.
+    fn stage(&mut self, batch: RowBatch) {
+        let n = batch.len();
+        let (lanes, sel, rows) = match batch.lanes() {
+            Some((lanes, sel)) => (Some(lanes.to_vec()), sel.clone(), Vec::new()),
+            None => (None, Selection::Window(0..0), batch.into_rows()),
+        };
+        let mut rows = rows.into_iter();
+        let mut piece = Records {
+            lanes,
+            ..Records::default()
+        };
+        for p in 0..n {
+            match &piece.lanes {
+                Some(lanes) => {
+                    let i = sel.ordinal(p);
+                    piece.args.push(self.args.insert_by(|c| lanes[c].cell(i)).0);
+                    piece.ords.push(i);
+                }
+                None => {
+                    let Some(row) = rows.next() else { break };
+                    let cell = |c| Cow::Borrowed(row.value(c));
+                    piece.args.push(self.args.insert_by(cell).0);
+                    piece.rows.push(row);
+                }
+            }
+            if self.args.len() - self.closed >= self.batch_size {
+                self.staged.push(piece.split());
+                self.close_span();
+            }
+        }
+        if !piece.args.is_empty() {
+            self.staged.push(piece);
+        }
+        // With no span open, what is staged repeats shipped arguments: its
+        // results are in flight or kept, so it needs no message of its own
+        // (but a slot, like any hand-off).
+        if self.args.len() == self.closed && !self.staged.is_empty() {
+            self.close_span();
+        }
+    }
+
+    /// The open span's arguments and the records staged since the last
+    /// span closed become one hand-off.
+    fn close_span(&mut self) {
+        let shipped = self.args.len() - self.closed;
+        self.closed = self.args.len();
+        self.ready
+            .push_back((shipped, std::mem::take(&mut self.staged)));
+    }
+
+    /// Hand off while a slot is free (redeeming credits in order), staging
+    /// input as needed, then `Finish`. A record is handed off only once
+    /// every argument it refers to is on the wire.
+    fn fill(&mut self) -> Result<()> {
+        loop {
+            if let Some(&(shipped, _)) = self.ready.front() {
+                if self.unpaired < self.slots {
+                    if shipped > 0 {
+                        let keys = self.args.keys(self.sent).take(shipped);
+                        self.wire.ship(Request::encode_batch(keys))?;
+                        self.sent += shipped;
+                    }
+                    self.unpaired += 1;
+                    self.in_flight.extend(self.ready.pop_front());
+                } else if let Some(at) = self.credits.pop_front() {
+                    self.wire.tx.advance_to(at);
+                    self.unpaired -= 1;
+                } else {
+                    return Ok(());
+                }
+            } else if let Some(batch) = self.feed.pull() {
+                self.stage(batch);
+            } else if self.args.len() > self.closed && matches!(self.feed, Feed::Drained) {
+                self.close_span();
+            } else {
+                self.feed.finish(&self.wire);
+                return Ok(());
+            }
+        }
     }
 
     /// Take the reply to a hand-off's message of `shipped` arguments: one
@@ -169,10 +316,7 @@ impl ThreadedSemiJoin {
         if shipped == 0 {
             return Ok(());
         }
-        let rows = response_rows(
-            self.net_rx.recv(),
-            "client closed connection before all results arrived",
-        )?;
+        let rows = response_rows(self.wire.rx.recv())?;
         if rows.len() != shipped || rows.iter().any(|r| r.len() != self.udfs) {
             return Err(CsqError::Client(format!(
                 "semi-join: the client's reply to {shipped} arguments is not \
@@ -184,16 +328,10 @@ impl ThreadedSemiJoin {
         Ok(())
     }
 
-    /// Pair the next buffered record with its result into `out`; once its
-    /// hand-off is paired, its slot goes back to the sender.
+    /// Pair the next record with its result into `out`; once its hand-off
+    /// is paired, its slot comes back as a credit.
     fn pair(&mut self, out: &mut Records) -> Result<()> {
-        let missing = || {
-            CsqError::Exec(
-                "semi-join receiver: no record, or no result for its argument, to pair \
-                 (sender/receiver protocol violation)"
-                    .into(),
-            )
-        };
+        let missing = || CsqError::Exec("semi-join: no record, or no result, to pair".into());
         let piece = self.span.front_mut().ok_or_else(missing)?;
         let result = piece
             .args
@@ -216,336 +354,173 @@ impl ThreadedSemiJoin {
             self.span.pop_front();
             self.paired = 0;
             if self.span.is_empty() {
-                // At the receiver's time. A sender that is gone needs no
-                // credit.
-                let _ = self.credits_tx.send(self.net_rx.now());
+                self.credits.push_back(self.wire.rx.now());
             }
         }
         Ok(())
     }
 
-    fn join_sender(&mut self) {
-        if let Some(h) = self.sender.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Operator for ThreadedSemiJoin {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
-        if self.failed {
-            return Ok(None);
-        }
+    /// Pair up to a batch of records, taking each hand-off's reply in turn.
+    fn pull(&mut self) -> Result<Option<RowBatch>> {
         let mut out = Records::default();
         while out.len() < DEFAULT_BATCH_SIZE {
             if self.span.is_empty() {
-                let span = match self.buffer_rx.recv() {
-                    Ok(Ok((shipped, span))) => self.receive(shipped).map(|()| span),
-                    Ok(Err(e)) => {
-                        self.join_sender();
-                        Err(e)
-                    }
-                    Err(_) => {
-                        self.join_sender();
-                        break;
-                    }
+                self.fill()?;
+                let Some((shipped, span)) = self.in_flight.pop_front() else {
+                    // The input's error discards the partial batch.
+                    self.feed.end()?;
+                    break;
                 };
-                match span {
-                    Ok(span) => self.span = span.into(),
-                    Err(e) => {
-                        self.failed = true;
-                        return Err(e);
-                    }
-                }
+                self.receive(shipped)?;
+                self.span = span.into();
             }
             // A piece over other lanes than the batch's, or rows after
             // lanes, starts the next batch.
             if !self.span.front().is_some_and(|p| out.takes(p)) {
                 break;
             }
-            if let Err(e) = self.pair(&mut out) {
-                // Latch: the partial batch is discarded and every later
-                // pull reports end of stream.
-                self.failed = true;
-                return Err(e);
-            }
+            self.pair(&mut out)?;
         }
         Ok(out.into_batch(&self.schema))
     }
 }
 
-/// Sender-thread body for the semi-join — the loop of Figure 3: number the
-/// record's arguments, stage the record, and once a span is full wait for a
-/// slot, send its message and hand the staged records to the receiver.
-/// Consumes the input operator one [`RowBatch`] at a time, a lane batch
-/// read and staged as its lanes. Every distinct argument tuple is numbered
-/// in an [`ArgIndex`] in shipping order (each record's arguments are hashed
-/// once, there), and the receiver finds a record's result by that ordinal.
-/// Records are handed off only after every argument they refer to is on the
-/// wire — the sender/receiver pairing protocol — and one hand-off carries
-/// all of a message's records.
-fn semijoin_sender(
-    mut input: Box<dyn Operator + Send>,
-    task: csq_client::ClientTask,
-    spec: SemiJoinSpec,
-    net_tx: NetSender,
-    buffer_tx: Sender<Result<(usize, Vec<Records>)>>,
-    credits_rx: Receiver<SimTime>,
-) {
-    if net_tx.send(Request::Install(task).encode()).is_err() {
-        let _ = buffer_tx.send(Err(CsqError::Net("client unreachable".into())));
-        return;
-    }
-    let batch_size = spec.batch_size.max(1);
-    let mut args = ArgIndex::new(spec.arg_union(input.schema().len()));
-    // Arguments carried by a message so far; the rest form the open span.
-    let mut sent = 0;
-    // The records staged since the last hand-off.
-    let mut staged: Vec<Records> = Vec::new();
-    // K is in tuples and a hand-off is a span of `batch_size` shipped
-    // arguments, so ⌈K/m⌉ hand-offs may be unpaired at once.
-    let slots = spec.concurrency.div_ceil(batch_size).max(1);
-    let mut unpaired = 0;
-    // Hand the staged records off, with the open span's message if there
-    // is one (the span closes): wait until fewer than `slots` hand-offs are
-    // unpaired (moving the sender's clock up to each credit's stamp), send
-    // the message, release the records. False when the client or the
-    // receiver (e.g. under a LIMIT) is gone: stop quietly.
-    let mut hand_off = |args: &ArgIndex, sent: &mut usize, staged: &mut Vec<Records>| {
-        let shipped = args.len() - *sent;
-        let msg = (shipped > 0).then(|| Request::encode_batch(args.keys(*sent)));
-        *sent = args.len();
-        while unpaired >= slots {
-            let Ok(at) = credits_rx.recv() else {
-                return false;
-            };
-            net_tx.advance_to(at);
-            unpaired -= 1;
-        }
-        if let Some(msg) = msg {
-            if net_tx.send(msg).is_err() {
-                return false;
-            }
-        }
-        unpaired += 1;
-        buffer_tx
-            .send(Ok((shipped, std::mem::take(staged))))
-            .is_ok()
-    };
-
-    loop {
-        let batch = match input.next_batch() {
-            Ok(Some(b)) => b,
-            Ok(None) => break,
-            Err(e) => {
-                // What is staged dies with the input; the error follows
-                // exactly what was delivered.
-                let _ = buffer_tx.send(Err(e));
-                return;
-            }
-        };
-        let n = batch.len();
-        let (lanes, sel, rows) = match batch.lanes() {
-            Some((lanes, sel)) => (Some(lanes.to_vec()), sel.clone(), Vec::new()),
-            None => (None, Selection::Window(0..0), batch.into_rows()),
-        };
-        let mut rows = rows.into_iter();
-        let mut piece = Records {
-            lanes,
-            ..Records::default()
-        };
-        for p in 0..n {
-            match &piece.lanes {
-                Some(lanes) => {
-                    let i = sel.ordinal(p);
-                    piece.args.push(args.insert_by(|c| lanes[c].cell(i)).0);
-                    piece.ords.push(i);
-                }
-                None => {
-                    let Some(row) = rows.next() else { break };
-                    piece
-                        .args
-                        .push(args.insert_by(|c| Cow::Borrowed(row.value(c))).0);
-                    piece.rows.push(row);
-                }
-            }
-            if args.len() - sent >= batch_size {
-                staged.push(piece.split());
-                if !hand_off(&args, &mut sent, &mut staged) {
-                    return;
-                }
-            }
-        }
-        if !piece.args.is_empty() {
-            staged.push(piece);
-        }
-        // With no span open, what is staged repeats shipped arguments: its
-        // results are in flight or kept, so it needs no message of its own
-        // (but a slot, like any hand-off).
-        if args.len() == sent && !staged.is_empty() && !hand_off(&args, &mut sent, &mut staged) {
-            return;
-        }
-    }
-    if args.len() > sent && !hand_off(&args, &mut sent, &mut staged) {
-        return;
-    }
-    let _ = net_tx.send(Request::Finish.encode());
-    // Dropping the hand-off sender closes the buffer; the receiver then
-    // terminates.
-}
-
-/// The client-site join operator (Figure 4): sender streams whole records,
-/// the client filters/projects, the receiver forwards returned rows. No
-/// sender↔receiver synchronization is required.
+/// The client-site join operator (Figure 4): whole records out, written by
+/// [`encode_batch_rows`] from rows or lanes, `batch_size` to a message
+/// whatever the engine's batch capacity; each reply's rows are a batch. The
+/// sending clock never moves: a message leaves when the downlink takes it.
 pub struct ThreadedClientJoin {
     schema: Arc<Schema>,
-    tickets_rx: Receiver<Result<()>>,
-    net_rx: NetReceiver,
-    sender: Option<JoinHandle<()>>,
+    feed: Feed,
+    wire: Wire,
+    batch_size: usize,
+    /// The input batch being cut into messages, and how far it is cut.
+    cutting: Option<(RowBatch, usize)>,
+    /// The open message and its record count.
+    msg: Vec<u8>,
+    pending: usize,
+    /// ⌈K/m⌉ messages may be unanswered at once.
+    window: usize,
+    unanswered: usize,
     failed: bool,
 }
 
 impl ThreadedClientJoin {
-    /// Start the pipeline.
+    /// Install the client task over `endpoint`, the server end of a duplex
+    /// whose client answers as [`csq_client::ClientSession`] does.
     pub fn new(
-        input: Box<dyn Operator + Send>,
+        input: Input,
         spec: ClientJoinSpec,
         endpoint: Endpoint,
     ) -> Result<ThreadedClientJoin> {
         let input_schema = input.schema().clone();
-        let schema = Arc::new(spec.output_schema(&input_schema));
-        let task = spec.client_task(&input_schema)?;
-        let (net_tx, net_rx) = endpoint.split();
-        let (tickets_tx, tickets_rx) = unbounded();
         let batch_size = spec.batch_size.max(1);
-        let sender = std::thread::Builder::new()
-            .name("csq-csj-sender".into())
-            .spawn(move || client_join_sender(input, task, batch_size, net_tx, tickets_tx))
-            .map_err(|e| CsqError::Exec(format!("failed to spawn client-join sender: {e}")))?;
         Ok(ThreadedClientJoin {
-            schema,
-            tickets_rx,
-            net_rx,
-            sender: Some(sender),
+            schema: Arc::new(spec.output_schema(&input_schema)),
+            wire: Wire::open(endpoint, spec.client_task(&input_schema)?)?,
+            feed: Feed::Open(input),
+            batch_size,
+            cutting: None,
+            msg: Request::batch_head(batch_size),
+            pending: 0,
+            window: spec.concurrency.div_ceil(batch_size).max(1),
+            unanswered: 0,
             failed: false,
         })
     }
 
-    fn join_sender(&mut self) {
-        if let Some(h) = self.sender.take() {
-            let _ = h.join();
+    /// Send the open message, its record count patched.
+    fn ship(&mut self) -> Result<()> {
+        let head = Request::batch_head(self.pending);
+        let mut msg = std::mem::replace(&mut self.msg, Request::batch_head(self.batch_size));
+        msg[..head.len()].copy_from_slice(&head);
+        self.pending = 0;
+        self.unanswered += 1;
+        self.wire.ship(msg)
+    }
+
+    /// Cut input into messages while fewer than the window's are
+    /// unanswered, then `Finish`.
+    fn fill(&mut self) -> Result<()> {
+        while self.unanswered < self.window {
+            if let Some((batch, pos)) = &mut self.cutting {
+                let take = (self.batch_size - self.pending).min(batch.len() - *pos);
+                encode_batch_rows(batch, *pos..*pos + take, &mut self.msg);
+                (*pos, self.pending) = (*pos + take, self.pending + take);
+                if *pos == batch.len() {
+                    self.cutting = None;
+                }
+                if self.pending == self.batch_size {
+                    self.ship()?;
+                }
+            } else if let Some(batch) = self.feed.pull() {
+                self.cutting = Some((batch, 0));
+            } else if self.pending > 0 && matches!(self.feed, Feed::Drained) {
+                self.ship()?;
+            } else {
+                self.feed.finish(&self.wire);
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// The next reply with rows, each of the output schema's width.
+    fn pull(&mut self) -> Result<Option<RowBatch>> {
+        let width = self.schema.len();
+        loop {
+            self.fill()?;
+            if self.unanswered == 0 {
+                self.feed.end()?;
+                return Ok(None);
+            }
+            self.unanswered -= 1;
+            let rows = response_rows(self.wire.rx.recv())?;
+            if let Some(r) = rows.iter().find(|r| r.len() != width) {
+                return Err(CsqError::Client(format!(
+                    "client-site join: the client returned a row of {} values \
+                     for {width} columns",
+                    r.len()
+                )));
+            }
+            if !rows.is_empty() {
+                return Ok(Some(RowBatch::from_rows(self.schema.clone(), rows)));
+            }
         }
     }
 }
 
-impl Operator for ThreadedClientJoin {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// One decoded response chunk is one batch.
-    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
-        if self.failed {
-            return Ok(None);
+/// The cancellation hook and the [`Operator`] impl of a shipping operator:
+/// its `pull` behind a latch — after an error the partial batch is
+/// discarded and every later pull reports end of stream.
+macro_rules! shipping_operator {
+    ($op:ty) => {
+        impl $op {
+            /// Check `token` before every message: once it trips, the pull
+            /// that would send fails with its error.
+            pub fn with_cancel(mut self, token: CancelToken) -> $op {
+                self.wire.cancel = token;
+                self
+            }
         }
-        loop {
-            let chunk = match self.tickets_rx.recv() {
-                Err(_) => {
-                    self.join_sender();
+
+        impl Operator for $op {
+            fn schema(&self) -> &Schema {
+                &self.schema
+            }
+
+            fn next_batch(&mut self) -> Result<Option<RowBatch>> {
+                if self.failed {
                     return Ok(None);
                 }
-                Ok(Err(e)) => {
-                    self.join_sender();
-                    Err(e)
-                }
-                // The response chunk this ticket announced, a row of the
-                // output schema's width each.
-                Ok(Ok(())) => {
-                    let width = self.schema.len();
-                    response_rows(self.net_rx.recv(), "client closed connection mid-query")
-                        .and_then(|rows| match rows.iter().find(|r| r.len() != width) {
-                            Some(r) => Err(CsqError::Client(format!(
-                                "client-site join: the client returned a row of {} values \
-                                 for {width} columns",
-                                r.len()
-                            ))),
-                            None => Ok(rows),
-                        })
-                }
-            };
-            match chunk {
-                // Fully filtered chunk; wait for the next.
-                Ok(rows) if rows.is_empty() => continue,
-                Ok(rows) => return Ok(Some(RowBatch::from_rows(self.schema.clone(), rows))),
-                Err(e) => {
-                    // Latch: a later pull must not take the next ticket and
-                    // hand out the rows after the failed chunk.
-                    self.failed = true;
-                    return Err(e);
-                }
+                self.pull().inspect_err(|_| self.failed = true)
             }
         }
-    }
+    };
 }
 
-/// Sender-thread body for the client-site join: consumes operator batches
-/// directly and re-chunks them into `batch_size`-row wire messages (so byte
-/// and message accounting is independent of the engine's batch capacity),
-/// written by [`encode_batch_rows`] from rows or lanes alike; a short last
-/// chunk has its row count patched. Chunk, send, ticket: a message's ticket
-/// is issued only once it is on the wire.
-fn client_join_sender(
-    mut input: Box<dyn Operator + Send>,
-    task: csq_client::ClientTask,
-    batch_size: usize,
-    net_tx: NetSender,
-    tickets_tx: Sender<Result<()>>,
-) {
-    if net_tx.send(Request::Install(task).encode()).is_err() {
-        let _ = tickets_tx.send(Err(CsqError::Net("client unreachable".into())));
-        return;
-    }
-    // False when the client or the receiver is gone: stop quietly.
-    let ship_chunk = |msg: Vec<u8>| net_tx.send(msg).is_ok() && tickets_tx.send(Ok(())).is_ok();
-    let mut msg = Request::batch_head(batch_size);
-    let mut pending = 0;
-    loop {
-        let batch = match input.next_batch() {
-            Ok(Some(b)) => b,
-            Ok(None) => break,
-            Err(e) => {
-                // Queued behind the tickets of the messages already sent, so
-                // the receiver consumes exactly what was shipped.
-                let _ = tickets_tx.send(Err(e));
-                return;
-            }
-        };
-        let mut pos = 0;
-        while pos < batch.len() {
-            let take = (batch_size - pending).min(batch.len() - pos);
-            encode_batch_rows(&batch, pos..pos + take, &mut msg);
-            (pos, pending) = (pos + take, pending + take);
-            if pending == batch_size {
-                pending = 0;
-                if !ship_chunk(std::mem::replace(&mut msg, Request::batch_head(batch_size))) {
-                    return;
-                }
-            }
-        }
-    }
-    if pending > 0 {
-        let head = Request::batch_head(pending);
-        msg[..head.len()].copy_from_slice(&head);
-        if !ship_chunk(msg) {
-            return;
-        }
-    }
-    let _ = net_tx.send(Request::Finish.encode());
-}
+shipping_operator!(ThreadedSemiJoin);
+shipping_operator!(ThreadedClientJoin);
 
 #[cfg(test)]
 mod tests {
@@ -672,7 +647,7 @@ mod tests {
 
     #[test]
     fn sender_error_follows_exactly_the_delivered_prefix() {
-        // The semi-join receiver discards a partial output batch when it
+        // The semi-join discards a partial output batch when it
         // latches, so the delivered prefix is a whole number of them; the
         // last `batch_size - 1` rows open a span (or chunk) the failing
         // input never lets fill, and they die with it.
@@ -716,8 +691,7 @@ mod tests {
                     Box::new(ThreadedSemiJoin::new(input, spec, server).unwrap())
                 });
             }
-            // One ticket per shipped message is honoured before the error
-            // ticket.
+            // Every shipped message is answered before the input's error.
             check(batch_size, &|input, server| {
                 let mut spec = ClientJoinSpec::new(vec![analyze_app()]);
                 spec.batch_size = batch_size;
@@ -730,7 +704,7 @@ mod tests {
     fn duplicates_after_the_last_message_still_arrive() {
         // Six distinct arguments fill two messages exactly; the rows after
         // them repeat shipped arguments with no span open, so they reach the
-        // buffer without a message of their own.
+        // window without a message of their own.
         let run = |data: Vec<Row>| {
             let (server, client, stats) = in_memory_duplex();
             let handle = spawn_client(runtime(), client).unwrap();
@@ -920,8 +894,8 @@ mod tests {
     fn early_drop_of_receiver_shuts_pipeline_down() {
         // LIMIT-style early termination: dropping the operator with most of
         // its input still unsent must not hang. One hand-off may be unpaired
-        // (K = 2 tuples at 1 or 8 per message), so the sender is waiting for
-        // the credit of a record, or of a whole span, when the receiver goes
+        // (K = 2 tuples at 1 or 8 per message), so a hand-off is waiting for
+        // the credit of a record, or of a whole span, when the operator goes
         // away.
         for batch_size in [1, 8] {
             let (server, client, _) = in_memory_duplex();
@@ -943,7 +917,7 @@ mod tests {
     fn client_join_latches_after_codec_error() {
         // A hand-rolled client answers the first two four-tuple batches with
         // a malformed frame and a well-formed one: the pull that decodes the
-        // garbage fails typed, and no later pull may take the next ticket (or
+        // garbage fails typed, and no later pull may take the next reply (or
         // span) and hand out the rows behind the corrupt chunk.
         type Input = Box<dyn Operator + Send>;
         let check = |make: &dyn Fn(Input, Endpoint) -> Box<dyn Operator>| {

@@ -613,3 +613,65 @@ fn a_dropped_fetch_reply_is_retried_to_oracle_rows() {
         h.shutdown();
     }
 }
+
+/// `Slow(BLOB) -> INT`: the blob's length, after sleeping a millisecond.
+struct Slow(csq_client::UdfSignature);
+
+impl csq_client::ScalarUdf for Slow {
+    fn signature(&self) -> &csq_client::UdfSignature {
+        &self.0
+    }
+
+    fn invoke(&self, args: &[Value]) -> csq_common::Result<Value> {
+        std::thread::sleep(Duration::from_millis(1));
+        Ok(Value::Int(args[0].as_blob()?.len() as i64))
+    }
+}
+
+/// A shipping statement is stopped by its deadline between two messages:
+/// the operator checks the token before each one, with no client thread
+/// of its own to poll it. The statement would call the slow UDF on 2 000
+/// distinct 4 KiB blobs (≥ 2 s), 15 to a 64 KiB message; under a 50 ms
+/// deadline it answers a typed `timeout` within 500 ms, and the worker it
+/// freed serves the session's next statement.
+#[test]
+fn a_shipping_statement_times_out_between_messages() {
+    let db = Database::new(NetworkSpec::lan());
+    let mut b = TableBuilder::new("T")
+        .column("Id", DataType::Int)
+        .column("Arg", DataType::Blob);
+    for i in 0..2_000u64 {
+        b = b.row(vec![
+            Value::Int(i as i64),
+            Value::Blob(csq_common::Blob::synthetic(4_096, i)),
+        ]);
+    }
+    db.catalog().register(b.build().unwrap()).unwrap();
+    let sig = csq_client::UdfSignature::new("Slow", vec![DataType::Blob], DataType::Int);
+    db.register_udf(Arc::new(Slow(sig))).unwrap();
+    let sql = "SELECT T.Id FROM T T WHERE Slow(T.Arg) > 0";
+    let plan = db.explain(sql).unwrap();
+    assert!(
+        plan.contains("ApplyUdf Slow(T.Arg) [semi-join, 15/msg"),
+        "{plan}"
+    );
+    let handle = start_service(&Arc::new(db), ServiceConfig::default());
+    let mut conn = ServiceConn::connect(handle.local_addr()).expect("connect");
+    let started = std::time::Instant::now();
+    let err = conn
+        .query_with(
+            sql,
+            &QueryOptions::new().with_deadline(Duration::from_millis(50)),
+        )
+        .expect_err("a 50 ms deadline must stop 2 s of UDF calls");
+    let took = started.elapsed();
+    assert_eq!(err.kind(), "timeout", "{err}");
+    assert!(took < Duration::from_millis(500), "took {took:?}");
+    assert!(!conn.is_broken(), "the server answered the timeout itself");
+    let quick = conn
+        .query("SELECT T.Id FROM T T WHERE T.Id = 1")
+        .expect("the worker is free for the next statement");
+    assert_eq!(quick.rows.len(), 1);
+    conn.close();
+    handle.shutdown();
+}

@@ -255,3 +255,132 @@ fn explain_reports_segment_pruning_on_selective_scan() {
     let out = db.execute("SELECT M.V FROM M WHERE M.K > 19000").unwrap();
     assert_eq!(out.rows.len(), 999);
 }
+
+/// The paper's two shipping statements at the benchmark's scale: 2 000
+/// rows whose 1 000-byte `Quotes` are shared by four rows each, under a
+/// modem (the Figure 1 query plans a semi-join) and under the asymmetric
+/// cable link with large advertised results (its variant returning
+/// `S.Quotes` plans a client-site join).
+fn paper_db(net: NetworkSpec, udf: Arc<dyn csq_client::ScalarUdf>) -> Database {
+    let db = Database::new(net);
+    let mut b = TableBuilder::new("StockQuotes")
+        .column("Name", DataType::Str)
+        .column("Change", DataType::Float)
+        .column("Close", DataType::Float)
+        .column("Quotes", DataType::Blob)
+        .column("Report", DataType::Blob);
+    for i in 0..2_000u64 {
+        b = b.row(vec![
+            Value::from(format!("company{i}")),
+            Value::Float((i % 40) as f64),
+            Value::Float(100.0),
+            Value::Blob(Blob::synthetic(1_000, i % 500)),
+            Value::Blob(Blob::synthetic(200, 1_000 + i)),
+        ]);
+    }
+    db.catalog().register(b.build().unwrap()).unwrap();
+    db.register_udf(udf).unwrap();
+    db
+}
+
+/// `paper_db`'s Figure 1 statement over the modem (a semi-join) and its
+/// variant returning `S.Quotes` over the cable link with large advertised
+/// results (a client-site join): `(db, sql, the plan's strategy)` each.
+fn paper_statements(
+    udf: Arc<dyn csq_client::ScalarUdf>,
+) -> [(Database, &'static str, &'static str); 2] {
+    let semi = paper_db(NetworkSpec::modem_28_8(), udf.clone());
+    let join = paper_db(NetworkSpec::cable_asymmetric(), udf);
+    join.advertise_udf(
+        csq_core::UdfMeta::client("ClientAnalysis", vec![DataType::Blob], DataType::Int)
+            .with_result_bytes(20_000.0)
+            .with_selectivity(0.01),
+    );
+    let fig1_quotes = "SELECT S.Name, S.Quotes FROM StockQuotes S \
+                       WHERE S.Change / S.Close > 0.2 AND ClientAnalysis(S.Quotes) > 500";
+    [
+        (semi, FIG1, "[semi-join, 65/msg, K=130]"),
+        (
+            join,
+            fig1_quotes,
+            "[client-site join, push [($u0 > 500)], merged with final, 36/msg, K=108]",
+        ),
+    ]
+}
+
+/// The virtual-time result of both shipping statements, to the µs and the
+/// byte: the link model, the shipping window and the client's CPU clock
+/// must reproduce it exactly whatever runs the operators.
+#[test]
+fn the_paper_statements_take_pinned_virtual_time() {
+    let rating = Arc::new(RatingUdf::new("ClientAnalysis", 1000));
+    for ((db, sql, marker), pinned) in paper_statements(rating)
+        .into_iter()
+        .zip([PIN_SEMI, PIN_JOIN])
+    {
+        let plan = db.explain(sql).unwrap();
+        assert!(plan.contains(marker), "{plan}");
+        let (out, sim) = db.execute_simulated(sql).unwrap();
+        assert_eq!(out.rows, db.execute(sql).unwrap().rows, "{marker}");
+        let got = [
+            sim.elapsed_us,
+            sim.down_bytes,
+            sim.up_bytes,
+            sim.down_messages,
+            sim.up_messages,
+            sim.client_cpu_us,
+        ];
+        assert_eq!(got, pinned, "{marker}: {sim:?}");
+    }
+}
+
+/// `[elapsed µs, down bytes, up bytes, down messages, up messages, client
+/// CPU µs]` of the semi-join statement over the modem.
+const PIN_SEMI: [u64; 6] = [165_864_727, 589_349, 6_215, 11, 8, 0];
+/// The same of the client-site join statement over the cable link.
+const PIN_JOIN: [u64; 6] = [172_723_910, 1_687_265, 615_797, 30, 27, 0];
+
+/// `ClientAnalysis` as [`RatingUdf`] computes it, noting the thread of
+/// every invocation.
+struct OnThread {
+    rating: RatingUdf,
+    threads: std::sync::Mutex<Vec<std::thread::ThreadId>>,
+}
+
+impl csq_client::ScalarUdf for OnThread {
+    fn signature(&self) -> &csq_client::UdfSignature {
+        csq_client::ScalarUdf::signature(&self.rating)
+    }
+
+    fn invoke(&self, args: &[Value]) -> csq_common::Result<Value> {
+        self.threads
+            .lock()
+            .unwrap()
+            .push(std::thread::current().id());
+        csq_client::ScalarUdf::invoke(&self.rating, args)
+    }
+
+    fn result_size_hint(&self) -> Option<usize> {
+        csq_client::ScalarUdf::result_size_hint(&self.rating)
+    }
+}
+
+/// A statement that ships starts no thread: under either strategy, in real
+/// and in virtual time, every UDF invocation runs on the thread that asked
+/// for the rows.
+#[test]
+fn a_shipping_statement_runs_its_udf_on_the_calling_thread() {
+    let udf = Arc::new(OnThread {
+        rating: RatingUdf::new("ClientAnalysis", 1000),
+        threads: Default::default(),
+    });
+    for (db, sql, marker) in paper_statements(udf.clone()) {
+        assert!(db.explain(sql).unwrap().contains(marker));
+        db.execute(sql).unwrap();
+        db.execute_simulated(sql).unwrap();
+        let threads = std::mem::take(&mut *udf.threads.lock().unwrap());
+        assert_eq!(threads.len(), 2 * 475, "{marker}");
+        let here = std::thread::current().id();
+        assert!(threads.iter().all(|&t| t == here), "{marker}");
+    }
+}
