@@ -1,6 +1,7 @@
 //! A file with zero violations: errors are returned, unsafe is justified,
 //! sync goes through the vendored shims, capacities are guarded, plan-time
-//! statistics read the table profile, settings arrive as parameters.
+//! statistics read the table profile, settings arrive as parameters, and a
+//! statement's requests are all sent before their replies are read.
 
 use parking_lot::Mutex;
 
@@ -39,4 +40,11 @@ pub fn worker_count(requested: usize) -> usize {
         0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
         n => n,
     }
+}
+
+pub fn scatter(shards: &[Shard], request: &Request) -> Vec<Reply> {
+    // Every request is written, then every reply read, on the calling
+    // thread (a thread::spawn per shard would trip no-statement-thread).
+    let sent: Vec<_> = shards.iter().map(|sh| sh.send(request)).collect();
+    sent.into_iter().map(|flight| flight.finish()).collect()
 }

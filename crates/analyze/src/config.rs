@@ -26,6 +26,8 @@ pub struct Config {
     pub plan_paths: Vec<String>,
     /// Path prefixes where the no-env-knob rule applies.
     pub engine_paths: Vec<String>,
+    /// Path prefixes where the no-statement-thread rule applies.
+    pub statement_paths: Vec<String>,
     /// Path prefixes excluded from the walk entirely (e.g. fixtures).
     pub exclude: Vec<String>,
     pub allow: Vec<AllowEntry>,
@@ -88,6 +90,7 @@ impl Config {
                         "codec" => cfg.codec_paths = list,
                         "plan" => cfg.plan_paths = list,
                         "engine" => cfg.engine_paths = list,
+                        "statement" => cfg.statement_paths = list,
                         "exclude" => cfg.exclude = list,
                         _ => return Err(format!("line {lineno}: unknown [paths] key `{key}`")),
                     }

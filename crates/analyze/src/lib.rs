@@ -81,6 +81,8 @@ pub fn run(root: &Path, cfg: &Config) -> io::Result<Report> {
             codec: cfg.codec_paths.iter().any(|p| path_matches(&rel, p)) && !is_test_path(&rel),
             plan: cfg.plan_paths.iter().any(|p| path_matches(&rel, p)) && !is_test_path(&rel),
             engine: cfg.engine_paths.iter().any(|p| path_matches(&rel, p)) && !is_test_path(&rel),
+            statement: cfg.statement_paths.iter().any(|p| path_matches(&rel, p))
+                && !is_test_path(&rel),
             sync: !rel.starts_with("vendor/") && !is_test_path(&rel),
             sleep: service && rel != SANCTIONED_SLEEP,
         };

@@ -30,6 +30,8 @@ pub struct Scope {
     pub plan: bool,
     /// `no-env-knob` applies (library code of the engine crates).
     pub engine: bool,
+    /// `no-statement-thread` applies (code one statement runs through).
+    pub statement: bool,
     /// `no-raw-sync` applies (all production code outside `vendor/` — the
     /// shims themselves are the one place raw `std::sync` belongs).
     pub sync: bool,
@@ -42,6 +44,9 @@ pub struct Scope {
 /// `.name(` and macros invoked as `name!`.
 const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
 const PANIC_MACROS: [&str; 3] = ["panic", "todo", "unimplemented"];
+
+/// `std::thread` items that start a thread: banned on statement paths.
+const THREAD_STARTS: [&str; 3] = ["spawn", "scope", "Builder"];
 
 /// `std::sync` items that must go through the vendored shims instead.
 const RAW_SYNC: [&str; 4] = ["Mutex", "RwLock", "Condvar", "mpsc"];
@@ -149,6 +154,24 @@ pub fn check_file(path: &str, src: &str, lexed: &LexOut, scope: Scope) -> Vec<Vi
                 message: format!(
                     "env::{id} in engine library code is a knob no caller can see; take the \
                      value as a parameter (or measure it) instead"
+                ),
+                excerpt: excerpt(t.line),
+            });
+        }
+
+        // Rule: no-statement-thread. `thread::spawn`, `thread::scope` or a
+        // `thread::Builder` on a statement path starts a thread per
+        // statement: a spawn and a join on every op, and a cross-thread
+        // wake-up per message. A statement keeps its requests in flight by
+        // writing them before it reads the replies, on the calling thread.
+        if scope.statement && !exempt[i] && THREAD_STARTS.contains(&id) && via_path("thread") {
+            out.push(Violation {
+                rule: "no-statement-thread",
+                path: path.to_string(),
+                line: t.line,
+                message: format!(
+                    "thread::{id} on a statement path starts a thread per statement; send \
+                     every request, then read the replies, on the calling thread"
                 ),
                 excerpt: excerpt(t.line),
             });
@@ -442,6 +465,7 @@ mod tests {
         codec: false,
         plan: false,
         engine: false,
+        statement: false,
         sync: true,
         sleep: true,
     };
@@ -450,6 +474,7 @@ mod tests {
         codec: true,
         plan: false,
         engine: false,
+        statement: false,
         sync: false,
         sleep: false,
     };
@@ -458,6 +483,7 @@ mod tests {
         codec: false,
         plan: true,
         engine: false,
+        statement: false,
         sync: false,
         sleep: false,
     };
@@ -466,6 +492,16 @@ mod tests {
         codec: false,
         plan: false,
         engine: true,
+        statement: false,
+        sync: false,
+        sleep: false,
+    };
+    const STATEMENT: Scope = Scope {
+        service: false,
+        codec: false,
+        plan: false,
+        engine: false,
+        statement: true,
         sync: false,
         sleep: false,
     };
@@ -623,6 +659,25 @@ mod tests {
         assert!(
             run(src, SERVICE).is_empty(),
             "only the engine group is scoped"
+        );
+    }
+
+    #[test]
+    fn thread_starts_on_a_statement_path_are_flagged() {
+        let src = "fn a() { std::thread::spawn(f); }\n\
+                   fn b() { thread::scope(|s| s.spawn(f)); }\n\
+                   use std::thread::spawn;\n\
+                   fn c() { thread::Builder::new().spawn(f); }\n\
+                   fn fine(s: &Scope) { s.spawn(f); scope(); thread::current(); }\n\
+                   #[cfg(test)]\nmod tests {\n fn t() { std::thread::spawn(f); }\n}";
+        let v = run(src, STATEMENT);
+        assert_eq!(v.len(), 4, "{v:?}");
+        assert!(v.iter().all(|v| v.rule == "no-statement-thread"));
+        let lines: Vec<u32> = v.iter().map(|v| v.line).collect();
+        assert_eq!(lines, [1, 2, 3, 4]);
+        assert!(
+            run(src, SERVICE).is_empty(),
+            "only the statement group is scoped"
         );
     }
 

@@ -36,6 +36,9 @@ fn bad_tree_reports_every_seeded_violation() {
     assert_eq!(count("plan-no-snapshot"), 1, "{:#?}", report.violations);
     // engine.rs seeds: one `env::var` read (the parameter stays clean).
     assert_eq!(count("no-env-knob"), 1, "{:#?}", report.violations);
+    // statement.rs seeds: one `thread::scope` (the send-then-read loop and
+    // a scope handle's own `.spawn` stay clean).
+    assert_eq!(count("no-statement-thread"), 1, "{:#?}", report.violations);
 }
 
 #[test]

@@ -42,7 +42,7 @@ pub mod vm;
 
 pub use backoff::Backoff;
 pub use pool::{
-    ConnectionPool, PooledConn, QueryOptions, RemoteResult, RetryPolicy, ServiceConn,
+    ConnectionPool, InFlight, PooledConn, QueryOptions, RemoteResult, RetryPolicy, ServiceConn,
     SessionTicket, StatementHandle,
 };
 pub use protocol::{ClientTask, Request, Response, TaskMode, UdfStep};

@@ -8,6 +8,12 @@
 //! returned — a server-side query error (bad SQL, unknown table) leaves the
 //! session healthy and the connection reusable, exactly mirroring the
 //! server's per-session error isolation.
+//!
+//! A pooled request has two halves: [`ConnectionPool::send`] writes the
+//! first attempt, [`InFlight::finish`] reads the reply and replays where
+//! §10's rules allow. The `*_with` calls are the two back to back; a caller
+//! with requests for several services sends them all before it finishes
+//! any, so the services answer at once with no thread per request.
 
 use std::net::ToSocketAddrs;
 use std::ops::{Deref, DerefMut};
@@ -96,15 +102,6 @@ impl QueryOptions {
         self.retry = Some(policy);
         self
     }
-
-    /// The wire deadline in milliseconds (0 = none), clamped up to 1ms so a
-    /// sub-millisecond budget still reads as a bound.
-    fn deadline_ms(&self) -> u64 {
-        match self.deadline {
-            Some(d) => (d.as_millis() as u64).max(1),
-            None => 0,
-        }
-    }
 }
 
 /// What is left of `deadline` as a wire deadline in milliseconds (0 = none),
@@ -120,6 +117,9 @@ pub struct ServiceConn {
     /// Set when the transport or protocol desynchronized; the connection
     /// must not be reused (the pool drops it instead of returning it).
     broken: bool,
+    /// Set while a written request's reply is unread: the session cannot
+    /// take another request, so until then the connection counts as broken.
+    reply_pending: bool,
     /// Statement ids prepared on this session and not yet released —
     /// server-side plan pins counting against the per-session cap. The
     /// pool releases them when a checkout ends (handles are lost on drop,
@@ -144,6 +144,7 @@ impl ServiceConn {
             conn: TcpConn::connect(addr)?,
             stats: NetStats::new(),
             broken: false,
+            reply_pending: false,
             open_stmts: Vec::new(),
             last_retryable: None,
             last_rows_received: 0,
@@ -156,9 +157,10 @@ impl ServiceConn {
         &self.stats
     }
 
-    /// True when a transport/protocol failure poisoned this connection.
+    /// True when a transport/protocol failure poisoned this connection, or
+    /// a request's reply is still unread.
     pub fn is_broken(&self) -> bool {
-        self.broken
+        self.broken || self.reply_pending
     }
 
     /// The server's retryability verdict for the last request, when it
@@ -168,19 +170,28 @@ impl ServiceConn {
         self.last_retryable
     }
 
-    /// Record a wire `Error` frame: remember the server's retryability
-    /// verdict, poison the connection if the server said fatal (it closes
-    /// the socket after a fatal reply), and produce the typed error.
-    fn wire_error(
-        &mut self,
-        kind: &str,
-        message: String,
-        fatal: bool,
-        retryable: bool,
-    ) -> CsqError {
-        self.broken |= fatal;
-        self.last_retryable = Some(retryable);
-        CsqError::from_kind(kind, message)
+    /// The error for a `reply` other than the `expected` one. A wire
+    /// `Error` frame is its typed error: the server's retryability verdict
+    /// is remembered, and a fatal one (admission refusal, shutdown; the
+    /// server closes the socket after it) poisons the connection, which
+    /// must not go back into a pool. Anything else desynchronized the
+    /// stream.
+    fn unexpected(&mut self, reply: QueryResponse, expected: &str) -> CsqError {
+        if let QueryResponse::Error {
+            kind,
+            message,
+            fatal,
+            retryable,
+        } = reply
+        {
+            self.broken |= fatal;
+            self.last_retryable = Some(retryable);
+            return CsqError::from_kind(&kind, message);
+        }
+        self.broken = true;
+        CsqError::Net(format!(
+            "protocol violation: expected {expected}, got {reply:?}"
+        ))
     }
 
     fn send(&mut self, req: &QueryRequest) -> Result<()> {
@@ -232,23 +243,7 @@ impl ServiceConn {
     fn read_result(&mut self) -> Result<RemoteResult> {
         let columns = match self.recv()? {
             QueryResponse::Begin { columns } => columns,
-            QueryResponse::Error {
-                kind,
-                message,
-                fatal,
-                retryable,
-            } => {
-                // A fatal error (admission refusal, server shutdown) means
-                // the server closes this connection after replying — it
-                // must not go back into a pool.
-                return Err(self.wire_error(&kind, message, fatal, retryable));
-            }
-            other => {
-                self.broken = true;
-                return Err(CsqError::Net(format!(
-                    "protocol violation: expected Begin, got {other:?}"
-                )));
-            }
+            other => return Err(self.unexpected(other, "Begin")),
         };
         let mut rows = Vec::new();
         loop {
@@ -276,20 +271,7 @@ impl ServiceConn {
                         plan_cache_hit,
                     });
                 }
-                QueryResponse::Error {
-                    kind,
-                    message,
-                    fatal,
-                    retryable,
-                } => {
-                    return Err(self.wire_error(&kind, message, fatal, retryable));
-                }
-                other => {
-                    self.broken = true;
-                    return Err(CsqError::Net(format!(
-                        "protocol violation: expected Rows/End, got {other:?}"
-                    )));
-                }
+                other => return Err(self.unexpected(other, "Rows/End")),
             }
         }
     }
@@ -305,13 +287,7 @@ impl ServiceConn {
     /// answer was lost may replay: send writes with
     /// [`insert_with`](Self::insert_with).
     pub fn query_with(&mut self, sql: &str, opts: &QueryOptions) -> Result<RemoteResult> {
-        self.run_with(
-            opts,
-            Encoded::new(&QueryRequest::Query {
-                sql: sql.into(),
-                deadline_ms: 0,
-            }),
-        )
+        self.run_with(opts, Encoded::new(&QueryRequest::sql(sql)))
     }
 
     /// Append typed `rows` to `table` under `opts` (a
@@ -329,46 +305,58 @@ impl ServiceConn {
         self.query_with(sql, &QueryOptions::default())
     }
 
-    /// Issue one request under `opts`: each attempt sends it under its
-    /// millisecond deadline (0 = none) and reads the result stream under
-    /// the same budget. Without `opts.retry` this is a single attempt.
+    /// Issue one request under `opts`: each attempt writes it and reads
+    /// its result stream under what is left of the budget. Without
+    /// `opts.retry` this is a single attempt.
     fn run_with(&mut self, opts: &QueryOptions, mut req: Encoded) -> Result<RemoteResult> {
-        let Some(policy) = &opts.retry else {
-            return self.attempt(&mut req, opts.deadline_ms());
+        let deadline = opts.deadline.map(Deadline::from_timeout);
+        let dl = deadline.as_ref();
+        let mut attempt = || {
+            let done = self
+                .write(&mut req, dl)
+                .and_then(|()| self.read_reply(&req, dl));
+            done.map_err(|(e, replay)| (e, replay && !self.broken))
         };
-        retry(policy, opts.deadline, |deadline| {
-            self.attempt(&mut req, remaining_ms(deadline)).map_err(|e| {
-                let replay = !self.broken && self.may_replay(&req, &e);
-                (e, replay)
-            })
-        })
+        let first = attempt();
+        retry(opts.retry.as_ref(), dl, first, attempt)
     }
 
-    /// One attempt on the wire under a millisecond deadline (0 = none). A
-    /// write that was sent and then answered neither `End` nor an `Error`
-    /// frame fails `indeterminate`: it may have been applied.
-    fn attempt(&mut self, req: &mut Encoded, deadline_ms: u64) -> Result<RemoteResult> {
+    /// Write one attempt of `req` under what is left of the deadline `dl`.
+    /// Dropped with the reply unread, the connection is discarded, never
+    /// returned to a pool.
+    fn write(&mut self, req: &mut Encoded, dl: Option<&Deadline>) -> AttemptResult<()> {
         self.last_retryable = None;
         self.last_rows_received = 0;
-        self.send_payload(req.payload(deadline_ms))?;
-        self.read_result_within(deadline_ms).map_err(|e| {
-            if req.is_write() && self.last_retryable.is_none() {
+        self.send_payload(req.payload(remaining_ms(dl)))
+            .map_err(|e| self.failed(req, e))?;
+        self.reply_pending = true;
+        Ok(())
+    }
+
+    /// Read the reply to the attempt just written, under what is left of
+    /// `dl`. A write that answered neither `End` nor an `Error` frame
+    /// fails `indeterminate`: it may have been applied.
+    fn read_reply(&mut self, req: &Encoded, dl: Option<&Deadline>) -> AttemptResult<RemoteResult> {
+        self.reply_pending = false;
+        self.read_result_within(remaining_ms(dl)).map_err(|e| {
+            let e = if req.is_write() && self.last_retryable.is_none() {
                 CsqError::Indeterminate(format!("write outcome unknown: sent, then {e}"))
             } else {
                 e
-            }
+            };
+            self.failed(req, e)
         })
     }
 
-    /// Whether the attempt that just failed with `e` may be replayed. A
-    /// read may when the failure is retryable — the server's wire verdict,
-    /// else [`CsqError::retryable`] — and it delivered no row. A write may
-    /// only on the server's retryable `Error` frame.
-    fn may_replay(&self, req: &Encoded, e: &CsqError) -> bool {
+    /// `e`, paired with whether the attempt that failed with it may be
+    /// replayed. A read may when the failure is retryable — the server's
+    /// wire verdict, else [`CsqError::retryable`] — and it delivered no
+    /// row. A write may only on the server's retryable `Error` frame.
+    fn failed(&self, req: &Encoded, e: CsqError) -> (CsqError, bool) {
         let retryable = self
             .last_retryable
             .unwrap_or_else(|| !req.is_write() && e.retryable());
-        retryable && self.last_rows_received == 0
+        (e, retryable && self.last_rows_received == 0)
     }
 
     /// Extra slack on the client-side response timeout beyond the server's
@@ -407,18 +395,7 @@ impl ServiceConn {
                 self.open_stmts.push(stmt);
                 Ok((StatementHandle { id: stmt }, plan_cache_hit))
             }
-            QueryResponse::Error {
-                kind,
-                message,
-                fatal,
-                retryable,
-            } => Err(self.wire_error(&kind, message, fatal, retryable)),
-            other => {
-                self.broken = true;
-                Err(CsqError::Net(format!(
-                    "protocol violation: expected Prepared, got {other:?}"
-                )))
-            }
+            other => Err(self.unexpected(other, "Prepared")),
         }
     }
 
@@ -454,18 +431,7 @@ impl ServiceConn {
         self.send(&QueryRequest::SessionInfo)?;
         match self.recv()? {
             QueryResponse::Session { id, key } => Ok(SessionTicket { session: id, key }),
-            QueryResponse::Error {
-                kind,
-                message,
-                fatal,
-                retryable,
-            } => Err(self.wire_error(&kind, message, fatal, retryable)),
-            other => {
-                self.broken = true;
-                Err(CsqError::Net(format!(
-                    "protocol violation: expected Session, got {other:?}"
-                )))
-            }
+            other => Err(self.unexpected(other, "Session")),
         }
     }
 
@@ -641,84 +607,132 @@ impl ConnectionPool {
     /// server-side query deadline, so no attempt outlives the caller's
     /// patience.
     pub fn query_with(&self, sql: &str, opts: &QueryOptions) -> Result<RemoteResult> {
-        self.run_with(
-            Encoded::new(&QueryRequest::Query {
-                sql: sql.into(),
-                deadline_ms: 0,
-            }),
-            opts,
-        )
+        self.send(&QueryRequest::sql(sql), opts).finish()
     }
 
     /// [`ServiceConn::insert_with`] with a fresh checkout per attempt. An
     /// attempt is retried only when it provably did not apply: the checkout
     /// failed retryably, or the server answered a retryable `Error` frame.
     pub fn insert_with(&self, table: &str, rows: &[Row], opts: &QueryOptions) -> Result<u64> {
-        Ok(self.run_with(Encoded::insert(table, rows), opts)?.affected)
+        let flight = self.send_encoded(Encoded::insert(table, rows), opts);
+        Ok(flight.finish()?.affected)
     }
 
-    /// Send a typed read ([`QueryRequest::Fetch`]) under `opts`, retried as
-    /// [`query_with`](Self::query_with) retries: a read changes nothing, so
-    /// it is never `indeterminate`.
-    pub fn fetch_with(&self, fetch: &QueryRequest, opts: &QueryOptions) -> Result<RemoteResult> {
-        self.run_with(Encoded::new(fetch), opts)
+    /// The first half of one request under `opts`: check out a connection
+    /// and write the first attempt under the budget's server deadline.
+    /// [`InFlight::finish`] is the second half.
+    pub fn send<'a>(&'a self, req: &QueryRequest, opts: &'a QueryOptions) -> InFlight<'a> {
+        self.send_encoded(Encoded::new(req), opts)
     }
 
-    /// [`query_with`](Self::query_with), [`insert_with`](Self::insert_with)
-    /// and [`fetch_with`](Self::fetch_with)
-    /// over an encoded request: each attempt checks out a connection and
-    /// sends `req` under what is left of the budget.
-    fn run_with(&self, mut req: Encoded, opts: &QueryOptions) -> Result<RemoteResult> {
-        let Some(policy) = &opts.retry else {
-            return self.get()?.attempt(&mut req, opts.deadline_ms());
+    fn send_encoded<'a>(&'a self, mut req: Encoded, opts: &'a QueryOptions) -> InFlight<'a> {
+        let deadline = opts.deadline.map(Deadline::from_timeout);
+        let first = match self.write(&mut req, deadline.as_ref()) {
+            Ok(conn) => First::Written(Box::new(conn)),
+            Err(failed) => First::Done(Err(failed)),
         };
-        retry(policy, opts.deadline, |deadline| {
-            let checkout = match deadline {
-                Some(dl) => self.get_within(dl.remaining().min(self.checkout_wait)),
-                None => self.get(),
-            };
-            let mut conn = checkout.map_err(|e| {
-                let replay = e.retryable();
-                (e, replay)
-            })?;
-            // The slot goes back (or is discarded) before any backoff wait.
-            conn.attempt(&mut req, remaining_ms(deadline)).map_err(|e| {
-                let replay = conn.may_replay(&req, &e);
-                (e, replay)
-            })
+        InFlight {
+            pool: self,
+            req,
+            retry: opts.retry.as_ref(),
+            deadline,
+            first,
+        }
+    }
+
+    /// Check out a connection and write one attempt of `req` on it under
+    /// what is left of `dl`.
+    fn write(&self, req: &mut Encoded, dl: Option<&Deadline>) -> AttemptResult<PooledConn<'_>> {
+        let wait = dl.map_or(self.checkout_wait, Deadline::remaining);
+        let mut conn = self.get_within(wait.min(self.checkout_wait)).map_err(|e| {
+            let replay = e.retryable();
+            (e, replay)
+        })?;
+        conn.write(req, dl)?;
+        Ok(conn)
+    }
+}
+
+/// An attempt's outcome: its value, or its error paired with whether the
+/// attempt may be replayed.
+type AttemptResult<T> = std::result::Result<T, (CsqError, bool)>;
+
+/// A request [`ConnectionPool::send`] started and [`InFlight::finish`] has
+/// not ended. Dropped with its reply unread, its connection is discarded,
+/// never returned to the pool with a reply pending.
+pub struct InFlight<'a> {
+    pool: &'a ConnectionPool,
+    req: Encoded,
+    retry: Option<&'a RetryPolicy>,
+    deadline: Option<Deadline>,
+    first: First<'a>,
+}
+
+/// The first attempt of an [`InFlight`] request.
+enum First<'a> {
+    /// Written on this connection; its reply is unread.
+    Written(Box<PooledConn<'a>>),
+    /// Its outcome: the reply, or the failure to write or read it.
+    Done(AttemptResult<RemoteResult>),
+}
+
+impl InFlight<'_> {
+    /// Read the first attempt's reply to its end, if not yet read, and give
+    /// its connection back. A caller holding several flights reads each
+    /// before it finishes any: no reply waits behind another's replays.
+    pub fn read(&mut self) {
+        if let First::Written(conn) = &mut self.first {
+            self.first = First::Done(conn.read_reply(&self.req, self.deadline.as_ref()));
+        }
+    }
+
+    /// The second half of the request: read the first attempt's reply
+    /// under what is left of the budget and, while §10's rules allow a
+    /// replay, run the pool's retry loop on fresh checkouts.
+    pub fn finish(self) -> Result<RemoteResult> {
+        let InFlight {
+            pool,
+            mut req,
+            retry: policy,
+            deadline,
+            first,
+        } = self;
+        let dl = deadline.as_ref();
+        let first = match first {
+            First::Written(mut conn) => conn.read_reply(&req, dl),
+            First::Done(outcome) => outcome,
+        };
+        retry(policy, dl, first, || {
+            pool.write(&mut req, dl)?.read_reply(&req, dl)
         })
     }
 }
 
 /// The retry loop behind every `*_with` call of [`ServiceConn`] and
-/// [`ConnectionPool`]: run `attempt` under the deadline of the overall
-/// `budget` until it succeeds, fails in a way it says may not be replayed
-/// (the `bool`), or attempts or budget run out, backing off in between.
+/// [`ConnectionPool`]: `outcome` is the first attempt's. While an attempt
+/// fails in a way it says may be replayed (the `bool`), and `policy`'s
+/// attempts and the `deadline` allow, back off and run `attempt` again.
 fn retry(
-    policy: &RetryPolicy,
-    budget: Option<Duration>,
-    mut attempt: impl FnMut(Option<&Deadline>) -> std::result::Result<RemoteResult, (CsqError, bool)>,
+    policy: Option<&RetryPolicy>,
+    deadline: Option<&Deadline>,
+    mut outcome: AttemptResult<RemoteResult>,
+    mut attempt: impl FnMut() -> AttemptResult<RemoteResult>,
 ) -> Result<RemoteResult> {
-    let deadline = budget.map(Deadline::from_timeout);
-    let attempts = policy.max_attempts.max(1);
-    let mut last_err = None;
-    for n in 0..attempts {
-        if deadline.as_ref().is_some_and(Deadline::expired) {
-            return Err(last_err.unwrap_or_else(|| {
-                CsqError::Timeout("retry budget exhausted before any attempt".into())
-            }));
-        }
-        match attempt(deadline.as_ref()) {
+    let mut n = 0;
+    loop {
+        let (e, may_replay) = match outcome {
             Ok(result) => return Ok(result),
-            Err((e, may_replay)) => {
-                if !may_replay || n + 1 == attempts || !policy.backoff.sleep(n, deadline.as_ref()) {
-                    return Err(e);
-                }
-                last_err = Some(e);
-            }
+            Err(failed) => failed,
+        };
+        n += 1;
+        let again = may_replay
+            && policy.is_some_and(|p| n < p.max_attempts && p.backoff.sleep(n - 1, deadline))
+            && !deadline.is_some_and(Deadline::expired);
+        if !again {
+            return Err(e);
         }
+        outcome = attempt();
     }
-    unreachable!("retry loop always returns on its last attempt")
 }
 
 /// A checked-out pool connection; returns itself (or its empty slot, when

@@ -334,6 +334,15 @@ fn decode_fetch(d: &mut Decoder<'_>) -> Result<QueryRequest> {
 }
 
 impl QueryRequest {
+    /// An SQL-text [`QueryRequest::Query`] with no deadline of its own (the
+    /// sender writes one into each attempt).
+    pub fn sql(sql: &str) -> QueryRequest {
+        QueryRequest::Query {
+            sql: sql.into(),
+            deadline_ms: 0,
+        }
+    }
+
     /// Encode to wire bytes (one frame payload).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();

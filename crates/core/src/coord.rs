@@ -29,13 +29,15 @@
 //!   HAVING run above the leaves at the coordinator (a join is a nested
 //!   loop under a filter); nothing is repartitioned across shards.
 //!
-//! **Failure semantics.** Every per-shard request goes through the §10
-//! retry machinery ([`ConnectionPool::fetch_with`] for reads,
-//! [`ConnectionPool::insert_with`] for routed rows, under the configured
-//! [`QueryOptions`]), so a dead or slow shard surfaces as a *typed* error
-//! tagged with the shard index instead of hanging the gather; the other
-//! shards' requests still complete before the error is returned. A read is
-//! replayed on a retryable failure that delivered no row. A shard's rows
+//! **Scatter and failure semantics.** A broadcast, a routed INSERT and a
+//! `Gather` each write every shard its request ([`ConnectionPool::send`])
+//! before reading any reply, on the calling thread: the shards work at
+//! once because each service starts a request as soon as it arrives. Each
+//! request runs under the §10 retry machinery and the configured
+//! [`QueryOptions`], so a dead or slow shard surfaces as a *typed* error
+//! tagged with the shard index, after every other shard's reply was read
+//! to its end. A read is replayed on a retryable failure that delivered no
+//! row. A shard's rows
 //! are replayed only on its retryable error, sent before it stores
 //! anything; rows sent and never answered fail the INSERT `indeterminate`,
 //! stored at most once. A multi-shard INSERT is not atomic — shards that
@@ -48,14 +50,14 @@
 //! which swaps a failed shard's address. A cached plan is served only under
 //! the epoch it was made in, so none of these is ever served a stale plan.
 
+use std::borrow::Borrow;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use csq_client::{ConnectionPool, QueryOptions, QueryRequest, ScalarUdf};
+use csq_client::{ConnectionPool, InFlight, QueryOptions, QueryRequest, RemoteResult, ScalarUdf};
 use csq_common::{CancelToken, CsqError, Field, Result, Row, Schema};
 use csq_expr::Expr;
 use csq_net::NetworkSpec;
@@ -247,8 +249,8 @@ impl Coordinator {
             return Err(CsqError::Catalog(format!("table '{name}' already exists")));
         }
         let shards = self.shards.read();
-        let jobs = self.jobs_for(shards.len(), None, sql);
-        self.scatter(&shards, &jobs, |pool, sql, opts| pool.query_with(sql, opts))?;
+        let ddl = QueryRequest::sql(sql);
+        self.scatter(&shards, &self.jobs_for(shards.len(), None, &ddl))?;
         drop(shards);
         let fields = columns.into_iter().map(|(c, t)| Field::new(c, t)).collect();
         self.engine
@@ -296,15 +298,24 @@ impl Coordinator {
     fn route_insert(&self, table: &str, rows: Vec<Vec<Expr>>) -> Result<QueryResult> {
         let shards = self.shards.read();
         let (name, per_shard) = self.engine.route_rows(table, rows)?;
-        let jobs: Vec<(usize, Vec<Row>)> = per_shard
+        let routed: usize = per_shard.iter().map(Vec::len).sum();
+        let jobs: Vec<(usize, QueryRequest)> = per_shard
             .into_iter()
             .enumerate()
             .filter(|(_, rows)| !rows.is_empty())
+            .map(|(i, rows)| {
+                let table = name.clone();
+                (
+                    i,
+                    QueryRequest::Insert {
+                        table,
+                        rows,
+                        deadline_ms: 0,
+                    },
+                )
+            })
             .collect();
-        let routed: usize = jobs.iter().map(|(_, rows)| rows.len()).sum();
-        self.scatter(&shards, &jobs, |pool, rows, opts| {
-            pool.insert_with(&name, rows, opts)
-        })?;
+        self.scatter(&shards, &jobs)?;
         CoordStats::add(&self.stats.rows_routed, routed as u64);
         Ok(QueryResult::count(routed))
     }
@@ -326,11 +337,8 @@ impl Coordinator {
         let gather = |fetch: &QueryRequest, target: Option<usize>, schema: &Schema| {
             let shards = self.shards.read();
             let jobs = self.jobs_for(shards.len(), target, fetch);
-            let results = self.scatter(&shards, &jobs, |pool, fetch, opts| {
-                pool.fetch_with(fetch, opts)
-            })?;
             let mut rows = Vec::new();
-            for (r, (shard, _)) in results.into_iter().zip(&jobs) {
+            for (r, (shard, _)) in self.scatter(&shards, &jobs)?.into_iter().zip(&jobs) {
                 check_rows(&r.rows, schema, *shard)?;
                 rows.extend(r.rows);
             }
@@ -360,71 +368,40 @@ impl Coordinator {
         }
     }
 
-    /// Run one request per `(shard, job)` concurrently — `run` sends a job
-    /// through its shard's pool under the configured per-shard
-    /// [`QueryOptions`] (§10 deadline + retry): the last job on the calling
-    /// thread, every other on a scoped thread of its own — so a statement
-    /// pinned to one shard spawns nothing.
-    /// Every job runs to completion before any error is returned — a
-    /// failed shard cannot leave the others' sessions mid-stream — and the
-    /// first failure (lowest shard index) is surfaced with its typed kind
-    /// preserved, tagged with the shard it came from. A job that panics,
-    /// on its own thread or the caller's, is reported as that shard's
-    /// failure.
-    fn scatter<J: Sync, T: Send>(
+    /// Send each `(shard, job)` request through its shard's pool under the
+    /// per-shard [`QueryOptions`], with no thread: write every first
+    /// attempt, read every reply in shard order, then let a failed shard
+    /// replay as §10 allows. Every sent request is read to its end before
+    /// the first failure (lowest shard index) is returned, its typed kind
+    /// kept and the shard named.
+    fn scatter<J: Borrow<QueryRequest>>(
         &self,
         shards: &[ShardSlot],
         jobs: &[(usize, J)],
-        run: impl Fn(&ConnectionPool, &J, &QueryOptions) -> Result<T> + Sync,
-    ) -> Result<Vec<T>> {
+    ) -> Result<Vec<RemoteResult>> {
         CoordStats::add(&self.stats.shard_statements, jobs.len() as u64);
         let opts = &self.config.shard_options;
-        let run = |(i, job): &(usize, J)| run(&shards[*i].pool, job, opts);
-        let outcomes: Vec<Result<T>> = std::thread::scope(|scope| {
-            let (inline, spawned) = match jobs.split_last() {
-                Some((last, rest)) => (Some(last), rest),
-                None => (None, jobs),
-            };
-            let handles: Vec<_> = spawned
-                .iter()
-                .map(|job| scope.spawn(move || run(job)))
-                .collect();
-            let inline = inline.map(|job| catch_unwind(AssertUnwindSafe(|| run(job))));
-            handles
-                .into_iter()
-                .map(|h| h.join())
-                .chain(inline)
-                .zip(jobs)
-                .map(|(outcome, (i, _))| match outcome {
-                    Ok(r) => r.map_err(|e| {
-                        // Preserve the typed kind (and with it the client's
-                        // retryable classification); tag the shard.
-                        CsqError::from_kind(
-                            e.kind(),
-                            format!("shard {i} ({}): {}", shards[*i].addr, e.message()),
-                        )
-                    }),
-                    Err(_) => Err(CsqError::Exec(format!("shard {i} gather thread panicked"))),
-                })
-                .collect()
-        });
-        let mut results = Vec::with_capacity(outcomes.len());
+        let mut flights: Vec<InFlight> = jobs
+            .iter()
+            .map(|(i, job)| shards[*i].pool.send(job.borrow(), opts))
+            .collect();
+        flights.iter_mut().for_each(InFlight::read);
+        let mut results = Vec::with_capacity(jobs.len());
         let mut first_err = None;
-        for o in outcomes {
-            match o {
+        for (flight, (i, _)) in flights.into_iter().zip(jobs) {
+            match flight.finish() {
                 Ok(r) => results.push(r),
                 Err(e) => {
                     CoordStats::bump(&self.stats.shard_failures);
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
+                    // Preserve the typed kind (and with it the client's
+                    // retryable classification); tag the shard.
+                    let addr = shards[*i].addr;
+                    let tagged = || format!("shard {i} ({addr}): {}", e.message());
+                    first_err.get_or_insert_with(|| CsqError::from_kind(e.kind(), tagged()));
                 }
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(results),
-        }
+        first_err.map_or(Ok(results), Err)
     }
 }
 

@@ -13,11 +13,18 @@
 //! change to a registered table's profile, whichever path made it
 //! ([`csq_storage::Catalog::changes`]). Entries are keyed by SQL text and
 //! stamped with the epoch they were planned under; an entry stamped with
-//! another epoch is not served (the replan overwrites it in place), so a
-//! stale plan can never be served — and lookups probe the map with a
-//! borrowed `&str`, no per-query allocation on the hot path. A *hit* is a
-//! lookup that returned a plan; a *miss* is a SELECT planned and inserted,
-//! so a CREATE or INSERT text is neither.
+//! another epoch is not served, so a stale plan can never be served — and
+//! lookups probe the map with a borrowed `&str`, no per-query allocation on
+//! the hot path. A *hit* is a lookup that returned a plan; a *miss* is a
+//! SELECT planned and inserted, so a CREATE or INSERT text is neither.
+//!
+//! **Only the newest epoch's plans stay.** Epochs only grow and a lookup
+//! serves only its own, so once a plan of a newer epoch arrives no older
+//! entry can be served again: the insert drops them all, and a plan made
+//! under an older epoch than the newest held is not kept. The LRU bound
+//! (and its `evictions` count) therefore only ever removes plans that
+//! could still be served; a workload whose every statement moves the epoch
+//! (`svc_adhoc_rw`'s INSERTs) holds a handful of entries and evicts none.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,6 +76,8 @@ struct Entry {
 struct Inner {
     map: HashMap<String, Entry>,
     tick: u64,
+    /// The newest epoch any inserted plan was made under.
+    newest: u64,
 }
 
 /// A bounded, LRU-evicting plan cache. Shared by every session of a
@@ -89,6 +98,7 @@ impl PlanCache {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
                 tick: 0,
+                newest: 0,
             }),
             capacity: capacity.max(1),
             hits: AtomicU64::new(0),
@@ -99,9 +109,8 @@ impl PlanCache {
     }
 
     /// Look up `sql` planned under `epoch`, refreshing its LRU position.
-    /// An entry planned under any other epoch is not returned (it stays
-    /// resident until the replan overwrites it). Finding nothing is not yet
-    /// a miss: the text may not be a SELECT.
+    /// An entry planned under any other epoch is not returned. Finding
+    /// nothing is not yet a miss: the text may not be a SELECT.
     pub fn lookup(&self, epoch: u64, sql: &str) -> Option<Arc<PlannedQuery>> {
         let mut inner = self.inner.lock();
         inner.tick += 1;
@@ -116,11 +125,19 @@ impl PlanCache {
         }
     }
 
-    /// Insert a freshly-planned query, counting the miss that planned it
-    /// and evicting the least recently used entry when full.
+    /// Insert a freshly-planned query, counting the miss that planned it.
+    /// A newer epoch than any held drops every older entry; a plan older
+    /// than the newest is not kept; otherwise the least recently used entry
+    /// is evicted when full.
     pub fn insert(&self, plan: Arc<PlannedQuery>) {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock();
+        if plan.epoch > inner.newest {
+            inner.newest = plan.epoch;
+            inner.map.clear();
+        } else if plan.epoch < inner.newest {
+            return;
+        }
         inner.tick += 1;
         let tick = inner.tick;
         let key = plan.sql.clone();
@@ -191,6 +208,26 @@ mod tests {
         assert!(cache.lookup(2, "q").is_some());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (2, 2, 1));
+    }
+
+    #[test]
+    fn a_newer_epoch_drops_every_older_plan_without_evicting() {
+        let cache = PlanCache::new(2);
+        cache.insert(planned("a", 1));
+        cache.insert(planned("b", 1));
+        // Neither epoch-1 plan can be served under epoch 2: both go, and
+        // the bound evicts nothing to make room.
+        cache.insert(planned("c", 2));
+        cache.insert(planned("d", 2));
+        assert!(cache.lookup(2, "c").is_some());
+        assert!(cache.lookup(2, "d").is_some());
+        assert!(cache.lookup(1, "a").is_none());
+        // A plan made under an older epoch than the newest (a session that
+        // planned across a concurrent INSERT) is counted, not kept.
+        cache.insert(planned("e", 1));
+        assert!(cache.lookup(1, "e").is_none());
+        let s = cache.stats();
+        assert_eq!((s.misses, s.evictions, s.entries), (5, 0, 2));
     }
 
     #[test]

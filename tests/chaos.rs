@@ -7,8 +7,9 @@
 //! a timed-out or killed statement answers with `timeout`/`cancelled` and
 //! frees its worker for the next statement.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use csq::prelude::*;
 use csq_client::Backoff;
@@ -552,14 +553,12 @@ fn routed_insert_is_not_replayed_after_a_shard_reply_is_lost() {
     }
 }
 
-/// Reads through a coordinator whose per-shard options retry: shard 1's
-/// first connection loses the reply to a `Fetch`. A read changes nothing, so
-/// the pool replays it on a fresh connection, and every statement — a
-/// filter, a shard-partial aggregate and a self-join — returns the rows one
-/// server returns.
-#[test]
-fn a_dropped_fetch_reply_is_retried_to_oracle_rows() {
-    let oracle = build_db(200);
+/// Two shard services behind a coordinator under `config`, loaded by one
+/// routed INSERT with `oracle`'s rows of `T`.
+fn sharded(
+    oracle: &Database,
+    config: CoordinatorConfig,
+) -> (Vec<Arc<Database>>, Vec<service::ServiceHandle>, Coordinator) {
     let dbs: Vec<Arc<Database>> = (0..2)
         .map(|_| Arc::new(Database::new(NetworkSpec::lan())))
         .collect();
@@ -568,14 +567,7 @@ fn a_dropped_fetch_reply_is_retried_to_oracle_rows() {
         .map(|db| start_service(db, ServiceConfig::default()))
         .collect();
     let addrs: Vec<_> = handles.iter().map(|h| h.local_addr()).collect();
-    let coord = Coordinator::connect(
-        &addrs,
-        CoordinatorConfig {
-            shard_options: retrying(),
-            ..CoordinatorConfig::default()
-        },
-    )
-    .expect("coordinator");
+    let coord = Coordinator::connect(&addrs, config).expect("coordinator");
     coord
         .create_table("CREATE TABLE T (Id INT, Grp INT, Val INT)", "Id")
         .expect("sharded CREATE");
@@ -590,11 +582,37 @@ fn a_dropped_fetch_reply_is_retried_to_oracle_rows() {
     coord
         .execute(&format!("INSERT INTO T VALUES {}", rows.join(", ")))
         .expect("routed INSERT");
-    let injector =
-        FaultInjector::start(addrs[1], vec![Fault::DropAfter(0), Fault::None]).expect("injector");
+    (dbs, handles, coord)
+}
+
+/// Route shard `idx` of `coord` through a new injector over `schedule`.
+fn inject(
+    coord: &Coordinator,
+    handles: &[service::ServiceHandle],
+    idx: usize,
+    schedule: Vec<Fault>,
+) -> FaultInjector {
+    let injector = FaultInjector::start(handles[idx].local_addr(), schedule).expect("injector");
     coord
-        .replace_shard(1, injector.local_addr())
-        .expect("route shard 1 through the injector");
+        .replace_shard(idx, injector.local_addr())
+        .expect("route the shard through the injector");
+    injector
+}
+
+/// Reads through a coordinator whose per-shard options retry: shard 1's
+/// first connection loses the reply to a `Fetch`. A read changes nothing, so
+/// the pool replays it on a fresh connection, and every statement — a
+/// filter, a shard-partial aggregate and a self-join — returns the rows one
+/// server returns.
+#[test]
+fn a_dropped_fetch_reply_is_retried_to_oracle_rows() {
+    let oracle = build_db(200);
+    let config = CoordinatorConfig {
+        shard_options: retrying(),
+        ..CoordinatorConfig::default()
+    };
+    let (_dbs, handles, coord) = sharded(&oracle, config);
+    let injector = inject(&coord, &handles, 1, vec![Fault::DropAfter(0), Fault::None]);
     for sql in [
         "SELECT T.Id, T.Val FROM T T WHERE T.Val > 0",
         "SELECT T.Grp, count(*), sum(T.Val) FROM T T GROUP BY T.Grp",
@@ -609,6 +627,143 @@ fn a_dropped_fetch_reply_is_retried_to_oracle_rows() {
         "the dropped reply must have been retried on a fresh connection"
     );
     injector.shutdown();
+    for h in handles {
+        h.shutdown();
+    }
+}
+
+/// The scatter writes every shard its `Fetch` before it reads any reply,
+/// on the calling thread, so two shards behind the same per-frame delay
+/// answer in about the time one does: a scattered SELECT takes less than
+/// 1.5× a statement pinned to one shard through the same proxies. A scatter
+/// that read each shard before writing to the next would take twice as
+/// long. Both statements match no row, so every reply is the same frames.
+#[test]
+fn scattered_replies_overlap_without_a_thread() {
+    const DELAY_MS: u32 = 40;
+    let (_dbs, handles, coord) = sharded(&build_db(200), CoordinatorConfig::default());
+    let injectors: Vec<FaultInjector> = (0..2)
+        .map(|i| inject(&coord, &handles, i, vec![Fault::DelayMs(DELAY_MS); 8]))
+        .collect();
+    let scattered = "SELECT T.Id FROM T T WHERE T.Val > 1000";
+    let pinned = "SELECT T.Id FROM T T WHERE T.Id = 7 AND T.Val > 1000";
+    assert!(coord
+        .explain(scattered)
+        .unwrap()
+        .contains("Scatter [2 shards, 0 pruned]"));
+    assert!(coord
+        .explain(pinned)
+        .unwrap()
+        .contains("Scatter [2 shards, 1 pruned]"));
+    let fastest = |sql: &str| {
+        (0..3)
+            .map(|_| {
+                let start = Instant::now();
+                assert!(coord.execute(sql).expect("statement").rows.is_empty());
+                start.elapsed()
+            })
+            .min()
+            .expect("three runs")
+    };
+    let (one, both) = (fastest(pinned), fastest(scattered));
+    assert!(one >= Duration::from_millis(2 * DELAY_MS as u64), "{one:?}");
+    assert!(
+        both.as_secs_f64() < 1.5 * one.as_secs_f64(),
+        "two shards took {both:?}, one took {one:?}: the replies did not overlap"
+    );
+    for injector in injectors {
+        injector.shutdown();
+    }
+    for h in handles {
+        h.shutdown();
+    }
+}
+
+/// With shard 0 dead, a scattered SELECT fails with a typed retryable error
+/// naming shard 0, and shard 1's reply is still read to its `End`: its one
+/// pooled connection goes back in sync, so the statements pinned to shard 1
+/// after it answer on the same session, and no new one is opened.
+#[test]
+fn a_dead_shard_leaves_its_sibling_in_sync() {
+    let oracle = build_db(200);
+    let config = CoordinatorConfig {
+        pool_size: 1,
+        ..CoordinatorConfig::default()
+    };
+    let (dbs, handles, coord) = sharded(&oracle, config);
+    let dead = inject(&coord, &handles, 0, vec![Fault::Refuse; 16]);
+    let live = inject(&coord, &handles, 1, Vec::new());
+    let id = (0..200)
+        .find(|&id| copies_of(&dbs[1], id) == 1)
+        .expect("some row lives on shard 1");
+    let pinned = format!("SELECT T.Id, T.Val FROM T T WHERE T.Id = {id}");
+    let want = normalize(&oracle.execute(&pinned).expect("oracle").rows);
+    let answer = || normalize(&coord.execute(&pinned).expect("pinned to shard 1").rows);
+    assert_eq!(answer(), want);
+    assert_eq!(live.connections(), 1);
+
+    let failures = coord.stats().shard_failures.load(Ordering::Relaxed);
+    let err = coord
+        .execute("SELECT T.Id, T.Val FROM T T WHERE T.Val > 0")
+        .expect_err("a dead shard fails the scatter");
+    assert!(err.retryable(), "{err}");
+    assert!(err.message().contains("shard 0"), "{err}");
+    assert_eq!(
+        coord.stats().shard_failures.load(Ordering::Relaxed),
+        failures + 1
+    );
+
+    for _ in 0..2 {
+        assert_eq!(answer(), want);
+    }
+    assert_eq!(live.connections(), 1, "shard 1 opened a new session");
+    dead.shutdown();
+    live.shutdown();
+    for h in handles {
+        h.shutdown();
+    }
+}
+
+/// Shard 0's first `Fetch` reply is dropped under a retry policy. Every
+/// first reply is read before any shard replays, so shard 0's replay dials
+/// its fresh connection only after shard 1's slow reply (each frame
+/// delayed) has been read; the rows equal the oracle's.
+#[test]
+fn a_failed_shard_replays_after_its_sibling_reply_is_read() {
+    const DELAY_MS: u32 = 60;
+    let oracle = build_db(200);
+    let config = CoordinatorConfig {
+        shard_options: retrying(),
+        ..CoordinatorConfig::default()
+    };
+    let (_dbs, handles, coord) = sharded(&oracle, config);
+    let flaky = inject(&coord, &handles, 0, vec![Fault::DropAfter(0), Fault::None]);
+    let slow = inject(&coord, &handles, 1, vec![Fault::DelayMs(DELAY_MS); 8]);
+    let sql = "SELECT T.Id, T.Val FROM T T WHERE T.Val > 0";
+    let done = AtomicBool::new(false);
+    let start = Instant::now();
+    let (got, replayed_at) = std::thread::scope(|s| {
+        let watcher = s.spawn(|| {
+            while flaky.connections() < 2 && !done.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            start.elapsed()
+        });
+        let got = coord.execute(sql);
+        done.store(true, Ordering::SeqCst);
+        (got, watcher.join().expect("watcher"))
+    });
+    let got = got.expect("the dropped reply is replayed");
+    let want = oracle.execute(sql).expect("oracle query must run");
+    assert_eq!(normalize(&got.rows), normalize(&want.rows));
+    assert_eq!(flaky.connections(), 2, "shard 0 replayed once");
+    // Shard 1's reply is at least `Begin` and `End`, each delayed.
+    assert!(
+        replayed_at >= Duration::from_millis(2 * DELAY_MS as u64),
+        "shard 0 replayed at {replayed_at:?}, before shard 1's reply was read"
+    );
+    flaky.shutdown();
+    slow.shutdown();
     for h in handles {
         h.shutdown();
     }
