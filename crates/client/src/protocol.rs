@@ -15,7 +15,7 @@
 //! Everything is encoded with the `csq-common` codec so the byte counts the
 //! network model charges are the real encoded sizes.
 
-use csq_common::codec::{encode_row, encode_value, Decoder};
+use csq_common::codec::{encode_rows, encode_value, Decoder};
 use csq_common::{CsqError, Result, Row, Value};
 use csq_expr::{BinaryOp, PhysExpr, UnaryOp};
 
@@ -368,23 +368,6 @@ fn decode_task(d: &mut Decoder<'_>) -> Result<ClientTask> {
     })
 }
 
-fn encode_row_batch(rows: &[Row], out: &mut Vec<u8>) {
-    put_u32(out, rows.len() as u32);
-    for r in rows {
-        encode_row(r, out);
-    }
-}
-
-fn decode_row_batch(d: &mut Decoder<'_>) -> Result<Vec<Row>> {
-    // Each row needs at least its 4-byte column count.
-    let n = d.take_count(4)?;
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
-        rows.push(d.row()?);
-    }
-    Ok(rows)
-}
-
 impl Request {
     /// Encode to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
@@ -394,10 +377,7 @@ impl Request {
                 out.push(REQ_INSTALL);
                 encode_task(task, &mut out);
             }
-            Request::Batch(rows) => {
-                out.push(REQ_BATCH);
-                encode_row_batch(rows, &mut out);
-            }
+            Request::Batch(rows) => return Request::encode_batch(rows.iter().map(Row::values)),
             Request::Finish => out.push(REQ_FINISH),
         }
         out
@@ -427,10 +407,10 @@ impl Request {
         out
     }
 
-    fn decode_with(d: &mut Decoder<'_>) -> Result<Request> {
+    fn decode_with(d: &mut Decoder<'_>, spare: usize) -> Result<Request> {
         let req = match d.take_u8()? {
             REQ_INSTALL => Request::Install(decode_task(d)?),
-            REQ_BATCH => Request::Batch(decode_row_batch(d)?),
+            REQ_BATCH => Request::Batch(d.rows(spare)?),
             REQ_FINISH => Request::Finish,
             other => return Err(CsqError::Codec(format!("bad request tag {other}"))),
         };
@@ -442,13 +422,14 @@ impl Request {
 
     /// Decode from wire bytes (copies string/blob payloads).
     pub fn decode(buf: &[u8]) -> Result<Request> {
-        Request::decode_with(&mut Decoder::new(buf))
+        Request::decode_with(&mut Decoder::new(buf), 0)
     }
 
     /// Zero-copy decode: `Str`/`Blob` values in a `Batch` borrow their
-    /// payloads from the shared message buffer.
-    pub fn decode_shared(buf: &std::sync::Arc<Vec<u8>>) -> Result<Request> {
-        Request::decode_with(&mut Decoder::shared(buf))
+    /// payloads from the shared message buffer, and each row has room for
+    /// `spare` more values (the UDF results the client appends).
+    pub fn decode_shared(buf: &std::sync::Arc<Vec<u8>>, spare: usize) -> Result<Request> {
+        Request::decode_with(&mut Decoder::shared(buf), spare)
     }
 }
 
@@ -459,7 +440,7 @@ impl Response {
         match self {
             Response::Batch(rows) => {
                 out.push(RESP_BATCH);
-                encode_row_batch(rows, &mut out);
+                encode_rows(rows, &mut out);
             }
             Response::Error(msg) => {
                 out.push(RESP_ERROR);
@@ -471,7 +452,7 @@ impl Response {
 
     fn decode_with(d: &mut Decoder<'_>) -> Result<Response> {
         let resp = match d.take_u8()? {
-            RESP_BATCH => Response::Batch(decode_row_batch(d)?),
+            RESP_BATCH => Response::Batch(d.rows(0)?),
             RESP_ERROR => Response::Error(take_str(d)?),
             other => return Err(CsqError::Codec(format!("bad response tag {other}"))),
         };

@@ -438,21 +438,12 @@ impl QueryRequest {
                 session: d.take_u64()?,
                 key: d.take_u64()?,
             },
-            REQ_INSERT => {
-                let table = take_str(d)?;
-                let deadline_ms = d.take_u64()?;
-                // Every row costs at least its 4-byte value count.
-                let n = d.take_count(4)?;
-                let mut rows = Vec::with_capacity(n);
-                for _ in 0..n {
-                    rows.push(d.row()?);
-                }
-                QueryRequest::Insert {
-                    table,
-                    rows,
-                    deadline_ms,
-                }
-            }
+            // Fields are read in the order they are written.
+            REQ_INSERT => QueryRequest::Insert {
+                table: take_str(d)?,
+                deadline_ms: d.take_u64()?,
+                rows: d.rows(0)?,
+            },
             REQ_FETCH => decode_fetch(d)?,
             other => return Err(CsqError::Codec(format!("bad query request tag {other}"))),
         };
@@ -526,10 +517,7 @@ impl QueryResponse {
                     put_str(&mut out, c);
                 }
             }
-            QueryResponse::Rows(rows) => {
-                out.push(RESP_ROWS);
-                csq_common::codec::encode_rows(rows, &mut out);
-            }
+            QueryResponse::Rows(rows) => return Self::encode_rows_chunk(rows),
             QueryResponse::End {
                 rows,
                 affected,
@@ -569,13 +557,12 @@ impl QueryResponse {
         out
     }
 
-    /// Encode a `Rows` chunk directly from borrowed rows — byte-identical
-    /// to `QueryResponse::Rows(rows.to_vec()).encode()` without cloning
-    /// first.
+    /// Encode a `Rows` chunk directly from borrowed rows: what
+    /// `QueryResponse::Rows(rows.to_vec()).encode()` writes, without the
+    /// clone.
     pub fn encode_rows_chunk(rows: &[Row]) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.push(RESP_ROWS);
-        csq_common::codec::encode_rows(rows, &mut out);
+        let mut out = vec![RESP_ROWS];
+        encode_rows(rows, &mut out);
         out
     }
 
@@ -620,14 +607,7 @@ impl QueryResponse {
                 }
                 QueryResponse::Begin { columns }
             }
-            RESP_ROWS => {
-                let n = d.take_count(4)?;
-                let mut rows = Vec::with_capacity(n);
-                for _ in 0..n {
-                    rows.push(d.row()?);
-                }
-                QueryResponse::Rows(rows)
-            }
+            RESP_ROWS => QueryResponse::Rows(d.rows(0)?),
             RESP_END => QueryResponse::End {
                 rows: d.take_u64()?,
                 affected: d.take_u64()?,

@@ -75,7 +75,9 @@ impl TaskExecutor {
         self.cpu_us
     }
 
-    /// Process one batch: extend, filter, project.
+    /// Process one batch: extend, filter, project. Each step pushes its
+    /// result onto every row in place; a [`ClientSession`] decodes the rows
+    /// with room for them, so no row is reallocated.
     ///
     /// Vectorized: each UDF step sweeps the whole batch — with the task's
     /// `dedup_cache`, each row's argument tuple is numbered in the step's
@@ -112,11 +114,14 @@ impl TaskExecutor {
                 self.runtime.invoke_batch(&task_step.udf, args)
             };
             if !self.task.dedup_cache {
-                let args: Vec<Row> = extended
-                    .iter()
-                    .map(|r| r.project(step.args.cols()))
+                let cols = step.args.cols();
+                let mut flat = Vec::with_capacity(extended.len() * cols.len());
+                for r in &extended {
+                    flat.extend(cols.iter().map(|&c| r.value(c).clone()));
+                }
+                let arg_refs: Vec<&[Value]> = (0..extended.len())
+                    .map(|i| &flat[i * cols.len()..][..cols.len()])
                     .collect();
-                let arg_refs: Vec<&[Value]> = args.iter().map(Row::values).collect();
                 let invoked = invoke(&arg_refs, &mut self.cpu_us)?;
                 for (row, v) in extended.iter_mut().zip(invoked) {
                     row.push_value(v);
@@ -198,8 +203,10 @@ impl ClientSession {
     }
 
     fn answer(&mut self, request: Vec<u8>) -> Result<Answer> {
-        // Zero-copy: batch argument payloads stay views of the message.
-        Ok(match Request::decode_shared(&Arc::new(request))? {
+        // Zero-copy: batch argument payloads stay views of the message, and
+        // each row has room for the results its task's steps append.
+        let spare = self.executor.as_ref().map_or(0, |ex| ex.steps.len());
+        Ok(match Request::decode_shared(&Arc::new(request), spare)? {
             Request::Install(task) => {
                 self.executor = Some(TaskExecutor::new(self.runtime.clone(), task)?);
                 Answer::default()

@@ -104,52 +104,54 @@ impl<'a> Decoder<'a> {
         }
     }
 
-    /// Bytes consumed so far.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
     /// True when every byte has been consumed.
     pub fn is_exhausted(&self) -> bool {
         self.pos == self.buf.len()
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(CsqError::Codec(format!(
-                "unexpected end of input: need {n} bytes at offset {}, have {}",
-                self.pos,
-                self.buf.len() - self.pos
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
+    /// Read `n` raw bytes.
+    #[inline]
+    pub fn take_bytes(&mut self, n: usize) -> Result<&'a [u8]> {
+        let bytes = self.buf[self.pos..]
+            .get(..n)
+            .ok_or_else(|| self.short(self.pos, n))?;
         self.pos += n;
-        Ok(s)
+        Ok(bytes)
+    }
+
+    #[inline]
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let bytes = self.buf[self.pos..]
+            .first_chunk()
+            .ok_or_else(|| self.short(self.pos, N))?;
+        self.pos += N;
+        Ok(*bytes)
+    }
+
+    /// The error of a value that needs `need` bytes at `pos` and is cut off.
+    #[cold]
+    fn short(&self, pos: usize, need: usize) -> CsqError {
+        CsqError::Codec(format!(
+            "unexpected end of input: need {need} bytes at offset {pos}, have {}",
+            self.buf.len() - pos
+        ))
     }
 
     /// Read one raw byte (exposed for higher-level protocols that embed
     /// their own tags alongside codec values).
     pub fn take_u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
+        Ok(self.take_array::<1>()?[0])
     }
 
     /// Read a raw little-endian u32.
+    #[inline]
     pub fn take_u32(&mut self) -> Result<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        self.take_array().map(u32::from_le_bytes)
     }
 
     /// Read a raw little-endian u64.
     pub fn take_u64(&mut self) -> Result<u64> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    /// Read `n` raw bytes.
-    pub fn take_bytes(&mut self, n: usize) -> Result<&'a [u8]> {
-        self.take(n)
+        self.take_array().map(u64::from_le_bytes)
     }
 
     /// Bytes left to decode.
@@ -160,6 +162,7 @@ impl<'a> Decoder<'a> {
     /// Read a u32 element count and validate it against the remaining
     /// input (each element needs at least `min_bytes_each` bytes), so a
     /// corrupted count cannot trigger a huge allocation.
+    #[inline]
     pub fn take_count(&mut self, min_bytes_each: usize) -> Result<usize> {
         let n = self.take_u32()? as usize;
         let need = n.saturating_mul(min_bytes_each.max(1));
@@ -172,52 +175,96 @@ impl<'a> Decoder<'a> {
         Ok(n)
     }
 
-    /// Decode one value.
-    pub fn value(&mut self) -> Result<Value> {
-        match self.take_u8()? {
-            TAG_NULL => Ok(Value::Null),
-            TAG_BOOL => match self.take_u8()? {
-                0 => Ok(Value::Bool(false)),
-                1 => Ok(Value::Bool(true)),
-                other => Err(CsqError::Codec(format!("invalid bool byte {other}"))),
-            },
-            TAG_INT => Ok(Value::Int(self.take_u64()? as i64)),
-            TAG_FLOAT => Ok(Value::Float(f64::from_bits(self.take_u64()?))),
-            TAG_STR => {
-                let len = self.take_u32()? as usize;
-                let start = self.pos;
-                let bytes = self.take(len)?;
-                match &self.shared {
-                    Some(arc) => Ok(Value::Str(Str::from_shared(Arc::clone(arc), start, len)?)),
-                    None => {
-                        let s = std::str::from_utf8(bytes).map_err(|e| {
-                            CsqError::Codec(format!("invalid UTF-8 in string: {e}"))
-                        })?;
-                        Ok(Value::from(s))
-                    }
-                }
-            }
-            TAG_BLOB => {
-                let len = self.take_u32()? as usize;
-                let start = self.pos;
-                let bytes = self.take(len)?;
-                match &self.shared {
-                    Some(arc) => Ok(Value::Blob(Blob::from_shared(Arc::clone(arc), start, len)?)),
-                    None => Ok(Value::Blob(Blob::new(bytes.to_vec()))),
-                }
-            }
-            tag => Err(CsqError::Codec(format!("unknown value tag {tag}"))),
+    /// Decode one row (u32 column count, then values).
+    pub fn row(&mut self) -> Result<Row> {
+        self.row_with(0)
+    }
+
+    /// Decode the body of a row frame: a u32 row count, then each row as
+    /// [`row`](Self::row) reads it. Each row has room for `spare` more
+    /// values, so a caller that extends the rows does not reallocate them.
+    pub fn rows(&mut self, spare: usize) -> Result<Vec<Row>> {
+        // Each row needs at least its 4-byte column count.
+        let n = self.take_count(4)?;
+        let mut rows = Vec::with_capacity(n);
+        for _ in 0..n {
+            rows.push(self.row_with(spare)?);
+        }
+        Ok(rows)
+    }
+
+    /// [`rows`](Self::rows), then a `codec` error unless that was all the
+    /// input.
+    fn rows_to_end(mut self) -> Result<Vec<Row>> {
+        let rows = self.rows(0)?;
+        match self.remaining() {
+            0 => Ok(rows),
+            n => Err(CsqError::Codec(format!("{n} trailing bytes after rows"))),
         }
     }
 
-    /// Decode one row (u32 column count, then values).
-    pub fn row(&mut self) -> Result<Row> {
+    #[inline(always)]
+    fn row_with(&mut self, spare: usize) -> Result<Row> {
         let n = self.take_count(1)?;
-        let mut values = Vec::with_capacity(n);
+        let mut values = Vec::with_capacity(n + spare);
         for _ in 0..n {
             values.push(self.value()?);
         }
         Ok(Row::new(values))
+    }
+
+    /// Decode one value: the decode kernel. The value's whole extent is
+    /// checked once against the input; a `Str`/`Blob` is built from that
+    /// checked range, and UTF-8 is checked by an ASCII scan that falls back
+    /// to `std::str::from_utf8` only on a non-ASCII byte.
+    #[inline(always)]
+    pub fn value(&mut self) -> Result<Value> {
+        let pos = self.pos;
+        let Some((&tag, p)) = self.buf[pos..].split_first() else {
+            return Err(self.short(pos, 1));
+        };
+        let (value, used) = match tag {
+            TAG_NULL => (Value::Null, 1),
+            TAG_BOOL => match p.first() {
+                Some(0) => (Value::Bool(false), 2),
+                Some(1) => (Value::Bool(true), 2),
+                Some(b) => return Err(CsqError::Codec(format!("invalid bool byte {b}"))),
+                None => return Err(self.short(pos + 1, 1)),
+            },
+            TAG_INT => match p.first_chunk() {
+                Some(b) => (Value::Int(i64::from_le_bytes(*b)), 9),
+                None => return Err(self.short(pos + 1, 8)),
+            },
+            TAG_FLOAT => match p.first_chunk() {
+                Some(b) => (Value::Float(f64::from_le_bytes(*b)), 9),
+                None => return Err(self.short(pos + 1, 8)),
+            },
+            TAG_STR | TAG_BLOB => {
+                let Some((len, body)) = p.split_first_chunk() else {
+                    return Err(self.short(pos + 1, 4));
+                };
+                let len = u32::from_le_bytes(*len) as usize;
+                let Some(bytes) = body.get(..len) else {
+                    return Err(self.short(pos + 5, len));
+                };
+                if tag == TAG_STR && !bytes.is_ascii() {
+                    std::str::from_utf8(bytes)
+                        .map_err(|e| CsqError::Codec(format!("invalid UTF-8 in string: {e}")))?;
+                }
+                let (data, start) = match &self.shared {
+                    Some(arc) => (Arc::clone(arc), pos + 5),
+                    None => (Arc::new(bytes.to_vec()), 0),
+                };
+                let value = match tag {
+                    TAG_STR => Value::Str(Str::view(data, start, len)),
+                    _ => Value::Blob(Blob::view(data, start, len)),
+                };
+                (value, 5 + len)
+            }
+            tag => return Err(CsqError::Codec(format!("unknown value tag {tag}"))),
+        };
+        self.pos = pos + used;
+        Ok(value)
     }
 }
 
@@ -270,7 +317,23 @@ pub fn encode_batch_rows(batch: &RowBatch, positions: Range<usize>, out: &mut Ve
         return;
     };
     let width = (lanes.len() as u32).to_le_bytes();
-    out.reserve(positions.len() * (width.len() + 9 * lanes.len()));
+    // A fixed-width lane reserves its values' non-NULL size; a string or
+    // `Values` lane reserves its selected values' exact wire size.
+    let rows = positions.len();
+    let at = |p| sel.ordinal(p);
+    let values_size: usize = lanes
+        .iter()
+        .map(|lane| match &**lane {
+            Lane::Int { .. } | Lane::Float { .. } => 9 * rows,
+            Lane::Bool { .. } => 2 * rows,
+            Lane::StrDict { dict, codes } => positions
+                .clone()
+                .map(|p| dict.get(codes[at(p)] as usize).map_or(1, |s| 5 + s.len()))
+                .sum(),
+            Lane::Values(values) => positions.clone().map(|p| values[at(p)].wire_size()).sum(),
+        })
+        .sum();
+    out.reserve(rows * width.len() + values_size);
     for p in positions {
         let i = sel.ordinal(p);
         out.extend_from_slice(&width);
@@ -312,31 +375,15 @@ fn encode_lane_value(lane: &Lane, i: usize, out: &mut Vec<u8>) {
     }
 }
 
-fn decode_rows_with(d: &mut Decoder<'_>, total_len: usize) -> Result<Vec<Row>> {
-    // Each row needs at least its 4-byte column count.
-    let n = d.take_count(4)?;
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
-        rows.push(d.row()?);
-    }
-    if !d.is_exhausted() {
-        return Err(CsqError::Codec(format!(
-            "{} trailing bytes after rows",
-            total_len - d.position()
-        )));
-    }
-    Ok(rows)
-}
-
 /// Decode a batch of rows encoded by [`encode_rows`], copying payloads.
 pub fn decode_rows(buf: &[u8]) -> Result<Vec<Row>> {
-    decode_rows_with(&mut Decoder::new(buf), buf.len())
+    Decoder::new(buf).rows_to_end()
 }
 
 /// Decode a batch of rows as zero-copy views into the shared message
 /// buffer: every decoded `Str`/`Blob` borrows its payload from `buf`.
 pub fn decode_rows_shared(buf: &Arc<Vec<u8>>) -> Result<Vec<Row>> {
-    decode_rows_with(&mut Decoder::shared(buf), buf.len())
+    Decoder::shared(buf).rows_to_end()
 }
 
 /// Exact encoded size of a row including its count prefix.
@@ -347,6 +394,11 @@ pub fn row_encoded_size(row: &Row) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A row frame decoded in both modes: copying, and as views of `buf`.
+    fn decode_both(buf: Vec<u8>) -> [Result<Vec<Row>>; 2] {
+        [decode_rows(&buf), decode_rows_shared(&Arc::new(buf))]
+    }
 
     fn roundtrip(v: Value) {
         let mut buf = Vec::new();
@@ -360,6 +412,16 @@ mod tests {
         let mut d = Decoder::shared(&arc);
         assert_eq!(d.value().unwrap(), v);
         assert!(d.is_exhausted());
+        // And so must a row frame holding it, in both modes.
+        let rows = vec![
+            Row::new(vec![v.clone(), Value::Int(1), v]),
+            Row::new(vec![]),
+        ];
+        let mut buf = Vec::new();
+        encode_rows(&rows, &mut buf);
+        let [copied, shared] = decode_both(buf);
+        assert_eq!(copied.unwrap(), rows);
+        assert_eq!(shared.unwrap(), rows);
     }
 
     #[test]
@@ -373,6 +435,12 @@ mod tests {
         roundtrip(Value::from("héllo"));
         roundtrip(Value::Blob(Blob::synthetic(1000, 9)));
         roundtrip(Value::Blob(Blob::new(vec![])));
+        // `Value` equality is bitwise on floats: -0.0 is not 0.0.
+        roundtrip(Value::Int(i64::MIN));
+        roundtrip(Value::Float(-0.0));
+        roundtrip(Value::from(""));
+        roundtrip(Value::from("a€b"));
+        roundtrip(Value::from("𝄞 clef"));
     }
 
     #[test]
@@ -428,6 +496,13 @@ mod tests {
         };
         assert!(s.backed_by(&arc));
         assert!(decoded[0].value(1).as_blob().unwrap().backed_by(&arc));
+        // The copying mode copies.
+        let copied = decode_rows(&arc).unwrap();
+        let Value::Str(s) = copied[0].value(0) else {
+            panic!("expected Str")
+        };
+        assert!(!s.backed_by(&arc));
+        assert!(!copied[0].value(1).as_blob().unwrap().backed_by(&arc));
     }
 
     #[test]
@@ -437,12 +512,87 @@ mod tests {
         buf.truncate(5);
         let mut d = Decoder::new(&buf);
         assert_eq!(d.value().unwrap_err().kind(), "codec");
+        // A frame of every kind, cut at any byte, in either mode.
+        let rows = vec![
+            Row::new(vec![Value::Int(-1), Value::from("héllo"), Value::Null]),
+            Row::new(vec![
+                Value::Bool(true),
+                Value::Float(2.5),
+                Value::Blob(Blob::synthetic(7, 1)),
+            ]),
+        ];
+        let mut buf = Vec::new();
+        encode_rows(&rows, &mut buf);
+        for cut in 0..buf.len() {
+            let [copied, shared] = decode_both(buf[..cut].to_vec());
+            assert_eq!(copied.unwrap_err().kind(), "codec", "cut at {cut}");
+            assert_eq!(shared.unwrap_err().kind(), "codec", "cut at {cut}");
+        }
     }
 
     #[test]
     fn bad_tag_errors() {
         let mut d = Decoder::new(&[99]);
         assert_eq!(d.value().unwrap_err().kind(), "codec");
+    }
+
+    #[test]
+    fn ascii_prefix_then_invalid_utf8_is_a_codec_error() {
+        for bad in [&[0xFFu8][..], &[0xC3], &[0xE2, 0x82], &[0xED, 0xA0, 0x80]] {
+            let mut text = b"ticker-".to_vec();
+            text.extend_from_slice(bad);
+            let mut buf = 1u32.to_le_bytes().to_vec();
+            buf.extend_from_slice(&1u32.to_le_bytes());
+            buf.push(TAG_STR);
+            buf.extend_from_slice(&(text.len() as u32).to_le_bytes());
+            buf.extend_from_slice(&text);
+            let [copied, shared] = decode_both(buf);
+            assert_eq!(copied.unwrap_err().kind(), "codec", "{bad:?}");
+            assert_eq!(shared.unwrap_err().kind(), "codec", "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn rows_leave_the_spare_room_asked_for() {
+        let rows = vec![Row::new(vec![Value::Int(1), Value::from("x")])];
+        let mut buf = Vec::new();
+        encode_rows(&rows, &mut buf);
+        let mut decoded = Decoder::new(&buf).rows(2).unwrap();
+        let before = decoded[0].values().as_ptr();
+        decoded[0].push_value(Value::Null);
+        decoded[0].push_value(Value::Int(2));
+        assert_eq!(decoded[0].values().as_ptr(), before, "no reallocation");
+    }
+
+    #[test]
+    fn lane_rows_reserve_exactly_their_wire_size() {
+        use crate::lane::Selection;
+        use crate::schema::{Field, Schema};
+        use crate::value::DataType;
+        let rows: Vec<Row> = (0..40)
+            .map(|i| {
+                let blob = Value::Blob(Blob::synthetic(i * 3, i as u64));
+                let name = [Value::from("alpha"), Value::Null, Value::from("β")][i % 3].clone();
+                Row::new(vec![blob, name])
+            })
+            .collect();
+        let lanes: Vec<Arc<Lane>> = (0..2).map(|c| Arc::new(Lane::build(&rows, c))).collect();
+        assert!(matches!(*lanes[0], Lane::Values(_)));
+        assert!(matches!(*lanes[1], Lane::StrDict { .. }));
+        let schema = Arc::new(Schema::new(vec![
+            Field::new("b", DataType::Blob),
+            Field::new("s", DataType::Str),
+        ]));
+        let sel = Selection::Rows((0..40).filter(|i| i % 4 != 1).collect());
+        let kept: Vec<&Row> = (0..40).filter(|i| i % 4 != 1).map(|i| &rows[i]).collect();
+        let batch = RowBatch::from_lanes(schema, lanes, sel);
+        let mut out = Vec::new();
+        encode_batch_rows(&batch, 0..batch.len(), &mut out);
+        let size: usize = kept.iter().map(|r| row_encoded_size(r)).sum();
+        assert_eq!((out.len(), out.capacity()), (size, size));
+        let mut expected = Vec::new();
+        kept.iter().for_each(|r| encode_row(r, &mut expected));
+        assert_eq!(out, expected);
     }
 
     #[test]

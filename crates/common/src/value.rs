@@ -38,23 +38,8 @@ impl ByteView {
         }
     }
 
-    fn shared(data: Arc<Vec<u8>>, start: usize, len: usize) -> Result<ByteView> {
-        if start.checked_add(len).is_none_or(|end| end > data.len()) {
-            return Err(CsqError::Codec(format!(
-                "byte view {start}..{} out of range for buffer of {} bytes",
-                start.saturating_add(len),
-                data.len()
-            )));
-        }
-        Ok(ByteView { data, start, len })
-    }
-
     fn as_slice(&self) -> &[u8] {
         &self.data[self.start..self.start + self.len]
-    }
-
-    fn shares_allocation(&self, other: &ByteView) -> bool {
-        Arc::ptr_eq(&self.data, &other.data)
     }
 
     fn backed_by(&self, buf: &Arc<Vec<u8>>) -> bool {
@@ -75,10 +60,10 @@ impl Blob {
         Blob(ByteView::owned(bytes))
     }
 
-    /// A zero-copy view of `len` bytes at `start` within a shared buffer
-    /// (the codec's decode path). Errors when the range is out of bounds.
-    pub fn from_shared(data: Arc<Vec<u8>>, start: usize, len: usize) -> Result<Self> {
-        Ok(Blob(ByteView::shared(data, start, len)?))
+    /// A view of `len` bytes at `start` of `data`, a range the codec's
+    /// decode kernel has checked lies within it.
+    pub(crate) fn view(data: Arc<Vec<u8>>, start: usize, len: usize) -> Blob {
+        Blob(ByteView { data, start, len })
     }
 
     /// A deterministic blob of `len` bytes seeded by `seed`; used by workload
@@ -111,12 +96,6 @@ impl Blob {
     /// True when the payload is empty.
     pub fn is_empty(&self) -> bool {
         self.0.len == 0
-    }
-
-    /// True when both blobs are views of the same backing allocation
-    /// (used by tests asserting the decode path is zero-copy).
-    pub fn shares_allocation(&self, other: &Blob) -> bool {
-        self.0.shares_allocation(&other.0)
     }
 
     /// True when this blob is a view into `buf` (zero-copy test hook).
@@ -167,20 +146,20 @@ impl Str {
         Str(ByteView::owned(s.into().into_bytes()))
     }
 
-    /// A zero-copy view of `len` bytes at `start` within a shared buffer.
-    /// Validates bounds and UTF-8 (once; `as_str` relies on it).
-    pub fn from_shared(data: Arc<Vec<u8>>, start: usize, len: usize) -> Result<Str> {
-        let view = ByteView::shared(data, start, len)?;
-        std::str::from_utf8(view.as_slice())
-            .map_err(|e| CsqError::Codec(format!("invalid UTF-8 in string: {e}")))?;
-        Ok(Str(view))
+    /// [`Blob::view`] of a range the codec's decode kernel has also checked
+    /// is UTF-8.
+    pub(crate) fn view(data: Arc<Vec<u8>>, start: usize, len: usize) -> Str {
+        let view = ByteView { data, start, len };
+        debug_assert!(std::str::from_utf8(view.as_slice()).is_ok());
+        Str(view)
     }
 
     /// String contents.
     #[inline]
     pub fn as_str(&self) -> &str {
         // SAFETY: every constructor validated that the viewed range is
-        // UTF-8, the buffer is immutable, and the range is in bounds.
+        // UTF-8 (`view` takes a range the codec's kernel validated), the
+        // buffer is immutable, and the range is in bounds.
         unsafe { std::str::from_utf8_unchecked(self.0.as_slice()) }
     }
 
@@ -580,11 +559,11 @@ mod tests {
     #[test]
     fn shared_views_compare_by_content() {
         let buf = Arc::new(b"hello world".to_vec());
-        let b = Blob::from_shared(buf.clone(), 0, 5).unwrap();
+        let b = Blob::view(buf.clone(), 0, 5);
         assert_eq!(b, Blob::new(b"hello".to_vec()));
         assert!(b.backed_by(&buf));
         assert!(!Blob::new(b"hello".to_vec()).backed_by(&buf));
-        let s = Str::from_shared(buf.clone(), 6, 5).unwrap();
+        let s = Str::view(buf.clone(), 6, 5);
         assert_eq!(s.as_str(), "world");
         assert!(s.backed_by(&buf));
         // Hash agreement between owned and shared representations.
@@ -597,19 +576,31 @@ mod tests {
 
     #[test]
     fn shared_view_bounds_checked() {
-        let buf = Arc::new(vec![1u8, 2, 3]);
-        assert!(Blob::from_shared(buf.clone(), 2, 2).is_err());
-        assert!(Blob::from_shared(buf.clone(), usize::MAX, 2).is_err());
-        assert!(Str::from_shared(buf.clone(), 0, 3).is_ok());
-        let bad = Arc::new(vec![0xFFu8, 0xFE]);
-        assert!(Str::from_shared(bad, 0, 2).is_err());
+        // A view is only built by the decoder, from a range it checked:
+        // one past the end of the frame, or not UTF-8, is a `codec` error.
+        use crate::codec::Decoder;
+        let frame = |tag: u8, len: u32, body: &[u8]| {
+            let mut f = vec![tag];
+            f.extend_from_slice(&len.to_le_bytes());
+            f.extend_from_slice(body);
+            Arc::new(f)
+        };
+        for bad in [
+            frame(5, 3, &[1, 2]),
+            frame(4, u32::MAX, b"a"),
+            frame(4, 2, &[0xFF, 0xFE]),
+        ] {
+            assert_eq!(Decoder::shared(&bad).value().unwrap_err().kind(), "codec");
+        }
+        let ok = frame(4, 3, b"abc");
+        assert_eq!(Decoder::shared(&ok).value().unwrap(), Value::from("abc"));
     }
 
     #[test]
     fn str_clone_shares_allocation() {
         let a = Str::new("abcdef");
         let b = a.clone();
-        assert!(a.0.shares_allocation(&b.0));
+        assert!(Arc::ptr_eq(&a.0.data, &b.0.data));
         assert_eq!(a, b);
     }
 }
