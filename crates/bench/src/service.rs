@@ -161,8 +161,8 @@ fn inproc_qps(db: &Database, sql: &str, iters: usize) -> f64 {
 fn open_idle_conns(addr: std::net::SocketAddr, count: usize) -> Vec<std::net::TcpStream> {
     let mut conns = Vec::with_capacity(count);
     for _ in 0..count {
-        // Bursts of a thousand connects can outrun the accept loop's
-        // backlog; back off briefly and retry rather than failing the run.
+        // Bursts of a thousand connects can outrun the listener's backlog
+        // between the scheduler's accept sweeps; back off briefly and retry rather than failing the run.
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
             match std::net::TcpStream::connect(addr) {

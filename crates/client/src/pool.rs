@@ -250,7 +250,12 @@ impl ServiceConn {
             match self.recv()? {
                 QueryResponse::Rows(chunk) => {
                     self.last_rows_received += chunk.len() as u64;
-                    rows.extend(chunk);
+                    // The first chunk is the answer's Vec; later ones extend it.
+                    if rows.is_empty() {
+                        rows = chunk;
+                    } else {
+                        rows.extend(chunk);
+                    }
                 }
                 QueryResponse::End {
                     rows: n,

@@ -15,7 +15,7 @@
 //! Everything is encoded with the `csq-common` codec so the byte counts the
 //! network model charges are the real encoded sizes.
 
-use csq_common::codec::{encode_rows, encode_value, Decoder};
+use csq_common::codec::{encode_value, tagged_rows, Decoder};
 use csq_common::{CsqError, Result, Row, Value};
 use csq_expr::{BinaryOp, PhysExpr, UnaryOp};
 
@@ -371,16 +371,15 @@ fn decode_task(d: &mut Decoder<'_>) -> Result<ClientTask> {
 impl Request {
     /// Encode to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
         match self {
             Request::Install(task) => {
-                out.push(REQ_INSTALL);
+                let mut out = vec![REQ_INSTALL];
                 encode_task(task, &mut out);
+                out
             }
-            Request::Batch(rows) => return Request::encode_batch(rows.iter().map(Row::values)),
-            Request::Finish => out.push(REQ_FINISH),
+            Request::Batch(rows) => Request::encode_batch(rows.iter().map(Row::values)),
+            Request::Finish => vec![REQ_FINISH],
         }
-        out
     }
 
     /// Encode a `Request::Batch` message directly from borrowed rows' values
@@ -391,10 +390,7 @@ impl Request {
     where
         I: ExactSizeIterator<Item = &'r [Value]> + Clone,
     {
-        let mut out = Vec::new();
-        out.push(REQ_BATCH);
-        csq_common::codec::encode_rows_iter(rows, &mut out);
-        out
+        tagged_rows(REQ_BATCH, rows)
     }
 
     /// The head of a `Request::Batch` message of `rows` rows: what
@@ -436,18 +432,14 @@ impl Request {
 impl Response {
     /// Encode to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
         match self {
-            Response::Batch(rows) => {
-                out.push(RESP_BATCH);
-                encode_rows(rows, &mut out);
-            }
+            Response::Batch(rows) => tagged_rows(RESP_BATCH, rows.iter().map(Row::values)),
             Response::Error(msg) => {
-                out.push(RESP_ERROR);
+                let mut out = vec![RESP_ERROR];
                 put_str(&mut out, msg);
+                out
             }
         }
-        out
     }
 
     fn decode_with(d: &mut Decoder<'_>) -> Result<Response> {

@@ -23,7 +23,7 @@
 //! and an optional partial aggregation — which the server runs as operators
 //! without parsing or planning anything: what a coordinator sends a shard.
 
-use csq_common::codec::{encode_rows, Decoder};
+use csq_common::codec::{batch_rows_message, encode_rows, tagged_rows, Decoder};
 use csq_common::{CsqError, DataType, Field, Result, Row, RowBatch, Schema};
 use csq_expr::{AggFunc, AggSpec, PhysExpr};
 
@@ -190,19 +190,6 @@ impl QueryResponse {
             message: e.message().to_string(),
             fatal: true,
             retryable: e.retryable(),
-        }
-    }
-
-    /// A fatal error the server nonetheless invites the client to retry
-    /// (on a fresh connection, after backoff): the load-shed / admission
-    /// refusal. Overrides the default classification, which would call a
-    /// `limit` error permanent.
-    pub fn retryable_refusal(e: &CsqError) -> QueryResponse {
-        QueryResponse::Error {
-            kind: e.kind().to_string(),
-            message: e.message().to_string(),
-            fatal: true,
-            retryable: true,
         }
     }
 
@@ -561,9 +548,7 @@ impl QueryResponse {
     /// `QueryResponse::Rows(rows.to_vec()).encode()` writes, without the
     /// clone.
     pub fn encode_rows_chunk(rows: &[Row]) -> Vec<u8> {
-        let mut out = vec![RESP_ROWS];
-        encode_rows(rows, &mut out);
-        out
+        tagged_rows(RESP_ROWS, rows.iter().map(Row::values))
     }
 
     /// The `Rows` frames of a result held as batches: `chunk_rows` rows a
@@ -576,22 +561,23 @@ impl QueryResponse {
         let chunk_rows = chunk_rows.max(1);
         let total: usize = batches.iter().map(RowBatch::len).sum();
         let mut frames = Vec::with_capacity(total.div_ceil(chunk_rows));
+        let mut pieces = Vec::new();
         let (mut batch, mut pos, mut left) = (0, 0, total);
         while left > 0 {
             let n = left.min(chunk_rows);
-            let mut out = vec![RESP_ROWS];
-            put_u32(&mut out, n as u32);
             let mut need = n;
+            pieces.clear();
             while need > 0 {
                 let Some(b) = batches.get(batch) else { break };
                 let take = need.min(b.len() - pos);
-                csq_common::codec::encode_batch_rows(b, pos..pos + take, &mut out);
+                pieces.push((b, pos..pos + take));
                 (pos, need) = (pos + take, need - take);
                 if pos == b.len() {
                     (batch, pos) = (batch + 1, 0);
                 }
             }
-            frames.push(out);
+            let [a, b, c, d] = (n as u32).to_le_bytes();
+            frames.push(batch_rows_message(&[RESP_ROWS, a, b, c, d], &pieces));
             left -= n;
         }
         frames
@@ -740,6 +726,47 @@ mod tests {
     }
 
     #[test]
+    fn every_row_message_is_allocated_at_its_exact_size() {
+        use crate::protocol::{Request, Response};
+        use csq_common::{Lane, Selection};
+        let names = [Value::from("alpha"), Value::Null, Value::from("β")];
+        let rows: Vec<Row> = (0..30)
+            .map(|i| Row::new(vec![Value::Int(i), names[i as usize % 3].clone()]))
+            .collect();
+        let schema = Arc::new(Schema::new(vec![
+            Field::new("i", DataType::Int),
+            Field::new("s", DataType::Str),
+        ]));
+        let lanes = (0..2)
+            .map(|c| Arc::new(Lane::build(&rows[..26], c)))
+            .collect();
+        // The second frame spans the lane batch's end and the row batch.
+        let batches = [
+            RowBatch::from_lanes(schema.clone(), lanes, Selection::Window(0..26)),
+            RowBatch::from_rows(schema, rows[26..].to_vec()),
+        ];
+        let frames = QueryResponse::encode_rows_frames(&batches, 16);
+        let chunks = rows.chunks(16).map(QueryResponse::encode_rows_chunk);
+        assert_eq!(frames, chunks.collect::<Vec<_>>());
+        let mut body = Vec::new();
+        encode_rows(&rows, &mut body);
+        let messages = [
+            QueryResponse::encode_rows_chunk(&rows),
+            Response::Batch(rows.clone()).encode(),
+            Request::encode_batch(rows.iter().map(Row::values)),
+        ];
+        for m in frames.iter().chain(&messages) {
+            assert_eq!(m.len(), m.capacity());
+        }
+        assert!(messages.iter().all(|m| m[1..] == body[..]));
+        assert_eq!(
+            Response::decode(&messages[1]).unwrap(),
+            Response::Batch(rows.clone())
+        );
+        assert_eq!(Request::decode(&messages[2]).unwrap(), Request::Batch(rows));
+    }
+
+    #[test]
     fn garbage_rejected() {
         assert!(QueryRequest::decode(&[]).is_err());
         assert!(QueryRequest::decode(&[99]).is_err());
@@ -784,16 +811,6 @@ mod tests {
             QueryResponse::from_error(&CsqError::Cancelled("m".into())),
             QueryResponse::Error {
                 retryable: false,
-                ..
-            }
-        ));
-        // The shed refusal: kind limit, yet explicitly retryable + fatal.
-        let shed = QueryResponse::retryable_refusal(&CsqError::Limit("server saturated".into()));
-        assert!(matches!(
-            shed,
-            QueryResponse::Error {
-                retryable: true,
-                fatal: true,
                 ..
             }
         ));

@@ -287,19 +287,33 @@ fn encode_row_values(values: &[Value], out: &mut Vec<u8>) {
 /// (each row's [`row_encoded_size`]) so large batches encode without
 /// reallocation.
 pub fn encode_rows(rows: &[Row], out: &mut Vec<u8>) {
-    encode_rows_iter(rows.iter().map(Row::values), out);
+    let rows = rows.iter().map(Row::values);
+    out.reserve(rows_size(rows.clone()));
+    put_rows(rows, out);
 }
 
-/// Like [`encode_rows`] but over each row's values, borrowed from any
-/// exactly-sized iterator (lets senders encode argument tuples they keep
-/// in place of rows). Produces byte-identical output to `encode_rows` on
-/// the same rows.
-pub fn encode_rows_iter<'r, I>(rows: I, out: &mut Vec<u8>)
+/// One message: the `tag` byte, then `rows` as [`encode_rows`] writes them,
+/// in a buffer allocated once at its exact size. The rows are each row's
+/// values, borrowed from any exactly-sized iterator, so a sender can
+/// encode argument tuples it keeps in place of rows.
+pub fn tagged_rows<'r, I>(tag: u8, rows: I) -> Vec<u8>
 where
     I: ExactSizeIterator<Item = &'r [Value]> + Clone,
 {
-    let values_size = |r: &[Value]| 4 + r.iter().map(Value::wire_size).sum::<usize>();
-    out.reserve(4 + rows.clone().map(values_size).sum::<usize>());
+    let mut out = Vec::with_capacity(1 + rows_size(rows.clone()));
+    out.push(tag);
+    put_rows(rows, &mut out);
+    out
+}
+
+/// What [`put_rows`] writes, in bytes.
+fn rows_size<'r>(rows: impl Iterator<Item = &'r [Value]>) -> usize {
+    4 + rows
+        .map(|r| 4 + r.iter().map(Value::wire_size).sum::<usize>())
+        .sum::<usize>()
+}
+
+fn put_rows<'r>(rows: impl ExactSizeIterator<Item = &'r [Value]>, out: &mut Vec<u8>) {
     out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
     for r in rows {
         encode_row_values(r, out);
@@ -310,15 +324,33 @@ where
 /// [`encode_row`] writes it, without building a row of a lane-backed batch:
 /// each value is written from its lane (a dictionary string from its entry).
 pub fn encode_batch_rows(batch: &RowBatch, positions: Range<usize>, out: &mut Vec<u8>) {
+    out.reserve(batch_rows_size(batch, positions.clone()));
+    put_batch_rows(batch, positions, out);
+}
+
+/// One message: `head`, then the rows of each `(batch, positions)` piece as
+/// [`encode_batch_rows`] writes them, in a buffer allocated once at its
+/// exact size.
+pub fn batch_rows_message(head: &[u8], pieces: &[(&RowBatch, Range<usize>)]) -> Vec<u8> {
+    let rows: usize = pieces
+        .iter()
+        .map(|(batch, positions)| batch_rows_size(batch, positions.clone()))
+        .sum();
+    let mut out = Vec::with_capacity(head.len() + rows);
+    out.extend_from_slice(head);
+    for (batch, positions) in pieces {
+        put_batch_rows(batch, positions.clone(), &mut out);
+    }
+    out
+}
+
+/// What [`encode_batch_rows`] appends, in bytes: a fixed-width lane's
+/// values cost their non-NULL size, a string or `Values` lane's its
+/// selected values' exact wire size.
+fn batch_rows_size(batch: &RowBatch, positions: Range<usize>) -> usize {
     let Some((lanes, sel)) = batch.lanes() else {
-        for r in &batch.rows()[positions] {
-            encode_row(r, out);
-        }
-        return;
+        return batch.rows()[positions].iter().map(row_encoded_size).sum();
     };
-    let width = (lanes.len() as u32).to_le_bytes();
-    // A fixed-width lane reserves its values' non-NULL size; a string or
-    // `Values` lane reserves its selected values' exact wire size.
     let rows = positions.len();
     let at = |p| sel.ordinal(p);
     let values_size: usize = lanes
@@ -333,7 +365,17 @@ pub fn encode_batch_rows(batch: &RowBatch, positions: Range<usize>, out: &mut Ve
             Lane::Values(values) => positions.clone().map(|p| values[at(p)].wire_size()).sum(),
         })
         .sum();
-    out.reserve(rows * width.len() + values_size);
+    rows * 4 + values_size
+}
+
+fn put_batch_rows(batch: &RowBatch, positions: Range<usize>, out: &mut Vec<u8>) {
+    let Some((lanes, sel)) = batch.lanes() else {
+        for r in &batch.rows()[positions] {
+            encode_row(r, out);
+        }
+        return;
+    };
+    let width = (lanes.len() as u32).to_le_bytes();
     for p in positions {
         let i = sel.ordinal(p);
         out.extend_from_slice(&width);
@@ -466,16 +508,15 @@ mod tests {
     }
 
     #[test]
-    fn encode_rows_iter_matches_encode_rows() {
+    fn tagged_rows_are_a_tag_then_what_encode_rows_writes() {
         let rows = vec![
             Row::new(vec![Value::Int(1), Value::from("abc")]),
             Row::new(vec![Value::Blob(Blob::synthetic(16, 5)), Value::Null]),
         ];
-        let mut a = Vec::new();
+        let mut a = vec![9];
         encode_rows(&rows, &mut a);
-        let mut b = Vec::new();
-        encode_rows_iter(rows.iter().map(Row::values), &mut b);
-        assert_eq!(a, b);
+        let b = tagged_rows(9, rows.iter().map(Row::values));
+        assert_eq!((&a, a.len()), (&b, b.capacity()));
     }
 
     #[test]
@@ -593,6 +634,10 @@ mod tests {
         let mut expected = Vec::new();
         kept.iter().for_each(|r| encode_row(r, &mut expected));
         assert_eq!(out, expected);
+        let halves = [(&batch, 0..7), (&batch, 7..batch.len())];
+        let message = batch_rows_message(&[7], &halves);
+        assert_eq!((message.len(), message.capacity()), (1 + size, 1 + size));
+        assert_eq!((message[0], &message[1..]), (7, &expected[..]));
     }
 
     #[test]

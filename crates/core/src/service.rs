@@ -1,22 +1,24 @@
 //! The socket-backed query service: many clients, one database.
 //!
 //! Architecture (DESIGN.md §12): a connection is a **lightweight session
-//! object**, and only *runnable work* occupies a worker. Three kinds of
-//! thread cooperate:
+//! object**, and only *runnable work* occupies a worker. Two kinds of
+//! thread cooperate, and a connection starts none:
 //!
-//! * The **accept loop** owns the TCP listener and admits connections under
+//! * The **session scheduler** (one poller thread) owns the TCP listener
+//!   and every admitted session, and waits for readiness on all of them
+//!   with `poll(2)` ([`csq_net::ready::poll_readable`]). A readable
+//!   listener is drained into parked sessions under
 //!   [`ServiceConfig::max_sessions`] — a bound on *connections*, not on
-//!   execution concurrency. Refused connections get a fatal `limit` error.
-//! * The **session scheduler** (one poller thread) parks every admitted
-//!   session and waits for readiness with `poll(2)`
-//!   ([`csq_net::ready::poll_readable`]): an idle connection
-//!   costs one pollfd entry and its receive buffer, nothing else. When a
-//!   complete request frame arrives (non-blocking, resumable reads on the
-//!   framed [`TcpConn`]), the statement becomes a job on the
-//!   [`csq_exec::WorkerPool`]; memory-only requests
-//!   (`SessionInfo`, `CancelQuery`, `CloseStmt`) are answered inline so
-//!   they work even when every worker is busy. Ready sessions are swept in
-//!   rotating order, so one chatty client cannot starve the rest.
+//!   execution concurrency; a connection over it waits, briefly and
+//!   bounded, for its first request and is answered with a fatal `limit`
+//!   error. An idle connection costs one pollfd entry and its receive
+//!   buffer, nothing else. When a complete request frame arrives
+//!   (non-blocking, resumable reads on the framed [`TcpConn`]), the
+//!   statement becomes a job on the [`csq_exec::WorkerPool`]; memory-only
+//!   requests (`SessionInfo`, `CancelQuery`, `CloseStmt`) are answered
+//!   inline so they work even when every worker is busy. Ready sessions
+//!   are swept in rotating order, so one chatty client cannot starve the
+//!   rest.
 //! * The **workers** (the pool, sized by [`ServiceConfig::workers`])
 //!   execute one statement at a time: plan through the database's
 //!   [`PlanCache`](crate::PlanCache), encode the result's bounded chunks
@@ -48,25 +50,27 @@
 //! contained by the pool's per-job `catch_unwind` (and answered with an
 //! `exec` error when the wire still works).
 //!
-//! **Graceful shutdown.** [`ServiceHandle::shutdown`] stops the accept
-//! loop, wakes the scheduler (which tells every parked client the server
-//! is going away), and drains the workers: in-flight statements are
+//! **Graceful shutdown.** [`ServiceHandle::shutdown`] wakes the scheduler,
+//! which tells every parked client the server is going away and closes the
+//! listener as it exits, then drains the workers: in-flight statements are
 //! answered, then their sessions are told the same and dropped.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::hash::BuildHasher;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use csq_client::qproto::{QueryRequest, QueryResponse};
 use csq_common::{CancelToken, CsqError, Result, DEFAULT_BATCH_SIZE};
 use csq_exec::WorkerPool;
-use csq_net::ready::{poll_readable, wake_pair, Fd, WakeReceiver, Waker};
-use csq_net::tcp::{Frame, PollFrame, TcpConn};
+use csq_net::ready::{poll_readable, socket_fd, wake_pair, Fd, WakeReceiver, Waker};
+use csq_net::tcp::{PollFrame, TcpConn};
 use csq_net::{NetStats, FRAME_HEADER_BYTES};
 use parking_lot::Mutex;
 
@@ -85,9 +89,18 @@ const MAX_PREPARED_PER_SESSION: usize = 256;
 /// session, so a client flooding `CancelQuery`s cannot starve the sweep.
 const MAX_INLINE_FRAMES_PER_SWEEP: usize = 8;
 
-/// Scheduler wait cap when every parked session is idle: wakeups (new
-/// connections, sessions returning from workers, shutdown) interrupt it
-/// via the wake pipe, so this only bounds staleness of the stats gauges.
+/// Connections the scheduler accepts in one sweep before it serves the
+/// parked sessions again, so a connect flood cannot starve them.
+const MAX_ACCEPTS_PER_SWEEP: usize = 64;
+
+/// How long a refused connection may take to send its first request; it is
+/// closed then, answered or not.
+const REFUSAL_WAIT: Duration = Duration::from_millis(200);
+
+/// Scheduler wait cap when every parked session is idle: wakeups (sessions
+/// returning from workers, shutdown) interrupt it via the wake pipe and a
+/// new connection via the listener, so this only bounds staleness of the
+/// stats gauges.
 const IDLE_POLL: Duration = Duration::from_millis(500);
 
 /// Tunables for one service instance.
@@ -250,71 +263,26 @@ struct CancelSlot {
     running: Option<CancelToken>,
 }
 
-/// Session id → cancellation state for every live session, shared by the
+/// Session id → cancellation state for every admitted session, shared by the
 /// scheduler and all workers (any session may cancel any other, provided
 /// it presents the right key — the Postgres out-of-band model, minus the
 /// extra listener).
 type CancelRegistry = Arc<Mutex<HashMap<u64, CancelSlot>>>;
 
-/// Removes a session's registry entry when the session ends, however it
-/// ends (return, disconnect, or panic unwind).
-struct Registered {
-    registry: CancelRegistry,
-    id: u64,
-}
-
-impl Drop for Registered {
-    fn drop(&mut self) {
-        self.registry.lock().remove(&self.id);
-    }
-}
-
-/// SplitMix64 finalizer — cheap whitening for session keys.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A per-session cancellation secret: unpredictable enough that a client
-/// cannot cancel sessions it never spoke to (this is an isolation nicety,
-/// not a cryptographic boundary — the service trusts its network).
+/// A per-session cancellation secret: the session id under a randomly keyed
+/// SipHash, unpredictable enough that a client cannot cancel sessions it
+/// never spoke to (this is an isolation nicety, not a cryptographic
+/// boundary — the service trusts its network).
 fn session_key(session_id: u64) -> u64 {
-    let clock = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0);
-    mix64(session_id ^ clock.rotate_left(17))
-}
-
-/// The cancel token for a statement carrying `deadline_ms` (0 = no
-/// deadline, cancellable only). Minted when the statement is *queued*, so
-/// time spent waiting for a worker counts against the deadline.
-fn statement_token(deadline_ms: u64) -> CancelToken {
-    if deadline_ms > 0 {
-        CancelToken::with_timeout(Duration::from_millis(deadline_ms))
-    } else {
-        CancelToken::new()
-    }
-}
-
-/// Decrement-on-drop guard for the admitted-session count; runs whenever
-/// the owning [`Session`] is dropped, even on a worker unwind.
-struct Admitted(Arc<AtomicUsize>);
-
-impl Drop for Admitted {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
-    }
+    RandomState::new().hash_one(session_id)
 }
 
 /// One admitted connection: everything a session is, in one movable
 /// object. Owned by exactly one thread at a time — the scheduler while
 /// parked (Reading), the pool queue while Queued, a worker while
 /// Executing/Writing — and moved, never shared. Dropping it anywhere
-/// closes the connection and releases the admission slot and cancel
-/// registration.
+/// closes the connection and releases its registration, which is also its
+/// admission slot.
 struct Session {
     id: u64,
     key: u64,
@@ -329,8 +297,16 @@ struct Session {
     /// Scheduler hint: a request frame is partially read — the slowloris
     /// stall clock ([`TcpConn::partial_age`]) is ticking.
     mid_frame: bool,
-    _registered: Registered,
-    _admitted: Admitted,
+    registry: CancelRegistry,
+}
+
+/// A session leaves the registry when it ends, however it ends (return,
+/// disconnect, or panic unwind) — so the registry's size is the
+/// admitted-session count that `max_sessions` bounds.
+impl Drop for Session {
+    fn drop(&mut self) {
+        self.registry.lock().remove(&self.id);
+    }
 }
 
 /// Everything a scheduler sweep or a worker job needs, cheap to clone.
@@ -356,7 +332,6 @@ struct SchedCtx {
 pub struct ServiceHandle {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
     poller: Option<JoinHandle<()>>,
     pool: Option<Arc<WorkerPool>>,
     stats: Arc<ServiceStats>,
@@ -395,37 +370,9 @@ impl ServiceHandle {
     fn shutdown_inner(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         // Wake the scheduler out of its poll wait; it says goodbye to every
-        // parked session and exits.
+        // parked session and exits, closing the listener. Joining it before
+        // the pool also guarantees no new jobs arrive while the pool drains.
         self.waker.wake();
-        // Unblock the accept loop with a throwaway connection. A wildcard
-        // bind (0.0.0.0 / ::) is not itself connectable everywhere, so dial
-        // the loopback of the same family instead.
-        let wake = if self.addr.ip().is_unspecified() {
-            let loopback: std::net::IpAddr = match self.addr {
-                SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
-                SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
-            };
-            SocketAddr::new(loopback, self.addr.port())
-        } else {
-            self.addr
-        };
-        match TcpStream::connect_timeout(&wake, Duration::from_millis(500)) {
-            Ok(_) => {
-                if let Some(h) = self.accept.take() {
-                    let _ = h.join();
-                }
-            }
-            Err(_) => {
-                // Could not reach our own listener (firewalled wildcard
-                // bind, interface gone). The accept thread will observe the
-                // flag on its next accept; detach it rather than hang the
-                // shutdown on a join that may never return.
-                self.accept.take();
-            }
-        }
-        // Join the poller before the pool: the poller owns a pool Arc (it
-        // dispatches statements), and joining it also guarantees no new
-        // jobs arrive while the pool drains.
         if let Some(h) = self.poller.take() {
             let _ = h.join();
         }
@@ -438,7 +385,7 @@ impl ServiceHandle {
 
 impl Drop for ServiceHandle {
     fn drop(&mut self) {
-        if self.accept.is_some() || self.poller.is_some() || self.pool.is_some() {
+        if self.poller.is_some() || self.pool.is_some() {
             self.shutdown_inner();
         }
     }
@@ -461,59 +408,38 @@ pub fn start_on(
     let local = listener
         .local_addr()
         .map_err(|e| CsqError::Net(format!("service local_addr: {e}")))?;
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| CsqError::Net(format!("service listener: {e}")))?;
     let shutdown = Arc::new(AtomicBool::new(false));
     let stats = Arc::new(ServiceStats::default());
     let sched = Arc::new(SchedulerStats::default());
     let net = NetStats::new();
     let pool = Arc::new(WorkerPool::new(config.workers));
-    let active = Arc::new(AtomicUsize::new(0));
-    let registry: CancelRegistry = Arc::new(Mutex::new(HashMap::new()));
     let (waker, wake_rx) = wake_pair()?;
     let waker = Arc::new(waker);
     let (inject_tx, inject_rx) = unbounded::<Session>();
 
     let ctx = SchedCtx {
         db,
-        config: config.clone(),
+        config,
         shutdown: shutdown.clone(),
         stats: stats.clone(),
         sched: sched.clone(),
         net: net.clone(),
-        registry: registry.clone(),
-        inject_tx: inject_tx.clone(),
+        registry: Arc::new(Mutex::new(HashMap::new())),
+        inject_tx,
         waker: waker.clone(),
     };
-
-    let poller = {
-        let ctx = ctx.clone();
-        let pool = pool.clone();
-        std::thread::Builder::new()
-            .name("csq-service-poll".into())
-            .spawn(move || poller_loop(ctx, pool, inject_rx, wake_rx))
-            .map_err(|e| CsqError::Net(format!("spawn scheduler: {e}")))?
-    };
-
-    let accept = {
-        let shutdown = shutdown.clone();
-        let stats = stats.clone();
-        let net = net.clone();
-        let config = config.clone();
-        let registry = registry.clone();
-        let waker = waker.clone();
-        std::thread::Builder::new()
-            .name("csq-service-accept".into())
-            .spawn(move || {
-                accept_loop(
-                    listener, config, shutdown, stats, net, active, registry, inject_tx, waker,
-                );
-            })
-            .map_err(|e| CsqError::Net(format!("spawn accept loop: {e}")))?
-    };
+    let poll_pool = pool.clone();
+    let poller = std::thread::Builder::new().name("csq-service-poll".into());
+    let poller = poller
+        .spawn(move || poller_loop(ctx, poll_pool, listener, inject_rx, wake_rx))
+        .map_err(|e| CsqError::Net(format!("spawn scheduler: {e}")))?;
 
     Ok(ServiceHandle {
         addr: local,
         shutdown,
-        accept: Some(accept),
         poller: Some(poller),
         pool: Some(pool),
         stats,
@@ -521,99 +447,6 @@ pub fn start_on(
         net,
         waker,
     })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn accept_loop(
-    listener: TcpListener,
-    config: ServiceConfig,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<ServiceStats>,
-    net: NetStats,
-    active: Arc<AtomicUsize>,
-    registry: CancelRegistry,
-    inject_tx: Sender<Session>,
-    waker: Arc<Waker>,
-) {
-    let next_session = AtomicU64::new(1);
-    for stream in listener.incoming() {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else {
-            continue; // Transient accept failure; keep serving.
-        };
-        let Ok(conn) = TcpConn::with_max_frame(stream, config.max_frame) else {
-            continue; // Peer vanished during setup.
-        };
-        // Admission bounds *connections*: beyond the cap, refuse loudly
-        // (the client sees a fatal `limit` error on its first response
-        // read) instead of accumulating sessions without bound. Work-level
-        // pressure is handled per statement by the scheduler's shedding.
-        let admitted = active.fetch_add(1, Ordering::SeqCst);
-        if admitted >= config.max_sessions {
-            active.fetch_sub(1, Ordering::SeqCst);
-            ServiceStats::bump(&stats.rejected);
-            let refusal = QueryResponse::fatal_error(&CsqError::Limit(format!(
-                "server at capacity ({} sessions admitted); retry later",
-                config.max_sessions
-            )));
-            refuse(conn, net.clone(), refusal);
-            continue;
-        }
-        if conn.set_write_timeout(Some(config.write_timeout)).is_err() {
-            active.fetch_sub(1, Ordering::SeqCst);
-            continue; // Peer already gone during setup.
-        }
-        ServiceStats::bump(&stats.accepted);
-        let session_id = next_session.fetch_add(1, Ordering::Relaxed);
-        let key = session_key(session_id);
-        registry
-            .lock()
-            .insert(session_id, CancelSlot { key, running: None });
-        let session = Session {
-            id: session_id,
-            key,
-            conn,
-            prepared: HashMap::new(),
-            next_stmt: 1,
-            maybe_buffered: false,
-            mid_frame: false,
-            _registered: Registered {
-                registry: registry.clone(),
-                id: session_id,
-            },
-            _admitted: Admitted(active.clone()),
-        };
-        if inject_tx.send(session).is_err() {
-            break; // Scheduler gone: the service is shutting down.
-        }
-        waker.wake();
-    }
-}
-
-/// Refuse a connection with a pre-built error response. Runs on a
-/// short-lived detached thread so the accept loop never blocks on a slow
-/// (or dead) client: it waits for the client's first request — answering
-/// before the client reads would race a TCP reset past the refusal frame —
-/// replies, then lingers briefly for the client's close.
-fn refuse(conn: TcpConn, net: NetStats, refusal: QueryResponse) {
-    let _ = std::thread::Builder::new()
-        .name("csq-service-refuse".into())
-        .spawn(move || {
-            conn.set_idle_timeout(Some(Duration::from_millis(200)));
-            let _ = conn.set_write_timeout(Some(Duration::from_millis(200)));
-            match conn.recv() {
-                Ok(Frame::Payload(buf)) => {
-                    net.record_up(buf.len() + FRAME_HEADER_BYTES);
-                }
-                _ => return, // Client never spoke; just drop.
-            }
-            if send_response(&conn, &net, &refusal) {
-                // Give the client a beat to read before the socket dies.
-                let _ = conn.recv();
-            }
-        });
 }
 
 /// Send one response frame, recording downlink bytes; `false` when the
@@ -637,13 +470,11 @@ fn send_frames(conn: &TcpConn, net: &NetStats, payloads: &[&[u8]]) -> bool {
 /// buffer implies a client that floods requests without reading answers.
 fn try_send_response(conn: &TcpConn, net: &NetStats, resp: &QueryResponse) -> bool {
     let payload = resp.encode();
-    match conn.try_send(&payload) {
-        Ok(true) => {
-            net.record_down(payload.len() + FRAME_HEADER_BYTES);
-            true
-        }
-        _ => false,
+    let sent = matches!(conn.try_send(&payload), Ok(true));
+    if sent {
+        net.record_down(payload.len() + FRAME_HEADER_BYTES);
     }
+    sent
 }
 
 /// Park `token` in the session's registry slot while a statement is queued
@@ -659,27 +490,118 @@ fn shutting_down_response() -> QueryResponse {
     QueryResponse::fatal_error(&CsqError::Net("server shutting down".into()))
 }
 
-/// The session scheduler: parks every admitted session, waits for
-/// readiness, and turns complete request frames into worker jobs. Runs on
-/// its own thread until shutdown.
+/// The listener and the admission bound, owned by the scheduler.
+struct Gate {
+    listener: TcpListener,
+    next_session: u64,
+    /// Connections over `max_sessions`, each waiting for its first request
+    /// until the instant beside it; at most `max_sessions` of them.
+    refused: Vec<(TcpConn, Instant)>,
+    /// The fatal `limit` answer every refused connection gets.
+    refusal: QueryResponse,
+}
+
+impl Gate {
+    /// Accept what the listener holds, at most [`MAX_ACCEPTS_PER_SWEEP`]: a
+    /// connection under `max_sessions` parks as a session on the spot; one
+    /// over it is refused.
+    fn admit(&mut self, ctx: &SchedCtx, parked: &mut Vec<Session>) {
+        for _ in 0..MAX_ACCEPTS_PER_SWEEP {
+            let Ok((stream, _)) = self.listener.accept() else {
+                return; // Drained, or a transient failure the next sweep retries.
+            };
+            let Ok(conn) = TcpConn::with_max_frame(stream, ctx.config.max_frame) else {
+                continue; // Peer vanished during setup.
+            };
+            let write_timeout = conn.set_write_timeout(Some(ctx.config.write_timeout));
+            if conn.set_nonblocking(true).and(write_timeout).is_err() {
+                continue; // Peer already gone during setup.
+            }
+            if ctx.registry.lock().len() >= ctx.config.max_sessions {
+                // Refuse loudly (a fatal `limit` error on the client's first
+                // response read) instead of accumulating sessions without
+                // bound. The answer waits for the client's request: sent
+                // before the client reads, it would race a TCP reset past
+                // the refusal frame. Past `max_sessions` waiting refusals a
+                // connection is closed at once.
+                ServiceStats::bump(&ctx.stats.rejected);
+                if self.refused.len() < ctx.config.max_sessions {
+                    self.refused.push((conn, Instant::now() + REFUSAL_WAIT));
+                }
+                continue;
+            }
+            ServiceStats::bump(&ctx.stats.accepted);
+            let id = self.next_session;
+            self.next_session += 1;
+            let key = session_key(id);
+            ctx.registry
+                .lock()
+                .insert(id, CancelSlot { key, running: None });
+            parked.push(Session {
+                id,
+                key,
+                conn,
+                prepared: HashMap::new(),
+                next_stmt: 1,
+                maybe_buffered: false,
+                mid_frame: false,
+                registry: ctx.registry.clone(),
+            });
+        }
+    }
+
+    /// Serve the refused connections, `ready` being their poll readiness:
+    /// one whose first request has arrived is answered and closed, as is
+    /// one that hung up, broke its frame, or outwaited [`REFUSAL_WAIT`].
+    fn sweep_refused(&mut self, net: &NetStats, ready: &[bool]) {
+        let now = Instant::now();
+        let mut ready = ready.iter();
+        self.refused.retain(|(conn, until)| {
+            if ready.next() == Some(&true) {
+                match conn.poll_recv() {
+                    Ok(PollFrame::Frame(request)) => {
+                        net.record_up(request.len() + FRAME_HEADER_BYTES);
+                        try_send_response(conn, net, &self.refusal);
+                        return false;
+                    }
+                    Ok(PollFrame::Pending) => {}
+                    _ => return false,
+                }
+            }
+            *until > now
+        });
+    }
+}
+
+/// The session scheduler: owns the listener, parks every admitted session,
+/// waits for readiness, and turns complete request frames into worker
+/// jobs. Runs on its own thread until shutdown; the listener closes when
+/// it returns.
 fn poller_loop(
     ctx: SchedCtx,
     pool: Arc<WorkerPool>,
+    listener: TcpListener,
     inject_rx: Receiver<Session>,
     mut wake_rx: WakeReceiver,
 ) {
+    let mut gate = Gate {
+        listener,
+        next_session: 1,
+        refused: Vec::new(),
+        refusal: QueryResponse::fatal_error(&CsqError::Limit(format!(
+            "server at capacity ({} sessions admitted); retry later",
+            ctx.config.max_sessions
+        ))),
+    };
     let mut parked: Vec<Session> = Vec::new();
     let mut fds: Vec<Fd> = Vec::new();
     let mut ready: Vec<bool> = Vec::new();
     let mut rotate: usize = 0;
     loop {
-        // Absorb newly accepted and worker-returned sessions. Data may
-        // already sit in a session's read buffer (invisible to poll), so
-        // every injected session gets swept at least once.
+        // Absorb sessions the workers handed back. Data may already sit in
+        // a session's read buffer (invisible to poll), so each one gets
+        // swept at least once.
         while let Ok(mut session) = inject_rx.try_recv() {
-            if session.conn.set_nonblocking(true).is_err() {
-                continue; // Peer died during the handoff; drop it.
-            }
             session.maybe_buffered = true;
             parked.push(session);
         }
@@ -695,71 +617,64 @@ fn poller_loop(
         );
         // Wait for readiness. Buffered data can't trip poll, so sweep
         // immediately while any might exist; tick fast enough to catch
-        // mid-frame stalls while any frame is open; otherwise sleep until
-        // a socket or the waker speaks.
+        // mid-frame stalls while any frame is open, and to close a refused
+        // connection when its wait runs out; otherwise sleep until a
+        // socket, the listener or the waker speaks.
         let timeout = if parked.iter().any(|s| s.maybe_buffered) {
             Duration::ZERO
-        } else if parked.iter().any(|s| s.mid_frame) {
-            ctx.config.idle_timeout.min(Duration::from_millis(25))
         } else {
-            IDLE_POLL
+            let tick = if parked.iter().any(|s| s.mid_frame) {
+                ctx.config.idle_timeout.min(Duration::from_millis(25))
+            } else {
+                IDLE_POLL
+            };
+            let now = Instant::now();
+            gate.refused
+                .iter()
+                .map(|(_, until)| until.saturating_duration_since(now))
+                .fold(tick, Duration::min)
         };
         fds.clear();
-        fds.push(wake_rx.fd());
+        fds.extend([wake_rx.fd(), socket_fd(&gate.listener)]);
         fds.extend(parked.iter().map(|s| s.conn.poll_fd()));
+        fds.extend(gate.refused.iter().map(|(conn, _)| conn.poll_fd()));
         ready.clear();
         ready.resize(fds.len(), false);
         if poll_readable(&fds, &mut ready, timeout).is_err() {
             // A persistent poll failure would spin this loop; pace it.
             std::thread::park_timeout(Duration::from_millis(10));
         }
-        if ready.first().copied().unwrap_or(false) {
+        if ready[0] {
             wake_rx.drain();
         }
-        if parked.is_empty() {
-            continue;
-        }
-        // Sweep ready sessions in rotating order: under a storm every
-        // session gets dispatch opportunities at the same rate, so one
-        // flooding client cannot starve the polite ones.
-        rotate = rotate.wrapping_add(1);
-        let offset = rotate % parked.len();
-        let mut sweep: Vec<(Session, bool)> =
-            parked.drain(..).zip(ready.drain(..).skip(1)).collect();
-        sweep.rotate_left(offset);
-        for (mut session, was_ready) in sweep {
-            if was_ready || session.maybe_buffered {
-                if let Some(kept) = drive_session(&ctx, &pool, session) {
-                    parked.push(kept);
+        let listening = ready[1];
+        gate.sweep_refused(&ctx.net, &ready[2 + parked.len()..]);
+        if !parked.is_empty() {
+            // Sweep ready sessions in rotating order: under a storm every
+            // session gets dispatch opportunities at the same rate, so one
+            // flooding client cannot starve the polite ones.
+            rotate = rotate.wrapping_add(1);
+            let offset = rotate % parked.len();
+            let mut sweep: Vec<(Session, bool)> =
+                parked.drain(..).zip(ready.drain(..).skip(2)).collect();
+            sweep.rotate_left(offset);
+            for (mut session, was_ready) in sweep {
+                if was_ready || session.maybe_buffered {
+                    parked.extend(drive_session(&ctx, &pool, session));
+                } else if !(session.mid_frame && stalled(&ctx, &mut session)) {
+                    parked.push(session);
                 }
-            } else {
-                if session.mid_frame {
-                    match session.conn.partial_age() {
-                        Some(age) if age > ctx.config.idle_timeout => {
-                            // Slowloris: opened a frame, stopped sending.
-                            ServiceStats::bump(&ctx.stats.protocol_errors);
-                            let err = CsqError::Net(
-                                "frame stalled mid-read (peer stopped sending)".into(),
-                            );
-                            try_send_response(
-                                &session.conn,
-                                &ctx.net,
-                                &QueryResponse::fatal_error(&err),
-                            );
-                            continue; // Drop the session.
-                        }
-                        Some(_) => {}
-                        None => session.mid_frame = false,
-                    }
-                }
-                parked.push(session);
             }
+        }
+        // New sessions join after the sweep: their first poll is the next.
+        if listening {
+            gate.admit(&ctx, &mut parked);
         }
     }
     // Shutdown: tell every parked client the server is going away, then
     // drain any sessions still in the inject channel. Workers whose
     // hand-back races past this drain get a send error and say goodbye
-    // themselves.
+    // themselves. Refused connections and the listener close on return.
     let bye = shutting_down_response();
     for session in parked.drain(..) {
         try_send_response(&session.conn, &ctx.net, &bye);
@@ -769,6 +684,30 @@ fn poller_loop(
     }
     ctx.sched.parked_sessions.store(0, Ordering::Relaxed);
     ctx.sched.parked_buffer_bytes.store(0, Ordering::Relaxed);
+}
+
+/// The slowloris rule: a session whose open frame has made no progress for
+/// `idle_timeout` is answered with a fatal stall error and must be dropped
+/// (`true`). Tracks whether a frame is open in `mid_frame`.
+fn stalled(ctx: &SchedCtx, session: &mut Session) -> bool {
+    let Some(age) = session.conn.partial_age() else {
+        session.mid_frame = false;
+        return false;
+    };
+    session.mid_frame = true;
+    if age <= ctx.config.idle_timeout {
+        return false;
+    }
+    let err = CsqError::Net("frame stalled mid-read (peer stopped sending)".into());
+    fault(ctx, &session.conn, &err);
+    true
+}
+
+/// Count a transport/protocol fault and answer it with a fatal error if the
+/// wire still takes one; the caller ends the session.
+fn fault(ctx: &SchedCtx, conn: &TcpConn, err: &CsqError) {
+    ServiceStats::bump(&ctx.stats.protocol_errors);
+    try_send_response(conn, &ctx.net, &QueryResponse::fatal_error(err));
 }
 
 /// Pump one ready session: read as many complete frames as are available,
@@ -786,29 +725,12 @@ fn drive_session(ctx: &SchedCtx, pool: &WorkerPool, mut session: Session) -> Opt
                 // Truncated/oversized frame or I/O fault: the stream can no
                 // longer be trusted — answer if possible, then end only
                 // this session.
-                ServiceStats::bump(&ctx.stats.protocol_errors);
-                try_send_response(&session.conn, &ctx.net, &QueryResponse::fatal_error(&e));
+                fault(ctx, &session.conn, &e);
                 return None;
             }
         };
         let frame = match event {
-            PollFrame::Pending => {
-                if let Some(age) = session.conn.partial_age() {
-                    session.mid_frame = true;
-                    if age > ctx.config.idle_timeout {
-                        ServiceStats::bump(&ctx.stats.protocol_errors);
-                        let err =
-                            CsqError::Net("frame stalled mid-read (peer stopped sending)".into());
-                        try_send_response(
-                            &session.conn,
-                            &ctx.net,
-                            &QueryResponse::fatal_error(&err),
-                        );
-                        return None;
-                    }
-                }
-                return Some(session);
-            }
+            PollFrame::Pending => return (!stalled(ctx, &mut session)).then_some(session),
             PollFrame::Closed => return None,
             PollFrame::Frame(buf) => buf,
         };
@@ -818,8 +740,7 @@ fn drive_session(ctx: &SchedCtx, pool: &WorkerPool, mut session: Session) -> Opt
             Err(e) => {
                 // Garbage payload: the peer doesn't speak the protocol;
                 // report and close.
-                ServiceStats::bump(&ctx.stats.protocol_errors);
-                try_send_response(&session.conn, &ctx.net, &QueryResponse::fatal_error(&e));
+                fault(ctx, &session.conn, &e);
                 return None;
             }
         };
@@ -902,10 +823,13 @@ fn dispatch(
         | QueryRequest::Fetch { deadline_ms, .. } => *deadline_ms,
         _ => 0,
     };
-    let token = statement_token(deadline_ms);
-    // Registered from enqueue, not first execution: an out-of-band cancel
-    // must reach a statement that is still waiting for a worker, and queue
-    // wait counts against the deadline.
+    // Minted and registered at enqueue, not first execution: queue wait
+    // counts against the deadline (0 = none, cancellable only), and an
+    // out-of-band cancel must reach a statement still waiting for a worker.
+    let token = match deadline_ms {
+        0 => CancelToken::new(),
+        ms => CancelToken::with_timeout(Duration::from_millis(ms)),
+    };
     set_running(&ctx.registry, session.id, Some(token.clone()));
     ctx.sched.queued_statements.fetch_add(1, Ordering::SeqCst);
     let job_ctx = ctx.clone();
@@ -954,72 +878,43 @@ fn run_statement(ctx: SchedCtx, mut session: Session, req: QueryRequest, token: 
             answer_execution(&session.conn, &ctx.net, &ctx.stats, &ctx.config, outcome)
         }
         fetch @ QueryRequest::Fetch { .. } => answer_fetch(&ctx, &session.conn, fetch, &token),
-        QueryRequest::Execute { stmt, .. } => match session.prepared.get(&stmt) {
-            None => {
-                ServiceStats::bump(&ctx.stats.queries_failed);
-                send_response(
-                    &session.conn,
-                    &ctx.net,
-                    &QueryResponse::from_error(&CsqError::Plan(format!(
-                        "unknown prepared statement {stmt}"
-                    ))),
-                )
-            }
-            Some(plan) => {
-                let plan = plan.clone();
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    ctx.db.run_planned(&plan, true, &token, Link::Threaded)
-                }));
-                let outcome = match outcome {
-                    Ok(Ok((result, fresh, reused))) => {
-                        // The plan may have been replanned under a new
-                        // epoch; keep the session's pin current.
-                        session.prepared.insert(stmt, fresh);
-                        Ok(Ok((result, reused)))
-                    }
-                    Ok(Err(e)) => Ok(Err(e)),
-                    Err(p) => Err(p),
+        QueryRequest::Execute { stmt, .. } => {
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let Some(plan) = session.prepared.get(&stmt).cloned() else {
+                    return Err(CsqError::Plan(format!("unknown prepared statement {stmt}")));
                 };
-                answer_execution(&session.conn, &ctx.net, &ctx.stats, &ctx.config, outcome)
-            }
-        },
+                let (result, fresh, reused) =
+                    ctx.db.run_planned(&plan, true, &token, Link::Threaded)?;
+                // The plan may have been replanned under a new epoch; keep
+                // the session's pin current.
+                session.prepared.insert(stmt, fresh);
+                Ok((result, reused))
+            }));
+            answer_execution(&session.conn, &ctx.net, &ctx.stats, &ctx.config, outcome)
+        }
         QueryRequest::Prepare { sql } => {
-            if session.prepared.len() >= MAX_PREPARED_PER_SESSION {
-                ServiceStats::bump(&ctx.stats.queries_failed);
-                send_response(
-                    &session.conn,
-                    &ctx.net,
-                    &QueryResponse::from_error(&CsqError::Limit(format!(
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                if session.prepared.len() >= MAX_PREPARED_PER_SESSION {
+                    return Err(CsqError::Limit(format!(
                         "session holds {MAX_PREPARED_PER_SESSION} prepared statements; \
                          release some with CloseStmt (or close the connection) before \
                          preparing more"
-                    ))),
-                )
-            } else {
-                match catch_unwind(AssertUnwindSafe(|| ctx.db.prepare(&sql))) {
-                    Ok(Ok((plan, cache_hit))) => {
-                        let stmt = session.next_stmt;
-                        session.next_stmt += 1;
-                        session.prepared.insert(stmt, plan);
-                        send_response(
-                            &session.conn,
-                            &ctx.net,
-                            &QueryResponse::Prepared {
-                                stmt,
-                                plan_cache_hit: cache_hit,
-                            },
-                        )
-                    }
-                    Ok(Err(e)) => {
-                        ServiceStats::bump(&ctx.stats.queries_failed);
-                        send_response(&session.conn, &ctx.net, &QueryResponse::from_error(&e))
-                    }
-                    Err(_) => {
-                        ServiceStats::bump(&ctx.stats.panics);
-                        ServiceStats::bump(&ctx.stats.queries_failed);
-                        send_response(&session.conn, &ctx.net, &panic_response())
-                    }
+                    )));
                 }
+                ctx.db.prepare(&sql)
+            }));
+            match failure(&session.conn, &ctx.net, &ctx.stats, outcome) {
+                Ok((plan, plan_cache_hit)) => {
+                    let stmt = session.next_stmt;
+                    session.next_stmt += 1;
+                    session.prepared.insert(stmt, plan);
+                    let prepared = QueryResponse::Prepared {
+                        stmt,
+                        plan_cache_hit,
+                    };
+                    send_response(&session.conn, &ctx.net, &prepared)
+                }
+                Err(alive) => alive,
             }
         }
         // Close / CancelQuery / CloseStmt / SessionInfo are answered inline
@@ -1073,14 +968,31 @@ fn answer_fetch(ctx: &SchedCtx, conn: &TcpConn, fetch: QueryRequest, token: &Can
     answer_execution(conn, &ctx.net, &ctx.stats, &ctx.config, outcome)
 }
 
-fn panic_response() -> QueryResponse {
-    QueryResponse::from_error(&CsqError::Exec(
-        "statement execution panicked (session preserved)".into(),
-    ))
+/// Answer a statement that failed or panicked with its typed `Error`,
+/// counting it, and return whether the connection is still usable; a
+/// success passes through as `Ok`.
+fn failure<T>(
+    conn: &TcpConn,
+    net: &NetStats,
+    stats: &ServiceStats,
+    outcome: std::thread::Result<Result<T>>,
+) -> std::result::Result<T, bool> {
+    let e = match outcome {
+        Ok(Ok(done)) => return Ok(done),
+        Ok(Err(e)) => e,
+        Err(_) => {
+            ServiceStats::bump(&stats.panics);
+            CsqError::Exec("statement execution panicked (session preserved)".into())
+        }
+    };
+    match &e {
+        CsqError::Timeout(_) => ServiceStats::bump(&stats.timed_out),
+        CsqError::Cancelled(_) => ServiceStats::bump(&stats.cancelled),
+        _ => {}
+    }
+    ServiceStats::bump(&stats.queries_failed);
+    Err(send_response(conn, net, &QueryResponse::from_error(&e)))
 }
-
-type ExecutionOutcome =
-    std::result::Result<Result<(ResultBatches, bool)>, Box<dyn std::any::Any + Send>>;
 
 /// Turn an execution outcome into wire traffic: `Begin`, the result's
 /// `Rows` frames and `End` on success, a typed `Error` on failure or panic.
@@ -1093,47 +1005,33 @@ fn answer_execution(
     net: &NetStats,
     stats: &ServiceStats,
     config: &ServiceConfig,
-    outcome: ExecutionOutcome,
+    outcome: std::thread::Result<Result<(ResultBatches, bool)>>,
 ) -> bool {
-    match outcome {
-        Err(_) => {
-            ServiceStats::bump(&stats.panics);
-            ServiceStats::bump(&stats.queries_failed);
-            send_response(conn, net, &panic_response())
-        }
-        Ok(Err(e)) => {
-            match &e {
-                CsqError::Timeout(_) => ServiceStats::bump(&stats.timed_out),
-                CsqError::Cancelled(_) => ServiceStats::bump(&stats.cancelled),
-                _ => {}
-            }
-            ServiceStats::bump(&stats.queries_failed);
-            send_response(conn, net, &QueryResponse::from_error(&e))
-        }
-        Ok(Ok((result, plan_cache_hit))) => {
-            let columns: Vec<String> = result
-                .schema
-                .fields()
-                .iter()
-                .map(|f| f.display_name())
-                .collect();
-            let frames = QueryResponse::encode_rows_frames(&result.batches, config.chunk_rows);
-            let end = QueryResponse::End {
-                rows: result.len() as u64,
-                affected: result.affected as u64,
-                plan_cache_hit,
-            };
-            // The write needs only the frames: release the rows now.
-            drop(result);
-            let (begin, end) = (QueryResponse::Begin { columns }.encode(), end.encode());
-            let mut answer: Vec<&[u8]> = Vec::with_capacity(frames.len() + 2);
-            answer.push(&begin);
-            answer.extend(frames.iter().map(Vec::as_slice));
-            answer.push(&end);
-            ServiceStats::bump(&stats.queries_ok);
-            send_frames(conn, net, &answer)
-        }
-    }
+    let (result, plan_cache_hit) = match failure(conn, net, stats, outcome) {
+        Ok(done) => done,
+        Err(alive) => return alive,
+    };
+    let columns: Vec<String> = result
+        .schema
+        .fields()
+        .iter()
+        .map(|f| f.display_name())
+        .collect();
+    let frames = QueryResponse::encode_rows_frames(&result.batches, config.chunk_rows);
+    let end = QueryResponse::End {
+        rows: result.len() as u64,
+        affected: result.affected as u64,
+        plan_cache_hit,
+    };
+    // The write needs only the frames: release the rows now.
+    drop(result);
+    let (begin, end) = (QueryResponse::Begin { columns }.encode(), end.encode());
+    let mut answer: Vec<&[u8]> = Vec::with_capacity(frames.len() + 2);
+    answer.push(&begin);
+    answer.extend(frames.iter().map(Vec::as_slice));
+    answer.push(&end);
+    ServiceStats::bump(&stats.queries_ok);
+    send_frames(conn, net, &answer)
 }
 
 #[cfg(test)]
@@ -1143,41 +1041,22 @@ mod config_tests {
     /// Every invalid config the validation suite exercises; shared by the
     /// kind check and the message-hygiene check.
     fn invalid_configs() -> Vec<ServiceConfig> {
-        let d = ServiceConfig::default;
+        let with = |set: fn(&mut ServiceConfig)| {
+            let mut c = ServiceConfig::default();
+            set(&mut c);
+            c
+        };
         vec![
-            ServiceConfig { workers: 0, ..d() },
-            ServiceConfig {
-                max_sessions: 0,
-                ..d()
-            },
+            with(|c| c.workers = 0),
+            with(|c| c.max_sessions = 0),
             // More workers than the session cap: extra workers are dead weight.
-            ServiceConfig {
-                workers: 8,
-                max_sessions: 4,
-                ..d()
-            },
+            with(|c| (c.workers, c.max_sessions) = (8, 4)),
             // Shed threshold past the possible queue depth can never fire.
-            ServiceConfig {
-                shed_queue_depth: 100,
-                max_sessions: 64,
-                ..d()
-            },
-            ServiceConfig {
-                chunk_rows: 0,
-                ..d()
-            },
-            ServiceConfig {
-                max_frame: 0,
-                ..d()
-            },
-            ServiceConfig {
-                idle_timeout: Duration::ZERO,
-                ..d()
-            },
-            ServiceConfig {
-                write_timeout: Duration::ZERO,
-                ..d()
-            },
+            with(|c| (c.shed_queue_depth, c.max_sessions) = (100, 64)),
+            with(|c| c.chunk_rows = 0),
+            with(|c| c.max_frame = 0),
+            with(|c| c.idle_timeout = Duration::ZERO),
+            with(|c| c.write_timeout = Duration::ZERO),
         ]
     }
 
@@ -1234,5 +1113,92 @@ mod config_tests {
             Ok(_) => panic!("zero-worker config must be refused at start"),
         };
         assert_eq!(err.kind(), "config");
+    }
+}
+
+#[cfg(test)]
+mod scheduler_tests {
+    use super::*;
+    use csq_client::ServiceConn;
+    use parking_lot::MutexGuard;
+    use std::io::Read;
+    use std::net::TcpStream;
+    use std::sync::OnceLock;
+
+    /// Start a service on `addr` once no other test of this module runs
+    /// one (the thread census below must see one service only).
+    fn serve(addr: &str, max_sessions: usize) -> (ServiceHandle, MutexGuard<'static, ()>) {
+        static ONE: OnceLock<Mutex<()>> = OnceLock::new();
+        let one = ONE.get_or_init(|| Mutex::new(())).lock();
+        let db = Database::new(csq_net::NetworkSpec::symmetric(100_000.0, 0));
+        let config = ServiceConfig {
+            workers: 1,
+            max_sessions,
+            ..ServiceConfig::default()
+        };
+        (start_on(Arc::new(db), (addr, 0), config).unwrap(), one)
+    }
+
+    fn wait_for(counter: &AtomicU64, n: u64) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while counter.load(Ordering::Relaxed) < n {
+            assert!(Instant::now() < deadline, "timed out waiting for {n}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_refusal_flood_is_answered_on_the_poller_and_starts_no_thread() {
+        let (handle, _one) = serve("127.0.0.1", 2);
+        let (addr, stats) = (handle.local_addr(), handle.stats().clone());
+        let _held: Vec<ServiceConn> = (0..2)
+            .map(|_| ServiceConn::connect(addr).unwrap())
+            .collect();
+        wait_for(&stats.accepted, 2);
+        // Three times the cap of silent connections: each is closed within
+        // the refusal wait, whether it waited in the list or not.
+        let flood_began = Instant::now();
+        let silent: Vec<TcpStream> = (0..6).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        wait_for(&stats.rejected, 6);
+        #[cfg(target_os = "linux")]
+        {
+            let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+                .unwrap()
+                .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+                .collect();
+            let ours = names.iter().filter(|n| n.starts_with("csq-service"));
+            assert_eq!(
+                ours.count(),
+                1,
+                "one scheduler thread and no other: {names:?}"
+            );
+        }
+        for mut s in silent {
+            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            assert!(matches!(s.read(&mut [0u8; 1]), Ok(0)), "not closed");
+        }
+        assert!(flood_began.elapsed() < REFUSAL_WAIT + Duration::from_secs(1));
+        // A refused connection that asks is answered: a typed, fatal `limit`.
+        for _ in 0..3 {
+            let mut refused = ServiceConn::connect(addr).unwrap();
+            let err = refused.query("SELECT 1").unwrap_err();
+            assert_eq!(err.kind(), "limit", "{err}");
+            assert!(err.message().contains("capacity") && refused.is_broken());
+        }
+        assert_eq!(stats.rejected.load(Ordering::Relaxed), 9);
+        assert_eq!(stats.accepted.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn a_wildcard_bind_shuts_down_promptly_and_frees_its_port() {
+        let (handle, _one) = serve("0.0.0.0", 2);
+        let port = handle.local_addr().port();
+        let _parked = TcpStream::connect(("127.0.0.1", port)).unwrap();
+        wait_for(&handle.stats().accepted, 1);
+        let begun = Instant::now();
+        handle.shutdown();
+        assert!(begun.elapsed() < Duration::from_secs(5));
+        let after = TcpStream::connect(("127.0.0.1", port));
+        assert!(after.is_err(), "nothing listens on the port after shutdown");
     }
 }

@@ -1,22 +1,24 @@
 //! Readiness polling and cross-thread wakeups for the session scheduler.
 //!
-//! The query service parks idle connections in a single poller thread and
-//! dispatches work to a small pool only when a whole request frame is
-//! readable (DESIGN.md §12). That requires two primitives std does not
-//! provide directly:
+//! The query service runs one poller thread that owns the listener and
+//! every idle connection, and dispatches work to a small pool only when a
+//! whole request frame is readable (DESIGN.md §12). That requires two
+//! primitives std does not provide directly:
 //!
 //! * [`poll_readable`] — "which of these sockets can be read right now?",
 //!   answered with one `poll(2)` syscall on unix (std already links libc,
 //!   so a three-line FFI declaration costs no new dependency and no
-//!   runtime). Non-unix builds degrade to a bounded wait followed by an
-//!   every-socket sweep — correct, just less efficient, and only there so
-//!   the crate keeps compiling off-platform.
+//!   runtime). A listener is one more socket in the set ([`socket_fd`]):
+//!   readable means a connection is waiting to be accepted. Non-unix
+//!   builds degrade to a bounded wait followed by an every-socket sweep —
+//!   correct, just less efficient, and only there so the crate keeps
+//!   compiling off-platform.
 //! * [`wake_pair`] — a self-pipe built from a loopback TCP pair (std has
 //!   no `socketpair`). The receiving end sits in the poller's `poll(2)`
-//!   set; the accept loop, the workers, and shutdown [`Waker::wake`] it to
-//!   interrupt a wait the moment a session is (re)injected or the service
-//!   is going down. Wake writes are non-blocking and coalesce: a full pipe
-//!   means a wakeup is already pending, which is all a waker must ensure.
+//!   set; the workers and shutdown [`Waker::wake`] it to interrupt a wait
+//!   the moment a session is handed back or the service is going down.
+//!   Wake writes are non-blocking and coalesce: a full pipe means a wakeup
+//!   is already pending, which is all a waker must ensure.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -66,11 +68,7 @@ mod sys {
 /// a wakeup can never be lost by polling "too late".
 #[cfg(unix)]
 pub fn poll_readable(fds: &[Fd], ready: &mut [bool], timeout: Duration) -> Result<usize> {
-    if fds.len() > ready.len() {
-        return Err(CsqError::Net(
-            "poll_readable: ready mask shorter than fd list".into(),
-        ));
-    }
+    let ready = mask(fds, ready)?;
     let mut pollfds: Vec<sys::PollFd> = fds
         .iter()
         .map(|&fd| sys::PollFd {
@@ -98,13 +96,10 @@ pub fn poll_readable(fds: &[Fd], ready: &mut [bool], timeout: Duration) -> Resul
         }
         return Err(CsqError::Net(format!("poll: {e}")));
     }
-    let mut count = 0;
-    for (i, p) in pollfds.iter().enumerate() {
-        let r = p.revents & (sys::POLLIN | sys::POLLERR | sys::POLLHUP) != 0;
-        ready[i] = r;
-        count += usize::from(r);
+    for (r, p) in ready.iter_mut().zip(&pollfds) {
+        *r = p.revents & (sys::POLLIN | sys::POLLERR | sys::POLLHUP) != 0;
     }
-    Ok(count)
+    Ok(ready.iter().filter(|&&r| r).count())
 }
 
 /// Portable fallback: no readiness facility, so wait out the timeout (a
@@ -114,18 +109,19 @@ pub fn poll_readable(fds: &[Fd], ready: &mut [bool], timeout: Duration) -> Resul
 /// tick) but correct; real deployments of the service are unix.
 #[cfg(not(unix))]
 pub fn poll_readable(fds: &[Fd], ready: &mut [bool], timeout: Duration) -> Result<usize> {
-    if fds.len() > ready.len() {
-        return Err(CsqError::Net(
-            "poll_readable: ready mask shorter than fd list".into(),
-        ));
-    }
+    let ready = mask(fds, ready)?;
     if !timeout.is_zero() {
         std::thread::park_timeout(timeout);
     }
-    for slot in ready.iter_mut().take(fds.len()) {
-        *slot = true;
-    }
+    ready.fill(true);
     Ok(fds.len())
+}
+
+/// The first `fds.len()` entries of `ready`, the ones a poll answers.
+fn mask<'r>(fds: &[Fd], ready: &'r mut [bool]) -> Result<&'r mut [bool]> {
+    ready
+        .get_mut(..fds.len())
+        .ok_or_else(|| CsqError::Net("poll_readable: ready mask shorter than fd list".into()))
 }
 
 /// The sending half of a [`wake_pair`]: cheap, clonable-by-Arc, safe to
@@ -148,13 +144,12 @@ impl Waker {
 /// clears accumulated wake bytes once the poller is awake.
 pub struct WakeReceiver {
     rx: TcpStream,
-    fd: Fd,
 }
 
 impl WakeReceiver {
     /// The pollable identity of this receiver.
     pub fn fd(&self) -> Fd {
-        self.fd
+        socket_fd(&self.rx)
     }
 
     /// Consume every pending wake byte (non-blocking; coalesced wakes
@@ -172,34 +167,37 @@ impl WakeReceiver {
     }
 }
 
-/// The pollable identity of a stream (raw fd on unix, placeholder
-/// elsewhere — the fallback `poll_readable` ignores it anyway).
+/// The pollable identity of a socket — a stream or a listener (raw fd on
+/// unix, placeholder elsewhere: the fallback `poll_readable` ignores it).
 #[cfg(unix)]
-pub(crate) fn stream_fd(s: &TcpStream) -> Fd {
-    use std::os::unix::io::AsRawFd;
+pub fn socket_fd(s: &impl std::os::unix::io::AsRawFd) -> Fd {
     s.as_raw_fd()
 }
 
 #[cfg(not(unix))]
-pub(crate) fn stream_fd(_s: &TcpStream) -> Fd {
+pub fn socket_fd<S>(_s: &S) -> Fd {
     0
 }
 
-/// Build a connected waker/receiver pair over loopback TCP (the portable
-/// stand-in for `socketpair(2)`). Both ends are non-blocking from birth.
+/// A connected loopback TCP pair `(accepted, dialled)`: the portable
+/// stand-in for `socketpair(2)`.
+pub(crate) fn loopback_pair() -> std::io::Result<(TcpStream, TcpStream)> {
+    let listener = TcpListener::bind(("127.0.0.1", 0))?;
+    let dialled = TcpStream::connect(listener.local_addr()?)?;
+    Ok((listener.accept()?.0, dialled))
+}
+
+/// Build a connected waker/receiver pair over a loopback TCP pair. Both
+/// ends are non-blocking from birth.
 pub fn wake_pair() -> Result<(Waker, WakeReceiver)> {
     let err = |c: &str, e: std::io::Error| CsqError::Net(format!("wake pair {c}: {e}"));
-    let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(|e| err("bind", e))?;
-    let addr = listener.local_addr().map_err(|e| err("local_addr", e))?;
-    let tx = TcpStream::connect(addr).map_err(|e| err("connect", e))?;
-    let (rx, _) = listener.accept().map_err(|e| err("accept", e))?;
+    let (rx, tx) = loopback_pair().map_err(|e| err("loopback", e))?;
     tx.set_nodelay(true).map_err(|e| err("nodelay", e))?;
-    tx.set_nonblocking(true)
-        .map_err(|e| err("nonblocking", e))?;
-    rx.set_nonblocking(true)
-        .map_err(|e| err("nonblocking", e))?;
-    let fd = stream_fd(&rx);
-    Ok((Waker { tx: Mutex::new(tx) }, WakeReceiver { rx, fd }))
+    for end in [&tx, &rx] {
+        end.set_nonblocking(true)
+            .map_err(|e| err("nonblocking", e))?;
+    }
+    Ok((Waker { tx: Mutex::new(tx) }, WakeReceiver { rx }))
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@
 //! when the armed idle timeout differs from the one it last set.
 
 use std::io::{BufRead, BufReader, IoSlice, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -248,7 +248,6 @@ pub struct TcpConn {
     /// variable part of this connection's receive-side memory.
     recv_buffered: AtomicUsize,
     fd: Fd,
-    local: SocketAddr,
 }
 
 impl TcpConn {
@@ -263,8 +262,7 @@ impl TcpConn {
         stream
             .set_nodelay(true)
             .map_err(|e| io_net("set_nodelay", e))?;
-        let local = stream.local_addr().map_err(|e| io_net("local_addr", e))?;
-        let fd = crate::ready::stream_fd(&stream);
+        let fd = crate::ready::socket_fd(&stream);
         let read_half = stream.try_clone().map_err(|e| io_net("clone stream", e))?;
         Ok(TcpConn {
             recv_half: Mutex::new(RecvHalf {
@@ -277,7 +275,6 @@ impl TcpConn {
             idle_timeout: Mutex::new(None),
             recv_buffered: AtomicUsize::new(0),
             fd,
-            local,
         })
     }
 
@@ -326,11 +323,6 @@ impl TcpConn {
     /// this connection by.
     pub fn poll_fd(&self) -> Fd {
         self.fd
-    }
-
-    /// This end's socket address.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local
     }
 
     /// Send one frame (header + payload) in one vectored write.
@@ -498,15 +490,8 @@ impl TcpConn {
 /// per-message overhead, so `NetStats` reports exactly what crossed the
 /// socket.
 pub fn tcp_duplex() -> Result<(Endpoint, Endpoint, NetStats)> {
-    let listener =
-        TcpListener::bind(("127.0.0.1", 0)).map_err(|e| io_net("bind loopback listener", e))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| io_net("listener local_addr", e))?;
-    let client_stream = TcpStream::connect(addr).map_err(|e| io_net("connect loopback", e))?;
-    let (server_stream, _) = listener
-        .accept()
-        .map_err(|e| io_net("accept loopback", e))?;
+    let (server_stream, client_stream) =
+        crate::ready::loopback_pair().map_err(|e| io_net("loopback pair", e))?;
     let stats = NetStats::new();
     let server = Endpoint::from_tcp(Arc::new(TcpConn::new(server_stream)?), true, stats.clone());
     let client = Endpoint::from_tcp(Arc::new(TcpConn::new(client_stream)?), false, stats.clone());
@@ -518,10 +503,7 @@ mod tests {
     use super::*;
 
     fn loopback_pair() -> (TcpConn, TcpConn) {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (server, _) = listener.accept().unwrap();
+        let (server, client) = crate::ready::loopback_pair().unwrap();
         (TcpConn::new(server).unwrap(), TcpConn::new(client).unwrap())
     }
 
@@ -591,10 +573,7 @@ mod tests {
 
     #[test]
     fn truncated_frame_is_an_error() {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut raw = TcpStream::connect(addr).unwrap();
-        let (server, _) = listener.accept().unwrap();
+        let (server, mut raw) = crate::ready::loopback_pair().unwrap();
         let server = TcpConn::new(server).unwrap();
         // Claim 100 bytes, deliver 3, die.
         raw.write_all(&100u32.to_le_bytes()).unwrap();
@@ -607,10 +586,7 @@ mod tests {
 
     #[test]
     fn oversized_frame_is_rejected_without_allocation() {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut raw = TcpStream::connect(addr).unwrap();
-        let (server, _) = listener.accept().unwrap();
+        let (server, mut raw) = crate::ready::loopback_pair().unwrap();
         let server = TcpConn::with_max_frame(server, 1024).unwrap();
         raw.write_all(&u32::MAX.to_le_bytes()).unwrap();
         let err = server.recv().unwrap_err();

@@ -419,7 +419,7 @@ fn admission_bound_rejects_with_limit_error_and_recovers() {
     let mut held1 = ServiceConn::connect(handle.local_addr()).unwrap();
     held1.query(COUNT_SQL).unwrap();
     let held2 = ServiceConn::connect(handle.local_addr()).unwrap();
-    // Give the accept loop time to admit the second session.
+    // Give the scheduler time to admit the second session.
     let deadline = Instant::now() + Duration::from_secs(5);
     while handle.stats().accepted.load(Ordering::Relaxed) < 2 {
         assert!(Instant::now() < deadline, "second session never admitted");
@@ -1298,7 +1298,7 @@ fn thousand_idle_connections_park_flat_and_shut_down_promptly() {
             Ok(s) => idle.push(s),
             Err(e) => {
                 // Listener backlog overflow under the burst; give the
-                // accept loop a beat and retry.
+                // scheduler's accept sweep a beat and retry.
                 assert!(Instant::now() < deadline, "connect storm stalled: {e}");
                 std::thread::sleep(Duration::from_millis(5));
             }
