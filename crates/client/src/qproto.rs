@@ -193,16 +193,16 @@ impl QueryResponse {
         }
     }
 
-    /// A refusal the *session survives*: the server declined this one
-    /// statement (e.g. statement-level load shedding under a full work
-    /// queue) but keeps the connection open, so the client should retry on
-    /// the **same** connection after backing off. Overrides the default
-    /// classification, which would call a `limit` error permanent.
-    pub fn survivable_refusal(e: &CsqError) -> QueryResponse {
+    /// A refusal under load: retryable once pressure clears, though a
+    /// `limit` error is otherwise permanent. `fatal` when the server closes
+    /// the connection after it (admission past `max_sessions`: retry on a
+    /// fresh connection), not when the session survives (statement-level
+    /// load shedding: retry on the **same** connection).
+    pub fn refusal(e: &CsqError, fatal: bool) -> QueryResponse {
         QueryResponse::Error {
             kind: e.kind().to_string(),
             message: e.message().to_string(),
-            fatal: false,
+            fatal,
             retryable: true,
         }
     }

@@ -8,10 +8,11 @@
 //! ([`Endpoint::with_client`]), or from a thread over any endpoint by
 //! [`spawn_client`].
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use csq_common::{ArgIndex, CsqError, Result, Row, Value};
+use csq_common::{CsqError, KeyIndex, Result, Row, Value};
 use csq_net::{Answer, Endpoint};
 
 use crate::protocol::{ClientTask, Request, Response};
@@ -32,10 +33,12 @@ pub struct TaskExecutor {
 
 /// What [`TaskExecutor::process`] needs of one [`crate::protocol::UdfStep`].
 struct Step {
-    /// The step's argument columns; with the task's `dedup_cache`, also the
-    /// memo's keys (\[HN97]-style): every distinct argument tuple whose
-    /// result is in `results`, numbered in first-occurrence order.
-    args: ArgIndex,
+    /// The step's argument columns (row ordinals); with the task's
+    /// `dedup_cache`, the memo's keys (\[HN97]-style): every distinct
+    /// argument tuple whose result is in `results`, numbered in
+    /// first-occurrence order.
+    cols: Vec<usize>,
+    args: KeyIndex,
     /// The memo's results, by argument ordinal.
     results: Vec<Value>,
     /// Cost model of the UDF registered under the step's name.
@@ -51,7 +54,8 @@ impl TaskExecutor {
             .iter()
             .map(|s| {
                 Ok(Step {
-                    args: ArgIndex::new(s.arg_cols.iter().map(|&c| c as usize).collect()),
+                    cols: s.arg_cols.iter().map(|&c| c as usize).collect(),
+                    args: KeyIndex::new(s.arg_cols.len(), 0),
                     results: Vec::new(),
                     cost: runtime.get(&s.udf)?.cost(),
                 })
@@ -114,7 +118,7 @@ impl TaskExecutor {
                 self.runtime.invoke_batch(&task_step.udf, args)
             };
             if !self.task.dedup_cache {
-                let cols = step.args.cols();
+                let cols = &step.cols;
                 let mut flat = Vec::with_capacity(extended.len() * cols.len());
                 for r in &extended {
                     flat.extend(cols.iter().map(|&c| r.value(c).clone()));
@@ -131,7 +135,8 @@ impl TaskExecutor {
             let known = step.results.len();
             let mut ordinals = Vec::with_capacity(extended.len());
             for row in &extended {
-                let (ordinal, new) = step.args.insert(row);
+                let cell = |c| Cow::Borrowed(row.value(c));
+                let (ordinal, new) = step.args.insert_by(&step.cols, cell);
                 if !new {
                     self.runtime.record_cache_hit();
                 }

@@ -39,16 +39,6 @@ impl Deadline {
         }
     }
 
-    /// A deadline at an absolute instant.
-    pub fn at(at: Instant) -> Deadline {
-        Deadline { at }
-    }
-
-    /// The absolute instant.
-    pub fn instant(&self) -> Instant {
-        self.at
-    }
-
     /// Has the deadline passed?
     pub fn expired(&self) -> bool {
         Instant::now() >= self.at

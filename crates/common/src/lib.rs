@@ -13,20 +13,20 @@
 //! uplink and downlink, so "how big is this value on the wire" is a
 //! first-class concept here: see [`Value::wire_size`] and [`Row::wire_size`].
 
-pub mod args;
 pub mod batch;
 pub mod cancel;
 pub mod codec;
 pub mod error;
+pub mod index;
 pub mod lane;
 pub mod row;
 pub mod schema;
 pub mod value;
 
-pub use args::ArgIndex;
 pub use batch::{RowBatch, DEFAULT_BATCH_SIZE};
 pub use cancel::{CancelToken, Deadline};
 pub use error::{CsqError, Result};
+pub use index::KeyIndex;
 pub use lane::{IntLane, Lane, NullBitmap, Selection};
 pub use row::Row;
 pub use schema::{Field, Schema};

@@ -10,10 +10,10 @@
 //!   listener is drained into parked sessions under
 //!   [`ServiceConfig::max_sessions`] — a bound on *connections*, not on
 //!   execution concurrency; a connection over it waits, briefly and
-//!   bounded, for its first request and is answered with a fatal `limit`
-//!   error. An idle connection costs one pollfd entry and its receive
-//!   buffer, nothing else. When a complete request frame arrives
-//!   (non-blocking, resumable reads on the framed [`TcpConn`]), the
+//!   bounded, for its first request and is answered with a fatal,
+//!   retryable `limit` error. An idle connection costs one pollfd entry
+//!   and its receive buffer, nothing else. When a complete request frame
+//!   arrives (non-blocking, resumable reads on the framed [`TcpConn`]), the
 //!   statement becomes a job on the [`csq_exec::WorkerPool`]; memory-only
 //!   requests (`SessionInfo`, `CancelQuery`, `CloseStmt`) are answered
 //!   inline so they work even when every worker is busy. Ready sessions
@@ -113,9 +113,9 @@ pub struct ServiceConfig {
     /// idle connections are fine on a handful of workers.
     pub workers: usize,
     /// Cap on concurrently *admitted connections*. Connections beyond this
-    /// are refused with a fatal `limit` error instead of accumulating
-    /// unboundedly. A parked session costs its receive buffer and a
-    /// pollfd entry, so this can be far larger than `workers`.
+    /// are refused with a fatal, retryable `limit` error instead of
+    /// accumulating unboundedly. A parked session costs its receive buffer
+    /// and a pollfd entry, so this can be far larger than `workers`.
     pub max_sessions: usize,
     /// Slowloris stall budget: a peer that starts a request frame and then
     /// stops sending is cut off (typed `net` error, counted as a protocol
@@ -497,7 +497,8 @@ struct Gate {
     /// Connections over `max_sessions`, each waiting for its first request
     /// until the instant beside it; at most `max_sessions` of them.
     refused: Vec<(TcpConn, Instant)>,
-    /// The fatal `limit` answer every refused connection gets.
+    /// The fatal, retryable `limit` answer every refused connection gets:
+    /// the same verdict a refused connection closed unanswered reads as.
     refusal: QueryResponse,
 }
 
@@ -518,12 +519,12 @@ impl Gate {
                 continue; // Peer already gone during setup.
             }
             if ctx.registry.lock().len() >= ctx.config.max_sessions {
-                // Refuse loudly (a fatal `limit` error on the client's first
-                // response read) instead of accumulating sessions without
-                // bound. The answer waits for the client's request: sent
-                // before the client reads, it would race a TCP reset past
-                // the refusal frame. Past `max_sessions` waiting refusals a
-                // connection is closed at once.
+                // Refuse loudly (a fatal, retryable `limit` error on the
+                // client's first response read) instead of accumulating
+                // sessions without bound. The answer waits for the client's
+                // request: sent before the client reads, it would race a TCP
+                // reset past the refusal frame. Past `max_sessions` waiting
+                // refusals a connection is closed at once.
                 ServiceStats::bump(&ctx.stats.rejected);
                 if self.refused.len() < ctx.config.max_sessions {
                     self.refused.push((conn, Instant::now() + REFUSAL_WAIT));
@@ -584,14 +585,15 @@ fn poller_loop(
     inject_rx: Receiver<Session>,
     mut wake_rx: WakeReceiver,
 ) {
+    let full = CsqError::Limit(format!(
+        "server at capacity ({} sessions admitted); retry later",
+        ctx.config.max_sessions
+    ));
     let mut gate = Gate {
         listener,
         next_session: 1,
         refused: Vec::new(),
-        refusal: QueryResponse::fatal_error(&CsqError::Limit(format!(
-            "server at capacity ({} sessions admitted); retry later",
-            ctx.config.max_sessions
-        ))),
+        refusal: QueryResponse::refusal(&full, true),
     };
     let mut parked: Vec<Session> = Vec::new();
     let mut fds: Vec<Fd> = Vec::new();
@@ -807,9 +809,10 @@ fn dispatch(
         // routing it through the pool would make the refusal wait behind
         // the very queue it reports as full.
         ServiceStats::bump(&ctx.stats.shed);
-        let refusal = QueryResponse::survivable_refusal(&CsqError::Limit(format!(
+        let busy = CsqError::Limit(format!(
             "server overloaded ({queued} statements queued); retry with backoff"
-        )));
+        ));
+        let refusal = QueryResponse::refusal(&busy, false);
         if !try_send_response(&session.conn, &ctx.net, &refusal) {
             return None;
         }

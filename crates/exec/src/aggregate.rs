@@ -41,19 +41,18 @@
 //! MIN/MAX accumulate through [`crate::ops::compare_values`], so a
 //! NaN-bearing group is an exec *error* here, never a comparator panic.
 
-use std::hash::{BuildHasher, RandomState};
 use std::sync::Arc;
 
 use csq_common::lane::wide;
 use csq_common::{
-    each_width, CsqError, DataType, Field, IntLane, Lane, NullBitmap, Result, Row, RowBatch,
-    Schema, Selection, Value,
+    each_width, CsqError, DataType, Field, IntLane, KeyIndex, Lane, NullBitmap, Result, Row,
+    RowBatch, Schema, Selection, Value,
 };
 pub use csq_expr::AggSpec;
 use csq_expr::{physical::eval_binary, AggFunc, BinaryOp, PhysExpr};
 
 use crate::ops::{batch_operator, compare_values};
-use crate::spill::{MemoryTracker, SpillFile, ENTRY_OVERHEAD, SPILL_PARTITIONS};
+use crate::spill::{partition_rows, spill_partitions, MemoryTracker, SpillFile, ENTRY_OVERHEAD};
 use crate::{BoxOp, Operator};
 
 /// Running accumulator state for one (group, aggregate call) pair.
@@ -107,30 +106,38 @@ impl AggState {
 
     /// Accumulate one raw input value (`None` = `COUNT(*)`, which counts
     /// every row). NULL arguments are ignored by every function but
-    /// `COUNT(*)`, per SQL.
-    fn update(&mut self, v: Option<&Value>) -> Result<()> {
-        match self {
-            AggState::Count(n) => match v {
-                None => *n += 1,
-                Some(v) if !v.is_null() => *n += 1,
-                Some(_) => {}
-            },
-            AggState::Sum(acc) => {
-                if let Some(v) = v {
-                    if !v.is_null() {
-                        numeric_add(acc, v)?;
-                    }
+    /// `COUNT(*)`, per SQL; MIN/MAX compare through `compare_values`.
+    fn update_value(&mut self, func: AggFunc, v: Option<&Value>) -> Result<()> {
+        let Some(v) = v else {
+            return match self {
+                AggState::Count(n) => {
+                    *n += 1;
+                    Ok(())
                 }
-            }
-            AggState::Min(_) | AggState::Max(_) => {
-                unreachable!("MIN/MAX updates go through update_value")
-            }
+                AggState::Min(_) | AggState::Max(_) => Err(CsqError::Plan(format!(
+                    "{} requires an argument",
+                    func.name()
+                ))),
+                AggState::Sum(_) | AggState::Avg { .. } => Ok(()),
+            };
+        };
+        if v.is_null() {
+            return Ok(());
+        }
+        match self {
+            AggState::Count(n) => *n += 1,
+            AggState::Sum(acc) => numeric_add(acc, v)?,
             AggState::Avg { sum, n } => {
-                if let Some(v) = v {
-                    if !v.is_null() {
-                        numeric_add(sum, v)?;
-                        *n += 1;
-                    }
+                numeric_add(sum, v)?;
+                *n += 1;
+            }
+            AggState::Min(acc) | AggState::Max(acc) => {
+                let wins = match func {
+                    AggFunc::Min => std::cmp::Ordering::Less,
+                    _ => std::cmp::Ordering::Greater,
+                };
+                if acc.is_null() || compare_values(v, acc)? == wins {
+                    *acc = v.clone();
                 }
             }
         }
@@ -138,36 +145,18 @@ impl AggState {
     }
 
     /// Merge one partial-state row segment into this accumulator (the final
-    /// phase). `vals` holds this call's state columns.
-    fn merge(&mut self, vals: &[Value]) -> Result<()> {
+    /// phase). `vals` holds this call's state columns; a SUM, MIN or MAX
+    /// state is one value, merged as an input value is.
+    fn merge(&mut self, func: AggFunc, vals: &[Value]) -> Result<()> {
         match self {
             AggState::Count(n) => *n = checked_sum(*n, vals[0].as_i64()?)?,
-            AggState::Sum(acc) => {
-                if !vals[0].is_null() {
-                    numeric_add(acc, &vals[0])?;
-                }
-            }
-            AggState::Min(acc) => {
-                if !vals[0].is_null()
-                    && (acc.is_null() || compare_values(&vals[0], acc)? == std::cmp::Ordering::Less)
-                {
-                    *acc = vals[0].clone();
-                }
-            }
-            AggState::Max(acc) => {
-                if !vals[0].is_null()
-                    && (acc.is_null()
-                        || compare_values(&vals[0], acc)? == std::cmp::Ordering::Greater)
-                {
-                    *acc = vals[0].clone();
-                }
-            }
             AggState::Avg { sum, n } => {
                 if !vals[0].is_null() {
                     numeric_add(sum, &vals[0])?;
                 }
                 *n = checked_sum(*n, vals[1].as_i64()?)?;
             }
+            _ => self.update_value(func, Some(&vals[0]))?,
         }
         Ok(())
     }
@@ -214,8 +203,9 @@ enum Mode {
 trait KeySource {
     /// Rows in the batch.
     fn len(&self) -> usize;
-    /// Hash of row `p`'s key, each cell hashed as the [`Value`] it is.
-    fn hash(&self, hasher: &RandomState, p: usize) -> u64;
+    /// Hash of row `p`'s key in `index`: each cell hashed as the [`Value`]
+    /// it is, the cells folded in key order.
+    fn hash(&self, index: &KeyIndex, p: usize) -> u64;
     /// Whether row `p`'s key equals `key`, by `Value` equality.
     fn eq(&self, p: usize, key: &[Value]) -> bool;
     /// Append row `p`'s key.
@@ -264,13 +254,6 @@ fn push_codes<T: Copy>(
     }
 }
 
-/// Fold one cell's hash into a row's running key hash (order-sensitive, so
-/// `(a, b)` and `(b, a)` differ).
-#[inline]
-fn fold_hash(acc: u64, cell: u64) -> u64 {
-    acc.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31) ^ cell
-}
-
 /// Keys read from materialized rows at `cols`.
 struct RowKeys<'a> {
     rows: &'a [Row],
@@ -282,11 +265,11 @@ impl KeySource for RowKeys<'_> {
         self.rows.len()
     }
 
-    fn hash(&self, hasher: &RandomState, p: usize) -> u64 {
+    fn hash(&self, index: &KeyIndex, p: usize) -> u64 {
         let row = &self.rows[p];
         self.cols
             .iter()
-            .fold(0, |h, &c| fold_hash(h, hasher.hash_one(row.value(c))))
+            .fold(0, |h, &c| KeyIndex::fold(h, index.hash_cell(row.value(c))))
     }
 
     fn eq(&self, p: usize, key: &[Value]) -> bool {
@@ -311,18 +294,18 @@ impl KeySource for LaneKeys<'_> {
         self.sel.len()
     }
 
-    fn hash(&self, hasher: &RandomState, p: usize) -> u64 {
+    fn hash(&self, index: &KeyIndex, p: usize) -> u64 {
         let i = self.sel.ordinal(p);
         self.lanes.iter().fold(0, |h, lane| {
             let cell = match lane {
-                _ if lane.is_null(i) => hasher.hash_one(Value::Null),
-                Lane::Int { values, .. } => hasher.hash_one(Value::Int(values.get(i))),
-                Lane::Float { values, .. } => hasher.hash_one(Value::Float(values[i])),
-                Lane::Bool { values, .. } => hasher.hash_one(Value::Bool(values[i])),
-                Lane::StrDict { .. } => hasher.hash_one(lane.value(i)),
-                Lane::Values(values) => hasher.hash_one(&values[i]),
+                _ if lane.is_null(i) => index.hash_cell(&Value::Null),
+                Lane::Int { values, .. } => index.hash_cell(&Value::Int(values.get(i))),
+                Lane::Float { values, .. } => index.hash_cell(&Value::Float(values[i])),
+                Lane::Bool { values, .. } => index.hash_cell(&Value::Bool(values[i])),
+                Lane::StrDict { .. } => index.hash_cell(&lane.value(i)),
+                Lane::Values(values) => index.hash_cell(&values[i]),
             };
-            fold_hash(h, cell)
+            KeyIndex::fold(h, cell)
         })
     }
 
@@ -445,34 +428,19 @@ fn each_row(
         .try_for_each(|(p, row)| f(p, row).map_err(|e| (p, e)))
 }
 
-/// The insertion-ordered group table: group ids are handed out in
-/// first-occurrence order of each key, keys and accumulator states live in
-/// flat vectors indexed by group id, and an open-addressing index (linear
-/// probing over `slots`, at most half full) finds a key's group from its
-/// hash without building a key row. Keys hash through std's randomly seeded
-/// SipHash — they are table data, so the index keeps the collision
-/// resistance `HashMap` has.
-///
-/// The shipping path numbers its arguments in an index of the same shape,
-/// [`csq_common::ArgIndex`]. The two stay separate until moving this table
-/// onto it is measured faster: a prototype that did so cost `svc_adhoc_rw`
-/// about 7 % more CPU per op (DESIGN.md §7).
+/// The insertion-ordered group table: the group keys numbered by group id
+/// in a [`KeyIndex`] (so ids follow each key's first occurrence, and a key
+/// is found from its hash without building a key row), and the accumulator
+/// states in one flat vector indexed by group id.
 ///
 /// The table also carries what it has registered with the operator's
 /// [`MemoryTracker`], and releases it when cleared or dropped — so a build
 /// that ends in an error gives its bytes back like one that finishes.
 struct GroupTable {
-    key_len: usize,
     funcs: Vec<AggFunc>,
     /// Tracked bytes a group costs beyond its key's wire size.
     group_overhead: usize,
-    hasher: RandomState,
-    /// Group id + 1 per occupied slot, 0 for an empty one; a power of two.
-    slots: Vec<u32>,
-    /// Key hash per group (probe shortcut, and the rehash input).
-    hashes: Vec<u64>,
-    /// `key_len` values per group.
-    keys: Vec<Value>,
+    index: KeyIndex,
     /// One state per call per group.
     states: Vec<AggState>,
     memory: Option<Arc<MemoryTracker>>,
@@ -501,13 +469,9 @@ impl GroupTable {
         let hint = hint.min(1024);
         let state_width: usize = aggs.iter().map(AggSpec::state_width).sum();
         GroupTable {
-            key_len,
             funcs: aggs.iter().map(|a| a.func).collect(),
             group_overhead: state_width * 16 + ENTRY_OVERHEAD,
-            hasher: RandomState::new(),
-            slots: vec![0; (hint * 2).next_power_of_two().max(16)],
-            hashes: Vec::with_capacity(hint),
-            keys: Vec::with_capacity(hint * key_len),
+            index: KeyIndex::new(key_len, hint),
             states: Vec::with_capacity(hint * aggs.len()),
             memory,
             tracked: 0,
@@ -519,81 +483,46 @@ impl GroupTable {
 
     /// Groups in the table.
     fn len(&self) -> usize {
-        self.hashes.len()
+        self.index.len()
     }
 
-    /// Append a group with the key `push_key` writes; returns its id.
-    fn push_group(&mut self, hash: u64, push_key: impl FnOnce(&mut Vec<Value>)) -> u32 {
-        let g = self.hashes.len();
-        assert!(g < u32::MAX as usize, "group ids are 32 bits");
-        self.hashes.push(hash);
-        push_key(&mut self.keys);
-        let key_bytes: usize = self.keys[g * self.key_len..]
-            .iter()
-            .map(Value::wire_size)
-            .sum();
-        self.states
-            .extend(self.funcs.iter().map(|&f| AggState::init(f)));
-        let added = key_bytes + self.group_overhead;
-        if let Some(t) = &self.memory {
-            self.tracked += added;
-            t.grow(added);
+    /// The group of the key that hashes to `hash` and that `eq` accepts,
+    /// added with the key `push` writes (so ids follow first occurrence,
+    /// callers asking in row order) if no group has it yet.
+    #[inline]
+    fn group(
+        &mut self,
+        hash: u64,
+        eq: impl Fn(&[Value]) -> bool,
+        push: impl FnOnce(&mut Vec<Value>),
+    ) -> u32 {
+        let (g, new) = self.index.insert(hash, eq, push);
+        if new {
+            let key_bytes: usize = self.index.key(g).iter().map(Value::wire_size).sum();
+            self.states
+                .extend(self.funcs.iter().map(|&f| AggState::init(f)));
+            let added = key_bytes + self.group_overhead;
+            if let Some(t) = &self.memory {
+                self.tracked += added;
+                t.grow(added);
+            }
         }
         g as u32
     }
 
-    /// Double the index and re-seat every group by its stored hash.
-    fn grow_index(&mut self) {
-        let mask = self.slots.len() * 2 - 1;
-        self.slots = vec![0; mask + 1];
-        for (g, &h) in self.hashes.iter().enumerate() {
-            let mut s = h as usize & mask;
-            while self.slots[s] != 0 {
-                s = (s + 1) & mask;
-            }
-            self.slots[s] = g as u32 + 1;
-        }
-    }
-
-    /// The group of row `p` of `keys`, added (so ids follow first occurrence,
-    /// callers asking in row order) if its key was not seen before.
+    /// The group of row `p` of `keys`.
     fn group_of(&mut self, keys: &impl KeySource, p: usize) -> u32 {
-        let h = keys.hash(&self.hasher, p);
-        let mask = self.slots.len() - 1;
-        let mut s = h as usize & mask;
-        loop {
-            match self.slots[s] {
-                0 => {
-                    let g = self.push_group(h, |out| keys.push_key(p, out));
-                    self.slots[s] = g + 1;
-                    if self.len() * 2 > self.slots.len() {
-                        self.grow_index();
-                    }
-                    return g;
-                }
-                slot => {
-                    let g = slot as usize - 1;
-                    if self.hashes[g] == h
-                        && keys.eq(p, &self.keys[g * self.key_len..][..self.key_len])
-                    {
-                        return slot - 1;
-                    }
-                    s = (s + 1) & mask;
-                }
-            }
-        }
+        let hash = keys.hash(&self.index, p);
+        self.group(hash, |key| keys.eq(p, key), |out| keys.push_key(p, out))
     }
 
     /// Fill `self.gids` with the group of each row of `keys`.
     fn resolve(&mut self, keys: &impl KeySource) {
         let mut gids = std::mem::take(&mut self.gids);
         gids.clear();
-        if self.key_len == 0 {
-            // A global aggregate: every row is in the one group.
-            if self.len() == 0 {
-                self.push_group(0, |_| {});
-            }
-            gids.resize(keys.len(), 0);
+        if self.index.width() == 0 {
+            // A global aggregate: every row is in the one group (empty key).
+            gids.resize(keys.len(), self.group(0, |_| true, |_| {}));
         } else {
             let mut codes = std::mem::take(&mut self.codes);
             codes.clear();
@@ -751,15 +680,16 @@ impl GroupTable {
     /// read-back of a spill partition): key columns first, then each call's
     /// state columns.
     fn merge(&mut self, aggs: &[AggSpec], rows: &[Row]) -> Result<()> {
-        let key: Vec<usize> = (0..self.key_len).collect();
+        let key_len = self.index.width();
+        let key: Vec<usize> = (0..key_len).collect();
         self.resolve(&RowKeys { rows, cols: &key });
         let n = self.funcs.len();
         for (row, &g) in rows.iter().zip(&self.gids) {
             let vals = row.values();
-            let mut at = self.key_len;
+            let mut at = key_len;
             for (spec, st) in aggs.iter().zip(&mut self.states[g as usize * n..][..n]) {
                 let w = spec.state_width();
-                st.merge(&vals[at..at + w])?;
+                st.merge(spec.func, &vals[at..at + w])?;
                 at += w;
             }
         }
@@ -770,11 +700,11 @@ impl GroupTable {
     /// then each call's partial state (`emit_state`) or finished value. The
     /// registered bytes go back to the tracker.
     fn drain_rows(&mut self, emit_state: bool) -> Result<Vec<Row>> {
-        let (key_len, n) = (self.key_len, self.funcs.len());
-        let mut out = Vec::with_capacity(self.len());
-        let mut keys = std::mem::take(&mut self.keys).into_iter();
+        let (groups, key_len, n) = (self.len(), self.index.width(), self.funcs.len());
+        let mut out = Vec::with_capacity(groups);
+        let mut keys = self.index.clear().into_iter();
         let mut states = std::mem::take(&mut self.states).into_iter();
-        for _ in 0..self.len() {
+        for _ in 0..groups {
             let mut vals: Vec<Value> = Vec::with_capacity(key_len + 2 * n);
             vals.extend(keys.by_ref().take(key_len));
             for st in states.by_ref().take(n) {
@@ -786,8 +716,6 @@ impl GroupTable {
             }
             out.push(Row::new(vals));
         }
-        self.hashes.clear();
-        self.slots.fill(0);
         self.code_groups.clear();
         self.release();
         Ok(out)
@@ -973,8 +901,8 @@ impl HashAggregate {
         }
         // A global aggregate (no GROUP BY) over zero rows still produces one
         // group: COUNT(*) = 0, SUM/MIN/MAX/AVG = NULL.
-        if table.len() == 0 && self.key.is_empty() {
-            table.push_group(0, |_| {});
+        if self.key.is_empty() {
+            table.group(0, |_| true, |_| {});
         }
         table.drain_rows(self.mode == Mode::Partial)
     }
@@ -984,24 +912,15 @@ impl HashAggregate {
     /// it, releasing its registered bytes.
     fn spill_groups(&mut self, table: &mut GroupTable) -> Result<()> {
         if self.spilled.is_empty() {
-            self.spilled = (0..SPILL_PARTITIONS)
-                .map(|_| SpillFile::create())
-                .collect::<Result<_>>()?;
+            self.spilled = spill_partitions()?;
         }
         if table.len() == 0 {
             return Ok(());
         }
         self.spill_events += 1;
         let key_cols: Vec<usize> = (0..self.key.len()).collect();
-        let mut chunks: Vec<Vec<Row>> = vec![Vec::new(); self.spilled.len()];
-        for row in table.drain_rows(true)? {
-            let p = row.partition_of(Some(&key_cols), self.spilled.len());
-            chunks[p].push(row);
-        }
-        for (part, chunk) in self.spilled.iter_mut().zip(&chunks) {
-            part.write_rows(chunk)?;
-        }
-        Ok(())
+        let groups = table.drain_rows(true)?;
+        partition_rows(&mut self.spilled, Some(&key_cols), groups, &mut Vec::new())
     }
 
     /// Read the spill partitions back one at a time, merging each
@@ -1026,40 +945,6 @@ impl HashAggregate {
             self.groups = self.build(input)?.into_iter();
         }
         crate::ops::produce_chunk(&mut self.groups, &self.schema)
-    }
-}
-
-impl AggState {
-    /// `update` with a NaN-safe MIN/MAX path (kept out of the main `update`
-    /// match so the compare borrow is straightforward).
-    fn update_value(&mut self, func: AggFunc, v: Option<&Value>) -> Result<()> {
-        match self {
-            AggState::Min(acc) | AggState::Max(acc) => {
-                let Some(v) = v else {
-                    return Err(CsqError::Plan(format!(
-                        "{} requires an argument",
-                        func.name()
-                    )));
-                };
-                if v.is_null() {
-                    return Ok(());
-                }
-                if acc.is_null() {
-                    *acc = v.clone();
-                    return Ok(());
-                }
-                let ord = compare_values(v, acc)?;
-                let replace = match func {
-                    AggFunc::Min => ord == std::cmp::Ordering::Less,
-                    _ => ord == std::cmp::Ordering::Greater,
-                };
-                if replace {
-                    *acc = v.clone();
-                }
-                Ok(())
-            }
-            _ => self.update(v),
-        }
     }
 }
 

@@ -10,48 +10,20 @@
 //! and outputs are emitted in batches (a batch may exceed the default
 //! capacity when one input row fans out to many matches).
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use csq_common::{Result, Row, RowBatch, Schema, DEFAULT_BATCH_SIZE};
+use csq_common::{KeyIndex, Result, Row, RowBatch, Schema, DEFAULT_BATCH_SIZE};
 use csq_expr::PhysExpr;
 
 use crate::ops::{batch_operator, collect, Operator};
 use crate::spill::{
-    partition_rows, MemoryTracker, SpillFile, SpillReader, ENTRY_OVERHEAD, SPILL_PARTITIONS,
+    partition_rows, spill_partitions, MemoryTracker, SpillFile, SpillReader, ENTRY_OVERHEAD,
 };
 
-/// Pulls batches from a child operator and hands rows out one at a time —
-/// the input-side adapter for an algorithm that is inherently
-/// row-sequential (nested-loop's outer loop).
-struct BatchCursor {
-    op: Box<dyn Operator + Send>,
-    buf: std::vec::IntoIter<Row>,
-}
-
-impl BatchCursor {
-    fn new(op: Box<dyn Operator + Send>) -> BatchCursor {
-        BatchCursor {
-            op,
-            buf: Vec::new().into_iter(),
-        }
-    }
-
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        loop {
-            if let Some(r) = self.buf.next() {
-                return Ok(Some(r));
-            }
-            match self.op.next_batch()? {
-                Some(b) => self.buf = b.into_rows().into_iter(),
-                None => return Ok(None),
-            }
-        }
-    }
-}
-
 /// Hash equi-join: builds the right input, probes with the left, one batch
-/// of probe rows at a time. Output schema = left ⊕ right.
+/// of probe rows at a time. Output schema = left ⊕ right; output order is
+/// probe order, then build order within a key.
 ///
 /// With a [`MemoryTracker`] attached (via [`with_memory`](HashJoin::with_memory))
 /// this becomes a Grace hash join under pressure: if the build side exceeds
@@ -59,28 +31,100 @@ impl BatchCursor {
 /// and each partition pair is joined independently — the build table of one
 /// partition in memory, its probe rows streamed frame by frame. Matching
 /// keys land in matching partitions, so the result set is identical to the
-/// in-memory join up to row order.
+/// in-memory join up to row order (partition-major, then the same order
+/// within a partition).
 pub struct HashJoin {
     left: Box<dyn Operator + Send>,
+    /// The build input, until the first pull builds from it.
     right: Option<Box<dyn Operator + Send>>,
     left_key: Vec<usize>,
     right_key: Vec<usize>,
     schema: Arc<Schema>,
-    table: Option<HashMap<Row, Vec<Row>>>,
+    state: JoinState,
     /// Byte budget shared with other operators; `None` = never spill.
     memory: Option<Arc<MemoryTracker>>,
     /// Approximate bytes registered for the in-memory build table.
     tracked: usize,
-    grace: Option<GraceJoin>,
     spill_events: usize,
 }
 
-/// Partition-wise join state after a build-side spill.
-struct GraceJoin {
-    /// Remaining (build, probe) partition pairs.
-    parts: std::vec::IntoIter<(SpillFile, SpillFile)>,
-    /// The partition being joined: its build table and probe reader.
-    current: Option<(HashMap<Row, Vec<Row>>, SpillReader)>,
+/// Where a [`HashJoin`] is.
+enum JoinState {
+    /// Built in memory; the probe side streams past it.
+    InMemory(BuildTable),
+    /// Built into partitions: the pair being joined (its build table and
+    /// probe reader), and the pairs left.
+    Grace {
+        current: Option<(BuildTable, SpillReader)>,
+        parts: std::iter::Zip<std::vec::IntoIter<SpillFile>, std::vec::IntoIter<SpillFile>>,
+    },
+    /// Not built yet, drained, or its build failed (returned once).
+    Done,
+}
+
+/// One build side in memory: its rows, their keys numbered through a
+/// [`KeyIndex`], and per key ordinal the chain of the rows that carry it,
+/// in build order.
+struct BuildTable {
+    keys: KeyIndex,
+    rows: Vec<Row>,
+    /// The first and the last build row of each key ordinal.
+    first: Vec<usize>,
+    last: Vec<usize>,
+    /// Per build row, the next one with the same key; [`END`] after the last.
+    next: Vec<usize>,
+}
+
+const END: usize = usize::MAX;
+
+impl BuildTable {
+    fn new(width: usize) -> BuildTable {
+        BuildTable {
+            keys: KeyIndex::new(width, 0),
+            rows: Vec::new(),
+            first: Vec::new(),
+            last: Vec::new(),
+            next: Vec::new(),
+        }
+    }
+
+    /// Add `rows`, each under its key at `cols`.
+    fn extend(&mut self, cols: &[usize], rows: Vec<Row>) {
+        for row in rows {
+            let r = self.rows.len();
+            let (o, new) = self.keys.insert_by(cols, |c| Cow::Borrowed(row.value(c)));
+            if new {
+                self.first.push(r);
+                self.last.push(r);
+            } else {
+                self.next[self.last[o]] = r;
+                self.last[o] = r;
+            }
+            self.next.push(END);
+            self.rows.push(row);
+        }
+    }
+
+    /// Each of `probe`'s rows joined with every build row of its key at
+    /// `cols`: probe order, then build order. A key with a NULL cell matches
+    /// nothing (SQL semantics), though `Value` equality would pair it.
+    fn probe(&self, cols: &[usize], probe: &[Row]) -> Vec<Row> {
+        let mut out = Vec::new();
+        for l in probe {
+            if cols.iter().any(|&c| l.value(c).is_null()) {
+                continue;
+            }
+            let Some(o) = self.keys.find_by(cols, |c| Cow::Borrowed(l.value(c))) else {
+                continue;
+            };
+            let mut r = self.first[o];
+            while r != END {
+                out.push(l.join(&self.rows[r]));
+                r = self.next[r];
+            }
+        }
+        out
+    }
 }
 
 impl HashJoin {
@@ -99,10 +143,9 @@ impl HashJoin {
             left_key,
             right_key,
             schema,
-            table: None,
+            state: JoinState::Done,
             memory: None,
             tracked: 0,
-            grace: None,
             spill_events: 0,
         }
     }
@@ -128,37 +171,29 @@ impl HashJoin {
 
     /// Build the right side: into an in-memory table, or — when the budget
     /// is crossed — into hash partitions on disk, in which case the entire
-    /// probe side is partitioned too and `self.grace` takes over.
-    fn build(&mut self) -> Result<()> {
-        let mut right = self.right.take().expect("hash join built twice");
-        let mut table: HashMap<Row, Vec<Row>> = HashMap::new();
+    /// probe side is partitioned too and Grace takes over.
+    fn build(&mut self, mut right: Box<dyn Operator + Send>) -> Result<JoinState> {
+        let mut table = BuildTable::new(self.right_key.len());
         let mut spill: Option<Vec<SpillFile>> = None;
         let mut scratch: Vec<Vec<Row>> = Vec::new();
         while let Some(batch) = right.next_batch()? {
             if let Some(parts) = spill.as_mut() {
-                partition_rows(parts, Some(&self.right_key), batch.rows(), &mut scratch)?;
+                let rows = batch.into_rows();
+                partition_rows(parts, Some(&self.right_key), rows, &mut scratch)?;
                 continue;
             }
-            let mut added = 0usize;
-            for r in batch.rows() {
-                added += r.wire_size() + ENTRY_OVERHEAD;
-                table
-                    .entry(r.project(&self.right_key))
-                    .or_default()
-                    .push(r.clone());
-            }
+            let added = batch.wire_size() + batch.len() * ENTRY_OVERHEAD;
+            table.extend(&self.right_key, batch.into_rows());
             if let Some(t) = self.memory.clone() {
                 self.tracked += added;
                 t.grow(added);
-                if t.over_budget() && !table.is_empty() {
-                    // Flush the partial build table to partitions and keep
+                if t.over_budget() && !table.rows.is_empty() {
+                    // Flush the build table to partitions and keep
                     // partitioning the rest of the input straight to disk.
-                    let mut parts: Vec<SpillFile> = (0..SPILL_PARTITIONS)
-                        .map(|_| SpillFile::create())
-                        .collect::<Result<_>>()?;
-                    let rows: Vec<Row> = table.drain().flat_map(|(_, v)| v).collect();
-                    partition_rows(&mut parts, Some(&self.right_key), &rows, &mut scratch)?;
-                    drop(rows);
+                    let mut parts = spill_partitions()?;
+                    let empty = BuildTable::new(self.right_key.len());
+                    let rows = std::mem::replace(&mut table, empty).rows;
+                    partition_rows(&mut parts, Some(&self.right_key), rows, &mut scratch)?;
                     self.release_tracked();
                     t.record_spill();
                     self.spill_events += 1;
@@ -166,111 +201,60 @@ impl HashJoin {
                 }
             }
         }
-        if let Some(build_parts) = spill {
-            let mut probe_parts: Vec<SpillFile> = (0..SPILL_PARTITIONS)
-                .map(|_| SpillFile::create())
-                .collect::<Result<_>>()?;
-            while let Some(batch) = self.left.next_batch()? {
-                partition_rows(
-                    &mut probe_parts,
-                    Some(&self.left_key),
-                    batch.rows(),
-                    &mut scratch,
-                )?;
-            }
-            let pairs: Vec<(SpillFile, SpillFile)> =
-                build_parts.into_iter().zip(probe_parts).collect();
-            self.grace = Some(GraceJoin {
-                parts: pairs.into_iter(),
-                current: None,
-            });
-        } else {
-            self.table = Some(table);
+        let Some(build_parts) = spill else {
+            return Ok(JoinState::InMemory(table));
+        };
+        let mut probe_parts = spill_partitions()?;
+        while let Some(batch) = self.left.next_batch()? {
+            let rows = batch.into_rows();
+            partition_rows(&mut probe_parts, Some(&self.left_key), rows, &mut scratch)?;
         }
-        Ok(())
-    }
-
-    /// Join one partition pair at a time, streaming probe frames.
-    fn grace_step(&mut self) -> Result<Option<RowBatch>> {
-        let HashJoin {
-            grace,
-            left_key,
-            right_key,
-            schema,
-            ..
-        } = self;
-        let g = grace.as_mut().expect("grace state missing");
-        loop {
-            if let Some((table, probe)) = g.current.as_mut() {
-                while let Some(frame) = probe.next_frame()? {
-                    let mut out = Vec::new();
-                    for l in &frame {
-                        let key = l.project(left_key);
-                        // SQL semantics: NULL keys never match.
-                        if key.values().iter().any(|v| v.is_null()) {
-                            continue;
-                        }
-                        if let Some(matches) = table.get(&key) {
-                            out.reserve(matches.len());
-                            for r in matches {
-                                out.push(l.join(r));
-                            }
-                        }
-                    }
-                    if !out.is_empty() {
-                        return Ok(Some(RowBatch::from_rows(schema.clone(), out)));
-                    }
-                }
-                g.current = None;
-            }
-            let Some((build, probe)) = g.parts.next() else {
-                return Ok(None);
-            };
-            let rows = build.into_reader()?.read_all()?;
-            let mut table: HashMap<Row, Vec<Row>> = HashMap::with_capacity(rows.len());
-            for r in rows {
-                table.entry(r.project(right_key)).or_default().push(r);
-            }
-            g.current = Some((table, probe.into_reader()?));
-        }
+        Ok(JoinState::Grace {
+            current: None,
+            parts: build_parts.into_iter().zip(probe_parts),
+        })
     }
 
     fn produce(&mut self) -> Result<Option<RowBatch>> {
-        if self.table.is_none() && self.grace.is_none() {
-            if let Err(e) = self.build() {
-                // Returned once; a Grace state with no partition left makes
-                // every later pull `Ok(None)` without touching either input.
+        if let Some(right) = self.right.take() {
+            let built = self.build(right);
+            if built.is_err() {
                 self.release_tracked();
-                self.grace = Some(GraceJoin {
-                    parts: Vec::new().into_iter(),
-                    current: None,
-                });
-                return Err(e);
             }
+            self.state = built?;
         }
-        if self.grace.is_some() {
-            return self.grace_step();
-        }
-        let table = self.table.as_ref().unwrap();
         loop {
-            let Some(batch) = self.left.next_batch()? else {
-                self.release_tracked();
-                return Ok(None);
-            };
-            let mut out = Vec::new();
-            for l in batch.rows() {
-                let key = l.project(&self.left_key);
-                // SQL semantics: NULL keys never match.
-                if key.values().iter().any(|v| v.is_null()) {
-                    continue;
-                }
-                if let Some(matches) = table.get(&key) {
-                    out.reserve(matches.len());
-                    for r in matches {
-                        out.push(l.join(r));
+            let (table, probe) = match &mut self.state {
+                JoinState::InMemory(table) => match self.left.next_batch()? {
+                    Some(batch) => (&*table, batch.into_rows()),
+                    None => {
+                        self.state = JoinState::Done;
+                        self.release_tracked();
+                        return Ok(None);
                     }
-                }
-            }
+                },
+                JoinState::Grace { current, parts } => match current {
+                    Some((table, probe)) => match probe.next_frame()? {
+                        Some(frame) => (&*table, frame),
+                        None => {
+                            *current = None;
+                            continue;
+                        }
+                    },
+                    None => {
+                        let Some((build, probe)) = parts.next() else {
+                            self.state = JoinState::Done;
+                            return Ok(None);
+                        };
+                        let mut table = BuildTable::new(self.right_key.len());
+                        table.extend(&self.right_key, build.into_reader()?.read_all()?);
+                        *current = Some((table, probe.into_reader()?));
+                        continue;
+                    }
+                },
+                JoinState::Done => return Ok(None),
+            };
+            let out = table.probe(&self.left_key, &probe);
             if !out.is_empty() {
                 return Ok(Some(RowBatch::from_rows(self.schema.clone(), out)));
             }
@@ -288,37 +272,21 @@ impl Drop for HashJoin {
 
 batch_operator!(HashJoin);
 
-/// Accumulate up to [`DEFAULT_BATCH_SIZE`] rows from a row-producing step
-/// into one batch — the output-side adapter of the row-sequential
-/// nested-loop join.
-fn accumulate_batch(
-    schema: Arc<Schema>,
-    mut step: impl FnMut() -> Result<Option<Row>>,
-) -> Result<Option<RowBatch>> {
-    let mut out = Vec::new();
-    while out.len() < DEFAULT_BATCH_SIZE {
-        match step()? {
-            Some(r) => out.push(r),
-            None => break,
-        }
-    }
-    if out.is_empty() {
-        return Ok(None);
-    }
-    Ok(Some(RowBatch::from_rows(schema, out)))
-}
-
 /// Nested-loop join with an arbitrary bound predicate over the concatenated
-/// row. The right input is materialized.
+/// row. The right input is materialized; output batches hold at most
+/// [`DEFAULT_BATCH_SIZE`] rows.
 pub struct NestedLoopJoin {
-    left: BatchCursor,
+    left: Box<dyn Operator + Send>,
+    /// The right input, until the first pull materializes it.
     right: Option<Box<dyn Operator + Send>>,
     predicate: Option<PhysExpr>,
     schema: Arc<Schema>,
     right_rows: Vec<Row>,
-    current_left: Option<Row>,
+    /// The current left batch's rows still to join, the first of them from
+    /// right row `right_pos` on; `None` before the right input is read, once
+    /// the left one is drained, and after a failed pull.
+    left_rows: Option<std::vec::IntoIter<Row>>,
     right_pos: usize,
-    started: bool,
 }
 
 impl NestedLoopJoin {
@@ -331,47 +299,47 @@ impl NestedLoopJoin {
     ) -> NestedLoopJoin {
         let schema = Arc::new(left.schema().join(right.schema()));
         NestedLoopJoin {
-            left: BatchCursor::new(left),
+            left,
             right: Some(right),
             predicate,
             schema,
             right_rows: Vec::new(),
-            current_left: None,
+            left_rows: None,
             right_pos: 0,
-            started: false,
-        }
-    }
-
-    fn row_step(&mut self) -> Result<Option<Row>> {
-        if !self.started {
-            self.started = true;
-            let mut right = self.right.take().expect("nested-loop right missing");
-            self.right_rows = collect(right.as_mut())?;
-            self.current_left = self.left.next_row()?;
-        }
-        loop {
-            let Some(l) = &self.current_left else {
-                return Ok(None);
-            };
-            while self.right_pos < self.right_rows.len() {
-                let joined = l.join(&self.right_rows[self.right_pos]);
-                self.right_pos += 1;
-                let ok = match &self.predicate {
-                    Some(p) => p.eval_predicate(&joined)?,
-                    None => true,
-                };
-                if ok {
-                    return Ok(Some(joined));
-                }
-            }
-            self.right_pos = 0;
-            self.current_left = self.left.next_row()?;
         }
     }
 
     fn produce(&mut self) -> Result<Option<RowBatch>> {
-        let schema = self.schema.clone();
-        accumulate_batch(schema, || self.row_step())
+        if let Some(mut right) = self.right.take() {
+            self.right_rows = collect(right.as_mut())?;
+            self.left_rows = Some(Vec::new().into_iter());
+        }
+        let mut out = Vec::new();
+        while let Some(rows) = &mut self.left_rows {
+            if out.len() == DEFAULT_BATCH_SIZE {
+                break;
+            }
+            let Some(l) = rows.as_slice().first() else {
+                self.left_rows = None; // A failed pull leaves the join drained.
+                self.left_rows = self.left.next_batch()?.map(|b| b.into_rows().into_iter());
+                continue;
+            };
+            let Some(r) = self.right_rows.get(self.right_pos) else {
+                self.right_pos = 0;
+                rows.next();
+                continue;
+            };
+            self.right_pos += 1;
+            let joined = l.join(r);
+            let keep = match &self.predicate {
+                Some(p) => p.eval_predicate(&joined)?,
+                None => true,
+            };
+            if keep {
+                out.push(joined);
+            }
+        }
+        Ok((!out.is_empty()).then(|| RowBatch::from_rows(self.schema.clone(), out)))
     }
 }
 
@@ -511,6 +479,60 @@ mod tests {
         expected.sort_by_key(|r| format!("{r}"));
         got.sort_by_key(|r| format!("{r}"));
         assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn hash_join_output_order_is_pinned() {
+        // A two-column key with duplicate build keys, NULL cells on both
+        // sides and a Float key that never equals its Int twin. In memory
+        // the output is probe order, then build order within a key; under
+        // Grace it is partition-major (`Row::partition_of` is fixed across
+        // runs), the same order within a partition.
+        let schema = Schema::new(vec![
+            Field::new("a", DataType::Int),
+            Field::new("b", DataType::Str),
+            Field::new("tag", DataType::Str),
+        ]);
+        // Each key is two characters: `_` is NULL, `f` is Float 1.0.
+        let side = |tag: char, keys: &str| -> Vec<Row> {
+            let cell = |c: char| match c {
+                '_' => Value::Null,
+                'f' => Value::Float(1.0),
+                '0'..='9' => Value::Int(c as i64 - '0' as i64),
+                _ => Value::from(c.to_string().as_str()),
+            };
+            let row = |(i, k): (usize, &str)| {
+                let mut k = k.chars().map(cell);
+                let (a, b) = (k.next().unwrap(), k.next().unwrap());
+                Row::new(vec![a, b, Value::from(format!("{tag}{i}"))])
+            };
+            keys.split(' ').enumerate().map(row).collect()
+        };
+        let left = side('l', "1x 2y _x 1x 1_ 3z 2y 1y");
+        let right = side('r', "1x 2y 1x _x 1_ 2y 1x 4w 1y fx");
+        let run = |memory: Option<Arc<MemoryTracker>>| {
+            let mut j = HashJoin::new(
+                Box::new(RowsOp::new(schema.clone(), left.clone())),
+                Box::new(RowsOp::new(schema.clone(), right.clone())),
+                vec![0, 1],
+                vec![0, 1],
+            );
+            if let Some(t) = memory {
+                j = j.with_memory(t);
+            }
+            let out = collect(&mut j).unwrap();
+            let pairs: Vec<String> = out
+                .iter()
+                .map(|r| format!("{}{}", r.value(2), r.value(5)))
+                .collect();
+            (pairs.join(" ").replace('\'', ""), j.spill_events())
+        };
+        let in_memory = "l0r0 l0r2 l0r6 l1r1 l1r5 l3r0 l3r2 l3r6 l6r1 l6r5 l7r8";
+        assert_eq!(run(None), (in_memory.into(), 0));
+        let tracker = MemoryTracker::new(0);
+        let grace = "l7r8 l0r0 l0r2 l0r6 l3r0 l3r2 l3r6 l1r1 l1r5 l6r1 l6r5";
+        assert_eq!(run(Some(tracker.clone())), (grace.into(), 1));
+        assert_eq!(tracker.used(), 0);
     }
 
     #[test]

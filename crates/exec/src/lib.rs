@@ -12,7 +12,8 @@
 //! Operators provided here: scan, filter, project, hash join,
 //! nested-loop join, grouped aggregation, the cancellation checkpoint and
 //! in-memory row sources — what `csq_core::lower` and `csq-ship` build
-//! (`HashJoin` is the one no statement reaches yet). [`MemoryTracker`] is
+//! (`HashJoin` is the one no statement reaches yet); both hash operators
+//! number their keys through [`csq_common::KeyIndex`]. [`MemoryTracker`] is
 //! the byte budget the blocking operators spill under, and [`WorkerPool`]
 //! is the thread pool the query service schedules sessions on.
 

@@ -244,19 +244,24 @@ impl Drop for SpillReader {
 /// the budget is advisory and errs toward spilling early.
 pub const ENTRY_OVERHEAD: usize = 48;
 
+/// [`SPILL_PARTITIONS`] new spill files.
+pub fn spill_partitions() -> Result<Vec<SpillFile>> {
+    (0..SPILL_PARTITIONS).map(|_| SpillFile::create()).collect()
+}
+
 /// Partition a set of spill files: write `rows` split by the hash of the
-/// row's `key` columns.
+/// row's `key` columns, each partition's in their order.
 pub fn partition_rows(
     parts: &mut [SpillFile],
     key: Option<&[usize]>,
-    rows: &[Row],
+    rows: Vec<Row>,
     scratch: &mut Vec<Vec<Row>>,
 ) -> Result<()> {
     scratch.iter_mut().for_each(Vec::clear);
     scratch.resize(parts.len(), Vec::new());
     for r in rows {
         let p = r.partition_of(key, parts.len());
-        scratch[p].push(r.clone());
+        scratch[p].push(r);
     }
     for (part, chunk) in parts.iter_mut().zip(scratch.iter()) {
         part.write_rows(chunk)?;
@@ -302,7 +307,7 @@ mod tests {
         let mut parts: Vec<SpillFile> = (0..4).map(|_| SpillFile::create().unwrap()).collect();
         let rows: Vec<Row> = (0..64).map(|i| row(i % 8)).collect();
         let mut scratch = Vec::new();
-        partition_rows(&mut parts, Some(&[0]), &rows, &mut scratch).unwrap();
+        partition_rows(&mut parts, Some(&[0]), rows, &mut scratch).unwrap();
         let mut total = 0;
         for p in parts {
             let mut r = p.into_reader().unwrap();

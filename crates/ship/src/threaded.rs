@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use csq_common::codec::encode_batch_rows;
 use csq_common::{
-    ArgIndex, CancelToken, CsqError, Lane, Result, Row, RowBatch, Schema, Selection, Value,
+    CancelToken, CsqError, KeyIndex, Lane, Result, Row, RowBatch, Schema, Selection, Value,
     DEFAULT_BATCH_SIZE,
 };
 use csq_exec::Operator;
@@ -172,9 +172,11 @@ pub struct ThreadedSemiJoin {
     schema: Arc<Schema>,
     feed: Feed,
     wire: Wire,
-    /// Distinct argument tuples by shipping ordinal; of them, `sent` are
-    /// on the wire and `closed` in a closed span.
-    args: ArgIndex,
+    /// The argument columns (input ordinals), and the distinct argument
+    /// tuples by shipping ordinal; of them, `sent` are on the wire and
+    /// `closed` in a closed span.
+    arg_cols: Vec<usize>,
+    args: KeyIndex,
     batch_size: usize,
     sent: usize,
     closed: usize,
@@ -205,10 +207,12 @@ impl ThreadedSemiJoin {
     pub fn new(input: Input, spec: SemiJoinSpec, endpoint: Endpoint) -> Result<ThreadedSemiJoin> {
         let input_schema = input.schema().clone();
         let batch_size = spec.batch_size.max(1);
+        let arg_cols = spec.arg_union(input_schema.len());
         Ok(ThreadedSemiJoin {
             schema: Arc::new(spec.output_schema(&input_schema)),
             wire: Wire::open(endpoint, spec.client_task(&input_schema)?)?,
-            args: ArgIndex::new(spec.arg_union(input_schema.len())),
+            args: KeyIndex::new(arg_cols.len(), 0),
+            arg_cols,
             feed: Feed::Open(input),
             batch_size,
             sent: 0,
@@ -244,13 +248,14 @@ impl ThreadedSemiJoin {
             match &piece.lanes {
                 Some(lanes) => {
                     let i = sel.ordinal(p);
-                    piece.args.push(self.args.insert_by(|c| lanes[c].cell(i)).0);
+                    let cell = |c: usize| lanes[c].cell(i);
+                    piece.args.push(self.args.insert_by(&self.arg_cols, cell).0);
                     piece.ords.push(i);
                 }
                 None => {
                     let Some(row) = rows.next() else { break };
                     let cell = |c| Cow::Borrowed(row.value(c));
-                    piece.args.push(self.args.insert_by(cell).0);
+                    piece.args.push(self.args.insert_by(&self.arg_cols, cell).0);
                     piece.rows.push(row);
                 }
             }

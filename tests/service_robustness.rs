@@ -435,6 +435,11 @@ fn admission_bound_rejects_with_limit_error_and_recovers() {
         refused.is_broken(),
         "a refused connection is closing server-side and must not be pooled/reused"
     );
+    assert_eq!(
+        refused.last_error_retryable(),
+        Some(true),
+        "a full server is worth retrying on a fresh connection"
+    );
     assert!(handle.stats().rejected.load(Ordering::Relaxed) >= 1);
 
     // Freeing a session restores capacity.
@@ -442,6 +447,57 @@ fn admission_bound_rejects_with_limit_error_and_recovers() {
     held2.close();
     let ok = query_until_admitted(handle.local_addr(), COUNT_SQL, Duration::from_secs(10));
     assert_eq!(ok.rows[0].value(0), &Value::Int(20));
+    handle.shutdown();
+}
+
+/// A pooled query with a retry policy rides out a full server: each refused
+/// attempt is a fatal, retryable `limit` answer, so the pool drops that
+/// connection, backs off and dials again, and the query is answered once the
+/// session holding the only slot closes.
+#[test]
+fn a_pooled_retry_is_answered_once_a_held_session_closes() {
+    let db = demo_db(20);
+    let handle = start(
+        &db,
+        ServiceConfig {
+            workers: 1,
+            max_sessions: 1,
+            ..ServiceConfig::default()
+        },
+    );
+    let addr = handle.local_addr();
+    let mut held = ServiceConn::connect(addr).unwrap();
+    held.query(COUNT_SQL).unwrap();
+
+    let waiter = std::thread::spawn(move || {
+        let pool = ConnectionPool::new(addr, 1).unwrap();
+        let opts = QueryOptions::new()
+            .with_deadline(Duration::from_secs(20))
+            .with_retry(RetryPolicy {
+                max_attempts: 400,
+                backoff: csq_client::Backoff::new(
+                    Duration::from_millis(5),
+                    Duration::from_millis(25),
+                    7,
+                ),
+            });
+        pool.query_with(COUNT_SQL, &opts)
+    });
+    // Hold the slot until the pool has been refused at least once.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handle.stats().rejected.load(Ordering::Relaxed) == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the pooled query was never refused"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    held.close();
+    let answer = waiter
+        .join()
+        .unwrap()
+        .expect("answered once the slot frees");
+    assert_eq!(answer.rows[0].value(0), &Value::Int(20));
     handle.shutdown();
 }
 
