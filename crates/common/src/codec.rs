@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use crate::batch::RowBatch;
 use crate::error::{CsqError, Result};
-use crate::lane::Lane;
+use crate::lane::{Lane, NullBitmap};
 use crate::row::Row;
 use crate::value::{Blob, Str, Value};
 
@@ -345,19 +345,24 @@ pub fn batch_rows_message(head: &[u8], pieces: &[(&RowBatch, Range<usize>)]) -> 
 }
 
 /// What [`encode_batch_rows`] appends, in bytes: a fixed-width lane's
-/// values cost their non-NULL size, a string or `Values` lane's its
-/// selected values' exact wire size.
-fn batch_rows_size(batch: &RowBatch, positions: Range<usize>) -> usize {
+/// values cost their non-NULL size less what each selected NULL saves (the
+/// selected NULLs are counted only in a lane that has one), a string or
+/// `Values` lane's its selected values' exact wire size.
+pub fn batch_rows_size(batch: &RowBatch, positions: Range<usize>) -> usize {
     let Some((lanes, sel)) = batch.lanes() else {
         return batch.rows()[positions].iter().map(row_encoded_size).sum();
     };
     let rows = positions.len();
     let at = |p| sel.ordinal(p);
+    let nulled = |nulls: &NullBitmap| match nulls.count_ones() {
+        0 => 0,
+        _ => positions.clone().filter(|&p| nulls.get(at(p))).count(),
+    };
     let values_size: usize = lanes
         .iter()
         .map(|lane| match &**lane {
-            Lane::Int { .. } | Lane::Float { .. } => 9 * rows,
-            Lane::Bool { .. } => 2 * rows,
+            Lane::Int { nulls, .. } | Lane::Float { nulls, .. } => 9 * rows - 8 * nulled(nulls),
+            Lane::Bool { nulls, .. } => 2 * rows - nulled(nulls),
             Lane::StrDict { dict, codes } => positions
                 .clone()
                 .map(|p| dict.get(codes[at(p)] as usize).map_or(1, |s| 5 + s.len()))
@@ -610,19 +615,30 @@ mod tests {
         use crate::lane::Selection;
         use crate::schema::{Field, Schema};
         use crate::value::DataType;
+        // Each typed lane has NULLs, some of them at unselected positions.
+        let or_null = |null: bool, v: Value| if null { Value::Null } else { v };
         let rows: Vec<Row> = (0..40)
             .map(|i| {
                 let blob = Value::Blob(Blob::synthetic(i * 3, i as u64));
                 let name = [Value::from("alpha"), Value::Null, Value::from("β")][i % 3].clone();
-                Row::new(vec![blob, name])
+                let int = or_null(i % 3 == 0, Value::Int(i as i64 - 20));
+                let float = or_null(i % 5 == 2, Value::Float(i as f64 / 4.0));
+                let flag = or_null(i % 7 == 1, Value::Bool(i % 2 == 0));
+                Row::new(vec![blob, name, int, float, flag])
             })
             .collect();
-        let lanes: Vec<Arc<Lane>> = (0..2).map(|c| Arc::new(Lane::build(&rows, c))).collect();
+        let lanes: Vec<Arc<Lane>> = (0..5).map(|c| Arc::new(Lane::build(&rows, c))).collect();
         assert!(matches!(*lanes[0], Lane::Values(_)));
         assert!(matches!(*lanes[1], Lane::StrDict { .. }));
+        assert!(matches!(*lanes[2], Lane::Int { .. }));
+        assert!(matches!(*lanes[3], Lane::Float { .. }));
+        assert!(matches!(*lanes[4], Lane::Bool { .. }));
         let schema = Arc::new(Schema::new(vec![
             Field::new("b", DataType::Blob),
             Field::new("s", DataType::Str),
+            Field::new("i", DataType::Int),
+            Field::new("f", DataType::Float),
+            Field::new("t", DataType::Bool),
         ]));
         let sel = Selection::Rows((0..40).filter(|i| i % 4 != 1).collect());
         let kept: Vec<&Row> = (0..40).filter(|i| i % 4 != 1).map(|i| &rows[i]).collect();
@@ -631,6 +647,7 @@ mod tests {
         encode_batch_rows(&batch, 0..batch.len(), &mut out);
         let size: usize = kept.iter().map(|r| row_encoded_size(r)).sum();
         assert_eq!((out.len(), out.capacity()), (size, size));
+        assert_eq!(batch_rows_size(&batch, 0..batch.len()), size);
         let mut expected = Vec::new();
         kept.iter().for_each(|r| encode_row(r, &mut expected));
         assert_eq!(out, expected);

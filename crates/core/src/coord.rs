@@ -64,7 +64,6 @@ use csq_net::NetworkSpec;
 use csq_opt::{AggPlacement, PlanNode};
 use csq_sql::{parse_statement, Statement};
 
-use crate::lower::Link;
 use crate::result::QueryResult;
 use crate::{Cached, Database, PlannedQuery};
 
@@ -344,11 +343,10 @@ impl Coordinator {
             }
             Ok(rows)
         };
-        let link = Link::Gathered(&gather);
-        let (out, _, _) = self
-            .engine
-            .run_planned(&planned, false, &CancelToken::new(), link)?;
-        Ok(out.into_result())
+        let (out, _, _) =
+            self.engine
+                .run_planned(&planned, false, &CancelToken::new(), Some(&gather))?;
+        Ok(out.into_result(&self.engine.network()))
     }
 
     /// The scatter targets for one request: the pinned shard, or all of

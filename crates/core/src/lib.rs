@@ -2,17 +2,14 @@
 //!
 //! Ties the whole reproduction together: a [`Database`] owns the server
 //! catalog, the client-site UDF runtime, and the network description; SQL
-//! text goes in, rows come out. One statement path over two links: every
+//! text goes in, rows come out. One statement path over one link: every
 //! text goes through the plan cache, and every planned SELECT through one
-//! run that lowers and drains one operator tree. The link picks only the
-//! duplex under each client-site operator:
-//!
-//! * [`Database::execute`] — the *threaded* link: an in-memory duplex in
-//!   real time (bytes counted, transfer instant) to a client session that
-//!   answers on the statement's thread. The correctness path.
-//! * [`Database::execute_simulated`] — the *virtual-time* link: every
-//!   message on it timed by the discrete-event link model. Returns a
-//!   [`SimSummary`] with completion time and per-link byte accounting.
+//! run that lowers and drains one operator tree. Each client-site operator
+//! ships over a virtual-time duplex to a client session that answers on the
+//! statement's thread, every message timed by the discrete-event link
+//! model; so [`Database::execute`] returns the rows and, in
+//! [`QueryResult::sim`], the [`SimSummary`] of the statement's completion
+//! time and per-link byte accounting, its final delivery included.
 //!
 //! [`Database::explain`] renders the §5 optimizer's plan from the same
 //! cache; [`Database::optimize`] alone plans without it.
@@ -29,6 +26,8 @@
 //! db.register_udf(Arc::new(ObjectUdf::sized("F", 100))).unwrap();
 //! let out = db.execute("SELECT R.Id FROM R R WHERE R.Id > 0").unwrap();
 //! assert_eq!(out.rows.len(), 1);
+//! assert_eq!(out.sim.phases, 0); // no UDF: only the delivery crossed the modem
+//! assert!(out.sim.elapsed_us > 0);
 //! ```
 
 #![warn(missing_docs)]
@@ -40,11 +39,9 @@ mod result;
 pub mod service;
 
 pub use coord::{CoordStats, Coordinator, CoordinatorConfig};
-use lower::Link;
-pub use lower::SimSummary;
 pub use plancache::{PlanCache, PlanCacheStats, PlannedQuery};
-pub use result::QueryResult;
 use result::ResultBatches;
+pub use result::{QueryResult, SimSummary};
 pub use service::{ServiceConfig, ServiceHandle, ServiceStats};
 
 use std::collections::HashMap;
@@ -279,8 +276,8 @@ impl Database {
         ctx
     }
 
-    /// Execute one SQL statement on the threaded engine, planning a SELECT
-    /// through the plan cache.
+    /// Execute one SQL statement, planning a SELECT through the plan cache.
+    /// A SELECT's result carries its virtual time ([`QueryResult::sim`]).
     pub fn execute(&self, sql: &str) -> Result<QueryResult> {
         Ok(self.execute_cached_with(sql, &CancelToken::new())?.0)
     }
@@ -294,16 +291,17 @@ impl Database {
         Ok((graph, plan))
     }
 
-    /// Execute a SELECT on the virtual-time engine, returning rows plus the
-    /// simulated timing/byte summary under the database's network. Plans
-    /// through the plan cache.
+    /// [`execute`](Self::execute) for a SELECT only, its [`SimSummary`]
+    /// also returned on its own; any other statement is a plan error.
+    /// Outside tests only `csqbench` still calls it; it goes with the
+    /// benchmark's own run entry point (ROADMAP item 0).
     pub fn execute_simulated(&self, sql: &str) -> Result<(QueryResult, SimSummary)> {
         let (planned, _) =
             self.plan_cached_select(sql, "execute_simulated only supports SELECT statements")?;
-        let mut summary = SimSummary::default();
-        let link = Link::Virtual(&mut summary);
-        let (out, _, _) = self.run_planned(&planned, false, &CancelToken::new(), link)?;
-        Ok((out.into_result(), summary))
+        let (out, _, _) = self.run_planned(&planned, false, &CancelToken::new(), None)?;
+        let out = out.into_result(&self.network());
+        let sim = out.sim.clone();
+        Ok((out, sim))
     }
 
     /// The optimizer's chosen plan, rendered as an indented tree, with its
@@ -426,7 +424,7 @@ impl Database {
                     .collect::<Result<Vec<Row>>>()?;
                 self.insert_rows(&table, rows, token)
             }
-            Statement::Select(_) => unreachable!("plan_cached plans every SELECT"),
+            Statement::Select(_) => Err(CsqError::Plan("a SELECT is planned, not applied".into())),
         }
     }
 
@@ -463,19 +461,17 @@ impl Database {
         self.plan_cached_select(sql, "only SELECT statements can be prepared")
     }
 
-    /// Execute a prepared plan on the threaded engine. When the database's
-    /// plan epoch moved since the plan was made (DDL, any change to a
-    /// table's statistics, UDF re-registration, network change), the
-    /// statement transparently replans first. Returns the result, the plan
-    /// to pin for the next execution (same or replanned), and whether
-    /// planning was skipped.
+    /// Execute a prepared plan. When the database's plan epoch moved since
+    /// the plan was made (DDL, any change to a table's statistics, UDF
+    /// re-registration, network change), the statement transparently
+    /// replans first. Returns the result, the plan to pin for the next
+    /// execution (same or replanned), and whether planning was skipped.
     pub fn execute_planned(
         &self,
         planned: &Arc<PlannedQuery>,
     ) -> Result<(QueryResult, Arc<PlannedQuery>, bool)> {
-        let (out, fresh, reused) =
-            self.run_planned(planned, true, &CancelToken::new(), Link::Threaded)?;
-        Ok((out.into_result(), fresh, reused))
+        let (out, fresh, reused) = self.run_planned(planned, true, &CancelToken::new(), None)?;
+        Ok((out.into_result(&self.network()), fresh, reused))
     }
 
     /// [`execute`](Self::execute) under a cancellation token (deadline
@@ -488,7 +484,7 @@ impl Database {
         token: &CancelToken,
     ) -> Result<(QueryResult, bool)> {
         let (out, cache_hit) = self.run_sql(sql, token)?;
-        Ok((out.into_result(), cache_hit))
+        Ok((out.into_result(&self.network()), cache_hit))
     }
 
     /// [`execute_cached_with`](Self::execute_cached_with), the result left
@@ -496,7 +492,7 @@ impl Database {
     pub(crate) fn run_sql(&self, sql: &str, token: &CancelToken) -> Result<(ResultBatches, bool)> {
         match self.plan_cached(sql)? {
             Cached::Select(planned, hit) => {
-                let (out, _, _) = self.run_planned(&planned, false, token, Link::Threaded)?;
+                let (out, _, _) = self.run_planned(&planned, false, token, None)?;
                 Ok((out, hit))
             }
             // DDL and DML answer with a count, never with rows.
@@ -541,7 +537,8 @@ impl Database {
         }
     }
 
-    /// Run a planned SELECT over `link`: the one call of
+    /// Run a planned SELECT, its `Gather` leaves answered by `gather` (a
+    /// coordinator's; `None` elsewhere): the one call of
     /// [`lower::run_tree`]. A `pinned` plan, kept from an earlier lookup, is
     /// planned again through the cache first when the epoch moved (a stale
     /// replan); one [`plan_cached`](Self::plan_cached) just returned is
@@ -553,7 +550,7 @@ impl Database {
         planned: &Arc<PlannedQuery>,
         pinned: bool,
         token: &CancelToken,
-        link: Link<'_>,
+        gather: Option<lower::Gather<'_>>,
     ) -> Result<(ResultBatches, Arc<PlannedQuery>, bool)> {
         let (planned, reused) = if !pinned || planned.epoch == self.plan_epoch() {
             (planned.clone(), true)
@@ -561,7 +558,7 @@ impl Database {
             self.plan_cache.record_stale_replan();
             self.prepare(&planned.sql)?
         };
-        let out = lower::run_tree(self, &planned.graph, &planned.plan, token, link)?;
+        let out = lower::run_tree(self, &planned.graph, &planned.plan, token, gather)?;
         Ok((out, planned, reused))
     }
 

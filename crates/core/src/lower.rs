@@ -1,99 +1,51 @@
 //! Plan lowering: optimizer [`PlanNode`] trees → execution.
 //!
-//! One lowering, one run, two links. [`run_tree`] is the only way a plan
+//! One lowering, one run, one link. [`run_tree`] is the only way a plan
 //! runs: `build_tree` turns it into one operator tree — columnar scans,
 //! filters, nested-loop joins, aggregates, and the shipping operators of
 //! `csq-ship` — drains that tree and projects its batches onto the SELECT
 //! list, leaving the result as batches ([`ResultBatches`]): rows are built
-//! by whoever receives them. Each `ApplyUdf` node ships over its own duplex
-//! to a client session answering inline, and the [`Link`] picks the duplex:
+//! by whoever receives them. Each `ApplyUdf` node ships over its own
+//! [`client_link`]: a virtual-time duplex over the database's network to a
+//! client session answering inline. Once the tree drains, each node's links
+//! (its clock, bytes and client CPU) are folded into the result's
+//! [`SimSummary`] (phases are sequential — a conservative approximation of
+//! the pipelined reality, documented in DESIGN.md); the result's delivery
+//! over the modelled downlink is added where it reaches an in-process
+//! caller ([`ResultBatches::into_result`]).
 //!
-//! * **Threaded** ([`Link::Threaded`]): an in-memory duplex in real time.
-//! * **Virtual time** ([`Link::Virtual`]): a virtual-time duplex over the
-//!   database's network; once the tree drains, each node's run (its clock,
-//!   bytes and client CPU) is folded into a [`SimSummary`] (phases are
-//!   sequential — a conservative approximation of the pipelined reality,
-//!   documented in DESIGN.md), and the result crosses the modelled
-//!   downlink.
-//! * **Gathered** ([`Link::Gathered`]): a coordinator's plan on the threaded
-//!   link. Where a single node would build a scan, a `Gather` builds the
-//!   typed fragment ([`QueryRequest::Fetch`]) the shards run instead — the
-//!   same filter and narrowing, and under a shard-partial aggregate its
-//!   partial phase — and is a leaf over the rows they return. A shard
-//!   answers it with [`execute_fetch`].
+//! At a coordinator a [`Gather`] answers each `Gather` leaf: where a single
+//! node would build a scan, it builds the typed fragment
+//! ([`QueryRequest::Fetch`]) the shards run instead — the same filter and
+//! narrowing, and under a shard-partial aggregate its partial phase — and
+//! is a leaf over the rows they return. A shard answers it with
+//! [`execute_fetch`].
 //!
 //! Execution-semantics notes: `leave-on-client` and `merged-with-final`
 //! strategies differ from plain variants only in *cost* (what crosses the
-//! uplink when); row semantics are identical, so both links execute them
-//! as their plain counterparts and the savings show up in the optimizer's
+//! uplink when); row semantics are identical, so lowering executes them as
+//! their plain counterparts and the savings show up in the optimizer's
 //! estimates and the cost-model benches.
 
 use csq_client::protocol::check_expr_width;
-use csq_client::{ClientSession, QueryRequest};
-use csq_common::{codec, CancelToken, CsqError, Field, Result, Row, RowBatch, Schema};
+use csq_client::QueryRequest;
+use csq_common::{CancelToken, CsqError, Field, Result, Row, RowBatch, Schema};
 use csq_exec::{
     aggregate_state_schema, AggSpec, BoxOp, CancelCheck, ColumnarScan, Filter, HashAggregate,
     NestedLoopJoin, Operator, Project, Projection, RowsOp,
 };
 use csq_expr::{analysis, bind, ColumnRef, PhysExpr};
-use csq_net::{in_memory_duplex, virtual_duplex, Endpoint, VirtualLinks};
+use csq_net::{Endpoint, VirtualLinks};
 use csq_opt::{
     AggPlacement, AggregateSpec, GatherMode, PlanNode, QueryGraph, ShipParams, UdfStrategy, Unit,
 };
 use csq_ship::{
-    ClientJoinSpec, SemiJoinSpec, SimRun, ThreadedClientJoin, ThreadedSemiJoin, UdfApplication,
+    client_link, ClientJoinSpec, SemiJoinSpec, ThreadedClientJoin, ThreadedSemiJoin, UdfApplication,
 };
 use csq_storage::{FilterSpec, Table};
 
-use crate::result::ResultBatches;
+use crate::result::{ResultBatches, SimSummary};
 use crate::Database;
-
-/// Aggregated virtual-time accounting for one query.
-#[derive(Debug, Clone, Default)]
-pub struct SimSummary {
-    /// Total virtual time, µs (client-site phases + final delivery;
-    /// server-site operators are free per the paper's assumption).
-    pub elapsed_us: u64,
-    /// Total downlink bytes.
-    pub down_bytes: u64,
-    /// Total uplink bytes.
-    pub up_bytes: u64,
-    /// Total client CPU, µs.
-    pub client_cpu_us: u64,
-    /// Downlink messages.
-    pub down_messages: u64,
-    /// Uplink messages.
-    pub up_messages: u64,
-    /// Number of client-site execution phases (ApplyUdf nodes).
-    pub phases: usize,
-}
-
-impl SimSummary {
-    fn absorb(&mut self, run: &csq_ship::SimRun) {
-        self.elapsed_us += run.elapsed_us;
-        self.down_bytes += run.down_bytes;
-        self.up_bytes += run.up_bytes;
-        self.client_cpu_us += run.client_cpu_us;
-        self.down_messages += run.down_messages;
-        self.up_messages += run.up_messages;
-        self.phases += 1;
-    }
-
-    /// Elapsed time in seconds.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.elapsed_us as f64 / 1e6
-    }
-}
-
-/// Field describing a UDF unit's appended result column.
-fn result_field(graph: &QueryGraph, unit: usize) -> Field {
-    match &graph.units[unit] {
-        Unit::Udf {
-            result_col, meta, ..
-        } => Field::new(result_col.clone(), meta.return_type),
-        Unit::Rel { .. } => unreachable!("result_field on relation unit"),
-    }
-}
 
 /// Bind the conjunction of predicate indices against a schema.
 fn bind_preds(graph: &QueryGraph, preds: &[usize], schema: &Schema) -> Result<Option<PhysExpr>> {
@@ -171,7 +123,7 @@ pub(crate) fn scan_spec(
 
 /// The shipping operator of an `ApplyUdf` node over `child` and `server`:
 /// the node's strategy at the tuples-per-message and concurrency factor the
-/// optimizer stored on it. Both links build it here (same messages).
+/// optimizer stored on it.
 fn ship_op(
     graph: &QueryGraph,
     unit: usize,
@@ -181,10 +133,17 @@ fn ship_op(
     server: Endpoint,
     token: &CancelToken,
 ) -> Result<BoxOp> {
-    let Unit::Udf { name, args, .. } = &graph.units[unit] else {
+    let Unit::Udf {
+        name,
+        args,
+        result_col,
+        meta,
+    } = &graph.units[unit]
+    else {
         return Err(CsqError::Plan("ApplyUdf of a relation unit".into()));
     };
-    let (schema, field) = (child.schema(), result_field(graph, unit));
+    let schema = child.schema();
+    let field = Field::new(result_col.clone(), meta.return_type);
     let col = |c: &ColumnRef| schema.index_of(c.qualifier.as_deref(), &c.name);
     let cols = args.iter().map(col).collect::<Result<_>>()?;
     let app = UdfApplication::new(name, cols, field.clone());
@@ -214,9 +173,8 @@ struct Lowering<'a> {
     db: &'a Database,
     graph: &'a QueryGraph,
     token: &'a CancelToken,
-    /// The link every `ApplyUdf` ships over, and how a coordinator answers
-    /// each `Gather`. Every node lowers to the same operator under any.
-    link: Link<'a>,
+    /// How a coordinator answers each `Gather`; `None` on a single node.
+    gather: Option<Gather<'a>>,
     /// Each `ApplyUdf`'s virtual-time links, read once the tree drains.
     runs: Vec<VirtualLinks>,
 }
@@ -263,9 +221,7 @@ impl Lowering<'_> {
     /// states — sent as one [`QueryRequest::Fetch`], then the rows returned.
     fn gather_leaf(&self, scatter: &PlanNode, mode: GatherMode, narrow: bool) -> Result<BoxOp> {
         let graph = self.graph;
-        let (Link::Gathered(gather), PlanNode::Scatter { input, target, .. }) =
-            (&self.link, scatter)
-        else {
+        let (Some(gather), PlanNode::Scatter { input, target, .. }) = (self.gather, scatter) else {
             return Err(CsqError::Plan(
                 "scatter/gather plan reached a single-node executor".into(),
             ));
@@ -411,16 +367,9 @@ impl Lowering<'_> {
                 ship,
             } => {
                 let child = self.build_tree(input, false)?;
-                let (server_end, client_end) = if let Link::Virtual(_) = self.link {
-                    let (server_end, client_end, links) = virtual_duplex(&self.db.network());
-                    self.runs.push(links);
-                    (server_end, client_end)
-                } else {
-                    let (server_end, client_end, _stats) = in_memory_duplex();
-                    (server_end, client_end)
-                };
-                let mut session = ClientSession::new(self.db.client_runtime().clone());
-                let server_end = server_end.with_client(client_end, move |r| session.step(r));
+                let runtime = self.db.client_runtime().clone();
+                let (server_end, links) = client_link(&self.db.network(), runtime);
+                self.runs.push(links);
                 ship_op(graph, *unit, strategy, *ship, child, server_end, self.token)
             }
         }
@@ -454,40 +403,28 @@ fn project_output(
         schema: projection.schema().as_ref().clone(),
         batches,
         affected: 0,
+        sim: None,
     })
 }
 
-/// The link a plan's `ApplyUdf` nodes ship over, and where its `Gather`
-/// leaves get their rows.
-pub(crate) enum Link<'a> {
-    /// In-memory duplexes in real time.
-    Threaded,
-    /// Virtual-time duplexes over the database's network. Once the tree
-    /// drains, each node's run is folded into the summary and the result is
-    /// delivered over the modelled downlink.
-    Virtual(&'a mut SimSummary),
-    /// The threaded link at a coordinator, each `Gather` answered by the
-    /// shards.
-    Gathered(Gather<'a>),
-}
-
-/// Build the operator tree of an optimized SELECT over `link`, drain it
-/// under a cancellation token (deadline expiry or an explicit `cancel()`
-/// surfaces as a typed `timeout`/`cancelled` error at the next operator
-/// batch boundary), then project its batches onto the SELECT list. The one
-/// way a plan runs.
+/// Build the operator tree of an optimized SELECT, its `Gather` leaves
+/// answered by `gather`, drain it under a cancellation token (deadline
+/// expiry or an explicit `cancel()` surfaces as a typed
+/// `timeout`/`cancelled` error at the next operator batch boundary), then
+/// project its batches onto the SELECT list and fold every client-site
+/// phase into the result's [`SimSummary`]. The one way a plan runs.
 pub(crate) fn run_tree(
     db: &Database,
     graph: &QueryGraph,
     plan: &csq_opt::OptimizedPlan,
     token: &CancelToken,
-    link: Link<'_>,
+    gather: Option<Gather<'_>>,
 ) -> Result<ResultBatches> {
     let mut lowering = Lowering {
         db,
         graph,
         token,
-        link,
+        gather,
         runs: Vec::new(),
     };
     let op = lowering.build_tree(&plan.root, true)?;
@@ -501,30 +438,17 @@ pub(crate) fn run_tree(
     let schema = op.schema().clone();
     drop(op);
     token.check()?;
-    let out = project_output(graph, &schema, batches)?;
-    if let Link::Virtual(summary) = lowering.link {
-        for links in &lowering.runs {
-            summary.absorb(&SimRun::new(Vec::new(), links));
-        }
-        // Final delivery: ship the projected output to the client over the
-        // downlink (the plain Final operator; merged-final savings are an
-        // optimizer-estimate concern, see module docs).
-        let net = db.network();
-        let mut payload = (out.len() as u32).to_le_bytes().to_vec();
-        for batch in &out.batches {
-            codec::encode_batch_rows(batch, 0..batch.len(), &mut payload);
-        }
-        let mut down = net.make_downlink();
-        let (_, arrival) = down.transmit(0, net.downlink_bytes(payload.len()));
-        summary.elapsed_us += arrival;
-        summary.down_bytes += down.bytes_sent();
-        summary.down_messages += 1;
+    let mut out = project_output(graph, &schema, batches)?;
+    let mut sim = SimSummary::default();
+    for links in &lowering.runs {
+        sim.absorb(links);
     }
+    out.sim = Some(sim);
     Ok(out)
 }
 
-/// Answer a [`QueryRequest::Fetch`] for `table` on the threaded link with
-/// the operators lowering builds: a [`ColumnarScan`] under the filter's
+/// Answer a [`QueryRequest::Fetch`] for `table` with the operators lowering
+/// builds: a [`ColumnarScan`] under the filter's
 /// [`FilterSpec`], its [`Filter`], then the fetched `columns` or, with
 /// `partial`, a [`HashAggregate::partial`] under the database's memory
 /// tracker. The request comes from outside the program: a table whose
@@ -591,6 +515,7 @@ pub(crate) fn execute_fetch(
         schema: op.schema().clone(),
         batches,
         affected: 0,
+        sim: None,
     })
 }
 
@@ -637,7 +562,7 @@ mod tests {
             db,
             graph: &graph,
             token: &CancelToken::new(),
-            link: Link::Threaded,
+            gather: None,
             runs: Vec::new(),
         };
         let op = lowering.build_tree(&plan.root, true).unwrap();
@@ -666,13 +591,16 @@ mod tests {
         db.catalog().register(t).unwrap();
         let sql = "SELECT T.Id, T.Sym, T.Val FROM T T WHERE T.Val > 89";
         let (graph, plan) = db.optimize(sql).unwrap();
-        let out = run_tree(&db, &graph, &plan, &CancelToken::new(), Link::Threaded).unwrap();
+        let out = run_tree(&db, &graph, &plan, &CancelToken::new(), None).unwrap();
         assert!(!out.batches.is_empty());
         for batch in &out.batches {
             assert!(batch.lanes().is_some() && !batch.is_materialized());
         }
         assert_eq!(out.len(), 1_000);
-        assert_eq!(out.into_result().rows, db.execute(sql).unwrap().rows);
+        assert_eq!(
+            out.into_result(&db.network()).rows,
+            db.execute(sql).unwrap().rows
+        );
     }
 
     /// The Figure 1 query stays on lanes from the scan to the result: the
@@ -687,12 +615,12 @@ mod tests {
                    WHERE S.Change / S.Close > 0.2 AND ClientAnalysis(S.Quotes) > 500";
         assert!(db.explain(sql).unwrap().contains("[semi-join"));
         let (graph, plan) = db.optimize(sql).unwrap();
-        let out = run_tree(&db, &graph, &plan, &CancelToken::new(), Link::Threaded).unwrap();
+        let out = run_tree(&db, &graph, &plan, &CancelToken::new(), None).unwrap();
         assert!(!out.batches.is_empty());
         for batch in &out.batches {
             assert!(batch.lanes().is_some() && !batch.is_materialized());
         }
-        let rows = out.into_result().rows;
+        let rows = out.into_result(&db.network()).rows;
         assert!(!rows.is_empty());
         assert_eq!(rows, db.execute(sql).unwrap().rows);
     }

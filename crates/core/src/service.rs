@@ -74,7 +74,6 @@ use csq_net::tcp::{PollFrame, TcpConn};
 use csq_net::{NetStats, FRAME_HEADER_BYTES};
 use parking_lot::Mutex;
 
-use crate::lower::Link;
 use crate::plancache::PlannedQuery;
 use crate::result::ResultBatches;
 use crate::Database;
@@ -886,8 +885,7 @@ fn run_statement(ctx: SchedCtx, mut session: Session, req: QueryRequest, token: 
                 let Some(plan) = session.prepared.get(&stmt).cloned() else {
                     return Err(CsqError::Plan(format!("unknown prepared statement {stmt}")));
                 };
-                let (result, fresh, reused) =
-                    ctx.db.run_planned(&plan, true, &token, Link::Threaded)?;
+                let (result, fresh, reused) = ctx.db.run_planned(&plan, true, &token, None)?;
                 // The plan may have been replanned under a new epoch; keep
                 // the session's pin current.
                 session.prepared.insert(stmt, fresh);

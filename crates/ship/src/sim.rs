@@ -1,8 +1,8 @@
 //! Virtual-time runs of the three strategies: the shipping operators over a
-//! virtual-time duplex ([`csq_net::virtual_duplex`]) whose client end a
-//! [`ClientSession`] serves inline, so a modem experiment that took the
-//! paper minutes completes in milliseconds on the calling thread,
-//! deterministically — every wait is timestamped (DESIGN.md §5).
+//! [`client_link`], a virtual-time duplex ([`csq_net::virtual_duplex`])
+//! whose client end a [`ClientSession`] serves inline. A modem experiment
+//! that took the paper minutes completes in milliseconds on the calling
+//! thread, deterministically — every wait is timestamped (DESIGN.md §5).
 
 use std::sync::Arc;
 
@@ -61,7 +61,19 @@ impl SimRun {
     }
 }
 
-/// Drain the operator `ship` builds over `rows` on a virtual duplex over `net`.
+/// The link a shipping operator crosses: a virtual-time duplex over `net`
+/// whose client end a [`ClientSession`] over `runtime` answers inline.
+/// Returns the server end the operator drives and the links to read once it
+/// has drained. Every statement's `ApplyUdf` and every `simulate_*` run
+/// ships over one of these.
+pub fn client_link(net: &NetworkSpec, runtime: Arc<ClientRuntime>) -> (Endpoint, VirtualLinks) {
+    let (server, client, links) = virtual_duplex(net);
+    let mut session = ClientSession::new(runtime);
+    (server.with_client(client, move |r| session.step(r)), links)
+}
+
+/// Drain the operator `ship` builds over `rows` on a [`client_link`] over
+/// `net`.
 fn simulate<Op: Operator>(
     schema: &Schema,
     rows: Vec<Row>,
@@ -69,10 +81,8 @@ fn simulate<Op: Operator>(
     net: &NetworkSpec,
     ship: impl FnOnce(BoxOp, Endpoint) -> Result<Op>,
 ) -> Result<SimRun> {
-    let (server, client, links) = virtual_duplex(net);
-    let mut session = ClientSession::new(runtime);
+    let (server, links) = client_link(net, runtime);
     let input = Box::new(RowsOp::new(schema.clone(), rows));
-    let server = server.with_client(client, move |r| session.step(r));
     let out = ship(input, server).and_then(|mut op| collect(&mut op))?;
     Ok(SimRun::new(out, &links))
 }

@@ -91,7 +91,7 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
     let db = build_db(NetworkSpec::modem_28_8())?;
     let out = db.execute(FIG11)?;
     println!("{} matching (company, broker) pairs", out.rows.len());
-    let (_, sim) = db.execute_simulated(FIG11)?;
+    let sim = &out.sim;
     println!(
         "simulated: {:.2}s over the modem ({} B down, {} B up)",
         sim.elapsed_secs(),

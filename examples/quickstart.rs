@@ -47,9 +47,9 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
     let result = db.execute(sql)?;
     println!("results:\n{}", result.to_table());
 
-    // The same query on the virtual-time engine reports what it would have
-    // cost over the modem.
-    let (_, sim) = db.execute_simulated(sql)?;
+    // The result also reports what the query cost over the modem, in
+    // virtual time.
+    let sim = &result.sim;
     println!(
         "simulated over 28.8k modem: {:.2}s, {} B down / {} B up, {} client invocations",
         sim.elapsed_secs(),

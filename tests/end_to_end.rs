@@ -1,5 +1,5 @@
 //! End-to-end tests: the paper's queries through SQL → optimizer →
-//! threaded execution → rows, and agreement with the virtual-time engine.
+//! execution → rows, each result carrying the statement's virtual time.
 
 use std::sync::Arc;
 
@@ -65,15 +65,14 @@ fn figure1_query_runs_end_to_end() {
     assert!(expected > 0, "workload must exercise both predicates");
 }
 
-/// The threaded rows are the ones plain Rust computes over the table's
-/// snapshot, and the virtual-time link — the same operator tree, another
-/// link under its `ApplyUdf` — returns them in the same order.
+/// The rows are the ones plain Rust computes over the table's snapshot, and
+/// the result carries the virtual time of its one client-site phase.
 #[test]
-fn threaded_and_simulated_agree_on_rows() {
+fn figure1_rows_match_plain_rust_and_carry_virtual_time() {
     use csq_client::ScalarUdf;
 
     let db = stock_db(40);
-    let threaded = db.execute(FIG1).unwrap();
+    let out = db.execute(FIG1).unwrap();
     let rating = RatingUdf::new("x", 1000);
     let mut expected: Vec<Row> = Vec::new();
     for r in db.catalog().get("StockQuotes").unwrap().snapshot() {
@@ -88,12 +87,12 @@ fn threaded_and_simulated_agree_on_rows() {
         rows
     };
     assert!(!expected.is_empty());
-    assert_eq!(norm(threaded.rows.clone()), norm(expected));
-    let (simulated, summary) = db.execute_simulated(FIG1).unwrap();
-    assert_eq!(threaded.rows, simulated.rows);
-    assert!(summary.elapsed_us > 0);
-    assert!(summary.down_bytes > 0);
-    assert!(summary.up_bytes > 0);
+    assert_eq!(norm(out.rows), norm(expected));
+    let sim = out.sim;
+    assert_eq!(sim.phases, 1);
+    assert!(sim.elapsed_us > 0);
+    assert!(sim.down_bytes > 0);
+    assert!(sim.up_bytes > 0);
 }
 
 #[test]
@@ -164,9 +163,7 @@ fn multiple_udfs_in_one_query() {
     for r in &out.rows {
         assert_eq!(r.value(1).as_blob().unwrap().len(), 64);
     }
-    let (sim, summary) = db.execute_simulated(sql).unwrap();
-    assert_eq!(sim.rows.len(), out.rows.len());
-    assert!(summary.phases >= 2, "at least two client-site phases");
+    assert!(out.sim.phases >= 2, "at least two client-site phases");
 }
 
 #[test]
@@ -320,8 +317,7 @@ fn the_paper_statements_take_pinned_virtual_time() {
     {
         let plan = db.explain(sql).unwrap();
         assert!(plan.contains(marker), "{plan}");
-        let (out, sim) = db.execute_simulated(sql).unwrap();
-        assert_eq!(out.rows, db.execute(sql).unwrap().rows, "{marker}");
+        let sim = db.execute(sql).unwrap().sim;
         let got = [
             sim.elapsed_us,
             sim.down_bytes,
@@ -331,6 +327,50 @@ fn the_paper_statements_take_pinned_virtual_time() {
             sim.client_cpu_us,
         ];
         assert_eq!(got, pinned, "{marker}: {sim:?}");
+        assert_eq!(db.execute_simulated(sql).unwrap().1, sim, "{marker}");
+    }
+}
+
+/// Every in-process statement carries its virtual time. A SELECT that calls
+/// no UDF has no client-site phase, only the delivery of its rows: one
+/// downlink message of the row count and the rows as the codec encodes
+/// them, NULLs included. A write crosses no modelled link.
+#[test]
+fn a_statement_without_a_udf_carries_only_its_delivery() {
+    let net = NetworkSpec::modem_28_8();
+    let db = Database::new(net.clone());
+    let mut b = TableBuilder::new("N")
+        .column("I", DataType::Int)
+        .column("F", DataType::Float)
+        .column("B", DataType::Bool);
+    let or_null = |null: bool, v: Value| if null { Value::Null } else { v };
+    for i in 0..60i64 {
+        b = b.row(vec![
+            or_null(i % 3 == 0, Value::Int(i)),
+            or_null(i % 5 == 0, Value::Float(i as f64)),
+            or_null(i % 7 == 0, Value::Bool(i % 2 == 0)),
+        ]);
+    }
+    let t = b.build().unwrap();
+    t.seal_tail();
+    db.catalog().register(t).unwrap();
+    let out = db
+        .execute("SELECT N.I, N.F, N.B FROM N N WHERE N.F > 9.5")
+        .unwrap();
+    assert!(out.rows.iter().any(|r| r.value(0).is_null()));
+    let mut payload = Vec::new();
+    csq_common::codec::encode_rows(&out.rows, &mut payload);
+    let mut down = net.make_downlink();
+    let (_, arrival) = down.transmit(0, net.downlink_bytes(payload.len()));
+    let delivery = csq::SimSummary {
+        elapsed_us: arrival,
+        down_bytes: down.bytes_sent(),
+        down_messages: 1,
+        ..csq::SimSummary::default()
+    };
+    assert_eq!(out.sim, delivery);
+    for sql in ["CREATE TABLE W (A INT)", "INSERT INTO W VALUES (1), (2)"] {
+        assert_eq!(db.execute(sql).unwrap().sim, csq::SimSummary::default());
     }
 }
 
@@ -365,9 +405,8 @@ impl csq_client::ScalarUdf for OnThread {
     }
 }
 
-/// A statement that ships starts no thread: under either strategy, in real
-/// and in virtual time, every UDF invocation runs on the thread that asked
-/// for the rows.
+/// A statement that ships starts no thread: under either strategy, every
+/// UDF invocation runs on the thread that asked for the rows.
 #[test]
 fn a_shipping_statement_runs_its_udf_on_the_calling_thread() {
     let udf = Arc::new(OnThread {

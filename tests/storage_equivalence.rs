@@ -21,8 +21,8 @@
 //!   properties: what the scan *alone* omits, the general evaluator maps to
 //!   `Ok(false)` (never to an error); the filter above it raises the same
 //!   error as over the snapshot; a narrowed scan is the full scan projected;
-//!   and end to end, narrowed plans answer what the snapshot-reading
-//!   simulated backend answers while scans under an `ApplyUdf` stay whole.
+//!   and end to end, narrowed plans answer what plain Rust over the
+//!   snapshot answers while scans under an `ApplyUdf` stay whole.
 //! * A lane-backed batch — what the scan emits for a sealed segment — builds,
 //!   for any column list and any selection, exactly the projected
 //!   [`Segment::row`]s, and counts them without building them.
@@ -1045,8 +1045,7 @@ mod pinned {
     /// columns they read (none at all for `count(*)`, different ones for the
     /// two aliases of a self-join, the predicate's column though it is not
     /// selected), HAVING over either aggregate placement, answer what plain
-    /// Rust over the table's snapshot answers. The simulated link runs the
-    /// same operator tree, so it answers the same rows in the same order.
+    /// Rust over the table's snapshot answers.
     #[test]
     fn narrowed_plans_answer_what_the_snapshot_backend_answers() {
         let db = Database::new(NetworkSpec::lan());
@@ -1179,26 +1178,22 @@ mod pinned {
         assert!(explain.contains("Aggregate [server-partial]"), "{explain}");
 
         for (sql, width, reference) in statements {
-            let threaded = db.execute(sql).unwrap();
-            assert_eq!(threaded.schema.len(), width, "{sql}");
+            let out = db.execute(sql).unwrap();
+            assert_eq!(out.schema.len(), width, "{sql}");
             let expected = reference(&snapshot);
             assert!(!expected.is_empty(), "{sql}");
-            assert_eq!(sorted(threaded.rows.clone()), sorted(expected), "{sql}");
-            let (simulated, _) = db.execute_simulated(sql).unwrap();
-            assert_eq!(threaded.schema, simulated.schema, "{sql}");
-            assert_eq!(threaded.rows, simulated.rows, "{sql}");
+            assert_eq!(sorted(out.rows), sorted(expected), "{sql}");
         }
         let count = db.execute("SELECT count(*) FROM T").unwrap();
         assert_eq!(count.rows[0].value(0), &Value::Int(200));
     }
 
-    /// The paper's two shipping strategies over a scan: rows agree with the
-    /// simulated backend, and the payload the simulated link carries is what
-    /// it carried before scans filtered rows or pruned columns, and before
-    /// the plan chose how many tuples share a message — the scans under an
-    /// `ApplyUdf` are not narrowed, so the client-site join still ships the
-    /// whole record. The threaded side of that is pinned where its operator
-    /// tree can be seen, in `csq_core`'s `lower` tests.
+    /// The paper's two shipping strategies over a scan: the payload the
+    /// statement's link carries is what it carried before scans filtered rows
+    /// or pruned columns, and before the plan chose how many tuples share a
+    /// message — the scans under an `ApplyUdf` are not narrowed, so the
+    /// client-site join still ships the whole record. That is also pinned
+    /// where the operator tree can be seen, in `csq_core`'s `lower` tests.
     #[test]
     fn shipping_plans_move_the_bytes_they_moved_before() {
         use csq_client::synthetic::RatingUdf;
@@ -1263,10 +1258,9 @@ mod pinned {
         ] {
             let plan = db.explain(sql).unwrap();
             assert!(plan.contains(marker), "{plan}");
-            let threaded = db.execute(sql).unwrap();
-            let (simulated, sim) = db.execute_simulated(sql).unwrap();
-            assert!(!threaded.rows.is_empty());
-            assert_eq!(sorted(threaded.rows), sorted(simulated.rows), "{sql}");
+            let out = db.execute(sql).unwrap();
+            assert!(!out.rows.is_empty());
+            let sim = out.sim;
             let ran = Shipped {
                 down_bytes: sim.down_bytes,
                 up_bytes: sim.up_bytes,
@@ -1290,7 +1284,7 @@ mod pinned {
         }
     }
 
-    /// What the simulated links carried for one shipping query.
+    /// What the virtual-time links carried for one shipping query.
     #[derive(Debug, PartialEq)]
     struct Shipped {
         down_bytes: u64,
