@@ -1,12 +1,44 @@
 //! The key index: distinct key tuples numbered in the order they first
 //! occur. It is the one structure under every place that numbers keys — the
 //! semi-join's shipping ordinals, the client's memo, GROUP BY's group ids and
-//! the hash join's build side.
+//! the hash join's build side — and its hash kernel is the one every key
+//! cell goes through.
 
 use std::borrow::Cow;
 use std::hash::{BuildHasher, RandomState};
 
+use crate::lane::Lane;
 use crate::value::Value;
+
+/// Cell tags: a cell's kind enters its hash, so equal bits of two kinds
+/// (`Int(1)` and `Bool(true)`, a `Str` and a `Blob` of one payload) hash
+/// apart.
+const NULL: u64 = 0;
+const BOOL: u64 = 1;
+const INT: u64 = 2;
+const FLOAT: u64 = 3;
+const STR: u64 = 4;
+const BLOB: u64 = 5;
+
+/// The multiplier of a fixed-width cell and of the key fold (2^64 / φ,
+/// whose multiples spread sequential keys evenly).
+const SPREAD: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The folded multiply: the 128-bit product of `a` and `b`, its halves
+/// xored, so every bit of either factor reaches the low bits a slot is read
+/// from.
+#[inline(always)]
+fn fold_mul(a: u64, b: u64) -> u64 {
+    let p = a as u128 * b as u128;
+    p as u64 ^ (p >> 64) as u64
+}
+
+/// The two little-endian words of a 16-byte chunk.
+#[inline(always)]
+fn words(chunk: &[u8; 16]) -> (u64, u64) {
+    let w = u128::from_le_bytes(*chunk);
+    (w as u64, (w >> 64) as u64)
+}
 
 /// An insertion-ordered index of key tuples, `width` cells each. Each
 /// distinct tuple gets an ordinal, in first-occurrence order; keys live in
@@ -16,14 +48,22 @@ use crate::value::Value;
 ///
 /// The caller supplies the hash, the equality test and the key push, so a
 /// tuple is read wherever it lives — a row, a batch's lanes — and a
-/// duplicate builds no key row. A hash is each cell's hash as the [`Value`]
-/// it is ([`hash_cell`](Self::hash_cell), std's randomly seeded SipHash, so
-/// the index keeps the collision resistance `HashMap` has), the cells folded
-/// in key order ([`fold`](Self::fold)). The hash is kept per ordinal:
-/// growing the index re-seats keys and never hashes one again.
+/// duplicate builds no key row. A hash is each cell's hash
+/// ([`hash_cell`](Self::hash_cell) on a [`Value`], [`hash_lane`](Self::hash_lane)
+/// on a lane row, the same number) folded in key order
+/// ([`fold`](Self::fold)). The cell hash is an in-tree keyed hash: two
+/// random 64-bit seeds per index, one folded multiply for a fixed-width
+/// cell, a `Str`/`Blob` payload folded 16 bytes a step with its length and
+/// tag. It is keyed but not a PRF — the position hashbrown's default hasher
+/// takes — so table data cannot aim keys at one slot without the seeds;
+/// the probe-length test guards its spread. Equality, not the hash, decides
+/// a key. The hash is kept per ordinal: growing the index re-seats keys and
+/// never hashes one again.
 pub struct KeyIndex {
     width: usize,
-    hasher: RandomState,
+    /// The index's hash key: xored into a fixed-width cell's bits, and into
+    /// a payload's words.
+    seeds: [u64; 2],
     /// Ordinal + 1 per occupied slot, 0 for an empty one; a power of two.
     slots: Vec<u32>,
     /// Hash per ordinal (probe shortcut, and the re-seat input).
@@ -34,11 +74,12 @@ pub struct KeyIndex {
 
 impl KeyIndex {
     /// An empty index of `width`-cell keys with room for `capacity` of them
-    /// before it grows.
+    /// before it grows, keyed by two seeds drawn from std's random state.
     pub fn new(width: usize, capacity: usize) -> KeyIndex {
+        let random = RandomState::new();
         KeyIndex {
             width,
-            hasher: RandomState::new(),
+            seeds: [random.hash_one(0u8), random.hash_one(1u8)],
             slots: vec![0; (capacity * 2).next_power_of_two().max(16)],
             hashes: Vec::with_capacity(capacity),
             keys: Vec::with_capacity(capacity * width),
@@ -60,17 +101,76 @@ impl KeyIndex {
         self.hashes.is_empty()
     }
 
-    /// The hash of one cell, as the `Value` it is.
+    /// The hash of a fixed-width cell: its bits under the first seed, times
+    /// the spread multiplier tagged with its kind, folded.
+    #[inline]
+    fn fixed(&self, tag: u64, bits: u64) -> u64 {
+        fold_mul(bits ^ self.seeds[0], SPREAD ^ tag)
+    }
+
+    /// The hash of a `Str` or `Blob` payload: its length and tag as a
+    /// fixed-width cell, then its bytes 16 a step, each step's two words
+    /// folded with the running hash under the second seed. Whole 64-byte
+    /// rounds run four running hashes side by side, so their multiplies
+    /// overlap, and fold them back in order; the rest runs on one, its last
+    /// step zero-padded.
+    #[inline]
+    fn payload(&self, tag: u64, bytes: &[u8]) -> u64 {
+        let mix = |h: u64, (a, b): (u64, u64)| fold_mul(a ^ self.seeds[1], b ^ h);
+        let mut h = self.fixed(tag, bytes.len() as u64);
+        let (rounds, rest) = bytes.as_chunks::<64>();
+        if !rounds.is_empty() {
+            let mut lanes = [h, h ^ 1, h ^ 2, h ^ 3];
+            for round in rounds {
+                for (lane, chunk) in lanes.iter_mut().zip(round.as_chunks::<16>().0) {
+                    *lane = mix(*lane, words(chunk));
+                }
+            }
+            h = mix(mix(h, (lanes[0], lanes[1])), (lanes[2], lanes[3]));
+        }
+        let (chunks, tail) = rest.as_chunks::<16>();
+        h = chunks.iter().fold(h, |h, chunk| mix(h, words(chunk)));
+        if tail.is_empty() {
+            return h;
+        }
+        let mut last = [0; 16];
+        last[..tail.len()].copy_from_slice(tail);
+        mix(h, words(&last))
+    }
+
+    /// The hash of one cell, by `Value` equality: equal values hash equal
+    /// whatever buffer a `Str` or `Blob` views.
     #[inline]
     pub fn hash_cell(&self, cell: &Value) -> u64 {
-        self.hasher.hash_one(cell)
+        match cell {
+            Value::Null => self.fixed(NULL, 0),
+            Value::Bool(b) => self.fixed(BOOL, *b as u64),
+            Value::Int(i) => self.fixed(INT, *i as u64),
+            Value::Float(f) => self.fixed(FLOAT, f.to_bits()),
+            Value::Str(s) => self.payload(STR, s.as_bytes()),
+            Value::Blob(b) => self.payload(BLOB, b.as_bytes()),
+        }
+    }
+
+    /// [`hash_cell`](Self::hash_cell)`(&lane.value(i))`, read in place: no
+    /// `Value` is built.
+    #[inline]
+    pub fn hash_lane(&self, lane: &Lane, i: usize) -> u64 {
+        match lane {
+            _ if lane.is_null(i) => self.fixed(NULL, 0),
+            Lane::Int { values, .. } => self.fixed(INT, values.get(i) as u64),
+            Lane::Float { values, .. } => self.fixed(FLOAT, values[i].to_bits()),
+            Lane::Bool { values, .. } => self.fixed(BOOL, values[i] as u64),
+            Lane::StrDict { dict, codes } => self.payload(STR, dict[codes[i] as usize].as_bytes()),
+            Lane::Values(values) => self.hash_cell(&values[i]),
+        }
     }
 
     /// Fold one cell's hash into its key's running hash, which starts at 0
     /// (order-sensitive, so `(a, b)` and `(b, a)` differ).
     #[inline]
     pub fn fold(acc: u64, cell: u64) -> u64 {
-        acc.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31) ^ cell
+        acc.wrapping_mul(SPREAD).rotate_left(31) ^ cell
     }
 
     /// The ordinal of the key that hashes to `hash` and that `eq` accepts,
@@ -199,7 +299,9 @@ impl KeyIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Blob;
+    use crate::value::{Blob, Str};
+    use crate::Row;
+    use std::sync::Arc;
 
     /// Number the key `cells` under `hash`, or under its own hash.
     fn insert(index: &mut KeyIndex, hash: Option<u64>, cells: &[Value]) -> (usize, bool) {
@@ -300,5 +402,197 @@ mod tests {
             assert_eq!(insert(&mut index, None, &[Value::Int(i)]), expected);
         }
         assert_eq!(keys(&index), [39, 5, 100].map(|i| vec![Value::Int(i)]));
+    }
+
+    /// Mean and longest probe of the index's keys: how many slots past its
+    /// hash's home slot each key sits.
+    fn probe_lengths(index: &KeyIndex) -> (f64, usize) {
+        let mask = index.slots.len() - 1;
+        let displaced = index
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|(_, &o)| o != 0)
+            .map(|(s, &o)| {
+                let home = index.hashes[o as usize - 1] as usize & mask;
+                s.wrapping_sub(home) & mask
+            });
+        let (sum, max) = displaced.fold((0, 0), |(sum, max), d| (sum + d, max.max(d)));
+        (sum as f64 / index.len() as f64, max)
+    }
+
+    #[test]
+    fn equal_values_hash_equal_across_backing_buffers() {
+        let index = KeyIndex::new(1, 0);
+        let (a, b) = (
+            Arc::new(b"--payload bytes--".to_vec()),
+            Arc::new(b"payload bytes".to_vec()),
+        );
+        let blobs = [
+            Value::Blob(Blob::view(a.clone(), 2, 13)),
+            Value::Blob(Blob::view(b.clone(), 0, 13)),
+            Value::Blob(Blob::new(b"payload bytes".to_vec())),
+        ];
+        let strs = [
+            Value::Str(Str::view(a, 2, 13)),
+            Value::Str(Str::view(b, 0, 13)),
+            Value::from("payload bytes"),
+        ];
+        for group in [&blobs, &strs] {
+            let hashes: Vec<u64> = group.iter().map(|v| index.hash_cell(v)).collect();
+            assert!(hashes.iter().all(|&h| h == hashes[0]), "{group:?}");
+        }
+        let mut index = index;
+        let ordinals: Vec<usize> = blobs
+            .iter()
+            .chain(&strs)
+            .map(|v| insert(&mut index, None, std::slice::from_ref(v)).0)
+            .collect();
+        assert_eq!(ordinals, [0, 0, 0, 1, 1, 1]);
+    }
+
+    #[test]
+    fn every_kind_of_cell_is_a_key_of_its_own() {
+        let mut index = KeyIndex::new(1, 0);
+        let cells = [
+            Value::Null,
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Bool(true),
+            Value::from("\u{1}"),
+            Value::Blob(Blob::new(vec![1])),
+        ];
+        for (o, cell) in cells.iter().enumerate() {
+            assert_eq!(
+                insert(&mut index, None, std::slice::from_ref(cell)),
+                (o, true),
+                "{cell:?}"
+            );
+        }
+        let mut hashes: Vec<u64> = cells.iter().map(|c| index.hash_cell(c)).collect();
+        hashes.sort_unstable();
+        hashes.dedup();
+        assert_eq!(hashes.len(), cells.len(), "the tag separates equal bits");
+    }
+
+    #[test]
+    fn a_lane_row_hashes_as_its_value() {
+        let index = KeyIndex::new(1, 0);
+        let lane = |values: Vec<Value>| {
+            let rows: Vec<Row> = values.into_iter().map(|v| Row::new(vec![v])).collect();
+            Lane::build(&rows, 0)
+        };
+        let (null, int) = (Value::Null, Value::Int);
+        let lanes = [
+            lane(vec![int(-128), null.clone(), int(127)]),
+            lane(vec![int(-32_768), null.clone(), int(300)]),
+            lane(vec![int(i32::MIN as i64), null.clone(), int(70_000)]),
+            lane(vec![int(i64::MIN), null.clone(), int(i64::MAX)]),
+            lane(vec![
+                Value::Float(-0.0),
+                null.clone(),
+                Value::Float(f64::NAN),
+            ]),
+            lane(vec![Value::Bool(false), null.clone(), Value::Bool(true)]),
+            lane(vec![Value::from("a"), null.clone(), Value::from("a")]),
+            lane(vec![
+                Value::Float(1.0),
+                null,
+                Value::Blob(Blob::synthetic(20, 3)),
+            ]),
+        ];
+        let kinds: Vec<String> = lanes
+            .iter()
+            .map(|l| match l {
+                Lane::Int { values, .. } => format!("int{}", values.width()),
+                Lane::Float { .. } => "float".into(),
+                Lane::Bool { .. } => "bool".into(),
+                Lane::StrDict { codes, .. } => format!("dict{}", codes[1] == u32::MAX),
+                Lane::Values(_) => "values".into(),
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            ["int1", "int2", "int4", "int8", "float", "bool", "dicttrue", "values"]
+        );
+        for lane in &lanes {
+            for i in 0..lane.len() {
+                assert_eq!(
+                    index.hash_lane(lane, i),
+                    index.hash_cell(&lane.value(i)),
+                    "{lane:?} row {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_tail_length_is_hashed() {
+        // Lengths 0..=48 cover zero to three whole 16-byte steps and every
+        // tail length after each; 64..=200, the same after one to three
+        // 64-byte rounds. Zero payloads differ only in length, and flipping
+        // any one byte moves the hash.
+        let index = KeyIndex::new(1, 0);
+        let blob = |bytes: &[u8]| index.hash_cell(&Value::Blob(Blob::new(bytes.to_vec())));
+        let mut zeros: Vec<u64> = (0..=200).map(|len| blob(&vec![0; len])).collect();
+        zeros.sort_unstable();
+        zeros.dedup();
+        assert_eq!(zeros.len(), 201);
+        for len in (0..=48).chain(64..=200) {
+            let bytes: Vec<u8> = (0..len as u8).map(|b| b.wrapping_mul(37)).collect();
+            let mut framed = vec![0xAA; 3];
+            framed.extend_from_slice(&bytes);
+            let view = Value::Blob(Blob::view(Arc::new(framed), 3, len));
+            assert_eq!(index.hash_cell(&view), blob(&bytes), "length {len}");
+            for p in 0..len {
+                let mut flipped = bytes.clone();
+                flipped[p] ^= 0x01;
+                assert_ne!(blob(&flipped), blob(&bytes), "length {len}, byte {p}");
+            }
+        }
+        // Order counts: swapping any two 16-byte steps of 200 bytes — in one
+        // round, across rounds, or with the rest — moves the hash.
+        let bytes: Vec<u8> = (0..200u8).collect();
+        for (i, j) in (0..12).flat_map(|i| (i + 1..12).map(move |j| (i, j))) {
+            let mut swapped = bytes.clone();
+            let (head, tail) = swapped.split_at_mut(16 * j);
+            head[16 * i..16 * i + 16].swap_with_slice(&mut tail[..16]);
+            assert_ne!(blob(&swapped), blob(&bytes), "steps {i} and {j}");
+        }
+    }
+
+    #[test]
+    fn probe_lengths_stay_bounded() {
+        // Linear probing reads a slot from the hash's low bits: a kernel
+        // that leaves them to the key's low bits would pile the second set
+        // into one run, and one that hashes a payload's prefix the third.
+        let mut sets: Vec<(&str, Vec<Value>)> = vec![
+            ("sequential", (0..1 << 16).map(Value::Int).collect()),
+            (
+                "low bits constant",
+                (0..1 << 16).map(|i| Value::Int(i << 16 | 0x5A5A)).collect(),
+            ),
+        ];
+        let base = Blob::synthetic(1024, 7).as_bytes().to_vec();
+        let blobs = (0..1usize << 14).map(|k| {
+            let mut bytes = base.clone();
+            bytes[k * 97 % 1024] ^= 1 + (k / 1024) as u8;
+            Value::Blob(Blob::new(bytes))
+        });
+        sets.push(("one byte apart", blobs.collect()));
+        for (name, keys) in sets {
+            let mut index = KeyIndex::new(1, 0);
+            for (o, key) in keys.iter().enumerate() {
+                assert_eq!(
+                    insert(&mut index, None, std::slice::from_ref(key)),
+                    (o, true),
+                    "{name}"
+                );
+            }
+            // At half load a random hash averages half a slot, and its
+            // longest probe runs to a few dozen.
+            let (mean, max) = probe_lengths(&index);
+            assert!(mean < 1.0 && max < 128, "{name}: mean {mean}, max {max}");
+        }
     }
 }

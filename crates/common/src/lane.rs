@@ -10,7 +10,6 @@
 //! only by an operator that reads rows. A [`Selection`] names which rows of
 //! the lanes a batch covers.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -253,15 +252,6 @@ impl Lane {
             }
             Lane::StrDict { codes, .. } => codes[i] == u32::MAX,
             Lane::Values(values) => values[i].is_null(),
-        }
-    }
-
-    /// [`value`](Self::value), borrowed where the lane holds a [`Value`].
-    #[inline]
-    pub fn cell(&self, i: usize) -> Cow<'_, Value> {
-        match self {
-            Lane::Values(values) => Cow::Borrowed(&values[i]),
-            _ => Cow::Owned(self.value(i)),
         }
     }
 

@@ -296,17 +296,9 @@ impl KeySource for LaneKeys<'_> {
 
     fn hash(&self, index: &KeyIndex, p: usize) -> u64 {
         let i = self.sel.ordinal(p);
-        self.lanes.iter().fold(0, |h, lane| {
-            let cell = match lane {
-                _ if lane.is_null(i) => index.hash_cell(&Value::Null),
-                Lane::Int { values, .. } => index.hash_cell(&Value::Int(values.get(i))),
-                Lane::Float { values, .. } => index.hash_cell(&Value::Float(values[i])),
-                Lane::Bool { values, .. } => index.hash_cell(&Value::Bool(values[i])),
-                Lane::StrDict { .. } => index.hash_cell(&lane.value(i)),
-                Lane::Values(values) => index.hash_cell(&values[i]),
-            };
-            KeyIndex::fold(h, cell)
-        })
+        self.lanes
+            .iter()
+            .fold(0, |h, lane| KeyIndex::fold(h, index.hash_lane(lane, i)))
     }
 
     fn eq(&self, p: usize, key: &[Value]) -> bool {

@@ -230,23 +230,70 @@ pub fn eval_binary(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
         let ord = l.sql_cmp(r)?;
         return Ok(ord.map_or(Value::Null, |o| Value::Bool(op.accepts(o))));
     }
-    // Arithmetic.
-    if l.is_null() || r.is_null() {
-        return Ok(Value::Null);
+    // An operand beside a NULL is NULL whatever its type; any other operand
+    // must be numeric.
+    let operand = |v: &Value| match v {
+        Value::Int(i) => Ok(Some(Num::Int(*i))),
+        Value::Float(f) => Ok(Some(Num::Float(*f))),
+        _ if l.is_null() || r.is_null() => Ok(None),
+        other => Err(CsqError::Type(format!(
+            "expected numeric, got {:?}",
+            other.data_type()
+        ))),
+    };
+    Ok(arith(op, operand(l)?, operand(r)?)?.map_or(Value::Null, Num::value))
+}
+
+/// A non-NULL arithmetic operand or result.
+#[derive(Debug, Clone, Copy)]
+pub enum Num {
+    Int(i64),
+    Float(f64),
+}
+
+impl Num {
+    /// The number as the `Value` it is.
+    #[inline]
+    pub fn value(self) -> Value {
+        match self {
+            Num::Int(i) => Value::Int(i),
+            Num::Float(f) => Value::Float(f),
+        }
     }
+
+    /// The number widened to FLOAT.
+    #[inline]
+    fn float(self) -> f64 {
+        match self {
+            Num::Int(i) => i as f64,
+            Num::Float(f) => f,
+        }
+    }
+}
+
+/// The arithmetic rules, written once for the general evaluator
+/// ([`eval_binary`]) and the typed lane loop of `csq-storage`'s compiled
+/// conjuncts: a NULL (`None`) operand makes a NULL; INT ⊕ INT is INT, an
+/// overflow raising; anything else — INT ÷ INT included — is FLOAT, and
+/// ÷ 0 (of either sign) raises.
+#[inline]
+pub fn arith(op: BinaryOp, l: Option<Num>, r: Option<Num>) -> Result<Option<Num>> {
+    let (Some(l), Some(r)) = (l, r) else {
+        return Ok(None);
+    };
     match (l, r) {
-        (Value::Int(a), Value::Int(b)) if op != BinaryOp::Div => {
+        (Num::Int(a), Num::Int(b)) if op != BinaryOp::Div => {
             let out = match op {
-                BinaryOp::Add => a.checked_add(*b),
-                BinaryOp::Sub => a.checked_sub(*b),
-                BinaryOp::Mul => a.checked_mul(*b),
+                BinaryOp::Add => a.checked_add(b),
+                BinaryOp::Sub => a.checked_sub(b),
+                BinaryOp::Mul => a.checked_mul(b),
                 _ => unreachable!(),
             };
-            out.map(Value::Int)
+            out.map(|i| Some(Num::Int(i)))
                 .ok_or_else(|| CsqError::Exec("integer overflow".into()))
         }
         _ => {
-            let (a, b) = (l.as_f64()?, r.as_f64()?);
+            let (a, b) = (l.float(), r.float());
             let out = match op {
                 BinaryOp::Add => a + b,
                 BinaryOp::Sub => a - b,
@@ -259,7 +306,7 @@ pub fn eval_binary(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
                 }
                 _ => unreachable!(),
             };
-            Ok(Value::Float(out))
+            Ok(Some(Num::Float(out)))
         }
     }
 }

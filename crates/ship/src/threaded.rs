@@ -247,9 +247,18 @@ impl ThreadedSemiJoin {
         for p in 0..n {
             match &piece.lanes {
                 Some(lanes) => {
-                    let i = sel.ordinal(p);
-                    let cell = |c: usize| lanes[c].cell(i);
-                    piece.args.push(self.args.insert_by(&self.arg_cols, cell).0);
+                    // Hashed and compared in place: only a new argument's
+                    // cells are built.
+                    let (i, cols) = (sel.ordinal(p), &self.arg_cols);
+                    let hash = cols.iter().fold(0, |h, &c| {
+                        KeyIndex::fold(h, self.args.hash_lane(&lanes[c], i))
+                    });
+                    let (o, _) = self.args.insert(
+                        hash,
+                        |key| cols.iter().zip(key).all(|(&c, k)| lanes[c].eq_value(i, k)),
+                        |out| out.extend(cols.iter().map(|&c| lanes[c].value(i))),
+                    );
+                    piece.args.push(o);
                     piece.ords.push(i);
                 }
                 None => {
@@ -434,10 +443,14 @@ impl ThreadedClientJoin {
         })
     }
 
-    /// Send the open message, its record count patched.
+    /// Send the open message, its record count patched. The next one
+    /// starts at this one's capacity, so a steady input allocates each
+    /// message once.
     fn ship(&mut self) -> Result<()> {
         let head = Request::batch_head(self.pending);
-        let mut msg = std::mem::replace(&mut self.msg, Request::batch_head(self.batch_size));
+        let mut next = Vec::with_capacity(self.msg.capacity());
+        next.extend_from_slice(&Request::batch_head(self.batch_size));
+        let mut msg = std::mem::replace(&mut self.msg, next);
         msg[..head.len()].copy_from_slice(&head);
         self.pending = 0;
         self.unanswered += 1;
@@ -758,6 +771,33 @@ mod tests {
         for r in &out {
             assert_eq!(r.value(1), &Value::Bool(true));
         }
+    }
+
+    #[test]
+    fn client_join_messages_start_at_the_last_ones_capacity() {
+        // Equal-sized records, four to a message: the first message grows
+        // to its size once, and every later one starts there.
+        let (server, client, stats) = in_memory_duplex();
+        let handle = spawn_client(runtime(), client).unwrap();
+        let mut spec = ClientJoinSpec::new(vec![analyze_app()]);
+        spec.batch_size = 4;
+        let data = rows(40, 40);
+        let size = 5 + 4 * data[0].wire_size();
+        let input = Box::new(RowsOp::new(input_schema(), data));
+        let mut op = ThreadedClientJoin::new(input, spec, server).unwrap();
+        let mut capacities = Vec::new();
+        while op.next_batch().unwrap().is_some() {
+            capacities.push(op.msg.capacity());
+        }
+        drop(op);
+        let _ = handle.join().unwrap();
+        // install + 10 messages + finish.
+        assert_eq!(stats.down_messages(), 12);
+        assert!(capacities[0] >= size, "{capacities:?} vs {size}");
+        assert!(
+            capacities.iter().all(|&c| c == capacities[0]),
+            "{capacities:?}"
+        );
     }
 
     #[test]

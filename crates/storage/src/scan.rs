@@ -59,10 +59,11 @@
 //! ([`FilterSpec::from_phys`]) stops in front of it. How a conjunct is
 //! decided, twice — [`Conjuncts::eval`] on a row, a `LaneTest` on a bare
 //! [`Lane`] — over the one comparison truth table ([`BinaryOp::accepts`]);
-//! a term is computed by the general evaluator's arithmetic on both, into a
-//! lane of its own on lanes. The lane rule has two callers. The scan runs
-//! it on a segment's lanes, for the prefix the zone maps proved error-free
-//! there. `csq_exec::Filter` runs it on a lane batch through
+//! a term's arithmetic rules are written once, in `csq_expr`'s [`arith`],
+//! which the general evaluator calls on a row and a typed loop calls over
+//! numeric lanes, into a lane of its own. The lane rule has two callers.
+//! The scan runs it on a segment's lanes, for the prefix the zone maps
+//! proved error-free there. `csq_exec::Filter` runs it on a lane batch through
 //! [`Conjuncts::select_lanes`] when every conjunct is compiled and no
 //! selected row can raise, and narrows the batch's selection instead of
 //! building rows. Every other batch reaches `Filter`'s row path.
@@ -73,10 +74,10 @@ use std::sync::Arc;
 
 use csq_common::lane::wide;
 use csq_common::{
-    each_width, Lane, NullBitmap, Result, Row, RowBatch, Schema, Selection, Value,
+    each_width, IntLane, Lane, NullBitmap, Result, Row, RowBatch, Schema, Selection, Value,
     DEFAULT_BATCH_SIZE,
 };
-use csq_expr::physical::eval_binary;
+use csq_expr::physical::{arith, eval_binary, Num};
 use csq_expr::{BinaryOp, PhysExpr};
 
 use crate::segment::{Segment, ZoneMap};
@@ -155,6 +156,91 @@ pub struct ColPred {
     pub lit: Value,
 }
 
+/// A numeric operand of an arithmetic term: an INT lane (any width), a
+/// FLOAT lane, or a numeric or NULL literal.
+enum Operand<'a> {
+    Int(&'a IntLane, &'a NullBitmap),
+    Float(&'a [f64], &'a NullBitmap),
+    Lit(Option<Num>),
+}
+
+impl<'a> Operand<'a> {
+    /// The operand `e` is, when it is numeric.
+    fn of(e: &PhysExpr, lanes: &'a [Arc<Lane>]) -> Option<Operand<'a>> {
+        Some(match e {
+            PhysExpr::Column(c) => match &**lanes.get(*c)? {
+                Lane::Int { values, nulls } => Operand::Int(values, nulls),
+                Lane::Float { values, nulls } => Operand::Float(values, nulls),
+                _ => return None,
+            },
+            PhysExpr::Literal(Value::Int(i)) => Operand::Lit(Some(Num::Int(*i))),
+            PhysExpr::Literal(Value::Float(f)) => Operand::Lit(Some(Num::Float(*f))),
+            PhysExpr::Literal(Value::Null) => Operand::Lit(None),
+            _ => return None,
+        })
+    }
+}
+
+/// Evaluate `$body` with `$f` bound to a closure reading an [`Operand`] at a
+/// lane ordinal: the operand's kind (and an INT lane's width) is matched
+/// once, outside the loop in `$body`.
+macro_rules! with_operand {
+    ($operand:expr, $f:ident => $body:expr) => {
+        match $operand {
+            Operand::Int(values, nulls) => each_width!(values, v => {
+                let $f = |i: usize| (!nulls.get(i)).then(|| Num::Int(wide(v[i])));
+                $body
+            }),
+            Operand::Float(values, nulls) => {
+                let $f = |i: usize| (!nulls.get(i)).then(|| Num::Float(values[i]));
+                $body
+            }
+            Operand::Lit(n) => {
+                let $f = |_: usize| n;
+                $body
+            }
+        }
+    };
+}
+
+/// `x ⊕ y` by [`arith`] on each selected row, into a lane of `len` rows
+/// typed as [`Lane::from_cells`] types the results: INT or FLOAT with the
+/// NULL results marked, a `Values` lane of NULLs when no result is
+/// non-NULL. `None` when a row raises.
+fn typed_term(
+    op: BinaryOp,
+    sel: &Selection,
+    len: usize,
+    x: impl Fn(usize) -> Option<Num>,
+    y: impl Fn(usize) -> Option<Num>,
+) -> Option<Lane> {
+    // Each result's bits, and whether the results are INT (`None` while
+    // none is non-NULL): one term's results share a type.
+    let mut bits = vec![0u64; len];
+    let mut nulls = NullBitmap::new(len);
+    let mut int = None;
+    sel.try_for_each(sel.len(), |_, i| {
+        match arith(op, x(i), y(i)).map_err(drop)? {
+            Some(Num::Int(v)) => (bits[i], int) = (v as u64, Some(true)),
+            Some(Num::Float(f)) => (bits[i], int) = (f.to_bits(), Some(false)),
+            None => nulls.set(i),
+        }
+        Ok::<_, ()>(())
+    })
+    .ok()?;
+    Some(match int {
+        None => Lane::Values(vec![Value::Null; len]),
+        Some(true) => Lane::Int {
+            values: IntLane::pack(bits.into_iter().map(|b| b as i64).collect()),
+            nulls,
+        },
+        Some(false) => Lane::Float {
+            values: bits.into_iter().map(f64::from_bits).collect(),
+            nulls,
+        },
+    })
+}
+
 /// One conjunct the filter compiles: `term <op> lit`, the term a column or
 /// an arithmetic `x ⊕ y` over columns and literals.
 #[derive(Debug, Clone)]
@@ -175,10 +261,13 @@ impl Conjunct {
         }
     }
 
-    /// The term on a lane batch: a column's lane, or `x ⊕ y` computed by
-    /// `eval_binary` on the selected rows into a lane as long as its column
-    /// operand's, typed as a sealed column of the results would be. `None`
-    /// for an ordinal past the lanes or when some selected row raises.
+    /// The term on a lane batch: a column's lane, or `x ⊕ y` computed on the
+    /// selected rows into a lane as long as its column operand's, typed as a
+    /// sealed column of the results would be. Numeric operands — INT and
+    /// FLOAT lanes, numeric and NULL literals — run one typed loop over
+    /// [`arith`]; any other operand is read as a `Value` and computed by
+    /// `eval_binary`. `None` for an ordinal past the lanes or when some
+    /// selected row raises.
     fn lane<'a>(&self, lanes: &'a [Arc<Lane>], sel: &Selection) -> Option<Cow<'a, Lane>> {
         let PhysExpr::Binary { left, op, right } = &self.term else {
             let PhysExpr::Column(c) = self.term else {
@@ -186,15 +275,20 @@ impl Conjunct {
             };
             return lanes.get(c).map(|l| Cow::Borrowed(&**l));
         };
+        let len = [left, right].iter().find_map(|e| match &***e {
+            PhysExpr::Column(c) => lanes.get(*c).map(|l| l.len()),
+            _ => None,
+        })?;
+        if let (Some(x), Some(y)) = (Operand::of(left, lanes), Operand::of(right, lanes)) {
+            return with_operand!(x, x => with_operand!(y, y => {
+                typed_term(*op, sel, len, x, y).map(Cow::Owned)
+            }));
+        }
         let value = |e: &PhysExpr, i| match e {
             PhysExpr::Column(c) => lanes.get(*c).map(|l| l.value(i)),
             PhysExpr::Literal(v) => Some(v.clone()),
             _ => None,
         };
-        let len = [left, right].iter().find_map(|e| match &***e {
-            PhysExpr::Column(c) => lanes.get(*c).map(|l| l.len()),
-            _ => None,
-        })?;
         let mut cells = Vec::with_capacity(sel.len());
         sel.try_for_each(sel.len(), |_, i| {
             let (Some(l), Some(r)) = (value(left, i), value(right, i)) else {
@@ -797,5 +891,146 @@ mod tests {
         let (prefix, residual) = Conjuncts::split(&quotient);
         assert!(residual.is_none());
         assert_eq!(prefix.map(|p| p.conjuncts.len()), Some(1));
+    }
+
+    /// The typed term loop builds, for every pairing of numeric operands
+    /// (INT lanes of each width, a FLOAT lane with NaN, both zeros and both
+    /// infinities, NULLs, literals on either side), operator and selection,
+    /// the lane the per-row `eval_binary` arm builds — or declines the batch
+    /// exactly when a selected row raises.
+    #[test]
+    fn typed_terms_match_the_per_row_arm() {
+        let col = |values: Vec<Value>| {
+            let rows: Vec<Row> = values.into_iter().map(|v| Row::new(vec![v])).collect();
+            Arc::new(Lane::build(&rows, 0))
+        };
+        let (null, int, float) = (Value::Null, Value::Int, Value::Float);
+        let lanes = vec![
+            col(vec![
+                int(-100),
+                int(0),
+                null.clone(),
+                int(7),
+                int(127),
+                int(-1),
+            ]),
+            col(vec![
+                int(-30_000),
+                int(0),
+                int(300),
+                null.clone(),
+                int(1),
+                int(2),
+            ]),
+            col(vec![
+                int(1 << 20),
+                int(0),
+                int(-5),
+                int(9),
+                null.clone(),
+                int(-1),
+            ]),
+            col(vec![
+                int(i64::MIN),
+                int(i64::MAX),
+                int(-1),
+                int(0),
+                null.clone(),
+                int(3),
+            ]),
+            col(vec![
+                float(f64::NAN),
+                float(-0.0),
+                float(0.0),
+                float(f64::INFINITY),
+                float(f64::NEG_INFINITY),
+                null.clone(),
+            ]),
+            col(vec![
+                float(1.5),
+                float(-2.5),
+                float(1e300),
+                float(4.0),
+                float(-0.5),
+                float(8.0),
+            ]),
+        ];
+        let widths: Vec<usize> = lanes[..4]
+            .iter()
+            .map(|l| match &**l {
+                Lane::Int { values, .. } => values.width(),
+                _ => 0,
+            })
+            .collect();
+        assert_eq!(widths, [1, 2, 4, 8]);
+        let mut operands: Vec<PhysExpr> = (0..lanes.len()).map(PhysExpr::Column).collect();
+        operands.extend(
+            [
+                int(0),
+                int(-3),
+                int(i64::MIN),
+                int(i64::MAX),
+                float(0.0),
+                float(-0.0),
+                float(f64::NAN),
+                float(f64::INFINITY),
+                null,
+            ]
+            .map(PhysExpr::Literal),
+        );
+        let sels = [
+            Selection::Window(0..6),
+            Selection::Window(2..4),
+            Selection::Rows(vec![0, 3, 5]),
+            Selection::Rows(vec![1, 4]),
+        ];
+        let value = |e: &PhysExpr, i: usize| match e {
+            PhysExpr::Column(c) => lanes[*c].value(i),
+            PhysExpr::Literal(v) => v.clone(),
+            _ => unreachable!(),
+        };
+        let (mut built, mut declined) = (0, 0);
+        for x in &operands {
+            for y in &operands {
+                if !matches!((x, y), (PhysExpr::Column(_), _) | (_, PhysExpr::Column(_))) {
+                    continue;
+                }
+                for op in [BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div] {
+                    let conjunct = Conjunct {
+                        term: bin(x.clone(), op, y.clone()),
+                        op: CmpOp::Gt,
+                        lit: Value::Int(0),
+                    };
+                    for sel in &sels {
+                        let mut cells = Vec::new();
+                        sel.for_each(sel.len(), |_, i| {
+                            cells.push((i, eval_binary(op, &value(x, i), &value(y, i))))
+                        });
+                        let expected = cells
+                            .into_iter()
+                            .map(|(i, v)| v.ok().map(|v| (i, v)))
+                            .collect::<Option<Vec<_>>>()
+                            .map(|cells| Lane::from_cells(6, cells.iter().map(|(i, v)| (*i, v))));
+                        let got = conjunct.lane(&lanes, sel);
+                        let what = format!("{x:?} {op:?} {y:?} over {sel:?}");
+                        match (got, expected) {
+                            (Some(got), Some(expected)) => {
+                                built += 1;
+                                assert_eq!(format!("{got:?}"), format!("{expected:?}"), "{what}");
+                                sel.for_each(sel.len(), |_, i| {
+                                    assert_eq!(got.value(i), expected.value(i), "{what}")
+                                });
+                            }
+                            (None, None) => declined += 1,
+                            (got, expected) => panic!("{what}: {got:?} vs {expected:?}"),
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            built > 500 && declined > 100,
+            "{built} built, {declined} declined"
+        );
     }
 }

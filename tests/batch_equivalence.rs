@@ -419,7 +419,8 @@ fn mix(mut z: u64) -> u64 {
 const LANE_KINDS: u8 = 8;
 
 /// One cell of a column of `kind`, a seventh of them NULL: INT at each width
-/// (the ranges of 1, 2, 4 and 8 bytes), FLOAT with NaN and both zeros, BOOL,
+/// (the ranges of 1, 2, 4 and 8 bytes), FLOAT with NaN, both zeros and both
+/// infinities, BOOL,
 /// STR (a dictionary lane, NULL codes included), and a mix of INT, FLOAT and
 /// BLOB that seals into a `Values` lane.
 fn lane_cell(kind: u8, raw: u64) -> Value {
@@ -433,7 +434,18 @@ fn lane_cell(kind: u8, raw: u64) -> Value {
         1 => Value::Int((r % 60_000) as i64 - 30_000),
         2 => Value::Int((r % 4_000_000_000) as i64 - 2_000_000_000),
         3 => Value::Int([i64::MIN, i64::MAX, -1, 0, 7, 1 << 40][pick(6)]),
-        4 => Value::Float([f64::NAN, -0.0, 0.0, 1.5, -2.5, 1e300][pick(6)]),
+        4 => Value::Float(
+            [
+                f64::NAN,
+                -0.0,
+                0.0,
+                1.5,
+                -2.5,
+                1e300,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+            ][pick(8)],
+        ),
         5 => Value::Bool(r.is_multiple_of(2)),
         6 => Value::from(["a", "bb", "c", "zz"][pick(4)]),
         _ => [
@@ -557,14 +569,25 @@ fn drain(mut op: BoxOp) -> std::result::Result<(Vec<bool>, Vec<Row>), (String, S
     }
 }
 
-/// A literal for a conjunct: INT (the extremes included), FLOAT with NaN
-/// and both zeros, BOOL, STR, NULL, and a BLOB that every other lane kind
-/// raises against.
+/// A literal for a conjunct: INT (the extremes included), FLOAT with NaN,
+/// both zeros and both infinities, BOOL, STR, NULL, and a BLOB that every
+/// other lane kind raises against.
 fn arb_literal(raw: u64) -> Value {
     let r = raw >> 3;
     match raw % 8 {
         0 | 1 => Value::Int((r % 21) as i64 - 10),
-        2 => Value::Float([f64::NAN, -0.0, 0.0, 1.5, -2.5, 1e300][(r % 6) as usize]),
+        2 => Value::Float(
+            [
+                f64::NAN,
+                -0.0,
+                0.0,
+                1.5,
+                -2.5,
+                1e300,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+            ][(r % 8) as usize],
+        ),
         3 => Value::Bool(r.is_multiple_of(2)),
         4 => Value::from(["a", "bb", "c", "zz"][(r % 4) as usize]),
         5 => Value::Null,
@@ -591,7 +614,7 @@ fn typed_pairing(lane: &Lane, lit: &Value) -> bool {
 /// An arithmetic term over column `col` for a conjunct, from one draw:
 /// the operator, and the other operand — a column (one the batch may lack)
 /// or a literal among the zeros of both types and signs, the INT extremes,
-/// NaN, NULL and a STR — on either side.
+/// NaN, both infinities, NULL and a STR — on either side.
 fn arb_term(raw: u8, col: usize, width: usize) -> PhysExpr {
     const OPS: [BinaryOp; 4] = [BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div];
     let op = OPS[raw as usize % 4];
@@ -607,9 +630,11 @@ fn arb_term(raw: u8, col: usize, width: usize) -> PhysExpr {
                 Value::Int(i64::MIN),
                 Value::Int(-3),
                 Value::Float(f64::NAN),
+                Value::Float(f64::INFINITY),
+                Value::Float(f64::NEG_INFINITY),
                 Value::Null,
                 Value::from("a"),
-            ][pick / 2 % 9]
+            ][pick / 2 % 11]
                 .clone(),
         ),
     };
@@ -637,7 +662,11 @@ proptest! {
     // pairs its lane with a typed literal, and each arithmetic term
     // `(x ⊕ y)` is computed on every selected row without an error (no
     // zero divisor of either sign, no INT overflow at the extremes, no
-    // non-numeric operand) into a lane that pairs with its literal.
+    // non-numeric operand) into a lane that pairs with its literal. Terms
+    // over numeric operands (INT lanes of every width, FLOAT lanes with
+    // NaN, both zeros and both infinities, NULLs, numeric and NULL literals
+    // on either side) take the typed loop; the rest take `eval_binary` row
+    // by row. Either way the lanes keep exactly the row rule's TRUE rows.
     #[test]
     fn filter_on_lanes_agrees_with_filter_on_rows(
         case in arb_lane_case(),
