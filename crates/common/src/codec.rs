@@ -615,46 +615,76 @@ mod tests {
         use crate::lane::Selection;
         use crate::schema::{Field, Schema};
         use crate::value::DataType;
-        // Each typed lane has NULLs, some of them at unselected positions.
+        // Each typed lane has NULLs, some of them at unselected positions;
+        // the INT lanes pack at one, two, four and eight bytes, and the last
+        // lane mixes kinds (a `Values` lane of INT, FLOAT, NULL and STR).
         let or_null = |null: bool, v: Value| if null { Value::Null } else { v };
         let rows: Vec<Row> = (0..40)
             .map(|i| {
                 let blob = Value::Blob(Blob::synthetic(i * 3, i as u64));
                 let name = [Value::from("alpha"), Value::Null, Value::from("β")][i % 3].clone();
-                let int = or_null(i % 3 == 0, Value::Int(i as i64 - 20));
+                let i = i as i64;
+                let ints = [i - 20, i * 1_000 - 20_000, i << 20, (i - 20) << 40]
+                    .map(|x| or_null(i % 3 == 0, Value::Int(x)));
                 let float = or_null(i % 5 == 2, Value::Float(i as f64 / 4.0));
                 let flag = or_null(i % 7 == 1, Value::Bool(i % 2 == 0));
-                Row::new(vec![blob, name, int, float, flag])
+                let mixed = [
+                    Value::Int(i),
+                    Value::Float(0.5),
+                    Value::Null,
+                    Value::from("m"),
+                ];
+                let mut row = vec![blob, name, float, flag];
+                row.extend(ints);
+                row.push(mixed[i as usize % 4].clone());
+                Row::new(row)
             })
             .collect();
-        let lanes: Vec<Arc<Lane>> = (0..5).map(|c| Arc::new(Lane::build(&rows, c))).collect();
+        let lanes: Vec<Arc<Lane>> = (0..9).map(|c| Arc::new(Lane::build(&rows, c))).collect();
         assert!(matches!(*lanes[0], Lane::Values(_)));
+        assert!(matches!(*lanes[8], Lane::Values(_)));
         assert!(matches!(*lanes[1], Lane::StrDict { .. }));
-        assert!(matches!(*lanes[2], Lane::Int { .. }));
-        assert!(matches!(*lanes[3], Lane::Float { .. }));
-        assert!(matches!(*lanes[4], Lane::Bool { .. }));
-        let schema = Arc::new(Schema::new(vec![
-            Field::new("b", DataType::Blob),
-            Field::new("s", DataType::Str),
-            Field::new("i", DataType::Int),
-            Field::new("f", DataType::Float),
-            Field::new("t", DataType::Bool),
-        ]));
-        let sel = Selection::Rows((0..40).filter(|i| i % 4 != 1).collect());
-        let kept: Vec<&Row> = (0..40).filter(|i| i % 4 != 1).map(|i| &rows[i]).collect();
-        let batch = RowBatch::from_lanes(schema, lanes, sel);
-        let mut out = Vec::new();
-        encode_batch_rows(&batch, 0..batch.len(), &mut out);
-        let size: usize = kept.iter().map(|r| row_encoded_size(r)).sum();
-        assert_eq!((out.len(), out.capacity()), (size, size));
-        assert_eq!(batch_rows_size(&batch, 0..batch.len()), size);
-        let mut expected = Vec::new();
-        kept.iter().for_each(|r| encode_row(r, &mut expected));
-        assert_eq!(out, expected);
-        let halves = [(&batch, 0..7), (&batch, 7..batch.len())];
-        let message = batch_rows_message(&[7], &halves);
-        assert_eq!((message.len(), message.capacity()), (1 + size, 1 + size));
-        assert_eq!((message[0], &message[1..]), (7, &expected[..]));
+        assert!(matches!(*lanes[2], Lane::Float { .. }));
+        assert!(matches!(*lanes[3], Lane::Bool { .. }));
+        let widths: Vec<usize> = lanes[4..8]
+            .iter()
+            .map(|l| match &**l {
+                Lane::Int { values, .. } => values.width(),
+                _ => 0,
+            })
+            .collect();
+        assert_eq!(widths, [1, 2, 4, 8]);
+        let types = [
+            DataType::Blob,
+            DataType::Str,
+            DataType::Float,
+            DataType::Bool,
+        ];
+        let schema = Arc::new(Schema::new(
+            (0..9)
+                .map(|c| Field::new(format!("c{c}"), *types.get(c).unwrap_or(&DataType::Int)))
+                .collect(),
+        ));
+        let selections = [
+            Selection::Rows((0..40).filter(|i| i % 4 != 1).collect()),
+            Selection::Window(3..37),
+        ];
+        for sel in selections {
+            let kept: Vec<&Row> = (0..sel.len()).map(|p| &rows[sel.ordinal(p)]).collect();
+            let batch = RowBatch::from_lanes(schema.clone(), lanes.clone(), sel);
+            let mut out = Vec::new();
+            encode_batch_rows(&batch, 0..batch.len(), &mut out);
+            let size: usize = kept.iter().map(|r| row_encoded_size(r)).sum();
+            assert_eq!((out.len(), out.capacity()), (size, size));
+            assert_eq!(batch_rows_size(&batch, 0..batch.len()), size);
+            let mut expected = Vec::new();
+            kept.iter().for_each(|r| encode_row(r, &mut expected));
+            assert_eq!(out, expected);
+            let halves = [(&batch, 0..7), (&batch, 7..batch.len())];
+            let message = batch_rows_message(&[7], &halves);
+            assert_eq!((message.len(), message.capacity()), (1 + size, 1 + size));
+            assert_eq!((message[0], &message[1..]), (7, &expected[..]));
+        }
     }
 
     #[test]

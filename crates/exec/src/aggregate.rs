@@ -2,26 +2,27 @@
 //!
 //! [`HashAggregate`] is the batch-native GROUP BY operator: it drains its
 //! input batch-wise into an insertion-ordered group table (sized from the
-//! input's [`crate::Operator::size_hint`]), accumulating one
-//! `AggState` per call per group, then re-emits finished groups
+//! input's [`crate::Operator::size_hint`]) that keeps one accumulator column
+//! per state column — an `i64` count, a running sum (INT, FLOAT or unset),
+//! or a MIN/MAX `Value`, one slot per group — then re-emits finished groups
 //! in first-occurrence order.
 //!
 //! There is one group table and two ways to read a batch into it, chosen by
 //! the batch's own representation. A lane-backed batch (what the scan emits
 //! for a sealed segment) is grouped on its key lanes and each call whose
 //! argument is a plain column is accumulated on that column's lane — one
-//! tight loop over the rows' group ids where the lane's type makes the
-//! per-row [`Value`] unnecessary, `Lane::value` into the one
-//! `AggState::update_value` for every other pairing — so the batch's rows
-//! are never built. A key that is one small-domain lane is grouped through a
-//! code map instead of a hash probe per row; a one-byte INT's or a BOOL's
-//! codes are the values themselves, so that map lives until the table
-//! drains (the end of the build, each spill flush), and a dictionary's
-//! codes, which mean something only in their segment, are mapped afresh
-//! each batch. A row batch is grouped on its rows, without a key `Row` per
-//! input row. Group keys compare by `Value` equality either way, and calls
-//! run a batch at a time under the rule that keeps the row loop's error:
-//! first failing row, then first failing call.
+//! tight loop over the rows' group ids per pairing of column, lane kind and
+//! INT width, `Lane::value` into the column's one per-value update for every
+//! other pairing — so the batch's rows are never built. A key that is one
+//! small-domain lane is grouped through a code map instead of a hash probe
+//! per row; a one-byte INT's or a BOOL's codes are the values themselves,
+//! so that map lives until the table drains (the end of the build, each
+//! spill flush), and a dictionary's codes, which mean something only in
+//! their segment, are mapped afresh each batch. A row batch is grouped on
+//! its rows, without a key `Row` per input row. Group keys compare by
+//! `Value` equality either way, and calls run a batch at a time under the
+//! rule that keeps the row loop's error: first failing row, then first
+//! failing call.
 //!
 //! Aggregation is *decomposable*: every function's state splits into a
 //! partial phase (`update` over raw rows, shippable as plain value columns)
@@ -41,6 +42,7 @@
 //! MIN/MAX accumulate through [`crate::ops::compare_values`], so a
 //! NaN-bearing group is an exec *error* here, never a comparator panic.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use csq_common::lane::wide;
@@ -48,144 +50,185 @@ use csq_common::{
     each_width, CsqError, DataType, Field, IntLane, KeyIndex, Lane, NullBitmap, Result, Row,
     RowBatch, Schema, Selection, Value,
 };
+use csq_expr::physical::{arith, Num};
 pub use csq_expr::AggSpec;
-use csq_expr::{physical::eval_binary, AggFunc, BinaryOp, PhysExpr};
+use csq_expr::{AggFunc, BinaryOp, PhysExpr};
 
 use crate::ops::{batch_operator, compare_values};
 use crate::spill::{partition_rows, spill_partitions, MemoryTracker, SpillFile, ENTRY_OVERHEAD};
 use crate::{BoxOp, Operator};
 
-/// Running accumulator state for one (group, aggregate call) pair.
-#[derive(Debug, Clone)]
-enum AggState {
-    Count(i64),
-    Sum(Value),
-    Min(Value),
-    Max(Value),
-    Avg { sum: Value, n: i64 },
-}
+/// A running SUM: `None` until the group's first non-NULL argument.
+type Sum = Option<Num>;
 
-/// Add `v` into the numeric accumulator `acc` (NULL = unset), surfacing
-/// integer overflow as an exec error like scalar arithmetic does.
-fn numeric_add(acc: &mut Value, v: &Value) -> Result<()> {
-    if !matches!(v, Value::Int(_) | Value::Float(_)) {
-        return Err(CsqError::Type(format!(
-            "aggregate argument must be numeric, got {:?}",
-            v.data_type()
-        )));
-    }
-    if acc.is_null() {
-        *acc = v.clone();
-    } else {
-        *acc = eval_binary(BinaryOp::Add, acc, v)?;
+/// `acc + x` as `eval_binary` adds them (INT + INT is INT, an overflow the
+/// exec error scalar arithmetic raises; anything else FLOAT), an unset sum
+/// taking `x`: the one rule of a running sum, for the lane kernels, the row
+/// path, the merge and the spill read-back alike. A sum of the argument's
+/// own type adds in place; the rest (a group's first value, an overflow, a
+/// sum that changes type) goes to the scalar `arith`, out of line.
+#[inline(always)]
+fn add(acc: &mut Sum, x: Num) -> Result<()> {
+    match (acc, x) {
+        (Some(Num::Int(a)), Num::Int(b)) if a.checked_add(b).is_some() => *a += b,
+        (Some(Num::Float(a)), Num::Float(b)) => *a += b,
+        (acc, x) => add_cold(acc, x)?,
     }
     Ok(())
 }
 
-/// `a + x` for an INT running sum or count: an overflow is the exec error
-/// scalar arithmetic raises.
-#[inline]
-fn checked_sum(a: i64, x: i64) -> Result<i64> {
-    a.checked_add(x)
-        .ok_or_else(|| CsqError::Exec("integer overflow".into()))
+#[cold]
+#[inline(never)]
+fn add_cold(acc: &mut Sum, x: Num) -> Result<()> {
+    *acc = match *acc {
+        None => Some(x),
+        a => arith(BinaryOp::Add, a, Some(x))?,
+    };
+    Ok(())
 }
 
-impl AggState {
-    fn init(func: AggFunc) -> AggState {
-        match func {
-            AggFunc::Count => AggState::Count(0),
-            AggFunc::Sum => AggState::Sum(Value::Null),
-            AggFunc::Min => AggState::Min(Value::Null),
-            AggFunc::Max => AggState::Max(Value::Null),
-            AggFunc::Avg => AggState::Avg {
-                sum: Value::Null,
-                n: 0,
-            },
+/// One state column's accumulators, one slot per group id (an AVG call has
+/// two columns: its sum, then its count).
+enum Column {
+    Count(Vec<i64>),
+    Sum(Vec<Sum>),
+    /// MIN (`Less` wins) or MAX (`Greater` wins); NULL = unset.
+    Extreme(Vec<Value>, Ordering),
+}
+
+/// The state columns of `funcs`, in order, each with room for `hint` groups.
+fn columns(funcs: &[AggFunc], hint: usize) -> Vec<Column> {
+    let mut out = Vec::with_capacity(2 * funcs.len());
+    for &f in funcs {
+        out.push(match f {
+            AggFunc::Count => Column::Count(Vec::with_capacity(hint)),
+            AggFunc::Sum | AggFunc::Avg => Column::Sum(Vec::with_capacity(hint)),
+            AggFunc::Min => Column::Extreme(Vec::with_capacity(hint), Ordering::Less),
+            AggFunc::Max => Column::Extreme(Vec::with_capacity(hint), Ordering::Greater),
+        });
+        if f == AggFunc::Avg {
+            out.push(Column::Count(Vec::with_capacity(hint)));
+        }
+    }
+    out
+}
+
+impl Column {
+    /// Add a group's slot: a zero count, an unset sum or extreme.
+    fn grow(&mut self) {
+        match self {
+            Column::Count(c) => c.push(0),
+            Column::Sum(c) => c.push(None),
+            Column::Extreme(c, _) => c.push(Value::Null),
         }
     }
 
-    /// Accumulate one raw input value (`None` = `COUNT(*)`, which counts
-    /// every row). NULL arguments are ignored by every function but
-    /// `COUNT(*)`, per SQL; MIN/MAX compare through `compare_values`.
-    fn update_value(&mut self, func: AggFunc, v: Option<&Value>) -> Result<()> {
-        let Some(v) = v else {
-            return match self {
-                AggState::Count(n) => {
-                    *n += 1;
-                    Ok(())
-                }
-                AggState::Min(_) | AggState::Max(_) => Err(CsqError::Plan(format!(
-                    "{} requires an argument",
-                    func.name()
-                ))),
-                AggState::Sum(_) | AggState::Avg { .. } => Ok(()),
-            };
-        };
-        if v.is_null() {
-            return Ok(());
-        }
-        match self {
-            AggState::Count(n) => *n += 1,
-            AggState::Sum(acc) => numeric_add(acc, v)?,
-            AggState::Avg { sum, n } => {
-                numeric_add(sum, v)?;
-                *n += 1;
+    /// Fold one raw argument into group `g`'s slot: the per-value update of
+    /// each accumulator. NULL is skipped (a count counts the rest), a sum
+    /// takes only numbers, and an extreme compares through
+    /// `compare_values`.
+    fn update(&mut self, g: usize, v: &Value) -> Result<()> {
+        match (self, v) {
+            (Column::Count(c), v) => c[g] += i64::from(!v.is_null()),
+            (_, Value::Null) => {}
+            (Column::Sum(c), Value::Int(x)) => add(&mut c[g], Num::Int(*x))?,
+            (Column::Sum(c), Value::Float(x)) => add(&mut c[g], Num::Float(*x))?,
+            (Column::Sum(_), v) => {
+                return Err(CsqError::Type(format!(
+                    "aggregate argument must be numeric, got {:?}",
+                    v.data_type()
+                )))
             }
-            AggState::Min(acc) | AggState::Max(acc) => {
-                let wins = match func {
-                    AggFunc::Min => std::cmp::Ordering::Less,
-                    _ => std::cmp::Ordering::Greater,
-                };
-                if acc.is_null() || compare_values(v, acc)? == wins {
-                    *acc = v.clone();
+            (Column::Extreme(c, wins), v) => {
+                if c[g].is_null() || compare_values(v, &c[g])? == *wins {
+                    c[g] = v.clone();
                 }
             }
         }
         Ok(())
     }
 
-    /// Merge one partial-state row segment into this accumulator (the final
-    /// phase). `vals` holds this call's state columns; a SUM, MIN or MAX
-    /// state is one value, merged as an input value is.
-    fn merge(&mut self, func: AggFunc, vals: &[Value]) -> Result<()> {
+    /// Fold one partial-state value into group `g`'s slot (the final phase
+    /// and the spill read-back): a count adds the count it was shipped (an
+    /// overflow the exec error scalar arithmetic raises), a sum or an
+    /// extreme takes its state as an argument.
+    fn merge(&mut self, g: usize, v: &Value) -> Result<()> {
         match self {
-            AggState::Count(n) => *n = checked_sum(*n, vals[0].as_i64()?)?,
-            AggState::Avg { sum, n } => {
-                if !vals[0].is_null() {
-                    numeric_add(sum, &vals[0])?;
-                }
-                *n = checked_sum(*n, vals[1].as_i64()?)?;
+            Column::Count(c) => {
+                c[g] = c[g]
+                    .checked_add(v.as_i64()?)
+                    .ok_or_else(|| CsqError::Exec("integer overflow".into()))?
             }
-            _ => self.update_value(func, Some(&vals[0]))?,
+            column => column.update(g, v)?,
         }
         Ok(())
     }
 
-    /// Append this state's partial-state values (the wire representation).
-    fn emit_state(self, out: &mut Vec<Value>) {
+    /// Group `g`'s state as the value it ships as, leaving an extreme unset.
+    fn take(&mut self, g: usize) -> Value {
         match self {
-            AggState::Count(n) => out.push(Value::Int(n)),
-            AggState::Sum(acc) | AggState::Min(acc) | AggState::Max(acc) => out.push(acc),
-            AggState::Avg { sum, n } => {
-                out.push(sum);
-                out.push(Value::Int(n));
-            }
+            Column::Count(c) => Value::Int(c[g]),
+            Column::Sum(c) => c[g].map_or(Value::Null, Num::value),
+            Column::Extreme(c, _) => std::mem::replace(&mut c[g], Value::Null),
         }
     }
+}
 
-    /// Finish into the aggregate's result value.
-    fn finish(self) -> Result<Value> {
-        Ok(match self {
-            AggState::Count(n) => Value::Int(n),
-            AggState::Sum(acc) | AggState::Min(acc) | AggState::Max(acc) => acc,
-            AggState::Avg { sum, n } => {
-                if n == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(sum.as_f64()? / n as f64)
-                }
-            }
-        })
+/// Call `f(p, i)` for each of the first `limit` rows `sel` selects that
+/// `nulls` does not mark, until one fails; the error comes back with the
+/// row's position. The selection's shape, and whether there is a NULL to
+/// skip at all, are decided once, outside the loop.
+#[inline(always)]
+fn each_valid(
+    sel: &Selection,
+    limit: usize,
+    nulls: &NullBitmap,
+    mut f: impl FnMut(usize, usize) -> Result<()>,
+) -> std::result::Result<(), (usize, CsqError)> {
+    if nulls.count_ones() == 0 {
+        return sel.try_for_each(limit, f);
+    }
+    sel.try_for_each(limit, |p, i| if nulls.get(i) { Ok(()) } else { f(p, i) })
+}
+
+/// Fold the first `limit` rows `sel` selects from `lane` into `col`, row
+/// `p` into group `gids[p]`. A count over an INT, FLOAT or BOOL lane, and a
+/// sum over an INT lane (at its own width) or a FLOAT lane, are one loop
+/// each over the rows' group ids; every other pairing reads
+/// `Lane::value(i)` into [`Column::update`]. A kernel indexes its column as
+/// a slice: indexed through the `Vec`, the loop reloaded the vector's
+/// pointer and length on every row.
+fn absorb_lane(
+    col: &mut Column,
+    gids: &[u32],
+    lane: &Lane,
+    sel: &Selection,
+    limit: usize,
+) -> std::result::Result<(), (usize, CsqError)> {
+    match (col, lane) {
+        (
+            Column::Count(c),
+            Lane::Int { nulls, .. } | Lane::Float { nulls, .. } | Lane::Bool { nulls, .. },
+        ) => {
+            let c = &mut c[..];
+            each_valid(sel, limit, nulls, |p, _| {
+                c[gids[p] as usize] += 1;
+                Ok(())
+            })
+        }
+        (Column::Sum(c), Lane::Int { values, nulls }) => {
+            let c = &mut c[..];
+            each_width!(values, v => each_valid(sel, limit, nulls, |p, i| {
+                add(&mut c[gids[p] as usize], Num::Int(wide(v[i])))
+            }))
+        }
+        (Column::Sum(c), Lane::Float { values, nulls }) => {
+            let c = &mut c[..];
+            each_valid(sel, limit, nulls, |p, i| {
+                add(&mut c[gids[p] as usize], Num::Float(values[i]))
+            })
+        }
+        (col, lane) => sel.try_for_each(limit, |p, i| col.update(gids[p] as usize, &lane.value(i))),
     }
 }
 
@@ -334,81 +377,6 @@ impl KeySource for LaneKeys<'_> {
     }
 }
 
-/// The accumulator of one call in each row's group: the column of the state
-/// matrix a per-call kernel writes.
-struct CallStates<'a> {
-    states: &'a mut [AggState],
-    gids: &'a [u32],
-    stride: usize,
-    call: usize,
-}
-
-impl CallStates<'_> {
-    #[inline]
-    fn at(&mut self, p: usize) -> &mut AggState {
-        &mut self.states[self.gids[p] as usize * self.stride + self.call]
-    }
-
-    /// Accumulate `x(i)` of each of the rows `sel` selects into the row's
-    /// group, skipping the rows `nulls` marks: `fast` decides the common
-    /// state in place and says whether it did, and any other state goes to
-    /// `slow`. The selection's shape, and whether there is a NULL to skip,
-    /// are decided once, outside the loop.
-    #[inline(always)]
-    fn fold<X: Copy>(
-        &mut self,
-        sel: &Selection,
-        nulls: Option<&NullBitmap>,
-        x: impl Fn(usize) -> X,
-        fast: impl Fn(&mut AggState, X) -> bool,
-        slow: impl Fn(&mut AggState, X) -> Result<()>,
-    ) -> std::result::Result<(), (usize, CsqError)> {
-        match (sel, nulls.filter(|n| n.count_ones() > 0)) {
-            (Selection::Window(w), None) => self.walk(|p| w.start + p, |_| false, x, fast, slow),
-            (Selection::Window(w), Some(n)) => {
-                self.walk(|p| w.start + p, |i| n.get(i), x, fast, slow)
-            }
-            (Selection::Rows(rows), None) => self.walk(|p| rows[p], |_| false, x, fast, slow),
-            (Selection::Rows(rows), Some(n)) => self.walk(|p| rows[p], |i| n.get(i), x, fast, slow),
-        }
-    }
-
-    /// The loop of [`fold`](Self::fold): row `p` is lane row `ordinal(p)`,
-    /// skipped when `null` says so.
-    #[inline(always)]
-    fn walk<X: Copy>(
-        &mut self,
-        ordinal: impl Fn(usize) -> usize,
-        null: impl Fn(usize) -> bool,
-        x: impl Fn(usize) -> X,
-        fast: impl Fn(&mut AggState, X) -> bool,
-        slow: impl Fn(&mut AggState, X) -> Result<()>,
-    ) -> std::result::Result<(), (usize, CsqError)> {
-        let (gids, stride, call) = (self.gids, self.stride, self.call);
-        let states = &mut *self.states;
-        for (p, &g) in gids.iter().enumerate() {
-            let i = ordinal(p);
-            if null(i) {
-                continue;
-            }
-            let st = &mut states[g as usize * stride + call];
-            if !fast(st, x(i)) {
-                slow(st, x(i)).map_err(|e| (p, e))?;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// `update_value` for a row a lane kernel does not decide in place: the
-/// first of a group, a sum that changes type, an overflow. That is about
-/// once a group, so it stays out of the kernels' loops.
-#[cold]
-#[inline(never)]
-fn update_cold(st: &mut AggState, func: AggFunc, v: Value) -> Result<()> {
-    st.update_value(func, Some(&v))
-}
-
 /// Call `f(p, row)` for each row until one fails; the error comes back with
 /// the position of the row that raised it.
 fn each_row(
@@ -422,8 +390,8 @@ fn each_row(
 
 /// The insertion-ordered group table: the group keys numbered by group id
 /// in a [`KeyIndex`] (so ids follow each key's first occurrence, and a key
-/// is found from its hash without building a key row), and the accumulator
-/// states in one flat vector indexed by group id.
+/// is found from its hash without building a key row), and one accumulator
+/// [`Column`] per state column, indexed by group id.
 ///
 /// The table also carries what it has registered with the operator's
 /// [`MemoryTracker`], and releases it when cleared or dropped — so a build
@@ -433,8 +401,7 @@ struct GroupTable {
     /// Tracked bytes a group costs beyond its key's wire size.
     group_overhead: usize,
     index: KeyIndex,
-    /// One state per call per group.
-    states: Vec<AggState>,
+    columns: Vec<Column>,
     memory: Option<Arc<MemoryTracker>>,
     /// Approximate bytes currently registered with `memory`.
     tracked: usize,
@@ -460,11 +427,12 @@ impl GroupTable {
     ) -> GroupTable {
         let hint = hint.min(1024);
         let state_width: usize = aggs.iter().map(AggSpec::state_width).sum();
+        let funcs: Vec<AggFunc> = aggs.iter().map(|a| a.func).collect();
         GroupTable {
-            funcs: aggs.iter().map(|a| a.func).collect(),
+            columns: columns(&funcs, hint),
+            funcs,
             group_overhead: state_width * 16 + ENTRY_OVERHEAD,
             index: KeyIndex::new(key_len, hint),
-            states: Vec::with_capacity(hint * aggs.len()),
             memory,
             tracked: 0,
             gids: Vec::new(),
@@ -491,8 +459,7 @@ impl GroupTable {
         let (g, new) = self.index.insert(hash, eq, push);
         if new {
             let key_bytes: usize = self.index.key(g).iter().map(Value::wire_size).sum();
-            self.states
-                .extend(self.funcs.iter().map(|&f| AggState::init(f)));
+            self.columns.iter_mut().for_each(Column::grow);
             let added = key_bytes + self.group_overhead;
             if let Some(t) = &self.memory {
                 self.tracked += added;
@@ -566,123 +533,28 @@ impl GroupTable {
     /// replaces the one held.
     fn update(&mut self, key: &[usize], aggs: &[AggSpec], batch: &RowBatch) -> Result<()> {
         self.resolve_batch(key, batch);
-        let mut limit = batch.len();
-        let mut first = None;
-        for (a, spec) in aggs.iter().enumerate() {
-            if let Err((p, e)) = self.update_call(a, spec, batch, limit) {
+        let (mut limit, mut first, mut at) = (batch.len(), None, 0);
+        for spec in aggs {
+            let cols = &mut self.columns[at..at + spec.state_width()];
+            at += spec.state_width();
+            if let Err((p, e)) = update_call(cols, spec, &self.gids[..limit], batch) {
                 (limit, first) = (p, Some(e));
             }
         }
         first.map_or(Ok(()), Err)
     }
 
-    /// Run call `a` over the first `limit` rows of `batch`; an error comes
-    /// back with the position of the row that raised it.
-    ///
-    /// COUNT, and SUM/AVG over an INT or FLOAT lane, are one loop each over
-    /// the rows' group ids that decides the common state in place: a count,
-    /// or a running sum of the lane's own type. Any other state (an unset
-    /// sum, a sum that changed type) and every other pairing goes through
-    /// `update_value`, which the row loop uses too.
-    fn update_call(
-        &mut self,
-        a: usize,
-        spec: &AggSpec,
-        batch: &RowBatch,
-        limit: usize,
-    ) -> std::result::Result<(), (usize, CsqError)> {
-        let func = spec.func;
-        let mut col = CallStates {
-            states: &mut self.states,
-            gids: &self.gids[..limit],
-            stride: self.funcs.len(),
-            call: a,
-        };
-        let count = |st: &mut AggState, ()| match st {
-            AggState::Count(n) => {
-                *n += 1;
-                true
-            }
-            _ => false,
-        };
-        let no_arg = |st: &mut AggState, ()| st.update_value(func, None);
-        let sum_int = |st: &mut AggState, x: i64| match st {
-            AggState::Sum(Value::Int(a)) => a.checked_add(x).map(|s| *a = s).is_some(),
-            AggState::Avg {
-                sum: Value::Int(a),
-                n,
-            } => a.checked_add(x).map(|s| (*a, *n) = (s, *n + 1)).is_some(),
-            _ => false,
-        };
-        let sum_float = |st: &mut AggState, x: f64| {
-            match st {
-                AggState::Sum(Value::Float(a)) => *a += x,
-                AggState::Avg {
-                    sum: Value::Float(a),
-                    n,
-                } => (*a, *n) = (*a + x, *n + 1),
-                _ => return false,
-            }
-            true
-        };
-        match (&spec.arg, batch.lanes()) {
-            (None, _) => col.fold(&Selection::Window(0..limit), None, |_| (), count, no_arg),
-            (Some(PhysExpr::Column(c)), Some((lanes, sel))) if *c < lanes.len() => {
-                match (func, &*lanes[*c]) {
-                    (
-                        AggFunc::Count,
-                        Lane::Int { nulls, .. }
-                        | Lane::Float { nulls, .. }
-                        | Lane::Bool { nulls, .. },
-                    ) => col.fold(sel, Some(nulls), |_| (), count, no_arg),
-                    (AggFunc::Sum | AggFunc::Avg, Lane::Int { values, nulls }) => {
-                        each_width!(values, v => col.fold(sel, Some(nulls), |i| wide(v[i]), sum_int, |st, x| {
-                            update_cold(st, func, Value::Int(x))
-                        }))
-                    }
-                    (AggFunc::Sum | AggFunc::Avg, Lane::Float { values, nulls }) => col.fold(
-                        sel,
-                        Some(nulls),
-                        |i| values[i],
-                        sum_float,
-                        |st, x| update_cold(st, func, Value::Float(x)),
-                    ),
-                    (_, lane) => sel.try_for_each(limit, |p, i| {
-                        col.at(p).update_value(func, Some(&lane.value(i)))
-                    }),
-                }
-            }
-            (Some(arg @ PhysExpr::Column(c)), None) => {
-                each_row(&batch.rows()[..limit], |p, row| {
-                    match row.values().get(*c) {
-                        Some(v) => col.at(p).update_value(func, Some(v)),
-                        // Out of range: the evaluator words the error.
-                        None => arg.eval(row).map(drop),
-                    }
-                })
-            }
-            (Some(e), _) => each_row(&batch.rows()[..limit], |p, row| {
-                let v = e.eval(row)?;
-                col.at(p).update_value(func, Some(&v))
-            }),
-        }
-    }
-
     /// Merge a batch of partial-state rows (the final phase, and the
-    /// read-back of a spill partition): key columns first, then each call's
-    /// state columns.
-    fn merge(&mut self, aggs: &[AggSpec], rows: &[Row]) -> Result<()> {
+    /// read-back of a spill partition): key columns first, then each state
+    /// column, merged into its accumulator column.
+    fn merge(&mut self, rows: &[Row]) -> Result<()> {
         let key_len = self.index.width();
         let key: Vec<usize> = (0..key_len).collect();
         self.resolve(&RowKeys { rows, cols: &key });
-        let n = self.funcs.len();
         for (row, &g) in rows.iter().zip(&self.gids) {
-            let vals = row.values();
-            let mut at = key_len;
-            for (spec, st) in aggs.iter().zip(&mut self.states[g as usize * n..][..n]) {
-                let w = spec.state_width();
-                st.merge(spec.func, &vals[at..at + w])?;
-                at += w;
+            let states = &row.values()[key_len..];
+            for (col, v) in self.columns.iter_mut().zip(states) {
+                col.merge(g as usize, v)?;
             }
         }
         Ok(())
@@ -692,18 +564,26 @@ impl GroupTable {
     /// then each call's partial state (`emit_state`) or finished value. The
     /// registered bytes go back to the tracker.
     fn drain_rows(&mut self, emit_state: bool) -> Result<Vec<Row>> {
-        let (groups, key_len, n) = (self.len(), self.index.width(), self.funcs.len());
+        let (groups, key_len) = (self.len(), self.index.width());
+        let mut cols = std::mem::replace(&mut self.columns, columns(&self.funcs, 0));
         let mut out = Vec::with_capacity(groups);
         let mut keys = self.index.clear().into_iter();
-        let mut states = std::mem::take(&mut self.states).into_iter();
-        for _ in 0..groups {
-            let mut vals: Vec<Value> = Vec::with_capacity(key_len + 2 * n);
+        for g in 0..groups {
+            let mut vals: Vec<Value> = Vec::with_capacity(key_len + cols.len());
             vals.extend(keys.by_ref().take(key_len));
-            for st in states.by_ref().take(n) {
-                if emit_state {
-                    st.emit_state(&mut vals);
-                } else {
-                    vals.push(st.finish()?);
+            let mut states = cols.iter_mut().map(|c| c.take(g));
+            if emit_state {
+                vals.extend(states);
+            } else {
+                for &f in &self.funcs {
+                    let v = states.next().unwrap_or(Value::Null);
+                    vals.push(match f {
+                        AggFunc::Avg => match states.next() {
+                            Some(Value::Int(n)) if n != 0 => Value::Float(v.as_f64()? / n as f64),
+                            _ => Value::Null,
+                        },
+                        _ => v,
+                    });
                 }
             }
             out.push(Row::new(vals));
@@ -718,6 +598,51 @@ impl GroupTable {
             t.shrink(self.tracked);
         }
         self.tracked = 0;
+    }
+}
+
+/// Run one call over the first `gids.len()` rows of `batch` into its state
+/// columns `cols`; an error comes back with the position of the row that
+/// raised it. `COUNT(*)` counts the rows; a plain column of a lane-backed
+/// batch is read from its lane ([`absorb_lane`], each column in turn); any
+/// other argument is evaluated row by row, each value folded into every
+/// column of the call.
+fn update_call(
+    cols: &mut [Column],
+    spec: &AggSpec,
+    gids: &[u32],
+    batch: &RowBatch,
+) -> std::result::Result<(), (usize, CsqError)> {
+    let limit = gids.len();
+    match (&spec.arg, batch.lanes()) {
+        (None, _) => match &mut cols[0] {
+            Column::Count(c) => {
+                gids.iter().for_each(|&g| c[g as usize] += 1);
+                Ok(())
+            }
+            Column::Extreme(..) if limit > 0 => Err((
+                0,
+                CsqError::Plan(format!("{} requires an argument", spec.func.name())),
+            )),
+            _ => Ok(()),
+        },
+        (Some(PhysExpr::Column(c)), Some((lanes, sel))) if *c < lanes.len() => cols
+            .iter_mut()
+            .try_for_each(|col| absorb_lane(col, gids, &lanes[*c], sel, limit)),
+        (Some(arg), _) => each_row(&batch.rows()[..limit], |p, row| {
+            let owned;
+            let v = match (arg, row.values()) {
+                (PhysExpr::Column(c), vals) if *c < vals.len() => &vals[*c],
+                // A real expression, or a column out of range (the
+                // evaluator words the error).
+                _ => {
+                    owned = arg.eval(row)?;
+                    &owned
+                }
+            };
+            let g = gids[p] as usize;
+            cols.iter_mut().try_for_each(|col| col.update(g, v))
+        }),
     }
 }
 
@@ -866,7 +791,7 @@ impl HashAggregate {
     fn absorb(&self, table: &mut GroupTable, batch: &RowBatch) -> Result<()> {
         match self.mode {
             Mode::Single | Mode::Partial => table.update(&self.key, &self.aggs, batch),
-            Mode::Final => table.merge(&self.aggs, batch.rows()),
+            Mode::Final => table.merge(batch.rows()),
         }
     }
 
@@ -925,7 +850,7 @@ impl HashAggregate {
             let mut reader = part.into_reader()?;
             let mut table = GroupTable::new(self.key.len(), &self.aggs, None, 0);
             while let Some(frame) = reader.next_frame()? {
-                table.merge(&self.aggs, &frame)?;
+                table.merge(&frame)?;
             }
             out.extend(table.drain_rows(self.mode == Mode::Partial)?);
         }
@@ -1287,6 +1212,38 @@ mod tests {
         table.update(&[0], &specs(), &batch).unwrap();
         assert!(tracker.used() > 0);
         drop(table);
+        assert_eq!(tracker.used(), 0);
+    }
+
+    #[test]
+    fn a_build_tracks_its_keys_and_a_fixed_cost_a_group() {
+        // What every spill point is decided against: Σ key wire size +
+        // groups × (state_width · 16 + ENTRY_OVERHEAD), registered as each
+        // group is created, whichever way the batch is read.
+        let state_width: usize = specs().iter().map(AggSpec::state_width).sum();
+        assert_eq!(state_width, 7);
+        let group = 7 * 16 + ENTRY_OVERHEAD;
+        let tracker = MemoryTracker::unlimited();
+        let mut table = GroupTable::new(1, &specs(), Some(tracker.clone()), 0);
+        let batch = RowBatch::from_rows(Arc::new(schema()), rows());
+        table.update(&[0], &specs(), &batch).unwrap();
+        // Keys 1 and 2 (nine bytes each) and NULL (one).
+        assert_eq!(tracker.used(), 19 + 3 * group);
+        table.update(&[0], &specs(), &batch).unwrap();
+        assert_eq!(tracker.used(), 19 + 3 * group, "no new group, no new bytes");
+        assert_eq!(table.drain_rows(true).unwrap().len(), 3);
+        assert_eq!(tracker.used(), 0);
+
+        // Off the lanes: keys 0..=4 and NULL, with and without the key.
+        let mut scan = ColumnarScan::new(&sealed_table(), "t", None).unwrap();
+        let mut keyed = GroupTable::new(1, &specs(), Some(tracker.clone()), 0);
+        let mut global = GroupTable::new(0, &specs(), Some(tracker.clone()), 0);
+        while let Some(batch) = scan.next_batch().unwrap() {
+            keyed.update(&[0], &specs(), &batch).unwrap();
+            global.update(&[], &specs(), &batch).unwrap();
+        }
+        assert_eq!(tracker.used(), (5 * 9 + 1 + 6 * group) + group);
+        drop((keyed, global));
         assert_eq!(tracker.used(), 0);
     }
 

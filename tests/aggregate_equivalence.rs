@@ -46,12 +46,28 @@ fn base_schema() -> Schema {
 
 /// Floats are quarter-integers (exactly representable, so sums associate
 /// exactly across partial splits) plus the occasional NaN to drive the
-/// MIN/MAX error path.
+/// MIN/MAX error path. `k2` sometimes draws from 600 values — more distinct
+/// keys than a 16-row segment's window holds, and a lane two bytes wide, so
+/// off the one-byte code map. `v` packs at each INT lane width (one, two,
+/// four and eight bytes), and one draw in eight is [`BIG`].
 fn arb_row() -> impl Strategy<Value = Row> {
     (
         prop_oneof![(-4i64..4).prop_map(Value::Int), Just(Value::Null)],
-        prop_oneof![(-3i64..3).prop_map(Value::Int), Just(Value::Null)],
-        prop_oneof![(-6i64..6).prop_map(Value::Int), Just(Value::Null)],
+        prop_oneof![
+            (-3i64..3).prop_map(Value::Int),
+            (-300i64..300).prop_map(Value::Int),
+            Just(Value::Null),
+        ],
+        prop_oneof![
+            (-6i64..6).prop_map(Value::Int),
+            (-6i64..6).prop_map(Value::Int),
+            (-6i64..6).prop_map(Value::Int),
+            (-30_000i64..30_000).prop_map(Value::Int),
+            (-2_000_000_000i64..2_000_000_000).prop_map(Value::Int),
+            (-15i64..16).prop_map(|r| Value::Int(r << 35)),
+            Just(Value::Int(BIG)),
+            Just(Value::Null),
+        ],
         prop_oneof![
             (-8i64..8).prop_map(|i| Value::Float(i as f64 * 0.25)),
             (-8i64..8).prop_map(|i| Value::Float(i as f64 * 0.25)),
@@ -68,6 +84,36 @@ fn arb_row() -> impl Strategy<Value = Row> {
         ],
     )
         .prop_map(|(a, b, c, d, e)| Row::new(vec![a, b, c, d, e]))
+}
+
+/// An INT whose sum with any other values of `v` a case draws stays in
+/// range, and two of which overflow: `i64::MAX` less a margin wider than
+/// all the other values of 160 rows can add up to.
+const BIG: i64 = i64::MAX - (1 << 51);
+
+/// Rows of [`arb_row`] with their [`BIG`]s kept in a sixth of the cases,
+/// negated in another sixth and replaced by a small value in the rest: a
+/// group's sum then overflows (past `i64::MAX`, or past `i64::MIN`) exactly
+/// when it holds two, in whatever order and however the rows are split, or
+/// never — so most cases still compare SUM and AVG values.
+fn arb_rows() -> impl Strategy<Value = Vec<Row>> {
+    (prop::collection::vec(arb_row(), 0..160), 0u8..6).prop_map(|(rows, mode)| {
+        let big = match mode {
+            0 => BIG,
+            1 => -BIG,
+            _ => 7,
+        };
+        rows.into_iter()
+            .map(|row| match row.value(2) {
+                Value::Int(BIG) => {
+                    let mut values = row.into_values();
+                    values[2] = Value::Int(big);
+                    Row::new(values)
+                }
+                _ => row,
+            })
+            .collect()
+    })
 }
 
 /// One generated aggregate call. SUM/AVG stay on numeric columns (see the
@@ -106,7 +152,8 @@ fn arb_call() -> impl Strategy<Value = CallSpec> {
             arg: Some(c)
         }),
         // SUM/AVG stay on numeric columns here so the only generatable
-        // failure kind is "exec" (NaN in a MIN/MAX group): when a case can
+        // failure kind is "exec" (NaN in a MIN/MAX group, or an INT SUM/AVG
+        // overflow in a group holding two `BIG`s): when a case can
         // contain two *different* error kinds, which one surfaces first
         // depends on evaluation order (per-row, per-group, per-chunk)
         // and is legitimately engine-specific. The type-error path has its
@@ -1021,7 +1068,7 @@ proptest! {
 
     #[test]
     fn naive_reference_matches_hash_aggregate(
-        rows in prop::collection::vec(arb_row(), 0..160),
+        rows in arb_rows(),
         key in arb_key(),
         calls in prop::collection::vec(arb_call(), 1..4),
     ) {
@@ -1033,7 +1080,7 @@ proptest! {
 
     #[test]
     fn shipped_partial_final_matches_naive(
-        rows in prop::collection::vec(arb_row(), 0..160),
+        rows in arb_rows(),
         key in arb_key(),
         calls in prop::collection::vec(arb_call(), 1..4),
         chunks in prop_oneof![Just(1usize), Just(3)],
