@@ -383,7 +383,7 @@ fn join_row_engine(probe: Vec<Row>, build: Vec<Row>) -> Vec<Row> {
 fn join_batch_engine(probe: Vec<Row>, build: Vec<Row>) -> Vec<Row> {
     let l = Box::new(RowsOp::new(probe_schema(), probe));
     let r = Box::new(RowsOp::new(build_schema(), build));
-    let mut j = HashJoin::new(l, r, vec![1], vec![0]);
+    let mut j = HashJoin::new(l, r, vec![(1, 0)]);
     collect(&mut j).expect("batch join")
 }
 

@@ -34,9 +34,8 @@ pub const DEFAULT_BATCH_SIZE: usize = 1024;
 ///
 /// A batch is a complete unit of work, built once from its rows or its
 /// lanes. Batches produced by well-behaved operators are never empty and
-/// usually hold at most [`DEFAULT_BATCH_SIZE`] rows, except where an
-/// operator's output naturally exceeds it (join fan-out); consumers must not
-/// assume an exact size.
+/// usually hold at most [`DEFAULT_BATCH_SIZE`] rows (a join splits a probe
+/// row's fan-out across batches); consumers must not assume an exact size.
 #[derive(Debug, Clone)]
 pub struct RowBatch {
     schema: Arc<Schema>,

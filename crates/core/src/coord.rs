@@ -26,8 +26,8 @@
 //!   [`HashAggregate::finalize`](csq_exec::HashAggregate::finalize). A
 //!   shard runs it with the operators lowering builds and parses nothing.
 //!   The SELECT list, joins, client-site UDFs, client-only aggregates and
-//!   HAVING run above the leaves at the coordinator (a join is a nested
-//!   loop under a filter); nothing is repartitioned across shards.
+//!   HAVING run above the leaves at the coordinator (a join is a hash join
+//!   under a filter); nothing is repartitioned across shards.
 //!
 //! **Scatter and failure semantics.** A broadcast, a routed INSERT and a
 //! `Gather` each write every shard its request ([`ConnectionPool::send`])

@@ -129,11 +129,12 @@ impl Database {
         }
     }
 
-    /// Cap the bytes the grouped aggregates of all queries on this database
-    /// may hold in memory — every phase of every aggregate placement; past
-    /// the cap they spill group state to temp files and merge it back
-    /// (larger-than-memory execution). Joins are not budgeted: a SQL join
-    /// runs as a `NestedLoopJoin`, which has no budget. The budget is
+    /// Cap the bytes the grouped aggregates and joins of all queries on
+    /// this database may hold in memory — every phase of every aggregate
+    /// placement and every join's build side; past the cap an aggregate
+    /// spills group state to temp files and merges it back, and a join
+    /// partitions both sides to temp files and joins them pair by pair
+    /// (larger-than-memory execution). The budget is
     /// advisory — operators check it at batch boundaries — and shared, so
     /// concurrent queries degrade into spilling instead of compounding
     /// memory use.

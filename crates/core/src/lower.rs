@@ -2,7 +2,7 @@
 //!
 //! One lowering, one run, one link. [`run_tree`] is the only way a plan
 //! runs: `build_tree` turns it into one operator tree — columnar scans,
-//! filters, nested-loop joins, aggregates, and the shipping operators of
+//! filters, hash joins, aggregates, and the shipping operators of
 //! `csq-ship` — drains that tree and projects its batches onto the SELECT
 //! list, leaving the result as batches ([`ResultBatches`]): rows are built
 //! by whoever receives them. Each `ApplyUdf` node ships over its own
@@ -29,12 +29,12 @@
 
 use csq_client::protocol::check_expr_width;
 use csq_client::QueryRequest;
-use csq_common::{CancelToken, CsqError, Field, Result, Row, RowBatch, Schema};
+use csq_common::{CancelToken, CsqError, DataType, Field, Result, Row, RowBatch, Schema};
 use csq_exec::{
     aggregate_state_schema, AggSpec, BoxOp, CancelCheck, ColumnarScan, Filter, HashAggregate,
-    NestedLoopJoin, Operator, Project, Projection, RowsOp,
+    HashJoin, Operator, Project, Projection, RowsOp,
 };
-use csq_expr::{analysis, bind, ColumnRef, PhysExpr};
+use csq_expr::{analysis, bind, BinaryOp, ColumnRef, PhysExpr};
 use csq_net::{Endpoint, VirtualLinks};
 use csq_opt::{
     AggPlacement, AggregateSpec, GatherMode, PlanNode, QueryGraph, ShipParams, UdfStrategy, Unit,
@@ -166,6 +166,49 @@ fn ship_op(
     })
 }
 
+/// The `(left, right)` key pairs a join whose left input is `width`
+/// columns wide can take from `pred`, the filter over its output `schema`:
+/// each conjunct `l = r` between columns of opposite sides of one declared
+/// INT, STR, BLOB or BOOL type. FLOAT is left out (`Value` equality is
+/// bitwise, so −0.0 and 0.0 differ, and NaN equals itself) and so are
+/// mixed types (`sql_cmp` widens INT to FLOAT). Keys are taken only when no
+/// conjunct can raise — each compares columns or a column and a literal of
+/// one type, two numeric types, or a NULL — so every pair the join never
+/// forms is one the filter maps to false, never one it would raise on.
+fn join_keys(pred: &PhysExpr, schema: &Schema, width: usize) -> Vec<(usize, usize)> {
+    use DataType::{Blob, Bool, Float, Int, Str};
+    let operand = |e: &PhysExpr| match e {
+        PhysExpr::Column(i) => Some((Some(*i), Some(schema.field(*i).dtype))),
+        PhysExpr::Literal(v) => Some((None, v.data_type())),
+        _ => None,
+    };
+    let numeric = |t| matches!(t, Some(Int | Float));
+    let (mut keys, mut conjuncts) = (Vec::new(), vec![pred]);
+    while let Some(c) = conjuncts.pop() {
+        let PhysExpr::Binary { left, op, right } = c else {
+            return Vec::new();
+        };
+        if *op == BinaryOp::And {
+            conjuncts.extend([&**right, &**left]);
+            continue;
+        }
+        let (Some((a, t)), Some((b, u))) = (operand(left), operand(right)) else {
+            return Vec::new();
+        };
+        let typed = t == u || t.is_none() || u.is_none() || numeric(t) && numeric(u);
+        if !op.is_comparison() || a.or(b).is_none() || !typed {
+            return Vec::new();
+        }
+        if let (BinaryOp::Eq, Some(a), Some(b)) = (op, a, b) {
+            let (a, b) = (a.min(b), a.max(b));
+            if a < width && b >= width && t == u && matches!(t, Some(Int | Str | Blob | Bool)) {
+                keys.push((a, b - width));
+            }
+        }
+    }
+    keys
+}
+
 // ---- the operator tree -----------------------------------------------------
 
 /// One plan being lowered: what every node of the walk reads.
@@ -282,6 +325,19 @@ impl Lowering<'_> {
             .ok_or_else(|| CsqError::Plan("Aggregate node without an aggregate spec".into()))
     }
 
+    /// The join of `l` and `r` under `preds`, the predicates of the filter
+    /// directly above it: one [`HashJoin`] under the database's memory
+    /// budget, keyed on the pairs [`join_keys`] takes from them (a predicate
+    /// that does not bind is left for the filter to report).
+    fn join(&mut self, l: &PlanNode, r: &PlanNode, preds: &[usize], narrow: bool) -> Result<BoxOp> {
+        let (l, r) = (self.build_tree(l, narrow)?, self.build_tree(r, narrow)?);
+        let schema = l.schema().join(r.schema());
+        let pred = bind_preds(self.graph, preds, &schema).ok().flatten();
+        let keys = pred.map_or(Vec::new(), |p| join_keys(&p, &schema, l.schema().len()));
+        let join = HashJoin::new(l, r, keys).with_memory(self.db.memory_tracker());
+        Ok(Box::new(join))
+    }
+
     /// Lower `node` to its operator tree.
     ///
     /// `narrow` is true until the walk descends through an `ApplyUdf`: the
@@ -291,11 +347,7 @@ impl Lowering<'_> {
         let graph = self.graph;
         match node {
             PlanNode::Scan { unit } => self.scan_leaf(*unit, &[], narrow),
-            PlanNode::Join { left, right } => {
-                let l = self.build_tree(left, narrow)?;
-                let r = self.build_tree(right, narrow)?;
-                Ok(Box::new(NestedLoopJoin::new(l, r, None)))
-            }
+            PlanNode::Join { left, right } => self.join(left, right, &[], narrow),
             PlanNode::Filter { preds, .. } if preds.is_empty() => {
                 Err(CsqError::Plan("empty filter".into()))
             }
@@ -303,8 +355,9 @@ impl Lowering<'_> {
             // there are none). Predicates landing directly on a scan also
             // push their pushable prefix down as a `FilterSpec`: segments
             // disproved by zone maps are skipped and rows the spec rejects
-            // are never materialized. The full predicate is still applied
-            // above — the spec only rules out.
+            // are never materialized; on a join they key it. The full
+            // predicate is still applied above — the spec and the key only
+            // rule out.
             PlanNode::Filter { input, preds }
             | PlanNode::Final {
                 input,
@@ -313,6 +366,7 @@ impl Lowering<'_> {
             } => {
                 let child = match &**input {
                     PlanNode::Scan { unit } => self.scan_leaf(*unit, preds, narrow)?,
+                    PlanNode::Join { left, right } => self.join(left, right, preds, narrow)?,
                     _ => self.build_tree(input, narrow)?,
                 };
                 Ok(match bind_preds(graph, preds, child.schema())? {
@@ -655,6 +709,44 @@ mod tests {
                 2
             );
             assert_eq!(lowered_width(db, "SELECT count(*) FROM StockQuotes S"), 1);
+        }
+    }
+
+    /// Lowering keys a join on `l = r` between opposite sides of one
+    /// declared INT, STR, BLOB or BOOL type, and only when no conjunct of
+    /// the filter can raise; anything else leaves the cross product.
+    #[test]
+    fn join_keys_take_only_exact_equalities() {
+        let side = |q: &str| {
+            Schema::new(vec![
+                Field::qualified(q, "k", DataType::Int),
+                Field::qualified(q, "s", DataType::Str),
+                Field::qualified(q, "f", DataType::Float),
+                Field::qualified(q, "b", DataType::Bool),
+            ])
+        };
+        let schema = side("a").join(&side("b"));
+        let keys = |sql: &str| {
+            let pred = bind(&csq_sql::parse_expression(sql).unwrap(), &schema).unwrap();
+            join_keys(&pred, &schema, 4)
+        };
+        assert_eq!(keys("a.k = b.k"), [(0, 0)]);
+        assert_eq!(keys("b.s = a.s AND a.k = b.k"), [(1, 1), (0, 0)]);
+        assert_eq!(keys("a.b = b.b AND a.k > 3 AND b.f < a.k"), [(3, 3)]);
+        assert_eq!(keys("a.k = b.k AND a.s = NULL AND 2.5 <= b.f"), [(0, 0)]);
+        // Not a key, but unable to raise: the other pairs stay keys.
+        assert_eq!(keys("a.f = b.f AND a.k = b.k"), [(0, 0)]);
+        assert_eq!(keys("a.k = b.f AND a.k = a.k AND b.s = b.s"), []);
+        assert_eq!(keys("a.k < b.k"), []);
+        // A conjunct that could raise leaves the join unkeyed.
+        for sql in [
+            "a.k = b.k AND a.k / b.k > 1",
+            "a.k = b.k AND a.s = 1",
+            "a.k = b.k AND (a.f > 1.0 OR a.b)",
+            "a.k = b.k AND NOT a.b",
+            "a.k = b.k AND 1 = 1",
+        ] {
+            assert_eq!(keys(sql), [], "{sql}");
         }
     }
 }

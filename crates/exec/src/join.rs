@@ -1,29 +1,30 @@
-//! Join operators: hash and nested-loop.
+//! The join operator.
 //!
 //! The paper models UDF application as an equi-join with a virtual,
 //! index-only UDF table (§2.2); the shipping receivers in `csq-ship` do that
-//! join themselves. These are the operators for ordinary table joins:
-//! lowering builds every SQL join as a [`NestedLoopJoin`] cross product under
-//! a `Filter`; [`HashJoin`] is built by no statement yet (ROADMAP 1(a)).
-//!
-//! Both are batch-native: inputs are pulled a [`RowBatch`] at a time
-//! and outputs are emitted in batches (a batch may exceed the default
-//! capacity when one input row fans out to many matches).
+//! join themselves. [`HashJoin`] is the one operator for ordinary table
+//! joins: lowering builds every SQL join as one, keyed on the equi-conjuncts
+//! it can decide exactly (none: the cross product), under a `Filter` holding
+//! the whole join predicate. Inputs are pulled a [`RowBatch`] at a time;
+//! output batches hold at most [`DEFAULT_BATCH_SIZE`] rows, however far one
+//! probe row fans out.
 
 use std::borrow::Cow;
 use std::sync::Arc;
+use std::vec::IntoIter;
 
 use csq_common::{KeyIndex, Result, Row, RowBatch, Schema, DEFAULT_BATCH_SIZE};
-use csq_expr::PhysExpr;
 
-use crate::ops::{batch_operator, collect, Operator};
+use crate::ops::{batch_operator, Operator};
 use crate::spill::{
     partition_rows, spill_partitions, MemoryTracker, SpillFile, SpillReader, ENTRY_OVERHEAD,
 };
 
 /// Hash equi-join: builds the right input, probes with the left, one batch
 /// of probe rows at a time. Output schema = left ⊕ right; output order is
-/// probe order, then build order within a key.
+/// probe order, then build order within a key. With no key columns every
+/// build row is in the one chain, so the join is the cross product in
+/// left-major order.
 ///
 /// With a [`MemoryTracker`] attached (via [`with_memory`](HashJoin::with_memory))
 /// this becomes a Grace hash join under pressure: if the build side exceeds
@@ -41,6 +42,10 @@ pub struct HashJoin {
     right_key: Vec<usize>,
     schema: Arc<Schema>,
     state: JoinState,
+    /// The probe rows still to join, the first of them from build row
+    /// `chain` on ([`END`]: not looked up yet).
+    probe: IntoIter<Row>,
+    chain: usize,
     /// Byte budget shared with other operators; `None` = never spill.
     memory: Option<Arc<MemoryTracker>>,
     /// Approximate bytes registered for the in-memory build table.
@@ -56,7 +61,7 @@ enum JoinState {
     /// probe reader), and the pairs left.
     Grace {
         current: Option<(BuildTable, SpillReader)>,
-        parts: std::iter::Zip<std::vec::IntoIter<SpillFile>, std::vec::IntoIter<SpillFile>>,
+        parts: std::iter::Zip<IntoIter<SpillFile>, IntoIter<SpillFile>>,
     },
     /// Not built yet, drained, or its build failed (returned once).
     Done,
@@ -105,37 +110,43 @@ impl BuildTable {
         }
     }
 
-    /// Each of `probe`'s rows joined with every build row of its key at
-    /// `cols`: probe order, then build order. A key with a NULL cell matches
+    /// Join each of `probe`'s rows, the first from build row `chain` on,
+    /// with every build row of its key at `cols` onto `out` — probe order,
+    /// then build order — until `out` holds a batch or the rows run out;
+    /// `probe` and `chain` keep the place. A key with a NULL cell matches
     /// nothing (SQL semantics), though `Value` equality would pair it.
-    fn probe(&self, cols: &[usize], probe: &[Row]) -> Vec<Row> {
-        let mut out = Vec::new();
-        for l in probe {
-            if cols.iter().any(|&c| l.value(c).is_null()) {
-                continue;
+    fn probe(
+        &self,
+        cols: &[usize],
+        probe: &mut IntoIter<Row>,
+        chain: &mut usize,
+        out: &mut Vec<Row>,
+    ) {
+        while let (Some(l), true) = (probe.as_slice().first(), out.len() < DEFAULT_BATCH_SIZE) {
+            if *chain == END && !cols.iter().any(|&c| l.value(c).is_null()) {
+                let found = self.keys.find_by(cols, |c| Cow::Borrowed(l.value(c)));
+                *chain = found.map_or(END, |o| self.first[o]);
             }
-            let Some(o) = self.keys.find_by(cols, |c| Cow::Borrowed(l.value(c))) else {
-                continue;
-            };
-            let mut r = self.first[o];
-            while r != END {
-                out.push(l.join(&self.rows[r]));
-                r = self.next[r];
+            if *chain != END {
+                out.push(l.join(&self.rows[*chain]));
+                *chain = self.next[*chain];
+            }
+            if *chain == END {
+                probe.next();
             }
         }
-        out
     }
 }
 
 impl HashJoin {
-    /// Join `left` and `right` on equality of the given key columns.
+    /// Join `left` and `right` on equality of each `(left, right)` pair of
+    /// key columns; no pairs is the cross product.
     pub fn new(
         left: Box<dyn Operator + Send>,
         right: Box<dyn Operator + Send>,
-        left_key: Vec<usize>,
-        right_key: Vec<usize>,
+        keys: Vec<(usize, usize)>,
     ) -> HashJoin {
-        assert_eq!(left_key.len(), right_key.len(), "join key arity mismatch");
+        let (left_key, right_key) = keys.into_iter().unzip();
         let schema = Arc::new(left.schema().join(right.schema()));
         HashJoin {
             left,
@@ -144,6 +155,8 @@ impl HashJoin {
             right_key,
             schema,
             state: JoinState::Done,
+            probe: Vec::new().into_iter(),
+            chain: END,
             memory: None,
             tracked: 0,
             spill_events: 0,
@@ -223,28 +236,35 @@ impl HashJoin {
             }
             self.state = built?;
         }
-        loop {
-            let (table, probe) = match &mut self.state {
-                JoinState::InMemory(table) => match self.left.next_batch()? {
-                    Some(batch) => (&*table, batch.into_rows()),
-                    None => {
-                        self.state = JoinState::Done;
-                        self.release_tracked();
-                        return Ok(None);
+        let mut out = Vec::new();
+        while out.len() < DEFAULT_BATCH_SIZE {
+            let table = match &mut self.state {
+                JoinState::InMemory(table) => {
+                    if self.probe.len() == 0 {
+                        let Some(batch) = self.left.next_batch()? else {
+                            self.state = JoinState::Done;
+                            self.release_tracked();
+                            break;
+                        };
+                        self.probe = batch.into_rows().into_iter();
                     }
-                },
+                    &*table
+                }
                 JoinState::Grace { current, parts } => match current {
-                    Some((table, probe)) => match probe.next_frame()? {
-                        Some(frame) => (&*table, frame),
-                        None => {
-                            *current = None;
-                            continue;
+                    Some((table, reader)) => {
+                        if self.probe.len() == 0 {
+                            let Some(frame) = reader.next_frame()? else {
+                                *current = None;
+                                continue;
+                            };
+                            self.probe = frame.into_iter();
                         }
-                    },
+                        &*table
+                    }
                     None => {
                         let Some((build, probe)) = parts.next() else {
                             self.state = JoinState::Done;
-                            return Ok(None);
+                            break;
                         };
                         let mut table = BuildTable::new(self.right_key.len());
                         table.extend(&self.right_key, build.into_reader()?.read_all()?);
@@ -252,13 +272,11 @@ impl HashJoin {
                         continue;
                     }
                 },
-                JoinState::Done => return Ok(None),
+                JoinState::Done => break,
             };
-            let out = table.probe(&self.left_key, &probe);
-            if !out.is_empty() {
-                return Ok(Some(RowBatch::from_rows(self.schema.clone(), out)));
-            }
+            table.probe(&self.left_key, &mut self.probe, &mut self.chain, &mut out);
         }
+        Ok((!out.is_empty()).then(|| RowBatch::from_rows(self.schema.clone(), out)))
     }
 }
 
@@ -272,84 +290,11 @@ impl Drop for HashJoin {
 
 batch_operator!(HashJoin);
 
-/// Nested-loop join with an arbitrary bound predicate over the concatenated
-/// row. The right input is materialized; output batches hold at most
-/// [`DEFAULT_BATCH_SIZE`] rows.
-pub struct NestedLoopJoin {
-    left: Box<dyn Operator + Send>,
-    /// The right input, until the first pull materializes it.
-    right: Option<Box<dyn Operator + Send>>,
-    predicate: Option<PhysExpr>,
-    schema: Arc<Schema>,
-    right_rows: Vec<Row>,
-    /// The current left batch's rows still to join, the first of them from
-    /// right row `right_pos` on; `None` before the right input is read, once
-    /// the left one is drained, and after a failed pull.
-    left_rows: Option<std::vec::IntoIter<Row>>,
-    right_pos: usize,
-}
-
-impl NestedLoopJoin {
-    /// Join with `predicate` evaluated over left ⊕ right rows
-    /// (`None` = cross product).
-    pub fn new(
-        left: Box<dyn Operator + Send>,
-        right: Box<dyn Operator + Send>,
-        predicate: Option<PhysExpr>,
-    ) -> NestedLoopJoin {
-        let schema = Arc::new(left.schema().join(right.schema()));
-        NestedLoopJoin {
-            left,
-            right: Some(right),
-            predicate,
-            schema,
-            right_rows: Vec::new(),
-            left_rows: None,
-            right_pos: 0,
-        }
-    }
-
-    fn produce(&mut self) -> Result<Option<RowBatch>> {
-        if let Some(mut right) = self.right.take() {
-            self.right_rows = collect(right.as_mut())?;
-            self.left_rows = Some(Vec::new().into_iter());
-        }
-        let mut out = Vec::new();
-        while let Some(rows) = &mut self.left_rows {
-            if out.len() == DEFAULT_BATCH_SIZE {
-                break;
-            }
-            let Some(l) = rows.as_slice().first() else {
-                self.left_rows = None; // A failed pull leaves the join drained.
-                self.left_rows = self.left.next_batch()?.map(|b| b.into_rows().into_iter());
-                continue;
-            };
-            let Some(r) = self.right_rows.get(self.right_pos) else {
-                self.right_pos = 0;
-                rows.next();
-                continue;
-            };
-            self.right_pos += 1;
-            let joined = l.join(r);
-            let keep = match &self.predicate {
-                Some(p) => p.eval_predicate(&joined)?,
-                None => true,
-            };
-            if keep {
-                out.push(joined);
-            }
-        }
-        Ok((!out.is_empty()).then(|| RowBatch::from_rows(self.schema.clone(), out)))
-    }
-}
-
-batch_operator!(NestedLoopJoin);
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ops::testing::{assert_latched, FailsAfter};
-    use crate::ops::RowsOp;
+    use crate::ops::{collect, Filter, RowsOp};
     use csq_common::{DataType, Field, Value};
     use csq_expr::{bind, Expr};
 
@@ -372,8 +317,7 @@ mod tests {
         let mut j = HashJoin::new(
             Box::new(RowsOp::new(ls, lr)),
             Box::new(RowsOp::new(rs, rr)),
-            vec![0],
-            vec![0],
+            vec![(0, 0)],
         );
         let out = collect(&mut j).unwrap();
         assert_eq!(out.len(), 3); // 2 joins once, 3 joins twice
@@ -391,8 +335,7 @@ mod tests {
         let mut j = HashJoin::new(
             Box::new(RowsOp::new(schema.clone(), l)),
             Box::new(RowsOp::new(schema, r)),
-            vec![0],
-            vec![0],
+            vec![(0, 0)],
         );
         // Note: the build side stores NULL keys but probe-side NULLs skip.
         // A NULL probe never equals a NULL build key under SQL, and our Row
@@ -402,19 +345,25 @@ mod tests {
     }
 
     #[test]
-    fn nested_loop_cross_and_theta() {
+    fn empty_key_join_is_the_cross_product() {
         let (ls, lr) = side("l", &[(1, "a"), (2, "b")]);
         let (rs, rr) = side("r", &[(1, "x"), (3, "y")]);
-        let mut cross = NestedLoopJoin::new(
-            Box::new(RowsOp::new(ls.clone(), lr.clone())),
-            Box::new(RowsOp::new(rs.clone(), rr.clone())),
-            None,
+        let mut cross = HashJoin::new(
+            Box::new(RowsOp::new(ls, lr)),
+            Box::new(RowsOp::new(rs, rr)),
+            vec![],
         );
-        assert_eq!(collect(&mut cross).unwrap().len(), 4);
+        let pairs: Vec<String> = collect(&mut cross)
+            .unwrap()
+            .iter()
+            .map(|r| format!("{}{}", r.value(1), r.value(3)))
+            .collect();
+        // Left-major, then build order: the nested loop's order.
+        assert_eq!(pairs.join(" ").replace('\'', ""), "ax ay bx by");
     }
 
     #[test]
-    fn nested_loop_theta_exact() {
+    fn empty_key_join_under_a_theta_filter() {
         let (ls, lr) = side("l", &[(1, "a"), (2, "b")]);
         let (rs, rr) = side("r", &[(1, "x"), (3, "y")]);
         let joined_schema = ls.join(&rs);
@@ -427,14 +376,55 @@ mod tests {
             &joined_schema,
         )
         .unwrap();
-        let mut theta = NestedLoopJoin::new(
+        let cross = HashJoin::new(
             Box::new(RowsOp::new(ls, lr)),
             Box::new(RowsOp::new(rs, rr)),
-            Some(pred),
+            vec![],
         );
-        let out = collect(&mut theta).unwrap();
+        let out = collect(&mut Filter::new(Box::new(cross), pred)).unwrap();
         // (1,1):no (1,3):yes (2,1):no (2,3):yes
         assert_eq!(out.len(), 2);
+    }
+
+    #[test]
+    fn a_cross_product_leaves_in_full_batches() {
+        // 40 × 60 = 2 400 pairs: more than two batches, some of them
+        // resuming a probe row's chain mid-way, in memory and partition-wise.
+        let (ls, _) = side("l", &[]);
+        let (rs, _) = side("r", &[]);
+        let rows = |n: i64| -> Vec<Row> {
+            (0..n)
+                .map(|i| Row::new(vec![Value::Int(i), Value::from("v")]))
+                .collect()
+        };
+        for memory in [None, Some(MemoryTracker::new(0))] {
+            let mut j = HashJoin::new(
+                Box::new(RowsOp::new(ls.clone(), rows(40))),
+                Box::new(RowsOp::new(rs.clone(), rows(60))),
+                vec![],
+            );
+            if let Some(t) = &memory {
+                j = j.with_memory(t.clone());
+            }
+            let mut sizes = Vec::new();
+            let mut pairs = Vec::new();
+            while let Some(b) = j.next_batch().unwrap() {
+                sizes.push(b.len());
+                pairs.extend(
+                    b.into_rows()
+                        .iter()
+                        .map(|r| (r.value(0).clone(), r.value(2).clone())),
+                );
+            }
+            assert_eq!(sizes, [DEFAULT_BATCH_SIZE, DEFAULT_BATCH_SIZE, 352]);
+            let expected: Vec<_> = (0..40)
+                .flat_map(|l| (0..60).map(move |r| (Value::Int(l), Value::Int(r))))
+                .collect();
+            assert_eq!(pairs, expected);
+            if let Some(t) = memory {
+                assert_eq!((j.spill_events(), t.used()), (1, 0));
+            }
+        }
     }
 
     #[test]
@@ -459,8 +449,7 @@ mod tests {
         let mut in_mem = HashJoin::new(
             Box::new(RowsOp::new(ls.clone(), lrows.clone())),
             Box::new(RowsOp::new(rs.clone(), rrows.clone())),
-            vec![0],
-            vec![0],
+            vec![(0, 0)],
         );
         let mut expected = collect(&mut in_mem).unwrap();
 
@@ -468,8 +457,7 @@ mod tests {
         let mut grace = HashJoin::new(
             Box::new(RowsOp::new(ls, lrows)),
             Box::new(RowsOp::new(rs, rrows)),
-            vec![0],
-            vec![0],
+            vec![(0, 0)],
         )
         .with_memory(tracker.clone());
         let mut got = collect(&mut grace).unwrap();
@@ -514,8 +502,7 @@ mod tests {
             let mut j = HashJoin::new(
                 Box::new(RowsOp::new(schema.clone(), left.clone())),
                 Box::new(RowsOp::new(schema.clone(), right.clone())),
-                vec![0, 1],
-                vec![0, 1],
+                vec![(0, 0), (1, 1)],
             );
             if let Some(t) = memory {
                 j = j.with_memory(t);
@@ -548,8 +535,7 @@ mod tests {
         let mut j = HashJoin::new(
             Box::new(RowsOp::new(ls.clone(), lr.clone())),
             Box::new(failing(&rs, &rr)),
-            vec![0],
-            vec![0],
+            vec![(0, 0)],
         )
         .with_memory(tracker.clone());
         assert_latched(&mut j, "exec");
@@ -559,8 +545,7 @@ mod tests {
         let mut j = HashJoin::new(
             Box::new(failing(&ls, &lr)),
             Box::new(RowsOp::new(rs, rr)),
-            vec![0],
-            vec![0],
+            vec![(0, 0)],
         )
         .with_memory(tracker.clone());
         assert_latched(&mut j, "exec");
@@ -575,8 +560,7 @@ mod tests {
         let mut j = HashJoin::new(
             Box::new(RowsOp::new(ls, lr)),
             Box::new(RowsOp::new(rs, rr)),
-            vec![0],
-            vec![0],
+            vec![(0, 0)],
         )
         .with_memory(tracker.clone());
         assert_eq!(collect(&mut j).unwrap().len(), 2);
@@ -599,8 +583,7 @@ mod tests {
         let mut j = HashJoin::new(
             Box::new(RowsOp::new(ls, lrows)),
             Box::new(RowsOp::new(rs, rrows)),
-            vec![0],
-            vec![0],
+            vec![(0, 0)],
         );
         let mut total = 0;
         while let Some(b) = j.next_batch().unwrap() {

@@ -9,11 +9,11 @@
 //! receivers in `csq-ship` implement the same contract and compose into the
 //! same plans. See DESIGN.md §2.
 //!
-//! Operators provided here: scan, filter, project, hash join,
-//! nested-loop join, grouped aggregation, the cancellation checkpoint and
-//! in-memory row sources — what `csq_core::lower` and `csq-ship` build
-//! (`HashJoin` is the one no statement reaches yet); both hash operators
-//! number their keys through [`csq_common::KeyIndex`]. [`MemoryTracker`] is
+//! Operators provided here: scan, filter, project, the hash join (every SQL
+//! join; with no key, the cross product), grouped aggregation, the
+//! cancellation checkpoint and in-memory row sources — what
+//! `csq_core::lower` and `csq-ship` build; both hash operators number their
+//! keys through [`csq_common::KeyIndex`]. [`MemoryTracker`] is
 //! the byte budget the blocking operators spill under, and [`WorkerPool`]
 //! is the thread pool the query service schedules sessions on.
 
@@ -24,7 +24,7 @@ pub mod pool;
 pub mod spill;
 
 pub use aggregate::{aggregate_output_schema, aggregate_state_schema, AggSpec, HashAggregate};
-pub use join::{HashJoin, NestedLoopJoin};
+pub use join::HashJoin;
 pub use ops::{
     collect, compare_values, CancelCheck, ColumnarScan, Filter, Operator, Project, Projection,
     RowsOp,

@@ -10,9 +10,9 @@
 //!    as typed lanes plus a selection, what a scan emits), which the
 //!    pipeline must not be able to tell from the same rows as rows.
 //! 2. `HashJoin` — in memory and through its Grace fallback — returns the
-//!    rows of the cross product under an equality `Filter`, which is what
-//!    lowering builds for every SQL join today (ROADMAP 1(a)); one pinned
-//!    case writes down where the two differ.
+//!    pairs a nested loop keeps under the key equalities evaluated as SQL
+//!    (`eval_predicate`); one pinned case writes down where the two differ,
+//!    which is why lowering never keys a join on mixed INT/FLOAT columns.
 //! 3. Random semi-join / client-join workloads ship byte-for-byte the same
 //!    traffic through the threaded engine (batched senders, zero-copy
 //!    receive) and the virtual-time simulator.
@@ -28,9 +28,7 @@ use proptest::prelude::*;
 use csq_client::synthetic::ObjectUdf;
 use csq_client::{spawn_client, ClientRuntime, QueryResponse};
 use csq_common::{Blob, DataType, Field, Lane, Result, Row, RowBatch, Schema, Selection, Value};
-use csq_exec::{
-    collect, BoxOp, Filter, HashJoin, MemoryTracker, NestedLoopJoin, Operator, Project, RowsOp,
-};
+use csq_exec::{collect, BoxOp, Filter, HashJoin, MemoryTracker, Operator, Project, RowsOp};
 use csq_expr::{BinaryOp, PhysExpr};
 use csq_net::{in_memory_duplex, NetworkSpec};
 use csq_ship::{
@@ -307,11 +305,11 @@ fn arb_side() -> impl Strategy<Value = Vec<Row>> {
     })
 }
 
-/// What `csq_core::lower` builds for a join today: the cross product, with
-/// the key equalities as the `Filter` above it.
+/// The reference join: a nested loop over `l` × `r` keeping each
+/// concatenated pair on which the key equalities, evaluated as SQL, hold.
 fn filtered_cross_product(
     (ls, l): (Schema, Vec<Row>),
-    (rs, r): (Schema, Vec<Row>),
+    (_, r): (Schema, Vec<Row>),
     key: &[usize],
 ) -> Result<Vec<Row>> {
     let width = ls.len();
@@ -328,12 +326,16 @@ fn filtered_cross_product(
             right: Box::new(eq),
         })
         .expect("at least one key column");
-    let cross = NestedLoopJoin::new(
-        Box::new(RowsOp::new(ls, l)),
-        Box::new(RowsOp::new(rs, r)),
-        None,
-    );
-    collect(&mut Filter::new(Box::new(cross), pred))
+    let mut out = Vec::new();
+    for a in &l {
+        for b in &r {
+            let joined = a.join(b);
+            if pred.eval_predicate(&joined)? {
+                out.push(joined);
+            }
+        }
+    }
+    Ok(out)
 }
 
 fn as_multiset(rows: Vec<Row>) -> Vec<String> {
@@ -362,8 +364,7 @@ proptest! {
                 HashJoin::new(
                     chunked(ls.clone(), l.clone(), chunk, lanes),
                     chunked(rs.clone(), r.clone(), chunk, lanes),
-                    key.clone(),
-                    key.clone(),
+                    key.iter().map(|&k| (k, k)).collect(),
                 )
             };
             let in_memory = run_batches(Box::new(join())).unwrap();
@@ -380,11 +381,13 @@ proptest! {
     }
 }
 
-/// Pinned, for ROADMAP 1(a): the two joins disagree on an `Int 1` /
-/// `Float 1.0` key pair. `HashJoin` matches keys by `Value` equality, under
-/// which values of different types are never equal; the filter compares by
-/// `sql_cmp`, which widens the INT. Neither operator is changed to agree —
-/// whoever lowers an equi-join onto `HashJoin` inherits this difference.
+/// Pinned: the two joins disagree on an `Int 1` / `Float 1.0` key pair.
+/// `HashJoin` matches keys by `Value` equality, under which values of
+/// different types are never equal; the filter compares by `sql_cmp`, which
+/// widens the INT. Neither is changed to agree: lowering's type rule
+/// (`csq_core::lower`'s `join_keys`) keys a join only on two columns of one
+/// declared INT, STR, BLOB or BOOL type, so such a pair is never a key and
+/// the filter above the join decides it.
 #[test]
 fn int_and_float_keys_match_under_the_filter_but_not_in_the_hash_join() {
     let ls = Schema::new(vec![Field::new("lk", DataType::Int)]);
@@ -399,8 +402,7 @@ fn int_and_float_keys_match_under_the_filter_but_not_in_the_hash_join() {
     let mut hashed = HashJoin::new(
         Box::new(RowsOp::new(ls, l)),
         Box::new(RowsOp::new(rs, r)),
-        vec![0],
-        vec![0],
+        vec![(0, 0)],
     );
     assert_eq!(collect(&mut hashed).unwrap(), Vec::<Row>::new());
 }

@@ -749,12 +749,12 @@ proptest! {
         let schema = scan_schema();
         let mk = |rows: &[Row]| Box::new(RowsOp::new(schema.clone(), rows.to_vec()));
 
-        let mut plain = HashJoin::new(mk(&left), mk(&right), vec![0], vec![0]);
+        let mut plain = HashJoin::new(mk(&left), mk(&right), vec![(0, 0)]);
         let reference = collect(&mut plain).unwrap();
 
         let tracker = MemoryTracker::new(0);
         let mut grace =
-            HashJoin::new(mk(&left), mk(&right), vec![0], vec![0]).with_memory(tracker);
+            HashJoin::new(mk(&left), mk(&right), vec![(0, 0)]).with_memory(tracker);
         let spilled = collect(&mut grace).unwrap();
 
         let mut a: Vec<String> = reference.iter().map(|r| format!("{r}")).collect();
