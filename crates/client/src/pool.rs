@@ -113,7 +113,6 @@ fn remaining_ms(deadline: Option<&Deadline>) -> u64 {
 /// One framed connection to a query service.
 pub struct ServiceConn {
     conn: TcpConn,
-    stats: NetStats,
     /// Set when the transport or protocol desynchronized; the connection
     /// must not be reused (the pool drops it instead of returning it).
     broken: bool,
@@ -142,7 +141,6 @@ impl ServiceConn {
     pub fn connect(addr: impl ToSocketAddrs) -> Result<ServiceConn> {
         Ok(ServiceConn {
             conn: TcpConn::connect(addr)?,
-            stats: NetStats::new(),
             broken: false,
             reply_pending: false,
             open_stmts: Vec::new(),
@@ -152,9 +150,10 @@ impl ServiceConn {
     }
 
     /// Client-side byte/message accounting (sends are uplink, receives are
-    /// downlink — the client's view of the same wire the server counts).
+    /// downlink — the client's view of the same wire the server counts),
+    /// kept by the connection itself.
     pub fn stats(&self) -> &NetStats {
-        &self.stats
+        self.conn.stats()
     }
 
     /// True when a transport/protocol failure poisoned this connection, or
@@ -199,8 +198,6 @@ impl ServiceConn {
     }
 
     fn send_payload(&mut self, payload: &[u8]) -> Result<()> {
-        self.stats
-            .record_up(payload.len() + csq_net::FRAME_HEADER_BYTES);
         self.conn.send(payload).inspect_err(|_| {
             self.broken = true;
         })
@@ -209,8 +206,6 @@ impl ServiceConn {
     fn recv(&mut self) -> Result<QueryResponse> {
         match self.conn.recv() {
             Ok(Frame::Payload(buf)) => {
-                self.stats
-                    .record_down(buf.len() + csq_net::FRAME_HEADER_BYTES);
                 // Zero-copy: row payloads stay views of the frame buffer.
                 let buf = Arc::new(buf);
                 QueryResponse::decode_shared(&buf).inspect_err(|_| {

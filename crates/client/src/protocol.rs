@@ -96,11 +96,6 @@ impl ClientTask {
         }
         Ok(())
     }
-
-    /// Width of the extended row after all steps.
-    pub fn extended_width(&self) -> u32 {
-        self.input_width + self.steps.len() as u32
-    }
 }
 
 /// Check that every column `e` reads is below `width`: a `plan` error
@@ -588,7 +583,6 @@ mod tests {
             dedup_cache: false,
         };
         t.validate().unwrap();
-        assert_eq!(t.extended_width(), 5);
     }
 
     #[test]

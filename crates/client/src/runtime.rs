@@ -216,18 +216,6 @@ impl ClientRuntime {
     pub fn cache_hits(&self) -> u64 {
         self.cache_hits.load(Ordering::Relaxed)
     }
-
-    /// Names of registered UDFs (sorted).
-    pub fn udf_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .udfs
-            .read()
-            .values()
-            .map(|u| u.signature().name.clone())
-            .collect();
-        v.sort();
-        v
-    }
 }
 
 #[cfg(test)]
@@ -267,7 +255,6 @@ mod tests {
         assert_eq!(rt.invocations(), 1);
         rt.record_cache_hit();
         assert_eq!(rt.cache_hits(), 1);
-        assert_eq!(rt.udf_names(), vec!["Double".to_string()]);
     }
 
     #[test]

@@ -134,13 +134,6 @@ impl CancelToken {
         }
         Ok(())
     }
-
-    /// Like [`CancelToken::check`] but cheap enough for per-row loops:
-    /// true when the query must stop. Callers that need the typed error
-    /// follow up with `check()`.
-    pub fn should_stop(&self) -> bool {
-        self.is_cancelled() || self.inner.deadline.is_some_and(|d| d.expired())
-    }
 }
 
 #[cfg(test)]
@@ -151,7 +144,6 @@ mod tests {
     fn fresh_token_passes() {
         let t = CancelToken::new();
         assert!(t.check().is_ok());
-        assert!(!t.should_stop());
         assert!(t.remaining().is_none());
     }
 
@@ -162,14 +154,12 @@ mod tests {
         t.cancel();
         assert!(clone.is_cancelled());
         assert_eq!(clone.check().unwrap_err().kind(), "cancelled");
-        assert!(clone.should_stop());
     }
 
     #[test]
     fn expired_deadline_is_typed_timeout() {
         let t = CancelToken::with_timeout(Duration::ZERO);
         assert_eq!(t.check().unwrap_err().kind(), "timeout");
-        assert!(t.should_stop());
         assert_eq!(t.remaining(), Some(Duration::ZERO));
     }
 

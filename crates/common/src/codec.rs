@@ -427,12 +427,6 @@ pub fn decode_rows(buf: &[u8]) -> Result<Vec<Row>> {
     Decoder::new(buf).rows_to_end()
 }
 
-/// Decode a batch of rows as zero-copy views into the shared message
-/// buffer: every decoded `Str`/`Blob` borrows its payload from `buf`.
-pub fn decode_rows_shared(buf: &Arc<Vec<u8>>) -> Result<Vec<Row>> {
-    Decoder::shared(buf).rows_to_end()
-}
-
 /// Exact encoded size of a row including its count prefix.
 pub fn row_encoded_size(row: &Row) -> usize {
     4 + row.wire_size()
@@ -444,7 +438,10 @@ mod tests {
 
     /// A row frame decoded in both modes: copying, and as views of `buf`.
     fn decode_both(buf: Vec<u8>) -> [Result<Vec<Row>>; 2] {
-        [decode_rows(&buf), decode_rows_shared(&Arc::new(buf))]
+        [
+            decode_rows(&buf),
+            Decoder::shared(&Arc::new(buf)).rows_to_end(),
+        ]
     }
 
     fn roundtrip(v: Value) {
@@ -534,7 +531,7 @@ mod tests {
         let mut buf = Vec::new();
         encode_rows(&rows, &mut buf);
         let arc = Arc::new(buf);
-        let decoded = decode_rows_shared(&arc).unwrap();
+        let decoded = Decoder::shared(&arc).rows_to_end().unwrap();
         assert_eq!(decoded, rows);
         // Str and Blob payloads are views into the message allocation.
         let Value::Str(s) = decoded[0].value(0) else {
@@ -695,6 +692,7 @@ mod tests {
         buf.push(0);
         assert_eq!(decode_rows(&buf).unwrap_err().kind(), "codec");
         let arc = Arc::new(buf);
-        assert_eq!(decode_rows_shared(&arc).unwrap_err().kind(), "codec");
+        let shared = Decoder::shared(&arc).rows_to_end();
+        assert_eq!(shared.unwrap_err().kind(), "codec");
     }
 }

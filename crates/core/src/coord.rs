@@ -65,7 +65,7 @@ use csq_opt::{AggPlacement, PlanNode};
 use csq_sql::{parse_statement, Statement};
 
 use crate::result::QueryResult;
-use crate::{Cached, Database, PlannedQuery};
+use crate::{Cached, Database, PlannedQuery, Write};
 
 /// Tunables for one [`Coordinator`].
 #[derive(Debug, Clone)]
@@ -263,12 +263,11 @@ impl Coordinator {
     pub fn execute(&self, sql: &str) -> Result<QueryResult> {
         match self.engine.plan_cached(sql)? {
             Cached::Select(planned, hit) => self.execute_select(self.counted(planned, hit)),
-            Cached::Other(Statement::CreateTable { name, .. }) => Err(CsqError::Plan(format!(
+            Cached::Write(Write::CreateTable { name, .. }) => Err(CsqError::Plan(format!(
                 "CREATE TABLE '{name}' on a coordinator needs a shard key; \
                  use Coordinator::create_table(sql, shard_key)"
             ))),
-            Cached::Other(Statement::Insert { table, rows }) => self.route_insert(&table, rows),
-            Cached::Other(Statement::Select(_)) => unreachable!("plan_cached plans every SELECT"),
+            Cached::Write(Write::Insert { table, rows }) => self.route_insert(&table, rows),
         }
     }
 

@@ -85,9 +85,9 @@ pub struct Database {
     /// [`changes`](Catalog::changes), the [`plan_epoch`](Self::plan_epoch).
     plan_epoch: AtomicU64,
     plan_cache: PlanCache,
-    /// Byte budget for stateful operators; lowering attaches it to
-    /// `HashAggregate` only. Crossing it makes the aggregate spill to temp
-    /// files instead of growing.
+    /// Byte budget for stateful operators; lowering attaches it to every
+    /// `HashAggregate` and `HashJoin`. Crossing it makes an aggregate or a
+    /// keyed join spill to temp files instead of growing.
     /// Defaults to unlimited; see [`set_memory_budget`](Self::set_memory_budget).
     memory: RwLock<Arc<MemoryTracker>>,
     /// Tables whose rows live on a coordinator's shards, by lowercase name;
@@ -131,13 +131,14 @@ impl Database {
 
     /// Cap the bytes the grouped aggregates and joins of all queries on
     /// this database may hold in memory — every phase of every aggregate
-    /// placement and every join's build side; past the cap an aggregate
-    /// spills group state to temp files and merges it back, and a join
-    /// partitions both sides to temp files and joins them pair by pair
-    /// (larger-than-memory execution). The budget is
-    /// advisory — operators check it at batch boundaries — and shared, so
-    /// concurrent queries degrade into spilling instead of compounding
-    /// memory use.
+    /// placement and every join's build side, each table a spill reads
+    /// back included; past the cap an aggregate spills group state to temp
+    /// files and merges it back, and a keyed join partitions both sides to
+    /// temp files and joins them pair by pair (larger-than-memory
+    /// execution). A join with no key has nothing to partition on and stays
+    /// in memory, its bytes counted. The budget is advisory — operators
+    /// check it at batch boundaries — and shared, so concurrent queries
+    /// degrade into spilling instead of compounding memory use.
     pub fn set_memory_budget(&self, bytes: usize) {
         *self.memory.write() = MemoryTracker::new(bytes);
     }
@@ -404,9 +405,9 @@ impl Database {
     }
 
     /// Apply a `CREATE TABLE` or an `INSERT`; returns the rows stored.
-    fn apply(&self, stmt: Statement, token: &CancelToken) -> Result<usize> {
-        match stmt {
-            Statement::CreateTable { name, columns } => {
+    fn apply(&self, write: Write, token: &CancelToken) -> Result<usize> {
+        match write {
+            Write::CreateTable { name, columns } => {
                 let fields = columns
                     .into_iter()
                     .map(|(n, t)| csq_common::Field::new(n, t))
@@ -415,7 +416,7 @@ impl Database {
                     .register(Table::new(name, csq_common::Schema::new(fields))?)?;
                 Ok(0)
             }
-            Statement::Insert { table, rows } => {
+            Write::Insert { table, rows } => {
                 // An unknown table is reported before any value is read, as
                 // the coordinator reports it.
                 self.catalog.get(&table)?;
@@ -425,7 +426,6 @@ impl Database {
                     .collect::<Result<Vec<Row>>>()?;
                 self.insert_rows(&table, rows, token)
             }
-            Statement::Select(_) => Err(CsqError::Plan("a SELECT is planned, not applied".into())),
         }
     }
 
@@ -497,7 +497,7 @@ impl Database {
                 Ok((out, hit))
             }
             // DDL and DML answer with a count, never with rows.
-            Cached::Other(stmt) => Ok((ResultBatches::count(self.apply(stmt, token)?), false)),
+            Cached::Write(write) => Ok((ResultBatches::count(self.apply(write, token)?), false)),
         }
     }
 
@@ -521,7 +521,10 @@ impl Database {
                 self.plan_cache.insert(planned.clone());
                 Cached::Select(planned, false)
             }
-            other => Cached::Other(other),
+            Statement::CreateTable { name, columns } => {
+                Cached::Write(Write::CreateTable { name, columns })
+            }
+            Statement::Insert { table, rows } => Cached::Write(Write::Insert { table, rows }),
         })
     }
 
@@ -534,7 +537,7 @@ impl Database {
     ) -> Result<(Arc<PlannedQuery>, bool)> {
         match self.plan_cached(sql)? {
             Cached::Select(planned, hit) => Ok((planned, hit)),
-            Cached::Other(_) => Err(CsqError::Plan(not_select.into())),
+            Cached::Write(_) => Err(CsqError::Plan(not_select.into())),
         }
     }
 
@@ -661,8 +664,20 @@ impl Database {
 pub(crate) enum Cached {
     /// A planned SELECT, and whether the plan cache served it.
     Select(Arc<PlannedQuery>, bool),
-    /// Any other statement, parsed.
-    Other(Statement),
+    /// A `CREATE TABLE` or an `INSERT`, parsed.
+    Write(Write),
+}
+
+/// A statement that is applied, not planned: every parsed statement but a
+/// SELECT, so no SELECT can reach [`Database::apply`].
+pub(crate) enum Write {
+    /// `CREATE TABLE name (col type, ...)`.
+    CreateTable {
+        name: String,
+        columns: Vec<(String, DataType)>,
+    },
+    /// `INSERT INTO table VALUES (..), (..)`.
+    Insert { table: String, rows: Vec<Vec<Expr>> },
 }
 
 /// The values of one `INSERT` row: a literal is taken as it is, and any

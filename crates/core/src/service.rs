@@ -71,7 +71,7 @@ use csq_common::{CancelToken, CsqError, Result, DEFAULT_BATCH_SIZE};
 use csq_exec::WorkerPool;
 use csq_net::ready::{poll_readable, socket_fd, wake_pair, Fd, WakeReceiver, Waker};
 use csq_net::tcp::{PollFrame, TcpConn};
-use csq_net::{NetStats, FRAME_HEADER_BYTES};
+use csq_net::NetStats;
 use parking_lot::Mutex;
 
 use crate::plancache::PlannedQuery;
@@ -448,32 +448,17 @@ pub fn start_on(
     })
 }
 
-/// Send one response frame, recording downlink bytes; `false` when the
-/// client is gone.
-fn send_response(conn: &TcpConn, net: &NetStats, resp: &QueryResponse) -> bool {
-    send_frames(conn, net, &[&resp.encode()])
-}
-
-/// Send `payloads` as consecutive frames in one write, recording each as the
-/// downlink frame it is; `false` when the client is gone.
-fn send_frames(conn: &TcpConn, net: &NetStats, payloads: &[&[u8]]) -> bool {
-    for p in payloads {
-        net.record_down(p.len() + FRAME_HEADER_BYTES);
-    }
-    conn.send_frames(payloads).is_ok()
+/// Send one response frame; `false` when the client is gone.
+fn send_response(conn: &TcpConn, resp: &QueryResponse) -> bool {
+    conn.send(&resp.encode()).is_ok()
 }
 
 /// Non-blocking best-effort response send for the scheduler thread, which
 /// must never block on a peer. `false` (socket full or broken) means the
 /// caller must drop the connection — responses are small, so a full send
 /// buffer implies a client that floods requests without reading answers.
-fn try_send_response(conn: &TcpConn, net: &NetStats, resp: &QueryResponse) -> bool {
-    let payload = resp.encode();
-    let sent = matches!(conn.try_send(&payload), Ok(true));
-    if sent {
-        net.record_down(payload.len() + FRAME_HEADER_BYTES);
-    }
-    sent
+fn try_send_response(conn: &TcpConn, resp: &QueryResponse) -> bool {
+    matches!(conn.try_send(&resp.encode()), Ok(true))
 }
 
 /// Park `token` in the session's registry slot while a statement is queued
@@ -513,6 +498,7 @@ impl Gate {
             let Ok(conn) = TcpConn::with_max_frame(stream, ctx.config.max_frame) else {
                 continue; // Peer vanished during setup.
             };
+            let conn = conn.counted(ctx.net.clone(), true);
             let write_timeout = conn.set_write_timeout(Some(ctx.config.write_timeout));
             if conn.set_nonblocking(true).and(write_timeout).is_err() {
                 continue; // Peer already gone during setup.
@@ -553,15 +539,14 @@ impl Gate {
     /// Serve the refused connections, `ready` being their poll readiness:
     /// one whose first request has arrived is answered and closed, as is
     /// one that hung up, broke its frame, or outwaited [`REFUSAL_WAIT`].
-    fn sweep_refused(&mut self, net: &NetStats, ready: &[bool]) {
+    fn sweep_refused(&mut self, ready: &[bool]) {
         let now = Instant::now();
         let mut ready = ready.iter();
         self.refused.retain(|(conn, until)| {
             if ready.next() == Some(&true) {
                 match conn.poll_recv() {
-                    Ok(PollFrame::Frame(request)) => {
-                        net.record_up(request.len() + FRAME_HEADER_BYTES);
-                        try_send_response(conn, net, &self.refusal);
+                    Ok(PollFrame::Frame(_)) => {
+                        try_send_response(conn, &self.refusal);
                         return false;
                     }
                     Ok(PollFrame::Pending) => {}
@@ -649,7 +634,7 @@ fn poller_loop(
             wake_rx.drain();
         }
         let listening = ready[1];
-        gate.sweep_refused(&ctx.net, &ready[2 + parked.len()..]);
+        gate.sweep_refused(&ready[2 + parked.len()..]);
         if !parked.is_empty() {
             // Sweep ready sessions in rotating order: under a storm every
             // session gets dispatch opportunities at the same rate, so one
@@ -678,10 +663,10 @@ fn poller_loop(
     // themselves. Refused connections and the listener close on return.
     let bye = shutting_down_response();
     for session in parked.drain(..) {
-        try_send_response(&session.conn, &ctx.net, &bye);
+        try_send_response(&session.conn, &bye);
     }
     while let Ok(session) = inject_rx.try_recv() {
-        try_send_response(&session.conn, &ctx.net, &bye);
+        try_send_response(&session.conn, &bye);
     }
     ctx.sched.parked_sessions.store(0, Ordering::Relaxed);
     ctx.sched.parked_buffer_bytes.store(0, Ordering::Relaxed);
@@ -708,7 +693,7 @@ fn stalled(ctx: &SchedCtx, session: &mut Session) -> bool {
 /// wire still takes one; the caller ends the session.
 fn fault(ctx: &SchedCtx, conn: &TcpConn, err: &CsqError) {
     ServiceStats::bump(&ctx.stats.protocol_errors);
-    try_send_response(conn, &ctx.net, &QueryResponse::fatal_error(err));
+    try_send_response(conn, &QueryResponse::fatal_error(err));
 }
 
 /// Pump one ready session: read as many complete frames as are available,
@@ -735,7 +720,6 @@ fn drive_session(ctx: &SchedCtx, pool: &WorkerPool, mut session: Session) -> Opt
             PollFrame::Closed => return None,
             PollFrame::Frame(buf) => buf,
         };
-        ctx.net.record_up(frame.len() + FRAME_HEADER_BYTES);
         let request = match QueryRequest::decode(&frame) {
             Ok(r) => r,
             Err(e) => {
@@ -773,7 +757,7 @@ fn drive_session(ctx: &SchedCtx, pool: &WorkerPool, mut session: Session) -> Opt
                     id: session.id,
                     key: session.key,
                 };
-                if !try_send_response(&session.conn, &ctx.net, &resp) {
+                if !try_send_response(&session.conn, &resp) {
                     return None;
                 }
                 inline += 1;
@@ -812,7 +796,7 @@ fn dispatch(
             "server overloaded ({queued} statements queued); retry with backoff"
         ));
         let refusal = QueryResponse::refusal(&busy, false);
-        if !try_send_response(&session.conn, &ctx.net, &refusal) {
+        if !try_send_response(&session.conn, &refusal) {
             return None;
         }
         session.maybe_buffered = true; // Pipelined frames may follow.
@@ -865,7 +849,7 @@ fn run_statement(ctx: SchedCtx, mut session: Session, req: QueryRequest, token: 
     let alive = match req {
         QueryRequest::Query { sql, .. } => {
             let outcome = catch_unwind(AssertUnwindSafe(|| ctx.db.run_sql(&sql, &token)));
-            answer_execution(&session.conn, &ctx.net, &ctx.stats, &ctx.config, outcome)
+            answer_execution(&session.conn, &ctx.stats, &ctx.config, outcome)
         }
         // A typed write answers an `Error` only from before `insert_rows`
         // stores a row (expired deadline, unknown table, a row that does not
@@ -877,7 +861,7 @@ fn run_statement(ctx: SchedCtx, mut session: Session, req: QueryRequest, token: 
                 let stored = ctx.db.insert_rows(&table, rows, &token)?;
                 Ok((ResultBatches::count(stored), false))
             }));
-            answer_execution(&session.conn, &ctx.net, &ctx.stats, &ctx.config, outcome)
+            answer_execution(&session.conn, &ctx.stats, &ctx.config, outcome)
         }
         fetch @ QueryRequest::Fetch { .. } => answer_fetch(&ctx, &session.conn, fetch, &token),
         QueryRequest::Execute { stmt, .. } => {
@@ -891,7 +875,7 @@ fn run_statement(ctx: SchedCtx, mut session: Session, req: QueryRequest, token: 
                 session.prepared.insert(stmt, fresh);
                 Ok((result, reused))
             }));
-            answer_execution(&session.conn, &ctx.net, &ctx.stats, &ctx.config, outcome)
+            answer_execution(&session.conn, &ctx.stats, &ctx.config, outcome)
         }
         QueryRequest::Prepare { sql } => {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -904,7 +888,7 @@ fn run_statement(ctx: SchedCtx, mut session: Session, req: QueryRequest, token: 
                 }
                 ctx.db.prepare(&sql)
             }));
-            match failure(&session.conn, &ctx.net, &ctx.stats, outcome) {
+            match failure(&session.conn, &ctx.stats, outcome) {
                 Ok((plan, plan_cache_hit)) => {
                     let stmt = session.next_stmt;
                     session.next_stmt += 1;
@@ -913,7 +897,7 @@ fn run_statement(ctx: SchedCtx, mut session: Session, req: QueryRequest, token: 
                         stmt,
                         plan_cache_hit,
                     };
-                    send_response(&session.conn, &ctx.net, &prepared)
+                    send_response(&session.conn, &prepared)
                 }
                 Err(alive) => alive,
             }
@@ -927,7 +911,7 @@ fn run_statement(ctx: SchedCtx, mut session: Session, req: QueryRequest, token: 
         return; // Client disconnected mid-stream; drop the session.
     }
     if ctx.shutdown.load(Ordering::SeqCst) {
-        send_response(&session.conn, &ctx.net, &shutting_down_response());
+        send_response(&session.conn, &shutting_down_response());
         return;
     }
     if session.conn.set_nonblocking(true).is_err() {
@@ -939,7 +923,7 @@ fn run_statement(ctx: SchedCtx, mut session: Session, req: QueryRequest, token: 
             // Scheduler already gone (shutdown raced the hand-back): say
             // goodbye ourselves.
             let session = e.0;
-            try_send_response(&session.conn, &ctx.net, &shutting_down_response());
+            try_send_response(&session.conn, &shutting_down_response());
         }
     }
 }
@@ -966,7 +950,7 @@ fn answer_fetch(ctx: &SchedCtx, conn: &TcpConn, fetch: QueryRequest, token: &Can
         )?;
         Ok((out, false))
     }));
-    answer_execution(conn, &ctx.net, &ctx.stats, &ctx.config, outcome)
+    answer_execution(conn, &ctx.stats, &ctx.config, outcome)
 }
 
 /// Answer a statement that failed or panicked with its typed `Error`,
@@ -974,7 +958,6 @@ fn answer_fetch(ctx: &SchedCtx, conn: &TcpConn, fetch: QueryRequest, token: &Can
 /// success passes through as `Ok`.
 fn failure<T>(
     conn: &TcpConn,
-    net: &NetStats,
     stats: &ServiceStats,
     outcome: std::thread::Result<Result<T>>,
 ) -> std::result::Result<T, bool> {
@@ -992,7 +975,7 @@ fn failure<T>(
         _ => {}
     }
     ServiceStats::bump(&stats.queries_failed);
-    Err(send_response(conn, net, &QueryResponse::from_error(&e)))
+    Err(send_response(conn, &QueryResponse::from_error(&e)))
 }
 
 /// Turn an execution outcome into wire traffic: `Begin`, the result's
@@ -1003,12 +986,11 @@ fn failure<T>(
 /// usable.
 fn answer_execution(
     conn: &TcpConn,
-    net: &NetStats,
     stats: &ServiceStats,
     config: &ServiceConfig,
     outcome: std::thread::Result<Result<(ResultBatches, bool)>>,
 ) -> bool {
-    let (result, plan_cache_hit) = match failure(conn, net, stats, outcome) {
+    let (result, plan_cache_hit) = match failure(conn, stats, outcome) {
         Ok(done) => done,
         Err(alive) => return alive,
     };
@@ -1032,7 +1014,7 @@ fn answer_execution(
     answer.extend(frames.iter().map(Vec::as_slice));
     answer.push(&end);
     ServiceStats::bump(&stats.queries_ok);
-    send_frames(conn, net, &answer)
+    conn.send_frames(&answer).is_ok()
 }
 
 #[cfg(test)]

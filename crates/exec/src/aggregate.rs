@@ -41,6 +41,10 @@
 //!
 //! MIN/MAX accumulate through [`crate::ops::compare_values`], so a
 //! NaN-bearing group is an exec *error* here, never a comparator panic.
+//!
+//! Every group table — the build's, and each spill partition's as it is
+//! merged back — holds its tracked bytes itself and gives them back when it
+//! drains or goes (DESIGN.md §11).
 
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -55,7 +59,9 @@ pub use csq_expr::AggSpec;
 use csq_expr::{AggFunc, BinaryOp, PhysExpr};
 
 use crate::ops::{batch_operator, compare_values};
-use crate::spill::{partition_rows, spill_partitions, MemoryTracker, SpillFile, ENTRY_OVERHEAD};
+use crate::spill::{
+    partition_rows, spill_partitions, MemoryTracker, Reservation, SpillFile, ENTRY_OVERHEAD,
+};
 use crate::{BoxOp, Operator};
 
 /// A running SUM: `None` until the group's first non-NULL argument.
@@ -393,18 +399,17 @@ fn each_row(
 /// is found from its hash without building a key row), and one accumulator
 /// [`Column`] per state column, indexed by group id.
 ///
-/// The table also carries what it has registered with the operator's
-/// [`MemoryTracker`], and releases it when cleared or dropped — so a build
-/// that ends in an error gives its bytes back like one that finishes.
+/// The table also holds what it has registered with the operator's
+/// [`MemoryTracker`] (a [`Reservation`]), and gives it back when drained or
+/// dropped — so a build that ends in an error gives its bytes back like one
+/// that finishes.
 struct GroupTable {
     funcs: Vec<AggFunc>,
     /// Tracked bytes a group costs beyond its key's wire size.
     group_overhead: usize,
     index: KeyIndex,
     columns: Vec<Column>,
-    memory: Option<Arc<MemoryTracker>>,
-    /// Approximate bytes currently registered with `memory`.
-    tracked: usize,
+    reserved: Reservation,
     /// Per-batch scratch: the group id and the key code of each row.
     gids: Vec<u32>,
     codes: Vec<u32>,
@@ -422,7 +427,7 @@ impl GroupTable {
     fn new(
         key_len: usize,
         aggs: &[AggSpec],
-        memory: Option<Arc<MemoryTracker>>,
+        memory: &Arc<MemoryTracker>,
         hint: usize,
     ) -> GroupTable {
         let hint = hint.min(1024);
@@ -433,8 +438,7 @@ impl GroupTable {
             funcs,
             group_overhead: state_width * 16 + ENTRY_OVERHEAD,
             index: KeyIndex::new(key_len, hint),
-            memory,
-            tracked: 0,
+            reserved: Reservation::new(memory),
             gids: Vec::new(),
             codes: Vec::new(),
             code_groups: Vec::new(),
@@ -460,11 +464,7 @@ impl GroupTable {
         if new {
             let key_bytes: usize = self.index.key(g).iter().map(Value::wire_size).sum();
             self.columns.iter_mut().for_each(Column::grow);
-            let added = key_bytes + self.group_overhead;
-            if let Some(t) = &self.memory {
-                self.tracked += added;
-                t.grow(added);
-            }
+            self.reserved.grow(key_bytes + self.group_overhead);
         }
         g as u32
     }
@@ -589,15 +589,8 @@ impl GroupTable {
             out.push(Row::new(vals));
         }
         self.code_groups.clear();
-        self.release();
+        self.reserved.clear();
         Ok(out)
-    }
-
-    fn release(&mut self) {
-        if let Some(t) = &self.memory {
-            t.shrink(self.tracked);
-        }
-        self.tracked = 0;
     }
 }
 
@@ -646,26 +639,22 @@ fn update_call(
     }
 }
 
-impl Drop for GroupTable {
-    fn drop(&mut self) {
-        self.release();
-    }
-}
-
 /// The vectorized GROUP BY operator; see the module docs.
 ///
-/// With a [`MemoryTracker`] attached (via
-/// [`with_memory`](HashAggregate::with_memory)), the build phase spills when
-/// the budget is exceeded: the accumulated groups are emitted as
+/// Every group table the operator builds registers its bytes with its
+/// [`MemoryTracker`] (unlimited unless one is attached via
+/// [`with_memory`](HashAggregate::with_memory)). Under a budget the build
+/// phase spills when the budget is exceeded: the accumulated groups are emitted as
 /// partial-state rows, hash-partitioned by group key into temp files, and
 /// the table is cleared; at end of input each partition is read back and
 /// merged independently (disjoint key sets, so peak memory is ~1/16th of
-/// the working set). Results are identical to the in-memory path except for
-/// group *order*, which becomes partition-major instead of global
-/// first-occurrence (GROUP BY output order is unspecified). Whatever the build registered with the
-/// tracker is released when its table goes — at the end of the build,
-/// however it ends; a build that fails is returned once and leaves the
-/// operator exhausted.
+/// the working set; each partition's table is tracked while it is merged).
+/// Results are identical to the in-memory path except for group *order*,
+/// which becomes partition-major instead of global first-occurrence (GROUP
+/// BY output order is unspecified). Whatever a table registered with the
+/// tracker is released when the table drains or goes — at the end of the
+/// build, however it ends; a build that fails is returned once and leaves
+/// the operator exhausted.
 pub struct HashAggregate {
     /// `Some` until the first pull takes it to build `groups`.
     input: Option<BoxOp>,
@@ -675,8 +664,8 @@ pub struct HashAggregate {
     mode: Mode,
     schema: Arc<Schema>,
     groups: std::vec::IntoIter<Row>,
-    /// Byte budget shared with other operators; `None` = never spill.
-    memory: Option<Arc<MemoryTracker>>,
+    /// Byte budget shared with other operators.
+    memory: Arc<MemoryTracker>,
     /// Spill partitions, created on first overflow.
     spilled: Vec<SpillFile>,
     /// Times the build flushed its table to disk.
@@ -719,7 +708,7 @@ impl HashAggregate {
             mode,
             schema: Arc::new(schema),
             groups: Vec::new().into_iter(),
-            memory: None,
+            memory: MemoryTracker::unlimited(),
             spilled: Vec::new(),
             spill_events: 0,
         }
@@ -777,7 +766,7 @@ impl HashAggregate {
     /// Attach a shared memory budget: the build spills to temp files instead
     /// of growing past it (see the struct docs).
     pub fn with_memory(mut self, tracker: Arc<MemoryTracker>) -> HashAggregate {
-        self.memory = Some(tracker);
+        self.memory = tracker;
         self
     }
 
@@ -799,17 +788,15 @@ impl HashAggregate {
     /// output is deterministic: first-occurrence order of each key).
     fn build(&mut self, mut input: BoxOp) -> Result<Vec<Row>> {
         let hint = input.size_hint().unwrap_or(0);
-        let mut table = GroupTable::new(self.key.len(), &self.aggs, self.memory.clone(), hint);
+        let mut table = GroupTable::new(self.key.len(), &self.aggs, &self.memory, hint);
         while let Some(batch) = input.next_batch()? {
             self.absorb(&mut table, &batch)?;
             // Budget check at batch granularity: flush the table as
             // partial-state rows, hash-partitioned by key, and continue
             // with an empty table.
-            if let Some(t) = self.memory.clone() {
-                if t.over_budget() && table.len() > 0 {
-                    self.spill_groups(&mut table)?;
-                    t.record_spill();
-                }
+            if self.memory.over_budget() && table.len() > 0 {
+                self.spill_groups(&mut table)?;
+                self.memory.record_spill();
             }
         }
         if !self.spilled.is_empty() {
@@ -848,7 +835,7 @@ impl HashAggregate {
         let mut out = Vec::new();
         for part in parts {
             let mut reader = part.into_reader()?;
-            let mut table = GroupTable::new(self.key.len(), &self.aggs, None, 0);
+            let mut table = GroupTable::new(self.key.len(), &self.aggs, &self.memory, 0);
             while let Some(frame) = reader.next_frame()? {
                 table.merge(&frame)?;
             }
@@ -1207,7 +1194,7 @@ mod tests {
         );
 
         // While a build is under way its groups are registered.
-        let mut table = GroupTable::new(1, &specs(), Some(tracker.clone()), 0);
+        let mut table = GroupTable::new(1, &specs(), &tracker, 0);
         let batch = RowBatch::from_rows(Arc::new(schema()), rows());
         table.update(&[0], &specs(), &batch).unwrap();
         assert!(tracker.used() > 0);
@@ -1224,7 +1211,7 @@ mod tests {
         assert_eq!(state_width, 7);
         let group = 7 * 16 + ENTRY_OVERHEAD;
         let tracker = MemoryTracker::unlimited();
-        let mut table = GroupTable::new(1, &specs(), Some(tracker.clone()), 0);
+        let mut table = GroupTable::new(1, &specs(), &tracker, 0);
         let batch = RowBatch::from_rows(Arc::new(schema()), rows());
         table.update(&[0], &specs(), &batch).unwrap();
         // Keys 1 and 2 (nine bytes each) and NULL (one).
@@ -1236,8 +1223,8 @@ mod tests {
 
         // Off the lanes: keys 0..=4 and NULL, with and without the key.
         let mut scan = ColumnarScan::new(&sealed_table(), "t", None).unwrap();
-        let mut keyed = GroupTable::new(1, &specs(), Some(tracker.clone()), 0);
-        let mut global = GroupTable::new(0, &specs(), Some(tracker.clone()), 0);
+        let mut keyed = GroupTable::new(1, &specs(), &tracker, 0);
+        let mut global = GroupTable::new(0, &specs(), &tracker, 0);
         while let Some(batch) = scan.next_batch().unwrap() {
             keyed.update(&[0], &specs(), &batch).unwrap();
             global.update(&[], &specs(), &batch).unwrap();
@@ -1303,7 +1290,7 @@ mod tests {
         // The operator's own build loop, batch by batch, so each batch can be
         // looked at after the table has read it.
         let mut scan = ColumnarScan::new(&table, "t", None).unwrap();
-        let mut groups = GroupTable::new(1, &specs(), None, 0);
+        let mut groups = GroupTable::new(1, &specs(), &MemoryTracker::unlimited(), 0);
         let (mut lane_batches, mut row_batches) = (0, 0);
         while let Some(batch) = scan.next_batch().unwrap() {
             let from_lanes = batch.lanes().is_some();
@@ -1335,7 +1322,7 @@ mod tests {
         let expr_specs = vec![AggSpec::new(AggFunc::Sum, Some(doubled), "s2")];
         let mut scan = ColumnarScan::new(&table, "t", None).unwrap();
         let batch = scan.next_batch().unwrap().unwrap();
-        let mut groups = GroupTable::new(1, &expr_specs, None, 0);
+        let mut groups = GroupTable::new(1, &expr_specs, &MemoryTracker::unlimited(), 0);
         groups.update(&[0], &expr_specs, &batch).unwrap();
         assert!(batch.is_materialized());
     }

@@ -7,7 +7,9 @@
 //! it can decide exactly (none: the cross product), under a `Filter` holding
 //! the whole join predicate. Inputs are pulled a [`RowBatch`] at a time;
 //! output batches hold at most [`DEFAULT_BATCH_SIZE`] rows, however far one
-//! probe row fans out.
+//! probe row fans out. Each build table — the in-memory one, or the one of
+//! the Grace partition being joined — holds its tracked bytes while it is
+//! probed; a join with no key never partitions.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -17,7 +19,8 @@ use csq_common::{KeyIndex, Result, Row, RowBatch, Schema, DEFAULT_BATCH_SIZE};
 
 use crate::ops::{batch_operator, Operator};
 use crate::spill::{
-    partition_rows, spill_partitions, MemoryTracker, SpillFile, SpillReader, ENTRY_OVERHEAD,
+    partition_rows, spill_partitions, MemoryTracker, Reservation, SpillFile, SpillReader,
+    ENTRY_OVERHEAD,
 };
 
 /// Hash equi-join: builds the right input, probes with the left, one batch
@@ -26,14 +29,17 @@ use crate::spill::{
 /// build row is in the one chain, so the join is the cross product in
 /// left-major order.
 ///
-/// With a [`MemoryTracker`] attached (via [`with_memory`](HashJoin::with_memory))
-/// this becomes a Grace hash join under pressure: if the build side exceeds
-/// the budget, both sides are hash-partitioned by join key into temp files
-/// and each partition pair is joined independently — the build table of one
-/// partition in memory, its probe rows streamed frame by frame. Matching
-/// keys land in matching partitions, so the result set is identical to the
-/// in-memory join up to row order (partition-major, then the same order
-/// within a partition).
+/// Every build table registers its bytes with the join's [`MemoryTracker`]
+/// (unlimited unless one is attached via [`with_memory`](HashJoin::with_memory))
+/// and gives them back when it goes. Under a budget a keyed join becomes a
+/// Grace hash join: if the build side exceeds the budget, both sides are
+/// hash-partitioned by join key into temp files and each partition pair is
+/// joined independently — the build table of one partition in memory and
+/// tracked, its probe rows streamed frame by frame. Matching keys land in
+/// matching partitions, so the result set is identical to the in-memory
+/// join up to row order (partition-major, then the same order within a
+/// partition). A join with no key never partitions: every row would land in
+/// the one partition.
 pub struct HashJoin {
     left: Box<dyn Operator + Send>,
     /// The build input, until the first pull builds from it.
@@ -46,10 +52,8 @@ pub struct HashJoin {
     /// `chain` on ([`END`]: not looked up yet).
     probe: IntoIter<Row>,
     chain: usize,
-    /// Byte budget shared with other operators; `None` = never spill.
-    memory: Option<Arc<MemoryTracker>>,
-    /// Approximate bytes registered for the in-memory build table.
-    tracked: usize,
+    /// Byte budget shared with other operators.
+    memory: Arc<MemoryTracker>,
     spill_events: usize,
 }
 
@@ -68,10 +72,11 @@ enum JoinState {
 }
 
 /// One build side in memory: its rows, their keys numbered through a
-/// [`KeyIndex`], and per key ordinal the chain of the rows that carry it,
-/// in build order.
+/// [`KeyIndex`], per key ordinal the chain of the rows that carry it, in
+/// build order, and the bytes it holds against the join's tracker.
 struct BuildTable {
     keys: KeyIndex,
+    reserved: Reservation,
     rows: Vec<Row>,
     /// The first and the last build row of each key ordinal.
     first: Vec<usize>,
@@ -83,9 +88,10 @@ struct BuildTable {
 const END: usize = usize::MAX;
 
 impl BuildTable {
-    fn new(width: usize) -> BuildTable {
+    fn new(width: usize, memory: &Arc<MemoryTracker>) -> BuildTable {
         BuildTable {
             keys: KeyIndex::new(width, 0),
+            reserved: Reservation::new(memory),
             rows: Vec::new(),
             first: Vec::new(),
             last: Vec::new(),
@@ -93,8 +99,11 @@ impl BuildTable {
         }
     }
 
-    /// Add `rows`, each under its key at `cols`.
+    /// Add `rows`, each under its key at `cols`, registering their wire
+    /// size and a fixed cost a row.
     fn extend(&mut self, cols: &[usize], rows: Vec<Row>) {
+        let bytes = rows.iter().map(|r| r.wire_size() + ENTRY_OVERHEAD).sum();
+        self.reserved.grow(bytes);
         for row in rows {
             let r = self.rows.len();
             let (o, new) = self.keys.insert_by(cols, |c| Cow::Borrowed(row.value(c)));
@@ -157,16 +166,15 @@ impl HashJoin {
             state: JoinState::Done,
             probe: Vec::new().into_iter(),
             chain: END,
-            memory: None,
-            tracked: 0,
+            memory: MemoryTracker::unlimited(),
             spill_events: 0,
         }
     }
 
-    /// Attach a shared memory budget: a build side that exceeds it degrades
-    /// into a partition-wise Grace join (see the struct docs).
+    /// Attach a shared memory budget: a keyed build side that exceeds it
+    /// degrades into a partition-wise Grace join (see the struct docs).
     pub fn with_memory(mut self, tracker: Arc<MemoryTracker>) -> HashJoin {
-        self.memory = Some(tracker);
+        self.memory = tracker;
         self
     }
 
@@ -175,18 +183,12 @@ impl HashJoin {
         self.spill_events
     }
 
-    fn release_tracked(&mut self) {
-        if let Some(t) = &self.memory {
-            t.shrink(self.tracked);
-        }
-        self.tracked = 0;
-    }
-
-    /// Build the right side: into an in-memory table, or — when the budget
-    /// is crossed — into hash partitions on disk, in which case the entire
-    /// probe side is partitioned too and Grace takes over.
+    /// Build the right side: into an in-memory table, or — when a keyed
+    /// build crosses the budget — into hash partitions on disk, in which
+    /// case the entire probe side is partitioned too and Grace takes over.
     fn build(&mut self, mut right: Box<dyn Operator + Send>) -> Result<JoinState> {
-        let mut table = BuildTable::new(self.right_key.len());
+        let width = self.right_key.len();
+        let mut table = BuildTable::new(width, &self.memory);
         let mut spill: Option<Vec<SpillFile>> = None;
         let mut scratch: Vec<Vec<Row>> = Vec::new();
         while let Some(batch) = right.next_batch()? {
@@ -195,23 +197,17 @@ impl HashJoin {
                 partition_rows(parts, Some(&self.right_key), rows, &mut scratch)?;
                 continue;
             }
-            let added = batch.wire_size() + batch.len() * ENTRY_OVERHEAD;
             table.extend(&self.right_key, batch.into_rows());
-            if let Some(t) = self.memory.clone() {
-                self.tracked += added;
-                t.grow(added);
-                if t.over_budget() && !table.rows.is_empty() {
-                    // Flush the build table to partitions and keep
-                    // partitioning the rest of the input straight to disk.
-                    let mut parts = spill_partitions()?;
-                    let empty = BuildTable::new(self.right_key.len());
-                    let rows = std::mem::replace(&mut table, empty).rows;
-                    partition_rows(&mut parts, Some(&self.right_key), rows, &mut scratch)?;
-                    self.release_tracked();
-                    t.record_spill();
-                    self.spill_events += 1;
-                    spill = Some(parts);
-                }
+            if width > 0 && self.memory.over_budget() && !table.rows.is_empty() {
+                // Flush the build table to partitions (its bytes go back
+                // with it) and keep partitioning the rest of the input
+                // straight to disk.
+                let mut parts = spill_partitions()?;
+                let rows = std::mem::replace(&mut table, BuildTable::new(width, &self.memory)).rows;
+                partition_rows(&mut parts, Some(&self.right_key), rows, &mut scratch)?;
+                self.memory.record_spill();
+                self.spill_events += 1;
+                spill = Some(parts);
             }
         }
         let Some(build_parts) = spill else {
@@ -230,11 +226,7 @@ impl HashJoin {
 
     fn produce(&mut self) -> Result<Option<RowBatch>> {
         if let Some(right) = self.right.take() {
-            let built = self.build(right);
-            if built.is_err() {
-                self.release_tracked();
-            }
-            self.state = built?;
+            self.state = self.build(right)?;
         }
         let mut out = Vec::new();
         while out.len() < DEFAULT_BATCH_SIZE {
@@ -243,7 +235,6 @@ impl HashJoin {
                     if self.probe.len() == 0 {
                         let Some(batch) = self.left.next_batch()? else {
                             self.state = JoinState::Done;
-                            self.release_tracked();
                             break;
                         };
                         self.probe = batch.into_rows().into_iter();
@@ -266,7 +257,7 @@ impl HashJoin {
                             self.state = JoinState::Done;
                             break;
                         };
-                        let mut table = BuildTable::new(self.right_key.len());
+                        let mut table = BuildTable::new(self.right_key.len(), &self.memory);
                         table.extend(&self.right_key, build.into_reader()?.read_all()?);
                         *current = Some((table, probe.into_reader()?));
                         continue;
@@ -277,14 +268,6 @@ impl HashJoin {
             table.probe(&self.left_key, &mut self.probe, &mut self.chain, &mut out);
         }
         Ok((!out.is_empty()).then(|| RowBatch::from_rows(self.schema.clone(), out)))
-    }
-}
-
-impl Drop for HashJoin {
-    fn drop(&mut self) {
-        // Release build-table bytes if the probe never ran to completion
-        // (the consumer stopped pulling).
-        self.release_tracked();
     }
 }
 
@@ -389,7 +372,8 @@ mod tests {
     #[test]
     fn a_cross_product_leaves_in_full_batches() {
         // 40 × 60 = 2 400 pairs: more than two batches, some of them
-        // resuming a probe row's chain mid-way, in memory and partition-wise.
+        // resuming a probe row's chain mid-way, unbudgeted and over a budget
+        // (an unkeyed join stays in memory either way).
         let (ls, _) = side("l", &[]);
         let (rs, _) = side("r", &[]);
         let rows = |n: i64| -> Vec<Row> {
@@ -422,7 +406,7 @@ mod tests {
                 .collect();
             assert_eq!(pairs, expected);
             if let Some(t) = memory {
-                assert_eq!((j.spill_events(), t.used()), (1, 0));
+                assert_eq!((j.spill_events(), t.used()), (0, 0));
             }
         }
     }
@@ -467,6 +451,42 @@ mod tests {
         expected.sort_by_key(|r| format!("{r}"));
         got.sort_by_key(|r| format!("{r}"));
         assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn a_grace_partition_holds_its_build_bytes_while_it_is_probed() {
+        let (ls, _) = side("l", &[]);
+        let (rs, _) = side("r", &[]);
+        let rows = |n: i64| -> Vec<Row> {
+            (0..n)
+                .map(|i| Row::new(vec![Value::Int(i % 10), Value::from("v")]))
+                .collect()
+        };
+        let join = |tracker: &Arc<MemoryTracker>| {
+            HashJoin::new(
+                Box::new(RowsOp::new(ls.clone(), rows(300))),
+                Box::new(RowsOp::new(rs.clone(), rows(200))),
+                vec![(0, 0)],
+            )
+            .with_memory(tracker.clone())
+        };
+        // Drained: each of the 300 probe rows meets 20 build rows.
+        let tracker = MemoryTracker::new(4096);
+        let mut j = join(&tracker);
+        let mut total = j.next_batch().unwrap().unwrap().len();
+        assert_eq!(j.spill_events(), 1);
+        assert!(tracker.used() > 0, "the probed partition's table counts");
+        while let Some(b) = j.next_batch().unwrap() {
+            total += b.len();
+        }
+        assert_eq!((total, tracker.used()), (300 * 20, 0));
+        // Dropped between pulls.
+        let tracker = MemoryTracker::new(4096);
+        let mut j = join(&tracker);
+        j.next_batch().unwrap().unwrap();
+        assert!(tracker.used() > 0);
+        drop(j);
+        assert_eq!(tracker.used(), 0);
     }
 
     #[test]

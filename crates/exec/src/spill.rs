@@ -3,9 +3,13 @@
 //! [`MemoryTracker`] is a shared byte budget: stateful operators
 //! ([`HashAggregate`](crate::HashAggregate), [`HashJoin`](crate::HashJoin))
 //! register the approximate bytes they hold and consult [`
-//! MemoryTracker::over_budget`] at batch boundaries. When the budget is
-//! exceeded they *spill*: accumulated state is hash-partitioned by key into
-//! temp files (the wire row codec is the on-disk format) and merged back
+//! MemoryTracker::over_budget`] at batch boundaries. The bytes are held by
+//! the tables themselves: each group table and join build table owns a
+//! [`Reservation`] — the in-memory ones and each partition's that a spill
+//! reads back alike — which gives its bytes back when the table drains or
+//! goes, so no operator releases by hand. When the budget is exceeded they
+//! *spill*: accumulated state is hash-partitioned by key into temp files
+//! (the wire row codec is the on-disk format) and merged back
 //! partition-by-partition, so peak memory is bounded by one partition
 //! instead of the whole working set. One tracker is shared by every operator
 //! of a query — or of a whole service — so 64 concurrent clients degrade
@@ -37,7 +41,8 @@ const MAX_FRAME_BYTES: u32 = 256 * 1024 * 1024;
 ///
 /// Accounting is approximate (row wire sizes plus per-entry overhead) and
 /// advisory: operators keep running past the budget until their next batch
-/// boundary, then spill. `unlimited()` disables spilling entirely.
+/// boundary, then spill. `unlimited()` disables spilling entirely. Bytes
+/// are registered only through a table's [`Reservation`].
 #[derive(Debug)]
 pub struct MemoryTracker {
     budget: usize,
@@ -61,27 +66,6 @@ impl MemoryTracker {
         MemoryTracker::new(usize::MAX)
     }
 
-    /// The configured budget in bytes.
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
-    /// Register `bytes` of operator state.
-    pub fn grow(&self, bytes: usize) {
-        self.used.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Release `bytes` of operator state.
-    pub fn shrink(&self, bytes: usize) {
-        // Saturating: a release can race another thread's grow/shrink, and
-        // under-counting is the safe direction for an advisory budget.
-        self.used
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |u| {
-                Some(u.saturating_sub(bytes))
-            })
-            .ok();
-    }
-
     /// Bytes currently registered.
     pub fn used(&self) -> usize {
         self.used.load(Ordering::Relaxed)
@@ -100,6 +84,42 @@ impl MemoryTracker {
     /// Spill events since creation.
     pub fn spill_count(&self) -> usize {
         self.spills.load(Ordering::Relaxed)
+    }
+}
+
+/// The bytes one table holds against a [`MemoryTracker`], given back when
+/// the reservation is cleared or dropped: a table returns what it
+/// registered however it goes — drained, spilled, failed or abandoned. A
+/// reservation gives back only what it took, so `used` never underflows.
+pub(crate) struct Reservation {
+    tracker: Arc<MemoryTracker>,
+    bytes: usize,
+}
+
+impl Reservation {
+    pub(crate) fn new(tracker: &Arc<MemoryTracker>) -> Reservation {
+        Reservation {
+            tracker: tracker.clone(),
+            bytes: 0,
+        }
+    }
+
+    /// Register `bytes` more.
+    pub(crate) fn grow(&mut self, bytes: usize) {
+        self.bytes += bytes;
+        self.tracker.used.fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    /// Give every registered byte back.
+    pub(crate) fn clear(&mut self) {
+        let bytes = std::mem::take(&mut self.bytes);
+        self.tracker.used.fetch_sub(bytes, Ordering::Relaxed);
+    }
+}
+
+impl Drop for Reservation {
+    fn drop(&mut self) {
+        self.clear();
     }
 }
 
@@ -338,13 +358,16 @@ mod tests {
     #[test]
     fn tracker_budget_arithmetic() {
         let t = MemoryTracker::new(1000);
+        let (mut a, mut b) = (Reservation::new(&t), Reservation::new(&t));
         assert!(!t.over_budget());
-        t.grow(600);
-        t.grow(600);
+        a.grow(600);
+        b.grow(600);
         assert!(t.over_budget());
-        t.shrink(600);
+        a.clear();
         assert!(!t.over_budget());
-        t.shrink(10_000);
-        assert_eq!(t.used(), 0, "shrink saturates at zero");
+        a.clear();
+        assert_eq!(t.used(), 600, "a reservation gives back only what it took");
+        drop(b);
+        assert_eq!(t.used(), 0);
     }
 }

@@ -18,6 +18,6 @@ pub mod analysis;
 pub mod logical;
 pub mod physical;
 
-pub use analysis::{columns_referenced, split_conjuncts, udfs_referenced};
+pub use analysis::{columns_referenced, split_conjuncts};
 pub use logical::{AggFunc, BinaryOp, ColumnRef, Expr, UnaryOp};
 pub use physical::{bind, AggSpec, PhysExpr};

@@ -12,6 +12,10 @@
 //! [`in_memory_duplex`] is the same channel with every stamp 0. Its client
 //! end is served by whoever holds it, or inline ([`Endpoint::with_client`]):
 //! each message is answered before its send returns, on the same thread.
+//! A channel endpoint counts each message it sends into the duplex's
+//! [`NetStats`]; an endpoint over TCP ([`tcp_duplex`](crate::tcp_duplex))
+//! counts nothing itself — its connection counts each frame, header
+//! included.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -119,12 +123,16 @@ pub struct Answer {
     pub done: bool,
 }
 
-/// What actually carries a sender's messages: the in-memory channel (timed
-/// by the links of a virtual duplex, if any) or a framed TCP connection.
+/// What actually carries a sender's messages: the in-memory channel, its
+/// messages flowing `direction`, timed by the links of a virtual duplex (if
+/// any) and counted into `stats`; or a framed TCP connection, which counts
+/// its own frames.
 enum SendHalf {
     Chan {
         tx: Sender<Message>,
+        direction: Direction,
         links: Option<VirtualLinks>,
+        stats: NetStats,
     },
     Tcp(Arc<crate::tcp::TcpConn>),
 }
@@ -132,9 +140,6 @@ enum SendHalf {
 /// Sending half of an endpoint.
 pub struct NetSender {
     half: SendHalf,
-    stats: NetStats,
-    direction: Direction,
-    overhead: usize,
     clock: Clock,
     /// Serves an inline client end: answers the message just sent.
     inline: Option<Mutex<Box<dyn FnMut() + Send>>>,
@@ -144,15 +149,16 @@ impl NetSender {
     /// Send one message, stamped with its arrival at the sender's clock.
     /// Never blocks: the link queues it behind the messages before it.
     pub fn send(&self, payload: Vec<u8>) -> Result<()> {
-        let wire_bytes = payload.len() + self.overhead;
-        match self.direction {
-            Direction::Down => self.stats.record_down(wire_bytes),
-            Direction::Up => self.stats.record_up(wire_bytes),
-        }
         match &self.half {
-            SendHalf::Chan { tx, links } => {
+            SendHalf::Chan {
+                tx,
+                direction,
+                links,
+                stats,
+            } => {
+                stats.record(*direction == Direction::Down, 1, payload.len());
                 let deliver_at = links.as_ref().map_or(0, |links| {
-                    links.transmit(self.direction, self.clock.now(), payload.len())
+                    links.transmit(*direction, self.clock.now(), payload.len())
                 });
                 tx.send(Message {
                     deliver_at,
@@ -273,19 +279,9 @@ impl Endpoint {
         (sender, self.receiver)
     }
 
-    fn new(
-        half: SendHalf,
-        rx: RecvHalf,
-        direction: Direction,
-        overhead: usize,
-        stats: NetStats,
-        clock: Clock,
-    ) -> Endpoint {
+    fn new(half: SendHalf, rx: RecvHalf, clock: Clock) -> Endpoint {
         let sender = NetSender {
             half,
-            stats,
-            direction,
-            overhead,
             clock: clock.clone(),
             inline: None,
         };
@@ -295,23 +291,11 @@ impl Endpoint {
         }
     }
 
-    /// Wrap one side of a framed TCP connection as an endpoint. `is_server`
-    /// picks the stats direction for sends (server sends flow down). The
-    /// real 4-byte frame header is charged as per-message overhead so byte
-    /// accounting matches what crosses the socket.
-    pub(crate) fn from_tcp(
-        conn: Arc<crate::tcp::TcpConn>,
-        is_server: bool,
-        stats: NetStats,
-    ) -> Endpoint {
-        let direction = if is_server {
-            Direction::Down
-        } else {
-            Direction::Up
-        };
+    /// Wrap a framed TCP connection as an endpoint; the connection counts
+    /// its own frames.
+    pub(crate) fn from_tcp(conn: Arc<crate::tcp::TcpConn>) -> Endpoint {
         let (half, rx) = (SendHalf::Tcp(conn.clone()), RecvHalf::Tcp(conn));
-        let overhead = crate::tcp::FRAME_HEADER_BYTES;
-        Endpoint::new(half, rx, direction, overhead, stats, Clock::default())
+        Endpoint::new(half, rx, Clock::default())
     }
 }
 
@@ -322,9 +306,11 @@ fn build_pair(links: Option<&VirtualLinks>) -> (Endpoint, Endpoint, NetStats) {
     let end = |tx, rx, direction, clock| {
         let half = SendHalf::Chan {
             tx,
+            direction,
             links: links.cloned(),
+            stats: stats.clone(),
         };
-        Endpoint::new(half, RecvHalf::Chan(rx), direction, 0, stats.clone(), clock)
+        Endpoint::new(half, RecvHalf::Chan(rx), clock)
     };
     let server_clock = links.map_or_else(Clock::default, |l| l.0.server.clone());
     let server = end(down_tx, up_rx, Direction::Down, server_clock);
@@ -517,7 +503,8 @@ mod tests {
 
     #[test]
     fn overhead_is_counted() {
-        let spec = NetworkSpec::symmetric(1e9, 0).with_overhead(8);
+        let mut spec = NetworkSpec::symmetric(1e9, 0);
+        spec.per_message_overhead = 8;
         let (server, client, links) = virtual_duplex(&spec);
         server.send(vec![0; 100]).unwrap();
         client.recv().unwrap();

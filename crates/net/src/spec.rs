@@ -132,12 +132,6 @@ impl NetworkSpec {
     pub fn make_uplink(&self) -> Link {
         Link::new(self.up_bandwidth, self.up_latency)
     }
-
-    /// Builder-style: set per-message framing overhead.
-    pub fn with_overhead(mut self, bytes: usize) -> NetworkSpec {
-        self.per_message_overhead = bytes;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -160,7 +154,8 @@ mod tests {
 
     #[test]
     fn overhead_applies_to_both_directions() {
-        let s = NetworkSpec::symmetric(1000.0, 0).with_overhead(8);
+        let mut s = NetworkSpec::symmetric(1000.0, 0);
+        s.per_message_overhead = 8;
         assert_eq!(s.downlink_bytes(100), 108);
         assert_eq!(s.uplink_bytes(100), 108);
     }

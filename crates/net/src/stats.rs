@@ -24,20 +24,28 @@ impl NetStats {
         NetStats::default()
     }
 
-    /// Record a server→client message of `bytes` payload bytes.
-    pub fn record_down(&self, bytes: usize) {
-        self.inner
-            .down_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-        self.inner.down_messages.fetch_add(1, Ordering::Relaxed);
+    fn counters(&self, down: bool) -> (&AtomicU64, &AtomicU64) {
+        let c = &*self.inner;
+        match down {
+            true => (&c.down_messages, &c.down_bytes),
+            false => (&c.up_messages, &c.up_bytes),
+        }
     }
 
-    /// Record a client→server message of `bytes` payload bytes.
-    pub fn record_up(&self, bytes: usize) {
-        self.inner
-            .up_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-        self.inner.up_messages.fetch_add(1, Ordering::Relaxed);
+    /// Record `messages` messages of `bytes` bytes in all, flowing down
+    /// (server→client) or up.
+    pub(crate) fn record(&self, down: bool, messages: usize, bytes: usize) {
+        let (m, b) = self.counters(down);
+        m.fetch_add(messages as u64, Ordering::Relaxed);
+        b.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+
+    /// Take back what [`record`](Self::record) counted for messages that
+    /// never went out.
+    pub(crate) fn take_back(&self, down: bool, messages: usize, bytes: usize) {
+        let (m, b) = self.counters(down);
+        m.fetch_sub(messages as u64, Ordering::Relaxed);
+        b.fetch_sub(bytes as u64, Ordering::Relaxed);
     }
 
     /// Total server→client bytes.
@@ -69,9 +77,9 @@ mod tests {
     fn clones_share_counters() {
         let a = NetStats::new();
         let b = a.clone();
-        a.record_down(100);
-        b.record_down(50);
-        b.record_up(7);
+        a.record(true, 1, 100);
+        b.record(true, 1, 50);
+        b.record(false, 1, 7);
         assert_eq!(a.down_bytes(), 150);
         assert_eq!(a.down_messages(), 2);
         assert_eq!(a.up_bytes(), 7);

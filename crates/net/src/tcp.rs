@@ -5,8 +5,16 @@
 //! by the payload bytes. The framing is the only thing this layer adds —
 //! payloads are the exact bytes the `csq-common` codec produced, so the
 //! zero-copy [`Decoder::shared`](csq_common::codec::Decoder::shared) path
-//! works unchanged on received frames, and [`NetStats`] byte accounting
-//! stays truthful (frame header bytes are charged as per-message overhead).
+//! works unchanged on received frames.
+//!
+//! A connection counts the frames it moves into its [`NetStats`], each with
+//! its header: a frame it reads once the whole frame is in, a frame it
+//! writes as the write starts — taken back if the write fails before that
+//! frame is out whole, so what stays counted is the frames written whole,
+//! and a peer that has read a frame finds it counted. Which way a frame
+//! flows is the side the connection was given once when it was set up
+//! ([`TcpConn::counted`]: a server's sends flow down, a client's up), so no
+//! caller adds a frame's size by hand.
 //!
 //! Two consumers sit on top:
 //!
@@ -145,10 +153,12 @@ enum Step {
     WouldBlock,
 }
 
-/// Advance the frame state machine until a frame completes, the peer
-/// closes, a read would block, or the stream turns out to be broken.
-/// Progress is kept in `half.partial` across `WouldBlock` returns.
-fn drive(half: &mut RecvHalf, max_frame: usize, buffered: &AtomicUsize) -> Result<Step> {
+/// Advance `conn`'s frame state machine until a frame completes (counted
+/// as `conn` counts a read), the peer closes, a read would block, or the
+/// stream turns out to be broken. Progress is kept in `half.partial`
+/// across `WouldBlock` returns.
+fn drive(conn: &TcpConn, half: &mut RecvHalf) -> Result<Step> {
+    let (max_frame, buffered) = (conn.max_frame, &conn.recv_buffered);
     loop {
         let RecvHalf {
             reader, partial, ..
@@ -233,6 +243,8 @@ fn drive(half: &mut RecvHalf, max_frame: usize, buffered: &AtomicUsize) -> Resul
             Some(done) => done,
             None => continue, // Unreachable: `p` above proves it is Some.
         };
+        let bytes = done.payload.len() + FRAME_HEADER_BYTES;
+        conn.stats.record(!conn.is_server, 1, bytes);
         return Ok(Step::Frame(done.payload));
     }
 }
@@ -248,6 +260,10 @@ pub struct TcpConn {
     /// variable part of this connection's receive-side memory.
     recv_buffered: AtomicUsize,
     fd: Fd,
+    /// Where this connection counts the frames it moves: a server end's
+    /// sends flow down and its receives up, a client's the other way.
+    stats: NetStats,
+    is_server: bool,
 }
 
 impl TcpConn {
@@ -275,7 +291,24 @@ impl TcpConn {
             idle_timeout: Mutex::new(None),
             recv_buffered: AtomicUsize::new(0),
             fd,
+            stats: NetStats::new(),
+            is_server: false,
         })
+    }
+
+    /// Count this connection's frames into `stats`, as the server's end
+    /// when `is_server`. Until then a connection is a client's, counted
+    /// into stats of its own.
+    pub fn counted(mut self, stats: NetStats, is_server: bool) -> TcpConn {
+        self.stats = stats;
+        self.is_server = is_server;
+        self
+    }
+
+    /// The frames this connection has written and read whole, each with
+    /// its header.
+    pub fn stats(&self) -> &NetStats {
+        &self.stats
     }
 
     /// Connect to a listening service.
@@ -364,6 +397,10 @@ impl TcpConn {
     /// The outer error refuses an oversized payload before a byte is
     /// written; the inner one is the socket's (`WouldBlock` when a write
     /// timeout expires or a non-blocking socket is full).
+    ///
+    /// The frames are counted as they are handed to the socket, so a peer
+    /// that has read a frame finds it counted; a failed write takes back
+    /// every frame that did not go out whole.
     fn write_frames(&self, payloads: &[&[u8]]) -> Result<std::io::Result<()>> {
         if let Some(big) = payloads.iter().find(|p| p.len() > self.max_frame) {
             return Err(CsqError::Net(format!(
@@ -382,21 +419,39 @@ impl TcpConn {
             .flat_map(|(h, p)| [IoSlice::new(h), IoSlice::new(p)])
             .collect();
         let mut bufs = &mut slices[..];
+        let framed = |p: &&[u8]| p.len() + FRAME_HEADER_BYTES;
+        let bytes = payloads.iter().map(framed).sum();
+        self.stats.record(self.is_server, payloads.len(), bytes);
         let mut w = self.writer.lock();
-        while !bufs.is_empty() {
+        let mut written = 0;
+        let outcome = loop {
+            if bufs.is_empty() {
+                break Ok(());
+            }
             match w.write_vectored(bufs) {
                 Ok(0) => {
-                    return Ok(Err(std::io::Error::new(
-                        std::io::ErrorKind::WriteZero,
-                        "wrote 0 bytes",
-                    )))
+                    let zero = std::io::ErrorKind::WriteZero;
+                    break Err(std::io::Error::new(zero, "wrote 0 bytes"));
                 }
-                Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+                Ok(n) => {
+                    written += n;
+                    IoSlice::advance_slices(&mut bufs, n);
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Ok(Err(e)),
+                Err(e) => break Err(e),
             }
+        };
+        if outcome.is_err() {
+            let mut end = 0;
+            let whole = payloads.iter().take_while(|p| {
+                end += framed(p);
+                end <= written
+            });
+            let lost = &payloads[whole.count()..];
+            let lost_bytes = lost.iter().map(framed).sum();
+            self.stats.take_back(self.is_server, lost.len(), lost_bytes);
         }
-        Ok(Ok(()))
+        Ok(outcome)
     }
 
     /// Receive the next frame event. Errors are terminal for the
@@ -430,7 +485,7 @@ impl TcpConn {
         // and goes silent surfaces as a terminal "stalled" error instead of
         // pinning this thread forever. (Desynchronization is not a concern:
         // a stall error retires the connection.)
-        match drive(&mut half, self.max_frame, &self.recv_buffered)? {
+        match drive(self, &mut half)? {
             Step::Frame(payload) => Ok(Frame::Payload(payload)),
             Step::Closed => Ok(Frame::Closed),
             Step::WouldBlock => Err(CsqError::Net(
@@ -450,7 +505,7 @@ impl TcpConn {
     /// can no longer be trusted and the connection must be retired.
     pub fn poll_recv(&self) -> Result<PollFrame> {
         let mut half = self.recv_half.lock();
-        match drive(&mut half, self.max_frame, &self.recv_buffered)? {
+        match drive(self, &mut half)? {
             Step::Frame(payload) => Ok(PollFrame::Frame(payload)),
             Step::Closed => Ok(PollFrame::Closed),
             Step::WouldBlock => Ok(PollFrame::Pending),
@@ -485,17 +540,21 @@ impl TcpConn {
 }
 
 /// A loopback TCP duplex `(server, client, stats)` — the socket-backed
-/// analog of [`in_memory_duplex`](crate::in_memory_duplex). Bytes are
-/// counted per direction with the real 4-byte frame header charged as
-/// per-message overhead, so `NetStats` reports exactly what crossed the
-/// socket.
+/// analog of [`in_memory_duplex`](crate::in_memory_duplex). `stats` are
+/// the server end's counts: every frame it writes or reads, header
+/// included, so they report exactly what crossed the socket.
 pub fn tcp_duplex() -> Result<(Endpoint, Endpoint, NetStats)> {
     let (server_stream, client_stream) =
         crate::ready::loopback_pair().map_err(|e| io_net("loopback pair", e))?;
     let stats = NetStats::new();
-    let server = Endpoint::from_tcp(Arc::new(TcpConn::new(server_stream)?), true, stats.clone());
-    let client = Endpoint::from_tcp(Arc::new(TcpConn::new(client_stream)?), false, stats.clone());
-    Ok((server, client, stats))
+    let server = TcpConn::new(server_stream)?.counted(stats.clone(), true);
+    let client = TcpConn::new(client_stream)?;
+    let (server, client) = (Arc::new(server), Arc::new(client));
+    Ok((
+        Endpoint::from_tcp(server),
+        Endpoint::from_tcp(client),
+        stats,
+    ))
 }
 
 #[cfg(test)]
@@ -781,6 +840,56 @@ mod tests {
                 Err(e) => panic!("try_send must refuse, not fail: {e}"),
             }
         }
+    }
+
+    #[test]
+    fn a_connection_counts_the_frames_it_moves_whole() {
+        let (server, client) = loopback_pair();
+        let stats = NetStats::new();
+        let server = server.counted(stats.clone(), true);
+        let counts = |s: &NetStats| {
+            let down = (s.down_messages(), s.down_bytes());
+            (down, (s.up_messages(), s.up_bytes()))
+        };
+        // A run of frames: each counted with its header, as downlink.
+        let frames: [&[u8]; 3] = [&[1, 2, 3], &[], &[7; 10]];
+        server.send_frames(&frames).unwrap();
+        assert_eq!(counts(&stats), ((3, 13 + 3 * 4), (0, 0)));
+        // The client counts each whole frame it reads, blocking or polled.
+        assert!(matches!(client.recv().unwrap(), Frame::Payload(_)));
+        assert_eq!(counts(client.stats()), ((1, 7), (0, 0)));
+        client.set_nonblocking(true).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while client.stats().down_messages() < 3 {
+            assert!(matches!(
+                client.poll_recv().unwrap(),
+                PollFrame::Frame(_) | PollFrame::Pending
+            ));
+            assert!(std::time::Instant::now() < deadline, "frames never arrived");
+        }
+        assert!(matches!(client.poll_recv().unwrap(), PollFrame::Pending));
+        assert_eq!(counts(client.stats()), ((3, 25), (0, 0)));
+        // Its sends are uplink frames, and so are the server's reads.
+        client.send(&[5; 6]).unwrap();
+        assert!(matches!(server.recv().unwrap(), Frame::Payload(_)));
+        assert_eq!(counts(client.stats()), ((3, 25), (1, 10)));
+        assert_eq!(counts(&stats), ((3, 25), (1, 10)));
+        // A try_send that would block counts nothing, even when it wrote
+        // part of its frame.
+        server.set_nonblocking(true).unwrap();
+        let big = vec![0u8; 256 * 1024];
+        let mut sent = 0;
+        while server.try_send(&big).unwrap() {
+            sent += 1;
+            assert!(sent < 4096, "socket buffer never filled");
+        }
+        let big_frame = (big.len() + FRAME_HEADER_BYTES) as u64;
+        let down = (3 + sent, 25 + sent * big_frame);
+        assert_eq!(counts(&stats), (down, (1, 10)));
+        // A send on a shut-down socket counts nothing.
+        server.shutdown();
+        assert!(server.send(&[1; 8]).is_err());
+        assert_eq!(counts(&stats), (down, (1, 10)));
     }
 
     #[test]

@@ -538,16 +538,7 @@ impl Catalog {
             .ok_or_else(|| CsqError::Catalog(format!("unknown table '{name}'")))
     }
 
-    /// Drop a table.
-    pub fn drop_table(&self, name: &str) -> Result<()> {
-        self.tables
-            .write()
-            .remove(&name.to_ascii_lowercase())
-            .map(|t| t.changed())
-            .ok_or_else(|| CsqError::Catalog(format!("unknown table '{name}'")))
-    }
-
-    /// Changes so far to what a plan reads here: registrations, drops, and
+    /// Changes so far to what a plan reads here: registrations and
     /// every change to a registered table's [`TableProfile`] (an insert or
     /// a sealing [`Table::seal_tail`], through a held `Arc<Table>` too; a
     /// scan's sealing changes no profile). Unchanged count, same statistics.
@@ -722,7 +713,6 @@ mod tests {
         assert_eq!(moved(&|| t.seal_tail()), 1);
         assert_eq!(moved(&|| t.seal_tail()), 0, "nothing left to seal");
         assert_eq!(moved(&|| assert!(c.register(seg_table(1, 1)).is_err())), 0);
-        assert_eq!(moved(&|| c.drop_table("seg").unwrap()), 1);
     }
 
     #[test]
@@ -734,8 +724,6 @@ mod tests {
         assert_eq!(c.get("nope").unwrap_err().kind(), "catalog");
         assert_eq!(c.register(stock_table()).unwrap_err().kind(), "catalog");
         assert_eq!(c.table_names(), vec!["StockQuotes".to_string()]);
-        c.drop_table("StockQuotes").unwrap();
-        assert!(c.get("StockQuotes").is_err());
     }
 
     // ---- columnar segment behavior ----------------------------------------

@@ -7,7 +7,8 @@
 //! nested loop over the inserted rows that keeps each concatenated pair on
 //! which `PhysExpr::eval_predicate` holds: the same pairs as a multiset, or
 //! an error of the same kind. Each case runs unbudgeted and under a 4 KB
-//! memory budget, where every join's build side spills (Grace) and gives
+//! memory budget, where a join spills (Grace) exactly when lowering keys
+//! it — an unkeyed join has nothing to partition on — and every join gives
 //! back every tracked byte.
 
 use csq::prelude::*;
@@ -130,8 +131,9 @@ fn executed(db: &Database, predicate: Option<&str>) -> std::result::Result<Vec<S
 }
 
 /// `predicate` answers as the nested loop does, unbudgeted and under a
-/// 4 KB budget; returns the answer.
-fn agrees(predicate: Option<&str>) -> std::result::Result<Vec<String>, String> {
+/// 4 KB budget, where it spills exactly when lowering `keyed` the join;
+/// returns the answer.
+fn agrees(predicate: Option<&str>, keyed: bool) -> std::result::Result<Vec<String>, String> {
     let db = database();
     let expected = nested_loop(&db, predicate);
     assert_eq!(executed(&db, predicate), expected, "{predicate:?}");
@@ -142,9 +144,10 @@ fn agrees(predicate: Option<&str>) -> std::result::Result<Vec<String>, String> {
         "{predicate:?} under 4 KB"
     );
     let tracker = db.memory_tracker();
-    assert!(
+    assert_eq!(
         tracker.spill_count() > 0,
-        "{predicate:?}: no spill under 4 KB"
+        keyed,
+        "{predicate:?}: a spill under 4 KB exactly when the join is keyed"
     );
     assert_eq!(
         tracker.used(),
@@ -166,7 +169,7 @@ fn keyed_joins_match_the_nested_loop() {
         "r.k = l.k AND l.x < r.y AND l.s > 's3'",
         "l.k = r.k AND l.f = r.f",
     ] {
-        let pairs = agrees(Some(p)).unwrap();
+        let pairs = agrees(Some(p), true).unwrap();
         assert!(!pairs.is_empty(), "{p}");
     }
 }
@@ -178,11 +181,11 @@ fn keyed_joins_match_the_nested_loop() {
 #[test]
 fn mixed_and_float_keys_match_the_nested_loop() {
     for p in ["l.k = r.f", "l.f = r.f", "r.f = l.f AND l.x > 3"] {
-        let pairs = agrees(Some(p)).unwrap();
+        let pairs = agrees(Some(p), false).unwrap();
         assert!(!pairs.is_empty(), "{p}");
     }
     // −0.0 meets 0.0, and NaN meets nothing.
-    let pairs = agrees(Some("l.f = r.f")).unwrap();
+    let pairs = agrees(Some("l.f = r.f"), false).unwrap();
     assert!(pairs.contains(&"0,0".to_string()) && pairs.contains(&"1,1".to_string()));
     assert!(!pairs.contains(&"2,2".to_string()));
 }
@@ -190,8 +193,8 @@ fn mixed_and_float_keys_match_the_nested_loop() {
 /// A theta-only join and a cross product of more than one batch.
 #[test]
 fn unkeyed_joins_match_the_nested_loop() {
-    assert!(!agrees(Some("l.x < r.y")).unwrap().is_empty());
-    let cross = agrees(None).unwrap();
+    assert!(!agrees(Some("l.x < r.y"), false).unwrap().is_empty());
+    let cross = agrees(None, false).unwrap();
     assert_eq!(cross.len(), (L_ROWS * R_ROWS) as usize);
 }
 
@@ -202,11 +205,11 @@ fn unkeyed_joins_match_the_nested_loop() {
 #[test]
 fn errors_on_pairs_a_key_would_rule_out_still_raise() {
     assert_eq!(
-        agrees(Some("l.x / r.y > 1 AND l.k = r.k")),
+        agrees(Some("l.x / r.y > 1 AND l.k = r.k"), false),
         Err("exec".into())
     );
     assert_eq!(
-        agrees(Some("l.k = r.k AND l.x / r.z > 0")),
+        agrees(Some("l.k = r.k AND l.x / r.z > 0"), false),
         Err("exec".into())
     );
 }
