@@ -14,14 +14,15 @@
 //!   retryable `limit` error. An idle connection costs one pollfd entry
 //!   and its receive buffer, nothing else. When a complete request frame
 //!   arrives (non-blocking, resumable reads on the framed [`TcpConn`]), the
-//!   statement becomes a job on the [`csq_exec::WorkerPool`]; memory-only
-//!   requests (`SessionInfo`, `CancelQuery`, `CloseStmt`) are answered
-//!   inline so they work even when every worker is busy. Ready sessions
+//!   statement becomes a typed [`Job`] on the workers' one queue, whose
+//!   only sender the scheduler holds; memory-only requests (`SessionInfo`,
+//!   `CancelQuery`, `CloseStmt`) are answered inline so they work even when
+//!   every worker is busy. Ready sessions
 //!   are swept in rotating order, so one chatty client cannot starve the
 //!   rest.
-//! * The **workers** (the pool, sized by [`ServiceConfig::workers`])
-//!   execute one statement at a time: plan through the database's
-//!   [`PlanCache`](crate::PlanCache), encode the result's bounded chunks
+//! * The **workers** ([`ServiceConfig::workers`] threads, started with the
+//!   scheduler by [`start_on`]) execute one statement at a time: plan
+//!   through the database's [`PlanCache`](crate::PlanCache), encode the result's bounded chunks
 //!   straight from the executor's output batches — encoded in full, then
 //!   sent over the session's connection (flipped to blocking mode for the
 //!   write) as one vectored write of `Begin`, the `Rows` frames and `End`
@@ -29,7 +30,7 @@
 //!   job.
 //!
 //! A session therefore moves `Reading → Queued → Executing → Writing →
-//! Reading`: the scheduler owns it while Reading, the pool queue while
+//! Reading`: the scheduler owns it while Reading, the job queue while
 //! Queued, and exactly one worker while Executing/Writing — it is never
 //! shared, only moved. Each session has at most one statement in flight
 //! (the scheduler does not read from a session it has handed to a worker),
@@ -46,14 +47,16 @@
 //! mid-stream disconnect, or a query that fails (or panics) — and none of
 //! them may take the process, a worker, or any other session with it:
 //! query failures answer with a typed `Error` response and the session
-//! lives on; transport/protocol failures end only that session; panics are
-//! contained by the pool's per-job `catch_unwind` (and answered with an
-//! `exec` error when the wire still works).
+//! lives on; transport/protocol failures end only that session; a panic in
+//! a statement is caught around its execution and answered with an `exec`
+//! error, and the worker loop's own `catch_unwind` keeps any other panic
+//! from costing more than that statement's session.
 //!
 //! **Graceful shutdown.** [`ServiceHandle::shutdown`] wakes the scheduler,
 //! which tells every parked client the server is going away and closes the
-//! listener as it exits, then drains the workers: in-flight statements are
-//! answered, then their sessions are told the same and dropped.
+//! listener as it exits; its exit closes the job queue, and the workers
+//! answer what is in flight or queued, tell those sessions the same, drop
+//! them and stop.
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -68,7 +71,6 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use csq_client::qproto::{QueryRequest, QueryResponse};
 use csq_common::{CancelToken, CsqError, Result, DEFAULT_BATCH_SIZE};
-use csq_exec::WorkerPool;
 use csq_net::ready::{poll_readable, socket_fd, wake_pair, Fd, WakeReceiver, Waker};
 use csq_net::tcp::{PollFrame, TcpConn};
 use csq_net::NetStats;
@@ -278,7 +280,7 @@ fn session_key(session_id: u64) -> u64 {
 
 /// One admitted connection: everything a session is, in one movable
 /// object. Owned by exactly one thread at a time — the scheduler while
-/// parked (Reading), the pool queue while Queued, a worker while
+/// parked (Reading), the job queue while Queued, a worker while
 /// Executing/Writing — and moved, never shared. Dropping it anywhere
 /// closes the connection and releases its registration, which is also its
 /// admission slot.
@@ -308,10 +310,9 @@ impl Drop for Session {
     }
 }
 
-/// Everything a scheduler sweep or a worker job needs, cheap to clone.
-/// Deliberately does NOT hold the `WorkerPool`: a job holding a pool Arc
-/// could become the pool's last owner and join the workers from a worker
-/// thread. Only the handle and the poller thread own the pool.
+/// Everything a scheduler sweep or a worker needs; each worker holds its
+/// own clone. It holds no sender of the job queue: the scheduler's is the
+/// only one, so the queue closes when the scheduler exits.
 #[derive(Clone)]
 struct SchedCtx {
     db: Arc<Database>,
@@ -326,13 +327,30 @@ struct SchedCtx {
     waker: Arc<Waker>,
 }
 
+/// One statement on its way to a worker: the session it came from, its
+/// decoded request and the cancel token registered for it.
+struct Job {
+    session: Session,
+    req: QueryRequest,
+    token: CancelToken,
+}
+
+/// What a statement that ran answers with, each beside whether its plan
+/// came from the cache: a result, or a just-prepared statement's handle.
+enum Outcome {
+    Rows(ResultBatches, bool),
+    Prepared(u32, bool),
+}
+
 /// A running query service; dropping (or [`shutdown`](Self::shutdown))
 /// stops accepting and drains sessions.
 pub struct ServiceHandle {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    poller: Option<JoinHandle<()>>,
-    pool: Option<Arc<WorkerPool>>,
+    /// The scheduler, then the workers: joined in that order, because a
+    /// worker stops only once the scheduler has dropped the job queue's
+    /// sender.
+    threads: Vec<JoinHandle<()>>,
     stats: Arc<ServiceStats>,
     sched: Arc<SchedulerStats>,
     net: NetStats,
@@ -369,22 +387,19 @@ impl ServiceHandle {
     fn shutdown_inner(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         // Wake the scheduler out of its poll wait; it says goodbye to every
-        // parked session and exits, closing the listener. Joining it before
-        // the pool also guarantees no new jobs arrive while the pool drains.
+        // parked session and exits, closing the listener and the job queue.
+        // The workers then drain the queue (each statement answers, sees
+        // the shutdown flag, and says goodbye) and stop.
         self.waker.wake();
-        if let Some(h) = self.poller.take() {
-            let _ = h.join();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
-        // Dropping the last Arc on the pool drains queued statements (each
-        // answers, sees the shutdown flag, and says goodbye) and joins the
-        // workers.
-        self.pool.take();
     }
 }
 
 impl Drop for ServiceHandle {
     fn drop(&mut self) {
-        if self.poller.is_some() || self.pool.is_some() {
+        if !self.threads.is_empty() {
             self.shutdown_inner();
         }
     }
@@ -414,7 +429,6 @@ pub fn start_on(
     let stats = Arc::new(ServiceStats::default());
     let sched = Arc::new(SchedulerStats::default());
     let net = NetStats::new();
-    let pool = Arc::new(WorkerPool::new(config.workers));
     let (waker, wake_rx) = wake_pair()?;
     let waker = Arc::new(waker);
     let (inject_tx, inject_rx) = unbounded::<Session>();
@@ -430,22 +444,40 @@ pub fn start_on(
         inject_tx,
         waker: waker.clone(),
     };
-    let poll_pool = pool.clone();
-    let poller = std::thread::Builder::new().name("csq-service-poll".into());
-    let poller = poller
-        .spawn(move || poller_loop(ctx, poll_pool, listener, inject_rx, wake_rx))
-        .map_err(|e| CsqError::Net(format!("spawn scheduler: {e}")))?;
-
-    Ok(ServiceHandle {
+    let (jobs, queue) = unbounded::<Job>();
+    let mut handle = ServiceHandle {
         addr: local,
         shutdown,
-        poller: Some(poller),
-        pool: Some(pool),
+        threads: Vec::new(),
         stats,
         sched,
         net,
         waker,
-    })
+    };
+    // The scheduler starts first and takes the job queue's only sender. A
+    // failed spawn returns early and drops `handle`, which joins what did
+    // start: the scheduler, whose exit closes the queue, then the workers.
+    let scheduler_ctx = ctx.clone();
+    let scheduler = move || poller_loop(scheduler_ctx, jobs, listener, inject_rx, wake_rx);
+    handle
+        .threads
+        .push(start_thread("csq-service-poll".into(), scheduler)?);
+    for i in 0..ctx.config.workers {
+        let (ctx, queue) = (ctx.clone(), queue.clone());
+        let worker = start_thread(format!("csq-worker-{i}"), move || worker_loop(&ctx, &queue))?;
+        handle.threads.push(worker);
+    }
+    Ok(handle)
+}
+
+/// Start one of the service's threads — the scheduler or a statement
+/// worker; [`start_on`] calls it once for each, and nothing else starts a
+/// thread.
+fn start_thread(name: String, body: impl FnOnce() + Send + 'static) -> Result<JoinHandle<()>> {
+    let thread = std::thread::Builder::new().name(name.clone());
+    thread
+        .spawn(body)
+        .map_err(|e| CsqError::Net(format!("spawn {name}: {e}")))
 }
 
 /// Send one response frame; `false` when the client is gone.
@@ -560,11 +592,11 @@ impl Gate {
 
 /// The session scheduler: owns the listener, parks every admitted session,
 /// waits for readiness, and turns complete request frames into worker
-/// jobs. Runs on its own thread until shutdown; the listener closes when
-/// it returns.
+/// jobs. Runs on its own thread until shutdown; the listener and the job
+/// queue close when it returns.
 fn poller_loop(
     ctx: SchedCtx,
-    pool: Arc<WorkerPool>,
+    jobs: Sender<Job>,
     listener: TcpListener,
     inject_rx: Receiver<Session>,
     mut wake_rx: WakeReceiver,
@@ -646,7 +678,7 @@ fn poller_loop(
             sweep.rotate_left(offset);
             for (mut session, was_ready) in sweep {
                 if was_ready || session.maybe_buffered {
-                    parked.extend(drive_session(&ctx, &pool, session));
+                    parked.extend(drive_session(&ctx, &jobs, session));
                 } else if !(session.mid_frame && stalled(&ctx, &mut session)) {
                     parked.push(session);
                 }
@@ -697,10 +729,10 @@ fn fault(ctx: &SchedCtx, conn: &TcpConn, err: &CsqError) {
 }
 
 /// Pump one ready session: read as many complete frames as are available,
-/// answering memory-only requests inline and dispatching at most one
-/// statement to the pool. Returns the session if it should stay parked,
-/// `None` if it was dispatched or dropped.
-fn drive_session(ctx: &SchedCtx, pool: &WorkerPool, mut session: Session) -> Option<Session> {
+/// answering memory-only requests inline and queueing at most one
+/// statement for the workers. Returns the session if it should stay
+/// parked, `None` if it was queued or dropped.
+fn drive_session(ctx: &SchedCtx, jobs: &Sender<Job>, mut session: Session) -> Option<Session> {
     session.maybe_buffered = false;
     session.mid_frame = false;
     let mut inline = 0usize;
@@ -762,7 +794,7 @@ fn drive_session(ctx: &SchedCtx, pool: &WorkerPool, mut session: Session) -> Opt
                 }
                 inline += 1;
             }
-            req => return dispatch(ctx, pool, session, req),
+            req => return dispatch(ctx, jobs, session, req),
         }
         if inline >= MAX_INLINE_FRAMES_PER_SWEEP {
             // Bound scheduler time spent on one session per sweep: an
@@ -774,12 +806,12 @@ fn drive_session(ctx: &SchedCtx, pool: &WorkerPool, mut session: Session) -> Opt
     }
 }
 
-/// Hand a statement to the worker pool — or shed it when the work queue is
+/// Queue a statement for the workers — or shed it when the work queue is
 /// over budget. Returns the session only in the shed case (it stays
-/// parked); a dispatched session travels with its job.
+/// parked); a queued session travels with its job.
 fn dispatch(
     ctx: &SchedCtx,
-    pool: &WorkerPool,
+    jobs: &Sender<Job>,
     mut session: Session,
     req: QueryRequest,
 ) -> Option<Session> {
@@ -789,7 +821,7 @@ fn dispatch(
         // Shed *this statement*, not the connection: a survivable
         // retryable `limit` answer tells the client to back off and retry
         // on the same session once pressure clears. Answered from here —
-        // routing it through the pool would make the refusal wait behind
+        // routing it through the queue would make the refusal wait behind
         // the very queue it reports as full.
         ServiceStats::bump(&ctx.stats.shed);
         let busy = CsqError::Limit(format!(
@@ -818,94 +850,41 @@ fn dispatch(
     };
     set_running(&ctx.registry, session.id, Some(token.clone()));
     ctx.sched.queued_statements.fetch_add(1, Ordering::SeqCst);
-    let job_ctx = ctx.clone();
-    pool.spawn(move || run_statement(job_ctx, session, req, token));
+    // Cannot fail: the workers hold the queue's receiver until the
+    // scheduler drops this, its only sender.
+    let _ = jobs.send(Job {
+        session,
+        req,
+        token,
+    });
     None
 }
 
-/// Decrement-on-drop guard for the executing-statements gauge (runs even
-/// when a statement job unwinds).
-struct Executing(Arc<SchedulerStats>);
-
-impl Drop for Executing {
-    fn drop(&mut self) {
-        self.0.executing_statements.fetch_sub(1, Ordering::SeqCst);
+/// A statement worker: runs each queued job until the scheduler has exited
+/// and the queue is drained. A panic that escapes a statement's own
+/// `catch_unwind` (in its answer's encoding, say) costs that statement and
+/// its session, never the worker.
+fn worker_loop(ctx: &SchedCtx, queue: &Receiver<Job>) {
+    let executing = &ctx.sched.executing_statements;
+    while let Ok(job) = queue.recv() {
+        ctx.sched.queued_statements.fetch_sub(1, Ordering::SeqCst);
+        executing.fetch_add(1, Ordering::SeqCst);
+        let _ = catch_unwind(AssertUnwindSafe(|| run_statement(ctx, job)));
+        executing.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
 /// One statement's life on a worker: execute, stream the answer (blocking
 /// writes under the write timeout), then hand the session back to the
 /// scheduler.
-fn run_statement(ctx: SchedCtx, mut session: Session, req: QueryRequest, token: CancelToken) {
-    ctx.sched.queued_statements.fetch_sub(1, Ordering::SeqCst);
-    ctx.sched
-        .executing_statements
-        .fetch_add(1, Ordering::SeqCst);
-    let _executing = Executing(ctx.sched.clone());
+fn run_statement(ctx: &SchedCtx, job: Job) {
+    let (mut session, req, token) = (job.session, job.req, job.token);
     if session.conn.set_nonblocking(false).is_err() {
         set_running(&ctx.registry, session.id, None);
         return; // Peer gone during the handoff.
     }
-    let alive = match req {
-        QueryRequest::Query { sql, .. } => {
-            let outcome = catch_unwind(AssertUnwindSafe(|| ctx.db.run_sql(&sql, &token)));
-            answer_execution(&session.conn, &ctx.stats, &ctx.config, outcome)
-        }
-        // A typed write answers an `Error` only from before `insert_rows`
-        // stores a row (expired deadline, unknown table, a row that does not
-        // fit the schema); once it has stored them the answer is `End`. So
-        // a retryable `Error` proves the rows were not stored, and a client
-        // may replay the request.
-        QueryRequest::Insert { table, rows, .. } => {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let stored = ctx.db.insert_rows(&table, rows, &token)?;
-                Ok((ResultBatches::count(stored), false))
-            }));
-            answer_execution(&session.conn, &ctx.stats, &ctx.config, outcome)
-        }
-        fetch @ QueryRequest::Fetch { .. } => answer_fetch(&ctx, &session.conn, fetch, &token),
-        QueryRequest::Execute { stmt, .. } => {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let Some(plan) = session.prepared.get(&stmt).cloned() else {
-                    return Err(CsqError::Plan(format!("unknown prepared statement {stmt}")));
-                };
-                let (result, fresh, reused) = ctx.db.run_planned(&plan, true, &token, None)?;
-                // The plan may have been replanned under a new epoch; keep
-                // the session's pin current.
-                session.prepared.insert(stmt, fresh);
-                Ok((result, reused))
-            }));
-            answer_execution(&session.conn, &ctx.stats, &ctx.config, outcome)
-        }
-        QueryRequest::Prepare { sql } => {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if session.prepared.len() >= MAX_PREPARED_PER_SESSION {
-                    return Err(CsqError::Limit(format!(
-                        "session holds {MAX_PREPARED_PER_SESSION} prepared statements; \
-                         release some with CloseStmt (or close the connection) before \
-                         preparing more"
-                    )));
-                }
-                ctx.db.prepare(&sql)
-            }));
-            match failure(&session.conn, &ctx.stats, outcome) {
-                Ok((plan, plan_cache_hit)) => {
-                    let stmt = session.next_stmt;
-                    session.next_stmt += 1;
-                    session.prepared.insert(stmt, plan);
-                    let prepared = QueryResponse::Prepared {
-                        stmt,
-                        plan_cache_hit,
-                    };
-                    send_response(&session.conn, &prepared)
-                }
-                Err(alive) => alive,
-            }
-        }
-        // Close / CancelQuery / CloseStmt / SessionInfo are answered inline
-        // by the scheduler and never dispatched here.
-        _ => true,
-    };
+    let outcome = catch_unwind(AssertUnwindSafe(|| execute(ctx, &mut session, req, &token)));
+    let alive = answer(&session.conn, &ctx.stats, ctx.config.chunk_rows, outcome);
     set_running(&ctx.registry, session.id, None);
     if !alive {
         return; // Client disconnected mid-stream; drop the session.
@@ -928,71 +907,114 @@ fn run_statement(ctx: SchedCtx, mut session: Session, req: QueryRequest, token: 
     }
 }
 
-/// Run a coordinator's typed read and answer it as a query is answered.
-/// Kept out of `run_statement`: inlined there, it cost every SQL statement
-/// ≈7 % CPU in `csqbench`'s `svc_adhoc_rw` (2 vCPUs, bisected).
-#[inline(never)]
-fn answer_fetch(ctx: &SchedCtx, conn: &TcpConn, fetch: QueryRequest, token: &CancelToken) -> bool {
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let QueryRequest::Fetch {
-            table,
-            schema,
-            filter,
-            columns,
-            partial,
-            ..
-        } = fetch
-        else {
-            return Err(CsqError::Plan("not a fetch request".into()));
-        };
-        let out = crate::lower::execute_fetch(
-            &ctx.db, &table, &schema, filter, &columns, partial, token,
-        )?;
-        Ok((out, false))
-    }));
-    answer_execution(conn, &ctx.stats, &ctx.config, outcome)
-}
-
-/// Answer a statement that failed or panicked with its typed `Error`,
-/// counting it, and return whether the connection is still usable; a
-/// success passes through as `Ok`.
-fn failure<T>(
-    conn: &TcpConn,
-    stats: &ServiceStats,
-    outcome: std::thread::Result<Result<T>>,
-) -> std::result::Result<T, bool> {
-    let e = match outcome {
-        Ok(Ok(done)) => return Ok(done),
-        Ok(Err(e)) => e,
-        Err(_) => {
-            ServiceStats::bump(&stats.panics);
-            CsqError::Exec("statement execution panicked (session preserved)".into())
+/// Run one statement to what it answers with.
+fn execute(
+    ctx: &SchedCtx,
+    session: &mut Session,
+    req: QueryRequest,
+    token: &CancelToken,
+) -> Result<Outcome> {
+    match req {
+        QueryRequest::Query { sql, .. } => {
+            let (result, plan_cache_hit) = ctx.db.run_sql(&sql, token)?;
+            Ok(Outcome::Rows(result, plan_cache_hit))
         }
-    };
-    match &e {
-        CsqError::Timeout(_) => ServiceStats::bump(&stats.timed_out),
-        CsqError::Cancelled(_) => ServiceStats::bump(&stats.cancelled),
-        _ => {}
+        // A typed write answers an `Error` only from before `insert_rows`
+        // stores a row (expired deadline, unknown table, a row that does not
+        // fit the schema); once it has stored them the answer is `End`. So
+        // a retryable `Error` proves the rows were not stored, and a client
+        // may replay the request.
+        QueryRequest::Insert { table, rows, .. } => {
+            let stored = ctx.db.insert_rows(&table, rows, token)?;
+            Ok(Outcome::Rows(ResultBatches::count(stored), false))
+        }
+        fetch @ QueryRequest::Fetch { .. } => fetch_rows(&ctx.db, fetch, token),
+        QueryRequest::Execute { stmt, .. } => {
+            let Some(plan) = session.prepared.get(&stmt).cloned() else {
+                return Err(CsqError::Plan(format!("unknown prepared statement {stmt}")));
+            };
+            let (result, fresh, reused) = ctx.db.run_planned(&plan, true, token, None)?;
+            // The plan may have been replanned under a new epoch; keep the
+            // session's pin current.
+            session.prepared.insert(stmt, fresh);
+            Ok(Outcome::Rows(result, reused))
+        }
+        QueryRequest::Prepare { sql } => {
+            if session.prepared.len() >= MAX_PREPARED_PER_SESSION {
+                return Err(CsqError::Limit(format!(
+                    "session holds {MAX_PREPARED_PER_SESSION} prepared statements; \
+                     release some with CloseStmt (or close the connection) before \
+                     preparing more"
+                )));
+            }
+            let (plan, plan_cache_hit) = ctx.db.prepare(&sql)?;
+            let stmt = session.next_stmt;
+            session.next_stmt += 1;
+            session.prepared.insert(stmt, plan);
+            Ok(Outcome::Prepared(stmt, plan_cache_hit))
+        }
+        // Close / CancelQuery / CloseStmt / SessionInfo are answered inline
+        // by the scheduler, which never queues them.
+        _ => Err(CsqError::Exec("request is not a statement".into())),
     }
-    ServiceStats::bump(&stats.queries_failed);
-    Err(send_response(conn, &QueryResponse::from_error(&e)))
 }
 
-/// Turn an execution outcome into wire traffic: `Begin`, the result's
-/// `Rows` frames and `End` on success, a typed `Error` on failure or panic.
-/// The frames are encoded from the output batches — a lane-backed batch
-/// from its lanes, so the server builds no row of it — and the whole answer
-/// leaves in one vectored write. Returns whether the connection is still
-/// usable.
-fn answer_execution(
+/// Run a coordinator's typed read. Kept out of `execute`: inlined into the
+/// statement path, it cost every SQL statement ≈7 % CPU in `csqbench`'s
+/// `svc_adhoc_rw` (2 vCPUs, bisected).
+#[inline(never)]
+fn fetch_rows(db: &Database, fetch: QueryRequest, token: &CancelToken) -> Result<Outcome> {
+    let QueryRequest::Fetch {
+        table,
+        schema,
+        filter,
+        columns,
+        partial,
+        ..
+    } = fetch
+    else {
+        return Err(CsqError::Plan("not a fetch request".into()));
+    };
+    let out = crate::lower::execute_fetch(db, &table, &schema, filter, &columns, partial, token)?;
+    Ok(Outcome::Rows(out, false))
+}
+
+/// Turn a statement's outcome into wire traffic and return whether the
+/// connection is still usable. A result is `Begin`, its `Rows` frames and
+/// `End`, encoded from the output batches — a lane-backed batch from its
+/// lanes, so the server builds no row of it — and sent in one vectored
+/// write; a prepared statement is its handle; a failure or a panic is its
+/// typed `Error`, counted.
+fn answer(
     conn: &TcpConn,
     stats: &ServiceStats,
-    config: &ServiceConfig,
-    outcome: std::thread::Result<Result<(ResultBatches, bool)>>,
+    chunk_rows: usize,
+    outcome: std::thread::Result<Result<Outcome>>,
 ) -> bool {
-    let (result, plan_cache_hit) = match failure(conn, stats, outcome) {
-        Ok(done) => done,
-        Err(alive) => return alive,
+    let outcome = outcome.unwrap_or_else(|_| {
+        ServiceStats::bump(&stats.panics);
+        Err(CsqError::Exec(
+            "statement execution panicked (session preserved)".into(),
+        ))
+    });
+    let (result, plan_cache_hit) = match outcome {
+        Ok(Outcome::Rows(result, plan_cache_hit)) => (result, plan_cache_hit),
+        Ok(Outcome::Prepared(stmt, plan_cache_hit)) => {
+            let prepared = QueryResponse::Prepared {
+                stmt,
+                plan_cache_hit,
+            };
+            return send_response(conn, &prepared);
+        }
+        Err(e) => {
+            match &e {
+                CsqError::Timeout(_) => ServiceStats::bump(&stats.timed_out),
+                CsqError::Cancelled(_) => ServiceStats::bump(&stats.cancelled),
+                _ => {}
+            }
+            ServiceStats::bump(&stats.queries_failed);
+            return send_response(conn, &QueryResponse::from_error(&e));
+        }
     };
     let columns: Vec<String> = result
         .schema
@@ -1000,7 +1022,7 @@ fn answer_execution(
         .iter()
         .map(|f| f.display_name())
         .collect();
-    let frames = QueryResponse::encode_rows_frames(&result.batches, config.chunk_rows);
+    let frames = QueryResponse::encode_rows_frames(&result.batches, chunk_rows);
     let end = QueryResponse::End {
         rows: result.len() as u64,
         affected: result.affected as u64,
@@ -1108,6 +1130,8 @@ mod scheduler_tests {
     use std::net::TcpStream;
     use std::sync::OnceLock;
 
+    const WORKERS: usize = 2;
+
     /// Start a service on `addr` once no other test of this module runs
     /// one (the thread census below must see one service only).
     fn serve(addr: &str, max_sessions: usize) -> (ServiceHandle, MutexGuard<'static, ()>) {
@@ -1115,7 +1139,7 @@ mod scheduler_tests {
         let one = ONE.get_or_init(|| Mutex::new(())).lock();
         let db = Database::new(csq_net::NetworkSpec::symmetric(100_000.0, 0));
         let config = ServiceConfig {
-            workers: 1,
+            workers: WORKERS,
             max_sessions,
             ..ServiceConfig::default()
         };
@@ -1128,6 +1152,18 @@ mod scheduler_tests {
             assert!(Instant::now() < deadline, "timed out waiting for {n}");
             std::thread::sleep(Duration::from_millis(1));
         }
+    }
+
+    /// The process's service threads by name, `(scheduler, workers)`: a
+    /// thread's `comm` is its name cut to 15 bytes (`csq-service-pol`).
+    #[cfg(target_os = "linux")]
+    fn census() -> (usize, usize, Vec<String>) {
+        let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+            .collect();
+        let named = |prefix: &str| names.iter().filter(|n| n.starts_with(prefix)).count();
+        (named("csq-service"), named("csq-worker-"), names)
     }
 
     #[test]
@@ -1145,16 +1181,9 @@ mod scheduler_tests {
         wait_for(&stats.rejected, 6);
         #[cfg(target_os = "linux")]
         {
-            let names: Vec<String> = std::fs::read_dir("/proc/self/task")
-                .unwrap()
-                .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
-                .collect();
-            let ours = names.iter().filter(|n| n.starts_with("csq-service"));
-            assert_eq!(
-                ours.count(),
-                1,
-                "one scheduler thread and no other: {names:?}"
-            );
+            let (scheduler, workers, names) = census();
+            assert_eq!(scheduler, 1, "one scheduler thread and no other: {names:?}");
+            assert_eq!(workers, WORKERS, "the configured workers: {names:?}");
         }
         for mut s in silent {
             s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -1170,6 +1199,24 @@ mod scheduler_tests {
         }
         assert_eq!(stats.rejected.load(Ordering::Relaxed), 9);
         assert_eq!(stats.accepted.load(Ordering::Relaxed), 2);
+        handle.shutdown();
+        // A joined thread leaves the task list as the kernel reaps it, a
+        // moment after the join returns.
+        #[cfg(target_os = "linux")]
+        {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            loop {
+                let (scheduler, workers, names) = census();
+                if scheduler + workers == 0 {
+                    break;
+                }
+                assert!(
+                    Instant::now() < deadline,
+                    "threads outlive shutdown: {names:?}"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
     }
 
     #[test]

@@ -816,7 +816,7 @@ impl HashAggregate {
     /// it, releasing its registered bytes.
     fn spill_groups(&mut self, table: &mut GroupTable) -> Result<()> {
         if self.spilled.is_empty() {
-            self.spilled = spill_partitions()?;
+            self.spilled = spill_partitions();
         }
         if table.len() == 0 {
             return Ok(());

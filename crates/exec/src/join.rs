@@ -202,7 +202,7 @@ impl HashJoin {
                 // Flush the build table to partitions (its bytes go back
                 // with it) and keep partitioning the rest of the input
                 // straight to disk.
-                let mut parts = spill_partitions()?;
+                let mut parts = spill_partitions();
                 let rows = std::mem::replace(&mut table, BuildTable::new(width, &self.memory)).rows;
                 partition_rows(&mut parts, Some(&self.right_key), rows, &mut scratch)?;
                 self.memory.record_spill();
@@ -213,7 +213,7 @@ impl HashJoin {
         let Some(build_parts) = spill else {
             return Ok(JoinState::InMemory(table));
         };
-        let mut probe_parts = spill_partitions()?;
+        let mut probe_parts = spill_partitions();
         while let Some(batch) = self.left.next_batch()? {
             let rows = batch.into_rows();
             partition_rows(&mut probe_parts, Some(&self.left_key), rows, &mut scratch)?;

@@ -14,13 +14,12 @@
 //! cancellation checkpoint and in-memory row sources — what
 //! `csq_core::lower` and `csq-ship` build; both hash operators number their
 //! keys through [`csq_common::KeyIndex`]. [`MemoryTracker`] is
-//! the byte budget the blocking operators spill under, and [`WorkerPool`]
-//! is the thread pool the query service schedules sessions on.
+//! the byte budget the blocking operators spill under. The crate starts no
+//! thread: the query service's workers are its own (`csq_core::service`).
 
 pub mod aggregate;
 pub mod join;
 pub mod ops;
-pub mod pool;
 pub mod spill;
 
 pub use aggregate::{aggregate_output_schema, aggregate_state_schema, AggSpec, HashAggregate};
@@ -29,7 +28,6 @@ pub use ops::{
     collect, compare_values, CancelCheck, ColumnarScan, Filter, Operator, Project, Projection,
     RowsOp,
 };
-pub use pool::WorkerPool;
 pub use spill::MemoryTracker;
 
 /// A boxed operator, the unit of plan composition.

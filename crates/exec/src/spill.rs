@@ -17,8 +17,9 @@
 //!
 //! Spill files live under the system temp directory as
 //! `csq-spill-<pid>-<seq>.bin`, a sequence of length-prefixed frames each
-//! holding one wire-encoded row chunk. They are deleted on drop; a crash
-//! leaves them to the OS temp cleaner.
+//! holding one wire-encoded row chunk. A partition creates its file with
+//! its first row, so one that receives none costs no file. They are deleted
+//! on drop and never synced; a crash leaves them to the OS temp cleaner.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -134,40 +135,44 @@ fn io_err(ctx: &str, e: std::io::Error) -> CsqError {
     CsqError::Exec(format!("spill {ctx}: {e}"))
 }
 
+/// A spill file's path; the file is deleted (best effort — a failure leaves
+/// it to the OS temp cleaner) when this goes.
+struct SpillPath(PathBuf);
+
+impl Drop for SpillPath {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
 /// One spill partition being written: length-prefixed frames of wire-encoded
-/// row chunks. The backing file is deleted when the writer (or the reader it
-/// turns into) is dropped.
+/// row chunks. Its file is created by the first non-empty write, so a
+/// partition that receives no rows touches no file; the file is deleted
+/// when the writer (or the reader it turns into) is dropped.
+#[derive(Default)]
 pub struct SpillFile {
-    path: PathBuf,
-    writer: Option<BufWriter<File>>,
+    file: Option<(BufWriter<File>, SpillPath)>,
     rows: usize,
     buf: Vec<u8>,
 }
 
 impl SpillFile {
-    /// Create an empty spill partition in the temp directory.
-    pub fn create() -> Result<SpillFile> {
-        let path = spill_path();
-        let file = OpenOptions::new()
-            .create_new(true)
-            .write(true)
-            .open(&path)
-            .map_err(|e| io_err("create", e))?;
-        Ok(SpillFile {
-            path,
-            writer: Some(BufWriter::new(file)),
-            rows: 0,
-            buf: Vec::new(),
-        })
-    }
-
     /// Append one frame of rows.
     pub fn write_rows(&mut self, rows: &[Row]) -> Result<()> {
         if rows.is_empty() {
             return Ok(());
         }
-        let Some(w) = self.writer.as_mut() else {
-            return Err(CsqError::Exec("spill write after seal".into()));
+        let (w, _) = match &mut self.file {
+            Some(file) => file,
+            None => {
+                let path = SpillPath(spill_path());
+                let file = OpenOptions::new()
+                    .create_new(true)
+                    .write(true)
+                    .open(&path.0)
+                    .map_err(|e| io_err("create", e))?;
+                self.file.insert((BufWriter::new(file), path))
+            }
         };
         self.buf.clear();
         codec::encode_rows(rows, &mut self.buf);
@@ -184,46 +189,41 @@ impl SpillFile {
         self.rows
     }
 
-    /// Seal the partition and reopen it for reading.
-    pub fn into_reader(mut self) -> Result<SpillReader> {
-        if let Some(w) = self.writer.take() {
-            w.into_inner()
-                .map_err(|e| io_err("flush", e.into_error()))?
-                .sync_data()
-                .ok();
-        }
-        let file = File::open(&self.path).map_err(|e| io_err("reopen", e))?;
-        let reader = SpillReader {
-            path: std::mem::take(&mut self.path),
-            reader: BufReader::new(file),
-            buf: Vec::new(),
+    /// Seal the partition and reopen it for reading. The file is only ever
+    /// read back by this process and is deleted on drop, so it is flushed
+    /// but not synced.
+    pub fn into_reader(self) -> Result<SpillReader> {
+        let Some((writer, path)) = self.file else {
+            return Ok(SpillReader::default());
         };
-        std::mem::forget(self); // the reader now owns file deletion
-        Ok(reader)
-    }
-}
-
-impl Drop for SpillFile {
-    fn drop(&mut self) {
-        self.writer.take();
-        // Best effort: a failure leaves the file to the OS temp cleaner.
-        let _ = std::fs::remove_file(&self.path);
+        writer
+            .into_inner()
+            .map_err(|e| io_err("flush", e.into_error()))?;
+        let file = File::open(&path.0).map_err(|e| io_err("reopen", e))?;
+        Ok(SpillReader {
+            file: Some((BufReader::new(file), path)),
+            buf: Vec::new(),
+        })
     }
 }
 
 /// Reads a sealed spill partition frame by frame (bounded memory: one frame
-/// at a time). Deletes the backing file on drop.
+/// at a time). Deletes the backing file on drop; a partition that never
+/// received a row has none and reads as empty.
+#[derive(Default)]
 pub struct SpillReader {
-    path: PathBuf,
-    reader: BufReader<File>,
+    file: Option<(BufReader<File>, SpillPath)>,
     buf: Vec<u8>,
 }
 
 impl SpillReader {
     /// The next frame of rows, or `None` at end of file.
     pub fn next_frame(&mut self) -> Result<Option<Vec<Row>>> {
+        let Some((reader, _)) = &mut self.file else {
+            return Ok(None);
+        };
         let mut len_bytes = [0u8; 4];
-        match self.reader.read_exact(&mut len_bytes) {
+        match reader.read_exact(&mut len_bytes) {
             Ok(()) => {}
             Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
             Err(e) => return Err(io_err("read frame length", e)),
@@ -236,7 +236,7 @@ impl SpillReader {
         }
         self.buf.clear();
         self.buf.resize(len as usize, 0);
-        self.reader
+        reader
             .read_exact(&mut self.buf)
             .map_err(|e| io_err("read frame", e))?;
         codec::decode_rows(&self.buf).map(Some)
@@ -253,20 +253,17 @@ impl SpillReader {
     }
 }
 
-impl Drop for SpillReader {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
 /// Estimated in-memory overhead per tracked hash-table entry beyond the row
 /// payload (hash bucket, Vec header, AggState enum). Deliberately rough —
 /// the budget is advisory and errs toward spilling early.
 pub const ENTRY_OVERHEAD: usize = 48;
 
-/// [`SPILL_PARTITIONS`] new spill files.
-pub fn spill_partitions() -> Result<Vec<SpillFile>> {
-    (0..SPILL_PARTITIONS).map(|_| SpillFile::create()).collect()
+/// [`SPILL_PARTITIONS`] new spill partitions (no file is created until a
+/// partition receives rows).
+pub fn spill_partitions() -> Vec<SpillFile> {
+    (0..SPILL_PARTITIONS)
+        .map(|_| SpillFile::default())
+        .collect()
 }
 
 /// Partition a set of spill files: write `rows` split by the hash of the
@@ -298,14 +295,18 @@ mod tests {
         Row::new(vec![Value::Int(i), Value::from(format!("v{i}"))])
     }
 
+    fn path(f: &SpillFile) -> Option<PathBuf> {
+        f.file.as_ref().map(|(_, path)| path.0.clone())
+    }
+
     #[test]
     fn spill_roundtrip_and_cleanup() {
-        let mut f = SpillFile::create().unwrap();
+        let mut f = SpillFile::default();
         let rows: Vec<Row> = (0..100).map(row).collect();
         f.write_rows(&rows[..50]).unwrap();
         f.write_rows(&rows[50..]).unwrap();
         assert_eq!(f.rows(), 100);
-        let path = f.path.clone();
+        let path = path(&f).unwrap();
         assert!(path.exists());
         let mut r = f.into_reader().unwrap();
         let back = r.read_all().unwrap();
@@ -316,15 +317,28 @@ mod tests {
 
     #[test]
     fn writer_drop_removes_file() {
-        let f = SpillFile::create().unwrap();
-        let path = f.path.clone();
+        let mut f = SpillFile::default();
+        f.write_rows(&[row(1)]).unwrap();
+        let path = path(&f).unwrap();
+        assert!(path.exists());
         drop(f);
         assert!(!path.exists());
     }
 
     #[test]
+    fn a_partition_with_no_rows_leaves_no_file() {
+        let mut f = SpillFile::default();
+        f.write_rows(&[]).unwrap();
+        assert_eq!(path(&f), None, "no rows, no file");
+        let mut r = f.into_reader().unwrap();
+        assert!(r.file.is_none());
+        assert_eq!(r.next_frame().unwrap(), None);
+        assert!(r.read_all().unwrap().is_empty());
+    }
+
+    #[test]
     fn partitioning_is_key_stable() {
-        let mut parts: Vec<SpillFile> = (0..4).map(|_| SpillFile::create().unwrap()).collect();
+        let mut parts: Vec<SpillFile> = (0..4).map(|_| SpillFile::default()).collect();
         let rows: Vec<Row> = (0..64).map(|i| row(i % 8)).collect();
         let mut scratch = Vec::new();
         partition_rows(&mut parts, Some(&[0]), rows, &mut scratch).unwrap();

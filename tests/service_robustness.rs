@@ -207,6 +207,69 @@ fn statement_failing_after_lane_batches_answers_one_error_frame() {
     handle.shutdown();
 }
 
+/// A client-site UDF whose every call panics.
+struct PanickingUdf(csq::UdfSignature);
+
+impl csq::ScalarUdf for PanickingUdf {
+    fn signature(&self) -> &csq::UdfSignature {
+        &self.0
+    }
+
+    fn invoke(&self, _: &[Value]) -> Result<Value> {
+        panic!("client-site UDF panics")
+    }
+}
+
+/// A statement whose UDF panics answers exactly one typed `exec` `Error`
+/// frame, counted as a panic and a failure; the panic costs neither the
+/// session nor the one worker, which answers the same connection's next
+/// statement as its next frame.
+#[test]
+fn a_panicking_statement_answers_one_exec_error_and_the_worker_lives_on() {
+    let db = demo_db(20);
+    let sig = csq::UdfSignature::new("Boom", vec![DataType::Blob], DataType::Blob);
+    db.register_udf(Arc::new(PanickingUdf(sig))).unwrap();
+    let config = ServiceConfig {
+        workers: 1,
+        ..small_config()
+    };
+    let handle = start(&db, config);
+    let stats = handle.stats().clone();
+    let conn = TcpConn::connect(handle.local_addr()).unwrap();
+    let send = |sql: &str| {
+        let request = csq_client::QueryRequest::Query {
+            sql: sql.into(),
+            deadline_ms: 0,
+        };
+        conn.send(&request.encode()).unwrap();
+    };
+    let recv = || {
+        let csq_net::Frame::Payload(frame) = conn.recv().unwrap() else {
+            panic!("expected a response frame");
+        };
+        QueryResponse::decode(&frame).unwrap()
+    };
+    send("SELECT Boom(R.Obj) FROM R R WHERE R.Id < 5");
+    match recv() {
+        QueryResponse::Error { kind, fatal, .. } => {
+            assert_eq!((kind.as_str(), fatal), ("exec", false))
+        }
+        other => panic!("expected one Error frame, got {other:?}"),
+    }
+    assert_eq!(stats.panics.load(Ordering::Relaxed), 1);
+    assert_eq!(stats.queries_failed.load(Ordering::Relaxed), 1);
+    send(COUNT_SQL);
+    assert!(matches!(recv(), QueryResponse::Begin { .. }));
+    assert_eq!(
+        recv(),
+        QueryResponse::Rows(vec![Row::new(vec![Value::Int(20)])])
+    );
+    assert!(matches!(recv(), QueryResponse::End { rows: 1, .. }));
+    assert_eq!(stats.panics.load(Ordering::Relaxed), 1);
+    assert_eq!(stats.queries_ok.load(Ordering::Relaxed), 1);
+    handle.shutdown();
+}
+
 #[test]
 fn garbage_frame_gets_codec_error_and_other_sessions_continue() {
     let db = demo_db(30);
